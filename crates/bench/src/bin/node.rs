@@ -27,9 +27,10 @@
 //! `--threads-per-server`, `--compressor none|raw|snappy|zlib-1|zlib-3|varint-delta`
 //! (message compressor; defaults to the paper's snappy — compression never
 //! changes decoded values, only wire bytes). Runtime flags: `--id`, `--servers`, `--listen`,
-//! `--peers` (comma-separated, indexed by server id), `--plane socket|poll`
-//! (blocking reader-thread-per-peer vs single event-loop thread — same wire
-//! protocol, see docs/WIRE.md), `--out`, `--establish-timeout-secs`.
+//! `--peers` (comma-separated, indexed by server id), `--out`,
+//! `--establish-timeout-secs`. The transport is always
+//! [`graphh_runtime::PollPlane`] (one event-loop thread per process; wire
+//! protocol in docs/WIRE.md).
 //!
 //! Instead of enumerating every peer, a node may bootstrap by **seed
 //! discovery** (see `docs/WIRE.md` §10): `--seed HOST:PORT` (repeatable)
@@ -72,8 +73,8 @@ use graphh_core::{DirectionMode, GraphHConfig};
 use graphh_obs::{chrome_trace_json, global_counters, Tracer};
 use graphh_pool::WorkerPool;
 use graphh_runtime::{
-    run_worker_with, validate_peer_table, BoundTcpPlane, CheckpointSink, MetricsSlice,
-    ResilienceConfig, SuperstepBarrier, TcpPlaneKind, WorkerOptions,
+    run_worker_with, validate_peer_table, BroadcastPlane, CheckpointSink, MetricsSlice, PollPlane,
+    ResilienceConfig, SuperstepBarrier, WorkerOptions,
 };
 use std::net::SocketAddr;
 use std::sync::mpsc::channel;
@@ -87,7 +88,6 @@ struct Args {
     /// Membership seed addresses (`--seed HOST:PORT`, repeatable) — the
     /// address book is learned from a live seed instead of `--peers`.
     seeds: Vec<SocketAddr>,
-    plane: TcpPlaneKind,
     direction: DirectionMode,
     workload: NodeWorkload,
     threads_per_server: Option<u32>,
@@ -115,7 +115,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: graphh-node --id I --servers P --listen ADDR \
          (--peers A0,A1,... | --seed HOST:PORT...) \
-         [--plane socket|poll] [--program NAME] [--program-arg K=V]... \
+         [--program NAME] [--program-arg K=V]... \
          [--direction auto|pull|push] [--scale S] \
          [--edge-factor F] [--seed N] [--tiles T] [--supersteps N] \
          [--threads-per-server T] \
@@ -150,7 +150,6 @@ fn parse_args() -> Result<Args, String> {
         tiles: 9,
         supersteps: 10,
     };
-    let mut plane = TcpPlaneKind::Socket;
     let mut direction = DirectionMode::Auto;
     let mut threads_per_server = None;
     let mut compressor = None;
@@ -187,7 +186,6 @@ fn parse_args() -> Result<Args, String> {
                     .map(|a| a.trim().parse().map_err(|e| bad(&e)))
                     .collect::<Result<_, _>>()?;
             }
-            "--plane" => plane = value.parse()?,
             "--direction" => direction = value.parse()?,
             "--program" => workload.program = value,
             "--program-arg" => workload.program_args.push(value),
@@ -251,7 +249,6 @@ fn parse_args() -> Result<Args, String> {
         listen,
         peers,
         seeds,
-        plane,
         direction,
         workload,
         threads_per_server,
@@ -290,14 +287,13 @@ fn run(args: Args) -> Result<(), String> {
 
     // Bind the listener before the (potentially slow) deterministic workload
     // build, so peers' connect retries succeed as early as possible.
-    let bound = BoundTcpPlane::bind(args.plane, args.id, args.servers, args.listen.as_str())
+    let bound = PollPlane::bind(args.id, args.servers, args.listen.as_str())
         .map_err(|e| format!("bind listener: {e}"))?;
     eprintln!(
-        "graphh-node {}/{}: listening on {} (plane {:?})",
+        "graphh-node {}/{}: listening on {}",
         args.id,
         args.servers,
         bound.local_addr().map_err(|e| e.to_string())?,
-        args.plane,
     );
 
     let mut config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(args.servers))
@@ -428,7 +424,7 @@ fn run(args: Args) -> Result<(), String> {
         &partitioned,
         program.as_ref(),
         sid,
-        plane.as_mut(),
+        &mut plane,
         &barrier,
         &metrics_tx,
         &tracer,
@@ -524,7 +520,7 @@ fn node_metrics_json(
             "{{\n",
             "  \"server\": {},\n",
             "  \"servers\": {},\n",
-            "  \"plane\": \"{:?}\",\n",
+            "  \"plane\": \"Poll\",\n",
             "  \"direction\": \"{}\",\n",
             "  \"program\": \"{}\",\n",
             "  \"supersteps_run\": {},\n",
@@ -537,7 +533,6 @@ fn node_metrics_json(
         ),
         sid,
         args.servers,
-        args.plane,
         args.direction.as_str(),
         graphh_obs::json::escape(program),
         supersteps_run,

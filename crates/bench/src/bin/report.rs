@@ -44,13 +44,12 @@ fn runtime_and_record_json() -> String {
     let rows = runtime_rows();
     let sweep = kernel_sweep();
     let pool = pool_spawn_microbench();
-    let plane = plane_loopback_microbench();
     let codec = codec_microbench();
     let phases = phase_breakdown();
-    let mut out = runtime_report(&rows, &sweep, &pool, &plane, &codec, &phases);
+    let mut out = runtime_report(&rows, &sweep, &pool, &codec, &phases);
     match std::fs::write(
         "BENCH_runtime.json",
-        runtime_json(&rows, &sweep, &pool, &plane, &codec, &phases),
+        runtime_json(&rows, &sweep, &pool, &codec, &phases),
     ) {
         Ok(()) => out.push_str("(wrote BENCH_runtime.json)\n"),
         Err(e) => out.push_str(&format!("could not write BENCH_runtime.json: {e}\n")),

@@ -650,7 +650,6 @@ pub fn runtime_executors() -> String {
         &runtime_rows(),
         &kernel_sweep(),
         &pool_spawn_microbench(),
-        &plane_loopback_microbench(),
         &codec_microbench(),
         &phase_breakdown(),
     )
@@ -671,7 +670,6 @@ pub fn runtime_report(
     rows: &[RuntimeRow],
     sweep: &[KernelSweepRow],
     pool: &PoolBench,
-    plane: &PlaneBench,
     codec: &CodecBench,
     phase: &PhaseBreakdown,
 ) -> String {
@@ -730,19 +728,6 @@ pub fn runtime_report(
         pool.spawning_seconds,
         pool.persistent_seconds,
         pool.speedup()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "plane microbench (2 endpoints, {} supersteps x {} x {} B broadcasts): \
-         socket={:.6}s poll={:.6}s socket/poll={:.2}x (poll coalesces each \
-         superstep's frames into one batched, vectored write per peer)",
-        plane.supersteps,
-        plane.messages_per_superstep,
-        plane.payload_bytes,
-        plane.socket_seconds,
-        plane.poll_seconds,
-        plane.ratio()
     )
     .unwrap();
     for row in &codec.rows {
@@ -1108,88 +1093,6 @@ pub fn pool_spawn_microbench() -> PoolBench {
     }
 }
 
-/// Measured loopback wall-clock of the two TCP broadcast planes on the same
-/// exchange — the transport axis of the runtime record. `socket` burns one
-/// reader thread per peer; `poll` drives every peer from a single event-loop
-/// thread (see `docs/WIRE.md` §5 and the `graphh-node --plane` flag). On a
-/// 2-endpoint loopback the two are expected to be close; the poll plane's
-/// advantage is thread *footprint* at larger cluster sizes, not 2-node
-/// latency.
-pub struct PlaneBench {
-    /// Supersteps per measurement.
-    pub supersteps: u32,
-    /// Broadcasts per endpoint per superstep.
-    pub messages_per_superstep: usize,
-    /// Bytes per broadcast payload.
-    pub payload_bytes: usize,
-    /// Best-of-3 seconds over [`graphh_runtime::SocketPlane`].
-    pub socket_seconds: f64,
-    /// Best-of-3 seconds over [`graphh_runtime::PollPlane`].
-    pub poll_seconds: f64,
-}
-
-impl PlaneBench {
-    /// Socket-plane time over poll-plane time (>1 means poll was faster).
-    pub fn ratio(&self) -> f64 {
-        self.socket_seconds / self.poll_seconds.max(1e-12)
-    }
-}
-
-/// Measure [`PlaneBench`]: two endpoints over loopback, 32 supersteps of
-/// 8 × 4 KiB broadcasts each, best of 3 per plane.
-pub fn plane_loopback_microbench() -> PlaneBench {
-    use graphh_runtime::{BoundTcpPlane, BroadcastPlane, TcpPlaneKind};
-    use std::net::SocketAddr;
-    use std::time::Instant;
-
-    const SUPERSTEPS: u32 = 32;
-    const MESSAGES: usize = 8;
-    const PAYLOAD: usize = 4096;
-
-    fn exchange(mut plane: Box<dyn BroadcastPlane>, payload: &[u8]) {
-        for s in 0..SUPERSTEPS {
-            for _ in 0..MESSAGES {
-                plane.broadcast(s, payload).expect("broadcast");
-            }
-            plane.end_superstep(s).expect("end superstep");
-            let got = plane.collect(s).expect("collect");
-            assert_eq!(got.len(), MESSAGES);
-        }
-    }
-
-    // Measures one full 2-endpoint run: bind, establish, exchange, teardown
-    // (teardown is part of the cost story — the socket plane joins 2 reader
-    // threads, the poll plane 1 event loop, per endpoint).
-    fn run_once(kind: TcpPlaneKind, payload: &[u8]) -> f64 {
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            let bound: Vec<BoundTcpPlane> = (0..2)
-                .map(|sid| BoundTcpPlane::bind(kind, sid, 2, "127.0.0.1:0").expect("bind"))
-                .collect();
-            let addrs: Vec<SocketAddr> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
-            for b in bound {
-                let addrs = addrs.clone();
-                scope.spawn(move || exchange(b.establish(&addrs).expect("establish"), payload));
-            }
-        });
-        started.elapsed().as_secs_f64()
-    }
-
-    let payload = vec![0x5au8; PAYLOAD];
-    let best_of_3 = |kind: TcpPlaneKind| {
-        (0..3)
-            .map(|_| run_once(kind, &payload))
-            .fold(f64::INFINITY, f64::min)
-    };
-    PlaneBench {
-        supersteps: SUPERSTEPS,
-        messages_per_superstep: MESSAGES,
-        payload_bytes: PAYLOAD,
-        socket_seconds: best_of_3(TcpPlaneKind::Socket),
-        poll_seconds: best_of_3(TcpPlaneKind::Poll),
-    }
-}
-
 /// One measured executor-comparison configuration.
 ///
 /// Wall-clock and simulated time are distinct quantities and are labelled
@@ -1508,7 +1411,6 @@ pub fn runtime_json(
     rows: &[RuntimeRow],
     sweep: &[KernelSweepRow],
     pool: &PoolBench,
-    plane: &PlaneBench,
     codec: &CodecBench,
     phase: &PhaseBreakdown,
 ) -> String {
@@ -1581,19 +1483,6 @@ pub fn runtime_json(
         pool.spawning_seconds,
         pool.persistent_seconds,
         pool.speedup()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  \"planes_swept\": [\"socket\", \"poll\"],\n  \
-         \"plane_microbench\": {{\"endpoints\": 2, \"supersteps\": {}, \"messages_per_superstep\": {}, \
-         \"payload_bytes\": {}, \"socket_s\": {:.6}, \"poll_s\": {:.6}, \"socket_over_poll\": {:.4}}},",
-        plane.supersteps,
-        plane.messages_per_superstep,
-        plane.payload_bytes,
-        plane.socket_seconds,
-        plane.poll_seconds,
-        plane.ratio()
     )
     .unwrap();
     writeln!(
@@ -1686,35 +1575,6 @@ mod tests {
         assert!(f6a.contains("UK-2014"));
     }
 
-    /// The transport axis must actually run on both planes (a hang or
-    /// deadlock here would stall CI's `report runtime` step).
-    #[test]
-    fn plane_microbench_measures_both_planes() {
-        let bench = plane_loopback_microbench();
-        assert!(bench.socket_seconds > 0.0);
-        assert!(bench.poll_seconds > 0.0);
-        let codec = CodecBench {
-            range: 1,
-            rows: Vec::new(),
-            compressed: Vec::new(),
-        };
-        let json = runtime_json(
-            &[],
-            &tiny_sweep(),
-            &pool_spawn_microbench(),
-            &bench,
-            &codec,
-            &tiny_phases(),
-        );
-        assert!(json.contains("\"planes_swept\": [\"socket\", \"poll\"]"));
-        assert!(json.contains("\"plane_microbench\""));
-        assert!(json.contains("\"codec_microbench\""));
-        assert!(json.contains("\"phase_breakdown\""));
-        assert!(json.contains("\"name\": \"tile-compute\""));
-        assert!(json.contains("\"kernel_sweep\""));
-        assert!(json.contains("\"program\": \"bfs-dopt\""));
-    }
-
     /// The codec microbench must measure all four paths on both encodings,
     /// and its rows must render into the runtime JSON record. Runs a tiny
     /// sized variant: the full 100 MB-per-measurement workload takes seconds
@@ -1750,7 +1610,6 @@ mod tests {
             &[],
             &tiny_sweep(),
             &pool_spawn_microbench(),
-            &tiny_plane(),
             &bench,
             &tiny_phases(),
         );
@@ -1758,6 +1617,11 @@ mod tests {
         assert!(json.contains("\"encode_into_mb_s\""));
         assert!(json.contains("\"compressed\": ["));
         assert!(json.contains("\"compressor\": \"zlib-1\""));
+        assert!(json.contains("\"codec_microbench\""));
+        assert!(json.contains("\"phase_breakdown\""));
+        assert!(json.contains("\"name\": \"tile-compute\""));
+        assert!(json.contains("\"kernel_sweep\""));
+        assert!(json.contains("\"program\": \"bfs-dopt\""));
     }
 
     fn tiny_sweep() -> Vec<KernelSweepRow> {
@@ -1769,16 +1633,6 @@ mod tests {
             supersteps_run: 4,
             identical: true,
         }]
-    }
-
-    fn tiny_plane() -> PlaneBench {
-        PlaneBench {
-            supersteps: 0,
-            messages_per_superstep: 0,
-            payload_bytes: 0,
-            socket_seconds: 1.0,
-            poll_seconds: 1.0,
-        }
     }
 
     fn tiny_phases() -> PhaseBreakdown {

@@ -75,8 +75,6 @@ fn spawn_node(
             &SERVERS.to_string(),
             "--listen",
             &format!("127.0.0.1:{}", ports[id as usize]),
-            "--plane",
-            "poll",
             "--peers",
             &peers,
             "--program",
@@ -203,8 +201,6 @@ fn spawn_node_seeded(
             &SERVERS.to_string(),
             "--listen",
             &format!("127.0.0.1:{listen_port}"),
-            "--plane",
-            "poll",
             "--seed",
             &format!("127.0.0.1:{seed_port}"),
             "--program",

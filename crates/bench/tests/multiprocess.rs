@@ -1,14 +1,13 @@
 //! Multi-process determinism: launch real `graphh-node` OS processes over
 //! loopback TCP and pin their replicas bit-identical to each other *and* to
 //! the in-process sequential reference executor — for PageRank, SSSP, WCC and
-//! BFS (plain and direction-optimizing), over **both** TCP planes
-//! (`--plane socket` and `--plane poll`).
+//! BFS (plain and direction-optimizing).
 //!
-//! This is the strongest statement the transport refactor makes: the same
-//! superstep loop, wire codec and frame protocol, with the simulated servers
-//! living in separate address spaces — whether driven by blocking reader
-//! threads or a single readiness loop — produces byte-for-byte the values of
-//! the single-threaded reference.
+//! This is the strongest statement the transport makes: the same superstep
+//! loop, wire codec and frame protocol, with the simulated servers living in
+//! separate address spaces — each with exactly one event-loop thread driving
+//! its peer sockets — produces byte-for-byte the values of the
+//! single-threaded reference.
 
 use graphh_bench::multiprocess::{decode_values, NodeWorkload};
 use graphh_cluster::ClusterConfig;
@@ -34,7 +33,6 @@ fn free_loopback_ports(n: usize) -> Vec<u16> {
 
 fn spawn_node(
     workload: &NodeWorkload,
-    plane: &str,
     extra_args: &[&str],
     id: u32,
     ports: &[u16],
@@ -57,8 +55,6 @@ fn spawn_node(
         &SERVERS.to_string(),
         "--listen",
         &format!("127.0.0.1:{}", ports[id as usize]),
-        "--plane",
-        plane,
         "--peers",
         &peers,
         "--program",
@@ -86,23 +82,23 @@ fn spawn_node(
 /// port-reservation race) so the caller can retry with fresh ports.
 fn try_cluster_run(
     workload: &NodeWorkload,
-    plane: &str,
     extra_args: &[&str],
     attempt: u32,
 ) -> Result<Vec<Vec<f64>>, String> {
     let dir = std::env::temp_dir();
+    let ports = free_loopback_ports(SERVERS as usize);
     let outs: Vec<std::path::PathBuf> = (0..SERVERS)
         .map(|id| {
             dir.join(format!(
-                "graphh-mp-{}-{}-{plane}-a{attempt}-s{id}.bin",
+                "graphh-mp-{}-{}-p{}-a{attempt}-s{id}.bin",
                 std::process::id(),
-                workload.program
+                workload.program,
+                ports[0]
             ))
         })
         .collect();
-    let ports = free_loopback_ports(SERVERS as usize);
     let children: Vec<Child> = (0..SERVERS)
-        .map(|id| spawn_node(workload, plane, extra_args, id, &ports, &outs[id as usize]))
+        .map(|id| spawn_node(workload, extra_args, id, &ports, &outs[id as usize]))
         .collect();
     let mut ok = true;
     for mut child in children {
@@ -122,23 +118,19 @@ fn try_cluster_run(
     Ok(values)
 }
 
-fn assert_cluster_matches_sequential(workload: NodeWorkload, plane: &str) {
-    assert_cluster_matches_sequential_with_args(workload, plane, &[]);
+fn assert_cluster_matches_sequential(workload: NodeWorkload) {
+    assert_cluster_matches_sequential_with_args(workload, &[]);
 }
 
 /// [`assert_cluster_matches_sequential`] with extra `graphh-node` CLI flags
 /// (e.g. `--compressor zlib-1`). The sequential reference keeps the default
 /// config: config knobs passed this way must never change decoded values.
-fn assert_cluster_matches_sequential_with_args(
-    workload: NodeWorkload,
-    plane: &str,
-    extra_args: &[&str],
-) {
+fn assert_cluster_matches_sequential_with_args(workload: NodeWorkload, extra_args: &[&str]) {
     // Retry a couple of times: the free-port reservation is inherently racy
     // on a shared machine, and a stolen port makes a node exit nonzero.
     let mut replicas = None;
     for attempt in 0..3 {
-        match try_cluster_run(&workload, plane, extra_args, attempt) {
+        match try_cluster_run(&workload, extra_args, attempt) {
             Ok(values) => {
                 replicas = Some(values);
                 break;
@@ -169,7 +161,7 @@ fn assert_cluster_matches_sequential_with_args(
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "{} over {plane}: server {sid} vertex {v} diverged across processes ({x} vs {y})",
+                "{}: server {sid} vertex {v} diverged across processes ({x} vs {y})",
                 workload.program
             );
         }
@@ -189,36 +181,18 @@ fn workload(program: &str) -> NodeWorkload {
 }
 
 #[test]
-fn two_process_tcp_pagerank_matches_sequential() {
-    assert_cluster_matches_sequential(workload("pagerank"), "socket");
-}
-
-#[test]
-fn two_process_tcp_sssp_matches_sequential() {
-    assert_cluster_matches_sequential(workload("sssp"), "socket");
-}
-
-#[test]
-fn two_process_tcp_wcc_matches_sequential() {
-    assert_cluster_matches_sequential(workload("wcc"), "socket");
-}
-
-// The same clusters over the event-driven plane: real separate processes,
-// each with exactly one event-loop thread driving its peer sockets.
-
-#[test]
 fn two_process_poll_pagerank_matches_sequential() {
-    assert_cluster_matches_sequential(workload("pagerank"), "poll");
+    assert_cluster_matches_sequential(workload("pagerank"));
 }
 
 #[test]
 fn two_process_poll_sssp_matches_sequential() {
-    assert_cluster_matches_sequential(workload("sssp"), "poll");
+    assert_cluster_matches_sequential(workload("sssp"));
 }
 
 #[test]
 fn two_process_poll_wcc_matches_sequential() {
-    assert_cluster_matches_sequential(workload("wcc"), "poll");
+    assert_cluster_matches_sequential(workload("wcc"));
 }
 
 // The formerly orphaned BFS kernel, end-to-end through the registry and the
@@ -227,13 +201,8 @@ fn two_process_poll_wcc_matches_sequential() {
 // direction decision run inside real separate processes.
 
 #[test]
-fn two_process_tcp_bfs_matches_sequential() {
-    assert_cluster_matches_sequential(workload("bfs"), "socket");
-}
-
-#[test]
 fn two_process_poll_bfs_matches_sequential() {
-    assert_cluster_matches_sequential(workload("bfs"), "poll");
+    assert_cluster_matches_sequential(workload("bfs"));
 }
 
 #[test]
@@ -243,7 +212,7 @@ fn two_process_poll_dopt_bfs_switches_direction_and_matches_sequential() {
     // graph, and every process must switch at the same superstep to stay
     // bit-identical to the (pull-resolved) sequential reference.
     w.program_args = vec!["alpha=2".into(), "beta=2".into()];
-    assert_cluster_matches_sequential(w, "poll");
+    assert_cluster_matches_sequential(w);
 }
 
 // The compressed broadcast path end-to-end across real processes: every wire
@@ -254,9 +223,5 @@ fn two_process_poll_dopt_bfs_switches_direction_and_matches_sequential() {
 
 #[test]
 fn two_process_poll_compressed_pagerank_matches_sequential() {
-    assert_cluster_matches_sequential_with_args(
-        workload("pagerank"),
-        "poll",
-        &["--compressor", "zlib-1"],
-    );
+    assert_cluster_matches_sequential_with_args(workload("pagerank"), &["--compressor", "zlib-1"]);
 }

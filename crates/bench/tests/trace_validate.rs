@@ -48,8 +48,6 @@ fn spawn_traced_node(id: u32, ports: &[u16], artifacts: &NodeArtifacts) -> Child
             &SERVERS.to_string(),
             "--listen",
             &format!("127.0.0.1:{}", ports[id as usize]),
-            "--plane",
-            "poll",
             "--peers",
             &peers,
             "--program",

@@ -7,11 +7,10 @@
 //! * [`Frame`] — what travels between servers (a wire-encoded broadcast
 //!   message, an end-of-superstep marker, or an abort),
 //! * the **length-prefixed wire codec** ([`Frame::encode`] /
-//!   [`Frame::decode`] / [`Frame::read_from`], plus the incremental
-//!   [`FrameDecoder`] for non-blocking transports) used whenever frames cross
-//!   a byte stream — the TCP [`crate::socket::SocketPlane`] and
-//!   [`crate::poll::PollPlane`]; in-process backends ship the `Frame` values
-//!   directly,
+//!   [`Frame::decode`], plus the incremental [`FrameDecoder`] for
+//!   non-blocking transports) used whenever frames cross a byte stream — the
+//!   TCP [`crate::poll::PollPlane`]; in-process backends ship the `Frame`
+//!   values directly,
 //! * [`SuperstepCollector`] — the BSP inbox discipline shared by every
 //!   backend: frames for a future superstep are stashed, frames from a past
 //!   superstep are protocol violations, aborts surface as errors, and a
@@ -39,7 +38,6 @@
 //! implementation.
 
 use graphh_graph::ids::ServerId;
-use std::io::Read;
 use std::sync::Arc;
 
 /// A wire-encoded broadcast message as produced by
@@ -291,59 +289,15 @@ impl Frame {
             other => Err(FrameError::Corrupt(format!("unknown frame tag {other}"))),
         }
     }
-
-    /// Read one frame from a byte stream.
-    ///
-    /// Returns `Ok(None)` on a clean end-of-stream (EOF exactly at a frame
-    /// boundary); EOF in the middle of a frame is reported as corruption, any
-    /// other I/O failure as [`FrameError::Io`].
-    pub fn read_from<R: Read>(reader: &mut R) -> Result<Option<Frame>, FrameError> {
-        let mut prefix = [0u8; 4];
-        let mut filled = 0usize;
-        while filled < 4 {
-            match reader.read(&mut prefix[filled..]) {
-                Ok(0) if filled == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(FrameError::Corrupt(
-                        "stream ended inside a frame length prefix".into(),
-                    ))
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(FrameError::Io(e.to_string())),
-            }
-        }
-        let body_len = u32::from_le_bytes(prefix) as usize;
-        if body_len > MAX_FRAME_BODY {
-            return Err(FrameError::Corrupt(format!(
-                "frame body of {body_len} bytes exceeds the {MAX_FRAME_BODY}-byte cap"
-            )));
-        }
-        if body_len < 5 {
-            return Err(FrameError::Corrupt(format!(
-                "frame body of {body_len} bytes cannot hold a tag and a sender"
-            )));
-        }
-        let mut body = vec![0u8; body_len];
-        reader.read_exact(&mut body).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                FrameError::Corrupt("stream ended inside a frame body".into())
-            } else {
-                FrameError::Io(e.to_string())
-            }
-        })?;
-        Self::decode_body(&body).map(Some)
-    }
 }
 
 /// Incremental decoder for transports that receive bytes in arbitrary pieces.
 ///
-/// The blocking [`Frame::read_from`] owns its stream and can simply block
-/// until a whole frame arrived. A non-blocking transport (the event-driven
-/// [`crate::poll::PollPlane`]) cannot: a readiness loop hands it whatever the
-/// socket had — half a length prefix, three frames and a torn fourth — and
-/// must carry the remainder across loop iterations. `FrameDecoder` is that
-/// carry: [`push`](Self::push) appends received bytes, and
+/// A non-blocking transport (the event-driven [`crate::poll::PollPlane`])
+/// cannot block until a whole frame arrived: a readiness loop hands it
+/// whatever the socket had — half a length prefix, three frames and a torn
+/// fourth — and must carry the remainder across loop iterations.
+/// `FrameDecoder` is that carry: [`push`](Self::push) appends received bytes, and
 /// [`next_frame`](Self::next_frame) yields complete frames until only a
 /// partial one (or nothing) is left.
 ///
@@ -459,15 +413,12 @@ pub fn encode_message_into(
 pub enum FrameError {
     /// The bytes violate the wire format and can never become a valid frame.
     Corrupt(String),
-    /// The underlying stream failed.
-    Io(String),
 }
 
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FrameError::Corrupt(m) => write!(f, "corrupt frame: {m}"),
-            FrameError::Io(m) => write!(f, "frame stream I/O failure: {m}"),
         }
     }
 }
@@ -524,7 +475,7 @@ pub enum InboxEvent {
 /// The BSP inbox discipline every broadcast-plane backend shares.
 ///
 /// `collect` pulls events from a backend-supplied source (an mpsc inbox fed
-/// by channel senders or socket reader threads) until every peer has ended
+/// by channel senders or the TCP event loop) until every peer has ended
 /// the requested superstep, enforcing the superstep ordering and abort
 /// semantics of the [`crate::plane::BroadcastPlane`] contract:
 ///
@@ -884,11 +835,16 @@ mod tests {
                 Ok(None) | Err(_) => {}
                 Ok(Some(_)) => panic!("decoded a frame from a {cut}-byte truncation"),
             }
-            // The streaming reader must reject the same truncations (except
-            // the empty stream, which is a clean EOF).
-            let mut cursor = std::io::Cursor::new(&bytes[..cut]);
-            match Frame::read_from(&mut cursor) {
-                Ok(None) => assert_eq!(cut, 0, "mid-frame EOF must not look clean"),
+            // A stream ending at the same truncation must not look like a
+            // clean EOF to the streaming decoder (except the empty stream).
+            let mut decoder = FrameDecoder::new();
+            decoder.push(&bytes[..cut]);
+            match decoder.next_frame() {
+                Ok(None) => assert_eq!(
+                    decoder.is_clean(),
+                    cut == 0,
+                    "mid-frame EOF must not look clean"
+                ),
                 Err(FrameError::Corrupt(_)) => {}
                 other => panic!("truncation at {cut} gave {other:?}"),
             }
@@ -933,8 +889,9 @@ mod tests {
                 }
                 let outcome = std::panic::catch_unwind(|| {
                     let _ = Frame::decode(&corrupt);
-                    let mut cursor = std::io::Cursor::new(&corrupt);
-                    let _ = Frame::read_from(&mut cursor);
+                    let mut decoder = FrameDecoder::new();
+                    decoder.push(&corrupt);
+                    while let Ok(Some(_)) = decoder.next_frame() {}
                 });
                 assert!(outcome.is_ok(), "frame decode panicked on corrupt bytes");
             }
@@ -947,11 +904,10 @@ mod tests {
         bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
         bytes.push(TAG_ABORT);
         assert!(matches!(Frame::decode(&bytes), Err(FrameError::Corrupt(_))));
-        let mut cursor = std::io::Cursor::new(&bytes);
-        assert!(matches!(
-            Frame::read_from(&mut cursor),
-            Err(FrameError::Corrupt(_))
-        ));
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&bytes);
+        assert!(matches!(decoder.next_frame(), Err(FrameError::Corrupt(_))));
+        assert_eq!(decoder.pending_bytes(), bytes.len());
     }
 
     #[test]

@@ -23,12 +23,11 @@
 //!   wire-encoded updates over; every message really travels encoded
 //!   (+ compressed) through [`graphh_cluster::MessageCodec`], so Figure 8
 //!   traffic is metered per real message. Backends: [`ChannelPlane`]
-//!   (in-process mpsc), [`SocketPlane`] (TCP, one blocking reader thread per
-//!   peer) and [`PollPlane`] (TCP, **one event-loop thread** multiplexing all
-//!   peers over non-blocking sockets) — the TCP planes let each simulated
-//!   server be its own OS **process**; the `graphh-node` binary in
-//!   `graphh-bench` does exactly that. The wire protocol the TCP backends
-//!   speak is specified normatively in `docs/WIRE.md`,
+//!   (in-process mpsc) and [`PollPlane`] (TCP, **one event-loop thread**
+//!   multiplexing all peers over non-blocking sockets) — the TCP plane lets
+//!   each simulated server be its own OS **process**; the `graphh-node`
+//!   binary in `graphh-bench` does exactly that. The wire protocol it speaks
+//!   is specified normatively in `docs/WIRE.md`,
 //! * [`SuperstepBarrier`] — BSP's `wait_other_servers`,
 //! * [`reduce_metrics`] — deterministic reduction of the per-server
 //!   [`graphh_cluster::ServerMetrics`] streams into
@@ -54,13 +53,13 @@ pub mod barrier;
 pub mod buffer;
 pub mod chaos;
 pub mod checkpoint;
+pub mod establish;
 pub mod frame;
 pub mod membership;
 pub mod plane;
 pub mod poll;
 pub mod reduce;
 pub mod resume;
-pub mod socket;
 pub mod threaded;
 pub mod worker;
 
@@ -79,14 +78,11 @@ pub use membership::{
     MembershipState, MembershipView, MergeOutcome, ReconnectBackoff, WireEntry, MEMBERSHIP_MAGIC,
 };
 pub use plane::{BroadcastPlane, ChannelPlane};
-pub use poll::{
-    BoundPollPlane, BoundTcpPlane, PollPlane, ReadinessPoller, SpinPoller, TcpPlaneKind,
-};
+pub use poll::{BoundPollPlane, PollPlane, ReadinessPoller, SpinPoller};
 pub use reduce::{reduce_metrics, ReducedMetrics};
 pub use resume::{
     validate_peer_table, HandshakeFault, ReplayError, ReplayLog, ResilienceConfig, ResumeHello,
 };
-pub use socket::{BoundSocketPlane, ResilientSocketPlane, SocketPlane};
 pub use threaded::ThreadedExecutor;
 pub use worker::{
     run_worker, run_worker_traced, run_worker_with, MetricsSlice, WorkerError, WorkerOptions,

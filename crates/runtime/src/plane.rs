@@ -10,18 +10,16 @@
 //!
 //! The framing protocol itself — [`Frame`], its length-prefixed wire codec and
 //! the [`SuperstepCollector`] inbox discipline — is transport-agnostic and
-//! lives in [`crate::frame`] (normative spec: `docs/WIRE.md`). Three backends
+//! lives in [`crate::frame`] (normative spec: `docs/WIRE.md`). Two backends
 //! implement the trait on top of it:
 //!
 //! * [`ChannelPlane`] — in-process, over `std::sync::mpsc` (one MPSC inbox per
 //!   server, a sender handle per peer); frames travel as values, no bytes are
 //!   copied,
-//! * [`crate::socket::SocketPlane`] — multi-process, over TCP: frames travel
-//!   length-prefix-encoded, one blocking reader thread per peer feeds the
-//!   same inbox discipline,
-//! * [`crate::poll::PollPlane`] — multi-process, over TCP, event-driven: a
-//!   single readiness-loop thread multiplexes all peer sockets (non-blocking
-//!   I/O, incremental decoding, backpressured write queues).
+//! * [`crate::poll::PollPlane`] — multi-process, over TCP: frames travel
+//!   length-prefix-encoded and a single readiness-loop thread multiplexes all
+//!   peer sockets (non-blocking I/O, incremental decoding, backpressured
+//!   write queues) into the same inbox discipline.
 
 pub use crate::frame::{Frame, PlaneError, WireMessage};
 use crate::frame::{InboxEvent, SuperstepCollector};
@@ -51,9 +49,8 @@ use std::sync::Arc;
 /// assert!(a.collect(0).unwrap().is_empty());
 /// ```
 ///
-/// The TCP backends ([`crate::socket::SocketPlane`],
-/// [`crate::poll::PollPlane`]) have the same shape after their two-phase
-/// bind/establish; `docs/WIRE.md` §5 spells out the full conformance
+/// The TCP backend ([`crate::poll::PollPlane`]) has the same shape after its
+/// two-phase bind/establish; `docs/WIRE.md` §5 spells out the full conformance
 /// contract a new backend must satisfy.
 pub trait BroadcastPlane: Send {
     /// Total servers on the plane.

@@ -1,17 +1,22 @@
-//! Event-driven TCP backend: **one readiness loop drives every peer socket**.
+//! The TCP backend of the broadcast plane: real multi-process transport,
+//! **one readiness loop drives every peer socket**.
 //!
-//! [`crate::socket::SocketPlane`] spends one OS reader thread per peer — a
-//! `p`-server cluster costs each process `p - 1` parked threads, which caps
-//! how many servers one host can simulate. [`PollPlane`] multiplexes all peer
-//! connections onto a **single event-loop thread** instead: every stream is
-//! `O_NONBLOCK`, a [`ReadinessPoller`] reports which sockets can make
-//! progress, and per-peer state machines carry partial frames
-//! ([`crate::frame::FrameDecoder`]) and backpressured write queues across
-//! loop iterations. Same wire protocol, same GHH1 handshake, same
-//! [`SuperstepCollector`] inbox discipline — the executor-facing behaviour is
-//! identical and the determinism suites pin `PollPlane` runs bit-identical to
-//! the sequential reference (see `docs/WIRE.md` §5 for the conformance
-//! contract).
+//! [`PollPlane`] puts one simulated server in its own OS **process** (the
+//! `graphh-node` binary in `graphh-bench` does exactly that): every pair of
+//! servers shares one full-duplex TCP connection (established by
+//! [`crate::establish`]) and frames travel in the length-prefixed wire
+//! encoding of [`crate::frame`]. A thread per peer would cost each process of
+//! a `p`-server cluster `p - 1` parked threads, which caps how many servers
+//! one host can simulate; `PollPlane` multiplexes all peer connections onto a
+//! **single event-loop thread** instead: every stream is `O_NONBLOCK`, a
+//! [`ReadinessPoller`] reports which sockets can make progress, and per-peer
+//! state machines carry partial frames ([`crate::frame::FrameDecoder`]) and
+//! backpressured write queues across loop iterations. It feeds the same
+//! [`SuperstepCollector`] inbox discipline the in-process
+//! [`crate::plane::ChannelPlane`] uses — so the executor-facing behaviour
+//! (superstep ordering, stashing, abort semantics) is identical and the
+//! determinism suites pin `PollPlane` runs bit-identical to the sequential
+//! reference (see `docs/WIRE.md` §5 for the conformance contract).
 //!
 //! ## Threading model
 //!
@@ -68,6 +73,7 @@
 
 use crate::buffer::{BufferPool, PooledBuf};
 use crate::chaos::SeverPeer;
+use crate::establish::{bind_listener, establish_streams, DEFAULT_ESTABLISH_TIMEOUT};
 use crate::frame::{
     Frame, FrameDecoder, FrameError, InboxEvent, PlaneError, SuperstepCollector, WireMessage,
 };
@@ -75,7 +81,6 @@ use crate::plane::BroadcastPlane;
 use crate::resume::{
     count_frames, HandshakeFault, ReplayLog, ResilienceConfig, ResumeHello, RESUME_HELLO_LEN,
 };
-use crate::socket::{bind_listener, establish_streams, DEFAULT_ESTABLISH_TIMEOUT};
 use graphh_graph::ids::ServerId;
 use graphh_obs::{global_counters, Counter};
 use std::collections::VecDeque;
@@ -437,9 +442,9 @@ pub fn os_thread_count() -> Option<usize> {
 // ---------------------------------------------------------------------------
 
 /// A poll plane that has bound its listener but not yet connected to its
-/// peers — same two-phase establishment as
-/// [`crate::socket::BoundSocketPlane`], so launchers can treat the two TCP
-/// backends interchangeably.
+/// peers. Two-phase establishment exists so callers (tests, the `graphh-node`
+/// launcher) can bind every listener first — `local_addr` then reports the
+/// OS-assigned port — before any endpoint starts dialing.
 pub struct BoundPollPlane {
     id: ServerId,
     num_servers: u32,
@@ -768,8 +773,8 @@ impl BoundPollPlane {
 /// stream per peer, all driven by a single readiness-loop thread. See the
 /// [module docs](self) for the threading model.
 ///
-/// Construction mirrors [`crate::socket::SocketPlane`]: [`PollPlane::bind`]
-/// then [`BoundPollPlane::establish`].
+/// Construction is two-phase: [`PollPlane::bind`] then
+/// [`BoundPollPlane::establish`].
 pub struct PollPlane {
     id: ServerId,
     num_servers: u32,
@@ -986,156 +991,6 @@ impl std::fmt::Debug for PollPlane {
 }
 
 // ---------------------------------------------------------------------------
-// Backend dispatch
-// ---------------------------------------------------------------------------
-
-/// Which TCP broadcast backend to run — the launchers' (`graphh-node
-/// --plane`, tests, examples) shared vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TcpPlaneKind {
-    /// [`crate::socket::SocketPlane`]: blocking I/O, one reader thread per
-    /// peer.
-    Socket,
-    /// [`PollPlane`]: non-blocking I/O, one event-loop thread per endpoint.
-    Poll,
-}
-
-impl std::str::FromStr for TcpPlaneKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "socket" => Ok(TcpPlaneKind::Socket),
-            "poll" => Ok(TcpPlaneKind::Poll),
-            other => Err(format!("unknown plane {other:?} (socket or poll)")),
-        }
-    }
-}
-
-/// A bound-but-unconnected endpoint of either TCP backend, so launchers can
-/// stay plane-agnostic between bind and establish (the two backends share
-/// the two-phase establishment and the GHH1 wire protocol — see
-/// `docs/WIRE.md` §6).
-pub enum BoundTcpPlane {
-    /// A bound [`crate::socket::SocketPlane`] endpoint.
-    Socket(crate::socket::BoundSocketPlane),
-    /// A bound [`PollPlane`] endpoint.
-    Poll(BoundPollPlane),
-}
-
-impl BoundTcpPlane {
-    /// Bind the listener for server `id` of a `num_servers` cluster with the
-    /// chosen backend.
-    pub fn bind<A: ToSocketAddrs>(
-        kind: TcpPlaneKind,
-        id: ServerId,
-        num_servers: u32,
-        listen_addr: A,
-    ) -> std::io::Result<Self> {
-        match kind {
-            TcpPlaneKind::Socket => crate::socket::SocketPlane::bind(id, num_servers, listen_addr)
-                .map(BoundTcpPlane::Socket),
-            TcpPlaneKind::Poll => {
-                PollPlane::bind(id, num_servers, listen_addr).map(BoundTcpPlane::Poll)
-            }
-        }
-    }
-
-    /// The address the listener actually bound (resolves port 0).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        match self {
-            BoundTcpPlane::Socket(b) => b.local_addr(),
-            BoundTcpPlane::Poll(b) => b.local_addr(),
-        }
-    }
-
-    /// Connect to every peer with the default establish timeout.
-    pub fn establish(self, peer_addrs: &[SocketAddr]) -> std::io::Result<Box<dyn BroadcastPlane>> {
-        self.establish_with_timeout(peer_addrs, DEFAULT_ESTABLISH_TIMEOUT)
-    }
-
-    /// [`Self::establish`] with an explicit timeout.
-    pub fn establish_with_timeout(
-        self,
-        peer_addrs: &[SocketAddr],
-        timeout: Duration,
-    ) -> std::io::Result<Box<dyn BroadcastPlane>> {
-        Ok(match self {
-            BoundTcpPlane::Socket(b) => {
-                Box::new(b.establish_with_timeout(peer_addrs, timeout)?) as Box<dyn BroadcastPlane>
-            }
-            BoundTcpPlane::Poll(b) => Box::new(b.establish_with_timeout(peer_addrs, timeout)?),
-        })
-    }
-
-    /// Connect to every peer with the *resilient* wire protocol (`GHHR`
-    /// resume handshake, frame retention + replay, reconnect-and-resume; see
-    /// `docs/WIRE.md` §9). Either backend, same launcher-facing shape as
-    /// [`Self::establish`].
-    pub fn establish_resilient(
-        self,
-        peer_addrs: &[SocketAddr],
-        timeout: Duration,
-        config: ResilienceConfig,
-    ) -> std::io::Result<Box<dyn BroadcastPlane>> {
-        Ok(match self {
-            BoundTcpPlane::Socket(b) => {
-                Box::new(b.establish_resilient(peer_addrs, timeout, config)?)
-                    as Box<dyn BroadcastPlane>
-            }
-            BoundTcpPlane::Poll(b) => Box::new(b.establish_resilient(peer_addrs, timeout, config)?),
-        })
-    }
-
-    /// Seed-node bootstrap on either backend: learn the full address book
-    /// from `seeds` via `GHHM` exchanges (`docs/WIRE.md` §10).
-    pub fn discover(
-        &self,
-        seeds: &[SocketAddr],
-        timeout: Duration,
-    ) -> std::io::Result<crate::membership::MembershipView> {
-        match self {
-            BoundTcpPlane::Socket(b) => b.discover(seeds, timeout),
-            BoundTcpPlane::Poll(b) => b.discover(seeds, timeout),
-        }
-    }
-
-    /// [`Self::establish`] against a seed-discovered address book.
-    pub fn establish_discovered(
-        self,
-        view: crate::membership::MembershipView,
-        timeout: Duration,
-    ) -> std::io::Result<Box<dyn BroadcastPlane>> {
-        Ok(match self {
-            BoundTcpPlane::Socket(b) => {
-                Box::new(b.establish_discovered(view, timeout)?) as Box<dyn BroadcastPlane>
-            }
-            BoundTcpPlane::Poll(b) => Box::new(b.establish_discovered(view, timeout)?),
-        })
-    }
-
-    /// [`Self::establish_resilient`] against a seed-discovered address book:
-    /// the membership handle is installed into the config, so redials consult
-    /// the gossiped book and replacement processes are adopted mid-run.
-    pub fn establish_resilient_discovered(
-        self,
-        view: crate::membership::MembershipView,
-        timeout: Duration,
-        config: ResilienceConfig,
-    ) -> std::io::Result<Box<dyn BroadcastPlane>> {
-        Ok(match self {
-            BoundTcpPlane::Socket(b) => {
-                Box::new(b.establish_resilient_discovered(view, timeout, config)?)
-                    as Box<dyn BroadcastPlane>
-            }
-            BoundTcpPlane::Poll(b) => {
-                Box::new(b.establish_resilient_discovered(view, timeout, config)?)
-            }
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Event loop
 // ---------------------------------------------------------------------------
 
@@ -1217,8 +1072,7 @@ struct DownState {
 
 /// Everything the event loop needs for reconnect-and-resume, present only on
 /// planes built by `establish_resilient`. The loop is single-threaded, so
-/// unlike the socket plane's fabric none of this needs locks or generations:
-/// command intake, replay appends, stream replacement and recovery all
+/// none of this needs locks or generations: command intake, replay appends, stream replacement and recovery all
 /// interleave at loop-iteration granularity, which makes replay trivially
 /// gap-free (no frame can be appended between a replay snapshot and the
 /// stream install — both happen on this thread).
@@ -2081,9 +1935,8 @@ fn establish_resilient_streams(
 
 /// Read one peer's socket until it would block, feeding the frame decoder and
 /// forwarding complete frames. Any stream end — clean EOF, mid-frame EOF,
-/// corruption, I/O error — reports a terminal [`InboxEvent::PeerLost`] with
-/// the same attribution the blocking `SocketPlane` reader threads use.
-/// Returns whether any bytes were consumed.
+/// corruption, I/O error — reports a terminal [`InboxEvent::PeerLost`]
+/// attributed to that peer. Returns whether any bytes were consumed.
 fn pump_reads(
     peer: &mut Peer,
     buf: &mut [u8],
@@ -2135,7 +1988,7 @@ fn pump_reads(
                             }
                         }
                         Ok(None) => break,
-                        Err(FrameError::Corrupt(m)) | Err(FrameError::Io(m)) => {
+                        Err(FrameError::Corrupt(m)) => {
                             report_loss(
                                 peer,
                                 inbox,

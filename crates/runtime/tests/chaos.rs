@@ -2,17 +2,16 @@
 //! must produce replicas bit-identical to the *unfaulted* sequential
 //! reference.
 //!
-//! Every run here wraps real TCP endpoints (both backends: the blocking
-//! [`SocketPlane`] fabric and the event-driven [`PollPlane`] loop,
-//! established with the resilient `GHHR` protocol) in a
-//! [`graphh_runtime::FaultPlane`] that severs live connections at exact
-//! superstep boundaries. The transports must recover on their own — redial,
-//! resume handshake, frame replay, collector dedup — and the suite demands
+//! Every run here wraps real TCP endpoints ([`PollPlane`], established with
+//! the resilient `GHHR` protocol) in a [`graphh_runtime::FaultPlane`] that
+//! severs live connections at exact superstep boundaries. The transport must
+//! recover on its own — redial, resume handshake, frame replay, collector
+//! dedup — and the suite demands
 //! the strongest possible outcome: not "eventually consistent", but the
 //! exact bits the run would have produced with no fault at all.
 //!
 //! The sweep tests cut at *every* superstep boundary of a run (for PageRank
-//! and direction-optimizing BFS, on both backends): off-by-one bugs in
+//! and direction-optimizing BFS): off-by-one bugs in
 //! replay cursors live precisely at those boundaries, so covering all of
 //! them leaves no place to hide. The storm test drives seeded multi-cut
 //! schedules on every server at once ([`CutPlan::seeded`]), so a failure
@@ -26,8 +25,7 @@ use graphh_core::{
 use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
 use graphh_runtime::{
-    run_worker, BroadcastPlane, CutPlan, FaultPlane, PollPlane, ResilienceConfig, SeverPeer,
-    SocketPlane, SuperstepBarrier,
+    run_worker, BroadcastPlane, CutPlan, FaultPlane, PollPlane, ResilienceConfig, SuperstepBarrier,
 };
 use std::net::SocketAddr;
 use std::sync::mpsc::channel;
@@ -38,16 +36,9 @@ use std::time::Duration;
 const SERVERS: u32 = 3;
 const ESTABLISH_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Which resilient TCP backend a chaos run drives.
-#[derive(Clone, Copy, Debug)]
-enum Kind {
-    Socket,
-    Poll,
-}
-
 /// Run one server to completion over a fault-injected resilient plane.
-fn run_chaos_worker<P: BroadcastPlane + SeverPeer>(
-    plane: P,
+fn run_chaos_worker(
+    plane: PollPlane,
     cuts: CutPlan,
     config: &GraphHConfig,
     plan: &ExecutionPlan,
@@ -77,7 +68,6 @@ fn run_chaos_worker<P: BroadcastPlane + SeverPeer>(
 /// the full worker loop on scoped threads, with server `sid` executing
 /// `plans[sid]`'s connection cuts. Returns final replicas ordered by server.
 fn run_resilient_cluster(
-    kind: Kind,
     config: &GraphHConfig,
     partitioned: &PartitionedGraph,
     program: &dyn GabProgram,
@@ -86,60 +76,26 @@ fn run_resilient_cluster(
     assert_eq!(plans.len() as u32, SERVERS);
     let plan = ExecutionPlan::prepare(config, partitioned, program).expect("plan");
 
-    let mut outputs: Vec<(u32, Vec<f64>)> = match kind {
-        Kind::Socket => {
-            let bound: Vec<_> = (0..SERVERS)
-                .map(|sid| SocketPlane::bind(sid, SERVERS, "127.0.0.1:0").expect("bind"))
-                .collect();
-            let addrs: Vec<SocketAddr> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
-            thread::scope(|scope| {
-                let handles: Vec<_> = bound
-                    .into_iter()
-                    .zip(plans)
-                    .map(|(b, cuts)| {
-                        let (addrs, plan, cuts) = (&addrs, &plan, cuts.clone());
-                        scope.spawn(move || {
-                            let endpoint = b
-                                .establish_resilient(
-                                    addrs,
-                                    ESTABLISH_TIMEOUT,
-                                    ResilienceConfig::default(),
-                                )
-                                .expect("establish resilient socket");
-                            run_chaos_worker(endpoint, cuts, config, plan, partitioned, program)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let bound: Vec<_> = (0..SERVERS)
+        .map(|sid| PollPlane::bind(sid, SERVERS, "127.0.0.1:0").expect("bind"))
+        .collect();
+    let addrs: Vec<SocketAddr> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
+    let mut outputs: Vec<(u32, Vec<f64>)> = thread::scope(|scope| {
+        let handles: Vec<_> = bound
+            .into_iter()
+            .zip(plans)
+            .map(|(b, cuts)| {
+                let (addrs, plan, cuts) = (&addrs, &plan, cuts.clone());
+                scope.spawn(move || {
+                    let endpoint = b
+                        .establish_resilient(addrs, ESTABLISH_TIMEOUT, ResilienceConfig::default())
+                        .expect("establish resilient");
+                    run_chaos_worker(endpoint, cuts, config, plan, partitioned, program)
+                })
             })
-        }
-        Kind::Poll => {
-            let bound: Vec<_> = (0..SERVERS)
-                .map(|sid| PollPlane::bind(sid, SERVERS, "127.0.0.1:0").expect("bind"))
-                .collect();
-            let addrs: Vec<SocketAddr> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
-            thread::scope(|scope| {
-                let handles: Vec<_> = bound
-                    .into_iter()
-                    .zip(plans)
-                    .map(|(b, cuts)| {
-                        let (addrs, plan, cuts) = (&addrs, &plan, cuts.clone());
-                        scope.spawn(move || {
-                            let endpoint = b
-                                .establish_resilient(
-                                    addrs,
-                                    ESTABLISH_TIMEOUT,
-                                    ResilienceConfig::default(),
-                                )
-                                .expect("establish resilient poll");
-                            run_chaos_worker(endpoint, cuts, config, plan, partitioned, program)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-        }
-    };
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
     outputs.sort_by_key(|&(sid, _)| sid);
     outputs.into_iter().map(|(_, values)| values).collect()
 }
@@ -154,7 +110,6 @@ fn sequential_reference(partitioned: &PartitionedGraph, program: &dyn GabProgram
 }
 
 fn assert_chaos_matches_reference(
-    kind: Kind,
     partitioned: &PartitionedGraph,
     program: &dyn GabProgram,
     reference: &[f64],
@@ -162,7 +117,7 @@ fn assert_chaos_matches_reference(
     what: &str,
 ) {
     let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS));
-    let replicas = run_resilient_cluster(kind, &config, partitioned, program, plans);
+    let replicas = run_resilient_cluster(&config, partitioned, program, plans);
     for (sid, values) in replicas.iter().enumerate() {
         assert_eq!(values.len(), reference.len(), "{what}: server {sid}");
         for (v, (x, y)) in values.iter().zip(reference).enumerate() {
@@ -195,7 +150,6 @@ fn bfs_workload() -> (PartitionedGraph, DirectionOptimizingBfs) {
 /// a rotating victim right after ending superstep `s`. Replay-cursor
 /// off-by-ones live exactly at these boundaries.
 fn sweep_every_boundary(
-    kind: Kind,
     partitioned: &PartitionedGraph,
     program: &dyn GabProgram,
     supersteps: u32,
@@ -207,7 +161,6 @@ fn sweep_every_boundary(
         let mut plans = vec![CutPlan::none(); SERVERS as usize];
         plans[0] = CutPlan::explicit(vec![(s, victim)]);
         assert_chaos_matches_reference(
-            kind,
             partitioned,
             program,
             &reference,
@@ -220,20 +173,8 @@ fn sweep_every_boundary(
 const PAGERANK_SUPERSTEPS: u32 = 5;
 
 #[test]
-fn socket_pagerank_survives_a_cut_at_every_boundary() {
-    sweep_every_boundary(
-        Kind::Socket,
-        &pagerank_workload(),
-        &PageRank::new(PAGERANK_SUPERSTEPS),
-        PAGERANK_SUPERSTEPS,
-        "socket pagerank",
-    );
-}
-
-#[test]
 fn poll_pagerank_survives_a_cut_at_every_boundary() {
     sweep_every_boundary(
-        Kind::Poll,
         &pagerank_workload(),
         &PageRank::new(PAGERANK_SUPERSTEPS),
         PAGERANK_SUPERSTEPS,
@@ -242,18 +183,12 @@ fn poll_pagerank_survives_a_cut_at_every_boundary() {
 }
 
 #[test]
-fn socket_bfs_survives_a_cut_at_every_boundary() {
+fn poll_bfs_survives_a_cut_at_every_boundary() {
     let (p, bfs) = bfs_workload();
     // BFS terminates when its frontier drains; cuts scheduled past the last
     // superstep are never reached, so sweeping a fixed bound covers every
     // boundary the run actually has.
-    sweep_every_boundary(Kind::Socket, &p, &bfs, 4, "socket bfs");
-}
-
-#[test]
-fn poll_bfs_survives_a_cut_at_every_boundary() {
-    let (p, bfs) = bfs_workload();
-    sweep_every_boundary(Kind::Poll, &p, &bfs, 4, "poll bfs");
+    sweep_every_boundary(&p, &bfs, 4, "poll bfs");
 }
 
 /// Seed discovery instead of a static peer table, then the same storm: every
@@ -275,77 +210,41 @@ fn seed_discovered_cluster_survives_the_storm_bit_identical() {
             CutPlan::seeded(0x5EED_6D65 + u64::from(sid), PAGERANK_SUPERSTEPS, &peers, 2)
         })
         .collect();
-    for kind in [Kind::Socket, Kind::Poll] {
-        let mut outputs: Vec<(u32, Vec<f64>)> = match kind {
-            Kind::Socket => {
-                let bound: Vec<_> = (0..SERVERS)
-                    .map(|sid| SocketPlane::bind(sid, SERVERS, "127.0.0.1:0").expect("bind"))
-                    .collect();
-                let seed = bound[0].local_addr().unwrap();
-                thread::scope(|scope| {
-                    let handles: Vec<_> = bound
-                        .into_iter()
-                        .zip(&plans)
-                        .map(|(b, cuts)| {
-                            let (plan, cuts) = (&plan, cuts.clone());
-                            let (config, partitioned, program) = (&config, &partitioned, &program);
-                            scope.spawn(move || {
-                                let view =
-                                    b.discover(&[seed], ESTABLISH_TIMEOUT).expect("discover");
-                                let endpoint = b
-                                    .establish_resilient_discovered(
-                                        view,
-                                        ESTABLISH_TIMEOUT,
-                                        ResilienceConfig::default(),
-                                    )
-                                    .expect("establish discovered socket");
-                                run_chaos_worker(endpoint, cuts, config, plan, partitioned, program)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let bound: Vec<_> = (0..SERVERS)
+        .map(|sid| PollPlane::bind(sid, SERVERS, "127.0.0.1:0").expect("bind"))
+        .collect();
+    let seed = bound[0].local_addr().unwrap();
+    let mut outputs: Vec<(u32, Vec<f64>)> = thread::scope(|scope| {
+        let handles: Vec<_> = bound
+            .into_iter()
+            .zip(&plans)
+            .map(|(b, cuts)| {
+                let (plan, cuts) = (&plan, cuts.clone());
+                let (config, partitioned, program) = (&config, &partitioned, &program);
+                scope.spawn(move || {
+                    let view = b.discover(&[seed], ESTABLISH_TIMEOUT).expect("discover");
+                    let endpoint = b
+                        .establish_resilient_discovered(
+                            view,
+                            ESTABLISH_TIMEOUT,
+                            ResilienceConfig::default(),
+                        )
+                        .expect("establish discovered");
+                    run_chaos_worker(endpoint, cuts, config, plan, partitioned, program)
                 })
-            }
-            Kind::Poll => {
-                let bound: Vec<_> = (0..SERVERS)
-                    .map(|sid| PollPlane::bind(sid, SERVERS, "127.0.0.1:0").expect("bind"))
-                    .collect();
-                let seed = bound[0].local_addr().unwrap();
-                thread::scope(|scope| {
-                    let handles: Vec<_> = bound
-                        .into_iter()
-                        .zip(&plans)
-                        .map(|(b, cuts)| {
-                            let (plan, cuts) = (&plan, cuts.clone());
-                            let (config, partitioned, program) = (&config, &partitioned, &program);
-                            scope.spawn(move || {
-                                let view =
-                                    b.discover(&[seed], ESTABLISH_TIMEOUT).expect("discover");
-                                let endpoint = b
-                                    .establish_resilient_discovered(
-                                        view,
-                                        ESTABLISH_TIMEOUT,
-                                        ResilienceConfig::default(),
-                                    )
-                                    .expect("establish discovered poll");
-                                run_chaos_worker(endpoint, cuts, config, plan, partitioned, program)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-            }
-        };
-        outputs.sort_by_key(|&(sid, _)| sid);
-        for (sid, values) in &outputs {
-            assert_eq!(values.len(), reference.len(), "seed {kind:?}: server {sid}");
-            for (v, (x, y)) in values.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "seed-discovered {kind:?}: server {sid} vertex {v} diverged ({x} vs {y})"
-                );
-            }
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    outputs.sort_by_key(|&(sid, _)| sid);
+    for (sid, values) in &outputs {
+        assert_eq!(values.len(), reference.len(), "seed: server {sid}");
+        for (v, (x, y)) in values.iter().zip(&reference).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "seed-discovered: server {sid} vertex {v} diverged ({x} vs {y})"
+            );
         }
     }
 }
@@ -359,20 +258,17 @@ fn reconnect_storm_converges_to_the_unfaulted_reference() {
     let partitioned = pagerank_workload();
     let program = PageRank::new(PAGERANK_SUPERSTEPS);
     let reference = sequential_reference(&partitioned, &program);
-    for kind in [Kind::Socket, Kind::Poll] {
-        let plans: Vec<CutPlan> = (0..SERVERS)
-            .map(|sid| {
-                let peers: Vec<u32> = (0..SERVERS).filter(|&p| p != sid).collect();
-                CutPlan::seeded(0x5EED_2017 + u64::from(sid), PAGERANK_SUPERSTEPS, &peers, 3)
-            })
-            .collect();
-        assert_chaos_matches_reference(
-            kind,
-            &partitioned,
-            &program,
-            &reference,
-            &plans,
-            &format!("reconnect storm over {kind:?}"),
-        );
-    }
+    let plans: Vec<CutPlan> = (0..SERVERS)
+        .map(|sid| {
+            let peers: Vec<u32> = (0..SERVERS).filter(|&p| p != sid).collect();
+            CutPlan::seeded(0x5EED_2017 + u64::from(sid), PAGERANK_SUPERSTEPS, &peers, 3)
+        })
+        .collect();
+    assert_chaos_matches_reference(
+        &partitioned,
+        &program,
+        &reference,
+        &plans,
+        "reconnect storm",
+    );
 }

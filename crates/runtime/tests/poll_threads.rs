@@ -1,7 +1,7 @@
 //! The [`PollPlane`] threading contract, asserted rather than assumed:
 //! however many peers an endpoint talks to, it adds **exactly one**
 //! event-loop thread to the process, and dropping it joins that thread again
-//! (no lingering reader threads — the clean-shutdown half of the contract).
+//! (no lingering transport threads — the clean-shutdown half of the contract).
 //!
 //! This lives in its own test binary, as a **single** `#[test]`, on purpose:
 //! OS thread counts are process-wide, so the assertions must not race other
@@ -9,13 +9,13 @@
 //! a sibling `#[test]` running on another libtest thread.
 
 use graphh_runtime::poll::os_thread_count;
-use graphh_runtime::{BoundTcpPlane, BroadcastPlane, TcpPlaneKind};
+use graphh_runtime::{BoundPollPlane, BroadcastPlane, PollPlane};
 use std::net::SocketAddr;
 use std::thread;
 
-fn establish_cluster(kind: TcpPlaneKind, n: u32) -> Vec<Box<dyn BroadcastPlane>> {
-    let bound: Vec<BoundTcpPlane> = (0..n)
-        .map(|sid| BoundTcpPlane::bind(kind, sid, n, "127.0.0.1:0").unwrap())
+fn establish_cluster(n: u32) -> Vec<PollPlane> {
+    let bound: Vec<BoundPollPlane> = (0..n)
+        .map(|sid| PollPlane::bind(sid, n, "127.0.0.1:0").unwrap())
         .collect();
     let addrs: Vec<SocketAddr> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
     thread::scope(|scope| {
@@ -31,9 +31,8 @@ fn establish_cluster(kind: TcpPlaneKind, n: u32) -> Vec<Box<dyn BroadcastPlane>>
 }
 
 /// One test, three claims: (a) a poll endpoint costs exactly one event-loop
-/// thread however many peers it has — versus the socket plane's thread per
-/// peer; (b) the planes work in that state; (c) dropping them joins every
-/// transport thread.
+/// thread however many peers it has; (b) the planes work in that state;
+/// (c) dropping them joins every transport thread.
 #[test]
 fn poll_plane_threading_contract() {
     let Some(baseline) = os_thread_count() else {
@@ -41,26 +40,8 @@ fn poll_plane_threading_contract() {
         return;
     };
 
-    // The contrast that motivates the poll plane, on a 3-server cluster:
-    // one reader thread per directed peer pair for the blocking backend...
-    let n = 3u32;
-    let socket_planes = establish_cluster(TcpPlaneKind::Socket, n);
-    assert_eq!(
-        os_thread_count().unwrap() - baseline,
-        (n * (n - 1)) as usize,
-        "socket plane: one reader thread per directed peer pair"
-    );
-    drop(socket_planes);
-    assert_eq!(
-        os_thread_count().unwrap(),
-        baseline,
-        "dropping the socket planes must join every reader thread"
-    );
-
-    // ...versus exactly one event-loop thread per endpoint for the
-    // event-driven one, on a larger cluster for good measure.
     let servers = 4u32;
-    let mut planes = establish_cluster(TcpPlaneKind::Poll, servers);
+    let mut planes = establish_cluster(servers);
     // Establishment's scoped threads are joined by now; what remains is one
     // event-loop thread per endpoint — NOT one per peer connection (which
     // would be servers * (servers - 1)).

@@ -1,17 +1,14 @@
-//! Differential suite for the TCP transports: a cluster of workers exchanging
+//! Differential suite for the TCP transport: a cluster of workers exchanging
 //! frames over real loopback sockets must be bit-identical to the sequential
-//! reference executor — for PageRank, SSSP and WCC, on **both** TCP backends:
-//!
-//! * [`SocketPlane`] — blocking, one reader thread per peer,
-//! * [`PollPlane`] — event-driven, one readiness loop per endpoint (also run
-//!   once with the portable [`SpinPoller`] forced, so the conformance holds
-//!   through the readiness-trait seam, not just the Linux `poll(2)` shim).
+//! reference executor — for PageRank, SSSP and WCC, over [`PollPlane`] (also
+//! run with the portable [`SpinPoller`] forced, so the conformance holds
+//! through the readiness-trait seam, not just the Linux `poll(2)` shim).
 //!
 //! Each worker runs on its own thread with its own plane endpoint (the
 //! multi-process variant of the same wiring lives in `graphh-bench`'s
 //! `graphh-node` binary and its `multiprocess` test); every broadcast crosses
 //! the wire length-prefix-encoded and re-decoded, so this pins the entire
-//! TCP path: handshake, frame codec, reader loop, inbox discipline.
+//! TCP path: handshake, frame codec, event loop, inbox discipline.
 
 use graphh_cluster::ClusterConfig;
 use graphh_core::exec::ExecutionPlan;
@@ -23,9 +20,10 @@ use graphh_core::{
 use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_graph::GraphBuilder;
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
-use graphh_runtime::poll::SpinPoller;
-use graphh_runtime::socket::DEFAULT_ESTABLISH_TIMEOUT;
-use graphh_runtime::{run_worker, BoundTcpPlane, BroadcastPlane, SuperstepBarrier, TcpPlaneKind};
+use graphh_runtime::establish::DEFAULT_ESTABLISH_TIMEOUT;
+use graphh_runtime::{
+    run_worker, BoundPollPlane, BroadcastPlane, PollPlane, SpinPoller, SuperstepBarrier,
+};
 use std::net::SocketAddr;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -33,10 +31,9 @@ use std::thread;
 
 const SERVERS: u32 = 3;
 
-/// Which TCP backend (and readiness shim) a run drives.
+/// Which readiness shim a run drives the plane with.
 #[derive(Clone, Copy, Debug)]
 enum Plane {
-    Socket,
     Poll,
     PollSpin,
 }
@@ -52,12 +49,8 @@ fn run_over_tcp(
     let plan = ExecutionPlan::prepare(config, partitioned, program).expect("plan");
     let num_servers = config.cluster.num_servers;
 
-    let kind = match plane {
-        Plane::Socket => TcpPlaneKind::Socket,
-        Plane::Poll | Plane::PollSpin => TcpPlaneKind::Poll,
-    };
-    let bound: Vec<BoundTcpPlane> = (0..num_servers)
-        .map(|sid| BoundTcpPlane::bind(kind, sid, num_servers, "127.0.0.1:0").expect("bind"))
+    let bound: Vec<BoundPollPlane> = (0..num_servers)
+        .map(|sid| PollPlane::bind(sid, num_servers, "127.0.0.1:0").expect("bind"))
         .collect();
     let addrs: Vec<SocketAddr> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
 
@@ -68,19 +61,17 @@ fn run_over_tcp(
                 let addrs = &addrs;
                 let plan = &plan;
                 scope.spawn(move || {
-                    let mut endpoint: Box<dyn BroadcastPlane> = match (plane, b) {
+                    let mut endpoint = match plane {
                         // The spin-poller run pins conformance through the
                         // readiness-trait seam itself.
-                        (Plane::PollSpin, BoundTcpPlane::Poll(b)) => Box::new(
-                            b.establish_with(
-                                addrs,
-                                DEFAULT_ESTABLISH_TIMEOUT,
-                                Box::new(SpinPoller::new()),
-                            )
-                            .expect("establish"),
+                        Plane::PollSpin => b.establish_with(
+                            addrs,
+                            DEFAULT_ESTABLISH_TIMEOUT,
+                            Box::new(SpinPoller::new()),
                         ),
-                        (_, b) => b.establish(addrs).expect("establish"),
-                    };
+                        Plane::Poll => b.establish(addrs),
+                    }
+                    .expect("establish");
                     // Each process-like worker has a trivial local barrier;
                     // cross-server lockstep comes from the plane's
                     // end-of-superstep framing, exactly as in a real
@@ -94,7 +85,7 @@ fn run_over_tcp(
                         partitioned,
                         program,
                         sid,
-                        endpoint.as_mut(),
+                        &mut endpoint,
                         &barrier,
                         &metrics_tx,
                     )
@@ -165,27 +156,6 @@ fn wcc_workload() -> PartitionedGraph {
 }
 
 #[test]
-fn tcp_pagerank_is_bit_identical_to_sequential() {
-    assert_tcp_matches_sequential(
-        Plane::Socket,
-        &pagerank_workload(),
-        &PageRank::new(8),
-        "pagerank",
-    );
-}
-
-#[test]
-fn tcp_sssp_is_bit_identical_to_sequential() {
-    let (p, sssp) = sssp_workload();
-    assert_tcp_matches_sequential(Plane::Socket, &p, &sssp, "sssp");
-}
-
-#[test]
-fn tcp_wcc_is_bit_identical_to_sequential() {
-    assert_tcp_matches_sequential(Plane::Socket, &wcc_workload(), &Wcc::new(), "wcc");
-}
-
-#[test]
 fn poll_pagerank_is_bit_identical_to_sequential() {
     assert_tcp_matches_sequential(
         Plane::Poll,
@@ -221,7 +191,7 @@ fn poll_with_spin_poller_is_bit_identical_to_sequential() {
 
 /// Every registry program — including the formerly orphaned `bfs` and
 /// `degree-centrality` and the new `bfs-dopt` / `labelprop` kernels — is
-/// bit-identical to the sequential reference over every TCP backend and the
+/// bit-identical to the sequential reference over the TCP plane and the
 /// readiness-trait seam.
 #[test]
 fn every_registry_program_is_bit_identical_over_every_plane() {
@@ -250,7 +220,7 @@ fn every_registry_program_is_bit_identical_over_every_plane() {
         let program = spec
             .build(&ProgramContext::new(graph.out_degrees()), &opts)
             .unwrap();
-        for plane in [Plane::Socket, Plane::Poll, Plane::PollSpin] {
+        for plane in [Plane::Poll, Plane::PollSpin] {
             assert_tcp_matches_sequential(
                 plane,
                 part,
@@ -290,17 +260,15 @@ fn direction_modes_are_bit_identical_over_tcp() {
     ] {
         let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS))
             .with_direction_mode(mode);
-        for plane in [Plane::Socket, Plane::Poll] {
-            let replicas = run_over_tcp(plane, &config, &p, &program);
-            for (sid, values) in replicas.iter().enumerate() {
-                assert_eq!(values.len(), reference.values.len());
-                for (v, (x, y)) in values.iter().zip(&reference.values).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "bfs-dopt {mode:?} over {plane:?}: server {sid} vertex {v} diverged"
-                    );
-                }
+        let replicas = run_over_tcp(Plane::Poll, &config, &p, &program);
+        for (sid, values) in replicas.iter().enumerate() {
+            assert_eq!(values.len(), reference.values.len());
+            for (v, (x, y)) in values.iter().zip(&reference.values).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "bfs-dopt {mode:?}: server {sid} vertex {v} diverged"
+                );
             }
         }
     }

@@ -1,5 +1,5 @@
-//! A GraphH cluster over real TCP sockets, in one program — on either TCP
-//! backend, running any registered program.
+//! A GraphH cluster over real TCP sockets, in one program — running any
+//! registered program.
 //!
 //! Three servers run the chosen kernel over the loopback network: each on its
 //! own thread with its own plane endpoint, every broadcast encoded by the real
@@ -8,29 +8,27 @@
 //! with one *process* per server (see README "Transport backends"). The final
 //! replicas are bit-identical to the sequential reference executor, and the
 //! demo *asserts* clean shutdown: after the planes drop, the process is back
-//! to its baseline thread count (no lingering reader or event-loop threads).
+//! to its baseline thread count (no lingering event-loop threads).
 //!
 //! ```text
-//! cargo run --example socket_cluster                  # SocketPlane, PageRank
-//! cargo run --example socket_cluster -- poll          # event-driven PollPlane
-//! cargo run --example socket_cluster -- both bfs-dopt # each backend, any kernel
+//! cargo run --example socket_cluster             # PageRank
+//! cargo run --example socket_cluster -- bfs-dopt # any registry kernel
 //! ```
 
 use graphh::core::exec::ExecutionPlan;
 use graphh::core::registry::{find_program, program_names, ProgramContext, ProgramOptions};
 use graphh::prelude::*;
 use graphh::runtime::poll::os_thread_count;
-use graphh::runtime::{run_worker, BoundTcpPlane, SuperstepBarrier, TcpPlaneKind};
+use graphh::runtime::{run_worker, BoundPollPlane, BroadcastPlane, PollPlane, SuperstepBarrier};
 use std::net::SocketAddr;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 const SERVERS: u32 = 3;
 
-/// Run the 3-server cluster once over the named plane and return each
-/// server's final replica values (sorted by server id).
+/// Run the 3-server cluster once and return each server's final replica
+/// values (sorted by server id).
 fn run_cluster(
-    plane: TcpPlaneKind,
     config: &GraphHConfig,
     plan: &ExecutionPlan,
     partitioned: &PartitionedGraph,
@@ -38,11 +36,11 @@ fn run_cluster(
 ) -> Vec<(u32, Vec<f64>)> {
     // Bind all listeners first (port 0 = OS-assigned), then establish the
     // fully-connected fabric: lower ids are dialed, higher ids accepted.
-    let bound: Vec<BoundTcpPlane> = (0..SERVERS)
-        .map(|sid| BoundTcpPlane::bind(plane, sid, SERVERS, "127.0.0.1:0").unwrap())
+    let bound: Vec<BoundPollPlane> = (0..SERVERS)
+        .map(|sid| PollPlane::bind(sid, SERVERS, "127.0.0.1:0").unwrap())
         .collect();
     let addrs: Vec<SocketAddr> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
-    println!("[{plane:?}] cluster endpoints: {addrs:?}");
+    println!("cluster endpoints: {addrs:?}");
 
     let mut replicas: Vec<(u32, Vec<f64>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = bound
@@ -60,7 +58,7 @@ fn run_cluster(
                         partitioned,
                         program,
                         sid,
-                        endpoint.as_mut(),
+                        &mut endpoint,
                         &barrier,
                         &metrics_tx,
                     )
@@ -76,14 +74,7 @@ fn run_cluster(
 }
 
 fn main() {
-    let choice = std::env::args().nth(1).unwrap_or_else(|| "socket".into());
-    let planes: Vec<TcpPlaneKind> = match choice.as_str() {
-        "both" => vec![TcpPlaneKind::Socket, TcpPlaneKind::Poll],
-        one => vec![one
-            .parse()
-            .unwrap_or_else(|e| panic!("{e} — expected socket, poll or both"))],
-    };
-    let kernel = std::env::args().nth(2).unwrap_or_else(|| "pagerank".into());
+    let kernel = std::env::args().nth(1).unwrap_or_else(|| "pagerank".into());
     let spec = find_program(&kernel).unwrap_or_else(|| {
         panic!(
             "unknown program {kernel:?} — expected one of: {}",
@@ -126,40 +117,34 @@ fn main() {
             .run(&partitioned, program)
             .unwrap();
 
-    for plane in planes {
-        // Snapshot the thread count so clean shutdown below is *asserted*,
-        // not assumed (None on platforms without /proc).
-        let baseline_threads = os_thread_count();
+    // Snapshot the thread count so clean shutdown below is *asserted*, not
+    // assumed (None on platforms without /proc).
+    let baseline_threads = os_thread_count();
 
-        let replicas = run_cluster(plane, &config, &plan, &partitioned, program);
+    let replicas = run_cluster(&config, &plan, &partitioned, program);
 
-        // Every replica agrees with the single-threaded reference, bit for bit.
-        for (sid, values) in &replicas {
-            let identical = values.len() == reference.values.len()
-                && values
-                    .iter()
-                    .zip(&reference.values)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            println!(
-                "[{plane:?}] server {sid}: {} vertices over TCP, bit-identical to sequential: \
-                 {identical}",
-                values.len()
-            );
-            assert!(identical);
+    // Every replica agrees with the single-threaded reference, bit for bit.
+    for (sid, values) in &replicas {
+        let identical = values.len() == reference.values.len()
+            && values
+                .iter()
+                .zip(&reference.values)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        println!(
+            "server {sid}: {} vertices over TCP, bit-identical to sequential: {identical}",
+            values.len()
+        );
+        assert!(identical);
+    }
+
+    // Clean shutdown: the planes (and their event-loop threads) are gone —
+    // the thread count is back to the pre-cluster baseline.
+    match (baseline_threads, os_thread_count()) {
+        (Some(before), Some(after)) => {
+            assert_eq!(after, before, "lingering transport threads after the run");
+            println!("clean shutdown: thread count back to {before}");
         }
-
-        // Clean shutdown: the planes (and their reader / event-loop threads)
-        // are gone — the thread count is back to the pre-cluster baseline.
-        match (baseline_threads, os_thread_count()) {
-            (Some(before), Some(after)) => {
-                assert_eq!(
-                    after, before,
-                    "[{plane:?}] lingering transport threads after the run"
-                );
-                println!("[{plane:?}] clean shutdown: thread count back to {before}");
-            }
-            _ => println!("[{plane:?}] clean shutdown check skipped (no /proc thread count)"),
-        }
+        _ => println!("clean shutdown check skipped (no /proc thread count)"),
     }
 
     let mut top: Vec<(usize, f64)> = reference.values.iter().copied().enumerate().collect();

@@ -99,6 +99,83 @@ fn threaded_matches_sequential_on_wcc() {
     }
 }
 
+/// The TCP transport, seen from tier-1: 2 servers × PageRank, each worker
+/// driving its own `PollPlane` endpoint over loopback sockets. Replicas must
+/// be bit-identical to the sequential reference, and the bytes the workers
+/// metered onto the wire must equal the in-process threaded run's.
+#[test]
+fn poll_plane_cluster_matches_sequential_and_threaded_network_bytes() {
+    use graphh::core::exec::ExecutionPlan;
+    use graphh::runtime::{run_worker, BroadcastPlane, MetricsSlice, PollPlane, SuperstepBarrier};
+    use std::sync::mpsc::channel;
+
+    const TCP_SERVERS: u32 = 2;
+    let g = RmatGenerator::new(8, 6).generate(SEEDS[0]);
+    let p = Spe::partition(&g, &SpeConfig::with_tile_count("det", &g, 11)).unwrap();
+    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(TCP_SERVERS));
+    let program = PageRank::new(10);
+    let sequential =
+        GraphHEngine::with_executor(config.clone(), Arc::new(SequentialExecutor::new()))
+            .run(&p, &program)
+            .unwrap();
+    let threaded = GraphHEngine::with_executor(config.clone(), Arc::new(ThreadedExecutor::new()))
+        .run(&p, &program)
+        .unwrap();
+
+    let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
+    let bound: Vec<_> = (0..TCP_SERVERS)
+        .map(|sid| PollPlane::bind(sid, TCP_SERVERS, "127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<_> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
+    let (metrics_tx, metrics_rx) = channel::<MetricsSlice>();
+    let replicas: Vec<Vec<f64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = bound
+            .into_iter()
+            .map(|b| {
+                let (addrs, plan, config, p, program) = (&addrs, &plan, &config, &p, &program);
+                let metrics_tx = metrics_tx.clone();
+                scope.spawn(move || {
+                    let mut plane = b.establish(addrs).expect("establish");
+                    let sid = plane.server_id();
+                    // Lockstep comes from the plane's end-of-superstep
+                    // markers; the local barrier is trivial.
+                    let barrier = SuperstepBarrier::new(1);
+                    run_worker(
+                        config,
+                        plan,
+                        p,
+                        program,
+                        sid,
+                        &mut plane,
+                        &barrier,
+                        &metrics_tx,
+                    )
+                    .expect("worker")
+                    .values
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    drop(metrics_tx);
+    let net_sent_bytes: u64 = metrics_rx
+        .into_iter()
+        .map(|slice| slice.metrics.network_sent_bytes)
+        .sum();
+
+    for (sid, values) in replicas.iter().enumerate() {
+        assert_eq!(values.len(), sequential.values.len(), "server {sid}");
+        for (v, (x, y)) in values.iter().zip(&sequential.values).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "server {sid} vertex {v} diverged over TCP ({x} vs {y})"
+            );
+        }
+    }
+    assert_eq!(net_sent_bytes, threaded.metrics.total_network_bytes());
+}
+
 /// The second parallelism axis: `threads_per_server` (the paper's T compute
 /// threads inside every server) must never change a single bit of the result,
 /// on either executor. The T=1 sequential run is the pinned reference.
