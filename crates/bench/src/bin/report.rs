@@ -46,10 +46,11 @@ fn runtime_and_record_json() -> String {
     let pool = pool_spawn_microbench();
     let codec = codec_microbench();
     let phases = phase_breakdown();
-    let mut out = runtime_report(&rows, &sweep, &pool, &codec, &phases);
+    let ooc = out_of_core_row();
+    let mut out = runtime_report(&rows, &sweep, &pool, &codec, &phases, &ooc);
     match std::fs::write(
         "BENCH_runtime.json",
-        runtime_json(&rows, &sweep, &pool, &codec, &phases),
+        runtime_json(&rows, &sweep, &pool, &codec, &phases, &ooc),
     ) {
         Ok(()) => out.push_str("(wrote BENCH_runtime.json)\n"),
         Err(e) => out.push_str(&format!("could not write BENCH_runtime.json: {e}\n")),

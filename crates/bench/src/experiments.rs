@@ -652,6 +652,7 @@ pub fn runtime_executors() -> String {
         &pool_spawn_microbench(),
         &codec_microbench(),
         &phase_breakdown(),
+        &out_of_core_row(),
     )
 }
 
@@ -672,6 +673,7 @@ pub fn runtime_report(
     pool: &PoolBench,
     codec: &CodecBench,
     phase: &PhaseBreakdown,
+    ooc: &OutOfCoreRow,
 ) -> String {
     let mut out = format!(
         "# Runtime: sequential vs threaded executor (RMAT scale-10, PageRank)\n\
@@ -779,6 +781,25 @@ pub fn runtime_report(
         )
         .unwrap();
     }
+    writeln!(
+        out,
+        "out of core (PageRank, cache = 1/4 of a server's tiles, {} servers x {} \
+         threads/server, {} supersteps, {}): {} tiles, {} resident; hits={} misses={} \
+         storage read_ops={} tiles compressed={} threaded_wall_s={:.6} identical={}",
+        ooc.servers,
+        ooc.threads_per_server,
+        ooc.supersteps,
+        ooc.codec,
+        ooc.tiles,
+        ooc.resident_tiles,
+        ooc.cache_hits,
+        ooc.cache_misses,
+        ooc.read_ops,
+        ooc.tiles_compressed,
+        ooc.threaded_wall_seconds,
+        ooc.identical,
+    )
+    .unwrap();
     out
 }
 
@@ -1126,6 +1147,11 @@ impl RuntimeRow {
     }
 }
 
+/// Whether two runs' vertex values agree bit for bit (the `identical` columns).
+fn bit_identical(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Measure the executor comparison: RMAT scale-10 (edge factor 16) PageRank,
 /// 20 supersteps, best-of-3 per executor per (cluster size × threads-per-
 /// server) configuration — the second axis is the paper's `T` intra-server
@@ -1165,12 +1191,7 @@ pub fn runtime_rows() -> Vec<RuntimeRow> {
         for threads in [1u32, 2, 4] {
             let seq = best_of_3(servers, threads, Arc::new(SequentialExecutor::new()));
             let thr = best_of_3(servers, threads, Arc::new(ThreadedExecutor::new()));
-            let identical = seq.values.len() == thr.values.len()
-                && seq
-                    .values
-                    .iter()
-                    .zip(&thr.values)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            let identical = bit_identical(&seq.values, &thr.values);
             debug_assert!(
                 (seq.metrics.total_seconds() - thr.metrics.total_seconds()).abs() < 1e-9,
                 "simulated time is a deterministic function of the workload"
@@ -1285,14 +1306,9 @@ pub fn kernel_sweep() -> Vec<KernelSweepRow> {
                 config,
                 Arc::new(ThreadedExecutor::new()),
             );
-            let identical = [&seq, &thr].iter().all(|run| {
-                run.values.len() == reference.values.len()
-                    && run
-                        .values
-                        .iter()
-                        .zip(&reference.values)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-            });
+            let identical = [&seq, &thr]
+                .iter()
+                .all(|run| bit_identical(&run.values, &reference.values));
             rows.push(KernelSweepRow {
                 program: spec.name,
                 mode: mode_name,
@@ -1402,6 +1418,117 @@ pub fn phase_breakdown() -> PhaseBreakdown {
     }
 }
 
+/// The out-of-core axis of `BENCH_runtime.json`: PageRank under an edge cache
+/// a quarter the size of a server's tiles, counted rather than timed.
+///
+/// The counts are what CI's perf smoke gates: every cache miss must be
+/// exactly one storage read (`read_ops == cache_misses`), and a tile is
+/// compressed only to be kept — `tiles_compressed` stays at `resident_tiles`
+/// plus the one refusal per server that filled its cache.
+pub struct OutOfCoreRow {
+    /// Cluster size of the run.
+    pub servers: u32,
+    /// Compute threads per server of the run.
+    pub threads_per_server: u32,
+    /// Supersteps executed.
+    pub supersteps: u32,
+    /// Codec `CacheMode::Auto` selected for the constrained cache.
+    pub codec: &'static str,
+    /// Tiles in the partition (each is fetched once per superstep).
+    pub tiles: u32,
+    /// Tiles resident across the servers' caches at run end.
+    pub resident_tiles: u64,
+    /// Cache hits over the run.
+    pub cache_hits: u64,
+    /// Cache misses over the run.
+    pub cache_misses: u64,
+    /// `get`s the servers' storage backends actually served (`IoMeter`).
+    pub read_ops: u64,
+    /// Admissions that reached the compressor: kept tiles plus refusals.
+    pub tiles_compressed: u64,
+    /// Measured wall-clock seconds of the threaded run.
+    pub threaded_wall_seconds: f64,
+    /// Threaded values bit-identical to the sequential executor's.
+    pub identical: bool,
+}
+
+/// Measure [`OutOfCoreRow`]: the executor sweep's RMAT scale-10 graph,
+/// PageRank x 3 supersteps, 2 servers x 2 threads, `cache_capacity` = a
+/// quarter of the fuller server's tile bytes, `CacheMode::Auto`. Storage and
+/// cache counts are the deltas of the global `storage.s*` / `cache.s*`
+/// counters around the threaded run (servers publish them at run end).
+pub fn out_of_core_row() -> OutOfCoreRow {
+    use graphh_core::SequentialExecutor;
+    use graphh_graph::generators::{GraphGenerator, RmatGenerator};
+    use graphh_runtime::ThreadedExecutor;
+    use std::sync::Arc;
+
+    const SERVERS: u32 = 2;
+    const THREADS: u32 = 2;
+    let g = RmatGenerator::new(10, 16).generate(EXPERIMENT_SEED);
+    let p = graphh_partition::Spe::partition(
+        &g,
+        &graphh_partition::SpeConfig::with_tile_count("rmat-10", &g, 16),
+    )
+    .expect("partition");
+    let program = graphh_core::PageRank::new(3);
+    let assignment = graphh_partition::TileAssignment::round_robin(p.num_tiles(), SERVERS);
+    let fullest = (0..SERVERS)
+        .map(|sid| {
+            assignment
+                .tiles_of(sid)
+                .iter()
+                .map(|&t| p.tiles[t as usize].serialized_size())
+                .sum::<u64>()
+        })
+        .max()
+        .expect("at least one server");
+    let mut config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS))
+        .with_threads_per_server(THREADS);
+    config.cache_capacity = Some(fullest.div_ceil(4));
+
+    let counters = graphh_obs::global_counters();
+    let total = |family: &str, name: &str| -> u64 {
+        (0..SERVERS)
+            .map(|sid| counters.counter(&format!("{family}.s{sid}.{name}")).get())
+            .sum()
+    };
+    let seq = crate::run_graphh_config(
+        &p,
+        &program,
+        config.clone(),
+        Arc::new(SequentialExecutor::new()),
+    );
+    let monotone = || {
+        [
+            total("cache", "hits"),
+            total("cache", "misses"),
+            total("cache", "refused"),
+            total("storage", "read_ops"),
+        ]
+    };
+    let before = monotone();
+    let thr = crate::run_graphh_config(&p, &program, config, Arc::new(ThreadedExecutor::new()));
+    let after = monotone();
+    let [hits, misses, refused, read_ops] = std::array::from_fn(|i| after[i] - before[i]);
+    // A gauge, set at run end: the threaded run's own value.
+    let resident_tiles = total("cache", "resident_tiles");
+    OutOfCoreRow {
+        servers: SERVERS,
+        threads_per_server: THREADS,
+        supersteps: thr.supersteps_run,
+        codec: thr.cache_codec.name(),
+        tiles: p.num_tiles(),
+        resident_tiles,
+        cache_hits: hits,
+        cache_misses: misses,
+        read_ops,
+        tiles_compressed: resident_tiles + refused,
+        threaded_wall_seconds: thr.wall_clock_seconds,
+        identical: bit_identical(&seq.values, &thr.values),
+    }
+}
+
 /// Render measured rows as machine-readable JSON (the report binary writes
 /// this to `BENCH_runtime.json` so the perf trajectory is recorded run over
 /// run). The header records the host core count and the swept axes so a ≤1×
@@ -1413,6 +1540,7 @@ pub fn runtime_json(
     pool: &PoolBench,
     codec: &CodecBench,
     phase: &PhaseBreakdown,
+    ooc: &OutOfCoreRow,
 ) -> String {
     let mut servers_swept: Vec<u32> = rows.iter().map(|r| r.servers).collect();
     servers_swept.dedup();
@@ -1552,7 +1680,27 @@ pub fn runtime_json(
         )
         .unwrap();
     }
-    out.push_str("  ]}\n");
+    out.push_str("  ]},\n");
+    writeln!(
+        out,
+        "  \"out_of_core\": {{\"workload\": \"pagerank, cache_capacity = 1/4 of the fuller server's tile bytes, CacheMode::Auto\", \
+         \"servers\": {}, \"threads_per_server\": {}, \"supersteps\": {}, \"codec\": \"{}\", \
+         \"tiles\": {}, \"resident_tiles\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
+         \"read_ops\": {}, \"tiles_compressed\": {}, \"threaded_wall_s\": {:.6}, \"identical\": {}}}",
+        ooc.servers,
+        ooc.threads_per_server,
+        ooc.supersteps,
+        ooc.codec,
+        ooc.tiles,
+        ooc.resident_tiles,
+        ooc.cache_hits,
+        ooc.cache_misses,
+        ooc.read_ops,
+        ooc.tiles_compressed,
+        ooc.threaded_wall_seconds,
+        ooc.identical,
+    )
+    .unwrap();
     out.push_str("}\n");
     out
 }
@@ -1612,6 +1760,20 @@ mod tests {
             &pool_spawn_microbench(),
             &bench,
             &tiny_phases(),
+            &OutOfCoreRow {
+                servers: 2,
+                threads_per_server: 1,
+                supersteps: 3,
+                codec: "zlib-1",
+                tiles: 16,
+                resident_tiles: 6,
+                cache_hits: 12,
+                cache_misses: 36,
+                read_ops: 36,
+                tiles_compressed: 8,
+                threaded_wall_seconds: 0.1,
+                identical: true,
+            },
         );
         assert!(json.contains("\"encoding\": \"dense\""));
         assert!(json.contains("\"encode_into_mb_s\""));
@@ -1619,6 +1781,7 @@ mod tests {
         assert!(json.contains("\"compressor\": \"zlib-1\""));
         assert!(json.contains("\"codec_microbench\""));
         assert!(json.contains("\"phase_breakdown\""));
+        assert!(json.contains("\"cache_misses\": 36, \"read_ops\": 36"));
         assert!(json.contains("\"name\": \"tile-compute\""));
         assert!(json.contains("\"kernel_sweep\""));
         assert!(json.contains("\"program\": \"bfs-dopt\""));

@@ -11,13 +11,29 @@
 //!
 //! Raw mode stores the *decoded* tile behind an `Arc`, so a hit is a refcount bump —
 //! no memcpy, no re-parse. Compressed modes store the compressed blob as an
-//! `Arc<[u8]>` and decompress outside the cache lock on each hit. Recency can be
-//! stamped explicitly by the caller ([`EdgeCache::lookup`] / [`EdgeCache::admit`]),
-//! which is how the engine keeps LRU state deterministic when `threads_per_server`
-//! workers probe the cache concurrently.
+//! `Arc<[u8]>` and decompress outside the cache lock on each hit.
 //!
-//! The cache records hits, misses, evictions and the decompression time it incurs so
-//! the engine can charge them to the superstep's cost.
+//! ## Fill and hold
+//!
+//! There is no replacement policy, as in §IV-B: a missed tile is left in the cache
+//! *if the cache is not full*, and a resident tile is never displaced. The first
+//! admission refused for lack of room marks the cache **full**
+//! ([`EdgeCache::is_full`]); from then on every admission returns before it
+//! compresses anything, until [`EdgeCache::clear`]. SPE balances tiles by edge count,
+//! so the room left unused after that first refusal is under one tile; it is not
+//! back-filled with smaller tiles.
+//!
+//! GAB walks a server's tiles in the same order every superstep — a cyclic scan,
+//! under which any recency-based eviction throws out exactly the tiles that are
+//! about to be read again and pays a compression for each. Holding the first tiles
+//! that fit gives every later superstep `resident_tiles` hits and no admission
+//! work. The access pattern this serves worse than LRU would is a *wavefront*
+//! (SSSP/BFS with Bloom skipping, whose active tiles move through the graph) under
+//! a cache smaller than the tile set; no test, bench or experiment in this
+//! repository runs that, and ROADMAP parks it.
+//!
+//! The cache records hits, misses, refused admissions and the codec time it incurs
+//! so the engine can charge them to the superstep's cost.
 
 use graphh_compress::Codec;
 use graphh_graph::ids::TileId;
@@ -70,15 +86,17 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that did not.
     pub misses: u64,
-    /// Tiles evicted to stay under capacity.
-    pub evictions: u64,
+    /// Admissions that were prepared (compressed, in a compressed mode) and then
+    /// declined because the tile did not fit. Admissions declined up front
+    /// because the cache was already full are not counted: they cost nothing.
+    pub refused: u64,
     /// Tiles currently resident.
     pub resident_tiles: u64,
     /// Bytes currently used by cached (possibly compressed) tiles.
     pub used_bytes: u64,
     /// Seconds spent decompressing cached tiles (to be charged to the superstep).
     pub decompress_seconds: f64,
-    /// Seconds spent compressing tiles on insert.
+    /// Seconds spent compressing tiles on admission.
     pub compress_seconds: f64,
 }
 
@@ -107,7 +125,7 @@ pub fn select_codec(total_tile_bytes: u64, capacity_bytes: u64) -> Codec {
 }
 
 /// How a tile is held in memory.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Stored {
     /// Raw mode: the *decoded* tile. A hit is an `Arc` refcount bump — no
     /// memcpy, no re-parse.
@@ -124,8 +142,6 @@ struct Entry {
     /// mode (what the old byte-blob cache charged), the compressed size
     /// otherwise.
     charged_bytes: u64,
-    /// Recency stamp for LRU eviction.
-    last_used: u64,
 }
 
 /// A cache hit: the decoded tile plus the decompression time this particular
@@ -145,15 +161,18 @@ pub struct TileFetch {
 struct Inner {
     entries: HashMap<TileId, Entry>,
     used_bytes: u64,
-    clock: u64,
+    /// Set by the first admission refused for lack of room; see
+    /// [`EdgeCache::is_full`].
+    full: bool,
     hits: u64,
     misses: u64,
-    evictions: u64,
+    refused: u64,
     decompress_seconds: f64,
     compress_seconds: f64,
 }
 
-/// A capacity-bounded, LRU, optionally compressing tile cache.
+/// A capacity-bounded, fill-and-hold, optionally compressing tile cache (see
+/// the crate documentation for the admission rule).
 #[derive(Debug)]
 pub struct EdgeCache {
     capacity: u64,
@@ -186,90 +205,74 @@ impl EdgeCache {
         self.capacity
     }
 
-    /// Current value of the recency clock. Callers that stamp their own
-    /// lookups (see [`EdgeCache::lookup`]) derive deterministic stamps from
-    /// this base.
-    pub fn clock(&self) -> u64 {
-        self.inner.lock().clock
+    /// Whether the cache has stopped accepting tiles: an admission has been
+    /// refused for lack of room since the last [`EdgeCache::clear`], or the
+    /// capacity is zero. Once full, [`EdgeCache::offer`] and
+    /// [`EdgeCache::admit`] return 0.0 without serialising or compressing, so
+    /// callers can also stop keeping missed tiles around for admission.
+    pub fn is_full(&self) -> bool {
+        self.capacity == 0 || self.inner.lock().full
     }
 
-    /// Look up a tile with an explicit recency stamp.
+    /// Look up a tile. On a hit in a compressed mode the blob is decompressed
+    /// and parsed outside the cache lock.
     ///
-    /// The stamp replaces the internal access-order clock so concurrent
-    /// callers can assign recency deterministically (the engine stamps each
-    /// tile by its position in the server's tile order, making LRU state
-    /// independent of thread scheduling). The internal clock ratchets to the
-    /// largest stamp seen.
-    pub fn lookup(&self, tile_id: TileId, stamp: u64) -> Option<TileFetch> {
+    /// `_stamp` is ignored: it was the recency stamp of the LRU this cache used
+    /// to be, and stays in the signature only until `benchmark/`, which passes
+    /// one, can be changed.
+    pub fn lookup(&self, tile_id: TileId, _stamp: u64) -> Option<TileFetch> {
         let mut inner = self.inner.lock();
-        inner.clock = inner.clock.max(stamp);
-        match inner.entries.get_mut(&tile_id) {
-            Some(entry) => {
-                entry.last_used = entry.last_used.max(stamp);
-                let data = match &entry.data {
-                    Stored::Raw(tile) => Stored::Raw(Arc::clone(tile)),
-                    Stored::Compressed(blob) => Stored::Compressed(Arc::clone(blob)),
-                };
-                inner.hits += 1;
-                match data {
-                    Stored::Raw(tile) => Some(TileFetch {
-                        tile,
-                        decompress_seconds: 0.0,
-                    }),
-                    Stored::Compressed(blob) => {
-                        let decompress_seconds =
-                            blob.len() as f64 / self.codec.decompress_throughput();
-                        inner.decompress_seconds += decompress_seconds;
-                        // Decompress + parse outside the lock.
-                        drop(inner);
-                        let bytes = self
-                            .codec
-                            .decompress(&blob)
-                            .expect("cache blob was produced by this codec");
-                        let tile = Arc::new(
-                            Tile::from_bytes(&bytes).expect("cache blob is a serialized tile"),
-                        );
-                        Some(TileFetch {
-                            tile,
-                            decompress_seconds,
-                        })
-                    }
-                }
+        let Some(data) = inner.entries.get(&tile_id).map(|e| e.data.clone()) else {
+            inner.misses += 1;
+            return None;
+        };
+        inner.hits += 1;
+        let blob = match data {
+            Stored::Raw(tile) => {
+                return Some(TileFetch {
+                    tile,
+                    decompress_seconds: 0.0,
+                })
             }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+            Stored::Compressed(blob) => blob,
+        };
+        let decompress_seconds = blob.len() as f64 / self.codec.decompress_throughput();
+        inner.decompress_seconds += decompress_seconds;
+        // Decompress + parse outside the lock.
+        drop(inner);
+        let bytes = self
+            .codec
+            .decompress(&blob)
+            .expect("cache blob was produced by this codec");
+        let tile = Arc::new(Tile::from_bytes(&bytes).expect("cache blob is a serialized tile"));
+        Some(TileFetch {
+            tile,
+            decompress_seconds,
+        })
     }
 
-    /// Admit a tile after a miss, with an explicit recency stamp (see
-    /// [`EdgeCache::lookup`]). Oldest tiles are evicted until the new entry
-    /// fits; if the tile alone exceeds the capacity it is not cached.
+    /// Offer a tile that missed. The cache takes what its mode needs from the
+    /// decoded tile — raw mode shares the `Arc` and charges the serialized
+    /// size, compressed modes re-serialise it ([`Tile::to_bytes`] is
+    /// byte-identical to the on-disk form) and compress — so the caller does
+    /// not have to keep or re-read the fetched blob.
     ///
-    /// `serialized` is the tile's on-disk form (sizes the entry and feeds the
-    /// compressor); `decoded` is the already-parsed tile the caller obtained
-    /// from those bytes — raw mode stores it directly so later hits skip the
-    /// parse. Returns the compression time charged (0 for raw mode), so the
-    /// caller can fold it into its own metrics deterministically.
-    pub fn admit(
-        &self,
-        tile_id: TileId,
-        serialized: &[u8],
-        decoded: &Arc<Tile>,
-        stamp: u64,
-    ) -> f64 {
+    /// The tile is kept if it fits beside the residents (offering a resident
+    /// id again replaces that entry); nothing is ever evicted to make room. A
+    /// tile that alone exceeds the capacity is not cached; any other refusal
+    /// marks the cache full. Returns the compression time charged (0 for raw
+    /// mode, and 0 once the cache is full), so the caller can fold it into its
+    /// own metrics deterministically.
+    pub fn offer(&self, tile_id: TileId, tile: &Arc<Tile>) -> f64 {
+        if self.is_full() {
+            return 0.0;
+        }
         let (data, charged_bytes, compress_seconds) = match self.codec {
-            Codec::Raw => (
-                Stored::Raw(Arc::clone(decoded)),
-                serialized.len() as u64,
-                0.0,
-            ),
+            Codec::Raw => (Stored::Raw(Arc::clone(tile)), tile.serialized_size(), 0.0),
             codec => {
-                let blob = codec.compress(serialized);
-                // Compression throughput is of the same order as decompression
-                // for the codecs we model; reuse the decompression figure.
-                let seconds = serialized.len() as f64 / codec.decompress_throughput();
+                let serialized = tile.to_bytes();
+                let blob = codec.compress(&serialized);
+                let seconds = serialized.len() as f64 / codec.compress_throughput();
                 let charged = blob.len() as u64;
                 (
                     Stored::Compressed(Arc::from(blob.into_boxed_slice())),
@@ -279,61 +282,41 @@ impl EdgeCache {
             }
         };
         let mut inner = self.inner.lock();
-        inner.clock = inner.clock.max(stamp);
         inner.compress_seconds += compress_seconds;
-        if charged_bytes > self.capacity {
+        let replaced = inner.entries.get(&tile_id).map_or(0, |e| e.charged_bytes);
+        if inner.used_bytes - replaced + charged_bytes > self.capacity {
+            inner.refused += 1;
+            // A tile bigger than the whole cache says nothing about how much
+            // room is left for the others.
+            inner.full |= charged_bytes <= self.capacity;
             return compress_seconds;
         }
-        if let Some(old) = inner.entries.remove(&tile_id) {
-            inner.used_bytes -= old.charged_bytes;
-        }
-        while inner.used_bytes + charged_bytes > self.capacity {
-            let Some((&victim, _)) = inner.entries.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
-            };
-            let evicted = inner.entries.remove(&victim).expect("victim exists");
-            inner.used_bytes -= evicted.charged_bytes;
-            inner.evictions += 1;
-        }
-        inner.used_bytes += charged_bytes;
+        inner.used_bytes = inner.used_bytes - replaced + charged_bytes;
         inner.entries.insert(
             tile_id,
             Entry {
                 data,
                 charged_bytes,
-                last_used: stamp,
             },
         );
         compress_seconds
     }
 
-    /// Reserve a unique access-order stamp: the clock is incremented under
-    /// the lock, so concurrent callers can never mint the same stamp (a
-    /// duplicate would make LRU ties break by hash-map iteration order).
-    fn reserve_stamp(&self) -> u64 {
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        inner.clock
+    /// [`EdgeCache::offer`] under the signature `benchmark/` calls, kept only
+    /// until that directory can be changed: `_serialized` (the tile's on-disk
+    /// form, which `decoded` re-serialises to) and `_stamp` (a recency stamp,
+    /// as in [`EdgeCache::lookup`]) are ignored.
+    pub fn admit(
+        &self,
+        tile_id: TileId,
+        _serialized: &[u8],
+        decoded: &Arc<Tile>,
+        _stamp: u64,
+    ) -> f64 {
+        self.offer(tile_id, decoded)
     }
 
-    /// Look up a tile using the internal access-order clock. Returns the
-    /// decoded tile on a hit, `None` on a miss.
-    pub fn get(&self, tile_id: TileId) -> Option<Arc<Tile>> {
-        let stamp = self.reserve_stamp();
-        self.lookup(tile_id, stamp).map(|fetch| fetch.tile)
-    }
-
-    /// Insert a tile (serialized form) after a miss, using the internal
-    /// access-order clock. Bytes that do not parse as a tile are not cached.
-    pub fn insert(&self, tile_id: TileId, serialized_tile: &[u8]) {
-        let Ok(tile) = Tile::from_bytes(serialized_tile) else {
-            return;
-        };
-        let stamp = self.reserve_stamp();
-        self.admit(tile_id, serialized_tile, &Arc::new(tile), stamp);
-    }
-
-    /// Whether a tile is currently resident (does not affect recency or stats).
+    /// Whether a tile is currently resident (does not affect stats).
     pub fn contains(&self, tile_id: TileId) -> bool {
         self.inner.lock().entries.contains_key(&tile_id)
     }
@@ -344,7 +327,7 @@ impl EdgeCache {
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            evictions: inner.evictions,
+            refused: inner.refused,
             resident_tiles: inner.entries.len() as u64,
             used_bytes: inner.used_bytes,
             decompress_seconds: inner.decompress_seconds,
@@ -357,16 +340,17 @@ impl EdgeCache {
         let mut inner = self.inner.lock();
         inner.hits = 0;
         inner.misses = 0;
-        inner.evictions = 0;
+        inner.refused = 0;
         inner.decompress_seconds = 0.0;
         inner.compress_seconds = 0.0;
     }
 
-    /// Drop every cached tile.
+    /// Drop every cached tile and accept admissions again.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.entries.clear();
         inner.used_bytes = 0;
+        inner.full = false;
     }
 }
 
@@ -374,7 +358,7 @@ impl EdgeCache {
 mod tests {
     use super::*;
 
-    fn tile(id: TileId, edges_per_target: usize) -> Tile {
+    fn tile(id: TileId, edges_per_target: usize) -> Arc<Tile> {
         let adjacency: Vec<Vec<(u32, f32)>> = (0..10)
             .map(|t| {
                 (0..edges_per_target)
@@ -382,7 +366,21 @@ mod tests {
                     .collect()
             })
             .collect();
-        Tile::from_adjacency(id, id * 10, &adjacency, false)
+        Arc::new(Tile::from_adjacency(id, id * 10, &adjacency, false))
+    }
+
+    fn fixed(capacity_bytes: u64, codec: Codec) -> EdgeCache {
+        EdgeCache::new(
+            EdgeCacheConfig {
+                capacity_bytes,
+                mode: CacheMode::Fixed(codec),
+            },
+            0,
+        )
+    }
+
+    fn fetch(cache: &EdgeCache, id: TileId) -> Option<Arc<Tile>> {
+        cache.lookup(id, 0).map(|f| f.tile)
     }
 
     #[test]
@@ -403,10 +401,10 @@ mod tests {
     fn hit_returns_identical_tile() {
         let cache = EdgeCache::new(EdgeCacheConfig::auto(1 << 20), 1 << 10);
         let t = tile(3, 5);
-        assert!(cache.get(3).is_none());
-        cache.insert(3, &t.to_bytes());
-        let got = cache.get(3).expect("tile should be cached");
-        assert_eq!(*got, t);
+        assert!(fetch(&cache, 3).is_none());
+        cache.offer(3, &t);
+        let got = fetch(&cache, 3).expect("tile should be cached");
+        assert_eq!(*got, *t);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -420,8 +418,8 @@ mod tests {
             let cfg = EdgeCacheConfig::fixed_mode(1 << 20, mode).unwrap();
             let cache = EdgeCache::new(cfg, 0);
             let t = tile(1, 50);
-            cache.insert(1, &t.to_bytes());
-            assert_eq!(*cache.get(1).unwrap(), t);
+            cache.offer(1, &t);
+            assert_eq!(*fetch(&cache, 1).unwrap(), *t);
             let stats = cache.stats();
             assert!(stats.decompress_seconds > 0.0, "mode {mode}");
             assert!(stats.compress_seconds > 0.0, "mode {mode}");
@@ -433,51 +431,70 @@ mod tests {
     }
 
     #[test]
-    fn eviction_respects_capacity_and_lru_order() {
-        let t0 = tile(0, 20);
-        let blob = t0.to_bytes();
-        // Capacity for roughly two raw tiles.
-        let cache = EdgeCache::new(
-            EdgeCacheConfig {
-                capacity_bytes: blob.len() as u64 * 2 + 10,
-                mode: CacheMode::Fixed(Codec::Raw),
-            },
-            0,
-        );
-        cache.insert(0, &tile(0, 20).to_bytes());
-        cache.insert(1, &tile(1, 20).to_bytes());
-        // Touch tile 0 so tile 1 is the LRU victim.
-        assert!(cache.get(0).is_some());
-        cache.insert(2, &tile(2, 20).to_bytes());
-        assert!(cache.contains(0));
-        assert!(!cache.contains(1), "LRU tile should have been evicted");
-        assert!(cache.contains(2));
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        assert!(stats.used_bytes <= cache.capacity());
+    fn residents_are_never_displaced_and_first_refusal_fills_the_cache() {
+        for codec in [Codec::Raw, Codec::Zlib1] {
+            // Size the cache from what two tiles actually charge.
+            let probe = fixed(u64::MAX, codec);
+            probe.offer(0, &tile(0, 20));
+            let capacity = probe.stats().used_bytes * 2 + 10;
+            let cache = fixed(capacity, codec);
+            cache.offer(0, &tile(0, 20));
+            cache.offer(1, &tile(1, 20));
+            assert!(!cache.is_full(), "{codec:?}: nothing refused yet");
+            // Looking tile 0 up does not make tile 1 a victim: there are none.
+            assert!(fetch(&cache, 0).is_some());
+            let compress_before = cache.stats().compress_seconds;
+            cache.offer(2, &tile(2, 20));
+            assert!(cache.contains(0) && cache.contains(1), "{codec:?}");
+            assert!(!cache.contains(2), "{codec:?}: no room, not cached");
+            assert!(cache.is_full(), "{codec:?}");
+            let stats = cache.stats();
+            assert_eq!(stats.refused, 1);
+            assert_eq!(stats.resident_tiles, 2);
+            assert!(stats.used_bytes <= cache.capacity());
+            // The refused tile was still compressed (its size was not known
+            // before); nothing offered after it is.
+            let compress_full = stats.compress_seconds;
+            assert_eq!(compress_full > compress_before, codec != Codec::Raw);
+            assert_eq!(cache.offer(3, &tile(3, 1)), 0.0, "{codec:?}");
+            assert_eq!(cache.admit(4, b"unused", &tile(4, 1), 9), 0.0);
+            assert!(!cache.contains(3) && !cache.contains(4));
+            let stats = cache.stats();
+            assert_eq!(stats.compress_seconds, compress_full, "{codec:?}");
+            assert_eq!(stats.refused, 1, "declined up front, not counted");
+        }
+    }
+
+    #[test]
+    fn clear_reopens_a_full_cache() {
+        let t = tile(0, 20);
+        let cache = fixed(t.serialized_size() + 10, Codec::Raw);
+        cache.offer(0, &t);
+        cache.offer(1, &tile(1, 20));
+        assert!(cache.is_full() && !cache.contains(1));
+        cache.clear();
+        assert!(!cache.is_full());
+        cache.offer(1, &tile(1, 20));
+        assert!(cache.contains(1) && !cache.contains(0));
     }
 
     #[test]
     fn oversized_tile_is_not_cached() {
-        let cache = EdgeCache::new(
-            EdgeCacheConfig {
-                capacity_bytes: 16,
-                mode: CacheMode::Fixed(Codec::Raw),
-            },
-            0,
-        );
-        cache.insert(7, &tile(7, 50).to_bytes());
+        let cache = fixed(16, Codec::Raw);
+        cache.offer(7, &tile(7, 50));
         assert!(!cache.contains(7));
         assert_eq!(cache.stats().resident_tiles, 0);
+        // It alone exceeds the capacity, which says nothing about the rest.
+        assert!(!cache.is_full());
     }
 
     #[test]
-    fn reinserting_same_tile_does_not_leak_bytes() {
+    fn reoffering_same_tile_does_not_leak_bytes() {
         let cache = EdgeCache::new(EdgeCacheConfig::auto(1 << 20), 0);
         let t = tile(5, 10);
-        cache.insert(5, &t.to_bytes());
+        cache.offer(5, &t);
         let used_once = cache.stats().used_bytes;
-        cache.insert(5, &t.to_bytes());
+        cache.offer(5, &t);
         assert_eq!(cache.stats().used_bytes, used_once);
         assert_eq!(cache.stats().resident_tiles, 1);
     }
@@ -485,9 +502,9 @@ mod tests {
     #[test]
     fn clear_and_reset() {
         let cache = EdgeCache::new(EdgeCacheConfig::auto(1 << 20), 0);
-        cache.insert(1, &tile(1, 5).to_bytes());
-        let _ = cache.get(1);
-        let _ = cache.get(2);
+        cache.offer(1, &tile(1, 5));
+        let _ = fetch(&cache, 1);
+        let _ = fetch(&cache, 2);
         cache.reset_stats();
         let stats = cache.stats();
         assert_eq!(stats.hits, 0);
@@ -500,66 +517,39 @@ mod tests {
 
     #[test]
     fn raw_mode_hits_share_one_decoded_tile() {
-        let cache = EdgeCache::new(
-            EdgeCacheConfig {
-                capacity_bytes: 1 << 20,
-                mode: CacheMode::Fixed(Codec::Raw),
-            },
-            0,
-        );
+        let cache = fixed(1 << 20, Codec::Raw);
         let t = tile(4, 8);
-        cache.insert(4, &t.to_bytes());
-        let a = cache.get(4).unwrap();
-        let b = cache.get(4).unwrap();
-        // A raw hit is a refcount bump on the same decoded tile, not a copy.
-        assert!(Arc::ptr_eq(&a, &b));
+        cache.offer(4, &t);
+        let a = fetch(&cache, 4).unwrap();
+        let b = fetch(&cache, 4).unwrap();
+        // A raw hit is a refcount bump on the offered tile, not a copy.
+        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &t));
         assert_eq!(cache.stats().decompress_seconds, 0.0);
     }
 
     #[test]
-    fn explicit_stamps_drive_lru_deterministically() {
-        let t0 = tile(0, 20);
-        let blob = t0.to_bytes();
-        let cache = EdgeCache::new(
-            EdgeCacheConfig {
-                capacity_bytes: blob.len() as u64 * 2 + 10,
-                mode: CacheMode::Fixed(Codec::Raw),
-            },
-            0,
-        );
-        // Admit tiles 0 and 1, then bump tile 0's recency via a stamped
-        // lookup; tile 1 must be the victim when tile 2 arrives, regardless
-        // of the order the operations' locks were acquired in.
-        cache.admit(0, &tile(0, 20).to_bytes(), &Arc::new(tile(0, 20)), 1);
-        cache.admit(1, &tile(1, 20).to_bytes(), &Arc::new(tile(1, 20)), 2);
-        assert!(cache.lookup(0, 3).is_some());
-        cache.admit(2, &tile(2, 20).to_bytes(), &Arc::new(tile(2, 20)), 4);
-        assert!(cache.contains(0));
-        assert!(!cache.contains(1));
-        assert!(cache.contains(2));
-        // Stale stamps never roll recency backwards.
-        assert!(cache.lookup(0, 1).is_some());
-        assert_eq!(cache.clock(), 4);
-    }
-
-    #[test]
-    fn unparseable_bytes_are_not_cached() {
-        let cache = EdgeCache::new(EdgeCacheConfig::auto(1 << 20), 0);
-        cache.insert(9, b"definitely not a tile");
-        assert!(!cache.contains(9));
+    fn admit_caches_the_decoded_tile_whatever_bytes_come_with_it() {
+        // `admit` is `offer` under the benchmark's signature: the bytes and
+        // the stamp are ignored, so nothing unparseable can get in, and a
+        // resident id is replaced (and compressed again).
+        let cache = fixed(u64::MAX, Codec::Zlib1);
+        let t = tile(9, 30);
+        let first = cache.admit(9, b"definitely not a tile", &t, 1);
+        let again = cache.admit(9, &t.to_bytes(), &t, 1);
+        assert!(first > 0.0 && first == again);
+        assert_eq!(*fetch(&cache, 9).unwrap(), *t);
+        assert_eq!(cache.stats().resident_tiles, 1);
     }
 
     #[test]
     fn zero_capacity_cache_never_stores() {
-        let cache = EdgeCache::new(
-            EdgeCacheConfig {
-                capacity_bytes: 0,
-                mode: CacheMode::Fixed(Codec::Raw),
-            },
-            0,
-        );
-        cache.insert(0, &tile(0, 5).to_bytes());
-        assert!(cache.get(0).is_none());
-        assert_eq!(cache.stats().hit_ratio(), 0.0);
+        for codec in [Codec::Raw, Codec::Zlib1] {
+            let cache = fixed(0, codec);
+            // Born full: nothing is even compressed for it.
+            assert!(cache.is_full());
+            assert_eq!(cache.offer(0, &tile(0, 5)), 0.0);
+            assert!(fetch(&cache, 0).is_none());
+            assert_eq!(cache.stats().hit_ratio(), 0.0);
+        }
     }
 }

@@ -187,6 +187,18 @@ impl Codec {
         }
     }
 
+    /// Nominal single-core compression throughput in bytes/second, used by the
+    /// cost model to bill edge-cache admissions. Table V gives no compression
+    /// figure, so this is [`Codec::decompress_throughput`] scaled by the
+    /// compress : decompress asymmetry this crate's own codecs measure on a
+    /// tile — 1 : 5 for the LZ family (0.18–0.21), 1 : 1 for varint-delta.
+    pub fn compress_throughput(self) -> f64 {
+        match self {
+            Codec::Raw | Codec::VarintDelta => self.decompress_throughput(),
+            Codec::Snappy | Codec::Zlib1 | Codec::Zlib3 => self.decompress_throughput() / 5.0,
+        }
+    }
+
     /// Compress `data`.
     pub fn compress(&self, data: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -423,5 +435,19 @@ mod tests {
         assert_eq!(Codec::Snappy.estimated_ratio(), 2.0);
         assert_eq!(Codec::Zlib1.estimated_ratio(), 4.0);
         assert_eq!(Codec::Zlib3.estimated_ratio(), 5.0);
+    }
+
+    #[test]
+    fn compression_is_never_billed_faster_than_decompression() {
+        for codec in Codec::ALL {
+            assert!(
+                codec.compress_throughput() <= codec.decompress_throughput(),
+                "{}",
+                codec.name()
+            );
+        }
+        // Raw costs nothing either way; the LZ codecs pay the 1 : 5 asymmetry.
+        assert_eq!(Codec::Raw.compress_throughput(), f64::INFINITY);
+        assert_eq!(Codec::Zlib1.compress_throughput(), 62.0e6 / 5.0);
     }
 }

@@ -32,7 +32,6 @@ use graphh_graph::ids::{ServerId, TileId, VertexId};
 use graphh_obs::{global_counters, Tracer};
 use graphh_partition::{PartitionedGraph, Tile, TileAssignment};
 use graphh_storage::{IoMeter, IoSnapshot, MemoryBackend, MeteredBackend, StorageBackend};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Frontier density (fraction of all vertices) at or above which the per-tile
@@ -362,18 +361,18 @@ pub struct ServerState {
     pub tiles: Vec<TileId>,
     /// Serialized tiles as stored on the server's local disk — a real
     /// [`StorageBackend`] behind an [`IoMeter`], so every byte the engine
-    /// actually moves (staging writes, cache-miss reads, admission re-reads)
-    /// is metered; see [`ServerState::io_snapshot`].
+    /// actually moves (staging writes, one read per cache miss) is metered;
+    /// see [`ServerState::io_snapshot`].
     disk: MeteredBackend<MemoryBackend>,
-    /// Storage key of each assigned tile, precomputed so the cache-miss path
-    /// does no string formatting.
-    tile_keys: HashMap<TileId, String>,
+    /// Storage key of each assigned tile, parallel to `tiles`, precomputed so
+    /// the cache-miss path does no string formatting.
+    tile_keys: Vec<String>,
     /// Local replica of every vertex value (All-in-All policy).
     pub values: Vec<f64>,
     /// Edge cache over idle memory.
     cache: EdgeCache,
-    /// Per-tile Bloom filters over source vertices.
-    blooms: HashMap<TileId, BloomFilter>,
+    /// Per-tile Bloom filters over source vertices, parallel to `tiles`.
+    blooms: Vec<BloomFilter>,
     /// Per-tile out-edge transposes for the push loop, parallel to `tiles`.
     /// Empty unless the plan is push-capable.
     push_indexes: Vec<PushIndex>,
@@ -401,8 +400,8 @@ struct TileOutcome {
     metrics: ServerMetrics,
     /// The broadcast message, if the tile produced updates.
     message: Option<BroadcastMessage>,
-    /// The decoded tile, when it missed the cache and should be admitted by
-    /// the post-join pass.
+    /// The decoded tile, when it missed a cache that was still accepting
+    /// tiles and should be offered to it by the post-join pass.
     admit: Option<Arc<Tile>>,
     /// Decoded in-memory size, for transient-memory accounting (0 if skipped).
     tile_memory_bytes: u64,
@@ -422,21 +421,21 @@ impl ServerState {
         let machine = config.cluster.machine;
         let tiles = plan.assignment.tiles_of(sid);
         let disk = MeteredBackend::new(MemoryBackend::new(), IoMeter::shared());
-        let mut tile_keys = HashMap::new();
-        let mut blooms = HashMap::new();
+        let mut tile_keys = Vec::with_capacity(tiles.len());
+        let mut blooms = Vec::with_capacity(tiles.len());
         let mut total_tile_bytes = 0u64;
         for &tid in &tiles {
             let tile = &partitioned.tiles[tid as usize];
             let blob = tile.to_bytes();
             total_tile_bytes += blob.len() as u64;
-            blooms.insert(
-                tid,
-                BloomFilter::from_ids(tile.sources().iter().copied(), tile.sources().len().max(8)),
-            );
+            blooms.push(BloomFilter::from_ids(
+                tile.sources().iter().copied(),
+                tile.sources().len().max(8),
+            ));
             let key = format!("tiles/{tid}");
             disk.put(&key, &blob)
                 .expect("staging a tile on the in-memory local disk cannot fail");
-            tile_keys.insert(tid, key);
+            tile_keys.push(key);
         }
         // Idle memory = machine memory minus the permanent vertex arrays.
         let permanent = 8 * num_vertices * 2 + 4 * num_vertices * 2;
@@ -454,7 +453,7 @@ impl ServerState {
         memory.set_component("vertex-values", 8 * num_vertices);
         memory.set_component("message-buffer", 8 * num_vertices);
         memory.set_component("degree-arrays", 4 * num_vertices * 2);
-        let bloom_bytes: u64 = blooms.values().map(BloomFilter::memory_bytes).sum();
+        let bloom_bytes: u64 = blooms.iter().map(BloomFilter::memory_bytes).sum();
         memory.set_component("bloom-filters", bloom_bytes);
         // Push-capable runs keep a resident out-edge transpose per assigned
         // tile (the push loop never touches disk or cache); pull-only runs
@@ -502,10 +501,10 @@ impl ServerState {
 
     /// Real bytes/ops moved through this server's local-disk backend so far.
     ///
-    /// This is *actual-storage* accounting, distinct from the simulated
-    /// [`ServerMetrics`] disk counters: a cache miss reads the blob once to
-    /// decode and once more to admit, so the meter legitimately counts the
-    /// admission re-read that the simulated model does not charge.
+    /// This is *actual-storage* accounting, kept apart from the simulated
+    /// [`ServerMetrics`] disk counters, and the two agree: a cache miss is
+    /// exactly one metered `get` (admission works from the decoded tile), so
+    /// `read_ops` equals the cache's `misses`.
     pub fn io_snapshot(&self) -> IoSnapshot {
         self.disk.meter().snapshot()
     }
@@ -553,8 +552,8 @@ impl ServerState {
             .counter(&format!("cache.s{sid}.misses"))
             .add(cache.misses);
         registry
-            .counter(&format!("cache.s{sid}.evictions"))
-            .add(cache.evictions);
+            .counter(&format!("cache.s{sid}.refused"))
+            .add(cache.refused);
         registry
             .counter(&format!("cache.s{sid}.resident_tiles"))
             .set(cache.resident_tiles);
@@ -589,10 +588,11 @@ impl ServerState {
     /// * every tile produces its own [`ServerMetrics`] / update buffer, and
     ///   the per-tile outputs are reduced **in tile order** after the join —
     ///   including the floating-point codec-time sums,
-    /// * cache recency is stamped by tile position (not lock-acquisition
-    ///   order) and admissions of missed tiles are deferred to a post-join
-    ///   pass in tile order, so the LRU state — and therefore every later
-    ///   superstep's hit/miss/eviction sequence — is schedule-independent.
+    /// * the edge cache never evicts, whether it still accepts tiles is read
+    ///   once before the fork (state left by the previous phase), and missed
+    ///   tiles are offered to it in a post-join pass in tile order — so the
+    ///   resident set, and therefore every later superstep's hit/miss
+    ///   sequence, is schedule-independent.
     pub fn run_tile_phase(
         &mut self,
         program: &dyn GabProgram,
@@ -602,22 +602,18 @@ impl ServerState {
         use_bloom: bool,
     ) -> Result<TilePhaseOutput> {
         let threads = plan.threads_per_server as usize;
-        // Stamp base read before the phase so pull-path recency stamps are
-        // deterministic (push supersteps never touch the cache, so the clock
-        // simply does not advance on them — identically on every executor).
-        let stamp_base = self.cache.clock();
         let outcomes: Vec<Result<TileOutcome>> = match frontier.direction {
             Direction::Push => self.push_outcomes(program, plan, superstep, frontier),
             // `resolve_direction` never returns `Auto`; treat it as pull.
             Direction::Pull | Direction::Auto => {
-                self.pull_outcomes(program, plan, superstep, frontier, use_bloom, stamp_base)
+                self.pull_outcomes(program, plan, superstep, frontier, use_bloom)
             }
         };
 
         // Deterministic reduction, in tile order: fold metrics (fixing the
-        // floating-point summation order), collect messages, and admit the
-        // tiles that missed — evictions therefore replay identically for any
-        // thread count.
+        // floating-point summation order), collect messages, and offer the
+        // tiles that missed to the cache — which of them fit is therefore the
+        // same for any thread count.
         let mut metrics = ServerMetrics::default();
         let mut messages = Vec::new();
         let mut transient = Vec::with_capacity(self.tiles.len());
@@ -625,14 +621,7 @@ impl ServerState {
             let outcome = outcome?;
             metrics.merge(&outcome.metrics);
             if let Some(tile) = outcome.admit {
-                let tile_id = self.tiles[i];
-                let blob = self
-                    .disk
-                    .get(&self.tile_keys[&tile_id])
-                    .expect("assigned tile must be on local disk");
-                metrics.compress_seconds +=
-                    self.cache
-                        .admit(tile_id, &blob, &tile, stamp_base + 1 + i as u64);
+                metrics.compress_seconds += self.cache.offer(self.tiles[i], &tile);
             }
             if let Some(message) = outcome.message {
                 messages.push(message);
@@ -663,7 +652,6 @@ impl ServerState {
         superstep: u32,
         frontier: &FrontierView<'_>,
         use_bloom: bool,
-        stamp_base: u64,
     ) -> Vec<Result<TileOutcome>> {
         let run_everything = superstep == 0 && program.run_all_vertices_initially();
         // Skip the O(frontier)-per-tile Bloom probe outright when the frontier
@@ -685,17 +673,18 @@ impl ServerState {
         let disk = &self.disk;
         let tile_keys = &self.tile_keys;
         let blooms = &self.blooms;
+        // Read once, before any worker runs: while the cache still accepts
+        // tiles a miss keeps its decoded tile for the post-join pass; once it
+        // is full nothing outlives the worker that decoded it.
+        let cache_accepting = !cache.is_full();
 
-        // Deterministic recency stamps: tile i of this phase gets stamp
-        // `base + 1 + i`, regardless of which thread touches the cache first.
         self.pool.fork_join_ordered(tiles.len(), |i| {
             let tile_id = tiles[i];
-            let stamp = stamp_base + 1 + i as u64;
             let mut metrics = ServerMetrics::default();
 
             // Bloom-filter tile skipping: a tile with no updated source
             // vertex cannot change any target value.
-            if probe_bloom && !blooms[&tile_id].may_contain_any(previously_updated.iter()) {
+            if probe_bloom && !blooms[i].may_contain_any(previously_updated.iter()) {
                 metrics.tiles_skipped += 1;
                 return Ok(TileOutcome {
                     metrics,
@@ -707,7 +696,7 @@ impl ServerState {
 
             // Fetch the tile: edge cache first, local disk on a miss.
             let mut admit = None;
-            let tile: Arc<Tile> = match cache.lookup(tile_id, stamp) {
+            let tile: Arc<Tile> = match cache.lookup(tile_id, 0) {
                 Some(fetch) => {
                     metrics.cache_hits += 1;
                     metrics.decompress_seconds += fetch.decompress_seconds;
@@ -716,14 +705,14 @@ impl ServerState {
                 None => {
                     metrics.cache_misses += 1;
                     let blob = disk
-                        .get(&tile_keys[&tile_id])
+                        .get(&tile_keys[i])
                         .expect("assigned tile must be on local disk");
                     metrics.disk_read_bytes += blob.len() as u64;
                     metrics.disk_read_ops += 1;
                     let tile = Arc::new(Tile::from_bytes(&blob)?);
-                    // Admission is deferred to the post-join pass so
-                    // evictions happen in tile order on one thread.
-                    admit = Some(Arc::clone(&tile));
+                    // Admission is deferred to the post-join pass so the
+                    // cache fills in tile order on one thread.
+                    admit = cache_accepting.then(|| Arc::clone(&tile));
                     tile
                 }
             };
@@ -771,7 +760,7 @@ impl ServerState {
     /// order-insensitive anyway, so the per-target accumulator is
     /// schedule-independent too. The path touches neither the edge cache nor
     /// the disk: the transpose is resident, so a push superstep moves zero
-    /// storage bytes and leaves cache recency untouched.
+    /// storage bytes and leaves the edge cache untouched.
     fn push_outcomes(
         &self,
         program: &dyn GabProgram,

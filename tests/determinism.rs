@@ -225,6 +225,133 @@ fn threads_per_server_axis_is_bit_identical() {
     }
 }
 
+/// The out-of-core path: an edge cache a quarter the size of a server's
+/// tiles (so `Auto` compresses, and most tiles still miss every superstep).
+/// Which tiles the fill-and-hold cache keeps must not depend on the schedule
+/// — same values and the same per-superstep hits, misses and disk bytes for
+/// every executor and `threads_per_server` — and a miss must cost exactly one
+/// storage read.
+#[test]
+fn constrained_cache_is_schedule_independent_and_reads_each_miss_once() {
+    use graphh::core::exec::{merge_updates_in_place, ExecutionPlan, ServerState};
+
+    const OOC_SERVERS: u32 = 2;
+    const SUPERSTEPS: u32 = 3;
+    let g = RmatGenerator::new(10, 8).generate(SEEDS[0]);
+    let p = Spe::partition(&g, &SpeConfig::with_tile_count("ooc", &g, 16)).unwrap();
+    let program = PageRank::new(SUPERSTEPS);
+    let mut base = GraphHConfig::paper_default(ClusterConfig::paper_testbed(OOC_SERVERS));
+    let plan = ExecutionPlan::prepare(&base, &p, &program).unwrap();
+    let fullest = (0..OOC_SERVERS)
+        .map(|sid| {
+            let tiles = plan.assignment.tiles_of(sid);
+            let bytes = tiles.iter().map(|&t| p.tiles[t as usize].serialized_size());
+            bytes.sum::<u64>()
+        })
+        .max()
+        .unwrap();
+    base.cache_capacity = Some(fullest.div_ceil(4));
+    assert_eq!(base.cache_mode, CacheMode::Auto);
+
+    // Through the engines: executor x threads-per-server.
+    let cache_trajectory = |run: &RunResult| -> Vec<(u64, u64, u64)> {
+        run.metrics
+            .supersteps
+            .iter()
+            .flat_map(|report| report.servers.iter())
+            .map(|m| (m.cache_hits, m.cache_misses, m.disk_read_bytes))
+            .collect()
+    };
+    let run = |threads: u32, executor: Arc<dyn Executor>| {
+        GraphHEngine::with_executor(base.clone().with_threads_per_server(threads), executor)
+            .run(&p, &program)
+            .unwrap()
+    };
+    let reference = run(1, Arc::new(SequentialExecutor::new()));
+    assert_ne!(reference.cache_codec, Codec::Raw, "the cache must be tight");
+    for threads in [1u32, 4] {
+        let seq = run(threads, Arc::new(SequentialExecutor::new()));
+        let thr = run(threads, Arc::new(ThreadedExecutor::new()));
+        for (other, what) in [(&seq, "seq"), (&thr, "thr")] {
+            let what = format!("out-of-core {what} T={threads}");
+            assert_bit_identical(&reference, other, &what);
+            assert_eq!(
+                cache_trajectory(&reference),
+                cache_trajectory(other),
+                "{what}: per-superstep, per-server hits/misses/disk bytes"
+            );
+        }
+    }
+
+    // Server by server: what the cache holds and what storage was asked for.
+    let drive = |threads: u32| -> Vec<ServerState> {
+        let config = base.clone().with_threads_per_server(threads);
+        let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
+        let mut servers: Vec<ServerState> = (0..OOC_SERVERS)
+            .map(|sid| ServerState::build(&config, &plan, &p, sid))
+            .collect();
+        let mut frontier = plan.initial_frontier();
+        for superstep in 0..SUPERSTEPS {
+            let view = plan.frontier_view(&program, &frontier);
+            let mut updates = Vec::new();
+            for server in &mut servers {
+                let resident_before = server.cache_stats().resident_tiles;
+                let phase = server
+                    .run_tile_phase(&program, &plan, superstep, &view, true)
+                    .unwrap();
+                // Nothing is ever displaced, so a superstep hits exactly the
+                // tiles the cache held when it began.
+                assert_eq!(phase.metrics.cache_hits, resident_before);
+                if superstep > 0 {
+                    assert_eq!(resident_before, server.cache_stats().resident_tiles);
+                }
+                updates.extend(phase.messages.into_iter().flat_map(|m| m.updates));
+            }
+            merge_updates_in_place(&mut updates);
+            for server in &mut servers {
+                server.apply_updates(&updates);
+            }
+            frontier = updates.iter().map(|&(v, _)| v).collect();
+        }
+        servers
+    };
+    let (one, four) = (drive(1), drive(4));
+    for (a, b) in one.iter().zip(&four) {
+        let stats = a.cache_stats();
+        let tiles = a.tiles.len() as u64;
+        assert!(
+            stats.resident_tiles > 0 && stats.resident_tiles < tiles,
+            "server {}: {} of {tiles} tiles resident — not a constrained cache",
+            a.id,
+            stats.resident_tiles
+        );
+        assert_eq!(stats.hits, stats.resident_tiles * u64::from(SUPERSTEPS - 1));
+        assert_eq!(stats.hits + stats.misses, tiles * u64::from(SUPERSTEPS));
+        // Compressed once per kept tile, plus the one refusal that filled it.
+        assert_eq!(stats.refused, 1);
+        for server in [a, b] {
+            assert_eq!(
+                server.io_snapshot().read_ops,
+                server.cache_stats().misses,
+                "server {}: one storage read per miss",
+                server.id
+            );
+        }
+        // The cache's own codec-second fields are float sums in lock order
+        // (the engine reports per-hit times summed in tile order instead).
+        let counts = |s: graphh::cache::CacheStats| {
+            (s.hits, s.misses, s.refused, s.resident_tiles, s.used_bytes)
+        };
+        assert_eq!(
+            counts(stats),
+            counts(b.cache_stats()),
+            "server {}: T=1 vs T=4",
+            a.id
+        );
+        assert_eq!(a.values, b.values);
+    }
+}
+
 /// The executors also agree across every communication mode / compressor
 /// combination, so the wire path cannot smuggle in nondeterminism.
 #[test]
