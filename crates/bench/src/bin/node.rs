@@ -29,8 +29,8 @@
 //! changes decoded values, only wire bytes). Runtime flags: `--id`, `--servers`, `--listen`,
 //! `--peers` (comma-separated, indexed by server id), `--out`,
 //! `--establish-timeout-secs`. The transport is always
-//! [`graphh_runtime::PollPlane`] (one event-loop thread per process; wire
-//! protocol in docs/WIRE.md).
+//! [`graphh_runtime::PollPlane`] (one event-loop thread per process) and the
+//! protocol always the fault-tolerant `GHHR` one (docs/WIRE.md).
 //!
 //! Instead of enumerating every peer, a node may bootstrap by **seed
 //! discovery** (see `docs/WIRE.md` §10): `--seed HOST:PORT` (repeatable)
@@ -40,9 +40,9 @@
 //! mutually exclusive — the static table and the gossiped book are
 //! alternative sources of truth. (`--seed` keeps its workload meaning too:
 //! a bare integer is the graph-generator RNG seed, a `host:port` value is a
-//! membership seed — the two value shapes never overlap.) With `--resilient`,
-//! a replacement process for a dead id may bind a *different* port: it
-//! announces itself with a bumped incarnation, the book update gossips to
+//! membership seed — the two value shapes never overlap.) In a seed-discovered
+//! cluster a replacement process for a dead id may bind a *different* port:
+//! it announces itself with a bumped incarnation, the book update gossips to
 //! every survivor, and redials converge on the new address mid-run.
 //!
 //! Observability flags (see `docs/OBSERVABILITY.md`): `--trace-out FILE`
@@ -51,18 +51,18 @@
 //! run summary plus a snapshot of every process-wide counter as JSON. Neither
 //! flag changes results or wire bytes.
 //!
-//! Fault-tolerance flags (see `docs/WIRE.md` §9): `--resilient` establishes
-//! the cluster with the resilient wire protocol — transient peer failures
-//! park the link, the survivor redials (or accepts a redial) with the `GHHR`
-//! resume handshake, and retained frames are replayed, so a node process can
-//! be killed and restarted mid-run without changing the final values.
+//! Fault tolerance (see `docs/WIRE.md` §9) needs no flag: a transient peer
+//! failure parks the link, the survivor redials (or accepts a redial) with
+//! the `GHHR` resume handshake, and retained frames are replayed.
 //! `--checkpoint-dir DIR` snapshots replica values + superstep cursor every
 //! `--checkpoint-every N` supersteps (GHHC files, atomic rename); on startup
 //! an existing checkpoint for this server id is loaded automatically and the
-//! run resumes at its cursor while peers replay the delta.
-//! `--reconnect-deadline-secs N` bounds how long a lost peer may stay away;
-//! `--superstep-delay-ms N` is a chaos-test aid that widens the window for
-//! killing a node mid-run (never changes values).
+//! run resumes at its cursor while peers replay the delta — so a node process
+//! can be killed and restarted mid-run without changing the final values.
+//! `--reconnect-deadline-secs N` (default 30) bounds how long a peer that
+//! vanished *without a goodbye* may stay away before the run fails; a clean
+//! exit is seen at once. `--superstep-delay-ms N` is a chaos-test aid that
+//! widens the window for killing a node mid-run (never changes values).
 
 use graphh_bench::multiprocess::{encode_values, NodeWorkload};
 use graphh_cluster::ClusterConfig;
@@ -73,8 +73,8 @@ use graphh_core::{DirectionMode, GraphHConfig};
 use graphh_obs::{chrome_trace_json, global_counters, Tracer};
 use graphh_pool::WorkerPool;
 use graphh_runtime::{
-    run_worker_with, validate_peer_table, BroadcastPlane, CheckpointSink, MetricsSlice, PollPlane,
-    ResilienceConfig, SuperstepBarrier, WorkerOptions,
+    run_worker, validate_peer_table, BroadcastPlane, CheckpointSink, MetricsSlice, PollPlane,
+    ResilienceConfig, WorkerOptions,
 };
 use std::net::SocketAddr;
 use std::sync::mpsc::channel;
@@ -98,8 +98,6 @@ struct Args {
     trace_out: Option<String>,
     metrics_out: Option<String>,
     establish_timeout: Duration,
-    /// Establish with the resilient wire protocol (reconnect-and-resume).
-    resilient: bool,
     /// Directory for periodic GHHC checkpoints (implies auto-resume from an
     /// existing checkpoint on startup).
     checkpoint_dir: Option<String>,
@@ -122,7 +120,7 @@ fn usage() -> ! {
          [--compressor none|raw|snappy|zlib-1|zlib-3|varint-delta] \
          [--out FILE] [--trace-out FILE] \
          [--metrics-out FILE] [--establish-timeout-secs N] \
-         [--resilient] [--checkpoint-dir DIR] [--checkpoint-every N] \
+         [--checkpoint-dir DIR] [--checkpoint-every N] \
          [--reconnect-deadline-secs N] [--superstep-delay-ms N] [--list-programs]"
     );
     eprintln!("programs:");
@@ -157,7 +155,6 @@ fn parse_args() -> Result<Args, String> {
     let mut trace_out = None;
     let mut metrics_out = None;
     let mut establish_timeout = Duration::from_secs(10);
-    let mut resilient = false;
     let mut checkpoint_dir = None;
     let mut checkpoint_every = 1;
     let mut reconnect_deadline = ResilienceConfig::default().reconnect_deadline;
@@ -168,35 +165,35 @@ fn parse_args() -> Result<Args, String> {
         if flag == "--help" || flag == "-h" || flag == "--list-programs" {
             usage();
         }
-        if flag == "--resilient" {
-            resilient = true;
-            continue;
-        }
-        let value = args
-            .next()
-            .ok_or_else(|| format!("flag {flag} needs a value"))?;
+        // Fetched by the arm that wants it, so an unknown flag is reported
+        // as unknown whether or not anything follows it.
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("flag {flag} needs a value"))
+        };
         let bad = |e: &dyn std::fmt::Display| format!("bad value for {flag}: {e}");
         match flag.as_str() {
-            "--id" => id = Some(value.parse().map_err(|e| bad(&e))?),
-            "--servers" => servers = Some(value.parse().map_err(|e| bad(&e))?),
-            "--listen" => listen = Some(value),
+            "--id" => id = Some(value()?.parse().map_err(|e| bad(&e))?),
+            "--servers" => servers = Some(value()?.parse().map_err(|e| bad(&e))?),
+            "--listen" => listen = Some(value()?),
             "--peers" => {
-                peers = value
+                peers = value()?
                     .split(',')
                     .map(|a| a.trim().parse().map_err(|e| bad(&e)))
                     .collect::<Result<_, _>>()?;
             }
-            "--direction" => direction = value.parse()?,
-            "--program" => workload.program = value,
-            "--program-arg" => workload.program_args.push(value),
-            "--scale" => workload.scale = value.parse().map_err(|e| bad(&e))?,
-            "--edge-factor" => workload.edge_factor = value.parse().map_err(|e| bad(&e))?,
+            "--direction" => direction = value()?.parse()?,
+            "--program" => workload.program = value()?,
+            "--program-arg" => workload.program_args.push(value()?),
+            "--scale" => workload.scale = value()?.parse().map_err(|e| bad(&e))?,
+            "--edge-factor" => workload.edge_factor = value()?.parse().map_err(|e| bad(&e))?,
             // `--seed` is overloaded by value shape: a `host:port` socket
             // address is a membership seed node (repeatable, docs/WIRE.md
             // §10); a bare integer keeps its original meaning as the
             // graph-generator RNG seed. The domains are disjoint — an
             // integer never parses as a socket address and vice versa.
             "--seed" => {
+                let value = value()?;
                 if let Ok(addr) = value.parse::<SocketAddr>() {
                     seeds.push(addr);
                 } else {
@@ -208,25 +205,27 @@ fn parse_args() -> Result<Args, String> {
                     })?;
                 }
             }
-            "--tiles" => workload.tiles = value.parse().map_err(|e| bad(&e))?,
-            "--supersteps" => workload.supersteps = value.parse().map_err(|e| bad(&e))?,
+            "--tiles" => workload.tiles = value()?.parse().map_err(|e| bad(&e))?,
+            "--supersteps" => workload.supersteps = value()?.parse().map_err(|e| bad(&e))?,
             "--threads-per-server" => {
-                threads_per_server = Some(value.parse().map_err(|e| bad(&e))?)
+                threads_per_server = Some(value()?.parse().map_err(|e| bad(&e))?)
             }
-            "--compressor" => compressor = Some(parse_compressor(&value)?),
-            "--out" => out = Some(value),
-            "--trace-out" => trace_out = Some(value),
-            "--metrics-out" => metrics_out = Some(value),
+            "--compressor" => compressor = Some(parse_compressor(&value()?)?),
+            "--out" => out = Some(value()?),
+            "--trace-out" => trace_out = Some(value()?),
+            "--metrics-out" => metrics_out = Some(value()?),
             "--establish-timeout-secs" => {
-                establish_timeout = Duration::from_secs(value.parse().map_err(|e| bad(&e))?)
+                establish_timeout = Duration::from_secs(value()?.parse().map_err(|e| bad(&e))?)
             }
-            "--checkpoint-dir" => checkpoint_dir = Some(value),
-            "--checkpoint-every" => checkpoint_every = value.parse().map_err(|e| bad(&e))?,
+            "--checkpoint-dir" => checkpoint_dir = Some(value()?),
+            "--checkpoint-every" => checkpoint_every = value()?.parse().map_err(|e| bad(&e))?,
             "--reconnect-deadline-secs" => {
-                reconnect_deadline = Duration::from_secs(value.parse().map_err(|e| bad(&e))?)
+                reconnect_deadline = Duration::from_secs(value()?.parse().map_err(|e| bad(&e))?)
             }
             "--superstep-delay-ms" => {
-                superstep_delay = Some(Duration::from_millis(value.parse().map_err(|e| bad(&e))?))
+                superstep_delay = Some(Duration::from_millis(
+                    value()?.parse().map_err(|e| bad(&e))?,
+                ))
             }
             other => return Err(format!("unknown flag {other}")),
         }
@@ -236,12 +235,6 @@ fn parse_args() -> Result<Args, String> {
     let listen = listen.ok_or("--listen is required")?;
     if peers.is_empty() && seeds.is_empty() && servers > 1 {
         return Err("--peers or --seed is required for clusters with more than one server".into());
-    }
-    if checkpoint_dir.is_some() && !resilient {
-        // A restart without the resilient protocol cannot rejoin its peers
-        // (nothing retains or replays the delta), so the combination is a
-        // misconfiguration, not a degraded mode.
-        return Err("--checkpoint-dir requires --resilient".into());
     }
     Ok(Args {
         id,
@@ -257,7 +250,6 @@ fn parse_args() -> Result<Args, String> {
         trace_out,
         metrics_out,
         establish_timeout,
-        resilient,
         checkpoint_dir,
         checkpoint_every,
         reconnect_deadline,
@@ -343,6 +335,10 @@ fn run(args: Args) -> Result<(), String> {
     };
     let start_superstep = resumed.as_ref().map_or(0, |c| c.next_superstep);
 
+    let mut resilience = ResilienceConfig {
+        reconnect_deadline: args.reconnect_deadline,
+        ..ResilienceConfig::resuming_from(start_superstep)
+    };
     let discovered = !args.seeds.is_empty();
     let mut plane = if discovered {
         // Seed discovery: learn the address book from a live seed over GHHM
@@ -359,38 +355,20 @@ fn run(args: Args) -> Result<(), String> {
             view.handle.version(),
             view.incarnation,
         );
-        if args.resilient {
-            let config = ResilienceConfig {
-                reconnect_deadline: args.reconnect_deadline,
-                ..ResilienceConfig::resuming_from(start_superstep)
-            };
-            bound
-                .establish_resilient_discovered(view, args.establish_timeout, config)
-                .map_err(|e| format!("establish resilient cluster (discovered): {e}"))?
-        } else {
-            bound
-                .establish_discovered(view, args.establish_timeout)
-                .map_err(|e| format!("establish cluster (discovered): {e}"))?
-        }
-    } else if args.resilient {
-        let config = ResilienceConfig {
-            reconnect_deadline: args.reconnect_deadline,
-            ..ResilienceConfig::resuming_from(start_superstep)
-        };
+        resilience.membership = Some(view.handle);
         bound
-            .establish_resilient(&peer_addrs, args.establish_timeout, config)
-            .map_err(|e| format!("establish resilient cluster: {e}"))?
+            .establish_resilient(&view.peer_addrs, args.establish_timeout, resilience)
+            .map_err(|e| format!("establish cluster (discovered): {e}"))?
     } else {
         bound
-            .establish_with_timeout(&peer_addrs, args.establish_timeout)
+            .establish_resilient(&peer_addrs, args.establish_timeout, resilience)
             .map_err(|e| format!("establish cluster: {e}"))?
     };
     eprintln!(
-        "graphh-node {}/{}: cluster established ({} peers{}{}{})",
+        "graphh-node {}/{}: cluster established ({} peers{}{})",
         args.id,
         args.servers,
         args.servers - 1,
-        if args.resilient { ", resilient" } else { "" },
         if discovered { ", seed-discovered" } else { "" },
         if resumed.is_some() {
             format!(", resumed at superstep {start_superstep}")
@@ -399,9 +377,8 @@ fn run(args: Args) -> Result<(), String> {
         },
     );
 
-    // One worker per process: the local barrier is trivial, lockstep comes
-    // from the broadcast plane's end-of-superstep framing.
-    let barrier = SuperstepBarrier::new(1);
+    // One worker per process: lockstep comes from the broadcast plane's
+    // end-of-superstep framing.
     let (metrics_tx, metrics_rx) = channel::<MetricsSlice>();
     let sid = plane.server_id();
     // Tracing is opt-in: without --trace-out the disabled tracer adds zero
@@ -418,14 +395,13 @@ fn run(args: Args) -> Result<(), String> {
         checkpoint: checkpoint_sink,
         superstep_delay: args.superstep_delay,
     };
-    let output = run_worker_with(
+    let output = run_worker(
         &config,
         &plan,
         &partitioned,
         program.as_ref(),
         sid,
         &mut plane,
-        &barrier,
         &metrics_tx,
         &tracer,
         options,
@@ -500,7 +476,7 @@ fn node_metrics_json(
     wall_seconds: f64,
 ) -> String {
     // Counters register lazily on first touch, so a fault-free (or
-    // non-resilient, or static-table) run would otherwise omit the whole
+    // static-table) run would otherwise omit the whole
     // `fabric.*` / `membership.*` families from the snapshot. Pre-register
     // them all: a zero row in every run's JSON beats a key that appears only
     // when something went wrong.

@@ -699,7 +699,7 @@ pub fn runtime_report(
     }
     out.push_str(
         "(speedup needs real cores: on a single-core host the fork-join and \
-         barrier overhead make it <=1x; the threaded executor runs p server \
+         lockstep overhead make it <=1x; the threaded executor runs p server \
          threads x T tile threads)\n",
     );
     out.push_str(
@@ -1326,7 +1326,8 @@ pub fn kernel_sweep() -> Vec<KernelSweepRow> {
 /// the observability layer's span stream aggregated by phase name. This is
 /// the per-phase wall-clock axis of `BENCH_runtime.json`: it says *where* the
 /// threaded executor's wall-clock goes (compute vs encode vs plane flush vs
-/// barrier wait), which the single `threaded_wall_s` number cannot.
+/// waiting on peers in collect), which the single `threaded_wall_s` number
+/// cannot.
 ///
 /// [`ThreadedExecutor`]: graphh_runtime::ThreadedExecutor
 pub struct PhaseBreakdown {
@@ -1344,7 +1345,7 @@ pub struct PhaseBreakdown {
 pub struct PhaseTotal {
     /// Span category (`"load"`, `"superstep"`, `"pool"`).
     pub cat: &'static str,
-    /// Span name (e.g. `"tile-compute"`, `"barrier-wait"`).
+    /// Span name (e.g. `"tile-compute"`, `"collect-decode"`).
     pub name: &'static str,
     /// How many spans were recorded under this name.
     pub spans: u64,

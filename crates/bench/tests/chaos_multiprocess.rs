@@ -1,8 +1,8 @@
-//! The multiprocess chaos driver: a real 3-process resilient cluster must
-//! survive a `SIGKILL` mid-run.
+//! The multiprocess chaos driver: a real 3-process cluster must survive a
+//! `SIGKILL` mid-run.
 //!
-//! Three `graphh-node` OS processes run PageRank over loopback TCP with the
-//! resilient wire protocol and superstep-granular `GHHC` checkpoints. Once
+//! Three `graphh-node` OS processes run PageRank over loopback TCP with
+//! superstep-granular `GHHC` checkpoints. Once
 //! the victim node has written its first checkpoint (proof the run is past
 //! establishment and mid-superstep-loop), the driver `kill -9`s it — no
 //! goodbye, no flush, exactly what a crashed machine looks like to its peers
@@ -91,7 +91,6 @@ fn spawn_node(
             &workload.supersteps.to_string(),
             "--establish-timeout-secs",
             "60",
-            "--resilient",
             "--checkpoint-dir",
             &ckpt_dir.display().to_string(),
             "--checkpoint-every",
@@ -217,7 +216,6 @@ fn spawn_node_seeded(
             &workload.supersteps.to_string(),
             "--establish-timeout-secs",
             "60",
-            "--resilient",
             "--checkpoint-dir",
             &ckpt_dir.display().to_string(),
             "--checkpoint-every",

@@ -119,15 +119,14 @@ fn traced_poll_cluster_emits_valid_trace_and_metrics_files() {
         let stats = validate_chrome_trace(&trace)
             .unwrap_or_else(|e| panic!("server {sid} trace invalid: {e}"));
         // The full worker phase taxonomy (docs/OBSERVABILITY.md §2) must be
-        // present: this run crossed a real TCP plane, so the plane-flush /
-        // collect-decode / barrier-wait phases are all exercised.
+        // present: this run crossed a real TCP plane, so the plane-flush
+        // and collect-decode phases are exercised too.
         for phase in [
             "tile-compute",
             "encode-publish",
             "plane-flush",
             "collect-decode",
             "apply",
-            "barrier-wait",
         ] {
             assert!(
                 stats.names.iter().any(|n| n == phase),

@@ -4,9 +4,9 @@
 //! ranges on plain `std::thread`s.
 //!
 //! GraphH (SunWDX17) runs `T` compute threads *inside* every server for
-//! tile-level parallel gather. The workspace's vendored `rayon` stand-in is
-//! sequential, so this crate supplies the real data-parallel substrate the
-//! engine's tile phase needs — without pulling in any external dependency.
+//! tile-level parallel gather. This crate supplies the data-parallel
+//! substrate the engine's tile phase needs — without pulling in any external
+//! dependency.
 //!
 //! Two substrates share the same chunking/ordering machinery:
 //!

@@ -27,8 +27,9 @@
 //!   multiplexing all peers over non-blocking sockets) — the TCP plane lets
 //!   each simulated server be its own OS **process**; the `graphh-node`
 //!   binary in `graphh-bench` does exactly that. The wire protocol it speaks
-//!   is specified normatively in `docs/WIRE.md`,
-//! * [`SuperstepBarrier`] — BSP's `wait_other_servers`,
+//!   is specified normatively in `docs/WIRE.md`, and its end-of-superstep
+//!   markers are BSP's `wait_other_servers` — `collect(s)` returns only once
+//!   every peer has ended `s`, so there is no separate barrier,
 //! * [`reduce_metrics`] — deterministic reduction of the per-server
 //!   [`graphh_cluster::ServerMetrics`] streams into
 //!   [`graphh_cluster::ClusterMetrics`].
@@ -42,14 +43,15 @@
 //! 2. workers sort the merged updates by vertex id before applying
 //!    ([`graphh_core::exec::merge_updates`]) — the same order the sequential
 //!    executor uses,
-//! 3. the superstep barrier + end-of-superstep channel markers keep replicas
-//!    in lockstep, so every gather reads the same replica state.
+//! 3. the plane's end-of-superstep markers keep replicas in lockstep — no
+//!    worker applies superstep `s` before every peer finished publishing it,
+//!    and a faster peer's `s + 1` frames are stashed, not applied — so every
+//!    gather reads the same replica state.
 //!
 //! The differential tests in this crate and `tests/determinism.rs` enforce
 //! bit-identical `values` between [`ThreadedExecutor`] and
 //! [`graphh_core::SequentialExecutor`].
 
-pub mod barrier;
 pub mod buffer;
 pub mod chaos;
 pub mod checkpoint;
@@ -63,7 +65,6 @@ pub mod resume;
 pub mod threaded;
 pub mod worker;
 
-pub use barrier::SuperstepBarrier;
 pub use buffer::{BufferPool, PooledBuf};
 pub use chaos::{CutPlan, FaultPlane, SeverPeer};
 pub use checkpoint::{
@@ -84,7 +85,4 @@ pub use resume::{
     validate_peer_table, HandshakeFault, ReplayError, ReplayLog, ResilienceConfig, ResumeHello,
 };
 pub use threaded::ThreadedExecutor;
-pub use worker::{
-    run_worker, run_worker_traced, run_worker_with, MetricsSlice, WorkerError, WorkerOptions,
-    WorkerOutput,
-};
+pub use worker::{run_worker, MetricsSlice, WorkerError, WorkerOptions, WorkerOutput};

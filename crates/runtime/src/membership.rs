@@ -7,7 +7,7 @@
 //! dials any live seed, and learns the full `server id → address` book via a
 //! push–pull exchange of `GHHM` membership messages. After bootstrap the book
 //! keeps converging through anti-entropy gossip (tag-6 [`crate::frame::Frame`]
-//! deltas piggybacked on the resilient fabric's ack cadence), so a
+//! deltas piggybacked on the fabric's ack cadence), so a
 //! *replacement* process started with the same `--server-id` on a **fresh
 //! address** can announce itself with a bumped incarnation and the survivors'
 //! reconnect loops redial the new address — no operator surgery.
@@ -17,7 +17,7 @@
 //! One fixed-header, variable-entry encoding serves three roles (announce,
 //! snapshot reply, gossip delta) and two carriers: raw on a fresh TCP
 //! connection during bootstrap (magic-first, so listeners can dispatch
-//! between `GHH1`/`GHHR`/`GHHM` with a 4-byte `peek`), and verbatim as the
+//! between `GHHR` and `GHHM` with a 4-byte `peek`), and verbatim as the
 //! payload of a tag-6 frame on an established link.
 //!
 //! ```text
@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// First bytes of every membership message; listeners `peek` these four
-/// bytes to dispatch between the `GHH1`, `GHHR` and `GHHM` families.
+/// bytes to dispatch between the `GHHR` and `GHHM` families.
 pub const MEMBERSHIP_MAGIC: [u8; 4] = *b"GHHM";
 
 /// Fixed header: magic (4) + kind (1) + cluster_size (4) + sender (4) +
@@ -420,7 +420,7 @@ impl AddressBook {
 ///
 /// The `version` atomic mirrors the book's version so steady-state cadence
 /// checks ("anything to gossip?") are one relaxed load — no lock, no
-/// allocation — keeping the fault-free resilient path inside the
+/// allocation — keeping the fault-free event loop inside the
 /// zero-allocation budget.
 pub struct MembershipState {
     id: ServerId,
@@ -629,8 +629,9 @@ pub struct MergeOutcome {
 /// What seed discovery hands to the establish phase.
 #[derive(Debug)]
 pub struct MembershipView {
-    /// The live membership state; threaded into the resilient transports so
-    /// reconnect loops consult the book and gossip keeps it converging.
+    /// The live membership state; set it as
+    /// [`crate::resume::ResilienceConfig::membership`] so redials consult the
+    /// book and gossip keeps it converging.
     pub handle: MembershipHandle,
     /// The complete `id → addr` table learned from the seeds, in id order
     /// (this node's own slot included) — a drop-in replacement for the
@@ -639,19 +640,14 @@ pub struct MembershipView {
     /// This node's incarnation after bootstrap (> 0 means it adopted its id
     /// from a dead predecessor at another address).
     pub incarnation: u32,
-    /// Connections accepted during bootstrap that were **not** membership
-    /// exchanges (a faster peer already dialing `GHH1`/`GHHR`); their
-    /// handshake bytes are unconsumed. The plain establish path feeds them
-    /// through its normal accept handling; the resilient path drops them
-    /// (its dialers redial on failure).
-    pub early: Vec<TcpStream>,
 }
 
 /// Bootstrap the address book from seed nodes.
 ///
 /// Loops until the book is complete *and* this node's latest own-claim has
 /// been pushed to at least one live source: serve inbound `GHHM` exchanges
-/// on `listener` (stashing non-`GHHM` connections for the caller), dial
+/// on `listener` (any other connection is a faster peer's `GHHR` dial — it
+/// is dropped, and its owner redials once this node establishes), dial
 /// every known source (the seeds plus every learned peer address) with a
 /// push–pull exchange, and re-assert the own claim after every merge. A
 /// replacement node discovers its predecessor's binding in the first
@@ -686,24 +682,17 @@ pub fn discover(
     }
     listener.set_nonblocking(true)?;
     let handle = MembershipHandle::new(id, num_servers, own_addr);
-    let mut early: Vec<TcpStream> = Vec::new();
     let mut needs_push = true;
     let deadline = Instant::now() + timeout;
     loop {
-        // Serve whoever is dialing us right now. Peeking leaves the
-        // handshake bytes in place for non-GHHM connections.
+        // Serve whoever is dialing us right now.
         loop {
             match listener.accept() {
-                Ok((mut stream, _)) => match peek_magic(&stream) {
-                    Ok(magic) if magic == MEMBERSHIP_MAGIC => {
+                Ok((mut stream, _)) => {
+                    if peek_magic(&stream, EXCHANGE_READ_CAP).is_ok_and(|m| m == MEMBERSHIP_MAGIC) {
                         let _ = handle.serve_stream(&mut stream);
                     }
-                    Ok(_) => {
-                        let _ = stream.set_read_timeout(None);
-                        early.push(stream);
-                    }
-                    Err(_) => {} // stray probe; drop it
-                },
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => return Err(e),
             }
@@ -719,7 +708,6 @@ pub fn discover(
                     handle,
                     peer_addrs,
                     incarnation,
-                    early,
                 });
             }
         }
@@ -756,12 +744,12 @@ pub fn discover(
 }
 
 /// Peek the first four bytes of an accepted connection without consuming
-/// them, under a short read timeout so a silent prober cannot stall the
-/// accept loop.
-pub(crate) fn peek_magic(stream: &TcpStream) -> io::Result<[u8; 4]> {
-    stream.set_read_timeout(Some(EXCHANGE_READ_CAP))?;
+/// them, waiting at most `cap` so a silent prober cannot stall the accept
+/// loop.
+pub(crate) fn peek_magic(stream: &TcpStream, cap: Duration) -> io::Result<[u8; 4]> {
+    stream.set_read_timeout(Some(cap))?;
     let mut magic = [0u8; 4];
-    let deadline = Instant::now() + EXCHANGE_READ_CAP;
+    let deadline = Instant::now() + cap;
     loop {
         match stream.peek(&mut magic) {
             Ok(n) if n >= 4 => return Ok(magic),
@@ -1225,7 +1213,6 @@ mod tests {
         for view in &views {
             assert_eq!(view.peer_addrs, expected);
             assert_eq!(view.incarnation, 0);
-            assert!(view.early.is_empty());
         }
     }
 

@@ -1,36 +1,38 @@
-//! Reconnect-and-resume machinery shared by the resilient transports.
+//! Reconnect-and-resume machinery of the TCP plane.
 //!
 //! Three pieces, all transport-agnostic and unit-testable without sockets:
 //!
-//! * [`ResumeHello`] — the 16-byte `GHHR` handshake a resilient endpoint
-//!   exchanges on *every* connection (initial establish and reconnect alike).
-//!   Unlike the one-way 12-byte `GHH1` hello, the resume hello flows in both
-//!   directions: each side tells the other the superstep it wants the peer's
-//!   stream to resume from, so each side can replay its retained frames.
-//! * [`ReplayLog`] — the sender-side retention buffer. Every frame written to
-//!   the fabric is also appended here, keyed by superstep; on reconnect the
-//!   log replays everything from the peer's requested cursor, and incoming
-//!   [`crate::frame::Frame::Ack`]s trim the prefix every peer has durably
-//!   applied.
+//! * [`ResumeHello`] — the 16-byte `GHHR` handshake an endpoint exchanges on
+//!   *every* connection (initial establish and reconnect alike). The hello
+//!   flows in both directions: each side tells the other the superstep it
+//!   wants the peer's stream to resume from, so each side can replay its
+//!   retained frames.
+//! * [`ReplayLog`] — the sender-side retention buffer. Every broadcast batch
+//!   written to the fabric is also retained here (shared, not copied), keyed
+//!   by superstep; on reconnect the log replays everything from the peer's
+//!   requested cursor, and incoming [`crate::frame::Frame::Ack`]s trim the
+//!   prefix every peer has durably applied.
 //! * [`ResilienceConfig`] — retry/backoff/deadline policy plus the
 //!   deterministic handshake-fault injection the chaos suite drives.
 //!
 //! The normative byte spec lives in `docs/WIRE.md` §9; this module is the
 //! reference implementation.
 
+use crate::buffer::PooledBuf;
 use crate::membership::MembershipHandle;
 use graphh_graph::ids::ServerId;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Magic prefix of the resilient-mode resume handshake.
+/// Magic prefix of the resume handshake.
 pub const RESUME_MAGIC: [u8; 4] = *b"GHHR";
 
 /// Encoded size of a [`ResumeHello`].
 pub const RESUME_HELLO_LEN: usize = 16;
 
-/// The resilient-mode handshake: `b"GHHR" | u32 LE cluster size | u32 LE
+/// The connection handshake: `b"GHHR" | u32 LE cluster size | u32 LE
 /// sender id | u32 LE resume-from superstep`.
 ///
 /// `resume_from` is the first superstep the *sender of the hello* still
@@ -148,27 +150,30 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// One superstep's retained wire bytes.
+/// One retained broadcast batch: the buffer the event loop already shares
+/// across its peers' write queues, held here too until every peer acks its
+/// superstep — retention costs a reference count, not a copy.
 #[derive(Debug)]
 struct ReplayEntry {
     superstep: u32,
-    bytes: Vec<u8>,
-    frames: u64,
+    batch: Arc<PooledBuf>,
 }
 
 /// Sender-side frame retention for reconnect replay.
 ///
-/// Every frame a resilient endpoint broadcasts (messages *and* end-of-
-/// superstep markers) is appended here in superstep order. Retention is
+/// Every batch of frames an endpoint broadcasts (messages *and* end-of-
+/// superstep markers) is retained here in superstep order. Retention is
 /// bounded by acknowledgements: `Ack(s)` from a peer means that peer durably
 /// holds its state through superstep `s` (its process applied `s`, and — when
 /// checkpointing — wrote the checkpoint covering it), so once **every** peer
 /// has acknowledged `s`, frames `<= s` can never be requested again and are
-/// trimmed. A resume request below the trim floor is the peer violating its
-/// own acknowledgement and is rejected as unrecoverable.
+/// trimmed (their buffers return to the pool). A resume request below the
+/// trim floor is the peer violating its own acknowledgement and is rejected
+/// as unrecoverable.
 #[derive(Debug)]
 pub struct ReplayLog {
-    /// Retained supersteps, ascending and contiguous from `trimmed_until`.
+    /// Retained batches in stream order; supersteps ascend (a superstep may
+    /// span several batches) and none lies below `trimmed_until`.
     entries: VecDeque<ReplayEntry>,
     /// Supersteps strictly below this were trimmed (0 = nothing trimmed).
     trimmed_until: u32,
@@ -204,27 +209,17 @@ impl ReplayLog {
         }
     }
 
-    /// Retain `bytes` (`frames` whole frames) broadcast for `superstep`.
+    /// Retain `batch`, whole frames broadcast for `superstep`.
     /// Appends must come in non-decreasing superstep order — the broadcast
     /// path is serial per endpoint, so they do.
-    pub fn append(&mut self, superstep: u32, bytes: &[u8], frames: u64) {
+    pub fn append(&mut self, superstep: u32, batch: Arc<PooledBuf>) {
         debug_assert!(superstep >= self.trimmed_until);
         debug_assert!(self
             .entries
             .back()
             .is_none_or(|last| last.superstep <= superstep));
-        self.bytes_retained += bytes.len();
-        match self.entries.back_mut() {
-            Some(last) if last.superstep == superstep => {
-                last.bytes.extend_from_slice(bytes);
-                last.frames += frames;
-            }
-            _ => self.entries.push_back(ReplayEntry {
-                superstep,
-                bytes: bytes.to_vec(),
-                frames,
-            }),
-        }
+        self.bytes_retained += batch.len();
+        self.entries.push_back(ReplayEntry { superstep, batch });
     }
 
     /// Record `Ack(superstep)` from `peer` and trim every superstep that all
@@ -262,31 +257,28 @@ impl ReplayLog {
         if let Some(floor) = floor {
             while self.entries.front().is_some_and(|e| e.superstep <= floor) {
                 let gone = self.entries.pop_front().unwrap();
-                self.bytes_retained -= gone.bytes.len();
+                self.bytes_retained -= gone.batch.len();
             }
             self.trimmed_until = self.trimmed_until.max(floor.saturating_add(1));
         }
     }
 
-    /// Everything retained from `resume_from` on, as one byte run plus its
-    /// frame count — or [`ReplayError::BelowFloor`] when the cursor was
-    /// already trimmed.
-    pub fn replay_from(&self, resume_from: u32) -> Result<(Vec<u8>, u64), ReplayError> {
+    /// Every batch retained from `resume_from` on, in stream order (shared,
+    /// not copied — the caller enqueues them as they are) — or
+    /// [`ReplayError::BelowFloor`] when the cursor was already trimmed.
+    pub fn replay_from(&self, resume_from: u32) -> Result<Vec<Arc<PooledBuf>>, ReplayError> {
         if resume_from < self.trimmed_until {
             return Err(ReplayError::BelowFloor {
                 requested: resume_from,
                 floor: self.trimmed_until,
             });
         }
-        let mut bytes = Vec::new();
-        let mut frames = 0u64;
-        for entry in &self.entries {
-            if entry.superstep >= resume_from {
-                bytes.extend_from_slice(&entry.bytes);
-                frames += entry.frames;
-            }
-        }
-        Ok((bytes, frames))
+        Ok(self
+            .entries
+            .iter()
+            .filter(|e| e.superstep >= resume_from)
+            .map(|e| Arc::clone(&e.batch))
+            .collect())
     }
 
     /// First superstep a resume request may still ask for.
@@ -299,9 +291,17 @@ impl ReplayLog {
         self.bytes_retained
     }
 
-    /// Number of retained superstep entries.
+    /// Number of distinct supersteps with retained batches.
     pub fn retained_supersteps(&self) -> usize {
-        self.entries.len()
+        let mut count = 0;
+        let mut last = None;
+        for entry in &self.entries {
+            if last != Some(entry.superstep) {
+                count += 1;
+                last = Some(entry.superstep);
+            }
+        }
+        count
     }
 }
 
@@ -321,7 +321,7 @@ pub enum HandshakeFault {
     Drop,
 }
 
-/// Policy knobs of the resilient transports.
+/// Policy knobs of the TCP plane's recovery machinery.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// How long a cut peer may stay down before the terminal
@@ -344,11 +344,12 @@ pub struct ResilienceConfig {
     /// ...for this many dial attempts in total (then dial honestly, so every
     /// faulted reconnect still terminates).
     pub handshake_fault_budget: u32,
-    /// The live membership state from seed discovery. When set, redial
-    /// loops re-consult the gossiped address book before every attempt
-    /// (adopting a replacement peer's new address) and the transports
-    /// piggyback gossip deltas on the ack cadence. `None` = the PR 9 static
-    /// table behaviour, byte-for-byte.
+    /// The live membership state from seed discovery
+    /// ([`crate::membership::MembershipView::handle`]). When set, redials
+    /// re-consult the gossiped address book before every attempt (adopting a
+    /// replacement peer's new address), the event loop answers `GHHM`
+    /// exchanges on its listener and piggybacks gossip deltas on the ack
+    /// cadence. `None` = the static peer table, nothing of §10 on the wire.
     pub membership: Option<MembershipHandle>,
 }
 
@@ -400,7 +401,8 @@ impl ResilienceConfig {
 }
 
 /// Count the length-prefixed frames in a run of encoded frame bytes (used to
-/// meter replayed batches; trusts the bytes, which this endpoint encoded).
+/// meter batches when they are replayed; trusts the bytes, which this
+/// endpoint encoded).
 pub(crate) fn count_frames(mut bytes: &[u8]) -> u64 {
     let mut frames = 0u64;
     while bytes.len() >= 4 {
@@ -499,6 +501,7 @@ pub fn validate_peer_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::BufferPool;
     use crate::frame::Frame;
 
     #[test]
@@ -582,15 +585,29 @@ mod tests {
         out
     }
 
+    /// Retain `bytes` as one pooled batch, the way the event loop does.
+    fn append(log: &mut ReplayLog, pool: &BufferPool, superstep: u32, bytes: &[u8]) {
+        let mut batch = pool.checkout();
+        batch.extend_from_slice(bytes);
+        log.append(superstep, Arc::new(batch));
+    }
+
+    /// The replay as the byte run the peer would receive.
+    fn replay_bytes(log: &ReplayLog, resume_from: u32) -> Result<Vec<u8>, ReplayError> {
+        let batches = log.replay_from(resume_from)?;
+        Ok(batches.iter().flat_map(|b| b.iter().copied()).collect())
+    }
+
     /// The exact retention/trim contract at superstep acks: nothing is
     /// trimmed until *every* peer acknowledged a superstep, then exactly the
     /// acknowledged prefix goes, and a request below the floor is rejected.
     #[test]
     fn replay_log_trims_only_the_prefix_every_peer_acked() {
+        let pool = BufferPool::new();
         let mut log = ReplayLog::new(3, 0); // own id 0, peers 1 and 2
         for s in 0..4u32 {
-            log.append(s, &[s as u8; 10], 1);
-            log.append(s, &eos_bytes(0, s), 1);
+            append(&mut log, &pool, s, &[s as u8; 10]);
+            append(&mut log, &pool, s, &eos_bytes(0, s));
         }
         assert_eq!(log.retained_supersteps(), 4);
         assert_eq!(log.floor(), 0);
@@ -615,9 +632,9 @@ mod tests {
         assert_eq!(log.floor(), 3);
 
         // Replay at or above the floor works; below it is unrecoverable.
-        let (bytes, frames) = log.replay_from(3).unwrap();
-        assert_eq!(frames, 2);
-        assert!(!bytes.is_empty());
+        let mut superstep_3 = vec![3u8; 10];
+        superstep_3.extend_from_slice(&eos_bytes(0, 3));
+        assert_eq!(replay_bytes(&log, 3).unwrap(), superstep_3);
         assert!(matches!(
             log.replay_from(2),
             Err(ReplayError::BelowFloor {
@@ -628,28 +645,43 @@ mod tests {
     }
 
     #[test]
-    fn replay_log_coalesces_same_superstep_appends_and_meters_bytes() {
+    fn replay_log_groups_same_superstep_appends_and_meters_bytes() {
+        let pool = BufferPool::new();
         let mut log = ReplayLog::new(2, 1);
-        log.append(0, &[1, 2, 3], 1);
-        log.append(0, &[4, 5], 1);
-        log.append(1, &[6], 1);
+        append(&mut log, &pool, 0, &[1, 2, 3]);
+        append(&mut log, &pool, 0, &[4, 5]);
+        append(&mut log, &pool, 1, &[6]);
         assert_eq!(log.retained_supersteps(), 2);
         assert_eq!(log.bytes_retained(), 6);
-        let (bytes, frames) = log.replay_from(0).unwrap();
-        assert_eq!(bytes, vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(frames, 3);
-        let (tail, tail_frames) = log.replay_from(1).unwrap();
-        assert_eq!(tail, vec![6]);
-        assert_eq!(tail_frames, 1);
+        assert_eq!(replay_bytes(&log, 0).unwrap(), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(replay_bytes(&log, 1).unwrap(), vec![6]);
 
         log.ack(0, 0);
         assert_eq!(log.bytes_retained(), 1);
     }
 
+    /// Retention shares the batch the loop already holds, and the ack that
+    /// trims it hands the buffer back to the pool.
+    #[test]
+    fn retained_batches_are_shared_and_return_to_the_pool_when_trimmed() {
+        let pool = BufferPool::new();
+        let mut log = ReplayLog::new(2, 0);
+        let mut batch = pool.checkout();
+        batch.extend_from_slice(&eos_bytes(0, 0));
+        let batch = Arc::new(batch);
+        log.append(0, Arc::clone(&batch));
+        let replayed = log.replay_from(0).unwrap();
+        assert!(Arc::ptr_eq(&replayed[0], &batch), "no copy on replay");
+        drop((replayed, batch));
+        assert_eq!(pool.pooled(), 0, "the log still holds the buffer");
+        log.ack(1, 0);
+        assert_eq!(pool.pooled(), 1, "trimmed buffers go home");
+    }
+
     #[test]
     fn replay_log_ignores_hostile_acker_ids() {
         let mut log = ReplayLog::new(2, 0);
-        log.append(0, &[9], 1);
+        append(&mut log, &BufferPool::new(), 0, &[9]);
         log.ack(777, 5); // out of range: ignored, nothing trimmed
         assert_eq!(log.retained_supersteps(), 1);
     }
@@ -669,9 +701,7 @@ mod tests {
                 floor: 3
             })
         ));
-        let (bytes, frames) = log.replay_from(3).unwrap();
-        assert!(bytes.is_empty());
-        assert_eq!(frames, 0);
+        assert!(log.replay_from(3).unwrap().is_empty());
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The threaded executor: one OS thread per simulated server.
 //!
-//! Spawns a scoped thread per server, wires them into a [`ChannelPlane`] and a
-//! [`SuperstepBarrier`], runs [`run_worker_traced`] on each, and reduces the streamed
-//! metrics deterministically. Differential tests (below and in
-//! `tests/determinism.rs`) pin its output to the sequential reference
-//! bit-for-bit.
+//! Spawns a scoped thread per server, wires them into a [`ChannelPlane`],
+//! runs [`run_worker`] on each, and reduces the streamed metrics
+//! deterministically. The plane's end-of-superstep markers are the only
+//! lockstep mechanism — the same one a multi-process cluster has.
+//! Differential tests (below and in `tests/determinism.rs`) pin its output to
+//! the sequential reference bit-for-bit.
 
-use crate::barrier::SuperstepBarrier;
 use crate::plane::{BroadcastPlane, ChannelPlane};
 use crate::reduce::reduce_metrics;
-use crate::worker::{run_worker_traced, MetricsSlice, WorkerError, WorkerOutput};
+use crate::worker::{run_worker, MetricsSlice, WorkerError, WorkerOptions, WorkerOutput};
 use graphh_core::exec::{ExecutionPlan, Executor};
 use graphh_core::gab::GabProgram;
 use graphh_core::{EngineError, GraphHConfig, RunResult};
@@ -65,7 +65,6 @@ impl Executor for ThreadedExecutor {
         driver_rec.end(prepare, "plan-prepare", "load");
         let num_servers = config.cluster.num_servers;
         let planes = ChannelPlane::connect(num_servers);
-        let barrier = SuperstepBarrier::new(num_servers);
         let (metrics_tx, metrics_rx) = channel::<MetricsSlice>();
 
         let worker_results: Vec<thread::Result<Result<WorkerOutput, WorkerError>>> =
@@ -75,20 +74,19 @@ impl Executor for ThreadedExecutor {
                     .map(|mut plane| {
                         let metrics_tx = metrics_tx.clone();
                         let plan = &plan;
-                        let barrier = &barrier;
                         let tracer = tracer.clone();
                         scope.spawn(move || {
                             let sid = plane.server_id();
-                            run_worker_traced(
+                            run_worker(
                                 config,
                                 plan,
                                 partitioned,
                                 program,
                                 sid,
                                 &mut plane,
-                                barrier,
                                 &metrics_tx,
                                 &tracer,
+                                WorkerOptions::default(),
                             )
                         })
                     })
@@ -105,8 +103,8 @@ impl Executor for ThreadedExecutor {
                 Ok(Ok(output)) => outputs.push(output),
                 Ok(Err(e)) => {
                     // Prefer the root cause: a failing worker makes its peers
-                    // fail too, but with *secondary* poison/abort errors that
-                    // would otherwise mask the actionable message.
+                    // fail too, but with *secondary* abort errors that would
+                    // otherwise mask the actionable message.
                     let replace = match &first_error {
                         None => true,
                         Some(prev) => prev.secondary && !e.secondary,
@@ -264,7 +262,7 @@ mod tests {
     }
 
     /// A worker panic must propagate out of `execute` (releasing the other
-    /// workers via plane abort + barrier poison) — not deadlock the scope.
+    /// workers via the plane's abort frame) — not deadlock the scope.
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panic_propagates_instead_of_deadlocking() {
@@ -272,6 +270,72 @@ mod tests {
         let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 9)).unwrap();
         let (_, thr) = engines(3);
         let _ = thr.run(&p, &PanicAt { vertex: 0 });
+    }
+
+    /// PageRank, except that gathering one of the first few vertices stalls
+    /// on odd supersteps — so the server owning that tile finishes those
+    /// supersteps last, by a wide margin.
+    struct Straggler(PageRank);
+
+    impl graphh_core::GabProgram for Straggler {
+        fn name(&self) -> &'static str {
+            "straggler"
+        }
+        fn initial_value(&self, v: u32, ctx: &graphh_core::gab::InitContext<'_>) -> f64 {
+            self.0.initial_value(v, ctx)
+        }
+        fn gather(
+            &self,
+            target: u32,
+            in_edges: &mut dyn Iterator<Item = (u32, f32)>,
+            ctx: &graphh_core::gab::VertexContext<'_>,
+        ) -> f64 {
+            if ctx.superstep % 2 == 1 && target < 4 {
+                thread::sleep(std::time::Duration::from_millis(5));
+            }
+            self.0.gather(target, in_edges, ctx)
+        }
+        fn apply(
+            &self,
+            target: u32,
+            accum: f64,
+            current: f64,
+            ctx: &graphh_core::gab::VertexContext<'_>,
+        ) -> f64 {
+            self.0.apply(target, accum, current, ctx)
+        }
+        fn is_update(&self, old: f64, new: f64) -> bool {
+            self.0.is_update(old, new)
+        }
+        fn update_tolerance(&self) -> f64 {
+            self.0.update_tolerance()
+        }
+        fn max_supersteps(&self) -> u32 {
+            self.0.max_supersteps()
+        }
+        fn run_all_vertices_initially(&self) -> bool {
+            self.0.run_all_vertices_initially()
+        }
+    }
+
+    /// Nothing but the plane's end-of-superstep markers holds the servers in
+    /// lockstep: while one server straggles through superstep `s`, the others
+    /// cannot apply `s` (their `collect(s)` waits for its marker), and once it
+    /// is through, whatever they publish for `s + 1` while it is still
+    /// applying `s` waits in its collector's stash. Values stay bit-identical.
+    #[test]
+    fn a_straggling_server_needs_no_barrier_to_stay_bit_identical() {
+        let g = RmatGenerator::new(7, 5).generate(11);
+        let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 9)).unwrap();
+        let (seq, thr) = engines(3);
+        let a = seq.run(&p, &PageRank::new(6)).unwrap();
+        let b = thr.run(&p, &Straggler(PageRank::new(6))).unwrap();
+        assert!(bit_identical(&a.values, &b.values));
+        assert_eq!(a.supersteps_run, b.supersteps_run);
+        assert_eq!(
+            a.metrics.total_network_bytes(),
+            b.metrics.total_network_bytes()
+        );
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //!    ([`graphh_core::exec::merge_updates_in_place`]), into the local replica — the sort makes the apply
 //!    order independent of message arrival order, which is what keeps threaded
 //!    results bit-identical to sequential ones,
-//! 5. **barrier** — cross the superstep barrier; every replica now agrees, and
-//!    every worker independently reaches the same termination decision.
+//! 5. **decide** — every replica now holds the same merged update set, so
+//!    every worker independently reaches the same continue/stop decision.
+//!
+//! There is no separate barrier: `collect(s)` returning *is* the barrier —
+//! every peer's end-of-superstep marker for `s` has arrived, and a faster
+//! peer's `s + 1` frames wait in the collector's stash until this worker
+//! gets there.
 
-use crate::barrier::SuperstepBarrier;
 use crate::buffer::{BufferPool, PooledBuf};
 use crate::checkpoint::{Checkpoint, CheckpointSink};
 use crate::plane::{BroadcastPlane, PlaneError};
@@ -163,8 +167,9 @@ pub struct WorkerOutput {
 }
 
 /// A worker failure, tagged with whether it is the *root cause* or a
-/// secondary effect of another worker's abort (peers observing the poison /
-/// abort signals). The executor reports a root-cause error when one exists.
+/// secondary effect of another worker's abort (peers observing the abort
+/// frame, or the aborted worker's endpoint already gone). The executor
+/// reports a root-cause error when one exists.
 #[derive(Debug)]
 pub struct WorkerError {
     /// The underlying engine error.
@@ -175,14 +180,16 @@ pub struct WorkerError {
 
 fn plane_error(e: PlaneError) -> WorkerError {
     WorkerError {
-        secondary: matches!(e, PlaneError::Aborted(_)),
+        // A vanished peer is a symptom too: with no barrier to park at, a
+        // worker already publishing superstep `s + 1` can find a peer that
+        // failed in `s` gone before it reads that peer's abort frame.
+        secondary: matches!(e, PlaneError::Aborted(_) | PlaneError::Disconnected),
         error: EngineError::BadInput(format!("broadcast plane failure: {e}")),
     }
 }
 
-/// Optional behaviors of [`run_worker_with`] beyond the plain superstep loop.
-/// [`Default`] is exactly the historical behavior — fresh start at superstep
-/// 0, no checkpoints, no delay — and is what every existing entry point uses.
+/// Optional behaviors of [`run_worker`] beyond the plain superstep loop.
+/// [`Default`] is a fresh start at superstep 0, no checkpoints, no delay.
 #[derive(Default)]
 pub struct WorkerOptions {
     /// First superstep to execute. Non-zero when resuming from a checkpoint:
@@ -209,11 +216,18 @@ pub struct WorkerOptions {
 
 /// Run server `sid` to completion on the calling thread.
 ///
+/// Phase spans go to `tracer`: the worker records on lane `1 + sid`; its
+/// server's pool jobs land on lanes `100 * (1 + sid) + worker_index` (see
+/// `docs/OBSERVABILITY.md`). With the tracer off ([`Tracer::off`]) every span
+/// call is a no-op that reads no clock and allocates nothing — the contract
+/// `tests/alloc_count.rs` pins. `options` carries checkpoint-resumed starts
+/// ([`WorkerOptions::start_superstep`] plus the restored values/frontier) and
+/// periodic checkpoint writing.
+///
 /// On *any* exit that is not a clean finish — an `Err` return or a panic
 /// (e.g. a user `GabProgram` indexing out of bounds) — the peers are
-/// unblocked: the plane gets an abort frame (releases peers draining their
-/// inbox) and the barrier is poisoned (releases peers already parked at the
-/// superstep boundary). Skipping either would deadlock the other group.
+/// unblocked by an abort frame on the plane: the only place a peer can be
+/// parked is `collect`, and an abort fails every collect.
 #[allow(clippy::too_many_arguments)]
 pub fn run_worker(
     config: &GraphHConfig,
@@ -222,67 +236,6 @@ pub fn run_worker(
     program: &dyn GabProgram,
     sid: ServerId,
     plane: &mut dyn BroadcastPlane,
-    barrier: &SuperstepBarrier,
-    metrics_tx: &Sender<MetricsSlice>,
-) -> Result<WorkerOutput, WorkerError> {
-    run_worker_traced(
-        config,
-        plan,
-        partitioned,
-        program,
-        sid,
-        plane,
-        barrier,
-        metrics_tx,
-        &Tracer::off(),
-    )
-}
-
-/// [`run_worker`] recording phase spans into `tracer`.
-///
-/// The worker records on lane `1 + sid`; its server's pool jobs land on lanes
-/// `100 * (1 + sid) + worker_index` (see `docs/OBSERVABILITY.md`). With the
-/// tracer off ([`Tracer::off`]) every span call is a no-op that reads no clock
-/// and allocates nothing — the contract `tests/alloc_count.rs` pins.
-#[allow(clippy::too_many_arguments)]
-pub fn run_worker_traced(
-    config: &GraphHConfig,
-    plan: &ExecutionPlan,
-    partitioned: &PartitionedGraph,
-    program: &dyn GabProgram,
-    sid: ServerId,
-    plane: &mut dyn BroadcastPlane,
-    barrier: &SuperstepBarrier,
-    metrics_tx: &Sender<MetricsSlice>,
-    tracer: &Tracer,
-) -> Result<WorkerOutput, WorkerError> {
-    run_worker_with(
-        config,
-        plan,
-        partitioned,
-        program,
-        sid,
-        plane,
-        barrier,
-        metrics_tx,
-        tracer,
-        WorkerOptions::default(),
-    )
-}
-
-/// [`run_worker_traced`] with explicit [`WorkerOptions`] — the entry point
-/// for checkpoint-resumed runs ([`WorkerOptions::start_superstep`] plus the
-/// restored values/frontier) and periodic checkpoint writing. With
-/// `WorkerOptions::default()` it is exactly `run_worker_traced`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_worker_with(
-    config: &GraphHConfig,
-    plan: &ExecutionPlan,
-    partitioned: &PartitionedGraph,
-    program: &dyn GabProgram,
-    sid: ServerId,
-    plane: &mut dyn BroadcastPlane,
-    barrier: &SuperstepBarrier,
     metrics_tx: &Sender<MetricsSlice>,
     tracer: &Tracer,
     options: WorkerOptions,
@@ -483,14 +436,8 @@ pub fn run_worker_with(
                 None => plane.acknowledge(superstep).map_err(plane_error)?,
             }
 
-            // BSP barrier; every worker sees the same update set, so all make
-            // the same continue/stop decision and stay in lockstep.
-            let wait = rec.begin();
-            barrier.wait().map_err(|e| WorkerError {
-                error: EngineError::BadInput(format!("superstep barrier: {e}")),
-                secondary: true,
-            })?;
-            rec.end_superstep(wait, "barrier-wait", "superstep", superstep);
+            // Every worker applied the same update set, so all make the same
+            // continue/stop decision and stay in lockstep.
             if bufs.previously_updated.is_empty() {
                 break;
             }
@@ -519,12 +466,10 @@ pub fn run_worker_with(
         }
         Ok(Err(e)) => {
             plane.abort();
-            barrier.poison();
             Err(e)
         }
         Err(payload) => {
             plane.abort();
-            barrier.poison();
             std::panic::resume_unwind(payload);
         }
     }
@@ -640,7 +585,6 @@ mod tests {
         let mut plane = InjectingPlane {
             payload: Some(evil.encode(BroadcastEncoding::Sparse).into()),
         };
-        let barrier = SuperstepBarrier::new(1);
         let (metrics_tx, _metrics_rx) = channel();
         let err = run_worker(
             &config,
@@ -649,8 +593,9 @@ mod tests {
             &program,
             0,
             &mut plane,
-            &barrier,
             &metrics_tx,
+            &Tracer::off(),
+            WorkerOptions::default(),
         )
         .expect_err("oversized range must abort cleanly");
         let rendered = err.error.to_string();

@@ -181,7 +181,7 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
         Some(Codec::Zlib3),
         Some(Codec::VarintDelta),
     ];
-    // A live membership handle, as every seed-discovered resilient fabric
+    // A live membership handle, as every seed-discovered fabric
     // holds one: its per-iteration steady-state work — the gossip-cadence
     // version check and the redial address lookup — rides the same hot loop
     // and must stay allocation-free while the book is quiescent (the
@@ -230,7 +230,7 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
 
         let before = local_allocations();
         for s in 1..64u32 {
-            // The resilient event loop's membership tick: one version load
+            // The event loop's membership tick: one version load
             // and compare (gossip only fires when the book moved), plus the
             // book consultation a redial would perform. Neither may allocate.
             let version = membership.version();

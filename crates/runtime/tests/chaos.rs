@@ -2,8 +2,8 @@
 //! must produce replicas bit-identical to the *unfaulted* sequential
 //! reference.
 //!
-//! Every run here wraps real TCP endpoints ([`PollPlane`], established with
-//! the resilient `GHHR` protocol) in a [`graphh_runtime::FaultPlane`] that
+//! Every run here wraps real TCP endpoints ([`PollPlane`]) in a
+//! [`graphh_runtime::FaultPlane`] that
 //! severs live connections at exact superstep boundaries. The transport must
 //! recover on its own — redial, resume handshake, frame replay, collector
 //! dedup — and the suite demands
@@ -23,9 +23,10 @@ use graphh_core::{
     DirectionOptimizingBfs, GabProgram, GraphHConfig, GraphHEngine, PageRank, SequentialExecutor,
 };
 use graphh_graph::generators::{GraphGenerator, RmatGenerator};
+use graphh_obs::Tracer;
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
 use graphh_runtime::{
-    run_worker, BroadcastPlane, CutPlan, FaultPlane, PollPlane, ResilienceConfig, SuperstepBarrier,
+    run_worker, BroadcastPlane, CutPlan, FaultPlane, PollPlane, ResilienceConfig, WorkerOptions,
 };
 use std::net::SocketAddr;
 use std::sync::mpsc::channel;
@@ -36,7 +37,7 @@ use std::time::Duration;
 const SERVERS: u32 = 3;
 const ESTABLISH_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Run one server to completion over a fault-injected resilient plane.
+/// Run one server to completion over a fault-injected plane.
 fn run_chaos_worker(
     plane: PollPlane,
     cuts: CutPlan,
@@ -47,7 +48,6 @@ fn run_chaos_worker(
 ) -> (u32, Vec<f64>) {
     let cut_list = cuts.cuts().to_vec();
     let mut plane = FaultPlane::new(plane, cuts);
-    let barrier = SuperstepBarrier::new(1);
     let (metrics_tx, _metrics_rx) = channel();
     let sid = plane.server_id();
     let output = run_worker(
@@ -57,17 +57,18 @@ fn run_chaos_worker(
         program,
         sid,
         &mut plane,
-        &barrier,
         &metrics_tx,
+        &Tracer::off(),
+        WorkerOptions::default(),
     )
     .unwrap_or_else(|e| panic!("chaos worker {sid} (cuts {cut_list:?}): {e:?}"));
     (sid, output.values)
 }
 
-/// Establish a resilient cluster of `SERVERS` endpoints over loopback and run
+/// Establish a cluster of `SERVERS` endpoints over loopback and run
 /// the full worker loop on scoped threads, with server `sid` executing
 /// `plans[sid]`'s connection cuts. Returns final replicas ordered by server.
-fn run_resilient_cluster(
+fn run_cluster(
     config: &GraphHConfig,
     partitioned: &PartitionedGraph,
     program: &dyn GabProgram,
@@ -89,7 +90,7 @@ fn run_resilient_cluster(
                 scope.spawn(move || {
                     let endpoint = b
                         .establish_resilient(addrs, ESTABLISH_TIMEOUT, ResilienceConfig::default())
-                        .expect("establish resilient");
+                        .expect("establish");
                     run_chaos_worker(endpoint, cuts, config, plan, partitioned, program)
                 })
             })
@@ -117,7 +118,7 @@ fn assert_chaos_matches_reference(
     what: &str,
 ) {
     let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS));
-    let replicas = run_resilient_cluster(&config, partitioned, program, plans);
+    let replicas = run_cluster(&config, partitioned, program, plans);
     for (sid, values) in replicas.iter().enumerate() {
         assert_eq!(values.len(), reference.len(), "{what}: server {sid}");
         for (v, (x, y)) in values.iter().zip(reference).enumerate() {
@@ -223,12 +224,12 @@ fn seed_discovered_cluster_survives_the_storm_bit_identical() {
                 let (config, partitioned, program) = (&config, &partitioned, &program);
                 scope.spawn(move || {
                     let view = b.discover(&[seed], ESTABLISH_TIMEOUT).expect("discover");
+                    let resilience = ResilienceConfig {
+                        membership: Some(view.handle),
+                        ..ResilienceConfig::default()
+                    };
                     let endpoint = b
-                        .establish_resilient_discovered(
-                            view,
-                            ESTABLISH_TIMEOUT,
-                            ResilienceConfig::default(),
-                        )
+                        .establish_resilient(&view.peer_addrs, ESTABLISH_TIMEOUT, resilience)
                         .expect("establish discovered");
                     run_chaos_worker(endpoint, cuts, config, plan, partitioned, program)
                 })

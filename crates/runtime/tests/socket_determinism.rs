@@ -19,10 +19,12 @@ use graphh_core::{
 };
 use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_graph::GraphBuilder;
+use graphh_obs::Tracer;
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
 use graphh_runtime::establish::DEFAULT_ESTABLISH_TIMEOUT;
 use graphh_runtime::{
-    run_worker, BoundPollPlane, BroadcastPlane, PollPlane, SpinPoller, SuperstepBarrier,
+    run_worker, BoundPollPlane, BroadcastPlane, PollPlane, ResilienceConfig, SpinPoller,
+    WorkerOptions,
 };
 use std::net::SocketAddr;
 use std::sync::mpsc::channel;
@@ -64,19 +66,18 @@ fn run_over_tcp(
                     let mut endpoint = match plane {
                         // The spin-poller run pins conformance through the
                         // readiness-trait seam itself.
-                        Plane::PollSpin => b.establish_with(
+                        Plane::PollSpin => b.establish_resilient_with(
                             addrs,
                             DEFAULT_ESTABLISH_TIMEOUT,
+                            ResilienceConfig::default(),
                             Box::new(SpinPoller::new()),
                         ),
                         Plane::Poll => b.establish(addrs),
                     }
                     .expect("establish");
-                    // Each process-like worker has a trivial local barrier;
-                    // cross-server lockstep comes from the plane's
+                    // Cross-server lockstep comes from the plane's
                     // end-of-superstep framing, exactly as in a real
                     // multi-process deployment.
-                    let barrier = SuperstepBarrier::new(1);
                     let (metrics_tx, _metrics_rx) = channel();
                     let sid = endpoint.server_id();
                     let output = run_worker(
@@ -86,8 +87,9 @@ fn run_over_tcp(
                         program,
                         sid,
                         &mut endpoint,
-                        &barrier,
                         &metrics_tx,
+                        &Tracer::off(),
+                        WorkerOptions::default(),
                     )
                     .expect("worker");
                     (sid, output.values)

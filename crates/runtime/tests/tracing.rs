@@ -68,7 +68,6 @@ fn traced_threaded_run_is_bit_identical_and_emits_phase_spans() {
         superstep_phases(&spans),
         vec![
             "apply",
-            "barrier-wait",
             "collect-decode",
             "encode-publish",
             "plane-flush",
@@ -130,7 +129,7 @@ fn traced_sequential_run_is_bit_identical_and_emits_phase_spans() {
     assert_eq!(
         superstep_phases(&spans),
         vec!["apply", "encode-publish", "tile-compute"],
-        "the sequential executor's phase set (no plane, no barrier)"
+        "the sequential executor's phase set (no plane)"
     );
     // Everything the sequential driver records lands on lane 0.
     assert!(spans.iter().filter(|s| s.cat != "pool").all(|s| s.tid == 0));

@@ -17,9 +17,10 @@
 
 use graphh::core::exec::ExecutionPlan;
 use graphh::core::registry::{find_program, program_names, ProgramContext, ProgramOptions};
+use graphh::obs::Tracer;
 use graphh::prelude::*;
 use graphh::runtime::poll::os_thread_count;
-use graphh::runtime::{run_worker, BoundPollPlane, BroadcastPlane, PollPlane, SuperstepBarrier};
+use graphh::runtime::{run_worker, BoundPollPlane, BroadcastPlane, PollPlane, WorkerOptions};
 use std::net::SocketAddr;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -49,7 +50,8 @@ fn run_cluster(
                 let addrs = &addrs;
                 scope.spawn(move || {
                     let mut endpoint = b.establish(addrs).expect("establish");
-                    let barrier = SuperstepBarrier::new(1); // lockstep comes from the plane
+                    // No barrier: lockstep comes from the plane's
+                    // end-of-superstep markers.
                     let (metrics_tx, _metrics_rx) = channel();
                     let sid = endpoint.server_id();
                     let out = run_worker(
@@ -59,8 +61,9 @@ fn run_cluster(
                         program,
                         sid,
                         &mut endpoint,
-                        &barrier,
                         &metrics_tx,
+                        &Tracer::off(),
+                        WorkerOptions::default(),
                     )
                     .expect("worker");
                     (sid, out.values)

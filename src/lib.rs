@@ -36,7 +36,8 @@
 //! * [`runtime`] — the parallel worker runtime (one OS thread per server ×
 //!   `T` tile threads inside it; broadcast planes over in-process channels or
 //!   TCP sockets — the latter runs each server as its own process via the
-//!   `graphh-node` binary — plus superstep barriers),
+//!   `graphh-node` binary; the planes' end-of-superstep markers are the
+//!   superstep barrier),
 //! * [`baselines`] — Pregel+, GraphD, PowerGraph, PowerLyra and Chaos.
 //!
 //! To run the engine on real threads instead of the sequential reference loop:

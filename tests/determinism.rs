@@ -102,11 +102,16 @@ fn threaded_matches_sequential_on_wcc() {
 /// The TCP transport, seen from tier-1: 2 servers × PageRank, each worker
 /// driving its own `PollPlane` endpoint over loopback sockets. Replicas must
 /// be bit-identical to the sequential reference, and the bytes the workers
-/// metered onto the wire must equal the in-process threaded run's.
+/// metered onto the wire must equal the in-process threaded run's — even
+/// though server 0 cuts its link to server 1 mid-run: every default-
+/// established link recovers (redial, resume hello, replay) on its own.
 #[test]
 fn poll_plane_cluster_matches_sequential_and_threaded_network_bytes() {
     use graphh::core::exec::ExecutionPlan;
-    use graphh::runtime::{run_worker, BroadcastPlane, MetricsSlice, PollPlane, SuperstepBarrier};
+    use graphh::obs::{global_counters, Tracer};
+    use graphh::runtime::{
+        run_worker, BroadcastPlane, CutPlan, FaultPlane, MetricsSlice, PollPlane, WorkerOptions,
+    };
     use std::sync::mpsc::channel;
 
     const TCP_SERVERS: u32 = 2;
@@ -128,6 +133,8 @@ fn poll_plane_cluster_matches_sequential_and_threaded_network_bytes() {
         .collect();
     let addrs: Vec<_> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
     let (metrics_tx, metrics_rx) = channel::<MetricsSlice>();
+    let reconnects = global_counters().counter("fabric.reconnects");
+    let reconnects_before = reconnects.get();
     let replicas: Vec<Vec<f64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = bound
             .into_iter()
@@ -135,11 +142,18 @@ fn poll_plane_cluster_matches_sequential_and_threaded_network_bytes() {
                 let (addrs, plan, config, p, program) = (&addrs, &plan, &config, &p, &program);
                 let metrics_tx = metrics_tx.clone();
                 scope.spawn(move || {
-                    let mut plane = b.establish(addrs).expect("establish");
+                    let plane = b.establish(addrs).expect("establish");
                     let sid = plane.server_id();
+                    // One boundary cut: server 0 severs server 1 right after
+                    // ending superstep 3.
+                    let cuts = if sid == 0 {
+                        CutPlan::explicit(vec![(3, 1)])
+                    } else {
+                        CutPlan::none()
+                    };
+                    let mut plane = FaultPlane::new(plane, cuts);
                     // Lockstep comes from the plane's end-of-superstep
-                    // markers; the local barrier is trivial.
-                    let barrier = SuperstepBarrier::new(1);
+                    // markers; there is no other barrier.
                     run_worker(
                         config,
                         plan,
@@ -147,8 +161,9 @@ fn poll_plane_cluster_matches_sequential_and_threaded_network_bytes() {
                         program,
                         sid,
                         &mut plane,
-                        &barrier,
                         &metrics_tx,
+                        &Tracer::off(),
+                        WorkerOptions::default(),
                     )
                     .expect("worker")
                     .values
@@ -174,6 +189,10 @@ fn poll_plane_cluster_matches_sequential_and_threaded_network_bytes() {
         }
     }
     assert_eq!(net_sent_bytes, threaded.metrics.total_network_bytes());
+    assert!(
+        reconnects.get() > reconnects_before,
+        "the cut link must have been re-established, not ignored"
+    );
 }
 
 /// The second parallelism axis: `threads_per_server` (the paper's T compute
@@ -674,8 +693,9 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
     use graphh::cluster::{BroadcastEncoding, BroadcastMessage};
     use graphh::core::exec::ExecutionPlan;
     use graphh::graph::ids::ServerId;
+    use graphh::obs::Tracer;
     use graphh::runtime::plane::{PlaneError, WireMessage};
-    use graphh::runtime::{run_worker, BroadcastPlane, SuperstepBarrier};
+    use graphh::runtime::{run_worker, BroadcastPlane, WorkerOptions};
     use std::sync::mpsc::channel;
 
     /// Feeds the worker one attacker-controlled payload per superstep.
@@ -730,7 +750,6 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
         let mut plane = InjectingPlane {
             payloads: vec![corrupt.clone().into()],
         };
-        let barrier = SuperstepBarrier::new(1);
         let (metrics_tx, _metrics_rx) = channel();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_worker(
@@ -740,8 +759,9 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
                 &program,
                 0,
                 &mut plane,
-                &barrier,
                 &metrics_tx,
+                &Tracer::off(),
+                WorkerOptions::default(),
             )
             .map(|out| out.supersteps_run)
         }));
