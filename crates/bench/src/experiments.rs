@@ -766,6 +766,31 @@ pub fn runtime_report(
         )
         .unwrap();
     }
+    for row in &codec.bulk {
+        write!(
+            out,
+            "bulk codec microbench ({}, {}, {} B -> {} B): compress={:.0} MB/s \
+             decompress={:.0} MB/s identical={}",
+            row.compressor,
+            row.input,
+            row.plain_bytes,
+            row.packed_bytes,
+            row.compress_mb_s,
+            row.decompress_mb_s,
+            row.identical,
+        )
+        .unwrap();
+        if let Some((compress, decompress)) = row.before {
+            write!(
+                out,
+                " (PR 14 engine: {compress:.0} / {decompress:.0} MB/s, now {:.2}x / {:.2}x)",
+                row.compress_mb_s / compress,
+                row.decompress_mb_s / decompress
+            )
+            .unwrap();
+        }
+        out.push('\n');
+    }
     writeln!(
         out,
         "phase breakdown (one traced threaded run, {} servers x {} \
@@ -818,6 +843,10 @@ pub struct CodecBench {
     /// versus `encode_into_with` reusing a persistent
     /// [`CompressorScratch`](graphh_compress::CompressorScratch) across calls.
     pub compressed: Vec<CompressedCodecBenchRow>,
+    /// Measured per-compressor rows over payloads large enough that the
+    /// compressor's loops, not its per-call setup, set the figure: one dense
+    /// PageRank broadcast and one tile blob.
+    pub bulk: Vec<BulkCodecBenchRow>,
 }
 
 /// One encoding's measured throughputs (MB/s of wire bytes, best of 3).
@@ -864,6 +893,48 @@ pub struct CompressedCodecBenchRow {
     pub identical: bool,
 }
 
+/// One compressor on one bulk payload: `Codec::compress_into_with` on a warm
+/// scratch and `Codec::decompress_into` into a reused buffer, MB/s of *plain*
+/// bytes, best of 3.
+pub struct BulkCodecBenchRow {
+    /// Compressor name (`snappy`, `zlib-1`, `zlib-3`, `varint-delta`).
+    pub compressor: &'static str,
+    /// `dense-message` (every vertex's PageRank after 20 supersteps, RMAT
+    /// with edge factor 16) or `tile-blob` (the runtime workload's graph
+    /// serialised as a single tile).
+    pub input: &'static str,
+    /// Plain payload size in bytes.
+    pub plain_bytes: u64,
+    /// Compressed size in bytes.
+    pub packed_bytes: u64,
+    /// Compression throughput.
+    pub compress_mb_s: f64,
+    /// Decompression throughput.
+    pub decompress_mb_s: f64,
+    /// `(compress, decompress)` MB/s of the PR 8–14 engine, where
+    /// `BULK_BEFORE` has this row.
+    pub before: Option<(f64, f64)>,
+    /// The payload round-trips and the scratch path's bytes equal the
+    /// allocating API's.
+    pub identical: bool,
+}
+
+/// The `bulk` rows as the per-byte LZSS engine of PR 8–14 measured them —
+/// same inputs, same host, same session as the committed
+/// `BENCH_runtime.json` — kept beside the current figures as the "before" of
+/// the engine rebuild: `(compressor, input, compress MB/s, decompress MB/s)`.
+/// Rows exist for the full-size inputs only (RMAT scale 13 message).
+const BULK_BEFORE: [(&str, &str, f64, f64); 6] = [
+    ("snappy", "dense-message", 44.5, 182.4),
+    ("snappy", "tile-blob", 30.2, 179.1),
+    ("zlib-1", "dense-message", 47.1, 178.2),
+    ("zlib-1", "tile-blob", 41.9, 177.5),
+    ("zlib-3", "dense-message", 37.9, 181.1),
+    ("zlib-3", "tile-blob", 20.5, 180.7),
+];
+/// RMAT scale of the full-size bulk message: 8192 vertices, 66.6 KB dense.
+const BULK_MESSAGE_SCALE: u32 = 13;
+
 impl CompressedCodecBenchRow {
     /// Scratch-reusing encode throughput over the allocating baseline.
     pub fn speedup(&self) -> f64 {
@@ -875,13 +946,14 @@ impl CompressedCodecBenchRow {
 /// 1% updated (the dense row is also decoded through the bitmap's zero-byte
 /// skip). Throughput counts wire bytes moved per second, best of 3.
 pub fn codec_microbench() -> CodecBench {
-    codec_microbench_sized(64 * 1024, 100_000_000)
+    codec_microbench_sized(64 * 1024, 100_000_000, BULK_MESSAGE_SCALE)
 }
 
-/// [`codec_microbench`] with an explicit range and per-measurement byte
-/// target, so tests can validate the measurement plumbing on a workload that
-/// finishes in milliseconds even unoptimized.
-pub fn codec_microbench_sized(range: u32, target_bytes: u64) -> CodecBench {
+/// [`codec_microbench`] with an explicit range, per-measurement byte target
+/// and RMAT scale of the bulk message's graph, so tests can validate the
+/// measurement plumbing on a workload that finishes in milliseconds even
+/// unoptimized.
+pub fn codec_microbench_sized(range: u32, target_bytes: u64, bulk_scale: u32) -> CodecBench {
     use graphh_cluster::{BroadcastEncoding, BroadcastMessage, MessageCodec, ServerMetrics};
     use graphh_compress::CompressorScratch;
     use std::time::Instant;
@@ -1035,10 +1107,84 @@ pub fn codec_microbench_sized(range: u32, target_bytes: u64) -> CodecBench {
             identical: alloc_wire == wire,
         });
     }
+
+    // The bulk payloads: what the compressor sees from the two call sites on
+    // the run path, at sizes where its loops dominate. A dense broadcast of
+    // real PageRank values (many vertices share the teleport floor, the rest
+    // are noise to an LZ), and a tile blob (sorted `u32` adjacency lists).
+    use graphh_graph::generators::{GraphGenerator, RmatGenerator};
+    let ranked = RmatGenerator::new(bulk_scale, 16).generate(EXPERIMENT_SEED);
+    let ranks = run_graphh(
+        &partition_for_experiments(&ranked, "bulk-ranks"),
+        &graphh_core::PageRank::new(20),
+        1,
+    )
+    .values;
+    let dense_message = BroadcastMessage::new(
+        0,
+        ranks.len() as u32,
+        (0..).zip(ranks.iter().copied()).collect(),
+    )
+    .encode(BroadcastEncoding::Dense);
+    let workload = RmatGenerator::new(10, 16).generate(EXPERIMENT_SEED);
+    let one_tile = graphh_partition::Spe::partition(
+        &workload,
+        &graphh_partition::SpeConfig::with_tile_count("bulk-tile", &workload, 1),
+    )
+    .expect("partition");
+    let tile_blob = one_tile.tiles[0].to_bytes();
+    let before_rows: &[_] = if bulk_scale == BULK_MESSAGE_SCALE {
+        &BULK_BEFORE
+    } else {
+        &[]
+    };
+    let mut bulk = Vec::new();
+    for codec in [
+        Codec::Snappy,
+        Codec::Zlib1,
+        Codec::Zlib3,
+        Codec::VarintDelta,
+    ] {
+        for (input, plain) in [("dense-message", &dense_message), ("tile-blob", &tile_blob)] {
+            let iters = (target_bytes / plain.len() as u64).clamp(2, 256);
+            let mut scratch = CompressorScratch::new();
+            let (mut packed, mut unpacked) = (Vec::new(), Vec::new());
+            let compress_mb_s = best_of_3(&mut || {
+                for _ in 0..iters {
+                    codec.compress_into_with(plain, &mut packed, &mut scratch);
+                    std::hint::black_box(packed.len());
+                }
+                iters * plain.len() as u64
+            });
+            let decompress_mb_s = best_of_3(&mut || {
+                for _ in 0..iters {
+                    codec
+                        .decompress_into(&packed, &mut unpacked)
+                        .expect("own bytes");
+                    std::hint::black_box(unpacked.len());
+                }
+                iters * plain.len() as u64
+            });
+            bulk.push(BulkCodecBenchRow {
+                compressor: codec.name(),
+                input,
+                plain_bytes: plain.len() as u64,
+                packed_bytes: packed.len() as u64,
+                compress_mb_s,
+                decompress_mb_s,
+                before: before_rows
+                    .iter()
+                    .find(|row| (row.0, row.1) == (codec.name(), input))
+                    .map(|row| (row.2, row.3)),
+                identical: unpacked == *plain && packed == codec.compress(plain),
+            });
+        }
+    }
     CodecBench {
         range,
         rows,
         compressed,
+        bulk,
     }
 }
 
@@ -1659,6 +1805,35 @@ pub fn runtime_json(
         )
         .unwrap();
     }
+    out.push_str("  ],\n  \"bulk\": [\n");
+    for (i, row) in codec.bulk.iter().enumerate() {
+        write!(
+            out,
+            "    {{\"compressor\": \"{}\", \"input\": \"{}\", \"plain_bytes\": {}, \
+             \"packed_bytes\": {}, \"compress_mb_s\": {:.1}, \"decompress_mb_s\": {:.1}, ",
+            row.compressor,
+            row.input,
+            row.plain_bytes,
+            row.packed_bytes,
+            row.compress_mb_s,
+            row.decompress_mb_s,
+        )
+        .unwrap();
+        if let Some((compress, decompress)) = row.before {
+            write!(
+                out,
+                "\"before_compress_mb_s\": {compress:.1}, \"before_decompress_mb_s\": {decompress:.1}, "
+            )
+            .unwrap();
+        }
+        writeln!(
+            out,
+            "\"identical\": {}}}{}",
+            row.identical,
+            if i + 1 < codec.bulk.len() { "," } else { "" }
+        )
+        .unwrap();
+    }
     out.push_str("  ]},\n");
     writeln!(
         out,
@@ -1730,7 +1905,7 @@ mod tests {
     /// unoptimized and belongs to `report runtime`, not `cargo test`.
     #[test]
     fn codec_microbench_measures_both_encodings_and_all_paths() {
-        let bench = codec_microbench_sized(2048, 64 * 1024);
+        let bench = codec_microbench_sized(2048, 64 * 1024, 8);
         assert_eq!(bench.rows.len(), 2);
         assert_eq!(bench.rows[0].encoding, "dense");
         assert_eq!(bench.rows[1].encoding, "sparse");
@@ -1754,6 +1929,18 @@ mod tests {
                 "{}: scratch reuse changed wire bytes",
                 row.compressor
             );
+        }
+        // Every compressor on both bulk payloads, each round-tripping and
+        // equal to the allocating API; "before" figures only at full size.
+        assert_eq!(bench.bulk.len(), 8);
+        for row in &bench.bulk {
+            let what = format!("{} {}", row.compressor, row.input);
+            assert!(
+                row.compress_mb_s > 0.0 && row.decompress_mb_s > 0.0,
+                "{what}"
+            );
+            assert!(row.plain_bytes > 2048 && row.packed_bytes > 0, "{what}");
+            assert!(row.identical && row.before.is_none(), "{what}");
         }
         let json = runtime_json(
             &[],
@@ -1780,6 +1967,8 @@ mod tests {
         assert!(json.contains("\"encode_into_mb_s\""));
         assert!(json.contains("\"compressed\": ["));
         assert!(json.contains("\"compressor\": \"zlib-1\""));
+        assert!(json.contains("\"bulk\": ["));
+        assert!(json.contains("\"input\": \"tile-blob\""));
         assert!(json.contains("\"codec_microbench\""));
         assert!(json.contains("\"phase_breakdown\""));
         assert!(json.contains("\"cache_misses\": 36, \"read_ops\": 36"));

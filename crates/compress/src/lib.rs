@@ -54,8 +54,8 @@ impl std::fmt::Display for CompressError {
 impl std::error::Error for CompressError {}
 
 /// Reusable per-compressor state for the broadcast hot path: the LZSS
-/// match-finder's hash-chain tables and delta buffer (reset in O(1) via a
-/// generation stamp, see [`lz77::Scratch`]) plus local, non-atomic call
+/// match-finder's hash-chain tables and delta buffer (started afresh in O(1)
+/// per frame, see [`lz77::Scratch`]) plus local, non-atomic call
 /// statistics.
 ///
 /// One instance lives with each encode lane / run loop; threading it through
@@ -189,9 +189,12 @@ impl Codec {
 
     /// Nominal single-core compression throughput in bytes/second, used by the
     /// cost model to bill edge-cache admissions. Table V gives no compression
-    /// figure, so this is [`Codec::decompress_throughput`] scaled by the
-    /// compress : decompress asymmetry this crate's own codecs measure on a
-    /// tile — 1 : 5 for the LZ family (0.18–0.21), 1 : 1 for varint-delta.
+    /// figure, so this is [`Codec::decompress_throughput`] scaled by a fixed
+    /// compress : decompress asymmetry — 1 : 5 for the LZ family, 1 : 1 for
+    /// varint-delta. It is a cost-model constant, not a measurement of this
+    /// crate's codecs (whose own asymmetry moves with every engine change;
+    /// `BENCH_runtime.json`'s `codec_microbench.bulk` has the current one), and
+    /// every `simulated_s` in the repository depends on it staying put.
     pub fn compress_throughput(self) -> f64 {
         match self {
             Codec::Raw | Codec::VarintDelta => self.decompress_throughput(),
@@ -427,6 +430,20 @@ mod tests {
         let garbage = vec![0xFFu8; 64];
         assert!(Codec::Snappy.decompress(&garbage).is_err());
         assert!(Codec::Zlib1.decompress(&garbage).is_err());
+    }
+
+    /// A compressed frame arrives from a TCP peer: a 9-byte one whose header
+    /// claims 4 GiB must be refused before anything is reserved for it.
+    #[test]
+    fn a_frame_claiming_4_gib_is_an_error_and_reserves_nothing() {
+        for codec in [Codec::Snappy, Codec::Zlib1] {
+            let mut frame = codec.compress(b"");
+            assert_eq!(frame.len(), 9, "magic, length, checksum");
+            frame[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+            let mut out = Vec::new();
+            assert!(codec.decompress_into(&frame, &mut out).is_err());
+            assert_eq!(out.capacity(), 0, "codec {}", codec.name());
+        }
     }
 
     #[test]

@@ -292,30 +292,42 @@ struct PushIndex {
 }
 
 impl PushIndex {
+    /// A stable counting-sort transpose over the tile's source span: count
+    /// each source's edges, prefix-sum the counts into CSR offsets, then walk
+    /// the targets in ascending order dropping every in-edge into its
+    /// source's next free slot. Walking targets ascending is what makes each
+    /// source's out-targets ascending and keeps duplicate `(source, target)`
+    /// edges in tile order.
     fn build(tile: &Tile) -> Self {
-        let mut edges: Vec<(VertexId, VertexId, f32)> =
-            Vec::with_capacity(tile.num_edges() as usize);
-        for target in tile.targets() {
-            for (source, weight) in tile.in_edges(target) {
-                edges.push((source, target, weight));
-            }
+        let first = tile.sources().iter().copied().min().unwrap_or(0);
+        let last = tile.sources().iter().copied().max().unwrap_or(0);
+        // `next[s - first]`: the slot the next edge out of `s` goes to.
+        let mut next = vec![0u64; (last - first) as usize + 1];
+        for &source in tile.sources() {
+            next[(source - first) as usize] += 1;
         }
-        // Stable sort: duplicate (source, target) edges keep their tile order.
-        edges.sort_by_key(|&(source, target, _)| (source, target));
         let mut sources = Vec::new();
         let mut offsets = vec![0u64];
-        let mut targets = Vec::with_capacity(edges.len());
-        let mut weights = tile.is_weighted().then(|| Vec::with_capacity(edges.len()));
-        for (source, target, weight) in edges {
-            if sources.last() != Some(&source) {
+        let mut placed = 0u64;
+        for (source, slot) in (first..=last).zip(&mut next) {
+            let degree = std::mem::replace(slot, placed);
+            if degree > 0 {
+                placed += degree;
                 sources.push(source);
-                offsets.push(targets.len() as u64);
+                offsets.push(placed);
             }
-            targets.push(target);
-            if let Some(ws) = &mut weights {
-                ws.push(weight);
+        }
+        let mut targets = vec![0; placed as usize];
+        let mut weights = tile.is_weighted().then(|| vec![0.0f32; placed as usize]);
+        for target in tile.targets() {
+            for (source, weight) in tile.in_edges(target) {
+                let slot = &mut next[(source - first) as usize];
+                targets[*slot as usize] = target;
+                if let Some(ws) = &mut weights {
+                    ws[*slot as usize] = weight;
+                }
+                *slot += 1;
             }
-            *offsets.last_mut().expect("offsets is never empty") = targets.len() as u64;
         }
         PushIndex {
             target_start: tile.target_start,
@@ -912,6 +924,40 @@ mod tests {
     fn merge_updates_sorts_and_dedups() {
         let merged = merge_updates(vec![(5, 1.0), (1, 2.0), (5, 3.0), (0, 4.0)]);
         assert_eq!(merged, vec![(0, 4.0), (1, 2.0), (5, 1.0)]);
+    }
+
+    /// The transpose is the tile's edges stably sorted by `(source, target)`:
+    /// unsorted adjacency lists, duplicate edges with different weights, a
+    /// target with no in-edges and a source far from the rest all included.
+    #[test]
+    fn push_index_is_the_stable_transpose_of_the_tile() {
+        let lists = vec![
+            vec![(9, 1.0), (2, 2.0), (9, 3.0)],
+            vec![],
+            vec![(2, 4.0), (700, 5.0), (2, 6.0), (3, 7.0)],
+            vec![(9, 8.0)],
+        ];
+        for weighted in [true, false] {
+            let tile = Tile::from_adjacency(0, 40, &lists, weighted);
+            let mut expected: Vec<(VertexId, VertexId, f32)> = tile
+                .targets()
+                .flat_map(|t| tile.in_edges(t).map(move |(s, w)| (s, t, w)))
+                .collect();
+            expected.sort_by_key(|&(source, target, _)| (source, target));
+            let index = PushIndex::build(&tile);
+            assert_eq!(index.sources, [2, 3, 9, 700]);
+            let got: Vec<(VertexId, VertexId, f32)> = (0..index.sources.len())
+                .flat_map(|si| {
+                    let source = index.sources[si];
+                    index.out_edges(si).map(move |(t, w)| (source, t, w))
+                })
+                .collect();
+            assert_eq!(got, expected, "weighted {weighted}");
+            assert_eq!(index.out_degree(0), 3);
+        }
+        let empty = PushIndex::build(&Tile::from_adjacency(0, 5, &[vec![], vec![]], false));
+        assert!(empty.sources.is_empty() && empty.targets.is_empty());
+        assert_eq!(empty.offsets, [0]);
     }
 
     #[test]

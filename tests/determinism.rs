@@ -773,3 +773,53 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
         );
     }
 }
+
+/// The bytes the shared LZSS engine puts on the wire and in the edge cache,
+/// pinned: one seeded RMAT PageRank under each LZ message compressor
+/// (`total_network_bytes`) and under each LZ cache codec (the edge caches'
+/// `used_bytes` once every tile is resident). A rewrite of the compressor's
+/// loops must reproduce every frame byte for byte, so these sums may never
+/// move; the constants were recorded with the PR 8–14 per-byte engine.
+#[test]
+fn lz_wire_and_cache_bytes_are_pinned() {
+    use graphh::core::exec::{ExecutionPlan, ServerState};
+
+    const PIN_SERVERS: u32 = 2;
+    const PINNED: [(Codec, u64, u64); 3] = [
+        (Codec::Snappy, 31_001, 26_115),
+        (Codec::Zlib1, 31_027, 26_392),
+        (Codec::Zlib3, 30_996, 25_909),
+    ];
+    let g = RmatGenerator::new(10, 8).generate(SEEDS[0]);
+    let p = Spe::partition(&g, &SpeConfig::with_tile_count("pin", &g, 16)).unwrap();
+    let program = PageRank::new(4);
+    for (codec, network_bytes, cache_bytes) in PINNED {
+        let mut config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(PIN_SERVERS));
+        config.message_compressor = Some(codec);
+        config.cache_mode = CacheMode::Fixed(codec);
+        let run = GraphHEngine::with_executor(config.clone(), Arc::new(SequentialExecutor::new()))
+            .run(&p, &program)
+            .unwrap();
+        assert_eq!(
+            run.metrics.total_network_bytes(),
+            network_bytes,
+            "{codec:?}: compressed broadcast bytes"
+        );
+
+        let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
+        let frontier = plan.initial_frontier();
+        let view = plan.frontier_view(&program, &frontier);
+        let used: u64 = (0..PIN_SERVERS)
+            .map(|sid| {
+                let mut server = ServerState::build(&config, &plan, &p, sid);
+                server
+                    .run_tile_phase(&program, &plan, 0, &view, true)
+                    .unwrap();
+                let stats = server.cache_stats();
+                assert_eq!(stats.resident_tiles, server.tiles.len() as u64);
+                stats.used_bytes
+            })
+            .sum();
+        assert_eq!(used, cache_bytes, "{codec:?}: compressed tile cache bytes");
+    }
+}
