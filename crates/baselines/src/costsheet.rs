@@ -12,10 +12,9 @@
 
 use graphh_cluster::ClusterConfig;
 use graphh_graph::GraphStats;
-use serde::{Deserialize, Serialize};
 
 /// The systems compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// Apache Giraph (in-memory, Hadoop-based Pregel).
     Giraph,

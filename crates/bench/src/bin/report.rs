@@ -3,15 +3,13 @@
 //! Usage:
 //!
 //! ```text
-//! report                # print everything (and write BENCH_runtime.json)
+//! report                # print everything
 //! report fig9 table5    # print selected experiments
-//! report runtime        # executor shoot-out (also writes BENCH_runtime.json)
 //! report --list         # list experiment ids
 //! ```
 //!
-//! Whenever the `runtime` experiment runs, its measurements are additionally
-//! written to `BENCH_runtime.json` in the current directory, so the wall-clock
-//! trajectory of the executors is recorded machine-readably run over run.
+//! These are the cost model's numbers. Measured performance is the
+//! benchmark's job: `bash benchmark/run.sh`.
 
 use graphh_bench::*;
 use graphh_graph::datasets::Dataset;
@@ -33,29 +31,7 @@ fn available() -> Vec<Experiment> {
         ("fig9", || fig9_pagerank(6)),
         ("fig10", || fig10_sssp()),
         ("ablations", || ablations()),
-        ("runtime", runtime_and_record_json),
     ]
-}
-
-/// The executor comparison: measure once (the sweep and the pool spawn-cost
-/// microbenchmark), render the table from that measurement, and record the
-/// same numbers to `BENCH_runtime.json`.
-fn runtime_and_record_json() -> String {
-    let rows = runtime_rows();
-    let sweep = kernel_sweep();
-    let pool = pool_spawn_microbench();
-    let codec = codec_microbench();
-    let phases = phase_breakdown();
-    let ooc = out_of_core_row();
-    let mut out = runtime_report(&rows, &sweep, &pool, &codec, &phases, &ooc);
-    match std::fs::write(
-        "BENCH_runtime.json",
-        runtime_json(&rows, &sweep, &pool, &codec, &phases, &ooc),
-    ) {
-        Ok(()) => out.push_str("(wrote BENCH_runtime.json)\n"),
-        Err(e) => out.push_str(&format!("could not write BENCH_runtime.json: {e}\n")),
-    }
-    out
 }
 
 fn main() {
@@ -67,19 +43,22 @@ fn main() {
         }
         return;
     }
-    let selected: Vec<&Experiment> = if args.is_empty() {
-        experiments.iter().collect()
-    } else {
-        experiments
-            .iter()
-            .filter(|(name, _)| args.iter().any(|a| a == name))
-            .collect()
-    };
-    if selected.is_empty() {
-        eprintln!("no matching experiment; use --list to see the available ids");
+    let unknown: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| experiments.iter().all(|(name, _)| name != a))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown experiment id: {}; use --list to see the available ids",
+            unknown.join(", ")
+        );
         std::process::exit(1);
     }
-    for (name, f) in &selected {
+    let selected = experiments
+        .iter()
+        .filter(|(name, _)| args.is_empty() || args.iter().any(|a| a == name));
+    for (name, f) in selected {
         println!("==== {name} ====");
         println!("{}", f());
     }

@@ -1,10 +1,12 @@
 //! # graphh-bench
 //!
 //! The experiment harness: one function per table / figure of the paper's evaluation
-//! (see DESIGN.md §4 for the index). Each function runs the relevant engines on the
+//! (`report --list` is the index). Each function runs the relevant engines on the
 //! scaled-down dataset stand-ins, and returns the rows/series the paper reports as a
-//! formatted text block. The `report` binary prints them (that output is what
-//! EXPERIMENTS.md records); the Criterion benches time the same workloads.
+//! formatted text block, which the `report` binary prints. These are cost-model
+//! figures; measured performance is `benchmark/`'s job (`bash benchmark/run.sh`).
+//! The crate also holds the `graphh-node` multi-process launcher and the trace
+//! validators its tests use.
 
 pub mod experiments;
 pub mod multiprocess;

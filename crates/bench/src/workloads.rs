@@ -1,4 +1,4 @@
-//! Shared workload setup for experiments and Criterion benches.
+//! Shared workload setup for the experiments.
 
 use graphh_cluster::ClusterConfig;
 use graphh_core::{Executor, GraphHConfig, GraphHEngine, RunResult};
@@ -11,8 +11,7 @@ use std::sync::Arc;
 pub const EXPERIMENT_SEED: u64 = 2017;
 
 /// Extra down-scaling applied on top of [`Dataset::default_spec`] so the full report
-/// (4 datasets × 4 cluster sizes × several systems) completes in seconds. The factor
-/// is recorded in EXPERIMENTS.md next to every result.
+/// (4 datasets × 4 cluster sizes × several systems) completes in seconds.
 pub const REPORT_EXTRA_SCALE: f64 = 4.0;
 
 /// The dataset stand-in used by the experiment harness.

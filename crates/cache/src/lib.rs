@@ -38,9 +38,8 @@
 use graphh_compress::Codec;
 use graphh_graph::ids::TileId;
 use graphh_partition::Tile;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// How the cache chooses its codec.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,6 +194,13 @@ impl EdgeCache {
         }
     }
 
+    /// The cache's state. A lock poisoned by a panic elsewhere is recovered:
+    /// nothing under it can panic part-way through an update (counter bumps
+    /// and one map insert), so the state is valid whenever it is reachable.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The codec the cache ended up using.
     pub fn codec(&self) -> Codec {
         self.codec
@@ -211,7 +217,7 @@ impl EdgeCache {
     /// [`EdgeCache::admit`] return 0.0 without serialising or compressing, so
     /// callers can also stop keeping missed tiles around for admission.
     pub fn is_full(&self) -> bool {
-        self.capacity == 0 || self.inner.lock().full
+        self.capacity == 0 || self.lock().full
     }
 
     /// Look up a tile. On a hit in a compressed mode the blob is decompressed
@@ -221,7 +227,7 @@ impl EdgeCache {
     /// to be, and stays in the signature only until `benchmark/`, which passes
     /// one, can be changed.
     pub fn lookup(&self, tile_id: TileId, _stamp: u64) -> Option<TileFetch> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let Some(data) = inner.entries.get(&tile_id).map(|e| e.data.clone()) else {
             inner.misses += 1;
             return None;
@@ -281,7 +287,7 @@ impl EdgeCache {
                 )
             }
         };
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.compress_seconds += compress_seconds;
         let replaced = inner.entries.get(&tile_id).map_or(0, |e| e.charged_bytes);
         if inner.used_bytes - replaced + charged_bytes > self.capacity {
@@ -318,12 +324,12 @@ impl EdgeCache {
 
     /// Whether a tile is currently resident (does not affect stats).
     pub fn contains(&self, tile_id: TileId) -> bool {
-        self.inner.lock().entries.contains_key(&tile_id)
+        self.lock().entries.contains_key(&tile_id)
     }
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -337,7 +343,7 @@ impl EdgeCache {
 
     /// Reset hit/miss/time counters (keeps the cached tiles).
     pub fn reset_stats(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.hits = 0;
         inner.misses = 0;
         inner.refused = 0;
@@ -347,7 +353,7 @@ impl EdgeCache {
 
     /// Drop every cached tile and accept admissions again.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.entries.clear();
         inner.used_bytes = 0;
         inner.full = false;
@@ -381,6 +387,25 @@ mod tests {
 
     fn fetch(cache: &EdgeCache, id: TileId) -> Option<Arc<Tile>> {
         cache.lookup(id, 0).map(|f| f.tile)
+    }
+
+    /// A tile-phase thread that panics while holding the cache lock (a bug
+    /// elsewhere) must not turn every later cache call into a second panic.
+    #[test]
+    fn a_panic_under_the_lock_does_not_wedge_the_cache() {
+        let cache = fixed(1 << 20, Codec::Raw);
+        cache.offer(1, &tile(1, 3));
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = cache.lock();
+                    panic!("while holding the cache lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(fetch(&cache, 1).is_some());
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

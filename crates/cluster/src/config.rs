@@ -1,9 +1,7 @@
 //! Cluster and machine descriptions.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware description of one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineSpec {
     /// Worker threads per server (the paper's `T`, OpenMP threads).
     pub workers: u32,
@@ -55,7 +53,7 @@ impl MachineSpec {
 }
 
 /// A cluster: `num_servers` identical machines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of servers.
     pub num_servers: u32,

@@ -17,10 +17,9 @@
 
 use crate::config::ClusterConfig;
 use crate::metrics::{ServerMetrics, SuperstepReport};
-use serde::{Deserialize, Serialize};
 
 /// Time breakdown for one server in one superstep (seconds).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostBreakdown {
     /// Gather/apply/scatter arithmetic.
     pub compute: f64,

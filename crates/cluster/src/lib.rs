@@ -3,9 +3,9 @@
 //! The simulated cluster substrate all engines run on.
 //!
 //! The paper's evaluation uses a 9-node testbed (2× Xeon E5-2620, 128 GB RAM, RAID5
-//! HDDs, 10 GbE). We do not have that hardware, so — per the substitution policy in
-//! DESIGN.md — the engines in this workspace execute their algorithms for real on
-//! in-process data and *meter* every byte they move; this crate supplies:
+//! HDDs, 10 GbE). We do not have that hardware, so the engines in this workspace
+//! execute their algorithms for real on in-process data and *meter* every byte they
+//! move; this crate supplies:
 //!
 //! * [`config`] — cluster/hardware descriptions, including a preset for the paper's
 //!   testbed,

@@ -5,10 +5,8 @@
 //! contents) so Figure 1a / Figure 6b style numbers can be reported and so the edge
 //! cache knows how much idle memory it may use.
 
-use serde::{Deserialize, Serialize};
-
 /// Tracks current and peak memory use of one simulated server, against a capacity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryTracker {
     capacity: u64,
     current: u64,

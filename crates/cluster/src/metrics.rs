@@ -5,10 +5,8 @@
 //! experiment harness records them for the figures (network traffic for Fig. 8,
 //! memory for Fig. 1a/6b, cache hit ratio for Fig. 7b, …).
 
-use serde::{Deserialize, Serialize};
-
 /// Work done by one server during one superstep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServerMetrics {
     /// Edges processed by gather/scatter loops.
     pub edges_processed: u64,
@@ -82,7 +80,7 @@ impl ServerMetrics {
 }
 
 /// Metrics for one superstep across the whole cluster.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SuperstepReport {
     /// Superstep index (0-based).
     pub superstep: u32,
@@ -147,7 +145,7 @@ impl SuperstepReport {
 }
 
 /// Metrics for a whole run (all supersteps).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterMetrics {
     /// One report per superstep, in order.
     pub supersteps: Vec<SuperstepReport>,

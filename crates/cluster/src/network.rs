@@ -19,10 +19,9 @@
 use crate::metrics::ServerMetrics;
 use graphh_compress::{Codec, CompressorScratch};
 use graphh_graph::ids::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// How a particular message ended up encoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BroadcastEncoding {
     /// Dense value array + update bitmap.
     Dense,
@@ -31,7 +30,7 @@ pub enum BroadcastEncoding {
 }
 
 /// The sender-side policy for choosing an encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CommunicationMode {
     /// Always dense.
     Dense,

@@ -16,12 +16,28 @@ pub mod varint;
 
 pub use stats::{measure, CodecMeasurement};
 
-use miniz_oxide::{deflate, inflate};
+// The three LZ codecs are one engine (`lz77`) at three match-search depths, in
+// two frame families told apart by the frame's first byte. Frames are cached
+// and sent to peers, so these five values are part of the wire format.
+
+/// First byte of a [`Codec::Snappy`] frame (`'S'`).
+const SNAPPY_MAGIC: u8 = 0x53;
+/// First byte of a [`Codec::Zlib1`] / [`Codec::Zlib3`] frame (`'Z'`): the two
+/// levels are one family and decode each other's output.
+const ZLIB_MAGIC: u8 = 0x5A;
+/// Hash-chain candidates examined per position, per codec.
+const SNAPPY_CHAIN: usize = 32;
+const ZLIB1_CHAIN: usize = 16;
+const ZLIB3_CHAIN: usize = 64;
 
 /// A compression codec.
 ///
 /// The integer values of the first four variants match the paper's cache "modes"
 /// (§IV-B): mode-1 caches raw tiles, mode-2 snappy, mode-3 zlib-1, mode-4 zlib-3.
+///
+/// `Snappy`, `Zlib1` and `Zlib3` keep the paper's names for those modes; the
+/// bytes they produce are this repository's LZSS frames (`vendor/lz77`) at
+/// three match-search depths, not the Snappy or zlib formats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Codec {
     /// No compression (cache mode-1).
@@ -192,9 +208,10 @@ impl Codec {
     /// figure, so this is [`Codec::decompress_throughput`] scaled by a fixed
     /// compress : decompress asymmetry — 1 : 5 for the LZ family, 1 : 1 for
     /// varint-delta. It is a cost-model constant, not a measurement of this
-    /// crate's codecs (whose own asymmetry moves with every engine change;
-    /// `BENCH_runtime.json`'s `codec_microbench.bulk` has the current one), and
-    /// every `simulated_s` in the repository depends on it staying put.
+    /// crate's codecs (whose own asymmetry moves with every engine change; the
+    /// benchmark's `compress.<codec>.{tile,msg}_{compress,decompress}_mb_per_s`
+    /// rows have the current one), and every `simulated_s` in the repository
+    /// depends on it staying put.
     pub fn compress_throughput(self) -> f64 {
         match self {
             Codec::Raw | Codec::VarintDelta => self.decompress_throughput(),
@@ -229,16 +246,15 @@ impl Codec {
         out: &mut Vec<u8>,
         scratch: &mut CompressorScratch,
     ) {
+        let lz = &mut scratch.lz;
         match self {
             Codec::Raw => {
                 out.clear();
                 out.extend_from_slice(data);
             }
-            Codec::Snappy => snap::raw::Encoder::new()
-                .compress_into_with(data, out, &mut scratch.lz)
-                .expect("snappy compression cannot fail on in-memory data"),
-            Codec::Zlib1 => deflate::compress_into_vec_zlib_with(data, 1, out, &mut scratch.lz),
-            Codec::Zlib3 => deflate::compress_into_vec_zlib_with(data, 3, out, &mut scratch.lz),
+            Codec::Snappy => lz77::compress_into_with(SNAPPY_MAGIC, data, SNAPPY_CHAIN, out, lz),
+            Codec::Zlib1 => lz77::compress_into_with(ZLIB_MAGIC, data, ZLIB1_CHAIN, out, lz),
+            Codec::Zlib3 => lz77::compress_into_with(ZLIB_MAGIC, data, ZLIB3_CHAIN, out, lz),
             Codec::VarintDelta => varint::encode_bytes_as_u32_delta_into(data, out),
         }
         scratch.note(data.len(), out.len());
@@ -255,17 +271,17 @@ impl Codec {
     /// filled with the decompressed bytes. On error `out` may hold a partial
     /// prefix; treat it as garbage.
     pub fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), CompressError> {
+        let lz = |magic, out| {
+            lz77::decompress_into(magic, data, out).map_err(|e| CompressError::Corrupt(e.0))
+        };
         match self {
             Codec::Raw => {
                 out.clear();
                 out.extend_from_slice(data);
                 Ok(())
             }
-            Codec::Snappy => snap::raw::Decoder::new()
-                .decompress_into(data, out)
-                .map_err(|e| CompressError::Corrupt(e.to_string())),
-            Codec::Zlib1 | Codec::Zlib3 => inflate::decompress_into_vec_zlib(data, out)
-                .map_err(|e| CompressError::Corrupt(format!("{e:?}"))),
+            Codec::Snappy => lz(SNAPPY_MAGIC, out),
+            Codec::Zlib1 | Codec::Zlib3 => lz(ZLIB_MAGIC, out),
             Codec::VarintDelta => {
                 varint::decode_u32_delta_to_bytes_into(data, out).map_err(CompressError::Corrupt)
             }
@@ -430,6 +446,34 @@ mod tests {
         let garbage = vec![0xFFu8; 64];
         assert!(Codec::Snappy.decompress(&garbage).is_err());
         assert!(Codec::Zlib1.decompress(&garbage).is_err());
+    }
+
+    /// The two LZ frame families: a frame opens with its family's magic, is
+    /// refused by the other family's decoder, and — the zlib levels differing
+    /// only in how hard the compressor searched — decodes under either level.
+    #[test]
+    fn lz_frame_families_are_told_apart_by_their_magic() {
+        let data = sample_tile_like_data();
+        let snappy = Codec::Snappy.compress(&data);
+        let zlib1 = Codec::Zlib1.compress(&data);
+        let zlib3 = Codec::Zlib3.compress(&data);
+        assert_eq!(snappy[0], 0x53);
+        assert_eq!((zlib1[0], zlib3[0]), (0x5A, 0x5A));
+
+        for zlib in [Codec::Zlib1, Codec::Zlib3] {
+            assert!(matches!(
+                zlib.decompress(&snappy),
+                Err(CompressError::Corrupt(_))
+            ));
+            assert_eq!(zlib.decompress(&zlib1).unwrap(), data);
+            assert_eq!(zlib.decompress(&zlib3).unwrap(), data);
+        }
+        for frame in [&zlib1, &zlib3] {
+            assert!(matches!(
+                Codec::Snappy.decompress(frame),
+                Err(CompressError::Corrupt(_))
+            ));
+        }
     }
 
     /// A compressed frame arrives from a TCP peer: a 9-byte one whose header

@@ -10,10 +10,9 @@
 
 use graphh_cluster::ClusterConfig;
 use graphh_graph::GraphStats;
-use serde::{Deserialize, Serialize};
 
 /// Which vertices a server keeps in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationPolicy {
     /// Every vertex on every server (dense arrays, no index).
     AllInAll,
@@ -22,7 +21,7 @@ pub enum ReplicationPolicy {
 }
 
 /// Per-vertex byte sizes used by the paper's arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VertexSizes {
     /// Bytes of mutable vertex state per vertex (value + message slot; 8 + 8 for
     /// PageRank's rank and incoming message, both doubles).

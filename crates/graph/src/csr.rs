@@ -10,10 +10,9 @@
 
 use crate::edge::{Edge, EdgeList};
 use crate::ids::{EdgeCount, VertexCount, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Out-adjacency in compressed sparse row form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     /// `offsets[v]..offsets[v+1]` indexes `targets`/`weights` for vertex `v`.
     offsets: Vec<u64>,
@@ -24,7 +23,7 @@ pub struct Csr {
 }
 
 /// In-adjacency in compressed sparse column form (sources grouped by target).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csc {
     /// `offsets[v]..offsets[v+1]` indexes `sources`/`weights` for vertex `v`.
     offsets: Vec<u64>,

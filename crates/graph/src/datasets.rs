@@ -4,8 +4,8 @@
 //! that range from 25 GB to 1.7 TB as edge lists. We cannot ship or regenerate those,
 //! so each dataset is represented by a Chung-Lu power-law graph whose *relative*
 //! proportions (|V|, |E|, average degree, in/out-degree skew) track Table I at a
-//! configurable scale factor. Experiments record the scale factor used so the
-//! paper-vs-measured comparison in EXPERIMENTS.md is explicit about it.
+//! configurable scale factor. Experiments print the scale factor used so a
+//! paper-vs-measured comparison is explicit about it.
 //!
 //! The *original* (paper-scale) statistics are kept alongside so cost models and
 //! analytic tables (Table III/IV, Fig. 6a) can also be evaluated at full scale.
@@ -13,10 +13,9 @@
 use crate::generators::{ChungLuGenerator, GraphGenerator};
 use crate::properties::GraphStats;
 use crate::Graph;
-use serde::{Deserialize, Serialize};
 
 /// The four benchmark datasets of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// Twitter follower graph (42M vertices, 1.5B edges, 25 GB CSV).
     Twitter2010,
@@ -102,7 +101,7 @@ impl Dataset {
 }
 
 /// A concrete, generatable specification of a dataset stand-in.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetSpec {
     /// Which paper dataset this stands in for.
     pub dataset: Dataset,

@@ -2,7 +2,6 @@
 
 use crate::edge::EdgeList;
 use crate::ids::{VertexCount, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Compute `(in_degree, out_degree)` arrays for a graph over `num_vertices` vertices.
 ///
@@ -21,7 +20,7 @@ pub fn compute_degrees(num_vertices: VertexCount, edges: &EdgeList) -> (Vec<u32>
 }
 
 /// Aggregate degree statistics, mirroring the columns of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegreeStats {
     /// Average degree |E| / |V|.
     pub avg_degree: f64,
@@ -78,7 +77,7 @@ impl DegreeStats {
 
 /// A coarse histogram of a degree distribution on a log2 scale, used to check that
 /// generated stand-in graphs are skewed the way the paper's web crawls are.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegreeHistogram {
     /// `buckets[i]` counts vertices with degree in `[2^i, 2^(i+1))`; bucket 0 also
     /// holds degree-0 vertices.

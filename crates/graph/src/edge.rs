@@ -1,13 +1,12 @@
 //! Directed edges and edge lists.
 
 use crate::ids::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// A single directed edge `src -> dst` with an optional weight.
 ///
 /// Unweighted graphs (PageRank, WCC, BFS inputs) carry an implicit weight of `1.0`,
 /// matching the paper's convention `val(u, v) = 1` for unweighted graphs (§II-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Source vertex.
     pub src: VertexId,
@@ -50,7 +49,7 @@ impl Edge {
 /// Weights are stored only when at least one weighted edge was inserted, mirroring
 /// the paper's tile format, which omits the `val` array for unweighted graphs to
 /// save space (§III-B.2).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EdgeList {
     srcs: Vec<VertexId>,
     dsts: Vec<VertexId>,

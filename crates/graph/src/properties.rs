@@ -3,11 +3,10 @@
 use crate::degree::DegreeStats;
 use crate::ids::{EdgeCount, VertexCount};
 use crate::Graph;
-use serde::{Deserialize, Serialize};
 
 /// The statistics the paper reports for each benchmark dataset in Table I, plus a
 /// couple of extras the cost models need (weighted flag, CSV size).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Human-readable dataset name (empty for ad-hoc graphs).
     pub name: String,

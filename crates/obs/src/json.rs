@@ -3,7 +3,7 @@
 //!
 //! The workspace deliberately has no `serde_json`; every JSON file the repo
 //! emits is hand-written, and this parser exists so tests can *validate* those
-//! files (trace-event JSON, metrics snapshots, `BENCH_runtime.json`) without
+//! files (trace-event JSON, metrics snapshots) without
 //! external tools. It accepts standard JSON — objects, arrays, strings with
 //! `\uXXXX` escapes, numbers, booleans, null — and nothing more.
 

@@ -5,10 +5,9 @@
 //! size) pair and shared by every engine run.
 
 use graphh_graph::ids::{tile_home_server, ServerId, TileId};
-use serde::{Deserialize, Serialize};
 
 /// A mapping of tiles to servers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileAssignment {
     num_servers: u32,
     /// `owner[t]` = server owning tile `t`.

@@ -16,10 +16,9 @@
 
 use crate::spe::PartitionedGraph;
 use graphh_graph::GraphStats;
-use serde::{Deserialize, Serialize};
 
 /// Input footprint of every system for one graph (bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InputSizes {
     /// Raw CSV edge list.
     pub edge_list_csv: u64,

@@ -24,10 +24,9 @@ use graphh_graph::ids::{TileId, VertexId};
 use graphh_graph::{Graph, GraphStats};
 use graphh_pool::WorkerPool;
 use graphh_storage::{Dfs, StorageBackend};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the pre-processing engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpeConfig {
     /// Logical name of the graph; used as the DFS key prefix.
     pub graph_name: String,

@@ -7,10 +7,9 @@
 
 use crate::{PartitionError, Result};
 use graphh_graph::ids::{TileId, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// A tile splitter: the boundaries of every tile's target-vertex range.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Splitter {
     /// `boundaries[t]..boundaries[t+1]` is tile `t`'s target range; the first entry
     /// is always 0 and the last is `num_vertices`.

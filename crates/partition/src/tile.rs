@@ -15,13 +15,12 @@
 
 use crate::{PartitionError, Result};
 use graphh_graph::ids::{TileId, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Magic prefix of the tile binary format.
 const TILE_MAGIC: &[u8; 8] = b"GHTILE01";
 
 /// Summary of a tile that is cheap to keep in memory for every tile on a server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileMetadata {
     /// Tile id (position in the global tile order).
     pub tile_id: TileId,
@@ -38,7 +37,7 @@ pub struct TileMetadata {
 }
 
 /// A tile of in-edges in enhanced CSR form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tile {
     /// Tile id.
     pub tile_id: TileId,

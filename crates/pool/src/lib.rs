@@ -8,21 +8,15 @@
 //! substrate the engine's tile phase needs — without pulling in any external
 //! dependency.
 //!
-//! Two substrates share the same chunking/ordering machinery:
-//!
-//! * [`WorkerPool`] — a **persistent** pool: worker threads are spawned once
-//!   (per server, in the engine) and reused for every fork-join, so short
-//!   supersteps pay a condvar wake instead of a thread spawn per phase. This
-//!   is what the engine and the SPE use.
-//! * [`fork_join_ordered`] — the original spawn-per-call scoped fork-join,
-//!   kept as the baseline the `report runtime` microbenchmark compares the
-//!   persistent pool against (and for one-shot callers that cannot keep a
-//!   pool alive).
+//! [`WorkerPool`] is a **persistent** pool: worker threads are spawned once
+//! (per server, in the engine) and reused for every fork-join, so short
+//! supersteps pay a condvar wake instead of a thread spawn per phase. The
+//! engine and the SPE both use it.
 //!
 //! ## Determinism
 //!
-//! Both substrates map a function over `0..num_items` and return the results
-//! **in index order**:
+//! [`WorkerPool::fork_join_ordered`] maps a function over `0..num_items` and
+//! returns the results **in index order**:
 //!
 //! * work is *chunked* dynamically: workers claim contiguous index chunks from
 //!   a shared atomic cursor, so an unlucky thread stuck on one expensive item
@@ -151,8 +145,7 @@ struct PoolShared {
 /// phases the workers park on a condvar; an idle pool costs nothing but
 /// memory.
 ///
-/// The resident worker count is capped at the host's available parallelism,
-/// exactly like the spawning [`fork_join_ordered`].
+/// The resident worker count is capped at the host's available parallelism.
 ///
 /// ```
 /// use graphh_pool::WorkerPool;
@@ -385,116 +378,10 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Spawn-per-call fork-join (baseline)
-// ---------------------------------------------------------------------------
-
-/// Map `f` over `0..num_items` using up to `threads` freshly spawned scoped
-/// worker threads and return the results in index order.
-///
-/// This is the spawn-per-call baseline: `min(threads, num_items,
-/// available_parallelism)` scoped threads live for the duration of the call.
-/// [`WorkerPool`] provides the same contract without the recurring spawn cost;
-/// the `report runtime` microbenchmark measures the difference. `f` runs
-/// exactly once per index; with `threads <= 1` or fewer than two items the
-/// calling thread does all the work inline. A panic inside `f` is propagated
-/// to the caller after every worker has been joined.
-pub fn fork_join_ordered<T, F>(threads: usize, num_items: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || num_items <= 1 {
-        return (0..num_items).map(f).collect();
-    }
-    let workers = threads.min(num_items).min(worker_cap());
-    let chunk = chunk_size(num_items, workers);
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-    let cursor = &cursor;
-
-    let mut tagged: Vec<(usize, T)> = Vec::with_capacity(num_items);
-    let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| scope.spawn(move || claim_chunks(cursor, chunk, num_items, f)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(part) => part,
-                // Re-raise the worker's panic on the caller; remaining workers
-                // are joined by the scope before this propagates.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    for part in parts {
-        tagged.extend(part);
-    }
-    untag(tagged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn results_come_back_in_index_order() {
-        for threads in [1usize, 2, 3, 8, 64] {
-            for n in [0usize, 1, 2, 7, 100, 1000] {
-                let out = fork_join_ordered(threads, n, |i| i * i);
-                assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>());
-            }
-        }
-    }
-
-    #[test]
-    fn every_index_runs_exactly_once() {
-        let calls = AtomicU64::new(0);
-        let out = fork_join_ordered(8, 500, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 500);
-        assert_eq!(out.len(), 500);
-    }
-
-    #[test]
-    fn uneven_work_is_balanced_not_lost() {
-        // Item 0 is ~1000x more expensive; dynamic chunking must still finish
-        // every item and keep the order.
-        let out = fork_join_ordered(4, 64, |i| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            i + 1
-        });
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_thread_runs_inline() {
-        // A non-Sync side effect per call would not compile for the spawned
-        // path; instead assert the calling thread does the work.
-        let caller = std::thread::current().id();
-        let out = fork_join_ordered(1, 10, |i| {
-            assert_eq!(std::thread::current().id(), caller);
-            i
-        });
-        assert_eq!(out.len(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "item 3 exploded")]
-    fn worker_panic_propagates_to_caller() {
-        let _ = fork_join_ordered(4, 16, |i| {
-            if i == 3 {
-                panic!("item 3 exploded");
-            }
-            i
-        });
-    }
 
     #[test]
     fn chunk_size_is_sane() {
@@ -502,8 +389,6 @@ mod tests {
         assert_eq!(chunk_size(3, 4), 1);
         assert_eq!(chunk_size(1000, 4), 62);
     }
-
-    // -- persistent pool ----------------------------------------------------
 
     #[test]
     fn pool_results_come_back_in_index_order() {
@@ -531,11 +416,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_spawning_fork_join_bit_for_bit() {
+    fn pool_matches_a_sequential_map_bit_for_bit() {
         let pool = WorkerPool::new(3);
         let f = |i: usize| (i as f64).sqrt() * 1.5 + i as f64;
         let a = pool.fork_join_ordered(333, f);
-        let b = fork_join_ordered(3, 333, f);
+        let b: Vec<f64> = (0..333).map(f).collect();
         assert_eq!(a.len(), b.len());
         assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
     }

@@ -11,9 +11,9 @@
 //! * [`MeteredBackend`] — wraps any backend and charges every byte to an
 //!   [`IoMeter`].
 
+use crate::lock::RwLock;
 use crate::meter::IoMeter;
 use crate::{Result, StorageError};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -7,14 +7,13 @@
 //! simulated server each block replica lives on (round-robin placement).
 
 use crate::backend::StorageBackend;
+use crate::lock::RwLock;
 use crate::{Result, StorageError};
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// DFS configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DfsConfig {
     /// Block size in bytes (HDFS default is 128 MiB; tests use small values).
     pub block_size: u64,
@@ -35,7 +34,7 @@ impl Default for DfsConfig {
 }
 
 /// Metadata the namespace keeps per file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FileMetadata {
     /// File path (key).
     pub path: String,

@@ -12,11 +12,12 @@
 //! * [`dfs`] — a small distributed-file-system façade (namespace, block placement,
 //!   replication factor) over any backend,
 //! * [`meter`] — shared I/O counters,
-//! * [`mmap`] — memory-mapped read access to locally persisted tiles (the
-//!   out-of-core path GraphH workers use when a tile misses the edge cache).
+//! * [`mmap`] — whole-file read access to locally persisted tiles behind a
+//!   memory-map API (off the engines' run path; see the module doc).
 
 pub mod backend;
 pub mod dfs;
+mod lock;
 pub mod meter;
 pub mod mmap;
 

@@ -1,5 +1,5 @@
 //! I/O metering: every byte the engines move through storage is counted here so the
-//! cluster cost model can convert traffic into simulated time (DESIGN.md §2).
+//! cluster cost model can convert traffic into simulated time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

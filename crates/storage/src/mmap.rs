@@ -1,9 +1,13 @@
-//! Memory-mapped access to locally persisted tiles.
+//! Whole-file read access to locally persisted tiles, behind a memory-map API.
 //!
 //! When a tile misses the edge cache, a GraphH worker reads it from the server's
-//! local disk (§III-C.3). Mapping the file avoids a copy through a userspace buffer
-//! and mirrors how a production implementation would stream large tiles; the
-//! metering hook still records the logical bytes touched so the cost model charges
+//! local disk (§III-C.3); a production implementation would map the file and
+//! stream large tiles without a copy through a userspace buffer. This one does
+//! not: `memmap2` here is the `vendor/` stand-in, whose `Mmap::map` reads the
+//! whole file into a `Vec<u8>`, so [`MappedFile`] *is* that copy, and nothing on
+//! the engines' run path uses it. ROADMAP's "partition once, load many" item,
+//! part (c), decides between a real `mmap(2)` and deleting this module. The
+//! metering hook records the logical bytes touched so the cost model charges
 //! the read to the simulated disk.
 
 use crate::meter::IoMeter;

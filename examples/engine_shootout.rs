@@ -96,8 +96,7 @@ fn main() {
     }
 
     // Wall-clock executor comparison: RMAT scale-10 PageRank on 4 servers
-    // (the measurement BENCH_runtime.json records; needs >1 real core for the
-    // threaded executor to win).
+    // (needs >1 real core for the threaded executor to win).
     println!("\nwall-clock, RMAT scale-10 PageRank (4 servers, best of 3):");
     let rmat = RmatGenerator::new(10, 16).generate(2017);
     let p10 = Spe::partition(&rmat, &SpeConfig::with_tile_count("rmat-10", &rmat, 16)).unwrap();
