@@ -53,7 +53,11 @@
 //!
 //! Fault tolerance (see `docs/WIRE.md` §9) needs no flag: a transient peer
 //! failure parks the link, the survivor redials (or accepts a redial) with
-//! the `GHHR` resume handshake, and retained frames are replayed.
+//! the `GHHR` resume handshake, and retained frames are replayed. Starting
+//! up is the same path — every link begins down and `--establish-timeout-secs`
+//! is how long each has to come up once — so this process binds its listener
+//! first (peers' dials wait in its backlog while the workload builds) and
+//! prints `cluster established` when the plane's event loop says so.
 //! `--checkpoint-dir DIR` snapshots replica values + superstep cursor every
 //! `--checkpoint-every N` supersteps (GHHC files, atomic rename); on startup
 //! an existing checkpoint for this server id is loaded automatically and the

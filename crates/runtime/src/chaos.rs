@@ -16,10 +16,9 @@
 //! `crate::frame::SuperstepCollector`'s resume discipline and
 //! `crate::resume::ReplayLog`).
 //!
-//! Handshake-level faults (torn/duplicated/dropped resume hellos) are
-//! injected by the resilient transports themselves via
-//! [`crate::resume::ResilienceConfig`], since they happen below the plane
-//! API.
+//! Handshake-level faults (torn, duplicated, dropped, misdirected hellos)
+//! happen below the plane API: `tests/fabric_sim.rs` injects them, on a
+//! virtual network, into the I/O-free [`crate::fabric::Fabric`].
 
 use crate::frame::{PlaneError, WireMessage};
 use crate::plane::BroadcastPlane;

@@ -458,7 +458,7 @@ impl std::error::Error for PlaneError {}
 /// collector makes exactly that distinction. Backends without per-peer
 /// streams (the channel plane, where a dropped sender is silent and the
 /// inbox errors only when every sender is gone) never emit `PeerLost`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum InboxEvent {
     /// A frame arrived.
     Frame(Frame),
@@ -511,7 +511,7 @@ pub enum InboxEvent {
 /// Both rules are inert on a fault-free run: without a `PeerResumed` event no
 /// frame is ever purged or dropped, and the strict past-superstep rejection
 /// above is unchanged.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SuperstepCollector {
     /// Frames for future supersteps that arrived while collecting an earlier
     /// one.

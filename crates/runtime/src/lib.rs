@@ -30,6 +30,12 @@
 //!   is specified normatively in `docs/WIRE.md`, and its end-of-superstep
 //!   markers are BSP's `wait_other_servers` — `collect(s)` returns only once
 //!   every peer has ended `s`, so there is no separate barrier,
+//! * [`fabric`] — the TCP plane's link life-cycle as one I/O-free step
+//!   function (`Fabric::step(now, Event, &mut Vec<Action>)`): establishment,
+//!   redial and backoff, hello vetting, replay and ack repeat, goodbye and
+//!   linger, terminal loss, address-book gossip. [`poll`] moves the bytes;
+//!   `tests/fabric_sim.rs` runs the same machine through thousands of seeded
+//!   fault schedules on a virtual network and clock,
 //! * [`reduce_metrics`] — deterministic reduction of the per-server
 //!   [`graphh_cluster::ServerMetrics`] streams into
 //!   [`graphh_cluster::ClusterMetrics`].
@@ -56,6 +62,7 @@ pub mod buffer;
 pub mod chaos;
 pub mod checkpoint;
 pub mod establish;
+pub mod fabric;
 pub mod frame;
 pub mod membership;
 pub mod plane;
@@ -81,8 +88,6 @@ pub use membership::{
 pub use plane::{BroadcastPlane, ChannelPlane};
 pub use poll::{BoundPollPlane, PollPlane, ReadinessPoller, SpinPoller};
 pub use reduce::{reduce_metrics, ReducedMetrics};
-pub use resume::{
-    validate_peer_table, HandshakeFault, ReplayError, ReplayLog, ResilienceConfig, ResumeHello,
-};
+pub use resume::{validate_peer_table, ReplayError, ReplayLog, ResilienceConfig, ResumeHello};
 pub use threaded::ThreadedExecutor;
 pub use worker::{run_worker, MetricsSlice, WorkerError, WorkerOptions, WorkerOutput};

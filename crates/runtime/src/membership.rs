@@ -17,7 +17,7 @@
 //! One fixed-header, variable-entry encoding serves three roles (announce,
 //! snapshot reply, gossip delta) and two carriers: raw on a fresh TCP
 //! connection during bootstrap (magic-first, so listeners can dispatch
-//! between `GHHR` and `GHHM` with a 4-byte `peek`), and verbatim as the
+//! between `GHHR` and `GHHM` on the first four bytes), and verbatim as the
 //! payload of a tag-6 frame on an established link.
 //!
 //! ```text
@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// First bytes of every membership message; listeners `peek` these four
+/// First bytes of every membership message; listeners read these four
 /// bytes to dispatch between the `GHHR` and `GHHM` families.
 pub const MEMBERSHIP_MAGIC: [u8; 4] = *b"GHHM";
 
@@ -255,14 +255,26 @@ impl MembershipMsg {
         })
     }
 
-    /// Read one membership message from a blocking stream: the fixed header
-    /// first, then exactly `count` entries.
+    /// The length of the whole message a complete fixed header announces
+    /// (unvetted: callers bound it before allocating).
+    pub fn encoded_len(header: &[u8; MEMBERSHIP_HEADER_LEN]) -> usize {
+        let count = u16::from_le_bytes([header[21], header[22]]) as usize;
+        MEMBERSHIP_HEADER_LEN + count * MEMBERSHIP_ENTRY_LEN
+    }
+
+    /// Read one membership message from a blocking stream: the magic first
+    /// (anything else — a faster peer's `GHHR` dial, which then waits for a
+    /// reply — is refused at once, not read to a timeout), the rest of the
+    /// fixed header, then exactly `count` entries.
     pub fn read_from<R: Read>(reader: &mut R) -> io::Result<MembershipMsg> {
         let mut header = [0u8; MEMBERSHIP_HEADER_LEN];
-        reader.read_exact(&mut header)?;
-        let count = u16::from_le_bytes([header[21], header[22]]) as usize;
+        reader.read_exact(&mut header[..4])?;
+        if header[..4] != MEMBERSHIP_MAGIC {
+            return Err(io::ErrorKind::InvalidData.into());
+        }
+        reader.read_exact(&mut header[4..])?;
         let mut bytes = header.to_vec();
-        bytes.resize(MEMBERSHIP_HEADER_LEN + count * MEMBERSHIP_ENTRY_LEN, 0);
+        bytes.resize(Self::encoded_len(&header), 0);
         reader.read_exact(&mut bytes[MEMBERSHIP_HEADER_LEN..])?;
         Self::decode(&bytes).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))
     }
@@ -572,26 +584,30 @@ impl MembershipState {
         })
     }
 
-    /// Serve one bootstrap connection: read the announce, merge it, reply
-    /// with a snapshot of the merged book. The stream is closed by the
-    /// caller dropping it.
-    pub fn serve_stream(&self, stream: &mut TcpStream) -> io::Result<MergeOutcome> {
-        stream.set_read_timeout(Some(EXCHANGE_READ_CAP))?;
-        let msg = MembershipMsg::read_from(stream)?;
+    /// Serve one bootstrap announce: merge it and return the encoded snapshot
+    /// of the merged book to reply with.
+    pub fn serve_announce(&self, msg: &MembershipMsg) -> Result<Vec<u8>, String> {
         if msg.kind != MembershipKind::Announce {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected a membership announce, got {:?}", msg.kind),
+            return Err(format!(
+                "expected a membership announce, got {:?}",
+                msg.kind
             ));
         }
-        let outcome = self
-            .merge_msg(&msg)
-            .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
+        self.merge_msg(msg)?;
         self.announces.incr();
-        let reply = self.snapshot_msg(MembershipKind::Snapshot);
-        stream.write_all(&reply.encode())?;
-        stream.flush()?;
-        Ok(outcome)
+        Ok(self.snapshot_msg(MembershipKind::Snapshot).encode())
+    }
+
+    /// [`Self::serve_announce`] over a blocking stream (seed discovery, before
+    /// any event loop exists). The stream is closed by the caller dropping it.
+    fn serve_stream(&self, stream: &mut TcpStream) -> io::Result<()> {
+        stream.set_read_timeout(Some(EXCHANGE_READ_CAP))?;
+        let msg = MembershipMsg::read_from(stream)?;
+        let reply = self
+            .serve_announce(&msg)
+            .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
+        stream.write_all(&reply)?;
+        stream.flush()
     }
 
     /// Dial `src` and run one push–pull exchange: announce the full book,
@@ -689,9 +705,9 @@ pub fn discover(
         loop {
             match listener.accept() {
                 Ok((mut stream, _)) => {
-                    if peek_magic(&stream, EXCHANGE_READ_CAP).is_ok_and(|m| m == MEMBERSHIP_MAGIC) {
-                        let _ = handle.serve_stream(&mut stream);
-                    }
+                    // Accepted sockets inherit O_NONBLOCK on some platforms.
+                    let _ = stream.set_nonblocking(false);
+                    let _ = handle.serve_stream(&mut stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => return Err(e),
@@ -740,47 +756,6 @@ pub fn discover(
             ));
         }
         std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// Peek the first four bytes of an accepted connection without consuming
-/// them, waiting at most `cap` so a silent prober cannot stall the accept
-/// loop.
-pub(crate) fn peek_magic(stream: &TcpStream, cap: Duration) -> io::Result<[u8; 4]> {
-    stream.set_read_timeout(Some(cap))?;
-    let mut magic = [0u8; 4];
-    let deadline = Instant::now() + cap;
-    loop {
-        match stream.peek(&mut magic) {
-            Ok(n) if n >= 4 => return Ok(magic),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed before any handshake byte",
-                ))
-            }
-            Ok(_) => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "handshake magic not received in time",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "handshake magic not received in time",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => return Err(e),
-        }
     }
 }
 

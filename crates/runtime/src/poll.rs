@@ -3,16 +3,16 @@
 //!
 //! [`PollPlane`] puts one simulated server in its own OS **process** (the
 //! `graphh-node` binary in `graphh-bench` does exactly that): every pair of
-//! servers shares one full-duplex TCP connection (established by
-//! [`crate::establish`], opened with the `GHHR` resume hello) and frames
-//! travel in the length-prefixed wire encoding of [`crate::frame`]. A thread per peer would cost each process of
-//! a `p`-server cluster `p - 1` parked threads, which caps how many servers
+//! servers shares one full-duplex TCP connection, opened with the `GHHR`
+//! resume hello, and frames travel in the length-prefixed wire encoding of
+//! [`crate::frame`]. A thread per peer would cost each process of a
+//! `p`-server cluster `p - 1` parked threads, which caps how many servers
 //! one host can simulate; `PollPlane` multiplexes all peer connections onto a
 //! **single event-loop thread** instead: every stream is `O_NONBLOCK`, a
 //! [`ReadinessPoller`] reports which sockets can make progress, and per-peer
-//! state machines carry partial frames ([`crate::frame::FrameDecoder`]) and
-//! backpressured write queues across loop iterations. It feeds the same
-//! [`SuperstepCollector`] inbox discipline the in-process
+//! state carries partial frames ([`crate::frame::FrameDecoder`]), partial
+//! handshakes and backpressured write queues across loop iterations. It feeds
+//! the same [`SuperstepCollector`] inbox discipline the in-process
 //! [`crate::plane::ChannelPlane`] uses — so the executor-facing behaviour
 //! (superstep ordering, stashing, abort semantics) is identical and the
 //! determinism suites pin `PollPlane` runs bit-identical to the sequential
@@ -21,41 +21,43 @@
 //! ## Threading model
 //!
 //! ```text
-//!  worker thread                     event-loop thread (exactly one)
-//!  ─────────────                     ──────────────────────────────
-//!  broadcast() ──encode──▶ bounded   ┌────────────────────────────────┐
-//!  end_superstep()         command   │ drain commands → retain, fan   │
-//!  acknowledge()           channel ─▶│ out to per-peer write queues   │
-//!  abort()                  + waker  │ poll(readable/writable fds)    │
-//!       │                            │  readable → read, FrameDecoder │
-//!       ▼                            │  writable → flush write queue  │
-//!  collect() ◀── inbox channel ◀─────│  listener → re-accept cut peer │
-//!  (SuperstepCollector)              └────────────────────────────────┘
+//!  worker thread                   event-loop thread (exactly one)
+//!  ─────────────                   ───────────────────────────────────────
+//!  broadcast() ─encode─▶ bounded   ┌──────────────────┐      ┌───────────┐
+//!  end_superstep()       command   │ commands, frames,│Event │  Fabric   │
+//!  acknowledge()         channel ─▶│ hellos, stream   │─────▶│ (fabric.rs│
+//!  abort()                + waker  │ ends, ticks      │      │  no I/O)  │
+//!       │                          │ poll(fds) · read │Action│           │
+//!       ▼                          │ write queues ·   │◀─────│ decides   │
+//!  collect() ◀─ inbox channel ◀────│ dial · accept    │      └───────────┘
+//!  (SuperstepCollector)            └──────────────────┘
 //! ```
 //!
-//! The worker thread never touches a socket; the event loop never blocks on
-//! one. Commands travel over a *bounded* channel, so a worker that broadcasts
-//! faster than the network drains is throttled (backpressure) instead of
-//! buffering without limit; the loop additionally stops accepting commands
-//! while any peer's write queue is above its high-water mark.
+//! The worker thread never touches a socket. The event loop never waits on a
+//! read: every socket it owns — live stream, dial in flight, accepted
+//! connection still short of its hello — is a non-blocking poller slot, and
+//! one that stays silent merely expires at its deadline
+//! ([`HANDSHAKE_DEADLINE`]). The one bounded wait left is the `connect` of a
+//! dial (`DIAL_CONNECT_CAP`). Commands travel over a *bounded* channel, so a
+//! worker that broadcasts faster than the network drains is throttled
+//! (backpressure) instead of buffering without limit; the loop additionally
+//! stops accepting commands while any peer's write queue is above its
+//! high-water mark.
 //!
-//! ## One protocol: retain, cut, resume
+//! ## One protocol, decided elsewhere
 //!
 //! Every link speaks the fault-tolerant protocol of `docs/WIRE.md` §9 — there
-//! is no other mode. Broadcast batches are retained (shared, not copied) in a
-//! [`ReplayLog`] until every peer acknowledges their superstep; *any* stream
-//! end is a **cut**, not a loss: the link parks down, the higher-id side
-//! redials with backoff while the lower-id side's listener — a poller slot of
-//! its own, open for the whole run — re-accepts, both exchange resume cursors
-//! and replay what the other missed. Only a peer that stays away past
-//! [`ResilienceConfig::reconnect_deadline`] (or asks for frames below the
-//! replay floor) surfaces as the terminal `PeerLost`; a clean exit announces
-//! itself with a goodbye frame and is seen at once. The loop is
-//! single-threaded, so none of this needs locks or generations: command
-//! intake, retention, stream replacement and recovery interleave at
-//! loop-iteration granularity, which makes replay gap-free by construction
-//! (no frame can be retained between a replay snapshot and the stream
-//! install — both happen on this thread).
+//! is no other mode — and every decision it calls for is
+//! [`crate::fabric::Fabric`]'s: this module turns what the OS reports into
+//! [`Event`]s and performs the [`Action`]s that come back, out of one reused
+//! buffer. Bringing a link up is the same path at start-up, after a cut and
+//! for a replacement process, so `establish` only starts the loop with every
+//! link down and waits for `Established`. The loop is single-threaded, so
+//! none of this needs locks or generations: command intake, retention,
+//! stream replacement and recovery interleave at loop-iteration granularity,
+//! which makes replay gap-free by construction (no frame can be retained
+//! between a replay snapshot and the stream's adoption — both are one
+//! `Fabric::step`).
 //!
 //! ## Write coalescing
 //!
@@ -75,17 +77,9 @@
 //! ## Readiness abstraction
 //!
 //! [`ReadinessPoller`] is the minimal mio-style seam: register sockets once,
-//! then repeatedly ask which can make progress. Two implementations:
-//!
-//! * [`PollSyscallPoller`] (Linux) — level-triggered readiness via the
-//!   `poll(2)` syscall, declared directly (std already links libc; no crate
-//!   dependency). The loop sleeps in the kernel until a socket has data or
-//!   buffer space.
-//! * [`SpinPoller`] (portable, FFI-less) — claims every registered socket
-//!   ready and lets the non-blocking `read`/`write` calls discover the truth
-//!   (`WouldBlock`), with a short sleep per round to keep the spin cool.
-//!   Tests force it on every platform
-//!   ([`BoundPollPlane::establish_resilient_with`]).
+//! then repeatedly ask which can make progress — [`PollSyscallPoller`]
+//! (`poll(2)`, Linux) or the portable [`SpinPoller`], which tests force on
+//! every platform ([`BoundPollPlane::establish_resilient_with`]).
 //!
 //! A dropped [`PollPlane`] flushes its queues, half-closes its streams and
 //! joins the loop thread — shutdown is asserted by the thread-count checks in
@@ -93,14 +87,14 @@
 
 use crate::buffer::{BufferPool, PooledBuf};
 use crate::chaos::SeverPeer;
-use crate::establish::{
-    accept_connection, bind_listener, dial_handshake, establish_links, DEFAULT_ESTABLISH_TIMEOUT,
-    LOOP_HANDSHAKE_CAP,
-};
+use crate::establish::{bind_listener, DEFAULT_ESTABLISH_TIMEOUT, HANDSHAKE_DEADLINE};
+use crate::fabric::{Action, Command, Conn, Event, Fabric, HelloBytes, SharedBatch};
 use crate::frame::{Frame, FrameDecoder, InboxEvent, PlaneError, SuperstepCollector, WireMessage};
-use crate::membership::{MembershipMsg, MembershipView, ReconnectBackoff};
+use crate::membership::{
+    MembershipMsg, MembershipView, MEMBERSHIP_ENTRY_LEN, MEMBERSHIP_HEADER_LEN, MEMBERSHIP_MAGIC,
+};
 use crate::plane::BroadcastPlane;
-use crate::resume::{count_frames, ReplayLog, ResilienceConfig, ResumeHello};
+use crate::resume::{ResilienceConfig, RESUME_HELLO_LEN};
 use graphh_graph::ids::ServerId;
 use graphh_obs::{global_counters, Counter};
 use std::collections::VecDeque;
@@ -111,9 +105,19 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long one `poll` round may sleep when nothing is ready. Bounds shutdown
-/// latency for events the waker does not cover; the waker covers commands.
+/// How long one `poll` round may sleep when nothing is ready and no clock is
+/// due sooner. Bounds the latency of anything neither a socket, the waker
+/// nor a timer announces.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// Poller slots for accepted connections that have not finished their
+/// handshake. When all are taken the oldest gives way.
+const PENDING_SLOTS: usize = 16;
+
+/// Longest one connect may take. The one wait left on the loop thread — and
+/// not a read: a live listener answers a SYN at once, a dead host is retried
+/// with backoff anyway.
+const DIAL_CONNECT_CAP: Duration = Duration::from_millis(100);
 
 /// Per-peer write-queue high-water mark: while any peer has more than this
 /// many bytes queued, the loop stops draining commands, the bounded command
@@ -137,11 +141,6 @@ const BATCH_FLUSH: usize = 256 * 1024;
 /// Most queue entries one coalesced `write_vectored` call gathers.
 const MAX_WRITE_VECTORS: usize = 16;
 
-/// Frame bytes shared by every peer's write queue: one batch buffer checked
-/// out of the plane's [`BufferPool`], enqueued once per peer, returned to the
-/// pool when the last peer finishes writing it.
-type SharedBatch = Arc<PooledBuf>;
-
 /// The event loop's observability counters (see `docs/OBSERVABILITY.md` for
 /// the catalog). Handles are fetched from the global registry once at
 /// establish time; the loop's updates are relaxed atomic adds — never an
@@ -156,12 +155,6 @@ struct LoopCounters {
     high_water_stalls: Counter,
     /// Largest write-queue depth any peer reached, in bytes (gauge).
     queued_bytes_peak: Counter,
-    /// Peers declared terminally lost (reconnect deadline, replay floor).
-    peers_lost: Counter,
-    /// Cut links brought back by a redial or a re-accept.
-    reconnects: Counter,
-    /// Retained frames re-sent over a reinstalled link.
-    replayed_frames: Counter,
 }
 
 impl LoopCounters {
@@ -172,9 +165,6 @@ impl LoopCounters {
             bytes_written: registry.counter("poll.bytes_written"),
             high_water_stalls: registry.counter("poll.high_water_stalls"),
             queued_bytes_peak: registry.counter("poll.queued_bytes_peak"),
-            peers_lost: registry.counter("poll.peers_lost"),
-            reconnects: registry.counter("fabric.reconnects"),
-            replayed_frames: registry.counter("fabric.replayed_frames"),
         }
     }
 }
@@ -190,18 +180,6 @@ pub struct Readiness {
     pub readable: bool,
     /// Writing would make progress.
     pub writable: bool,
-}
-
-impl Readiness {
-    /// Neither direction.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Is either direction set?
-    pub fn any(self) -> bool {
-        self.readable || self.writable
-    }
 }
 
 /// The minimal mio-style readiness seam the event loop drives sockets with.
@@ -445,17 +423,6 @@ pub fn default_poller() -> Box<dyn ReadinessPoller> {
     }
 }
 
-/// This process's OS thread count (Linux: `Threads:` in `/proc/self/status`;
-/// `None` where that is unavailable). Test aid for the "exactly one
-/// event-loop thread" and clean-shutdown assertions.
-pub fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-}
-
 // ---------------------------------------------------------------------------
 // Plane
 // ---------------------------------------------------------------------------
@@ -511,8 +478,8 @@ impl BoundPollPlane {
     }
 
     /// [`Self::establish`] with an explicit timeout and recovery policy: the
-    /// reconnect deadline and backoff, the resume cursor of a restarted
-    /// process, the live membership handle of a seed-discovered cluster.
+    /// reconnect deadline, the resume cursor of a restarted process, the live
+    /// membership handle of a seed-discovered cluster.
     pub fn establish_resilient(
         self,
         peer_addrs: &[SocketAddr],
@@ -524,6 +491,10 @@ impl BoundPollPlane {
 
     /// [`Self::establish_resilient`] with an explicit poller (tests force
     /// [`SpinPoller`] here so the readiness seam runs on every platform).
+    ///
+    /// Establishment is the event loop's first job, not a phase before it:
+    /// the loop starts with every link down and `timeout` to bring each up
+    /// once, and this call only waits for its verdict.
     pub fn establish_resilient_with(
         self,
         peer_addrs: &[SocketAddr],
@@ -536,77 +507,84 @@ impl BoundPollPlane {
             num_servers,
             listener,
         } = self;
-        let mut fault_budget = config.handshake_fault_budget;
-        let streams = establish_links(
-            id,
-            num_servers,
-            &listener,
-            peer_addrs,
-            timeout,
-            &config,
-            &mut fault_budget,
-        )?;
+        if peer_addrs.len() != num_servers as usize {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "need one address per server: got {} for a {num_servers}-server cluster",
+                    peer_addrs.len()
+                ),
+            ));
+        }
 
-        // Slot layout: 0 = waker, 1..=peers = peer streams, last = listener.
+        // Slot layout: 0 = waker, 1..=peers = peer streams (live, or the dial
+        // in flight), then the listener, then PENDING_SLOTS accepted
+        // connections still handshaking. A slot without a socket is parked on
+        // the waker's descriptor with no interest set.
         let (waker_tx, waker_rx) = waker_pair()?;
         poller.register(&waker_rx)?;
         let registry = global_counters();
-        let mut peers = Vec::with_capacity(streams.len());
-        for (peer, stream) in streams {
-            stream.set_nonblocking(true)?;
-            poller.register(&stream)?;
+        let peer_ids: Vec<ServerId> = (0..num_servers).filter(|&peer| peer != id).collect();
+        let mut peers = Vec::with_capacity(peer_ids.len());
+        for &peer in &peer_ids {
+            poller.register(&waker_rx)?;
             peers.push(Peer {
                 id: peer,
-                stream,
+                stream: None,
+                dialing: None,
                 decoder: FrameDecoder::new(),
                 outbound: VecDeque::new(),
                 queued_bytes: 0,
-                read_open: true,
-                write_open: true,
-                ack_delivered: None,
-                done: false,
-                down: None,
-                gone: false,
-                // Per-peer traffic counters, named at establish time (the
-                // only place the name formatting — an allocation — happens).
+                write_open: false,
+                // Per-peer traffic counters, named here (the only place the
+                // name formatting — an allocation — happens).
                 frames_in: registry.counter(&format!("poll.s{id}.from{peer}.frames_in")),
                 bytes_in: registry.counter(&format!("poll.s{id}.from{peer}.bytes_in")),
             });
         }
         listener.set_nonblocking(true)?;
         poller.register_listener(&listener)?;
+        for _ in 0..PENDING_SLOTS {
+            poller.register(&waker_rx)?;
+        }
 
-        let (command_tx, command_rx) = sync_channel::<Command>(COMMAND_BACKLOG);
+        let (command_tx, command_rx) = sync_channel::<Request>(COMMAND_BACKLOG);
         let (inbox_tx, inbox) = channel::<InboxEvent>();
-        let peer_ids: Vec<ServerId> = peers.iter().map(|p| p.id).collect();
+        let (verdict_tx, verdict) = channel::<std::io::Result<()>>();
         let pool = BufferPool::new();
         let event_loop = EventLoop {
             id,
-            num_servers,
+            fabric: Fabric::new(id, num_servers, config, timeout, pool.clone()),
+            epoch: Instant::now(),
+            actions: Vec::new(),
             peers,
+            pending: (0..PENDING_SLOTS).map(|_| None).collect(),
             waker_rx,
             listener,
             commands: command_rx,
             inbox: inbox_tx,
+            verdict: Some(verdict_tx),
             poller,
             counters: LoopCounters::registered(),
             peer_addrs: peer_addrs.to_vec(),
-            fault_budget,
-            replay: ReplayLog::resuming_from(num_servers, id, config.resume_from),
-            recv_cursor: vec![config.resume_from; num_servers as usize],
-            last_ack: None,
-            aborted: false,
-            pool: pool.clone(),
-            // The establish itself proves every peer holds a complete book:
-            // nothing to gossip until the book moves again.
-            last_gossip_version: config.membership.as_ref().map_or(0, |m| m.version()),
-            config,
+            intake_open: true,
+            exiting: false,
+            dead: false,
         };
         let event_loop = std::thread::Builder::new()
             .name(format!("graphh-poll-loop-{id}"))
             .spawn(move || event_loop.run())
             .map_err(|e| std::io::Error::other(format!("spawn event-loop thread: {e}")))?;
 
+        // A loop that fails establishment has exited; a loop that died
+        // without a verdict dropped its sender.
+        let verdict = verdict
+            .recv()
+            .unwrap_or_else(|_| Err(std::io::Error::other("event loop died while establishing")));
+        if let Err(e) = verdict {
+            let _ = event_loop.join();
+            return Err(e);
+        }
         let batch = pool.checkout();
         Ok(PollPlane {
             id,
@@ -637,7 +615,7 @@ pub struct PollPlane {
     /// Peer ids, sorted — the collector's completeness set.
     peer_ids: Vec<ServerId>,
     /// Bounded command channel into the event loop (the backpressure edge).
-    commands: SyncSender<Command>,
+    commands: SyncSender<Request>,
     /// Write end of the waker: one byte unblocks the loop's `poll`.
     waker: TcpStream,
     /// Frames (and peer-loss events) from the event loop.
@@ -687,10 +665,10 @@ impl PollPlane {
         }
         let full = std::mem::replace(&mut self.batch, self.pool.checkout());
         self.commands
-            .send(Command::Broadcast {
-                superstep: self.batch_superstep,
-                batch: Arc::new(full),
-            })
+            .send(Request::Do(Command::Broadcast(
+                self.batch_superstep,
+                Arc::new(full),
+            )))
             .map_err(|_| PlaneError::Disconnected)?;
         self.batch_flushes.incr();
         self.wake();
@@ -712,7 +690,7 @@ impl PollPlane {
     /// into a clean goodbye exit — peers would then stop holding the door
     /// open for a replacement.
     pub fn crash(self) {
-        let _ = self.commands.send(Command::Crash);
+        let _ = self.commands.send(Request::Crash);
         self.wake();
         // The normal drop runs next: its Shutdown command lands on a closed
         // channel (ignored) and it joins the already-exiting event loop.
@@ -772,10 +750,7 @@ impl BroadcastPlane for PollPlane {
         }
         .encode(&mut buf);
         self.commands
-            .send(Command::Ack {
-                superstep,
-                batch: Arc::new(buf),
-            })
+            .send(Request::Do(Command::Ack(superstep, Arc::new(buf))))
             .map_err(|_| PlaneError::Disconnected)?;
         self.wake();
         Ok(())
@@ -791,14 +766,16 @@ impl BroadcastPlane for PollPlane {
         // and an aborting worker must unwind rather than park on it. A
         // dropped abort is recovered by peers observing the stream close.
         let full = std::mem::replace(&mut self.batch, self.pool.checkout());
-        let _ = self.commands.try_send(Command::Abort(Arc::new(full)));
+        let _ = self
+            .commands
+            .try_send(Request::Do(Command::Abort(Arc::new(full))));
         self.wake();
     }
 }
 
 impl SeverPeer for PollPlane {
     fn sever_peer(&mut self, peer: ServerId) {
-        let _ = self.commands.send(Command::Sever(peer));
+        let _ = self.commands.send(Request::Sever(peer));
         self.wake();
     }
 }
@@ -809,7 +786,7 @@ impl Drop for PollPlane {
         // flushes), then everything is in the FIFO command channel and the
         // loop flushes it all before half-closing.
         let _ = self.flush_batch();
-        let _ = self.commands.send(Command::Shutdown);
+        let _ = self.commands.send(Request::Do(Command::Shutdown));
         self.wake();
         if let Some(handle) = self.event_loop.take() {
             let _ = handle.join();
@@ -830,34 +807,86 @@ impl std::fmt::Debug for PollPlane {
 // Event loop
 // ---------------------------------------------------------------------------
 
-enum Command {
-    /// Enqueue this batch of pre-encoded frame bytes to every peer and retain
-    /// it in the replay log under `superstep` until every peer acks it (a
-    /// batch never spans supersteps because `end_superstep` always flushes).
-    Broadcast { superstep: u32, batch: SharedBatch },
-    /// An acknowledgement batch: enqueued unretained, but the superstep is
-    /// remembered so a re-established link can repeat the latest ack (acks
-    /// die with a cut stream).
-    Ack { superstep: u32, batch: SharedBatch },
-    /// An abort batch: enqueued unretained, and marks the run aborted so
-    /// shutdown never lingers for stragglers.
-    Abort(SharedBatch),
-    /// Chaos injection: cut the live connection to this peer (flush its
-    /// queue, then close our write half — the peer sees a full stream then a
-    /// FIN, exactly like a real boundary failure).
+/// What the plane sends its loop: work for the [`Fabric`], or chaos injection
+/// the loop performs on its sockets without the fabric's knowledge (which
+/// then sees exactly what a real failure would show it).
+enum Request {
+    Do(Command),
+    /// Cut the live connection to this peer: flush its queue, then close our
+    /// write half — the peer sees a full stream then a FIN, exactly like a
+    /// real boundary failure.
     Sever(ServerId),
-    /// Chaos injection: die like a killed process — close every stream on
-    /// the spot (queued bytes included), send no goodbye, serve no linger,
-    /// attempt no recovery, and exit the loop immediately.
+    /// Die like a killed process — close every stream on the spot (queued
+    /// bytes included), send no goodbye, serve no linger, attempt no
+    /// recovery, and exit the loop immediately.
     Crash,
-    /// Flush all write queues, half-close the streams, exit the loop.
-    Shutdown,
 }
 
-/// One peer connection's event-driven state.
+/// A dialed or accepted stream that has not finished its handshake: it sits
+/// in a poller slot and accumulates bytes across readiness events — the 16
+/// hello bytes or, on an accepted stream that opens with the `GHHM` magic, a
+/// whole announce — until [`HANDSHAKE_DEADLINE`]. Nothing waits on it.
+struct Handshake {
+    stream: TcpStream,
+    /// Where it leads, for refusal messages.
+    origin: String,
+    expires: Instant,
+    /// Bytes so far; never read past the handshake (frames may follow it).
+    buf: Vec<u8>,
+}
+
+impl Handshake {
+    fn new(stream: TcpStream, origin: String) -> std::io::Result<Self> {
+        // Accepted sockets do not inherit the listener's O_NONBLOCK everywhere.
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        Ok(Handshake {
+            stream,
+            origin,
+            expires: Instant::now() + HANDSHAKE_DEADLINE,
+            buf: Vec::with_capacity(RESUME_HELLO_LEN),
+        })
+    }
+
+    /// Read what has arrived, up to the end of the handshake and not a byte
+    /// further; `Ok(true)` once `buf` holds all of it — a hello's 16 bytes,
+    /// or a longer `GHHM` message where one may be served (`max_announce`
+    /// bounds it; an overlong one is cut there and fails to decode).
+    fn pump(&mut self, max_announce: Option<usize>) -> std::io::Result<bool> {
+        loop {
+            // No GHHM message is shorter than a hello, so reading a hello's
+            // worth before the magic shows overshoots nothing.
+            let announce = max_announce.filter(|_| self.buf.starts_with(&MEMBERSHIP_MAGIC));
+            let want = match (announce, self.buf.first_chunk()) {
+                (None, _) => RESUME_HELLO_LEN,
+                (Some(_), None) => MEMBERSHIP_HEADER_LEN,
+                (Some(max), Some(header)) => MembershipMsg::encoded_len(header).min(max + 1),
+            };
+            let filled = self.buf.len();
+            if filled == want {
+                return Ok(true);
+            }
+            self.buf.resize(want, 0);
+            let read = (&self.stream).read(&mut self.buf[filled..]);
+            self.buf.truncate(filled + *read.as_ref().unwrap_or(&0));
+            match read {
+                Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() != std::io::ErrorKind::Interrupted => return Err(e),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// One peer's poller slot: the live stream with its partial frames and
+/// backpressured write queue, or the dial in flight, or nothing.
 struct Peer {
     id: ServerId,
-    stream: TcpStream,
+    /// The live link (`None` while the fabric has it down).
+    stream: Option<TcpStream>,
+    /// The stream we dialed, until its reply hello arrives.
+    dialing: Option<Handshake>,
     /// Carries partial frames across loop iterations.
     decoder: FrameDecoder,
     /// Pending outbound (batch, offset-already-written). The batch `Arc` is
@@ -866,23 +895,10 @@ struct Peer {
     /// lets go.
     outbound: VecDeque<(SharedBatch, usize)>,
     queued_bytes: usize,
-    /// False while the link is down (and for good once the peer is gone).
-    read_open: bool,
-    /// False once a write failed; the queue is discarded (the read path
-    /// notices the cut and parks the link).
+    /// False once a write failed or the link was severed: nothing more is
+    /// queued, and when the queue has drained our write half closes (the
+    /// read path notices the cut and reports the stream's end).
     write_open: bool,
-    /// Highest ack superstep queued on this link while writable (`None`
-    /// when none). Acks travel unretained, so this is what tells a finished
-    /// endpoint whether a down peer might still be waiting on our floor.
-    ack_delivered: Option<u32>,
-    /// True once the peer sent a `Goodbye`: its next EOF is a deliberate
-    /// clean exit, so the cut must not arm recovery and the linger must not
-    /// hold the door for it.
-    done: bool,
-    /// The recovery clock while the link is cut (`None` = believed up).
-    down: Option<DownState>,
-    /// Terminally lost: never redialed, never re-accepted.
-    gone: bool,
     /// Complete frames decoded off this peer's stream.
     frames_in: Counter,
     /// Raw stream bytes read from this peer.
@@ -890,215 +906,185 @@ struct Peer {
 }
 
 impl Peer {
-    fn enqueue(&mut self, bytes: &SharedBatch, queued_peak: &Counter) {
+    fn enqueue(&mut self, bytes: SharedBatch, queued_peak: &Counter) {
         if self.write_open {
             self.queued_bytes += bytes.len();
             queued_peak.record_max(self.queued_bytes as u64);
-            self.outbound.push_back((Arc::clone(bytes), 0));
+            self.outbound.push_back((bytes, 0));
         }
     }
 
-    /// Close both directions on the spot and forget everything queued.
+    /// Close whatever the slot holds on the spot and forget everything
+    /// queued or half-decoded (a torn frame tail is re-delivered by replay,
+    /// not resumed mid-frame).
     fn close(&mut self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.read_open = false;
+        if let Some(stream) = self.stream.take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        self.dialing = None;
+        self.decoder = FrameDecoder::new();
+        self.discard_queue();
+    }
+
+    fn discard_queue(&mut self) {
         self.write_open = false;
         self.outbound.clear();
         self.queued_bytes = 0;
     }
+
+    /// Chaos injection: everything queued still goes out (a sever is
+    /// deterministic, the peer must receive the full superstep), then only
+    /// our write half closes. The peer observes a complete stream followed
+    /// by a FIN — exactly a superstep-boundary failure; its recovery then
+    /// closes its socket, which our read path observes in turn.
+    fn sever(&mut self) {
+        self.write_open = false;
+        self.finish_flush();
+    }
+
+    fn finish_flush(&mut self) {
+        if let (false, true, Some(stream)) =
+            (self.write_open, self.outbound.is_empty(), &self.stream)
+        {
+            let _ = stream.shutdown(Shutdown::Write);
+        }
+    }
 }
 
-/// One down peer's recovery clock.
-struct DownState {
-    /// Past this instant the peer is declared terminally lost.
-    deadline: Instant,
-    /// Next redial attempt (dial-side recovery only).
-    next_retry: Instant,
-    /// Deterministic seeded exponential backoff pacing the redials.
-    backoff: ReconnectBackoff,
-}
-
+/// The I/O half of the plane: it moves bytes between sockets and the
+/// [`Fabric`] and performs what the fabric decides. No protocol judgement
+/// lives here.
 struct EventLoop {
     id: ServerId,
-    num_servers: u32,
+    fabric: Fabric,
+    /// Time zero of the fabric's clock.
+    epoch: Instant,
+    /// The one buffer every `step` appends to and `dispatch` drains: a
+    /// fault-free superstep allocates nothing here.
+    actions: Vec<Action>,
     /// Registered with the poller as slots `1..=peers.len()`.
     peers: Vec<Peer>,
+    /// Accepted connections still handshaking: the poller's last slots.
+    pending: Vec<Option<Handshake>>,
     /// Poller slot 0.
     waker_rx: TcpStream,
-    /// The last poller slot. Kept open for the whole run so cut peers — or a
-    /// restarted process — can always dial back in.
+    /// The slot after the peers. Kept open for the whole run so cut peers —
+    /// or a restarted process — can always dial back in.
     listener: TcpListener,
-    commands: Receiver<Command>,
+    commands: Receiver<Request>,
     inbox: Sender<InboxEvent>,
+    /// Where `establish` waits; taken by the verdict.
+    verdict: Option<Sender<std::io::Result<()>>>,
     poller: Box<dyn ReadinessPoller>,
     counters: LoopCounters,
+    /// The static address table (the gossiped book, when live, overrides it).
     peer_addrs: Vec<SocketAddr>,
-    config: ResilienceConfig,
-    /// Remaining sabotaged dial attempts (chaos handshake faults).
-    fault_budget: u32,
-    replay: ReplayLog,
-    /// Per-peer count of completed supersteps received (EOS superstep + 1),
-    /// indexed by server id: the `resume_from` this endpoint requests when a
-    /// link is re-established.
-    recv_cursor: Vec<u32>,
-    /// Highest superstep this endpoint acknowledged; repeated on every
-    /// re-established link (acks are unretained — any the peer missed while
-    /// down died with the old stream, and it needs the current floor to trim
-    /// its own replay log and finish its own linger).
-    last_ack: Option<u32>,
-    /// Set by [`Command::Abort`]: an aborted run never lingers at shutdown.
-    aborted: bool,
-    /// The plane's pool, for the few frames the loop itself encodes.
-    pool: BufferPool,
-    /// Book version last pushed as a tag-6 gossip frame: the steady-state
-    /// cadence check in `gossip_tick` is one u64 compare per iteration —
-    /// zero allocation until the book actually moves (never, on a fault-free
-    /// run).
-    last_gossip_version: u64,
+    /// Commands are still being taken (no shutdown seen yet).
+    intake_open: bool,
+    /// The fabric said [`Action::Exit`]: flush, say goodbye, leave.
+    exiting: bool,
+    /// Establishment failed: leave at once.
+    dead: bool,
 }
 
 impl EventLoop {
     fn run(mut self) {
         let mut read_buf = vec![0u8; READ_CHUNK];
         let listener_slot = 1 + self.peers.len();
-        let mut interest = vec![Readiness::none(); listener_slot + 1];
+        let mut interest = vec![Readiness::default(); listener_slot + 1 + PENDING_SLOTS];
         let mut ready = interest.clone();
         interest[0].readable = true;
-        interest[listener_slot].readable = true;
-        let mut shutting_down = false;
-        // Armed on the first shutdown iteration that still owes a down peer
-        // something: the graceful-termination linger window.
-        let mut linger_deadline: Option<Instant> = None;
-        let mut progressed = true;
+        let (mut progressed, mut stopping) = (true, false);
         loop {
             // 1. Commands — but only while below the high-water mark: a slow
             // peer's growing queue stops the intake, the bounded channel
             // fills, and the producer blocks in `broadcast`.
-            while !shutting_down {
+            while self.intake_open {
                 if !self.peers.iter().all(|p| p.queued_bytes < WRITE_HIGH_WATER) {
                     // Intake gated: backpressure is reaching the producer.
                     self.counters.high_water_stalls.incr();
                     break;
                 }
                 match self.commands.try_recv() {
-                    Ok(Command::Broadcast { superstep, batch }) => {
-                        // Retain before enqueueing: a frame is replayable
-                        // the moment any peer could have missed it.
-                        self.replay.append(superstep, Arc::clone(&batch));
-                        self.enqueue_all(&batch);
+                    // A disconnected sender means the plane was dropped; it
+                    // always sends Shutdown first, but be safe either way.
+                    Ok(Request::Do(Command::Shutdown)) | Err(TryRecvError::Disconnected) => {
+                        self.intake_open = false;
                     }
-                    Ok(Command::Ack { superstep, batch }) => {
-                        self.last_ack = Some(self.last_ack.map_or(superstep, |s| s.max(superstep)));
-                        self.enqueue_all(&batch);
-                        for peer in self.peers.iter_mut().filter(|p| p.write_open) {
-                            // Queued while writable counts as delivered:
-                            // the exit path flushes queues before close.
-                            peer.ack_delivered =
-                                Some(peer.ack_delivered.map_or(superstep, |s| s.max(superstep)));
+                    Ok(Request::Do(command)) => self.dispatch(Event::Command(command)),
+                    Ok(Request::Sever(peer)) => {
+                        if let Some(peer) = self.peers.iter_mut().find(|p| p.id == peer) {
+                            peer.sever();
                         }
                     }
-                    Ok(Command::Abort(batch)) => {
-                        self.aborted = true;
-                        self.enqueue_all(&batch);
-                    }
-                    Ok(Command::Sever(peer_id)) => {
-                        if let Some(peer) = self.peers.iter_mut().find(|p| p.id == peer_id) {
-                            sever_peer(peer);
-                        }
-                    }
-                    Ok(Command::Crash) => {
-                        // kill -9: everything closes abruptly — queued bytes
-                        // die with the process, no goodbye, no linger, no
-                        // recovery served. Returning drops the listener too.
+                    Ok(Request::Crash) => {
+                        // kill -9: queued bytes die with the process.
+                        // Returning drops the listener too.
                         self.peers.iter_mut().for_each(Peer::close);
                         return;
                     }
-                    // A disconnected sender means the plane was dropped; it
-                    // always sends Shutdown first, but be safe either way.
-                    Ok(Command::Shutdown) | Err(TryRecvError::Disconnected) => shutting_down = true,
                     Err(TryRecvError::Empty) => break,
                 }
                 progressed = true;
             }
 
-            // 1b. Graceful-termination linger: a finished endpoint must keep
-            // serving (accepts, replay, recovery) while a *down* peer might
-            // still need something only we can give it — frames we retain
-            // (it has not acked everything) or our latest ack (acks travel
-            // unretained, so one lost to a cut leaves the peer unable to
-            // trim its own log and finish its own linger). Exiting early
-            // slams the listener on a peer cut near the end of the run; its
-            // redials bounce until its deadline declares us lost. Up links
-            // owe nothing (queued bytes reach the peer even after we close),
-            // gone peers can never come back, and an aborted run never
-            // lingers. Bounded by the reconnect deadline (a peer down that
-            // long is given up by recovery, which forgets it from the log).
-            let lingering = shutting_down && !self.aborted && self.owes_a_down_peer() && {
-                let deadline = *linger_deadline
-                    .get_or_insert_with(|| Instant::now() + self.config.reconnect_deadline);
-                Instant::now() < deadline
-            };
-
-            // 1c. Recovery: declare deadline-expired peers lost and redial
-            // lower-id down peers (higher-id ones come back through the
-            // listener). Skipped once shutting down past the linger — the
-            // run is over.
-            if !shutting_down || lingering {
-                progressed |= self.recovery_tick();
-                progressed |= self.gossip_tick();
+            // 2. Time: handshakes past their deadline, then the fabric's own
+            // clocks (redial, terminal loss, linger, gossip).
+            let handshake_due = self.expire_handshakes();
+            self.dispatch(Event::Tick);
+            if self.dead {
+                return;
             }
-
-            // 2. Exit once told to stop, done lingering, and every queue is
-            // flushed (or its peer unreachable). Announce the clean exit so
-            // peers treat the coming EOFs as a deliberate close, not a cut to
-            // recover from (best-effort: 9 bytes into a drained socket
-            // buffer), then half-close so they see a clean EOF after our
-            // final bytes.
-            if shutting_down
-                && !lingering
-                && self
-                    .peers
-                    .iter()
-                    .all(|p| p.outbound.is_empty() || !p.write_open)
-            {
+            if self.exiting && self.peers.iter().all(|p| p.outbound.is_empty()) {
+                // Nothing owed, every queue flushed (or its peer
+                // unreachable): announce the clean exit so peers treat the
+                // coming EOFs as a deliberate close, not a cut to recover
+                // from (best-effort: 9 bytes into a drained socket buffer),
+                // then half-close so they see a clean EOF after our final
+                // bytes.
                 let mut goodbye = Vec::new();
                 Frame::Goodbye { sender: self.id }.encode(&mut goodbye);
                 for peer in &self.peers {
-                    if peer.write_open {
-                        let _ = (&peer.stream).write_all(&goodbye);
+                    if let Some(mut stream) = peer.stream.as_ref() {
+                        if peer.write_open {
+                            let _ = stream.write_all(&goodbye);
+                        }
+                        let _ = stream.shutdown(Shutdown::Write);
                     }
-                    let _ = peer.stream.shutdown(Shutdown::Write);
                 }
                 return;
             }
 
             // 3. Readiness round. Zero timeout while work remains from the
-            // previous round, so a burst is serviced without sleeping.
+            // previous round, so a burst is serviced without sleeping;
+            // otherwise sleep until a socket or the next clock needs us.
             for (slot, peer) in interest[1..].iter_mut().zip(&self.peers) {
-                slot.readable = peer.read_open;
-                slot.writable = peer.write_open && !peer.outbound.is_empty();
+                slot.readable = peer.stream.is_some() || peer.dialing.is_some();
+                slot.writable = peer.stream.is_some() && !peer.outbound.is_empty();
             }
-            let timeout = if progressed {
-                Duration::ZERO
-            } else {
-                POLL_TIMEOUT
+            interest[listener_slot].readable = !self.exiting;
+            for (slot, handshake) in interest[listener_slot + 1..].iter_mut().zip(&self.pending) {
+                slot.readable = handshake.is_some();
+            }
+            let fabric_due = self.fabric.next_timer().map(|t| self.epoch + t);
+            let timeout = match handshake_due.into_iter().chain(fabric_due).min() {
+                _ if progressed => Duration::ZERO,
+                Some(due) => due
+                    .saturating_duration_since(Instant::now())
+                    .min(POLL_TIMEOUT),
+                None => POLL_TIMEOUT,
             };
-            if self.poller.poll(&interest, &mut ready, timeout).is_err() {
-                // A broken poller cannot drive any stream: report every
-                // peer lost, then park on the command channel until the
-                // plane shuts us down (no point spinning on a dead poller).
-                for idx in 0..self.peers.len() {
-                    if !self.peers[idx].gone {
-                        self.peers[idx].close();
-                        self.declare_gone(idx, PlaneError::Disconnected);
-                    }
+            if let Err(e) = self.poller.poll(&interest, &mut ready, timeout) {
+                // A broken poller cannot drive any stream: fail establishment
+                // or report every peer lost, and leave — the plane finds the
+                // command channel closed.
+                self.announce(Err(e));
+                for peer in &mut self.peers {
+                    peer.close();
+                    let lost = InboxEvent::PeerLost(peer.id, PlaneError::Disconnected);
+                    let _ = self.inbox.send(lost);
                 }
-                loop {
-                    match self.commands.recv() {
-                        Ok(Command::Shutdown) | Err(_) => return,
-                        Ok(_) => continue,
-                    }
-                }
+                return;
             }
 
             progressed = false;
@@ -1107,269 +1093,239 @@ impl EventLoop {
             }
             for idx in 0..self.peers.len() {
                 let state = ready[1 + idx];
-                if state.readable && self.peers[idx].read_open {
+                if state.readable && self.peers[idx].dialing.is_some() {
+                    progressed |= self.pump_handshake(Conn::Dialed(self.peers[idx].id));
+                } else if state.readable {
                     progressed |= self.pump_reads(idx, &mut read_buf);
                 }
                 let peer = &mut self.peers[idx];
-                if state.writable && peer.write_open && !peer.outbound.is_empty() {
+                if state.writable && !peer.outbound.is_empty() {
                     progressed |= pump_writes(peer, &self.counters);
                 }
             }
-            if (!shutting_down || lingering) && ready[listener_slot].readable {
-                progressed |= self.accept_connections();
+            if ready[listener_slot].readable && !self.exiting {
+                progressed |= self.accept_connections(listener_slot + 1);
             }
-        }
-    }
-
-    fn enqueue_all(&mut self, batch: &SharedBatch) {
-        for peer in &mut self.peers {
-            peer.enqueue(batch, &self.counters.queued_bytes_peak);
-        }
-    }
-
-    /// Does some down peer still need frames we retain, or our latest ack?
-    fn owes_a_down_peer(&self) -> bool {
-        let replay_needed = self.replay.retained_supersteps() > 0;
-        self.peers.iter().any(|peer| {
-            peer.down.is_some()
-                && (replay_needed
-                    || self
-                        .last_ack
-                        .is_some_and(|ack| peer.ack_delivered != Some(ack)))
-        })
-    }
-
-    /// Give up on peer `idx` for good: it stops gating retention (its acks
-    /// can never arrive) and the collector learns the terminal `error`.
-    fn declare_gone(&mut self, idx: usize, error: PlaneError) {
-        let peer = &mut self.peers[idx];
-        peer.down = None;
-        peer.gone = true;
-        self.replay.forget(peer.id);
-        self.counters.peers_lost.incr();
-        let _ = self.inbox.send(InboxEvent::PeerLost(peer.id, error));
-    }
-
-    /// Park a peer whose stream ended: close it fully, reset the decoder (a
-    /// torn frame tail is re-delivered by replay, not resumed mid-frame), and
-    /// start the recovery clock — unless the peer is already terminally gone
-    /// or announced a clean exit with a goodbye. A stream end is a *cut*,
-    /// not a loss: only the reconnect deadline makes it terminal.
-    fn enter_down(&mut self, idx: usize) {
-        let peer = &mut self.peers[idx];
-        peer.close();
-        // Anything queued (acks included) may have died with the stream; the
-        // reinstall's repeated ack is what re-establishes delivery.
-        peer.ack_delivered = None;
-        peer.decoder = FrameDecoder::new();
-        if peer.gone {
-            return;
-        }
-        if peer.done {
-            // Announced clean exit: nothing to recover — no redial clock, no
-            // linger obligation — but the collector must still learn the
-            // stream is over (benign once the peer ended its last superstep:
-            // streams are FIFO, so everything it sent was delivered first).
-            let _ = self
-                .inbox
-                .send(InboxEvent::PeerLost(peer.id, PlaneError::Disconnected));
-            return;
-        }
-        let now = Instant::now();
-        peer.down = Some(DownState {
-            deadline: now + self.config.reconnect_deadline,
-            next_retry: now,
-            backoff: self.config.backoff_for(self.id, peer.id),
-        });
-    }
-
-    /// One round of recovery: expire deadlines into terminal `PeerLost`,
-    /// redial lower-id down peers whose backoff elapsed. Higher-id peers
-    /// redial us; we only watch their deadline here.
-    fn recovery_tick(&mut self) -> bool {
-        let mut progressed = false;
-        for idx in 0..self.peers.len() {
-            let (deadline, next_retry) = match &self.peers[idx].down {
-                Some(d) => (d.deadline, d.next_retry),
-                None => continue,
-            };
-            let now = Instant::now();
-            if now >= deadline {
-                self.declare_gone(idx, PlaneError::Disconnected);
-                progressed = true;
-                continue;
-            }
-            let peer_id = self.peers[idx].id;
-            if peer_id < self.id && now >= next_retry {
-                match self.dial_link(peer_id) {
-                    Some((stream, peer_resume_from)) => {
-                        progressed = true;
-                        self.install_link(idx, stream, peer_resume_from);
-                    }
-                    None => {
-                        if let Some(d) = self.peers[idx].down.as_mut() {
-                            d.next_retry = Instant::now() + d.backoff.next_delay();
-                        }
-                    }
+            for slot in 0..PENDING_SLOTS {
+                if ready[listener_slot + 1 + slot].readable && self.pending[slot].is_some() {
+                    progressed |= self.pump_handshake(Conn::Accepted(slot));
                 }
             }
+
+            // 4. The worker is done. The fabric hears of it only now, after
+            // a round that read whatever had already reached this process —
+            // a severed or killed peer's EOF, its redial in the backlog — so
+            // that "nothing is owed" is judged on what the OS knew, not on
+            // what the loop had got around to.
+            if !self.intake_open && !std::mem::replace(&mut stopping, true) {
+                self.dispatch(Event::Command(Command::Shutdown));
+                progressed = true;
+            }
+        }
+    }
+
+    /// Peers are kept by ascending id with this endpoint's own id left out.
+    fn slot_of(&self, peer: ServerId) -> usize {
+        (if peer < self.id { peer } else { peer - 1 }) as usize
+    }
+
+    /// Tell the waiting `establish` how establishment ended (once).
+    fn announce(&mut self, verdict: std::io::Result<()>) {
+        if let Some(waiting) = self.verdict.take() {
+            let _ = waiting.send(verdict);
+        }
+    }
+
+    fn handshake(&mut self, conn: Conn) -> &mut Option<Handshake> {
+        match conn {
+            Conn::Dialed(peer) => {
+                let slot = self.slot_of(peer);
+                &mut self.peers[slot].dialing
+            }
+            Conn::Accepted(slot) => &mut self.pending[slot],
+        }
+    }
+
+    /// One step of the fabric, performed: the only way the loop changes
+    /// protocol state.
+    fn dispatch(&mut self, event: Event<'_>) {
+        let now = self.epoch.elapsed();
+        self.fabric.step(now, event, &mut self.actions);
+        while !self.actions.is_empty() {
+            let mut actions = std::mem::take(&mut self.actions);
+            for action in actions.drain(..) {
+                // Performing can raise an event of its own (a dial refused
+                // on the spot); what the fabric makes of it runs next round.
+                if let Some(event) = self.perform(action) {
+                    self.fabric.step(now, event, &mut self.actions);
+                }
+            }
+            if self.actions.is_empty() {
+                self.actions = actions; // keep the warmed buffer
+            }
+        }
+    }
+
+    fn perform(&mut self, action: Action) -> Option<Event<'static>> {
+        match action {
+            Action::Send(peer, batch) => {
+                let slot = self.slot_of(peer);
+                self.peers[slot].enqueue(batch, &self.counters.queued_bytes_peak);
+            }
+            Action::Reset(peer) => {
+                let slot = self.slot_of(peer);
+                self.peers[slot].close();
+            }
+            Action::Dial(peer, hello) => return self.dial(peer, hello),
+            Action::Reply(conn, bytes) => {
+                // A fresh socket takes these few bytes whole or is not worth
+                // keeping; an `Adopt` that follows then finds it gone.
+                let handshake = self.handshake(conn);
+                let sent = |h: &Handshake| (&h.stream).write_all(&bytes).is_ok();
+                if !handshake.as_ref().is_some_and(sent) {
+                    *handshake = None;
+                }
+            }
+            Action::Adopt(conn, peer) => {
+                let slot = self.slot_of(peer);
+                // (A dialed stream already sits in the peer's poller slot.)
+                let adopted = self.handshake(conn).take().filter(|h| {
+                    matches!(conn, Conn::Dialed(_))
+                        || self.poller.reregister(1 + slot, &h.stream).is_ok()
+                });
+                self.peers[slot].close();
+                let Some(adopted) = adopted else {
+                    return Some(Event::StreamEnd(peer));
+                };
+                self.peers[slot].stream = Some(adopted.stream);
+                self.peers[slot].write_open = true;
+            }
+            Action::Close(conn) => *self.handshake(conn) = None,
+            // (A dropped plane stops listening; its Shutdown is on the way.)
+            Action::Deliver(event) => drop(self.inbox.send(event)),
+            Action::Established => self.announce(Ok(())),
+            Action::EstablishFailed(timed_out, message) => {
+                let kind = match timed_out {
+                    true => std::io::ErrorKind::TimedOut,
+                    false => std::io::ErrorKind::Other,
+                };
+                self.announce(Err(std::io::Error::new(kind, message)));
+                self.dead = true;
+            }
+            Action::Exit => self.exiting = true,
+        }
+        None
+    }
+
+    /// One bounded connect (the only call here that may wait, and not on a
+    /// read) plus the hello; the reply is awaited in the peer's poller slot.
+    /// The target address comes from the gossiped book when membership is
+    /// live — a replacement process may have adopted the peer's id at a
+    /// fresh address.
+    fn dial(&mut self, peer: ServerId, hello: HelloBytes) -> Option<Event<'static>> {
+        let slot = self.slot_of(peer);
+        let addr = self.fabric.config().peer_addr(peer, &self.peer_addrs);
+        let origin = format!("server {peer} at {addr}");
+        let dialed = TcpStream::connect_timeout(&addr, DIAL_CONNECT_CAP).and_then(|stream| {
+            (&stream).write_all(&hello)?;
+            self.poller.reregister(1 + slot, &stream)?;
+            Handshake::new(stream, origin.clone())
+        });
+        match dialed {
+            Ok(handshake) => self.peers[slot].dialing = Some(handshake),
+            Err(e) => return Some(Event::DialFailed(peer, format!("{origin}: {e}"))),
+        }
+        None
+    }
+
+    /// Drain the listener's accept queue into pending slots. When all are
+    /// taken the oldest handshake gives way: a real peer's hello arrives
+    /// with its connect, so a flood of silent strays cannot lock it out.
+    fn accept_connections(&mut self, first_slot: usize) -> bool {
+        let mut progressed = false;
+        // `Err` = WouldBlock or a transient accept error: done for this round.
+        while let Ok((stream, from)) = self.listener.accept() {
+            progressed = true;
+            let expiry = |slot: &usize| self.pending[*slot].as_ref().map(|h| h.expires);
+            let slot = (0..PENDING_SLOTS).min_by_key(expiry).expect("slots exist");
+            let registered = self.poller.reregister(first_slot + slot, &stream);
+            let handshake = registered.and_then(|()| Handshake::new(stream, from.to_string()));
+            self.pending[slot] = handshake.ok();
+            // The hello usually arrived with the connect: no need for a round.
+            self.pump_handshake(Conn::Accepted(slot));
         }
         progressed
     }
 
-    /// Anti-entropy push, one check per loop iteration: if the address book
-    /// moved past what this endpoint last gossiped, flood the delta to every
-    /// writable peer as an unretained tag-6 frame. Receivers whose merge
-    /// changes nothing do not bump their own version, so the flood converges.
-    /// Fault-free runs never get past the version compare — the book only
-    /// moves when an address changes.
-    fn gossip_tick(&mut self) -> bool {
-        let Some(membership) = self.config.membership.as_ref() else {
+    /// Advance one handshake on readiness and hand whatever it completed to
+    /// the fabric, which answers every hello with `Adopt` or `Close`.
+    fn pump_handshake(&mut self, conn: Conn) -> bool {
+        let accepted = matches!(conn, Conn::Accepted(_));
+        let book_len = MEMBERSHIP_HEADER_LEN + (self.peers.len() + 1) * MEMBERSHIP_ENTRY_LEN;
+        let Some(handshake) = self.handshake(conn) else {
             return false;
         };
-        let version = membership.version();
-        if version <= self.last_gossip_version {
+        let whole = handshake.pump(accepted.then_some(book_len));
+        if let Ok(false) = whole {
             return false;
         }
-        self.last_gossip_version = version;
-        let mut buf = self.pool.checkout();
-        Frame::Membership {
-            sender: self.id,
-            payload: membership.delta_payload().into(),
+        let (origin, bytes) = (
+            std::mem::take(&mut handshake.origin),
+            std::mem::take(&mut handshake.buf),
+        );
+        match (whole, bytes[..].try_into(), conn) {
+            (Ok(_), Ok(hello), _) => self.dispatch(Event::Hello(conn, &origin, hello)),
+            (Ok(_), Err(_), _) => self.dispatch(Event::Announce(conn, &bytes)),
+            (Err(e), _, Conn::Dialed(peer)) => {
+                *self.handshake(conn) = None;
+                let why = "no reply hello (the peer refused ours, or is not up yet)";
+                self.dispatch(Event::DialFailed(peer, format!("{origin}: {why}: {e}")));
+            }
+            (Err(_), _, Conn::Accepted(_)) => *self.handshake(conn) = None,
         }
-        .encode(&mut buf);
-        self.enqueue_all(&Arc::new(buf));
         true
     }
 
-    /// One bounded redial attempt (connect + resume handshake). The target
-    /// address comes from the gossiped book when membership is live — a
-    /// replacement process may have adopted the peer's id at a fresh address.
-    fn dial_link(&mut self, peer: ServerId) -> Option<(TcpStream, u32)> {
-        let addr = self.config.peer_addr(peer, &self.peer_addrs);
-        let stream = TcpStream::connect_timeout(&addr, Duration::from_millis(100)).ok()?;
-        let hello = ResumeHello {
-            cluster_size: self.num_servers,
-            sender: self.id,
-            resume_from: self.recv_cursor[peer as usize],
-        };
-        dial_handshake(
-            stream,
-            hello,
-            peer,
-            self.config.handshake_fault,
-            &mut self.fault_budget,
-        )
-        .ok()
-    }
-
-    /// Drain the listener's accept queue: every valid reconnect supersedes
-    /// whatever stream its slot holds and is installed with replay; a `GHHM`
-    /// exchange is served (it may teach us a replacement's fresh address,
-    /// which the next `gossip_tick` floods to the survivors); anything else
-    /// is dropped without disturbing the plane. This runs on the loop thread,
-    /// so no connection may hold it longer than [`LOOP_HANDSHAKE_CAP`].
-    fn accept_connections(&mut self) -> bool {
-        let mut progressed = false;
-        // `Err` = WouldBlock or a transient accept error: done for this round.
-        while let Ok((stream, _from)) = self.listener.accept() {
-            let recv_cursor = &self.recv_cursor;
-            let accepted = accept_connection(
-                stream,
-                self.num_servers,
-                self.id,
-                LOOP_HANDSHAKE_CAP,
-                self.config.membership.as_ref(),
-                |sender| recv_cursor[sender as usize],
-            );
-            let (sender, stream, peer_resume_from) = match accepted {
-                Ok(Some(link)) => link,
-                Ok(None) => {
-                    progressed = true;
-                    continue;
-                }
-                Err(_) => continue,
+    /// Drop every handshake past [`HANDSHAKE_DEADLINE`] — an expired dial is
+    /// a failed dial — and say when the next one is due.
+    fn expire_handshakes(&mut self) -> Option<Instant> {
+        let now = Instant::now();
+        let mut next: Option<Instant> = None;
+        for slot in 0..PENDING_SLOTS + self.peers.len() {
+            let conn = match slot.checked_sub(PENDING_SLOTS) {
+                None => Conn::Accepted(slot),
+                Some(peer) => Conn::Dialed(self.peers[peer].id),
             };
-            // Higher-id sender (the handshake checked): its slot is `sender - 1`.
-            let idx = (sender - 1) as usize;
-            if self.peers[idx].gone {
-                continue; // terminally lost peers stay dead
+            let handshake = self.handshake(conn);
+            let due = handshake.as_ref().map(|h| h.expires);
+            if due.is_some_and(|due| now < due) {
+                next = next.min(due).or(due);
+            } else if let (Some(expired), Conn::Dialed(peer)) = (handshake.take(), conn) {
+                let why = format!("no reply hello within {HANDSHAKE_DEADLINE:?}");
+                self.dispatch(Event::DialFailed(
+                    peer,
+                    format!("{}: {why}", expired.origin),
+                ));
             }
-            // Supersede the old stream (cut, or abandoned by the peer). Unread
-            // tail bytes on it are torn-tail frames ≥ the cursor we just sent —
-            // the peer replays them on the new stream and the collector dedups.
-            let _ = self.peers[idx].stream.shutdown(Shutdown::Both);
-            progressed = true;
-            self.install_link(idx, stream, peer_resume_from);
         }
-        progressed
+        next
     }
 
-    /// Adopt a handshaken stream as the live link for slot `idx`: replay what
-    /// the peer still needs, announce the resume, and rearm the poller slot.
-    fn install_link(&mut self, idx: usize, stream: TcpStream, peer_resume_from: u32) {
-        let batches = match self.replay.replay_from(peer_resume_from) {
-            Ok(batches) => batches,
-            Err(e) => {
-                // The peer wants frames already trimmed below the replay floor:
-                // permanently unrecoverable, not a transient failure.
-                self.declare_gone(idx, PlaneError::Protocol(e.to_string()));
-                return;
-            }
-        };
-        if stream.set_nonblocking(true).is_err()
-            || self.poller.reregister(1 + idx, &stream).is_err()
-        {
-            return; // could not adopt the stream; recovery keeps retrying
-        }
-        let peer = &mut self.peers[idx];
-        peer.stream = stream;
-        peer.decoder = FrameDecoder::new();
-        peer.outbound.clear();
-        peer.queued_bytes = 0;
-        peer.read_open = true;
-        peer.write_open = true;
-        // The resume event precedes everything the new stream can deliver
-        // (frames only surface through pump_reads, which runs after this
-        // returns): the collector purges the old torn tail at the event, then
-        // dedups whatever the replay below re-delivers.
-        let _ = self.inbox.send(InboxEvent::PeerResumed(peer.id));
-        self.counters.reconnects.incr();
-        for batch in &batches {
-            peer.enqueue(batch, &self.counters.queued_bytes_peak);
-            self.counters.replayed_frames.add(count_frames(batch));
-        }
-        // Repeat our latest ack on the new link: the peer may have missed it
-        // while down, and it needs the current floor to trim its own replay log
-        // (and finish its own linger at shutdown).
-        if let Some(superstep) = self.last_ack {
-            let mut buf = self.pool.checkout();
-            Frame::Ack {
-                sender: self.id,
-                superstep,
-            }
-            .encode(&mut buf);
-            peer.enqueue(&Arc::new(buf), &self.counters.queued_bytes_peak);
-        }
-        peer.ack_delivered = self.last_ack;
-        // A rejoining (restarted) peer is a live participant again.
-        peer.done = false;
-        peer.down = None;
-    }
-
-    /// Read peer `idx`'s socket until it would block, feeding the frame
-    /// decoder. Transport-level frames are consumed here — acks trim the
-    /// replay log, a goodbye marks the peer done, gossip merges into the book
-    /// — end-of-superstep markers raise the peer's receive cursor, and
-    /// everything else is forwarded to the collector. *Any* stream end — EOF,
-    /// torn frame, corrupt bytes, sender mismatch, I/O error — parks the link
-    /// ([`Self::enter_down`]) instead of declaring the peer lost. Returns
+    /// Read peer `idx`'s socket until it would block, handing every decoded
+    /// frame to the fabric. *Any* stream end — EOF, torn frame, corrupt
+    /// bytes, I/O error — closes the socket and is reported as such; whether
+    /// that is a cut to heal or a clean exit is the fabric's call. Returns
     /// whether anything happened.
     fn pump_reads(&mut self, idx: usize, buf: &mut [u8]) -> bool {
-        let peer = &mut self.peers[idx];
+        let id = self.peers[idx].id;
         let mut progressed = false;
         let ended = 'stream: loop {
-            let n = match (&peer.stream).read(buf) {
+            let peer = &mut self.peers[idx];
+            // The fabric may reset the stream over a frame it just saw.
+            let Some(mut stream) = peer.stream.as_ref() else {
+                break false;
+            };
+            let n = match stream.read(buf) {
                 Ok(0) => break true,
                 Ok(n) => n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
@@ -1379,85 +1335,30 @@ impl EventLoop {
             progressed = true;
             peer.bytes_in.add(n as u64);
             peer.decoder.push(&buf[..n]);
-            loop {
-                let frame = match peer.decoder.next_frame() {
-                    Ok(Some(frame)) if frame.sender() == peer.id => frame,
+            while self.peers[idx].stream.is_some() {
+                let frame = match self.peers[idx].decoder.next_frame() {
+                    Ok(Some(frame)) => frame,
                     Ok(None) => break,
-                    // Corrupt bytes or a foreign sender: a poisoned stream.
-                    Ok(Some(_)) | Err(_) => break 'stream true,
+                    Err(_) => break 'stream true, // corrupt bytes: a poisoned stream
                 };
-                peer.frames_in.incr();
-                match frame {
-                    Frame::Ack { sender, superstep } => {
-                        self.replay.ack(sender, superstep);
-                        continue;
-                    }
-                    Frame::Goodbye { .. } => {
-                        // Deliberate clean exit: the EOF that follows is
-                        // not a cut.
-                        peer.done = true;
-                        continue;
-                    }
-                    Frame::Membership { ref payload, .. } => {
-                        // Address-book gossip: merge it; the next
-                        // `gossip_tick` pushes any news onward. A malformed
-                        // payload is dropped (the anti-entropy cadence
-                        // re-converges).
-                        if let Some(m) = self.config.membership.as_ref() {
-                            if let Ok(msg) = MembershipMsg::decode(payload) {
-                                let _ = m.merge_msg(&msg);
-                            }
-                        }
-                        continue;
-                    }
-                    Frame::EndOfSuperstep { superstep, .. } => {
-                        let cursor = &mut self.recv_cursor[peer.id as usize];
-                        *cursor = (*cursor).max(superstep.saturating_add(1));
-                    }
-                    Frame::Message { .. } | Frame::Abort { .. } => {}
-                }
-                if self.inbox.send(InboxEvent::Frame(frame)).is_err() {
-                    // Plane dropped; stop decoding, no recovery.
-                    peer.read_open = false;
-                    return true;
-                }
+                self.peers[idx].frames_in.incr();
+                self.dispatch(Event::Frame(id, frame));
             }
         };
         if ended {
-            self.enter_down(idx);
+            self.peers[idx].close();
+            self.dispatch(Event::StreamEnd(id));
         }
         progressed || ended
     }
-}
-
-/// Chaos injection on one peer link: flush everything queued (blocking — a
-/// sever is deterministic, the peer must receive the full superstep), then
-/// close only our write half. The peer observes a complete stream followed by
-/// a FIN — exactly a superstep-boundary failure; its recovery then closes its
-/// socket, which our read path observes, parking our side of the link too.
-fn sever_peer(peer: &mut Peer) {
-    if !peer.write_open {
-        return;
-    }
-    let _ = peer.stream.set_nonblocking(false);
-    while let Some((bytes, offset)) = peer.outbound.pop_front() {
-        if peer.stream.write_all(&bytes[offset..]).is_err() {
-            break;
-        }
-    }
-    peer.outbound.clear();
-    peer.queued_bytes = 0;
-    let _ = peer.stream.set_nonblocking(true);
-    let _ = peer.stream.shutdown(Shutdown::Write);
-    peer.write_open = false;
 }
 
 /// Write queued bytes to one peer until its socket would block or the queue
 /// drains, gathering up to [`MAX_WRITE_VECTORS`] queued batches into a single
 /// `write_vectored` call — one syscall moves everything the queue holds,
 /// however the batches were produced. A write failure discards the queue and
-/// closes the write half — the peer's own read path is what attributes the
-/// loss. Returns whether any bytes moved.
+/// stops queueing — the read path is what reports the stream's end. Returns
+/// whether any bytes moved.
 fn pump_writes(peer: &mut Peer, counters: &LoopCounters) -> bool {
     let mut progressed = false;
     loop {
@@ -1467,26 +1368,19 @@ fn pump_writes(peer: &mut Peer, counters: &LoopCounters) -> bool {
             iov[vectors] = IoSlice::new(&bytes[*offset..]);
             vectors += 1;
         }
-        if vectors == 0 {
+        let Some(mut stream) = peer.stream.as_ref().filter(|_| vectors > 0) else {
+            peer.finish_flush();
             return progressed;
-        }
+        };
         counters.write_vectored_calls.incr();
-        let wrote = match (&peer.stream).write_vectored(&iov[..vectors]) {
-            Ok(0) => {
-                // A zero-length write on non-empty slices: treat as a dead
-                // stream rather than spinning.
-                peer.write_open = false;
-                peer.queued_bytes = 0;
-                peer.outbound.clear();
-                return progressed;
-            }
-            Ok(n) => n,
+        let wrote = match stream.write_vectored(&iov[..vectors]) {
+            Ok(n) if n > 0 => n,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return progressed,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                peer.write_open = false;
-                peer.queued_bytes = 0;
-                peer.outbound.clear();
+            // An error, or a zero-length write on non-empty slices: a dead
+            // stream rather than something to spin on.
+            Ok(_) | Err(_) => {
+                peer.discard_queue();
                 return progressed;
             }
         };
@@ -1552,7 +1446,6 @@ fn waker_pair() -> std::io::Result<(TcpStream, TcpStream)> {
 mod tests {
     use super::*;
     use crate::chaos::{CutPlan, FaultPlane};
-    use crate::resume::HandshakeFault;
     use std::thread;
 
     const TIMEOUT: Duration = Duration::from_secs(10);
@@ -1597,6 +1490,23 @@ mod tests {
         let mut planes = establish_all(bound, &addrs, config);
         let p1 = planes.pop().unwrap();
         (planes.pop().unwrap(), p1)
+    }
+
+    /// Establish every endpoint concurrently and return the errors of a
+    /// cluster that must not come up.
+    fn establish_errors(
+        bound: Vec<BoundPollPlane>,
+        addrs: &[SocketAddr],
+        timeout: Duration,
+    ) -> Vec<std::io::Error> {
+        thread::scope(|scope| {
+            let handles: Vec<_> = bound
+                .into_iter()
+                .map(|b| scope.spawn(move || b.establish_with_timeout(addrs, timeout)))
+                .collect();
+            let results = handles.into_iter().map(|h| h.join().unwrap());
+            results.map(|r| r.unwrap_err()).collect()
+        })
     }
 
     /// One endpoint of a 2-server cluster through `supersteps`: broadcast
@@ -1810,60 +1720,6 @@ mod tests {
         exchange_pair(&mut p0, &mut p1, 0..3);
     }
 
-    /// A peer that never comes back is terminal — but only after the
-    /// reconnect deadline, not on the first EOF.
-    #[test]
-    fn dead_peer_is_terminal_only_after_the_deadline() {
-        let (mut p0, p1) = establish_pair(&ResilienceConfig {
-            reconnect_deadline: Duration::from_millis(200),
-            retry_backoff: Duration::from_millis(20),
-            ..ResilienceConfig::default()
-        });
-        let start = Instant::now();
-        // Simulate a crash, not a graceful exit: no goodbye ever reaches p0
-        // (a killed process sends none) and no self-recovery runs.
-        p1.crash();
-        p0.end_superstep(0).unwrap();
-        assert_eq!(p0.collect(0), Err(PlaneError::Disconnected));
-        assert!(
-            start.elapsed() >= Duration::from_millis(150),
-            "terminal loss must wait out the reconnect deadline"
-        );
-    }
-
-    /// Sabotaged resume handshakes (torn hello, then dropped hello) are
-    /// retried until the fault budget runs out; establishment still succeeds.
-    #[test]
-    fn torn_and_dropped_handshakes_are_survived() {
-        for fault in [HandshakeFault::Torn { bytes: 7 }, HandshakeFault::Drop] {
-            let (bound, addrs) = bind_cluster(2);
-            // Only server 1 dials, so only its hellos are sabotaged.
-            let mut planes = establish_all_with(bound, |b| {
-                b.establish_resilient(
-                    &addrs,
-                    TIMEOUT,
-                    ResilienceConfig {
-                        handshake_fault: Some(fault),
-                        handshake_fault_budget: 2,
-                        ..ResilienceConfig::default()
-                    },
-                )
-            });
-            let mut p1 = planes.pop().unwrap();
-            let mut p0 = planes.pop().unwrap();
-            p0.broadcast(0, b"after-chaos").unwrap();
-            p0.end_superstep(0).unwrap();
-            p1.end_superstep(0).unwrap();
-            let got = p1.collect(0).unwrap();
-            assert_eq!(&got[0][..], b"after-chaos");
-            assert!(p0.collect(0).unwrap().is_empty());
-            // Ack like a real worker would: an unacked final superstep makes
-            // the last plane to drop linger for its (now absent) peer.
-            p1.acknowledge(0).unwrap();
-            p0.acknowledge(0).unwrap();
-        }
-    }
-
     /// Severing an already-severed (or recovering) link is a harmless no-op.
     #[test]
     fn double_sever_is_idempotent() {
@@ -1873,28 +1729,102 @@ mod tests {
         exchange_pair(&mut p0, &mut p1, 0..3);
     }
 
-    /// A connection that says nothing must not freeze a running node: the
-    /// listener is a slot of the single event loop, so the wait for a hello
-    /// that never comes is capped far below a superstep's patience.
+    /// Connections that say nothing — or say `GHHM` and then nothing — must
+    /// not cost a running node anything: each is a pending slot of the single
+    /// event loop, accumulating bytes that never come until its deadline, and
+    /// nothing waits on it. (Blocking reads here once held the loop 250 ms
+    /// per silent connection and 2 s for the stalled announce.)
     #[test]
     fn silent_connection_mid_run_does_not_stall_the_loop() {
         let (bound, addrs) = bind_cluster(2);
-        let planes = establish_all(bound, &addrs, &ResilienceConfig::default());
+        let seed = addrs[0];
+        let planes = establish_all_with(bound, |b| {
+            Ok(discover_and_establish(b, seed, ResilienceConfig::default()))
+        });
         let mut planes = planes.into_iter();
         let (mut p0, mut p1) = (planes.next().unwrap(), planes.next().unwrap());
         exchange_pair(&mut p0, &mut p1, 0..1);
-        let silent: Vec<TcpStream> = addrs
-            .iter()
-            .map(|addr| TcpStream::connect(addr).unwrap())
-            .collect();
+        let mut silent = Vec::new();
+        for addr in &addrs {
+            for _ in 0..8 {
+                silent.push(TcpStream::connect(addr).unwrap());
+            }
+            let mut stalled = TcpStream::connect(addr).unwrap();
+            stalled.write_all(&MEMBERSHIP_MAGIC).unwrap();
+            silent.push(stalled);
+        }
         let start = Instant::now();
-        exchange_pair(&mut p0, &mut p1, 1..3);
+        exchange_pair(&mut p0, &mut p1, 1..4);
         assert!(
-            start.elapsed() < 4 * LOOP_HANDSHAKE_CAP,
-            "a silent prober held the event loop for {:?}",
+            start.elapsed() < Duration::from_millis(100),
+            "silent probers held the event loop for {:?}",
             start.elapsed()
         );
         drop(silent);
+    }
+
+    /// The dial-side twin: a lower-id peer whose listener takes connections
+    /// into its backlog but never answers (bound, not yet establishing —
+    /// exactly a restarted `graphh-node` during its workload build) must not
+    /// delay traffic on the survivor's other links. A bare `TcpListener`
+    /// stands in for the restarted server 0.
+    #[test]
+    fn unanswered_dial_does_not_delay_other_links() {
+        let backlog_only = TcpListener::bind("127.0.0.1:0").unwrap();
+        let b1 = PollPlane::bind(1, 3, "127.0.0.1:0").unwrap();
+        let b2 = PollPlane::bind(2, 3, "127.0.0.1:0").unwrap();
+        let addrs = vec![
+            backlog_only.local_addr().unwrap(),
+            b1.local_addr().unwrap(),
+            b2.local_addr().unwrap(),
+        ];
+        // Server 0 never establishes, so neither does the cluster; what the
+        // survivors' loops do meanwhile is the point. Their link to each
+        // other comes up at once and stays responsive while both dials to
+        // server 0 sit unanswered: the establish deadline, not a blocked
+        // loop, is what ends the wait.
+        let timeout = Duration::from_millis(600);
+        let start = Instant::now();
+        let errors = establish_errors(vec![b1, b2], &addrs, timeout);
+        assert!(start.elapsed() < timeout + Duration::from_millis(400));
+        for error in errors {
+            assert_eq!(error.kind(), std::io::ErrorKind::TimedOut);
+            let text = error.to_string();
+            let missing = "dialing servers [0], waiting for servers [] to dial in";
+            assert!(text.contains(missing), "only the 1–2 link came up: {text}");
+        }
+    }
+
+    /// A replacement launched with the wrong `--servers` is refused on every
+    /// redial; when the survivor finally gives the peer up, the terminal
+    /// error says why instead of a bare disconnect.
+    #[test]
+    fn terminal_loss_names_the_last_refused_hello() {
+        let (bound, addrs) = bind_cluster(2);
+        let config = ResilienceConfig {
+            reconnect_deadline: Duration::from_millis(400),
+            ..ResilienceConfig::default()
+        };
+        let mut planes = establish_all(bound, &addrs, &config);
+        let p1 = planes.pop().unwrap();
+        let mut p0 = planes.pop().unwrap();
+        p1.crash();
+        // The impostor believes in a 3-server cluster.
+        let wrong = PollPlane::bind(1, 3, "127.0.0.1:0").unwrap();
+        let wrong_addrs = [addrs[0], wrong.local_addr().unwrap(), addrs[0]];
+        let refused = wrong.establish_with_timeout(&wrong_addrs, Duration::from_millis(300));
+        assert!(refused.is_err());
+        p0.end_superstep(0).unwrap();
+        match p0.collect(0) {
+            Err(PlaneError::Protocol(text)) => {
+                assert!(text.starts_with("server 1: "), "{text}");
+                assert!(
+                    text.contains("peer believes the cluster has 3 servers, this node 2"),
+                    "{text}"
+                );
+            }
+            other => panic!("expected an attributed protocol error, got {other:?}"),
+        }
     }
 
     /// Discover the book from `seed`, then establish against it.
@@ -1963,7 +1893,6 @@ mod tests {
         let seed = addrs[0];
         let survivor_config = ResilienceConfig {
             reconnect_deadline: Duration::from_secs(10),
-            retry_backoff: Duration::from_millis(10),
             ..ResilienceConfig::default()
         };
         let victim_config = ResilienceConfig {

@@ -12,8 +12,8 @@
 //!   by superstep; on reconnect the log replays everything from the peer's
 //!   requested cursor, and incoming [`crate::frame::Frame::Ack`]s trim the
 //!   prefix every peer has durably applied.
-//! * [`ResilienceConfig`] — retry/backoff/deadline policy plus the
-//!   deterministic handshake-fault injection the chaos suite drives.
+//! * [`ResilienceConfig`] — the three values of recovery policy a caller can
+//!   set: reconnect deadline, resume cursor, live membership.
 //!
 //! The normative byte spec lives in `docs/WIRE.md` §9; this module is the
 //! reference implementation.
@@ -212,8 +212,16 @@ impl ReplayLog {
     /// Retain `batch`, whole frames broadcast for `superstep`.
     /// Appends must come in non-decreasing superstep order — the broadcast
     /// path is serial per endpoint, so they do.
+    ///
+    /// A superstep below the floor is not retained, for nobody can ever ask
+    /// for it: a restarted server re-executing from its checkpoint
+    /// re-broadcasts supersteps every peer has long acknowledged (their
+    /// repeated acks raise the floor on reconnect), and once every peer is
+    /// forgotten the floor is past everything.
     pub fn append(&mut self, superstep: u32, batch: Arc<PooledBuf>) {
-        debug_assert!(superstep >= self.trimmed_until);
+        if superstep < self.trimmed_until {
+            return;
+        }
         debug_assert!(self
             .entries
             .back()
@@ -305,45 +313,17 @@ impl ReplayLog {
     }
 }
 
-/// Deterministic handshake sabotage for the chaos suite, applied to a dial
-/// attempt *instead of* the honest hello.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandshakeFault {
-    /// Write only the first `bytes` of the hello, then close (a torn hello).
-    Torn {
-        /// Bytes of the hello actually written before the tear.
-        bytes: usize,
-    },
-    /// Write the hello twice back to back (a duplicated hello — the second
-    /// copy desynchronizes a naive acceptor).
-    Duplicate,
-    /// Connect and close without writing anything (a dropped hello).
-    Drop,
-}
-
-/// Policy knobs of the TCP plane's recovery machinery.
+/// The recovery policy of one TCP endpoint: what differs between callers.
+/// (Redial pacing does not — see [`crate::fabric::RETRY_BACKOFF`].)
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// How long a cut peer may stay down before the terminal
     /// [`crate::frame::InboxEvent::PeerLost`] fires.
     pub reconnect_deadline: Duration,
-    /// Base pause between reconnect attempts; attempt `k` waits a jittered
-    /// `min(retry_backoff · 2^k, retry_backoff_cap)` (see
-    /// [`crate::membership::ReconnectBackoff`]).
-    pub retry_backoff: Duration,
-    /// Ceiling of the exponential redial backoff. Clamped to
-    /// `reconnect_deadline` — a single sleep longer than the whole redial
-    /// window could never fire.
-    pub retry_backoff_cap: Duration,
     /// The superstep this endpoint resumes from (0 for a fresh start; a
     /// restarted server passes its checkpoint cursor). Sent in every
     /// [`ResumeHello`] and used to seed the per-peer receive cursors.
     pub resume_from: u32,
-    /// Chaos: sabotage dial-side hellos this way...
-    pub handshake_fault: Option<HandshakeFault>,
-    /// ...for this many dial attempts in total (then dial honestly, so every
-    /// faulted reconnect still terminates).
-    pub handshake_fault_budget: u32,
     /// The live membership state from seed discovery
     /// ([`crate::membership::MembershipView::handle`]). When set, redials
     /// re-consult the gossiped address book before every attempt (adopting a
@@ -357,11 +337,7 @@ impl Default for ResilienceConfig {
     fn default() -> Self {
         Self {
             reconnect_deadline: Duration::from_secs(30),
-            retry_backoff: Duration::from_millis(50),
-            retry_backoff_cap: Duration::from_secs(1),
             resume_from: 0,
-            handshake_fault: None,
-            handshake_fault_budget: 0,
             membership: None,
         }
     }
@@ -375,18 +351,6 @@ impl ResilienceConfig {
             resume_from: superstep,
             ..Self::default()
         }
-    }
-
-    /// The redial backoff schedule for the link `own → peer`: exponential
-    /// from `retry_backoff`, capped by `retry_backoff_cap` (itself clamped
-    /// to the reconnect deadline), deterministically jittered per link.
-    pub fn backoff_for(
-        &self,
-        own: ServerId,
-        peer: ServerId,
-    ) -> crate::membership::ReconnectBackoff {
-        let cap = self.retry_backoff_cap.min(self.reconnect_deadline);
-        crate::membership::ReconnectBackoff::seeded_for(self.retry_backoff, cap, own, peer)
     }
 
     /// The address to dial `peer` at right now: the gossiped book's entry

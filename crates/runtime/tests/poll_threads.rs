@@ -3,15 +3,28 @@
 //! event-loop thread to the process, and dropping it joins that thread again
 //! (no lingering transport threads — the clean-shutdown half of the contract).
 //!
-//! This lives in its own test binary, as a **single** `#[test]`, on purpose:
-//! OS thread counts are process-wide, so the assertions must not race other
-//! tests in the same process — neither this crate's parallel unit tests nor
-//! a sibling `#[test]` running on another libtest thread.
+//! What is counted is the contract's subject — threads named
+//! `graphh-poll-loop-*` — not the process-wide thread total, which races the
+//! reaping of scoped threads under a loaded `cargo test --workspace`. It
+//! still lives in its own test binary, as a **single** `#[test]`: any other
+//! test establishing a plane in the same process would add loop threads of
+//! its own.
 
-use graphh_runtime::poll::os_thread_count;
 use graphh_runtime::{BoundPollPlane, BroadcastPlane, PollPlane};
 use std::net::SocketAddr;
 use std::thread;
+
+/// How many event-loop threads this process runs right now: threads whose
+/// `/proc/self/task/*/comm` carries the loop's name (the kernel keeps 15
+/// bytes of `graphh-poll-loop-{id}`); `None` where that is unavailable.
+fn event_loop_thread_count() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let loops = tasks.filter_map(Result::ok).filter(|task| {
+        std::fs::read_to_string(task.path().join("comm"))
+            .is_ok_and(|comm| comm.starts_with("graphh-poll-loo"))
+    });
+    Some(loops.count())
+}
 
 fn establish_cluster(n: u32) -> Vec<PollPlane> {
     let bound: Vec<BoundPollPlane> = (0..n)
@@ -35,18 +48,18 @@ fn establish_cluster(n: u32) -> Vec<PollPlane> {
 /// (c) dropping them joins every transport thread.
 #[test]
 fn poll_plane_threading_contract() {
-    let Some(baseline) = os_thread_count() else {
-        eprintln!("skipping: no /proc/self/status thread count on this platform");
+    let Some(baseline) = event_loop_thread_count() else {
+        eprintln!("skipping: no /proc/self/task thread names on this platform");
         return;
     };
+    assert_eq!(baseline, 0, "no plane exists yet");
 
     let servers = 4u32;
     let mut planes = establish_cluster(servers);
-    // Establishment's scoped threads are joined by now; what remains is one
-    // event-loop thread per endpoint — NOT one per peer connection (which
+    // One event-loop thread per endpoint — NOT one per peer connection (which
     // would be servers * (servers - 1)).
     assert_eq!(
-        os_thread_count().unwrap(),
+        event_loop_thread_count().unwrap(),
         baseline + servers as usize,
         "{servers} poll endpoints must add exactly {servers} event-loop threads"
     );
@@ -62,13 +75,15 @@ fn poll_plane_threading_contract() {
             });
         }
     });
-    // The exchange ran on worker threads that are joined again; the loop
-    // thread count is unchanged.
-    assert_eq!(os_thread_count().unwrap(), baseline + servers as usize);
+    // The exchange ran on worker threads; the loop thread count is unchanged.
+    assert_eq!(
+        event_loop_thread_count().unwrap(),
+        baseline + servers as usize
+    );
 
     drop(planes);
     assert_eq!(
-        os_thread_count().unwrap(),
+        event_loop_thread_count().unwrap(),
         baseline,
         "dropping every plane must join every event-loop thread"
     );

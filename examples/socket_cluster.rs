@@ -19,7 +19,6 @@ use graphh::core::exec::ExecutionPlan;
 use graphh::core::registry::{find_program, program_names, ProgramContext, ProgramOptions};
 use graphh::obs::Tracer;
 use graphh::prelude::*;
-use graphh::runtime::poll::os_thread_count;
 use graphh::runtime::{run_worker, BoundPollPlane, BroadcastPlane, PollPlane, WorkerOptions};
 use std::net::SocketAddr;
 use std::sync::mpsc::channel;
@@ -76,6 +75,17 @@ fn run_cluster(
     replicas
 }
 
+/// Event-loop threads alive in this process (`graphh-poll-loop-{id}`, of
+/// which the kernel's `comm` keeps 15 bytes); `None` without `/proc`.
+fn event_loop_thread_count() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let loops = tasks.filter_map(Result::ok).filter(|task| {
+        std::fs::read_to_string(task.path().join("comm"))
+            .is_ok_and(|comm| comm.starts_with("graphh-poll-loo"))
+    });
+    Some(loops.count())
+}
+
 fn main() {
     let kernel = std::env::args().nth(1).unwrap_or_else(|| "pagerank".into());
     let spec = find_program(&kernel).unwrap_or_else(|| {
@@ -120,9 +130,9 @@ fn main() {
             .run(&partitioned, program)
             .unwrap();
 
-    // Snapshot the thread count so clean shutdown below is *asserted*, not
-    // assumed (None on platforms without /proc).
-    let baseline_threads = os_thread_count();
+    // Snapshot the event-loop thread count so clean shutdown below is
+    // *asserted*, not assumed (None on platforms without /proc).
+    let baseline_threads = event_loop_thread_count();
 
     let replicas = run_cluster(&config, &plan, &partitioned, program);
 
@@ -142,10 +152,10 @@ fn main() {
 
     // Clean shutdown: the planes (and their event-loop threads) are gone —
     // the thread count is back to the pre-cluster baseline.
-    match (baseline_threads, os_thread_count()) {
+    match (baseline_threads, event_loop_thread_count()) {
         (Some(before), Some(after)) => {
             assert_eq!(after, before, "lingering transport threads after the run");
-            println!("clean shutdown: thread count back to {before}");
+            println!("clean shutdown: event-loop thread count back to {before}");
         }
         _ => println!("clean shutdown check skipped (no /proc thread count)"),
     }
