@@ -12,9 +12,9 @@ pub fn compute_degrees(num_vertices: VertexCount, edges: &EdgeList) -> (Vec<u32>
     let n = num_vertices as usize;
     let mut in_deg = vec![0u32; n];
     let mut out_deg = vec![0u32; n];
-    for i in 0..edges.len() {
-        out_deg[edges.sources()[i] as usize] += 1;
-        in_deg[edges.targets()[i] as usize] += 1;
+    for (&src, &dst) in edges.sources().iter().zip(edges.targets()) {
+        out_deg[src as usize] += 1;
+        in_deg[dst as usize] += 1;
     }
     (in_deg, out_deg)
 }

@@ -184,24 +184,16 @@ impl EdgeList {
     /// The number of bytes a plain-text CSV edge list of this graph would occupy.
     /// Used for the "Edge List (CSV)" column of Tables I, IV and V.
     pub fn csv_size_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for e in self.iter() {
-            // "src,dst\n" (plus ",w" when weighted)
-            total += digits(e.src) + 1 + digits(e.dst) + 1;
-            if self.is_weighted() {
-                total += 4; // e.g. "1.5,"-style short weights
-            }
-        }
-        total
+        // "src,dst\n" (plus ",w" when weighted, e.g. "1.5,"-style short weights)
+        let separators = if self.is_weighted() { 2 + 4 } else { 2 };
+        let id_digits: u64 = self.srcs.iter().chain(&self.dsts).map(|&v| digits(v)).sum();
+        id_digits + separators * self.len() as u64
     }
 }
 
+/// Decimal digits of `v` (`0` prints as one).
 fn digits(v: u32) -> u64 {
-    if v == 0 {
-        1
-    } else {
-        (v as f64).log10().floor() as u64 + 1
-    }
+    u64::from(v.checked_ilog10().map_or(1, |log| log + 1))
 }
 
 impl FromIterator<Edge> for EdgeList {
@@ -275,6 +267,36 @@ mod tests {
         let mut list = EdgeList::new_unweighted();
         list.push(Edge::new(10, 3)); // "10,3\n" = 5 bytes
         assert_eq!(list.csv_size_bytes(), 5);
+    }
+
+    #[test]
+    fn digits_agree_with_printing_at_every_power_of_ten() {
+        let mut probes = vec![0u32, u32::MAX];
+        for exp in 1..=9 {
+            let pow = 10u32.pow(exp);
+            probes.extend([pow - 1, pow]);
+        }
+        for v in probes {
+            assert_eq!(digits(v), v.to_string().len() as u64, "digits({v})");
+        }
+    }
+
+    #[test]
+    fn csv_size_is_the_length_of_the_printed_file() {
+        use crate::generators::{GraphGenerator, RmatGenerator};
+        let g = RmatGenerator::new(11, 4).generate(5);
+        let printed: usize = g
+            .edges()
+            .iter()
+            .map(|e| format!("{},{}\n", e.src, e.dst).len())
+            .sum();
+        assert_eq!(g.edges().csv_size_bytes(), printed as u64);
+
+        // Weighted lists charge a fixed four bytes per weight field.
+        let mut weighted = EdgeList::new_weighted();
+        weighted.push(Edge::weighted(10, 3, 1.5));
+        weighted.push(Edge::weighted(0, 1234, 2.0));
+        assert_eq!(weighted.csv_size_bytes(), (5 + 4) + (7 + 4));
     }
 
     #[test]

@@ -57,10 +57,10 @@ impl Graph {
     ///
     /// Edges referring to vertices `>= num_vertices` are rejected.
     pub fn from_edges(num_vertices: VertexCount, edges: EdgeList) -> Result<Self, GraphError> {
-        for e in edges.iter() {
-            if u64::from(e.src) >= num_vertices || u64::from(e.dst) >= num_vertices {
+        for (&src, &dst) in edges.sources().iter().zip(edges.targets()) {
+            if u64::from(src.max(dst)) >= num_vertices {
                 return Err(GraphError::VertexOutOfRange {
-                    vertex: e.src.max(e.dst),
+                    vertex: src.max(dst),
                     num_vertices,
                 });
             }

@@ -1,17 +1,22 @@
 //! The pre-processing engine ("SPE", paper §III-B, Algorithm 4).
 //!
-//! The original system runs three Spark map-reduce jobs; here the same three logical
-//! passes run as data-parallel steps over the in-memory edge list, on a
-//! [`graphh_pool::WorkerPool`] (the same persistent pool substrate the engine's
-//! tile phases run on):
+//! The original system runs three Spark map-reduce jobs; here the same three
+//! logical passes are three linear passes over the in-memory edge list — a
+//! counting sort keyed by target vertex, the degree-count → prefix-sum →
+//! scatter CSR build of the GAP benchmark suite:
 //!
-//! 1. degree counting,
+//! 1. degree counting ([`Graph`] already holds both arrays),
 //! 2. splitter construction from the in-degree array,
-//! 3. grouping edges by tile — contiguous edge-list chunks are bucketed per
-//!    tile in parallel and the per-chunk buckets merged **in chunk order**
-//!    (preserving the original edge order, so the output is bit-identical to
-//!    a single sequential pass) — and encoding each tile as CSR, one tile per
-//!    pool item.
+//! 3. grouping edges by tile: the exclusive prefix sum of the in-degree array
+//!    is every target's first slot, one sequential pass scatters each edge's
+//!    source (and weight, if the graph has weights) to its target's next
+//!    slot, and tile `t` is then the contiguous slice its target range
+//!    `[lo, hi)` covers. Each tile — sort every target's run by source id,
+//!    cut the offsets — is one item on a [`graphh_pool::WorkerPool`] (the
+//!    same persistent pool substrate the engine's tile phases run on).
+//!
+//! The scatter is sequential and the tiles are disjoint slices, so the output
+//! does not depend on the pool size.
 //!
 //! The output — tiles plus the in/out-degree arrays — can be persisted to the DFS
 //! once and reused by every vertex-centric program, exactly like the paper's
@@ -73,9 +78,29 @@ pub struct PartitionedGraph {
 #[derive(Debug, Default)]
 pub struct Spe;
 
-/// Floor on edges per bucketing chunk: below this, the per-chunk bucket
-/// allocation outweighs the parallelism.
-const MIN_EDGES_PER_CHUNK: usize = 8 * 1024;
+/// Every edge's source — with its weight when the graph has weights — grouped
+/// by target vertex, in edge-list order within a target.
+enum Grouped {
+    Unweighted(Vec<VertexId>),
+    Weighted(Vec<(VertexId, f32)>),
+}
+
+/// The scatter pass of the counting sort: `items[i]` goes to the next free
+/// slot of `targets[i]`, where target `v`'s slots start at `first[v]`.
+fn scatter<T: Copy + Default>(
+    first: &[usize],
+    targets: &[VertexId],
+    items: impl Iterator<Item = T>,
+) -> Vec<T> {
+    let mut next = first.to_vec();
+    let mut grouped = vec![T::default(); targets.len()];
+    for (&dst, item) in targets.iter().zip(items) {
+        let slot = &mut next[dst as usize];
+        grouped[*slot] = item;
+        *slot += 1;
+    }
+    grouped
+}
 
 impl Spe {
     /// Partition a graph into tiles (stage one of GraphH's two-stage
@@ -87,9 +112,9 @@ impl Spe {
         Self::partition_with_pool(graph, config, &WorkerPool::with_host_parallelism())
     }
 
-    /// Partition a graph into tiles using the caller's worker pool for the
-    /// data-parallel passes. The result is bit-identical for any pool size
-    /// (chunked bucketing merges in chunk order, tiles are built per index).
+    /// Partition a graph into tiles, building the tiles on the caller's
+    /// worker pool. The result is bit-identical for any pool size (the
+    /// scatter is sequential, tiles are built per index).
     pub fn partition_with_pool(
         graph: &Graph,
         config: &SpeConfig,
@@ -104,60 +129,55 @@ impl Spe {
         let out_degrees = graph.out_degrees().to_vec();
         let splitter = Splitter::from_in_degrees(&in_degrees, config.avg_tile_size)?;
 
-        // Group edges by tile: contiguous edge-list chunks are bucketed in
-        // parallel, then the per-chunk buckets are merged in chunk order —
-        // chunks partition the edge list in order, so every tile sees its
-        // edges in exactly the order a single sequential pass would produce.
-        let num_tiles = splitter.num_tiles() as usize;
-        let edges = graph.edges();
-        let num_edges = edges.len();
-        let num_chunks = (pool.threads() * 4)
-            .min(num_edges.div_ceil(MIN_EDGES_PER_CHUNK))
-            .max(1);
-        let chunk_len = num_edges.div_ceil(num_chunks);
-        let chunked: Vec<Vec<Vec<(VertexId, VertexId, f32)>>> =
-            pool.fork_join_ordered(num_chunks, |c| {
-                let start = c * chunk_len;
-                let end = ((c + 1) * chunk_len).min(num_edges);
-                let mut buckets: Vec<Vec<(VertexId, VertexId, f32)>> = vec![Vec::new(); num_tiles];
-                for i in start..end {
-                    let e = edges.get(i);
-                    buckets[splitter.tile_of(e.dst) as usize].push((e.src, e.dst, e.weight));
-                }
-                buckets
-            });
-        let mut per_tile_edges: Vec<Vec<(VertexId, VertexId, f32)>> = vec![Vec::new(); num_tiles];
-        for buckets in chunked {
-            for (t, mut bucket) in buckets.into_iter().enumerate() {
-                if per_tile_edges[t].is_empty() {
-                    // Common case (few chunks): steal the allocation.
-                    per_tile_edges[t] = std::mem::take(&mut bucket);
-                } else {
-                    per_tile_edges[t].extend_from_slice(&bucket);
-                }
-            }
+        // Target v's in-edges occupy first[v]..first[v + 1] once grouped.
+        let mut first = Vec::with_capacity(in_degrees.len() + 1);
+        let mut total = 0usize;
+        first.push(total);
+        for &d in &in_degrees {
+            total += d as usize;
+            first.push(total);
         }
+        let edges = graph.edges();
+        let sources = edges.sources().iter().copied();
+        let grouped = match edges.weights() {
+            None => Grouped::Unweighted(scatter(&first, edges.targets(), sources)),
+            Some(weights) => Grouped::Weighted(scatter(
+                &first,
+                edges.targets(),
+                sources.zip(weights.iter().copied()),
+            )),
+        };
 
-        // Encode each tile as CSR, one pool item per tile.
-        let weighted = graph.is_weighted();
-        let per_tile_edges = &per_tile_edges;
-        let tiles: Vec<Tile> = pool.fork_join_ordered(num_tiles, |t| {
+        // One pool item per tile: copy the tile's slice out, sort each
+        // target's run by source id (deterministic output and better delta
+        // compression) and cut the offsets relative to the tile.
+        let tiles = pool.fork_join_ordered(splitter.num_tiles() as usize, |t| {
             let (lo, hi) = splitter.tile_range(t as TileId);
-            let mut adjacency: Vec<Vec<(VertexId, f32)>> = vec![Vec::new(); (hi - lo) as usize];
-            for &(src, dst, w) in &per_tile_edges[t] {
-                adjacency[(dst - lo) as usize].push((src, w));
-            }
-            // Sort each adjacency list by source id: deterministic output and
-            // better delta compression.
-            for list in &mut adjacency {
-                list.sort_unstable_by_key(|&(s, _)| s);
-            }
-            Tile::from_adjacency(t as TileId, lo, &adjacency, weighted)
+            let (start, end) = (first[lo as usize], first[hi as usize]);
+            let offsets: Vec<u64> = first[lo as usize..=hi as usize]
+                .iter()
+                .map(|&slot| (slot - start) as u64)
+                .collect();
+            let runs = offsets.windows(2).map(|w| w[0] as usize..w[1] as usize);
+            let (sources, weights) = match &grouped {
+                Grouped::Unweighted(all) => {
+                    let mut sources = all[start..end].to_vec();
+                    runs.for_each(|run| sources[run].sort_unstable());
+                    (sources, None)
+                }
+                Grouped::Weighted(all) => {
+                    let mut pairs = all[start..end].to_vec();
+                    runs.for_each(|run| pairs[run].sort_unstable_by_key(|&(s, _)| s));
+                    let (sources, weights) = pairs.into_iter().unzip();
+                    (sources, Some(weights))
+                }
+            };
+            Tile::from_csr(t as TileId, lo, hi, offsets, sources, weights)
         });
 
         Ok(PartitionedGraph {
             graph_name: config.graph_name.clone(),
-            tiles,
+            tiles: tiles.into_iter().collect::<Result<_>>()?,
             splitter,
             in_degrees,
             out_degrees,
@@ -233,10 +253,20 @@ impl PartitionedGraph {
         tiles.sort_by_key(|t| t.tile_id);
         let in_degrees = decode_u32_array(&dfs.get(&format!("{graph_name}/degrees/in.bin"))?)?;
         let out_degrees = decode_u32_array(&dfs.get(&format!("{graph_name}/degrees/out.bin"))?)?;
-        let splitter = Splitter::from_in_degrees(
-            &in_degrees,
-            tiles.iter().map(Tile::num_edges).max().unwrap_or(1).max(1),
-        )?;
+        // The splitter that cut the tiles is their own target ranges, laid
+        // end to end: ids dense from 0, no gap, no overlap, up to |V|.
+        let mut boundaries = vec![0];
+        for (expected_id, tile) in tiles.iter().enumerate() {
+            if tile.tile_id as usize != expected_id || tile.target_start != boundaries[expected_id]
+            {
+                return Err(PartitionError::Corrupt(format!(
+                    "tile {} covers [{}, {}) where tile {expected_id} starting at {} was expected",
+                    tile.tile_id, tile.target_start, tile.target_end, boundaries[expected_id]
+                )));
+            }
+            boundaries.push(tile.target_end);
+        }
+        let splitter = Splitter::from_boundaries(boundaries, in_degrees.len() as u64)?;
         let num_edges: u64 = tiles.iter().map(Tile::num_edges).sum();
         let num_vertices = in_degrees.len() as u64;
         let stats = GraphStats {
@@ -292,7 +322,8 @@ fn decode_u32_array(data: &[u8]) -> Result<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphh_graph::generators::{GraphGenerator, RmatGenerator};
+    use graphh_graph::generators::{grid_graph, GraphGenerator, RmatGenerator};
+    use graphh_graph::Edge;
     use graphh_storage::{DfsConfig, MemoryBackend};
 
     fn partitioned(avg_tile_size: u64) -> (Graph, PartitionedGraph) {
@@ -347,17 +378,55 @@ mod tests {
         }
     }
 
+    /// Every tile and the splitter come back. `load` used to re-cut a splitter
+    /// from the largest tile's edge count — 12 tiles for these 19 — so
+    /// `tile_of` on a loaded graph lied.
     #[test]
     fn persist_and_load_roundtrip() {
-        let (_, p) = partitioned(400);
+        let (_, p) = partitioned(200);
+        assert_eq!(p.num_tiles(), 19);
         let dfs = Dfs::new(MemoryBackend::new(), DfsConfig::default()).unwrap();
         p.persist(&dfs).unwrap();
         let loaded = PartitionedGraph::load(&dfs, "rmat9").unwrap();
-        assert_eq!(loaded.num_tiles(), p.num_tiles());
         assert_eq!(loaded.num_edges(), p.num_edges());
         assert_eq!(loaded.in_degrees, p.in_degrees);
         assert_eq!(loaded.out_degrees, p.out_degrees);
-        assert_eq!(loaded.tiles[0], p.tiles[0]);
+        assert_eq!(loaded.tiles, p.tiles);
+        assert_eq!(loaded.splitter, p.splitter);
+    }
+
+    #[test]
+    fn load_rejects_tiles_that_do_not_tile_the_vertex_range() {
+        let (_, p) = partitioned(200);
+        let corrupted = |damage: &dyn Fn(&Dfs<MemoryBackend>)| {
+            let dfs = Dfs::new(MemoryBackend::new(), DfsConfig::default()).unwrap();
+            p.persist(&dfs).unwrap();
+            damage(&dfs);
+            match PartitionedGraph::load(&dfs, "rmat9") {
+                Err(PartitionError::Corrupt(message)) => message,
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        };
+        let key = |t| Tile::storage_key("rmat9", t);
+        let hollow = |id, lo, hi: u32| {
+            Tile::from_adjacency(id, lo, &vec![Vec::new(); (hi - lo) as usize], false).to_bytes()
+        };
+        // A missing tile in the middle: ids are no longer dense.
+        assert!(corrupted(&|dfs| dfs.delete(&key(7)).unwrap()).contains("where tile 7"));
+        // The last tile missing: ids dense, ranges stop short of |V|.
+        assert!(corrupted(&|dfs| dfs.delete(&key(18)).unwrap()).contains("do not cut"));
+        // A tile one target short: a gap before its successor.
+        let (lo, hi) = p.splitter.tile_range(3);
+        let short = hollow(3, lo, hi - 1);
+        assert!(corrupted(&|dfs| drop(dfs.put(&key(3), &short).unwrap())).contains("where tile 4"));
+        // One target long: an overlap.
+        let long = hollow(3, lo, hi + 1);
+        assert!(corrupted(&|dfs| drop(dfs.put(&key(3), &long).unwrap())).contains("where tile 4"));
+        // A tile filed under another's id.
+        let misfiled = hollow(5, lo, hi);
+        assert!(
+            corrupted(&|dfs| drop(dfs.put(&key(3), &misfiled).unwrap())).contains("where tile 3")
+        );
     }
 
     #[test]
@@ -379,9 +448,104 @@ mod tests {
         assert!(Spe::partition(&g, &SpeConfig::new("x", 0)).is_err());
     }
 
-    /// The data-parallel bucketing must be invisible: any pool size yields
-    /// byte-for-byte the tiles a sequential pass produces (chunk-order merge
-    /// preserves edge order, so even equal-key sort outcomes match).
+    /// The grouping as it stood before the counting sort: every edge bucketed
+    /// by a `tile_of` binary search, then per tile one `Vec<(src, w)>` per
+    /// target vertex, sorted by source, through `Tile::from_adjacency`. Kept
+    /// as the oracle the live kernel is compared with.
+    fn reference_tiles(graph: &Graph, splitter: &Splitter) -> Vec<Tile> {
+        let mut per_tile: Vec<Vec<(VertexId, VertexId, f32)>> =
+            vec![Vec::new(); splitter.num_tiles() as usize];
+        for e in graph.edges().iter() {
+            per_tile[splitter.tile_of(e.dst) as usize].push((e.src, e.dst, e.weight));
+        }
+        per_tile
+            .iter()
+            .enumerate()
+            .map(|(t, tile_edges)| {
+                let (lo, hi) = splitter.tile_range(t as TileId);
+                let mut adjacency: Vec<Vec<(VertexId, f32)>> = vec![Vec::new(); (hi - lo) as usize];
+                for &(src, dst, w) in tile_edges {
+                    adjacency[(dst - lo) as usize].push((src, w));
+                }
+                for list in &mut adjacency {
+                    list.sort_unstable_by_key(|&(s, _)| s);
+                }
+                Tile::from_adjacency(t as TileId, lo, &adjacency, graph.is_weighted())
+            })
+            .collect()
+    }
+
+    fn graph_of(num_vertices: u64, edges: impl IntoIterator<Item = Edge>) -> Graph {
+        Graph::from_edges(num_vertices, edges.into_iter().collect()).unwrap()
+    }
+
+    #[test]
+    fn counting_sort_matches_the_nested_vec_reference_tile_for_tile() {
+        let cases: Vec<(&str, Graph, u64)> = vec![
+            ("rmat", RmatGenerator::new(9, 8).generate(17), 200),
+            (
+                "rmat, one tile",
+                RmatGenerator::new(6, 4).generate(1),
+                1 << 20,
+            ),
+            ("grid", grid_graph(12, 9), 40),
+            (
+                // Every (src, dst) pair repeats with a different weight: the
+                // order of equal sources within a target is on the line.
+                "weighted multigraph",
+                graph_of(
+                    24,
+                    (0..900u32).map(|i| Edge::weighted((i * 7) % 5, (i * 11) % 23, i as f32 * 0.5)),
+                ),
+                60,
+            ),
+            (
+                "hub past the tile size",
+                graph_of(
+                    40,
+                    (0..400u32).map(|i| Edge::new(i % 40, if i % 4 == 0 { i % 40 } else { 17 })),
+                ),
+                25,
+            ),
+            (
+                // Targets 0..5, 10..15 and 25..30 have no in-edges, and the
+                // tile size closes a tile right before and after such a run.
+                "zero in-degree runs at tile edges",
+                graph_of(
+                    30,
+                    (0..100u32).map(|i| {
+                        Edge::new(i % 30, if i % 2 == 0 { 5 + i % 5 } else { 15 + i % 10 })
+                    }),
+                ),
+                10,
+            ),
+            (
+                "single-vertex tiles",
+                graph_of(16, (0..64u32).map(|i| Edge::new((i * 5) % 16, i % 16))),
+                1,
+            ),
+            ("vertices, no edges", graph_of(9, []), 4),
+            ("no vertices", graph_of(0, []), 4),
+        ];
+        for (what, graph, avg_tile_size) in cases {
+            let config = SpeConfig::new(what, avg_tile_size);
+            let mut reference = None;
+            for threads in [1usize, 2, 4, 8] {
+                let p =
+                    Spe::partition_with_pool(&graph, &config, &WorkerPool::new(threads)).unwrap();
+                let want = reference.get_or_insert_with(|| reference_tiles(&graph, &p.splitter));
+                assert_eq!(p.tiles.len(), want.len(), "{what}, {threads} threads");
+                for (got, want) in p.tiles.iter().zip(want.iter()) {
+                    let tile = want.tile_id;
+                    assert_eq!(got, want, "{what}: tile {tile}, {threads} threads");
+                    assert_eq!(got.to_bytes(), want.to_bytes(), "{what}: tile {tile} bytes");
+                }
+            }
+        }
+    }
+
+    /// The pool must be invisible: any pool size yields byte-for-byte the
+    /// same tiles (the scatter is sequential; tiles are disjoint slices).
     #[test]
     fn partition_is_identical_for_any_pool_size() {
         let g = RmatGenerator::new(9, 8).generate(17);

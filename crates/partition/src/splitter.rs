@@ -45,6 +45,24 @@ impl Splitter {
         Ok(Self { boundaries })
     }
 
+    /// Rebuild a splitter from the boundaries it cut — what loading persisted
+    /// tiles has, rather than the `avg_tile_size` that produced them. The
+    /// first boundary must be 0, the last `num_vertices`, and every tile
+    /// non-empty (strictly increasing), except that a graph without vertices
+    /// keeps its one empty tile `[0, 0]`.
+    pub fn from_boundaries(boundaries: Vec<VertexId>, num_vertices: u64) -> Result<Self> {
+        let ends_fit = boundaries.len() >= 2
+            && boundaries[0] == 0
+            && u64::from(boundaries[boundaries.len() - 1]) == num_vertices;
+        let rises = boundaries.windows(2).all(|w| w[0] < w[1]) || boundaries == [0, 0];
+        if !(ends_fit && rises) {
+            return Err(PartitionError::Corrupt(format!(
+                "tile boundaries {boundaries:?} do not cut 0..{num_vertices} into consecutive ranges"
+            )));
+        }
+        Ok(Self { boundaries })
+    }
+
     /// Build a splitter that produces (about) `num_tiles` tiles.
     pub fn with_tile_count(in_degrees: &[u32], num_tiles: u32) -> Result<Self> {
         if num_tiles == 0 {
@@ -169,6 +187,33 @@ mod tests {
     fn zero_tile_size_rejected() {
         assert!(Splitter::from_in_degrees(&[1, 2, 3], 0).is_err());
         assert!(Splitter::with_tile_count(&[1, 2, 3], 0).is_err());
+    }
+
+    #[test]
+    fn from_boundaries_accepts_what_from_in_degrees_cuts_and_nothing_else() {
+        let in_deg = vec![5u32, 0, 3, 2, 7, 1];
+        let cut = Splitter::from_in_degrees(&in_deg, 6).unwrap();
+        let rebuilt = Splitter::from_boundaries(cut.boundaries().to_vec(), 6).unwrap();
+        assert_eq!(rebuilt, cut);
+        let empty = Splitter::from_in_degrees(&[], 10).unwrap();
+        assert_eq!(
+            Splitter::from_boundaries(empty.boundaries().to_vec(), 0).unwrap(),
+            empty
+        );
+        for (bad, n) in [
+            (vec![], 0),
+            (vec![0], 0),
+            (vec![1, 4, 6], 6),
+            (vec![0, 4, 5], 6),
+            (vec![0, 4, 4, 6], 6),
+            (vec![0, 4, 3, 6], 6),
+            (vec![0, 0, 6], 6),
+        ] {
+            assert!(
+                Splitter::from_boundaries(bad.clone(), n).is_err(),
+                "{bad:?} over {n} vertices"
+            );
+        }
     }
 
     #[test]

@@ -87,6 +87,59 @@ impl Tile {
         }
     }
 
+    /// Build a tile from finished CSR arrays — the form the SPE's counting
+    /// sort produces — checking what [`Tile::in_edges`] indexes on trust:
+    /// `offsets` has one entry per target plus one, starts at 0, never
+    /// decreases and ends at `sources.len()`; `weights`, when present, pairs
+    /// up with `sources`.
+    pub fn from_csr(
+        tile_id: TileId,
+        target_start: VertexId,
+        target_end: VertexId,
+        offsets: Vec<u64>,
+        sources: Vec<VertexId>,
+        weights: Option<Vec<f32>>,
+    ) -> Result<Self> {
+        let corrupt =
+            |what: String| Err(PartitionError::Corrupt(format!("tile {tile_id}: {what}")));
+        if target_end < target_start {
+            return corrupt(format!(
+                "target range [{target_start}, {target_end}) inverted"
+            ));
+        }
+        let num_targets = (target_end - target_start) as usize;
+        if offsets.len() != num_targets + 1 {
+            return corrupt(format!(
+                "{} offsets for {num_targets} targets",
+                offsets.len()
+            ));
+        }
+        if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
+            return corrupt("offsets do not start at 0 and rise".into());
+        }
+        if offsets[num_targets] != sources.len() as u64 {
+            return corrupt(format!(
+                "last offset {} but {} sources",
+                offsets[num_targets],
+                sources.len()
+            ));
+        }
+        if weights.as_ref().is_some_and(|w| w.len() != sources.len()) {
+            return corrupt(format!(
+                "weights do not pair up with {} sources",
+                sources.len()
+            ));
+        }
+        Ok(Self {
+            tile_id,
+            target_start,
+            target_end,
+            offsets,
+            sources,
+            weights,
+        })
+    }
+
     /// Number of target vertices covered by the tile.
     pub fn num_targets(&self) -> u32 {
         self.target_end - self.target_start
@@ -324,6 +377,49 @@ mod tests {
         let mut bad = bytes;
         bad[21] ^= 0x01; // first byte of num_edges
         assert!(Tile::from_bytes(&bad).is_err());
+    }
+
+    #[test]
+    fn from_csr_accepts_consistent_arrays_and_rejects_the_rest() {
+        let reference = sample_tile(true);
+        let offsets = vec![0u64, 2, 2, 5];
+        let sources = vec![1u32, 7, 1, 2, 3];
+        let weights = vec![0.5f32, 1.5, 2.0, 3.0, 4.0];
+        let build = |offsets: &[u64], sources: &[u32], weights: Option<&[f32]>| {
+            Tile::from_csr(
+                4,
+                10,
+                13,
+                offsets.to_vec(),
+                sources.to_vec(),
+                weights.map(<[f32]>::to_vec),
+            )
+        };
+        assert_eq!(
+            build(&offsets, &sources, Some(&weights)).unwrap(),
+            reference
+        );
+        assert_eq!(build(&offsets, &sources, None).unwrap(), sample_tile(false));
+
+        let rejected = |offsets: &[u64], sources: &[u32], weights: Option<&[f32]>| {
+            matches!(
+                build(offsets, sources, weights),
+                Err(PartitionError::Corrupt(_))
+            )
+        };
+        // One offset short, one long.
+        assert!(rejected(&offsets[..3], &sources[..2], None));
+        assert!(rejected(&[0, 2, 2, 5, 5], &sources, None));
+        // Not monotone; not starting at 0.
+        assert!(rejected(&[0, 3, 2, 5], &sources, None));
+        assert!(rejected(&[1, 2, 2, 5], &sources, None));
+        // Last offset is not the source count, either way.
+        assert!(rejected(&offsets, &sources[..4], None));
+        assert!(rejected(&[0, 2, 2, 4], &sources, None));
+        // Weights that do not pair up.
+        assert!(rejected(&offsets, &sources, Some(&weights[..4])));
+        // An inverted target range.
+        assert!(Tile::from_csr(0, 5, 4, vec![0], vec![], None).is_err());
     }
 
     #[test]

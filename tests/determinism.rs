@@ -823,3 +823,53 @@ fn lz_wire_and_cache_bytes_are_pinned() {
         assert_eq!(used, cache_bytes, "{codec:?}: compressed tile cache bytes");
     }
 }
+
+/// FNV-1a over a byte stream: the pins below need a stable hash, not a good one.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn tile_bytes_hash(p: &PartitionedGraph) -> u64 {
+    fnv1a(p.tiles.iter().flat_map(Tile::to_bytes))
+}
+
+/// Same seed, same graph, same tiles — at the facade, not implied by the
+/// wire/cache pins above. The values were taken from the generator and SPE
+/// as they stood before the branch-free sampler and the counting-sort SPE
+/// replaced them; whoever changes either on purpose re-pins here and says so.
+#[test]
+fn rmat_edges_and_tile_bytes_are_pinned() {
+    let g = RmatGenerator::new(10, 8).generate(SEEDS[0]);
+    let ids = g.edges().sources().iter().chain(g.edges().targets());
+    assert_eq!(
+        fnv1a(ids.flat_map(|v| v.to_le_bytes())),
+        0xe9fa_10cc_8854_49f9,
+        "RMAT(10, 8) edge list for seed {}",
+        SEEDS[0]
+    );
+    let p = Spe::partition(&g, &SpeConfig::with_tile_count("pin", &g, 16)).unwrap();
+    assert_eq!(p.num_tiles(), 16);
+    assert_eq!(
+        tile_bytes_hash(&p),
+        0x392d_9a0a_47b2_7e50,
+        "RMAT(10, 8) tile blobs"
+    );
+
+    // Repeated (src, dst) pairs with different weights: the order equal
+    // sources come out of the per-target sort is part of the tile format.
+    let mut edges = EdgeList::new_weighted();
+    for i in 0..600u32 {
+        let (src, dst) = ((i * 7) % 5, (i * 11) % 23);
+        edges.push(Edge::weighted(src, dst, i as f32 * 0.25));
+    }
+    let g = Graph::from_edges(24, edges).unwrap();
+    let p = Spe::partition(&g, &SpeConfig::new("pin-weighted", 50)).unwrap();
+    assert_eq!(p.num_tiles(), 12);
+    assert_eq!(
+        tile_bytes_hash(&p),
+        0x9b25_54cd_e4b1_8ec0,
+        "weighted multigraph tile blobs"
+    );
+}
