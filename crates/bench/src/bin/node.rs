@@ -32,15 +32,17 @@
 //! [`graphh_runtime::PollPlane`] (one event-loop thread per process) and the
 //! protocol always the fault-tolerant `GHHR` one (docs/WIRE.md).
 //!
-//! Instead of enumerating every peer, a node may bootstrap by **seed
-//! discovery** (see `docs/WIRE.md` §10): `--seed HOST:PORT` (repeatable)
-//! names any already-listening cluster member; the node dials a live seed,
-//! exchanges `GHHM` membership frames, and learns the full `server id →
-//! address` book before establishing. `--peers` and seed addresses are
-//! mutually exclusive — the static table and the gossiped book are
-//! alternative sources of truth. (`--seed` keeps its workload meaning too:
-//! a bare integer is the graph-generator RNG seed, a `host:port` value is a
-//! membership seed — the two value shapes never overlap.) In a seed-discovered
+//! Instead of enumerating every peer, a node may start by **seed discovery**
+//! (see `docs/WIRE.md` §10): `--seed HOST:PORT` (repeatable) names any
+//! cluster member, listening already or soon; the node announces itself to
+//! the seeds and to every address it learns, and has the full `server id →
+//! address` book from their `GHHM` replies while its links come up — one
+//! establishment, bounded as a whole by `--establish-timeout-secs`. `--peers`
+//! and seed addresses are mutually exclusive — the static table and the
+//! discovered book are alternative sources of truth. (`--seed` keeps its
+//! workload meaning too: a bare integer is the graph-generator RNG seed, a
+//! `host:port` value is a membership seed — the two value shapes never
+//! overlap.) In a seed-discovered
 //! cluster a replacement process for a dead id may bind a *different* port:
 //! it announces itself with a bumped incarnation, the book update gossips to
 //! every survivor, and redials converge on the new address mid-run.
@@ -55,7 +57,8 @@
 //! failure parks the link, the survivor redials (or accepts a redial) with
 //! the `GHHR` resume handshake, and retained frames are replayed. Starting
 //! up is the same path — every link begins down and `--establish-timeout-secs`
-//! is how long each has to come up once — so this process binds its listener
+//! is how long each has to come up once, seed discovery included — so this
+//! process binds its listener
 //! first (peers' dials wait in its backlog while the workload builds) and
 //! prints `cluster established` when the plane's event loop says so.
 //! `--checkpoint-dir DIR` snapshots replica values + superstep cursor every
@@ -90,7 +93,7 @@ struct Args {
     listen: String,
     peers: Vec<SocketAddr>,
     /// Membership seed addresses (`--seed HOST:PORT`, repeatable) — the
-    /// address book is learned from a live seed instead of `--peers`.
+    /// address book is discovered from them instead of given by `--peers`.
     seeds: Vec<SocketAddr>,
     direction: DirectionMode,
     workload: NodeWorkload,
@@ -339,35 +342,28 @@ fn run(args: Args) -> Result<(), String> {
     };
     let start_superstep = resumed.as_ref().map_or(0, |c| c.next_superstep);
 
-    let mut resilience = ResilienceConfig {
+    // Given seeds the peer table is empty and the book is discovered while
+    // the links come up; a restart announces itself under its server id
+    // (above the incarnation of its predecessor's address, if the cluster
+    // still lists that), so peers redial the *new* address mid-run.
+    let resilience = ResilienceConfig {
         reconnect_deadline: args.reconnect_deadline,
-        ..ResilienceConfig::resuming_from(start_superstep)
+        resume_from: start_superstep,
+        seeds: args.seeds.clone(),
     };
     let discovered = !args.seeds.is_empty();
-    let mut plane = if discovered {
-        // Seed discovery: learn the address book from a live seed over GHHM
-        // before establishing; a restart announces itself under its server id
-        // (bumping its incarnation if the book already lists the dead
-        // address), so peers redial the *new* address mid-run.
-        let view = bound
-            .discover(&args.seeds, args.establish_timeout)
-            .map_err(|e| format!("seed discovery: {e}"))?;
+    let mut plane = bound
+        .establish_resilient(&peer_addrs, args.establish_timeout, resilience)
+        .map_err(|e| format!("establish cluster: {e}"))?;
+    if discovered {
         eprintln!(
             "graphh-node {}/{}: address book discovered (version {}, incarnation {})",
             args.id,
             args.servers,
-            view.handle.version(),
-            view.incarnation,
+            plane.book().version(),
+            plane.book().own_incarnation(),
         );
-        resilience.membership = Some(view.handle);
-        bound
-            .establish_resilient(&view.peer_addrs, args.establish_timeout, resilience)
-            .map_err(|e| format!("establish cluster (discovered): {e}"))?
-    } else {
-        bound
-            .establish_resilient(&peer_addrs, args.establish_timeout, resilience)
-            .map_err(|e| format!("establish cluster: {e}"))?
-    };
+    }
     eprintln!(
         "graphh-node {}/{}: cluster established ({} peers{}{})",
         args.id,

@@ -4,9 +4,10 @@
 //! here and nowhere else: when a link is down, when to redial it and how long
 //! to back off, whether a hello is acceptable and what to answer, what to
 //! retain, replay, trim and re-acknowledge, when a finished endpoint may stop
-//! holding the door (goodbye / linger), when a peer is lost for good, how the
-//! gossiped address book moves. [`Fabric`] touches no socket, spawns nothing,
-//! owns no queue between threads and never looks at a clock: it is a step
+//! holding the door (goodbye / linger), when a peer is lost for good, whom to
+//! ask for the address book and whom to tell of it. [`Fabric`] touches no
+//! socket, spawns nothing, shares no state with another thread and never
+//! looks at a clock: it is a step
 //! function in the shape of SNIPPETS.md's gossip-glomers `Node::step(input,
 //! output)` — `Fabric::step(now, Event, &mut Vec<Action>)` — driven by
 //! [`crate::poll`]'s event loop (real sockets, real time) and by
@@ -17,20 +18,28 @@
 //! A link has exactly one way up, whether the cluster is starting, a cut is
 //! healing or a replacement process is taking over an id: it is *down* — at
 //! birth, with the establish timeout as its deadline — the higher id dials
-//! ([`Action::Dial`]) with seeded exponential backoff, the lower id answers
-//! the hello ([`Action::Reply`]), and the vetted stream is adopted with
-//! replay and a repeated ack ([`Action::Adopt`], [`Action::Send`]).
-//! Establishment is only this machine's first transition;
-//! [`Action::Established`] fires when every link has been up once. The
-//! state × event → action table is `docs/WIRE.md` §9.5.
+//! ([`Action::Dial`]) with seeded exponential backoff, at the address the
+//! [`AddressBook`] holds for the peer (no address yet, no dial), the lower id
+//! answers the hello ([`Action::Reply`]), and the vetted stream is adopted
+//! with replay and a repeated ack ([`Action::Adopt`], [`Action::Send`]).
+//!
+//! The book is the fabric's own. A static peer table pre-fills it; given
+//! seeds instead (`docs/WIRE.md` §10) it starts with the own claim only, and
+//! for as long as it is establishing the fabric announces itself
+//! ([`Action::Announce`]) to the seeds and every address it learns — under
+//! the same establish deadline, beside the dials. Establishment is only this
+//! machine's first transition: [`Action::Established`] fires when every link
+//! has been up once and the book is complete. The state × event → action
+//! table is `docs/WIRE.md` §9.5.
 
 use crate::buffer::{BufferPool, PooledBuf};
 use crate::establish::Refusal;
 use crate::frame::{Frame, InboxEvent, PlaneError};
-use crate::membership::{MembershipMsg, ReconnectBackoff};
+use crate::membership::{AddressBook, MembershipKind, MembershipMsg, ReconnectBackoff};
 use crate::resume::{count_frames, ReplayLog, ResilienceConfig, ResumeHello, RESUME_HELLO_LEN};
 use graphh_graph::ids::ServerId;
 use graphh_obs::{global_counters, Counter};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -84,6 +93,12 @@ pub enum Event<'a> {
     Hello(Conn, &'a str, HelloBytes),
     /// An accepted connection produced a whole `GHHM` message instead.
     Announce(Conn, &'a [u8]),
+    /// The source at this address answered [`Action::Announce`] with a whole
+    /// `GHHM` message (unvetted).
+    Snapshot(SocketAddr, &'a [u8]),
+    /// The announce to this source died unanswered: connect refused, early
+    /// close, handshake deadline.
+    AnnounceFailed(SocketAddr),
     /// The dial to this peer died before a reply hello — connect refused,
     /// early close, handshake deadline — for this (origin-prefixed) reason.
     DialFailed(ServerId, String),
@@ -104,10 +119,14 @@ pub enum Action {
     /// Drop whatever socket the peer's slot holds (live stream or dial in
     /// flight) and everything queued on it.
     Reset(ServerId),
-    /// Connect to the peer (at [`ResilienceConfig::peer_addr`]), send the
-    /// hello, report the reply as [`Event::Hello`] on [`Conn::Dialed`] or the
-    /// failure as [`Event::DialFailed`].
-    Dial(ServerId, HelloBytes),
+    /// Connect to the peer at this address, send the hello, report the reply
+    /// as [`Event::Hello`] on [`Conn::Dialed`] or the failure as
+    /// [`Event::DialFailed`].
+    Dial(ServerId, SocketAddr, HelloBytes),
+    /// Connect to this address, send these bytes (a `GHHM` announce), report
+    /// the reply as [`Event::Snapshot`] or the failure as
+    /// [`Event::AnnounceFailed`], close.
+    Announce(SocketAddr, Vec<u8>),
     /// Write these bytes (a hello, a `GHHM` snapshot) to a pending connection.
     Reply(Conn, Vec<u8>),
     /// The connection finished its handshake: it is the peer's live stream
@@ -142,8 +161,8 @@ enum LinkState {
 }
 
 /// A link without a stream. Lower-id peers are redialed — never before
-/// `next_retry`, never twice at once — higher-id peers dial in. Past
-/// `deadline` the peer is given up or, never up yet, establishment fails.
+/// `next_retry`, never twice at once, never without an address in the book —
+/// higher-id peers dial in. Past `deadline` the peer is given up.
 #[derive(Debug)]
 struct Down {
     deadline: Duration,
@@ -163,6 +182,19 @@ struct Link {
     /// The last hello under this peer's id that was refused (by us or by it)
     /// since the link was last up: what a terminal loss is attributed to.
     refusal: Option<String>,
+    /// The book version last sent on this stream (none yet: 0).
+    gossiped: u64,
+}
+
+/// Somewhere an establishing endpoint announces itself: a seed, or an
+/// address the book has held. Asked again — answered or not — only after its
+/// own seeded backoff, never twice at once.
+#[derive(Debug)]
+struct Source {
+    addr: SocketAddr,
+    next_retry: Duration,
+    backoff: ReconnectBackoff,
+    asking: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,9 +211,14 @@ pub struct Fabric {
     id: ServerId,
     num_servers: u32,
     config: ResilienceConfig,
+    /// Where every server listens, as far as this one knows.
+    book: AddressBook,
+    /// Discovery's address list; empty without seeds.
+    sources: Vec<Source>,
     /// One per other server, by ascending id.
     links: Vec<Link>,
     phase: Phase,
+    establish_deadline: Duration,
     /// Armed by the first `Stopping` tick that still owes a down peer.
     linger_until: Option<Duration>,
     replay: ReplayLog,
@@ -192,25 +229,31 @@ pub struct Fabric {
     aborted: bool,
     /// The most recent failed handshake of any link, for the establish error.
     last_refusal: Option<String>,
-    /// Book version last flooded as a tag-6 frame.
-    last_gossip_version: u64,
     /// For the few frames the fabric itself encodes (acks, gossip).
     pool: BufferPool,
     peers_lost: Counter,
     reconnects: Counter,
     replayed_frames: Counter,
+    /// `membership.*`: announces served, deltas sent, the book's version
+    /// (a gauge), peers adopted at a new address.
+    announces: Counter,
+    gossip_deltas: Counter,
+    book_version: Counter,
+    adoptions: Counter,
 }
 
 impl Fabric {
-    /// The fabric of server `id`, created at time zero with every link down
-    /// and `establish_timeout` to bring each up once.
+    /// The fabric of the server that owns `book` — complete
+    /// ([`AddressBook::complete`]) or, with `config.seeds`, to be discovered
+    /// ([`AddressBook::new`]) — created at time zero with every link down and
+    /// `establish_timeout` to bring each up once.
     pub fn new(
-        id: ServerId,
-        num_servers: u32,
+        book: AddressBook,
         config: ResilienceConfig,
         establish_timeout: Duration,
         pool: BufferPool,
     ) -> Self {
+        let (id, num_servers) = (book.own_id(), book.num_servers() as u32);
         let peers = (0..num_servers).filter(|&peer| peer != id);
         let links = peers.map(|peer| Link {
             peer,
@@ -218,31 +261,38 @@ impl Fabric {
             ever_up: false,
             done: false,
             refusal: None,
+            gossiped: 0,
         });
         let registry = global_counters();
         Fabric {
             id,
             num_servers,
+            book,
+            sources: Vec::new(),
             links: links.collect(),
             phase: Phase::Establishing,
+            establish_deadline: establish_timeout,
             linger_until: None,
             replay: ReplayLog::resuming_from(num_servers, id, config.resume_from),
             recv_cursor: vec![config.resume_from; num_servers as usize],
             last_ack: None,
             aborted: false,
             last_refusal: None,
-            last_gossip_version: config.membership.as_ref().map_or(0, |m| m.version()),
             config,
             pool,
             peers_lost: registry.counter("poll.peers_lost"),
             reconnects: registry.counter("fabric.reconnects"),
             replayed_frames: registry.counter("fabric.replayed_frames"),
+            announces: registry.counter("membership.announces"),
+            gossip_deltas: registry.counter("membership.gossip_deltas"),
+            book_version: registry.counter("membership.book_version"),
+            adoptions: registry.counter("membership.adoptions"),
         }
     }
 
-    /// The policy this fabric runs (the driver resolves dial addresses with it).
-    pub fn config(&self) -> &ResilienceConfig {
-        &self.config
+    /// The address book as it stands.
+    pub fn book(&self) -> &AddressBook {
+        &self.book
     }
 
     /// The retention log (tests assert it drains).
@@ -253,15 +303,21 @@ impl Fabric {
     /// The earliest instant at which an [`Event::Tick`] would do something,
     /// if any. Ticking more often is harmless.
     pub fn next_timer(&self) -> Option<Duration> {
+        // (A link this endpoint dials, once the book says where.)
+        let dialed = |peer| peer < self.id && self.book.get(peer).is_some();
         let links = self.links.iter().filter_map(|link| match &link.state {
-            LinkState::Down(down) if link.peer < self.id && !down.dialing => {
+            LinkState::Down(down) if !down.dialing && dialed(link.peer) => {
                 Some(down.deadline.min(down.next_retry))
             }
             LinkState::Down(down) => Some(down.deadline),
             _ => None,
         });
-        let timers = links.chain(self.linger_until).min();
-        timers.filter(|_| self.phase != Phase::Exited)
+        let establishing = self.phase == Phase::Establishing;
+        let resting = |s: &&Source| establishing && !s.asking;
+        let asks = self.sources.iter().filter(resting).map(|s| s.next_retry);
+        let deadlines = establishing.then_some(self.establish_deadline);
+        let timers = links.chain(asks).chain(deadlines).chain(self.linger_until);
+        timers.min().filter(|_| self.phase != Phase::Exited)
     }
 
     /// Advance the machine by one event at time `now`, appending what the
@@ -289,16 +345,20 @@ impl Fabric {
                 }
             },
             Event::Announce(conn, bytes) => {
-                // Serve a bootstrapping (or replacement) node's announce; a
-                // changed book is flooded by the next tick.
-                let membership = self.config.membership.as_ref();
-                let announce = MembershipMsg::decode(bytes).ok();
-                let served = membership.zip(announce).map(|(m, a)| m.serve_announce(&a));
-                if let Some(Ok(snapshot)) = served {
-                    out.push(Action::Reply(conn, snapshot));
+                // Serve a discovering (or replacement) node's announce; what
+                // it changed in the book is gossiped by the next tick.
+                if self.merge(bytes, MembershipKind::Announce) {
+                    self.announces.incr();
+                    let snapshot = self.book.msg(MembershipKind::Snapshot);
+                    out.push(Action::Reply(conn, snapshot.encode()));
                 }
                 out.push(Action::Close(conn));
             }
+            Event::Snapshot(source, bytes) => {
+                self.merge(bytes, MembershipKind::Snapshot);
+                self.asked(now, source);
+            }
+            Event::AnnounceFailed(source) => self.asked(now, source),
             Event::DialFailed(peer, why) => {
                 self.last_refusal = Some(why);
                 self.dial_over(now, peer);
@@ -311,7 +371,9 @@ impl Fabric {
             }
             Event::Tick => self.tick(now, out),
         }
-        if self.phase == Phase::Establishing && self.links.iter().all(|l| l.ever_up) {
+        // (A static table is a complete book from the start.)
+        let all_up = || self.links.iter().all(|l| l.ever_up);
+        if self.phase == Phase::Establishing && all_up() && self.book.is_complete() {
             self.phase = Phase::Running;
             out.push(Action::Established);
         }
@@ -420,6 +482,7 @@ impl Fabric {
             ever_up: true,
             done: false,
             refusal: None,
+            gossiped: 0,
         };
         for batch in batches {
             self.replayed_frames.add(count_frames(&batch));
@@ -433,6 +496,8 @@ impl Fabric {
             Frame::Ack { sender, superstep }.encode(&mut buf);
             out.push(Action::Send(peer, Arc::new(buf)));
         }
+        // The peer may have been down when the book last changed.
+        self.gossip(idx, out);
     }
 
     /// A dial ended without a link: back off before the next.
@@ -464,11 +529,7 @@ impl Fabric {
             Frame::Goodbye { .. } => return self.links[idx].done = true,
             Frame::Membership { ref payload, .. } => {
                 // A malformed payload is dropped; anti-entropy re-converges.
-                if let Some(m) = self.config.membership.as_ref() {
-                    if let Ok(msg) = MembershipMsg::decode(payload) {
-                        let _ = m.merge_msg(&msg);
-                    }
-                }
+                self.merge(payload, MembershipKind::Delta);
                 return;
             }
             Frame::EndOfSuperstep { superstep, .. } => {
@@ -533,43 +594,111 @@ impl Fabric {
                 return out.push(Action::Exit);
             }
         }
+        if self.phase == Phase::Establishing && now >= self.establish_deadline {
+            return self.establish_timed_out(out);
+        }
         for idx in 0..self.links.len() {
+            self.gossip(idx, out);
             let link = &mut self.links[idx];
             let LinkState::Down(down) = &mut link.state else {
                 continue;
             };
-            if now >= down.deadline && !link.ever_up {
-                return self.establish_timed_out(out);
-            } else if now >= down.deadline {
+            if now >= down.deadline {
                 let error = match link.refusal.take() {
                     Some(why) => PlaneError::Protocol(format!("server {}: {why}", link.peer)),
                     None => PlaneError::Disconnected,
                 };
                 self.declare_gone(idx, error, out);
-            } else if link.peer < self.id && !down.dialing && now >= down.next_retry {
+            } else if !down.dialing && now >= down.next_retry {
+                let peer = link.peer;
+                let Some(at) = self.book.get(peer).filter(|_| peer < self.id) else {
+                    continue; // it dials in, or the book has no address yet
+                };
                 down.dialing = true;
                 let hello = ResumeHello {
                     cluster_size: self.num_servers,
                     sender: self.id,
-                    resume_from: self.recv_cursor[link.peer as usize],
+                    resume_from: self.recv_cursor[peer as usize],
                 };
-                out.push(Action::Dial(link.peer, hello.encode()));
+                out.push(Action::Dial(peer, at.addr, hello.encode()));
             }
         }
-        // Anti-entropy push: if the address book moved past what this
-        // endpoint last gossiped, flood it to every live link as an
-        // unretained tag-6 frame. A merge that changes nothing bumps no
-        // version, so the flood converges; a fault-free run never gets past
-        // the version compare.
-        let Some(membership) = self.config.membership.as_ref() else {
+        if self.phase == Phase::Establishing && !self.config.seeds.is_empty() {
+            self.announce(now, out);
+        }
+    }
+
+    /// Anti-entropy push: an up link that has not been sent this version of
+    /// the book is sent the book, as an unretained tag-6 frame. A merge that
+    /// changes nothing bumps no version, so the flood converges; without
+    /// seeds nothing of §10 is spoken, and a fault-free run never gets past
+    /// the compare.
+    fn gossip(&mut self, idx: usize, out: &mut Vec<Action>) {
+        let link = &mut self.links[idx];
+        let behind = matches!(link.state, LinkState::Up) && link.gossiped < self.book.version();
+        if self.config.seeds.is_empty() || !behind {
             return;
+        }
+        link.gossiped = self.book.version();
+        self.gossip_deltas.incr();
+        let mut buf = self.pool.checkout();
+        let payload = self.book.msg(MembershipKind::Delta).encode().into();
+        let sender = self.id;
+        Frame::Membership { sender, payload }.encode(&mut buf);
+        out.push(Action::Send(link.peer, Arc::new(buf)));
+    }
+
+    /// Merge a `GHHM` message of the expected kind into the book. False —
+    /// nothing merged — when it is malformed, of another kind or for another
+    /// cluster size, and when this endpoint was given no seeds and so speaks
+    /// nothing of §10.
+    fn merge(&mut self, bytes: &[u8], kind: MembershipKind) -> bool {
+        let spoken = |m: &MembershipMsg| m.kind == kind && !self.config.seeds.is_empty();
+        let msg = MembershipMsg::decode(bytes).ok().filter(spoken);
+        let Some(Ok(adopted)) = msg.map(|m| self.book.merge_msg(&m)) else {
+            return false;
         };
-        if membership.version() > self.last_gossip_version {
-            self.last_gossip_version = membership.version();
-            let mut buf = self.pool.checkout();
-            let (sender, payload) = (self.id, membership.delta_payload().into());
-            Frame::Membership { sender, payload }.encode(&mut buf);
-            self.send_to_all(&Arc::new(buf), out);
+        if adopted {
+            self.adoptions.incr();
+        }
+        self.book_version.record_max(self.book.version());
+        true
+    }
+
+    /// Discovery (`docs/WIRE.md` §10.3): announce the book to every known
+    /// source — the seeds and every address learnt so far, bar the own — that
+    /// is not being asked already and has rested since it last was. It goes
+    /// on for as long as this endpoint is establishing, not only while its
+    /// own book has gaps: a server whose book is complete may be the only
+    /// one that knows where a higher id, which must dial it, can be told.
+    fn announce(&mut self, now: Duration, out: &mut Vec<Action>) {
+        let learnt = self.book.wire_entries();
+        let known = (self.config.seeds.iter().copied()).chain(learnt.iter().map(|e| e.addr));
+        for addr in known.filter(|&addr| addr != self.book.own_addr()) {
+            if !self.sources.iter().any(|s| s.addr == addr) {
+                let nth = self.sources.len() as ServerId;
+                self.sources.push(Source {
+                    addr,
+                    next_retry: now,
+                    backoff: backoff(&self.config, self.id, nth),
+                    asking: false,
+                });
+            }
+        }
+        let rested = |s: &&mut Source| !s.asking && now >= s.next_retry;
+        for source in self.sources.iter_mut().filter(rested) {
+            source.asking = true;
+            let announce = self.book.msg(MembershipKind::Announce);
+            out.push(Action::Announce(source.addr, announce.encode()));
+        }
+    }
+
+    /// The announce to `source` is over, answered or not: the source rests
+    /// before it is asked again.
+    fn asked(&mut self, now: Duration, source: SocketAddr) {
+        if let Some(source) = self.sources.iter_mut().find(|s| s.addr == source) {
+            source.asking = false;
+            source.next_retry = now + source.backoff.next_delay();
         }
     }
 
@@ -583,9 +712,17 @@ impl Fabric {
             Some(refusal) => format!("; last refused handshake: {refusal}"),
             None => String::new(),
         };
+        let known: Vec<ServerId> = self.book.wire_entries().iter().map(|e| e.id).collect();
+        let learnt = match self.config.seeds.len() {
+            0 => String::new(),
+            seeds => format!(
+                "; seed discovery from {seeds} seeds learnt addresses for servers {known:?} of {}",
+                self.num_servers
+            ),
+        };
         let message = format!(
             "server {}: timed out dialing servers {dial:?}, waiting for servers {wait:?} \
-             to dial in{why}",
+             to dial in{learnt}{why}",
             self.id
         );
         self.phase = Phase::Exited;
@@ -594,8 +731,7 @@ impl Fabric {
 }
 
 /// A link going down at `now` with `patience` to come back: first dial at
-/// once, then seeded exponential backoff (per link, so a cluster's redial
-/// storms do not synchronise and chaos schedules reproduce).
+/// once, then backoff.
 fn down_until(
     config: &ResilienceConfig,
     own: ServerId,
@@ -603,11 +739,18 @@ fn down_until(
     now: Duration,
     patience: Duration,
 ) -> LinkState {
-    let cap = RETRY_BACKOFF_CAP.min(config.reconnect_deadline);
     LinkState::Down(Down {
         deadline: now + patience,
         next_retry: now,
-        backoff: ReconnectBackoff::seeded_for(RETRY_BACKOFF, cap, own, peer),
+        backoff: backoff(config, own, peer),
         dialing: false,
     })
+}
+
+/// Seeded exponential backoff, per link and per discovery source (its `nth`),
+/// so a cluster's redial storms do not synchronise and chaos schedules
+/// reproduce.
+fn backoff(config: &ResilienceConfig, own: ServerId, nth: ServerId) -> ReconnectBackoff {
+    let cap = RETRY_BACKOFF_CAP.min(config.reconnect_deadline);
+    ReconnectBackoff::seeded_for(RETRY_BACKOFF, cap, own, nth)
 }

@@ -33,7 +33,8 @@
 //! * [`fabric`] — the TCP plane's link life-cycle as one I/O-free step
 //!   function (`Fabric::step(now, Event, &mut Vec<Action>)`): establishment,
 //!   redial and backoff, hello vetting, replay and ack repeat, goodbye and
-//!   linger, terminal loss, address-book gossip. [`poll`] moves the bytes;
+//!   linger, terminal loss, the address book (static, or discovered from
+//!   seeds and gossiped). [`poll`] moves the bytes;
 //!   `tests/fabric_sim.rs` runs the same machine through thousands of seeded
 //!   fault schedules on a virtual network and clock,
 //! * [`reduce_metrics`] — deterministic reduction of the per-server
@@ -82,8 +83,8 @@ pub use frame::{
     SuperstepCollector, WireMessage,
 };
 pub use membership::{
-    discover, AddressBook, BookEntry, MembershipHandle, MembershipKind, MembershipMsg,
-    MembershipState, MembershipView, MergeOutcome, ReconnectBackoff, WireEntry, MEMBERSHIP_MAGIC,
+    AddressBook, BookEntry, MembershipKind, MembershipMsg, ReconnectBackoff, WireEntry,
+    MEMBERSHIP_MAGIC,
 };
 pub use plane::{BroadcastPlane, ChannelPlane};
 pub use poll::{BoundPollPlane, PollPlane, ReadinessPoller, SpinPoller};

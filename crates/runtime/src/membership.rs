@@ -1,22 +1,23 @@
-//! The membership plane: seed discovery, gossiped address books, and
-//! replacement-node adoption.
+//! The data of the membership plane: the `GHHM` wire format, the
+//! [`AddressBook`] every endpoint keeps, and the seeded redial backoff —
+//! values only. No socket, no clock, no lock: *when* a book is announced,
+//! served, merged or gossiped is [`crate::fabric::Fabric`]'s decision (CI
+//! greps this file like `fabric.rs`).
 //!
-//! PR 9 made a crashed worker able to resume **at the same address**; this
-//! module removes the "same address" constraint. Instead of a hand-enumerated
-//! static `--peers` table, a node starts with one or more **seed** addresses,
-//! dials any live seed, and learns the full `server id → address` book via a
-//! push–pull exchange of `GHHM` membership messages. After bootstrap the book
-//! keeps converging through anti-entropy gossip (tag-6 [`crate::frame::Frame`]
-//! deltas piggybacked on the fabric's ack cadence), so a
-//! *replacement* process started with the same `--server-id` on a **fresh
+//! Instead of a hand-enumerated static `--peers` table, a node may start with
+//! one or more **seed** addresses: its fabric announces itself to every
+//! source it knows and learns the full `server id → address` book from the
+//! `GHHM` snapshot replies. After that the book keeps converging through
+//! anti-entropy gossip (tag-6 [`crate::frame::Frame`] deltas on live links),
+//! so a *replacement* process started with the same `--server-id` on a **fresh
 //! address** can announce itself with a bumped incarnation and the survivors'
-//! reconnect loops redial the new address — no operator surgery.
+//! redials go to the new address — no operator surgery.
 //!
 //! ## The `GHHM` message
 //!
 //! One fixed-header, variable-entry encoding serves three roles (announce,
 //! snapshot reply, gossip delta) and two carriers: raw on a fresh TCP
-//! connection during bootstrap (magic-first, so listeners can dispatch
+//! connection while discovering (magic-first, so listeners can dispatch
 //! between `GHHR` and `GHHM` on the first four bytes), and verbatim as the
 //! payload of a tag-6 frame on an established link.
 //!
@@ -37,18 +38,15 @@
 //! arbitrary but *commutative* tie-break, so every merge order converges on
 //! the same book. A replacement claims its id by re-announcing its own
 //! address with an incarnation strictly above whatever the cluster currently
-//! holds for that id ([`AddressBook::claim_own`]).
+//! holds for that id (every [`AddressBook::merge_msg`] ends by re-asserting
+//! the own claim).
 //!
 //! The byte-level layout and the adoption sequence are specified normatively
 //! in `docs/WIRE.md` §10; this module is the reference implementation.
 
 use graphh_graph::ids::ServerId;
-use graphh_obs::{global_counters, Counter};
-use std::io::{self, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
+use std::time::Duration;
 
 /// First bytes of every membership message; listeners read these four
 /// bytes to dispatch between the `GHHR` and `GHHM` families.
@@ -66,19 +64,11 @@ const KIND_ANNOUNCE: u8 = 1;
 const KIND_SNAPSHOT: u8 = 2;
 const KIND_DELTA: u8 = 3;
 
-/// Read-timeout cap for one membership exchange leg; a stalled or hostile
-/// peer must not pin the bootstrap loop.
-const EXCHANGE_READ_CAP: Duration = Duration::from_secs(2);
-
-/// Connect timeout for one bootstrap dial; dead seeds are normal and must
-/// fail fast so the loop can try the next source.
-const EXCHANGE_CONNECT_CAP: Duration = Duration::from_millis(250);
-
 /// What a membership message is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MembershipKind {
-    /// "Here is my book; merge it and reply with yours." Sent by the
-    /// bootstrap dialer on a fresh connection.
+    /// "Here is my book; merge it and reply with yours." Sent by a
+    /// discovering node on a fresh connection.
     Announce,
     /// The full-book reply to an announce.
     Snapshot,
@@ -261,23 +251,6 @@ impl MembershipMsg {
         let count = u16::from_le_bytes([header[21], header[22]]) as usize;
         MEMBERSHIP_HEADER_LEN + count * MEMBERSHIP_ENTRY_LEN
     }
-
-    /// Read one membership message from a blocking stream: the magic first
-    /// (anything else — a faster peer's `GHHR` dial, which then waits for a
-    /// reply — is refused at once, not read to a timeout), the rest of the
-    /// fixed header, then exactly `count` entries.
-    pub fn read_from<R: Read>(reader: &mut R) -> io::Result<MembershipMsg> {
-        let mut header = [0u8; MEMBERSHIP_HEADER_LEN];
-        reader.read_exact(&mut header[..4])?;
-        if header[..4] != MEMBERSHIP_MAGIC {
-            return Err(io::ErrorKind::InvalidData.into());
-        }
-        reader.read_exact(&mut header[4..])?;
-        let mut bytes = header.to_vec();
-        bytes.resize(Self::encoded_len(&header), 0);
-        reader.read_exact(&mut bytes[MEMBERSHIP_HEADER_LEN..])?;
-        Self::decode(&bytes).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))
-    }
 }
 
 /// One slot of the [`AddressBook`].
@@ -289,28 +262,50 @@ pub struct BookEntry {
     pub incarnation: u32,
 }
 
-/// The versioned `server id → (address, incarnation)` table every node keeps.
+/// The versioned `server id → (address, incarnation)` table of one node, which
+/// owns it: the own slot always binds the own address.
 ///
 /// Merges are last-writer-wins on incarnation with a commutative tie-break
 /// (at equal incarnation the numerically larger address wins), so the book is
 /// a state-based CRDT: any merge order over any gossip topology converges on
 /// the same table. `version` is a **local** change counter — it bumps once
-/// per mutating call and exists so gossip emitters can compare "anything new
-/// since I last pushed?" with one atomic load; it is never compared across
+/// per changed binding and exists so the fabric can ask "anything this link
+/// has not been sent?" with one integer compare; it is never compared across
 /// nodes.
 #[derive(Debug, Clone)]
 pub struct AddressBook {
+    own: ServerId,
+    own_addr: SocketAddr,
     entries: Vec<Option<BookEntry>>,
     version: u64,
 }
 
 impl AddressBook {
-    /// An empty book with `num_servers` slots.
-    pub fn new(num_servers: usize) -> Self {
-        AddressBook {
+    /// The book of server `own` (`< num_servers`), listening at `own_addr`,
+    /// holding nothing but that claim: what seed discovery starts from.
+    pub fn new(num_servers: usize, own: ServerId, own_addr: SocketAddr) -> Self {
+        let mut book = AddressBook {
+            own,
+            own_addr,
             entries: vec![None; num_servers],
             version: 0,
+        };
+        book.claim_own();
+        book
+    }
+
+    /// The complete book that a static `--peers` table (one address per
+    /// server, `own` among them) is: every binding at incarnation 0.
+    pub fn complete(own: ServerId, addrs: &[SocketAddr]) -> Self {
+        let mut book = Self::new(addrs.len(), own, addrs[own as usize]);
+        for (id, &addr) in addrs.iter().enumerate() {
+            book.observe(WireEntry {
+                id: id as ServerId,
+                incarnation: 0,
+                addr,
+            });
         }
+        book
     }
 
     /// Number of slots (the cluster size).
@@ -318,8 +313,23 @@ impl AddressBook {
         self.entries.len()
     }
 
-    /// Local change counter; bumps once per mutating call that changed
-    /// anything.
+    /// The server this book belongs to.
+    pub fn own_id(&self) -> ServerId {
+        self.own
+    }
+
+    /// The address this node advertises (its listener address).
+    pub fn own_addr(&self) -> SocketAddr {
+        self.own_addr
+    }
+
+    /// This node's current incarnation (> 0: it took its id over from a
+    /// predecessor at another address).
+    pub fn own_incarnation(&self) -> u32 {
+        self.get(self.own).map_or(0, |e| e.incarnation)
+    }
+
+    /// Local change counter; bumps once per binding that changed.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -362,40 +372,44 @@ impl AddressBook {
         true
     }
 
-    /// Merge a batch of entries; returns true when anything changed.
-    pub fn merge(&mut self, entries: &[WireEntry]) -> bool {
-        let mut changed = false;
-        for &e in entries {
-            changed |= self.observe(e);
+    /// Merge a received message, then re-assert the own claim: a stale echo
+    /// of a predecessor must never stick, so the own binding comes back with
+    /// an incarnation above it — a change like any other, which the owner's
+    /// next announce or gossip delta carries, or the cluster keeps believing
+    /// the old address. `Ok(true)` when the merge was an *adoption*: the
+    /// sender moved its own id to a new address over a known binding. Errors
+    /// on a message for a cluster of another size.
+    pub fn merge_msg(&mut self, msg: &MembershipMsg) -> Result<bool, String> {
+        if msg.cluster_size as usize != self.entries.len() {
+            return Err(format!(
+                "membership message for a {}-server cluster, this cluster has {}",
+                msg.cluster_size,
+                self.entries.len()
+            ));
         }
-        changed
+        let mut adopted = false;
+        for &e in &msg.entries {
+            let moved = self.get(e.id).is_some_and(|p| p.addr != e.addr);
+            adopted |= self.observe(e) && e.id == msg.sender && moved;
+        }
+        self.claim_own();
+        Ok(adopted)
     }
 
-    /// Ensure this node's own slot binds `addr`, bumping the incarnation
-    /// above any conflicting binding (a dead predecessor at another address,
-    /// or a stale gossip echo of one). Returns true when the slot changed —
-    /// the caller must then re-announce, or the cluster keeps believing the
-    /// old address.
-    pub fn claim_own(&mut self, id: ServerId, addr: SocketAddr) -> bool {
-        match self.entries[id as usize] {
-            Some(cur) if cur.addr == addr => false,
-            Some(cur) => {
-                self.entries[id as usize] = Some(BookEntry {
-                    addr,
-                    incarnation: cur.incarnation + 1,
-                });
-                self.version += 1;
-                true
-            }
-            None => {
-                self.entries[id as usize] = Some(BookEntry {
-                    addr,
-                    incarnation: 0,
-                });
-                self.version += 1;
-                true
-            }
-        }
+    /// Bind the own slot to the own address, above whatever holds it (a dead
+    /// predecessor at another address, or a stale gossip echo of one).
+    fn claim_own(&mut self) {
+        let slot = &mut self.entries[self.own as usize];
+        let incarnation = match *slot {
+            Some(cur) if cur.addr == self.own_addr => return,
+            Some(cur) => cur.incarnation.saturating_add(1),
+            None => 0,
+        };
+        *slot = Some(BookEntry {
+            addr: self.own_addr,
+            incarnation,
+        });
+        self.version += 1;
     }
 
     /// Every bound slot as wire entries, in id order.
@@ -413,355 +427,21 @@ impl AddressBook {
             .collect()
     }
 
-    /// The complete `id → addr` table, in id order. Errors while any slot is
-    /// still unbound.
-    pub fn peer_addrs(&self) -> Result<Vec<SocketAddr>, String> {
-        self.entries
-            .iter()
-            .enumerate()
-            .map(|(id, e)| {
-                e.map(|e| e.addr)
-                    .ok_or_else(|| format!("address book has no entry for server {id}"))
-            })
-            .collect()
-    }
-}
-
-/// The shared, thread-safe membership state of one node: the address book
-/// plus the counters the observability plane exports.
-///
-/// The `version` atomic mirrors the book's version so steady-state cadence
-/// checks ("anything to gossip?") are one relaxed load — no lock, no
-/// allocation — keeping the fault-free event loop inside the
-/// zero-allocation budget.
-pub struct MembershipState {
-    id: ServerId,
-    num_servers: usize,
-    own_addr: SocketAddr,
-    book: Mutex<AddressBook>,
-    version: AtomicU64,
-    announces: Counter,
-    gossip_deltas: Counter,
-    book_version: Counter,
-    adoptions: Counter,
-}
-
-impl std::fmt::Debug for MembershipState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MembershipState")
-            .field("id", &self.id)
-            .field("num_servers", &self.num_servers)
-            .field("own_addr", &self.own_addr)
-            .field("version", &self.version.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-/// A cheap, cloneable handle to one node's [`MembershipState`].
-#[derive(Debug, Clone)]
-pub struct MembershipHandle(pub Arc<MembershipState>);
-
-impl std::ops::Deref for MembershipHandle {
-    type Target = MembershipState;
-    fn deref(&self) -> &MembershipState {
-        &self.0
-    }
-}
-
-impl MembershipHandle {
-    /// Fresh state with an empty book except this node's own claim.
-    pub fn new(id: ServerId, num_servers: usize, own_addr: SocketAddr) -> MembershipHandle {
-        let registry = global_counters();
-        let mut book = AddressBook::new(num_servers);
-        book.claim_own(id, own_addr);
-        let version = book.version();
-        let state = MembershipState {
-            id,
-            num_servers,
-            own_addr,
-            book: Mutex::new(book),
-            version: AtomicU64::new(version),
-            announces: registry.counter("membership.announces"),
-            gossip_deltas: registry.counter("membership.gossip_deltas"),
-            book_version: registry.counter("membership.book_version"),
-            adoptions: registry.counter("membership.adoptions"),
-        };
-        state.book_version.record_max(version);
-        MembershipHandle(Arc::new(state))
-    }
-}
-
-impl MembershipState {
-    /// This node's server id.
-    pub fn own_id(&self) -> ServerId {
-        self.id
-    }
-
-    /// The address this node advertises (its listener address).
-    pub fn own_addr(&self) -> SocketAddr {
-        self.own_addr
-    }
-
-    /// This node's current incarnation (bumps when it claims its id over a
-    /// predecessor's binding).
-    pub fn own_incarnation(&self) -> u32 {
-        self.lock_book().get(self.id).map_or(0, |e| e.incarnation)
-    }
-
-    /// Current book version — one relaxed atomic load, safe on the
-    /// steady-state hot path.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Relaxed)
-    }
-
-    /// The recorded address for `peer`, if known.
-    pub fn peer_addr(&self, peer: ServerId) -> Option<SocketAddr> {
-        self.lock_book().get(peer).map(|e| e.addr)
-    }
-
-    fn lock_book(&self) -> MutexGuard<'_, AddressBook> {
-        match self.book.lock() {
-            Ok(g) => g,
-            Err(poison) => poison.into_inner(),
-        }
-    }
-
-    /// Build a full-book message of the given kind.
-    pub fn snapshot_msg(&self, kind: MembershipKind) -> MembershipMsg {
-        let book = self.lock_book();
+    /// The whole book as a message of the given kind from this node.
+    pub fn msg(&self, kind: MembershipKind) -> MembershipMsg {
         MembershipMsg {
             kind,
-            cluster_size: self.num_servers as u32,
-            sender: self.id,
-            book_version: book.version(),
-            entries: book.wire_entries(),
+            cluster_size: self.entries.len() as u32,
+            sender: self.own,
+            book_version: self.version,
+            entries: self.wire_entries(),
         }
-    }
-
-    /// The encoded tag-6 gossip payload (a full-book delta). Only called
-    /// when the version moved, so the allocation never lands on the
-    /// fault-free steady-state path.
-    pub fn delta_payload(&self) -> Vec<u8> {
-        self.gossip_deltas.incr();
-        self.snapshot_msg(MembershipKind::Delta).encode()
-    }
-
-    /// Merge a received message into the book. Re-claims this node's own
-    /// binding afterwards (a stale echo of a predecessor must never stick),
-    /// counts adoptions (the sender moved its *own* id to a new address over
-    /// a live binding), and returns [`MergeOutcome`] flags the caller uses
-    /// to decide whether to re-gossip or re-announce.
-    pub fn merge_msg(&self, msg: &MembershipMsg) -> Result<MergeOutcome, String> {
-        if msg.cluster_size as usize != self.num_servers {
-            return Err(format!(
-                "membership message for a {}-server cluster, this cluster has {}",
-                msg.cluster_size, self.num_servers
-            ));
-        }
-        let mut book = self.lock_book();
-        let mut adopted = false;
-        let mut changed = false;
-        for &e in &msg.entries {
-            let previous = book.get(e.id);
-            if book.observe(e) {
-                changed = true;
-                if e.id == msg.sender && previous.is_some_and(|p| p.addr != e.addr) {
-                    adopted = true;
-                }
-            }
-        }
-        let reclaimed = book.claim_own(self.id, self.own_addr);
-        let version = book.version();
-        drop(book);
-        self.version.store(version, Ordering::Relaxed);
-        self.book_version.record_max(version);
-        if adopted {
-            self.adoptions.incr();
-        }
-        Ok(MergeOutcome {
-            changed: changed || reclaimed,
-            reclaimed,
-        })
-    }
-
-    /// Serve one bootstrap announce: merge it and return the encoded snapshot
-    /// of the merged book to reply with.
-    pub fn serve_announce(&self, msg: &MembershipMsg) -> Result<Vec<u8>, String> {
-        if msg.kind != MembershipKind::Announce {
-            return Err(format!(
-                "expected a membership announce, got {:?}",
-                msg.kind
-            ));
-        }
-        self.merge_msg(msg)?;
-        self.announces.incr();
-        Ok(self.snapshot_msg(MembershipKind::Snapshot).encode())
-    }
-
-    /// [`Self::serve_announce`] over a blocking stream (seed discovery, before
-    /// any event loop exists). The stream is closed by the caller dropping it.
-    fn serve_stream(&self, stream: &mut TcpStream) -> io::Result<()> {
-        stream.set_read_timeout(Some(EXCHANGE_READ_CAP))?;
-        let msg = MembershipMsg::read_from(stream)?;
-        let reply = self
-            .serve_announce(&msg)
-            .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
-        stream.write_all(&reply)?;
-        stream.flush()
-    }
-
-    /// Dial `src` and run one push–pull exchange: announce the full book,
-    /// merge the snapshot reply.
-    fn exchange(&self, src: SocketAddr) -> io::Result<MergeOutcome> {
-        let mut stream = TcpStream::connect_timeout(&src, EXCHANGE_CONNECT_CAP)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(EXCHANGE_READ_CAP))?;
-        let announce = self.snapshot_msg(MembershipKind::Announce);
-        stream.write_all(&announce.encode())?;
-        stream.flush()?;
-        let reply = MembershipMsg::read_from(&mut stream)?;
-        if reply.kind != MembershipKind::Snapshot {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected a membership snapshot, got {:?}", reply.kind),
-            ));
-        }
-        self.merge_msg(&reply)
-            .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))
-    }
-}
-
-/// What a merge did, for the caller's re-gossip / re-announce decision.
-#[derive(Debug, Clone, Copy)]
-pub struct MergeOutcome {
-    /// The book changed (including by the post-merge own-claim): gossip
-    /// emitters should push a delta.
-    pub changed: bool,
-    /// The merge tried to overwrite this node's own binding and the claim
-    /// was re-asserted with a bumped incarnation: the node must re-announce.
-    pub reclaimed: bool,
-}
-
-/// What seed discovery hands to the establish phase.
-#[derive(Debug)]
-pub struct MembershipView {
-    /// The live membership state; set it as
-    /// [`crate::resume::ResilienceConfig::membership`] so redials consult the
-    /// book and gossip keeps it converging.
-    pub handle: MembershipHandle,
-    /// The complete `id → addr` table learned from the seeds, in id order
-    /// (this node's own slot included) — a drop-in replacement for the
-    /// static `--peers` table.
-    pub peer_addrs: Vec<SocketAddr>,
-    /// This node's incarnation after bootstrap (> 0 means it adopted its id
-    /// from a dead predecessor at another address).
-    pub incarnation: u32,
-}
-
-/// Bootstrap the address book from seed nodes.
-///
-/// Loops until the book is complete *and* this node's latest own-claim has
-/// been pushed to at least one live source: serve inbound `GHHM` exchanges
-/// on `listener` (any other connection is a faster peer's `GHHR` dial — it
-/// is dropped, and its owner redials once this node establishes), dial
-/// every known source (the seeds plus every learned peer address) with a
-/// push–pull exchange, and re-assert the own claim after every merge. A
-/// replacement node discovers its predecessor's binding in the first
-/// snapshot it pulls, re-claims with a bumped incarnation, and the forced
-/// re-announce spreads the adoption.
-///
-/// `listener` is left in nonblocking mode (the establish phases set their
-/// own modes). Sources equal to this node's own address are skipped, so a
-/// node may be (or list) its own seed.
-pub fn discover(
-    id: ServerId,
-    num_servers: usize,
-    listener: &TcpListener,
-    seeds: &[SocketAddr],
-    timeout: Duration,
-) -> io::Result<MembershipView> {
-    if seeds.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "seed discovery needs at least one --seed address",
-        ));
-    }
-    let own_addr = listener.local_addr()?;
-    if own_addr.ip().is_unspecified() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "cannot advertise wildcard listener address {own_addr}; \
-                 --listen must be a peer-dialable address when using --seed"
-            ),
-        ));
-    }
-    listener.set_nonblocking(true)?;
-    let handle = MembershipHandle::new(id, num_servers, own_addr);
-    let mut needs_push = true;
-    let deadline = Instant::now() + timeout;
-    loop {
-        // Serve whoever is dialing us right now.
-        loop {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    // Accepted sockets inherit O_NONBLOCK on some platforms.
-                    let _ = stream.set_nonblocking(false);
-                    let _ = handle.serve_stream(&mut stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => return Err(e),
-            }
-        }
-
-        {
-            let book = handle.lock_book();
-            if book.is_complete() && !needs_push {
-                let peer_addrs = book.peer_addrs().map_err(io::Error::other)?;
-                let incarnation = book.get(id).map_or(0, |e| e.incarnation);
-                drop(book);
-                return Ok(MembershipView {
-                    handle,
-                    peer_addrs,
-                    incarnation,
-                });
-            }
-        }
-
-        // Dial every known source once: the seeds, plus every address the
-        // book already learned (a seed may only know part of the cluster).
-        let mut sources: Vec<SocketAddr> = seeds.to_vec();
-        {
-            let book = handle.lock_book();
-            sources.extend(book.wire_entries().iter().map(|e| e.addr));
-        }
-        sources.sort();
-        sources.dedup();
-        sources.retain(|&s| s != own_addr);
-        for src in sources {
-            if let Ok(outcome) = handle.exchange(src) {
-                needs_push = outcome.reclaimed;
-            }
-        }
-
-        if Instant::now() >= deadline {
-            let book = handle.lock_book();
-            let known: Vec<ServerId> = book.wire_entries().iter().map(|e| e.id).collect();
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!(
-                    "seed discovery for server {id} timed out after {timeout:?}; \
-                     learned addresses for servers {known:?} of {num_servers}"
-                ),
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
 /// Exponential redial backoff with deterministic, seeded jitter.
 ///
-/// Attempt `k` sleeps a uniform-ish draw from `[d/2, d]` where
+/// Attempt `k` waits a uniform-ish draw from `[d/2, d]` where
 /// `d = min(base · 2^k, cap)` — exponential growth keeps a dead peer from
 /// being hammered, the jitter keeps a whole cluster's redial storms from
 /// synchronizing, and the deterministic (xorshift64, seeded from the two
@@ -994,9 +674,14 @@ mod tests {
         }
     }
 
+    /// A book owned by the last of `n` servers, at a port no test entry uses.
+    fn book(n: usize) -> AddressBook {
+        AddressBook::new(n, n as ServerId - 1, addr(9999))
+    }
+
     #[test]
     fn book_merge_is_last_writer_wins_on_incarnation() {
-        let mut book = AddressBook::new(3);
+        let mut book = book(3);
         assert!(book.observe(entry(1, 0, 9001)));
         assert_eq!(book.get(1).unwrap().addr, addr(9001));
         // Same incarnation, same addr: no change.
@@ -1016,10 +701,10 @@ mod tests {
     fn equal_incarnation_tie_break_is_commutative() {
         let a = entry(0, 1, 9001);
         let b = entry(0, 1, 9002);
-        let mut ab = AddressBook::new(1);
+        let mut ab = book(2);
         ab.observe(a);
         ab.observe(b);
-        let mut ba = AddressBook::new(1);
+        let mut ba = book(2);
         ba.observe(b);
         ba.observe(a);
         assert_eq!(ab.get(0), ba.get(0));
@@ -1037,97 +722,87 @@ mod tests {
             entry(0, 2, 9200),
         ];
         // Apply in two different orders; the final tables must agree.
-        let mut fwd = AddressBook::new(3);
-        fwd.merge(&updates);
-        let mut rev = AddressBook::new(3);
-        let mut reversed = updates;
-        reversed.reverse();
-        rev.merge(&reversed);
-        for id in 0..3 {
+        let (mut fwd, mut rev) = (book(4), book(4));
+        for (&e, &r) in updates.iter().zip(updates.iter().rev()) {
+            fwd.observe(e);
+            rev.observe(r);
+        }
+        for id in 0..4 {
             assert_eq!(fwd.get(id), rev.get(id), "server {id} diverged");
         }
     }
 
     #[test]
-    fn claim_own_bumps_over_a_predecessor() {
-        let mut book = AddressBook::new(2);
-        // Fresh claim starts at incarnation 0.
-        assert!(book.claim_own(1, addr(9001)));
-        assert_eq!(book.get(1).unwrap().incarnation, 0);
-        // Re-claiming the same address is a no-op.
-        assert!(!book.claim_own(1, addr(9001)));
-        // A predecessor's binding arrives with a higher incarnation…
-        assert!(book.observe(entry(1, 4, 9500)));
-        // …and the claim takes it back with a strictly higher one.
-        assert!(book.claim_own(1, addr(9001)));
-        let e = book.get(1).unwrap();
-        assert_eq!(e.addr, addr(9001));
-        assert_eq!(e.incarnation, 5);
-    }
-
-    #[test]
     fn version_bumps_only_on_change() {
-        let mut book = AddressBook::new(2);
-        assert_eq!(book.version(), 0);
+        let mut book = book(3);
+        assert_eq!(book.version(), 1, "the own claim");
         book.observe(entry(0, 0, 9000));
-        assert_eq!(book.version(), 1);
-        book.observe(entry(0, 0, 9000)); // no change
-        assert_eq!(book.version(), 1);
-        book.observe(entry(1, 0, 9001));
         assert_eq!(book.version(), 2);
+        book.observe(entry(0, 0, 9000)); // no change
+        assert_eq!(book.version(), 2);
+        assert!(!book.is_complete());
+        book.observe(entry(1, 0, 9001));
+        assert_eq!(book.version(), 3);
         assert!(book.is_complete());
     }
 
     #[test]
-    fn merge_msg_counts_adoptions_and_reclaims_own_slot() {
-        let state = MembershipHandle::new(0, 3, addr(9000));
-        // Peer 1 announces itself and peer 2.
-        let out = state
-            .merge_msg(&MembershipMsg {
-                kind: MembershipKind::Announce,
-                cluster_size: 3,
-                sender: 1,
-                book_version: 1,
-                entries: vec![entry(1, 0, 9001), entry(2, 0, 9002)],
-            })
-            .unwrap();
-        assert!(out.changed);
-        assert!(!out.reclaimed);
+    fn a_static_table_is_a_complete_book_at_incarnation_zero() {
+        let book = AddressBook::complete(1, &[addr(9000), addr(9001), addr(9002)]);
+        assert!(book.is_complete());
+        assert_eq!((book.own_id(), book.own_addr()), (1, addr(9001)));
+        for id in 0..3 {
+            let expected = BookEntry {
+                addr: addr(9000 + id as u16),
+                incarnation: 0,
+            };
+            assert_eq!(book.get(id), Some(expected));
+        }
+    }
+
+    fn msg(kind: MembershipKind, n: u32, sender: ServerId, entries: &[WireEntry]) -> MembershipMsg {
+        MembershipMsg {
+            kind,
+            cluster_size: n,
+            sender,
+            book_version: 1,
+            entries: entries.to_vec(),
+        }
+    }
+
+    #[test]
+    fn merge_msg_reports_adoptions_and_reclaims_the_own_slot() {
+        let mut book = AddressBook::new(3, 0, addr(9000));
+        assert_eq!(book.own_incarnation(), 0, "a fresh claim");
+        // Peer 1 announces itself and peer 2: news, not an adoption.
+        let both = [entry(1, 0, 9001), entry(2, 0, 9002)];
+        let announce = msg(MembershipKind::Announce, 3, 1, &both);
+        assert_eq!(book.merge_msg(&announce), Ok(false));
+        assert!(book.is_complete());
         // A replacement for server 1 announces from a new address.
-        let out = state
-            .merge_msg(&MembershipMsg {
-                kind: MembershipKind::Announce,
-                cluster_size: 3,
-                sender: 1,
-                book_version: 2,
-                entries: vec![entry(1, 1, 9101)],
-            })
-            .unwrap();
-        assert!(out.changed);
-        assert_eq!(state.peer_addr(1), Some(addr(9101)));
-        // A stale echo trying to move *our* id is re-claimed with a bump.
-        let out = state
-            .merge_msg(&MembershipMsg {
-                kind: MembershipKind::Delta,
-                cluster_size: 3,
-                sender: 2,
-                book_version: 9,
-                entries: vec![entry(0, 3, 9900)],
-            })
-            .unwrap();
-        assert!(out.reclaimed);
-        assert_eq!(state.peer_addr(0), Some(addr(9000)));
-        assert_eq!(state.own_incarnation(), 4);
+        let moved = msg(MembershipKind::Announce, 3, 1, &[entry(1, 1, 9101)]);
+        assert_eq!(book.merge_msg(&moved), Ok(true));
+        assert_eq!(book.get(1).unwrap().addr, addr(9101));
+        // Hearing of it again, or second-hand, adopts nothing.
+        assert_eq!(book.merge_msg(&moved), Ok(false));
+        let hearsay = msg(MembershipKind::Delta, 3, 2, &[entry(1, 2, 9201)]);
+        assert_eq!(book.merge_msg(&hearsay), Ok(false));
+        // A stale echo trying to move *our* id is taken back, strictly above
+        // it (a predecessor's binding with a higher incarnation included).
+        let version = book.version();
+        let echo = msg(MembershipKind::Delta, 3, 2, &[entry(0, 3, 9900)]);
+        assert_eq!(book.merge_msg(&echo), Ok(false));
+        assert_eq!(book.get(0).unwrap().addr, addr(9000));
+        assert_eq!(book.own_incarnation(), 4);
+        assert!(book.version() > version);
+        // Merging what is already known changes nothing: gossip converges.
+        let version = book.version();
+        let own = book.msg(MembershipKind::Snapshot);
+        assert_eq!(book.merge_msg(&own), Ok(false));
+        assert_eq!(book.version(), version);
         // Cluster-size mismatch is rejected.
-        assert!(state
-            .merge_msg(&MembershipMsg {
-                kind: MembershipKind::Delta,
-                cluster_size: 4,
-                sender: 1,
-                book_version: 1,
-                entries: vec![],
-            })
-            .is_err());
+        let alien = msg(MembershipKind::Delta, 4, 1, &[]);
+        assert!(book.merge_msg(&alien).is_err());
     }
 
     #[test]
@@ -1157,95 +832,5 @@ mod tests {
         // Reset restarts the exponential schedule at the base.
         a.reset();
         assert!(a.next_delay() <= base);
-    }
-
-    #[test]
-    fn discover_converges_a_three_node_cluster_from_one_seed() {
-        let listeners: Vec<TcpListener> = (0..3)
-            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-            .collect();
-        let seed = listeners[0].local_addr().unwrap();
-        let expected: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
-        let views: Vec<MembershipView> = std::thread::scope(|scope| {
-            let handles: Vec<_> = listeners
-                .iter()
-                .enumerate()
-                .map(|(id, listener)| {
-                    scope.spawn(move || {
-                        discover(
-                            id as ServerId,
-                            3,
-                            listener,
-                            &[seed],
-                            Duration::from_secs(10),
-                        )
-                        .unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for view in &views {
-            assert_eq!(view.peer_addrs, expected);
-            assert_eq!(view.incarnation, 0);
-        }
-    }
-
-    #[test]
-    fn discover_adopts_a_dead_id_at_a_new_address() {
-        // A standing "survivor" serving GHHM on its listener, already
-        // holding a complete 2-server book with the dead predecessor's
-        // address for server 1.
-        let survivor_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let survivor_addr = survivor_listener.local_addr().unwrap();
-        let survivor = MembershipHandle::new(0, 2, survivor_addr);
-        survivor
-            .merge_msg(&MembershipMsg {
-                kind: MembershipKind::Announce,
-                cluster_size: 2,
-                sender: 1,
-                book_version: 1,
-                // The dead predecessor's port is above the ephemeral range,
-                // so the equal-incarnation tie-break favors it and the
-                // replacement is forced down the bump-and-re-announce path.
-                entries: vec![entry(1, 0, 65535)],
-            })
-            .unwrap();
-        survivor_listener.set_nonblocking(true).unwrap();
-
-        let replacement_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let replacement_addr = replacement_listener.local_addr().unwrap();
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        let view = std::thread::scope(|scope| {
-            let survivor = &survivor;
-            let survivor_listener = &survivor_listener;
-            let stop = &stop;
-            scope.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match survivor_listener.accept() {
-                        Ok((mut stream, _)) => {
-                            let _ = survivor.serve_stream(&mut stream);
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                    }
-                }
-            });
-            let view = discover(
-                1,
-                2,
-                &replacement_listener,
-                &[survivor_addr],
-                Duration::from_secs(10),
-            )
-            .unwrap();
-            stop.store(true, Ordering::Relaxed);
-            view
-        });
-        // The replacement bumped over the predecessor's incarnation 0…
-        assert_eq!(view.incarnation, 1);
-        assert_eq!(view.peer_addrs, vec![survivor_addr, replacement_addr]);
-        // …and the survivor's book now records the new address.
-        assert_eq!(survivor.peer_addr(1), Some(replacement_addr));
-        assert_eq!(survivor.own_incarnation(), 0);
     }
 }

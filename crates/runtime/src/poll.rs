@@ -35,14 +35,14 @@
 //!
 //! The worker thread never touches a socket. The event loop never waits on a
 //! read: every socket it owns — live stream, dial in flight, accepted
-//! connection still short of its hello — is a non-blocking poller slot, and
-//! one that stays silent merely expires at its deadline
-//! ([`HANDSHAKE_DEADLINE`]). The one bounded wait left is the `connect` of a
-//! dial (`DIAL_CONNECT_CAP`). Commands travel over a *bounded* channel, so a
-//! worker that broadcasts faster than the network drains is throttled
-//! (backpressure) instead of buffering without limit; the loop additionally
-//! stops accepting commands while any peer's write queue is above its
-//! high-water mark.
+//! connection still short of its hello, announce still short of its snapshot
+//! reply — is a non-blocking poller slot, and one that stays silent merely
+//! expires at its deadline ([`HANDSHAKE_DEADLINE`]). The one bounded wait
+//! left is the `connect` of a dial or an announce (`DIAL_CONNECT_CAP`).
+//! Commands travel over a *bounded* channel, so a worker that broadcasts
+//! faster than the network drains is throttled (backpressure) instead of
+//! buffering without limit; the loop additionally stops accepting commands
+//! while any peer's write queue is above its high-water mark.
 //!
 //! ## One protocol, decided elsewhere
 //!
@@ -51,13 +51,14 @@
 //! [`crate::fabric::Fabric`]'s: this module turns what the OS reports into
 //! [`Event`]s and performs the [`Action`]s that come back, out of one reused
 //! buffer. Bringing a link up is the same path at start-up, after a cut and
-//! for a replacement process, so `establish` only starts the loop with every
-//! link down and waits for `Established`. The loop is single-threaded, so
-//! none of this needs locks or generations: command intake, retention,
-//! stream replacement and recovery interleave at loop-iteration granularity,
-//! which makes replay gap-free by construction (no frame can be retained
-//! between a replay snapshot and the stream's adoption — both are one
-//! `Fabric::step`).
+//! for a replacement process, and discovering the address book from seeds
+//! (`docs/WIRE.md` §10) is part of it, so `establish` only starts the loop
+//! with every link down and waits for `Established`. The loop is
+//! single-threaded, so none of this needs locks or generations: command
+//! intake, retention, stream replacement and recovery interleave at
+//! loop-iteration granularity, which makes replay gap-free by construction
+//! (no frame can be retained between a replay snapshot and the stream's
+//! adoption — both are one `Fabric::step`).
 //!
 //! ## Write coalescing
 //!
@@ -91,7 +92,7 @@ use crate::establish::{bind_listener, DEFAULT_ESTABLISH_TIMEOUT, HANDSHAKE_DEADL
 use crate::fabric::{Action, Command, Conn, Event, Fabric, HelloBytes, SharedBatch};
 use crate::frame::{Frame, FrameDecoder, InboxEvent, PlaneError, SuperstepCollector, WireMessage};
 use crate::membership::{
-    MembershipMsg, MembershipView, MEMBERSHIP_ENTRY_LEN, MEMBERSHIP_HEADER_LEN, MEMBERSHIP_MAGIC,
+    AddressBook, MembershipMsg, MEMBERSHIP_ENTRY_LEN, MEMBERSHIP_HEADER_LEN, MEMBERSHIP_MAGIC,
 };
 use crate::plane::BroadcastPlane;
 use crate::resume::{ResilienceConfig, RESUME_HELLO_LEN};
@@ -111,7 +112,8 @@ use std::time::{Duration, Instant};
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Poller slots for accepted connections that have not finished their
-/// handshake. When all are taken the oldest gives way.
+/// handshake, and for announces awaiting their reply. When all are taken the
+/// oldest gives way.
 const PENDING_SLOTS: usize = 16;
 
 /// Longest one connect may take. The one wait left on the loop thread — and
@@ -443,25 +445,6 @@ impl BoundPollPlane {
         self.listener.local_addr()
     }
 
-    /// Seed-node bootstrap: learn the full `id → address` book from `seeds`
-    /// via `GHHM` exchanges on this plane's listener (see
-    /// [`crate::membership::discover`]). Follow with
-    /// [`Self::establish_resilient`] on the view's `peer_addrs`, with the
-    /// view's `handle` set as [`ResilienceConfig::membership`].
-    pub fn discover(
-        &self,
-        seeds: &[SocketAddr],
-        timeout: Duration,
-    ) -> std::io::Result<MembershipView> {
-        crate::membership::discover(
-            self.id,
-            self.num_servers as usize,
-            &self.listener,
-            seeds,
-            timeout,
-        )
-    }
-
     /// Connect to every peer and return the ready plane, with the default
     /// [`ResilienceConfig`] and establish timeout.
     pub fn establish(self, peer_addrs: &[SocketAddr]) -> std::io::Result<PollPlane> {
@@ -478,8 +461,9 @@ impl BoundPollPlane {
     }
 
     /// [`Self::establish`] with an explicit timeout and recovery policy: the
-    /// reconnect deadline, the resume cursor of a restarted process, the live
-    /// membership handle of a seed-discovered cluster.
+    /// reconnect deadline, the resume cursor of a restarted process, the
+    /// seeds to discover the address book from — given seeds, `peer_addrs` is
+    /// empty and `timeout` bounds discovery and establishment together.
     pub fn establish_resilient(
         self,
         peer_addrs: &[SocketAddr],
@@ -494,7 +478,8 @@ impl BoundPollPlane {
     ///
     /// Establishment is the event loop's first job, not a phase before it:
     /// the loop starts with every link down and `timeout` to bring each up
-    /// once, and this call only waits for its verdict.
+    /// once (and, given seeds, to find out where), and this call only waits
+    /// for its verdict.
     pub fn establish_resilient_with(
         self,
         peer_addrs: &[SocketAddr],
@@ -507,15 +492,33 @@ impl BoundPollPlane {
             num_servers,
             listener,
         } = self;
-        if peer_addrs.len() != num_servers as usize {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
+        let invalid = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, m);
+        let own_addr = listener.local_addr()?;
+        let book = if config.seeds.is_empty() {
+            if peer_addrs.len() != num_servers as usize {
+                return Err(invalid(format!(
                     "need one address per server: got {} for a {num_servers}-server cluster",
                     peer_addrs.len()
-                ),
-            ));
-        }
+                )));
+            }
+            AddressBook::complete(id, peer_addrs)
+        } else {
+            if !peer_addrs.is_empty() {
+                return Err(invalid(format!(
+                    "a peer table ({} addresses) and seeds ({}) are alternative sources of \
+                     the address book: pass one",
+                    peer_addrs.len(),
+                    config.seeds.len()
+                )));
+            }
+            if own_addr.ip().is_unspecified() {
+                return Err(invalid(format!(
+                    "cannot advertise wildcard listener address {own_addr}: with seeds the \
+                     listener must be bound to an address peers can dial"
+                )));
+            }
+            AddressBook::new(num_servers as usize, id, own_addr)
+        };
 
         // Slot layout: 0 = waker, 1..=peers = peer streams (live, or the dial
         // in flight), then the listener, then PENDING_SLOTS accepted
@@ -550,11 +553,11 @@ impl BoundPollPlane {
 
         let (command_tx, command_rx) = sync_channel::<Request>(COMMAND_BACKLOG);
         let (inbox_tx, inbox) = channel::<InboxEvent>();
-        let (verdict_tx, verdict) = channel::<std::io::Result<()>>();
+        let (verdict_tx, verdict) = channel::<std::io::Result<AddressBook>>();
         let pool = BufferPool::new();
         let event_loop = EventLoop {
             id,
-            fabric: Fabric::new(id, num_servers, config, timeout, pool.clone()),
+            fabric: Fabric::new(book, config, timeout, pool.clone()),
             epoch: Instant::now(),
             actions: Vec::new(),
             peers,
@@ -566,7 +569,6 @@ impl BoundPollPlane {
             verdict: Some(verdict_tx),
             poller,
             counters: LoopCounters::registered(),
-            peer_addrs: peer_addrs.to_vec(),
             intake_open: true,
             exiting: false,
             dead: false,
@@ -581,14 +583,18 @@ impl BoundPollPlane {
         let verdict = verdict
             .recv()
             .unwrap_or_else(|_| Err(std::io::Error::other("event loop died while establishing")));
-        if let Err(e) = verdict {
-            let _ = event_loop.join();
-            return Err(e);
-        }
+        let book = match verdict {
+            Ok(book) => book,
+            Err(e) => {
+                let _ = event_loop.join();
+                return Err(e);
+            }
+        };
         let batch = pool.checkout();
         Ok(PollPlane {
             id,
             num_servers,
+            book,
             peer_ids,
             commands: command_tx,
             waker: waker_tx,
@@ -612,6 +618,7 @@ impl BoundPollPlane {
 pub struct PollPlane {
     id: ServerId,
     num_servers: u32,
+    book: AddressBook,
     /// Peer ids, sorted — the collector's completeness set.
     peer_ids: Vec<ServerId>,
     /// Bounded command channel into the event loop (the backpressure edge).
@@ -653,6 +660,13 @@ impl PollPlane {
             num_servers,
             listener,
         })
+    }
+
+    /// The address book as establishment left it: the static table, or what
+    /// was discovered from the seeds (the event loop's own copy goes on
+    /// converging by gossip).
+    pub fn book(&self) -> &AddressBook {
+        &self.book
     }
 
     /// Hand the accumulated batch to the event loop (blocking while the loop
@@ -824,25 +838,29 @@ enum Request {
 
 /// A dialed or accepted stream that has not finished its handshake: it sits
 /// in a poller slot and accumulates bytes across readiness events — the 16
-/// hello bytes or, on an accepted stream that opens with the `GHHM` magic, a
-/// whole announce — until [`HANDSHAKE_DEADLINE`]. Nothing waits on it.
+/// hello bytes or, on a pending stream that opens with the `GHHM` magic, a
+/// whole announce or snapshot — until [`HANDSHAKE_DEADLINE`]. Nothing waits
+/// on it.
 struct Handshake {
     stream: TcpStream,
     /// Where it leads, for refusal messages.
     origin: String,
+    /// The source this stream carried an announce to, if that is what it is.
+    asked: Option<SocketAddr>,
     expires: Instant,
     /// Bytes so far; never read past the handshake (frames may follow it).
     buf: Vec<u8>,
 }
 
 impl Handshake {
-    fn new(stream: TcpStream, origin: String) -> std::io::Result<Self> {
+    fn new(stream: TcpStream, origin: String, asked: Option<SocketAddr>) -> std::io::Result<Self> {
         // Accepted sockets do not inherit the listener's O_NONBLOCK everywhere.
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         Ok(Handshake {
             stream,
             origin,
+            asked,
             expires: Instant::now() + HANDSHAKE_DEADLINE,
             buf: Vec::with_capacity(RESUME_HELLO_LEN),
         })
@@ -964,7 +982,8 @@ struct EventLoop {
     actions: Vec<Action>,
     /// Registered with the poller as slots `1..=peers.len()`.
     peers: Vec<Peer>,
-    /// Accepted connections still handshaking: the poller's last slots.
+    /// Accepted connections still handshaking and announces awaiting their
+    /// reply: the poller's last slots.
     pending: Vec<Option<Handshake>>,
     /// Poller slot 0.
     waker_rx: TcpStream,
@@ -974,11 +993,9 @@ struct EventLoop {
     commands: Receiver<Request>,
     inbox: Sender<InboxEvent>,
     /// Where `establish` waits; taken by the verdict.
-    verdict: Option<Sender<std::io::Result<()>>>,
+    verdict: Option<Sender<std::io::Result<AddressBook>>>,
     poller: Box<dyn ReadinessPoller>,
     counters: LoopCounters,
-    /// The static address table (the gossiped book, when live, overrides it).
-    peer_addrs: Vec<SocketAddr>,
     /// Commands are still being taken (no shutdown seen yet).
     intake_open: bool,
     /// The fabric said [`Action::Exit`]: flush, say goodbye, leave.
@@ -1078,7 +1095,7 @@ impl EventLoop {
                 // A broken poller cannot drive any stream: fail establishment
                 // or report every peer lost, and leave — the plane finds the
                 // command channel closed.
-                self.announce(Err(e));
+                self.conclude(Err(e));
                 for peer in &mut self.peers {
                     peer.close();
                     let lost = InboxEvent::PeerLost(peer.id, PlaneError::Disconnected);
@@ -1104,7 +1121,7 @@ impl EventLoop {
                 }
             }
             if ready[listener_slot].readable && !self.exiting {
-                progressed |= self.accept_connections(listener_slot + 1);
+                progressed |= self.accept_connections();
             }
             for slot in 0..PENDING_SLOTS {
                 if ready[listener_slot + 1 + slot].readable && self.pending[slot].is_some() {
@@ -1130,7 +1147,7 @@ impl EventLoop {
     }
 
     /// Tell the waiting `establish` how establishment ended (once).
-    fn announce(&mut self, verdict: std::io::Result<()>) {
+    fn conclude(&mut self, verdict: std::io::Result<AddressBook>) {
         if let Some(waiting) = self.verdict.take() {
             let _ = waiting.send(verdict);
         }
@@ -1176,7 +1193,8 @@ impl EventLoop {
                 let slot = self.slot_of(peer);
                 self.peers[slot].close();
             }
-            Action::Dial(peer, hello) => return self.dial(peer, hello),
+            Action::Dial(peer, addr, hello) => return self.dial(peer, addr, hello),
+            Action::Announce(source, bytes) => return self.announce(source, &bytes),
             Action::Reply(conn, bytes) => {
                 // A fresh socket takes these few bytes whole or is not worth
                 // keeping; an `Adopt` that follows then finds it gone.
@@ -1203,13 +1221,13 @@ impl EventLoop {
             Action::Close(conn) => *self.handshake(conn) = None,
             // (A dropped plane stops listening; its Shutdown is on the way.)
             Action::Deliver(event) => drop(self.inbox.send(event)),
-            Action::Established => self.announce(Ok(())),
+            Action::Established => self.conclude(Ok(self.fabric.book().clone())),
             Action::EstablishFailed(timed_out, message) => {
                 let kind = match timed_out {
                     true => std::io::ErrorKind::TimedOut,
                     false => std::io::ErrorKind::Other,
                 };
-                self.announce(Err(std::io::Error::new(kind, message)));
+                self.conclude(Err(std::io::Error::new(kind, message)));
                 self.dead = true;
             }
             Action::Exit => self.exiting = true,
@@ -1217,19 +1235,21 @@ impl EventLoop {
         None
     }
 
-    /// One bounded connect (the only call here that may wait, and not on a
-    /// read) plus the hello; the reply is awaited in the peer's poller slot.
-    /// The target address comes from the gossiped book when membership is
-    /// live — a replacement process may have adopted the peer's id at a
-    /// fresh address.
-    fn dial(&mut self, peer: ServerId, hello: HelloBytes) -> Option<Event<'static>> {
+    /// One bounded connect (the only kind of call here that may wait, and
+    /// not on a read) plus the hello; the reply is awaited in the peer's
+    /// poller slot.
+    fn dial(
+        &mut self,
+        peer: ServerId,
+        addr: SocketAddr,
+        hello: HelloBytes,
+    ) -> Option<Event<'static>> {
         let slot = self.slot_of(peer);
-        let addr = self.fabric.config().peer_addr(peer, &self.peer_addrs);
         let origin = format!("server {peer} at {addr}");
         let dialed = TcpStream::connect_timeout(&addr, DIAL_CONNECT_CAP).and_then(|stream| {
             (&stream).write_all(&hello)?;
             self.poller.reregister(1 + slot, &stream)?;
-            Handshake::new(stream, origin.clone())
+            Handshake::new(stream, origin.clone(), None)
         });
         match dialed {
             Ok(handshake) => self.peers[slot].dialing = Some(handshake),
@@ -1238,19 +1258,51 @@ impl EventLoop {
         None
     }
 
-    /// Drain the listener's accept queue into pending slots. When all are
-    /// taken the oldest handshake gives way: a real peer's hello arrives
-    /// with its connect, so a flood of silent strays cannot lock it out.
-    fn accept_connections(&mut self, first_slot: usize) -> bool {
+    /// One bounded connect plus the announce; the snapshot reply is awaited
+    /// in a pending slot, like an accepted connection's hello. (An announce
+    /// displaces a stranger, never another announce: that one's failure
+    /// would have to be told to the fabric from inside `perform`.)
+    fn announce(&mut self, source: SocketAddr, announce: &[u8]) -> Option<Event<'static>> {
+        let connected = TcpStream::connect_timeout(&source, DIAL_CONNECT_CAP);
+        let sent = connected.and_then(|stream| (&stream).write_all(announce).map(|()| stream));
+        if let (Ok(stream), Some(slot)) = (sent, self.pending_slot(false)) {
+            self.park(slot, stream, source.to_string(), Some(source));
+            if self.pending[slot].is_some() {
+                return None;
+            }
+        }
+        Some(Event::AnnounceFailed(source))
+    }
+
+    /// The pending slot the next handshake takes: a free one, else the one
+    /// that has waited longest gives way — a real peer's hello arrives with
+    /// its connect, so a flood of silent strays cannot lock it out.
+    fn pending_slot(&self, may_displace_announces: bool) -> Option<usize> {
+        let handshake = |slot: &usize| self.pending[*slot].as_ref();
+        let usable = |slot: &usize| {
+            may_displace_announces || handshake(slot).is_none_or(|h| h.asked.is_none())
+        };
+        let slots = (0..PENDING_SLOTS).filter(usable);
+        slots.min_by_key(|slot| handshake(slot).map(|h| h.expires))
+    }
+
+    /// Put `stream` in pending slot `slot` (over whatever stranger held it)
+    /// until its handshake is whole.
+    fn park(&mut self, slot: usize, stream: TcpStream, origin: String, asked: Option<SocketAddr>) {
+        let registered = (self.poller).reregister(2 + self.peers.len() + slot, &stream);
+        let handshake = registered.and_then(|()| Handshake::new(stream, origin, asked));
+        self.pending[slot] = handshake.ok();
+    }
+
+    /// Drain the listener's accept queue into pending slots.
+    fn accept_connections(&mut self) -> bool {
         let mut progressed = false;
         // `Err` = WouldBlock or a transient accept error: done for this round.
         while let Ok((stream, from)) = self.listener.accept() {
             progressed = true;
-            let expiry = |slot: &usize| self.pending[*slot].as_ref().map(|h| h.expires);
-            let slot = (0..PENDING_SLOTS).min_by_key(expiry).expect("slots exist");
-            let registered = self.poller.reregister(first_slot + slot, &stream);
-            let handshake = registered.and_then(|()| Handshake::new(stream, from.to_string()));
-            self.pending[slot] = handshake.ok();
+            let slot = self.pending_slot(true).expect("slots exist");
+            self.abandon(Conn::Accepted(slot), "gave way to a newer connection");
+            self.park(slot, stream, from.to_string(), None);
             // The hello usually arrived with the connect: no need for a round.
             self.pump_handshake(Conn::Accepted(slot));
         }
@@ -1260,34 +1312,52 @@ impl EventLoop {
     /// Advance one handshake on readiness and hand whatever it completed to
     /// the fabric, which answers every hello with `Adopt` or `Close`.
     fn pump_handshake(&mut self, conn: Conn) -> bool {
-        let accepted = matches!(conn, Conn::Accepted(_));
+        let pending = matches!(conn, Conn::Accepted(_));
         let book_len = MEMBERSHIP_HEADER_LEN + (self.peers.len() + 1) * MEMBERSHIP_ENTRY_LEN;
         let Some(handshake) = self.handshake(conn) else {
             return false;
         };
-        let whole = handshake.pump(accepted.then_some(book_len));
+        let whole = handshake.pump(pending.then_some(book_len));
         if let Ok(false) = whole {
             return false;
         }
-        let (origin, bytes) = (
-            std::mem::take(&mut handshake.origin),
-            std::mem::take(&mut handshake.buf),
-        );
-        match (whole, bytes[..].try_into(), conn) {
-            (Ok(_), Ok(hello), _) => self.dispatch(Event::Hello(conn, &origin, hello)),
-            (Ok(_), Err(_), _) => self.dispatch(Event::Announce(conn, &bytes)),
-            (Err(e), _, Conn::Dialed(peer)) => {
+        let (origin, asked) = (handshake.origin.clone(), handshake.asked);
+        let bytes = std::mem::take(&mut handshake.buf);
+        match (whole, bytes[..].try_into(), asked) {
+            (Ok(_), Ok(hello), None) => self.dispatch(Event::Hello(conn, &origin, hello)),
+            (Ok(_), Err(_), None) => self.dispatch(Event::Announce(conn, &bytes)),
+            (Ok(_), Err(_), Some(source)) => {
                 *self.handshake(conn) = None;
-                let why = "no reply hello (the peer refused ours, or is not up yet)";
-                self.dispatch(Event::DialFailed(peer, format!("{origin}: {why}: {e}")));
+                self.dispatch(Event::Snapshot(source, &bytes));
             }
-            (Err(_), _, Conn::Accepted(_)) => *self.handshake(conn) = None,
+            (Ok(_), Ok(_), Some(_)) => self.abandon(conn, "answered with something else"),
+            (Err(e), ..) => {
+                let why = "no reply hello (the peer refused ours, or is not up yet)";
+                self.abandon(conn, &format!("{why}: {e}"));
+            }
         }
         true
     }
 
-    /// Drop every handshake past [`HANDSHAKE_DEADLINE`] — an expired dial is
-    /// a failed dial — and say when the next one is due.
+    /// A handshake is over without having become anything — failed, expired,
+    /// displaced: drop it, and if the connection was one the fabric asked
+    /// for, say so.
+    fn abandon(&mut self, conn: Conn, why: &str) {
+        let Some(handshake) = self.handshake(conn).take() else {
+            return;
+        };
+        match (conn, handshake.asked) {
+            (Conn::Dialed(peer), _) => {
+                let why = format!("{}: {why}", handshake.origin);
+                self.dispatch(Event::DialFailed(peer, why));
+            }
+            (Conn::Accepted(_), Some(source)) => self.dispatch(Event::AnnounceFailed(source)),
+            (Conn::Accepted(_), None) => {}
+        }
+    }
+
+    /// Abandon every handshake past [`HANDSHAKE_DEADLINE`] and say when the
+    /// next one is due.
     fn expire_handshakes(&mut self) -> Option<Instant> {
         let now = Instant::now();
         let mut next: Option<Instant> = None;
@@ -1296,16 +1366,11 @@ impl EventLoop {
                 None => Conn::Accepted(slot),
                 Some(peer) => Conn::Dialed(self.peers[peer].id),
             };
-            let handshake = self.handshake(conn);
-            let due = handshake.as_ref().map(|h| h.expires);
+            let due = self.handshake(conn).as_ref().map(|h| h.expires);
             if due.is_some_and(|due| now < due) {
                 next = next.min(due).or(due);
-            } else if let (Some(expired), Conn::Dialed(peer)) = (handshake.take(), conn) {
-                let why = format!("no reply hello within {HANDSHAKE_DEADLINE:?}");
-                self.dispatch(Event::DialFailed(
-                    peer,
-                    format!("{}: {why}", expired.origin),
-                ));
+            } else if due.is_some() {
+                self.abandon(conn, &format!("no reply within {HANDSHAKE_DEADLINE:?}"));
             }
         }
         next
@@ -1511,7 +1576,7 @@ mod tests {
 
     /// One endpoint of a 2-server cluster through `supersteps`: broadcast
     /// `[id, s]`, and demand exactly the peer's `[peer, s]` back — once.
-    fn exchange(p: &mut dyn BroadcastPlane, supersteps: std::ops::Range<u32>) {
+    fn run_supersteps(p: &mut dyn BroadcastPlane, supersteps: std::ops::Range<u32>) {
         let id = p.server_id();
         let peer = 1 - id;
         for s in supersteps {
@@ -1525,15 +1590,15 @@ mod tests {
     }
 
     /// Run both endpoints of a pair through `supersteps` concurrently.
-    fn exchange_pair(
+    fn run_pair(
         p0: &mut dyn BroadcastPlane,
         p1: &mut dyn BroadcastPlane,
         supersteps: std::ops::Range<u32>,
     ) {
         thread::scope(|scope| {
             let steps = supersteps.clone();
-            scope.spawn(move || exchange(p0, steps));
-            scope.spawn(move || exchange(p1, supersteps));
+            scope.spawn(move || run_supersteps(p0, steps));
+            scope.spawn(move || run_supersteps(p1, supersteps));
         });
     }
 
@@ -1597,7 +1662,7 @@ mod tests {
             )
         });
         let (p0, p1) = planes.split_at_mut(1);
-        exchange_pair(&mut p0[0], &mut p1[0], 0..3);
+        run_pair(&mut p0[0], &mut p1[0], 0..3);
     }
 
     #[test]
@@ -1687,7 +1752,7 @@ mod tests {
         // Server 0 severs its link to server 1 right after superstep 1 ends:
         // server 1 sees a full superstep then a FIN, redials, and resumes.
         let mut p0 = FaultPlane::new(p0, CutPlan::explicit(vec![(1, 1)]));
-        exchange_pair(&mut p0, &mut p1, 0..5);
+        run_pair(&mut p0, &mut p1, 0..5);
     }
 
     /// Both directions cut at once (a reconnect storm, here at different
@@ -1697,7 +1762,7 @@ mod tests {
         let (p0, p1) = establish_pair(&ResilienceConfig::default());
         let mut p0 = FaultPlane::new(p0, CutPlan::explicit(vec![(1, 1), (2, 1)]));
         let mut p1 = FaultPlane::new(p1, CutPlan::explicit(vec![(1, 0)]));
-        exchange_pair(&mut p0, &mut p1, 0..5);
+        run_pair(&mut p0, &mut p1, 0..5);
     }
 
     /// The recovery machinery also rides the portable spin poller — it must
@@ -1717,7 +1782,7 @@ mod tests {
         let mut p1 = planes.pop().unwrap();
         let p0 = planes.pop().unwrap();
         let mut p0 = FaultPlane::new(p0, CutPlan::explicit(vec![(0, 1)]));
-        exchange_pair(&mut p0, &mut p1, 0..3);
+        run_pair(&mut p0, &mut p1, 0..3);
     }
 
     /// Severing an already-severed (or recovering) link is a harmless no-op.
@@ -1726,7 +1791,7 @@ mod tests {
         let (mut p0, mut p1) = establish_pair(&ResilienceConfig::default());
         p0.sever_peer(1);
         p0.sever_peer(1);
-        exchange_pair(&mut p0, &mut p1, 0..3);
+        run_pair(&mut p0, &mut p1, 0..3);
     }
 
     /// Connections that say nothing — or say `GHHM` and then nothing — must
@@ -1739,11 +1804,11 @@ mod tests {
         let (bound, addrs) = bind_cluster(2);
         let seed = addrs[0];
         let planes = establish_all_with(bound, |b| {
-            Ok(discover_and_establish(b, seed, ResilienceConfig::default()))
+            Ok(establish_seeded(b, seed, ResilienceConfig::default()))
         });
         let mut planes = planes.into_iter();
         let (mut p0, mut p1) = (planes.next().unwrap(), planes.next().unwrap());
-        exchange_pair(&mut p0, &mut p1, 0..1);
+        run_pair(&mut p0, &mut p1, 0..1);
         let mut silent = Vec::new();
         for addr in &addrs {
             for _ in 0..8 {
@@ -1754,7 +1819,7 @@ mod tests {
             silent.push(stalled);
         }
         let start = Instant::now();
-        exchange_pair(&mut p0, &mut p1, 1..4);
+        run_pair(&mut p0, &mut p1, 1..4);
         assert!(
             start.elapsed() < Duration::from_millis(100),
             "silent probers held the event loop for {:?}",
@@ -1827,35 +1892,31 @@ mod tests {
         }
     }
 
-    /// Discover the book from `seed`, then establish against it.
-    fn discover_and_establish(
+    /// Establish from `seed` alone: no peer table, the book is discovered.
+    fn establish_seeded(
         b: BoundPollPlane,
         seed: SocketAddr,
         config: ResilienceConfig,
     ) -> PollPlane {
-        let view = b.discover(&[seed], TIMEOUT).unwrap();
-        let config = ResilienceConfig {
-            membership: Some(view.handle),
-            ..config
-        };
-        b.establish_resilient(&view.peer_addrs, TIMEOUT, config)
-            .unwrap()
+        let seeds = vec![seed];
+        let config = ResilienceConfig { seeds, ..config };
+        b.establish_resilient(&[], TIMEOUT, config).unwrap()
     }
 
-    /// A cluster bootstrapped from one seed address (no static peer table)
+    /// A cluster started from one seed address (no static peer table)
     /// converges its address books and reaches all-to-all parity.
     #[test]
     fn seed_discovered_cluster_reaches_parity() {
         let (bound, addrs) = bind_cluster(3);
         let seed = addrs[0];
         let planes = establish_all_with(bound, |b| {
-            let view = b.discover(&[seed], TIMEOUT)?;
-            assert_eq!(view.incarnation, 0, "fresh bootstrap never bumps");
-            let config = ResilienceConfig {
-                membership: Some(view.handle),
-                ..ResilienceConfig::default()
-            };
-            b.establish_resilient(&view.peer_addrs, TIMEOUT, config)
+            let plane = establish_seeded(b, seed, ResilienceConfig::default());
+            let book = plane.book();
+            assert_eq!(book.own_incarnation(), 0, "a fresh start never bumps");
+            for (id, &addr) in addrs.iter().enumerate() {
+                assert_eq!(book.get(id as ServerId).map(|e| e.addr), Some(addr));
+            }
+            Ok(plane)
         });
         let results: Vec<Vec<usize>> = thread::scope(|scope| {
             let handles: Vec<_> = planes
@@ -1882,10 +1943,52 @@ mod tests {
         }
     }
 
+    /// Strangers that connect to a *discovering* node and say nothing cost
+    /// it nothing either: discovery shares the loop's pending slots, so they
+    /// sit beside its announces until they expire. (The blocking bootstrap
+    /// this replaces served its accept queue one connection at a time under a
+    /// 2 s read cap: three strangers, six seconds — for both nodes, since the
+    /// seed waits for the other's announce.)
+    #[test]
+    fn silent_strangers_do_not_delay_a_discovering_node() {
+        let (bound, addrs) = bind_cluster(2);
+        let strangers: Vec<TcpStream> = (0..3)
+            .map(|_| TcpStream::connect(addrs[1]).unwrap())
+            .collect();
+        let start = Instant::now();
+        let planes = establish_all_with(bound, |b| {
+            Ok(establish_seeded(b, addrs[0], ResilienceConfig::default()))
+        });
+        assert!(
+            start.elapsed() < HANDSHAKE_DEADLINE / 2,
+            "establishment waited for strangers: {:?}",
+            start.elapsed()
+        );
+        drop((planes, strangers));
+    }
+
+    /// A peer table and seeds are alternative sources of the book, and a
+    /// discovering node must have an address to announce.
+    #[test]
+    fn seeds_exclude_a_peer_table_and_a_wildcard_listener() {
+        let (mut bound, addrs) = bind_cluster(2);
+        let seeds = vec![addrs[0]];
+        let config = ResilienceConfig {
+            seeds,
+            ..ResilienceConfig::default()
+        };
+        let mixed = bound.pop().unwrap();
+        let err = mixed.establish_resilient(&addrs, TIMEOUT, config.clone());
+        assert_eq!(err.unwrap_err().kind(), std::io::ErrorKind::InvalidInput);
+        let wildcard = PollPlane::bind(1, 2, "0.0.0.0:0").unwrap();
+        let err = wildcard.establish_resilient(&[], TIMEOUT, config);
+        assert_eq!(err.unwrap_err().kind(), std::io::ErrorKind::InvalidInput);
+    }
+
     /// A peer is killed mid-run and a replacement with the same server id
     /// rejoins **at a different address** via seed discovery. The survivor
-    /// learns the fresh address through the `GHHM` exchange on its listener,
-    /// its redial consults the gossiped book, and the run finishes
+    /// learns the fresh address from the announce it serves on its listener,
+    /// the replacement dials in from there, and the run finishes
     /// exactly-once.
     #[test]
     fn replacement_at_a_new_address_is_adopted_mid_run() {
@@ -1905,7 +2008,7 @@ mod tests {
             } else {
                 &victim_config
             };
-            Ok(discover_and_establish(b, seed, config.clone()))
+            Ok(establish_seeded(b, seed, config.clone()))
         });
         let mut p1 = planes.pop().unwrap();
         let mut p0 = planes.pop().unwrap();
@@ -1922,12 +2025,12 @@ mod tests {
             // but it is not this test's scenario.
             let (absorbed_tx, absorbed_rx) = channel::<()>();
             scope.spawn(move || {
-                exchange(&mut p0, 0..CRASH_AT);
+                run_supersteps(&mut p0, 0..CRASH_AT);
                 absorbed_tx.send(()).unwrap();
-                exchange(&mut p0, CRASH_AT..TOTAL);
+                run_supersteps(&mut p0, CRASH_AT..TOTAL);
             });
             scope.spawn(move || {
-                exchange(&mut p1, 0..CRASH_AT);
+                run_supersteps(&mut p1, 0..CRASH_AT);
                 absorbed_rx.recv().unwrap();
                 // Die like a killed process: no goodbye, no linger, no
                 // self-recovery — the survivor must hold the door open.
@@ -1943,8 +2046,8 @@ mod tests {
                     resume_from: CRASH_AT,
                     ..survivor_config.clone()
                 };
-                let mut p1 = discover_and_establish(rb, seed, config);
-                exchange(&mut p1, CRASH_AT..TOTAL);
+                let mut p1 = establish_seeded(rb, seed, config);
+                run_supersteps(&mut p1, CRASH_AT..TOTAL);
             });
         });
     }

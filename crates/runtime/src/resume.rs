@@ -13,13 +13,12 @@
 //!   requested cursor, and incoming [`crate::frame::Frame::Ack`]s trim the
 //!   prefix every peer has durably applied.
 //! * [`ResilienceConfig`] — the three values of recovery policy a caller can
-//!   set: reconnect deadline, resume cursor, live membership.
+//!   set: reconnect deadline, resume cursor, discovery seeds.
 //!
 //! The normative byte spec lives in `docs/WIRE.md` §9; this module is the
 //! reference implementation.
 
 use crate::buffer::PooledBuf;
-use crate::membership::MembershipHandle;
 use graphh_graph::ids::ServerId;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -324,13 +323,14 @@ pub struct ResilienceConfig {
     /// restarted server passes its checkpoint cursor). Sent in every
     /// [`ResumeHello`] and used to seed the per-peer receive cursors.
     pub resume_from: u32,
-    /// The live membership state from seed discovery
-    /// ([`crate::membership::MembershipView::handle`]). When set, redials
-    /// re-consult the gossiped address book before every attempt (adopting a
-    /// replacement peer's new address), the event loop answers `GHHM`
-    /// exchanges on its listener and piggybacks gossip deltas on the ack
-    /// cadence. `None` = the static peer table, nothing of §10 on the wire.
-    pub membership: Option<MembershipHandle>,
+    /// Addresses of cluster members to discover the address book from
+    /// (`docs/WIRE.md` §10), in place of a static peer table: the fabric
+    /// starts knowing only its own address, announces itself to the seeds
+    /// and to every address it learns, answers `GHHM` announces on its
+    /// listener and gossips book changes on its live links, so a replacement
+    /// peer is redialed at its new address. Empty = the static table the
+    /// caller hands to `establish`, nothing of §10 on the wire.
+    pub seeds: Vec<SocketAddr>,
 }
 
 impl Default for ResilienceConfig {
@@ -338,7 +338,7 @@ impl Default for ResilienceConfig {
         Self {
             reconnect_deadline: Duration::from_secs(30),
             resume_from: 0,
-            membership: None,
+            seeds: Vec::new(),
         }
     }
 }
@@ -351,16 +351,6 @@ impl ResilienceConfig {
             resume_from: superstep,
             ..Self::default()
         }
-    }
-
-    /// The address to dial `peer` at right now: the gossiped book's entry
-    /// when membership is live (a replacement may have moved), else the
-    /// static table's.
-    pub fn peer_addr(&self, peer: ServerId, static_addrs: &[SocketAddr]) -> SocketAddr {
-        self.membership
-            .as_ref()
-            .and_then(|m| m.peer_addr(peer))
-            .unwrap_or(static_addrs[peer as usize])
     }
 }
 

@@ -284,6 +284,13 @@ pub fn run_worker(
         } else {
             plan.max_supersteps
         };
+        // A checkpoint at cursor `s` is the durability promise for `s - 1`,
+        // and the ack that said so may have died with the process that made
+        // it: repeat it, or — with no superstep left to run — every peer
+        // retains the final ones until it exits.
+        if let Some(durable) = start_superstep.checked_sub(1) {
+            plane.acknowledge(durable).map_err(plane_error)?;
+        }
         for superstep in start_superstep..loop_end {
             if let Some(delay) = superstep_delay {
                 std::thread::sleep(delay);
@@ -485,12 +492,15 @@ mod tests {
     use graphh_partition::{Spe, SpeConfig};
     use std::sync::mpsc::channel;
 
-    /// A plane that hands the worker one attacker-controlled wire message.
-    struct InjectingPlane {
+    /// A plane that hands the worker one attacker-controlled wire message,
+    /// if given one, and records the markers and acks it is told, in order.
+    #[derive(Default)]
+    struct TestPlane {
         payload: Option<WireMessage>,
+        calls: Vec<(&'static str, u32)>,
     }
 
-    impl BroadcastPlane for InjectingPlane {
+    impl BroadcastPlane for TestPlane {
         fn num_servers(&self) -> u32 {
             2
         }
@@ -500,13 +510,65 @@ mod tests {
         fn broadcast(&mut self, _superstep: u32, _wire: &[u8]) -> Result<(), PlaneError> {
             Ok(())
         }
-        fn end_superstep(&mut self, _superstep: u32) -> Result<(), PlaneError> {
+        fn end_superstep(&mut self, superstep: u32) -> Result<(), PlaneError> {
+            self.calls.push(("end", superstep));
             Ok(())
         }
         fn collect(&mut self, _superstep: u32) -> Result<Vec<WireMessage>, PlaneError> {
             Ok(self.payload.take().into_iter().collect())
         }
+        fn acknowledge(&mut self, superstep: u32) -> Result<(), PlaneError> {
+            self.calls.push(("ack", superstep));
+            Ok(())
+        }
         fn abort(&mut self) {}
+    }
+
+    /// A checkpoint at cursor `s` promised `s - 1` durable, so a worker
+    /// resumed there says so before anything else — even when nothing is left
+    /// to run, which used to leave every peer retaining the final supersteps —
+    /// and a fresh start acknowledges nothing before it has ended superstep 0.
+    #[test]
+    fn a_resumed_worker_repeats_the_ack_its_checkpoint_stands_for() {
+        let g = path_graph(10);
+        let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 2)).unwrap();
+        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
+        let program = PageRank::new(3);
+        let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
+        let calls_of = |options: WorkerOptions| {
+            let mut plane = TestPlane::default();
+            let (metrics_tx, _metrics_rx) = channel();
+            let tracer = Tracer::off();
+            run_worker(
+                &config,
+                &plan,
+                &p,
+                &program,
+                0,
+                &mut plane,
+                &metrics_tx,
+                &tracer,
+                options,
+            )
+            .unwrap();
+            plane.calls
+        };
+        let resumed_at = |start_superstep, initial_frontier| WorkerOptions {
+            start_superstep,
+            initial_frontier,
+            ..WorkerOptions::default()
+        };
+        // The cursor is past the last superstep: zero iterations, one ack.
+        assert_eq!(plan.max_supersteps, 3);
+        assert_eq!(calls_of(resumed_at(3, None)), [("ack", 2)]);
+        // The run had terminated (empty frontier) before the process died.
+        assert_eq!(calls_of(resumed_at(2, Some(Vec::new()))), [("ack", 1)]);
+        // Mid-run: the repeated ack comes first, then the loop's own.
+        let mid_run = calls_of(resumed_at(1, None));
+        assert_eq!(mid_run[..3], [("ack", 0), ("end", 1), ("ack", 1)]);
+        // A fresh start has nothing to repeat.
+        let fresh = calls_of(WorkerOptions::default());
+        assert_eq!(fresh[..2], [("end", 0), ("ack", 0)]);
     }
 
     /// The superstep buffers must be *reused*, not reallocated: after a
@@ -582,8 +644,9 @@ mod tests {
             range_end: 1 << 30,
             updates: vec![(123_456_789, 1.0)],
         };
-        let mut plane = InjectingPlane {
+        let mut plane = TestPlane {
             payload: Some(evil.encode(BroadcastEncoding::Sparse).into()),
+            ..TestPlane::default()
         };
         let (metrics_tx, _metrics_rx) = channel();
         let err = run_worker(

@@ -25,10 +25,15 @@ use graphh_core::{DirectionOptimizingBfs, GabProgram, GraphHConfig};
 use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_obs::{SpanRecorder, Tracer};
 use graphh_partition::{Spe, SpeConfig};
+use graphh_runtime::fabric::{Action, Conn, Event, Fabric};
 use graphh_runtime::frame::encode_message_into;
-use graphh_runtime::{BufferPool, Frame, MembershipHandle};
+use graphh_runtime::{
+    AddressBook, BufferPool, Frame, MembershipKind, ResilienceConfig, ResumeHello,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::SocketAddr;
+use std::time::Duration;
 
 /// Counts this thread's allocations and reallocations (frees are irrelevant).
 struct CountingAllocator;
@@ -140,6 +145,41 @@ fn superstep(
     all_updates.len()
 }
 
+/// A seed-discovered fabric as it stands in a fault-free run: server 0 of 4,
+/// started from a seed, every peer's announce served and its dial adopted —
+/// established, every link up and sent the whole book.
+fn established_fabric(pool: &BufferPool) -> Fabric {
+    let addr = |id: u32| SocketAddr::from(([127, 0, 0, 1], 4750 + id as u16));
+    let seeds = vec![addr(1)];
+    let config = ResilienceConfig {
+        seeds,
+        ..ResilienceConfig::default()
+    };
+    let book = AddressBook::new(4, 0, addr(0));
+    let mut fabric = Fabric::new(book, config, Duration::from_secs(10), pool.clone());
+    let mut actions = Vec::new();
+    for peer in 1..4 {
+        let announce = AddressBook::new(4, peer, addr(peer)).msg(MembershipKind::Announce);
+        let hello = ResumeHello {
+            cluster_size: 4,
+            sender: peer,
+            resume_from: 0,
+        };
+        let (asking, dialing) = (Conn::Accepted(0), Conn::Accepted(1));
+        let events = [
+            Event::Announce(asking, &announce.encode()),
+            Event::Hello(dialing, "peer", hello.encode()),
+            Event::Tick,
+        ];
+        for event in events {
+            fabric.step(Duration::ZERO, event, &mut actions);
+        }
+    }
+    assert!(actions.iter().any(|a| matches!(a, Action::Established)));
+    assert!(fabric.book().is_complete());
+    fabric
+}
+
 #[test]
 fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
     // Hybrid mode with both outcomes represented: a dense-encoded message
@@ -181,16 +221,15 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
         Some(Codec::Zlib3),
         Some(Codec::VarintDelta),
     ];
-    // A live membership handle, as every seed-discovered fabric
-    // holds one: its per-iteration steady-state work — the gossip-cadence
-    // version check and the redial address lookup — rides the same hot loop
-    // and must stay allocation-free while the book is quiescent (the
-    // fault-free case). Built before any snapshot: counter registration and
-    // the book itself allocate once, at setup.
-    let membership = MembershipHandle::new(3, 4, "127.0.0.1:4750".parse().unwrap());
-    let mut last_book_version = membership.version();
-
+    // A real seed-discovered fabric with its live book: the tick the event
+    // loop runs every iteration — per link, has the book moved past what
+    // this link was sent? — rides the same hot loop and must stay
+    // allocation-free while the book is quiescent (the fault-free case).
+    // Built before any snapshot: counter registration, the book and the
+    // discovery that filled it allocate once, at set-up.
     let pool = BufferPool::new();
+    let mut fabric = established_fabric(&pool);
+    let mut actions: Vec<Action> = Vec::new();
     for compressor in compressors {
         let label = compressor.map_or("uncompressed", Codec::name);
         let codec = MessageCodec::new(CommunicationMode::default(), compressor);
@@ -230,14 +269,12 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
 
         let before = local_allocations();
         for s in 1..64u32 {
-            // The event loop's membership tick: one version load
-            // and compare (gossip only fires when the book moved), plus the
-            // book consultation a redial would perform. Neither may allocate.
-            let version = membership.version();
-            if version > last_book_version {
-                last_book_version = version;
-            }
-            std::hint::black_box(membership.peer_addr(s % 4));
+            // The event loop's tick, and the timer it asks for after it:
+            // nothing is due, nothing is gossiped, nothing may allocate.
+            let now = Duration::from_millis(u64::from(s));
+            fabric.step(now, Event::Tick, &mut actions);
+            assert!(actions.is_empty(), "a quiescent fabric acts: {actions:?}");
+            std::hint::black_box(fabric.next_timer());
             let merged = superstep(
                 &codec,
                 &messages,

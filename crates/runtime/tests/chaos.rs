@@ -193,11 +193,11 @@ fn poll_bfs_survives_a_cut_at_every_boundary() {
 }
 
 /// Seed discovery instead of a static peer table, then the same storm: every
-/// endpoint bootstraps its address book from one seed (`GHHM` exchanges over
-/// the same listeners the run uses), establishes with the membership handle
-/// installed — so every mid-storm redial re-consults the gossiped book — and
-/// the final replicas must still match the unfaulted sequential reference,
-/// bit for bit.
+/// endpoint discovers its address book from one seed while its links come up
+/// (`GHHM` announces over the same listeners the run uses) — so every
+/// mid-storm redial goes to the address the discovered book holds — and the
+/// final replicas must still match the unfaulted sequential reference, bit
+/// for bit.
 #[test]
 fn seed_discovered_cluster_survives_the_storm_bit_identical() {
     let partitioned = pagerank_workload();
@@ -223,13 +223,12 @@ fn seed_discovered_cluster_survives_the_storm_bit_identical() {
                 let (plan, cuts) = (&plan, cuts.clone());
                 let (config, partitioned, program) = (&config, &partitioned, &program);
                 scope.spawn(move || {
-                    let view = b.discover(&[seed], ESTABLISH_TIMEOUT).expect("discover");
                     let resilience = ResilienceConfig {
-                        membership: Some(view.handle),
+                        seeds: vec![seed],
                         ..ResilienceConfig::default()
                     };
                     let endpoint = b
-                        .establish_resilient(&view.peer_addrs, ESTABLISH_TIMEOUT, resilience)
+                        .establish_resilient(&[], ESTABLISH_TIMEOUT, resilience)
                         .expect("establish discovered");
                     run_chaos_worker(endpoint, cuts, config, plan, partitioned, program)
                 })

@@ -9,6 +9,10 @@
 //! which server crashes and whether, when and *where* it comes back (same
 //! address, or a new one the gossiped book must spread), who exits while a
 //! peer is still away — and every schedule is held to the invariants below.
+//! Every other schedule starts from **seeds** instead of a peer table: each
+//! fabric then discovers the address book itself, through announces this
+//! network carries like any other connection, and a restarted server is told
+//! of one live member only.
 //! Thousands run per `cargo test`; a failure prints its seed and the
 //! `(event → actions)` trace of every fabric, and the same seed reproduces
 //! it byte for byte.
@@ -29,18 +33,18 @@
 //!   establish timeout; a loss after a refused hello names the refusal;
 //! * **bounded linger** — an endpoint told to stop exits at once when it
 //!   owes nothing and within `reconnect_deadline` otherwise;
-//! * **converged books** — with membership on, every endpoint that lived to
-//!   the end knows every other's final address.
+//! * **converged books** — started from seeds, every endpoint that lived to
+//!   the end knows every other's final address, and none was established
+//!   before its own book was complete.
 //!
 //! This file is compiled into two harnesses: `graphh-runtime`'s own tests
 //! and (by `#[path]`) the facade crate's tier-1 `cargo test`.
 
 use graphh_runtime::establish::HANDSHAKE_DEADLINE;
-use graphh_runtime::fabric::{Action, Command, Conn, Event, Fabric};
+use graphh_runtime::fabric::{Action, Command, Conn, Event, Fabric, RETRY_BACKOFF_CAP};
 use graphh_runtime::{
-    encode_message_into, BufferPool, Frame, FrameDecoder, InboxEvent, MembershipHandle,
-    MembershipKind, MembershipMsg, PlaneError, ResilienceConfig, ResumeHello, SuperstepCollector,
-    MEMBERSHIP_MAGIC,
+    encode_message_into, AddressBook, BufferPool, Frame, FrameDecoder, InboxEvent, MembershipKind,
+    MembershipMsg, PlaneError, ResilienceConfig, ResumeHello, SuperstepCollector, MEMBERSHIP_MAGIC,
 };
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -48,7 +52,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Seeded schedules per cluster size (2, 3 and 5 endpoints); every other one
-/// runs with membership on. A constant, not a knob: tier-1 runs them all.
+/// starts from seeds. A constant, not a knob: tier-1 runs them all.
 const SCHEDULES: [(u32, u64); 3] = [(2, 900), (3, 800), (5, 400)];
 
 const RECONNECT_DEADLINE: Duration = Duration::from_secs(20);
@@ -106,6 +110,12 @@ enum EndState {
     /// Dialed, reply hello incomplete.
     Dialing {
         peer: u32,
+        buf: Vec<u8>,
+        expires: Duration,
+    },
+    /// Announced to `source`, snapshot reply incomplete.
+    Asking {
+        source: SocketAddr,
         buf: Vec<u8>,
         expires: Duration,
     },
@@ -171,7 +181,10 @@ struct Proc {
     /// New inbox events since the last collect attempt that had to wait.
     inbox_grew: bool,
     worker: Worker,
-    established: bool,
+    /// When `Action::Established` came.
+    established: Option<Duration>,
+    /// Announces this process has sent.
+    announces: usize,
     /// When the worker said `Shutdown`, and whether a link was down then.
     stopped: Option<(Duration, bool)>,
     ended: Option<Ended>,
@@ -205,7 +218,8 @@ struct Node {
     generation: u32,
     addr: SocketAddr,
     state: NodeState,
-    membership: Option<MembershipHandle>,
+    /// What the server is launched with in place of a peer table, if anything.
+    seeds: Vec<SocketAddr>,
     /// Per peer id: count of completed supersteps this server's fabrics saw
     /// from that peer (EOS + 1) — what its next hello would ask to resume at.
     eos_cursor: Vec<u32>,
@@ -238,16 +252,26 @@ enum Fault {
     /// A stranger connects to `target`.
     Rogue { target: u32, kind: RogueKind },
     /// `victim` is killed; it is bound again after `down_for` (at a new
-    /// address if `moves`) and establishes after `bound_for` more.
+    /// address if it `moves`) and establishes after `bound_for` more.
     CrashRestart {
         victim: u32,
         down_for: Duration,
         bound_for: Duration,
-        moves: bool,
+        moves: Moves,
     },
     /// `victim` is killed for good; with `impostor`, a process believing in a
     /// larger cluster then dials the survivors under its id.
     GoneForever { victim: u32, impostor: bool },
+}
+
+/// Where a restarted server listens. Books break an incarnation tie in
+/// favour of the larger address, so only a move to a *lower* one makes the
+/// replacement claim its id twice.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Moves {
+    No,
+    Higher,
+    Lower,
 }
 
 struct Planned {
@@ -257,8 +281,15 @@ struct Planned {
 }
 
 enum Timed {
-    Bind { victim: u32, moves: bool },
-    Start { victim: u32 },
+    Bind {
+        victim: u32,
+        moves: Moves,
+    },
+    Start {
+        victim: u32,
+    },
+    /// A fault at an instant instead of at a worker's progress.
+    Fire(Fault),
 }
 
 struct World {
@@ -267,7 +298,8 @@ struct World {
     nodes: Vec<Node>,
     conns: Vec<Connection>,
     supersteps: u32,
-    membership: bool,
+    /// Servers are launched with seeds, not a peer table.
+    seeded: bool,
     /// Keep every endpoint up until all are done (then check every log is
     /// empty and the books agree) instead of letting each exit on its own.
     hold_until_all_done: bool,
@@ -279,8 +311,6 @@ struct World {
     dials: usize,
     /// A server is gone for good: survivors may fail instead of finishing.
     fatal: bool,
-    /// A server was killed between its last ack and its exit.
-    last_ack_lost: bool,
     /// The drawn faults, for failure reports.
     plan_text: String,
     trace: Option<Vec<String>>,
@@ -302,8 +332,12 @@ fn static_addr(id: u32) -> SocketAddr {
     SocketAddr::from(([10, 0, 0, id as u8 + 1], 7000))
 }
 
-fn moved_addr(id: u32, generation: u32) -> SocketAddr {
-    SocketAddr::from(([10, 0, 1, id as u8 + 1], 7000 + generation as u16))
+fn moved_addr(id: u32, generation: u32, moves: Moves) -> SocketAddr {
+    match moves {
+        Moves::No => static_addr(id),
+        Moves::Higher => SocketAddr::from(([10, 0, 1, id as u8 + 1], 7000 + generation as u16)),
+        Moves::Lower => SocketAddr::from(([10, 0, 0, id as u8 + 1], 6000 + generation as u16)),
+    }
 }
 
 /// How many messages `id` publishes in superstep `s`, each `[id, s, k]`.
@@ -312,11 +346,11 @@ fn messages_of(id: u32, s: u32) -> u32 {
 }
 
 /// How long the handshake in `buf` is, as far as its bytes tell: a hello's
-/// 16, or — where an announce may be served — a `GHHM` message's header and
-/// then the length that header declares.
-fn handshake_len(buf: &[u8], accepted: bool) -> usize {
+/// 16, or — where a `GHHM` message may come (an announce to serve, the reply
+/// to one) — its header and then the length that header declares.
+fn handshake_len(buf: &[u8], ghhm: bool) -> usize {
     match (
-        accepted && buf.starts_with(&MEMBERSHIP_MAGIC),
+        ghhm && buf.starts_with(&MEMBERSHIP_MAGIC),
         buf.first_chunk(),
     ) {
         (false, _) => 16,
@@ -349,6 +383,7 @@ fn describe_action(action: &Action) -> String {
     match action {
         Action::Send(peer, batch) => format!("Send({peer}: {})", describe(batch)),
         Action::Reply(conn, bytes) => format!("Reply({conn:?}, {} bytes)", bytes.len()),
+        Action::Announce(source, bytes) => format!("Announce({source}, {} bytes)", bytes.len()),
         Action::Deliver(InboxEvent::Frame(frame)) => {
             let mut bytes = Vec::new();
             frame.encode(&mut bytes);
@@ -371,6 +406,7 @@ fn describe_event(event: &Event<'_>) -> String {
             format!("Frame({peer}: {})", describe(&bytes))
         }
         Event::Announce(conn, bytes) => format!("Announce({conn:?}, {} bytes)", bytes.len()),
+        Event::Snapshot(source, bytes) => format!("Snapshot({source}, {} bytes)", bytes.len()),
         other => format!("{other:?}"),
     }
 }
@@ -378,7 +414,7 @@ fn describe_event(event: &Event<'_>) -> String {
 impl World {
     // -- construction -------------------------------------------------------
 
-    fn new(seed: u64, servers: u32, membership: bool, trace: bool) -> World {
+    fn new(seed: u64, servers: u32, seeded: bool, trace: bool) -> World {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
         let supersteps = 3 + rng.below(3) as u32;
         let nodes = (0..servers)
@@ -387,7 +423,7 @@ impl World {
                 generation: 0,
                 addr: static_addr(id),
                 state: NodeState::Dead,
-                membership: None,
+                seeds: Vec::new(),
                 eos_cursor: vec![0; servers as usize],
                 history: Vec::new(),
             })
@@ -397,14 +433,13 @@ impl World {
             nodes,
             conns: Vec::new(),
             supersteps,
-            membership,
+            seeded,
             hold_until_all_done: rng.chance(1, 2),
             planned: Vec::new(),
             timed: Vec::new(),
             doomed_dials: Vec::new(),
             dials: 0,
             fatal: false,
-            last_ack_lost: false,
             plan_text: String::new(),
             trace: trace.then(Vec::new),
             steps: 0,
@@ -413,20 +448,14 @@ impl World {
         world.plan(servers);
         let faults: Vec<_> = world.planned.iter().map(|p| (&p.fault, p.when)).collect();
         world.plan_text = format!("{faults:?} doomed dials {:?}", world.doomed_dials);
-        if membership {
-            // What seed discovery leaves behind: every book complete.
-            for id in 0..servers {
-                let handle = MembershipHandle::new(id, servers as usize, static_addr(id));
-                world.nodes[id as usize].membership = Some(handle);
+        if seeded {
+            // One command line for all: a seed list that names one member,
+            // now and then two.
+            let mut seeds = vec![static_addr(world.rng.below(servers as u64) as u32)];
+            if world.rng.chance(1, 3) {
+                seeds.push(static_addr(world.rng.below(servers as u64) as u32));
             }
-            for id in 0..servers as usize {
-                for other in 0..servers as usize {
-                    let theirs = world.nodes[other].membership.as_ref().expect("just set");
-                    let snapshot = theirs.snapshot_msg(MembershipKind::Snapshot);
-                    let mine = world.nodes[id].membership.as_ref().expect("just set");
-                    mine.merge_msg(&snapshot).expect("same cluster");
-                }
-            }
+            world.nodes.iter_mut().for_each(|n| n.seeds = seeds.clone());
         }
         // Processes start at slightly different times, like real launches.
         for id in 0..servers {
@@ -480,7 +509,11 @@ impl World {
                 // Sometimes longer than the handshake deadline: dials then
                 // expire unanswered in the restarted server's backlog.
                 bound_for: self.rng.millis(4_000),
-                moves: self.membership && self.rng.chance(1, 2),
+                moves: match self.rng.below(4) {
+                    0 if self.seeded => Moves::Higher,
+                    1 if self.seeded => Moves::Lower,
+                    _ => Moves::No,
+                },
             },
             4 => Fault::GoneForever {
                 victim,
@@ -519,6 +552,15 @@ impl World {
 
     fn start(&mut self, id: usize) {
         let servers = self.nodes.len();
+        let statics: Vec<SocketAddr> = (0..servers as u32).map(static_addr).collect();
+        // Whoever restarts a server names one live member to it, no more:
+        // the rest of the book, and the rest of the cluster, is gossip's.
+        let live: Vec<usize> = (0..servers).filter(|&n| self.proc(n).is_some()).collect();
+        let restarted = !self.nodes[id].history.is_empty();
+        if self.seeded && restarted && !live.is_empty() {
+            let member = live[self.rng.below(live.len() as u64) as usize];
+            self.nodes[id].seeds = vec![self.nodes[member].addr];
+        }
         let node = &mut self.nodes[id];
         if let NodeState::Running(old) = std::mem::replace(&mut node.state, NodeState::Dead) {
             node.history.push((old.worker, old.ended));
@@ -527,16 +569,14 @@ impl World {
         let config = ResilienceConfig {
             reconnect_deadline: RECONNECT_DEADLINE,
             resume_from: first_superstep,
-            membership: node.membership.clone(),
+            seeds: node.seeds.clone(),
+        };
+        let book = match node.seeds.is_empty() {
+            true => AddressBook::complete(id as u32, &statics),
+            false => AddressBook::new(servers, id as u32, node.addr),
         };
         let pool = BufferPool::new();
-        let fabric = Fabric::new(
-            id as u32,
-            servers as u32,
-            config,
-            ESTABLISH_TIMEOUT,
-            pool.clone(),
-        );
+        let fabric = Fabric::new(book, config, ESTABLISH_TIMEOUT, pool.clone());
         node.state = NodeState::Running(Box::new(Proc {
             fabric,
             pool,
@@ -544,18 +584,15 @@ impl World {
             collector: SuperstepCollector::new(),
             inbox: VecDeque::new(),
             inbox_grew: false,
-            worker: match first_superstep {
-                // Killed after its last ack, before it could leave — and the
-                // ack may have died with it: a worker with nothing left to
-                // apply acknowledges nothing, so peers keep that superstep
-                // until they exit (and "the log drains" cannot be asked).
-                s if s >= self.supersteps => {
-                    self.last_ack_lost = true;
-                    Worker::Finished
-                }
-                s => Worker::Publish(s),
+            // A checkpoint at cursor `s` stands for the ack of `s - 1`, which
+            // may have died with the process that sent it: `run_worker`
+            // repeats it before anything else, even with nothing left to run.
+            worker: match first_superstep.checked_sub(1) {
+                Some(durable) => Worker::Ack(durable),
+                None => Worker::Publish(0),
             },
-            established: false,
+            established: None,
+            announces: 0,
             stopped: None,
             ended: None,
             live: vec![None; servers],
@@ -656,7 +693,8 @@ impl World {
                     self.close_end(conn, end);
                 }
             }
-            Action::Dial(peer, hello) => return Ok(self.dial(id, peer, &hello)),
+            Action::Dial(peer, addr, hello) => return Ok(self.dial(id, peer, addr, &hello)),
+            Action::Announce(source, announce) => return Ok(self.ask(id, source, &announce)),
             Action::Reply(conn, bytes) => {
                 if let Some((conn, end)) = self.conn_of(id, conn) {
                     self.write(conn, end, &bytes);
@@ -702,7 +740,13 @@ impl World {
                 proc.inbox.push_back(event);
                 proc.inbox_grew = true;
             }
-            Action::Established => self.proc(id).expect("acting").established = true,
+            Action::Established => {
+                let proc = self.proc(id).expect("acting");
+                proc.established = Some(now);
+                if !proc.fabric.book().is_complete() {
+                    return Err(format!("n{id} is established on an incomplete book"));
+                }
+            }
             Action::EstablishFailed(timed_out, message) => {
                 let proc = self.proc(id).expect("acting");
                 if timed_out && now != proc.epoch + ESTABLISH_TIMEOUT {
@@ -802,26 +846,50 @@ impl World {
         }
     }
 
-    fn dial(&mut self, id: usize, peer: u32, hello: &[u8]) -> Option<Event<'static>> {
-        let proc = self.proc(id).expect("acting");
-        let statics: Vec<SocketAddr> = (0..proc.live.len() as u32).map(static_addr).collect();
-        let target = proc.fabric.config().peer_addr(peer, &statics);
-        let listening = self
-            .nodes
-            .iter()
-            .any(|n| n.addr == target && !matches!(n.state, NodeState::Dead) && n.id == peer);
-        // A process that has exited keeps no listener either.
-        let listening = listening
-            && match &self.nodes[peer as usize].state {
-                NodeState::Running(proc) => proc.ended.is_none(),
-                _ => true,
-            };
-        if !listening {
-            return Some(Event::DialFailed(
-                peer,
-                format!("server {peer} at {target}: connection refused"),
-            ));
-        }
+    fn dial(
+        &mut self,
+        id: usize,
+        peer: u32,
+        target: SocketAddr,
+        hello: &[u8],
+    ) -> Option<Event<'static>> {
+        let dialing = EndState::Dialing {
+            peer,
+            buf: Vec::new(),
+            expires: self.now + HANDSHAKE_DEADLINE,
+        };
+        let Some(conn) = self.connect(id, target, dialing) else {
+            let why = format!("server {peer} at {target}: connection refused");
+            return Some(Event::DialFailed(peer, why));
+        };
+        self.proc(id).expect("acting").dialing[peer as usize] = Some(conn);
+        self.write(conn, 0, hello);
+        None
+    }
+
+    fn ask(&mut self, id: usize, source: SocketAddr, announce: &[u8]) -> Option<Event<'static>> {
+        let asking = EndState::Asking {
+            source,
+            buf: Vec::new(),
+            expires: self.now + HANDSHAKE_DEADLINE,
+        };
+        let Some(conn) = self.connect(id, source, asking) else {
+            return Some(Event::AnnounceFailed(source));
+        };
+        self.proc(id).expect("acting").announces += 1;
+        self.write(conn, 0, announce);
+        None
+    }
+
+    /// A connection from server `id` into the backlog of whoever listens at
+    /// `target` — a bound server's process that has not exited — or `None`:
+    /// connection refused.
+    fn connect(&mut self, id: usize, target: SocketAddr, dialer: EndState) -> Option<usize> {
+        let listener = self.nodes.iter().position(|n| match &n.state {
+            NodeState::Running(proc) => n.addr == target && proc.ended.is_none(),
+            NodeState::Bound => n.addr == target,
+            NodeState::Dead => false,
+        })?;
         let ordinal = self.dials;
         self.dials += 1;
         let budget = |end: usize| {
@@ -837,24 +905,15 @@ impl World {
             inbound: VecDeque::new(),
             budget,
         };
-        let dialing = EndState::Dialing {
-            peer,
-            buf: Vec::new(),
-            expires: self.now + HANDSHAKE_DEADLINE,
-        };
-        let acceptor = self.owner_of(peer as usize);
         self.conns.push(Connection {
             ends: [
-                end(self.owner_of(id), dialing, budget(0)),
-                end(acceptor, EndState::Backlog, budget(1)),
+                end(self.owner_of(id), dialer, budget(0)),
+                end(self.owner_of(listener), EndState::Backlog, budget(1)),
             ],
             cut: false,
             target,
         });
-        let conn = self.conns.len() - 1;
-        self.proc(id).expect("acting").dialing[peer as usize] = Some(conn);
-        self.write(conn, 0, hello);
-        None
+        Some(self.conns.len() - 1)
     }
 
     // -- the scheduler ------------------------------------------------------
@@ -904,7 +963,7 @@ impl World {
                 continue;
             };
             let ready = match proc.worker {
-                _ if !proc.established || proc.stopped.is_some() => false,
+                _ if proc.established.is_none() || proc.stopped.is_some() => false,
                 Worker::Collect(_) => proc.inbox_grew,
                 // The one fairness assumption: a process reads what has
                 // already reached it — a killed peer's EOF included — before
@@ -942,7 +1001,7 @@ impl World {
         };
         if !self
             .proc(server as usize)
-            .is_some_and(|p| p.established && reached(p.worker))
+            .is_some_and(|p| p.established.is_some() && reached(p.worker))
         {
             return false;
         }
@@ -1023,18 +1082,17 @@ impl World {
                 continue;
             };
             let retained = proc.fabric.replay().bytes_retained();
-            if retained != 0 && !self.last_ack_lost {
+            if retained != 0 {
                 return Err(format!(
                     "n{id} still retains {retained} bytes with everyone done"
                 ));
             }
-            if let Some(book) = &self.nodes[id].membership {
-                for (peer, &addr) in addrs.iter().enumerate() {
-                    if book.peer_addr(peer as u32) != Some(addr) {
-                        return Err(format!(
-                            "n{id}'s book has server {peer} elsewhere than {addr}"
-                        ));
-                    }
+            let book = proc.fabric.book();
+            for (peer, &addr) in addrs.iter().enumerate() {
+                if book.get(peer as u32).map(|e| e.addr) != Some(addr) {
+                    return Err(format!(
+                        "n{id}'s book has server {peer} elsewhere than {addr}"
+                    ));
                 }
             }
         }
@@ -1054,7 +1112,11 @@ impl World {
             let alive = matches!(e.owner, Owner::Node { id, generation }
                 if self.nodes[id as usize].generation == generation);
             match e.state {
-                EndState::Pending { expires, .. } | EndState::Dialing { expires, .. } if alive => {
+                EndState::Pending { expires, .. }
+                | EndState::Dialing { expires, .. }
+                | EndState::Asking { expires, .. }
+                    if alive =>
+                {
                     Some(expires)
                 }
                 _ => None,
@@ -1072,8 +1134,9 @@ impl World {
         let now = self.now;
         while let Some(due) = self.timed.iter().position(|(at, _)| *at <= now) {
             match self.timed.swap_remove(due).1 {
-                Timed::Bind { victim, moves } => self.bind(victim as usize, moves)?,
+                Timed::Bind { victim, moves } => self.bind(victim as usize, moves),
                 Timed::Start { victim } => self.start(victim as usize),
+                Timed::Fire(fault) => self.fire(fault)?,
             }
         }
         for conn in 0..self.conns.len() {
@@ -1097,6 +1160,12 @@ impl World {
                         let why = format!("server {peer} at {target}: no reply hello in time");
                         self.feed(id as usize, Event::DialFailed(peer, why))?;
                     }
+                    EndState::Asking {
+                        expires, source, ..
+                    } if now >= expires => {
+                        self.close_end(conn, end);
+                        self.feed(id as usize, Event::AnnounceFailed(source))?;
+                    }
                     _ => {}
                 }
             }
@@ -1107,6 +1176,19 @@ impl World {
         Ok(())
     }
 
+    /// Server `id`'s listener accepts `conn` into a pending slot.
+    fn accept(&mut self, id: usize, conn: usize) {
+        let now = self.now;
+        let proc = self.proc(id).expect("a running process accepts");
+        let slot = proc.next_slot;
+        proc.next_slot += 1;
+        self.conns[conn].ends[1].state = EndState::Pending {
+            slot,
+            buf: Vec::new(),
+            expires: now + HANDSHAKE_DEADLINE,
+        };
+    }
+
     /// Move some of what is in flight to an end and let its owner read it —
     /// often all of it, often a fragment ending anywhere.
     fn deliver(&mut self, conn: usize, end: usize) -> Check {
@@ -1115,15 +1197,7 @@ impl World {
         };
         let id = id as usize;
         if matches!(self.conns[conn].ends[end].state, EndState::Backlog) {
-            let now = self.now;
-            let proc = self.proc(id).expect("chosen because it reads");
-            let slot = proc.next_slot;
-            proc.next_slot += 1;
-            self.conns[conn].ends[end].state = EndState::Pending {
-                slot,
-                buf: Vec::new(),
-                expires: now + HANDSHAKE_DEADLINE,
-            };
+            self.accept(id, conn);
         }
         let available = self.conns[conn].ends[end].inbound.len();
         let mut take = match self.rng.below(3) {
@@ -1131,10 +1205,13 @@ impl World {
             _ => available,
         };
         let state = &self.conns[conn].ends[end].state;
-        if let EndState::Pending { buf, .. } | EndState::Dialing { buf, .. } = state {
+        if let EndState::Pending { buf, .. }
+        | EndState::Dialing { buf, .. }
+        | EndState::Asking { buf, .. } = state
+        {
             // Never past the handshake: frames may follow it.
-            let accepted = matches!(state, EndState::Pending { .. });
-            take = take.min(handshake_len(buf, accepted) - buf.len());
+            let ghhm = !matches!(state, EndState::Dialing { .. });
+            take = take.min(handshake_len(buf, ghhm) - buf.len());
         }
         if let Some(budget) = self.conns[conn].ends[end].budget.as_mut() {
             take = take.min(*budget);
@@ -1174,6 +1251,18 @@ impl World {
                     let (peer, bytes) = (*peer, buf[..].try_into().expect("16 bytes"));
                     let origin = format!("server {peer} at {target}");
                     let event = Event::Hello(Conn::Dialed(peer), &origin, bytes);
+                    self.feed_and_tick(id, event)?;
+                }
+            }
+            EndState::Asking { buf, source, .. } => {
+                buf.extend_from_slice(&bytes);
+                if buf.len() == handshake_len(buf, true) {
+                    let (source, reply) = (*source, std::mem::take(buf));
+                    self.close_end(conn, end);
+                    let event = match reply.starts_with(&MEMBERSHIP_MAGIC) {
+                        true => Event::Snapshot(source, &reply),
+                        false => Event::AnnounceFailed(source),
+                    };
                     self.feed_and_tick(id, event)?;
                 }
             }
@@ -1264,6 +1353,10 @@ impl World {
                 self.proc(id).expect("reading").dialing[peer as usize] = None;
                 let why = format!("server {peer} at {target}: closed before a reply hello");
                 self.feed_and_tick(id, Event::DialFailed(peer, why))
+            }
+            EndState::Asking { source, .. } => {
+                self.close_end(conn, end);
+                self.feed_and_tick(id, Event::AnnounceFailed(source))
             }
             _ => {
                 self.close_end(conn, end);
@@ -1436,59 +1529,11 @@ impl World {
         node.generation += 1;
     }
 
-    /// The killed server's listener is back — at a fresh address if it
-    /// `moves` — and seed discovery runs: announces to live endpoints,
-    /// repeated while a reply makes it re-claim its id.
-    fn bind(&mut self, victim: usize, moves: bool) -> Check {
-        let servers = self.nodes.len();
+    /// The killed server's listener is back, at a fresh address if it moves.
+    fn bind(&mut self, victim: usize, moves: Moves) {
         let node = &mut self.nodes[victim];
-        if moves {
-            node.addr = moved_addr(node.id, node.generation);
-        }
+        node.addr = moved_addr(node.id, node.generation, moves);
         node.state = NodeState::Bound;
-        if node.membership.is_none() {
-            return Ok(());
-        }
-        let handle = MembershipHandle::new(victim as u32, servers, node.addr);
-        node.membership = Some(handle.clone());
-        // Discovery need not reach everyone: one live seed always hears the
-        // announce, the others each with even odds — the rest is gossip's.
-        let live: Vec<usize> = (0..servers).filter(|&id| self.proc(id).is_some()).collect();
-        let seed = live
-            .get(self.rng.below(live.len() as u64) as usize)
-            .copied();
-        let reached: Vec<usize> = (live.iter().copied())
-            .filter(|&id| Some(id) == seed || self.rng.chance(1, 2))
-            .collect();
-        for round in 0.. {
-            let mut reclaimed = false;
-            for &id in &reached {
-                let announce = handle.snapshot_msg(MembershipKind::Announce).encode();
-                let now = self.now;
-                let Some(proc) = self.proc(id) else {
-                    continue;
-                };
-                let (mut actions, conn) = (Vec::new(), Conn::Accepted(usize::MAX));
-                let event = Event::Announce(conn, &announce);
-                proc.fabric.step(now - proc.epoch, event, &mut actions);
-                let reply = actions.iter().find_map(|a| match a {
-                    Action::Reply(_, bytes) => Some(bytes),
-                    _ => None,
-                });
-                let Some(reply) = reply else {
-                    return Err(format!("n{id} did not answer n{victim}'s announce"));
-                };
-                let snapshot = MembershipMsg::decode(reply)?;
-                reclaimed |= handle.merge_msg(&snapshot)?.reclaimed;
-                self.log(|| format!("n{id} served n{victim}'s announce"));
-                self.feed(id, Event::Tick)?;
-            }
-            if !reclaimed {
-                return Ok(());
-            }
-            assert!(round < 4, "discovery does not converge");
-        }
-        Ok(())
     }
 
     /// A stranger connects to `target` and writes its script.
@@ -1539,6 +1584,11 @@ impl World {
         });
         let conn = self.conns.len() - 1;
         self.write(conn, 0, &script);
+        if kind == RogueKind::Silent {
+            // Nothing will ever make it readable: the listener's readiness
+            // is what gets it accepted, to sit in a slot until it expires.
+            self.accept(target as usize, conn);
+        }
         // A twin's hello is read at once: its cursor is the real peer's of
         // this instant, and a *stale* cursor below the replay floor is
         // (correctly, WIRE.md §9.2) the end of that peer.
@@ -1574,24 +1624,31 @@ impl World {
     }
 }
 
-/// Run one seed; on failure run it again with tracing and report both.
-fn run_seed(seed: u64, servers: u32, membership: bool) {
-    let mut world = World::new(seed, servers, membership, false);
-    let Err(failure) = world.run() else {
+/// Run the world `build` makes and `check` what it left; on failure run it
+/// again with tracing and report both.
+fn run_world(what: &str, build: &dyn Fn(bool) -> World, check: &dyn Fn(&World) -> Check) {
+    let mut world = build(false);
+    let Err(failure) = world.run().and_then(|()| check(&world)) else {
         return;
     };
-    let mut traced = World::new(seed, servers, membership, true);
+    let mut traced = build(true);
     let again = traced.run();
     let trace = traced.trace.unwrap_or_default();
     let tail = &trace[trace.len().saturating_sub(400)..];
     panic!(
-        "seed {seed} ({servers} servers, membership {membership}, {} supersteps, faults {:?}) \
-         failed: {failure}\n(traced re-run: {again:?})\n--- last {} trace lines ---\n{}",
+        "{what} ({} supersteps, faults {:?}) failed: {failure}\n(traced re-run: {again:?})\n\
+         --- last {} trace lines ---\n{}",
         world.supersteps,
         world.plan_text,
         tail.len(),
         tail.join("\n")
     );
+}
+
+fn run_seed(seed: u64, servers: u32, seeded: bool) {
+    let what = format!("seed {seed} ({servers} servers, seeded {seeded})");
+    let build = |trace| World::new(seed, servers, seeded, trace);
+    run_world(&what, &build, &|_| Ok(()));
 }
 
 #[test]
@@ -1618,5 +1675,249 @@ fn one_seed_one_trace() {
         let (first, second) = (trace_of(seed), trace_of(seed));
         assert!(first.1.len() > 20, "a trace worth comparing");
         assert_eq!(first, second, "seed {seed} is not deterministic");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Discovery, driven by the fabrics themselves: explicit seeded schedules
+// ---------------------------------------------------------------------------
+
+/// A world of seeded endpoints with no fault drawn, everyone started from
+/// `seeds` and kept up until all are done (so `release` holds every book to
+/// every final address) — for `arrange` to put its own schedule in.
+fn seeded_world(
+    seed: u64,
+    servers: u32,
+    seeds: &[u32],
+    trace: bool,
+    arrange: &dyn Fn(&mut World),
+) -> World {
+    let mut world = World::new(seed, servers, true, trace);
+    world.planned.clear();
+    world.doomed_dials.clear();
+    (world.fatal, world.hold_until_all_done) = (false, true);
+    let seeds: Vec<SocketAddr> = seeds.iter().map(|&s| static_addr(s)).collect();
+    world.nodes.iter_mut().for_each(|n| n.seeds = seeds.clone());
+    arrange(&mut world);
+    let (planned, timed) = (world.planned.len(), world.timed.len());
+    world.plan_text = format!("explicit: {planned} planned, {timed} timed");
+    world
+}
+
+/// The last process of server `id`.
+fn last_proc(world: &World, id: usize) -> Result<&Proc, String> {
+    match &world.nodes[id].state {
+        NodeState::Running(proc) => Ok(proc),
+        _ => Err(format!("n{id} is not running at the end")),
+    }
+}
+
+fn restart(victim: u32, moves: Moves, at_superstep: u32) -> Planned {
+    let fault = Fault::CrashRestart {
+        victim,
+        down_for: Duration::from_millis(500),
+        bound_for: Duration::from_millis(200),
+        moves,
+    };
+    Planned {
+        fault,
+        when: (victim, at_superstep),
+    }
+}
+
+/// A fresh start from a seed list that names one member only: everyone
+/// finishes, every book is every address (`release`), nobody bumped.
+#[test]
+fn one_seed_is_enough_and_nobody_bumps() {
+    for seed in 0..100 {
+        let check = |world: &World| {
+            for id in 0..3 {
+                let proc = last_proc(world, id)?;
+                let book = proc.fabric.book();
+                if book.own_incarnation() != 0 || !book.is_complete() {
+                    return Err(format!("n{id} ended with {book:?}"));
+                }
+            }
+            Ok(())
+        };
+        let build = |trace| seeded_world(seed, 3, &[(seed % 3) as u32], trace, &|_| {});
+        run_world(&format!("one seed, seed {seed}"), &build, &check);
+    }
+}
+
+/// The only seed is not bound yet when the others start: they ask it again
+/// (each on its backoff) until it is, and the cluster comes up then.
+#[test]
+fn the_only_seed_may_be_the_last_to_start() {
+    const LATE: Duration = Duration::from_secs(3);
+    for seed in 0..100 {
+        let late = (seed % 3) as usize;
+        let arrange = |world: &mut World| {
+            for (at, timed) in &mut world.timed {
+                if matches!(timed, Timed::Start { victim } if *victim as usize == late) {
+                    *at = LATE;
+                }
+            }
+        };
+        let check = |world: &World| {
+            for id in 0..3 {
+                let at = last_proc(world, id)?.established.ok_or("not established")?;
+                if at < LATE || at > LATE + 3 * RETRY_BACKOFF_CAP {
+                    return Err(format!("n{id} was established at {at:?}"));
+                }
+            }
+            Ok(())
+        };
+        let build = |trace| seeded_world(seed, 3, &[late as u32], trace, &arrange);
+        run_world(&format!("late seed, seed {seed}"), &build, &check);
+    }
+}
+
+/// A replacement at a moved address announces itself to the one live member
+/// it was told of, then to everyone in the book that member sends back, while
+/// the link between the survivors is cut again and again: every book ends at
+/// the new address, everyone finishes.
+#[test]
+fn a_moved_replacement_is_found_by_everyone() {
+    for seed in 0..300 {
+        let arrange = |world: &mut World| {
+            world.planned.push(restart(1, Moves::Higher, 1));
+            for k in 0..12 {
+                let at = Duration::from_millis(500 + 50 * k);
+                let cut = Fault::Cut { a: 0, b: 2 };
+                world.timed.push((at, Timed::Fire(cut)));
+            }
+        };
+        let build = |trace| seeded_world(seed, 3, &[0], trace, &arrange);
+        run_world(&format!("moved, seed {seed}"), &build, &|_| Ok(()));
+    }
+}
+
+/// The gossip gap, closed. A book change used to be flooded once, to the
+/// links up at that tick; a peer down just then never heard of it from this
+/// endpoint. Now every link remembers the version it was last sent, and one
+/// that comes (back) up behind the book is sent it there and then.
+#[test]
+fn a_peer_that_was_down_when_the_book_changed_is_told_when_its_link_is_back() {
+    let config = ResilienceConfig {
+        reconnect_deadline: RECONNECT_DEADLINE,
+        resume_from: 0,
+        seeds: vec![static_addr(1)],
+    };
+    let book = AddressBook::new(3, 0, static_addr(0));
+    let mut fabric = Fabric::new(book, config, ESTABLISH_TIMEOUT, BufferPool::new());
+    let (now, mut out) = (Duration::ZERO, Vec::new());
+    let arrives = |fabric: &mut Fabric, id: u32, at: SocketAddr, out: &mut Vec<Action>| {
+        let announce = AddressBook::new(3, id, at).msg(MembershipKind::Announce);
+        let hello = ResumeHello {
+            cluster_size: 3,
+            sender: id,
+            resume_from: 0,
+        };
+        let (asking, dialing) = (Conn::Accepted(0), Conn::Accepted(1));
+        fabric.step(now, Event::Announce(asking, &announce.encode()), out);
+        fabric.step(now, Event::Hello(dialing, "test", hello.encode()), out);
+        fabric.step(now, Event::Tick, out);
+    };
+    // What `peer` has been sent of where server 1 listens, latest last.
+    let told = |out: &[Action], peer: u32| -> Vec<SocketAddr> {
+        let sent = out.iter().filter_map(|action| match action {
+            Action::Send(to, batch) if *to == peer => Some(batch),
+            _ => None,
+        });
+        let mut addrs = Vec::new();
+        for batch in sent {
+            let mut decoder = FrameDecoder::new();
+            decoder.push(batch);
+            while let Ok(Some(frame)) = decoder.next_frame() {
+                if let Frame::Membership { payload, .. } = frame {
+                    let msg = MembershipMsg::decode(&payload).expect("own gossip");
+                    addrs.extend(msg.entries.iter().filter(|e| e.id == 1).map(|e| e.addr));
+                }
+            }
+        }
+        addrs
+    };
+    arrives(&mut fabric, 1, static_addr(1), &mut out);
+    arrives(&mut fabric, 2, static_addr(2), &mut out);
+    assert!(out.iter().any(|a| matches!(a, Action::Established)));
+    // Both links break; server 1 comes back from elsewhere while 2 is away.
+    fabric.step(now, Event::StreamEnd(1), &mut out);
+    fabric.step(now, Event::StreamEnd(2), &mut out);
+    out.clear();
+    let moved = moved_addr(1, 1, Moves::Higher);
+    arrives(&mut fabric, 1, moved, &mut out);
+    assert_eq!(fabric.book().get(1).map(|e| e.addr), Some(moved));
+    assert_eq!(
+        told(&out, 2),
+        [],
+        "server 2 is down: nothing can be sent to it"
+    );
+    // Server 2's link is back: it is told now, once.
+    out.clear();
+    arrives(&mut fabric, 2, static_addr(2), &mut out);
+    fabric.step(now, Event::Tick, &mut out);
+    assert_eq!(told(&out, 2), [moved]);
+}
+
+/// Strangers that connect to a discovering node and say nothing sit in
+/// pending slots beside its announces until they expire: establishment is
+/// over long before the first of them does, however many they are. (Served
+/// one after the other under a 2 s read cap, eight would have cost 16 s.)
+#[test]
+fn silent_strangers_do_not_delay_a_discovering_node() {
+    for seed in 0..50 {
+        let arrange = |world: &mut World| {
+            world.timed.clear();
+            for (at, victim) in [(0, 1), (5, 0)] {
+                let at = Duration::from_millis(at);
+                world.timed.push((at, Timed::Start { victim }));
+            }
+            for _ in 0..8 {
+                let (target, kind) = (1, RogueKind::Silent);
+                let knock = Timed::Fire(Fault::Rogue { target, kind });
+                world.timed.push((Duration::from_millis(1), knock));
+            }
+        };
+        let check = |world: &World| {
+            for id in 0..2 {
+                let at = last_proc(world, id)?.established.ok_or("not established")?;
+                if at >= HANDSHAKE_DEADLINE {
+                    return Err(format!("n{id} was established only at {at:?}"));
+                }
+            }
+            Ok(())
+        };
+        let build = |trace| seeded_world(seed, 2, &[0], trace, &arrange);
+        run_world(&format!("strangers, seed {seed}"), &build, &check);
+    }
+}
+
+/// A replacement whose new address loses the tie against its predecessor's
+/// finds its own id bound elsewhere in the first snapshot it is sent, claims
+/// it again one incarnation up, and pushes that — by a second announce where
+/// nobody can dial it before (server 0), by gossip on the link it dials
+/// itself otherwise. The survivor's book ends at the new address either way.
+#[test]
+fn a_reply_that_outranks_the_claim_makes_the_node_claim_again() {
+    for seed in 0..100 {
+        let victim = (seed % 2) as usize;
+        let arrange =
+            |world: &mut World| world.planned.push(restart(victim as u32, Moves::Lower, 1));
+        let check = |world: &World| {
+            let (replacement, survivor) =
+                (last_proc(world, victim)?, last_proc(world, 1 - victim)?);
+            let moved = world.nodes[victim].addr;
+            let (own, seen) = (replacement.fabric.book(), survivor.fabric.book());
+            let adopted = seen.get(victim as u32).is_some_and(|e| e.addr == moved);
+            let twice = victim == 1 || replacement.announces >= 2;
+            if own.own_incarnation() != 1 || seen.own_incarnation() != 0 || !adopted || !twice {
+                let announces = replacement.announces;
+                return Err(format!("{announces} announces left {own:?} and {seen:?}"));
+            }
+            Ok(())
+        };
+        let build = |trace| seeded_world(seed, 2, &[0], trace, &arrange);
+        run_world(&format!("outranked, seed {seed}"), &build, &check);
     }
 }

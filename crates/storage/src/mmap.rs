@@ -3,66 +3,61 @@
 //! When a tile misses the edge cache, a GraphH worker reads it from the server's
 //! local disk (§III-C.3); a production implementation would map the file and
 //! stream large tiles without a copy through a userspace buffer. This one does
-//! not: `memmap2` here is the `vendor/` stand-in, whose `Mmap::map` reads the
-//! whole file into a `Vec<u8>`, so [`MappedFile`] *is* that copy, and nothing on
-//! the engines' run path uses it. ROADMAP's "partition once, load many" item,
-//! part (c), decides between a real `mmap(2)` and deleting this module. The
-//! metering hook records the logical bytes touched so the cost model charges
-//! the read to the simulated disk.
+//! not: [`MappedFile`] holds what `std::fs::read` returned — a copy, and it says
+//! so — and nothing on the engines' run path uses it. ROADMAP's "partition
+//! once, load many" item, part (c), decides between a real `mmap(2)` (declared
+//! against the C ABI in this crate, as `graphh-runtime` declares `poll(2)`) and
+//! deleting this module. The metering hook records the logical bytes touched
+//! so the cost model charges the read to the simulated disk.
 
 use crate::meter::IoMeter;
 use crate::{Result, StorageError};
-use memmap2::Mmap;
-use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// A read-only memory-mapped file.
+/// A file's contents, read whole.
 #[derive(Debug)]
 pub struct MappedFile {
     path: PathBuf,
-    map: Mmap,
+    bytes: Vec<u8>,
 }
 
 impl MappedFile {
-    /// Map `path` read-only. Empty files are supported (zero-length map).
+    /// Read `path`. Empty files are supported (an empty slice).
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = File::open(&path).map_err(|e| {
+        let bytes = std::fs::read(&path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 StorageError::NotFound(path.display().to_string())
             } else {
                 StorageError::Io(e)
             }
         })?;
-        // Safety: the file is opened read-only and GraphH never mutates tile files
-        // after the pre-processing engine has written them.
-        let map = unsafe { Mmap::map(&file)? };
-        Ok(Self { path, map })
+        Ok(Self { path, bytes })
     }
 
-    /// The mapped bytes.
+    /// The file's bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.map
+        &self.bytes
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.bytes.len()
     }
 
     /// Whether the file is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.bytes.is_empty()
     }
 
-    /// Path this mapping came from.
+    /// Path the bytes came from.
     pub fn path(&self) -> &Path {
         &self.path
     }
 }
 
-/// Reads tile files from a local directory via mmap, charging reads to a meter.
+/// Reads tile files from a local directory whole, charging reads to a meter.
 pub struct MmapTileReader {
     root: PathBuf,
     meter: Arc<IoMeter>,
@@ -77,7 +72,7 @@ impl MmapTileReader {
         }
     }
 
-    /// Map the file stored under `key` and charge its full length as a read.
+    /// Read the file stored under `key` and charge its full length as a read.
     pub fn read(&self, key: &str) -> Result<MappedFile> {
         let mapped = MappedFile::open(self.root.join(key))?;
         self.meter.record_read(mapped.len() as u64);
