@@ -518,12 +518,12 @@ pub fn fig10_sssp() -> String {
     out
 }
 
-/// Ablations beyond the paper's figures: Bloom-filter tile skipping, All-in-All vs
+/// Ablations beyond the paper's figures: tile skipping, All-in-All vs
 /// On-Demand policy crossover, and the tile-size sweep of §III-B.3.
 pub fn ablations() -> String {
     let mut out = String::from("# Ablations\n");
 
-    // Bloom filter on/off for SSSP (frontier algorithm → most tiles skippable).
+    // Tile skipping on/off for SSSP (frontier algorithm → most tiles skippable).
     let g = experiment_graph(Dataset::Twitter2010);
     let p = partition_for_experiments(&g, "twitter-2010");
     let source = best_source(&g);
@@ -535,7 +535,7 @@ pub fn ablations() -> String {
         .expect("run");
     writeln!(
         out,
-        "bloom-filter (SSSP, Twitter stand-in, 9 servers): with={:.4}s/superstep without={:.4}s/superstep",
+        "tile-skipping (SSSP, Twitter stand-in, 9 servers): with={:.4}s/superstep without={:.4}s/superstep",
         with.avg_superstep_seconds(),
         without.avg_superstep_seconds()
     )

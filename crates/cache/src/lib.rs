@@ -28,7 +28,7 @@
 //! about to be read again and pays a compression for each. Holding the first tiles
 //! that fit gives every later superstep `resident_tiles` hits and no admission
 //! work. The access pattern this serves worse than LRU would is a *wavefront*
-//! (SSSP/BFS with Bloom skipping, whose active tiles move through the graph) under
+//! (SSSP/BFS with tile skipping, whose active tiles move through the graph) under
 //! a cache smaller than the tile set; no test, bench or experiment in this
 //! repository runs that, and ROADMAP parks it.
 //!

@@ -37,7 +37,7 @@ pub struct ServerMetrics {
     pub cache_hits: u64,
     /// Edge-cache misses.
     pub cache_misses: u64,
-    /// Tiles skipped thanks to the Bloom filter.
+    /// Tiles skipped because no frontier vertex is one of their sources.
     pub tiles_skipped: u64,
     /// Tiles processed.
     pub tiles_processed: u64,

@@ -11,7 +11,7 @@
 //! pull-only policy; [`DirectionOptimizingBfs`] opts into the Beamer α/β
 //! heuristic and is the kernel that actually switches at runtime.
 
-use crate::gab::{Direction, FrontierStats, GabProgram, InitContext, VertexContext};
+use crate::gab::{Direction, Edges, FrontierStats, GabProgram, InitContext, VertexContext};
 use graphh_graph::ids::VertexId;
 
 /// PageRank with damping factor 0.85 (Algorithm 6).
@@ -59,12 +59,7 @@ impl GabProgram for PageRank {
         1.0 / ctx.num_vertices as f64
     }
 
-    fn gather(
-        &self,
-        _target: VertexId,
-        in_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
-        ctx: &VertexContext<'_>,
-    ) -> f64 {
+    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
         let mut accum = 0.0;
         for (src, _w) in in_edges {
             let d = ctx.out_degrees[src as usize];
@@ -116,12 +111,7 @@ impl GabProgram for Sssp {
         }
     }
 
-    fn gather(
-        &self,
-        _target: VertexId,
-        in_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
-        ctx: &VertexContext<'_>,
-    ) -> f64 {
+    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
         let mut best = f64::INFINITY;
         for (src, w) in in_edges {
             let candidate = ctx.values[src as usize] + f64::from(w);
@@ -154,7 +144,7 @@ impl GabProgram for Sssp {
         &self,
         _source: VertexId,
         value: f64,
-        out_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
+        out_edges: &mut Edges<'_>,
         emit: &mut dyn FnMut(VertexId, f64),
     ) {
         for (target, w) in out_edges {
@@ -188,12 +178,7 @@ impl GabProgram for Wcc {
         f64::from(v)
     }
 
-    fn gather(
-        &self,
-        _target: VertexId,
-        in_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
-        ctx: &VertexContext<'_>,
-    ) -> f64 {
+    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
         let mut best = f64::INFINITY;
         for (src, _) in in_edges {
             best = best.min(ctx.values[src as usize]);
@@ -217,7 +202,7 @@ impl GabProgram for Wcc {
         &self,
         _source: VertexId,
         value: f64,
-        out_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
+        out_edges: &mut Edges<'_>,
         emit: &mut dyn FnMut(VertexId, f64),
     ) {
         for (target, _w) in out_edges {
@@ -254,12 +239,7 @@ impl GabProgram for Bfs {
         }
     }
 
-    fn gather(
-        &self,
-        _target: VertexId,
-        in_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
-        ctx: &VertexContext<'_>,
-    ) -> f64 {
+    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
         let mut best = f64::INFINITY;
         for (src, _) in in_edges {
             best = best.min(ctx.values[src as usize] + 1.0);
@@ -283,7 +263,7 @@ impl GabProgram for Bfs {
         &self,
         _source: VertexId,
         value: f64,
-        out_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
+        out_edges: &mut Edges<'_>,
         emit: &mut dyn FnMut(VertexId, f64),
     ) {
         for (target, _w) in out_edges {
@@ -345,12 +325,7 @@ impl GabProgram for DirectionOptimizingBfs {
         }
     }
 
-    fn gather(
-        &self,
-        _target: VertexId,
-        in_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
-        ctx: &VertexContext<'_>,
-    ) -> f64 {
+    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
         let mut best = f64::INFINITY;
         for (src, _) in in_edges {
             best = best.min(ctx.values[src as usize] + 1.0);
@@ -374,7 +349,7 @@ impl GabProgram for DirectionOptimizingBfs {
         &self,
         _source: VertexId,
         value: f64,
-        out_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
+        out_edges: &mut Edges<'_>,
         emit: &mut dyn FnMut(VertexId, f64),
     ) {
         for (target, _w) in out_edges {
@@ -429,12 +404,7 @@ impl GabProgram for LabelPropagation {
         f64::from(v)
     }
 
-    fn gather(
-        &self,
-        _target: VertexId,
-        in_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
-        ctx: &VertexContext<'_>,
-    ) -> f64 {
+    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
         // Tile target ranges partition the vertex space, so this iterator is
         // the vertex's complete in-neighbour set: the histogram is exact.
         let mut labels: Vec<f64> = in_edges.map(|(src, _)| ctx.values[src as usize]).collect();
@@ -495,12 +465,7 @@ impl GabProgram for DegreeCentrality {
         0.0
     }
 
-    fn gather(
-        &self,
-        _target: VertexId,
-        in_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
-        _ctx: &VertexContext<'_>,
-    ) -> f64 {
+    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, _ctx: &VertexContext<'_>) -> f64 {
         in_edges.map(|(_, w)| f64::from(w)).sum()
     }
 
@@ -534,7 +499,7 @@ mod tests {
         let out = vec![2, 1, 5, 0];
         let ind = vec![0; 4];
         let c = ctx(&values, &out, &ind);
-        let mut edges = [(0u32, 1.0f32), (1, 1.0)].into_iter();
+        let mut edges = Edges::new(&[0, 1], None);
         let accum = pr.gather(3, &mut edges, &c);
         assert!((accum - (0.25 / 2.0 + 0.25 / 1.0)).abs() < 1e-12);
         let new = pr.apply(3, accum, 0.25, &c);
@@ -549,7 +514,7 @@ mod tests {
         let ind = vec![1, 0];
         let c = ctx(&values, &out, &ind);
         // Source 0 has out-degree 0 (inconsistent input, but must not divide by zero).
-        let mut edges = [(0u32, 1.0f32)].into_iter();
+        let mut edges = Edges::new(&[0], None);
         assert_eq!(pr.gather(1, &mut edges, &c), 0.0);
     }
 
@@ -560,7 +525,7 @@ mod tests {
         let out = vec![0; 3];
         let ind = vec![0; 3];
         let c = ctx(&values, &out, &ind);
-        let mut edges = [(0u32, 2.0f32), (1, 1.0)].into_iter();
+        let mut edges = Edges::new(&[0, 1], Some(&[2.0, 1.0]));
         let accum = sssp.gather(2, &mut edges, &c);
         assert_eq!(accum, 2.0);
         assert_eq!(sssp.apply(2, accum, f64::INFINITY, &c), 2.0);
@@ -596,7 +561,7 @@ mod tests {
         let out = vec![0; 3];
         let ind = vec![0; 3];
         let c = ctx(&values, &out, &ind);
-        let mut edges = [(0u32, 1.0f32), (1, 1.0)].into_iter();
+        let mut edges = Edges::new(&[0, 1], None);
         assert_eq!(wcc.gather(2, &mut edges, &c), 0.0);
         assert_eq!(wcc.apply(2, 0.0, 2.0, &c), 0.0);
     }
@@ -608,7 +573,7 @@ mod tests {
         let out = vec![0; 2];
         let ind = vec![0; 2];
         let c = ctx(&values, &out, &ind);
-        let mut edges = [(0u32, 100.0f32)].into_iter();
+        let mut edges = Edges::new(&[0], Some(&[100.0]));
         assert_eq!(bfs.gather(1, &mut edges, &c), 1.0);
     }
 
@@ -631,11 +596,12 @@ mod tests {
         for (program, weight) in cases {
             assert!(program.supports_push(), "{}", program.name());
             let mut pushed = Vec::new();
-            let mut edges = [(1u32, weight)].into_iter();
+            let weights = [weight];
+            let mut edges = Edges::new(&[1], Some(&weights));
             program.scatter(0, values[0], &mut edges, &mut |t, contribution| {
                 pushed.push((t, contribution))
             });
-            let mut in_edges = [(0u32, weight)].into_iter();
+            let mut in_edges = Edges::new(&[0], Some(&weights));
             let gathered = program.gather(1, &mut in_edges, &c);
             assert_eq!(pushed, vec![(1u32, gathered)], "{}", program.name());
         }
@@ -671,13 +637,13 @@ mod tests {
         let ind = vec![0; 5];
         let c = ctx(&values, &out, &ind);
         // Labels {5, 2, 5}: 5 wins on count.
-        let mut edges = [(0u32, 1.0f32), (1, 1.0), (2, 1.0)].into_iter();
+        let mut edges = Edges::new(&[0, 1, 2], None);
         assert_eq!(lp.gather(4, &mut edges, &c), 5.0);
         // Labels {5, 2, 5, 2}: tied 2-2, the smaller label wins.
-        let mut edges = [(0u32, 1.0f32), (1, 1.0), (2, 1.0), (3, 1.0)].into_iter();
+        let mut edges = Edges::new(&[0, 1, 2, 3], None);
         assert_eq!(lp.gather(4, &mut edges, &c), 2.0);
         // No in-neighbours: the sentinel keeps the current label.
-        let mut edges = std::iter::empty();
+        let mut edges = Edges::new(&[], None);
         let sentinel = lp.gather(4, &mut edges, &c);
         assert_eq!(lp.apply(4, sentinel, 9.0, &c), 9.0);
         assert!(!lp.supports_push());
@@ -691,7 +657,7 @@ mod tests {
         let out = vec![0; 3];
         let ind = vec![0; 3];
         let c = ctx(&values, &out, &ind);
-        let mut edges = [(0u32, 1.5f32), (1, 2.5)].into_iter();
+        let mut edges = Edges::new(&[0, 1], Some(&[1.5, 2.5]));
         assert_eq!(dc.gather(2, &mut edges, &c), 4.0);
     }
 }

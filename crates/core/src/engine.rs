@@ -31,8 +31,10 @@ pub struct GraphHConfig {
     /// Edge cache capacity per server in bytes. `None` = whatever memory is left after
     /// the vertex-state and message arrays (the paper's "idle memory").
     pub cache_capacity: Option<u64>,
-    /// Skip tiles whose sources were not updated, using per-tile Bloom filters
-    /// (§III-C.4).
+    /// Skip tiles whose sources were not updated (§III-C.4). The name is the
+    /// paper's — it keeps a Bloom filter per tile; the engine probes a bitmap
+    /// of the tile's sources, exact wherever it is no larger than that filter
+    /// would be — and `benchmark/` reads the field by it.
     pub use_bloom_filter: bool,
     /// Cap on supersteps, overriding the program's own limit when smaller.
     pub max_supersteps: Option<u32>,
@@ -51,7 +53,7 @@ pub struct GraphHConfig {
 
 impl GraphHConfig {
     /// The configuration the paper evaluates: hybrid broadcast, snappy messages,
-    /// automatic cache mode, Bloom-filter skipping enabled.
+    /// automatic cache mode, tile skipping enabled.
     pub fn paper_default(cluster: ClusterConfig) -> Self {
         Self {
             cluster,

@@ -6,10 +6,12 @@
 //! * [`ExecutionPlan`] — everything derived from the config + partitioned graph
 //!   before the first superstep (initial values, tile assignment, cost model),
 //! * [`ServerState`] — one server's long-lived state (tiles on "disk", vertex
-//!   replica, edge cache, Bloom filters, memory accounting),
+//!   replica, edge cache, per-tile source sets, memory accounting),
 //! * [`ServerState::run_tile_phase`] — the compute phase of one superstep on
-//!   one server: Bloom-skip, fetch, gather/apply, producing the tile-granular
-//!   [`BroadcastMessage`]s to publish,
+//!   one server: skip the tiles no frontier vertex is a source of, fetch the
+//!   rest, and hand each to the program's [`GabProgram::gather_tile`] — the
+//!   engine's loop over the tile's CSR slices, compiled per program — producing
+//!   the tile-granular [`BroadcastMessage`]s to publish,
 //! * [`merge_updates`] / [`ServerState::apply_updates`] — the deterministic
 //!   barrier: updates are sorted by vertex id before application, so every
 //!   executor applies them in the same order and produces bit-identical
@@ -20,10 +22,14 @@
 //! OS thread per server with a real channel broadcast plane.
 
 pub mod sequential;
+mod source_set;
 
-use crate::bloom::BloomFilter;
+use self::source_set::SourceSet;
 use crate::engine::{GraphHConfig, RunResult};
-use crate::gab::{Direction, DirectionMode, FrontierStats, GabProgram, InitContext, VertexContext};
+use crate::gab::{
+    Direction, DirectionMode, Edges, FrontierStats, GabProgram, InitContext, TileUpdates,
+    VertexContext,
+};
 use crate::{EngineError, Result};
 use graphh_cache::{CacheStats, EdgeCache, EdgeCacheConfig};
 use graphh_cluster::{BroadcastMessage, CostModel, MemoryTracker, MessageCodec, ServerMetrics};
@@ -35,7 +41,8 @@ use graphh_storage::{IoMeter, IoSnapshot, MemoryBackend, MeteredBackend, Storage
 use std::sync::Arc;
 
 /// Frontier density (fraction of all vertices) at or above which the per-tile
-/// Bloom probe is skipped.
+/// source-set probe is skipped. (The name is from when the set was a Bloom
+/// filter; `benchmark/` reads it.)
 ///
 /// Probing costs O(frontier) per tile. When the frontier is dense — PageRank
 /// updates essentially every vertex every superstep — no tile can realistically
@@ -242,8 +249,9 @@ impl ExecutionPlan {
 /// One superstep's replicated frontier, its [`FrontierStats`], and the
 /// engine's resolved [`Direction`] decision.
 ///
-/// Built by [`ExecutionPlan::frontier_view`]; both the Bloom dense-skip rule
-/// and the push/pull branch read from here instead of recomputing density.
+/// Built by [`ExecutionPlan::frontier_view`]; both the dense-frontier rule of
+/// tile skipping and the push/pull branch read from here instead of
+/// recomputing density.
 #[derive(Debug, Clone, Copy)]
 pub struct FrontierView<'a> {
     /// Vertices updated in the previous superstep, ascending (the merge at
@@ -256,8 +264,8 @@ pub struct FrontierView<'a> {
 }
 
 impl FrontierView<'_> {
-    /// Whether the frontier is dense enough that the per-tile Bloom probe is
-    /// pure overhead (the `BLOOM_DENSE_FRONTIER_FRACTION` rule). Kept as the
+    /// Whether the frontier is dense enough that the per-tile source-set probe
+    /// is pure overhead (the `BLOOM_DENSE_FRONTIER_FRACTION` rule). Kept as the
     /// exact multiply-compare the engine has always used, so the skip
     /// decision is bit-compatible with earlier releases.
     pub fn is_dense(&self) -> bool {
@@ -345,15 +353,88 @@ impl PushIndex {
     }
 
     /// Out-edges of the source at position `si`, as `(target, weight)`.
-    fn out_edges(&self, si: usize) -> impl Iterator<Item = (VertexId, f32)> + '_ {
+    fn out_edges(&self, si: usize) -> Edges<'_> {
         let lo = self.offsets[si] as usize;
         let hi = self.offsets[si + 1] as usize;
-        (lo..hi).map(move |k| (self.targets[k], self.weights.as_ref().map_or(1.0, |w| w[k])))
+        Edges::new(
+            &self.targets[lo..hi],
+            self.weights.as_ref().map(|w| &w[lo..hi]),
+        )
     }
 
     /// Out-degree (into this tile) of the source at position `si`.
     fn out_degree(&self, si: usize) -> u64 {
         self.offsets[si + 1] - self.offsets[si]
+    }
+
+    /// The push loop over one tile: every vertex of `active` (ascending) that
+    /// is a source here scatters its out-edges, contributions fold per target
+    /// with the program's `combine`, and touched targets are applied in
+    /// ascending order — the order the pull loop walks them, so updates (and
+    /// therefore wire bytes) line up. `None` when no active vertex is a
+    /// source of the tile: the pull path's skip, read off the sweep itself.
+    fn scatter_tile(
+        &self,
+        program: &dyn GabProgram,
+        active: &[VertexId],
+        ctx: &VertexContext<'_>,
+    ) -> Option<TileUpdates> {
+        let num_targets = self.num_targets();
+        // Per-tile accumulator slots, indexed by target offset. The push
+        // loop allocates these per tile (the zero-allocation gate covers
+        // the broadcast codec path, not tile compute).
+        let mut acc = vec![0.0f64; num_targets];
+        let mut touched = vec![false; num_targets];
+        let mut edges_processed = 0u64;
+        let target_start = self.target_start;
+
+        // Two-pointer sweep: both the frontier (sorted by the barrier
+        // merge) and the index's sources are ascending.
+        let (mut fi, mut si) = (0usize, 0usize);
+        while fi < active.len() && si < self.sources.len() {
+            match active[fi].cmp(&self.sources[si]) {
+                std::cmp::Ordering::Less => fi += 1,
+                std::cmp::Ordering::Greater => si += 1,
+                std::cmp::Ordering::Equal => {
+                    let source = self.sources[si];
+                    edges_processed += self.out_degree(si);
+                    let value = ctx.values[source as usize];
+                    let mut edges = self.out_edges(si);
+                    program.scatter(source, value, &mut edges, &mut |target, contribution| {
+                        let slot = (target - target_start) as usize;
+                        if touched[slot] {
+                            acc[slot] = program.combine(acc[slot], contribution);
+                        } else {
+                            acc[slot] = contribution;
+                            touched[slot] = true;
+                        }
+                    });
+                    fi += 1;
+                    si += 1;
+                }
+            }
+        }
+        // Every indexed source has an edge, so no edge means no source.
+        if edges_processed == 0 {
+            return None;
+        }
+
+        let mut updates: Vec<(VertexId, f64)> = Vec::new();
+        for slot in 0..num_targets {
+            if !touched[slot] {
+                continue;
+            }
+            let target = target_start + slot as VertexId;
+            let current = ctx.values[target as usize];
+            let new = program.apply(target, acc[slot], current, ctx);
+            if program.is_update(current, new) {
+                updates.push((target, new));
+            }
+        }
+        Some(TileUpdates {
+            updates,
+            edges_processed,
+        })
     }
 
     /// Resident footprint, for the memory tracker.
@@ -383,8 +464,8 @@ pub struct ServerState {
     pub values: Vec<f64>,
     /// Edge cache over idle memory.
     cache: EdgeCache,
-    /// Per-tile Bloom filters over source vertices, parallel to `tiles`.
-    blooms: Vec<BloomFilter>,
+    /// Per-tile source sets, parallel to `tiles`: what the skip probes.
+    source_sets: Vec<SourceSet>,
     /// Per-tile out-edge transposes for the push loop, parallel to `tiles`.
     /// Empty unless the plan is push-capable.
     push_indexes: Vec<PushIndex>,
@@ -420,8 +501,8 @@ struct TileOutcome {
 }
 
 impl ServerState {
-    /// Build server `sid`'s state: stage its tiles on its local disk, build the
-    /// Bloom filters, size the edge cache from the idle memory, register the
+    /// Build server `sid`'s state: stage its tiles on its local disk, build
+    /// their source sets, size the edge cache from the idle memory, register the
     /// permanent arrays with the memory tracker.
     pub fn build(
         config: &GraphHConfig,
@@ -434,16 +515,13 @@ impl ServerState {
         let tiles = plan.assignment.tiles_of(sid);
         let disk = MeteredBackend::new(MemoryBackend::new(), IoMeter::shared());
         let mut tile_keys = Vec::with_capacity(tiles.len());
-        let mut blooms = Vec::with_capacity(tiles.len());
+        let mut source_sets = Vec::with_capacity(tiles.len());
         let mut total_tile_bytes = 0u64;
         for &tid in &tiles {
             let tile = &partitioned.tiles[tid as usize];
             let blob = tile.to_bytes();
             total_tile_bytes += blob.len() as u64;
-            blooms.push(BloomFilter::from_ids(
-                tile.sources().iter().copied(),
-                tile.sources().len().max(8),
-            ));
+            source_sets.push(SourceSet::build(tile.sources(), num_vertices));
             let key = format!("tiles/{tid}");
             disk.put(&key, &blob)
                 .expect("staging a tile on the in-memory local disk cannot fail");
@@ -465,8 +543,8 @@ impl ServerState {
         memory.set_component("vertex-values", 8 * num_vertices);
         memory.set_component("message-buffer", 8 * num_vertices);
         memory.set_component("degree-arrays", 4 * num_vertices * 2);
-        let bloom_bytes: u64 = blooms.iter().map(BloomFilter::memory_bytes).sum();
-        memory.set_component("bloom-filters", bloom_bytes);
+        let source_set_bytes: u64 = source_sets.iter().map(SourceSet::memory_bytes).sum();
+        memory.set_component("source-sets", source_set_bytes);
         // Push-capable runs keep a resident out-edge transpose per assigned
         // tile (the push loop never touches disk or cache); pull-only runs
         // pay nothing.
@@ -489,7 +567,7 @@ impl ServerState {
             tile_keys,
             values: plan.initial_values.to_vec(),
             cache,
-            blooms,
+            source_sets,
             push_indexes,
             memory,
             pool: graphh_pool::WorkerPool::new(plan.threads_per_server as usize),
@@ -577,8 +655,9 @@ impl ServerState {
     /// The compute phase of one superstep on this server, in the direction
     /// the executor resolved for this superstep (`frontier.direction`):
     ///
-    /// * **pull** — walk the assigned tiles (Bloom-skipping inactive ones),
-    ///   gather/apply every target against the local replica,
+    /// * **pull** — walk the assigned tiles (skipping those no frontier
+    ///   vertex is a source of), gather/apply every target against the local
+    ///   replica,
     /// * **push** — sweep the sorted frontier against each tile's resident
     ///   out-edge transpose (`PushIndex`), scatter/combine/apply, touching
     ///   neither the edge cache nor the local disk.
@@ -655,8 +734,9 @@ impl ServerState {
         Ok(TilePhaseOutput { metrics, messages })
     }
 
-    /// The pull path: today's gather loop, unchanged — Bloom probe, cache
-    /// lookup / disk fetch, per-target gather/apply in tile order.
+    /// The pull path: source-set probe, cache lookup / disk fetch, then the
+    /// program's [`GabProgram::gather_tile`] over the tile's CSR slices —
+    /// the one virtual call of a tile.
     fn pull_outcomes(
         &self,
         program: &dyn GabProgram,
@@ -666,11 +746,11 @@ impl ServerState {
         use_bloom: bool,
     ) -> Vec<Result<TileOutcome>> {
         let run_everything = superstep == 0 && program.run_all_vertices_initially();
-        // Skip the O(frontier)-per-tile Bloom probe outright when the frontier
-        // is dense: nothing would be skipped, and the probe itself becomes the
+        // Skip the O(frontier)-per-tile probe outright when the frontier is
+        // dense: nothing would be skipped, and the probe itself becomes the
         // hot loop. The rule reads the shared frontier stats, so it is
         // identical across executors and thread counts.
-        let probe_bloom = use_bloom && !run_everything && !frontier.is_dense();
+        let probe_sources = use_bloom && !run_everything && !frontier.is_dense();
         let previously_updated = frontier.vertices;
 
         let vertex_ctx = VertexContext {
@@ -684,7 +764,7 @@ impl ServerState {
         let cache = &self.cache;
         let disk = &self.disk;
         let tile_keys = &self.tile_keys;
-        let blooms = &self.blooms;
+        let source_sets = &self.source_sets;
         // Read once, before any worker runs: while the cache still accepts
         // tiles a miss keeps its decoded tile for the post-join pass; once it
         // is full nothing outlives the worker that decoded it.
@@ -694,9 +774,9 @@ impl ServerState {
             let tile_id = tiles[i];
             let mut metrics = ServerMetrics::default();
 
-            // Bloom-filter tile skipping: a tile with no updated source
-            // vertex cannot change any target value.
-            if probe_bloom && !blooms[i].may_contain_any(previously_updated.iter()) {
+            // Tile skipping: a tile with no updated source vertex cannot
+            // change any target value.
+            if probe_sources && !source_sets[i].intersects(previously_updated) {
                 metrics.tiles_skipped += 1;
                 return Ok(TileOutcome {
                     metrics,
@@ -730,21 +810,11 @@ impl ServerState {
             };
 
             // Process the tile against the local replica array.
-            let mut tile_updates: Vec<(VertexId, f64)> = Vec::new();
-            for target in tile.targets() {
-                let in_degree = tile.in_degree(target);
-                if in_degree == 0 && !run_everything {
-                    continue;
-                }
-                let mut edges = tile.in_edges(target);
-                let accum = program.gather(target, &mut edges, &vertex_ctx);
-                let current = vertex_ctx.values[target as usize];
-                let new = program.apply(target, accum, current, &vertex_ctx);
-                metrics.edges_processed += u64::from(in_degree);
-                if program.is_update(current, new) {
-                    tile_updates.push((target, new));
-                }
-            }
+            let TileUpdates {
+                updates: tile_updates,
+                edges_processed,
+            } = program.gather_tile(&tile, run_everything, &vertex_ctx);
+            metrics.edges_processed += edges_processed;
             metrics.tiles_processed += 1;
             metrics.messages_produced += tile_updates.len() as u64;
 
@@ -798,46 +868,11 @@ impl ServerState {
         self.pool.fork_join_ordered(indexes.len(), |i| {
             let index = &indexes[i];
             let mut metrics = ServerMetrics::default();
-            let num_targets = index.num_targets();
-            // Per-tile accumulator slots, indexed by target offset. The push
-            // loop allocates these per tile (the zero-allocation gate covers
-            // the broadcast codec path, not tile compute).
-            let mut acc = vec![0.0f64; num_targets];
-            let mut touched = vec![false; num_targets];
-            let mut any_source = false;
-
-            // Two-pointer sweep: both the frontier (sorted by the barrier
-            // merge) and the index's sources are ascending.
-            let (mut fi, mut si) = (0usize, 0usize);
-            while fi < active.len() && si < index.sources.len() {
-                match active[fi].cmp(&index.sources[si]) {
-                    std::cmp::Ordering::Less => fi += 1,
-                    std::cmp::Ordering::Greater => si += 1,
-                    std::cmp::Ordering::Equal => {
-                        let source = index.sources[si];
-                        metrics.edges_processed += index.out_degree(si);
-                        let value = vertex_ctx.values[source as usize];
-                        let target_start = index.target_start;
-                        let mut edges = index.out_edges(si);
-                        program.scatter(source, value, &mut edges, &mut |target, contribution| {
-                            let slot = (target - target_start) as usize;
-                            if touched[slot] {
-                                acc[slot] = program.combine(acc[slot], contribution);
-                            } else {
-                                acc[slot] = contribution;
-                                touched[slot] = true;
-                            }
-                        });
-                        any_source = true;
-                        fi += 1;
-                        si += 1;
-                    }
-                }
-            }
-
-            // No frontier source reaches this tile: the exact-skip analogue
-            // of the pull path's Bloom skip (and never a false positive).
-            if !any_source {
+            let Some(TileUpdates {
+                updates: tile_updates,
+                edges_processed,
+            }) = index.scatter_tile(program, active, &vertex_ctx)
+            else {
                 metrics.tiles_skipped += 1;
                 return Ok(TileOutcome {
                     metrics,
@@ -845,22 +880,8 @@ impl ServerState {
                     admit: None,
                     tile_memory_bytes: 0,
                 });
-            }
-
-            // Apply in ascending target order — the same order the pull loop
-            // walks targets, so updates (and therefore wire bytes) line up.
-            let mut tile_updates: Vec<(VertexId, f64)> = Vec::new();
-            for slot in 0..num_targets {
-                if !touched[slot] {
-                    continue;
-                }
-                let target = index.target_start + slot as VertexId;
-                let current = vertex_ctx.values[target as usize];
-                let new = program.apply(target, acc[slot], current, &vertex_ctx);
-                if program.is_update(current, new) {
-                    tile_updates.push((target, new));
-                }
-            }
+            };
+            metrics.edges_processed += edges_processed;
             metrics.tiles_processed += 1;
             metrics.messages_produced += tile_updates.len() as u64;
 
@@ -871,7 +892,7 @@ impl ServerState {
                 message,
                 admit: None,
                 // Accumulator scratch: 8 bytes + 1 flag per target slot.
-                tile_memory_bytes: num_targets as u64 * 9,
+                tile_memory_bytes: index.num_targets() as u64 * 9,
             })
         })
     }
@@ -911,6 +932,9 @@ pub fn merge_updates_in_place(all_updates: &mut Vec<(VertexId, f64)>) {
     all_updates.sort_unstable_by_key(|&(v, _)| v);
     all_updates.dedup_by_key(|&mut (v, _)| v);
 }
+
+#[cfg(test)]
+mod kernel_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -66,7 +66,7 @@ impl Executor for SequentialExecutor {
 
         let mut metrics = ClusterMetrics::default();
         let mut updated_ratio = Vec::new();
-        // Vertices updated in the previous superstep (drives Bloom-filter skipping).
+        // Vertices updated in the previous superstep (drives tile skipping).
         let mut previously_updated: Vec<VertexId> = plan.initial_frontier();
         let mut supersteps_run = 0u32;
         // Cleared and reused every superstep: the broadcast hot path reuses

@@ -12,6 +12,12 @@
 //! every algorithm in the paper (ranks, distances, component labels) and keeps the
 //! wire encoding uniform.
 //!
+//! Programs implement the per-vertex hooks; the tile loops are the engine's. A
+//! vertex's edges arrive as [`Edges`] — a slice of the tile's CSR, iterated with
+//! static dispatch — and the pull loop over a whole tile is the trait's one provided
+//! method, [`GabProgram::gather_tile`]: compiled once per program, so the hooks it
+//! calls inline, and reached through `&dyn GabProgram` once per tile.
+//!
 //! ## Direction-aware programs
 //!
 //! Beyond the paper, a program may also provide a **push side**
@@ -24,6 +30,70 @@
 //! spells out the exact rules.
 
 use graphh_graph::ids::VertexId;
+use graphh_partition::Tile;
+
+/// One vertex's edges: the neighbour ids (in-edge sources for `gather`,
+/// out-edge targets for `scatter`) with their weights, as slices of the CSR
+/// they live in. Iterates as `(neighbour, weight)` in CSR order — every edge
+/// of an unweighted graph weighs 1 — so a hook's `for (src, w) in edges` is a
+/// loop over two slices, not a virtual call per edge.
+#[derive(Debug, Clone)]
+pub struct Edges<'a> {
+    neighbours: &'a [VertexId],
+    weights: Option<&'a [f32]>,
+}
+
+impl<'a> Edges<'a> {
+    /// The edges to or from `neighbours`; `weights`, when present, pairs up
+    /// with them.
+    ///
+    /// # Panics
+    /// Panics if `weights` is present and of another length.
+    pub fn new(neighbours: &'a [VertexId], weights: Option<&'a [f32]>) -> Self {
+        if let Some(weights) = weights {
+            assert_eq!(weights.len(), neighbours.len(), "one weight per neighbour");
+        }
+        Self {
+            neighbours,
+            weights,
+        }
+    }
+}
+
+impl Iterator for Edges<'_> {
+    type Item = (VertexId, f32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(VertexId, f32)> {
+        let (&neighbour, rest) = self.neighbours.split_first()?;
+        self.neighbours = rest;
+        let weight = match &mut self.weights {
+            None => 1.0,
+            Some(weights) => {
+                let (&weight, rest) = weights.split_first()?;
+                *weights = rest;
+                weight
+            }
+        };
+        Some((neighbour, weight))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.neighbours.len(), Some(self.neighbours.len()))
+    }
+}
+
+impl ExactSizeIterator for Edges<'_> {}
+
+/// What [`GabProgram::gather_tile`] produces for one tile.
+#[derive(Debug)]
+pub struct TileUpdates {
+    /// `(target, new value)` for every target whose value changed, ascending.
+    pub updates: Vec<(VertexId, f64)>,
+    /// In-edges folded (the in-degrees of the targets that ran).
+    pub edges_processed: u64,
+}
 
 /// Which tile loop a superstep runs.
 ///
@@ -96,8 +166,8 @@ impl std::str::FromStr for DirectionMode {
 ///
 /// Every executor computes this from the *same* merged update set (the
 /// frontier is replicated on every server, like the vertex values), so the
-/// stats — and every decision derived from them (Bloom dense-skip, direction
-/// choice) — are identical on the sequential executor, every threaded
+/// stats — and every decision derived from them (the dense-frontier rule of
+/// tile skipping, direction choice) — are identical on the sequential executor, every threaded
 /// worker, and every `graphh-node` process at the same superstep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontierStats {
@@ -177,12 +247,7 @@ pub trait GabProgram: Send + Sync {
     /// Fold the in-edges of `target` into an accumulator. `in_edges` yields
     /// `(source vertex, edge weight)` pairs; source values are read from
     /// `ctx.values`.
-    fn gather(
-        &self,
-        target: VertexId,
-        in_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
-        ctx: &VertexContext<'_>,
-    ) -> f64;
+    fn gather(&self, target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64;
 
     /// Produce the new value of `target` from the accumulator and its current value.
     fn apply(&self, target: VertexId, accum: f64, current: f64, ctx: &VertexContext<'_>) -> f64;
@@ -238,7 +303,7 @@ pub trait GabProgram: Send + Sync {
         &self,
         source: VertexId,
         value: f64,
-        out_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
+        out_edges: &mut Edges<'_>,
         emit: &mut dyn FnMut(VertexId, f64),
     ) {
         let _ = (value, out_edges, emit);
@@ -268,6 +333,49 @@ pub trait GabProgram: Send + Sync {
     fn direction(&self, _stats: &FrontierStats) -> Direction {
         Direction::Pull
     }
+
+    /// The engine's pull loop over one tile — **not a hook; do not
+    /// override.** For every target in ascending order: skip it if it has no
+    /// in-edge in this tile (unless `run_everything`), [`Self::gather`] its
+    /// slice of the tile's CSR, [`Self::apply`], and keep the new value if
+    /// [`Self::is_update`] says so.
+    ///
+    /// It lives on the trait because a provided method is compiled per
+    /// implementor: the three hooks are static calls here and inline into
+    /// the loop, and the engine pays one virtual call per tile instead of
+    /// three per target and one per edge — without a type parameter on
+    /// anything that holds a `&dyn GabProgram`.
+    fn gather_tile(
+        &self,
+        tile: &Tile,
+        run_everything: bool,
+        ctx: &VertexContext<'_>,
+    ) -> TileUpdates {
+        let (sources, weights) = (tile.sources(), tile.weights());
+        let mut updates = Vec::with_capacity(tile.num_targets() as usize);
+        let mut edges_processed = 0u64;
+        for (target, span) in tile.targets().zip(tile.offsets().windows(2)) {
+            let (lo, hi) = (span[0] as usize, span[1] as usize);
+            if lo == hi && !run_everything {
+                continue;
+            }
+            let mut in_edges = Edges::new(&sources[lo..hi], weights.map(|w| &w[lo..hi]));
+            let accum = self.gather(target, &mut in_edges, ctx);
+            let current = ctx.values[target as usize];
+            let new = self.apply(target, accum, current, ctx);
+            edges_processed += (hi - lo) as u64;
+            if self.is_update(current, new) {
+                updates.push((target, new));
+            }
+        }
+        // The updates travel on in a `BroadcastMessage`; a frontier program
+        // that changed three vertices should not carry room for the tile.
+        updates.shrink_to_fit();
+        TileUpdates {
+            updates,
+            edges_processed,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -287,7 +395,7 @@ mod tests {
         fn gather(
             &self,
             _target: VertexId,
-            in_edges: &mut dyn Iterator<Item = (VertexId, f32)>,
+            in_edges: &mut Edges<'_>,
             _ctx: &VertexContext<'_>,
         ) -> f64 {
             in_edges.count() as f64
@@ -390,7 +498,25 @@ mod tests {
             num_vertices: 4,
             superstep: 0,
         };
-        let mut edges = [(0u32, 1.0f32), (2, 1.0)].into_iter();
+        let mut edges = Edges::new(&[0, 2], None);
         assert_eq!(p.gather(1, &mut edges, &ctx), 2.0);
+    }
+
+    #[test]
+    fn edges_pair_neighbours_with_weights_and_know_their_length() {
+        let mut unweighted = Edges::new(&[4, 9, 4], None);
+        assert_eq!(unweighted.len(), 3);
+        assert_eq!(unweighted.next(), Some((4, 1.0)));
+        assert_eq!(unweighted.size_hint(), (2, Some(2)));
+        assert_eq!(unweighted.collect::<Vec<_>>(), [(9, 1.0), (4, 1.0)]);
+        let weighted = Edges::new(&[4, 9], Some(&[0.5, 2.5]));
+        assert_eq!(weighted.collect::<Vec<_>>(), [(4, 0.5), (9, 2.5)]);
+        assert_eq!(Edges::new(&[], Some(&[])).next(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "one weight per neighbour")]
+    fn edges_reject_weights_that_do_not_pair_up() {
+        let _ = Edges::new(&[1, 2], Some(&[1.0]));
     }
 }

@@ -12,20 +12,22 @@
 //!    fetched from the edge cache or (on a miss) from the simulated local disk,
 //! 2. for every target vertex in the tile the user program's `gather` and `apply`
 //!    run against the server's *local* vertex replica array (every vertex is
-//!    replicated on every server — the All-in-All policy of §IV-A),
+//!    replicated on every server — the All-in-All policy of §IV-A); the loop over
+//!    the tile's CSR slices is the engine's, compiled once per program
+//!    ([`GabProgram::gather_tile`]),
 //! 3. changed values are broadcast to the other servers using the hybrid
 //!    dense/sparse encoding of §IV-C,
 //! 4. at the barrier every server folds the received updates into its replica.
 //!
 //! Tiles whose source vertices were not updated in the previous superstep are
-//! skipped via a per-tile Bloom filter (§III-C.4).
+//! skipped (§III-C.4) — by probing a per-tile bitmap over the vertex ids, which
+//! is exact wherever it is no larger than the paper's Bloom filter would be.
 //!
 //! Every byte moved is metered ([`graphh_cluster::ServerMetrics`]) and converted to
 //! simulated time by the cost model, which is how the experiment harness regenerates
 //! the paper's figures without the 9-node testbed.
 
 pub mod algorithms;
-pub mod bloom;
 pub mod engine;
 pub mod exec;
 pub mod gab;
@@ -36,11 +38,12 @@ pub mod replication;
 pub use algorithms::{
     Bfs, DegreeCentrality, DirectionOptimizingBfs, LabelPropagation, PageRank, Sssp, Wcc,
 };
-pub use bloom::BloomFilter;
 pub use engine::{GraphHConfig, GraphHEngine, RunResult};
 pub use exec::sequential::SequentialExecutor;
 pub use exec::{ExecutionPlan, Executor, FrontierView, ServerState};
-pub use gab::{Direction, DirectionMode, FrontierStats, GabProgram, InitContext, VertexContext};
+pub use gab::{
+    Direction, DirectionMode, Edges, FrontierStats, GabProgram, InitContext, VertexContext,
+};
 pub use registry::{ProgramContext, ProgramOptions, ProgramSpec};
 pub use replication::{MemoryModel, ReplicationPolicy};
 

@@ -11,13 +11,17 @@
 //!
 //! Tiles are immutable once built, serialize to a compact binary blob for the DFS /
 //! local disk, and report the statistics the engine needs (edge count, memory size,
-//! distinct source count for the Bloom filter).
+//! distinct source count).
 
 use crate::{PartitionError, Result};
 use graphh_graph::ids::{TileId, VertexId};
 
 /// Magic prefix of the tile binary format.
 const TILE_MAGIC: &[u8; 8] = b"GHTILE01";
+
+/// Bytes before the offsets array: magic, tile id, target range, weighted
+/// flag, edge count.
+const HEADER_BYTES: usize = 8 + 4 + 4 + 4 + 1 + 8;
 
 /// Summary of a tile that is cheap to keep in memory for every tile on a server.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,12 +187,28 @@ impl Tile {
         (self.offsets[i + 1] - self.offsets[i]) as u32
     }
 
-    /// All source vertex ids appearing in the tile (with duplicates).
+    /// All source vertex ids appearing in the tile (with duplicates), grouped
+    /// by target: target `target_start + i` owns
+    /// `sources()[offsets()[i]..offsets()[i + 1]]`.
     pub fn sources(&self) -> &[VertexId] {
         &self.sources
     }
 
-    /// Number of distinct source vertices (used to size the Bloom filter).
+    /// The CSR offsets into [`Tile::sources`] / [`Tile::weights`]: one entry
+    /// per target plus one, starting at 0, never decreasing, ending at the
+    /// edge count ([`Tile::from_csr`] checks it, [`Tile::from_adjacency`]
+    /// builds it so).
+    pub fn offsets(&self) -> &[u64] {
+        &self.offsets
+    }
+
+    /// Edge weights, parallel to [`Tile::sources`]; `None` for unweighted
+    /// graphs, whose edges all weigh 1.
+    pub fn weights(&self) -> Option<&[f32]> {
+        self.weights.as_deref()
+    }
+
+    /// Number of distinct source vertices.
     pub fn distinct_source_count(&self) -> usize {
         let mut s: Vec<VertexId> = self.sources.clone();
         s.sort_unstable();
@@ -217,7 +237,7 @@ impl Tile {
 
     /// Size of [`Tile::to_bytes`]'s output without producing it.
     pub fn serialized_size(&self) -> u64 {
-        let header = 8 + 4 + 4 + 4 + 1 + 8;
+        let header = HEADER_BYTES as u64;
         let offsets = self.offsets.len() as u64 * 8;
         let sources = self.sources.len() as u64 * 4;
         let weights = self.weights.as_ref().map_or(0, |w| w.len() as u64 * 4);
@@ -248,69 +268,70 @@ impl Tile {
     }
 
     /// Deserialize a tile previously produced by [`Tile::to_bytes`].
+    ///
+    /// The blob is outside input: the length the header implies is worked out
+    /// with checked arithmetic and compared with `data.len()` before anything
+    /// is allocated, and the decoded arrays go through [`Tile::from_csr`], so
+    /// a blob that loads can be walked without an index going out of bounds.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if *pos + n > data.len() {
-                return Err(PartitionError::Corrupt(format!(
-                    "tile truncated at offset {} (need {n} bytes, have {})",
-                    *pos,
-                    data.len() - *pos
-                )));
-            }
-            let slice = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(slice)
+        let corrupt = |what: String| Err(PartitionError::Corrupt(what));
+        let Some((header, body)) = data.split_at_checked(HEADER_BYTES) else {
+            return corrupt(format!(
+                "tile truncated: {} bytes cannot hold the {HEADER_BYTES}-byte header",
+                data.len()
+            ));
         };
-        let magic = take(&mut pos, 8)?;
-        if magic != TILE_MAGIC {
-            return Err(PartitionError::Corrupt("bad tile magic".into()));
+        if &header[..8] != TILE_MAGIC {
+            return corrupt("bad tile magic".into());
         }
-        let tile_id = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        let target_start = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        let target_end = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+        let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+        let (tile_id, target_start, target_end) = (word(8), word(12), word(16));
         if target_end < target_start {
-            return Err(PartitionError::Corrupt("tile target range inverted".into()));
+            return corrupt("tile target range inverted".into());
         }
-        let weighted = take(&mut pos, 1)?[0] != 0;
-        let num_edges = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let num_targets = (target_end - target_start) as usize;
-        let mut offsets = Vec::with_capacity(num_targets + 1);
-        for _ in 0..=num_targets {
-            offsets.push(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
-        }
-        if offsets.last().copied().unwrap_or(0) as usize != num_edges {
-            return Err(PartitionError::Corrupt(
-                "tile offsets inconsistent with edge count".into(),
+        let weighted = match header[20] {
+            0 => false,
+            1 => true,
+            flag => return corrupt(format!("tile weighted flag is {flag}, not 0 or 1")),
+        };
+        let num_edges = u64::from_le_bytes(header[21..29].try_into().expect("8 bytes"));
+        let offset_bytes = (u64::from(target_end - target_start) + 1) * 8;
+        let expected = num_edges
+            .checked_mul(if weighted { 8 } else { 4 })
+            .and_then(|edge_bytes| edge_bytes.checked_add(offset_bytes));
+        if expected != Some(body.len() as u64) {
+            return corrupt(format!(
+                "tile {tile_id}: header claims {} targets and {num_edges} edges, \
+                 which is not the {} bytes that follow it",
+                target_end - target_start,
+                body.len()
             ));
         }
-        let mut sources = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            sources.push(u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()));
-        }
-        let weights = if weighted {
-            let mut ws = Vec::with_capacity(num_edges);
-            for _ in 0..num_edges {
-                ws.push(f32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()));
-            }
-            Some(ws)
-        } else {
-            None
-        };
-        Ok(Self {
+        // The length check bounds both by `body.len()`, so they fit.
+        let (offsets, edges) = body.split_at(offset_bytes as usize);
+        let (sources, weights) = edges.split_at(num_edges as usize * 4);
+        Self::from_csr(
             tile_id,
             target_start,
             target_end,
-            offsets,
-            sources,
-            weights,
-        })
+            decode_le(offsets, u64::from_le_bytes),
+            decode_le(sources, u32::from_le_bytes),
+            weighted.then(|| decode_le(weights, f32::from_le_bytes)),
+        )
     }
 
     /// The canonical DFS / local-disk key for a tile.
     pub fn storage_key(graph_name: &str, tile_id: TileId) -> String {
         format!("{graph_name}/tiles/tile-{tile_id:06}.bin")
     }
+}
+
+/// Decode a packed array of `N`-byte little-endian values.
+fn decode_le<const N: usize, T>(bytes: &[u8], from_le: impl Fn([u8; N]) -> T) -> Vec<T> {
+    bytes
+        .chunks_exact(N)
+        .map(|chunk| from_le(chunk.try_into().expect("chunks_exact(N)")))
+        .collect()
 }
 
 #[cfg(test)]
@@ -363,20 +384,101 @@ mod tests {
         }
     }
 
+    fn is_corrupt(blob: &[u8]) -> bool {
+        matches!(Tile::from_bytes(blob), Err(PartitionError::Corrupt(_)))
+    }
+
     #[test]
     fn corrupt_tiles_are_rejected() {
         let t = sample_tile(false);
         let bytes = t.to_bytes();
-        // Truncation.
-        assert!(Tile::from_bytes(&bytes[..bytes.len() - 3]).is_err());
+        // Truncation, anywhere — inside the header included — and a tail.
+        for len in 0..bytes.len() {
+            assert!(is_corrupt(&bytes[..len]), "truncated to {len}");
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(is_corrupt(&long));
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
-        assert!(Tile::from_bytes(&bad).is_err());
+        assert!(is_corrupt(&bad));
         // Inconsistent edge count.
-        let mut bad = bytes;
+        let mut bad = bytes.clone();
         bad[21] ^= 0x01; // first byte of num_edges
-        assert!(Tile::from_bytes(&bad).is_err());
+        assert!(is_corrupt(&bad));
+        // A weighted flag that `to_bytes` never writes.
+        let mut bad = bytes;
+        bad[20] = 2;
+        assert!(is_corrupt(&bad));
+    }
+
+    /// Header fields are checked against the blob's length before they size
+    /// anything: these two used to reserve 32 GiB and panic with `capacity
+    /// overflow` respectively.
+    #[test]
+    fn a_header_that_claims_more_than_the_blob_holds_is_corrupt() {
+        let header = |target_end: u32, num_edges: u64| {
+            let mut blob = TILE_MAGIC.to_vec();
+            blob.extend_from_slice(&0u32.to_le_bytes()); // tile id
+            blob.extend_from_slice(&0u32.to_le_bytes()); // target_start
+            blob.extend_from_slice(&target_end.to_le_bytes());
+            blob.push(0); // unweighted
+            blob.extend_from_slice(&num_edges.to_le_bytes());
+            blob
+        };
+        assert!(is_corrupt(&header(u32::MAX, 0)));
+        for huge in [1u64 << 61, 1 << 62, u64::MAX] {
+            let mut blob = header(0, huge);
+            blob.extend_from_slice(&huge.to_le_bytes()); // the one offset agrees
+            assert!(is_corrupt(&blob), "{huge} edges in 37 bytes");
+        }
+    }
+
+    /// Interior offsets are validated too, not just the last one: a tile that
+    /// loads can be walked.
+    #[test]
+    fn offsets_that_do_not_rise_within_the_edge_count_are_corrupt() {
+        let bytes = sample_tile(true).to_bytes(); // offsets 0, 2, 2, 5
+        let with_offset = |i: usize, value: u64| {
+            let mut blob = bytes.clone();
+            let at = HEADER_BYTES + i * 8;
+            blob[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            blob
+        };
+        assert!(is_corrupt(&with_offset(1, 3))); // 0, 3, 2, 5
+        assert!(is_corrupt(&with_offset(2, 9))); // past the edge count
+        assert!(is_corrupt(&with_offset(1, u64::MAX)));
+        assert!(is_corrupt(&with_offset(0, 1))); // does not start at 0
+        assert_eq!(
+            Tile::from_bytes(&with_offset(1, 1)).unwrap().in_degree(10),
+            1
+        );
+    }
+
+    /// No checksum guards the payload, so a flipped bit may still load — but
+    /// then as exactly the tile those bytes spell, safe to walk.
+    #[test]
+    fn a_flipped_bit_is_corrupt_or_loads_as_what_the_bytes_say() {
+        for weighted in [false, true] {
+            let bytes = sample_tile(weighted).to_bytes();
+            for bit in 0..bytes.len() * 8 {
+                let mut blob = bytes.clone();
+                blob[bit / 8] ^= 1 << (bit % 8);
+                match Tile::from_bytes(&blob) {
+                    Ok(tile) => {
+                        assert_eq!(tile.to_bytes(), blob, "bit {bit}");
+                        let walked: u64 = tile
+                            .targets()
+                            .map(|t| tile.in_edges(t).count() as u64)
+                            .sum();
+                        assert_eq!(walked, tile.num_edges(), "bit {bit}");
+                    }
+                    Err(PartitionError::Corrupt(_)) => {}
+                    Err(other) => panic!("bit {bit}: {other}"),
+                }
+            }
+        }
     }
 
     #[test]

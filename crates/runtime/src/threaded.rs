@@ -239,7 +239,7 @@ mod tests {
         fn gather(
             &self,
             _target: u32,
-            _in_edges: &mut dyn Iterator<Item = (u32, f32)>,
+            _in_edges: &mut graphh_core::gab::Edges<'_>,
             _ctx: &graphh_core::gab::VertexContext<'_>,
         ) -> f64 {
             0.0
@@ -287,7 +287,7 @@ mod tests {
         fn gather(
             &self,
             target: u32,
-            in_edges: &mut dyn Iterator<Item = (u32, f32)>,
+            in_edges: &mut graphh_core::gab::Edges<'_>,
             ctx: &graphh_core::gab::VertexContext<'_>,
         ) -> f64 {
             if ctx.superstep % 2 == 1 && target < 4 {

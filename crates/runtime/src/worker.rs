@@ -67,7 +67,7 @@ impl EncodeLane {
 /// The buffers one worker's superstep loop reuses across supersteps.
 ///
 /// Every superstep used to allocate these afresh — the merged update set, the
-/// Bloom frontier, and the byte buffers for the codec path (per-lane encode
+/// frontier, and the byte buffers for the codec path (per-lane encode
 /// scratch + wire bytes, shared decompression scratch). They are now cleared
 /// and refilled in place, and each lane carries a persistent
 /// [`CompressorScratch`], so a steady-state superstep's publish/exchange path
@@ -77,7 +77,7 @@ impl EncodeLane {
 struct SuperstepBuffers {
     /// This superstep's merged `(vertex, value)` update set (own + received).
     all_updates: Vec<(VertexId, f64)>,
-    /// Vertex ids updated in the previous superstep (drives Bloom skipping).
+    /// Vertex ids updated in the previous superstep (drives tile skipping).
     previously_updated: Vec<VertexId>,
     /// One lane per concurrently encoded message, grown to the widest
     /// superstep seen (tile counts are fixed per run, so this settles after

@@ -873,3 +873,104 @@ fn rmat_edges_and_tile_bytes_are_pinned() {
         "weighted multigraph tile blobs"
     );
 }
+
+fn tiles_skipped(run: &RunResult) -> u64 {
+    let servers = run.metrics.supersteps.iter().flat_map(|s| &s.servers);
+    servers.map(|s| s.tiles_skipped).sum()
+}
+
+/// Run `program` in the benchmark's engine configuration (2 servers, one
+/// compute thread each) with tile skipping on and off: the values must not
+/// care, and only the run that skips may skip. Returns how many tiles it did.
+fn skipped_with_identical_values(p: &PartitionedGraph, program: &dyn GabProgram) -> u64 {
+    let config =
+        GraphHConfig::paper_default(ClusterConfig::paper_testbed(2)).with_threads_per_server(1);
+    let mut probing_off = config.clone();
+    probing_off.use_bloom_filter = false;
+    let on = GraphHEngine::new(config).run(p, program).unwrap();
+    let off = GraphHEngine::new(probing_off).run(p, program).unwrap();
+    assert_values_and_trajectory(&on, &off, program.name());
+    assert!(tiles_skipped(&off) <= tiles_skipped(&on));
+    tiles_skipped(&on)
+}
+
+/// Tile skipping may only get better. The floors are what the Bloom filter
+/// skipped before the per-tile source set replaced it, read at that commit:
+/// the `sssp-grid` workload of `benchmark/` (128×128 grid, 32 tiles, SSSP from
+/// the last corner) and `bfs-rmat`'s kernel and source picks on an RMAT graph
+/// small enough for a debug build. A set that is exact can skip more — the
+/// filter's false positives were tiles fetched and gathered for nothing —
+/// and must never skip less.
+#[test]
+fn the_source_set_skips_at_least_what_the_bloom_filter_did() {
+    let grid = graphh::graph::generators::grid_graph(128, 128);
+    let p = Spe::partition(&grid, &SpeConfig::with_tile_count("grid", &grid, 32)).unwrap();
+    let skipped = skipped_with_identical_values(&p, &Sssp::new(128 * 128 - 1));
+    assert!(skipped >= 3_853, "SSSP on the grid skipped {skipped} tiles");
+
+    let rmat = RmatGenerator::new(13, 16).generate(SEEDS[0]);
+    let p = Spe::partition(&rmat, &SpeConfig::with_tile_count("rmat", &rmat, 64)).unwrap();
+    // The eight sources `benchmark/`'s picker draws on this graph for seed 2017.
+    let sources = [4623, 784, 3596, 2860, 1144, 5187, 486, 1862];
+    let skipped: u64 = sources
+        .iter()
+        .map(|&s| skipped_with_identical_values(&p, &DirectionOptimizingBfs::new(s)))
+        .sum();
+    assert!(skipped >= 413, "dopt-BFS on RMAT skipped {skipped} tiles");
+}
+
+/// A tile blob comes off a disk: whatever is wrong with it, loading it is an
+/// `Err(Corrupt)`, never a panic — and a blob that does load can be walked.
+#[test]
+fn corrupt_tile_blobs_error_but_never_panic() {
+    use graphh::partition::PartitionError;
+
+    let g = RmatGenerator::new(7, 6).generate(SEEDS[0]);
+    let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 4)).unwrap();
+    let tile = &p.tiles[1];
+    assert!(tile.num_targets() > 8 && tile.num_edges() > 100);
+    let blob = tile.to_bytes();
+    let is_corrupt =
+        |blob: &[u8]| matches!(Tile::from_bytes(blob), Err(PartitionError::Corrupt(_)));
+    // Header layout: magic 0..8, id 8..12, targets 12..20, flag 20, edges 21..29.
+    let with = |at: usize, bytes: &[u8]| {
+        let mut blob = blob.clone();
+        blob[at..at + bytes.len()].copy_from_slice(bytes);
+        blob
+    };
+
+    // Truncated anywhere, or with a tail.
+    for len in 0..blob.len() {
+        assert!(is_corrupt(&blob[..len]), "truncated to {len} bytes");
+    }
+    assert!(is_corrupt(&[blob.as_slice(), &[0]].concat()));
+    // A header claiming more than the blob holds — the first used to reserve
+    // 32 GiB of offsets, the second panicked with `capacity overflow`.
+    assert!(is_corrupt(&with(16, &u32::MAX.to_le_bytes())[..29]));
+    assert!(is_corrupt(&with(21, &(1u64 << 61).to_le_bytes())));
+    let mut no_targets = with(21, &(1u64 << 61).to_le_bytes());
+    no_targets.copy_within(12..16, 16); // target_end = target_start
+    no_targets.truncate(29);
+    no_targets.extend_from_slice(&(1u64 << 61).to_le_bytes());
+    assert!(is_corrupt(&no_targets));
+    // Interior offsets that fall or overshoot: these used to load, and then
+    // index out of bounds in the gather loop.
+    let offset = |i: usize| 29 + 8 * i;
+    assert!(is_corrupt(&with(offset(3), &u64::MAX.to_le_bytes())));
+    assert!(is_corrupt(&with(offset(3), &0u64.to_le_bytes())));
+    assert!(is_corrupt(&with(offset(0), &1u64.to_le_bytes())));
+    // Any one bit of the header and the offsets flipped.
+    for bit in 0..offset(tile.num_targets() as usize + 1) * 8 {
+        let mut flipped = blob.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        match Tile::from_bytes(&flipped) {
+            Ok(loaded) => {
+                assert_eq!(loaded.to_bytes(), flipped, "bit {bit}");
+                let walked: usize = loaded.targets().map(|t| loaded.in_edges(t).count()).sum();
+                assert_eq!(walked as u64, loaded.num_edges(), "bit {bit}");
+            }
+            Err(PartitionError::Corrupt(_)) => {}
+            Err(other) => panic!("bit {bit}: {other}"),
+        }
+    }
+}
