@@ -407,7 +407,8 @@ pub fn fig7_cache_modes() -> String {
 
 /// Figure 8a/b/c/d: update ratio, dense-vs-sparse traffic, hybrid-mode traffic under
 /// different compressors, and the resulting execution time, for PageRank with a
-/// convergence tolerance on the UK-2007 stand-in (9 servers).
+/// convergence tolerance on the UK-2007 stand-in (9 servers). *Dense* is an update
+/// bitmap plus the updated values only, so its traffic follows 8a's ratio too.
 pub fn fig8_communication(supersteps: u32) -> String {
     let g = experiment_graph(Dataset::Uk2007);
     let p = partition_for_experiments(&g, "uk-2007");
@@ -424,7 +425,7 @@ pub fn fig8_communication(supersteps: u32) -> String {
     }
 
     // 8b: dense vs sparse traffic; 8c/8d: hybrid mode with each compressor.
-    out.push_str("\n# Figure 8b/8c/8d: total network traffic and avg superstep time per communication mode\nmode\tcompressor\ttotal network bytes\tavg superstep seconds\n");
+    out.push_str("\n# Figure 8b/8c/8d: total network traffic and avg superstep time per communication mode\n# dense = update bitmap + the updated values only, sparse = varint id gaps + the same values\n# (docs/WIRE.md §11): a dense message shrinks with the update ratio of 8a instead of costing\n# 8 bytes per vertex of the range every superstep, so `dense raw` is no longer flat over time.\nmode\tcompressor\ttotal network bytes\tavg superstep seconds\n");
     let modes: [(&str, CommunicationMode); 3] = [
         ("dense", CommunicationMode::Dense),
         ("sparse", CommunicationMode::Sparse),

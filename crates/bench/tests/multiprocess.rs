@@ -215,13 +215,21 @@ fn two_process_poll_dopt_bfs_switches_direction_and_matches_sequential() {
     assert_cluster_matches_sequential(w);
 }
 
-// The compressed broadcast path end-to-end across real processes: every wire
-// message is zlib-compressed through the persistent per-lane compressor
-// scratch and decompressed on the receiving node — decoded values must still
-// be bit-identical to the sequential reference (which runs the default
-// config: compression never changes values, only wire bytes).
+// The broadcast wire path end-to-end across real processes, under every
+// `--compressor` value: reals (PageRank: byte planes, the head compressed or
+// stored) and integers (BFS: varint codes) are packed and compressed on one
+// node and unpacked on the other — decoded values must still be bit-identical
+// to the sequential reference (which runs the default config: the wire
+// layout and its compressor never change values, only wire bytes).
 
 #[test]
-fn two_process_poll_compressed_pagerank_matches_sequential() {
-    assert_cluster_matches_sequential_with_args(workload("pagerank"), &["--compressor", "zlib-1"]);
+fn two_process_poll_pagerank_and_bfs_match_sequential_under_every_compressor() {
+    for compressor in ["none", "raw", "snappy", "zlib-1", "zlib-3", "varint-delta"] {
+        for program in ["pagerank", "bfs"] {
+            assert_cluster_matches_sequential_with_args(
+                workload(program),
+                &["--compressor", compressor],
+            );
+        }
+    }
 }

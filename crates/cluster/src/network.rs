@@ -2,30 +2,41 @@
 //!
 //! After a GraphH worker finishes a tile it broadcasts the *updated* vertex values of
 //! that tile's target range to all other servers. The paper considers three ways to
-//! encode such a message:
+//! say *which* vertices a message updates:
 //!
-//! * **dense** — one value slot per vertex in the tile's target range plus a bitmap of
-//!   which slots actually changed; cheap when most vertices changed,
-//! * **sparse** — explicit `(vertex id, value)` pairs; cheap when few changed,
+//! * **dense** — a bitmap with one bit per vertex of the tile's target range;
+//!   cheap when most vertices changed,
+//! * **sparse** — the updated vertex ids, as varint gaps; cheap when few changed,
 //! * **hybrid** — per message, pick sparse when the *unchanged* fraction exceeds a
 //!   threshold (0.8 in the paper), dense otherwise.
 //!
-//! Messages can additionally be compressed (snappy by default). The
-//! [`MessageCodec`] encodes for real and meters the codec time into
-//! [`ServerMetrics`]; both executors (the sequential reference loop and the
-//! threaded runtime's channel plane) push every broadcast through it, so
+//! Either index is followed by the updated values **only** — a vertex that did
+//! not change costs one bitmap bit or nothing. The values take whichever of two
+//! forms the message itself allows (no program flag says which): when every
+//! value is `+∞` or an integer in `[0, 2³²)` they ship as varints; otherwise
+//! the `f64` bit patterns are split into eight byte planes, the planes whose
+//! bytes repeat (sign and exponent) first and the mantissa noise last. Both are
+//! exact to the bit. `docs/WIRE.md` §11 is the normative layout.
+//!
+//! Messages can additionally be compressed (snappy by default): the
+//! [`MessageCodec`] hands the compressor the part that can shrink — header,
+//! index and repeating planes, or a whole integer message — and ships the
+//! noise planes as they are. It encodes for real and meters the codec time
+//! into [`ServerMetrics`]; both executors (the sequential reference loop and
+//! the threaded runtime's channel plane) push every broadcast through it, so
 //! Figure 8's traffic series are measured, not estimated.
 
 use crate::metrics::ServerMetrics;
+use graphh_compress::varint::{read_varint, read_varint64, write_varint, write_varint64};
 use graphh_compress::{Codec, CompressorScratch};
 use graphh_graph::ids::VertexId;
 
 /// How a particular message ended up encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BroadcastEncoding {
-    /// Dense value array + update bitmap.
+    /// Update bitmap over the range + the updated values.
     Dense,
-    /// Explicit (id, value) pairs.
+    /// Varint gaps between the updated ids + the updated values.
     Sparse,
 }
 
@@ -78,6 +89,208 @@ pub struct BroadcastMessage {
     /// Updated `(vertex, value)` pairs; vertex ids must lie inside the range and be
     /// strictly increasing.
     pub updates: Vec<(VertexId, f64)>,
+}
+
+/// Tag, range start, range end, count.
+const HEADER_LEN: usize = 13;
+/// Tag bit 0: the index is id gaps ([`BroadcastEncoding::Sparse`]), not a bitmap.
+const TAG_SPARSE: u8 = 0b01;
+/// Tag bit 1: the values are integer codes, not byte planes.
+const TAG_INTS: u8 = 0b10;
+/// The largest integer code: `k + 1` for `k = 2³² − 1` (code 0 is `+∞`).
+const MAX_INT_CODE: u64 = 1 << 32;
+/// The plane rule: a byte plane goes to the compressible head when at least
+/// one in this many of its bytes equals the byte before it.
+const PLANE_REPEAT_ONE_IN: usize = 2;
+
+/// The integer code of a value's bit pattern: 0 for `+∞`, `k + 1` for an
+/// integer `k` in `[0, 2³²)` with a clear sign bit; `None` for everything else
+/// (`-0.0`, NaNs, fractions, larger magnitudes), which ships as byte planes.
+fn int_code(bits: u64) -> Option<u64> {
+    if bits == f64::INFINITY.to_bits() {
+        return Some(0);
+    }
+    // A saturating cast: whatever does not survive the round trip bit for bit
+    // is not an integer this code can carry.
+    let k = f64::from_bits(bits) as u32;
+    (f64::from(k).to_bits() == bits).then_some(u64::from(k) + 1)
+}
+
+/// Bytes of `value` as a LEB128 varint.
+fn varint_len(value: u64) -> u64 {
+    u64::from(64 - (value | 1).leading_zeros()).div_ceil(7)
+}
+
+/// How a message's values go on the wire, decided from the values alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ValueShape {
+    /// Every value has an [`int_code`] (vacuously so for an empty message).
+    Ints,
+    /// Byte planes; bit `p` of `head` set = plane `p` repeats and goes first.
+    Planes { head: u8 },
+}
+
+impl ValueShape {
+    /// One pass: the integer test (until it first fails) and, per byte plane,
+    /// how many bytes equal their predecessor — one XOR per value, the eight
+    /// zero-byte tests done at once on 8-bit lanes of a `u64`.
+    fn of(updates: &[(VertexId, f64)]) -> Self {
+        const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+        let mut ints = true;
+        let mut repeats = [0usize; 8];
+        // The first value has no predecessor: compare it with its complement,
+        // which differs in every byte.
+        let mut prev = !updates.first().map_or(0, |u| u.1.to_bits());
+        for chunk in updates.chunks(255) {
+            let mut lanes = 0u64; // eight counters, each at most 255
+            for &(_, value) in chunk {
+                let bits = value.to_bits();
+                ints = ints && int_code(bits).is_some();
+                let diff = bits ^ prev;
+                prev = bits;
+                // 0x80 in every byte of `diff` that is zero, then 0x01.
+                lanes += !(((diff & LOW7) + LOW7) | diff | LOW7) >> 7;
+            }
+            for (p, total) in repeats.iter_mut().enumerate() {
+                *total += usize::from((lanes >> (8 * p)) as u8);
+            }
+        }
+        if ints {
+            return ValueShape::Ints;
+        }
+        let head = (0..8)
+            .filter(|&p| repeats[p] * PLANE_REPEAT_ONE_IN >= updates.len())
+            .fold(0u8, |mask, p| mask | 1 << p);
+        ValueShape::Planes { head }
+    }
+}
+
+/// Transpose an 8×8 byte matrix held as eight little-endian rows: byte `r` of
+/// `result[c]` is byte `c` of `rows[r]`. Three rounds of block swaps (4×4,
+/// 2×2, 1×1); its own inverse.
+fn transpose8(mut rows: [u64; 8]) -> [u64; 8] {
+    let mut swap = |a: usize, b: usize, shift: u32, mask: u64| {
+        let moved = (rows[a] >> shift ^ rows[b]) & mask;
+        rows[b] ^= moved;
+        rows[a] ^= moved << shift;
+    };
+    for i in 0..4 {
+        swap(i, i + 4, 32, 0x0000_0000_FFFF_FFFF);
+    }
+    for i in [0, 1, 4, 5] {
+        swap(i, i + 2, 16, 0x0000_FFFF_0000_FFFF);
+    }
+    for i in [0, 2, 4, 6] {
+        swap(i, i + 1, 8, 0x00FF_00FF_00FF_00FF);
+    }
+    rows
+}
+
+/// The planes in wire order: those in `head` ascending, then the rest ascending.
+fn plane_order(head: u8) -> [usize; 8] {
+    let mut order = [0; 8];
+    let set = (0..8).filter(|p| head >> p & 1 == 1);
+    let clear = (0..8).filter(|p| head >> p & 1 == 0);
+    for (slot, p) in order.iter_mut().zip(set.chain(clear)) {
+        *slot = p;
+    }
+    order
+}
+
+/// Length of the first `count` LEB128 varints of `data` (a varint ends at
+/// the first byte with a clear top bit), `None` if `data` holds fewer.
+fn varints_len(data: &[u8], count: usize) -> Option<usize> {
+    const TOPS: u64 = 0x8080_8080_8080_8080;
+    let mut missing = count;
+    let mut at = 0;
+    // Whole words while all of a word's varint ends are still wanted.
+    for word in data.chunks_exact(8) {
+        let ends = (!u64::from_le_bytes(word.try_into().unwrap()) & TOPS).count_ones() as usize;
+        if ends >= missing {
+            break;
+        }
+        missing -= ends;
+        at += 8;
+    }
+    if missing == 0 {
+        return Some(at);
+    }
+    for (i, &byte) in data[at..].iter().enumerate() {
+        missing -= usize::from(byte < 0x80);
+        if missing == 0 {
+            return Some(at + i + 1);
+        }
+    }
+    None
+}
+
+/// The update bitmap as `(first slot, 64 slots)` words, the padding bits past
+/// slot `n` cleared. `bitmap` holds `⌈n / 8⌉` bytes.
+fn bitmap_words(bitmap: &[u8], n: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let whole = bitmap.chunks_exact(8);
+    let mut last = [0u8; 8];
+    let rest = whole.remainder();
+    last[..rest.len()].copy_from_slice(rest);
+    whole
+        .map(|word| u64::from_le_bytes(word.try_into().unwrap()))
+        .chain((!rest.is_empty()).then_some(u64::from_le_bytes(last)))
+        .enumerate()
+        .map(move |(i, word)| {
+            let base = i * 64;
+            let live = n - base;
+            let padding = if live < 64 { !0 << live } else { 0 };
+            (base, word & !padding)
+        })
+}
+
+/// A message's validated index section.
+enum Index<'a> {
+    /// One bit per vertex of the range; as many set (padding aside) as the
+    /// header counts.
+    Bitmap(&'a [u8]),
+    /// As many varint gaps as the header counts.
+    Gaps(&'a [u8]),
+}
+
+impl Index<'_> {
+    /// Visit the updated ids in order, the `k`-th with `value(k)`. Ids are
+    /// accumulated in `u64` and bounded by the range before they are visited.
+    fn walk(
+        self,
+        (range_start, range_end): (VertexId, VertexId),
+        count: usize,
+        mut value: impl FnMut(usize) -> Result<f64, String>,
+        visit: &mut impl FnMut(VertexId, f64),
+    ) -> Result<(), String> {
+        match self {
+            Index::Bitmap(bitmap) => {
+                let mut k = 0;
+                for (base, mut word) in bitmap_words(bitmap, (range_end - range_start) as usize) {
+                    while word != 0 {
+                        let slot = base + word.trailing_zeros() as usize;
+                        word &= word - 1;
+                        visit(range_start + slot as u32, value(k)?);
+                        k += 1;
+                    }
+                }
+            }
+            Index::Gaps(gaps) => {
+                let mut pos = 0;
+                let mut floor = u64::from(range_start);
+                for k in 0..count {
+                    let id = floor + u64::from(read_varint(gaps, &mut pos)?);
+                    if id >= u64::from(range_end) {
+                        return Err(format!(
+                            "sparse vertex id {id} outside range [{range_start}, {range_end})"
+                        ));
+                    }
+                    visit(id as u32, value(k)?);
+                    floor = id + 1;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl BroadcastMessage {
@@ -135,11 +348,10 @@ impl BroadcastMessage {
     }
 
     /// [`BroadcastMessage::encode`] into a caller-owned buffer, byte-identical
-    /// to the allocating API: `out` is cleared, [`Self::encoded_size`] is
-    /// reserved up front, and the dense bitmap + value array are written
-    /// directly into `out` — no intermediate bitmap or value vector exists.
-    /// With a reused `out` a steady-state encode performs zero heap
-    /// allocation.
+    /// to the allocating API: `out` is cleared, an upper bound of the message
+    /// size is reserved up front, and index and values are written directly
+    /// into `out` — no intermediate bitmap or value vector exists. With a
+    /// reused `out` a steady-state encode performs zero heap allocation.
     ///
     /// ```
     /// use graphh_cluster::{BroadcastEncoding, BroadcastMessage};
@@ -153,35 +365,98 @@ impl BroadcastMessage {
     /// }
     /// ```
     pub fn encode_into(&self, encoding: BroadcastEncoding, out: &mut Vec<u8>) {
+        self.encode_split(encoding, out);
+    }
+
+    /// [`BroadcastMessage::encode_into`], returning where the message's
+    /// *head* ends: header, index and the byte planes that repeat — or the
+    /// whole of an integer message. `out[head..]` is the noise planes, which
+    /// no compressor shrinks.
+    pub(crate) fn encode_split(&self, encoding: BroadcastEncoding, out: &mut Vec<u8>) -> usize {
+        let count = self.updates.len();
+        let shape = ValueShape::of(&self.updates);
+        let index_bound = match encoding {
+            BroadcastEncoding::Dense => (self.range_len() as usize).div_ceil(8),
+            BroadcastEncoding::Sparse => count * 5,
+        };
         out.clear();
-        out.reserve(self.encoded_size(encoding) as usize);
-        out.push(match encoding {
-            BroadcastEncoding::Dense => 0u8,
-            BroadcastEncoding::Sparse => 1u8,
-        });
+        // Either value form fits 1 + 8 bytes per value (a code is ≤ 5 bytes).
+        out.reserve(HEADER_LEN + index_bound + 1 + count * 8);
+        let sparse = encoding == BroadcastEncoding::Sparse;
+        let ints = shape == ValueShape::Ints;
+        out.push((u8::from(sparse) * TAG_SPARSE) | (u8::from(ints) * TAG_INTS));
         out.extend_from_slice(&self.range_start.to_le_bytes());
         out.extend_from_slice(&self.range_end.to_le_bytes());
-        out.extend_from_slice(&(self.updates.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(count as u32).to_le_bytes());
         match encoding {
             BroadcastEncoding::Dense => {
-                let n = self.range_len() as usize;
-                let bitmap_at = out.len();
-                let values_at = bitmap_at + n.div_ceil(8);
-                // Zero-fill the bitmap + value region in place (within the
-                // reserved capacity), then patch the updated slots.
-                out.resize(values_at + n * 8, 0);
-                for &(v, val) in &self.updates {
-                    let i = (v - self.range_start) as usize;
-                    out[bitmap_at + i / 8] |= 1 << (i % 8);
-                    out[values_at + i * 8..values_at + i * 8 + 8]
-                        .copy_from_slice(&val.to_le_bytes());
+                out.resize(HEADER_LEN + index_bound, 0);
+                let bitmap = &mut out[HEADER_LEN..];
+                // Ids rise, so a 64-slot word is finished when the next id
+                // leaves it: gather it in a register, store it once.
+                let mut store = |at: usize, word: u64| {
+                    let bytes = &mut bitmap[at * 8..];
+                    let len = bytes.len().min(8);
+                    bytes[..len].copy_from_slice(&word.to_le_bytes()[..len]);
+                };
+                let (mut at, mut word) = (0, 0u64);
+                for &(v, _) in &self.updates {
+                    let slot = (v - self.range_start) as usize;
+                    if slot / 64 != at {
+                        store(at, word);
+                        (at, word) = (slot / 64, 0);
+                    }
+                    word |= 1 << (slot % 64);
+                }
+                if word != 0 {
+                    store(at, word);
                 }
             }
             BroadcastEncoding::Sparse => {
-                for &(v, val) in &self.updates {
-                    out.extend_from_slice(&v.to_le_bytes());
-                    out.extend_from_slice(&val.to_le_bytes());
+                // Gap to the smallest id the next update may have, so a
+                // repeated or falling id has no encoding.
+                let mut floor = self.range_start;
+                for &(v, _) in &self.updates {
+                    write_varint(v - floor, out);
+                    floor = v + 1;
                 }
+            }
+        }
+        match shape {
+            ValueShape::Ints => {
+                for &(_, value) in &self.updates {
+                    let code = int_code(value.to_bits()).expect("classified as integers");
+                    write_varint64(code, out);
+                }
+                out.len()
+            }
+            ValueShape::Planes { head } => {
+                out.push(head);
+                let at = out.len();
+                out.resize(at + count * 8, 0);
+                // `count ≥ 1` here: an empty message is an integer message.
+                let mut lanes = out[at..].chunks_exact_mut(count);
+                let mut lanes: [&mut [u8]; 8] =
+                    std::array::from_fn(|_| lanes.next().expect("eight planes reserved"));
+                let order = plane_order(head);
+                // Eight values at a time: their 8×8 byte matrix transposed in
+                // registers, one 8-byte store per plane. (One loop over
+                // `chunks(8)` with a variable-length store is twice as slow.)
+                let blocks = self.updates.chunks_exact(8);
+                let rest = blocks.remainder();
+                for (block, at) in blocks.zip((0..).step_by(8)) {
+                    let columns = transpose8(std::array::from_fn(|k| block[k].1.to_bits()));
+                    for (lane, &p) in lanes.iter_mut().zip(&order) {
+                        lane[at..at + 8].copy_from_slice(&columns[p].to_le_bytes());
+                    }
+                }
+                for (&(_, value), k) in rest.iter().zip(count - rest.len()..) {
+                    let bytes = value.to_bits().to_le_bytes();
+                    for (lane, &p) in lanes.iter_mut().zip(&order) {
+                        lane[k] = bytes[p];
+                    }
+                }
+                at + head.count_ones() as usize * count
             }
         }
     }
@@ -200,11 +475,11 @@ impl BroadcastMessage {
     /// Streaming decode: validate the wire bytes exactly as
     /// [`BroadcastMessage::decode`] does (same error cases, same messages)
     /// and hand each `(vertex, value)` update to `visit` in id order, without
-    /// materializing a `Vec<(VertexId, f64)>`. The dense path bit-scans the
-    /// bitmap a `u64` word (64 slots) at a time, skipping all-zero words
-    /// outright — on a sparse frontier that is most of the message — and
-    /// walks set bits with `trailing_zeros`; remaining bytes past the last
-    /// full word go through the same scan a byte at a time.
+    /// materializing a `Vec<(VertexId, f64)>`. Every section's length is
+    /// checked against the header before the first value is visited. The
+    /// dense path bit-scans the bitmap a `u64` word (64 slots) at a time —
+    /// on a sparse frontier most words are zero and cost one test — and walks
+    /// set bits with `trailing_zeros`.
     ///
     /// On `Err`, `visit` may already have been called for a valid prefix of
     /// the updates; callers accumulating into a shared buffer must discard it
@@ -222,110 +497,105 @@ impl BroadcastMessage {
     /// ```
     pub fn decode_each(
         data: &[u8],
+        visit: impl FnMut(VertexId, f64),
+    ) -> Result<BroadcastHeader, String> {
+        Self::decode_parts(data, None, visit)
+    }
+
+    /// [`BroadcastMessage::decode_each`] over a message whose noise planes
+    /// may sit apart from its head (`tail: Some`, as [`MessageCodec`] ships
+    /// them: `head` must then end exactly where [`Self::encode_split`] said)
+    /// or follow it in `head` itself (`None`, the plain layout).
+    fn decode_parts(
+        head: &[u8],
+        tail: Option<&[u8]>,
         mut visit: impl FnMut(VertexId, f64),
     ) -> Result<BroadcastHeader, String> {
-        if data.len() < 13 {
+        if head.len() < HEADER_LEN {
             return Err("broadcast message too short".into());
         }
-        let tag = data[0];
-        let range_start = u32::from_le_bytes(data[1..5].try_into().unwrap());
-        let range_end = u32::from_le_bytes(data[5..9].try_into().unwrap());
-        let count = u32::from_le_bytes(data[9..13].try_into().unwrap()) as usize;
+        let tag = head[0];
+        let range_start = u32::from_le_bytes(head[1..5].try_into().unwrap());
+        let range_end = u32::from_le_bytes(head[5..9].try_into().unwrap());
+        let count = u32::from_le_bytes(head[9..13].try_into().unwrap()) as usize;
+        if tag & !(TAG_SPARSE | TAG_INTS) != 0 {
+            return Err(format!("unknown encoding tag {tag}"));
+        }
         if range_end < range_start {
             return Err("inverted range".into());
         }
-        if count as u64 > u64::from(range_end - range_start) {
-            return Err(format!(
-                "update count {count} exceeds range length {}",
-                range_end - range_start
-            ));
+        let n = (range_end - range_start) as usize;
+        if count > n {
+            return Err(format!("update count {count} exceeds range length {n}"));
         }
-        let body = &data[13..];
-        let encoding = match tag {
-            0 => {
-                let n = (range_end - range_start) as usize;
-                let bitmap_len = n.div_ceil(8);
-                if body.len() != bitmap_len + n * 8 {
-                    return Err("dense body length mismatch".into());
-                }
-                let (bitmap, values) = body.split_at(bitmap_len);
-                let mut visited = 0usize;
-                let mut words = bitmap.chunks_exact(8);
-                for (word_i, word) in words.by_ref().enumerate() {
-                    let mut bits = u64::from_le_bytes(word.try_into().unwrap());
-                    if bits == 0 {
-                        // All 64 slots unchanged: skip the whole word.
-                        continue;
-                    }
-                    let base = word_i * 64;
-                    if n - base < 64 {
-                        // Padding bits past `n` in the final word are ignored,
-                        // exactly as a bit-by-bit loop never tested them.
-                        bits &= (1u64 << (n - base)) - 1;
-                    }
-                    while bits != 0 {
-                        let i = base + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let val = f64::from_le_bytes(values[i * 8..i * 8 + 8].try_into().unwrap());
-                        visit(range_start + i as u32, val);
-                        visited += 1;
-                    }
-                }
-                let tail_base = (bitmap_len / 8) * 64;
-                for (byte_i, &byte) in words.remainder().iter().enumerate() {
-                    if byte == 0 {
-                        continue;
-                    }
-                    let base = tail_base + byte_i * 8;
-                    let mut bits = byte;
-                    if n - base < 8 {
-                        bits &= (1u8 << (n - base)) - 1;
-                    }
-                    while bits != 0 {
-                        let i = base + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let val = f64::from_le_bytes(values[i * 8..i * 8 + 8].try_into().unwrap());
-                        visit(range_start + i as u32, val);
-                        visited += 1;
-                    }
-                }
-                if visited != count {
-                    return Err("dense bitmap count mismatch".into());
-                }
-                BroadcastEncoding::Dense
+        let body = &head[HEADER_LEN..];
+        let (index, values, encoding) = if tag & TAG_SPARSE != 0 {
+            let len = varints_len(body, count).ok_or("sparse index truncated")?;
+            let (gaps, values) = body.split_at(len);
+            (Index::Gaps(gaps), values, BroadcastEncoding::Sparse)
+        } else {
+            let Some((bitmap, values)) = body.split_at_checked(n.div_ceil(8)) else {
+                return Err("dense bitmap truncated".into());
+            };
+            let set: usize = bitmap_words(bitmap, n)
+                .map(|(_, word)| word.count_ones() as usize)
+                .sum();
+            if set != count {
+                return Err("dense bitmap count mismatch".into());
             }
-            1 => {
-                if body.len() != count * 12 {
-                    return Err("sparse body length mismatch".into());
-                }
-                // Corrupt or malicious wire bytes must never reach
-                // `apply_updates` (which indexes the replica array by vertex
-                // id): ids must lie inside the advertised range and be
-                // strictly increasing, exactly as `BroadcastMessage::new`
-                // guarantees on the sender side.
-                let mut last: Option<VertexId> = None;
-                for chunk in body.chunks_exact(12) {
-                    let v = u32::from_le_bytes(chunk[..4].try_into().unwrap());
-                    let val = f64::from_le_bytes(chunk[4..].try_into().unwrap());
-                    if v < range_start || v >= range_end {
-                        return Err(format!(
-                            "sparse vertex id {v} outside range [{range_start}, {range_end})"
-                        ));
-                    }
-                    if let Some(prev) = last {
-                        if v <= prev {
-                            return Err(format!(
-                                "sparse vertex ids not strictly increasing ({prev} then {v})"
-                            ));
-                        }
-                    }
-                    last = Some(v);
-                    visit(v, val);
-                }
-                BroadcastEncoding::Sparse
-            }
-            other => return Err(format!("unknown encoding tag {other}")),
+            (Index::Bitmap(bitmap), values, BroadcastEncoding::Dense)
         };
+        let range = (range_start, range_end);
+
+        if tag & TAG_INTS != 0 {
+            if varints_len(values, count) != Some(values.len()) {
+                return Err("integer codes length mismatch".into());
+            }
+            if tail.is_some_and(|tail| !tail.is_empty()) {
+                return Err("bytes after an integer message".into());
+            }
+            let mut pos = 0;
+            let value = |_| match read_varint64(values, &mut pos)? {
+                0 => Ok(f64::INFINITY),
+                code @ 1..=MAX_INT_CODE => Ok((code - 1) as f64),
+                code => Err(format!("integer code {code} out of range")),
+            };
+            index.walk(range, count, value, &mut visit)?;
+        } else {
+            let Some((&mask, planes)) = values.split_first() else {
+                return Err("plane mask missing".into());
+            };
+            let in_head = mask.count_ones() as usize * count;
+            if planes.len() < in_head {
+                return Err("repeating planes truncated".into());
+            }
+            let (repeating, rest) = planes.split_at(in_head);
+            let noise = match tail {
+                None => rest,
+                Some(_) if !rest.is_empty() => {
+                    return Err("bytes after the repeating planes".into())
+                }
+                Some(tail) => tail,
+            };
+            if noise.len() != count * 8 - in_head {
+                return Err("noise planes length mismatch".into());
+            }
+            // Plane `p` as `count` bytes, wherever it was shipped.
+            let mut lanes = [&[][..]; 8];
+            if count > 0 {
+                let shipped = repeating
+                    .chunks_exact(count)
+                    .chain(noise.chunks_exact(count));
+                for (p, lane) in plane_order(mask).into_iter().zip(shipped) {
+                    lanes[p] = lane;
+                }
+            }
+            let value = |k: usize| {
+                let bits = (0..8).fold(0, |bits, p| bits | u64::from(lanes[p][k]) << (8 * p));
+                Ok(f64::from_bits(bits))
+            };
+            index.walk(range, count, value, &mut visit)?;
+        }
         Ok(BroadcastHeader {
             encoding,
             range_start,
@@ -334,18 +604,41 @@ impl BroadcastMessage {
         })
     }
 
-    /// Size in bytes of the encoded message, without materialising it.
+    /// Size in bytes of the encoded message, without materialising it: one
+    /// pass over the updates (the value form and the varint lengths depend on
+    /// them), no buffer.
     pub fn encoded_size(&self, encoding: BroadcastEncoding) -> u64 {
-        let header = 13u64;
-        match encoding {
-            BroadcastEncoding::Dense => {
-                let n = u64::from(self.range_len());
-                header + n.div_ceil(8) + n * 8
+        let count = self.updates.len() as u64;
+        let index = match encoding {
+            BroadcastEncoding::Dense => u64::from(self.range_len()).div_ceil(8),
+            BroadcastEncoding::Sparse => {
+                let mut floor = self.range_start;
+                let gaps = self.updates.iter().map(|&(v, _)| {
+                    let gap = v - floor;
+                    floor = v + 1;
+                    varint_len(u64::from(gap))
+                });
+                gaps.sum()
             }
-            BroadcastEncoding::Sparse => header + self.updates.len() as u64 * 12,
-        }
+        };
+        let values = match ValueShape::of(&self.updates) {
+            ValueShape::Ints => {
+                let codes = self.updates.iter().map(|u| int_code(u.1.to_bits()));
+                codes.map(|code| varint_len(code.unwrap_or(0))).sum()
+            }
+            ValueShape::Planes { .. } => 1 + count * 8,
+        };
+        HEADER_LEN as u64 + index + values
     }
 }
+
+/// The five bytes [`MessageCodec`] appends under a compressor: how many of
+/// the bytes before them are the head (`u32` LE), and how it is held.
+const TRAILER_LEN: usize = 5;
+/// Head kind: the head's own bytes (the compressor's frame was no smaller).
+const HEAD_STORED: u8 = 0;
+/// Head kind: the configured [`Codec`]'s frame of the head.
+const HEAD_COMPRESSED: u8 = 1;
 
 /// The per-message wire path: encoding choice + optional compression, with the
 /// codec time charged to the participating servers' metrics.
@@ -354,6 +647,13 @@ impl BroadcastMessage {
 /// reference executor runs it inline, and the threaded runtime
 /// (`graphh-runtime`) runs it on both ends of a real channel, so Figure 8
 /// traffic is metered per real message either way.
+///
+/// Under a compressor the wire bytes are `head' · noise planes · trailer`:
+/// the message's head (header, index and repeating planes, or all of an
+/// integer message) as the codec's frame when that is smaller than the head
+/// and as itself otherwise, the noise planes untouched, then the head's
+/// length on the wire (`u32` LE) and its kind (one byte). Without one
+/// (`None` or `Some(Raw)`) they are the plain message.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageCodec {
     mode: CommunicationMode,
@@ -381,14 +681,9 @@ impl MessageCodec {
         self.compressor
     }
 
-    /// Seconds of codec time a server is charged for pushing `bytes` through the
-    /// compressor (the simulation prices both directions at the codec's
-    /// decompression throughput).
-    pub fn codec_seconds(&self, bytes: usize) -> f64 {
-        match self.compressor {
-            None | Some(Codec::Raw) => 0.0,
-            Some(codec) => bytes as f64 / codec.decompress_throughput(),
-        }
+    /// The compressor, if it is one that compresses.
+    fn wrapping_codec(&self) -> Option<Codec> {
+        self.compressor.filter(|&codec| codec != Codec::Raw)
     }
 
     /// Encode `message` for the wire, charging compression time to `sender`.
@@ -406,10 +701,9 @@ impl MessageCodec {
     /// [`MessageCodec::encode`] into caller-owned buffers, producing
     /// byte-identical wire bytes in `wire`. On the uncompressed path the
     /// message is encoded straight into `wire` and `scratch` is untouched; on
-    /// the compressed path the plain encoding lands in `scratch` and the
-    /// compressed bytes in `wire`. Both buffers are cleared first — reuse
-    /// them across messages and the steady-state uncompressed encode
-    /// allocates nothing.
+    /// the compressed path the plain encoding lands in `scratch` and what is
+    /// shipped in `wire`. Both buffers are cleared first — reuse them across
+    /// messages and the steady-state uncompressed encode allocates nothing.
     ///
     /// ```
     /// use graphh_cluster::{BroadcastMessage, CommunicationMode, MessageCodec, ServerMetrics};
@@ -444,6 +738,9 @@ impl MessageCodec {
     /// nothing either. Wire bytes, encoding choice and the metric charge are
     /// byte-for-byte identical to the per-call APIs; the uncompressed path
     /// leaves `comp` (and `scratch`) untouched.
+    ///
+    /// Only the message's head goes through the compressor, and `sender` is
+    /// billed for exactly those bytes at [`Codec::compress_throughput`].
     pub fn encode_into_with(
         &self,
         message: &BroadcastMessage,
@@ -453,14 +750,26 @@ impl MessageCodec {
         comp: &mut CompressorScratch,
     ) -> BroadcastEncoding {
         let encoding = message.choose_encoding(self.mode);
-        match self.compressor {
-            None | Some(Codec::Raw) => message.encode_into(encoding, wire),
-            Some(codec) => {
-                message.encode_into(encoding, scratch);
-                codec.compress_into_with(scratch, wire, comp);
-                sender.compress_seconds += self.codec_seconds(scratch.len());
-            }
-        }
+        let Some(codec) = self.wrapping_codec() else {
+            message.encode_into(encoding, wire);
+            return encoding;
+        };
+        let split = message.encode_split(encoding, scratch);
+        let (head, noise) = scratch.split_at(split);
+        codec.compress_into_with(head, wire, comp);
+        sender.compress_seconds += head.len() as f64 / codec.compress_throughput();
+        let kind = if wire.len() < head.len() {
+            HEAD_COMPRESSED
+        } else {
+            wire.clear();
+            wire.extend_from_slice(head);
+            HEAD_STORED
+        };
+        let head_len = wire.len() as u32;
+        wire.reserve(noise.len() + TRAILER_LEN);
+        wire.extend_from_slice(noise);
+        wire.extend_from_slice(&head_len.to_le_bytes());
+        wire.push(kind);
         encoding
     }
 
@@ -471,23 +780,24 @@ impl MessageCodec {
         wire: &[u8],
         receiver: &mut ServerMetrics,
     ) -> Result<BroadcastMessage, String> {
-        let decoded_bytes = match self.compressor {
-            None | Some(Codec::Raw) => None,
-            Some(codec) => {
-                receiver.decompress_seconds += self.codec_seconds(wire.len());
-                Some(codec.decompress(wire).map_err(|e| e.to_string())?)
-            }
-        };
-        BroadcastMessage::decode(decoded_bytes.as_deref().unwrap_or(wire))
+        let mut updates = Vec::new();
+        let visit = |v, val| updates.push((v, val));
+        let header = self.decode_each(wire, receiver, &mut Vec::new(), visit)?;
+        Ok(BroadcastMessage {
+            range_start: header.range_start,
+            range_end: header.range_end,
+            updates,
+        })
     }
 
-    /// Streaming receive half of the hot path: decompress `wire` into
-    /// `scratch` when a compressor is configured (charging the receiver
-    /// exactly as [`MessageCodec::decode`] does), then validate and visit
-    /// every update via [`BroadcastMessage::decode_each`] — no
-    /// `BroadcastMessage` and no per-message update vector is materialized.
-    /// On the uncompressed path `scratch` is untouched and nothing is
-    /// allocated.
+    /// Streaming receive half of the hot path: decompress the head of `wire`
+    /// into `scratch` when it was shipped compressed (charging `receiver` for
+    /// the frame's bytes at [`Codec::decompress_throughput`]), then validate
+    /// and visit every update as [`BroadcastMessage::decode_each`] does — no
+    /// `BroadcastMessage` and no per-message update vector is materialized,
+    /// and head and noise planes are read where they lie, never re-joined.
+    /// On the uncompressed path and for a stored head `scratch` is untouched
+    /// and nothing is allocated.
     ///
     /// On `Err`, `visit` may already have observed a valid prefix of the
     /// updates; callers accumulating into a shared buffer must discard it.
@@ -498,20 +808,32 @@ impl MessageCodec {
         scratch: &mut Vec<u8>,
         visit: impl FnMut(VertexId, f64),
     ) -> Result<BroadcastHeader, String> {
-        let data: &[u8] = match self.compressor {
-            None | Some(Codec::Raw) => wire,
-            Some(codec) => {
-                receiver.decompress_seconds += self.codec_seconds(wire.len());
+        let Some(codec) = self.wrapping_codec() else {
+            return BroadcastMessage::decode_each(wire, visit);
+        };
+        let Some(body_len) = wire.len().checked_sub(TRAILER_LEN) else {
+            return Err("broadcast message shorter than its trailer".into());
+        };
+        let (body, trailer) = wire.split_at(body_len);
+        let head_len = u32::from_le_bytes(trailer[..4].try_into().unwrap()) as usize;
+        if head_len > body_len {
+            return Err(format!("head length {head_len} runs past the message"));
+        }
+        let (head, noise) = body.split_at(head_len);
+        let head = match trailer[4] {
+            HEAD_STORED => head,
+            HEAD_COMPRESSED => {
+                receiver.decompress_seconds += head.len() as f64 / codec.decompress_throughput();
                 codec
-                    .decompress_into(wire, scratch)
+                    .decompress_into(head, scratch)
                     .map_err(|e| e.to_string())?;
                 scratch
             }
+            kind => return Err(format!("unknown head kind {kind}")),
         };
-        BroadcastMessage::decode_each(data, visit)
+        BroadcastMessage::decode_parts(head, Some(noise), visit)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,6 +844,12 @@ mod tests {
             range.1,
             updated.iter().map(|&v| (v, f64::from(v) * 0.5)).collect(),
         )
+    }
+
+    /// Small integers, the shape BFS levels and component labels have.
+    fn ints(range: (u32, u32), updated: &[u32]) -> BroadcastMessage {
+        let updates = updated.iter().map(|&v| (v, f64::from(v % 7)));
+        BroadcastMessage::new(range.0, range.1, updates.collect())
     }
 
     #[test]
@@ -575,7 +903,7 @@ mod tests {
 
     /// The corrupt-wire rejection suite must hold for the streaming decoder
     /// exactly as for `decode` (which is built on it): out-of-range ids,
-    /// non-monotone ids, truncation, bad counts, garbage tags.
+    /// overflowing gaps, truncation, bad counts, garbage tags.
     #[test]
     fn decode_each_rejects_corrupt_wire() {
         let reject = |bytes: &[u8]| {
@@ -583,13 +911,16 @@ mod tests {
         };
         reject(&[]);
         reject(&[9u8; 13]); // unknown tag
-        let mut truncated = msg((0, 8), &[2]).encode(BroadcastEncoding::Sparse);
-        truncated.truncate(truncated.len() - 1);
-        reject(&truncated);
-        assert!(reject(&raw_sparse((10, 20), &[11, 25])).contains("outside range"));
-        assert!(reject(&raw_sparse((0, 100), &[5, 3])).contains("strictly increasing"));
-        reject(&raw_sparse((0, 100), &[7, 7]));
-        assert!(reject(&raw_sparse((0, 2), &[0, 1, 0, 1])).contains("exceeds range"));
+        for encoding in [BroadcastEncoding::Sparse, BroadcastEncoding::Dense] {
+            for m in [msg((0, 8), &[3]), ints((0, 8), &[2, 5])] {
+                let wire = m.encode(encoding);
+                reject(&wire[..wire.len() - 1]);
+                reject(&[wire.as_slice(), &[0]].concat());
+            }
+        }
+        assert!(reject(&raw_sparse((10, 20), 2, &[&[1], &[13]])).contains("outside range"));
+        assert!(reject(&raw_sparse((0, 100), 2, &[&[5], U32_OVERFLOW])).contains("overflows u32"));
+        assert!(reject(&raw_sparse((0, 2), 4, &[&[0][..]; 4])).contains("exceeds range"));
         // Dense count mismatch: claim 2 updates, set 1 bitmap bit.
         let mut dense = msg((0, 16), &[3]).encode(BroadcastEncoding::Dense);
         dense[9..13].copy_from_slice(&2u32.to_le_bytes());
@@ -600,6 +931,19 @@ mod tests {
         padded[13 + 1] |= 0b1110_0000; // second bitmap byte, bits 13..16
         let decoded = BroadcastMessage::decode(&padded).unwrap();
         assert_eq!(decoded.updates, vec![(1, 0.5)]);
+        // An integer code past 2³² (the code of 2³² − 1), or one that does
+        // not fit a `u64` at all.
+        let top = ints((0, 4), &[0]).encode(BroadcastEncoding::Sparse);
+        let coded = |code: &[u8]| [&top[..top.len() - 1], code].concat();
+        let max = BroadcastMessage::decode(&coded(&[0x80, 0x80, 0x80, 0x80, 0x10])).unwrap();
+        assert_eq!(max.updates, vec![(0, 4_294_967_295.0)]);
+        assert!(reject(&coded(&[0x81, 0x80, 0x80, 0x80, 0x10])).contains("out of range"));
+        assert!(reject(&coded(&[0xFF; 11])).contains("integer codes length"));
+        assert!(reject(&coded(&[&[0xFF; 9][..], &[0x7F]].concat())).contains("overflows u64"));
+        // A plane message cut inside its planes, and one without its mask.
+        let planes = msg((0, 8), &[1, 2, 3]).encode(BroadcastEncoding::Dense);
+        assert!(reject(&planes[..planes.len() - 3]).contains("noise planes"));
+        assert!(reject(&planes[..14]).contains("plane mask"));
     }
 
     #[test]
@@ -652,44 +996,55 @@ mod tests {
         assert!(BroadcastMessage::decode(&bytes).is_err());
     }
 
-    /// Hand-craft a sparse wire message with arbitrary ids (bypassing the
-    /// checks in `BroadcastMessage::new`).
-    fn raw_sparse(range: (u32, u32), ids: &[u32]) -> Vec<u8> {
-        let mut out = vec![1u8];
+    /// A varint one bit too wide for a `u32`.
+    const U32_OVERFLOW: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF, 0x1F];
+
+    /// Hand-lay a sparse integer message with arbitrary varint gaps and a
+    /// `count` of its own (bypassing the checks in `BroadcastMessage::new`);
+    /// every value is `1.0`.
+    fn raw_sparse(range: (u32, u32), count: u32, gaps: &[&[u8]]) -> Vec<u8> {
+        let mut out = vec![TAG_SPARSE | TAG_INTS];
         out.extend_from_slice(&range.0.to_le_bytes());
         out.extend_from_slice(&range.1.to_le_bytes());
-        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-        for &v in ids {
-            out.extend_from_slice(&v.to_le_bytes());
-            out.extend_from_slice(&1.0f64.to_le_bytes());
-        }
+        out.extend_from_slice(&count.to_le_bytes());
+        out.extend(gaps.iter().copied().flatten());
+        out.extend(gaps.iter().map(|_| 2u8)); // code 2 = 1.0
         out
     }
 
     #[test]
     fn decode_rejects_out_of_range_sparse_ids() {
         // An id past range_end would index out of bounds in apply_updates.
-        let err = BroadcastMessage::decode(&raw_sparse((10, 20), &[11, 25])).unwrap_err();
+        let err = BroadcastMessage::decode(&raw_sparse((10, 20), 2, &[&[1], &[13]])).unwrap_err();
         assert!(err.contains("outside range"), "{err}");
-        // An id below range_start is equally corrupt.
-        assert!(BroadcastMessage::decode(&raw_sparse((10, 20), &[3])).is_err());
-        // Boundary ids are fine: start inclusive, end exclusive.
-        let ok = BroadcastMessage::decode(&raw_sparse((10, 20), &[10, 19])).unwrap();
-        assert_eq!(ok.updates.len(), 2);
-        assert!(BroadcastMessage::decode(&raw_sparse((10, 20), &[20])).is_err());
+        // Boundary ids are fine: start inclusive, end exclusive. (An id below
+        // range_start has no encoding: gaps count up from it.)
+        let ok = BroadcastMessage::decode(&raw_sparse((10, 20), 2, &[&[0], &[8]])).unwrap();
+        assert_eq!(ok.updates, vec![(10, 1.0), (19, 1.0)]);
+        assert!(BroadcastMessage::decode(&raw_sparse((10, 20), 1, &[&[10]])).is_err());
     }
 
+    /// Gaps are added up from `range_start`, each to the smallest id its
+    /// update may have — a repeated or falling id has no encoding. What a
+    /// hostile sender can still write is a gap too wide for a `u32`, or gaps
+    /// whose sum wraps one: both are rejected, the sum being kept in a `u64`.
     #[test]
-    fn decode_rejects_unsorted_or_duplicate_sparse_ids() {
-        let err = BroadcastMessage::decode(&raw_sparse((0, 100), &[5, 3])).unwrap_err();
-        assert!(err.contains("strictly increasing"), "{err}");
-        assert!(BroadcastMessage::decode(&raw_sparse((0, 100), &[7, 7])).is_err());
+    fn decode_rejects_sparse_gaps_that_overflow_or_pass_the_range() {
+        let err = BroadcastMessage::decode(&raw_sparse((0, 100), 1, &[U32_OVERFLOW])).unwrap_err();
+        assert!(err.contains("overflows u32"), "{err}");
+        let max: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]; // u32::MAX
+        let wrapped = raw_sparse((5, u32::MAX), 2, &[max, max]);
+        let err = BroadcastMessage::decode(&wrapped).unwrap_err();
+        assert!(err.contains("outside range"), "{err}");
+        // The smallest gap is a step of one: 7, 8.
+        let adjacent = BroadcastMessage::decode(&raw_sparse((0, 100), 2, &[&[7], &[0]])).unwrap();
+        assert_eq!(adjacent.updates, vec![(7, 1.0), (8, 1.0)]);
     }
 
     #[test]
     fn decode_rejects_count_exceeding_range() {
         // 4 claimed updates cannot fit a 2-vertex range, whatever the body says.
-        let err = BroadcastMessage::decode(&raw_sparse((0, 2), &[0, 1, 0, 1])).unwrap_err();
+        let err = BroadcastMessage::decode(&raw_sparse((0, 2), 4, &[&[0][..]; 4])).unwrap_err();
         assert!(err.contains("exceeds range"), "{err}");
     }
 
@@ -703,7 +1058,6 @@ mod tests {
         assert_eq!(wire.len() as u64, m.encoded_size(BroadcastEncoding::Sparse));
         // Uncompressed path charges no codec time.
         assert_eq!(sender.compress_seconds, 0.0);
-        assert_eq!(codec.codec_seconds(wire.len()), 0.0);
         let mut receiver = ServerMetrics::default();
         let decoded = codec.decode(&wire, &mut receiver).unwrap();
         assert_eq!(decoded.updates, m.updates);
@@ -729,6 +1083,82 @@ mod tests {
         assert!(receiver.decompress_seconds > 0.0);
         // Corrupt wire bytes surface as an error, not a panic.
         assert!(snappy.decode(&[0xFF; 32], &mut receiver).is_err());
+    }
+
+    /// Under a compressor only the head is compressed, each side is billed
+    /// for the bytes it handed the codec at that direction's throughput, and a
+    /// head the codec cannot shrink is shipped — and read — as it is.
+    #[test]
+    fn the_head_alone_is_compressed_and_billed() {
+        let snappy = MessageCodec::new(CommunicationMode::Dense, Some(Codec::Snappy));
+        // Reals: the sign/exponent plane repeats, the mantissa planes do not.
+        let reals: Vec<_> = (0..512).map(|v| (v, 1.0 / f64::from(v + 3))).collect();
+        let m = BroadcastMessage::new(0, 512, reals);
+        let mut plain = Vec::new();
+        let split = m.encode_split(BroadcastEncoding::Dense, &mut plain);
+        assert_eq!(
+            split,
+            13 + 64 + 1 + 2 * 512,
+            "header, bitmap, mask, planes 6 and 7"
+        );
+        assert_eq!(plain[13 + 64], 0b1100_0000);
+        let (mut sender, mut receiver) = (ServerMetrics::default(), ServerMetrics::default());
+        let (wire, _) = snappy.encode(&m, &mut sender);
+        let (body, trailer) = wire.split_at(wire.len() - TRAILER_LEN);
+        let frame_len = u32::from_le_bytes(trailer[..4].try_into().unwrap()) as usize;
+        assert_eq!(trailer[4], HEAD_COMPRESSED);
+        assert!(frame_len < split);
+        assert_eq!(
+            &body[frame_len..],
+            &plain[split..],
+            "noise planes ship untouched"
+        );
+        assert_eq!(
+            sender.compress_seconds,
+            split as f64 / Codec::Snappy.compress_throughput()
+        );
+        assert_eq!(snappy.decode(&wire, &mut receiver).unwrap(), m);
+        assert_eq!(
+            receiver.decompress_seconds,
+            frame_len as f64 / Codec::Snappy.decompress_throughput()
+        );
+
+        // Three small integers: the frame's own 9 bytes outweigh any match.
+        let tiny = ints((0, 64), &[1, 9, 40]);
+        let (mut sender, mut receiver) = (ServerMetrics::default(), ServerMetrics::default());
+        let (wire, _) = snappy.encode(&tiny, &mut sender);
+        let stored = tiny.encode(BroadcastEncoding::Dense);
+        let trailer = [&(stored.len() as u32).to_le_bytes()[..], &[HEAD_STORED]].concat();
+        assert_eq!(wire, [stored.as_slice(), &trailer].concat());
+        assert!(sender.compress_seconds > 0.0, "the attempt is billed");
+        let mut scratch = Vec::new();
+        let header = snappy
+            .decode_each(&wire, &mut receiver, &mut scratch, |_, _| {})
+            .unwrap();
+        assert_eq!(header.count, 3);
+        assert_eq!(receiver.decompress_seconds, 0.0);
+        assert_eq!(scratch.capacity(), 0, "a stored head is decoded in place");
+
+        // The trailer is wire bytes too.
+        let reject = |wire: &[u8]| {
+            snappy
+                .decode(wire, &mut ServerMetrics::default())
+                .unwrap_err()
+        };
+        let with_trailer = |head_len: u32, kind: u8| {
+            let mut bad = wire.clone();
+            let at = bad.len() - TRAILER_LEN;
+            bad[at..at + 4].copy_from_slice(&head_len.to_le_bytes());
+            bad[at + 4] = kind;
+            bad
+        };
+        assert!(reject(&wire[..4]).contains("shorter than its trailer"));
+        assert!(reject(&with_trailer(stored.len() as u32 + 1, HEAD_STORED)).contains("runs past"));
+        assert!(reject(&with_trailer(stored.len() as u32, 2)).contains("unknown head kind"));
+        // A shorter head leaves bytes where an integer message has none.
+        assert!(
+            reject(&with_trailer(stored.len() as u32 - 1, HEAD_STORED)).contains("length mismatch")
+        );
     }
 
     /// The scratch-threaded codec paths must produce byte-identical wire

@@ -130,13 +130,11 @@ impl Executor for SequentialExecutor {
                     server_metrics.network_sent_bytes += wire.len() as u64 * fanout;
                     server_metrics.network_messages += fanout;
                     received.network_received_bytes += wire.len() as u64;
-                    received.decompress_seconds += plan.message_codec.codec_seconds(wire.len());
                     // Decode once, streaming straight into the shared update
-                    // buffer: every receiver sees the same payload (their
-                    // decompression time was charged above).
-                    let mut scratch = ServerMetrics::default();
+                    // buffer: every receiver sees the same payload and is
+                    // charged the same decompression time.
                     plan.message_codec
-                        .decode_each(&wire, &mut scratch, &mut dec_scratch, |v, val| {
+                        .decode_each(&wire, &mut received, &mut dec_scratch, |v, val| {
                             all_updates.push((v, val));
                         })
                         .expect("we just encoded this");

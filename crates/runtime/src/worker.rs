@@ -486,7 +486,7 @@ pub fn run_worker(
 mod tests {
     use super::*;
     use crate::plane::WireMessage;
-    use graphh_cluster::{BroadcastEncoding, BroadcastMessage, ClusterConfig, CommunicationMode};
+    use graphh_cluster::{BroadcastMessage, ClusterConfig, CommunicationMode};
     use graphh_core::PageRank;
     use graphh_graph::generators::path_graph;
     use graphh_partition::{Spe, SpeConfig};
@@ -633,36 +633,42 @@ mod tests {
     fn oversized_broadcast_range_is_an_error_not_a_panic() {
         let g = path_graph(10);
         let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 2)).unwrap();
-        let mut config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
-        config.communication = CommunicationMode::Sparse;
-        config.message_compressor = None;
-        let program = PageRank::new(3);
-        let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
-
         let evil = BroadcastMessage {
             range_start: 0,
             range_end: 1 << 30,
             updates: vec![(123_456_789, 1.0)],
         };
-        let mut plane = TestPlane {
-            payload: Some(evil.encode(BroadcastEncoding::Sparse).into()),
-            ..TestPlane::default()
-        };
-        let (metrics_tx, _metrics_rx) = channel();
-        let err = run_worker(
-            &config,
-            &plan,
-            &p,
-            &program,
-            0,
-            &mut plane,
-            &metrics_tx,
-            &Tracer::off(),
-            WorkerOptions::default(),
-        )
-        .expect_err("oversized range must abort cleanly");
-        let rendered = err.error.to_string();
-        assert!(rendered.contains("exceeds vertex count"), "{rendered}");
-        assert!(!err.secondary);
+        // The plain layout, and the default's wrapped one.
+        for compressor in [None, Some(Codec::Snappy)] {
+            let mut config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
+            config.communication = CommunicationMode::Sparse;
+            config.message_compressor = compressor;
+            let program = PageRank::new(3);
+            let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
+
+            let (wire, _) = plan
+                .message_codec
+                .encode(&evil, &mut ServerMetrics::default());
+            let mut plane = TestPlane {
+                payload: Some(wire.into()),
+                ..TestPlane::default()
+            };
+            let (metrics_tx, _metrics_rx) = channel();
+            let err = run_worker(
+                &config,
+                &plan,
+                &p,
+                &program,
+                0,
+                &mut plane,
+                &metrics_tx,
+                &Tracer::off(),
+                WorkerOptions::default(),
+            )
+            .expect_err("oversized range must abort cleanly");
+            let rendered = err.error.to_string();
+            assert!(rendered.contains("exceeds vertex count"), "{rendered}");
+            assert!(!err.secondary);
+        }
     }
 }
