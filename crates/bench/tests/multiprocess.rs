@@ -233,3 +233,38 @@ fn two_process_poll_pagerank_and_bfs_match_sequential_under_every_compressor() {
         }
     }
 }
+
+/// A traversal source past the end of the graph is refused when the plan is
+/// made — the node names the id and the vertex count and exits non-zero,
+/// instead of running to an all-`+∞` result with exit status 0.
+#[test]
+fn a_source_past_the_end_is_a_nonzero_exit_naming_the_vertex() {
+    for program in ["bfs", "bfs-dopt", "sssp"] {
+        let w = workload(program);
+        let out = std::env::temp_dir().join(format!(
+            "graphh-mp-{}-{program}-bad-source.bin",
+            std::process::id()
+        ));
+        let output = Command::new(env!("CARGO_BIN_EXE_graphh-node"))
+            .args(["--id", "0", "--servers", "1", "--listen", "127.0.0.1:0"])
+            .args(["--program", program, "--program-arg", "source=4000000000"])
+            .args(["--scale", &w.scale.to_string()])
+            .args(["--edge-factor", &w.edge_factor.to_string()])
+            .args([
+                "--seed",
+                &w.seed.to_string(),
+                "--tiles",
+                &w.tiles.to_string(),
+            ])
+            .args(["--out", &out.display().to_string()])
+            .output()
+            .expect("run graphh-node");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{program}: {stderr}");
+        assert!(
+            stderr.contains("vertex 4000000000") && stderr.contains("128 vertices"),
+            "{program}: {stderr}"
+        );
+        assert!(!out.exists(), "{program}: no values may be written");
+    }
+}

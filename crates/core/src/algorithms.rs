@@ -130,10 +130,10 @@ impl GabProgram for Sssp {
         new < old
     }
 
-    fn run_all_vertices_initially(&self) -> bool {
+    fn initial_frontier(&self, _num_vertices: u64) -> Option<Vec<VertexId>> {
         // Only the source moved at initialisation; everything else is reached through
         // the update propagation.
-        true
+        Some(vec![self.source])
     }
 
     fn supports_push(&self) -> bool {
@@ -255,6 +255,15 @@ impl GabProgram for Bfs {
         new < old
     }
 
+    fn initial_frontier(&self, _num_vertices: u64) -> Option<Vec<VertexId>> {
+        Some(vec![self.source])
+    }
+
+    fn is_final(&self, value: f64) -> bool {
+        // Synchronous BFS assigns the hop distance on first discovery.
+        value.is_finite()
+    }
+
     fn supports_push(&self) -> bool {
         true
     }
@@ -339,6 +348,15 @@ impl GabProgram for DirectionOptimizingBfs {
 
     fn is_update(&self, old: f64, new: f64) -> bool {
         new < old
+    }
+
+    fn initial_frontier(&self, _num_vertices: u64) -> Option<Vec<VertexId>> {
+        Some(vec![self.source])
+    }
+
+    fn is_final(&self, value: f64) -> bool {
+        // Synchronous BFS assigns the hop distance on first discovery.
+        value.is_finite()
     }
 
     fn supports_push(&self) -> bool {

@@ -4,14 +4,19 @@
 //! matter how the simulated servers are scheduled:
 //!
 //! * [`ExecutionPlan`] — everything derived from the config + partitioned graph
-//!   before the first superstep (initial values, tile assignment, cost model),
+//!   before the first superstep (initial values and the validated initial
+//!   frontier, tile assignment, cost model),
 //! * [`ServerState`] — one server's long-lived state (tiles on "disk", vertex
-//!   replica, edge cache, per-tile source sets, memory accounting),
+//!   replica, edge cache, per-tile source sets, memory accounting and, for
+//!   push-capable runs, each tile's out-edge transpose — built through one
+//!   per-server scratch in time proportional to the tile's edges),
 //! * [`ServerState::run_tile_phase`] — the compute phase of one superstep on
 //!   one server: skip the tiles no frontier vertex is a source of, fetch the
 //!   rest, and hand each to the program's [`GabProgram::gather_tile`] — the
-//!   engine's loop over the tile's CSR slices, compiled per program — producing
-//!   the tile-granular [`BroadcastMessage`]s to publish,
+//!   engine's loop over the tile's CSR slices, compiled per program, which
+//!   passes over targets whose value the program calls final — producing
+//!   the tile-granular [`BroadcastMessage`]s to publish; or, in a push
+//!   superstep, walk only the frontier's out-edges in the transposes,
 //! * [`merge_updates`] / [`ServerState::apply_updates`] — the deterministic
 //!   barrier: updates are sorted by vertex id before application, so every
 //!   executor applies them in the same order and produces bit-identical
@@ -113,6 +118,9 @@ pub struct ExecutionPlan {
     /// side *and* the policy does not pin pull. Servers only build push
     /// indexes when this is set.
     pub push_capable: bool,
+    /// The program's validated [`GabProgram::initial_frontier`]: `None` when
+    /// every vertex changed at initialisation (superstep 0 runs everything).
+    initial_frontier: Option<Vec<VertexId>>,
 }
 
 impl ExecutionPlan {
@@ -144,6 +152,25 @@ impl ExecutionPlan {
                 .map(|v| program.initial_value(v, &init_ctx))
                 .collect(),
         );
+        let initial_frontier = program.initial_frontier(num_vertices);
+        if let Some(ids) = &initial_frontier {
+            if let Some(&id) = ids.iter().find(|&&id| u64::from(id) >= num_vertices) {
+                return Err(EngineError::BadInput(format!(
+                    "program {:?} starts from vertex {id}, but the graph has only \
+                     {num_vertices} vertices (ids 0..{num_vertices})",
+                    program.name()
+                )));
+            }
+            if let Some(pair) = ids.windows(2).find(|pair| pair[0] >= pair[1]) {
+                return Err(EngineError::BadInput(format!(
+                    "program {:?} lists its initial frontier out of order or twice \
+                     (vertex {} before vertex {}); it must be ascending and distinct",
+                    program.name(),
+                    pair[0],
+                    pair[1]
+                )));
+            }
+        }
         if config.direction_mode == DirectionMode::ForcePush && !program.supports_push() {
             return Err(EngineError::BadInput(format!(
                 "direction: force-push requested but program {:?} is pull-only \
@@ -177,12 +204,24 @@ impl ExecutionPlan {
             direction_mode: config.direction_mode,
             push_capable: program.supports_push()
                 && config.direction_mode != DirectionMode::ForcePull,
+            initial_frontier,
         })
     }
 
-    /// Vertex ids active before superstep 0 (everything changed at init).
+    /// Vertex ids active before superstep 0: what the program's
+    /// [`GabProgram::initial_frontier`] listed, or every vertex.
     pub fn initial_frontier(&self) -> Vec<VertexId> {
-        (0..self.num_vertices as u32).collect()
+        match &self.initial_frontier {
+            Some(ids) => ids.clone(),
+            None => (0..self.num_vertices as u32).collect(),
+        }
+    }
+
+    /// Whether `superstep` runs every target of every tile regardless of the
+    /// frontier: superstep 0 of a program whose every vertex changed at
+    /// initialisation.
+    fn runs_everything(&self, superstep: u32) -> bool {
+        superstep == 0 && self.initial_frontier.is_none()
     }
 
     /// The replicated frontier stats for one superstep's frontier.
@@ -280,8 +319,8 @@ impl FrontierView<'_> {
 /// Tiles store only in-edges (sources grouped by target), which is exactly
 /// what `gather` wants and exactly what `scatter` cannot use. The transpose
 /// is built once per assigned tile at server build time (only for
-/// push-capable runs), stays resident, and is walked with a two-pointer
-/// sweep against the sorted frontier. Sources are ascending; a source's
+/// push-capable runs), stays resident, and is searched for each vertex of
+/// the sorted frontier in turn. Sources are ascending; a source's
 /// out-targets are ascending; duplicate edges keep their tile order — so
 /// the push loop's emit order is deterministic for any thread count.
 struct PushIndex {
@@ -299,43 +338,88 @@ struct PushIndex {
     weights: Option<Vec<f32>>,
 }
 
+/// What [`PushIndex::build`] counts in: one `u32` per vertex and one bit per
+/// vertex, all zero between builds. A server allocates it once, builds every
+/// assigned tile's transpose through it and drops it before the first
+/// superstep, so a build costs O(tile edges + |V|/64) instead of allocating
+/// and walking the tile's whole source span.
+struct TransposeScratch {
+    /// `next[s]`: while counting, the edges out of `s` seen so far; while
+    /// scattering, the slot the next edge out of `s` goes to.
+    next: Vec<u32>,
+    /// Bit `s` set: `s` is a source of the tile being built.
+    seen: Vec<u64>,
+}
+
+impl TransposeScratch {
+    fn new(num_vertices: u64) -> Self {
+        Self {
+            next: vec![0; num_vertices as usize],
+            seen: vec![0; num_vertices.div_ceil(64) as usize],
+        }
+    }
+}
+
+/// The first position at or after `from` whose element is not below `v`, in
+/// ascending `sorted`: doubling steps, then a binary search of the last one —
+/// O(log distance), so a short frontier crosses a long source list quickly
+/// and a dense one pays a step or two per vertex.
+fn gallop_to(sorted: &[VertexId], from: usize, v: VertexId) -> usize {
+    let mut lo = from;
+    let mut step = 1;
+    while lo + step < sorted.len() && sorted[lo + step] < v {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step + 1).min(sorted.len());
+    lo + sorted[lo..hi].partition_point(|&s| s < v)
+}
+
 impl PushIndex {
-    /// A stable counting-sort transpose over the tile's source span: count
-    /// each source's edges, prefix-sum the counts into CSR offsets, then walk
-    /// the targets in ascending order dropping every in-edge into its
-    /// source's next free slot. Walking targets ascending is what makes each
-    /// source's out-targets ascending and keeps duplicate `(source, target)`
-    /// edges in tile order.
-    fn build(tile: &Tile) -> Self {
-        let first = tile.sources().iter().copied().min().unwrap_or(0);
-        let last = tile.sources().iter().copied().max().unwrap_or(0);
-        // `next[s - first]`: the slot the next edge out of `s` goes to.
-        let mut next = vec![0u64; (last - first) as usize + 1];
-        for &source in tile.sources() {
-            next[(source - first) as usize] += 1;
+    /// A stable counting-sort transpose: count each source's edges and mark
+    /// it in the bitmap, read the distinct sources off the bitmap words
+    /// (ascending for free) while prefix-summing their counts into CSR
+    /// offsets, then walk the targets in ascending order dropping every
+    /// in-edge into its source's next free slot. Walking targets ascending is
+    /// what makes each source's out-targets ascending and keeps duplicate
+    /// `(source, target)` edges in tile order. Leaves `scratch` all-zero.
+    fn build(tile: &Tile, scratch: &mut TransposeScratch) -> Self {
+        let (tile_sources, tile_weights) = (tile.sources(), tile.weights());
+        let num_edges = u32::try_from(tile_sources.len())
+            .expect("a tile holds fewer than 2^32 edges (its slots are counted in u32)");
+        let TransposeScratch { next, seen } = scratch;
+        for &source in tile_sources {
+            next[source as usize] += 1;
+            seen[(source >> 6) as usize] |= 1 << (source & 63);
         }
         let mut sources = Vec::new();
         let mut offsets = vec![0u64];
-        let mut placed = 0u64;
-        for (source, slot) in (first..=last).zip(&mut next) {
-            let degree = std::mem::replace(slot, placed);
-            if degree > 0 {
-                placed += degree;
+        let mut placed = 0u32;
+        for (word_index, word) in seen.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let source = (word_index as u32) << 6 | bits.trailing_zeros();
+                bits &= bits - 1;
+                placed += std::mem::replace(&mut next[source as usize], placed);
                 sources.push(source);
-                offsets.push(placed);
+                offsets.push(u64::from(placed));
             }
         }
-        let mut targets = vec![0; placed as usize];
-        let mut weights = tile.is_weighted().then(|| vec![0.0f32; placed as usize]);
-        for target in tile.targets() {
-            for (source, weight) in tile.in_edges(target) {
-                let slot = &mut next[(source - first) as usize];
+        debug_assert_eq!(placed, num_edges);
+        let mut targets = vec![0; num_edges as usize];
+        let mut weights = tile_weights.map(|_| vec![0.0f32; num_edges as usize]);
+        for (target, span) in tile.targets().zip(tile.offsets().windows(2)) {
+            for edge in span[0] as usize..span[1] as usize {
+                let slot = &mut next[tile_sources[edge] as usize];
                 targets[*slot as usize] = target;
-                if let Some(ws) = &mut weights {
-                    ws[*slot as usize] = weight;
+                if let (Some(out), Some(tile_weights)) = (&mut weights, tile_weights) {
+                    out[*slot as usize] = tile_weights[edge];
                 }
                 *slot += 1;
             }
+        }
+        for &source in &sources {
+            next[source as usize] = 0;
         }
         PushIndex {
             target_start: tile.target_start,
@@ -362,6 +446,17 @@ impl PushIndex {
         )
     }
 
+    /// Every edge as `(source, target, weight)`, in index order.
+    #[cfg(test)]
+    fn edges(&self) -> Vec<(VertexId, VertexId, f32)> {
+        (0..self.sources.len())
+            .flat_map(|si| {
+                let source = self.sources[si];
+                self.out_edges(si).map(move |(t, w)| (source, t, w))
+            })
+            .collect()
+    }
+
     /// Out-degree (into this tile) of the source at position `si`.
     fn out_degree(&self, si: usize) -> u64 {
         self.offsets[si + 1] - self.offsets[si]
@@ -372,7 +467,7 @@ impl PushIndex {
     /// with the program's `combine`, and touched targets are applied in
     /// ascending order — the order the pull loop walks them, so updates (and
     /// therefore wire bytes) line up. `None` when no active vertex is a
-    /// source of the tile: the pull path's skip, read off the sweep itself.
+    /// source of the tile: the pull path's skip, read off the search itself.
     fn scatter_tile(
         &self,
         program: &dyn GabProgram,
@@ -380,39 +475,44 @@ impl PushIndex {
         ctx: &VertexContext<'_>,
     ) -> Option<TileUpdates> {
         let num_targets = self.num_targets();
-        // Per-tile accumulator slots, indexed by target offset. The push
-        // loop allocates these per tile (the zero-allocation gate covers
-        // the broadcast codec path, not tile compute).
-        let mut acc = vec![0.0f64; num_targets];
-        let mut touched = vec![false; num_targets];
-        let mut edges_processed = 0u64;
         let target_start = self.target_start;
+        // Per-tile accumulator slots, indexed by target offset, allocated at
+        // the first frontier vertex that is a source here — most tiles of a
+        // sparse push superstep have none. (The zero-allocation gate covers
+        // the broadcast codec path, not tile compute.)
+        let mut acc: Vec<f64> = Vec::new();
+        let mut touched: Vec<bool> = Vec::new();
+        let mut edges_processed = 0u64;
 
-        // Two-pointer sweep: both the frontier (sorted by the barrier
-        // merge) and the index's sources are ascending.
-        let (mut fi, mut si) = (0usize, 0usize);
-        while fi < active.len() && si < self.sources.len() {
-            match active[fi].cmp(&self.sources[si]) {
-                std::cmp::Ordering::Less => fi += 1,
-                std::cmp::Ordering::Greater => si += 1,
-                std::cmp::Ordering::Equal => {
-                    let source = self.sources[si];
-                    edges_processed += self.out_degree(si);
-                    let value = ctx.values[source as usize];
-                    let mut edges = self.out_edges(si);
-                    program.scatter(source, value, &mut edges, &mut |target, contribution| {
-                        let slot = (target - target_start) as usize;
-                        if touched[slot] {
-                            acc[slot] = program.combine(acc[slot], contribution);
-                        } else {
-                            acc[slot] = contribution;
-                            touched[slot] = true;
-                        }
-                    });
-                    fi += 1;
-                    si += 1;
-                }
+        // Both the frontier (sorted by the barrier merge) and the index's
+        // sources are ascending: walk the frontier, galloping through the
+        // sources to each vertex — a push frontier is far shorter than a
+        // tile's source list.
+        let mut si = 0usize;
+        for &source in active {
+            si = gallop_to(&self.sources, si, source);
+            match self.sources.get(si) {
+                None => break,
+                Some(&found) if found != source => continue,
+                Some(_) => {}
             }
+            if acc.is_empty() {
+                acc.resize(num_targets, 0.0);
+                touched.resize(num_targets, false);
+            }
+            edges_processed += self.out_degree(si);
+            let value = ctx.values[source as usize];
+            let mut edges = self.out_edges(si);
+            program.scatter(source, value, &mut edges, &mut |target, contribution| {
+                let slot = (target - target_start) as usize;
+                if touched[slot] {
+                    acc[slot] = program.combine(acc[slot], contribution);
+                } else {
+                    acc[slot] = contribution;
+                    touched[slot] = true;
+                }
+            });
+            si += 1;
         }
         // Every indexed source has an edge, so no edge means no source.
         if edges_processed == 0 {
@@ -549,9 +649,10 @@ impl ServerState {
         // tile (the push loop never touches disk or cache); pull-only runs
         // pay nothing.
         let push_indexes: Vec<PushIndex> = if plan.push_capable {
+            let mut scratch = TransposeScratch::new(num_vertices);
             tiles
                 .iter()
-                .map(|&tid| PushIndex::build(&partitioned.tiles[tid as usize]))
+                .map(|&tid| PushIndex::build(&partitioned.tiles[tid as usize], &mut scratch))
                 .collect()
         } else {
             Vec::new()
@@ -745,7 +846,7 @@ impl ServerState {
         frontier: &FrontierView<'_>,
         use_bloom: bool,
     ) -> Vec<Result<TileOutcome>> {
-        let run_everything = superstep == 0 && program.run_all_vertices_initially();
+        let run_everything = plan.runs_everything(superstep);
         // Skip the O(frontier)-per-tile probe outright when the frontier is
         // dense: nothing would be skipped, and the probe itself becomes the
         // hot loop. The rule reads the shared frontier stats, so it is
@@ -961,6 +1062,7 @@ mod tests {
             vec![(2, 4.0), (700, 5.0), (2, 6.0), (3, 7.0)],
             vec![(9, 8.0)],
         ];
+        let mut scratch = TransposeScratch::new(701);
         for weighted in [true, false] {
             let tile = Tile::from_adjacency(0, 40, &lists, weighted);
             let mut expected: Vec<(VertexId, VertexId, f32)> = tile
@@ -968,20 +1070,30 @@ mod tests {
                 .flat_map(|t| tile.in_edges(t).map(move |(s, w)| (s, t, w)))
                 .collect();
             expected.sort_by_key(|&(source, target, _)| (source, target));
-            let index = PushIndex::build(&tile);
+            let index = PushIndex::build(&tile, &mut scratch);
             assert_eq!(index.sources, [2, 3, 9, 700]);
-            let got: Vec<(VertexId, VertexId, f32)> = (0..index.sources.len())
-                .flat_map(|si| {
-                    let source = index.sources[si];
-                    index.out_edges(si).map(move |(t, w)| (source, t, w))
-                })
-                .collect();
-            assert_eq!(got, expected, "weighted {weighted}");
+            assert_eq!(index.edges(), expected, "weighted {weighted}");
             assert_eq!(index.out_degree(0), 3);
         }
-        let empty = PushIndex::build(&Tile::from_adjacency(0, 5, &[vec![], vec![]], false));
+        let empty = Tile::from_adjacency(0, 5, &[vec![], vec![]], false);
+        let empty = PushIndex::build(&empty, &mut scratch);
         assert!(empty.sources.is_empty() && empty.targets.is_empty());
         assert_eq!(empty.offsets, [0]);
+    }
+
+    /// From every start, to every value: the gallop lands where a linear
+    /// scan would.
+    #[test]
+    fn gallop_lands_on_the_first_element_not_below_the_value() {
+        let sorted: Vec<VertexId> = (0..200).map(|i| i * i / 7 + 3 * i).collect();
+        for from in 0..=sorted.len() {
+            let floor = from.checked_sub(1).map_or(0, |before| sorted[before] + 1);
+            for v in floor..sorted[sorted.len() - 1] + 2 {
+                let linear = from + sorted[from..].iter().take_while(|&&s| s < v).count();
+                assert_eq!(gallop_to(&sorted, from, v), linear, "from {from} to {v}");
+            }
+        }
+        assert_eq!(gallop_to(&[], 0, 5), 0);
     }
 
     #[test]
@@ -991,6 +1103,68 @@ mod tests {
         let p = Spe::partition(&g, &SpeConfig::new("x", 1)).unwrap();
         let cfg = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
         assert!(ExecutionPlan::prepare(&cfg, &p, &PageRank::new(1)).is_err());
+    }
+
+    /// A traversal's source is outside input (`--program-arg source=N`): the
+    /// plan names an id past the end instead of running to an all-∞ result,
+    /// and holds the program to an ascending, distinct list.
+    #[test]
+    fn plan_rejects_an_initial_frontier_outside_the_graph_or_out_of_order() {
+        use crate::algorithms::{Bfs, DirectionOptimizingBfs, Sssp};
+
+        struct StartsFrom(Vec<VertexId>);
+        impl GabProgram for StartsFrom {
+            fn name(&self) -> &'static str {
+                "starts-from"
+            }
+            fn initial_value(&self, _v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+                0.0
+            }
+            fn gather(&self, _t: VertexId, _e: &mut Edges<'_>, _ctx: &VertexContext<'_>) -> f64 {
+                0.0
+            }
+            fn apply(&self, _t: VertexId, _a: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
+                current
+            }
+            fn initial_frontier(&self, _num_vertices: u64) -> Option<Vec<VertexId>> {
+                Some(self.0.clone())
+            }
+        }
+
+        let g = RmatGenerator::new(6, 4).generate(1);
+        let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 4)).unwrap();
+        let cfg = GraphHConfig::paper_default(ClusterConfig::paper_testbed(2));
+        let n = p.num_vertices();
+        let past_the_end: [Box<dyn GabProgram>; 4] = [
+            Box::new(Bfs::new(n as u32)),
+            Box::new(Sssp::new(4_000_000_000)),
+            Box::new(DirectionOptimizingBfs::new(u32::MAX)),
+            Box::new(StartsFrom(vec![0, n as u32])),
+        ];
+        for program in &past_the_end {
+            let err = ExecutionPlan::prepare(&cfg, &p, program.as_ref()).unwrap_err();
+            assert!(matches!(err, EngineError::BadInput(_)), "{err}");
+            let text = err.to_string();
+            let id = program.initial_frontier(n).unwrap().pop().unwrap();
+            assert!(
+                text.contains(&format!("vertex {id}")) && text.contains(&format!("{n} vertices")),
+                "{text}"
+            );
+        }
+        for bad in [vec![3, 1], vec![2, 2]] {
+            let err = ExecutionPlan::prepare(&cfg, &p, &StartsFrom(bad)).unwrap_err();
+            assert!(err.to_string().contains("ascending and distinct"), "{err}");
+        }
+        // The last vertex is a legal source, the empty list a legal (one
+        // empty superstep) start, and the plan hands back what it was given.
+        let last = ExecutionPlan::prepare(&cfg, &p, &Bfs::new(n as u32 - 1)).unwrap();
+        assert_eq!(last.initial_frontier(), [n as u32 - 1]);
+        assert!(!last.runs_everything(0));
+        let nothing = ExecutionPlan::prepare(&cfg, &p, &StartsFrom(vec![])).unwrap();
+        assert!(nothing.initial_frontier().is_empty());
+        let everything = ExecutionPlan::prepare(&cfg, &p, &PageRank::new(1)).unwrap();
+        assert_eq!(everything.initial_frontier().len() as u64, n);
+        assert!(everything.runs_everything(0) && !everything.runs_everything(1));
     }
 
     #[test]

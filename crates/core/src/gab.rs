@@ -18,6 +18,12 @@
 //! method, [`GabProgram::gather_tile`]: compiled once per program, so the hooks it
 //! calls inline, and reached through `&dyn GabProgram` once per tile.
 //!
+//! Two optional hooks tell that loop what it may leave out, without changing
+//! a value: [`GabProgram::initial_frontier`] (a traversal starts from its
+//! source, not from every vertex) and [`GabProgram::is_final`] (a pull
+//! superstep skips targets whose value is settled — the bottom-up step of
+//! direction-optimizing BFS).
+//!
 //! ## Direction-aware programs
 //!
 //! Beyond the paper, a program may also provide a **push side**
@@ -91,7 +97,8 @@ impl ExactSizeIterator for Edges<'_> {}
 pub struct TileUpdates {
     /// `(target, new value)` for every target whose value changed, ascending.
     pub updates: Vec<(VertexId, f64)>,
-    /// In-edges folded (the in-degrees of the targets that ran).
+    /// In-edges folded (the in-degrees of the targets that ran; a target
+    /// whose value [`GabProgram::is_final`] does not run).
     pub edges_processed: u64,
 }
 
@@ -269,11 +276,38 @@ pub trait GabProgram: Send + Sync {
         u32::MAX
     }
 
-    /// Whether *every* vertex should run in superstep 0 even if it received no
-    /// update (true for PageRank-style programs; SSSP only activates the source's
-    /// out-neighbours because only the source changed at initialisation).
-    fn run_all_vertices_initially(&self) -> bool {
-        true
+    /// The vertices whose value changed at initialisation — the frontier
+    /// superstep 0 starts from.
+    ///
+    /// `None` (the default) means *every* vertex did: superstep 0 runs every
+    /// target of every tile, in-edges or not (PageRank-style programs, WCC,
+    /// label propagation). `Some(ids)` means only these did, and superstep 0
+    /// is an ordinary superstep over that frontier — tiles none of them
+    /// feeds are skipped, and a direction-aware program may push from them
+    /// (a traversal returns its source). The ids must be ascending, distinct
+    /// and below `num_vertices`; the plan rejects anything else.
+    ///
+    /// **Contract:** a vertex none of whose in-neighbours is listed would
+    /// not be updated by superstep 0 (`+∞` everywhere but the source, under a
+    /// min-fold, qualifies) — so running only what the list feeds changes no
+    /// value.
+    fn initial_frontier(&self, num_vertices: u64) -> Option<Vec<VertexId>> {
+        let _ = num_vertices;
+        None
+    }
+
+    /// Whether a vertex holding `value` is settled for the rest of the run.
+    ///
+    /// **Contract:** once true of a vertex's value, no later superstep
+    /// updates that vertex. The pull loop then skips the vertex without
+    /// touching its in-edges (the bottom-up step of direction-optimizing
+    /// BFS). Synchronous BFS qualifies — the first finite level a vertex
+    /// receives is its hop distance; SSSP distances and WCC labels keep
+    /// falling and do **not**. The default claims nothing, and for programs
+    /// that keep it the test compiles out of [`Self::gather_tile`].
+    fn is_final(&self, value: f64) -> bool {
+        let _ = value;
+        false
     }
 
     /// Whether the program implements the push side ([`Self::scatter`] /
@@ -336,9 +370,9 @@ pub trait GabProgram: Send + Sync {
 
     /// The engine's pull loop over one tile — **not a hook; do not
     /// override.** For every target in ascending order: skip it if it has no
-    /// in-edge in this tile (unless `run_everything`), [`Self::gather`] its
-    /// slice of the tile's CSR, [`Self::apply`], and keep the new value if
-    /// [`Self::is_update`] says so.
+    /// in-edge in this tile (unless `run_everything`) or its value
+    /// [`Self::is_final`], [`Self::gather`] its slice of the tile's CSR,
+    /// [`Self::apply`], and keep the new value if [`Self::is_update`] says so.
     ///
     /// It lives on the trait because a provided method is compiled per
     /// implementor: the three hooks are static calls here and inline into
@@ -359,9 +393,12 @@ pub trait GabProgram: Send + Sync {
             if lo == hi && !run_everything {
                 continue;
             }
+            let current = ctx.values[target as usize];
+            if self.is_final(current) {
+                continue;
+            }
             let mut in_edges = Edges::new(&sources[lo..hi], weights.map(|w| &w[lo..hi]));
             let accum = self.gather(target, &mut in_edges, ctx);
-            let current = ctx.values[target as usize];
             let new = self.apply(target, accum, current, ctx);
             edges_processed += (hi - lo) as u64;
             if self.is_update(current, new) {
@@ -414,7 +451,8 @@ mod tests {
         assert!(p.is_update(0.0, 1.0));
         assert!(!p.is_update(1.0, 1.0));
         assert_eq!(p.update_tolerance(), 0.0);
-        assert!(p.run_all_vertices_initially());
+        assert_eq!(p.initial_frontier(4), None);
+        assert!(!p.is_final(0.0) && !p.is_final(f64::INFINITY));
         assert_eq!(p.max_supersteps(), 1);
     }
 

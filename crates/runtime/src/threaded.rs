@@ -313,8 +313,32 @@ mod tests {
         fn max_supersteps(&self) -> u32 {
             self.0.max_supersteps()
         }
-        fn run_all_vertices_initially(&self) -> bool {
-            self.0.run_all_vertices_initially()
+        fn initial_frontier(&self, num_vertices: u64) -> Option<Vec<u32>> {
+            self.0.initial_frontier(num_vertices)
+        }
+        fn is_final(&self, value: f64) -> bool {
+            self.0.is_final(value)
+        }
+        fn supports_push(&self) -> bool {
+            self.0.supports_push()
+        }
+        fn scatter(
+            &self,
+            source: u32,
+            value: f64,
+            out_edges: &mut graphh_core::gab::Edges<'_>,
+            emit: &mut dyn FnMut(u32, f64),
+        ) {
+            self.0.scatter(source, value, out_edges, emit)
+        }
+        fn combine(&self, a: f64, b: f64) -> f64 {
+            self.0.combine(a, b)
+        }
+        fn direction(
+            &self,
+            stats: &graphh_core::gab::FrontierStats,
+        ) -> graphh_core::gab::Direction {
+            self.0.direction(stats)
         }
     }
 

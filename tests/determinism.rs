@@ -723,8 +723,8 @@ fn force_push_on_a_pull_only_program_is_a_plan_error() {
 }
 
 /// Auto mode actually *switches*: with aggressive thresholds, bfs-dopt runs
-/// both pull supersteps (the dense start) and push supersteps (the sparse
-/// tail) in one run — asserted from the recorded spans, which both executors
+/// both push supersteps (the start from the source, the sparse tail) and
+/// pull supersteps (the dense middle) in one run — asserted from the recorded spans, which both executors
 /// must agree on superstep by superstep.
 #[test]
 fn auto_mode_switches_direction_and_both_executors_agree_on_when() {
@@ -784,8 +784,8 @@ fn auto_mode_switches_direction_and_both_executors_agree_on_when() {
     );
     assert_eq!(
         schedules[0].get(&0),
-        Some(&"pull"),
-        "full initial frontier is dense"
+        Some(&"push"),
+        "the run starts from the source alone, and one vertex is sparse"
     );
 }
 
@@ -1067,6 +1067,169 @@ fn the_source_set_skips_at_least_what_the_bloom_filter_did() {
         .map(|&s| skipped_with_identical_values(&p, &DirectionOptimizingBfs::new(s)))
         .sum();
     assert!(skipped >= 413, "dopt-BFS on RMAT skipped {skipped} tiles");
+}
+
+/// A program with its two traversal hints withheld: every hook forwards,
+/// except that no value is ever final and every vertex starts active — the
+/// engine before the hints existed.
+struct Unhinted<'a>(&'a dyn GabProgram);
+
+impl GabProgram for Unhinted<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn initial_value(&self, v: u32, ctx: &graphh::core::gab::InitContext<'_>) -> f64 {
+        self.0.initial_value(v, ctx)
+    }
+    fn gather(
+        &self,
+        target: u32,
+        in_edges: &mut graphh::core::gab::Edges<'_>,
+        ctx: &graphh::core::gab::VertexContext<'_>,
+    ) -> f64 {
+        self.0.gather(target, in_edges, ctx)
+    }
+    fn apply(
+        &self,
+        target: u32,
+        accum: f64,
+        current: f64,
+        ctx: &graphh::core::gab::VertexContext<'_>,
+    ) -> f64 {
+        self.0.apply(target, accum, current, ctx)
+    }
+    fn is_update(&self, old: f64, new: f64) -> bool {
+        self.0.is_update(old, new)
+    }
+    fn update_tolerance(&self) -> f64 {
+        self.0.update_tolerance()
+    }
+    fn max_supersteps(&self) -> u32 {
+        self.0.max_supersteps()
+    }
+    fn initial_frontier(&self, _num_vertices: u64) -> Option<Vec<u32>> {
+        None
+    }
+    fn is_final(&self, _value: f64) -> bool {
+        false
+    }
+    fn supports_push(&self) -> bool {
+        self.0.supports_push()
+    }
+    fn scatter(
+        &self,
+        source: u32,
+        value: f64,
+        out_edges: &mut graphh::core::gab::Edges<'_>,
+        emit: &mut dyn FnMut(u32, f64),
+    ) {
+        self.0.scatter(source, value, out_edges, emit)
+    }
+    fn combine(&self, a: f64, b: f64) -> f64 {
+        self.0.combine(a, b)
+    }
+    fn direction(&self, stats: &graphh::core::gab::FrontierStats) -> graphh::core::gab::Direction {
+        self.0.direction(stats)
+    }
+}
+
+fn edges_processed(run: &RunResult) -> u64 {
+    let supersteps = run.metrics.supersteps.iter();
+    supersteps.map(|s| s.total_edges_processed()).sum()
+}
+
+/// The hooks are honest: `is_final` and `initial_frontier` only tell the
+/// engine what it may leave out. Withholding both changes no value, no
+/// superstep count, no per-superstep update count and no wire byte — for
+/// every registry program, direction policy and executor — and the hinted run
+/// never gathers more edges.
+#[test]
+fn withholding_is_final_and_initial_frontier_changes_no_value_and_no_byte() {
+    use graphh::core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
+
+    let rmat = RmatGenerator::new(13, 4).generate(SEEDS[0]);
+    let rmat_sym = symmetrised(&RmatGenerator::new(11, 4).simplified().generate(SEEDS[0]));
+    let grid = graphh::graph::generators::grid_graph(32, 32);
+    let mut saved = 0;
+    for spec in PROGRAMS {
+        let graphs = if spec.symmetrize_input {
+            [&rmat_sym, &grid]
+        } else {
+            [&rmat, &grid]
+        };
+        for graph in graphs {
+            let p = Spe::partition(graph, &SpeConfig::with_tile_count("det", graph, 12)).unwrap();
+            let mut opts = ProgramOptions::new();
+            if spec.accepts("supersteps") {
+                opts.set("supersteps", "6");
+            }
+            let program = spec
+                .build(&ProgramContext::new(graph.out_degrees()), &opts)
+                .unwrap();
+            let program = program.as_ref();
+            let mut modes = vec![DirectionMode::Auto, DirectionMode::ForcePull];
+            if program.supports_push() {
+                modes.push(DirectionMode::ForcePush);
+            }
+            for mode in modes {
+                let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(2))
+                    .with_direction_mode(mode);
+                let executors: [Arc<dyn graphh::core::Executor>; 2] = [
+                    Arc::new(SequentialExecutor::new()),
+                    Arc::new(ThreadedExecutor::new()),
+                ];
+                for executor in executors {
+                    let what = format!(
+                        "{} on {} vertices, {mode:?}, {}",
+                        spec.name,
+                        graph.num_vertices(),
+                        executor.name()
+                    );
+                    let engine = GraphHEngine::with_executor(config.clone(), executor);
+                    let hinted = engine.run(&p, program).unwrap();
+                    let plain = engine.run(&p, &Unhinted(program)).unwrap();
+                    assert_values_and_trajectory(&plain, &hinted, &what);
+                    assert!(
+                        edges_processed(&hinted) <= edges_processed(&plain),
+                        "{what}"
+                    );
+                    saved += edges_processed(&plain) - edges_processed(&hinted);
+                }
+            }
+        }
+    }
+    assert!(saved > 100_000, "the hints saved only {saved} edges");
+}
+
+/// Gathered edges may only fall. `bfs-rmat`'s kernel and source picks on the
+/// RMAT graph `the_source_set_skips_at_least_what_the_bloom_filter_did` uses:
+/// the ceiling is what the engine gathered
+/// before a pull skipped final targets and the run started from the source;
+/// beside it, what it gathers now — the values and the wire bytes the same.
+#[test]
+fn dopt_bfs_gathers_a_fraction_of_the_edges_it_used_to() {
+    const BEFORE: u64 = 3_821_024;
+    const NOW: u64 = 496_992;
+    let rmat = RmatGenerator::new(13, 16).generate(SEEDS[0]);
+    let p = Spe::partition(&rmat, &SpeConfig::with_tile_count("rmat", &rmat, 64)).unwrap();
+    let config =
+        GraphHConfig::paper_default(ClusterConfig::paper_testbed(2)).with_threads_per_server(1);
+    let engine = GraphHEngine::new(config);
+    let (mut hinted, mut plain) = (0, 0);
+    for source in [4623, 784, 3596, 2860, 1144, 5187, 486, 1862] {
+        let program = DirectionOptimizingBfs::new(source);
+        let run = engine.run(&p, &program).unwrap();
+        let reference = engine.run(&p, &Unhinted(&program)).unwrap();
+        assert_values_and_trajectory(&reference, &run, "bfs-dopt");
+        hinted += edges_processed(&run);
+        plain += edges_processed(&reference);
+    }
+    assert_eq!(
+        plain, BEFORE,
+        "without the hints the engine gathers what it did"
+    );
+    assert!(hinted <= BEFORE, "gathered edges rose to {hinted}");
+    assert_eq!(hinted, NOW);
 }
 
 /// A tile blob comes off a disk: whatever is wrong with it, loading it is an
