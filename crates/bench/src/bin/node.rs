@@ -21,8 +21,9 @@
 //! Workload flags (must match on every node): `--program NAME` (any program
 //! in the [`graphh_core::registry`] — run `--list-programs` to see them),
 //! `--program-arg key=value` (repeatable, per-program options such as
-//! `source=7` or `alpha=14`), `--direction auto|pull|push` (push/pull engine
-//! policy — never changes results or wire bytes, see docs/ALGORITHMS.md),
+//! `source=7`), `--direction auto|pull|push` (override of the engine's
+//! per-superstep push/pull choice — never changes results or wire bytes, see
+//! docs/ALGORITHMS.md),
 //! `--scale`, `--edge-factor`, `--seed`, `--tiles`, `--supersteps`,
 //! `--threads-per-server`, `--compressor none|raw|snappy|zlib-1|zlib-3|varint-delta`
 //! (message compressor; defaults to the paper's snappy — compression never
@@ -116,8 +117,12 @@ struct Args {
     superstep_delay: Option<Duration>,
 }
 
-fn usage() -> ! {
-    eprintln!(
+/// The usage text and the program list: to stdout with exit 0 when `asked`
+/// for (`--help`, `--list-programs`), to stderr with exit 2 after a bad
+/// command line.
+fn usage(asked: bool) -> ! {
+    use std::fmt::Write;
+    let mut text = String::from(
         "usage: graphh-node --id I --servers P --listen ADDR \
          (--peers A0,A1,... | --seed HOST:PORT...) \
          [--program NAME] [--program-arg K=V]... \
@@ -128,15 +133,20 @@ fn usage() -> ! {
          [--out FILE] [--trace-out FILE] \
          [--metrics-out FILE] [--establish-timeout-secs N] \
          [--checkpoint-dir DIR] [--checkpoint-every N] \
-         [--reconnect-deadline-secs N] [--superstep-delay-ms N] [--list-programs]"
+         [--reconnect-deadline-secs N] [--superstep-delay-ms N] [--list-programs]\n\
+         programs:\n",
     );
-    eprintln!("programs:");
     for spec in PROGRAMS {
-        eprintln!("  {:18} {}", spec.name, spec.summary);
+        let _ = writeln!(text, "  {:18} {}", spec.name, spec.summary);
         for (key, doc) in spec.options {
-            eprintln!("      {key}= {doc}");
+            let _ = writeln!(text, "      {key}= {doc}");
         }
     }
+    if asked {
+        print!("{text}");
+        std::process::exit(0);
+    }
+    eprint!("{text}");
     std::process::exit(2);
 }
 
@@ -170,7 +180,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         if flag == "--help" || flag == "-h" || flag == "--list-programs" {
-            usage();
+            usage(true);
         }
         // Fetched by the arm that wants it, so an unknown flag is reported
         // as unknown whether or not anything follows it.
@@ -525,7 +535,7 @@ fn main() {
         Ok(args) => args,
         Err(message) => {
             eprintln!("graphh-node: {message}");
-            usage();
+            usage(false);
         }
     };
     if let Err(message) = run(args) {

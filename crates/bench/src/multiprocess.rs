@@ -20,7 +20,7 @@ use graphh_pool::WorkerPool;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeWorkload {
     /// A [`graphh_core::registry`] program name (`pagerank`, `sssp`, `wcc`,
-    /// `bfs`, `bfs-dopt`, `labelprop`, `degree-centrality`).
+    /// `bfs`, `labelprop`, `degree-centrality`).
     pub program: String,
     /// Per-program `key=value` options (the `--program-arg` CLI values); must
     /// match on every process, like every other workload field.
@@ -57,6 +57,7 @@ impl NodeWorkload {
                 program_names()
             )
         })?;
+        self.check_size()?;
         let graph: Graph = if spec.symmetrize_input {
             let base = RmatGenerator::new(self.scale, self.edge_factor)
                 .simplified()
@@ -87,6 +88,27 @@ impl NodeWorkload {
         )
         .map_err(|e| format!("partition: {e}"))?;
         Ok((partitioned, program))
+    }
+
+    /// The sizes come from the command line and the generator allocates for
+    /// them up front: vertex ids are `u32`, and an edge list indexes its
+    /// edges in `u32` when it sorts them.
+    fn check_size(&self) -> Result<(), String> {
+        if self.scale > 31 {
+            return Err(format!(
+                "--scale {} asks for 2^{} vertices; vertex ids are 32 bits, so at most 31",
+                self.scale, self.scale
+            ));
+        }
+        let edges = u64::from(self.edge_factor) << self.scale;
+        if edges > u64::from(u32::MAX) {
+            return Err(format!(
+                "--scale {} with --edge-factor {} asks for {edges} edges; \
+                 an edge list holds fewer than 2^32",
+                self.scale, self.edge_factor
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -132,6 +154,35 @@ mod tests {
         let (b, _) = w.build(&pool).unwrap();
         assert_eq!(a.tiles, b.tiles);
         assert_eq!(a.in_degrees, b.in_degrees);
+    }
+
+    /// Checked before anything is generated: `--scale 32` used to abort the
+    /// process on a 96 GB allocation.
+    #[test]
+    fn sizes_past_32_bits_are_rejected_by_flag_name() {
+        let sized = |scale, edge_factor| NodeWorkload {
+            program: "pagerank".into(),
+            program_args: Vec::new(),
+            scale,
+            edge_factor,
+            seed: 1,
+            tiles: 2,
+            supersteps: 1,
+        };
+        let pool = WorkerPool::new(1);
+        let refusal = |scale, edge_factor| {
+            let built = sized(scale, edge_factor).build(&pool);
+            built.err().expect("a size the id types cannot hold")
+        };
+        for scale in [32, 40, 64, u32::MAX] {
+            let err = refusal(scale, 1);
+            assert!(err.contains("--scale"), "{err}");
+        }
+        for (scale, edge_factor) in [(31, 2), (28, 16), (4, u32::MAX), (1, u32::MAX)] {
+            let err = refusal(scale, edge_factor);
+            assert!(err.contains("--edge-factor"), "{err}");
+        }
+        assert!(sized(4, 3).build(&pool).is_ok());
     }
 
     #[test]

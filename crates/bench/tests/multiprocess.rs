@@ -1,7 +1,8 @@
 //! Multi-process determinism: launch real `graphh-node` OS processes over
 //! loopback TCP and pin their replicas bit-identical to each other *and* to
 //! the in-process sequential reference executor — for PageRank, SSSP, WCC and
-//! BFS (plain and direction-optimizing).
+//! BFS (from a source where the engine never pushes and from one where it
+//! switches).
 //!
 //! This is the strongest statement the transport makes: the same superstep
 //! loop, wire codec and frame protocol, with the simulated servers living in
@@ -196,8 +197,9 @@ fn two_process_poll_wcc_matches_sequential() {
 }
 
 // The formerly orphaned BFS kernel, end-to-end through the registry and the
-// `--program` flag — and its direction-optimizing variant with thresholds
-// passed as `--program-arg K=V`, so the push path and the per-superstep
+// `--program` flag — from the default source, whose fan-out is dense enough
+// on this small graph that every superstep pulls, and from a source passed
+// as `--program-arg source=V`, so the push path and the per-superstep
 // direction decision run inside real separate processes.
 
 #[test]
@@ -207,11 +209,14 @@ fn two_process_poll_bfs_matches_sequential() {
 
 #[test]
 fn two_process_poll_dopt_bfs_switches_direction_and_matches_sequential() {
-    let mut w = workload("bfs-dopt");
-    // α=β=2: the auto heuristic genuinely switches to push on this small
-    // graph, and every process must switch at the same superstep to stay
-    // bit-identical to the (pull-resolved) sequential reference.
-    w.program_args = vec!["alpha=2".into(), "beta=2".into()];
+    let mut w = workload("bfs");
+    // From a vertex with one out-edge the engine pushes twice, pulls three
+    // times and pushes the tail on this small graph, and every process must
+    // switch at the same superstep to stay bit-identical to the sequential
+    // reference.
+    let (partitioned, _) = w.build(&WorkerPool::new(1)).expect("workload");
+    let source = partitioned.out_degrees.iter().position(|&d| d == 1);
+    w.program_args = vec![format!("source={}", source.expect("a quiet vertex"))];
     assert_cluster_matches_sequential(w);
 }
 
@@ -239,7 +244,7 @@ fn two_process_poll_pagerank_and_bfs_match_sequential_under_every_compressor() {
 /// instead of running to an all-`+∞` result with exit status 0.
 #[test]
 fn a_source_past_the_end_is_a_nonzero_exit_naming_the_vertex() {
-    for program in ["bfs", "bfs-dopt", "sssp"] {
+    for program in ["bfs", "sssp"] {
         let w = workload(program);
         let out = std::env::temp_dir().join(format!(
             "graphh-mp-{}-{program}-bad-source.bin",
@@ -267,4 +272,58 @@ fn a_source_past_the_end_is_a_nonzero_exit_naming_the_vertex() {
         );
         assert!(!out.exists(), "{program}: no values may be written");
     }
+}
+
+/// A graph size the id types cannot hold is refused before anything is
+/// allocated for it: exit 1 naming the flag, not a `SIGABRT` from a 96 GB
+/// allocation.
+#[test]
+fn a_scale_past_32_bits_is_a_nonzero_exit_naming_the_flag() {
+    for (flags, named) in [
+        (&["--scale", "32"][..], "--scale 32"),
+        (&["--scale", "40"], "--scale 40"),
+        (&["--scale", "30", "--edge-factor", "8"], "--edge-factor 8"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_graphh-node"))
+            .args(["--id", "0", "--servers", "1", "--listen", "127.0.0.1:0"])
+            .args(flags)
+            .output()
+            .expect("run graphh-node");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        // An abort has no exit code at all.
+        assert_eq!(output.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{flags:?}: {stderr}");
+    }
+}
+
+/// Usage that was asked for is an answer (stdout, exit 0); usage after a bad
+/// command line is a complaint (stderr, exit 2).
+#[test]
+fn help_is_an_answer_and_a_bad_flag_is_a_complaint() {
+    let run = |flag: &str| {
+        Command::new(env!("CARGO_BIN_EXE_graphh-node"))
+            .arg(flag)
+            .output()
+            .expect("run graphh-node")
+    };
+    for flag in ["--help", "-h", "--list-programs"] {
+        let output = run(flag);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(0), "{flag}");
+        assert!(output.stderr.is_empty(), "{flag}");
+        assert!(stdout.starts_with("usage: graphh-node"), "{flag}: {stdout}");
+        for spec in graphh_core::registry::PROGRAMS {
+            assert!(stdout.contains(spec.name), "{flag}: {stdout}");
+        }
+        // The engine's two choices are not options of any program.
+        assert!(!stdout.contains("alpha") && !stdout.contains("beta"));
+    }
+    let output = run("--frobnicate");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty());
+    assert!(
+        stderr.contains("unknown flag --frobnicate") && stderr.contains("usage: graphh-node"),
+        "{stderr}"
+    );
 }

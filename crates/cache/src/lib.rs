@@ -68,14 +68,6 @@ impl EdgeCacheConfig {
             mode: CacheMode::Auto,
         }
     }
-
-    /// A cache pinned to one of the paper's cache modes (1–4).
-    pub fn fixed_mode(capacity_bytes: u64, paper_mode: u8) -> Option<Self> {
-        Codec::from_cache_mode(paper_mode).map(|codec| Self {
-            capacity_bytes,
-            mode: CacheMode::Fixed(codec),
-        })
-    }
 }
 
 /// Counters the cache exposes for the experiment harness (Fig. 7b) and cost model.
@@ -341,16 +333,6 @@ impl EdgeCache {
         }
     }
 
-    /// Reset hit/miss/time counters (keeps the cached tiles).
-    pub fn reset_stats(&self) {
-        let mut inner = self.lock();
-        inner.hits = 0;
-        inner.misses = 0;
-        inner.refused = 0;
-        inner.decompress_seconds = 0.0;
-        inner.compress_seconds = 0.0;
-    }
-
     /// Drop every cached tile and accept admissions again.
     pub fn clear(&self) {
         let mut inner = self.lock();
@@ -440,8 +422,7 @@ mod tests {
     #[test]
     fn compressed_modes_roundtrip_and_record_time() {
         for mode in 2u8..=4 {
-            let cfg = EdgeCacheConfig::fixed_mode(1 << 20, mode).unwrap();
-            let cache = EdgeCache::new(cfg, 0);
+            let cache = fixed(1 << 20, Codec::from_cache_mode(mode).unwrap());
             let t = tile(1, 50);
             cache.offer(1, &t);
             assert_eq!(*fetch(&cache, 1).unwrap(), *t);
@@ -525,16 +506,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_reset() {
+    fn clear_drops_every_tile() {
         let cache = EdgeCache::new(EdgeCacheConfig::auto(1 << 20), 0);
         cache.offer(1, &tile(1, 5));
-        let _ = fetch(&cache, 1);
-        let _ = fetch(&cache, 2);
-        cache.reset_stats();
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 0);
-        assert_eq!(stats.resident_tiles, 1);
+        assert_eq!(cache.stats().resident_tiles, 1);
         cache.clear();
         assert_eq!(cache.stats().resident_tiles, 0);
         assert_eq!(cache.stats().used_bytes, 0);

@@ -46,11 +46,6 @@ impl MemoryTracker {
         self.capacity.saturating_sub(self.current)
     }
 
-    /// Whether the accounted total exceeds capacity.
-    pub fn over_capacity(&self) -> bool {
-        self.current > self.capacity
-    }
-
     /// Register a named long-lived component (replacing any previous registration of
     /// the same name).
     pub fn set_component(&mut self, name: &str, bytes: u64) {
@@ -104,7 +99,6 @@ mod tests {
         assert_eq!(t.component("missing"), 0);
         assert_eq!(t.peak(), 350);
         assert_eq!(t.available(), 650);
-        assert!(!t.over_capacity());
     }
 
     #[test]
@@ -118,10 +112,9 @@ mod tests {
     }
 
     #[test]
-    fn over_capacity_detected() {
+    fn nothing_is_available_over_capacity() {
         let mut t = MemoryTracker::new(100);
         t.set_component("big", 150);
-        assert!(t.over_capacity());
         assert_eq!(t.available(), 0);
     }
 

@@ -7,8 +7,11 @@
 //! * **dense** — a bitmap with one bit per vertex of the tile's target range;
 //!   cheap when most vertices changed,
 //! * **sparse** — the updated vertex ids, as varint gaps; cheap when few changed,
-//! * **hybrid** — per message, pick sparse when the *unchanged* fraction exceeds a
-//!   threshold (0.8 in the paper), dense otherwise.
+//! * **hybrid** — per message, whichever of the two index encodings is smaller
+//!   (the values cost the same either way), dense on a tie. The paper's rule is
+//!   a 0.8 unchanged-fraction threshold derived for 8-byte slots; with a bit
+//!   per vertex against a varint per gap the break-even moves with the ids, so
+//!   the sender compares the two sizes instead of carrying a constant.
 //!
 //! Either index is followed by the updated values **only** — a vertex that did
 //! not change costs one bitmap bit or nothing. The values take whichever of two
@@ -40,27 +43,18 @@ pub enum BroadcastEncoding {
     Sparse,
 }
 
-/// The sender-side policy for choosing an encoding.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The sender-side policy for choosing an encoding. The choice changes no
+/// decoded value; `Dense` and `Sparse` exist so the Figure 8 series and the
+/// ablations can ship every message one way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommunicationMode {
     /// Always dense.
     Dense,
     /// Always sparse.
     Sparse,
-    /// Sparse when the unchanged fraction of the tile exceeds `sparsity_threshold`
-    /// (the paper uses 0.8), dense otherwise.
-    Hybrid {
-        /// Unchanged-fraction threshold above which sparse encoding is used.
-        sparsity_threshold: f64,
-    },
-}
-
-impl Default for CommunicationMode {
-    fn default() -> Self {
-        CommunicationMode::Hybrid {
-            sparsity_threshold: 0.8,
-        }
-    }
+    /// Per message, the smaller of the two indexes; dense on a tie.
+    #[default]
+    Hybrid,
 }
 
 /// The validated header of a decoded broadcast message, returned by the
@@ -316,22 +310,38 @@ impl BroadcastMessage {
         self.range_end - self.range_start
     }
 
-    /// Fraction of the range that did *not* change (the paper's "sparsity ratio").
-    pub fn sparsity_ratio(&self) -> f64 {
-        let n = self.range_len();
-        if n == 0 {
-            return 1.0;
-        }
-        1.0 - self.updates.len() as f64 / f64::from(n)
+    /// Bytes of the bitmap index: one bit per vertex of the range.
+    fn bitmap_len(&self) -> u64 {
+        u64::from(self.range_len()).div_ceil(8)
     }
 
-    /// Pick the encoding `mode` prescribes for this message.
+    /// Bytes of each id gap of the sparse index, in update order.
+    fn gap_lens(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut floor = self.range_start;
+        self.updates.iter().map(move |&(v, _)| {
+            let gap = v - floor;
+            floor = v + 1;
+            varint_len(u64::from(gap))
+        })
+    }
+
+    /// Pick the encoding `mode` prescribes for this message. Hybrid adds up
+    /// the id gaps until they reach the bitmap's size, so a message that goes
+    /// dense costs O(range / 8) to decide, not O(updates).
     pub fn choose_encoding(&self, mode: CommunicationMode) -> BroadcastEncoding {
         match mode {
             CommunicationMode::Dense => BroadcastEncoding::Dense,
             CommunicationMode::Sparse => BroadcastEncoding::Sparse,
-            CommunicationMode::Hybrid { sparsity_threshold } => {
-                if self.sparsity_ratio() > sparsity_threshold {
+            CommunicationMode::Hybrid => {
+                let bitmap = self.bitmap_len();
+                let mut gaps = 0;
+                // An empty range's bitmap is empty too: a tie.
+                let sparse_is_smaller = bitmap > 0
+                    && self.gap_lens().all(|len| {
+                        gaps += len;
+                        gaps < bitmap
+                    });
+                if sparse_is_smaller {
                     BroadcastEncoding::Sparse
                 } else {
                     BroadcastEncoding::Dense
@@ -610,16 +620,8 @@ impl BroadcastMessage {
     pub fn encoded_size(&self, encoding: BroadcastEncoding) -> u64 {
         let count = self.updates.len() as u64;
         let index = match encoding {
-            BroadcastEncoding::Dense => u64::from(self.range_len()).div_ceil(8),
-            BroadcastEncoding::Sparse => {
-                let mut floor = self.range_start;
-                let gaps = self.updates.iter().map(|&(v, _)| {
-                    let gap = v - floor;
-                    floor = v + 1;
-                    varint_len(u64::from(gap))
-                });
-                gaps.sum()
-            }
+            BroadcastEncoding::Dense => self.bitmap_len(),
+            BroadcastEncoding::Sparse => self.gap_lens().sum(),
         };
         let values = match ValueShape::of(&self.updates) {
             ValueShape::Ints => {
@@ -962,14 +964,31 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_mode_switches_on_threshold() {
-        let mode = CommunicationMode::default();
-        // 10% updated → 90% unchanged > 0.8 → sparse.
+    fn hybrid_mode_picks_the_smaller_index() {
+        let mode = CommunicationMode::Hybrid;
+        // 10 one-byte gaps against a 13-byte bitmap → sparse.
         let sparse_case = msg((0, 100), &(0..10).collect::<Vec<_>>());
         assert_eq!(sparse_case.choose_encoding(mode), BroadcastEncoding::Sparse);
-        // 90% updated → 10% unchanged < 0.8 → dense.
+        // 90 one-byte gaps against the same bitmap → dense.
         let dense_case = msg((0, 100), &(0..90).collect::<Vec<_>>());
         assert_eq!(dense_case.choose_encoding(mode), BroadcastEncoding::Dense);
+        // The break-even is in bytes: 13 gaps tie with the bitmap and go
+        // dense, 12 are smaller, and a gap of 128 or more costs two.
+        let tie = msg((0, 100), &(0..13).collect::<Vec<_>>());
+        assert_eq!(tie.choose_encoding(mode), BroadcastEncoding::Dense);
+        let under = msg((0, 100), &(0..12).collect::<Vec<_>>());
+        assert_eq!(under.choose_encoding(mode), BroadcastEncoding::Sparse);
+        let far = msg((0, 100), &(0..11).chain([99]).collect::<Vec<_>>());
+        assert_eq!(far.choose_encoding(mode), BroadcastEncoding::Sparse);
+        let farther = msg((0, 300), &(0..36).chain([299]).collect::<Vec<_>>());
+        assert_eq!(farther.choose_encoding(mode), BroadcastEncoding::Dense);
+        // No update at all: nothing beats a bitmap, except over an empty range.
+        let none = msg((0, 100), &[]);
+        assert_eq!(none.choose_encoding(mode), BroadcastEncoding::Sparse);
+        assert_eq!(
+            msg((5, 5), &[]).choose_encoding(mode),
+            BroadcastEncoding::Dense
+        );
         assert_eq!(
             sparse_case.choose_encoding(CommunicationMode::Dense),
             BroadcastEncoding::Dense
@@ -978,12 +997,6 @@ mod tests {
             dense_case.choose_encoding(CommunicationMode::Sparse),
             BroadcastEncoding::Sparse
         );
-    }
-
-    #[test]
-    fn sparsity_ratio_empty_range() {
-        let m = msg((5, 5), &[]);
-        assert_eq!(m.sparsity_ratio(), 1.0);
     }
 
     #[test]
@@ -1231,9 +1244,7 @@ mod tests {
     #[test]
     fn paper_default_is_hybrid_snappy() {
         let c = MessageCodec::paper_default();
-        assert!(matches!(
-            c.mode(),
-            CommunicationMode::Hybrid { sparsity_threshold } if (sparsity_threshold - 0.8).abs() < 1e-9
-        ));
+        assert_eq!(c.mode(), CommunicationMode::Hybrid);
+        assert_eq!(c.compressor(), Some(Codec::Snappy));
     }
 }

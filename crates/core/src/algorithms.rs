@@ -1,17 +1,16 @@
 //! The vertex-centric programs the paper evaluates (PageRank, SSSP) plus the other
-//! standard analytics GraphH supports (WCC, BFS, degree centrality,
-//! direction-optimizing BFS, label propagation), all expressed in the GAB model
-//! (Algorithms 6 and 7 of the paper).
+//! standard analytics GraphH supports (WCC, BFS, degree centrality, label
+//! propagation), all expressed in the GAB model (Algorithms 6 and 7 of the paper).
 //!
 //! The monotone min-combine programs (SSSP, WCC, BFS) also implement the *push*
 //! side of the model ([`GabProgram::scatter`] / [`GabProgram::combine`]): their
 //! gather is a minimum over in-neighbour contributions, which is exact and
 //! order-insensitive in `f64`, so pull and push supersteps produce bit-identical
-//! values (see `docs/ALGORITHMS.md`). Their `direction` hook keeps the default
-//! pull-only policy; [`DirectionOptimizingBfs`] opts into the Beamer α/β
-//! heuristic and is the kernel that actually switches at runtime.
+//! values (see `docs/ALGORITHMS.md`) — and the engine picks the direction of
+//! every superstep of theirs from the replicated frontier. None of them says
+//! anything about direction beyond `supports_push`.
 
-use crate::gab::{Direction, Edges, FrontierStats, GabProgram, InitContext, VertexContext};
+use crate::gab::{Edges, GabProgram, InitContext, VertexContext};
 use graphh_graph::ids::VertexId;
 
 /// PageRank with damping factor 0.85 (Algorithm 6).
@@ -74,8 +73,8 @@ impl GabProgram for PageRank {
         (1.0 - self.damping) / ctx.num_vertices as f64 + self.damping * accum
     }
 
-    fn update_tolerance(&self) -> f64 {
-        self.tolerance
+    fn is_update(&self, old: f64, new: f64) -> bool {
+        (new - old).abs() > self.tolerance
     }
 
     fn max_supersteps(&self) -> u32 {
@@ -213,6 +212,11 @@ impl GabProgram for Wcc {
 
 /// Breadth-first search levels from a source vertex; unreachable vertices stay at
 /// `f64::INFINITY`.
+///
+/// This is direction-optimizing BFS (Beamer et al., SC'12): the engine pushes
+/// from the source and through the sparse head and tail of the traversal, and
+/// pulls — skipping every vertex whose level [`GabProgram::is_final`] — through
+/// the dense middle. The levels are the same either way.
 #[derive(Debug, Clone)]
 pub struct Bfs {
     /// The source vertex.
@@ -281,114 +285,19 @@ impl GabProgram for Bfs {
     }
 }
 
-/// Direction-optimizing BFS (Beamer et al.): the same levels as [`Bfs`], but the
-/// engine picks push or pull per superstep from the replicated frontier stats.
-///
-/// The α/β heuristic is the classic one — push while the frontier is sparse
-/// (`frontier_out_edges * alpha < total_out_edges` **and**
-/// `frontier_size * beta < num_vertices`), pull once it is dense. The decision
-/// is a pure function of [`FrontierStats`], which every executor replicates,
-/// so sequential, threaded and multi-process runs switch direction at the same
-/// supersteps — and because BFS's combine is an exact `f64` minimum, the
-/// resulting values (and wire bytes) are bit-identical either way.
-#[derive(Debug, Clone)]
-pub struct DirectionOptimizingBfs {
-    /// The source vertex.
-    pub source: VertexId,
-    /// Push/pull edge-count threshold (Beamer's α; 14 in the original paper).
-    pub alpha: u64,
-    /// Push/pull frontier-size threshold (Beamer's β; 24 in the original paper).
-    pub beta: u64,
-}
-
-impl DirectionOptimizingBfs {
-    /// Direction-optimizing BFS from `source` with the classic α=14, β=24.
-    pub fn new(source: VertexId) -> Self {
-        Self {
-            source,
-            alpha: crate::exec::DIRECTION_ALPHA,
-            beta: crate::exec::DIRECTION_BETA,
-        }
-    }
-
-    /// Override the switching thresholds.
-    pub fn with_thresholds(source: VertexId, alpha: u64, beta: u64) -> Self {
-        Self {
-            source,
-            alpha,
-            beta,
-        }
-    }
-}
-
-impl GabProgram for DirectionOptimizingBfs {
-    fn name(&self) -> &'static str {
-        "bfs-dopt"
-    }
-
-    fn initial_value(&self, v: VertexId, _ctx: &InitContext<'_>) -> f64 {
-        if v == self.source {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
-        let mut best = f64::INFINITY;
-        for (src, _) in in_edges {
-            best = best.min(ctx.values[src as usize] + 1.0);
-        }
-        best
-    }
-
-    fn apply(&self, _target: VertexId, accum: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
-        accum.min(current)
-    }
-
-    fn is_update(&self, old: f64, new: f64) -> bool {
-        new < old
-    }
-
-    fn initial_frontier(&self, _num_vertices: u64) -> Option<Vec<VertexId>> {
-        Some(vec![self.source])
-    }
-
-    fn is_final(&self, value: f64) -> bool {
-        // Synchronous BFS assigns the hop distance on first discovery.
-        value.is_finite()
-    }
-
-    fn supports_push(&self) -> bool {
-        true
-    }
-
-    fn scatter(
-        &self,
-        _source: VertexId,
-        value: f64,
-        out_edges: &mut Edges<'_>,
-        emit: &mut dyn FnMut(VertexId, f64),
-    ) {
-        for (target, _w) in out_edges {
-            emit(target, value + 1.0);
-        }
-    }
-
-    fn direction(&self, stats: &FrontierStats) -> Direction {
-        stats.beamer(self.alpha, self.beta)
-    }
-}
+/// The name [`Bfs`] had while direction switching was a second program. Kept
+/// only because `benchmark/` builds its BFS jobs through it and may not change.
+pub type DirectionOptimizingBfs = Bfs;
 
 /// Synchronous label propagation with deterministic min-tie-break: every vertex
 /// starts with its own id and each round adopts the most frequent label among
 /// its in-neighbours, ties broken by the smallest label.
 ///
 /// The mode computation needs *all* of a vertex's in-neighbour labels at once
-/// (a histogram is not a binary combine), so the program is pull-only — the
-/// default [`GabProgram::direction`] hook already pins it there, and a
-/// force-push run is rejected at plan time. Synchronous LPA can oscillate on
-/// bipartite structures, so the round count is capped (default 20).
+/// (a histogram is not a binary combine), so the program is pull-only: it
+/// keeps the default [`GabProgram::supports_push`], and a force-push run is
+/// rejected at plan time. Synchronous LPA can oscillate on bipartite
+/// structures, so the round count is capped (default 20).
 #[derive(Debug, Clone)]
 pub struct LabelPropagation {
     /// Hard cap on propagation rounds.
@@ -522,6 +431,10 @@ mod tests {
         assert!((accum - (0.25 / 2.0 + 0.25 / 1.0)).abs() < 1e-12);
         let new = pr.apply(3, accum, 0.25, &c);
         assert!((new - (0.15 / 4.0 + 0.85 * accum)).abs() < 1e-12);
+        // Any change is an update, unless a tolerance says how much it takes.
+        assert!(pr.is_update(0.25, 0.25 + 1e-15) && !pr.is_update(0.25, 0.25));
+        let tolerant = PageRank::with_tolerance(10, 1e-3);
+        assert!(tolerant.is_update(0.25, 0.252) && !tolerant.is_update(0.25, 0.2505));
     }
 
     #[test]
@@ -609,7 +522,6 @@ mod tests {
             (Box::new(Sssp::new(0)), 2.5),
             (Box::new(Wcc::new()), 1.0),
             (Box::new(Bfs::new(0)), 7.0),
-            (Box::new(DirectionOptimizingBfs::new(0)), 7.0),
         ];
         for (program, weight) in cases {
             assert!(program.supports_push(), "{}", program.name());
@@ -623,27 +535,6 @@ mod tests {
             let gathered = program.gather(1, &mut in_edges, &c);
             assert_eq!(pushed, vec![(1u32, gathered)], "{}", program.name());
         }
-    }
-
-    #[test]
-    fn dopt_bfs_direction_follows_beamer_thresholds() {
-        let bfs = DirectionOptimizingBfs::new(0);
-        let sparse = FrontierStats {
-            frontier_size: 1,
-            frontier_out_edges: 2,
-            num_vertices: 1_000,
-            total_out_edges: 10_000,
-        };
-        let dense = FrontierStats {
-            frontier_size: 900,
-            frontier_out_edges: 9_000,
-            num_vertices: 1_000,
-            total_out_edges: 10_000,
-        };
-        assert!(matches!(bfs.direction(&sparse), Direction::Push));
-        assert!(matches!(bfs.direction(&dense), Direction::Pull));
-        // Plain BFS keeps the pull-only default even on a sparse frontier.
-        assert!(matches!(Bfs::new(0).direction(&sparse), Direction::Pull));
     }
 
     #[test]

@@ -43,11 +43,12 @@ pub struct GraphHConfig {
     /// (`cluster.machine.workers`; 12 on the paper testbed). Results are
     /// bit-identical for every thread count — only wall-clock changes.
     pub threads_per_server: Option<u32>,
-    /// Per-superstep tile-loop direction policy: consult the program's
-    /// [`crate::gab::GabProgram::direction`] hook (`Auto`, the default and
-    /// the paper's effective behaviour, since every paper program is
-    /// pull-only), or force every superstep onto one path. Forcing push for
-    /// a pull-only program is rejected at plan time.
+    /// Override of the engine's per-superstep push/pull choice: `Auto` (the
+    /// default) lets the engine pick from the replicated frontier for every
+    /// push-capable program — PageRank and the other pull-only programs pull,
+    /// as in the paper — or force every superstep onto one path (see
+    /// [`DirectionMode`] for what that is for). Forcing push for a pull-only
+    /// program is rejected at plan time.
     pub direction_mode: DirectionMode,
 }
 
@@ -84,7 +85,7 @@ impl GraphHConfig {
         self
     }
 
-    /// Pin the per-superstep direction policy (see
+    /// Override the engine's per-superstep direction choice (see
     /// [`GraphHConfig::direction_mode`]).
     pub fn with_direction_mode(mut self, mode: DirectionMode) -> Self {
         self.direction_mode = mode;
@@ -172,11 +173,6 @@ impl GraphHEngine {
     /// The configuration.
     pub fn config(&self) -> &GraphHConfig {
         &self.config
-    }
-
-    /// The execution strategy's name.
-    pub fn executor_name(&self) -> &'static str {
-        self.executor.name()
     }
 
     /// Run `program` over `partitioned` on the configured cluster.
@@ -353,8 +349,13 @@ mod tests {
     fn bloom_filter_skips_tiles_for_frontier_algorithms() {
         let g = path_graph(200);
         let p = partition(&g, 20);
-        let with_bloom = engine(2).run(&p, &Sssp::new(0)).unwrap();
-        let mut cfg = GraphHConfig::paper_default(ClusterConfig::paper_testbed(2));
+        // The probe belongs to the pull path; a push superstep finds its
+        // tiles by the frontier and skips the rest with or without it.
+        let mut cfg = GraphHConfig::paper_default(ClusterConfig::paper_testbed(2))
+            .with_direction_mode(DirectionMode::ForcePull);
+        let with_bloom = GraphHEngine::new(cfg.clone())
+            .run(&p, &Sssp::new(0))
+            .unwrap();
         cfg.use_bloom_filter = false;
         let without_bloom = GraphHEngine::new(cfg).run(&p, &Sssp::new(0)).unwrap();
         let skipped: u64 = with_bloom

@@ -238,7 +238,7 @@ fn gather_tile_is_the_old_per_target_loop_bit_for_bit() {
     );
 }
 
-/// No program but the two synchronous BFS kernels may call a value final:
+/// No program but synchronous BFS may call a value final:
 /// SSSP distances and WCC labels keep falling after they turn finite.
 #[test]
 fn only_the_bfs_kernels_claim_final_values() {
@@ -247,7 +247,7 @@ fn only_the_bfs_kernels_claim_final_values() {
             .build(&ProgramContext::new(&[1, 1]), &ProgramOptions::new())
             .expect("default options");
         let claims = [0.0, 1.0, 7.5, f64::INFINITY].map(|x| program.is_final(x));
-        let is_bfs = matches!(spec.name, "bfs" | "bfs-dopt");
+        let is_bfs = spec.name == "bfs";
         assert_eq!(claims, [is_bfs, is_bfs, is_bfs, false], "{}", spec.name);
     }
 }

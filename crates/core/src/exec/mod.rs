@@ -16,11 +16,14 @@
 //!   engine's loop over the tile's CSR slices, compiled per program, which
 //!   passes over targets whose value the program calls final — producing
 //!   the tile-granular [`BroadcastMessage`]s to publish; or, in a push
-//!   superstep, walk only the frontier's out-edges in the transposes,
-//! * [`merge_updates`] / [`ServerState::apply_updates`] — the deterministic
-//!   barrier: updates are sorted by vertex id before application, so every
-//!   executor applies them in the same order and produces bit-identical
-//!   replicas.
+//!   superstep, walk only the frontier's out-edges in the transposes. Which
+//!   of the two a superstep of a push-capable program runs is the engine's
+//!   choice ([`ExecutionPlan::frontier_view`]): Beamer's rule over the
+//!   replicated frontier, which no program and no option tunes,
+//! * [`merge_updates_in_place`] / [`ServerState::apply_updates`] — the
+//!   deterministic barrier: updates are sorted by vertex id before
+//!   application, so every executor applies them in the same order and
+//!   produces bit-identical replicas.
 //!
 //! An [`Executor`] strings these together: [`sequential::SequentialExecutor`]
 //! on one thread (the reference), `graphh-runtime`'s `ThreadedExecutor` on one
@@ -56,15 +59,13 @@ use std::sync::Arc;
 /// times over and `tiles_skipped` semantics are unchanged.
 pub const BLOOM_DENSE_FRONTIER_FRACTION: f64 = 0.25;
 
-/// Default α of the Beamer direction heuristic: push only while the
-/// frontier's out-edges are under `1/α` of all edges (see
-/// [`FrontierStats::beamer`]). Programs may override via their
-/// [`GabProgram::direction`] hook; this default applies when the hook
-/// returns [`Direction::Auto`].
+/// α of the Beamer direction heuristic: push only while the frontier's
+/// out-edges are under `1/α` of all edges (see [`FrontierStats::beamer`]; 14
+/// in the original paper).
 pub const DIRECTION_ALPHA: u64 = 14;
 
-/// Default β of the Beamer direction heuristic: push only while the frontier
-/// holds under `1/β` of all vertices.
+/// β of the Beamer direction heuristic: push only while the frontier holds
+/// under `1/β` of all vertices (24 in the original paper).
 pub const DIRECTION_BETA: u64 = 24;
 
 /// An execution strategy for the GraphH engine.
@@ -112,10 +113,10 @@ pub struct ExecutionPlan {
     /// Total out-edges in the graph (the denominator of every frontier-
     /// density decision).
     pub total_out_edges: u64,
-    /// The run's direction policy (from the config).
+    /// The run's direction override (from the config).
     pub direction_mode: DirectionMode,
     /// Whether this run can ever take the push path: the program has a push
-    /// side *and* the policy does not pin pull. Servers only build push
+    /// side *and* the override does not pin pull. Servers only build push
     /// indexes when this is set.
     pub push_capable: bool,
     /// The program's validated [`GabProgram::initial_frontier`]: `None` when
@@ -229,7 +230,7 @@ impl ExecutionPlan {
     /// Pure integer folds over replicated inputs (the merged update set and
     /// the shared out-degree array) — every executor and every server
     /// computes the identical value, and the hot loop allocates nothing.
-    pub fn frontier_stats(&self, frontier: &[VertexId]) -> FrontierStats {
+    fn frontier_stats(&self, frontier: &[VertexId]) -> FrontierStats {
         let mut frontier_out_edges = 0u64;
         for &v in frontier {
             frontier_out_edges += u64::from(self.out_degrees[v as usize]);
@@ -242,41 +243,38 @@ impl ExecutionPlan {
         }
     }
 
-    /// Resolve the direction the next superstep runs: the policy first
-    /// (force-pull / force-push), then the program's hook, then the engine's
-    /// default Beamer heuristic for hooks returning [`Direction::Auto`].
-    /// Never returns `Auto`; a push request from a program without a push
-    /// side is clamped to pull.
+    /// The direction the next superstep runs: the override if one is set
+    /// (`prepare` rejected force-push without a push side), else Beamer's
+    /// rule for a push-capable program and pull for every other.
     ///
     /// Deterministic by construction: a pure function of the plan and the
     /// replicated stats, so sequential, threaded and multi-process runs pick
     /// the same direction at the same superstep.
-    pub fn resolve_direction(&self, program: &dyn GabProgram, stats: &FrontierStats) -> Direction {
-        let choice = match self.direction_mode {
+    fn resolve_direction(&self, stats: &FrontierStats) -> Direction {
+        match self.direction_mode {
             DirectionMode::ForcePull => Direction::Pull,
             DirectionMode::ForcePush => Direction::Push,
-            DirectionMode::Auto => match program.direction(stats) {
-                Direction::Auto => stats.beamer(DIRECTION_ALPHA, DIRECTION_BETA),
-                explicit => explicit,
-            },
-        };
-        if choice == Direction::Push && !self.push_capable {
-            Direction::Pull
-        } else {
-            choice
+            DirectionMode::Auto if self.push_capable => {
+                stats.beamer(DIRECTION_ALPHA, DIRECTION_BETA)
+            }
+            DirectionMode::Auto => Direction::Pull,
         }
     }
 
     /// Bundle one superstep's frontier with its stats and the resolved
     /// direction — computed **once per superstep per executor** and handed
     /// to every server's [`ServerState::run_tile_phase`].
+    ///
+    /// `_program` is unused — the plan already knows whether the program has
+    /// a push side; the parameter stays only because `benchmark/` passes it
+    /// and may not change.
     pub fn frontier_view<'a>(
         &self,
-        program: &dyn GabProgram,
+        _program: &dyn GabProgram,
         frontier: &'a [VertexId],
     ) -> FrontierView<'a> {
         let stats = self.frontier_stats(frontier);
-        let direction = self.resolve_direction(program, &stats);
+        let direction = self.resolve_direction(&stats);
         FrontierView {
             vertices: frontier,
             stats,
@@ -298,7 +296,7 @@ pub struct FrontierView<'a> {
     pub vertices: &'a [VertexId],
     /// Replicated stats over `vertices`.
     pub stats: FrontierStats,
-    /// The resolved tile-loop direction (never [`Direction::Auto`]).
+    /// The resolved tile-loop direction.
     pub direction: Direction,
 }
 
@@ -796,10 +794,7 @@ impl ServerState {
         let threads = plan.threads_per_server as usize;
         let outcomes: Vec<Result<TileOutcome>> = match frontier.direction {
             Direction::Push => self.push_outcomes(program, plan, superstep, frontier),
-            // `resolve_direction` never returns `Auto`; treat it as pull.
-            Direction::Pull | Direction::Auto => {
-                self.pull_outcomes(program, plan, superstep, frontier, use_bloom)
-            }
+            Direction::Pull => self.pull_outcomes(program, plan, superstep, frontier, use_bloom),
         };
 
         // Deterministic reduction, in tile order: fold metrics (fixing the
@@ -1020,15 +1015,8 @@ impl std::fmt::Debug for ServerState {
 /// Deterministically merge per-tile update lists into the barrier's apply
 /// order: sorted by vertex id. Tiles partition the target-vertex space, so
 /// each vertex appears at most once; the dedup is a safety net that keeps the
-/// first occurrence if an engine ever violates that.
-pub fn merge_updates(mut all_updates: Vec<(VertexId, f64)>) -> Vec<(VertexId, f64)> {
-    merge_updates_in_place(&mut all_updates);
-    all_updates
-}
-
-/// [`merge_updates`] without consuming the buffer, so the superstep loop can
-/// clear-and-reuse one update vector across supersteps instead of allocating
-/// a fresh one per superstep.
+/// first occurrence if an engine ever violates that. In place, so the
+/// superstep loop can clear-and-reuse one update vector across supersteps.
 pub fn merge_updates_in_place(all_updates: &mut Vec<(VertexId, f64)>) {
     all_updates.sort_unstable_by_key(|&(v, _)| v);
     all_updates.dedup_by_key(|&mut (v, _)| v);
@@ -1047,7 +1035,8 @@ mod tests {
 
     #[test]
     fn merge_updates_sorts_and_dedups() {
-        let merged = merge_updates(vec![(5, 1.0), (1, 2.0), (5, 3.0), (0, 4.0)]);
+        let mut merged = vec![(5, 1.0), (1, 2.0), (5, 3.0), (0, 4.0)];
+        merge_updates_in_place(&mut merged);
         assert_eq!(merged, vec![(0, 4.0), (1, 2.0), (5, 1.0)]);
     }
 
@@ -1110,7 +1099,7 @@ mod tests {
     /// and holds the program to an ascending, distinct list.
     #[test]
     fn plan_rejects_an_initial_frontier_outside_the_graph_or_out_of_order() {
-        use crate::algorithms::{Bfs, DirectionOptimizingBfs, Sssp};
+        use crate::algorithms::{Bfs, Sssp};
 
         struct StartsFrom(Vec<VertexId>);
         impl GabProgram for StartsFrom {
@@ -1138,7 +1127,7 @@ mod tests {
         let past_the_end: [Box<dyn GabProgram>; 4] = [
             Box::new(Bfs::new(n as u32)),
             Box::new(Sssp::new(4_000_000_000)),
-            Box::new(DirectionOptimizingBfs::new(u32::MAX)),
+            Box::new(Bfs::new(u32::MAX)),
             Box::new(StartsFrom(vec![0, n as u32])),
         ];
         for program in &past_the_end {
@@ -1201,59 +1190,67 @@ mod tests {
 
     #[test]
     fn direction_decision_is_a_pure_function_of_the_replicated_frontier() {
-        use crate::algorithms::{DirectionOptimizingBfs, Sssp};
+        use crate::algorithms::{Bfs, Sssp};
 
         let g = RmatGenerator::new(7, 4).generate(9);
         let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 5)).unwrap();
         let cfg = GraphHConfig::paper_default(ClusterConfig::paper_testbed(2));
-        let dopt = DirectionOptimizingBfs::with_thresholds(0, 2, 2);
-        let plan = ExecutionPlan::prepare(&cfg, &p, &dopt).unwrap();
+        let bfs = Bfs::new(0);
+        let plan = ExecutionPlan::prepare(&cfg, &p, &bfs).unwrap();
         assert!(plan.push_capable);
 
         // Same frontier → same stats → same decision, on every call and on an
         // independently prepared plan (what a second process would compute).
-        let sparse: Vec<VertexId> = vec![0, 3];
+        let quietest = (0..plan.num_vertices as u32)
+            .min_by_key(|&v| plan.out_degrees[v as usize])
+            .unwrap();
+        let sparse: Vec<VertexId> = vec![quietest];
         let dense: Vec<VertexId> = (0..plan.num_vertices as u32).collect();
-        let plan2 = ExecutionPlan::prepare(&cfg, &p, &dopt).unwrap();
+        let plan2 = ExecutionPlan::prepare(&cfg, &p, &bfs).unwrap();
         for frontier in [&sparse, &dense] {
-            let a = plan.frontier_view(&dopt, frontier);
-            let b = plan2.frontier_view(&dopt, frontier);
+            let a = plan.frontier_view(&bfs, frontier);
+            let b = plan2.frontier_view(&bfs, frontier);
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.direction, b.direction);
-            assert_eq!(a.direction, plan.frontier_view(&dopt, frontier).direction);
+            assert_eq!(a.direction, plan.frontier_view(&bfs, frontier).direction);
         }
-        assert_eq!(
-            plan.frontier_view(&dopt, &sparse).direction,
-            Direction::Push
-        );
-        assert_eq!(plan.frontier_view(&dopt, &dense).direction, Direction::Pull);
+        assert_eq!(plan.frontier_view(&bfs, &sparse).direction, Direction::Push);
+        assert_eq!(plan.frontier_view(&bfs, &dense).direction, Direction::Pull);
 
-        // Force modes override the hook; a pull-only plan clamps push away.
+        // The override wins over the frontier, and pinning pull builds no
+        // transposes.
         let force_pull = cfg.clone().with_direction_mode(DirectionMode::ForcePull);
-        let plan_pull = ExecutionPlan::prepare(&force_pull, &p, &dopt).unwrap();
+        let plan_pull = ExecutionPlan::prepare(&force_pull, &p, &bfs).unwrap();
         assert!(!plan_pull.push_capable);
         assert_eq!(
-            plan_pull.frontier_view(&dopt, &sparse).direction,
+            plan_pull.frontier_view(&bfs, &sparse).direction,
             Direction::Pull
         );
         let force_push = cfg.clone().with_direction_mode(DirectionMode::ForcePush);
-        let plan_push = ExecutionPlan::prepare(&force_push, &p, &dopt).unwrap();
+        let plan_push = ExecutionPlan::prepare(&force_push, &p, &bfs).unwrap();
         assert_eq!(
-            plan_push.frontier_view(&dopt, &dense).direction,
+            plan_push.frontier_view(&bfs, &dense).direction,
             Direction::Push
         );
 
-        // A push-capable program with the default pull-only hook stays pull in
-        // Auto mode: auto runs are byte-identical to the pre-direction engine.
+        // `supports_push` is all a program says: SSSP gets the same decisions
+        // as BFS, a pull-only program pulls whatever the frontier.
         let sssp = Sssp::new(0);
         let plan_sssp = ExecutionPlan::prepare(&cfg, &p, &sssp).unwrap();
         assert_eq!(
             plan_sssp.frontier_view(&sssp, &sparse).direction,
+            Direction::Push
+        );
+        let pagerank = PageRank::new(1);
+        let plan_pr = ExecutionPlan::prepare(&cfg, &p, &pagerank).unwrap();
+        assert!(!plan_pr.push_capable);
+        assert_eq!(
+            plan_pr.frontier_view(&pagerank, &sparse).direction,
             Direction::Pull
         );
 
         // Force-push on a genuinely pull-only program is a plan-time error.
-        let err = ExecutionPlan::prepare(&force_push, &p, &PageRank::new(1)).unwrap_err();
+        let err = ExecutionPlan::prepare(&force_push, &p, &pagerank).unwrap_err();
         assert!(err.to_string().contains("pull-only"), "{err}");
     }
 

@@ -28,12 +28,13 @@
 //!
 //! Beyond the paper, a program may also provide a **push side**
 //! ([`GabProgram::scatter`] over out-edges with an order-insensitive
-//! [`GabProgram::combine`]) and a per-superstep [`GabProgram::direction`]
-//! hook deciding — from the globally-replicated [`FrontierStats`] — whether
-//! the superstep runs the pull (gather) or push (scatter) tile loop. The
-//! engine guarantees both loops produce bit-identical broadcasts for
-//! programs honouring the combine-order contract; `docs/ALGORITHMS.md`
-//! spells out the exact rules.
+//! [`GabProgram::combine`]). [`GabProgram::supports_push`] then means "either
+//! direction, the engine's call": every superstep the engine reads the
+//! globally-replicated [`FrontierStats`] and runs the pull (gather) or the
+//! push (scatter) tile loop ([`FrontierStats::beamer`]). Both loops produce
+//! bit-identical broadcasts for programs honouring the combine-order
+//! contract, so the choice can change no value; `docs/ALGORITHMS.md` spells
+//! out the exact rules.
 
 use graphh_graph::ids::VertexId;
 use graphh_partition::Tile;
@@ -102,41 +103,39 @@ pub struct TileUpdates {
     pub edges_processed: u64,
 }
 
-/// Which tile loop a superstep runs.
-///
-/// This is both the program hook's *request* ([`GabProgram::direction`] may
-/// return [`Direction::Auto`] to delegate to the engine's Beamer-style
-/// heuristic) and, after [`crate::exec::ExecutionPlan::resolve_direction`],
-/// the engine's *decision* (never `Auto`).
+/// Which tile loop a superstep runs: the engine's per-superstep decision
+/// (see [`crate::exec::ExecutionPlan::frontier_view`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Gather over in-edges: every active target folds its in-neighbours.
     Pull,
     /// Scatter over out-edges: every frontier source emits contributions.
     Push,
-    /// Let the engine choose from the frontier stats (hook return only).
-    Auto,
 }
 
 impl Direction {
-    /// Stable lower-case label ("pull" / "push" / "auto") for counters,
-    /// span args and JSON.
+    /// Stable lower-case label ("pull" / "push") for counters, span args
+    /// and JSON.
     pub fn as_str(self) -> &'static str {
         match self {
             Direction::Pull => "pull",
             Direction::Push => "push",
-            Direction::Auto => "auto",
         }
     }
 }
 
-/// The run-level direction policy (config knob / `--direction` CLI flag).
+/// The run-level override of the engine's direction choice (config field /
+/// `--direction` CLI flag). The choice changes no value, so this is not a
+/// tuning knob: the determinism suites prove push ≡ pull through the two
+/// forced modes, and [`DirectionMode::ForcePull`] is the escape for a server
+/// that cannot hold the resident out-edge transposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DirectionMode {
-    /// Ask the program's [`GabProgram::direction`] hook every superstep.
+    /// The engine picks per superstep from the replicated frontier stats
+    /// (always pull for a program without a push side).
     #[default]
     Auto,
-    /// Run every superstep on the pull path, ignoring the hook.
+    /// Run every superstep on the pull path; no transpose is built.
     ForcePull,
     /// Run every superstep on the push path (rejected at plan time for
     /// programs without a push side).
@@ -189,15 +188,6 @@ pub struct FrontierStats {
 }
 
 impl FrontierStats {
-    /// Fraction of all vertices in the frontier, in `[0, 1]`.
-    pub fn density(&self) -> f64 {
-        if self.num_vertices == 0 {
-            0.0
-        } else {
-            self.frontier_size as f64 / self.num_vertices as f64
-        }
-    }
-
     /// The Beamer-style direction heuristic (direction-optimizing BFS):
     /// push while the frontier is sparse, pull once it covers enough of the
     /// graph that scanning everything is cheaper than chasing out-edges.
@@ -259,16 +249,11 @@ pub trait GabProgram: Send + Sync {
     /// Produce the new value of `target` from the accumulator and its current value.
     fn apply(&self, target: VertexId, accum: f64, current: f64, ctx: &VertexContext<'_>) -> f64;
 
-    /// Whether `new` counts as an update relative to `old`. The default treats any
-    /// change beyond `update_tolerance` as an update.
+    /// Whether `new` counts as an update relative to `old` — only updates are
+    /// broadcast and keep the program running. The default treats any change
+    /// as one.
     fn is_update(&self, old: f64, new: f64) -> bool {
-        (new - old).abs() > self.update_tolerance()
-    }
-
-    /// Tolerance below which a change is not considered an update (and therefore is
-    /// neither broadcast nor used to keep the program running).
-    fn update_tolerance(&self) -> f64 {
-        0.0
+        (new - old).abs() > 0.0
     }
 
     /// Hard cap on supersteps (the program also stops as soon as no vertex updates).
@@ -283,9 +268,9 @@ pub trait GabProgram: Send + Sync {
     /// target of every tile, in-edges or not (PageRank-style programs, WCC,
     /// label propagation). `Some(ids)` means only these did, and superstep 0
     /// is an ordinary superstep over that frontier — tiles none of them
-    /// feeds are skipped, and a direction-aware program may push from them
-    /// (a traversal returns its source). The ids must be ascending, distinct
-    /// and below `num_vertices`; the plan rejects anything else.
+    /// feeds are skipped, and the engine may push from them (a traversal
+    /// returns its source). The ids must be ascending, distinct and below
+    /// `num_vertices`; the plan rejects anything else.
     ///
     /// **Contract:** a vertex none of whose in-neighbours is listed would
     /// not be updated by superstep 0 (`+∞` everywhere but the source, under a
@@ -311,9 +296,10 @@ pub trait GabProgram: Send + Sync {
     }
 
     /// Whether the program implements the push side ([`Self::scatter`] /
-    /// [`Self::combine`]). Defaults to `false`: pull-only programs compile
-    /// and behave exactly as before, and the engine never builds push
-    /// indexes or offers the push loop for them.
+    /// [`Self::combine`]) — the opt-in to "either direction, the engine's
+    /// call", whose price is the combine contract below. Defaults to
+    /// `false`: the engine never builds push indexes or runs the push loop
+    /// for a pull-only program.
     fn supports_push(&self) -> bool {
         false
     }
@@ -353,19 +339,6 @@ pub trait GabProgram: Send + Sync {
     /// fold for every monotone min-style program: BFS, SSSP, WCC).
     fn combine(&self, a: f64, b: f64) -> f64 {
         a.min(b)
-    }
-
-    /// Which tile loop the next superstep should run, given the replicated
-    /// frontier stats. Consulted only under [`DirectionMode::Auto`]; return
-    /// [`Direction::Auto`] to delegate to the engine's default Beamer
-    /// heuristic. The default pins the paper's behaviour: always pull.
-    ///
-    /// **Must be stateless** — a pure function of `stats`. One program
-    /// instance is shared by every server worker, so any interior mutability
-    /// here would be advanced once per *server* per superstep and desync
-    /// the cluster.
-    fn direction(&self, _stats: &FrontierStats) -> Direction {
-        Direction::Pull
     }
 
     /// The engine's pull loop over one tile — **not a hook; do not
@@ -450,23 +423,15 @@ mod tests {
         let p = CountInEdges;
         assert!(p.is_update(0.0, 1.0));
         assert!(!p.is_update(1.0, 1.0));
-        assert_eq!(p.update_tolerance(), 0.0);
         assert_eq!(p.initial_frontier(4), None);
         assert!(!p.is_final(0.0) && !p.is_final(f64::INFINITY));
         assert_eq!(p.max_supersteps(), 1);
     }
 
     #[test]
-    fn default_direction_hooks_keep_programs_pull_only() {
+    fn default_push_hooks_keep_programs_pull_only() {
         let p = CountInEdges;
         assert!(!p.supports_push());
-        let stats = FrontierStats {
-            frontier_size: 1,
-            frontier_out_edges: 1,
-            num_vertices: 1000,
-            total_out_edges: 10_000,
-        };
-        assert_eq!(p.direction(&stats), Direction::Pull);
         assert_eq!(p.combine(3.0, 2.0), 2.0);
     }
 
@@ -509,18 +474,7 @@ mod tests {
         assert!("sideways".parse::<DirectionMode>().is_err());
         assert_eq!(DirectionMode::default(), DirectionMode::Auto);
         assert_eq!(Direction::Push.as_str(), "push");
-        assert_eq!(Direction::Auto.as_str(), "auto");
-    }
-
-    #[test]
-    fn frontier_density_is_a_fraction() {
-        let stats = FrontierStats {
-            frontier_size: 256,
-            frontier_out_edges: 0,
-            num_vertices: 1024,
-            total_out_edges: 0,
-        };
-        assert_eq!(stats.density(), 0.25);
+        assert_eq!(Direction::Pull.as_str(), "pull");
     }
 
     #[test]

@@ -21,16 +21,13 @@
 //!
 //! let out_degrees = vec![1, 3, 2];
 //! let ctx = ProgramContext::new(&out_degrees);
-//! let spec = find_program("bfs-dopt").expect("registered");
-//! let opts = ProgramOptions::parse(&["alpha=4", "beta=8"]).unwrap();
+//! let spec = find_program("bfs").expect("registered");
+//! let opts = ProgramOptions::parse(&["source=2"]).unwrap();
 //! let program = spec.build(&ctx, &opts).unwrap();
-//! assert_eq!(program.name(), "bfs-dopt");
+//! assert_eq!(program.name(), "bfs");
 //! ```
 
-use crate::algorithms::{
-    Bfs, DegreeCentrality, DirectionOptimizingBfs, LabelPropagation, PageRank, Sssp, Wcc,
-};
-use crate::exec::{DIRECTION_ALPHA, DIRECTION_BETA};
+use crate::algorithms::{Bfs, DegreeCentrality, LabelPropagation, PageRank, Sssp, Wcc};
 use crate::gab::GabProgram;
 use graphh_graph::ids::VertexId;
 
@@ -236,7 +233,7 @@ pub const PROGRAMS: &[ProgramSpec] = &[
     },
     ProgramSpec {
         name: "bfs",
-        summary: "breadth-first search levels (pull-only)",
+        summary: "breadth-first search levels (direction-optimizing)",
         symmetrize_input: false,
         options: &[(
             "source",
@@ -247,29 +244,6 @@ pub const PROGRAMS: &[ProgramSpec] = &[
                 .parsed("source")?
                 .unwrap_or_else(|| ctx.default_source());
             Ok(Box::new(Bfs::new(source)))
-        },
-    },
-    ProgramSpec {
-        name: "bfs-dopt",
-        summary: "direction-optimizing BFS (Beamer alpha/beta push/pull switching)",
-        symmetrize_input: false,
-        options: &[
-            (
-                "source",
-                "source vertex id (default: max-out-degree vertex)",
-            ),
-            ("alpha", "push/pull edge threshold (default 14)"),
-            ("beta", "push/pull frontier-size threshold (default 24)"),
-        ],
-        build: |ctx, opts| {
-            let source = opts
-                .parsed("source")?
-                .unwrap_or_else(|| ctx.default_source());
-            let alpha = opts.parsed("alpha")?.unwrap_or(DIRECTION_ALPHA);
-            let beta = opts.parsed("beta")?.unwrap_or(DIRECTION_BETA);
-            Ok(Box::new(DirectionOptimizingBfs::with_thresholds(
-                source, alpha, beta,
-            )))
         },
     },
     ProgramSpec {
@@ -330,7 +304,7 @@ mod tests {
             assert_eq!(find_program(spec.name).unwrap().name, spec.name);
         }
         assert!(find_program("frobnicate").is_none());
-        assert!(program_names().contains("bfs-dopt"));
+        assert!(program_names().contains("labelprop"));
     }
 
     #[test]
@@ -347,8 +321,8 @@ mod tests {
     fn options_parse_validate_and_reject_unknown_keys() {
         let degrees = vec![1, 2];
         let ctx = ctx_over(&degrees);
-        let opts = ProgramOptions::parse(&["source=1", "alpha=3", "beta=7"]).unwrap();
-        let spec = find_program("bfs-dopt").unwrap();
+        let opts = ProgramOptions::parse(&["source=1"]).unwrap();
+        let spec = find_program("bfs").unwrap();
         assert!(spec.build(&ctx, &opts).is_ok());
 
         let err = err_of(find_program("wcc").unwrap().build(&ctx, &opts));

@@ -80,14 +80,6 @@ impl GraphBuilder {
         self.edges.push(edge);
     }
 
-    /// Add many edges.
-    pub fn add_edges(&mut self, edges: impl IntoIterator<Item = Edge>) -> &mut Self {
-        for e in edges {
-            self.add_edge(e);
-        }
-        self
-    }
-
     /// Number of edges accepted so far.
     pub fn len(&self) -> usize {
         self.edges.len()

@@ -151,13 +151,6 @@ impl EdgeList {
         self.srcs.iter().chain(self.dsts.iter()).copied().max()
     }
 
-    /// Append all edges from `other`.
-    pub fn extend_from(&mut self, other: &EdgeList) {
-        for e in other.iter() {
-            self.push(e);
-        }
-    }
-
     /// Sort edges by `(dst, src)`; the order the pre-processing engine needs before
     /// cutting the edge stream into tiles (tiles group edges by target vertex).
     pub fn sort_by_target(&mut self) {

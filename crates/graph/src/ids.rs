@@ -20,9 +20,6 @@ pub type TileId = u32;
 /// Identifier of a (simulated) server in the cluster.
 pub type ServerId = u32;
 
-/// Identifier of a worker thread inside a server.
-pub type WorkerId = u32;
-
 /// Returns the server a tile is assigned to under GraphH's round-robin placement:
 /// tile `i` goes to server `i mod N` (§III-C.1).
 #[inline]

@@ -89,11 +89,6 @@ impl Graph {
         &self.edges
     }
 
-    /// Consume the graph, returning its edge list.
-    pub fn into_edges(self) -> EdgeList {
-        self.edges
-    }
-
     /// Out-degree array indexed by vertex id.
     pub fn out_degrees(&self) -> &[u32] {
         &self.out_degree

@@ -48,7 +48,7 @@
 //! 1. each vertex is updated by exactly one tile, and each tile by exactly one
 //!    server, so the merged update set of a superstep is schedule-independent,
 //! 2. workers sort the merged updates by vertex id before applying
-//!    ([`graphh_core::exec::merge_updates`]) — the same order the sequential
+//!    ([`graphh_core::exec::merge_updates_in_place`]) — the same order the sequential
 //!    executor uses,
 //! 3. the plane's end-of-superstep markers keep replicas in lockstep — no
 //!    worker applies superstep `s` before every peer finished publishing it,

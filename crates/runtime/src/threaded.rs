@@ -307,9 +307,6 @@ mod tests {
         fn is_update(&self, old: f64, new: f64) -> bool {
             self.0.is_update(old, new)
         }
-        fn update_tolerance(&self) -> f64 {
-            self.0.update_tolerance()
-        }
         fn max_supersteps(&self) -> u32 {
             self.0.max_supersteps()
         }
@@ -333,12 +330,6 @@ mod tests {
         }
         fn combine(&self, a: f64, b: f64) -> f64 {
             self.0.combine(a, b)
-        }
-        fn direction(
-            &self,
-            stats: &graphh_core::gab::FrontierStats,
-        ) -> graphh_core::gab::Direction {
-            self.0.direction(stats)
         }
     }
 

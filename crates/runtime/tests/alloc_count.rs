@@ -17,11 +17,12 @@
 //! nothing else runs concurrently with the measurement.
 
 use graphh_cluster::{
-    BroadcastMessage, ClusterConfig, CommunicationMode, MessageCodec, ServerMetrics,
+    BroadcastEncoding, BroadcastMessage, ClusterConfig, CommunicationMode, MessageCodec,
+    ServerMetrics,
 };
 use graphh_compress::{Codec, CompressorScratch};
 use graphh_core::exec::{merge_updates_in_place, ExecutionPlan};
-use graphh_core::{DirectionOptimizingBfs, GabProgram, GraphHConfig};
+use graphh_core::{Bfs, GabProgram, GraphHConfig};
 use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_obs::{SpanRecorder, Tracer};
 use graphh_partition::{Spe, SpeConfig};
@@ -182,8 +183,9 @@ fn established_fabric(pool: &BufferPool) -> Fabric {
 
 #[test]
 fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
-    // Hybrid mode with both outcomes represented: a dense-encoded message
-    // (90% updated) and a sparse one (a handful of updates in a wide range).
+    // Hybrid mode with both outcomes represented by the messages' shapes: one
+    // whose id gaps would outweigh its bitmap (90% updated) and one whose
+    // bitmap would outweigh its gaps (a handful of updates in a wide range).
     let dense = BroadcastMessage::new(
         0,
         2048,
@@ -197,6 +199,9 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
             .map(|&v| (v, 1.0))
             .collect(),
     );
+    let hybrid = CommunicationMode::Hybrid;
+    assert_eq!(dense.choose_encoding(hybrid), BroadcastEncoding::Dense);
+    assert_eq!(sparse.choose_encoding(hybrid), BroadcastEncoding::Sparse);
     let messages = [dense, sparse];
 
     // A real plan + push-capable program so the measured loop runs the same
@@ -206,7 +211,7 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
     let partitioned =
         Spe::partition(&graph, &SpeConfig::with_tile_count("alloc", &graph, 4)).expect("partition");
     let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
-    let program = DirectionOptimizingBfs::new(0);
+    let program = Bfs::new(0);
     let plan = ExecutionPlan::prepare(&config, &partitioned, &program).expect("plan");
     let frontier: Vec<u32> = (0..64).collect();
 

@@ -19,9 +19,7 @@
 
 use graphh_cluster::ClusterConfig;
 use graphh_core::exec::ExecutionPlan;
-use graphh_core::{
-    DirectionOptimizingBfs, GabProgram, GraphHConfig, GraphHEngine, PageRank, SequentialExecutor,
-};
+use graphh_core::{Bfs, GabProgram, GraphHConfig, GraphHEngine, PageRank, SequentialExecutor};
 use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_obs::Tracer;
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
@@ -136,15 +134,16 @@ fn pagerank_workload() -> PartitionedGraph {
     Spe::partition(&g, &SpeConfig::with_tile_count("chaos", &g, 6)).unwrap()
 }
 
-fn bfs_workload() -> (PartitionedGraph, DirectionOptimizingBfs) {
+fn bfs_workload() -> (PartitionedGraph, Bfs) {
     let g = RmatGenerator::new(6, 4).generate(42);
     let p = Spe::partition(&g, &SpeConfig::with_tile_count("chaos", &g, 6)).unwrap();
+    // From a vertex with one out-edge the run genuinely switches on this
+    // small graph (push, push, three pulls, push) — direction decisions must
+    // also survive mid-run cuts untouched.
     let source = (0..g.num_vertices() as u32)
-        .max_by_key(|&v| g.out_degree(v))
-        .unwrap_or(0);
-    // α=β=2 so the run genuinely switches push/pull on this small graph —
-    // direction decisions must also survive mid-run cuts untouched.
-    (p, DirectionOptimizingBfs::with_thresholds(source, 2, 2))
+        .find(|&v| g.out_degree(v) == 1)
+        .expect("a vertex with one out-edge");
+    (p, Bfs::new(source))
 }
 
 /// Cut at *every* superstep boundary, one run per boundary: server 0 severs
@@ -189,7 +188,7 @@ fn poll_bfs_survives_a_cut_at_every_boundary() {
     // BFS terminates when its frontier drains; cuts scheduled past the last
     // superstep are never reached, so sweeping a fixed bound covers every
     // boundary the run actually has.
-    sweep_every_boundary(&p, &bfs, 4, "poll bfs");
+    sweep_every_boundary(&p, &bfs, 6, "poll bfs");
 }
 
 /// Seed discovery instead of a static peer table, then the same storm: every

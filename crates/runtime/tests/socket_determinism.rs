@@ -14,8 +14,8 @@ use graphh_cluster::ClusterConfig;
 use graphh_core::exec::ExecutionPlan;
 use graphh_core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
 use graphh_core::{
-    DirectionMode, DirectionOptimizingBfs, GabProgram, GraphHConfig, GraphHEngine, PageRank,
-    SequentialExecutor, Sssp, Wcc,
+    Bfs, DirectionMode, GabProgram, GraphHConfig, GraphHEngine, PageRank, SequentialExecutor, Sssp,
+    Wcc,
 };
 use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_graph::GraphBuilder;
@@ -192,7 +192,7 @@ fn poll_with_spin_poller_is_bit_identical_to_sequential() {
 }
 
 /// Every registry program — including the formerly orphaned `bfs` and
-/// `degree-centrality` and the new `bfs-dopt` / `labelprop` kernels — is
+/// `degree-centrality` and the newer `labelprop` kernel — is
 /// bit-identical to the sequential reference over the TCP plane and the
 /// readiness-trait seam.
 #[test]
@@ -241,11 +241,12 @@ fn every_registry_program_is_bit_identical_over_every_plane() {
 fn direction_modes_are_bit_identical_over_tcp() {
     let g = RmatGenerator::new(7, 5).generate(42);
     let p = Spe::partition(&g, &SpeConfig::with_tile_count("tcp", &g, 8)).unwrap();
+    // From a vertex with one out-edge the auto run genuinely switches on
+    // this small graph: two pushes, then three pulls.
     let source = (0..g.num_vertices() as u32)
-        .max_by_key(|&v| g.out_degree(v))
-        .unwrap_or(0);
-    // α=β=2 so the auto run genuinely switches on this small graph.
-    let program = DirectionOptimizingBfs::with_thresholds(source, 2, 2);
+        .find(|&v| g.out_degree(v) == 1)
+        .expect("a vertex with one out-edge");
+    let program = Bfs::new(source);
 
     let reference = GraphHEngine::with_executor(
         GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS))
@@ -269,7 +270,7 @@ fn direction_modes_are_bit_identical_over_tcp() {
                 assert_eq!(
                     x.to_bits(),
                     y.to_bits(),
-                    "bfs-dopt {mode:?}: server {sid} vertex {v} diverged"
+                    "bfs {mode:?}: server {sid} vertex {v} diverged"
                 );
             }
         }

@@ -10,7 +10,6 @@ use crate::backend::StorageBackend;
 use crate::lock::RwLock;
 use crate::{Result, StorageError};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// DFS configuration.
 #[derive(Debug, Clone)]
@@ -130,11 +129,6 @@ impl<B: StorageBackend> Dfs<B> {
         self.backend.get(path)
     }
 
-    /// File metadata, if the file exists.
-    pub fn stat(&self, path: &str) -> Option<FileMetadata> {
-        self.namespace.read().get(path).cloned()
-    }
-
     /// Whether a file exists.
     pub fn exists(&self, path: &str) -> bool {
         self.namespace.read().contains_key(path)
@@ -163,14 +157,12 @@ impl<B: StorageBackend> Dfs<B> {
     }
 }
 
-/// A DFS shared between simulated servers.
-pub type SharedDfs<B> = Arc<Dfs<B>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{MemoryBackend, MeteredBackend};
     use crate::meter::IoMeter;
+    use std::sync::Arc;
 
     fn small_config() -> DfsConfig {
         DfsConfig {

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! cargo run --example socket_cluster             # PageRank
-//! cargo run --example socket_cluster -- bfs-dopt # any registry kernel
+//! cargo run --example socket_cluster -- bfs      # any registry kernel
 //! ```
 
 use graphh::core::exec::ExecutionPlan;

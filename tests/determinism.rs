@@ -5,9 +5,9 @@
 //! cluster: `result.values` must be **bit-identical** (not approximately
 //! equal), the superstep counts must agree, and the scheduling-independent
 //! byte counters must match exactly. The direction axis rides the same
-//! harness: forced-push, forced-pull and auto-switching runs of the
-//! min-combine kernels must also agree bit for bit, on both executors and on
-//! every registered program.
+//! harness: forced-push, forced-pull and engine-chosen runs of every
+//! push-capable registry program must also agree bit for bit, on both
+//! executors and over real sockets.
 
 use graphh::prelude::*;
 use std::sync::Arc;
@@ -99,55 +99,42 @@ fn threaded_matches_sequential_on_wcc() {
     }
 }
 
-/// The TCP transport, seen from tier-1: 2 servers × PageRank, each worker
-/// driving its own `PollPlane` endpoint over loopback sockets. Replicas must
-/// be bit-identical to the sequential reference, and the bytes the workers
-/// metered onto the wire must equal the in-process threaded run's — even
-/// though server 0 cuts its link to server 1 mid-run: every default-
-/// established link recovers (redial, resume hello, replay) on its own.
-#[test]
-fn poll_plane_cluster_matches_sequential_and_threaded_network_bytes() {
+/// Run `program` on 2 servers, each worker driving its own `PollPlane`
+/// endpoint over loopback sockets, server 0 cutting its link to server 1
+/// right after ending superstep `cut_after` (every default-established link
+/// recovers — redial, resume hello, replay — on its own). Returns each
+/// server's replica and the bytes the workers metered onto the wire.
+fn poll_plane_cluster(
+    config: &GraphHConfig,
+    p: &PartitionedGraph,
+    program: &dyn GabProgram,
+    cut_after: u32,
+) -> (Vec<Vec<f64>>, u64) {
     use graphh::core::exec::ExecutionPlan;
-    use graphh::obs::{global_counters, Tracer};
+    use graphh::obs::Tracer;
     use graphh::runtime::{
         run_worker, BroadcastPlane, CutPlan, FaultPlane, MetricsSlice, PollPlane, WorkerOptions,
     };
     use std::sync::mpsc::channel;
 
-    const TCP_SERVERS: u32 = 2;
-    let g = RmatGenerator::new(8, 6).generate(SEEDS[0]);
-    let p = Spe::partition(&g, &SpeConfig::with_tile_count("det", &g, 11)).unwrap();
-    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(TCP_SERVERS));
-    let program = PageRank::new(10);
-    let sequential =
-        GraphHEngine::with_executor(config.clone(), Arc::new(SequentialExecutor::new()))
-            .run(&p, &program)
-            .unwrap();
-    let threaded = GraphHEngine::with_executor(config.clone(), Arc::new(ThreadedExecutor::new()))
-        .run(&p, &program)
-        .unwrap();
-
-    let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
-    let bound: Vec<_> = (0..TCP_SERVERS)
-        .map(|sid| PollPlane::bind(sid, TCP_SERVERS, "127.0.0.1:0").unwrap())
+    let servers = config.cluster.num_servers;
+    let plan = ExecutionPlan::prepare(config, p, program).unwrap();
+    let bound: Vec<_> = (0..servers)
+        .map(|sid| PollPlane::bind(sid, servers, "127.0.0.1:0").unwrap())
         .collect();
     let addrs: Vec<_> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
     let (metrics_tx, metrics_rx) = channel::<MetricsSlice>();
-    let reconnects = global_counters().counter("fabric.reconnects");
-    let reconnects_before = reconnects.get();
     let replicas: Vec<Vec<f64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = bound
             .into_iter()
             .map(|b| {
-                let (addrs, plan, config, p, program) = (&addrs, &plan, &config, &p, &program);
+                let (addrs, plan) = (&addrs, &plan);
                 let metrics_tx = metrics_tx.clone();
                 scope.spawn(move || {
                     let plane = b.establish(addrs).expect("establish");
                     let sid = plane.server_id();
-                    // One boundary cut: server 0 severs server 1 right after
-                    // ending superstep 3.
                     let cuts = if sid == 0 {
-                        CutPlan::explicit(vec![(3, 1)])
+                        CutPlan::explicit(vec![(cut_after, 1)])
                     } else {
                         CutPlan::none()
                     };
@@ -173,10 +160,38 @@ fn poll_plane_cluster_matches_sequential_and_threaded_network_bytes() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     drop(metrics_tx);
-    let net_sent_bytes: u64 = metrics_rx
+    let net_sent_bytes = metrics_rx
         .into_iter()
         .map(|slice| slice.metrics.network_sent_bytes)
         .sum();
+    (replicas, net_sent_bytes)
+}
+
+/// The TCP transport, seen from tier-1: 2 servers × PageRank over
+/// [`poll_plane_cluster`]. Replicas must be bit-identical to the sequential
+/// reference, and the bytes the workers metered onto the wire must equal the
+/// in-process threaded run's — even though server 0 cuts its link to server
+/// 1 mid-run.
+#[test]
+fn poll_plane_cluster_matches_sequential_and_threaded_network_bytes() {
+    use graphh::obs::global_counters;
+
+    const TCP_SERVERS: u32 = 2;
+    let g = RmatGenerator::new(8, 6).generate(SEEDS[0]);
+    let p = Spe::partition(&g, &SpeConfig::with_tile_count("det", &g, 11)).unwrap();
+    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(TCP_SERVERS));
+    let program = PageRank::new(10);
+    let sequential =
+        GraphHEngine::with_executor(config.clone(), Arc::new(SequentialExecutor::new()))
+            .run(&p, &program)
+            .unwrap();
+    let threaded = GraphHEngine::with_executor(config.clone(), Arc::new(ThreadedExecutor::new()))
+        .run(&p, &program)
+        .unwrap();
+
+    let reconnects = global_counters().counter("fabric.reconnects");
+    let reconnects_before = reconnects.get();
+    let (replicas, net_sent_bytes) = poll_plane_cluster(&config, &p, &program, 3);
 
     for (sid, values) in replicas.iter().enumerate() {
         assert_eq!(values.len(), sequential.values.len(), "server {sid}");
@@ -193,6 +208,43 @@ fn poll_plane_cluster_matches_sequential_and_threaded_network_bytes() {
         reconnects.get() > reconnects_before,
         "the cut link must have been re-established, not ignored"
     );
+}
+
+/// The same cluster on the direction axis: SSSP from a quiet source, where
+/// the engine's own choice switches (see
+/// `auto_mode_switches_direction_and_both_executors_agree_on_when`), lands on
+/// the forced-pull sequential values and puts the same bytes on real sockets
+/// whichever way the direction is decided.
+#[test]
+fn poll_plane_cluster_ships_the_same_bytes_in_every_direction_mode() {
+    let (dir, pdir, _, _) = workload_graphs(SEEDS[0]);
+    let program = Sssp::new(quiet_source(&dir));
+    let config_for = |mode: DirectionMode| {
+        GraphHConfig::paper_default(ClusterConfig::paper_testbed(2)).with_direction_mode(mode)
+    };
+    let reference = GraphHEngine::new(config_for(DirectionMode::ForcePull))
+        .run(&pdir, &program)
+        .unwrap();
+    let bits = |values: &[f64]| values.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for mode in [
+        DirectionMode::Auto,
+        DirectionMode::ForcePull,
+        DirectionMode::ForcePush,
+    ] {
+        let (replicas, net_sent_bytes) = poll_plane_cluster(&config_for(mode), &pdir, &program, 1);
+        for (sid, values) in replicas.iter().enumerate() {
+            assert_eq!(
+                bits(values),
+                bits(&reference.values),
+                "{mode:?} server {sid}"
+            );
+        }
+        assert_eq!(
+            net_sent_bytes,
+            reference.metrics.total_network_bytes(),
+            "{mode:?}"
+        );
+    }
 }
 
 /// The second parallelism axis: `threads_per_server` (the paper's T compute
@@ -604,9 +656,8 @@ fn workload_graphs(seed: u64) -> (Graph, PartitionedGraph, Graph, PartitionedGra
 }
 
 /// *Every* registered program — including the kernels that used to be
-/// orphaned (`bfs`, `degree-centrality`) and the new ones (`bfs-dopt`,
-/// `labelprop`) — is bit-identical between the sequential reference and the
-/// threaded runtime.
+/// orphaned (`bfs`, `degree-centrality`) and the newer `labelprop` — is
+/// bit-identical between the sequential reference and the threaded runtime.
 #[test]
 fn every_registry_program_is_bit_identical_across_executors() {
     use graphh::core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
@@ -634,52 +685,89 @@ fn every_registry_program_is_bit_identical_across_executors() {
     }
 }
 
-/// The tentpole invariant: for the min-combine kernels, a forced-push run is
-/// bit-identical to a forced-pull run — values, superstep counts and
-/// convergence trajectory — on both executors. (Byte counters are *not*
-/// compared across directions: push legitimately skips different tiles.)
+/// The lowest-numbered vertex with exactly one out-edge: a traversal from it
+/// starts sparse whatever the graph's hubs look like, so the engine's own
+/// direction choice opens with a push.
+fn quiet_source(graph: &Graph) -> u32 {
+    (0..graph.num_vertices() as u32)
+        .find(|&v| graph.out_degree(v) == 1)
+        .expect("a vertex with one out-edge")
+}
+
+/// The engine's choice cannot change a value: for every registry program
+/// with a push side, the engine-chosen run, the forced-push run and the
+/// forced-pull run agree bit for bit — values, superstep counts, convergence
+/// trajectory and wire bytes — on both executors, on an RMAT graph (from its
+/// hub and from a quiet vertex, where the choice switches) and on a grid
+/// (where it never leaves push). Disk bytes are *not* compared across
+/// directions: a push superstep reads no tile.
 #[test]
 fn forced_push_matches_forced_pull_bit_for_bit() {
-    let (dir, pdir, _sym, psym) = workload_graphs(SEEDS[0]);
-    let source = (0..dir.num_vertices() as u32)
-        .max_by_key(|&v| dir.out_degree(v))
-        .unwrap_or(0);
+    use graphh::core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
 
-    type Workload<'a> = (&'a str, &'a PartitionedGraph, Box<dyn GabProgram>);
-    let workloads: Vec<Workload> = vec![
-        ("sssp", &pdir, Box::new(Sssp::new(source))),
-        ("bfs", &pdir, Box::new(Bfs::new(source))),
-        (
-            "bfs-dopt",
-            &pdir,
-            Box::new(DirectionOptimizingBfs::new(source)),
-        ),
-        ("wcc", &psym, Box::new(Wcc::new())),
-    ];
-    for (name, part, program) in workloads {
-        let config_for = |mode: DirectionMode| {
-            GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS))
-                .with_direction_mode(mode)
+    let (dir, pdir, sym, psym) = workload_graphs(SEEDS[0]);
+    let grid = graphh::graph::generators::grid_graph(32, 32);
+    let pgrid = Spe::partition(&grid, &SpeConfig::with_tile_count("det", &grid, 11)).unwrap();
+    let mut push_capable = Vec::new();
+    for spec in PROGRAMS {
+        let rmat = if spec.symmetrize_input {
+            (&sym, &psym)
+        } else {
+            (&dir, &pdir)
         };
-        let reference = GraphHEngine::with_executor(
-            config_for(DirectionMode::ForcePull),
-            Arc::new(SequentialExecutor::new()),
-        )
-        .run(part, program.as_ref())
-        .unwrap();
-        for mode in [DirectionMode::ForcePush, DirectionMode::Auto] {
-            let seq =
-                GraphHEngine::with_executor(config_for(mode), Arc::new(SequentialExecutor::new()))
-                    .run(part, program.as_ref())
-                    .unwrap();
-            let thr =
-                GraphHEngine::with_executor(config_for(mode), Arc::new(ThreadedExecutor::new()))
-                    .run(part, program.as_ref())
-                    .unwrap();
-            assert_values_and_trajectory(&reference, &seq, &format!("{name} seq {mode:?}"));
-            assert_values_and_trajectory(&reference, &thr, &format!("{name} thr {mode:?}"));
+        // (graph, partition, source option if the program takes one)
+        let mut cases = vec![(rmat.0, rmat.1, None), (&grid, &pgrid, None)];
+        if spec.accepts("source") {
+            cases.push((rmat.0, rmat.1, Some(quiet_source(rmat.0))));
+        }
+        for (graph, part, source) in cases {
+            let mut opts = ProgramOptions::new();
+            if let Some(source) = source {
+                opts.set("source", &source.to_string());
+            }
+            let program = spec
+                .build(&ProgramContext::new(graph.out_degrees()), &opts)
+                .unwrap();
+            if !program.supports_push() {
+                continue;
+            }
+            push_capable.push(spec.name);
+            let config_for = |mode: DirectionMode| {
+                GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS))
+                    .with_direction_mode(mode)
+            };
+            let reference = GraphHEngine::with_executor(
+                config_for(DirectionMode::ForcePull),
+                Arc::new(SequentialExecutor::new()),
+            )
+            .run(part, program.as_ref())
+            .unwrap();
+            for mode in [
+                DirectionMode::ForcePull,
+                DirectionMode::ForcePush,
+                DirectionMode::Auto,
+            ] {
+                let executors: [Arc<dyn Executor>; 2] = [
+                    Arc::new(SequentialExecutor::new()),
+                    Arc::new(ThreadedExecutor::new()),
+                ];
+                for executor in executors {
+                    let what = format!(
+                        "{} on {} vertices from {source:?}, {mode:?}, {}",
+                        spec.name,
+                        graph.num_vertices(),
+                        executor.name()
+                    );
+                    let run = GraphHEngine::with_executor(config_for(mode), executor)
+                        .run(part, program.as_ref())
+                        .unwrap();
+                    assert_values_and_trajectory(&reference, &run, &what);
+                }
+            }
         }
     }
+    push_capable.dedup();
+    assert_eq!(push_capable, ["sssp", "wcc", "bfs"]);
 }
 
 /// Like [`assert_bit_identical`] without the byte counters: the direction
@@ -722,71 +810,72 @@ fn force_push_on_a_pull_only_program_is_a_plan_error() {
     assert!(rendered.contains("pull-only"), "{rendered}");
 }
 
-/// Auto mode actually *switches*: with aggressive thresholds, bfs-dopt runs
-/// both push supersteps (the start from the source, the sparse tail) and
-/// pull supersteps (the dense middle) in one run — asserted from the recorded spans, which both executors
-/// must agree on superstep by superstep.
+/// Auto mode actually *switches*, for every traversal and under the engine's
+/// own thresholds: from a quiet source BFS and SSSP run both push supersteps
+/// (the start from the source, the sparse tail) and pull supersteps (the
+/// dense middle) in one run — asserted from the recorded spans, which both
+/// executors must agree on superstep by superstep.
 #[test]
 fn auto_mode_switches_direction_and_both_executors_agree_on_when() {
     use graphh::obs::{TraceConfig, Tracer};
     use std::collections::BTreeMap;
 
     let (dir, pdir, _, _) = workload_graphs(SEEDS[0]);
-    let source = (0..dir.num_vertices() as u32)
-        .max_by_key(|&v| dir.out_degree(v))
-        .unwrap_or(0);
-    // α=β=2: push whenever the frontier holds less than half the edges and
-    // half the vertices — guarantees both directions appear on this workload.
-    let program = DirectionOptimizingBfs::with_thresholds(source, 2, 2);
-    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS));
+    let source = quiet_source(&dir);
+    let programs: [Box<dyn GabProgram>; 2] =
+        [Box::new(Bfs::new(source)), Box::new(Sssp::new(source))];
+    for program in &programs {
+        let (program, name) = (program.as_ref(), program.name());
+        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS));
 
-    let mut schedules: Vec<BTreeMap<u32, &'static str>> = Vec::new();
-    let seq_tracer = Tracer::new();
-    let seq = GraphHEngine::with_executor(
-        config.clone(),
-        Arc::new(SequentialExecutor::with_trace(TraceConfig {
-            tracer: seq_tracer.clone(),
-        })),
-    )
-    .run(&pdir, &program)
-    .unwrap();
-    let thr_tracer = Tracer::new();
-    let thr = GraphHEngine::with_executor(
-        config,
-        Arc::new(ThreadedExecutor::with_trace(TraceConfig {
-            tracer: thr_tracer.clone(),
-        })),
-    )
-    .run(&pdir, &program)
-    .unwrap();
-    assert_values_and_trajectory(&seq, &thr, "bfs-dopt auto");
+        let mut schedules: Vec<BTreeMap<u32, &'static str>> = Vec::new();
+        let seq_tracer = Tracer::new();
+        let seq = GraphHEngine::with_executor(
+            config.clone(),
+            Arc::new(SequentialExecutor::with_trace(TraceConfig {
+                tracer: seq_tracer.clone(),
+            })),
+        )
+        .run(&pdir, program)
+        .unwrap();
+        let thr_tracer = Tracer::new();
+        let thr = GraphHEngine::with_executor(
+            config,
+            Arc::new(ThreadedExecutor::with_trace(TraceConfig {
+                tracer: thr_tracer.clone(),
+            })),
+        )
+        .run(&pdir, program)
+        .unwrap();
+        assert_values_and_trajectory(&seq, &thr, &format!("{name} auto"));
 
-    for tracer in [seq_tracer, thr_tracer] {
-        let mut schedule: BTreeMap<u32, &'static str> = BTreeMap::new();
-        for span in tracer.drain() {
-            if span.name == "tile-compute" {
-                let step = span.superstep.expect("compute spans carry a superstep");
-                let direction = span.direction.expect("compute spans carry a direction");
-                // Every server agrees on the per-superstep direction.
-                assert_eq!(*schedule.entry(step).or_insert(direction), direction);
+        for tracer in [seq_tracer, thr_tracer] {
+            let mut schedule: BTreeMap<u32, &'static str> = BTreeMap::new();
+            for span in tracer.drain() {
+                if span.name == "tile-compute" {
+                    let step = span.superstep.expect("compute spans carry a superstep");
+                    let direction = span.direction.expect("compute spans carry a direction");
+                    // Every server agrees on the per-superstep direction.
+                    assert_eq!(*schedule.entry(step).or_insert(direction), direction);
+                }
             }
+            schedules.push(schedule);
         }
-        schedules.push(schedule);
+        assert_eq!(
+            schedules[0], schedules[1],
+            "{name}: executors disagreed on the direction schedule"
+        );
+        let directions: std::collections::BTreeSet<_> = schedules[0].values().copied().collect();
+        assert!(
+            directions.contains("pull") && directions.contains("push"),
+            "{name}: expected a run that uses both directions, got {directions:?}"
+        );
+        assert_eq!(
+            schedules[0].get(&0),
+            Some(&"push"),
+            "{name}: the run starts from the source alone, and one vertex is sparse"
+        );
     }
-    assert_eq!(
-        schedules[0], schedules[1],
-        "executors disagreed on the direction schedule"
-    );
-    let directions: std::collections::BTreeSet<_> = schedules[0].values().copied().collect();
-    assert!(
-        directions.contains("pull") && directions.contains("push"),
-        "expected a run that uses both directions, got {directions:?}"
-    );
-    assert_eq!(
-        schedules[0].get(&0),
-        Some(&"push"),
-        "the run starts from the source alone, and one vertex is sparse"
-    );
 }
 
 /// The corrupt-wire harness, aimed at a worker that is mid *push* superstep:
@@ -938,12 +1027,11 @@ fn lz_wire_and_cache_bytes_are_pinned() {
 fn no_program_ships_more_bytes_than_the_slot_layout_did() {
     use graphh::core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
 
-    const SLOT_LAYOUT: [(&str, u64, u64); 7] = [
+    const SLOT_LAYOUT: [(&str, u64, u64); 6] = [
         ("pagerank", 534_184, 467_394),
         ("sssp", 103_385, 15_728),
         ("wcc", 134_183, 28_617),
         ("bfs", 103_385, 15_728),
-        ("bfs-dopt", 103_385, 15_728),
         ("labelprop", 137_428, 36_610),
         ("degree-centrality", 66_773, 19_571),
     ];
@@ -1030,11 +1118,17 @@ fn tiles_skipped(run: &RunResult) -> u64 {
 }
 
 /// Run `program` in the benchmark's engine configuration (2 servers, one
-/// compute thread each) with tile skipping on and off: the values must not
-/// care, and only the run that skips may skip. Returns how many tiles it did.
-fn skipped_with_identical_values(p: &PartitionedGraph, program: &dyn GabProgram) -> u64 {
-    let config =
-        GraphHConfig::paper_default(ClusterConfig::paper_testbed(2)).with_threads_per_server(1);
+/// compute thread each) under `mode`, with tile skipping on and off: the
+/// values must not care, and only the run that skips may skip. Returns how
+/// many tiles it did.
+fn skipped_with_identical_values(
+    p: &PartitionedGraph,
+    program: &dyn GabProgram,
+    mode: DirectionMode,
+) -> u64 {
+    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(2))
+        .with_threads_per_server(1)
+        .with_direction_mode(mode);
     let mut probing_off = config.clone();
     probing_off.use_bloom_filter = false;
     let on = GraphHEngine::new(config).run(p, program).unwrap();
@@ -1050,13 +1144,22 @@ fn skipped_with_identical_values(p: &PartitionedGraph, program: &dyn GabProgram)
 /// the last corner) and `bfs-rmat`'s kernel and source picks on an RMAT graph
 /// small enough for a debug build. A set that is exact can skip more — the
 /// filter's false positives were tiles fetched and gathered for nothing —
-/// and must never skip less.
+/// and must never skip less. The grid's floor is taken with every superstep
+/// pulled: left to itself the engine pushes all 255 and never probes a source
+/// set there — and its push loop, which finds a tile's active sources by
+/// search, must skip at least as many.
 #[test]
 fn the_source_set_skips_at_least_what_the_bloom_filter_did() {
     let grid = graphh::graph::generators::grid_graph(128, 128);
     let p = Spe::partition(&grid, &SpeConfig::with_tile_count("grid", &grid, 32)).unwrap();
-    let skipped = skipped_with_identical_values(&p, &Sssp::new(128 * 128 - 1));
+    let sssp = Sssp::new(128 * 128 - 1);
+    let skipped = skipped_with_identical_values(&p, &sssp, DirectionMode::ForcePull);
     assert!(skipped >= 3_853, "SSSP on the grid skipped {skipped} tiles");
+    let pushed = skipped_with_identical_values(&p, &sssp, DirectionMode::Auto);
+    assert!(
+        pushed >= skipped,
+        "pushing, SSSP on the grid skipped {pushed} tiles; pulling, {skipped}"
+    );
 
     let rmat = RmatGenerator::new(13, 16).generate(SEEDS[0]);
     let p = Spe::partition(&rmat, &SpeConfig::with_tile_count("rmat", &rmat, 64)).unwrap();
@@ -1064,9 +1167,9 @@ fn the_source_set_skips_at_least_what_the_bloom_filter_did() {
     let sources = [4623, 784, 3596, 2860, 1144, 5187, 486, 1862];
     let skipped: u64 = sources
         .iter()
-        .map(|&s| skipped_with_identical_values(&p, &DirectionOptimizingBfs::new(s)))
+        .map(|&s| skipped_with_identical_values(&p, &Bfs::new(s), DirectionMode::Auto))
         .sum();
-    assert!(skipped >= 413, "dopt-BFS on RMAT skipped {skipped} tiles");
+    assert!(skipped >= 413, "BFS on RMAT skipped {skipped} tiles");
 }
 
 /// A program with its two traversal hints withheld: every hook forwards,
@@ -1101,9 +1204,6 @@ impl GabProgram for Unhinted<'_> {
     fn is_update(&self, old: f64, new: f64) -> bool {
         self.0.is_update(old, new)
     }
-    fn update_tolerance(&self) -> f64 {
-        self.0.update_tolerance()
-    }
     fn max_supersteps(&self) -> u32 {
         self.0.max_supersteps()
     }
@@ -1127,9 +1227,6 @@ impl GabProgram for Unhinted<'_> {
     }
     fn combine(&self, a: f64, b: f64) -> f64 {
         self.0.combine(a, b)
-    }
-    fn direction(&self, stats: &graphh::core::gab::FrontierStats) -> graphh::core::gab::Direction {
-        self.0.direction(stats)
     }
 }
 
@@ -1217,10 +1314,10 @@ fn dopt_bfs_gathers_a_fraction_of_the_edges_it_used_to() {
     let engine = GraphHEngine::new(config);
     let (mut hinted, mut plain) = (0, 0);
     for source in [4623, 784, 3596, 2860, 1144, 5187, 486, 1862] {
-        let program = DirectionOptimizingBfs::new(source);
+        let program = Bfs::new(source);
         let run = engine.run(&p, &program).unwrap();
         let reference = engine.run(&p, &Unhinted(&program)).unwrap();
-        assert_values_and_trajectory(&reference, &run, "bfs-dopt");
+        assert_values_and_trajectory(&reference, &run, "bfs");
         hinted += edges_processed(&run);
         plain += edges_processed(&reference);
     }

@@ -140,22 +140,40 @@ fn broadcast_encodings_decode_to_the_same_updates() {
             assert_eq!(decoded.range_start, msg.range_start);
             assert_eq!(decoded.range_end, msg.range_end);
         }
+        assert_hybrid_picks_the_smaller(&msg, &format!("case {case}"));
     }
+}
+
+/// The hybrid policy is the two encoded sizes compared: sparse only when it
+/// is strictly smaller.
+fn assert_hybrid_picks_the_smaller(msg: &BroadcastMessage, what: &str) {
+    let dense = msg.encoded_size(BroadcastEncoding::Dense);
+    let sparse = msg.encoded_size(BroadcastEncoding::Sparse);
+    let expected = if sparse < dense {
+        BroadcastEncoding::Sparse
+    } else {
+        BroadcastEncoding::Dense
+    };
+    assert_eq!(
+        msg.choose_encoding(CommunicationMode::Hybrid),
+        expected,
+        "{what}: dense {dense} bytes, sparse {sparse} bytes"
+    );
 }
 
 /// The full wire path (encode → compress → decompress → decode) is lossless
 /// for every encoding policy × codec, across sparsity ratios that bracket the
-/// paper's 0.8 hybrid threshold.
+/// hybrid policy's break-even (25 one-byte gaps against a 25-byte bitmap).
 #[test]
 fn broadcast_wire_path_is_lossless_across_sparsity_ratios() {
     let len = 200u32;
     // updated counts giving sparsity ratios 1.0, 0.995, 0.9, just above /
-    // exactly at / just below 0.8, 0.5, 0.0.
-    let updated_counts = [0u32, 1, 20, 39, 40, 41, 100, 200];
+    // about at / just below the break-even, 0.5, 0.0.
+    let updated_counts = [0u32, 1, 20, 23, 24, 25, 26, 100, 200];
     let modes = [
         CommunicationMode::Dense,
         CommunicationMode::Sparse,
-        CommunicationMode::default(), // hybrid at 0.8
+        CommunicationMode::Hybrid,
     ];
     let codecs = [
         None,
@@ -167,19 +185,11 @@ fn broadcast_wire_path_is_lossless_across_sparsity_ratios() {
     for (i, &updated) in updated_counts.iter().enumerate() {
         let mut rng = CaseRng::new(4000 + i as u64);
         let msg = random_message(&mut rng, 64, len, updated);
-        let sparsity = msg.sparsity_ratio();
+        // The boundary itself: sparse only when strictly smaller, so a
+        // message whose two indexes tie stays dense.
+        assert_hybrid_picks_the_smaller(&msg, &format!("updated={updated}"));
         for mode in modes {
             let enc = msg.choose_encoding(mode);
-            if let CommunicationMode::Hybrid { sparsity_threshold } = mode {
-                // The boundary itself: sparse strictly above the threshold, so
-                // a message sitting exactly at 0.8 stays dense.
-                let expect_sparse = sparsity > sparsity_threshold;
-                assert_eq!(
-                    enc == BroadcastEncoding::Sparse,
-                    expect_sparse,
-                    "updated={updated} sparsity={sparsity}"
-                );
-            }
             for codec in codecs {
                 let encoded = msg.encode(enc);
                 let wire = match codec {
