@@ -112,29 +112,6 @@ fn read_delta(data: &[u8], pos: &mut usize, prev: &mut i64) -> Result<u32, Strin
     Ok(*prev as u32)
 }
 
-/// Encode a `u32` slice with zig-zag delta + varint coding.
-pub fn encode_u32_delta(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len());
-    write_varint(values.len() as u32, &mut out);
-    let mut prev: i64 = 0;
-    for &v in values {
-        write_delta(v, &mut prev, &mut out);
-    }
-    out
-}
-
-/// Decode the output of [`encode_u32_delta`].
-pub fn decode_u32_delta(data: &[u8]) -> Result<Vec<u32>, String> {
-    let mut pos = 0usize;
-    let len = read_varint(data, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(len);
-    let mut prev: i64 = 0;
-    for _ in 0..len {
-        out.push(read_delta(data, &mut pos, &mut prev)?);
-    }
-    Ok(out)
-}
-
 /// Treat an arbitrary byte buffer as little-endian `u32`s (padding the tail with a
 /// recorded number of leftover bytes) and delta-encode it. This is what lets the
 /// varint codec plug into the generic byte-oriented [`Codec`](crate::Codec) API.
@@ -267,28 +244,6 @@ mod tests {
         buf.pop();
         let mut pos = 0;
         assert!(read_varint(&buf, &mut pos).is_err());
-    }
-
-    #[test]
-    fn delta_roundtrip_sorted_and_unsorted() {
-        let sorted: Vec<u32> = (0..1000).map(|i| i * 3).collect();
-        let unsorted: Vec<u32> = vec![5, 0, u32::MAX, 17, 17, 2];
-        for values in [sorted, unsorted, Vec::new()] {
-            let enc = encode_u32_delta(&values);
-            assert_eq!(decode_u32_delta(&enc).unwrap(), values);
-        }
-    }
-
-    #[test]
-    fn sorted_ids_compress_well() {
-        let values: Vec<u32> = (0..10_000u32).map(|i| 1_000_000 + i * 2).collect();
-        let enc = encode_u32_delta(&values);
-        // Raw is 40 KB; delta coding should cut it by more than half.
-        assert!(
-            enc.len() < values.len() * 4 / 2,
-            "encoded {} bytes",
-            enc.len()
-        );
     }
 
     #[test]

@@ -617,13 +617,13 @@ impl ServerState {
         let mut total_tile_bytes = 0u64;
         for &tid in &tiles {
             let tile = &partitioned.tiles[tid as usize];
-            let blob = tile.to_bytes();
-            total_tile_bytes += blob.len() as u64;
+            total_tile_bytes += tile.serialized_size();
             source_sets.push(SourceSet::build(tile.sources(), num_vertices));
-            let key = format!("tiles/{tid}");
-            disk.put(&key, &blob)
-                .expect("staging a tile on the in-memory local disk cannot fail");
-            tile_keys.push(key);
+            tile_keys.push(
+                partitioned
+                    .persist_tile(&disk, tid)
+                    .expect("staging a tile on the in-memory local disk cannot fail"),
+            );
         }
         // Idle memory = machine memory minus the permanent vertex arrays.
         let permanent = 8 * num_vertices * 2 + 4 * num_vertices * 2;

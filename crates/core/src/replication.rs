@@ -8,7 +8,6 @@
 //! of both; [`MemoryModel`] evaluates them so Figure 6a can be regenerated, and the
 //! engine's accounting uses the same constants for Figure 6b.
 
-use graphh_cluster::ClusterConfig;
 use graphh_graph::GraphStats;
 
 /// Which vertices a server keeps in memory.
@@ -103,20 +102,6 @@ impl MemoryModel {
         (self.sizes.od_bytes() as f64 * self.expected_od_vertices(num_servers)) as u64
     }
 
-    /// Full equation (2)/(3) including the `Size(Tile) × T` working buffers.
-    pub fn per_server_bytes(
-        &self,
-        policy: ReplicationPolicy,
-        cluster: &ClusterConfig,
-        tile_bytes: u64,
-    ) -> u64 {
-        let tile_term = tile_bytes * u64::from(cluster.machine.workers);
-        match policy {
-            ReplicationPolicy::AllInAll => self.aa_vertex_bytes() + tile_term,
-            ReplicationPolicy::OnDemand => self.od_vertex_bytes(cluster.num_servers) + tile_term,
-        }
-    }
-
     /// The cluster size at which On-Demand starts using less memory than All-in-All
     /// (Figure 6a's crossover), or `None` if it never does within `max_servers`.
     pub fn od_crossover(&self, max_servers: u32) -> Option<u32> {
@@ -186,20 +171,5 @@ mod tests {
             assert!(expected <= v + v / f64::from(n) + 1.0);
             assert!(expected > 0.0);
         }
-    }
-
-    #[test]
-    fn per_server_bytes_includes_tile_buffers() {
-        let m = model(Dataset::Twitter2010);
-        let cluster = ClusterConfig::paper_testbed(9);
-        let without = m.per_server_bytes(ReplicationPolicy::AllInAll, &cluster, 0);
-        let with = m.per_server_bytes(ReplicationPolicy::AllInAll, &cluster, 100 * 1024 * 1024);
-        assert_eq!(without, m.aa_vertex_bytes());
-        assert_eq!(
-            with - without,
-            100 * 1024 * 1024 * u64::from(cluster.machine.workers)
-        );
-        let od = m.per_server_bytes(ReplicationPolicy::OnDemand, &cluster, 0);
-        assert!(od >= without);
     }
 }

@@ -151,29 +151,6 @@ impl EdgeList {
         self.srcs.iter().chain(self.dsts.iter()).copied().max()
     }
 
-    /// Sort edges by `(dst, src)`; the order the pre-processing engine needs before
-    /// cutting the edge stream into tiles (tiles group edges by target vertex).
-    pub fn sort_by_target(&mut self) {
-        let mut order: Vec<u32> = (0..self.len() as u32).collect();
-        order.sort_by_key(|&i| (self.dsts[i as usize], self.srcs[i as usize]));
-        self.permute(&order);
-    }
-
-    /// Sort edges by `(src, dst)`; the order streaming baselines (GraphD/Chaos) use.
-    pub fn sort_by_source(&mut self) {
-        let mut order: Vec<u32> = (0..self.len() as u32).collect();
-        order.sort_by_key(|&i| (self.srcs[i as usize], self.dsts[i as usize]));
-        self.permute(&order);
-    }
-
-    fn permute(&mut self, order: &[u32]) {
-        self.srcs = order.iter().map(|&i| self.srcs[i as usize]).collect();
-        self.dsts = order.iter().map(|&i| self.dsts[i as usize]).collect();
-        if let Some(w) = &self.weights {
-            self.weights = Some(order.iter().map(|&i| w[i as usize]).collect());
-        }
-    }
-
     /// The number of bytes a plain-text CSV edge list of this graph would occupy.
     /// Used for the "Edge List (CSV)" column of Tables I, IV and V.
     pub fn csv_size_bytes(&self) -> u64 {
@@ -222,28 +199,6 @@ mod tests {
         assert!(list.is_weighted());
         assert_eq!(list.get(0).weight, 1.0);
         assert_eq!(list.get(1).weight, 2.5);
-    }
-
-    #[test]
-    fn sort_by_target_orders_by_dst_then_src() {
-        let mut list = EdgeList::new_unweighted();
-        list.push(Edge::new(5, 2));
-        list.push(Edge::new(1, 0));
-        list.push(Edge::new(3, 2));
-        list.push(Edge::new(0, 1));
-        list.sort_by_target();
-        let pairs: Vec<(u32, u32)> = list.iter().map(|e| (e.src, e.dst)).collect();
-        assert_eq!(pairs, vec![(1, 0), (0, 1), (3, 2), (5, 2)]);
-    }
-
-    #[test]
-    fn sort_preserves_weights() {
-        let mut list = EdgeList::new_weighted();
-        list.push(Edge::weighted(2, 1, 10.0));
-        list.push(Edge::weighted(0, 0, 20.0));
-        list.sort_by_source();
-        assert_eq!(list.get(0).weight, 20.0);
-        assert_eq!(list.get(1).weight, 10.0);
     }
 
     #[test]

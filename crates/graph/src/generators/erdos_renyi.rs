@@ -19,8 +19,6 @@ pub struct ErdosRenyiGenerator {
     pub num_vertices: u64,
     /// Number of edges to sample.
     pub num_edges: u64,
-    /// Remove self loops.
-    pub drop_self_loops: bool,
 }
 
 impl ErdosRenyiGenerator {
@@ -29,23 +27,14 @@ impl ErdosRenyiGenerator {
         Self {
             num_vertices,
             num_edges,
-            drop_self_loops: false,
         }
-    }
-
-    /// Drop self loops (the sampled edge count may then be slightly below `num_edges`).
-    pub fn without_self_loops(mut self) -> Self {
-        self.drop_self_loops = true;
-        self
     }
 }
 
 impl GraphGenerator for ErdosRenyiGenerator {
     fn generate(&self, seed: u64) -> Graph {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut builder = GraphBuilder::new()
-            .with_num_vertices(self.num_vertices)
-            .drop_self_loops(self.drop_self_loops);
+        let mut builder = GraphBuilder::new().with_num_vertices(self.num_vertices);
         for _ in 0..self.num_edges {
             let src = rng.gen_range(0..self.num_vertices) as VertexId;
             let dst = rng.gen_range(0..self.num_vertices) as VertexId;
@@ -68,16 +57,6 @@ mod tests {
         let g = ErdosRenyiGenerator::new(50, 200).generate(1);
         assert_eq!(g.num_vertices(), 50);
         assert_eq!(g.num_edges(), 200);
-    }
-
-    #[test]
-    fn er_without_self_loops() {
-        let g = ErdosRenyiGenerator::new(10, 500)
-            .without_self_loops()
-            .generate(1);
-        for e in g.edges().iter() {
-            assert_ne!(e.src, e.dst);
-        }
     }
 
     #[test]

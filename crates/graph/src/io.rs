@@ -1,12 +1,10 @@
-//! Edge-list I/O: the plain-text CSV/TSV format the paper's raw inputs use and a
-//! compact binary format used as an intermediate by the pre-processing engine.
+//! Edge-list I/O: the plain-text CSV/TSV format the paper's raw inputs use.
 
 use crate::builder::GraphBuilder;
-use crate::edge::{Edge, EdgeList};
+use crate::edge::Edge;
 use crate::ids::VertexId;
 use crate::{Graph, GraphError};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{BufRead, BufReader, Read, Write};
 
 /// Write a graph as a text edge list (`src<sep>dst[<sep>weight]\n`).
 pub fn write_edge_list<W: Write>(graph: &Graph, mut w: W, sep: char) -> Result<(), GraphError> {
@@ -68,88 +66,10 @@ pub fn read_edge_list<R: Read>(r: R, num_vertices: Option<u64>) -> Result<Graph,
     builder.build()
 }
 
-/// Read an edge-list file from disk.
-pub fn read_edge_list_file(path: impl AsRef<Path>) -> Result<Graph, GraphError> {
-    let f = std::fs::File::open(path)?;
-    read_edge_list(f, None)
-}
-
-/// Write an edge-list file to disk (CSV).
-pub fn write_edge_list_file(graph: &Graph, path: impl AsRef<Path>) -> Result<(), GraphError> {
-    let f = std::fs::File::create(path)?;
-    write_edge_list(graph, BufWriter::new(f), ',')
-}
-
-/// Magic header for the binary edge-list format.
-const BINARY_MAGIC: &[u8; 8] = b"GRAPHH01";
-
-/// Serialize a graph into the compact binary edge-list format:
-/// magic, flags, |V|, |E|, then (src, dst[, weight]) tuples in little-endian.
-pub fn write_binary<W: Write>(graph: &Graph, mut w: W) -> Result<(), GraphError> {
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&[u8::from(graph.is_weighted())])?;
-    w.write_all(&graph.num_vertices().to_le_bytes())?;
-    w.write_all(&graph.num_edges().to_le_bytes())?;
-    for e in graph.edges().iter() {
-        w.write_all(&e.src.to_le_bytes())?;
-        w.write_all(&e.dst.to_le_bytes())?;
-        if graph.is_weighted() {
-            w.write_all(&e.weight.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Deserialize a graph from the binary edge-list format.
-pub fn read_binary<R: Read>(mut r: R) -> Result<Graph, GraphError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: "bad magic header for binary graph".into(),
-        });
-    }
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let weighted = flag[0] != 0;
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let num_vertices = u64::from_le_bytes(buf8);
-    r.read_exact(&mut buf8)?;
-    let num_edges = u64::from_le_bytes(buf8);
-    let mut edges = if weighted {
-        EdgeList::new_weighted()
-    } else {
-        EdgeList::new_unweighted()
-    };
-    let mut buf4 = [0u8; 4];
-    for _ in 0..num_edges {
-        r.read_exact(&mut buf4)?;
-        let src = u32::from_le_bytes(buf4);
-        r.read_exact(&mut buf4)?;
-        let dst = u32::from_le_bytes(buf4);
-        let weight = if weighted {
-            r.read_exact(&mut buf4)?;
-            f32::from_le_bytes(buf4)
-        } else {
-            1.0
-        };
-        edges.push(Edge::weighted(src, dst, weight));
-    }
-    Graph::from_edges(num_vertices, edges)
-}
-
-/// Number of bytes `write_binary` will produce for a graph with the given shape.
-pub fn binary_size_bytes(num_edges: u64, weighted: bool) -> u64 {
-    let per_edge = if weighted { 12 } else { 8 };
-    8 + 1 + 8 + 8 + num_edges * per_edge
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{path_graph, GraphGenerator, RmatGenerator};
+    use crate::generators::{GraphGenerator, RmatGenerator};
 
     #[test]
     fn text_roundtrip_unweighted() {
@@ -185,50 +105,5 @@ mod tests {
             GraphError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn binary_roundtrip_weighted_and_unweighted() {
-        for weighted in [false, true] {
-            let mut g = path_graph(20);
-            if weighted {
-                let mut edges = EdgeList::new_weighted();
-                for (i, e) in g.edges().iter().enumerate() {
-                    edges.push(Edge::weighted(e.src, e.dst, i as f32));
-                }
-                g = Graph::from_edges(20, edges).unwrap();
-            }
-            let mut buf = Vec::new();
-            write_binary(&g, &mut buf).unwrap();
-            assert_eq!(buf.len() as u64, binary_size_bytes(g.num_edges(), weighted));
-            let g2 = read_binary(&buf[..]).unwrap();
-            assert_eq!(g.num_vertices(), g2.num_vertices());
-            assert_eq!(
-                g.edges()
-                    .iter()
-                    .map(|e| (e.src, e.dst, e.weight))
-                    .collect::<Vec<_>>(),
-                g2.edges()
-                    .iter()
-                    .map(|e| (e.src, e.dst, e.weight))
-                    .collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let err = read_binary(&b"NOTMAGIC_____"[..]).unwrap_err();
-        assert!(matches!(err, GraphError::Parse { .. } | GraphError::Io(_)));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("g.csv");
-        let g = path_graph(5);
-        write_edge_list_file(&g, &path).unwrap();
-        let g2 = read_edge_list_file(&path).unwrap();
-        assert_eq!(g2.num_edges(), 4);
     }
 }

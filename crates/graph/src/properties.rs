@@ -47,20 +47,6 @@ impl GraphStats {
         self.name = name.into();
         self
     }
-
-    /// One row of Table I as a tab-separated string.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{:.1}\t{}\t{}\t{}",
-            self.name,
-            self.num_vertices,
-            self.num_edges,
-            self.avg_degree,
-            self.max_in_degree,
-            self.max_out_degree,
-            human_bytes(self.csv_size_bytes)
-        )
-    }
 }
 
 /// Format a byte count with binary suffixes (e.g. `1.5 GiB`).
@@ -99,7 +85,6 @@ mod tests {
         assert_eq!(s.max_out_degree, 1);
         assert!(!s.weighted);
         assert!(s.csv_size_bytes > 0);
-        assert!(s.table_row().contains("star"));
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //!   vertex tables.
 //! * **GraphH** — the tiles produced by the SPE plus the two degree arrays.
 
-use crate::spe::PartitionedGraph;
 use graphh_graph::GraphStats;
 
 /// Input footprint of every system for one graph (bytes).
@@ -62,14 +61,6 @@ impl InputSizes {
         }
     }
 
-    /// Exact footprints for a graph that has actually been partitioned: the GraphH
-    /// column uses the real serialized tile size instead of the estimate.
-    pub fn from_partitioned(stats: &GraphStats, partitioned: &PartitionedGraph) -> Self {
-        let mut sizes = Self::from_stats(stats);
-        sizes.graphh = partitioned.total_input_bytes();
-        sizes
-    }
-
     /// GraphH's footprint relative to the raw CSV (the paper reports ~0.22 for
     /// EU-2015: 378 GB vs 1.7 TB).
     pub fn graphh_to_csv_ratio(&self) -> f64 {
@@ -108,15 +99,11 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_sizes_use_real_tile_bytes() {
+    fn the_estimate_is_within_2x_of_real_tile_bytes() {
         let g = RmatGenerator::new(8, 6).generate(5);
         let p = Spe::partition(&g, &SpeConfig::new("x", 256)).unwrap();
-        let stats = g.stats();
-        let est = InputSizes::from_stats(&stats);
-        let exact = InputSizes::from_partitioned(&stats, &p);
-        assert_eq!(exact.graphh, p.total_input_bytes());
-        // The estimate and the real footprint should be within 2x of each other.
-        let ratio = exact.graphh as f64 / est.graphh as f64;
+        let est = InputSizes::from_stats(&g.stats());
+        let ratio = p.total_input_bytes() as f64 / est.graphh as f64;
         assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
     }
 }

@@ -13,7 +13,8 @@
 //! 1. count every vertex's in/out degree,
 //! 2. walk the in-degree array to build the splitter array ([`splitter`]),
 //! 3. group edges by tile and encode each tile as CSR,
-//! 4. persist tiles plus the two degree arrays to the DFS.
+//! 4. persist tiles plus the two degree arrays to a tile store
+//!    ([`PartitionedGraph::persist`]).
 //!
 //! [`formats`] reproduces Table IV: the on-disk input footprint each evaluated system
 //! needs for the same graph.

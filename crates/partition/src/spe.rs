@@ -18,9 +18,11 @@
 //! The scatter is sequential and the tiles are disjoint slices, so the output
 //! does not depend on the pool size.
 //!
-//! The output — tiles plus the in/out-degree arrays — can be persisted to the DFS
-//! once and reused by every vertex-centric program, exactly like the paper's
-//! pre-processing results.
+//! The output — tiles plus the in/out-degree arrays — is persisted to a
+//! [`StorageBackend`] once ([`PartitionedGraph::persist`]) and loaded by any
+//! process with a handle on the same store ([`PartitionedGraph::load`]), like
+//! the paper's pre-processing results. Where an object lives in the store and
+//! what is written there is decided in this crate only.
 
 use crate::splitter::Splitter;
 use crate::tile::Tile;
@@ -28,12 +30,12 @@ use crate::{PartitionError, Result};
 use graphh_graph::ids::{TileId, VertexId};
 use graphh_graph::{Graph, GraphStats};
 use graphh_pool::WorkerPool;
-use graphh_storage::{Dfs, StorageBackend};
+use graphh_storage::StorageBackend;
 
 /// Configuration of the pre-processing engine.
 #[derive(Debug, Clone)]
 pub struct SpeConfig {
-    /// Logical name of the graph; used as the DFS key prefix.
+    /// Logical name of the graph; the key prefix of everything it persists.
     pub graph_name: String,
     /// Average number of edges per tile (the paper's `S`). The paper recommends
     /// 15–25 million for production graphs; tests and the scaled-down experiments use
@@ -60,7 +62,7 @@ impl SpeConfig {
 /// The artifact the SPE produces: tiles, degree arrays and summary statistics.
 #[derive(Debug, Clone)]
 pub struct PartitionedGraph {
-    /// Logical graph name (DFS prefix).
+    /// Logical graph name (the store key prefix).
     pub graph_name: String,
     /// The tiles, indexed by tile id.
     pub tiles: Vec<Tile>,
@@ -218,28 +220,39 @@ impl PartitionedGraph {
         self.tiles.iter().map(Tile::num_edges).max().unwrap_or(0)
     }
 
-    /// Persist tiles and degree arrays to a DFS under `graph_name/`.
-    pub fn persist<B: StorageBackend>(&self, dfs: &Dfs<B>) -> Result<()> {
-        for tile in &self.tiles {
-            dfs.put(
-                &Tile::storage_key(&self.graph_name, tile.tile_id),
-                &tile.to_bytes(),
+    /// Write tile `tile_id` to `store` under its [`Tile::storage_key`] and
+    /// return the key: the one writer of tiles. [`PartitionedGraph::persist`]
+    /// is this for every tile, and a server staging its assigned tiles on its
+    /// local disk calls it for those, so that disk holds a subset of what
+    /// `persist` writes, byte for byte and key for key.
+    pub fn persist_tile(&self, store: &impl StorageBackend, tile_id: TileId) -> Result<String> {
+        let key = Tile::storage_key(&self.graph_name, tile_id);
+        store.put(&key, &self.tiles[tile_id as usize].to_bytes())?;
+        Ok(key)
+    }
+
+    /// Persist tiles and degree arrays to `store` under `graph_name/`: one
+    /// object per tile plus the two degree arrays.
+    pub fn persist(&self, store: &impl StorageBackend) -> Result<()> {
+        for tile_id in 0..self.num_tiles() {
+            self.persist_tile(store, tile_id)?;
+        }
+        for (which, degrees) in [("in", &self.in_degrees), ("out", &self.out_degrees)] {
+            store.put(
+                &degrees_key(&self.graph_name, which),
+                &encode_u32_array(degrees),
             )?;
         }
-        dfs.put(
-            &format!("{}/degrees/in.bin", self.graph_name),
-            &encode_u32_array(&self.in_degrees),
-        )?;
-        dfs.put(
-            &format!("{}/degrees/out.bin", self.graph_name),
-            &encode_u32_array(&self.out_degrees),
-        )?;
         Ok(())
     }
 
-    /// Load a previously persisted partitioned graph from the DFS.
-    pub fn load<B: StorageBackend>(dfs: &Dfs<B>, graph_name: &str) -> Result<Self> {
-        let tile_keys = dfs.list(&format!("{graph_name}/tiles/"));
+    /// Load a partitioned graph that any handle on `store` persisted.
+    ///
+    /// The store is outside input. What loads can be run: tiles cut the vertex
+    /// range end to end, both degree arrays cover it, every source is a vertex
+    /// and the tiles hold as many edges as either degree array counts.
+    pub fn load(store: &impl StorageBackend, graph_name: &str) -> Result<Self> {
+        let tile_keys = store.list(&format!("{graph_name}/tiles/"));
         if tile_keys.is_empty() {
             return Err(PartitionError::Corrupt(format!(
                 "no tiles found under {graph_name}/tiles/"
@@ -247,12 +260,18 @@ impl PartitionedGraph {
         }
         let mut tiles = Vec::with_capacity(tile_keys.len());
         for key in tile_keys {
-            let bytes = dfs.get(&key)?;
-            tiles.push(Tile::from_bytes(&bytes)?);
+            tiles.push(Tile::from_bytes(&store.get(&key)?)?);
         }
         tiles.sort_by_key(|t| t.tile_id);
-        let in_degrees = decode_u32_array(&dfs.get(&format!("{graph_name}/degrees/in.bin"))?)?;
-        let out_degrees = decode_u32_array(&dfs.get(&format!("{graph_name}/degrees/out.bin"))?)?;
+        let in_degrees = decode_u32_array(&store.get(&degrees_key(graph_name, "in"))?)?;
+        let out_degrees = decode_u32_array(&store.get(&degrees_key(graph_name, "out"))?)?;
+        if in_degrees.len() != out_degrees.len() {
+            return Err(PartitionError::Corrupt(format!(
+                "{} in-degrees beside {} out-degrees",
+                in_degrees.len(),
+                out_degrees.len()
+            )));
+        }
         // The splitter that cut the tiles is their own target ranges, laid
         // end to end: ids dense from 0, no gap, no overlap, up to |V|.
         let mut boundaries = vec![0];
@@ -266,9 +285,26 @@ impl PartitionedGraph {
             }
             boundaries.push(tile.target_end);
         }
-        let splitter = Splitter::from_boundaries(boundaries, in_degrees.len() as u64)?;
-        let num_edges: u64 = tiles.iter().map(Tile::num_edges).sum();
         let num_vertices = in_degrees.len() as u64;
+        let splitter = Splitter::from_boundaries(boundaries, num_vertices)?;
+        let num_edges: u64 = tiles.iter().map(Tile::num_edges).sum();
+        let total = |degrees: &[u32]| degrees.iter().map(|&d| u64::from(d)).sum::<u64>();
+        if total(&in_degrees) != num_edges || total(&out_degrees) != num_edges {
+            return Err(PartitionError::Corrupt(format!(
+                "tiles hold {num_edges} edges, in-degrees count {} and out-degrees {}",
+                total(&in_degrees),
+                total(&out_degrees)
+            )));
+        }
+        if let Some(tile) = tiles
+            .iter()
+            .find(|t| t.sources().iter().any(|&s| u64::from(s) >= num_vertices))
+        {
+            return Err(PartitionError::Corrupt(format!(
+                "tile {} names a source past the {num_vertices} vertices",
+                tile.tile_id
+            )));
+        }
         let stats = GraphStats {
             name: graph_name.to_string(),
             num_vertices,
@@ -303,17 +339,23 @@ fn encode_u32_array(values: &[u32]) -> Vec<u8> {
     out
 }
 
+/// Where a degree array (`which` is `in` or `out`) lives in a store.
+fn degrees_key(graph_name: &str, which: &str) -> String {
+    format!("{graph_name}/degrees/{which}.bin")
+}
+
 fn decode_u32_array(data: &[u8]) -> Result<Vec<u32>> {
-    if data.len() < 8 {
+    let Some((header, body)) = data.split_at_checked(8) else {
         return Err(PartitionError::Corrupt("degree array truncated".into()));
+    };
+    let len = u64::from_le_bytes(header.try_into().expect("8 bytes"));
+    if len.checked_mul(4) != Some(body.len() as u64) {
+        return Err(PartitionError::Corrupt(format!(
+            "degree array claims {len} entries in {} bytes",
+            body.len()
+        )));
     }
-    let len = u64::from_le_bytes(data[..8].try_into().unwrap()) as usize;
-    if data.len() != 8 + len * 4 {
-        return Err(PartitionError::Corrupt(
-            "degree array length mismatch".into(),
-        ));
-    }
-    Ok(data[8..]
+    Ok(body
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect())
@@ -324,7 +366,7 @@ mod tests {
     use super::*;
     use graphh_graph::generators::{grid_graph, GraphGenerator, RmatGenerator};
     use graphh_graph::Edge;
-    use graphh_storage::{DfsConfig, MemoryBackend};
+    use graphh_storage::MemoryBackend;
 
     fn partitioned(avg_tile_size: u64) -> (Graph, PartitionedGraph) {
         let g = RmatGenerator::new(9, 8).generate(3);
@@ -385,9 +427,9 @@ mod tests {
     fn persist_and_load_roundtrip() {
         let (_, p) = partitioned(200);
         assert_eq!(p.num_tiles(), 19);
-        let dfs = Dfs::new(MemoryBackend::new(), DfsConfig::default()).unwrap();
-        p.persist(&dfs).unwrap();
-        let loaded = PartitionedGraph::load(&dfs, "rmat9").unwrap();
+        let store = MemoryBackend::new();
+        p.persist(&store).unwrap();
+        let loaded = PartitionedGraph::load(&store, "rmat9").unwrap();
         assert_eq!(loaded.num_edges(), p.num_edges());
         assert_eq!(loaded.in_degrees, p.in_degrees);
         assert_eq!(loaded.out_degrees, p.out_degrees);
@@ -395,44 +437,140 @@ mod tests {
         assert_eq!(loaded.splitter, p.splitter);
     }
 
+    /// Persist `p`, damage the store, and return the `Corrupt` message `load`
+    /// must answer with.
+    fn load_error(p: &PartitionedGraph, damage: &dyn Fn(&MemoryBackend)) -> String {
+        let store = MemoryBackend::new();
+        p.persist(&store).unwrap();
+        damage(&store);
+        match PartitionedGraph::load(&store, &p.graph_name) {
+            Err(PartitionError::Corrupt(message)) => message,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
     #[test]
     fn load_rejects_tiles_that_do_not_tile_the_vertex_range() {
         let (_, p) = partitioned(200);
-        let corrupted = |damage: &dyn Fn(&Dfs<MemoryBackend>)| {
-            let dfs = Dfs::new(MemoryBackend::new(), DfsConfig::default()).unwrap();
-            p.persist(&dfs).unwrap();
-            damage(&dfs);
-            match PartitionedGraph::load(&dfs, "rmat9") {
-                Err(PartitionError::Corrupt(message)) => message,
-                other => panic!("expected Corrupt, got {other:?}"),
-            }
-        };
+        let corrupted = |damage: &dyn Fn(&MemoryBackend)| load_error(&p, damage);
         let key = |t| Tile::storage_key("rmat9", t);
         let hollow = |id, lo, hi: u32| {
             Tile::from_adjacency(id, lo, &vec![Vec::new(); (hi - lo) as usize], false).to_bytes()
         };
         // A missing tile in the middle: ids are no longer dense.
-        assert!(corrupted(&|dfs| dfs.delete(&key(7)).unwrap()).contains("where tile 7"));
+        assert!(corrupted(&|s| s.delete(&key(7)).unwrap()).contains("where tile 7"));
         // The last tile missing: ids dense, ranges stop short of |V|.
-        assert!(corrupted(&|dfs| dfs.delete(&key(18)).unwrap()).contains("do not cut"));
+        assert!(corrupted(&|s| s.delete(&key(18)).unwrap()).contains("do not cut"));
         // A tile one target short: a gap before its successor.
         let (lo, hi) = p.splitter.tile_range(3);
         let short = hollow(3, lo, hi - 1);
-        assert!(corrupted(&|dfs| drop(dfs.put(&key(3), &short).unwrap())).contains("where tile 4"));
+        assert!(corrupted(&|s| s.put(&key(3), &short).unwrap()).contains("where tile 4"));
         // One target long: an overlap.
         let long = hollow(3, lo, hi + 1);
-        assert!(corrupted(&|dfs| drop(dfs.put(&key(3), &long).unwrap())).contains("where tile 4"));
+        assert!(corrupted(&|s| s.put(&key(3), &long).unwrap()).contains("where tile 4"));
         // A tile filed under another's id.
         let misfiled = hollow(5, lo, hi);
+        assert!(corrupted(&|s| s.put(&key(3), &misfiled).unwrap()).contains("where tile 3"));
+    }
+
+    /// The degree arrays are outside input like the tiles. An 8-byte array
+    /// claiming 2^62 entries used to wrap `8 + len * 4` to 8 in a release
+    /// build and load as zero out-degrees beside |V| in-degrees.
+    #[test]
+    fn load_rejects_degree_arrays_that_disagree_with_the_tiles() {
+        let (_, p) = partitioned(200);
+        let corrupted =
+            |key: String, bytes: Vec<u8>| load_error(&p, &|s| s.put(&key, &bytes).unwrap());
+        let n = p.out_degrees.len();
+        let out = || degrees_key("rmat9", "out");
+        for claimed in [1u64 << 62, 1 << 63, u64::MAX, n as u64 + 1] {
+            let message = corrupted(out(), claimed.to_le_bytes().to_vec());
+            assert!(message.contains("claims"), "{claimed}: {message}");
+        }
+        // One array shorter than the other.
+        let short = encode_u32_array(&p.out_degrees[..n - 1]);
+        assert!(corrupted(out(), short).contains("beside"));
+        // Either array counting an edge the tiles do not hold.
+        for (which, degrees) in [("in", &p.in_degrees), ("out", &p.out_degrees)] {
+            let mut off_by_one = degrees.clone();
+            off_by_one[0] += 1;
+            let message = corrupted(degrees_key("rmat9", which), encode_u32_array(&off_by_one));
+            assert!(
+                message.contains("tiles hold 4096 edges"),
+                "{which}: {message}"
+            );
+        }
+        // A tile whose source is not a vertex: `values[source]` in a gather.
+        let tile = &p.tiles[3];
+        let mut sources = tile.sources().to_vec();
+        sources[0] = n as u32;
+        let stray = Tile::from_csr(
+            3,
+            tile.target_start,
+            tile.target_end,
+            tile.offsets().to_vec(),
+            sources,
+            None,
+        )
+        .unwrap();
+        assert!(corrupted(Tile::storage_key("rmat9", 3), stray.to_bytes()).contains("source"));
+    }
+
+    /// Every truncation and every single-bit flip of every stored object:
+    /// `load` returns an error or the partition those bytes spell, safe to
+    /// run — never a panic.
+    #[test]
+    fn a_damaged_store_is_an_error_or_loads_as_what_the_bytes_say() {
+        let g = RmatGenerator::new(6, 4).generate(5);
+        let p = Spe::partition(&g, &SpeConfig::new("g", 64)).unwrap();
+        let store = MemoryBackend::new();
+        p.persist(&store).unwrap();
+        assert_eq!(store.list("g/").len(), p.tiles.len() + 2);
+        let (mut loaded, mut refused) = (0, 0);
+        let mut check = |what: String| match PartitionedGraph::load(&store, "g") {
+            Ok(back) => {
+                loaded += 1;
+                for tile in &back.tiles {
+                    let stored = store.get(&Tile::storage_key("g", tile.tile_id)).unwrap();
+                    assert_eq!(tile.to_bytes(), stored, "{what}");
+                    assert!(tile
+                        .sources()
+                        .iter()
+                        .all(|&s| u64::from(s) < back.num_vertices()));
+                }
+                for (which, degrees) in [("in", &back.in_degrees), ("out", &back.out_degrees)] {
+                    let stored = store.get(&degrees_key("g", which)).unwrap();
+                    assert_eq!(encode_u32_array(degrees), stored, "{what}");
+                }
+            }
+            Err(PartitionError::Corrupt(_)) => refused += 1,
+            Err(other) => panic!("{what}: {other}"),
+        };
+        for key in store.list("g/") {
+            let bytes = store.get(&key).unwrap();
+            for len in 0..bytes.len() {
+                store.put(&key, &bytes[..len]).unwrap();
+                check(format!("{key} truncated to {len}"));
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut damaged = bytes.clone();
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                store.put(&key, &damaged).unwrap();
+                check(format!("{key} bit {bit}"));
+            }
+            store.put(&key, &bytes).unwrap();
+        }
+        // No checksum: a flipped source id that is still a vertex, or an
+        // interior offset that still rises, loads. Most damage does not.
         assert!(
-            corrupted(&|dfs| drop(dfs.put(&key(3), &misfiled).unwrap())).contains("where tile 3")
+            loaded > 0 && refused > loaded,
+            "{loaded} loaded, {refused} refused"
         );
     }
 
     #[test]
     fn load_missing_graph_is_an_error() {
-        let dfs = Dfs::new(MemoryBackend::new(), DfsConfig::default()).unwrap();
-        assert!(PartitionedGraph::load(&dfs, "nope").is_err());
+        assert!(PartitionedGraph::load(&MemoryBackend::new(), "nope").is_err());
     }
 
     #[test]

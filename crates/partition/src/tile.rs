@@ -9,9 +9,9 @@
 //! * `weights` holds edge values and is omitted entirely for unweighted graphs
 //!   (the paper's space optimisation).
 //!
-//! Tiles are immutable once built, serialize to a compact binary blob for the DFS /
-//! local disk, and report the statistics the engine needs (edge count, memory size,
-//! distinct source count).
+//! Tiles are immutable once built, serialize to a compact binary blob for the
+//! tile store, and report the statistics the engine needs (edge count, memory
+//! size).
 
 use crate::{PartitionError, Result};
 use graphh_graph::ids::{TileId, VertexId};
@@ -208,14 +208,6 @@ impl Tile {
         self.weights.as_deref()
     }
 
-    /// Number of distinct source vertices.
-    pub fn distinct_source_count(&self) -> usize {
-        let mut s: Vec<VertexId> = self.sources.clone();
-        s.sort_unstable();
-        s.dedup();
-        s.len()
-    }
-
     /// In-memory footprint of the decoded tile in bytes.
     pub fn memory_bytes(&self) -> u64 {
         self.offsets.len() as u64 * 8
@@ -244,7 +236,7 @@ impl Tile {
         header + offsets + sources + weights
     }
 
-    /// Serialize to the compact binary format written to the DFS and local disks.
+    /// Serialize to the compact binary format every tile store holds.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.serialized_size() as usize);
         out.extend_from_slice(TILE_MAGIC);
@@ -320,7 +312,9 @@ impl Tile {
         )
     }
 
-    /// The canonical DFS / local-disk key for a tile.
+    /// The key a tile lives under in any store — a persisted partition and a
+    /// server's local disk alike. `PartitionedGraph::persist_tile` is the one
+    /// writer there, `PartitionedGraph::load` lists the `tiles/` prefix.
     pub fn storage_key(graph_name: &str, tile_id: TileId) -> String {
         format!("{graph_name}/tiles/tile-{tile_id:06}.bin")
     }
@@ -360,7 +354,6 @@ mod tests {
         let edges: Vec<_> = t.in_edges(12).collect();
         assert_eq!(edges, vec![(1, 2.0), (2, 3.0), (3, 4.0)]);
         assert_eq!(t.targets().collect::<Vec<_>>(), vec![10, 11, 12]);
-        assert_eq!(t.distinct_source_count(), 4);
     }
 
     #[test]

@@ -374,11 +374,6 @@ impl FrameDecoder {
     pub fn is_clean(&self) -> bool {
         self.start == self.buf.len()
     }
-
-    /// Bytes currently buffered but not yet decoded into frames.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
-    }
 }
 
 /// Append a length-prefixed `Message` frame to `out`, built directly from
@@ -907,7 +902,7 @@ mod tests {
         let mut decoder = FrameDecoder::new();
         decoder.push(&bytes);
         assert!(matches!(decoder.next_frame(), Err(FrameError::Corrupt(_))));
-        assert_eq!(decoder.pending_bytes(), bytes.len());
+        assert!(!decoder.is_clean());
     }
 
     #[test]
@@ -1014,7 +1009,6 @@ mod tests {
                 assert_same_frame(a, b);
             }
             assert!(decoder.is_clean(), "chunk size {chunk}");
-            assert_eq!(decoder.pending_bytes(), 0);
         }
     }
 

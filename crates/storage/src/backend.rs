@@ -2,20 +2,20 @@
 //!
 //! A backend maps string keys to immutable byte blobs — exactly the access pattern
 //! GraphH needs for tiles (written once by the pre-processing engine, read many
-//! times by workers). Three implementations:
+//! times by workers). Two stores and a wrapper:
 //!
-//! * [`MemoryBackend`] — in-process map; used by tests and by the "all data fits in
-//!   the cache" configurations,
-//! * [`LocalDiskBackend`] — one file per object under a root directory; the
-//!   simulated servers' local disks,
-//! * [`MeteredBackend`] — wraps any backend and charges every byte to an
+//! * [`MemoryBackend`] — in-process map; what a simulated server's local disk
+//!   is today,
+//! * [`LocalDiskBackend`] — one file per object under a root directory, and
+//!   nothing else: any handle on the directory sees what any other wrote,
+//! * [`MeteredBackend`] — wraps either and charges every byte to an
 //!   [`IoMeter`].
 
 use crate::lock::RwLock;
 use crate::meter::IoMeter;
 use crate::{Result, StorageError};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 use std::sync::Arc;
 
 /// An object store keyed by string paths.
@@ -26,20 +26,11 @@ pub trait StorageBackend: Send + Sync {
     /// Retrieve the object stored under `key`.
     fn get(&self, key: &str) -> Result<Vec<u8>>;
 
-    /// Whether an object exists under `key`.
-    fn exists(&self, key: &str) -> bool;
-
-    /// Size in bytes of the object under `key`.
-    fn size(&self, key: &str) -> Result<u64>;
-
     /// Delete the object under `key` (idempotent).
     fn delete(&self, key: &str) -> Result<()>;
 
     /// All keys with the given prefix, sorted.
     fn list(&self, prefix: &str) -> Vec<String>;
-
-    /// Total bytes stored across all objects.
-    fn total_bytes(&self) -> u64;
 }
 
 /// In-memory object store.
@@ -71,18 +62,6 @@ impl StorageBackend for MemoryBackend {
             .ok_or_else(|| StorageError::NotFound(key.to_string()))
     }
 
-    fn exists(&self, key: &str) -> bool {
-        self.objects.read().contains_key(key)
-    }
-
-    fn size(&self, key: &str) -> Result<u64> {
-        self.objects
-            .read()
-            .get(key)
-            .map(|v| v.len() as u64)
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))
-    }
-
     fn delete(&self, key: &str) -> Result<()> {
         self.objects.write().remove(key);
         Ok(())
@@ -96,14 +75,11 @@ impl StorageBackend for MemoryBackend {
             .cloned()
             .collect()
     }
-
-    fn total_bytes(&self) -> u64 {
-        self.objects.read().values().map(|v| v.len() as u64).sum()
-    }
 }
 
 /// Object store backed by files under a root directory. Keys may contain `/`, which
-/// maps to subdirectories.
+/// maps to subdirectories; the directory is the whole state, so a second handle
+/// on it (another process, a later run) lists and reads what the first wrote.
 #[derive(Debug)]
 pub struct LocalDiskBackend {
     root: PathBuf,
@@ -117,20 +93,22 @@ impl LocalDiskBackend {
         Ok(Self { root })
     }
 
-    /// Absolute path of the file that would store `key`.
-    pub fn path_for(&self, key: &str) -> PathBuf {
-        self.root.join(key)
-    }
-
-    /// Root directory of this backend.
-    pub fn root(&self) -> &Path {
-        &self.root
+    /// The file that stores `key`. Keys are relative paths of plain names:
+    /// `join` lets an absolute key replace the root and a `..` climb out of it.
+    fn path_for(&self, key: &str) -> Result<PathBuf> {
+        let plain = |c| matches!(c, Component::Normal(_));
+        if !Path::new(key).components().all(plain) {
+            return Err(StorageError::InvalidArgument(format!(
+                "key {key:?} is not a relative path under the store's root"
+            )));
+        }
+        Ok(self.root.join(key))
     }
 }
 
 impl StorageBackend for LocalDiskBackend {
     fn put(&self, key: &str, data: &[u8]) -> Result<()> {
-        let path = self.path_for(key);
+        let path = self.path_for(key)?;
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
@@ -139,7 +117,7 @@ impl StorageBackend for LocalDiskBackend {
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>> {
-        let path = self.path_for(key);
+        let path = self.path_for(key)?;
         std::fs::read(&path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 StorageError::NotFound(key.to_string())
@@ -149,23 +127,8 @@ impl StorageBackend for LocalDiskBackend {
         })
     }
 
-    fn exists(&self, key: &str) -> bool {
-        self.path_for(key).is_file()
-    }
-
-    fn size(&self, key: &str) -> Result<u64> {
-        let meta = std::fs::metadata(self.path_for(key)).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                StorageError::NotFound(key.to_string())
-            } else {
-                StorageError::Io(e)
-            }
-        })?;
-        Ok(meta.len())
-    }
-
     fn delete(&self, key: &str) -> Result<()> {
-        match std::fs::remove_file(self.path_for(key)) {
+        match std::fs::remove_file(self.path_for(key)?) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(StorageError::Io(e)),
@@ -178,15 +141,6 @@ impl StorageBackend for LocalDiskBackend {
         keys.retain(|k| k.starts_with(prefix));
         keys.sort();
         keys
-    }
-
-    fn total_bytes(&self) -> u64 {
-        let mut keys = Vec::new();
-        collect_files(&self.root, &self.root, &mut keys);
-        keys.iter()
-            .filter_map(|k| std::fs::metadata(self.root.join(k)).ok())
-            .map(|m| m.len())
-            .sum()
     }
 }
 
@@ -239,24 +193,12 @@ impl<B: StorageBackend> StorageBackend for MeteredBackend<B> {
         Ok(data)
     }
 
-    fn exists(&self, key: &str) -> bool {
-        self.inner.exists(key)
-    }
-
-    fn size(&self, key: &str) -> Result<u64> {
-        self.inner.size(key)
-    }
-
     fn delete(&self, key: &str) -> Result<()> {
         self.inner.delete(key)
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
         self.inner.list(prefix)
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.inner.total_bytes()
     }
 }
 
@@ -268,23 +210,24 @@ mod tests {
         backend.put("tiles/tile-0", b"hello").unwrap();
         backend.put("tiles/tile-1", b"world!").unwrap();
         backend.put("degrees/out", b"123").unwrap();
-        assert!(backend.exists("tiles/tile-0"));
-        assert!(!backend.exists("missing"));
         assert_eq!(backend.get("tiles/tile-1").unwrap(), b"world!");
-        assert_eq!(backend.size("tiles/tile-1").unwrap(), 6);
+        assert!(matches!(
+            backend.get("missing"),
+            Err(StorageError::NotFound(_))
+        ));
         assert_eq!(
             backend.list("tiles/"),
             vec!["tiles/tile-0".to_string(), "tiles/tile-1".to_string()]
         );
-        assert_eq!(backend.total_bytes(), 5 + 6 + 3);
+        assert_eq!(backend.list("").len(), 3);
         backend.delete("tiles/tile-0").unwrap();
-        assert!(!backend.exists("tiles/tile-0"));
         // Deleting again is fine.
         backend.delete("tiles/tile-0").unwrap();
         assert!(matches!(
             backend.get("tiles/tile-0"),
             Err(StorageError::NotFound(_))
         ));
+        assert_eq!(backend.list("tiles/"), vec!["tiles/tile-1".to_string()]);
     }
 
     #[test]
@@ -298,13 +241,32 @@ mod tests {
         exercise(&LocalDiskBackend::new(dir.path()).unwrap());
     }
 
+    /// A key that `Path::join` would resolve outside the root is refused by
+    /// every operation, and the contract holds for a store nested under a
+    /// directory such a key would have reached.
+    #[test]
+    fn local_disk_keys_cannot_leave_the_root() {
+        let dir = tempfile::tempdir().unwrap();
+        let outside = dir.path().join("outside.bin");
+        std::fs::write(&outside, b"not the store's").unwrap();
+        let b = LocalDiskBackend::new(dir.path().join("store")).unwrap();
+        let absolute = outside.to_str().unwrap();
+        for key in [absolute, "../outside.bin", "tiles/../../outside.bin", "./x"] {
+            let refused = |r: Result<()>| matches!(r, Err(StorageError::InvalidArgument(_)));
+            assert!(refused(b.put(key, b"overwritten")), "put {key}");
+            assert!(refused(b.get(key).map(drop)), "get {key}");
+            assert!(refused(b.delete(key)), "delete {key}");
+        }
+        assert_eq!(std::fs::read(&outside).unwrap(), b"not the store's");
+        exercise(&b);
+    }
+
     #[test]
     fn overwrite_replaces_content() {
         let b = MemoryBackend::new();
         b.put("k", b"aaa").unwrap();
         b.put("k", b"bb").unwrap();
         assert_eq!(b.get("k").unwrap(), b"bb");
-        assert_eq!(b.total_bytes(), 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The crate's reader-writer lock: `std::sync::RwLock` with poisoning
-//! recovered instead of propagated. Everything kept under one here is a map or
-//! a counter changed by a single insert, remove or store, so the data is valid
-//! at every step and a panic on another thread holding a guard must not turn
-//! every later storage call into a second panic.
+//! recovered instead of propagated. What is kept under one here is a map
+//! changed by a single insert or remove, so the data is valid at every step and
+//! a panic on another thread holding a guard must not turn every later storage
+//! call into a second panic.
 
 use std::sync::{self, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
@@ -10,10 +10,6 @@ use std::sync::{self, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 pub(crate) struct RwLock<T>(sync::RwLock<T>);
 
 impl<T> RwLock<T> {
-    pub(crate) fn new(value: T) -> Self {
-        Self(sync::RwLock::new(value))
-    }
-
     pub(crate) fn read(&self) -> RwLockReadGuard<'_, T> {
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
@@ -29,7 +25,7 @@ mod tests {
 
     #[test]
     fn a_panic_under_the_write_guard_does_not_wedge_the_lock() {
-        let lock = RwLock::new(vec![1]);
+        let lock = RwLock(std::sync::RwLock::new(vec![1]));
         let panicked = std::thread::scope(|scope| {
             scope
                 .spawn(|| {

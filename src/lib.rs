@@ -24,7 +24,8 @@
 //! The individual layers are documented in their own crates:
 //!
 //! * [`graph`] — graph data structures, generators, dataset stand-ins,
-//! * [`storage`] — DFS substrate and metered local storage,
+//! * [`storage`] — the tile store: memory or directory backends behind one
+//!   trait, metered,
 //! * [`compress`] — snappy / zlib / varint-delta codecs,
 //! * [`partition`] — two-stage partitioning into tiles,
 //! * [`cluster`] — the simulated cluster: config, metrics, cost model, broadcast,
@@ -87,5 +88,5 @@ pub mod prelude {
     pub use graphh_graph::{Edge, EdgeList, Graph, GraphBuilder};
     pub use graphh_partition::{PartitionedGraph, Spe, SpeConfig, Tile};
     pub use graphh_runtime::ThreadedExecutor;
-    pub use graphh_storage::{Dfs, DfsConfig, LocalDiskBackend, MemoryBackend};
+    pub use graphh_storage::{LocalDiskBackend, MemoryBackend, StorageBackend};
 }

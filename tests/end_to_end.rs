@@ -1,12 +1,15 @@
 //! Integration tests spanning the whole pipeline: generate → partition → persist to
-//! the DFS → reload → run on the engine → compare against references and baselines.
+//! a tile store → reload → run on the engine → compare against references and baselines.
 
 use graphh::core::reference;
 use graphh::prelude::*;
-use graphh::storage::DfsConfig;
 
 fn pipeline_graph() -> Graph {
     RmatGenerator::new(9, 6).generate(123)
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 #[test]
@@ -15,34 +18,63 @@ fn dfs_persisted_tiles_reload_and_run_identically() {
     let partitioned =
         Spe::partition(&graph, &SpeConfig::with_tile_count("pipeline", &graph, 12)).unwrap();
 
-    // Persist to an in-memory DFS and reload, like SPE → MPE hand-off in the paper.
-    let dfs = Dfs::new(MemoryBackend::new(), DfsConfig::default()).unwrap();
-    partitioned.persist(&dfs).unwrap();
-    let reloaded = PartitionedGraph::load(&dfs, "pipeline").unwrap();
+    // Persist to an in-memory store and reload, like SPE → MPE hand-off in the paper.
+    let store = MemoryBackend::new();
+    partitioned.persist(&store).unwrap();
+    let reloaded = PartitionedGraph::load(&store, "pipeline").unwrap();
 
     let engine = GraphHEngine::new(GraphHConfig::paper_default(ClusterConfig::paper_testbed(3)));
     let from_memory = engine.run(&partitioned, &PageRank::new(8)).unwrap();
-    let from_dfs = engine.run(&reloaded, &PageRank::new(8)).unwrap();
-    assert!(reference::max_abs_diff(&from_memory.values, &from_dfs.values) < 1e-12);
+    let from_store = engine.run(&reloaded, &PageRank::new(8)).unwrap();
+    assert_eq!(bits(&from_memory.values), bits(&from_store.values));
     assert!(reference::max_abs_diff(&from_memory.values, &reference::pagerank(&graph, 8)) < 1e-9);
 }
 
+/// The hand-off across processes: what one handle on a directory persists, a
+/// fresh handle on the same directory loads, and the directory holds exactly
+/// one file per tile plus the two degree arrays, each tile file being
+/// `Tile::to_bytes`.
 #[test]
 fn tiles_survive_a_real_disk_roundtrip() {
     let graph = pipeline_graph();
     let partitioned =
         Spe::partition(&graph, &SpeConfig::with_tile_count("disk", &graph, 8)).unwrap();
     let dir = tempfile::tempdir().unwrap();
-    let dfs = Dfs::new(
-        LocalDiskBackend::new(dir.path()).unwrap(),
-        DfsConfig::default(),
-    )
-    .unwrap();
-    partitioned.persist(&dfs).unwrap();
-    let reloaded = PartitionedGraph::load(&dfs, "disk").unwrap();
-    assert_eq!(reloaded.num_edges(), graph.num_edges());
-    assert_eq!(reloaded.num_tiles(), partitioned.num_tiles());
-    assert_eq!(reloaded.tiles[0], partitioned.tiles[0]);
+    partitioned
+        .persist(&LocalDiskBackend::new(dir.path()).unwrap())
+        .unwrap();
+
+    let fresh = LocalDiskBackend::new(dir.path()).unwrap();
+    let mut expected = vec![
+        "disk/degrees/in.bin".to_string(),
+        "disk/degrees/out.bin".to_string(),
+    ];
+    expected.extend((0..partitioned.num_tiles()).map(|t| format!("disk/tiles/tile-{t:06}.bin")));
+    assert_eq!(fresh.list(""), expected);
+    let on_disk: u64 = expected
+        .iter()
+        .map(|key| std::fs::metadata(dir.path().join(key)).unwrap().len())
+        .sum();
+    let degree_array_bytes = 8 + 4 * graph.num_vertices();
+    assert_eq!(
+        on_disk,
+        partitioned.total_tile_bytes() + 2 * degree_array_bytes
+    );
+    for tile in &partitioned.tiles {
+        let key = Tile::storage_key("disk", tile.tile_id);
+        assert_eq!(fresh.get(&key).unwrap(), tile.to_bytes(), "{key}");
+    }
+
+    let reloaded = PartitionedGraph::load(&fresh, "disk").unwrap();
+    assert_eq!(reloaded.tiles, partitioned.tiles);
+    assert_eq!(reloaded.splitter, partitioned.splitter);
+    assert_eq!(reloaded.in_degrees, partitioned.in_degrees);
+    assert_eq!(reloaded.out_degrees, partitioned.out_degrees);
+    let engine = GraphHEngine::new(GraphHConfig::paper_default(ClusterConfig::paper_testbed(3)));
+    let from_memory = engine.run(&partitioned, &PageRank::new(8)).unwrap();
+    let from_disk = engine.run(&reloaded, &PageRank::new(8)).unwrap();
+    assert_eq!(from_disk.executor, "sequential");
+    assert_eq!(bits(&from_memory.values), bits(&from_disk.values));
 }
 
 #[test]
