@@ -81,11 +81,9 @@ use graphh_core::{DirectionMode, GraphHConfig};
 use graphh_obs::{chrome_trace_json, global_counters, Tracer};
 use graphh_pool::WorkerPool;
 use graphh_runtime::{
-    run_worker, validate_peer_table, BroadcastPlane, CheckpointSink, MetricsSlice, PollPlane,
-    ResilienceConfig, WorkerOptions,
+    run_worker, BroadcastPlane, CheckpointSink, PollPlane, ResilienceConfig, WorkerOptions,
 };
 use std::net::SocketAddr;
-use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -326,14 +324,6 @@ fn run(args: Args) -> Result<(), String> {
     } else {
         args.peers.clone()
     };
-    validate_peer_table(
-        args.id,
-        args.servers,
-        &peer_addrs,
-        &args.seeds,
-        bound.local_addr().ok(),
-    )
-    .map_err(|e| format!("invalid peer configuration: {e}"))?;
 
     // Checkpoint auto-resume: an existing GHHC snapshot for this server id
     // means a previous incarnation of this process died mid-run — restart at
@@ -389,7 +379,6 @@ fn run(args: Args) -> Result<(), String> {
 
     // One worker per process: lockstep comes from the broadcast plane's
     // end-of-superstep framing.
-    let (metrics_tx, metrics_rx) = channel::<MetricsSlice>();
     let sid = plane.server_id();
     // Tracing is opt-in: without --trace-out the disabled tracer adds zero
     // allocations and zero clock reads to the superstep loop.
@@ -412,18 +401,16 @@ fn run(args: Args) -> Result<(), String> {
         program.as_ref(),
         sid,
         &mut plane,
-        &metrics_tx,
         &tracer,
         options,
     )
     .map_err(|e| format!("worker failed: {}", e.error))?;
-    drop(metrics_tx);
 
-    let slices: Vec<MetricsSlice> = metrics_rx.into_iter().collect();
-    let sent: u64 = slices.iter().map(|s| s.metrics.network_sent_bytes).sum();
-    let received: u64 = slices
+    let sent: u64 = output.metrics.iter().map(|m| m.network_sent_bytes).sum();
+    let received: u64 = output
+        .metrics
         .iter()
-        .map(|s| s.metrics.network_received_bytes)
+        .map(|m| m.network_received_bytes)
         .sum();
     println!(
         "graphh-node {}/{}: {} supersteps={} program={} vertices={} \
@@ -454,9 +441,9 @@ fn run(args: Args) -> Result<(), String> {
     }
 
     if let Some(path) = &args.metrics_out {
-        // This process holds exactly one server's metric slices, so the
-        // summary is hand-assembled here (the cluster-wide reduction needs
-        // every server's slices and lives in the in-process executors).
+        // This process holds exactly one server's metrics, so the summary is
+        // hand-assembled here (the cluster-wide reduction needs every
+        // server's output and lives in the in-process executors).
         let metrics = node_metrics_json(
             &args,
             sid,

@@ -12,8 +12,8 @@
 //! Cuts are injected immediately after [`BroadcastPlane::end_superstep`]
 //! returns: every frame of the superstep is queued on the stream before the
 //! cut, which exercises the hard case — the peer may observe a torn tail of
-//! the in-flight superstep and must recover it from replay (see
-//! `crate::frame::SuperstepCollector`'s resume discipline and
+//! the in-flight superstep and must recover it from replay (see the frames
+//! a [`crate::fabric::Fabric`] link holds back, and
 //! `crate::resume::ReplayLog`).
 //!
 //! Handshake-level faults (torn, duplicated, dropped, misdirected hellos)

@@ -15,10 +15,10 @@
 //!         | b"GHHV" | u64 LE value count | f64 bits LE ...
 //! ```
 //!
-//! Writes are atomic (tmp file + rename) and loads reject truncated or
-//! corrupt files, so a server killed *while* checkpointing leaves either the
-//! previous intact checkpoint or none — never a half-written one that would
-//! poison the restart.
+//! Writes are atomic and durable (synced tmp file, rename, synced directory)
+//! and loads reject truncated or corrupt files, so a server killed *while*
+//! checkpointing leaves either the previous intact checkpoint or none — never
+//! a half-written one that would poison the restart.
 
 use graphh_graph::ids::{ServerId, VertexId};
 use graphh_obs::global_counters;
@@ -168,8 +168,11 @@ impl CheckpointSink {
         self.dir.join(format!("ckpt-s{server}.ghhc"))
     }
 
-    /// Atomically write `checkpoint` (tmp + rename), returning its size.
-    /// A crash mid-write leaves the previous checkpoint intact.
+    /// Atomically and durably write `checkpoint` (tmp + fsync + rename +
+    /// fsync of the directory), returning its size. A crash mid-write leaves
+    /// the previous checkpoint intact; once this returns, the new one
+    /// survives a power loss — the worker acknowledges the superstep next,
+    /// and peers trim the replay a restart from an older file would need.
     pub fn write(&self, checkpoint: &Checkpoint) -> Result<u64, String> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| format!("create checkpoint dir {}: {e}", self.dir.display()))?;
@@ -188,6 +191,13 @@ impl CheckpointSink {
         }
         std::fs::rename(&tmp, &path)
             .map_err(|e| format!("rename {} into place: {e}", tmp.display()))?;
+        // The rename lives in the directory: sync it too, or a power loss can
+        // bring back the old name. (Unix only: elsewhere a directory cannot
+        // be opened as a file.)
+        #[cfg(unix)]
+        std::fs::File::open(&self.dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| format!("sync {}: {e}", self.dir.display()))?;
         global_counters()
             .counter("fabric.checkpoint_bytes")
             .add(bytes.len() as u64);

@@ -69,9 +69,16 @@ mod tests {
     use crate::plane::BroadcastPlane;
     use crate::poll::{BoundPollPlane, PollPlane};
     use std::io::Write;
-    use std::net::{SocketAddr, TcpStream};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::thread;
     use std::time::Duration;
+
+    /// A loopback address nothing listens at.
+    fn unused_addr() -> SocketAddr {
+        TcpListener::bind("127.0.0.1:0")
+            .and_then(|dead| dead.local_addr())
+            .unwrap()
+    }
 
     /// Bind `n` planes on loopback and return them with the address table.
     fn bind_cluster(n: u32) -> (Vec<BoundPollPlane>, Vec<SocketAddr>) {
@@ -135,7 +142,7 @@ mod tests {
 
         let bound = PollPlane::bind(0, 2, "127.0.0.1:0").unwrap();
         let addr = bound.local_addr().unwrap();
-        let own_addr = addr; // placeholder entry for this server's slot
+        let absent = unused_addr(); // server 1, which never dials in
         let done = AtomicBool::new(false);
         thread::scope(|scope| {
             scope.spawn(|| {
@@ -147,7 +154,7 @@ mod tests {
                 }
             });
             let err = bound
-                .establish_with_timeout(&[own_addr, addr], Duration::from_millis(300))
+                .establish_with_timeout(&[addr, absent], Duration::from_millis(300))
                 .unwrap_err();
             done.store(true, Ordering::Relaxed);
             assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
@@ -166,11 +173,11 @@ mod tests {
         let b0 = PollPlane::bind(0, 2, "127.0.0.1:0").unwrap();
         let b1 = PollPlane::bind(1, 3, "127.0.0.1:0").unwrap();
         let a0 = b0.local_addr().unwrap();
-        let a1 = b1.local_addr().unwrap();
+        let (a1, a2) = (b1.local_addr().unwrap(), unused_addr());
         let timeout = Duration::from_millis(400);
         let (e0, e1) = thread::scope(|scope| {
             let h0 = scope.spawn(move || b0.establish_with_timeout(&[a0, a1], timeout));
-            let h1 = scope.spawn(move || b1.establish_with_timeout(&[a0, a1, a1], timeout));
+            let h1 = scope.spawn(move || b1.establish_with_timeout(&[a0, a1, a2], timeout));
             (
                 h0.join().unwrap().unwrap_err(),
                 h1.join().unwrap().unwrap_err(),

@@ -3,11 +3,12 @@
 //! Everything `docs/WIRE.md` §2 and §9–§10 make an endpoint *decide* lives
 //! here and nowhere else: when a link is down, when to redial it and how long
 //! to back off, whether a hello is acceptable and what to answer, what to
-//! retain, replay, trim and re-acknowledge, when a finished endpoint may stop
-//! holding the door (goodbye / linger), when a peer is lost for good, whom to
-//! ask for the address book and whom to tell of it. [`Fabric`] touches no
-//! socket, spawns nothing, shares no state with another thread and never
-//! looks at a clock: it is a step
+//! retain, replay, trim and re-acknowledge, what the worker's collector may
+//! see (a peer's superstep once its marker is in, never twice), when a
+//! finished endpoint may stop holding the door (goodbye / linger), when a
+//! peer is lost for good, whom to ask for the address book and whom to tell
+//! of it. [`Fabric`] touches no socket, spawns nothing, shares no state with
+//! another thread and never looks at a clock: it is a step
 //! function in the shape of SNIPPETS.md's gossip-glomers `Node::step(input,
 //! output)` — `Fabric::step(now, Event, &mut Vec<Action>)` — driven by
 //! [`crate::poll`]'s event loop (real sockets, real time) and by
@@ -184,6 +185,31 @@ struct Link {
     refusal: Option<String>,
     /// The book version last sent on this stream (none yet: 0).
     gossiped: u64,
+    /// The receive cursor this endpoint announced when it adopted the
+    /// stream: messages and markers below it are replayed duplicates of
+    /// supersteps already delivered.
+    floor: u32,
+    /// The stream's messages since its last end-of-superstep marker, held
+    /// back until the marker arrives (or dropped with the stream, when the
+    /// next one is adopted): a worker sees a peer's superstep whole or not
+    /// at all.
+    held: Vec<Frame>,
+}
+
+impl Link {
+    /// A link to `peer` in `state`, never up yet.
+    fn new(peer: ServerId, state: LinkState) -> Link {
+        Link {
+            peer,
+            state,
+            ever_up: false,
+            done: false,
+            refusal: None,
+            gossiped: 0,
+            floor: 0,
+            held: Vec::new(),
+        }
+    }
 }
 
 /// Somewhere an establishing endpoint announces itself: a seed, or an
@@ -223,7 +249,8 @@ pub struct Fabric {
     linger_until: Option<Duration>,
     replay: ReplayLog,
     /// Per-server count of completed supersteps received (EOS superstep + 1):
-    /// the `resume_from` of every hello this endpoint sends.
+    /// the `resume_from` of every hello this endpoint sends, and the floor
+    /// of every stream it adopts.
     recv_cursor: Vec<u32>,
     last_ack: Option<u32>,
     aborted: bool,
@@ -255,13 +282,9 @@ impl Fabric {
     ) -> Self {
         let (id, num_servers) = (book.own_id(), book.num_servers() as u32);
         let peers = (0..num_servers).filter(|&peer| peer != id);
-        let links = peers.map(|peer| Link {
-            peer,
-            state: down_until(&config, id, peer, Duration::ZERO, establish_timeout),
-            ever_up: false,
-            done: false,
-            refusal: None,
-            gossiped: 0,
+        let links = peers.map(|peer| {
+            let down = down_until(&config, id, peer, Duration::ZERO, establish_timeout);
+            Link::new(peer, down)
         });
         let registry = global_counters();
         Fabric {
@@ -446,7 +469,9 @@ impl Fabric {
     }
 
     /// Adopt a vetted connection as `hello.sender`'s live stream: answer (if
-    /// it dialed in), replay what it still needs, repeat our latest ack.
+    /// it dialed in), replay what it still needs, repeat our latest ack. What
+    /// an older stream still held is dropped with it, and the new one starts
+    /// at the cursor our hello announced.
     fn link_up(&mut self, conn: Conn, hello: ResumeHello, out: &mut Vec<Action>) {
         let peer = hello.sender;
         let idx = self.index_of(peer).expect("vetted: a peer id");
@@ -468,21 +493,13 @@ impl Fabric {
             out.push(Action::Reply(conn, reply.encode().to_vec()));
         }
         out.push(Action::Adopt(conn, peer));
-        let link = &mut self.links[idx];
-        if link.ever_up {
-            // The resume event precedes everything the new stream delivers:
-            // the collector purges the old torn tail at the event, then
-            // dedups whatever the replay below makes the peer re-deliver.
-            out.push(Action::Deliver(InboxEvent::PeerResumed(peer)));
+        if self.links[idx].ever_up {
             self.reconnects.incr();
         }
-        *link = Link {
-            peer,
-            state: LinkState::Up,
+        self.links[idx] = Link {
             ever_up: true,
-            done: false,
-            refusal: None,
-            gossiped: 0,
+            floor: self.recv_cursor[peer as usize],
+            ..Link::new(peer, LinkState::Up)
         };
         for batch in batches {
             self.replayed_frames.add(count_frames(&batch));
@@ -510,9 +527,12 @@ impl Fabric {
     }
 
     /// Transport-level frames end here — acks trim the log, a goodbye marks
-    /// the peer done, gossip merges into the book — end-of-superstep markers
-    /// raise the receive cursor, and everything else is the collector's. A
-    /// frame claiming another sender poisons the stream.
+    /// the peer done, gossip merges into the book. Messages and markers below
+    /// the stream's floor are replayed duplicates and end here too. Messages
+    /// are held until the peer's end-of-superstep marker, which raises the
+    /// receive cursor and releases them to the collector ahead of itself; an
+    /// abort goes at once. A frame claiming another sender poisons the
+    /// stream.
     fn frame(&mut self, now: Duration, peer: ServerId, frame: Frame, out: &mut Vec<Action>) {
         let Some(idx) = self.index_of(peer) else {
             return;
@@ -524,27 +544,34 @@ impl Fabric {
             out.push(Action::Reset(peer));
             return self.enter_down(now, idx, out);
         }
+        let link = &mut self.links[idx];
         match frame {
-            Frame::Ack { sender, superstep } => return self.replay.ack(sender, superstep),
-            Frame::Goodbye { .. } => return self.links[idx].done = true,
+            Frame::Ack { sender, superstep } => self.replay.ack(sender, superstep),
+            Frame::Goodbye { .. } => link.done = true,
             Frame::Membership { ref payload, .. } => {
                 // A malformed payload is dropped; anti-entropy re-converges.
                 self.merge(payload, MembershipKind::Delta);
-                return;
             }
+            Frame::Message { superstep, .. } | Frame::EndOfSuperstep { superstep, .. }
+                if superstep < link.floor => {}
+            Frame::Message { .. } => link.held.push(frame),
             Frame::EndOfSuperstep { superstep, .. } => {
                 let cursor = &mut self.recv_cursor[peer as usize];
                 *cursor = (*cursor).max(superstep.saturating_add(1));
+                let held = link.held.drain(..).chain([frame]);
+                out.extend(held.map(|frame| Action::Deliver(InboxEvent::Frame(frame))));
             }
-            Frame::Message { .. } | Frame::Abort { .. } => {}
+            Frame::Abort { .. } => out.push(Action::Deliver(InboxEvent::Frame(frame))),
         }
-        out.push(Action::Deliver(InboxEvent::Frame(frame)));
     }
 
-    /// A live stream ended. After a goodbye that is a clean exit — the
-    /// collector learns the (benign) end of stream, nothing is recovered.
-    /// Otherwise it is a *cut*, not a loss: the recovery clock starts and
-    /// only the reconnect deadline makes it terminal.
+    /// A live stream ended, and with it the superstep it held: a link that is
+    /// not up delivers nothing, and adopting the next stream discards it.
+    /// After a goodbye that is a clean exit — the collector learns the
+    /// (benign) end of stream, nothing is recovered. Otherwise it is a *cut*,
+    /// not a loss: the recovery clock starts, the peer re-sends the held
+    /// superstep whole on its next stream, and only the reconnect deadline
+    /// makes it terminal.
     fn enter_down(&mut self, now: Duration, idx: usize, out: &mut Vec<Action>) {
         let link = &mut self.links[idx];
         if !matches!(link.state, LinkState::Up) {
@@ -753,4 +780,189 @@ fn down_until(
 fn backoff(config: &ResilienceConfig, own: ServerId, nth: ServerId) -> ReconnectBackoff {
     let cap = RETRY_BACKOFF_CAP.min(config.reconnect_deadline);
     ReconnectBackoff::seeded_for(RETRY_BACKOFF, cap, own, nth)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::SuperstepCollector;
+    use std::collections::VecDeque;
+
+    /// Server 0 of 3 with both links up, and a worker's collector behind it:
+    /// what `Fabric::step` delivers is all `collect` sees.
+    struct Endpoint {
+        fabric: Fabric,
+        inbox: VecDeque<InboxEvent>,
+        collector: SuperstepCollector,
+    }
+
+    impl Endpoint {
+        fn new() -> Endpoint {
+            let addrs: Vec<SocketAddr> = (0..3)
+                .map(|id| SocketAddr::from(([127, 0, 0, 1], 4750 + id)))
+                .collect();
+            let book = AddressBook::complete(0, &addrs);
+            let config = ResilienceConfig::default();
+            let fabric = Fabric::new(book, config, Duration::from_secs(10), BufferPool::new());
+            let (inbox, collector) = (VecDeque::new(), SuperstepCollector::new());
+            let mut endpoint = Endpoint {
+                fabric,
+                inbox,
+                collector,
+            };
+            endpoint.dials_in(1);
+            endpoint.dials_in(2);
+            endpoint
+        }
+
+        fn step(&mut self, event: Event<'_>) {
+            let mut out = Vec::new();
+            self.fabric.step(Duration::ZERO, event, &mut out);
+            for action in out {
+                if let Action::Deliver(event) = action {
+                    self.inbox.push_back(event);
+                }
+            }
+        }
+
+        /// `peer` dials in and its stream is adopted (this endpoint has
+        /// broadcast nothing, so any cursor will do).
+        fn dials_in(&mut self, peer: ServerId) {
+            let (cluster_size, sender, resume_from) = (3, peer, 0);
+            let hello = ResumeHello {
+                cluster_size,
+                sender,
+                resume_from,
+            };
+            self.step(Event::Hello(Conn::Accepted(0), "test", hello.encode()));
+        }
+
+        /// The stream from `peer` is cut, and `peer` dials back in.
+        fn cut(&mut self, peer: ServerId) {
+            self.step(Event::StreamEnd(peer));
+            self.dials_in(peer);
+        }
+
+        fn msg(&mut self, sender: ServerId, superstep: u32, byte: u8) {
+            let wire = vec![byte].into();
+            let frame = Frame::Message {
+                sender,
+                superstep,
+                wire,
+            };
+            self.step(Event::Frame(sender, frame));
+        }
+
+        fn eos(&mut self, sender: ServerId, superstep: u32) {
+            let frame = Frame::EndOfSuperstep { sender, superstep };
+            self.step(Event::Frame(sender, frame));
+        }
+
+        /// `collect(superstep)` over what was delivered, as the payloads'
+        /// bytes.
+        fn collect(&mut self, superstep: u32) -> Result<Vec<u8>, PlaneError> {
+            let inbox = &mut self.inbox;
+            let next = || (inbox.pop_front()).ok_or(PlaneError::Protocol("inbox empty".into()));
+            let wires = self.collector.collect(superstep, &[1, 2], next)?;
+            Ok(wires.iter().map(|wire| wire[0]).collect())
+        }
+    }
+
+    /// A superstep torn by a cut never reaches the collector — not even
+    /// stashed for a later collect: the peer's full re-send on the next
+    /// stream is what counts, once.
+    #[test]
+    fn a_torn_superstep_is_dropped_with_its_stream() {
+        let mut e = Endpoint::new();
+        e.msg(1, 0, 10);
+        e.eos(1, 0);
+        e.msg(2, 0, 20);
+        e.eos(2, 0);
+        e.msg(1, 1, 99); // superstep 1, torn by the cut below
+        assert_eq!(e.collect(0), Ok(vec![10, 20]));
+        e.cut(1);
+        e.msg(1, 1, 42);
+        e.eos(1, 1);
+        e.eos(2, 1);
+        assert_eq!(e.collect(1), Ok(vec![42]));
+    }
+
+    /// A cut inside the superstep being collected takes what the torn stream
+    /// had sent of it along, so the full re-send is not doubled.
+    #[test]
+    fn a_cut_inside_the_collected_superstep_does_not_double_it() {
+        let mut e = Endpoint::new();
+        e.msg(1, 0, 9);
+        e.cut(1);
+        e.msg(1, 0, 9); // the full re-send of superstep 0
+        e.eos(1, 0);
+        e.msg(2, 0, 20);
+        e.eos(2, 0);
+        assert_eq!(e.collect(0), Ok(vec![9, 20]));
+    }
+
+    /// A restarted peer re-executing from an older checkpoint re-sends
+    /// supersteps this endpoint already delivered: below the cursor it
+    /// announced when it adopted the stream they are dropped — no double
+    /// apply, no second marker.
+    #[test]
+    fn replays_below_the_announced_cursor_are_dropped() {
+        let mut e = Endpoint::new();
+        e.msg(1, 0, 7);
+        e.eos(1, 0);
+        e.eos(2, 0);
+        assert_eq!(e.collect(0), Ok(vec![7]));
+        e.cut(1);
+        e.msg(1, 0, 7);
+        e.eos(1, 0);
+        e.msg(1, 1, 8);
+        e.eos(1, 1);
+        e.eos(2, 1);
+        assert_eq!(e.collect(1), Ok(vec![8]));
+    }
+
+    /// A peer that completed the superstep before the cut keeps its
+    /// contribution, once, however much of it the new stream replays.
+    #[test]
+    fn a_superstep_completed_before_the_cut_counts_once() {
+        let mut e = Endpoint::new();
+        e.msg(1, 0, 5);
+        e.eos(1, 0);
+        e.cut(1);
+        e.msg(1, 0, 5);
+        e.eos(1, 0);
+        e.msg(2, 0, 6);
+        e.eos(2, 0);
+        assert_eq!(e.collect(0), Ok(vec![5, 6]));
+    }
+
+    /// Another peer's resume changes nothing for a peer whose stream was
+    /// never cut: its past-superstep frame is still a protocol violation.
+    #[test]
+    fn past_superstep_strictness_survives_unrelated_resumes() {
+        let mut e = Endpoint::new();
+        e.eos(1, 0);
+        e.eos(2, 0);
+        assert_eq!(e.collect(0), Ok(vec![]));
+        e.cut(2);
+        e.msg(1, 0, 1);
+        e.eos(1, 1);
+        assert!(matches!(e.collect(1), Err(PlaneError::Protocol(_))));
+    }
+
+    /// The floor is the cursor announced at adoption, not the live one: on
+    /// the stream a fresh start adopted, a frame of a superstep already
+    /// collected still reaches the collector, as the violation it is.
+    #[test]
+    fn a_past_superstep_frame_on_a_fresh_stream_is_a_protocol_error() {
+        let mut e = Endpoint::new();
+        e.msg(1, 0, 1);
+        e.eos(1, 0);
+        e.eos(2, 0);
+        assert_eq!(e.collect(0), Ok(vec![1]));
+        e.msg(1, 0, 1);
+        e.eos(1, 1);
+        let past = |m: &str| m.contains("past superstep 0 while collecting 1");
+        assert!(matches!(e.collect(1), Err(PlaneError::Protocol(m)) if past(&m)));
+    }
 }

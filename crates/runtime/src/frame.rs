@@ -133,16 +133,6 @@ impl Frame {
         }
     }
 
-    /// The superstep a frame belongs to, for the variants that have one.
-    pub fn frame_superstep(&self) -> Option<u32> {
-        match *self {
-            Frame::Message { superstep, .. }
-            | Frame::EndOfSuperstep { superstep, .. }
-            | Frame::Ack { superstep, .. } => Some(superstep),
-            Frame::Abort { .. } | Frame::Goodbye { .. } | Frame::Membership { .. } => None,
-        }
-    }
-
     /// Append the length-prefixed encoding of this frame to `out`.
     ///
     /// Message payloads must fit [`MAX_MESSAGE_PAYLOAD`] (transports encoding
@@ -459,12 +449,6 @@ pub enum InboxEvent {
     Frame(Frame),
     /// `ServerId`'s stream ended with this terminal error.
     PeerLost(ServerId, PlaneError),
-    /// `ServerId`'s stream was cut and has been re-established (resilient
-    /// transports only). The transport must enqueue this *after* the last
-    /// frame of the old stream and *before* the first frame of the new one —
-    /// the collector uses the boundary to discard the old stream's torn tail
-    /// and to recognize replayed duplicates.
-    PeerResumed(ServerId),
 }
 
 /// The BSP inbox discipline every broadcast-plane backend shares.
@@ -486,26 +470,15 @@ pub enum InboxEvent {
 ///   yet ended the superstep being collected (and poisons every later collect
 ///   the peer's stashed frames cannot satisfy).
 ///
-/// ## Resume discipline (resilient transports)
+/// ## Recovery is not the collector's
 ///
-/// A resilient transport reports a recovered connection as
-/// [`InboxEvent::PeerResumed`] instead of `PeerLost`. Per-stream FIFO makes
-/// recovery well-defined: from one peer, the received supersteps always form
-/// a completed prefix plus at most one torn tail. On `PeerResumed(p)` the
-/// collector
-///
-/// * discards the torn tail — stashed frames (and frames already accumulated
-///   for the in-progress collect) from `p` whose superstep was never
-///   completed by an end-of-superstep marker; the peer re-sends them in full
-///   over the new stream,
-/// * starts silently dropping frames from `p` below its completed-prefix
-///   cursor — a restarted peer re-executing from an older checkpoint re-sends
-///   supersteps this server already applied, and those deterministic
-///   duplicates must not be double-applied.
-///
-/// Both rules are inert on a fault-free run: without a `PeerResumed` event no
-/// frame is ever purged or dropped, and the strict past-superstep rejection
-/// above is unchanged.
+/// A cut TCP stream is healed underneath the collector: the
+/// [`crate::fabric::Fabric`] withholds a peer's frames of a superstep until
+/// that peer's end-of-superstep marker arrives (discarding them if the stream
+/// is cut first — the peer re-sends the superstep in full), and drops the
+/// replayed duplicates below the cursor it announced when it adopted the new
+/// stream. So every frame that reaches a collector is delivered exactly once,
+/// in per-peer order, whichever plane it came through.
 #[derive(Debug, Default, Clone)]
 pub struct SuperstepCollector {
     /// Frames for future supersteps that arrived while collecting an earlier
@@ -513,13 +486,6 @@ pub struct SuperstepCollector {
     stash: Vec<Frame>,
     /// Peers whose streams ended, with the terminal error each one reported.
     dead: Vec<(ServerId, PlaneError)>,
-    /// Per-peer count of completed supersteps (last end-of-superstep marker's
-    /// superstep + 1), maintained at intake time so it reflects everything
-    /// *received*, including markers still stashed for a future collect.
-    eos_through: Vec<(ServerId, u32)>,
-    /// Per-peer floor below which arriving frames are silently dropped as
-    /// post-resume replay duplicates. Empty until a `PeerResumed` arrives.
-    drop_until: Vec<(ServerId, u32)>,
 }
 
 impl SuperstepCollector {
@@ -552,85 +518,32 @@ impl SuperstepCollector {
             }
         }
 
-        let mut wires: Vec<(ServerId, WireMessage)> = Vec::new();
+        let mut wires = Vec::new();
         let mut pending: Vec<ServerId> = peers.to_vec();
-        // Frames stashed by an earlier collect come first. They were already
-        // admitted (and cursor-counted) at their original intake, so they are
-        // never re-checked against `drop_until`.
+        // Frames stashed by an earlier collect come first.
         let stashed = std::mem::take(&mut self.stash);
         let mut queue = stashed.into_iter();
         while !pending.is_empty() {
             let frame = match queue.next() {
                 Some(frame) => frame,
-                // Intake: pull events until one yields an admissible frame.
-                None => loop {
-                    match next()? {
-                        InboxEvent::Frame(frame) => {
-                            match &frame {
-                                Frame::Message {
-                                    sender,
-                                    superstep: s,
-                                    ..
-                                } => {
-                                    if *s < Self::cursor(&self.drop_until, *sender) {
-                                        continue; // post-resume replay duplicate
-                                    }
-                                }
-                                Frame::EndOfSuperstep {
-                                    sender,
-                                    superstep: s,
-                                } => {
-                                    if *s < Self::cursor(&self.drop_until, *sender) {
-                                        continue; // post-resume replay duplicate
-                                    }
-                                    Self::raise_cursor(&mut self.eos_through, *sender, *s + 1);
-                                }
-                                Frame::Abort { .. } => {}
-                                Frame::Ack { sender, .. }
-                                | Frame::Goodbye { sender }
-                                | Frame::Membership { sender, .. } => {
-                                    return Err(PlaneError::Protocol(format!(
-                                        "transport-level frame from server {sender} reached \
-                                         the collector (acks, goodbyes and membership gossip \
-                                         must be intercepted)"
-                                    )));
-                                }
-                            }
-                            break frame;
+                None => match next()? {
+                    InboxEvent::Frame(frame) => frame,
+                    InboxEvent::PeerLost(peer, error) => {
+                        self.dead.push((peer, error.clone()));
+                        if pending.contains(&peer) {
+                            // Streams are FIFO: everything this peer ever
+                            // sent was delivered before the loss event, so it
+                            // can never end this superstep.
+                            return Err(error);
                         }
-                        InboxEvent::PeerLost(peer, error) => {
-                            self.dead.push((peer, error.clone()));
-                            if pending.contains(&peer) {
-                                // Streams are FIFO: everything this peer ever
-                                // sent was delivered before the loss event, so
-                                // it can never end this superstep.
-                                return Err(error);
-                            }
-                            continue;
-                        }
-                        InboxEvent::PeerResumed(peer) => {
-                            let cursor = Self::cursor(&self.eos_through, peer);
-                            // Discard the old stream's torn tail: frames of
-                            // supersteps the peer never completed. The peer
-                            // re-sends those supersteps in full.
-                            self.stash.retain(|f| {
-                                f.sender() != peer || f.frame_superstep().is_none_or(|s| s < cursor)
-                            });
-                            if superstep >= cursor {
-                                wires.retain(|&(p, _)| p != peer);
-                            }
-                            Self::raise_cursor(&mut self.drop_until, peer, cursor);
-                            continue;
-                        }
+                        continue;
                     }
                 },
             };
             match frame {
                 Frame::Message {
-                    sender,
-                    superstep: s,
-                    wire,
-                } if s == superstep => wires.push((sender, wire)),
+                    superstep: s, wire, ..
+                } if s == superstep => wires.push(wire),
                 Frame::EndOfSuperstep {
                     sender,
                     superstep: s,
@@ -654,10 +567,9 @@ impl SuperstepCollector {
                 Frame::Ack { sender, .. }
                 | Frame::Goodbye { sender }
                 | Frame::Membership { sender, .. } => {
-                    // Unreachable (rejected at intake, never stashed), but the
-                    // discipline is stated in one place either way.
                     return Err(PlaneError::Protocol(format!(
-                        "transport-level frame from server {sender} reached the collector"
+                        "transport-level frame from server {sender} reached the collector \
+                         (acks, goodbyes and membership gossip must be intercepted)"
                     )));
                 }
                 Frame::Message { superstep: s, .. }
@@ -670,21 +582,7 @@ impl SuperstepCollector {
         }
         // Anything left over in the drained stash belongs to a later superstep.
         self.stash.extend(queue);
-        Ok(wires.into_iter().map(|(_, wire)| wire).collect())
-    }
-
-    fn cursor(table: &[(ServerId, u32)], peer: ServerId) -> u32 {
-        table
-            .iter()
-            .find(|&&(p, _)| p == peer)
-            .map_or(0, |&(_, c)| c)
-    }
-
-    fn raise_cursor(table: &mut Vec<(ServerId, u32)>, peer: ServerId, value: u32) {
-        match table.iter_mut().find(|(p, _)| *p == peer) {
-            Some((_, c)) => *c = (*c).max(value),
-            None => table.push((peer, value)),
-        }
+        Ok(wires)
     }
 }
 
@@ -1238,7 +1136,7 @@ mod tests {
         assert_eq!(err, PlaneError::Disconnected);
     }
 
-    // -- resilient-mode frames and resume discipline -------------------------
+    // -- resilient-mode frames -----------------------------------------------
 
     #[test]
     fn ack_frame_roundtrips_and_rejects_wrong_body_size() {
@@ -1277,127 +1175,6 @@ mod tests {
                     superstep: 0,
                 })]),
             )
-            .unwrap_err();
-        assert!(matches!(err, PlaneError::Protocol(_)), "{err:?}");
-    }
-
-    fn resumed(peer: ServerId) -> InboxEvent {
-        InboxEvent::PeerResumed(peer)
-    }
-
-    /// A resume purges the stashed torn tail: frames of a superstep the peer
-    /// never completed are discarded, and the peer's full re-send of that
-    /// superstep is what counts — exactly once.
-    #[test]
-    fn resume_purges_stashed_torn_tail_and_accepts_the_resend() {
-        let mut c = SuperstepCollector::new();
-        // A torn superstep-1 message (no EOS) stashes while 0 completes.
-        let s0 = c
-            .collect(0, &[1], feed(vec![msg(1, 0, 10), msg(1, 1, 99), eos(1, 0)]))
-            .unwrap();
-        assert_eq!(s0.len(), 1);
-        // The peer reconnects and re-sends superstep 1 in full.
-        let s1 = c
-            .collect(1, &[1], feed(vec![resumed(1), msg(1, 1, 42), eos(1, 1)]))
-            .unwrap();
-        assert_eq!(
-            s1.len(),
-            1,
-            "torn frame must not survive alongside its re-send"
-        );
-        assert_eq!(s1[0][0], 42);
-    }
-
-    /// A resume mid-collect purges what the torn stream already contributed to
-    /// the in-progress superstep, so the peer's full re-send is not doubled.
-    #[test]
-    fn resume_purges_current_collect_accumulation() {
-        let mut c = SuperstepCollector::new();
-        let wires = c
-            .collect(
-                0,
-                &[1, 2],
-                feed(vec![
-                    msg(1, 0, 9), // delivered, then the stream tears
-                    resumed(1),
-                    msg(1, 0, 9), // full re-send of superstep 0
-                    eos(1, 0),
-                    msg(2, 0, 20),
-                    eos(2, 0),
-                ]),
-            )
-            .unwrap();
-        assert_eq!(
-            wires.len(),
-            2,
-            "the torn contribution must be replaced, not kept"
-        );
-    }
-
-    /// A restarted peer re-executing from an old checkpoint re-sends
-    /// supersteps this server already completed; those deterministic
-    /// duplicates (including the end-of-superstep markers) are dropped
-    /// silently — no double-apply, no double-EOS protocol error.
-    #[test]
-    fn resume_drops_replayed_supersteps_below_the_completed_prefix() {
-        let mut c = SuperstepCollector::new();
-        let s0 = c
-            .collect(0, &[1], feed(vec![msg(1, 0, 7), eos(1, 0)]))
-            .unwrap();
-        assert_eq!(s0.len(), 1);
-        // Peer restarts from superstep 0 and re-sends everything.
-        let s1 = c
-            .collect(
-                1,
-                &[1],
-                feed(vec![
-                    resumed(1),
-                    msg(1, 0, 7), // duplicate of an applied superstep: dropped
-                    eos(1, 0),    // duplicate marker: dropped, not double-EOS
-                    msg(1, 1, 8),
-                    eos(1, 1),
-                ]),
-            )
-            .unwrap();
-        assert_eq!(s1.len(), 1);
-        assert_eq!(s1[0][0], 8);
-    }
-
-    /// A peer that completed the in-progress superstep before the cut keeps
-    /// its contribution: only the incomplete tail is discarded.
-    #[test]
-    fn resume_keeps_completed_contributions_of_the_current_superstep() {
-        let mut c = SuperstepCollector::new();
-        let wires = c
-            .collect(
-                0,
-                &[1, 2],
-                feed(vec![
-                    msg(1, 0, 5),
-                    eos(1, 0), // peer 1 completed superstep 0, then the cut
-                    resumed(1),
-                    msg(1, 0, 5), // replayed duplicate: dropped
-                    eos(1, 0),    // replayed duplicate: dropped
-                    msg(2, 0, 6),
-                    eos(2, 0),
-                ]),
-            )
-            .unwrap();
-        assert_eq!(wires.len(), 2);
-    }
-
-    /// Without a resume event the strict discipline is untouched: past-
-    /// superstep frames are still protocol violations.
-    #[test]
-    fn past_superstep_strictness_survives_unrelated_resumes() {
-        let mut c = SuperstepCollector::new();
-        let s0 = c
-            .collect(0, &[1, 2], feed(vec![eos(1, 0), eos(2, 0)]))
-            .unwrap();
-        assert!(s0.is_empty());
-        // Peer 2 resumes; peer 1 then misbehaves with a past-superstep frame.
-        let err = c
-            .collect(1, &[1, 2], feed(vec![resumed(2), msg(1, 0, 1)]))
             .unwrap_err();
         assert!(matches!(err, PlaneError::Protocol(_)), "{err:?}");
     }

@@ -34,11 +34,13 @@
 //!   function (`Fabric::step(now, Event, &mut Vec<Action>)`): establishment,
 //!   redial and backoff, hello vetting, replay and ack repeat, goodbye and
 //!   linger, terminal loss, the address book (static, or discovered from
-//!   seeds and gossiped). [`poll`] moves the bytes;
+//!   seeds and gossiped), and what reaches the collector (a peer's superstep
+//!   once its marker is in, replayed duplicates never). [`poll`] moves the
+//!   bytes, with one private poller (`poll(2)` on Linux, a spin elsewhere);
 //!   `tests/fabric_sim.rs` runs the same machine through thousands of seeded
 //!   fault schedules on a virtual network and clock,
-//! * [`reduce_metrics`] — deterministic reduction of the per-server
-//!   [`graphh_cluster::ServerMetrics`] streams into
+//! * [`reduce_metrics`] — zips every worker's per-superstep
+//!   [`graphh_cluster::ServerMetrics`] ([`WorkerOutput::metrics`]) into
 //!   [`graphh_cluster::ClusterMetrics`].
 //!
 //! ## Determinism
@@ -87,8 +89,8 @@ pub use membership::{
     MEMBERSHIP_MAGIC,
 };
 pub use plane::{BroadcastPlane, ChannelPlane};
-pub use poll::{BoundPollPlane, PollPlane, ReadinessPoller, SpinPoller};
+pub use poll::{BoundPollPlane, PollPlane};
 pub use reduce::{reduce_metrics, ReducedMetrics};
-pub use resume::{validate_peer_table, ReplayError, ReplayLog, ResilienceConfig, ResumeHello};
+pub use resume::{ReplayError, ReplayLog, ResilienceConfig, ResumeHello};
 pub use threaded::ThreadedExecutor;
-pub use worker::{run_worker, MetricsSlice, WorkerError, WorkerOptions, WorkerOutput};
+pub use worker::{run_worker, WorkerError, WorkerOptions, WorkerOutput};

@@ -8,8 +8,8 @@
 //! [`crate::frame`]. A thread per peer would cost each process of a
 //! `p`-server cluster `p - 1` parked threads, which caps how many servers
 //! one host can simulate; `PollPlane` multiplexes all peer connections onto a
-//! **single event-loop thread** instead: every stream is `O_NONBLOCK`, a
-//! [`ReadinessPoller`] reports which sockets can make progress, and per-peer
+//! **single event-loop thread** instead: every stream is `O_NONBLOCK`, one
+//! poller reports which sockets can make progress, and per-peer
 //! state carries partial frames ([`crate::frame::FrameDecoder`]), partial
 //! handshakes and backpressured write queues across loop iterations. It feeds
 //! the same [`SuperstepCollector`] inbox discipline the in-process
@@ -75,12 +75,15 @@
 //! wire byte: frames are concatenated in order, exactly as `docs/WIRE.md`
 //! specifies them.
 //!
-//! ## Readiness abstraction
+//! ## Readiness
 //!
-//! [`ReadinessPoller`] is the minimal mio-style seam: register sockets once,
-//! then repeatedly ask which can make progress — [`PollSyscallPoller`]
-//! (`poll(2)`, Linux) or the portable [`SpinPoller`], which tests force on
-//! every platform ([`BoundPollPlane::establish_resilient_with`]).
+//! The loop owns one private poller. On Linux it is `poll(2)` over the raw
+//! descriptors each slot holds this round (−1 for an empty slot), plus the
+//! read end of a `UnixStream` pair the plane writes one byte to when it hands
+//! the loop something. Every other target keeps the portable spin: each
+//! interesting socket is reported ready, the non-blocking `read`/`write`
+//! finds out (`WouldBlock`), and a round that may wait naps at most 1 ms —
+//! which is also why it needs no waker.
 //!
 //! A dropped [`PollPlane`] flushes its queues, half-closes its streams and
 //! joins the loop thread — shutdown is asserted by the thread-count checks in
@@ -100,7 +103,7 @@ use graphh_graph::ids::ServerId;
 use graphh_obs::{global_counters, Counter};
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
-use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -172,63 +175,77 @@ impl LoopCounters {
 }
 
 // ---------------------------------------------------------------------------
-// Readiness abstraction
+// Readiness
 // ---------------------------------------------------------------------------
 
-/// Which directions a socket is interesting in / ready for.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Readiness {
+/// How long one spin round may nap when it is allowed to wait: the latency
+/// of anything the spin would otherwise have been woken for.
+#[cfg(not(target_os = "linux"))]
+const SPIN_NAP: Duration = Duration::from_millis(1);
+
+/// One socket slot of one readiness round: what the loop wants of the socket
+/// the slot holds, overwritten by [`Poller::poll`] with what is ready.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// The socket's descriptor; −1 for an empty slot, which `poll(2)`
+    /// ignores.
+    #[cfg(target_os = "linux")]
+    fd: std::os::unix::io::RawFd,
     /// Reading would make progress (data, EOF, or a pending error).
-    pub readable: bool,
+    readable: bool,
     /// Writing would make progress.
-    pub writable: bool,
+    writable: bool,
 }
 
-/// The minimal mio-style readiness seam the event loop drives sockets with.
-///
-/// Sockets are registered once, in order; each [`poll`](Self::poll) round
-/// then pairs `interest[i]` / `ready[i]` with the `i`-th registered socket.
-/// Implementations may block up to `timeout`, and may over-report readiness
-/// (the loop's non-blocking I/O treats `WouldBlock` as "not actually ready"),
-/// but must never under-report it forever — a byte sitting in a socket's
-/// receive buffer must eventually set `readable`.
-pub trait ReadinessPoller: Send {
-    /// Register the next socket; its index is the number of sockets
-    /// registered before it.
-    fn register(&mut self, stream: &TcpStream) -> std::io::Result<()>;
+impl Slot {
+    /// A slot holding `socket`, if any — read whenever there is one,
+    /// written when `writable`.
+    #[cfg(target_os = "linux")]
+    fn of<S: std::os::unix::io::AsRawFd>(socket: Option<&S>, writable: bool) -> Slot {
+        Slot {
+            fd: socket.map_or(-1, S::as_raw_fd),
+            readable: socket.is_some(),
+            writable,
+        }
+    }
 
-    /// Report readiness for every registered socket whose `interest[i]` has a
-    /// direction set, blocking up to `timeout` when none is ready.
-    fn poll(
-        &mut self,
-        interest: &[Readiness],
-        ready: &mut [Readiness],
-        timeout: Duration,
-    ) -> std::io::Result<()>;
-
-    /// Register the plane's listening socket as the next slot (its
-    /// `readable` means a cut peer's reconnect is waiting to be accepted).
-    fn register_listener(&mut self, listener: &TcpListener) -> std::io::Result<()>;
-
-    /// Replace the socket behind an existing slot (a reconnected peer
-    /// stream). Pollers that re-derive readiness each round (the spin
-    /// fallback) need no bookkeeping; fd-based pollers swap the descriptor.
-    fn reregister(&mut self, _slot: usize, _stream: &TcpStream) -> std::io::Result<()> {
-        Ok(())
+    /// A slot holding `socket`, if any — read whenever there is one,
+    /// written when `writable`.
+    #[cfg(not(target_os = "linux"))]
+    fn of<S>(socket: Option<&S>, writable: bool) -> Slot {
+        Slot {
+            readable: socket.is_some(),
+            writable,
+        }
     }
 }
 
-/// Level-triggered readiness via the `poll(2)` syscall.
-///
-/// Declared directly against the C ABI std already links on Linux — no `libc`
-/// crate, no new dependency. Entries without interest are skipped by handing
-/// the kernel a negative fd (ignored per POSIX).
-#[cfg(target_os = "linux")]
-pub struct PollSyscallPoller {
-    fds: Vec<std::os::unix::io::RawFd>,
+/// The event loop's one poller (see the [module docs](self#readiness)). It
+/// may over-report readiness — the loop's non-blocking I/O treats
+/// `WouldBlock` as "not actually ready" — but never under-reports it.
+struct Poller {
+    /// The loop's end of the waker (see [`Waker`]).
+    #[cfg(target_os = "linux")]
+    waker: std::os::unix::net::UnixStream,
     /// Reused `pollfd` array — `poll` runs once per event-loop round (the
     /// hottest path in the plane), so it must not allocate per call.
+    #[cfg(target_os = "linux")]
     pollfds: Vec<sys::PollFd>,
+}
+
+/// The plane's end of the waker: one byte makes the loop's `poll` return.
+struct Waker {
+    #[cfg(target_os = "linux")]
+    tx: std::os::unix::net::UnixStream,
+}
+
+impl Waker {
+    fn wake(&self) {
+        // A full socket buffer means the loop already has a wakeup pending;
+        // any other failure surfaces through the command channel.
+        #[cfg(target_os = "linux")]
+        let _ = (&self.tx).write(&[1]);
+    }
 }
 
 #[cfg(target_os = "linux")]
@@ -256,70 +273,46 @@ mod sys {
     }
 }
 
-#[cfg(target_os = "linux")]
-impl PollSyscallPoller {
-    /// A poller with no sockets registered yet.
-    pub fn new() -> Self {
-        Self {
-            fds: Vec::new(),
-            pollfds: Vec::new(),
+impl Poller {
+    /// A poller and the waker that interrupts it.
+    fn new() -> std::io::Result<(Poller, Waker)> {
+        #[cfg(target_os = "linux")]
+        {
+            let (tx, waker) = std::os::unix::net::UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            waker.set_nonblocking(true)?;
+            let pollfds = Vec::new();
+            Ok((Poller { waker, pollfds }, Waker { tx }))
         }
+        #[cfg(not(target_os = "linux"))]
+        Ok((Poller {}, Waker {}))
     }
-}
 
-#[cfg(target_os = "linux")]
-impl Default for PollSyscallPoller {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl ReadinessPoller for PollSyscallPoller {
-    fn register(&mut self, stream: &TcpStream) -> std::io::Result<()> {
+    /// Overwrite every slot's interest with its readiness, waiting up to
+    /// `timeout` while nothing is ready; `Ok(true)` when the plane woke the
+    /// loop.
+    #[cfg(target_os = "linux")]
+    fn poll(&mut self, slots: &mut [Slot], timeout: Duration) -> std::io::Result<bool> {
         use std::os::unix::io::AsRawFd;
-        self.fds.push(stream.as_raw_fd());
-        Ok(())
-    }
-
-    fn register_listener(&mut self, listener: &TcpListener) -> std::io::Result<()> {
-        use std::os::unix::io::AsRawFd;
-        self.fds.push(listener.as_raw_fd());
-        Ok(())
-    }
-
-    fn reregister(&mut self, slot: usize, stream: &TcpStream) -> std::io::Result<()> {
-        use std::os::unix::io::AsRawFd;
-        self.fds[slot] = stream.as_raw_fd();
-        Ok(())
-    }
-
-    fn poll(
-        &mut self,
-        interest: &[Readiness],
-        ready: &mut [Readiness],
-        timeout: Duration,
-    ) -> std::io::Result<()> {
-        debug_assert_eq!(interest.len(), self.fds.len());
-        debug_assert_eq!(ready.len(), self.fds.len());
+        let pollfd = |fd, readable: bool, writable: bool| {
+            let mut events = 0i16;
+            if readable {
+                events |= sys::POLLIN;
+            }
+            if writable {
+                events |= sys::POLLOUT;
+            }
+            sys::PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        };
         self.pollfds.clear();
         self.pollfds
-            .extend(interest.iter().zip(&self.fds).map(|(want, &fd)| {
-                let mut events = 0i16;
-                if want.readable {
-                    events |= sys::POLLIN;
-                }
-                if want.writable {
-                    events |= sys::POLLOUT;
-                }
-                sys::PollFd {
-                    // Negative fds are ignored by poll(2): no-interest entries
-                    // stay index-aligned without waking the loop.
-                    fd: if events == 0 { -1 } else { fd },
-                    events,
-                    revents: 0,
-                }
-            }));
+            .push(pollfd(self.waker.as_raw_fd(), true, false));
+        let slot_fds = slots.iter().map(|s| pollfd(s.fd, s.readable, s.writable));
+        self.pollfds.extend(slot_fds);
         // Zero stays zero (the event loop's "burst in progress, don't sleep"
         // round); anything else is at least 1 ms so a sub-millisecond value
         // does not truncate into a busy loop.
@@ -331,6 +324,11 @@ impl ReadinessPoller for PollSyscallPoller {
                 .max(1)
         };
         loop {
+            // SAFETY: `pollfds` is a live, initialised array of
+            // `repr(C)` `struct pollfd`s of exactly the length passed, which
+            // `poll` only reads and writes `revents` of for the duration of
+            // the call; the descriptors in it need not stay open (a closed
+            // one reports `POLLNVAL`).
             let rc = unsafe {
                 sys::poll(
                     self.pollfds.as_mut_ptr(),
@@ -346,82 +344,31 @@ impl ReadinessPoller for PollSyscallPoller {
                 return Err(err);
             }
         }
-        for (slot, pollfd) in ready.iter_mut().zip(&self.pollfds) {
+        for (slot, pollfd) in slots.iter_mut().zip(&self.pollfds[1..]) {
             let r = pollfd.revents;
             // Errors and hangups surface through the read path (a read
             // returns the error or EOF), so they count as readable.
             slot.readable = r & (sys::POLLIN | sys::POLLHUP | sys::POLLERR | sys::POLLNVAL) != 0;
             slot.writable = r & (sys::POLLOUT | sys::POLLERR) != 0;
         }
-        Ok(())
-    }
-}
-
-/// Portable FFI-less fallback: claim every interesting socket ready and let
-/// the non-blocking `read`/`write` calls discover the truth (`WouldBlock`).
-///
-/// A short sleep per round keeps the spin from pegging a core; the sleep is
-/// skipped when the previous round made progress (the loop passes a zero
-/// timeout then). Used on non-Linux targets, and forced everywhere by the
-/// conformance tests so the trait seam itself is exercised.
-pub struct SpinPoller {
-    registered: usize,
-    /// Upper bound on one round's sleep; defaults to 1 ms.
-    nap: Duration,
-}
-
-impl SpinPoller {
-    /// A spin poller with the default 1 ms nap.
-    pub fn new() -> Self {
-        Self {
-            registered: 0,
-            nap: Duration::from_millis(1),
+        // Drain the wakeups (their only payload is "wake up"): a read error,
+        // `WouldBlock` or EOF all mean there is nothing more to take.
+        let (mut woken, mut drain) = (false, [0u8; 64]);
+        while self.pollfds[0].revents != 0 && matches!((&self.waker).read(&mut drain), Ok(1..)) {
+            woken = true;
         }
-    }
-}
-
-impl Default for SpinPoller {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReadinessPoller for SpinPoller {
-    fn register(&mut self, _stream: &TcpStream) -> std::io::Result<()> {
-        self.registered += 1;
-        Ok(())
+        Ok(woken)
     }
 
-    fn register_listener(&mut self, _listener: &TcpListener) -> std::io::Result<()> {
-        self.registered += 1;
-        Ok(())
-    }
-
-    fn poll(
-        &mut self,
-        interest: &[Readiness],
-        ready: &mut [Readiness],
-        timeout: Duration,
-    ) -> std::io::Result<()> {
-        debug_assert_eq!(interest.len(), self.registered);
-        ready.copy_from_slice(interest);
-        if !timeout.is_zero() {
-            std::thread::sleep(timeout.min(self.nap));
-        }
-        Ok(())
-    }
-}
-
-/// The platform's best poller: `poll(2)` on Linux, the spin fallback
-/// elsewhere.
-pub fn default_poller() -> Box<dyn ReadinessPoller> {
-    #[cfg(target_os = "linux")]
-    {
-        Box::new(PollSyscallPoller::new())
-    }
+    /// Overwrite every slot's interest with its readiness — the spin reports
+    /// every interesting socket ready — napping at most [`SPIN_NAP`] when
+    /// the loop may wait; nothing wakes it sooner.
     #[cfg(not(target_os = "linux"))]
-    {
-        Box::new(SpinPoller::new())
+    fn poll(&mut self, _slots: &mut [Slot], timeout: Duration) -> std::io::Result<bool> {
+        if !timeout.is_zero() {
+            std::thread::sleep(timeout.min(SPIN_NAP));
+        }
+        Ok(false)
     }
 }
 
@@ -464,74 +411,34 @@ impl BoundPollPlane {
     /// reconnect deadline, the resume cursor of a restarted process, the
     /// seeds to discover the address book from — given seeds, `peer_addrs` is
     /// empty and `timeout` bounds discovery and establishment together.
+    ///
+    /// A table or seed list no cluster can come up from is `InvalidInput`
+    /// before anything is dialed: a table must hold one dialable address per
+    /// server, no two the same, none but this server's own at this listener;
+    /// seeds come instead of a table, are dialable, and need a listener bound
+    /// to an address peers can dial. Establishment is the event loop's
+    /// first job, not a phase before it: the loop starts with every link down
+    /// and `timeout` to bring each up once (and, given seeds, to find out
+    /// where), and this call only waits for its verdict.
     pub fn establish_resilient(
         self,
         peer_addrs: &[SocketAddr],
         timeout: Duration,
         config: ResilienceConfig,
     ) -> std::io::Result<PollPlane> {
-        self.establish_resilient_with(peer_addrs, timeout, config, default_poller())
-    }
-
-    /// [`Self::establish_resilient`] with an explicit poller (tests force
-    /// [`SpinPoller`] here so the readiness seam runs on every platform).
-    ///
-    /// Establishment is the event loop's first job, not a phase before it:
-    /// the loop starts with every link down and `timeout` to bring each up
-    /// once (and, given seeds, to find out where), and this call only waits
-    /// for its verdict.
-    pub fn establish_resilient_with(
-        self,
-        peer_addrs: &[SocketAddr],
-        timeout: Duration,
-        config: ResilienceConfig,
-        mut poller: Box<dyn ReadinessPoller>,
-    ) -> std::io::Result<PollPlane> {
         let BoundPollPlane {
             id,
             num_servers,
             listener,
         } = self;
-        let invalid = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, m);
         let own_addr = listener.local_addr()?;
-        let book = if config.seeds.is_empty() {
-            if peer_addrs.len() != num_servers as usize {
-                return Err(invalid(format!(
-                    "need one address per server: got {} for a {num_servers}-server cluster",
-                    peer_addrs.len()
-                )));
-            }
-            AddressBook::complete(id, peer_addrs)
-        } else {
-            if !peer_addrs.is_empty() {
-                return Err(invalid(format!(
-                    "a peer table ({} addresses) and seeds ({}) are alternative sources of \
-                     the address book: pass one",
-                    peer_addrs.len(),
-                    config.seeds.len()
-                )));
-            }
-            if own_addr.ip().is_unspecified() {
-                return Err(invalid(format!(
-                    "cannot advertise wildcard listener address {own_addr}: with seeds the \
-                     listener must be bound to an address peers can dial"
-                )));
-            }
-            AddressBook::new(num_servers as usize, id, own_addr)
-        };
-
-        // Slot layout: 0 = waker, 1..=peers = peer streams (live, or the dial
-        // in flight), then the listener, then PENDING_SLOTS accepted
-        // connections still handshaking. A slot without a socket is parked on
-        // the waker's descriptor with no interest set.
-        let (waker_tx, waker_rx) = waker_pair()?;
-        poller.register(&waker_rx)?;
+        let book = starting_book(id, num_servers, own_addr, peer_addrs, &config.seeds)?;
+        let (poller, waker) = Poller::new()?;
         let registry = global_counters();
         let peer_ids: Vec<ServerId> = (0..num_servers).filter(|&peer| peer != id).collect();
-        let mut peers = Vec::with_capacity(peer_ids.len());
-        for &peer in &peer_ids {
-            poller.register(&waker_rx)?;
-            peers.push(Peer {
+        let peers = peer_ids
+            .iter()
+            .map(|&peer| Peer {
                 id: peer,
                 stream: None,
                 dialing: None,
@@ -543,13 +450,9 @@ impl BoundPollPlane {
                 // name formatting — an allocation — happens).
                 frames_in: registry.counter(&format!("poll.s{id}.from{peer}.frames_in")),
                 bytes_in: registry.counter(&format!("poll.s{id}.from{peer}.bytes_in")),
-            });
-        }
+            })
+            .collect();
         listener.set_nonblocking(true)?;
-        poller.register_listener(&listener)?;
-        for _ in 0..PENDING_SLOTS {
-            poller.register(&waker_rx)?;
-        }
 
         let (command_tx, command_rx) = sync_channel::<Request>(COMMAND_BACKLOG);
         let (inbox_tx, inbox) = channel::<InboxEvent>();
@@ -562,7 +465,6 @@ impl BoundPollPlane {
             actions: Vec::new(),
             peers,
             pending: (0..PENDING_SLOTS).map(|_| None).collect(),
-            waker_rx,
             listener,
             commands: command_rx,
             inbox: inbox_tx,
@@ -597,7 +499,7 @@ impl BoundPollPlane {
             book,
             peer_ids,
             commands: command_tx,
-            waker: waker_tx,
+            waker,
             inbox,
             collector: SuperstepCollector::new(),
             event_loop: Some(event_loop),
@@ -607,6 +509,64 @@ impl BoundPollPlane {
             batch_superstep: 0,
         })
     }
+}
+
+/// The book server `id`'s fabric starts from, listening at `own` — or the
+/// `InvalidInput` [`BoundPollPlane::establish_resilient`] documents. The one
+/// check of a peer table and seed list (the id and cluster size were checked
+/// at bind); a seeded node announces `own`, so it must be dialable.
+fn starting_book(
+    id: ServerId,
+    num_servers: u32,
+    own: SocketAddr,
+    peers: &[SocketAddr],
+    seeds: &[SocketAddr],
+) -> std::io::Result<AddressBook> {
+    let invalid = |m: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, m));
+    if !seeds.is_empty() {
+        if !peers.is_empty() {
+            return invalid(format!(
+                "a peer table ({} addresses) and seeds ({}) are alternative sources of \
+                 the address book: pass one",
+                peers.len(),
+                seeds.len()
+            ));
+        }
+        if own.ip().is_unspecified() {
+            return invalid(format!(
+                "cannot advertise wildcard listener address {own}: with seeds the \
+                 listener must be bound to an address peers can dial"
+            ));
+        }
+        if let Some(seed) = seeds.iter().find(|seed| seed.port() == 0) {
+            return invalid(format!("seed address {seed} has port 0 (not dialable)"));
+        }
+        return Ok(AddressBook::new(num_servers as usize, id, own));
+    }
+    if peers.len() != num_servers as usize {
+        return invalid(format!(
+            "need one address per server: got {} for a {num_servers}-server cluster",
+            peers.len()
+        ));
+    }
+    for (i, addr) in peers.iter().enumerate() {
+        if addr.port() == 0 {
+            return invalid(format!("peer {i} address {addr} has port 0 (not dialable)"));
+        }
+        if let Some(j) = (i + 1..peers.len()).find(|&j| peers[j] == *addr) {
+            return invalid(format!(
+                "peers {i} and {j} share address {addr}: every server needs its own endpoint"
+            ));
+        }
+        let same_ip = addr.ip() == own.ip() || own.ip().is_unspecified();
+        if i != id as usize && same_ip && addr.port() == own.port() {
+            return invalid(format!(
+                "peer {i} address {addr} is this node's own listen address \
+                 (did the table's order slip?)"
+            ));
+        }
+    }
+    Ok(AddressBook::complete(id, peers))
 }
 
 /// Event-driven TCP implementation of [`BroadcastPlane`]: one non-blocking
@@ -623,8 +583,8 @@ pub struct PollPlane {
     peer_ids: Vec<ServerId>,
     /// Bounded command channel into the event loop (the backpressure edge).
     commands: SyncSender<Request>,
-    /// Write end of the waker: one byte unblocks the loop's `poll`.
-    waker: TcpStream,
+    /// Interrupts the loop's `poll` after a command.
+    waker: Waker,
     /// Frames (and peer-loss events) from the event loop.
     inbox: Receiver<InboxEvent>,
     collector: SuperstepCollector,
@@ -685,14 +645,8 @@ impl PollPlane {
             )))
             .map_err(|_| PlaneError::Disconnected)?;
         self.batch_flushes.incr();
-        self.wake();
+        self.waker.wake();
         Ok(())
-    }
-
-    fn wake(&self) {
-        // A full waker pipe means the loop already has a pending wakeup;
-        // any other failure surfaces through the command channel.
-        let _ = (&self.waker).write(&[1]);
     }
 
     /// Tear this endpoint down as a *crash* — the in-process analog of
@@ -705,7 +659,7 @@ impl PollPlane {
     /// open for a replacement.
     pub fn crash(self) {
         let _ = self.commands.send(Request::Crash);
-        self.wake();
+        self.waker.wake();
         // The normal drop runs next: its Shutdown command lands on a closed
         // channel (ignored) and it joins the already-exiting event loop.
     }
@@ -766,7 +720,7 @@ impl BroadcastPlane for PollPlane {
         self.commands
             .send(Request::Do(Command::Ack(superstep, Arc::new(buf))))
             .map_err(|_| PlaneError::Disconnected)?;
-        self.wake();
+        self.waker.wake();
         Ok(())
     }
 
@@ -783,14 +737,14 @@ impl BroadcastPlane for PollPlane {
         let _ = self
             .commands
             .try_send(Request::Do(Command::Abort(Arc::new(full))));
-        self.wake();
+        self.waker.wake();
     }
 }
 
 impl SeverPeer for PollPlane {
     fn sever_peer(&mut self, peer: ServerId) {
         let _ = self.commands.send(Request::Sever(peer));
-        self.wake();
+        self.waker.wake();
     }
 }
 
@@ -801,7 +755,7 @@ impl Drop for PollPlane {
         // loop flushes it all before half-closing.
         let _ = self.flush_batch();
         let _ = self.commands.send(Request::Do(Command::Shutdown));
-        self.wake();
+        self.waker.wake();
         if let Some(handle) = self.event_loop.take() {
             let _ = handle.join();
         }
@@ -980,13 +934,11 @@ struct EventLoop {
     /// The one buffer every `step` appends to and `dispatch` drains: a
     /// fault-free superstep allocates nothing here.
     actions: Vec<Action>,
-    /// Registered with the poller as slots `1..=peers.len()`.
+    /// Poller slots `0..peers.len()`.
     peers: Vec<Peer>,
     /// Accepted connections still handshaking and announces awaiting their
     /// reply: the poller's last slots.
     pending: Vec<Option<Handshake>>,
-    /// Poller slot 0.
-    waker_rx: TcpStream,
     /// The slot after the peers. Kept open for the whole run so cut peers —
     /// or a restarted process — can always dial back in.
     listener: TcpListener,
@@ -994,7 +946,7 @@ struct EventLoop {
     inbox: Sender<InboxEvent>,
     /// Where `establish` waits; taken by the verdict.
     verdict: Option<Sender<std::io::Result<AddressBook>>>,
-    poller: Box<dyn ReadinessPoller>,
+    poller: Poller,
     counters: LoopCounters,
     /// Commands are still being taken (no shutdown seen yet).
     intake_open: bool,
@@ -1007,10 +959,8 @@ struct EventLoop {
 impl EventLoop {
     fn run(mut self) {
         let mut read_buf = vec![0u8; READ_CHUNK];
-        let listener_slot = 1 + self.peers.len();
-        let mut interest = vec![Readiness::default(); listener_slot + 1 + PENDING_SLOTS];
-        let mut ready = interest.clone();
-        interest[0].readable = true;
+        let listener_slot = self.peers.len();
+        let mut slots = Vec::with_capacity(listener_slot + 1 + PENDING_SLOTS);
         let (mut progressed, mut stopping) = (true, false);
         loop {
             // 1. Commands — but only while below the high-water mark: a slow
@@ -1074,15 +1024,18 @@ impl EventLoop {
 
             // 3. Readiness round. Zero timeout while work remains from the
             // previous round, so a burst is serviced without sleeping;
-            // otherwise sleep until a socket or the next clock needs us.
-            for (slot, peer) in interest[1..].iter_mut().zip(&self.peers) {
-                slot.readable = peer.stream.is_some() || peer.dialing.is_some();
-                slot.writable = peer.stream.is_some() && !peer.outbound.is_empty();
-            }
-            interest[listener_slot].readable = !self.exiting;
-            for (slot, handshake) in interest[listener_slot + 1..].iter_mut().zip(&self.pending) {
-                slot.readable = handshake.is_some();
-            }
+            // otherwise sleep until a socket or the next clock needs us. Slot
+            // layout: the peers (a dial in flight is read before a live
+            // stream), the listener (not while exiting), the pending slots.
+            slots.clear();
+            slots.extend(self.peers.iter().map(|peer| {
+                let dialing = peer.dialing.as_ref().map(|h| &h.stream);
+                let writable = peer.stream.is_some() && !peer.outbound.is_empty();
+                Slot::of(dialing.or(peer.stream.as_ref()), writable)
+            }));
+            slots.push(Slot::of((!self.exiting).then_some(&self.listener), false));
+            let pending = self.pending.iter().map(|h| h.as_ref().map(|h| &h.stream));
+            slots.extend(pending.map(|stream| Slot::of(stream, false)));
             let fabric_due = self.fabric.next_timer().map(|t| self.epoch + t);
             let timeout = match handshake_due.into_iter().chain(fabric_due).min() {
                 _ if progressed => Duration::ZERO,
@@ -1091,25 +1044,22 @@ impl EventLoop {
                     .min(POLL_TIMEOUT),
                 None => POLL_TIMEOUT,
             };
-            if let Err(e) = self.poller.poll(&interest, &mut ready, timeout) {
-                // A broken poller cannot drive any stream: fail establishment
-                // or report every peer lost, and leave — the plane finds the
-                // command channel closed.
-                self.conclude(Err(e));
-                for peer in &mut self.peers {
-                    peer.close();
-                    let lost = InboxEvent::PeerLost(peer.id, PlaneError::Disconnected);
-                    let _ = self.inbox.send(lost);
+            progressed = match self.poller.poll(&mut slots, timeout) {
+                Ok(woken) => woken,
+                Err(e) => {
+                    // A broken poller cannot drive any stream: fail
+                    // establishment or report every peer lost, and leave —
+                    // the plane finds the command channel closed.
+                    self.conclude(Err(e));
+                    for peer in &mut self.peers {
+                        peer.close();
+                        let lost = InboxEvent::PeerLost(peer.id, PlaneError::Disconnected);
+                        let _ = self.inbox.send(lost);
+                    }
+                    return;
                 }
-                return;
-            }
-
-            progressed = false;
-            if ready[0].readable {
-                progressed |= drain_waker(&self.waker_rx, &mut read_buf);
-            }
-            for idx in 0..self.peers.len() {
-                let state = ready[1 + idx];
+            };
+            for (idx, state) in slots[..listener_slot].iter().enumerate() {
                 if state.readable && self.peers[idx].dialing.is_some() {
                     progressed |= self.pump_handshake(Conn::Dialed(self.peers[idx].id));
                 } else if state.readable {
@@ -1120,11 +1070,11 @@ impl EventLoop {
                     progressed |= pump_writes(peer, &self.counters);
                 }
             }
-            if ready[listener_slot].readable && !self.exiting {
+            if slots[listener_slot].readable {
                 progressed |= self.accept_connections();
             }
             for slot in 0..PENDING_SLOTS {
-                if ready[listener_slot + 1 + slot].readable && self.pending[slot].is_some() {
+                if slots[listener_slot + 1 + slot].readable && self.pending[slot].is_some() {
                     progressed |= self.pump_handshake(Conn::Accepted(slot));
                 }
             }
@@ -1206,11 +1156,7 @@ impl EventLoop {
             }
             Action::Adopt(conn, peer) => {
                 let slot = self.slot_of(peer);
-                // (A dialed stream already sits in the peer's poller slot.)
-                let adopted = self.handshake(conn).take().filter(|h| {
-                    matches!(conn, Conn::Dialed(_))
-                        || self.poller.reregister(1 + slot, &h.stream).is_ok()
-                });
+                let adopted = self.handshake(conn).take();
                 self.peers[slot].close();
                 let Some(adopted) = adopted else {
                     return Some(Event::StreamEnd(peer));
@@ -1248,7 +1194,6 @@ impl EventLoop {
         let origin = format!("server {peer} at {addr}");
         let dialed = TcpStream::connect_timeout(&addr, DIAL_CONNECT_CAP).and_then(|stream| {
             (&stream).write_all(&hello)?;
-            self.poller.reregister(1 + slot, &stream)?;
             Handshake::new(stream, origin.clone(), None)
         });
         match dialed {
@@ -1289,9 +1234,7 @@ impl EventLoop {
     /// Put `stream` in pending slot `slot` (over whatever stranger held it)
     /// until its handshake is whole.
     fn park(&mut self, slot: usize, stream: TcpStream, origin: String, asked: Option<SocketAddr>) {
-        let registered = (self.poller).reregister(2 + self.peers.len() + slot, &stream);
-        let handshake = registered.and_then(|()| Handshake::new(stream, origin, asked));
-        self.pending[slot] = handshake.ok();
+        self.pending[slot] = Handshake::new(stream, origin, asked).ok();
     }
 
     /// Drain the listener's accept queue into pending slots.
@@ -1472,41 +1415,6 @@ fn pump_writes(peer: &mut Peer, counters: &LoopCounters) -> bool {
     }
 }
 
-/// Drain the waker pipe (its only payload is "wake up").
-fn drain_waker(waker: &TcpStream, buf: &mut [u8]) -> bool {
-    let mut progressed = false;
-    loop {
-        match (&*waker).read(buf) {
-            Ok(0) => return progressed, // plane dropped its write end
-            Ok(_) => progressed = true,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return progressed, // WouldBlock or a dead waker: either way, proceed
-        }
-    }
-}
-
-/// A connected loopback TCP pair used as a portable waker: the write end
-/// lives with the plane, the read end sits in the poll set. (Unix pipes would
-/// do on Unix; a loopback pair works on every std target and registers with
-/// any [`ReadinessPoller`].)
-fn waker_pair() -> std::io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
-    let addr = listener.local_addr()?;
-    let tx = TcpStream::connect(addr)?;
-    // Guard against a stranger racing onto the transient listener.
-    let local = tx.local_addr()?;
-    let rx = loop {
-        let (candidate, peer_addr) = listener.accept()?;
-        if peer_addr == local {
-            break candidate;
-        }
-    };
-    tx.set_nodelay(true)?;
-    tx.set_nonblocking(true)?;
-    rx.set_nonblocking(true)?;
-    Ok((tx, rx))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1648,23 +1556,6 @@ mod tests {
         }
     }
 
-    /// Same exchange, poller forced to the portable spin fallback: the
-    /// readiness seam (not just the Linux syscall shim) carries the protocol.
-    #[test]
-    fn all_to_all_delivery_with_the_spin_poller() {
-        let (bound, addrs) = bind_cluster(2);
-        let mut planes = establish_all_with(bound, |b| {
-            b.establish_resilient_with(
-                &addrs,
-                TIMEOUT,
-                ResilienceConfig::default(),
-                Box::new(SpinPoller::new()),
-            )
-        });
-        let (p0, p1) = planes.split_at_mut(1);
-        run_pair(&mut p0[0], &mut p1[0], 0..3);
-    }
-
     #[test]
     fn abort_crosses_the_event_loop() {
         let (mut a, mut b) = establish_pair(&ResilienceConfig::default());
@@ -1726,13 +1617,17 @@ mod tests {
         });
     }
 
+    /// A loopback address nothing listens at.
+    fn unused_addr() -> SocketAddr {
+        TcpListener::bind("127.0.0.1:0")
+            .and_then(|dead| dead.local_addr())
+            .unwrap()
+    }
+
     #[test]
     fn missing_peer_times_out_instead_of_hanging() {
         let bound = PollPlane::bind(1, 2, "127.0.0.1:0").unwrap();
-        let dead = TcpListener::bind("127.0.0.1:0").unwrap();
-        let dead_addr = dead.local_addr().unwrap();
-        drop(dead);
-        let addrs = vec![dead_addr, bound.local_addr().unwrap()];
+        let addrs = vec![unused_addr(), bound.local_addr().unwrap()];
         let err = bound
             .establish_with_timeout(&addrs, Duration::from_millis(300))
             .unwrap_err();
@@ -1763,26 +1658,6 @@ mod tests {
         let mut p0 = FaultPlane::new(p0, CutPlan::explicit(vec![(1, 1), (2, 1)]));
         let mut p1 = FaultPlane::new(p1, CutPlan::explicit(vec![(1, 0)]));
         run_pair(&mut p0, &mut p1, 0..5);
-    }
-
-    /// The recovery machinery also rides the portable spin poller — it must
-    /// not depend on the Linux `poll(2)` shim (listener readiness degrades to
-    /// opportunistic accept attempts).
-    #[test]
-    fn boundary_cut_recovers_on_the_spin_poller() {
-        let (bound, addrs) = bind_cluster(2);
-        let mut planes = establish_all_with(bound, |b| {
-            b.establish_resilient_with(
-                &addrs,
-                TIMEOUT,
-                ResilienceConfig::default(),
-                Box::new(SpinPoller::new()),
-            )
-        });
-        let mut p1 = planes.pop().unwrap();
-        let p0 = planes.pop().unwrap();
-        let mut p0 = FaultPlane::new(p0, CutPlan::explicit(vec![(0, 1)]));
-        run_pair(&mut p0, &mut p1, 0..3);
     }
 
     /// Severing an already-severed (or recovering) link is a harmless no-op.
@@ -1876,7 +1751,7 @@ mod tests {
         p1.crash();
         // The impostor believes in a 3-server cluster.
         let wrong = PollPlane::bind(1, 3, "127.0.0.1:0").unwrap();
-        let wrong_addrs = [addrs[0], wrong.local_addr().unwrap(), addrs[0]];
+        let wrong_addrs = [addrs[0], wrong.local_addr().unwrap(), unused_addr()];
         let refused = wrong.establish_with_timeout(&wrong_addrs, Duration::from_millis(300));
         assert!(refused.is_err());
         p0.end_superstep(0).unwrap();
@@ -1967,8 +1842,9 @@ mod tests {
         drop((planes, strangers));
     }
 
-    /// A peer table and seeds are alternative sources of the book, and a
-    /// discovering node must have an address to announce.
+    /// A peer table and seeds are alternative sources of the book, a
+    /// discovering node must have an address to announce, and a seed must be
+    /// dialable.
     #[test]
     fn seeds_exclude_a_peer_table_and_a_wildcard_listener() {
         let (mut bound, addrs) = bind_cluster(2);
@@ -1983,6 +1859,52 @@ mod tests {
         let wildcard = PollPlane::bind(1, 2, "0.0.0.0:0").unwrap();
         let err = wildcard.establish_resilient(&[], TIMEOUT, config);
         assert_eq!(err.unwrap_err().kind(), std::io::ErrorKind::InvalidInput);
+        let port_zero = ResilienceConfig {
+            seeds: vec!["127.0.0.1:0".parse().unwrap()],
+            ..ResilienceConfig::default()
+        };
+        let err = bound
+            .pop()
+            .unwrap()
+            .establish_resilient(&[], TIMEOUT, port_zero);
+        let err = err.unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("port 0"), "{err}");
+    }
+
+    /// A static table no cluster can come up from is refused before anything
+    /// is dialed — on a loopback listener and on the wildcard address alike:
+    /// an entry count that is not the cluster size, a port-0 entry, two
+    /// servers at one address, another server's entry at this listener.
+    #[test]
+    fn bad_peer_tables_are_refused_before_anything_is_dialed() {
+        // Server 1 of 3 dials server 0, whose stand-in must see no connection.
+        let lower = TcpListener::bind("127.0.0.1:0").unwrap();
+        lower.set_nonblocking(true).unwrap();
+        let server_0 = lower.local_addr().unwrap();
+        let port_0: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        for listen in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let bound: Vec<_> = (0..4)
+                .map(|_| PollPlane::bind(1, 3, listen).unwrap())
+                .collect();
+            let port = |i: usize| bound[i].local_addr().unwrap().port();
+            let own: Vec<_> = (0..4)
+                .map(|i| SocketAddr::from(([127, 0, 0, 1], port(i))))
+                .collect();
+            let tables = [
+                (vec![server_0, own[0]], "need one address per server"),
+                (vec![server_0, own[1], port_0], "port 0"),
+                (vec![server_0, own[2], server_0], "share address"),
+                (vec![own[3], server_0, unused_addr()], "own listen address"),
+            ];
+            for (bound, (table, why)) in bound.into_iter().zip(tables) {
+                let err = bound.establish_with_timeout(&table, TIMEOUT).unwrap_err();
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+                assert!(err.to_string().contains(why), "{listen} {table:?}: {err}");
+                let nothing = lower.accept().map(|_| ()).unwrap_err();
+                assert_eq!(nothing.kind(), std::io::ErrorKind::WouldBlock, "{table:?}");
+            }
+        }
     }
 
     /// A peer is killed mid-run and a replacement with the same server id

@@ -1,11 +1,11 @@
 //! Deterministic reduction of per-worker metrics into [`ClusterMetrics`].
 //!
-//! Workers stream one [`MetricsSlice`] per (superstep, server) to the executor
-//! thread in arbitrary arrival order; the reducer re-assembles them into
-//! per-superstep reports ordered by server id, so the reduced metrics are
-//! independent of thread scheduling.
+//! Every worker returns its own per-superstep metrics
+//! ([`WorkerOutput::metrics`]); the reducer zips them, in server-id order,
+//! into per-superstep reports — so the reduced metrics are independent of
+//! thread scheduling.
 
-use crate::worker::MetricsSlice;
+use crate::worker::WorkerOutput;
 use graphh_cluster::{ClusterMetrics, CostModel, SuperstepReport};
 
 /// Reduced metrics plus the per-superstep updated-vertex counts.
@@ -16,33 +16,28 @@ pub struct ReducedMetrics {
     pub updated_ratio_per_superstep: Vec<f64>,
 }
 
-/// Assemble `slices` (any order) into finalized superstep reports.
-///
-/// Every superstep must have exactly one slice per server; supersteps are
-/// emitted in index order.
+/// Zip `outputs` — one per server, ordered by server id, every one run from
+/// superstep 0 through the same supersteps — into finalized superstep
+/// reports, in superstep order.
 pub fn reduce_metrics(
-    mut slices: Vec<MetricsSlice>,
-    num_servers: u32,
+    outputs: &[WorkerOutput],
     num_vertices: u64,
     cost_model: &CostModel,
 ) -> ReducedMetrics {
-    // Deterministic order: by (superstep, server id).
-    slices.sort_by_key(|s| (s.superstep, s.server));
+    let supersteps = outputs.first().map_or(0, |o| o.metrics.len());
     let mut metrics = ClusterMetrics::default();
-    let mut updated_ratio = Vec::new();
-    let mut iter = slices.into_iter().peekable();
-    while let Some(superstep) = iter.peek().map(|s| s.superstep) {
-        let mut report = SuperstepReport::new(superstep, num_servers);
-        let mut total_updates = 0u64;
-        for expected_sid in 0..num_servers {
-            let slice = iter
-                .next()
-                .expect("one metrics slice per server per superstep");
-            assert_eq!(slice.superstep, superstep, "metrics slice misaligned");
-            assert_eq!(slice.server, expected_sid, "metrics slice misaligned");
-            report.servers[expected_sid as usize] = slice.metrics;
-            total_updates = slice.total_updates;
+    let mut updated_ratio = Vec::with_capacity(supersteps);
+    for superstep in 0..supersteps {
+        let mut report = SuperstepReport::new(superstep as u32, outputs.len() as u32);
+        for (server, (slot, output)) in report.servers.iter_mut().zip(outputs).enumerate() {
+            assert_eq!(
+                output.server as usize, server,
+                "outputs out of server order"
+            );
+            *slot = output.metrics[superstep];
         }
+        // Every server applied the same merged update set.
+        let total_updates = report.servers[0].vertices_updated;
         report.total_vertices_updated = total_updates;
         updated_ratio.push(total_updates as f64 / num_vertices as f64);
         metrics.push(cost_model.finalize(report));
@@ -57,31 +52,31 @@ pub fn reduce_metrics(
 mod tests {
     use super::*;
     use graphh_cluster::{ClusterConfig, ServerMetrics};
+    use graphh_compress::Codec;
 
     #[test]
-    fn slices_reassemble_in_server_order_regardless_of_arrival() {
+    fn outputs_zip_into_per_superstep_reports_in_server_order() {
         let cost = CostModel::new(ClusterConfig::paper_testbed(2));
-        let slice = |superstep, server, edges| MetricsSlice {
-            superstep,
+        let output = |server, edges: [u64; 2]| WorkerOutput {
             server,
-            metrics: ServerMetrics {
-                edges_processed: edges,
-                ..Default::default()
-            },
-            total_updates: 10,
+            values: Vec::new(),
+            cache_codec: Codec::Raw,
+            peak_memory: 0,
+            supersteps_run: 2,
+            metrics: edges
+                .map(|edges_processed| ServerMetrics {
+                    edges_processed,
+                    vertices_updated: 10,
+                    ..Default::default()
+                })
+                .to_vec(),
         };
-        // Deliberately scrambled arrival order.
-        let slices = vec![
-            slice(1, 1, 40),
-            slice(0, 1, 20),
-            slice(1, 0, 30),
-            slice(0, 0, 10),
-        ];
-        let reduced = reduce_metrics(slices, 2, 100, &cost);
+        let reduced = reduce_metrics(&[output(0, [10, 30]), output(1, [20, 40])], 100, &cost);
         assert_eq!(reduced.metrics.num_supersteps(), 2);
         let s0 = &reduced.metrics.supersteps[0];
         assert_eq!(s0.servers[0].edges_processed, 10);
         assert_eq!(s0.servers[1].edges_processed, 20);
+        assert_eq!(reduced.metrics.supersteps[1].servers[1].edges_processed, 40);
         assert_eq!(s0.total_vertices_updated, 10);
         assert!(s0.simulated_seconds > 0.0);
         assert_eq!(reduced.updated_ratio_per_superstep, vec![0.1, 0.1]);

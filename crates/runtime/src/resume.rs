@@ -370,88 +370,6 @@ pub(crate) fn count_frames(mut bytes: &[u8]) -> u64 {
     frames
 }
 
-/// Validate a `--peers` table before any connection is attempted, so a
-/// misconfigured cluster fails at plan time with a clear message instead of
-/// hanging in establish or failing halfway through.
-///
-/// Rejects: mixing a static `--peers` table with `--seed` discovery (the two
-/// are alternative sources of the same address book — a node must pick one),
-/// a table whose length disagrees with the cluster size, an own id outside
-/// the cluster, duplicate addresses (two servers cannot share an endpoint —
-/// and a duplicate of the own entry is another server dialing *this* node),
-/// a port-0 entry (not dialable), and — when the node's own bound address is
-/// known — any *other* server's entry pointing at it.
-pub fn validate_peer_table(
-    id: ServerId,
-    num_servers: u32,
-    peers: &[SocketAddr],
-    seeds: &[SocketAddr],
-    own_addr: Option<SocketAddr>,
-) -> Result<(), String> {
-    if !peers.is_empty() && !seeds.is_empty() {
-        return Err(format!(
-            "--peers and --seed are mutually exclusive: the static table \
-             ({} peers) and seed discovery ({} seeds) are alternative sources \
-             of the address book — drop one",
-            peers.len(),
-            seeds.len()
-        ));
-    }
-    if num_servers == 0 {
-        return Err("cluster size must be at least 1".into());
-    }
-    if id >= num_servers {
-        return Err(format!(
-            "server id {id} outside the {num_servers}-server cluster"
-        ));
-    }
-    if peers.is_empty() && !seeds.is_empty() {
-        // Seed-discovery mode: the table is learned, not declared. Only the
-        // seed addresses themselves can be vetted at plan time.
-        for (i, seed) in seeds.iter().enumerate() {
-            if seed.port() == 0 {
-                return Err(format!("seed {i} address {seed} has port 0 (not dialable)"));
-            }
-        }
-        return Ok(());
-    }
-    if peers.len() != num_servers as usize {
-        return Err(format!(
-            "--peers lists {} addresses for a {num_servers}-server cluster \
-             (one address per server, indexed by server id)",
-            peers.len()
-        ));
-    }
-    for (i, addr) in peers.iter().enumerate() {
-        if addr.port() == 0 {
-            return Err(format!("peer {i} address {addr} has port 0 (not dialable)"));
-        }
-        for (j, other) in peers.iter().enumerate().skip(i + 1) {
-            if addr == other {
-                return Err(format!(
-                    "peers {i} and {j} share address {addr}: every server needs \
-                     its own endpoint"
-                ));
-            }
-        }
-    }
-    if let Some(own) = own_addr {
-        for (j, addr) in peers.iter().enumerate() {
-            if j as ServerId == id {
-                continue;
-            }
-            let same_ip = addr.ip() == own.ip() || own.ip().is_unspecified();
-            if same_ip && addr.port() == own.port() {
-                return Err(format!(
-                    "peer {j} address {addr} is this node's own listen address \
-                     (self-dialing entry; did the --peers order slip?)"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,58 +584,5 @@ mod tests {
         bytes.truncate(bytes.len() - 1);
         assert_eq!(count_frames(&bytes), 1);
         assert_eq!(count_frames(&[]), 0);
-    }
-
-    fn addr(port: u16) -> SocketAddr {
-        format!("127.0.0.1:{port}").parse().unwrap()
-    }
-
-    #[test]
-    fn peer_table_validation_catches_misconfigurations() {
-        let table = vec![addr(4750), addr(4751), addr(4752)];
-        assert!(validate_peer_table(0, 3, &table, &[], Some(addr(4750))).is_ok());
-
-        // Count mismatch.
-        let err = validate_peer_table(0, 4, &table, &[], None).unwrap_err();
-        assert!(err.contains("lists 3 addresses"), "{err}");
-
-        // Duplicate addresses.
-        let dup = vec![addr(4750), addr(4751), addr(4750)];
-        let err = validate_peer_table(1, 3, &dup, &[], None).unwrap_err();
-        assert!(err.contains("share address"), "{err}");
-
-        // Self-dialing entry: another server's slot points at this node.
-        let selfdial = vec![addr(4750), addr(4751), addr(4752)];
-        let err = validate_peer_table(0, 3, &selfdial, &[], Some(addr(4751))).unwrap_err();
-        assert!(err.contains("own listen address"), "{err}");
-
-        // Unspecified own IP still matches on port.
-        let own: SocketAddr = "0.0.0.0:4752".parse().unwrap();
-        let err = validate_peer_table(0, 3, &selfdial, &[], Some(own)).unwrap_err();
-        assert!(err.contains("own listen address"), "{err}");
-
-        // Port 0 and bad ids.
-        let zero = vec![addr(4750), "127.0.0.1:0".parse().unwrap()];
-        assert!(validate_peer_table(0, 2, &zero, &[], None).is_err());
-        assert!(validate_peer_table(5, 3, &table, &[], None).is_err());
-        assert!(validate_peer_table(0, 0, &[], &[], None).is_err());
-    }
-
-    #[test]
-    fn peer_table_validation_handles_seed_mode() {
-        let table = vec![addr(4750), addr(4751), addr(4752)];
-        let seeds = vec![addr(4750)];
-
-        // Mixing the static table with seeds is a plan-time error.
-        let err = validate_peer_table(0, 3, &table, &seeds, None).unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
-
-        // Seeds alone are fine — the table is learned, not declared…
-        assert!(validate_peer_table(2, 3, &[], &seeds, Some(addr(4752))).is_ok());
-        // …but the seed addresses themselves must be dialable,
-        let bad_seed = vec!["127.0.0.1:0".parse().unwrap()];
-        assert!(validate_peer_table(2, 3, &[], &bad_seed, None).is_err());
-        // and the usual id-range checks still apply.
-        assert!(validate_peer_table(9, 3, &[], &seeds, None).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! The threaded executor: one OS thread per simulated server.
 //!
 //! Spawns a scoped thread per server, wires them into a [`ChannelPlane`],
-//! runs [`run_worker`] on each, and reduces the streamed metrics
+//! runs [`run_worker`] on each, and reduces the metrics they return
 //! deterministically. The plane's end-of-superstep markers are the only
 //! lockstep mechanism — the same one a multi-process cluster has.
 //! Differential tests (below and in `tests/determinism.rs`) pin its output to
@@ -9,13 +9,12 @@
 
 use crate::plane::{BroadcastPlane, ChannelPlane};
 use crate::reduce::reduce_metrics;
-use crate::worker::{run_worker, MetricsSlice, WorkerError, WorkerOptions, WorkerOutput};
+use crate::worker::{run_worker, WorkerError, WorkerOptions, WorkerOutput};
 use graphh_core::exec::{ExecutionPlan, Executor};
 use graphh_core::gab::GabProgram;
 use graphh_core::{EngineError, GraphHConfig, RunResult};
 use graphh_obs::TraceConfig;
 use graphh_partition::PartitionedGraph;
-use std::sync::mpsc::channel;
 use std::thread;
 use std::time::Instant;
 
@@ -65,14 +64,12 @@ impl Executor for ThreadedExecutor {
         driver_rec.end(prepare, "plan-prepare", "load");
         let num_servers = config.cluster.num_servers;
         let planes = ChannelPlane::connect(num_servers);
-        let (metrics_tx, metrics_rx) = channel::<MetricsSlice>();
 
         let worker_results: Vec<thread::Result<Result<WorkerOutput, WorkerError>>> =
             thread::scope(|scope| {
                 let handles: Vec<_> = planes
                     .into_iter()
                     .map(|mut plane| {
-                        let metrics_tx = metrics_tx.clone();
                         let plan = &plan;
                         let tracer = tracer.clone();
                         scope.spawn(move || {
@@ -84,7 +81,6 @@ impl Executor for ThreadedExecutor {
                                 program,
                                 sid,
                                 &mut plane,
-                                &metrics_tx,
                                 &tracer,
                                 WorkerOptions::default(),
                             )
@@ -93,7 +89,6 @@ impl Executor for ThreadedExecutor {
                     .collect();
                 handles.into_iter().map(|h| h.join()).collect()
             });
-        drop(metrics_tx);
 
         let mut outputs = Vec::with_capacity(num_servers as usize);
         let mut first_error: Option<WorkerError> = None;
@@ -125,9 +120,7 @@ impl Executor for ThreadedExecutor {
             return Err(e.error);
         }
         outputs.sort_by_key(|o| o.server);
-
-        let slices: Vec<MetricsSlice> = metrics_rx.into_iter().collect();
-        let reduced = reduce_metrics(slices, num_servers, plan.num_vertices, &plan.cost_model);
+        let reduced = reduce_metrics(&outputs, plan.num_vertices, &plan.cost_model);
 
         let supersteps_run = outputs.first().map(|o| o.supersteps_run).unwrap_or(0);
         debug_assert!(

@@ -33,7 +33,6 @@ use graphh_core::{EngineError, GraphHConfig};
 use graphh_graph::ids::{ServerId, VertexId};
 use graphh_obs::{global_counters, Tracer};
 use graphh_partition::PartitionedGraph;
-use std::sync::mpsc::Sender;
 
 /// One encode lane: the buffers and compressor state one message of the
 /// publish phase encodes into. Each message index owns its own lane, so the
@@ -137,20 +136,6 @@ impl SuperstepBuffers {
     }
 }
 
-/// One server's metrics for one superstep, streamed to the reducer.
-#[derive(Debug)]
-pub struct MetricsSlice {
-    /// Superstep index.
-    pub superstep: u32,
-    /// Reporting server.
-    pub server: ServerId,
-    /// The metered work.
-    pub metrics: ServerMetrics,
-    /// Cluster-wide updated-vertex count this superstep (identical on every
-    /// server — each applies the same merged update set).
-    pub total_updates: u64,
-}
-
 /// What a worker thread hands back when the run finishes.
 #[derive(Debug)]
 pub struct WorkerOutput {
@@ -164,6 +149,11 @@ pub struct WorkerOutput {
     pub peak_memory: u64,
     /// Supersteps executed.
     pub supersteps_run: u32,
+    /// This server's metered work, one entry per superstep it executed from
+    /// [`WorkerOptions::start_superstep`] on. Each entry's `vertices_updated`
+    /// is the superstep's cluster-wide update count — the same on every
+    /// server, which applies the same merged update set.
+    pub metrics: Vec<ServerMetrics>,
 }
 
 /// A worker failure, tagged with whether it is the *root cause* or a
@@ -176,6 +166,35 @@ pub struct WorkerError {
     pub error: EngineError,
     /// True when this error only reports another worker's abort.
     pub secondary: bool,
+}
+
+/// Reject a checkpoint restore the plan cannot run — it is file bytes: a
+/// replica that is not one value per vertex, a frontier that is not strictly
+/// ascending inside the graph, a cursor past the run's last superstep.
+fn check_restore(plan: &ExecutionPlan, options: &WorkerOptions) -> Result<(), WorkerError> {
+    let n = plan.num_vertices;
+    let values = options
+        .initial_values
+        .as_ref()
+        .map_or(n, |v| v.len() as u64);
+    let frontier = options.initial_frontier.as_deref().unwrap_or_default();
+    let why = if values != n {
+        format!("{values} replica values for a {n}-vertex graph")
+    } else if let Some(pair) = frontier.windows(2).find(|pair| pair[0] >= pair[1]) {
+        let (a, b) = (pair[0], pair[1]);
+        format!("frontier lists vertex {a} before vertex {b}; it must be strictly ascending")
+    } else if let Some(v) = frontier.last().filter(|&&v| u64::from(v) >= n) {
+        format!("frontier vertex {v} outside the {n}-vertex graph")
+    } else if options.start_superstep > plan.max_supersteps {
+        let (s, max) = (options.start_superstep, plan.max_supersteps);
+        format!("cursor at superstep {s}, past the run's {max} supersteps")
+    } else {
+        return Ok(());
+    };
+    Err(WorkerError {
+        error: EngineError::BadInput(format!("checkpoint restore: {why}")),
+        secondary: false,
+    })
 }
 
 fn plane_error(e: PlaneError) -> WorkerError {
@@ -221,8 +240,9 @@ pub struct WorkerOptions {
 /// `docs/OBSERVABILITY.md`). With the tracer off ([`Tracer::off`]) every span
 /// call is a no-op that reads no clock and allocates nothing — the contract
 /// `tests/alloc_count.rs` pins. `options` carries checkpoint-resumed starts
-/// ([`WorkerOptions::start_superstep`] plus the restored values/frontier) and
-/// periodic checkpoint writing.
+/// ([`WorkerOptions::start_superstep`] plus the restored values/frontier,
+/// which must fit the plan: a checkpoint is file bytes) and periodic
+/// checkpoint writing.
 ///
 /// On *any* exit that is not a clean finish — an `Err` return or a panic
 /// (e.g. a user `GabProgram` indexing out of bounds) — the peers are
@@ -236,10 +256,13 @@ pub fn run_worker(
     program: &dyn GabProgram,
     sid: ServerId,
     plane: &mut dyn BroadcastPlane,
-    metrics_tx: &Sender<MetricsSlice>,
     tracer: &Tracer,
     options: WorkerOptions,
 ) -> Result<WorkerOutput, WorkerError> {
+    if let Err(e) = check_restore(plan, &options) {
+        plane.abort();
+        return Err(e);
+    }
     let num_servers = config.cluster.num_servers;
     let mut rec = tracer.thread(1 + sid);
     let load = rec.begin();
@@ -276,6 +299,7 @@ pub fn run_worker(
     // its previous life — running even one superstep would diverge from the
     // original run, so the loop is skipped entirely.
     let resumed_after_termination = start_superstep > 0 && bufs.previously_updated.is_empty();
+    let mut per_superstep = Vec::new();
 
     let rec = &mut rec;
     let body = std::panic::AssertUnwindSafe(|| -> Result<u32, WorkerError> {
@@ -410,12 +434,7 @@ pub fn run_worker(
             rec.end_superstep(apply, "apply", "superstep", superstep);
             metrics.vertices_updated = bufs.all_updates.len() as u64;
             metrics.peak_memory_bytes = server.peak_memory();
-            let _ = metrics_tx.send(MetricsSlice {
-                superstep,
-                server: sid,
-                metrics,
-                total_updates: bufs.all_updates.len() as u64,
-            });
+            per_superstep.push(metrics);
 
             bufs.advance_frontier();
             supersteps_run = superstep + 1;
@@ -469,6 +488,7 @@ pub fn run_worker(
                 cache_codec: server.cache_codec(),
                 peak_memory: server.peak_memory(),
                 supersteps_run,
+                metrics: per_superstep,
             })
         }
         Ok(Err(e)) => {
@@ -490,7 +510,6 @@ mod tests {
     use graphh_core::PageRank;
     use graphh_graph::generators::path_graph;
     use graphh_partition::{Spe, SpeConfig};
-    use std::sync::mpsc::channel;
 
     /// A plane that hands the worker one attacker-controlled wire message,
     /// if given one, and records the markers and acks it is told, in order.
@@ -524,34 +543,35 @@ mod tests {
         fn abort(&mut self) {}
     }
 
+    /// `PageRank(3)` over `path_graph(10)` on one server, started with
+    /// `options` on a [`TestPlane`]: the result and the plane's calls.
+    fn run_path_graph(
+        options: WorkerOptions,
+    ) -> (Result<WorkerOutput, WorkerError>, Vec<(&'static str, u32)>) {
+        let g = path_graph(10);
+        let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 2)).unwrap();
+        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
+        let program = PageRank::new(3);
+        let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
+        assert_eq!(plan.max_supersteps, 3);
+        let mut plane = TestPlane::default();
+        let tracer = Tracer::off();
+        let result = run_worker(
+            &config, &plan, &p, &program, 0, &mut plane, &tracer, options,
+        );
+        (result, plane.calls)
+    }
+
     /// A checkpoint at cursor `s` promised `s - 1` durable, so a worker
     /// resumed there says so before anything else — even when nothing is left
     /// to run, which used to leave every peer retaining the final supersteps —
     /// and a fresh start acknowledges nothing before it has ended superstep 0.
     #[test]
     fn a_resumed_worker_repeats_the_ack_its_checkpoint_stands_for() {
-        let g = path_graph(10);
-        let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 2)).unwrap();
-        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
-        let program = PageRank::new(3);
-        let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
-        let calls_of = |options: WorkerOptions| {
-            let mut plane = TestPlane::default();
-            let (metrics_tx, _metrics_rx) = channel();
-            let tracer = Tracer::off();
-            run_worker(
-                &config,
-                &plan,
-                &p,
-                &program,
-                0,
-                &mut plane,
-                &metrics_tx,
-                &tracer,
-                options,
-            )
-            .unwrap();
-            plane.calls
+        let calls_of = |options| {
+            let (result, calls) = run_path_graph(options);
+            result.unwrap();
+            calls
         };
         let resumed_at = |start_superstep, initial_frontier| WorkerOptions {
             start_superstep,
@@ -559,7 +579,6 @@ mod tests {
             ..WorkerOptions::default()
         };
         // The cursor is past the last superstep: zero iterations, one ack.
-        assert_eq!(plan.max_supersteps, 3);
         assert_eq!(calls_of(resumed_at(3, None)), [("ack", 2)]);
         // The run had terminated (empty frontier) before the process died.
         assert_eq!(calls_of(resumed_at(2, Some(Vec::new()))), [("ack", 1)]);
@@ -569,6 +588,62 @@ mod tests {
         // A fresh start has nothing to repeat.
         let fresh = calls_of(WorkerOptions::default());
         assert_eq!(fresh[..2], [("end", 0), ("ack", 0)]);
+    }
+
+    /// Why a restore that does not fit the plan was refused — as the run's
+    /// root cause, not as a symptom of another server's failure.
+    fn refused_restore(options: WorkerOptions) -> String {
+        let err = run_path_graph(options)
+            .0
+            .expect_err("the restore must be refused");
+        assert!(!err.secondary);
+        err.error.to_string()
+    }
+
+    /// A replica of any other length is refused — even with a frontier that
+    /// keeps the run away from the missing ids, which used to return a
+    /// 5-value replica for the 10-vertex graph.
+    #[test]
+    fn a_restored_replica_must_hold_one_value_per_vertex() {
+        for len in [5, 11] {
+            let why = refused_restore(WorkerOptions {
+                start_superstep: 1,
+                initial_values: Some(vec![0.0; len]),
+                initial_frontier: Some(Vec::new()),
+                ..WorkerOptions::default()
+            });
+            assert!(
+                why.contains(&format!("{len} replica values for a 10-vertex")),
+                "{why}"
+            );
+        }
+    }
+
+    /// A frontier id past the graph used to panic indexing the out-degrees.
+    #[test]
+    fn a_restored_frontier_must_ascend_inside_the_graph() {
+        for (frontier, named) in [
+            (vec![99], "frontier vertex 99 outside"),
+            (vec![4, 1], "vertex 4 before vertex 1"),
+            (vec![3, 3], "vertex 3 before vertex 3"),
+        ] {
+            let why = refused_restore(WorkerOptions {
+                start_superstep: 1,
+                initial_frontier: Some(frontier),
+                ..WorkerOptions::default()
+            });
+            assert!(why.contains(named), "{why}");
+        }
+    }
+
+    /// A cursor past the last superstep used to run nothing and return `Ok`.
+    #[test]
+    fn a_restored_cursor_may_not_pass_the_last_superstep() {
+        let why = refused_restore(WorkerOptions {
+            start_superstep: 4,
+            ..WorkerOptions::default()
+        });
+        assert!(why.contains("superstep 4, past the run's 3"), "{why}");
     }
 
     /// The superstep buffers must be *reused*, not reallocated: after a
@@ -653,7 +728,6 @@ mod tests {
                 payload: Some(wire.into()),
                 ..TestPlane::default()
             };
-            let (metrics_tx, _metrics_rx) = channel();
             let err = run_worker(
                 &config,
                 &plan,
@@ -661,7 +735,6 @@ mod tests {
                 &program,
                 0,
                 &mut plane,
-                &metrics_tx,
                 &Tracer::off(),
                 WorkerOptions::default(),
             )

@@ -27,7 +27,6 @@ use graphh_runtime::{
     run_worker, BroadcastPlane, CutPlan, FaultPlane, PollPlane, ResilienceConfig, WorkerOptions,
 };
 use std::net::SocketAddr;
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -46,7 +45,6 @@ fn run_chaos_worker(
 ) -> (u32, Vec<f64>) {
     let cut_list = cuts.cuts().to_vec();
     let mut plane = FaultPlane::new(plane, cuts);
-    let (metrics_tx, _metrics_rx) = channel();
     let sid = plane.server_id();
     let output = run_worker(
         config,
@@ -55,7 +53,6 @@ fn run_chaos_worker(
         program,
         sid,
         &mut plane,
-        &metrics_tx,
         &Tracer::off(),
         WorkerOptions::default(),
     )

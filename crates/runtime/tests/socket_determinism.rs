@@ -1,8 +1,6 @@
 //! Differential suite for the TCP transport: a cluster of workers exchanging
 //! frames over real loopback sockets must be bit-identical to the sequential
-//! reference executor — for PageRank, SSSP and WCC, over [`PollPlane`] (also
-//! run with the portable [`SpinPoller`] forced, so the conformance holds
-//! through the readiness-trait seam, not just the Linux `poll(2)` shim).
+//! reference executor — for PageRank, SSSP and WCC, over [`PollPlane`].
 //!
 //! Each worker runs on its own thread with its own plane endpoint (the
 //! multi-process variant of the same wiring lives in `graphh-bench`'s
@@ -21,29 +19,16 @@ use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_graph::GraphBuilder;
 use graphh_obs::Tracer;
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
-use graphh_runtime::establish::DEFAULT_ESTABLISH_TIMEOUT;
-use graphh_runtime::{
-    run_worker, BoundPollPlane, BroadcastPlane, PollPlane, ResilienceConfig, SpinPoller,
-    WorkerOptions,
-};
+use graphh_runtime::{run_worker, BoundPollPlane, BroadcastPlane, PollPlane, WorkerOptions};
 use std::net::SocketAddr;
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread;
 
 const SERVERS: u32 = 3;
 
-/// Which readiness shim a run drives the plane with.
-#[derive(Clone, Copy, Debug)]
-enum Plane {
-    Poll,
-    PollSpin,
-}
-
-/// Bind one endpoint per server for `plane`, then establish and run the
-/// worker loop on scoped threads; returns each server's final replica values.
+/// Bind one endpoint per server, then establish and run the worker loop on
+/// scoped threads; returns each server's final replica values.
 fn run_over_tcp(
-    plane: Plane,
     config: &GraphHConfig,
     partitioned: &PartitionedGraph,
     program: &dyn GabProgram,
@@ -63,22 +48,10 @@ fn run_over_tcp(
                 let addrs = &addrs;
                 let plan = &plan;
                 scope.spawn(move || {
-                    let mut endpoint = match plane {
-                        // The spin-poller run pins conformance through the
-                        // readiness-trait seam itself.
-                        Plane::PollSpin => b.establish_resilient_with(
-                            addrs,
-                            DEFAULT_ESTABLISH_TIMEOUT,
-                            ResilienceConfig::default(),
-                            Box::new(SpinPoller::new()),
-                        ),
-                        Plane::Poll => b.establish(addrs),
-                    }
-                    .expect("establish");
+                    let mut endpoint = b.establish(addrs).expect("establish");
                     // Cross-server lockstep comes from the plane's
                     // end-of-superstep framing, exactly as in a real
                     // multi-process deployment.
-                    let (metrics_tx, _metrics_rx) = channel();
                     let sid = endpoint.server_id();
                     let output = run_worker(
                         config,
@@ -87,7 +60,6 @@ fn run_over_tcp(
                         program,
                         sid,
                         &mut endpoint,
-                        &metrics_tx,
                         &Tracer::off(),
                         WorkerOptions::default(),
                     )
@@ -103,7 +75,6 @@ fn run_over_tcp(
 }
 
 fn assert_tcp_matches_sequential(
-    plane: Plane,
     partitioned: &PartitionedGraph,
     program: &dyn GabProgram,
     what: &str,
@@ -113,7 +84,7 @@ fn assert_tcp_matches_sequential(
         GraphHEngine::with_executor(config.clone(), Arc::new(SequentialExecutor::new()))
             .run(partitioned, program)
             .expect("sequential run");
-    let replicas = run_over_tcp(plane, &config, partitioned, program);
+    let replicas = run_over_tcp(&config, partitioned, program);
     assert_eq!(replicas.len() as u32, SERVERS);
     for (sid, values) in replicas.iter().enumerate() {
         assert_eq!(
@@ -125,7 +96,7 @@ fn assert_tcp_matches_sequential(
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "{what}: server {sid} vertex {v} diverged over {plane:?} TCP ({x} vs {y})"
+                "{what}: server {sid} vertex {v} diverged over TCP ({x} vs {y})"
             );
         }
     }
@@ -159,44 +130,25 @@ fn wcc_workload() -> PartitionedGraph {
 
 #[test]
 fn poll_pagerank_is_bit_identical_to_sequential() {
-    assert_tcp_matches_sequential(
-        Plane::Poll,
-        &pagerank_workload(),
-        &PageRank::new(8),
-        "pagerank",
-    );
+    assert_tcp_matches_sequential(&pagerank_workload(), &PageRank::new(8), "pagerank");
 }
 
 #[test]
 fn poll_sssp_is_bit_identical_to_sequential() {
     let (p, sssp) = sssp_workload();
-    assert_tcp_matches_sequential(Plane::Poll, &p, &sssp, "sssp");
+    assert_tcp_matches_sequential(&p, &sssp, "sssp");
 }
 
 #[test]
 fn poll_wcc_is_bit_identical_to_sequential() {
-    assert_tcp_matches_sequential(Plane::Poll, &wcc_workload(), &Wcc::new(), "wcc");
-}
-
-/// One workload through the portable spin poller: the conformance contract
-/// must hold for any correct [`graphh_runtime::ReadinessPoller`], not just
-/// the platform shim.
-#[test]
-fn poll_with_spin_poller_is_bit_identical_to_sequential() {
-    assert_tcp_matches_sequential(
-        Plane::PollSpin,
-        &pagerank_workload(),
-        &PageRank::new(8),
-        "pagerank-spin",
-    );
+    assert_tcp_matches_sequential(&wcc_workload(), &Wcc::new(), "wcc");
 }
 
 /// Every registry program — including the formerly orphaned `bfs` and
 /// `degree-centrality` and the newer `labelprop` kernel — is
-/// bit-identical to the sequential reference over the TCP plane and the
-/// readiness-trait seam.
+/// bit-identical to the sequential reference over the TCP plane.
 #[test]
-fn every_registry_program_is_bit_identical_over_every_plane() {
+fn every_registry_program_is_bit_identical_over_tcp() {
     let dir = RmatGenerator::new(7, 5).generate(2017);
     let pdir = Spe::partition(&dir, &SpeConfig::with_tile_count("tcp", &dir, 8)).unwrap();
     let base = RmatGenerator::new(7, 4).simplified().generate(2017);
@@ -222,14 +174,7 @@ fn every_registry_program_is_bit_identical_over_every_plane() {
         let program = spec
             .build(&ProgramContext::new(graph.out_degrees()), &opts)
             .unwrap();
-        for plane in [Plane::Poll, Plane::PollSpin] {
-            assert_tcp_matches_sequential(
-                plane,
-                part,
-                program.as_ref(),
-                &format!("{} over {plane:?}", spec.name),
-            );
-        }
+        assert_tcp_matches_sequential(part, program.as_ref(), spec.name);
     }
 }
 
@@ -263,7 +208,7 @@ fn direction_modes_are_bit_identical_over_tcp() {
     ] {
         let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS))
             .with_direction_mode(mode);
-        let replicas = run_over_tcp(Plane::Poll, &config, &p, &program);
+        let replicas = run_over_tcp(&config, &p, &program);
         for (sid, values) in replicas.iter().enumerate() {
             assert_eq!(values.len(), reference.values.len());
             for (v, (x, y)) in values.iter().zip(&reference.values).enumerate() {

@@ -21,7 +21,6 @@ use graphh::obs::Tracer;
 use graphh::prelude::*;
 use graphh::runtime::{run_worker, BoundPollPlane, BroadcastPlane, PollPlane, WorkerOptions};
 use std::net::SocketAddr;
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 const SERVERS: u32 = 3;
@@ -51,7 +50,6 @@ fn run_cluster(
                     let mut endpoint = b.establish(addrs).expect("establish");
                     // No barrier: lockstep comes from the plane's
                     // end-of-superstep markers.
-                    let (metrics_tx, _metrics_rx) = channel();
                     let sid = endpoint.server_id();
                     let out = run_worker(
                         config,
@@ -60,7 +58,6 @@ fn run_cluster(
                         program,
                         sid,
                         &mut endpoint,
-                        &metrics_tx,
                         &Tracer::off(),
                         WorkerOptions::default(),
                     )

@@ -113,9 +113,8 @@ fn poll_plane_cluster(
     use graphh::core::exec::ExecutionPlan;
     use graphh::obs::Tracer;
     use graphh::runtime::{
-        run_worker, BroadcastPlane, CutPlan, FaultPlane, MetricsSlice, PollPlane, WorkerOptions,
+        run_worker, BroadcastPlane, CutPlan, FaultPlane, PollPlane, WorkerOptions, WorkerOutput,
     };
-    use std::sync::mpsc::channel;
 
     let servers = config.cluster.num_servers;
     let plan = ExecutionPlan::prepare(config, p, program).unwrap();
@@ -123,13 +122,11 @@ fn poll_plane_cluster(
         .map(|sid| PollPlane::bind(sid, servers, "127.0.0.1:0").unwrap())
         .collect();
     let addrs: Vec<_> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
-    let (metrics_tx, metrics_rx) = channel::<MetricsSlice>();
-    let replicas: Vec<Vec<f64>> = std::thread::scope(|scope| {
+    let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
         let handles: Vec<_> = bound
             .into_iter()
             .map(|b| {
                 let (addrs, plan) = (&addrs, &plan);
-                let metrics_tx = metrics_tx.clone();
                 scope.spawn(move || {
                     let plane = b.establish(addrs).expect("establish");
                     let sid = plane.server_id();
@@ -148,23 +145,21 @@ fn poll_plane_cluster(
                         program,
                         sid,
                         &mut plane,
-                        &metrics_tx,
                         &Tracer::off(),
                         WorkerOptions::default(),
                     )
                     .expect("worker")
-                    .values
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    drop(metrics_tx);
-    let net_sent_bytes = metrics_rx
-        .into_iter()
-        .map(|slice| slice.metrics.network_sent_bytes)
-        .sum();
-    (replicas, net_sent_bytes)
+    let metrics = outputs.iter().flat_map(|o| &o.metrics);
+    let net_sent_bytes = metrics.map(|m| m.network_sent_bytes).sum();
+    (
+        outputs.into_iter().map(|o| o.values).collect(),
+        net_sent_bytes,
+    )
 }
 
 /// The TCP transport, seen from tier-1: 2 servers × PageRank over
@@ -889,7 +884,6 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
     use graphh::obs::Tracer;
     use graphh::runtime::plane::{PlaneError, WireMessage};
     use graphh::runtime::{run_worker, BroadcastPlane, WorkerOptions};
-    use std::sync::mpsc::channel;
 
     /// Feeds the worker one attacker-controlled payload per superstep.
     struct InjectingPlane {
@@ -943,7 +937,6 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
         let mut plane = InjectingPlane {
             payloads: vec![corrupt.clone().into()],
         };
-        let (metrics_tx, _metrics_rx) = channel();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_worker(
                 &config,
@@ -952,7 +945,6 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
                 &program,
                 0,
                 &mut plane,
-                &metrics_tx,
                 &Tracer::off(),
                 WorkerOptions::default(),
             )
