@@ -47,6 +47,15 @@ impl SystemKind {
         SystemKind::GraphH,
     ];
 
+    /// The five systems [`crate::run`] meters, in Figure 9's column order.
+    pub const BASELINES: [SystemKind; 5] = [
+        SystemKind::PregelPlus,
+        SystemKind::PowerGraph,
+        SystemKind::PowerLyra,
+        SystemKind::GraphD,
+        SystemKind::Chaos,
+    ];
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {

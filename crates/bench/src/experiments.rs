@@ -7,11 +7,7 @@
 //! |V| and |E|.
 
 use crate::workloads::{experiment_graph, partition_for_experiments, run_graphh};
-use graphh_baselines::program::{PageRankMsg, SsspMsg};
-use graphh_baselines::{
-    ChaosConfig, ChaosEngine, CostSheet, GasConfig, GasEngine, PregelConfig, PregelEngine,
-    SystemKind,
-};
+use graphh_baselines::{CostSheet, SystemKind};
 use graphh_cache::CacheMode;
 use graphh_cluster::{ClusterConfig, CommunicationMode};
 use graphh_compress::{stats::measure_all, Codec};
@@ -93,93 +89,32 @@ struct SystemRun {
     avg_seconds: f64,
 }
 
-fn run_all_systems_pagerank(
+/// GraphH, then every baseline system, running `program` on `servers` servers.
+fn run_all_systems(
     graph: &graphh_graph::Graph,
     partitioned: &PartitionedGraph,
     servers: u32,
-    supersteps: u32,
+    program: &dyn GabProgram,
 ) -> Vec<SystemRun> {
-    let cluster = ClusterConfig::paper_testbed(servers);
-    let graphh = run_graphh(partitioned, &PageRank::new(supersteps), servers);
-    let pregel = PregelEngine::new(PregelConfig::pregel_plus(cluster))
-        .run(graph, &PageRankMsg::new(supersteps));
-    let powergraph =
-        GasEngine::new(GasConfig::powergraph(cluster)).run(graph, &PageRankMsg::new(supersteps));
-    let powerlyra =
-        GasEngine::new(GasConfig::powerlyra(cluster)).run(graph, &PageRankMsg::new(supersteps));
-    let graphd =
-        PregelEngine::new(PregelConfig::graphd(cluster)).run(graph, &PageRankMsg::new(supersteps));
-    let chaos =
-        ChaosEngine::new(ChaosConfig::new(cluster)).run(graph, &PageRankMsg::new(supersteps));
-    vec![
-        SystemRun {
-            name: "GraphH",
-            avg_seconds: graphh.avg_superstep_seconds(),
-        },
-        SystemRun {
-            name: "Pregel+",
-            avg_seconds: pregel.avg_superstep_seconds(),
-        },
-        SystemRun {
-            name: "PowerGraph",
-            avg_seconds: powergraph.avg_superstep_seconds(),
-        },
-        SystemRun {
-            name: "PowerLyra",
-            avg_seconds: powerlyra.avg_superstep_seconds(),
-        },
-        SystemRun {
-            name: "GraphD",
-            avg_seconds: graphd.avg_superstep_seconds(),
-        },
-        SystemRun {
-            name: "Chaos",
-            avg_seconds: chaos.avg_superstep_seconds(),
-        },
-    ]
-}
-
-fn run_all_systems_sssp(
-    graph: &graphh_graph::Graph,
-    partitioned: &PartitionedGraph,
-    servers: u32,
-) -> Vec<SystemRun> {
-    let cluster = ClusterConfig::paper_testbed(servers);
-    let source = best_source(graph);
-    let graphh = run_graphh(partitioned, &Sssp::new(source), servers);
-    let pregel =
-        PregelEngine::new(PregelConfig::pregel_plus(cluster)).run(graph, &SsspMsg::new(source));
-    let powergraph =
-        GasEngine::new(GasConfig::powergraph(cluster)).run(graph, &SsspMsg::new(source));
-    let powerlyra = GasEngine::new(GasConfig::powerlyra(cluster)).run(graph, &SsspMsg::new(source));
-    let graphd = PregelEngine::new(PregelConfig::graphd(cluster)).run(graph, &SsspMsg::new(source));
-    let chaos = ChaosEngine::new(ChaosConfig::new(cluster)).run(graph, &SsspMsg::new(source));
-    vec![
-        SystemRun {
-            name: "GraphH",
-            avg_seconds: graphh.avg_superstep_seconds(),
-        },
-        SystemRun {
-            name: "Pregel+",
-            avg_seconds: pregel.avg_superstep_seconds(),
-        },
-        SystemRun {
-            name: "PowerGraph",
-            avg_seconds: powergraph.avg_superstep_seconds(),
-        },
-        SystemRun {
-            name: "PowerLyra",
-            avg_seconds: powerlyra.avg_superstep_seconds(),
-        },
-        SystemRun {
-            name: "GraphD",
-            avg_seconds: graphd.avg_superstep_seconds(),
-        },
-        SystemRun {
-            name: "Chaos",
-            avg_seconds: chaos.avg_superstep_seconds(),
-        },
-    ]
+    let graphh = run_graphh(partitioned, program, servers);
+    let mut runs = vec![SystemRun {
+        name: "GraphH",
+        avg_seconds: graphh.avg_superstep_seconds(),
+    }];
+    for system in SystemKind::BASELINES {
+        let run = graphh_baselines::run(
+            system,
+            graph,
+            program,
+            ClusterConfig::paper_testbed(servers),
+        )
+        .expect("every BASELINES system has a meter");
+        runs.push(SystemRun {
+            name: system.name(),
+            avg_seconds: run.avg_superstep_seconds(),
+        });
+    }
+    runs
 }
 
 /// Figure 1b: per-superstep PageRank time on UK-2007 with 9 servers, per system
@@ -187,7 +122,7 @@ fn run_all_systems_sssp(
 pub fn fig1b_execution_time() -> String {
     let g = experiment_graph(Dataset::Uk2007);
     let p = partition_for_experiments(&g, "uk-2007");
-    let runs = run_all_systems_pagerank(&g, &p, 9, PAGERANK_SUPERSTEPS);
+    let runs = run_all_systems(&g, &p, 9, &PageRank::new(PAGERANK_SUPERSTEPS));
     let mut out = String::from(
         "# Figure 1b: avg PageRank superstep time, UK-2007 stand-in, 9 servers\nsystem\tavg superstep seconds (simulated)\n",
     );
@@ -472,7 +407,7 @@ pub fn fig9_pagerank(supersteps: u32) -> String {
         let g = experiment_graph(d);
         let p = partition_for_experiments(&g, d.name());
         for servers in [1u32, 3, 6, 9] {
-            let runs = run_all_systems_pagerank(&g, &p, servers, supersteps);
+            let runs = run_all_systems(&g, &p, servers, &PageRank::new(supersteps));
             writeln!(
                 out,
                 "{}\t{}\t{:.4}\t{:.4}\t{:.4}\t{:.4}\t{:.4}\t{:.4}",
@@ -500,7 +435,7 @@ pub fn fig10_sssp() -> String {
         let g = experiment_graph(d);
         let p = partition_for_experiments(&g, d.name());
         for servers in [1u32, 3, 6, 9] {
-            let runs = run_all_systems_sssp(&g, &p, servers);
+            let runs = run_all_systems(&g, &p, servers, &Sssp::new(best_source(&g)));
             writeln!(
                 out,
                 "{}\t{}\t{:.4}\t{:.4}\t{:.4}\t{:.4}\t{:.4}\t{:.4}",
@@ -655,7 +590,7 @@ mod tests {
         // A single small configuration exercises the full multi-system path cheaply.
         let g = experiment_graph(Dataset::Twitter2010);
         let p = partition_for_experiments(&g, "twitter-2010");
-        let runs = run_all_systems_pagerank(&g, &p, 3, 3);
+        let runs = run_all_systems(&g, &p, 3, &PageRank::new(3));
         assert_eq!(runs.len(), 6);
         // The headline claim: GraphH beats the out-of-core systems by a wide margin
         // and is competitive with (or beats) the in-memory systems.

@@ -36,20 +36,6 @@ impl MachineSpec {
             edges_per_second_per_worker: 120.0e6,
         }
     }
-
-    /// A deliberately small machine for tests (tiny memory so spilling paths trigger).
-    pub fn tiny(memory_bytes: u64) -> Self {
-        Self {
-            workers: 2,
-            memory_bytes,
-            disk_read_bw: 100.0e6,
-            disk_write_bw: 80.0e6,
-            disk_latency: 5.0e-3,
-            network_bw: 1.0e9,
-            network_latency: 50.0e-6,
-            edges_per_second_per_worker: 50.0e6,
-        }
-    }
 }
 
 /// A cluster: `num_servers` identical machines.
@@ -68,15 +54,6 @@ impl ClusterConfig {
         Self {
             num_servers,
             machine: MachineSpec::paper_testbed(),
-        }
-    }
-
-    /// A small test cluster with the given per-server memory.
-    pub fn tiny(num_servers: u32, memory_bytes: u64) -> Self {
-        assert!(num_servers > 0, "cluster must have at least one server");
-        Self {
-            num_servers,
-            machine: MachineSpec::tiny(memory_bytes),
         }
     }
 

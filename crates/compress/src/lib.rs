@@ -157,17 +157,6 @@ impl Codec {
         }
     }
 
-    /// The paper cache mode this codec corresponds to (None for the extension codec).
-    pub fn cache_mode(self) -> Option<u8> {
-        match self {
-            Codec::Raw => Some(1),
-            Codec::Snappy => Some(2),
-            Codec::Zlib1 => Some(3),
-            Codec::Zlib3 => Some(4),
-            Codec::VarintDelta => None,
-        }
-    }
-
     /// Short human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -423,14 +412,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_mode_mapping_is_bijective_for_paper_modes() {
-        for mode in 1u8..=4 {
-            let codec = Codec::from_cache_mode(mode).unwrap();
-            assert_eq!(codec.cache_mode(), Some(mode));
-        }
+    fn paper_cache_modes_are_the_first_four_codecs() {
+        let modes: Vec<Codec> = (1u8..=4).filter_map(Codec::from_cache_mode).collect();
+        assert_eq!(modes, Codec::ALL[..4]);
         assert!(Codec::from_cache_mode(0).is_none());
         assert!(Codec::from_cache_mode(5).is_none());
-        assert_eq!(Codec::VarintDelta.cache_mode(), None);
     }
 
     #[test]

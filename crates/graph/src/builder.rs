@@ -1,15 +1,13 @@
-//! Incremental graph construction with optional de-duplication and relabeling.
+//! Incremental graph construction with optional de-duplication.
 
 use crate::edge::{Edge, EdgeList};
 use crate::ids::{VertexCount, VertexId};
 use crate::{Graph, GraphError};
-use std::collections::HashMap;
 
 /// Builds a [`Graph`] from individually inserted edges.
 ///
 /// The builder tracks the maximum vertex id seen so the caller does not need to know
-/// `|V|` up front, can optionally drop duplicate and self-loop edges, and can relabel
-/// arbitrary (sparse) external ids into the dense `0..|V|` range the engines require.
+/// `|V|` up front, and can optionally drop duplicate and self-loop edges.
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
     edges: EdgeList,
@@ -100,46 +98,6 @@ impl GraphBuilder {
     }
 }
 
-/// Relabels sparse external vertex ids (e.g. from a raw crawl file) into dense ids.
-#[derive(Debug, Default)]
-pub struct Relabeler {
-    map: HashMap<u64, VertexId>,
-    reverse: Vec<u64>,
-}
-
-impl Relabeler {
-    /// Empty relabeler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Dense id for an external id, allocating a new one on first sight.
-    pub fn relabel(&mut self, external: u64) -> VertexId {
-        if let Some(&v) = self.map.get(&external) {
-            return v;
-        }
-        let v = self.reverse.len() as VertexId;
-        self.map.insert(external, v);
-        self.reverse.push(external);
-        v
-    }
-
-    /// External id for a dense id.
-    pub fn original(&self, dense: VertexId) -> Option<u64> {
-        self.reverse.get(dense as usize).copied()
-    }
-
-    /// Number of distinct vertices seen.
-    pub fn len(&self) -> usize {
-        self.reverse.len()
-    }
-
-    /// Whether no vertex has been seen.
-    pub fn is_empty(&self) -> bool {
-        self.reverse.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,18 +143,5 @@ mod tests {
         let g = GraphBuilder::new().build().unwrap();
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn relabeler_is_consistent_and_reversible() {
-        let mut r = Relabeler::new();
-        let a = r.relabel(1_000_000);
-        let b = r.relabel(42);
-        let a2 = r.relabel(1_000_000);
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!(r.original(a), Some(1_000_000));
-        assert_eq!(r.original(b), Some(42));
-        assert_eq!(r.len(), 2);
     }
 }

@@ -161,6 +161,14 @@ impl Csc {
         (lo..hi).map(move |i| (self.sources[i], self.weights.as_ref().map_or(1.0, |w| w[i])))
     }
 
+    /// Weights of `v`'s in-edges, in [`Csc::in_neighbors`] order; `None` when
+    /// unweighted.
+    pub fn in_weights(&self, v: VertexId) -> Option<&[f32]> {
+        let lo = self.offsets[v as usize] as usize;
+        let hi = self.offsets[v as usize + 1] as usize;
+        self.weights.as_ref().map(|w| &w[lo..hi])
+    }
+
     /// In-degree of `v`.
     pub fn degree(&self, v: VertexId) -> u32 {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as u32
@@ -226,6 +234,8 @@ mod tests {
         let csc = Csc::from_edges(3, &list);
         let got: Vec<(u32, f32)> = csc.in_neighbors_weighted(1).collect();
         assert_eq!(got, vec![(0, 2.0), (2, 5.0)]);
+        assert_eq!(csc.in_weights(1), Some(&[2.0, 5.0][..]));
+        assert_eq!(Csc::from_edges(4, &edges()).in_weights(2), None);
     }
 
     #[test]

@@ -2,22 +2,18 @@
 //!
 //! The paper evaluates on four web/social crawls we cannot redistribute; the
 //! generators here produce scaled-down graphs with the same *shape*: heavy-tailed
-//! in-degree distributions (R-MAT, Chung-Lu), plus uniform (Erdős–Rényi) and
-//! structured graphs (paths, grids, stars, trees) for tests and SSSP workloads.
+//! in-degree distributions (R-MAT, Chung-Lu), plus structured graphs (paths,
+//! grids, stars, trees) for tests and SSSP workloads.
 //!
 //! All generators are deterministic given a seed.
 
 mod chung_lu;
-mod erdos_renyi;
 mod rmat;
 mod structured;
 
 pub use chung_lu::ChungLuGenerator;
-pub use erdos_renyi::ErdosRenyiGenerator;
 pub use rmat::RmatGenerator;
-pub use structured::{
-    binary_tree, complete_graph, cycle_graph, grid_graph, path_graph, star_graph,
-};
+pub use structured::{binary_tree, cycle_graph, grid_graph, path_graph, star_graph};
 
 use crate::Graph;
 
@@ -38,7 +34,6 @@ mod tests {
     fn all_generators_are_deterministic() {
         let gens: Vec<Box<dyn GraphGenerator>> = vec![
             Box::new(RmatGenerator::new(8, 4)),
-            Box::new(ErdosRenyiGenerator::new(100, 400)),
             Box::new(ChungLuGenerator::power_law(100, 5.0, 2.2)),
         ];
         for g in gens {

@@ -32,19 +32,6 @@ pub fn star_graph(n: u64) -> Graph {
     b.build().expect("star ids in range")
 }
 
-/// Complete directed graph (no self loops): every ordered pair once.
-pub fn complete_graph(n: u64) -> Graph {
-    let mut b = GraphBuilder::new().with_num_vertices(n);
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                b.add_edge(Edge::new(i as VertexId, j as VertexId));
-            }
-        }
-    }
-    b.build().expect("complete ids in range")
-}
-
 /// `rows x cols` grid with bidirectional edges to the right and down neighbours.
 /// Edge weights are 1.0, so it doubles as a weighted SSSP test case.
 pub fn grid_graph(rows: u64, cols: u64) -> Graph {
@@ -106,12 +93,6 @@ mod tests {
         let g = star_graph(100);
         assert_eq!(g.in_degree(0), 99);
         assert_eq!(g.out_degree(0), 0);
-    }
-
-    #[test]
-    fn complete_graph_edge_count() {
-        let g = complete_graph(6);
-        assert_eq!(g.num_edges(), 6 * 5);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! * edge lists ([`edge::EdgeList`]) and builders ([`builder::GraphBuilder`]),
 //! * compressed sparse row/column adjacency ([`csr::Csr`], [`csr::Csc`]),
 //! * degree statistics ([`degree`], [`properties::GraphStats`]),
-//! * synthetic graph generators (R-MAT, Chung-Lu, Erdős–Rényi, and structured
-//!   graphs) in [`generators`],
+//! * synthetic graph generators (R-MAT, Chung-Lu, and structured graphs) in
+//!   [`generators`],
 //! * the scaled-down stand-ins for the paper's benchmark datasets (Table I) in
-//!   [`datasets`],
-//! * plain-text and binary edge-list I/O in [`io`].
+//!   [`datasets`].
 //!
 //! The paper operates on directed graphs; an undirected graph is represented by
 //! inserting both arc directions.
@@ -24,7 +23,6 @@ pub mod degree;
 pub mod edge;
 pub mod generators;
 pub mod ids;
-pub mod io;
 pub mod properties;
 
 pub use builder::GraphBuilder;
@@ -131,7 +129,7 @@ impl Graph {
     }
 }
 
-/// Errors produced by graph construction and I/O.
+/// Errors produced by graph construction.
 #[derive(Debug)]
 pub enum GraphError {
     /// An edge endpoint is outside `0..num_vertices`.
@@ -141,15 +139,6 @@ pub enum GraphError {
         /// Declared vertex count.
         num_vertices: VertexCount,
     },
-    /// A text edge list line could not be parsed.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// Explanation.
-        message: String,
-    },
-    /// Underlying I/O failure.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for GraphError {
@@ -162,21 +151,11 @@ impl std::fmt::Display for GraphError {
                 f,
                 "vertex {vertex} out of range for graph with {num_vertices} vertices"
             ),
-            GraphError::Parse { line, message } => {
-                write!(f, "parse error on line {line}: {message}")
-            }
-            GraphError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
 }
 
 impl std::error::Error for GraphError {}
-
-impl From<std::io::Error> for GraphError {
-    fn from(e: std::io::Error) -> Self {
-        GraphError::Io(e)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -214,11 +193,8 @@ mod tests {
     fn rejects_out_of_range_vertex() {
         let mut edges = EdgeList::new_unweighted();
         edges.push(Edge::new(0, 9));
-        let err = Graph::from_edges(4, edges).unwrap_err();
-        match err {
-            GraphError::VertexOutOfRange { vertex, .. } => assert_eq!(vertex, 9),
-            other => panic!("unexpected error {other:?}"),
-        }
+        let GraphError::VertexOutOfRange { vertex, .. } = Graph::from_edges(4, edges).unwrap_err();
+        assert_eq!(vertex, 9);
     }
 
     #[test]
@@ -230,10 +206,10 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let err = GraphError::Parse {
-            line: 3,
-            message: "bad field".into(),
+        let err = GraphError::VertexOutOfRange {
+            vertex: 9,
+            num_vertices: 4,
         };
-        assert!(err.to_string().contains("line 3"));
+        assert!(err.to_string().contains("vertex 9"));
     }
 }

@@ -28,7 +28,7 @@ pub mod tile;
 pub use assignment::TileAssignment;
 pub use spe::{PartitionedGraph, Spe, SpeConfig};
 pub use splitter::Splitter;
-pub use tile::{Tile, TileMetadata};
+pub use tile::Tile;
 
 /// Errors produced by the partitioning layer.
 #[derive(Debug)]

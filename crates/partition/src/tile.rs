@@ -23,23 +23,6 @@ const TILE_MAGIC: &[u8; 8] = b"GHTILE01";
 /// flag, edge count.
 const HEADER_BYTES: usize = 8 + 4 + 4 + 4 + 1 + 8;
 
-/// Summary of a tile that is cheap to keep in memory for every tile on a server.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TileMetadata {
-    /// Tile id (position in the global tile order).
-    pub tile_id: TileId,
-    /// First target vertex covered by the tile.
-    pub target_start: VertexId,
-    /// One past the last target vertex covered by the tile.
-    pub target_end: VertexId,
-    /// Number of edges in the tile.
-    pub num_edges: u64,
-    /// Whether the tile stores edge weights.
-    pub weighted: bool,
-    /// Serialized size in bytes.
-    pub serialized_bytes: u64,
-}
-
 /// A tile of in-edges in enhanced CSR form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tile {
@@ -215,18 +198,6 @@ impl Tile {
             + self.weights.as_ref().map_or(0, |w| w.len() as u64 * 4)
     }
 
-    /// Cheap metadata snapshot.
-    pub fn metadata(&self) -> TileMetadata {
-        TileMetadata {
-            tile_id: self.tile_id,
-            target_start: self.target_start,
-            target_end: self.target_end,
-            num_edges: self.num_edges(),
-            weighted: self.is_weighted(),
-            serialized_bytes: self.serialized_size(),
-        }
-    }
-
     /// Size of [`Tile::to_bytes`]'s output without producing it.
     pub fn serialized_size(&self) -> u64 {
         let header = HEADER_BYTES as u64;
@@ -373,7 +344,6 @@ mod tests {
             assert_eq!(bytes.len() as u64, t.serialized_size());
             let back = Tile::from_bytes(&bytes).unwrap();
             assert_eq!(back, t);
-            assert_eq!(back.metadata(), t.metadata());
         }
     }
 

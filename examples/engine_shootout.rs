@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example engine_shootout`
 
-use graphh::baselines::program::PageRankMsg;
+use graphh::baselines::{self, BaselineRunResult};
 use graphh::graph::properties::human_bytes;
 use graphh::prelude::*;
 use std::sync::Arc;
@@ -27,25 +27,21 @@ fn main() {
     )
     .run(&partitioned, &PageRank::new(supersteps))
     .unwrap();
-    let pregel = PregelEngine::new(PregelConfig::pregel_plus(cluster))
-        .run(&graph, &PageRankMsg::new(supersteps));
-    let graphd =
-        PregelEngine::new(PregelConfig::graphd(cluster)).run(&graph, &PageRankMsg::new(supersteps));
-    let powergraph =
-        GasEngine::new(GasConfig::powergraph(cluster)).run(&graph, &PageRankMsg::new(supersteps));
-    let powerlyra =
-        GasEngine::new(GasConfig::powerlyra(cluster)).run(&graph, &PageRankMsg::new(supersteps));
-    let chaos =
-        ChaosEngine::new(ChaosConfig::new(cluster)).run(&graph, &PageRankMsg::new(supersteps));
+    let runs: Vec<(SystemKind, BaselineRunResult)> = SystemKind::BASELINES
+        .into_iter()
+        .map(|system| {
+            let run = baselines::run(system, &graph, &PageRank::new(supersteps), cluster);
+            (system, run.unwrap())
+        })
+        .collect();
 
     // All engines implement the same synchronous PageRank, so they must agree.
-    let max_diff = graphh
-        .values
+    let max_diff = runs
         .iter()
-        .zip(&pregel.values)
+        .flat_map(|(_, run)| graphh.values.iter().zip(&run.values))
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
-    println!("max |GraphH - Pregel+| rank difference: {max_diff:.2e}");
+    println!("max |GraphH - baseline| rank difference: {max_diff:.2e}");
     let threaded_identical = graphh
         .values
         .iter()
@@ -54,7 +50,7 @@ fn main() {
     println!("GraphH threaded == sequential (bit-identical): {threaded_identical}\n");
 
     println!("system             avg superstep (sim. s)   per-server memory");
-    let rows: [(&str, f64, u64); 7] = [
+    let mut rows = vec![
         (
             "GraphH",
             graphh.avg_superstep_seconds(),
@@ -65,32 +61,14 @@ fn main() {
             graphh_threaded.avg_superstep_seconds(),
             *graphh_threaded.per_server_peak_memory.iter().max().unwrap(),
         ),
-        (
-            "Pregel+",
-            pregel.avg_superstep_seconds(),
-            pregel.per_server_memory_bytes,
-        ),
-        (
-            "PowerGraph",
-            powergraph.avg_superstep_seconds(),
-            powergraph.per_server_memory_bytes,
-        ),
-        (
-            "PowerLyra",
-            powerlyra.avg_superstep_seconds(),
-            powerlyra.per_server_memory_bytes,
-        ),
-        (
-            "GraphD",
-            graphd.avg_superstep_seconds(),
-            graphd.per_server_memory_bytes,
-        ),
-        (
-            "Chaos",
-            chaos.avg_superstep_seconds(),
-            chaos.per_server_memory_bytes,
-        ),
     ];
+    for (system, run) in &runs {
+        rows.push((
+            system.name(),
+            run.avg_superstep_seconds(),
+            run.per_server_memory_bytes,
+        ));
+    }
     for (name, secs, mem) in rows {
         println!("{name:<18} {secs:>20.4}   {}", human_bytes(mem));
     }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example social_communities`
 
-use graphh::baselines::program::WccMsg;
+use graphh::baselines;
 use graphh::prelude::*;
 use std::collections::HashMap;
 
@@ -37,8 +37,8 @@ fn main() {
     );
 
     // Cross-check against the Pregel+ baseline.
-    let pregel = PregelEngine::new(PregelConfig::pregel_plus(ClusterConfig::paper_testbed(3)))
-        .run(&graph, &WccMsg);
+    let cluster = ClusterConfig::paper_testbed(3);
+    let pregel = baselines::run(SystemKind::PregelPlus, &graph, &Wcc::new(), cluster).unwrap();
     let agree = result
         .values
         .iter()

@@ -39,7 +39,9 @@
 //!   TCP sockets — the latter runs each server as its own process via the
 //!   `graphh-node` binary; the planes' end-of-superstep markers are the
 //!   superstep barrier),
-//! * [`baselines`] — Pregel+, GraphD, PowerGraph, PowerLyra and Chaos.
+//! * [`baselines`] — Pregel+, GraphD, PowerGraph, PowerLyra and Chaos: one
+//!   synchronous loop over the same [`GabProgram`](core::GabProgram)s, with a
+//!   traffic meter per system ([`baselines::run`]).
 //!
 //! To run the engine on real threads instead of the sequential reference loop:
 //!
@@ -69,10 +71,7 @@ pub use graphh_storage as storage;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
-    pub use graphh_baselines::{
-        ChaosConfig, ChaosEngine, CostSheet, GasConfig, GasEngine, PregelConfig, PregelEngine,
-        SystemKind,
-    };
+    pub use graphh_baselines::{CostSheet, SystemKind};
     pub use graphh_cache::{CacheMode, EdgeCache, EdgeCacheConfig};
     pub use graphh_cluster::{ClusterConfig, CommunicationMode, CostModel, MachineSpec};
     pub use graphh_compress::Codec;
@@ -82,9 +81,7 @@ pub mod prelude {
         RunResult, SequentialExecutor, Sssp, Wcc,
     };
     pub use graphh_graph::datasets::{Dataset, DatasetSpec};
-    pub use graphh_graph::generators::{
-        ChungLuGenerator, ErdosRenyiGenerator, GraphGenerator, RmatGenerator,
-    };
+    pub use graphh_graph::generators::{ChungLuGenerator, GraphGenerator, RmatGenerator};
     pub use graphh_graph::{Edge, EdgeList, Graph, GraphBuilder};
     pub use graphh_partition::{PartitionedGraph, Spe, SpeConfig, Tile};
     pub use graphh_runtime::ThreadedExecutor;
