@@ -4,8 +4,8 @@
 //! PowerGraph, PowerLyra and Chaos.
 //!
 //! All five compute the same synchronous values, so [`run`] runs one superstep
-//! loop over the engine's own [`GabProgram`] hooks (`initial_value`, `gather`,
-//! `apply`, `is_update`, `max_supersteps`) and hands every superstep to the
+//! loop over the engine's own [`GabProgram`] hooks (`initial_value`, `prepare`,
+//! `gather`, `apply`, `is_update`, `max_supersteps`) and hands every superstep to the
 //! system's **meter**, which fills [`graphh_cluster::ServerMetrics`] with the
 //! traffic that system's data layout implies:
 //!
@@ -126,6 +126,7 @@ pub fn run(
     let cost_model = CostModel::new(cluster);
     let mut metrics = ClusterMetrics::default();
     let mut changed: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut prepared = Vec::new();
     let mut supersteps_run = 0;
 
     for superstep in 0..program.max_supersteps() {
@@ -136,12 +137,14 @@ pub fn run(
                 active[t as usize] = true;
             }
         }
+        program.prepare(&values, out_degrees, &mut prepared);
         let ctx = VertexContext {
             values: &values,
             out_degrees,
             in_degrees,
             num_vertices: n,
             superstep,
+            prepared: &prepared,
         };
         let updates: Vec<(VertexId, f64)> = (0..n as VertexId)
             .filter(|&v| active[v as usize])

@@ -16,9 +16,11 @@ use graphh_graph::ids::VertexId;
 /// PageRank with damping factor 0.85 (Algorithm 6).
 ///
 /// `gather` sums `value(u) / out_degree(u)` over in-neighbours `u`; `apply` applies
-/// the damping. The program runs for a fixed number of supersteps (the paper runs 21
-/// and reports the mean of the last 20) or until no rank moves by more than the
-/// tolerance.
+/// the damping. The quotients are divided once per vertex per superstep, in
+/// [`GabProgram::prepare`], not once per edge: the same division of the same
+/// operands, summed in the same order, so the same bits. The program runs for a
+/// fixed number of supersteps (the paper runs 21 and reports the mean of the last
+/// 20) or until no rank moves by more than the tolerance.
 #[derive(Debug, Clone)]
 pub struct PageRank {
     /// Damping factor (0.85 in the paper).
@@ -58,13 +60,29 @@ impl GabProgram for PageRank {
         1.0 / ctx.num_vertices as f64
     }
 
+    /// A vertex with no out-edge contributes nothing (no dangling-mass
+    /// redistribution); it is no edge's source either, so its 0 is never
+    /// summed on consistent input.
+    fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
+        prepared.clear();
+        prepared.extend(values.iter().zip(out_degrees).map(|(&value, &d)| {
+            if d > 0 {
+                value / f64::from(d)
+            } else {
+                0.0
+            }
+        }));
+    }
+
     fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
+        debug_assert_eq!(
+            ctx.prepared.len(),
+            ctx.values.len(),
+            "PageRank needs its prepare hook; forward GabProgram::prepare"
+        );
         let mut accum = 0.0;
         for (src, _w) in in_edges {
-            let d = ctx.out_degrees[src as usize];
-            if d > 0 {
-                accum += ctx.values[src as usize] / f64::from(d);
-            }
+            accum += ctx.prepared[src as usize];
         }
         accum
     }
@@ -416,6 +434,22 @@ mod tests {
             in_degrees: ind,
             num_vertices: values.len() as u64,
             superstep: 0,
+            prepared: &[],
+        }
+    }
+
+    /// PageRank's context: `ctx` plus what its `prepare` made of the values.
+    fn prepared_ctx<'a>(
+        pr: &PageRank,
+        values: &'a [f64],
+        out: &'a [u32],
+        ind: &'a [u32],
+        prepared: &'a mut Vec<f64>,
+    ) -> VertexContext<'a> {
+        pr.prepare(values, out, prepared);
+        VertexContext {
+            prepared,
+            ..ctx(values, out, ind)
         }
     }
 
@@ -425,7 +459,8 @@ mod tests {
         let values = vec![0.25, 0.25, 0.25, 0.25];
         let out = vec![2, 1, 5, 0];
         let ind = vec![0; 4];
-        let c = ctx(&values, &out, &ind);
+        let mut prepared = Vec::new();
+        let c = prepared_ctx(&pr, &values, &out, &ind, &mut prepared);
         let mut edges = Edges::new(&[0, 1], None);
         let accum = pr.gather(3, &mut edges, &c);
         assert!((accum - (0.25 / 2.0 + 0.25 / 1.0)).abs() < 1e-12);
@@ -443,7 +478,8 @@ mod tests {
         let values = vec![1.0, 1.0];
         let out = vec![0, 1];
         let ind = vec![1, 0];
-        let c = ctx(&values, &out, &ind);
+        let mut prepared = Vec::new();
+        let c = prepared_ctx(&pr, &values, &out, &ind, &mut prepared);
         // Source 0 has out-degree 0 (inconsistent input, but must not divide by zero).
         let mut edges = Edges::new(&[0], None);
         assert_eq!(pr.gather(1, &mut edges, &c), 0.0);

@@ -12,7 +12,9 @@
 //! gathers every target, so agreeing on the updates is the check that a
 //! program's claim is honest (a skipped target would not have moved) and the
 //! edge count is compared with the in-degrees of the targets left to run.
-//! `PushIndex::build` is held to a stable sort of the tile's edges.
+//! `PushIndex::build` is held to a stable sort of the tile's edges, and
+//! PageRank's gather — a sum of what its [`GabProgram::prepare`] divided once
+//! per vertex — to the division on every edge it replaced.
 
 use super::{PushIndex, TransposeScratch};
 use crate::gab::{Edges, GabProgram, InitContext, TileUpdates, VertexContext};
@@ -182,13 +184,16 @@ fn for_every_program_and_round(
             let initial = program.initial_frontier(NUM_VERTICES as u64);
             let starts_everywhere = initial.is_none();
             let mut frontier = initial.unwrap_or_else(|| (0..NUM_VERTICES as u32).collect());
+            let mut prepared = Vec::new();
             for superstep in 0..4 {
+                program.prepare(&values, &out_degrees, &mut prepared);
                 let ctx = VertexContext {
                     values: &values,
                     out_degrees: &out_degrees,
                     in_degrees: &in_degrees,
                     num_vertices: NUM_VERTICES as u64,
                     superstep,
+                    prepared: &prepared,
                 };
                 let run_everything = superstep == 0 && starts_everywhere;
                 let mut updates = Vec::new();
@@ -236,6 +241,46 @@ fn gather_tile_is_the_old_per_target_loop_bit_for_bit() {
         final_edges > 50,
         "the BFS rounds must settle targets to skip"
     );
+}
+
+/// PageRank's gather before [`GabProgram::prepare`]: a division on every
+/// in-edge, skipping sources without out-edges.
+fn reference_pagerank_gather(in_edges: &[VertexId], ctx: &VertexContext<'_>) -> f64 {
+    let mut accum = 0.0;
+    for &src in in_edges {
+        let d = ctx.out_degrees[src as usize];
+        if d > 0 {
+            accum += ctx.values[src as usize] / f64::from(d);
+        }
+    }
+    accum
+}
+
+/// PageRank sums the quotients its `prepare` divided once per vertex; the
+/// loop it replaced divided on every edge. The same divisions, summed in the
+/// same order: the same bits, for every target of every round.
+#[test]
+fn pagerank_prepared_gather_is_the_per_edge_division_bit_for_bit() {
+    let mut compared = 0;
+    for_every_program_and_round(|program, tile, _frontier, ctx| {
+        if program.name() != "pagerank" {
+            return;
+        }
+        for target in tile.targets() {
+            let (sources, weights): (Vec<VertexId>, Vec<f32>) = tile.in_edges(target).unzip();
+            let got = program.gather(target, &mut Edges::new(&sources, Some(&weights)), ctx);
+            let want = reference_pagerank_gather(&sources, ctx);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "tile {} target {target} superstep {}",
+                tile.tile_id,
+                ctx.superstep
+            );
+            compared += sources.len();
+        }
+    });
+    assert!(compared > 50, "{compared} edges compared");
 }
 
 /// No program but synchronous BFS may call a value final:

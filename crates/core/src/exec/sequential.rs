@@ -6,10 +6,10 @@
 //! ([`graphh_cluster::MessageCodec`]), so Figure 8 numbers are measured here
 //! exactly as they are on the threaded channels.
 
-use super::{merge_updates_in_place, ExecutionPlan, Executor, ServerState};
+use super::{ExecutionPlan, Executor, ServerState, UpdateRuns};
 use crate::engine::{GraphHConfig, RunResult};
 use crate::gab::{Direction, GabProgram};
-use crate::Result;
+use crate::{EngineError, Result};
 use graphh_cluster::{ClusterMetrics, ServerMetrics, SuperstepReport};
 use graphh_graph::ids::VertexId;
 use graphh_obs::{global_counters, TraceConfig};
@@ -70,9 +70,10 @@ impl Executor for SequentialExecutor {
         let mut previously_updated: Vec<VertexId> = plan.initial_frontier();
         let mut supersteps_run = 0u32;
         // Cleared and reused every superstep: the broadcast hot path reuses
-        // one update buffer and one set of codec scratch buffers for the
-        // whole run (zero steady-state allocation on the uncompressed path).
-        let mut all_updates: Vec<(VertexId, f64)> = Vec::new();
+        // one update buffer, the frontier it merges into and one set of codec
+        // scratch buffers for the whole run (zero steady-state allocation on
+        // the uncompressed path).
+        let mut all_updates = UpdateRuns::new();
         let mut enc_scratch: Vec<u8> = Vec::new();
         let mut wire: Vec<u8> = Vec::new();
         let mut dec_scratch: Vec<u8> = Vec::new();
@@ -80,6 +81,10 @@ impl Executor for SequentialExecutor {
         // every compressed message of the run, making the compressed encode
         // path allocation-free too; flushed into `compress.*` at run end.
         let mut comp = graphh_compress::CompressorScratch::new();
+        // The servers run one at a time, so they take turns with one
+        // `GabProgram::prepare` array: each refills it from its own replica
+        // in its tile phase, and one process holds one, not one per server.
+        let mut prepared: Vec<f64> = Vec::new();
         // Direction decision counters, fetched once (the registry lookup
         // locks; the hot-loop adds are relaxed atomics).
         let counters = global_counters();
@@ -100,13 +105,16 @@ impl Executor for SequentialExecutor {
 
             for (sid, server) in servers.iter_mut().enumerate() {
                 let compute = rec.begin();
+                std::mem::swap(&mut server.prepared, &mut prepared);
                 let phase = server.run_tile_phase(
                     program,
                     &plan,
                     superstep,
                     &view,
                     config.use_bloom_filter,
-                )?;
+                );
+                std::mem::swap(&mut server.prepared, &mut prepared);
+                let phase = phase?;
                 rec.end_superstep_dir(
                     compute,
                     "tile-compute",
@@ -135,9 +143,10 @@ impl Executor for SequentialExecutor {
                     // charged the same decompression time.
                     plan.message_codec
                         .decode_each(&wire, &mut received, &mut dec_scratch, |v, val| {
-                            all_updates.push((v, val));
+                            all_updates.push(v, val);
                         })
                         .expect("we just encoded this");
+                    all_updates.end_run();
                 }
                 rec.end_superstep(publish, "encode-publish", "superstep", superstep);
                 report.servers[sid] = server_metrics;
@@ -149,21 +158,27 @@ impl Executor for SequentialExecutor {
                 }
             }
 
-            // BSP barrier: apply all broadcast updates to every replica.
+            // BSP barrier: apply all broadcast updates to every replica; the
+            // updated ids are the next frontier.
             let apply = rec.begin();
-            merge_updates_in_place(&mut all_updates);
+            all_updates
+                .merge(&mut previously_updated)
+                .map_err(|vertex| {
+                    EngineError::BadInput(format!(
+                        "tiles overlap at vertex {vertex} in superstep {superstep}"
+                    ))
+                })?;
+            let merged = all_updates.as_slice();
             for server in &mut servers {
-                server.apply_updates(&all_updates);
+                server.apply_updates(merged);
             }
             rec.end_superstep(apply, "apply", "superstep", superstep);
             for (sid, server) in servers.iter().enumerate() {
-                report.servers[sid].vertices_updated = all_updates.len() as u64;
+                report.servers[sid].vertices_updated = merged.len() as u64;
                 report.servers[sid].peak_memory_bytes = server.peak_memory();
             }
-            report.total_vertices_updated = all_updates.len() as u64;
-            updated_ratio.push(all_updates.len() as f64 / plan.num_vertices as f64);
-            previously_updated.clear();
-            previously_updated.extend(all_updates.iter().map(|&(v, _)| v));
+            report.total_vertices_updated = merged.len() as u64;
+            updated_ratio.push(merged.len() as f64 / plan.num_vertices as f64);
 
             let report = plan.cost_model.finalize(report);
             metrics.push(report);

@@ -24,6 +24,13 @@
 //! superstep skips targets whose value is settled — the bottom-up step of
 //! direction-optimizing BFS).
 //!
+//! One more lets a program do per-vertex work once instead of once per edge:
+//! [`GabProgram::prepare`] fills a per-server buffer from the replica before
+//! each pull superstep's tiles, and `gather` reads it as
+//! [`VertexContext::prepared`] (PageRank divides each rank by its out-degree
+//! there, and its gather only sums). It is a pure function of the replica, so
+//! it cannot change a value either.
+//!
 //! ## Direction-aware programs
 //!
 //! Beyond the paper, a program may also provide a **push side**
@@ -231,6 +238,10 @@ pub struct VertexContext<'a> {
     pub num_vertices: u64,
     /// Current superstep (0-based).
     pub superstep: u32,
+    /// What [`GabProgram::prepare`] filled from `values` for this superstep,
+    /// one slot per vertex. Empty for a program that prepares nothing, and in
+    /// a push superstep, which runs no gather.
+    pub prepared: &'a [f64],
 }
 
 /// A vertex-centric program in the GAB model.
@@ -293,6 +304,25 @@ pub trait GabProgram: Send + Sync {
     fn is_final(&self, value: f64) -> bool {
         let _ = value;
         false
+    }
+
+    /// Refill `prepared` — handed to `gather` and `apply` as
+    /// [`VertexContext::prepared`] — from the replica `values`, one slot per
+    /// vertex. The engine calls it once per server before every pull
+    /// superstep's tiles, so work a gather would repeat on every out-edge of a
+    /// source is done once per vertex. `prepared` is the same buffer every
+    /// superstep: whatever the last call left in it, empty before the first.
+    ///
+    /// **Contract:** `prepared` is a pure function of `values` and
+    /// `out_degrees`; every server computes the same array from the same
+    /// replica, so preparing cannot change a value. The default leaves the
+    /// buffer empty, so a program that keeps it allocates nothing.
+    ///
+    /// A program that wraps another and forwards its `gather` must forward
+    /// `prepare` too: the default compiles, but leaves the wrapped gather an
+    /// empty [`VertexContext::prepared`] to read.
+    fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
+        let _ = (values, out_degrees, prepared);
     }
 
     /// Whether the program implements the push side ([`Self::scatter`] /
@@ -426,6 +456,9 @@ mod tests {
         assert_eq!(p.initial_frontier(4), None);
         assert!(!p.is_final(0.0) && !p.is_final(f64::INFINITY));
         assert_eq!(p.max_supersteps(), 1);
+        let mut prepared = Vec::new();
+        p.prepare(&[1.0, 2.0], &[1, 1], &mut prepared);
+        assert!(prepared.is_empty(), "the default prepares nothing");
     }
 
     #[test]
@@ -489,6 +522,7 @@ mod tests {
             in_degrees: &in_degrees,
             num_vertices: 4,
             superstep: 0,
+            prepared: &[],
         };
         let mut edges = Edges::new(&[0, 2], None);
         assert_eq!(p.gather(1, &mut edges, &ctx), 2.0);

@@ -10,7 +10,14 @@ use graphh_graph::Graph;
 /// PageRank run for exactly `supersteps` iterations with damping 0.85, matching what
 /// the GAB, Pregel and GAS engines compute (synchronous updates, no dangling-mass
 /// redistribution — none of the systems in the paper redistribute it either).
+///
+/// Every float operation is the engine's, in the engine's order —
+/// `(1 - 0.85) / n` (which is not the `f64` nearest 0.15 / n), a division on
+/// every in-edge, a vertex's in-edges summed by ascending source id as SPE
+/// stores them — so the engine's ranks for a partition of `graph` are these,
+/// bit for bit.
 pub fn pagerank(graph: &Graph, supersteps: u32) -> Vec<f64> {
+    const DAMPING: f64 = 0.85;
     let n = graph.num_vertices() as usize;
     if n == 0 {
         return Vec::new();
@@ -18,16 +25,20 @@ pub fn pagerank(graph: &Graph, supersteps: u32) -> Vec<f64> {
     let csc = graph.to_csc();
     let out_deg = graph.out_degrees();
     let mut values = vec![1.0 / n as f64; n];
+    let mut sources = Vec::new();
     for _ in 0..supersteps {
-        let mut next = vec![0.15 / n as f64; n];
+        let mut next = vec![(1.0 - DAMPING) / n as f64; n];
         for (v, next_value) in next.iter_mut().enumerate() {
+            sources.clear();
+            sources.extend_from_slice(csc.in_neighbors(v as VertexId));
+            sources.sort_unstable();
             let mut accum = 0.0;
-            for &src in csc.in_neighbors(v as VertexId) {
+            for &src in &sources {
                 if out_deg[src as usize] > 0 {
                     accum += values[src as usize] / f64::from(out_deg[src as usize]);
                 }
             }
-            *next_value += 0.85 * accum;
+            *next_value += DAMPING * accum;
         }
         values = next;
     }

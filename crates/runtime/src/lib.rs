@@ -49,9 +49,12 @@
 //!
 //! 1. each vertex is updated by exactly one tile, and each tile by exactly one
 //!    server, so the merged update set of a superstep is schedule-independent,
-//! 2. workers sort the merged updates by vertex id before applying
-//!    ([`graphh_core::exec::merge_updates_in_place`]) — the same order the sequential
-//!    executor uses,
+//! 2. the merged update set names each vertex at most once, so the order a
+//!    worker applies it in cannot change the replica, and the next frontier —
+//!    the messages' ids, ordered by first id and concatenated
+//!    ([`graphh_core::exec::UpdateRuns`]) — is ascending however the messages
+//!    arrived, as in the sequential executor; two messages whose ids overlap
+//!    are a corrupt broadcast that aborts the run,
 //! 3. the plane's end-of-superstep markers keep replicas in lockstep — no
 //!    worker applies superstep `s` before every peer finished publishing it,
 //!    and a faster peer's `s + 1` frames are stashed, not applied — so every

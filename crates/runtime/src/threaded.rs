@@ -309,6 +309,9 @@ mod tests {
         fn is_final(&self, value: f64) -> bool {
             self.0.is_final(value)
         }
+        fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
+            self.0.prepare(values, out_degrees, prepared)
+        }
         fn supports_push(&self) -> bool {
             self.0.supports_push()
         }

@@ -10,10 +10,14 @@
 //!    broadcast plane,
 //! 3. **exchange** — collect every peer's wire messages for the superstep and
 //!    decode them (charging real decompression time),
-//! 4. **apply** — merge own + received updates, sorted by vertex id
-//!    ([`graphh_core::exec::merge_updates_in_place`]), into the local replica — the sort makes the apply
-//!    order independent of message arrival order, which is what keeps threaded
-//!    results bit-identical to sequential ones,
+//! 4. **apply** — merge own + received updates
+//!    ([`graphh_core::exec::UpdateRuns`]: each message is an ascending run over
+//!    its own tile's range, so no vertex is updated twice and ordering the runs
+//!    by first id and concatenating their ids is the sorted next frontier) and
+//!    apply them to the local replica — neither depends on message arrival
+//!    order, which is what keeps threaded results bit-identical to sequential
+//!    ones; two messages whose ids overlap are a corrupt broadcast, and the
+//!    worker aborts the run,
 //! 5. **decide** — every replica now holds the same merged update set, so
 //!    every worker independently reaches the same continue/stop decision.
 //!
@@ -27,7 +31,7 @@ use crate::checkpoint::{Checkpoint, CheckpointSink};
 use crate::plane::{BroadcastPlane, PlaneError};
 use graphh_cluster::ServerMetrics;
 use graphh_compress::{Codec, CompressorScratch};
-use graphh_core::exec::{merge_updates_in_place, ExecutionPlan, ServerState};
+use graphh_core::exec::{ExecutionPlan, ServerState, UpdateRuns};
 use graphh_core::gab::{Direction, GabProgram};
 use graphh_core::{EngineError, GraphHConfig};
 use graphh_graph::ids::{ServerId, VertexId};
@@ -74,8 +78,9 @@ impl EncodeLane {
 /// codec path (asserted by `tests/alloc_count.rs`). The byte buffers come
 /// from a [`BufferPool`] so they return to the pool when the run ends.
 struct SuperstepBuffers {
-    /// This superstep's merged `(vertex, value)` update set (own + received).
-    all_updates: Vec<(VertexId, f64)>,
+    /// This superstep's `(vertex, value)` updates (own + received), one run
+    /// per message until merged.
+    all_updates: UpdateRuns,
     /// Vertex ids updated in the previous superstep (drives tile skipping).
     previously_updated: Vec<VertexId>,
     /// One lane per concurrently encoded message, grown to the widest
@@ -93,7 +98,7 @@ struct SuperstepBuffers {
 impl SuperstepBuffers {
     fn checkout(pool: &BufferPool, initial_frontier: Vec<VertexId>) -> Self {
         Self {
-            all_updates: Vec::new(),
+            all_updates: UpdateRuns::new(),
             previously_updated: initial_frontier,
             lanes: Vec::new(),
             dec_scratch: pool.checkout(),
@@ -125,14 +130,6 @@ impl SuperstepBuffers {
                 .comp
                 .publish_observability();
         }
-    }
-
-    /// Roll the merged update set into the next superstep's frontier, in
-    /// place.
-    fn advance_frontier(&mut self) {
-        self.previously_updated.clear();
-        self.previously_updated
-            .extend(self.all_updates.iter().map(|&(v, _)| v));
     }
 }
 
@@ -387,7 +384,7 @@ pub fn run_worker(
                 // The sender applies its own updates without a decode round
                 // trip (the wire format is lossless, and the sequential
                 // executor charges no decompression to the sender either).
-                bufs.all_updates.extend(message.updates.iter().copied());
+                bufs.all_updates.extend_run(&message.updates);
             }
             rec.end_superstep(publish, "encode-publish", "superstep", superstep);
             let flush = rec.begin();
@@ -403,12 +400,13 @@ pub fn run_worker(
                 let header = plan
                     .message_codec
                     .decode_each(&wire, &mut metrics, &mut bufs.dec_scratch, |v, val| {
-                        all_updates.push((v, val));
+                        all_updates.push(v, val);
                     })
                     .map_err(|e| WorkerError {
                         error: EngineError::BadInput(format!("corrupt broadcast: {e}")),
                         secondary: false,
                     })?;
+                all_updates.end_run();
                 // `decode_each` bounds every vertex id by the message's *own*
                 // advertised range; that range is itself wire bytes, so bound
                 // it by the graph before the ids can index the replica array
@@ -426,17 +424,28 @@ pub fn run_worker(
             }
             rec.end_superstep(exchange, "collect-decode", "superstep", superstep);
 
-            // Deterministic apply: sorted by vertex id, so the replica is
-            // independent of message arrival order.
+            // Deterministic apply: no vertex is updated twice, so the replica
+            // and the next frontier (the updated ids, ascending) are
+            // independent of message arrival order. Every server owns its
+            // tiles' ranges and `decode_each` hands each message's ids over
+            // ascending, so two messages that overlap were sent by a corrupt
+            // peer — and applying either value of a vertex both update could
+            // leave this replica apart from the others without a word.
             let apply = rec.begin();
-            merge_updates_in_place(&mut bufs.all_updates);
-            server.apply_updates(&bufs.all_updates);
+            if let Err(vertex) = bufs.all_updates.merge(&mut bufs.previously_updated) {
+                return Err(WorkerError {
+                    error: EngineError::BadInput(format!(
+                        "corrupt broadcast: two messages overlap at vertex {vertex} \
+                         in superstep {superstep}"
+                    )),
+                    secondary: false,
+                });
+            }
+            server.apply_updates(bufs.all_updates.as_slice());
             rec.end_superstep(apply, "apply", "superstep", superstep);
-            metrics.vertices_updated = bufs.all_updates.len() as u64;
+            metrics.vertices_updated = bufs.all_updates.as_slice().len() as u64;
             metrics.peak_memory_bytes = server.peak_memory();
             per_superstep.push(metrics);
-
-            bufs.advance_frontier();
             supersteps_run = superstep + 1;
 
             // Durability + ack. With a checkpoint sink, a snapshot is written
@@ -654,8 +663,6 @@ mod tests {
     fn superstep_buffers_reuse_their_allocations_across_supersteps() {
         let pool = BufferPool::new();
         let mut bufs = SuperstepBuffers::checkout(&pool, vec![0, 1, 2, 3]);
-        bufs.begin_superstep();
-        bufs.all_updates.extend([(0, 1.0), (2, 2.0)]);
         bufs.ensure_lanes(2);
         assert_eq!(bufs.lanes.len(), 2);
         let wire_ptr = {
@@ -663,27 +670,37 @@ mod tests {
             lane.wire.extend_from_slice(&[0u8; 64]);
             lane.wire.as_ptr()
         };
-        let updates_ptr = bufs.all_updates.as_ptr();
         let frontier_ptr = bufs.previously_updated.as_ptr();
         let frontier_cap = bufs.previously_updated.capacity();
 
-        bufs.advance_frontier();
-        assert_eq!(bufs.previously_updated, vec![0, 2]);
-        assert_eq!(
-            bufs.previously_updated.as_ptr(),
-            frontier_ptr,
-            "frontier must be refilled in place, not reallocated"
-        );
-        assert_eq!(bufs.previously_updated.capacity(), frontier_cap);
-
-        bufs.begin_superstep();
-        assert!(bufs.all_updates.is_empty());
-        bufs.all_updates.push((1, 3.0));
-        assert_eq!(
-            bufs.all_updates.as_ptr(),
-            updates_ptr,
-            "update buffer must be cleared, not replaced"
-        );
+        // Both buffers of the merge — the updates as they arrived, and the
+        // frontier their ids are concatenated into — are cleared and
+        // refilled, superstep after superstep, never replaced.
+        let mut updates_ptr = None;
+        for (first, second) in [((2, 2.0), (0, 1.0)), ((3, 4.0), (1, 3.0))] {
+            bufs.begin_superstep();
+            assert!(bufs.all_updates.as_slice().is_empty());
+            // Two messages, the later one first in range.
+            bufs.all_updates.extend_run(&[first]);
+            bufs.all_updates.extend_run(&[second]);
+            let ptr = bufs.all_updates.as_slice().as_ptr();
+            assert_eq!(
+                *updates_ptr.get_or_insert(ptr),
+                ptr,
+                "update buffer must be cleared, not replaced"
+            );
+            bufs.all_updates
+                .merge(&mut bufs.previously_updated)
+                .unwrap();
+            assert_eq!(bufs.all_updates.as_slice(), [first, second]);
+            assert_eq!(bufs.previously_updated, [second.0, first.0]);
+            assert_eq!(
+                bufs.previously_updated.as_ptr(),
+                frontier_ptr,
+                "frontier must be refilled in place, not reallocated"
+            );
+            assert_eq!(bufs.previously_updated.capacity(), frontier_cap);
+        }
         // A later superstep with no more messages than before keeps the same
         // lanes (and their buffers) rather than growing or replacing them.
         bufs.ensure_lanes(2);
@@ -743,5 +760,51 @@ mod tests {
             assert!(rendered.contains("exceeds vertex count"), "{rendered}");
             assert!(!err.secondary);
         }
+    }
+
+    /// A peer message whose range overlaps this server's own tile is well
+    /// formed on its own, but it updates a vertex this server updated too.
+    /// Sorting the two and keeping either would split the replicas silently
+    /// (each server holds its own updates first), so it is a corrupt
+    /// broadcast.
+    #[test]
+    fn a_vertex_updated_by_two_messages_is_an_error() {
+        let g = path_graph(10);
+        let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 2)).unwrap();
+        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
+        let program = PageRank::new(3);
+        let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
+        // Superstep 0 of PageRank moves vertex 0, the path's head, from
+        // 1/10 to the teleport share.
+        let overlapping = BroadcastMessage::new(0, 10, vec![(0, 0.5)]);
+        let (wire, _) = plan
+            .message_codec
+            .encode(&overlapping, &mut ServerMetrics::default());
+        let mut plane = TestPlane {
+            payload: Some(wire.into()),
+            ..TestPlane::default()
+        };
+        let err = run_worker(
+            &config,
+            &plan,
+            &p,
+            &program,
+            0,
+            &mut plane,
+            &Tracer::off(),
+            WorkerOptions::default(),
+        )
+        .expect_err("an id two messages update must abort the run");
+        let rendered = err.error.to_string();
+        assert!(
+            rendered.contains("two messages overlap at vertex 0 in superstep 0"),
+            "{rendered}"
+        );
+        assert!(!err.secondary);
+        assert!(
+            !plane.calls.contains(&("ack", 0)),
+            "the superstep must not be acknowledged: {:?}",
+            plane.calls
+        );
     }
 }

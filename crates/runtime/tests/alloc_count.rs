@@ -3,7 +3,8 @@
 //! A steady-state superstep's publish/exchange work — resolve the superstep's
 //! push/pull direction from the frontier, choose an encoding, encode the
 //! message, compress it, frame it for the wire, decode every received message
-//! into the shared update buffer, merge — must perform **zero heap
+//! into the shared update buffer, merge the messages' runs and concatenate
+//! their ids into the next frontier ([`UpdateRuns`]) — must perform **zero heap
 //! allocations** once the reusable buffers (including the persistent
 //! [`CompressorScratch`] holding the LZSS match-finder tables) are warm, on
 //! the uncompressed path *and* on every compressed codec path. A counting
@@ -21,7 +22,7 @@ use graphh_cluster::{
     ServerMetrics,
 };
 use graphh_compress::{Codec, CompressorScratch};
-use graphh_core::exec::{merge_updates_in_place, ExecutionPlan};
+use graphh_core::exec::{ExecutionPlan, UpdateRuns};
 use graphh_core::{Bfs, GabProgram, GraphHConfig};
 use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_obs::{SpanRecorder, Tracer};
@@ -81,8 +82,8 @@ static COUNTING: CountingAllocator = CountingAllocator;
 /// resolve the direction from the frontier (the per-superstep decision every
 /// direction-aware executor now makes), encode + compress + frame every
 /// message, stream-decode every message back into the shared update buffer,
-/// merge. Returns the number of updates merged (so the work cannot be
-/// optimized away).
+/// merge into the next frontier. Returns the frontier's length (so the work
+/// cannot be optimized away).
 ///
 /// Phase spans are recorded into `rec` exactly where the real worker loop
 /// records them — with a disabled recorder every call must be a free no-op,
@@ -102,7 +103,8 @@ fn superstep(
     frame_buf: &mut Vec<u8>,
     dec_scratch: &mut Vec<u8>,
     comp: &mut CompressorScratch,
-    all_updates: &mut Vec<(u32, f64)>,
+    all_updates: &mut UpdateRuns,
+    next_frontier: &mut Vec<u32>,
     rec: &mut SpanRecorder,
 ) -> usize {
     // The direction decision — frontier stats + Beamer heuristic — runs on
@@ -128,9 +130,10 @@ fn superstep(
         // Receiver side: streaming validated decode into the shared buffer.
         codec
             .decode_each(wire, &mut metrics, dec_scratch, |v, val| {
-                all_updates.push((v, val));
+                all_updates.push(v, val);
             })
             .expect("own wire bytes decode");
+        all_updates.end_run();
     }
     rec.end_superstep(publish, "encode-publish", "superstep", superstep);
     let flush = rec.begin();
@@ -141,9 +144,11 @@ fn superstep(
     .encode(frame_buf);
     rec.end_superstep(flush, "plane-flush", "superstep", superstep);
     let apply = rec.begin();
-    merge_updates_in_place(all_updates);
+    all_updates
+        .merge(next_frontier)
+        .expect("the messages' ranges are disjoint");
     rec.end_superstep(apply, "apply", "superstep", superstep);
-    all_updates.len()
+    next_frontier.len()
 }
 
 /// A seed-discovered fabric as it stands in a fault-free run: server 0 of 4,
@@ -246,7 +251,8 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
         let mut frame_buf = pool.checkout();
         let mut dec_scratch = pool.checkout();
         let mut comp = CompressorScratch::new();
-        let mut all_updates: Vec<(u32, f64)> = Vec::new();
+        let mut all_updates = UpdateRuns::new();
+        let mut next_frontier: Vec<u32> = Vec::new();
         // Tracing disabled — as in every untraced run — must add zero
         // allocations (and zero clock reads) to the measured loop.
         let tracer = Tracer::off();
@@ -268,6 +274,7 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
             &mut dec_scratch,
             &mut comp,
             &mut all_updates,
+            &mut next_frontier,
             &mut rec,
         );
         assert_eq!(expected, 1843 + 4, "codec {label}");
@@ -294,6 +301,7 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
                 &mut dec_scratch,
                 &mut comp,
                 &mut all_updates,
+                &mut next_frontier,
                 &mut rec,
             );
             assert_eq!(merged, expected, "codec {label}");

@@ -1205,6 +1205,9 @@ impl GabProgram for Unhinted<'_> {
     fn is_final(&self, _value: f64) -> bool {
         false
     }
+    fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
+        self.0.prepare(values, out_degrees, prepared)
+    }
     fn supports_push(&self) -> bool {
         self.0.supports_push()
     }

@@ -31,6 +31,33 @@ fn dfs_persisted_tiles_reload_and_run_identically() {
     assert!(reference::max_abs_diff(&from_memory.values, &reference::pagerank(&graph, 8)) < 1e-9);
 }
 
+/// PageRank gathers by summing what its `prepare` divided once per vertex. A
+/// vertex without out-edges — a third of an RMAT graph — prepares a zero no
+/// edge reads, so the ranks are the reference's per-edge divisions, bit for
+/// bit, on one server and on several, sequential and threaded.
+#[test]
+fn pagerank_over_sinks_is_the_reference_bit_for_bit() {
+    let graph = pipeline_graph();
+    let sinks = graph.out_degrees().iter().filter(|&&d| d == 0).count();
+    assert!(sinks > 50, "only {sinks} vertices without out-edges");
+    let partitioned =
+        Spe::partition(&graph, &SpeConfig::with_tile_count("sinks", &graph, 12)).unwrap();
+    let expected = bits(&reference::pagerank(&graph, 8));
+    for servers in [1, 3] {
+        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(servers));
+        let executors: [std::sync::Arc<dyn Executor>; 2] = [
+            std::sync::Arc::new(SequentialExecutor::new()),
+            std::sync::Arc::new(ThreadedExecutor::new()),
+        ];
+        for executor in executors {
+            let name = executor.name();
+            let engine = GraphHEngine::with_executor(config.clone(), executor);
+            let run = engine.run(&partitioned, &PageRank::new(8)).unwrap();
+            assert_eq!(bits(&run.values), expected, "{servers} servers, {name}");
+        }
+    }
+}
+
 /// The hand-off across processes: what one handle on a directory persists, a
 /// fresh handle on the same directory loads, and the directory holds exactly
 /// one file per tile plus the two degree arrays, each tile file being
