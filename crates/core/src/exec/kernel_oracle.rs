@@ -1,5 +1,5 @@
 //! Oracle for the two tile loops: [`GabProgram::gather_tile`] and
-//! `PushIndex::scatter_tile` against the loops they replaced, bit for bit.
+//! `exec::scatter_tile` against the loops they replaced, bit for bit.
 //!
 //! The references below are the old engine loops: per target (per edge, for
 //! push) through `&mut dyn Iterator` over [`Tile::in_edges`], with `apply` and
@@ -12,15 +12,16 @@
 //! gathers every target, so agreeing on the updates is the check that a
 //! program's claim is honest (a skipped target would not have moved) and the
 //! edge count is compared with the in-degrees of the targets left to run.
-//! `PushIndex::build` is held to a stable sort of the tile's edges, and
 //! PageRank's gather — a sum of what its [`GabProgram::prepare`] divided once
-//! per vertex — to the division on every edge it replaced.
+//! per vertex — is held to the division on every edge it replaced. (The
+//! transpose itself, `PushIndex`, is held to a stable sort of the tile's
+//! edges where it is built, in `graphh-partition`.)
 
-use super::{PushIndex, TransposeScratch};
+use super::scatter_tile;
 use crate::gab::{Edges, GabProgram, InitContext, TileUpdates, VertexContext};
 use crate::registry::{ProgramContext, ProgramOptions, PROGRAMS};
 use graphh_graph::ids::VertexId;
-use graphh_partition::Tile;
+use graphh_partition::{PushIndex, Tile};
 
 const NUM_VERTICES: usize = 10;
 
@@ -297,73 +298,6 @@ fn only_the_bfs_kernels_claim_final_values() {
     }
 }
 
-/// Every tile of an RMAT partition and the awkward tiles above, built through
-/// one scratch in a shuffled order: each transpose is the stable sort of its
-/// tile, and the scratch is all-zero again after every build — what lets the
-/// next tile count from nothing.
-#[test]
-fn push_index_through_a_shared_scratch_is_the_stable_transpose() {
-    use graphh_graph::generators::{GraphGenerator, RmatGenerator};
-    use graphh_partition::{Spe, SpeConfig};
-
-    let graph = RmatGenerator::new(10, 8).generate(23);
-    let partitioned = Spe::partition(&graph, &SpeConfig::with_tile_count("t", &graph, 13)).unwrap();
-    let num_vertices = partitioned.num_vertices();
-    for weighted in [false, true] {
-        // The RMAT tiles, each edge weighted by where it sits in its list so
-        // that duplicate `(source, target)` pairs tell their order.
-        let mut all: Vec<Tile> = partitioned
-            .tiles
-            .iter()
-            .map(|tile| {
-                let lists: Vec<Vec<(VertexId, f32)>> = tile
-                    .targets()
-                    .map(|t| {
-                        let sources = tile.in_edges(t).enumerate();
-                        sources.map(|(i, (s, _))| (s, 0.5 + i as f32)).collect()
-                    })
-                    .collect();
-                Tile::from_adjacency(tile.tile_id, tile.target_start, &lists, weighted)
-            })
-            .collect();
-        all.extend(tiles(weighted));
-        // A far-away source (the last vertex) into an otherwise tiny tile.
-        let far = vec![vec![(num_vertices as u32 - 1, 2.0), (0, 1.0)], vec![]];
-        all.push(Tile::from_adjacency(99, 3, &far, weighted));
-        // A fixed shuffle: stride through the list by a prime that does not
-        // divide its length.
-        let step = 7;
-        assert_ne!(all.len() % step, 0);
-        let mut scratch = TransposeScratch::new(num_vertices);
-        let mut edges = 0;
-        for i in 0..all.len() {
-            let tile = &all[(i * step) % all.len()];
-            let index = PushIndex::build(tile, &mut scratch);
-            assert!(
-                scratch.next.iter().all(|&c| c == 0) && scratch.seen.iter().all(|&w| w == 0),
-                "tile {} left the scratch dirty",
-                tile.tile_id
-            );
-            let want = stable_transpose(tile);
-            assert_eq!(
-                index.edges(),
-                want,
-                "tile {} weighted {weighted}",
-                tile.tile_id
-            );
-            assert_eq!(index.weights.is_some(), weighted);
-            assert!(index.sources.windows(2).all(|pair| pair[0] < pair[1]));
-            assert_eq!(index.offsets.len(), index.sources.len() + 1);
-            assert_eq!(
-                (index.target_start, index.target_end),
-                (tile.target_start, tile.target_end)
-            );
-            edges += want.len();
-        }
-        assert!(edges > 8_000, "{edges} edges transposed");
-    }
-}
-
 #[test]
 fn scatter_tile_is_the_old_per_edge_loop_bit_for_bit() {
     let (mut compared, mut skipped) = (0, 0);
@@ -371,7 +305,7 @@ fn scatter_tile_is_the_old_per_edge_loop_bit_for_bit() {
         if !program.supports_push() {
             return;
         }
-        let index = PushIndex::build(tile, &mut TransposeScratch::new(NUM_VERTICES as u64));
+        let index = &PushIndex::for_tiles([tile], NUM_VERTICES as u64)[0];
         // The round's own frontier, and thinner ones that miss some tiles.
         let halves = [
             frontier.to_vec(),
@@ -380,7 +314,7 @@ fn scatter_tile_is_the_old_per_edge_loop_bit_for_bit() {
             Vec::new(),
         ];
         for active in &halves {
-            let got = index.scatter_tile(program, active, ctx);
+            let got = scatter_tile(index, program, active, ctx);
             let want = reference_scatter_tile(program, tile, active, ctx);
             assert_eq!(
                 got.as_ref().map(bits),

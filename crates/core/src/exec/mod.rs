@@ -8,8 +8,9 @@
 //!   frontier, tile assignment, cost model),
 //! * [`ServerState`] — one server's long-lived state (tiles on "disk", vertex
 //!   replica, edge cache, per-tile source sets, memory accounting and, for
-//!   push-capable runs, each tile's out-edge transpose — built through one
-//!   per-server scratch in time proportional to the tile's edges),
+//!   push-capable runs, a shared handle on each assigned tile's out-edge
+//!   transpose — [`PushIndex`], which the tile keeps once the first
+//!   push-capable run over the partitioned graph has built it),
 //! * [`ServerState::run_tile_phase`] — the compute phase of one superstep on
 //!   one server: let the program [`GabProgram::prepare`] its per-vertex
 //!   array from the replica, skip the tiles no frontier vertex is a source
@@ -49,7 +50,7 @@ use graphh_cluster::{BroadcastMessage, CostModel, MemoryTracker, MessageCodec, S
 use graphh_compress::Codec;
 use graphh_graph::ids::{ServerId, TileId, VertexId};
 use graphh_obs::{global_counters, Tracer};
-use graphh_partition::{PartitionedGraph, Tile, TileAssignment};
+use graphh_partition::{PartitionedGraph, PushIndex, Tile, TileAssignment};
 use graphh_storage::{IoMeter, IoSnapshot, MemoryBackend, MeteredBackend, StorageBackend};
 use std::sync::Arc;
 
@@ -316,53 +317,6 @@ impl FrontierView<'_> {
     }
 }
 
-/// Per-tile transpose of the in-edge CSR for the push loop: the same edges,
-/// grouped by **source** instead of target.
-///
-/// Tiles store only in-edges (sources grouped by target), which is exactly
-/// what `gather` wants and exactly what `scatter` cannot use. The transpose
-/// is built once per assigned tile at server build time (only for
-/// push-capable runs), stays resident, and is searched for each vertex of
-/// the sorted frontier in turn. Sources are ascending; a source's
-/// out-targets are ascending; duplicate edges keep their tile order — so
-/// the push loop's emit order is deterministic for any thread count.
-struct PushIndex {
-    /// First / one-past-last target vertex of the tile (mirrors the tile).
-    target_start: VertexId,
-    target_end: VertexId,
-    /// Distinct source vertices with at least one edge into the tile,
-    /// ascending.
-    sources: Vec<VertexId>,
-    /// CSR offsets into `targets` / `weights`, length `sources.len() + 1`.
-    offsets: Vec<u64>,
-    /// Out-targets (within this tile) grouped by source.
-    targets: Vec<VertexId>,
-    /// Edge weights; `None` for unweighted graphs (unit weight).
-    weights: Option<Vec<f32>>,
-}
-
-/// What [`PushIndex::build`] counts in: one `u32` per vertex and one bit per
-/// vertex, all zero between builds. A server allocates it once, builds every
-/// assigned tile's transpose through it and drops it before the first
-/// superstep, so a build costs O(tile edges + |V|/64) instead of allocating
-/// and walking the tile's whole source span.
-struct TransposeScratch {
-    /// `next[s]`: while counting, the edges out of `s` seen so far; while
-    /// scattering, the slot the next edge out of `s` goes to.
-    next: Vec<u32>,
-    /// Bit `s` set: `s` is a source of the tile being built.
-    seen: Vec<u64>,
-}
-
-impl TransposeScratch {
-    fn new(num_vertices: u64) -> Self {
-        Self {
-            next: vec![0; num_vertices as usize],
-            seen: vec![0; num_vertices.div_ceil(64) as usize],
-        }
-    }
-}
-
 /// The first position at or after `from` whose element is not below `v`, in
 /// ascending `sorted`: doubling steps, then a binary search of the last one —
 /// O(log distance), so a short frontier crosses a long source list quickly
@@ -378,175 +332,80 @@ fn gallop_to(sorted: &[VertexId], from: usize, v: VertexId) -> usize {
     lo + sorted[lo..hi].partition_point(|&s| s < v)
 }
 
-impl PushIndex {
-    /// A stable counting-sort transpose: count each source's edges and mark
-    /// it in the bitmap, read the distinct sources off the bitmap words
-    /// (ascending for free) while prefix-summing their counts into CSR
-    /// offsets, then walk the targets in ascending order dropping every
-    /// in-edge into its source's next free slot. Walking targets ascending is
-    /// what makes each source's out-targets ascending and keeps duplicate
-    /// `(source, target)` edges in tile order. Leaves `scratch` all-zero.
-    fn build(tile: &Tile, scratch: &mut TransposeScratch) -> Self {
-        let (tile_sources, tile_weights) = (tile.sources(), tile.weights());
-        let num_edges = u32::try_from(tile_sources.len())
-            .expect("a tile holds fewer than 2^32 edges (its slots are counted in u32)");
-        let TransposeScratch { next, seen } = scratch;
-        for &source in tile_sources {
-            next[source as usize] += 1;
-            seen[(source >> 6) as usize] |= 1 << (source & 63);
+/// The push loop over one tile's transpose: every vertex of `active`
+/// (ascending) that is a source here scatters its out-edges, contributions
+/// fold per target with the program's `combine`, and touched targets are
+/// applied in ascending order — the order the pull loop walks them, so
+/// updates (and therefore wire bytes) line up. `None` when no active vertex
+/// is a source of the tile: the pull path's skip, read off the search itself.
+fn scatter_tile(
+    index: &PushIndex,
+    program: &dyn GabProgram,
+    active: &[VertexId],
+    ctx: &VertexContext<'_>,
+) -> Option<TileUpdates> {
+    let num_targets = index.num_targets();
+    let target_start = index.target_start;
+    let sources = index.sources();
+    // Per-tile accumulator slots, indexed by target offset, allocated at the
+    // first frontier vertex that is a source here — most tiles of a sparse
+    // push superstep have none. (The zero-allocation gate covers the
+    // broadcast codec path, not tile compute.)
+    let mut acc: Vec<f64> = Vec::new();
+    let mut touched: Vec<bool> = Vec::new();
+    let mut edges_processed = 0u64;
+
+    // Both the frontier (sorted by the barrier merge) and the index's sources
+    // are ascending: walk the frontier, galloping through the sources to each
+    // vertex — a push frontier is far shorter than a tile's source list.
+    let mut si = 0usize;
+    for &source in active {
+        si = gallop_to(sources, si, source);
+        match sources.get(si) {
+            None => break,
+            Some(&found) if found != source => continue,
+            Some(_) => {}
         }
-        let mut sources = Vec::new();
-        let mut offsets = vec![0u64];
-        let mut placed = 0u32;
-        for (word_index, word) in seen.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let source = (word_index as u32) << 6 | bits.trailing_zeros();
-                bits &= bits - 1;
-                placed += std::mem::replace(&mut next[source as usize], placed);
-                sources.push(source);
-                offsets.push(u64::from(placed));
+        if acc.is_empty() {
+            acc.resize(num_targets, 0.0);
+            touched.resize(num_targets, false);
+        }
+        edges_processed += index.out_degree(si);
+        let value = ctx.values[source as usize];
+        let (targets, weights) = index.out_edges(si);
+        let mut edges = Edges::new(targets, weights);
+        program.scatter(source, value, &mut edges, &mut |target, contribution| {
+            let slot = (target - target_start) as usize;
+            if touched[slot] {
+                acc[slot] = program.combine(acc[slot], contribution);
+            } else {
+                acc[slot] = contribution;
+                touched[slot] = true;
             }
-        }
-        debug_assert_eq!(placed, num_edges);
-        let mut targets = vec![0; num_edges as usize];
-        let mut weights = tile_weights.map(|_| vec![0.0f32; num_edges as usize]);
-        for (target, span) in tile.targets().zip(tile.offsets().windows(2)) {
-            for edge in span[0] as usize..span[1] as usize {
-                let slot = &mut next[tile_sources[edge] as usize];
-                targets[*slot as usize] = target;
-                if let (Some(out), Some(tile_weights)) = (&mut weights, tile_weights) {
-                    out[*slot as usize] = tile_weights[edge];
-                }
-                *slot += 1;
-            }
-        }
-        for &source in &sources {
-            next[source as usize] = 0;
-        }
-        PushIndex {
-            target_start: tile.target_start,
-            target_end: tile.target_end,
-            sources,
-            offsets,
-            targets,
-            weights,
-        }
+        });
+        si += 1;
+    }
+    // Every indexed source has an edge, so no edge means no source.
+    if edges_processed == 0 {
+        return None;
     }
 
-    /// Number of target slots the tile covers.
-    fn num_targets(&self) -> usize {
-        (self.target_end - self.target_start) as usize
-    }
-
-    /// Out-edges of the source at position `si`, as `(target, weight)`.
-    fn out_edges(&self, si: usize) -> Edges<'_> {
-        let lo = self.offsets[si] as usize;
-        let hi = self.offsets[si + 1] as usize;
-        Edges::new(
-            &self.targets[lo..hi],
-            self.weights.as_ref().map(|w| &w[lo..hi]),
-        )
-    }
-
-    /// Every edge as `(source, target, weight)`, in index order.
-    #[cfg(test)]
-    fn edges(&self) -> Vec<(VertexId, VertexId, f32)> {
-        (0..self.sources.len())
-            .flat_map(|si| {
-                let source = self.sources[si];
-                self.out_edges(si).map(move |(t, w)| (source, t, w))
-            })
-            .collect()
-    }
-
-    /// Out-degree (into this tile) of the source at position `si`.
-    fn out_degree(&self, si: usize) -> u64 {
-        self.offsets[si + 1] - self.offsets[si]
-    }
-
-    /// The push loop over one tile: every vertex of `active` (ascending) that
-    /// is a source here scatters its out-edges, contributions fold per target
-    /// with the program's `combine`, and touched targets are applied in
-    /// ascending order — the order the pull loop walks them, so updates (and
-    /// therefore wire bytes) line up. `None` when no active vertex is a
-    /// source of the tile: the pull path's skip, read off the search itself.
-    fn scatter_tile(
-        &self,
-        program: &dyn GabProgram,
-        active: &[VertexId],
-        ctx: &VertexContext<'_>,
-    ) -> Option<TileUpdates> {
-        let num_targets = self.num_targets();
-        let target_start = self.target_start;
-        // Per-tile accumulator slots, indexed by target offset, allocated at
-        // the first frontier vertex that is a source here — most tiles of a
-        // sparse push superstep have none. (The zero-allocation gate covers
-        // the broadcast codec path, not tile compute.)
-        let mut acc: Vec<f64> = Vec::new();
-        let mut touched: Vec<bool> = Vec::new();
-        let mut edges_processed = 0u64;
-
-        // Both the frontier (sorted by the barrier merge) and the index's
-        // sources are ascending: walk the frontier, galloping through the
-        // sources to each vertex — a push frontier is far shorter than a
-        // tile's source list.
-        let mut si = 0usize;
-        for &source in active {
-            si = gallop_to(&self.sources, si, source);
-            match self.sources.get(si) {
-                None => break,
-                Some(&found) if found != source => continue,
-                Some(_) => {}
-            }
-            if acc.is_empty() {
-                acc.resize(num_targets, 0.0);
-                touched.resize(num_targets, false);
-            }
-            edges_processed += self.out_degree(si);
-            let value = ctx.values[source as usize];
-            let mut edges = self.out_edges(si);
-            program.scatter(source, value, &mut edges, &mut |target, contribution| {
-                let slot = (target - target_start) as usize;
-                if touched[slot] {
-                    acc[slot] = program.combine(acc[slot], contribution);
-                } else {
-                    acc[slot] = contribution;
-                    touched[slot] = true;
-                }
-            });
-            si += 1;
+    let mut updates: Vec<(VertexId, f64)> = Vec::new();
+    for slot in 0..num_targets {
+        if !touched[slot] {
+            continue;
         }
-        // Every indexed source has an edge, so no edge means no source.
-        if edges_processed == 0 {
-            return None;
+        let target = target_start + slot as VertexId;
+        let current = ctx.values[target as usize];
+        let new = program.apply(target, acc[slot], current, ctx);
+        if program.is_update(current, new) {
+            updates.push((target, new));
         }
-
-        let mut updates: Vec<(VertexId, f64)> = Vec::new();
-        for slot in 0..num_targets {
-            if !touched[slot] {
-                continue;
-            }
-            let target = target_start + slot as VertexId;
-            let current = ctx.values[target as usize];
-            let new = program.apply(target, acc[slot], current, ctx);
-            if program.is_update(current, new) {
-                updates.push((target, new));
-            }
-        }
-        Some(TileUpdates {
-            updates,
-            edges_processed,
-        })
     }
-
-    /// Resident footprint, for the memory tracker.
-    fn memory_bytes(&self) -> u64 {
-        self.sources.len() as u64 * 4
-            + self.offsets.len() as u64 * 8
-            + self.targets.len() as u64 * 4
-            + self.weights.as_ref().map_or(0, |w| w.len() as u64 * 4)
-    }
+    Some(TileUpdates {
+        updates,
+        edges_processed,
+    })
 }
 
 /// One simulated server's long-lived state.
@@ -574,9 +433,10 @@ pub struct ServerState {
     cache: EdgeCache,
     /// Per-tile source sets, parallel to `tiles`: what the skip probes.
     source_sets: Vec<SourceSet>,
-    /// Per-tile out-edge transposes for the push loop, parallel to `tiles`.
-    /// Empty unless the plan is push-capable.
-    push_indexes: Vec<PushIndex>,
+    /// Per-tile out-edge transposes for the push loop, parallel to `tiles`:
+    /// the partitioned graph's own, shared. Empty unless the plan is
+    /// push-capable.
+    push_indexes: Vec<Arc<PushIndex>>,
     /// Memory accounting.
     memory: MemoryTracker,
     /// This server's persistent compute-thread pool (the paper's `T` worker
@@ -611,7 +471,9 @@ struct TileOutcome {
 impl ServerState {
     /// Build server `sid`'s state: stage its tiles on its local disk, build
     /// their source sets, size the edge cache from the idle memory, register the
-    /// permanent arrays with the memory tracker.
+    /// permanent arrays with the memory tracker. A push-capable plan also
+    /// takes its tiles' transposes, building those the partitioned graph does
+    /// not hold yet (and keeping them there for the next run).
     pub fn build(
         config: &GraphHConfig,
         plan: &ExecutionPlan,
@@ -653,20 +515,18 @@ impl ServerState {
         memory.set_component("degree-arrays", 4 * num_vertices * 2);
         let source_set_bytes: u64 = source_sets.iter().map(SourceSet::memory_bytes).sum();
         memory.set_component("source-sets", source_set_bytes);
-        // Push-capable runs keep a resident out-edge transpose per assigned
-        // tile (the push loop never touches disk or cache); pull-only runs
-        // pay nothing.
-        let push_indexes: Vec<PushIndex> = if plan.push_capable {
-            let mut scratch = TransposeScratch::new(num_vertices);
-            tiles
-                .iter()
-                .map(|&tid| PushIndex::build(&partitioned.tiles[tid as usize], &mut scratch))
-                .collect()
+        // Push-capable runs read a resident out-edge transpose per assigned
+        // tile (the push loop never touches disk or cache). A tile keeps the
+        // one the first such run over the partitioned graph built, so only
+        // that run pays for it; pull-only runs never do.
+        let push_indexes = if plan.push_capable {
+            let assigned = tiles.iter().map(|&tid| &partitioned.tiles[tid as usize]);
+            PushIndex::for_tiles(assigned, num_vertices)
         } else {
             Vec::new()
         };
         if !push_indexes.is_empty() {
-            let push_bytes: u64 = push_indexes.iter().map(PushIndex::memory_bytes).sum();
+            let push_bytes: u64 = push_indexes.iter().map(|index| index.memory_bytes()).sum();
             memory.set_component("push-index", push_bytes);
         }
         ServerState {
@@ -986,7 +846,7 @@ impl ServerState {
             let Some(TileUpdates {
                 updates: tile_updates,
                 edges_processed,
-            }) = index.scatter_tile(program, active, &vertex_ctx)
+            }) = scatter_tile(index, program, active, &vertex_ctx)
             else {
                 metrics.tiles_skipped += 1;
                 return Ok(TileOutcome {
@@ -1314,36 +1174,6 @@ mod tests {
             assert!(!(duplicate && disjoint), "round {round}");
             assert_eq!(merge_both_ways(&runs).is_ok(), disjoint, "round {round}");
         }
-    }
-
-    /// The transpose is the tile's edges stably sorted by `(source, target)`:
-    /// unsorted adjacency lists, duplicate edges with different weights, a
-    /// target with no in-edges and a source far from the rest all included.
-    #[test]
-    fn push_index_is_the_stable_transpose_of_the_tile() {
-        let lists = vec![
-            vec![(9, 1.0), (2, 2.0), (9, 3.0)],
-            vec![],
-            vec![(2, 4.0), (700, 5.0), (2, 6.0), (3, 7.0)],
-            vec![(9, 8.0)],
-        ];
-        let mut scratch = TransposeScratch::new(701);
-        for weighted in [true, false] {
-            let tile = Tile::from_adjacency(0, 40, &lists, weighted);
-            let mut expected: Vec<(VertexId, VertexId, f32)> = tile
-                .targets()
-                .flat_map(|t| tile.in_edges(t).map(move |(s, w)| (s, t, w)))
-                .collect();
-            expected.sort_by_key(|&(source, target, _)| (source, target));
-            let index = PushIndex::build(&tile, &mut scratch);
-            assert_eq!(index.sources, [2, 3, 9, 700]);
-            assert_eq!(index.edges(), expected, "weighted {weighted}");
-            assert_eq!(index.out_degree(0), 3);
-        }
-        let empty = Tile::from_adjacency(0, 5, &[vec![], vec![]], false);
-        let empty = PushIndex::build(&empty, &mut scratch);
-        assert!(empty.sources.is_empty() && empty.targets.is_empty());
-        assert_eq!(empty.offsets, [0]);
     }
 
     /// From every start, to every value: the gallop lands where a linear

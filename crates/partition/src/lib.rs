@@ -6,7 +6,9 @@
 //! Stage one splits the input graph's edges into `P` **tiles**: contiguous ranges of
 //! *target* vertices whose in-edges together hold roughly `S = |E| / P` edges, stored
 //! in an enhanced CSR layout ([`tile::Tile`]). Stage two assigns tiles to the `N`
-//! servers of the processing engine round-robin ([`assignment`]).
+//! servers of the processing engine round-robin ([`assignment`]). A push
+//! superstep walks each tile's out-edge transpose ([`transpose::PushIndex`]),
+//! built from the tile the first time a run asks for it and kept with it.
 //!
 //! The pre-processing pipeline itself ([`spe::Spe`]) mirrors Algorithm 4:
 //!
@@ -24,11 +26,13 @@ pub mod formats;
 pub mod spe;
 pub mod splitter;
 pub mod tile;
+pub mod transpose;
 
 pub use assignment::TileAssignment;
 pub use spe::{PartitionedGraph, Spe, SpeConfig};
 pub use splitter::Splitter;
 pub use tile::Tile;
+pub use transpose::PushIndex;
 
 /// Errors produced by the partitioning layer.
 #[derive(Debug)]

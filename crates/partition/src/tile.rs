@@ -11,10 +11,13 @@
 //!
 //! Tiles are immutable once built, serialize to a compact binary blob for the
 //! tile store, and report the statistics the engine needs (edge count, memory
-//! size).
+//! size). A tile also keeps its out-edge transpose ([`PushIndex`]) once a
+//! push-capable run has built it; the blob does not carry it.
 
+use crate::transpose::PushIndex;
 use crate::{PartitionError, Result};
 use graphh_graph::ids::{TileId, VertexId};
+use std::sync::{Arc, OnceLock};
 
 /// Magic prefix of the tile binary format.
 const TILE_MAGIC: &[u8; 8] = b"GHTILE01";
@@ -24,7 +27,13 @@ const TILE_MAGIC: &[u8; 8] = b"GHTILE01";
 const HEADER_BYTES: usize = 8 + 4 + 4 + 4 + 1 + 8;
 
 /// A tile of in-edges in enhanced CSR form.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality, `Debug` and the bytes cover the edges only, not whether the
+/// transpose has been built; a clone shares the transpose built before it.
+/// `offsets` and `weights` are boxed slices (a tile never grows): that keeps
+/// the struct at the 88 bytes it had before it carried the transpose slot,
+/// so a loop that builds and drops partitions leaves the allocator as it did.
+#[derive(Clone)]
 pub struct Tile {
     /// Tile id.
     pub tile_id: TileId,
@@ -33,11 +42,38 @@ pub struct Tile {
     /// One past the last target vertex covered.
     pub target_end: VertexId,
     /// CSR offsets, length `target_end - target_start + 1`.
-    offsets: Vec<u64>,
+    offsets: Box<[u64]>,
     /// Source vertex ids grouped by target.
     sources: Vec<VertexId>,
     /// Edge weights; `None` for unweighted graphs.
-    weights: Option<Vec<f32>>,
+    weights: Option<Box<[f32]>>,
+    /// The out-edge transpose, once [`PushIndex::for_tiles`] has built it.
+    /// Empty costs no allocation, so decoding a tile allocates nothing for it.
+    pub(crate) push_index: OnceLock<Arc<PushIndex>>,
+}
+
+impl PartialEq for Tile {
+    fn eq(&self, other: &Self) -> bool {
+        self.tile_id == other.tile_id
+            && self.target_start == other.target_start
+            && self.target_end == other.target_end
+            && self.offsets == other.offsets
+            && self.sources == other.sources
+            && self.weights == other.weights
+    }
+}
+
+impl std::fmt::Debug for Tile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tile")
+            .field("tile_id", &self.tile_id)
+            .field("target_start", &self.target_start)
+            .field("target_end", &self.target_end)
+            .field("offsets", &self.offsets)
+            .field("sources", &self.sources)
+            .field("weights", &self.weights)
+            .finish()
+    }
 }
 
 impl Tile {
@@ -68,9 +104,10 @@ impl Tile {
             tile_id,
             target_start,
             target_end: target_start + in_edges.len() as VertexId,
-            offsets,
+            offsets: offsets.into_boxed_slice(),
             sources,
-            weights,
+            weights: weights.map(Vec::into_boxed_slice),
+            push_index: OnceLock::new(),
         }
     }
 
@@ -121,9 +158,10 @@ impl Tile {
             tile_id,
             target_start,
             target_end,
-            offsets,
+            offsets: offsets.into_boxed_slice(),
             sources,
-            weights,
+            weights: weights.map(Vec::into_boxed_slice),
+            push_index: OnceLock::new(),
         })
     }
 
@@ -191,7 +229,15 @@ impl Tile {
         self.weights.as_deref()
     }
 
-    /// In-memory footprint of the decoded tile in bytes.
+    /// The tile's out-edge transpose, if a push-capable run (or any caller of
+    /// [`PushIndex::for_tiles`]) has built it; a tile fresh from the SPE or
+    /// from [`Tile::from_bytes`] has none.
+    pub fn push_index(&self) -> Option<&Arc<PushIndex>> {
+        self.push_index.get()
+    }
+
+    /// In-memory footprint of the decoded tile in bytes (the edges; not the
+    /// transpose).
     pub fn memory_bytes(&self) -> u64 {
         self.offsets.len() as u64 * 8
             + self.sources.len() as u64 * 4
@@ -501,6 +547,12 @@ mod tests {
         assert_eq!(t.num_edges(), 0);
         let back = Tile::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_transpose_slot_does_not_grow_the_tile() {
+        assert_eq!(std::mem::size_of::<Tile>(), 88);
     }
 
     #[test]

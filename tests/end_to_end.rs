@@ -105,6 +105,87 @@ fn tiles_survive_a_real_disk_roundtrip() {
     assert_eq!(bits(&from_memory.values), bits(&from_disk.values));
 }
 
+/// A tile's push transpose is built by the first push-capable run over its
+/// partitioned graph and read by every later one. Pull-only runs build none;
+/// every later run of every program with a push side, on either executor,
+/// and every clone of the graph, shares the first run's; the tile's bytes do
+/// not carry it. Reuse changes nothing: the values, the superstep count and
+/// the wire bytes are those of a run over a freshly partitioned copy.
+#[test]
+fn push_transposes_are_built_once_per_partitioned_graph() {
+    use graphh::core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
+    use graphh::partition::PushIndex;
+    use std::sync::Arc;
+
+    let graph = pipeline_graph();
+    let partition =
+        || Spe::partition(&graph, &SpeConfig::with_tile_count("reuse", &graph, 12)).unwrap();
+    let partitioned = partition();
+    let built = |tiles: &[Tile]| -> Vec<Option<Arc<PushIndex>>> {
+        tiles
+            .iter()
+            .map(|tile| tile.push_index().cloned())
+            .collect()
+    };
+    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(3));
+    let sequential =
+        GraphHEngine::with_executor(config.clone(), Arc::new(SequentialExecutor::new()));
+    let threaded = GraphHEngine::with_executor(config.clone(), Arc::new(ThreadedExecutor::new()));
+    let pulled = GraphHEngine::new(config.with_direction_mode(DirectionMode::ForcePull));
+
+    sequential.run(&partitioned, &PageRank::new(3)).unwrap();
+    pulled.run(&partitioned, &Bfs::new(0)).unwrap();
+    assert!(built(&partitioned.tiles).iter().all(Option::is_none));
+
+    let mut first_built = None;
+    let mut pushers = 0;
+    for spec in PROGRAMS {
+        let program = spec
+            .build(
+                &ProgramContext::new(graph.out_degrees()),
+                &ProgramOptions::new(),
+            )
+            .unwrap();
+        if !program.supports_push() {
+            continue;
+        }
+        pushers += 1;
+        let first = sequential.run(&partitioned, program.as_ref()).unwrap();
+        let after_first = built(&partitioned.tiles);
+        assert!(after_first.iter().all(Option::is_some), "{}", spec.name);
+        let second = threaded.run(&partitioned, program.as_ref()).unwrap();
+        let fresh_graph = partition();
+        assert!(built(&fresh_graph.tiles).iter().all(Option::is_none));
+        let fresh = sequential.run(&fresh_graph, program.as_ref()).unwrap();
+        for (what, run) in [("threaded rerun", &second), ("fresh partition", &fresh)] {
+            let context = format!("{} {what}", spec.name);
+            assert_eq!(bits(&run.values), bits(&first.values), "{context}");
+            assert_eq!(run.supersteps_run, first.supersteps_run, "{context}");
+            assert_eq!(
+                run.metrics.total_network_bytes(),
+                first.metrics.total_network_bytes(),
+                "{context}"
+            );
+        }
+
+        // Every run since the first push-capable one reads the same
+        // transposes, and so does a clone of the graph.
+        let first_built = first_built.get_or_insert(after_first);
+        let clone = partitioned.clone();
+        for tiles in [&partitioned.tiles, &clone.tiles] {
+            for (now, then) in built(tiles).iter().zip(first_built.iter()) {
+                assert!(Arc::ptr_eq(now.as_ref().unwrap(), then.as_ref().unwrap()));
+            }
+        }
+        for tile in &partitioned.tiles {
+            let decoded = Tile::from_bytes(&tile.to_bytes()).unwrap();
+            assert!(decoded.push_index().is_none());
+            assert_eq!(&decoded, tile);
+        }
+    }
+    assert!(pushers >= 3, "{pushers} programs with a push side");
+}
+
 #[test]
 fn all_engines_agree_on_pagerank_and_sssp() {
     let graph = pipeline_graph();
