@@ -2,21 +2,72 @@
 
 use crate::edge::EdgeList;
 use crate::ids::{VertexCount, VertexId};
+use crate::GraphError;
 
 /// Compute `(in_degree, out_degree)` arrays for a graph over `num_vertices` vertices.
 ///
 /// These arrays are exactly the ones the SPE persists to the DFS alongside the tiles
 /// (Algorithm 4, lines 1–2): PageRank needs the out-degree array resident on every
 /// server, and the tile splitter walks the in-degree array.
-pub fn compute_degrees(num_vertices: VertexCount, edges: &EdgeList) -> (Vec<u32>, Vec<u32>) {
-    let n = num_vertices as usize;
-    let mut in_deg = vec![0u32; n];
-    let mut out_deg = vec![0u32; n];
+///
+/// One pass: the first edge with an endpoint `>= num_vertices` is refused with
+/// that edge's larger endpoint.
+pub fn compute_degrees(
+    num_vertices: VertexCount,
+    edges: &EdgeList,
+) -> Result<(Vec<u32>, Vec<u32>), GraphError> {
+    let mut degrees = DegreeCounter::new(num_vertices);
     for (&src, &dst) in edges.sources().iter().zip(edges.targets()) {
-        out_deg[src as usize] += 1;
-        in_deg[dst as usize] += 1;
+        degrees.count(src, dst)?;
     }
-    (in_deg, out_deg)
+    Ok(degrees.into_arrays())
+}
+
+/// In- and out-degree arrays filled one edge at a time. An edge is counted
+/// only if both endpoints are vertices, so the arrays it hands over always
+/// describe a valid edge list.
+#[derive(Debug)]
+pub(crate) struct DegreeCounter {
+    num_vertices: VertexCount,
+    in_deg: Vec<u32>,
+    out_deg: Vec<u32>,
+}
+
+impl DegreeCounter {
+    /// Zero degrees for `num_vertices` vertices.
+    pub(crate) fn new(num_vertices: VertexCount) -> Self {
+        let n = num_vertices as usize;
+        Self {
+            num_vertices,
+            in_deg: vec![0; n],
+            out_deg: vec![0; n],
+        }
+    }
+
+    /// Count edge `src -> dst`, or refuse it if either end is not a vertex.
+    #[inline]
+    pub(crate) fn count(&mut self, src: VertexId, dst: VertexId) -> Result<(), GraphError> {
+        let vertex = src.max(dst);
+        if u64::from(vertex) >= self.num_vertices {
+            return Err(GraphError::VertexOutOfRange {
+                vertex,
+                num_vertices: self.num_vertices,
+            });
+        }
+        self.out_deg[src as usize] += 1;
+        self.in_deg[dst as usize] += 1;
+        Ok(())
+    }
+
+    /// The vertex count the arrays cover.
+    pub(crate) fn num_vertices(&self) -> VertexCount {
+        self.num_vertices
+    }
+
+    /// `(in_degree, out_degree)`.
+    pub(crate) fn into_arrays(self) -> (Vec<u32>, Vec<u32>) {
+        (self.in_deg, self.out_deg)
+    }
 }
 
 /// Aggregate degree statistics, mirroring the columns of Table I.
@@ -133,9 +184,27 @@ mod tests {
         edges.push(Edge::new(0, 1));
         edges.push(Edge::new(0, 2));
         edges.push(Edge::new(1, 2));
-        let (ind, outd) = compute_degrees(3, &edges);
+        let (ind, outd) = compute_degrees(3, &edges).unwrap();
         assert_eq!(outd, vec![2, 1, 0]);
         assert_eq!(ind, vec![0, 1, 2]);
+    }
+
+    /// The first edge naming a vertex past the range is the one refused,
+    /// with its larger endpoint — however many bad edges follow it.
+    #[test]
+    fn the_first_out_of_range_edge_is_refused_with_its_larger_endpoint() {
+        let edges: EdgeList = [(0, 1), (1, 2), (7, 3), (2, 9), (4, 4)]
+            .into_iter()
+            .map(|(s, d)| Edge::new(s, d))
+            .collect();
+        let GraphError::VertexOutOfRange {
+            vertex,
+            num_vertices,
+        } = compute_degrees(4, &edges).unwrap_err();
+        assert_eq!((vertex, num_vertices), (7, 4));
+        let GraphError::VertexOutOfRange { vertex, .. } = compute_degrees(0, &edges).unwrap_err();
+        assert_eq!(vertex, 1);
+        assert!(compute_degrees(10, &edges).is_ok());
     }
 
     #[test]

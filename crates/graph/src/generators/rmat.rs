@@ -3,13 +3,28 @@
 //! R-MAT graphs reproduce the heavy-tailed degree distributions of web and social
 //! graphs, which is the property the paper's skew-sensitive mechanisms (tile size
 //! bounds, PowerGraph vertex cuts, sparse/dense broadcast) react to.
+//!
+//! # Sampling on raw draws
+//!
+//! Each level of an edge picks a quadrant from one uniform draw `r` against
+//! the cumulative probabilities `a`, `a + b` and `a + b + c`. The generator
+//! never forms `r`: the unit-interval `f64` the `rand` stand-in hands out is
+//! exactly `(x >> 11) · 2⁻⁵³` for the raw 64-bit draw `x` (a value below
+//! 2⁵³ converts to `f64` without rounding, and scaling by a power of two is
+//! exact). So `r >= t` holds iff `x >> 11 >= t · 2⁵³`, and since the left side
+//! is an integer, iff `x >> 11 >= ceil(t · 2⁵³)` — where `t · 2⁵³` is again an
+//! exact scaling. The three ceilings are computed once per generator, and a
+//! level's quadrant is the number of them the shifted draw reaches. The edge
+//! lists are the float rule's edge for edge (the tests keep that rule as
+//! the oracle).
 
 use super::GraphGenerator;
 use crate::builder::GraphBuilder;
+use crate::degree::DegreeCounter;
 use crate::edge::{Edge, EdgeList};
 use crate::ids::VertexId;
-use crate::Graph;
-use rand::Rng;
+use crate::{Graph, GraphError};
+use rand::RngCore;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -68,45 +83,103 @@ impl RmatGenerator {
         self.num_vertices() * u64::from(self.edge_factor)
     }
 
-    /// One edge: `scale` uniform draws, high bit first, each choosing a
-    /// quadrant. The choice is arithmetic on comparisons rather than a
-    /// branch — the 57/19/19/5 split is exactly what a predictor cannot learn.
-    fn sample_edge(&self, rng: &mut impl Rng) -> Edge {
-        let ab = self.a + self.b;
-        let abc = ab + self.c;
-        let mut src = 0u64;
-        let mut dst = 0u64;
+    /// One edge: `scale` raw draws, high bit first, each choosing a quadrant
+    /// `q` (bit 1 the source's bit, bit 0 the target's). The quadrants are
+    /// packed two bits a level and split into the two ids once.
+    #[inline]
+    fn sample_edge(&self, quadrants: &Quadrants, rng: &mut impl RngCore) -> (VertexId, VertexId) {
+        let mut z = 0u64;
         for _ in 0..self.scale {
-            let r: f64 = rng.gen();
-            let hi_src = r >= ab;
-            let hi_dst = ((r >= self.a) & (r < ab)) | (r >= abc);
-            src = (src << 1) | u64::from(hi_src);
-            dst = (dst << 1) | u64::from(hi_dst);
+            z = z << 2 | quadrants.of(rng.next_u64());
         }
-        Edge::new(src as VertexId, dst as VertexId)
+        (even_bits(z >> 1) as VertexId, even_bits(z) as VertexId)
     }
+
+    /// The unsimplified graph: both id columns and both degree arrays filled
+    /// in the one sampling loop.
+    fn generate_counted(
+        &self,
+        quadrants: &Quadrants,
+        rng: &mut impl RngCore,
+    ) -> Result<Graph, GraphError> {
+        let m = self.num_edges() as usize;
+        let mut srcs = Vec::with_capacity(m);
+        let mut dsts = Vec::with_capacity(m);
+        let mut degrees = DegreeCounter::new(self.num_vertices());
+        for _ in 0..m {
+            let (src, dst) = self.sample_edge(quadrants, rng);
+            degrees.count(src, dst)?;
+            srcs.push(src);
+            dsts.push(dst);
+        }
+        Ok(Graph::from_counted(
+            EdgeList::from_columns(srcs, dsts),
+            degrees,
+        ))
+    }
+}
+
+/// The quadrant boundaries `a`, `a + b`, `a + b + c` as thresholds on a raw
+/// draw shifted right by 11 (see the module docs). They ascend whenever `b`
+/// and `c` are non-negative numbers, which [`RmatGenerator::with_probabilities`]
+/// asserts; then the count of thresholds reached is the quadrant.
+#[derive(Debug, Clone, Copy)]
+struct Quadrants([u64; 3]);
+
+impl Quadrants {
+    fn new(gen: &RmatGenerator) -> Self {
+        let ab = gen.a + gen.b;
+        let abc = ab + gen.c;
+        Self([
+            draw_threshold(gen.a),
+            draw_threshold(ab),
+            draw_threshold(abc),
+        ])
+    }
+
+    /// The quadrant (0..=3) raw draw `x` picks.
+    #[inline]
+    fn of(&self, x: u64) -> u64 {
+        let y = x >> 11;
+        let [a, ab, abc] = self.0;
+        u64::from(y >= a) + u64::from(y >= ab) + u64::from(y >= abc)
+    }
+}
+
+/// The least `k` with `k · 2⁻⁵³ >= t`, i.e. `ceil(t · 2⁵³)`. The cast
+/// saturates: a negative `t` is reached by every draw (0), a `t >= 1` by none
+/// (at least 2⁵³, past every `x >> 11`).
+fn draw_threshold(t: f64) -> u64 {
+    (t * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Bits 0, 2, 4, … of `z` packed into the low half.
+#[inline]
+fn even_bits(z: u64) -> u64 {
+    let mut x = z & 0x5555_5555_5555_5555;
+    x = (x | x >> 1) & 0x3333_3333_3333_3333;
+    x = (x | x >> 2) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | x >> 4) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x >> 8) & 0x0000_ffff_0000_ffff;
+    (x | x >> 16) & 0x0000_0000_ffff_ffff
 }
 
 impl GraphGenerator for RmatGenerator {
     fn generate(&self, seed: u64) -> Graph {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let n = self.num_vertices();
-        let m = self.num_edges();
+        let quadrants = Quadrants::new(self);
         let built = if self.simplify {
             let mut builder = GraphBuilder::new()
-                .with_num_vertices(n)
+                .with_num_vertices(self.num_vertices())
                 .dedup(true)
                 .drop_self_loops(true);
-            for _ in 0..m {
-                builder.add_edge(self.sample_edge(&mut rng));
+            for _ in 0..self.num_edges() {
+                let (src, dst) = self.sample_edge(&quadrants, &mut rng);
+                builder.add_edge(Edge::new(src, dst));
             }
             builder.build()
         } else {
-            let mut edges = EdgeList::with_capacity(m as usize);
-            for _ in 0..m {
-                edges.push(self.sample_edge(&mut rng));
-            }
-            Graph::from_edges(n, edges)
+            self.generate_counted(&quadrants, &mut rng)
         };
         built.expect("rmat edges are in range by construction")
     }
@@ -123,10 +196,25 @@ impl GraphGenerator for RmatGenerator {
 mod tests {
     use super::*;
     use crate::degree::DegreeHistogram;
+    use rand::Rng;
 
-    /// The generator as it stood before the branch-free sampler and the
-    /// pre-sized edge list: a three-way `if` per level, every edge through
-    /// `GraphBuilder`. Kept as the oracle the live one is compared with.
+    /// One level of the float rule: a three-way `if` on the uniform `r`.
+    fn float_quadrant(gen: &RmatGenerator, r: f64) -> u64 {
+        if r < gen.a {
+            0
+        } else if r < gen.a + gen.b {
+            1
+        } else if r < gen.a + gen.b + gen.c {
+            2
+        } else {
+            3
+        }
+    }
+
+    /// The generator as it stood before the integer sampler, the degrees
+    /// counted while sampling and the pre-sized edge list: an `f64` per
+    /// level through [`float_quadrant`], every edge through `GraphBuilder`.
+    /// Kept as the oracle the live one is compared with.
     fn reference_generate(gen: &RmatGenerator, seed: u64) -> Graph {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut builder = GraphBuilder::new()
@@ -136,18 +224,9 @@ mod tests {
         for _ in 0..gen.num_edges() {
             let (mut src, mut dst) = (0u64, 0u64);
             for level in (0..gen.scale).rev() {
-                let r: f64 = rng.gen();
-                let (hi_src, hi_dst) = if r < gen.a {
-                    (0, 0)
-                } else if r < gen.a + gen.b {
-                    (0, 1)
-                } else if r < gen.a + gen.b + gen.c {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                src |= hi_src << level;
-                dst |= hi_dst << level;
+                let q = float_quadrant(gen, rng.gen());
+                src |= (q >> 1) << level;
+                dst |= (q & 1) << level;
             }
             builder.add_edge(Edge::new(src as VertexId, dst as VertexId));
         }
@@ -180,6 +259,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Hands out the one raw draw it holds.
+    struct Replay(u64);
+
+    impl RngCore for Replay {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// At each threshold, one below it and at both ends of the draw range,
+    /// the integer rule picks the quadrant the `f64` the same draw becomes
+    /// picks.
+    #[test]
+    fn the_integer_quadrant_rule_is_the_float_rule_at_every_threshold() {
+        let sets = [
+            (0.57, 0.19, 0.19),
+            (0.5, 0.2, 0.2),
+            (0.9, 0.0, 0.05),
+            (0.1, 0.6, 0.0),
+            (0.3, 0.0, 0.0),
+            (0.25, 0.25, 0.25),
+            (1e-300, 0.5, 0.499_999_999_999_999_9),
+        ];
+        for (a, b, c) in sets {
+            let gen = RmatGenerator::new(4, 1).with_probabilities(a, b, c);
+            let quadrants = Quadrants::new(&gen);
+            let mut draws = vec![0, 1, u64::MAX, u64::MAX - 1];
+            for t in quadrants.0 {
+                let at = t << 11;
+                let next = at.wrapping_add(1 << 11);
+                draws.extend([at, at.wrapping_sub(1), next.wrapping_sub(1), next]);
+            }
+            for x in draws {
+                let want = float_quadrant(&gen, Replay(x).gen());
+                assert_eq!(quadrants.of(x), want, "a={a} b={b} c={c}, draw {x:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_saturate_outside_the_unit_interval() {
+        assert_eq!(draw_threshold(-0.5), 0);
+        assert_eq!(draw_threshold(0.0), 0);
+        assert_eq!(draw_threshold(0.5), 1 << 52);
+        assert_eq!(draw_threshold(1.0), 1 << 53);
+        assert_eq!(draw_threshold(f64::INFINITY), u64::MAX);
+    }
+
+    #[test]
+    fn even_bits_splits_an_interleaved_pair() {
+        assert_eq!(even_bits(0b1011_0110), 0b0110);
+        assert_eq!(even_bits(0b1011_0110 >> 1), 0b1101);
+        assert_eq!(even_bits(u64::MAX), u64::from(u32::MAX));
+        assert_eq!(even_bits(u64::MAX >> 1 & !1), u64::from(u32::MAX) & !1);
     }
 
     #[test]

@@ -53,23 +53,34 @@ pub struct Graph {
 impl Graph {
     /// Build a graph from an edge list over `num_vertices` vertices.
     ///
-    /// Edges referring to vertices `>= num_vertices` are rejected.
+    /// Edges referring to vertices `>= num_vertices` are rejected: the first
+    /// such edge, named by its larger endpoint.
     pub fn from_edges(num_vertices: VertexCount, edges: EdgeList) -> Result<Self, GraphError> {
-        for (&src, &dst) in edges.sources().iter().zip(edges.targets()) {
-            if u64::from(src.max(dst)) >= num_vertices {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: src.max(dst),
-                    num_vertices,
-                });
-            }
-        }
-        let (in_degree, out_degree) = degree::compute_degrees(num_vertices, &edges);
+        let (in_degree, out_degree) = degree::compute_degrees(num_vertices, &edges)?;
         Ok(Self {
             num_vertices,
             edges,
             out_degree,
             in_degree,
         })
+    }
+
+    /// A graph whose degrees were counted while its edges were made: the
+    /// counter refused every out-of-range edge, so nothing is checked again.
+    pub(crate) fn from_counted(edges: EdgeList, degrees: degree::DegreeCounter) -> Self {
+        let num_vertices = degrees.num_vertices();
+        let (in_degree, out_degree) = degrees.into_arrays();
+        debug_assert_eq!(
+            out_degree.iter().map(|&d| d as usize).sum::<usize>(),
+            edges.len(),
+            "every edge counted once"
+        );
+        Self {
+            num_vertices,
+            edges,
+            out_degree,
+            in_degree,
+        }
     }
 
     /// Number of vertices.

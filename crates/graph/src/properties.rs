@@ -1,7 +1,8 @@
 //! Whole-graph summary statistics (Table I columns).
 
 use crate::degree::DegreeStats;
-use crate::ids::{EdgeCount, VertexCount};
+use crate::edge::{csv_separator_bytes, digits};
+use crate::ids::{EdgeCount, VertexCount, VertexId};
 use crate::Graph;
 
 /// The statistics the paper reports for each benchmark dataset in Table I, plus a
@@ -37,7 +38,7 @@ impl GraphStats {
             avg_degree: d.avg_degree,
             max_in_degree: d.max_in_degree,
             max_out_degree: d.max_out_degree,
-            csv_size_bytes: graph.edges().csv_size_bytes(),
+            csv_size_bytes: csv_size_bytes(graph),
             weighted: graph.is_weighted(),
         }
     }
@@ -47,6 +48,17 @@ impl GraphStats {
         self.name = name.into();
         self
     }
+}
+
+/// The plain-text edge list's size from the degree arrays: vertex `v` is
+/// printed once per edge it ends, `in[v] + out[v]` times — O(V), not O(E).
+fn csv_size_bytes(graph: &Graph) -> u64 {
+    let degrees = graph.in_degrees().iter().zip(graph.out_degrees());
+    let id_digits: u64 = (0..)
+        .zip(degrees)
+        .map(|(v, (&i, &o))| (u64::from(i) + u64::from(o)) * digits(v as VertexId))
+        .sum();
+    id_digits + csv_separator_bytes(graph.is_weighted()) * graph.num_edges()
 }
 
 /// Format a byte count with binary suffixes (e.g. `1.5 GiB`).
@@ -85,6 +97,41 @@ mod tests {
         assert_eq!(s.max_out_degree, 1);
         assert!(!s.weighted);
         assert!(s.csv_size_bytes > 0);
+    }
+
+    /// The O(V) size is the edge-by-edge count on every shape of list.
+    #[test]
+    fn csv_size_from_degrees_is_the_edge_by_edge_count() {
+        use crate::generators::{GraphGenerator, RmatGenerator};
+        let weighted: EdgeList = (0..500u32)
+            .map(|i| Edge::weighted(i * 7919 % 1200, i * 31 % 1013, 0.5))
+            .collect();
+        let vertex_zero_heavy: EdgeList = (0..300u32)
+            .map(|i| {
+                if i % 3 == 0 {
+                    Edge::new(0, 0)
+                } else {
+                    Edge::new(0, i)
+                }
+            })
+            .collect();
+        let graphs = [
+            RmatGenerator::new(11, 4).generate(5),
+            Graph::from_edges(1200, weighted).unwrap(),
+            Graph::from_edges(300, vertex_zero_heavy).unwrap(),
+            Graph::from_edges(0, EdgeList::new_unweighted()).unwrap(),
+            Graph::from_edges(7, EdgeList::new_weighted()).unwrap(),
+            Graph::from_edges(
+                12_345,
+                [Edge::new(12_344, 9), Edge::new(99, 10_000)]
+                    .into_iter()
+                    .collect(),
+            )
+            .unwrap(),
+        ];
+        for g in graphs {
+            assert_eq!(g.stats().csv_size_bytes, g.edges().csv_size_bytes());
+        }
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //!    cut the offsets — is one item on a [`graphh_pool::WorkerPool`] (the
 //!    same persistent pool substrate the engine's tile phases run on).
 //!
+//! The run sort is a hybrid. In an unweighted graph a run longer than 256
+//! sources (a hub's in-edges; on RMAT-17 about 39 % of all edges) gets a
+//! two-pass LSD radix on the source id, each digit half the id width, when
+//! that half is at most 11 bits (fewer than 2²² vertices); every other run
+//! gets `sort_unstable`. Equal sources are indistinguishable, so both leave
+//! the same slice. A weighted run keeps `sort_unstable_by_key` on the source,
+//! whose order of equal sources (and so of their weights) the tile bytes pin.
+//!
 //! The scatter is sequential and the tiles are disjoint slices, so the output
 //! does not depend on the pool size.
 //!
@@ -104,6 +112,76 @@ fn scatter<T: Copy + Default>(
     grouped
 }
 
+/// Runs longer than this are radix sorted; shorter ones compare-sorted.
+const RADIX_MIN_RUN: usize = 256;
+
+/// The widest radix digit: two passes of it cover ids below 2²², and each
+/// pass clears a count table of `2^bits` entries.
+const RADIX_MAX_DIGIT_BITS: u32 = 11;
+
+/// Sorts one target's run of source ids: `sort_unstable` for short runs, a
+/// two-pass LSD radix for long ones when every id fits two digits. Equal ids
+/// are interchangeable, so both give the same slice.
+struct RunSorter {
+    /// Bits per radix digit; `None` when the ids are too wide for two.
+    digit_bits: Option<u32>,
+    counts: Vec<usize>,
+    scratch: Vec<VertexId>,
+}
+
+impl RunSorter {
+    /// A sorter for source ids below `num_vertices`.
+    fn new(num_vertices: u64) -> Self {
+        let id_bits = u64::BITS - num_vertices.saturating_sub(1).leading_zeros();
+        let digit_bits = id_bits.div_ceil(2);
+        Self {
+            digit_bits: (1..=RADIX_MAX_DIGIT_BITS)
+                .contains(&digit_bits)
+                .then_some(digit_bits),
+            counts: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    fn sort(&mut self, run: &mut [VertexId]) {
+        match self.digit_bits {
+            Some(bits) if run.len() > RADIX_MIN_RUN => self.radix(run, bits),
+            _ => run.sort_unstable(),
+        }
+    }
+
+    /// LSD radix: one pass counts both digits, then the low digit scatters
+    /// `run` into the scratch and the high digit scatters it back.
+    fn radix(&mut self, run: &mut [VertexId], bits: u32) {
+        let buckets = 1usize << bits;
+        let mask = buckets as VertexId - 1;
+        self.counts.clear();
+        self.counts.resize(2 * buckets, 0);
+        let (low, high) = self.counts.split_at_mut(buckets);
+        for &v in run.iter() {
+            low[(v & mask) as usize] += 1;
+            high[(v >> bits) as usize] += 1;
+        }
+        for counts in [&mut *low, &mut *high] {
+            let mut next = 0;
+            for count in counts.iter_mut() {
+                (*count, next) = (next, next + *count);
+            }
+        }
+        self.scratch.resize(run.len(), 0);
+        for &v in run.iter() {
+            let slot = &mut low[(v & mask) as usize];
+            self.scratch[*slot] = v;
+            *slot += 1;
+        }
+        for &v in &self.scratch[..run.len()] {
+            let slot = &mut high[(v >> bits) as usize];
+            run[*slot] = v;
+            *slot += 1;
+        }
+    }
+}
+
 impl Spe {
     /// Partition a graph into tiles (stage one of GraphH's two-stage
     /// partitioning) on a freshly sized worker pool. Callers that already own
@@ -164,7 +242,8 @@ impl Spe {
             let (sources, weights) = match &grouped {
                 Grouped::Unweighted(all) => {
                     let mut sources = all[start..end].to_vec();
-                    runs.for_each(|run| sources[run].sort_unstable());
+                    let mut sorter = RunSorter::new(graph.num_vertices());
+                    runs.for_each(|run| sorter.sort(&mut sources[run]));
                     (sources, None)
                 }
                 Grouped::Weighted(all) => {
@@ -576,7 +655,7 @@ mod tests {
     #[test]
     fn tile_format_is_smaller_than_csv() {
         let (g, p) = partitioned(300);
-        assert!(p.total_input_bytes() < g.edges().csv_size_bytes() * 2);
+        assert!(p.total_input_bytes() < g.stats().csv_size_bytes * 2);
         assert!(p.total_tile_bytes() > 0);
     }
 
@@ -617,10 +696,60 @@ mod tests {
         Graph::from_edges(num_vertices, edges.into_iter().collect()).unwrap()
     }
 
+    /// Either side of the run-length cut and of the digit-width cut, every
+    /// run comes out as `sort_unstable` leaves it.
+    #[test]
+    fn run_sorter_matches_sort_unstable() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for num_vertices in [
+            1u64,
+            2,
+            3,
+            300,
+            1 << 17,
+            (1 << 17) + 1,
+            1 << 22,
+            (1 << 22) + 1,
+            1 << 32,
+        ] {
+            let mut sorter = RunSorter::new(num_vertices);
+            assert_eq!(
+                sorter.digit_bits.is_some(),
+                (2..=1 << 22).contains(&num_vertices)
+            );
+            for len in [0, 1, RADIX_MIN_RUN, RADIX_MIN_RUN + 1, 5000, 300] {
+                let mut run: Vec<VertexId> = (0..len)
+                    .map(|i| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1);
+                        // Every fourth id the largest, so the top digit is full.
+                        let v = if i % 4 == 0 {
+                            num_vertices - 1
+                        } else {
+                            (state >> 20) % num_vertices
+                        };
+                        v as VertexId
+                    })
+                    .collect();
+                let mut want = run.clone();
+                want.sort_unstable();
+                sorter.sort(&mut run);
+                assert_eq!(run, want, "{num_vertices} vertices, run of {len}");
+            }
+        }
+    }
+
     #[test]
     fn counting_sort_matches_the_nested_vec_reference_tile_for_tile() {
         let cases: Vec<(&str, Graph, u64)> = vec![
             ("rmat", RmatGenerator::new(9, 8).generate(17), 200),
+            // Hubs with thousands of in-edges: the radix-sorted runs.
+            (
+                "rmat, long runs",
+                RmatGenerator::new(12, 16).generate(3),
+                8000,
+            ),
             (
                 "rmat, one tile",
                 RmatGenerator::new(6, 4).generate(1),

@@ -1104,6 +1104,32 @@ fn rmat_edges_and_tile_bytes_are_pinned() {
     );
 }
 
+/// The three RMAT benchmark workloads' input, at the size they run it:
+/// RMAT(17, 16) cut into 64 tiles. One hash per seed over both edge columns,
+/// both degree arrays and every tile blob, taken before the integer sampler,
+/// the degree counting while sampling and the radix run sort replaced the
+/// float sampler, the second degree pass and the comparison sort. Slow in a
+/// debug build; CI also runs it optimised (`--release --test determinism rmat`).
+#[test]
+fn rmat17_benchmark_graph_is_pinned() {
+    for (seed, pin) in [(2017, 0x4962_297e_f3f9_b211), (7, 0xb216_97ee_8d02_899a)] {
+        let g = RmatGenerator::new(17, 16).generate(seed);
+        let p = Spe::partition(&g, &SpeConfig::with_tile_count("pin", &g, 64)).unwrap();
+        assert_eq!(p.num_tiles(), 64);
+        let columns = [g.edges().sources(), g.edges().targets()];
+        let degrees = [g.in_degrees(), g.out_degrees()];
+        let words = columns.into_iter().chain(degrees).flatten();
+        let bytes = words
+            .flat_map(|v| v.to_le_bytes())
+            .chain(p.tiles.iter().flat_map(Tile::to_bytes));
+        let got = fnv1a(bytes);
+        assert_eq!(
+            got, pin,
+            "RMAT(17, 16) edges, degrees and 64 tiles for seed {seed}"
+        );
+    }
+}
+
 fn tiles_skipped(run: &RunResult) -> u64 {
     let servers = run.metrics.supersteps.iter().flat_map(|s| &s.servers);
     servers.map(|s| s.tiles_skipped).sum()
