@@ -388,9 +388,7 @@ fn run(args: Args) -> Result<(), String> {
         Tracer::off()
     };
     let options = WorkerOptions {
-        start_superstep,
-        initial_values: resumed.as_ref().map(|c| c.values.clone()),
-        initial_frontier: resumed.map(|c| c.frontier),
+        resume: resumed,
         checkpoint: checkpoint_sink,
         superstep_delay: args.superstep_delay,
     };

@@ -25,8 +25,8 @@
 //! [`MessageCodec`] hands the compressor the part that can shrink — header,
 //! index and repeating planes, or a whole integer message — and ships the
 //! noise planes as they are. It encodes for real and meters the codec time
-//! into [`ServerMetrics`]; both executors (the sequential reference loop and
-//! the threaded runtime's channel plane) push every broadcast through it, so
+//! into [`ServerMetrics`]; every executor pushes every broadcast through it
+//! (the engine's one superstep body encodes and decodes each message), so
 //! Figure 8's traffic series are measured, not estimated.
 
 use crate::metrics::ServerMetrics;
@@ -645,10 +645,10 @@ const HEAD_COMPRESSED: u8 = 1;
 /// The per-message wire path: encoding choice + optional compression, with the
 /// codec time charged to the participating servers' metrics.
 ///
-/// This is the piece both broadcast transports share: the sequential
-/// reference executor runs it inline, and the threaded runtime
-/// (`graphh-runtime`) runs it on both ends of a real channel, so Figure 8
-/// traffic is metered per real message either way.
+/// This is the piece every executor shares: the engine's superstep body
+/// encodes each message once at its sender and decodes it at every peer,
+/// whether the peers sit on the same thread, on a channel or across TCP, so
+/// Figure 8 traffic is metered per real message either way.
 ///
 /// Under a compressor the wire bytes are `head' · noise planes · trailer`:
 /// the message's head (header, index and repeating planes, or all of an
@@ -694,52 +694,34 @@ impl MessageCodec {
         message: &BroadcastMessage,
         sender: &mut ServerMetrics,
     ) -> (Vec<u8>, BroadcastEncoding) {
-        let mut scratch = Vec::new();
         let mut wire = Vec::new();
-        let encoding = self.encode_into(message, sender, &mut scratch, &mut wire);
+        let mut comp = CompressorScratch::new();
+        let encoding =
+            self.encode_into_with(message, sender, &mut Vec::new(), &mut wire, &mut comp);
         (wire, encoding)
     }
 
-    /// [`MessageCodec::encode`] into caller-owned buffers, producing
-    /// byte-identical wire bytes in `wire`. On the uncompressed path the
-    /// message is encoded straight into `wire` and `scratch` is untouched; on
-    /// the compressed path the plain encoding lands in `scratch` and what is
-    /// shipped in `wire`. Both buffers are cleared first — reuse them across
-    /// messages and the steady-state uncompressed encode allocates nothing.
+    /// [`MessageCodec::encode`] into caller-owned buffers and compressor
+    /// state, producing byte-identical wire bytes in `wire`. On the
+    /// uncompressed path the message is encoded straight into `wire` and
+    /// `scratch` and `comp` are untouched; on the compressed path the plain
+    /// encoding lands in `scratch` and what is shipped in `wire`, and the
+    /// LZSS codecs reuse `comp`'s match-finder tables. Both buffers are
+    /// cleared first — reuse all three across messages and the steady-state
+    /// encode allocates nothing, compressed or not.
     ///
     /// ```
     /// use graphh_cluster::{BroadcastMessage, CommunicationMode, MessageCodec, ServerMetrics};
+    /// use graphh_compress::{Codec, CompressorScratch};
     ///
-    /// let codec = MessageCodec::new(CommunicationMode::default(), None);
+    /// let codec = MessageCodec::new(CommunicationMode::default(), Some(Codec::Snappy));
     /// let m = BroadcastMessage::new(0, 64, vec![(7, 1.0)]);
     /// let (mut scratch, mut wire) = (Vec::new(), Vec::new());
+    /// let mut comp = CompressorScratch::new();
     /// let mut metrics = ServerMetrics::default();
-    /// let encoding = codec.encode_into(&m, &mut metrics, &mut scratch, &mut wire);
+    /// let encoding = codec.encode_into_with(&m, &mut metrics, &mut scratch, &mut wire, &mut comp);
     /// assert_eq!((wire.clone(), encoding), codec.encode(&m, &mut ServerMetrics::default()));
     /// ```
-    pub fn encode_into(
-        &self,
-        message: &BroadcastMessage,
-        sender: &mut ServerMetrics,
-        scratch: &mut Vec<u8>,
-        wire: &mut Vec<u8>,
-    ) -> BroadcastEncoding {
-        self.encode_into_with(
-            message,
-            sender,
-            scratch,
-            wire,
-            &mut CompressorScratch::new(),
-        )
-    }
-
-    /// [`MessageCodec::encode_into`] with caller-owned compressor state: the
-    /// LZSS codecs reuse `comp`'s match-finder tables across messages instead
-    /// of re-allocating them per call, so with all three of `scratch`, `wire`
-    /// and `comp` reused the steady-state *compressed* encode allocates
-    /// nothing either. Wire bytes, encoding choice and the metric charge are
-    /// byte-for-byte identical to the per-call APIs; the uncompressed path
-    /// leaves `comp` (and `scratch`) untouched.
     ///
     /// Only the message's head goes through the compressor, and `sender` is
     /// billed for exactly those bytes at [`Codec::compress_throughput`].
@@ -1202,7 +1184,13 @@ mod tests {
                 let mut s1 = ServerMetrics::default();
                 let mut s2 = ServerMetrics::default();
                 let (old_wire, old_enc) = codec.encode(m, &mut s1);
-                let new_enc = codec.encode_into(m, &mut s2, &mut enc_scratch, &mut wire);
+                let new_enc = codec.encode_into_with(
+                    m,
+                    &mut s2,
+                    &mut enc_scratch,
+                    &mut wire,
+                    &mut CompressorScratch::new(),
+                );
                 assert_eq!(wire, old_wire);
                 assert_eq!(new_enc, old_enc);
                 assert_eq!(s1.compress_seconds, s2.compress_seconds);

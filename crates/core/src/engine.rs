@@ -3,9 +3,11 @@
 //! The engine itself is now a thin shell: configuration ([`GraphHConfig`]),
 //! result reporting ([`RunResult`]) and a pluggable execution strategy
 //! ([`crate::exec::Executor`]). The superstep machinery shared by all
-//! strategies lives in [`crate::exec`]; the single-threaded reference strategy
-//! is [`crate::exec::sequential::SequentialExecutor`], and `graphh-runtime`
-//! provides a threaded one running each simulated server on its own OS thread.
+//! strategies lives in [`crate::exec`] — one server's superstep is one
+//! [`crate::exec::WorkerStep`]; the single-threaded reference strategy
+//! ([`crate::exec::sequential::SequentialExecutor`]) steps every server's on
+//! one thread, and `graphh-runtime` provides a threaded one stepping each
+//! simulated server on its own OS thread.
 
 use crate::exec::sequential::SequentialExecutor;
 use crate::exec::Executor;

@@ -31,14 +31,22 @@
 //!   order the messages arrived in. Every executor applies the same update
 //!   set and produces bit-identical replicas.
 //!
-//! An [`Executor`] strings these together: [`sequential::SequentialExecutor`]
-//! on one thread (the reference), `graphh-runtime`'s `ThreadedExecutor` on one
-//! OS thread per server with a real channel broadcast plane.
+//! [`WorkerStep`] strings these together into one server's superstep —
+//! compute, encode, receive, apply — with no transport inside, and every
+//! [`Executor`] is a driver of it: [`sequential::SequentialExecutor`] steps
+//! every server on one thread (the reference), `graphh-runtime`'s
+//! `ThreadedExecutor` one server per OS thread over a channel broadcast
+//! plane, and `graphh-node` one server per process over TCP. Each hands its
+//! servers' [`WorkerOutput`]s to [`reduce`], which makes the [`RunResult`].
 
+mod reduce;
 pub mod sequential;
 mod source_set;
+mod step;
 
+pub use self::reduce::reduce;
 use self::source_set::SourceSet;
+pub use self::step::{WorkerOutput, WorkerStep};
 use crate::engine::{GraphHConfig, RunResult};
 use crate::gab::{
     Direction, DirectionMode, Edges, FrontierStats, GabProgram, InitContext, TileUpdates,
@@ -427,7 +435,8 @@ pub struct ServerState {
     /// What the program's [`GabProgram::prepare`] made of `values` for the
     /// current pull superstep: one slot per vertex, or nothing (and no
     /// allocation) for a program that prepares nothing. The sequential
-    /// executor swaps one buffer through every server's tile phase.
+    /// executor swaps one buffer through every server's tile phase
+    /// (`WorkerStep::swap_prepared`).
     prepared: Vec<f64>,
     /// Edge cache over idle memory.
     cache: EdgeCache,
@@ -571,15 +580,14 @@ impl ServerState {
 
     /// Route this server's pool-job spans into `tracer`, with the pool's
     /// worker threads on lanes `tid_base + worker_index`.
-    pub fn set_tracer(&self, tracer: Tracer, tid_base: u32) {
+    pub(crate) fn set_tracer(&self, tracer: Tracer, tid_base: u32) {
         self.pool.set_tracer(tracer, tid_base);
     }
 
-    /// This server's persistent compute-thread pool. Exposed so the runtime's
-    /// worker loop can fan phases other than tile compute (the encode-compress
-    /// publish phase) over the same resident threads instead of spawning its
-    /// own.
-    pub fn pool(&self) -> &graphh_pool::WorkerPool {
+    /// This server's persistent compute-thread pool. Exposed so phases other
+    /// than tile compute (the encode-compress phase of [`WorkerStep::encode`])
+    /// fan out over the same resident threads instead of spawning their own.
+    pub(crate) fn pool(&self) -> &graphh_pool::WorkerPool {
         &self.pool
     }
 
@@ -588,7 +596,7 @@ impl ServerState {
     ///
     /// Call once at the end of a run: counts *add* (they are monotone totals
     /// across every run in the process), gauges overwrite.
-    pub fn publish_observability(&self) {
+    pub(crate) fn publish_observability(&self) {
         let registry = global_counters();
         let sid = self.id;
         let io = self.io_snapshot();

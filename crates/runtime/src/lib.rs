@@ -39,9 +39,10 @@
 //!   bytes, with one private poller (`poll(2)` on Linux, a spin elsewhere);
 //!   `tests/fabric_sim.rs` runs the same machine through thousands of seeded
 //!   fault schedules on a virtual network and clock,
-//! * [`reduce_metrics`] — zips every worker's per-superstep
-//!   [`graphh_cluster::ServerMetrics`] ([`WorkerOutput::metrics`]) into
-//!   [`graphh_cluster::ClusterMetrics`].
+//! * [`run_worker`] — one server's [`graphh_core::exec::WorkerStep`] (the
+//!   superstep body the sequential executor steps too) driven over a
+//!   [`BroadcastPlane`], with checkpoint resume and writing; the threaded
+//!   executor runs one per thread, `graphh-node` one per process.
 //!
 //! ## Determinism
 //!
@@ -51,9 +52,9 @@
 //!    server, so the merged update set of a superstep is schedule-independent,
 //! 2. the merged update set names each vertex at most once, so the order a
 //!    worker applies it in cannot change the replica, and the next frontier —
-//!    the messages' ids, ordered by first id and concatenated
-//!    ([`graphh_core::exec::UpdateRuns`]) — is ascending however the messages
-//!    arrived, as in the sequential executor; two messages whose ids overlap
+//!    the messages' ids, ordered by first id and concatenated — is ascending
+//!    however the messages arrived; every executor runs the same
+//!    [`graphh_core::exec::WorkerStep`], and two messages whose ids overlap
 //!    are a corrupt broadcast that aborts the run,
 //! 3. the plane's end-of-superstep markers keep replicas in lockstep — no
 //!    worker applies superstep `s` before every peer finished publishing it,
@@ -73,7 +74,6 @@ pub mod frame;
 pub mod membership;
 pub mod plane;
 pub mod poll;
-pub mod reduce;
 pub mod resume;
 pub mod threaded;
 pub mod worker;
@@ -87,13 +87,13 @@ pub use frame::{
     encode_message_into, Frame, FrameDecoder, FrameError, InboxEvent, PlaneError,
     SuperstepCollector, WireMessage,
 };
+pub use graphh_core::exec::WorkerOutput;
 pub use membership::{
     AddressBook, BookEntry, MembershipKind, MembershipMsg, ReconnectBackoff, WireEntry,
     MEMBERSHIP_MAGIC,
 };
 pub use plane::{BroadcastPlane, ChannelPlane};
 pub use poll::{BoundPollPlane, PollPlane};
-pub use reduce::{reduce_metrics, ReducedMetrics};
 pub use resume::{ReplayError, ReplayLog, ResilienceConfig, ResumeHello};
 pub use threaded::ThreadedExecutor;
-pub use worker::{run_worker, WorkerError, WorkerOptions, WorkerOutput};
+pub use worker::{run_worker, WorkerError, WorkerOptions};

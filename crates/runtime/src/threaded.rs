@@ -1,16 +1,16 @@
 //! The threaded executor: one OS thread per simulated server.
 //!
 //! Spawns a scoped thread per server, wires them into a [`ChannelPlane`],
-//! runs [`run_worker`] on each, and reduces the metrics they return
-//! deterministically. The plane's end-of-superstep markers are the only
-//! lockstep mechanism — the same one a multi-process cluster has.
+//! runs [`run_worker`] on each, and hands what they return to the reducer
+//! the sequential executor uses too ([`graphh_core::exec::reduce`]). The
+//! plane's end-of-superstep markers are the only lockstep mechanism — the
+//! same one a multi-process cluster has.
 //! Differential tests (below and in `tests/determinism.rs`) pin its output to
 //! the sequential reference bit-for-bit.
 
 use crate::plane::{BroadcastPlane, ChannelPlane};
-use crate::reduce::reduce_metrics;
-use crate::worker::{run_worker, WorkerError, WorkerOptions, WorkerOutput};
-use graphh_core::exec::{ExecutionPlan, Executor};
+use crate::worker::{run_worker, WorkerError, WorkerOptions};
+use graphh_core::exec::{reduce, ExecutionPlan, Executor, WorkerOutput};
 use graphh_core::gab::GabProgram;
 use graphh_core::{EngineError, GraphHConfig, RunResult};
 use graphh_obs::TraceConfig;
@@ -119,35 +119,8 @@ impl Executor for ThreadedExecutor {
         if let Some(e) = first_error {
             return Err(e.error);
         }
-        outputs.sort_by_key(|o| o.server);
-        let reduced = reduce_metrics(&outputs, plan.num_vertices, &plan.cost_model);
-
-        let supersteps_run = outputs.first().map(|o| o.supersteps_run).unwrap_or(0);
-        debug_assert!(
-            outputs.iter().all(|o| o.supersteps_run == supersteps_run),
-            "workers must agree on the superstep count"
-        );
-        let per_server_peak_memory = outputs.iter().map(|o| o.peak_memory).collect();
-        let cache_codec = outputs
-            .first()
-            .map(|o| o.cache_codec)
-            .unwrap_or(graphh_compress::Codec::Raw);
-        let values = outputs
-            .into_iter()
-            .next()
-            .map(|o| o.values)
-            .unwrap_or_default();
-
-        Ok(RunResult {
-            values,
-            metrics: reduced.metrics,
-            supersteps_run,
-            cache_codec,
-            per_server_peak_memory,
-            updated_ratio_per_superstep: reduced.updated_ratio_per_superstep,
-            executor: self.name(),
-            wall_clock_seconds: started.elapsed().as_secs_f64(),
-        })
+        let wall_clock_seconds = started.elapsed().as_secs_f64();
+        Ok(reduce(outputs, &plan, self.name(), wall_clock_seconds))
     }
 }
 

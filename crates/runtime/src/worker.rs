@@ -1,157 +1,28 @@
-//! The per-server worker: one OS thread owning one simulated server's state.
+//! The per-server worker: one server's [`WorkerStep`] driven over a
+//! [`BroadcastPlane`].
 //!
-//! Each worker runs the identical superstep loop:
-//!
-//! 1. **compute** — [`ServerState::run_tile_phase`] over its own tiles, against
-//!    its own vertex-replica array and edge cache (the exact code the
-//!    sequential executor runs),
-//! 2. **publish** — encode each tile's updates through the configured
-//!    [`graphh_cluster::MessageCodec`] and push the wire bytes onto the
-//!    broadcast plane,
-//! 3. **exchange** — collect every peer's wire messages for the superstep and
-//!    decode them (charging real decompression time),
-//! 4. **apply** — merge own + received updates
-//!    ([`graphh_core::exec::UpdateRuns`]: each message is an ascending run over
-//!    its own tile's range, so no vertex is updated twice and ordering the runs
-//!    by first id and concatenating their ids is the sorted next frontier) and
-//!    apply them to the local replica — neither depends on message arrival
-//!    order, which is what keeps threaded results bit-identical to sequential
-//!    ones; two messages whose ids overlap are a corrupt broadcast, and the
-//!    worker aborts the run,
-//! 5. **decide** — every replica now holds the same merged update set, so
-//!    every worker independently reaches the same continue/stop decision.
+//! Each superstep, [`run_worker`] asks the step to compute its tiles,
+//! broadcasts the wires it encodes, ends the superstep on the plane, hands
+//! every wire the plane collects to the step, and has it apply the merged
+//! updates — the superstep body the sequential executor steps too, so the
+//! threaded executor and `graphh-node` stay bit-identical to it. Then it
+//! writes a checkpoint when one is due and acknowledges the superstep.
+//! Every replica applies the same merged update set, so every worker reaches
+//! the same continue/stop decision.
 //!
 //! There is no separate barrier: `collect(s)` returning *is* the barrier —
 //! every peer's end-of-superstep marker for `s` has arrived, and a faster
 //! peer's `s + 1` frames wait in the collector's stash until this worker
 //! gets there.
 
-use crate::buffer::{BufferPool, PooledBuf};
 use crate::checkpoint::{Checkpoint, CheckpointSink};
 use crate::plane::{BroadcastPlane, PlaneError};
-use graphh_cluster::ServerMetrics;
-use graphh_compress::{Codec, CompressorScratch};
-use graphh_core::exec::{ExecutionPlan, ServerState, UpdateRuns};
-use graphh_core::gab::{Direction, GabProgram};
+use graphh_core::exec::{ExecutionPlan, WorkerOutput, WorkerStep};
+use graphh_core::gab::GabProgram;
 use graphh_core::{EngineError, GraphHConfig};
-use graphh_graph::ids::{ServerId, VertexId};
-use graphh_obs::{global_counters, Tracer};
+use graphh_graph::ids::ServerId;
+use graphh_obs::Tracer;
 use graphh_partition::PartitionedGraph;
-
-/// One encode lane: the buffers and compressor state one message of the
-/// publish phase encodes into. Each message index owns its own lane, so the
-/// server pool's workers can encode+compress messages concurrently without
-/// sharing buffers; the serial ship loop then walks the lanes in index order,
-/// which keeps the wire byte stream — and the float summation of the metered
-/// compression time — identical to the sequential reference.
-struct EncodeLane {
-    /// Pre-compression encode scratch ([`graphh_cluster::MessageCodec::encode_into_with`]).
-    enc_scratch: PooledBuf,
-    /// Wire bytes of this lane's message.
-    wire: PooledBuf,
-    /// Persistent LZSS compressor state, reused for the whole run.
-    comp: CompressorScratch,
-    /// Compression seconds this lane's message was charged (per-message value,
-    /// summed in index order by the ship loop).
-    compress_seconds: f64,
-}
-
-impl EncodeLane {
-    fn checkout(pool: &BufferPool) -> Self {
-        Self {
-            enc_scratch: pool.checkout(),
-            wire: pool.checkout(),
-            comp: CompressorScratch::new(),
-            compress_seconds: 0.0,
-        }
-    }
-}
-
-/// The buffers one worker's superstep loop reuses across supersteps.
-///
-/// Every superstep used to allocate these afresh — the merged update set, the
-/// frontier, and the byte buffers for the codec path (per-lane encode
-/// scratch + wire bytes, shared decompression scratch). They are now cleared
-/// and refilled in place, and each lane carries a persistent
-/// [`CompressorScratch`], so a steady-state superstep's publish/exchange path
-/// performs no heap allocation on either the uncompressed *or* the compressed
-/// codec path (asserted by `tests/alloc_count.rs`). The byte buffers come
-/// from a [`BufferPool`] so they return to the pool when the run ends.
-struct SuperstepBuffers {
-    /// This superstep's `(vertex, value)` updates (own + received), one run
-    /// per message until merged.
-    all_updates: UpdateRuns,
-    /// Vertex ids updated in the previous superstep (drives tile skipping).
-    previously_updated: Vec<VertexId>,
-    /// One lane per concurrently encoded message, grown to the widest
-    /// superstep seen (tile counts are fixed per run, so this settles after
-    /// the first superstep). Mutexes are uncontended by construction — lane
-    /// `i` is touched only by whichever pool thread claimed index `i` — they
-    /// exist to keep the fan-out safe without `unsafe` shared mutation.
-    lanes: Vec<std::sync::Mutex<EncodeLane>>,
-    /// Decompression scratch for the receive path.
-    dec_scratch: PooledBuf,
-    /// Handle for growing `lanes`.
-    buffer_pool: BufferPool,
-}
-
-impl SuperstepBuffers {
-    fn checkout(pool: &BufferPool, initial_frontier: Vec<VertexId>) -> Self {
-        Self {
-            all_updates: UpdateRuns::new(),
-            previously_updated: initial_frontier,
-            lanes: Vec::new(),
-            dec_scratch: pool.checkout(),
-            buffer_pool: pool.clone(),
-        }
-    }
-
-    /// Reset the per-superstep state, keeping every allocation.
-    fn begin_superstep(&mut self) {
-        self.all_updates.clear();
-    }
-
-    /// Make sure at least `n` encode lanes exist (allocates only when a
-    /// superstep publishes more messages than any before it).
-    fn ensure_lanes(&mut self, n: usize) {
-        while self.lanes.len() < n {
-            self.lanes.push(std::sync::Mutex::new(EncodeLane::checkout(
-                &self.buffer_pool,
-            )));
-        }
-    }
-
-    /// Flush every lane's accumulated `compress.*` statistics into the global
-    /// counter registry (run end only: the registry locks).
-    fn publish_observability(&mut self) {
-        for lane in &mut self.lanes {
-            lane.get_mut()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .comp
-                .publish_observability();
-        }
-    }
-}
-
-/// What a worker thread hands back when the run finishes.
-#[derive(Debug)]
-pub struct WorkerOutput {
-    /// The server this worker simulated.
-    pub server: ServerId,
-    /// Final vertex values of this server's replica.
-    pub values: Vec<f64>,
-    /// Codec its edge cache selected.
-    pub cache_codec: Codec,
-    /// Peak accounted memory in bytes.
-    pub peak_memory: u64,
-    /// Supersteps executed.
-    pub supersteps_run: u32,
-    /// This server's metered work, one entry per superstep it executed from
-    /// [`WorkerOptions::start_superstep`] on. Each entry's `vertices_updated`
-    /// is the superstep's cluster-wide update count — the same on every
-    /// server, which applies the same merged update set.
-    pub metrics: Vec<ServerMetrics>,
-}
 
 /// A worker failure, tagged with whether it is the *root cause* or a
 /// secondary effect of another worker's abort (peers observing the abort
@@ -165,33 +36,44 @@ pub struct WorkerError {
     pub secondary: bool,
 }
 
-/// Reject a checkpoint restore the plan cannot run — it is file bytes: a
-/// replica that is not one value per vertex, a frontier that is not strictly
-/// ascending inside the graph, a cursor past the run's last superstep.
-fn check_restore(plan: &ExecutionPlan, options: &WorkerOptions) -> Result<(), WorkerError> {
+impl From<EngineError> for WorkerError {
+    /// An error this worker found itself: the root cause.
+    fn from(error: EngineError) -> Self {
+        Self {
+            error,
+            secondary: false,
+        }
+    }
+}
+
+/// Reject a checkpoint the plan cannot run on server `sid` — it is file
+/// bytes: another server's snapshot, a replica that is not one value per
+/// vertex, a frontier that is not strictly ascending inside the graph, a
+/// cursor past the run's last superstep.
+fn check_restore(
+    plan: &ExecutionPlan,
+    sid: ServerId,
+    resume: &Checkpoint,
+) -> Result<(), WorkerError> {
     let n = plan.num_vertices;
-    let values = options
-        .initial_values
-        .as_ref()
-        .map_or(n, |v| v.len() as u64);
-    let frontier = options.initial_frontier.as_deref().unwrap_or_default();
-    let why = if values != n {
+    let values = resume.values.len() as u64;
+    let frontier = &resume.frontier;
+    let why = if resume.server != sid {
+        format!("server {}'s checkpoint on server {sid}", resume.server)
+    } else if values != n {
         format!("{values} replica values for a {n}-vertex graph")
     } else if let Some(pair) = frontier.windows(2).find(|pair| pair[0] >= pair[1]) {
         let (a, b) = (pair[0], pair[1]);
         format!("frontier lists vertex {a} before vertex {b}; it must be strictly ascending")
     } else if let Some(v) = frontier.last().filter(|&&v| u64::from(v) >= n) {
         format!("frontier vertex {v} outside the {n}-vertex graph")
-    } else if options.start_superstep > plan.max_supersteps {
-        let (s, max) = (options.start_superstep, plan.max_supersteps);
+    } else if resume.next_superstep > plan.max_supersteps {
+        let (s, max) = (resume.next_superstep, plan.max_supersteps);
         format!("cursor at superstep {s}, past the run's {max} supersteps")
     } else {
         return Ok(());
     };
-    Err(WorkerError {
-        error: EngineError::BadInput(format!("checkpoint restore: {why}")),
-        secondary: false,
-    })
+    Err(EngineError::BadInput(format!("checkpoint restore: {why}")).into())
 }
 
 fn plane_error(e: PlaneError) -> WorkerError {
@@ -208,16 +90,10 @@ fn plane_error(e: PlaneError) -> WorkerError {
 /// [`Default`] is a fresh start at superstep 0, no checkpoints, no delay.
 #[derive(Default)]
 pub struct WorkerOptions {
-    /// First superstep to execute. Non-zero when resuming from a checkpoint:
-    /// the worker re-enters the loop at this cursor with the checkpointed
-    /// values/frontier and relies on peers replaying the delta.
-    pub start_superstep: u32,
-    /// Replica values to start from (checkpoint restore). `None` = the
-    /// initial values [`ServerState::build`] computes.
-    pub initial_values: Option<Vec<f64>>,
-    /// Frontier the first executed superstep starts from (checkpoint
-    /// restore). `None` = [`ExecutionPlan::initial_frontier`].
-    pub initial_frontier: Option<Vec<VertexId>>,
+    /// The checkpoint to resume from: the worker re-enters the run at its
+    /// cursor with its replica and frontier, and relies on peers replaying
+    /// the delta. It is file bytes, so it must fit the plan and this server.
+    pub resume: Option<Checkpoint>,
     /// Periodic checkpoint writer. When set, the worker snapshots replica
     /// values + superstep cursor after every due superstep and only
     /// acknowledges durability ([`BroadcastPlane::acknowledge`]) for
@@ -235,11 +111,7 @@ pub struct WorkerOptions {
 /// Phase spans go to `tracer`: the worker records on lane `1 + sid`; its
 /// server's pool jobs land on lanes `100 * (1 + sid) + worker_index` (see
 /// `docs/OBSERVABILITY.md`). With the tracer off ([`Tracer::off`]) every span
-/// call is a no-op that reads no clock and allocates nothing — the contract
-/// `tests/alloc_count.rs` pins. `options` carries checkpoint-resumed starts
-/// ([`WorkerOptions::start_superstep`] plus the restored values/frontier,
-/// which must fit the plan: a checkpoint is file bytes) and periodic
-/// checkpoint writing.
+/// call is a no-op that reads no clock and allocates nothing.
 ///
 /// On *any* exit that is not a clean finish — an `Err` return or a panic
 /// (e.g. a user `GabProgram` indexing out of bounds) — the peers are
@@ -256,228 +128,83 @@ pub fn run_worker(
     tracer: &Tracer,
     options: WorkerOptions,
 ) -> Result<WorkerOutput, WorkerError> {
-    if let Err(e) = check_restore(plan, &options) {
+    let WorkerOptions {
+        resume,
+        checkpoint: sink,
+        superstep_delay,
+    } = options;
+    if let Some(Err(e)) = resume.as_ref().map(|c| check_restore(plan, sid, c)) {
         plane.abort();
         return Err(e);
     }
-    let num_servers = config.cluster.num_servers;
     let mut rec = tracer.thread(1 + sid);
     let load = rec.begin();
-    let mut server = ServerState::build(config, plan, partitioned, sid);
-    server.set_tracer(tracer.clone(), 100 * (1 + sid));
+    let mut step = WorkerStep::new(config, plan, partitioned, program, sid, tracer);
     rec.end(load, "server-build", "load");
-    // Checkpoint restore: replace the freshly built replica with the
-    // snapshotted one. Supersteps are deterministic, so re-entering the loop
-    // at the snapshot cursor with these values/frontier recomputes the exact
-    // run the original process would have continued.
-    if let Some(values) = options.initial_values {
-        server.values = values;
-    }
-    let start_superstep = options.start_superstep;
-    let initial_frontier = options
-        .initial_frontier
-        .unwrap_or_else(|| plan.initial_frontier());
-    // Cleared and refilled in place every superstep — the broadcast hot path
-    // of a steady-state superstep allocates nothing on the uncompressed
-    // codec path.
-    let pool = BufferPool::new();
-    let mut bufs = SuperstepBuffers::checkout(&pool, initial_frontier);
-    let mut supersteps_run = start_superstep;
-    // Direction decision counters, fetched once before the loop (the registry
-    // lookup locks; the per-superstep adds are relaxed atomics). Only server 0
-    // counts, so the totals match the sequential executor's.
-    let counters = global_counters();
-    let dir_pull = counters.counter("exec.direction.pull");
-    let dir_push = counters.counter("exec.direction.push");
-
-    let checkpoint_sink = options.checkpoint;
-    let superstep_delay = options.superstep_delay;
-    // A resumed run whose restored frontier is already empty terminated in
-    // its previous life — running even one superstep would diverge from the
-    // original run, so the loop is skipped entirely.
-    let resumed_after_termination = start_superstep > 0 && bufs.previously_updated.is_empty();
-    let mut per_superstep = Vec::new();
+    let start = resume.map_or(0, |c| {
+        step.restore(c.next_superstep, c.values, c.frontier);
+        c.next_superstep
+    });
 
     let rec = &mut rec;
-    let body = std::panic::AssertUnwindSafe(|| -> Result<u32, WorkerError> {
-        let loop_end = if resumed_after_termination {
-            start_superstep
-        } else {
-            plan.max_supersteps
-        };
+    let body = std::panic::AssertUnwindSafe(|| -> Result<(), WorkerError> {
         // A checkpoint at cursor `s` is the durability promise for `s - 1`,
         // and the ack that said so may have died with the process that made
         // it: repeat it, or — with no superstep left to run — every peer
         // retains the final ones until it exits.
-        if let Some(durable) = start_superstep.checked_sub(1) {
+        if let Some(durable) = start.checked_sub(1) {
             plane.acknowledge(durable).map_err(plane_error)?;
         }
-        for superstep in start_superstep..loop_end {
+        while let Some(superstep) = step.next_superstep() {
             if let Some(delay) = superstep_delay {
                 std::thread::sleep(delay);
             }
-            // Every worker derives the same view from its replicated frontier,
-            // so all workers run the same direction at the same superstep.
-            let view = plan.frontier_view(program, &bufs.previously_updated);
-            if sid == 0 {
-                match view.direction {
-                    Direction::Push => dir_push.add(1),
-                    _ => dir_pull.add(1),
-                }
-            }
             let compute = rec.begin();
-            let phase = server
-                .run_tile_phase(program, plan, superstep, &view, config.use_bloom_filter)
-                .map_err(|error| WorkerError {
-                    error,
-                    secondary: false,
-                })?;
+            let direction = step.compute()?;
             rec.end_superstep_dir(
                 compute,
                 "tile-compute",
                 "superstep",
                 superstep,
-                view.direction.as_str(),
+                direction.as_str(),
             );
-            let mut metrics = phase.metrics;
-
-            // Publish this superstep's messages through the real wire path.
-            // Encode+compress fans out over the server's persistent compute
-            // pool (each message index encodes into its own lane), then the
-            // serial ship loop walks the lanes in index order — so the byte
-            // stream on the plane, and the index-ordered float summation of
-            // the compression charge, are identical to a serial encode no
-            // matter how the pool schedules the lanes.
-            bufs.begin_superstep();
             let publish = rec.begin();
-            bufs.ensure_lanes(phase.messages.len());
-            let lanes = &bufs.lanes;
-            let messages = &phase.messages;
-            server
-                .pool()
-                .fork_join_ordered_named(messages.len(), "encode-compress", |i| {
-                    let mut lane = lanes[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let lane = &mut *lane;
-                    let mut charged = ServerMetrics::default();
-                    plan.message_codec.encode_into_with(
-                        &messages[i],
-                        &mut charged,
-                        &mut lane.enc_scratch,
-                        &mut lane.wire,
-                        &mut lane.comp,
-                    );
-                    lane.compress_seconds = charged.compress_seconds;
-                });
-            for (i, message) in phase.messages.iter().enumerate() {
-                let lane = bufs.lanes[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                metrics.compress_seconds += lane.compress_seconds;
-                let fanout = u64::from(num_servers - 1);
-                metrics.network_sent_bytes += lane.wire.len() as u64 * fanout;
-                metrics.network_messages += fanout;
-                plane
-                    .broadcast(superstep, &lane.wire)
-                    .map_err(plane_error)?;
-                // The sender applies its own updates without a decode round
-                // trip (the wire format is lossless, and the sequential
-                // executor charges no decompression to the sender either).
-                bufs.all_updates.extend_run(&message.updates);
+            for wire in step.encode() {
+                plane.broadcast(superstep, wire).map_err(plane_error)?;
             }
             rec.end_superstep(publish, "encode-publish", "superstep", superstep);
             let flush = rec.begin();
             plane.end_superstep(superstep).map_err(plane_error)?;
             rec.end_superstep(flush, "plane-flush", "superstep", superstep);
-
-            // Exchange: decode everything the peers published, streaming the
-            // updates straight into the shared buffer (no per-message vector).
             let exchange = rec.begin();
             for wire in plane.collect(superstep).map_err(plane_error)? {
-                metrics.network_received_bytes += wire.len() as u64;
-                let all_updates = &mut bufs.all_updates;
-                let header = plan
-                    .message_codec
-                    .decode_each(&wire, &mut metrics, &mut bufs.dec_scratch, |v, val| {
-                        all_updates.push(v, val);
-                    })
-                    .map_err(|e| WorkerError {
-                        error: EngineError::BadInput(format!("corrupt broadcast: {e}")),
-                        secondary: false,
-                    })?;
-                all_updates.end_run();
-                // `decode_each` bounds every vertex id by the message's *own*
-                // advertised range; that range is itself wire bytes, so bound
-                // it by the graph before the ids can index the replica array
-                // in `apply_updates`. (On either error the partially filled
-                // buffer is never applied: the worker aborts the run.)
-                if u64::from(header.range_end) > plan.num_vertices {
-                    return Err(WorkerError {
-                        error: EngineError::BadInput(format!(
-                            "corrupt broadcast: range end {} exceeds vertex count {}",
-                            header.range_end, plan.num_vertices
-                        )),
-                        secondary: false,
-                    });
-                }
+                step.receive(&wire)?;
             }
             rec.end_superstep(exchange, "collect-decode", "superstep", superstep);
-
-            // Deterministic apply: no vertex is updated twice, so the replica
-            // and the next frontier (the updated ids, ascending) are
-            // independent of message arrival order. Every server owns its
-            // tiles' ranges and `decode_each` hands each message's ids over
-            // ascending, so two messages that overlap were sent by a corrupt
-            // peer — and applying either value of a vertex both update could
-            // leave this replica apart from the others without a word.
             let apply = rec.begin();
-            if let Err(vertex) = bufs.all_updates.merge(&mut bufs.previously_updated) {
-                return Err(WorkerError {
-                    error: EngineError::BadInput(format!(
-                        "corrupt broadcast: two messages overlap at vertex {vertex} \
-                         in superstep {superstep}"
-                    )),
-                    secondary: false,
-                });
-            }
-            server.apply_updates(bufs.all_updates.as_slice());
+            step.apply()?;
             rec.end_superstep(apply, "apply", "superstep", superstep);
-            metrics.vertices_updated = bufs.all_updates.as_slice().len() as u64;
-            metrics.peak_memory_bytes = server.peak_memory();
-            per_superstep.push(metrics);
-            supersteps_run = superstep + 1;
 
-            // Durability + ack. With a checkpoint sink, a snapshot is written
-            // on due supersteps and only then is the superstep acknowledged —
-            // an ack is a promise that a restart will not need this
-            // superstep's frames replayed. Without one, in-memory state is
-            // durable enough for transient cuts, so every superstep acks.
-            match &checkpoint_sink {
+            // An ack promises that a restart will not need this superstep's
+            // frames replayed: with a sink, only a written checkpoint makes
+            // that promise; without one, in-memory state is durable enough
+            // for transient cuts.
+            match &sink {
                 Some(sink) if sink.due(superstep) => {
                     sink.write(&Checkpoint {
                         server: sid,
                         next_superstep: superstep + 1,
-                        frontier: bufs.previously_updated.clone(),
-                        values: server.values.clone(),
+                        frontier: step.frontier().to_vec(),
+                        values: step.values().to_vec(),
                     })
-                    .map_err(|e| WorkerError {
-                        error: EngineError::BadInput(format!("checkpoint write: {e}")),
-                        secondary: false,
-                    })?;
+                    .map_err(|e| EngineError::BadInput(format!("checkpoint write: {e}")))?;
                     plane.acknowledge(superstep).map_err(plane_error)?;
                 }
                 Some(_) => {}
                 None => plane.acknowledge(superstep).map_err(plane_error)?,
             }
-
-            // Every worker applied the same update set, so all make the same
-            // continue/stop decision and stay in lockstep.
-            if bufs.previously_updated.is_empty() {
-                break;
-            }
         }
-        Ok(supersteps_run)
+        Ok(())
     });
 
     // catch_unwind so a panicking worker (not just an erroring one) still
@@ -485,21 +212,8 @@ pub fn run_worker(
     // (AssertUnwindSafe implements FnOnce, so it is passed directly — wrapping
     // it in another closure would capture the inner closure field and lose
     // the unwind-safety assertion.)
-    let result = std::panic::catch_unwind(body);
-
-    match result {
-        Ok(Ok(supersteps_run)) => {
-            server.publish_observability();
-            bufs.publish_observability();
-            Ok(WorkerOutput {
-                server: sid,
-                values: std::mem::take(&mut server.values),
-                cache_codec: server.cache_codec(),
-                peak_memory: server.peak_memory(),
-                supersteps_run,
-                metrics: per_superstep,
-            })
-        }
+    match std::panic::catch_unwind(body) {
+        Ok(Ok(())) => Ok(step.finish()),
         Ok(Err(e)) => {
             plane.abort();
             Err(e)
@@ -515,7 +229,8 @@ pub fn run_worker(
 mod tests {
     use super::*;
     use crate::plane::WireMessage;
-    use graphh_cluster::{BroadcastMessage, ClusterConfig, CommunicationMode};
+    use graphh_cluster::{BroadcastMessage, ClusterConfig, CommunicationMode, ServerMetrics};
+    use graphh_compress::Codec;
     use graphh_core::PageRank;
     use graphh_graph::generators::path_graph;
     use graphh_partition::{Spe, SpeConfig};
@@ -571,6 +286,20 @@ mod tests {
         (result, plane.calls)
     }
 
+    /// A checkpoint of server 0 at `next_superstep`, holding `frontier` and
+    /// the 10-vertex graph's first-superstep replica.
+    fn checkpoint(next_superstep: u32, frontier: Vec<u32>) -> WorkerOptions {
+        WorkerOptions {
+            resume: Some(Checkpoint {
+                server: 0,
+                next_superstep,
+                frontier,
+                values: vec![0.1; 10],
+            }),
+            ..WorkerOptions::default()
+        }
+    }
+
     /// A checkpoint at cursor `s` promised `s - 1` durable, so a worker
     /// resumed there says so before anything else — even when nothing is left
     /// to run, which used to leave every peer retaining the final supersteps —
@@ -582,17 +311,13 @@ mod tests {
             result.unwrap();
             calls
         };
-        let resumed_at = |start_superstep, initial_frontier| WorkerOptions {
-            start_superstep,
-            initial_frontier,
-            ..WorkerOptions::default()
-        };
+        let everything: Vec<u32> = (0..10).collect();
         // The cursor is past the last superstep: zero iterations, one ack.
-        assert_eq!(calls_of(resumed_at(3, None)), [("ack", 2)]);
+        assert_eq!(calls_of(checkpoint(3, everything.clone())), [("ack", 2)]);
         // The run had terminated (empty frontier) before the process died.
-        assert_eq!(calls_of(resumed_at(2, Some(Vec::new()))), [("ack", 1)]);
+        assert_eq!(calls_of(checkpoint(2, Vec::new())), [("ack", 1)]);
         // Mid-run: the repeated ack comes first, then the loop's own.
-        let mid_run = calls_of(resumed_at(1, None));
+        let mid_run = calls_of(checkpoint(1, everything));
         assert_eq!(mid_run[..3], [("ack", 0), ("end", 1), ("ack", 1)]);
         // A fresh start has nothing to repeat.
         let fresh = calls_of(WorkerOptions::default());
@@ -615,12 +340,9 @@ mod tests {
     #[test]
     fn a_restored_replica_must_hold_one_value_per_vertex() {
         for len in [5, 11] {
-            let why = refused_restore(WorkerOptions {
-                start_superstep: 1,
-                initial_values: Some(vec![0.0; len]),
-                initial_frontier: Some(Vec::new()),
-                ..WorkerOptions::default()
-            });
+            let mut options = checkpoint(1, Vec::new());
+            options.resume.as_mut().unwrap().values = vec![0.0; len];
+            let why = refused_restore(options);
             assert!(
                 why.contains(&format!("{len} replica values for a 10-vertex")),
                 "{why}"
@@ -636,11 +358,7 @@ mod tests {
             (vec![4, 1], "vertex 4 before vertex 1"),
             (vec![3, 3], "vertex 3 before vertex 3"),
         ] {
-            let why = refused_restore(WorkerOptions {
-                start_superstep: 1,
-                initial_frontier: Some(frontier),
-                ..WorkerOptions::default()
-            });
+            let why = refused_restore(checkpoint(1, frontier));
             assert!(why.contains(named), "{why}");
         }
     }
@@ -648,73 +366,18 @@ mod tests {
     /// A cursor past the last superstep used to run nothing and return `Ok`.
     #[test]
     fn a_restored_cursor_may_not_pass_the_last_superstep() {
-        let why = refused_restore(WorkerOptions {
-            start_superstep: 4,
-            ..WorkerOptions::default()
-        });
+        let why = refused_restore(checkpoint(4, Vec::new()));
         assert!(why.contains("superstep 4, past the run's 3"), "{why}");
     }
 
-    /// The superstep buffers must be *reused*, not reallocated: after a
-    /// superstep rolls over, the same allocations hold the next superstep's
-    /// data (this is the clear-and-reuse contract the allocation-counting
-    /// test in `tests/alloc_count.rs` measures end to end).
+    /// Another server's snapshot would hand this server a replica and a
+    /// cursor it never held.
     #[test]
-    fn superstep_buffers_reuse_their_allocations_across_supersteps() {
-        let pool = BufferPool::new();
-        let mut bufs = SuperstepBuffers::checkout(&pool, vec![0, 1, 2, 3]);
-        bufs.ensure_lanes(2);
-        assert_eq!(bufs.lanes.len(), 2);
-        let wire_ptr = {
-            let mut lane = bufs.lanes[0].lock().unwrap();
-            lane.wire.extend_from_slice(&[0u8; 64]);
-            lane.wire.as_ptr()
-        };
-        let frontier_ptr = bufs.previously_updated.as_ptr();
-        let frontier_cap = bufs.previously_updated.capacity();
-
-        // Both buffers of the merge — the updates as they arrived, and the
-        // frontier their ids are concatenated into — are cleared and
-        // refilled, superstep after superstep, never replaced.
-        let mut updates_ptr = None;
-        for (first, second) in [((2, 2.0), (0, 1.0)), ((3, 4.0), (1, 3.0))] {
-            bufs.begin_superstep();
-            assert!(bufs.all_updates.as_slice().is_empty());
-            // Two messages, the later one first in range.
-            bufs.all_updates.extend_run(&[first]);
-            bufs.all_updates.extend_run(&[second]);
-            let ptr = bufs.all_updates.as_slice().as_ptr();
-            assert_eq!(
-                *updates_ptr.get_or_insert(ptr),
-                ptr,
-                "update buffer must be cleared, not replaced"
-            );
-            bufs.all_updates
-                .merge(&mut bufs.previously_updated)
-                .unwrap();
-            assert_eq!(bufs.all_updates.as_slice(), [first, second]);
-            assert_eq!(bufs.previously_updated, [second.0, first.0]);
-            assert_eq!(
-                bufs.previously_updated.as_ptr(),
-                frontier_ptr,
-                "frontier must be refilled in place, not reallocated"
-            );
-            assert_eq!(bufs.previously_updated.capacity(), frontier_cap);
-        }
-        // A later superstep with no more messages than before keeps the same
-        // lanes (and their buffers) rather than growing or replacing them.
-        bufs.ensure_lanes(2);
-        assert_eq!(bufs.lanes.len(), 2);
-        {
-            let mut lane = bufs.lanes[0].lock().unwrap();
-            lane.wire.clear();
-            lane.wire.extend_from_slice(&[1u8; 32]);
-            assert_eq!(lane.wire.as_ptr(), wire_ptr, "wire scratch must be reused");
-        }
-
-        // Dropping the buffers returns the byte scratch to the pool.
-        drop(bufs);
-        assert_eq!(pool.pooled(), 1, "only the written buffer is worth pooling");
+    fn a_restored_checkpoint_must_be_this_servers() {
+        let mut options = checkpoint(1, Vec::new());
+        options.resume.as_mut().unwrap().server = 1;
+        let why = refused_restore(options);
+        assert!(why.contains("server 1's checkpoint on server 0"), "{why}");
     }
 
     /// A sparse message can be internally consistent (ids inside its own

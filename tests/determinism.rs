@@ -50,6 +50,39 @@ fn assert_bit_identical(a: &RunResult, b: &RunResult, what: &str) {
         b.metrics.total_disk_bytes(),
         "{what}: disk bytes"
     );
+    assert_eq!(
+        integer_counters(a),
+        integer_counters(b),
+        "{what}: per-superstep, per-server counters"
+    );
+}
+
+/// Every integer `ServerMetrics` counter of every (superstep, server) of a
+/// run — what each server sent, received, read and worked through, not only
+/// the run's totals. (Peak memory is left out: the transient tile memory a
+/// server is charged grows with its compute threads.)
+fn integer_counters(run: &RunResult) -> Vec<[u64; 14]> {
+    let servers = run.metrics.supersteps.iter().flat_map(|s| &s.servers);
+    servers
+        .map(|m| {
+            [
+                m.network_sent_bytes,
+                m.network_received_bytes,
+                m.network_messages,
+                m.edges_processed,
+                m.tiles_processed,
+                m.tiles_skipped,
+                m.cache_hits,
+                m.cache_misses,
+                m.disk_read_bytes,
+                m.disk_read_ops,
+                m.disk_write_bytes,
+                m.disk_write_ops,
+                m.vertices_updated,
+                m.messages_produced,
+            ]
+        })
+        .collect()
 }
 
 #[test]
@@ -676,6 +709,129 @@ fn every_registry_program_is_bit_identical_across_executors() {
             let a = seq.run(part, program.as_ref()).unwrap();
             let b = thr.run(part, program.as_ref()).unwrap();
             assert_bit_identical(&a, &b, &format!("{} seed {seed}", spec.name));
+        }
+    }
+}
+
+/// One run of 3 `WorkerStep`s on this thread. With `shuffle: None` every
+/// server receives its peers' wires in server-id order, as the sequential
+/// executor delivers them; with a seed, each server takes each superstep's
+/// peer wires in reverse server order on every third (superstep, server)
+/// and in a seeded shuffle of all of them otherwise. Returns the frontier
+/// after each superstep and every server's output.
+fn stepped(
+    config: &GraphHConfig,
+    part: &PartitionedGraph,
+    program: &dyn GabProgram,
+    mut shuffle: Option<u64>,
+) -> (Vec<Vec<u32>>, Vec<graphh::runtime::WorkerOutput>) {
+    use graphh::core::exec::{ExecutionPlan, WorkerStep};
+
+    let plan = ExecutionPlan::prepare(config, part, program).unwrap();
+    let tracer = graphh::obs::Tracer::off();
+    let mut steps: Vec<WorkerStep> = (0..config.cluster.num_servers)
+        .map(|sid| WorkerStep::new(config, &plan, part, program, sid, &tracer))
+        .collect();
+    let mut frontiers = Vec::new();
+    while let Some(superstep) = steps[0].next_superstep() {
+        let outboxes: Vec<Vec<Vec<u8>>> = steps
+            .iter_mut()
+            .map(|step| {
+                step.compute().unwrap();
+                step.encode().map(<[u8]>::to_vec).collect()
+            })
+            .collect();
+        for (sid, step) in steps.iter_mut().enumerate() {
+            let mut peers: Vec<&Vec<Vec<u8>>> = outboxes
+                .iter()
+                .enumerate()
+                .filter_map(|(sender, wires)| (sender != sid).then_some(wires))
+                .collect();
+            let reverse = (superstep as usize + sid).is_multiple_of(3);
+            if shuffle.is_some() && reverse {
+                peers.reverse();
+            }
+            let mut inbox: Vec<&[u8]> = peers.into_iter().flatten().map(Vec::as_slice).collect();
+            if let Some(state) = shuffle.as_mut().filter(|_| !reverse) {
+                for i in (1..inbox.len()).rev() {
+                    *state ^= *state << 13;
+                    *state ^= *state >> 7;
+                    *state ^= *state << 17;
+                    inbox.swap(i, (*state % (i as u64 + 1)) as usize);
+                }
+            }
+            for wire in inbox {
+                step.receive(wire).unwrap();
+            }
+        }
+        for step in &mut steps {
+            step.apply().unwrap();
+        }
+        let frontier = steps[0].frontier().to_vec();
+        assert!(steps.iter().all(|step| step.frontier() == frontier));
+        frontiers.push(frontier);
+    }
+    (
+        frontiers,
+        steps.into_iter().map(WorkerStep::finish).collect(),
+    )
+}
+
+/// Arrival order cannot change a replica or a frontier: every registry
+/// program × {engine's choice, every superstep pulled}, its peer wires
+/// delivered in seeded shuffles and in reverse server order, against the
+/// sequential executor — values, each superstep's frontier and the superstep
+/// count, bit for bit, on every server. Until the threaded executor's
+/// channels happen to deliver out of order, nothing else exercises it.
+#[test]
+fn peer_wires_may_arrive_in_any_order() {
+    use graphh::core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
+
+    let (dir, pdir, sym, psym) = workload_graphs(SEEDS[0]);
+    let bits = |values: &[f64]| values.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for spec in PROGRAMS {
+        let (graph, part) = if spec.symmetrize_input {
+            (&sym, &psym)
+        } else {
+            (&dir, &pdir)
+        };
+        let mut opts = ProgramOptions::new();
+        if spec.accepts("supersteps") {
+            opts.set("supersteps", "8");
+        }
+        let program = spec
+            .build(&ProgramContext::new(graph.out_degrees()), &opts)
+            .unwrap();
+        for mode in [DirectionMode::Auto, DirectionMode::ForcePull] {
+            let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(3))
+                .with_direction_mode(mode);
+            let reference =
+                GraphHEngine::with_executor(config.clone(), Arc::new(SequentialExecutor::new()))
+                    .run(part, program.as_ref())
+                    .unwrap();
+            let (in_order, _) = stepped(&config, part, program.as_ref(), None);
+            let updated: Vec<u64> = in_order.iter().map(|f| f.len() as u64).collect();
+            let counts: Vec<u64> = reference
+                .metrics
+                .supersteps
+                .iter()
+                .map(|s| s.total_vertices_updated)
+                .collect();
+            assert_eq!(updated, counts, "{} {mode:?}", spec.name);
+            for seed in [1, 0x2017_0FA1] {
+                let what = format!("{} {mode:?} shuffle seed {seed}", spec.name);
+                let (frontiers, outputs) = stepped(&config, part, program.as_ref(), Some(seed));
+                assert_eq!(frontiers, in_order, "{what}: frontiers");
+                for output in &outputs {
+                    assert_eq!(output.supersteps_run, reference.supersteps_run, "{what}");
+                    assert_eq!(
+                        bits(&output.values),
+                        bits(&reference.values),
+                        "{what}: server {}",
+                        output.server
+                    );
+                }
+            }
         }
     }
 }
