@@ -28,25 +28,15 @@
 //! `--threads-per-server`, `--compressor none|raw|snappy|zlib-1|zlib-3|varint-delta`
 //! (message compressor; defaults to the paper's snappy — compression never
 //! changes decoded values, only wire bytes). Runtime flags: `--id`, `--servers`, `--listen`,
-//! `--peers` (comma-separated, indexed by server id), `--out`,
-//! `--establish-timeout-secs`. The transport is always
+//! `--peers` (comma-separated, indexed by server id; required for more than
+//! one server), `--out`, `--establish-timeout-secs`. The transport is always
 //! [`graphh_runtime::PollPlane`] (one event-loop thread per process) and the
 //! protocol always the fault-tolerant `GHHR` one (docs/WIRE.md).
 //!
-//! Instead of enumerating every peer, a node may start by **seed discovery**
-//! (see `docs/WIRE.md` §10): `--seed HOST:PORT` (repeatable) names any
-//! cluster member, listening already or soon; the node announces itself to
-//! the seeds and to every address it learns, and has the full `server id →
-//! address` book from their `GHHM` replies while its links come up — one
-//! establishment, bounded as a whole by `--establish-timeout-secs`. `--peers`
-//! and seed addresses are mutually exclusive — the static table and the
-//! discovered book are alternative sources of truth. (`--seed` keeps its
-//! workload meaning too: a bare integer is the graph-generator RNG seed, a
-//! `host:port` value is a membership seed — the two value shapes never
-//! overlap.) In a seed-discovered
-//! cluster a replacement process for a dead id may bind a *different* port:
-//! it announces itself with a bumped incarnation, the book update gossips to
-//! every survivor, and redials converge on the new address mid-run.
+//! The peer table is the only address book: every server listens at the
+//! address `--peers` gives its id, for the whole run, so a replacement for a
+//! dead process is started with the same `--listen` address (the same
+//! command line).
 //!
 //! Observability flags (see `docs/OBSERVABILITY.md`): `--trace-out FILE`
 //! enables phase tracing and writes a Chrome trace-event JSON file loadable
@@ -58,8 +48,7 @@
 //! failure parks the link, the survivor redials (or accepts a redial) with
 //! the `GHHR` resume handshake, and retained frames are replayed. Starting
 //! up is the same path — every link begins down and `--establish-timeout-secs`
-//! is how long each has to come up once, seed discovery included — so this
-//! process binds its listener
+//! is how long each has to come up once — so this process binds its listener
 //! first (peers' dials wait in its backlog while the workload builds) and
 //! prints `cluster established` when the plane's event loop says so.
 //! `--checkpoint-dir DIR` snapshots replica values + superstep cursor every
@@ -91,9 +80,6 @@ struct Args {
     servers: u32,
     listen: String,
     peers: Vec<SocketAddr>,
-    /// Membership seed addresses (`--seed HOST:PORT`, repeatable) — the
-    /// address book is discovered from them instead of given by `--peers`.
-    seeds: Vec<SocketAddr>,
     direction: DirectionMode,
     workload: NodeWorkload,
     threads_per_server: Option<u32>,
@@ -122,7 +108,7 @@ fn usage(asked: bool) -> ! {
     use std::fmt::Write;
     let mut text = String::from(
         "usage: graphh-node --id I --servers P --listen ADDR \
-         (--peers A0,A1,... | --seed HOST:PORT...) \
+         [--peers A0,A1,...] \
          [--program NAME] [--program-arg K=V]... \
          [--direction auto|pull|push] [--scale S] \
          [--edge-factor F] [--seed N] [--tiles T] [--supersteps N] \
@@ -153,7 +139,6 @@ fn parse_args() -> Result<Args, String> {
     let mut servers = None;
     let mut listen = None;
     let mut peers: Vec<SocketAddr> = Vec::new();
-    let mut seeds: Vec<SocketAddr> = Vec::new();
     let mut workload = NodeWorkload {
         program: "pagerank".into(),
         program_args: Vec::new(),
@@ -202,24 +187,7 @@ fn parse_args() -> Result<Args, String> {
             "--program-arg" => workload.program_args.push(value()?),
             "--scale" => workload.scale = value()?.parse().map_err(|e| bad(&e))?,
             "--edge-factor" => workload.edge_factor = value()?.parse().map_err(|e| bad(&e))?,
-            // `--seed` is overloaded by value shape: a `host:port` socket
-            // address is a membership seed node (repeatable, docs/WIRE.md
-            // §10); a bare integer keeps its original meaning as the
-            // graph-generator RNG seed. The domains are disjoint — an
-            // integer never parses as a socket address and vice versa.
-            "--seed" => {
-                let value = value()?;
-                if let Ok(addr) = value.parse::<SocketAddr>() {
-                    seeds.push(addr);
-                } else {
-                    workload.seed = value.parse().map_err(|_| {
-                        format!(
-                            "bad value for --seed: {value} (expected a membership \
-                             seed HOST:PORT or an integer RNG seed)"
-                        )
-                    })?;
-                }
-            }
+            "--seed" => workload.seed = value()?.parse().map_err(|e| bad(&e))?,
             "--tiles" => workload.tiles = value()?.parse().map_err(|e| bad(&e))?,
             "--supersteps" => workload.supersteps = value()?.parse().map_err(|e| bad(&e))?,
             "--threads-per-server" => {
@@ -248,15 +216,14 @@ fn parse_args() -> Result<Args, String> {
     let id = id.ok_or("--id is required")?;
     let servers = servers.ok_or("--servers is required")?;
     let listen = listen.ok_or("--listen is required")?;
-    if peers.is_empty() && seeds.is_empty() && servers > 1 {
-        return Err("--peers or --seed is required for clusters with more than one server".into());
+    if peers.is_empty() && servers > 1 {
+        return Err("--peers is required for clusters with more than one server".into());
     }
     Ok(Args {
         id,
         servers,
         listen,
         peers,
-        seeds,
         direction,
         workload,
         threads_per_server,
@@ -319,7 +286,7 @@ fn run(args: Args) -> Result<(), String> {
         .map_err(|e| format!("prepare plan: {e}"))?;
     drop(pool); // the run uses the per-server pool inside `ServerState`
 
-    let peer_addrs: Vec<SocketAddr> = if args.servers == 1 && args.seeds.is_empty() {
+    let peer_addrs: Vec<SocketAddr> = if args.servers == 1 {
         vec![bound.local_addr().map_err(|e| e.to_string())?]
     } else {
         args.peers.clone()
@@ -342,34 +309,18 @@ fn run(args: Args) -> Result<(), String> {
     };
     let start_superstep = resumed.as_ref().map_or(0, |c| c.next_superstep);
 
-    // Given seeds the peer table is empty and the book is discovered while
-    // the links come up; a restart announces itself under its server id
-    // (above the incarnation of its predecessor's address, if the cluster
-    // still lists that), so peers redial the *new* address mid-run.
     let resilience = ResilienceConfig {
         reconnect_deadline: args.reconnect_deadline,
         resume_from: start_superstep,
-        seeds: args.seeds.clone(),
     };
-    let discovered = !args.seeds.is_empty();
     let mut plane = bound
         .establish_resilient(&peer_addrs, args.establish_timeout, resilience)
         .map_err(|e| format!("establish cluster: {e}"))?;
-    if discovered {
-        eprintln!(
-            "graphh-node {}/{}: address book discovered (version {}, incarnation {})",
-            args.id,
-            args.servers,
-            plane.book().version(),
-            plane.book().own_incarnation(),
-        );
-    }
     eprintln!(
-        "graphh-node {}/{}: cluster established ({} peers{}{})",
+        "graphh-node {}/{}: cluster established ({} peers{})",
         args.id,
         args.servers,
         args.servers - 1,
-        if discovered { ", seed-discovered" } else { "" },
         if resumed.is_some() {
             format!(", resumed at superstep {start_superstep}")
         } else {
@@ -470,19 +421,14 @@ fn node_metrics_json(
     net_received_bytes: u64,
     wall_seconds: f64,
 ) -> String {
-    // Counters register lazily on first touch, so a fault-free (or
-    // static-table) run would otherwise omit the whole
-    // `fabric.*` / `membership.*` families from the snapshot. Pre-register
-    // them all: a zero row in every run's JSON beats a key that appears only
-    // when something went wrong.
+    // Counters register lazily on first touch, so a fault-free run would
+    // otherwise omit the `fabric.*` family from the snapshot. Pre-register
+    // it: a zero row in every run's JSON beats a key that appears only when
+    // something went wrong.
     for name in [
         "fabric.reconnects",
         "fabric.replayed_frames",
         "fabric.checkpoint_bytes",
-        "membership.announces",
-        "membership.gossip_deltas",
-        "membership.book_version",
-        "membership.adoptions",
     ] {
         global_counters().counter(name);
     }

@@ -326,4 +326,17 @@ fn help_is_an_answer_and_a_bad_flag_is_a_complaint() {
         stderr.contains("unknown flag --frobnicate") && stderr.contains("usage: graphh-node"),
         "{stderr}"
     );
+    // `--seed` is the generator's integer seed and nothing else: an address
+    // there is a bad value, not a way to find the cluster.
+    let output = Command::new(env!("CARGO_BIN_EXE_graphh-node"))
+        .args(["--id", "0", "--servers", "3", "--listen", "127.0.0.1:0"])
+        .args(["--seed", "127.0.0.1:4800"])
+        .output()
+        .expect("run graphh-node");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("bad value for --seed") && stderr.contains("usage: graphh-node"),
+        "{stderr}"
+    );
 }

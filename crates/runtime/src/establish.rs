@@ -17,8 +17,8 @@ use std::time::Duration;
 /// to come up once before giving up on an absent peer.
 pub const DEFAULT_ESTABLISH_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How long a dialed or accepted connection may take to produce its hello
-/// (or its `GHHM` announce). Until then it only occupies a pending slot of
+/// How long a dialed or accepted connection may take to produce its hello.
+/// Until then it only occupies a pending slot of
 /// the event loop — nothing waits on it — so one generous bound serves a
 /// starting cluster and a running one alike. A peer that is bound but not
 /// yet establishing (a restarted `graphh-node` building its workload) holds

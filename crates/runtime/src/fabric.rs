@@ -1,16 +1,16 @@
 //! The link life-cycle of the TCP plane, decided in one **I/O-free** place.
 //!
-//! Everything `docs/WIRE.md` §2 and §9–§10 make an endpoint *decide* lives
+//! Everything `docs/WIRE.md` §2 and §9 make an endpoint *decide* lives
 //! here and nowhere else: when a link is down, when to redial it and how long
 //! to back off, whether a hello is acceptable and what to answer, what to
 //! retain, replay, trim and re-acknowledge, what the worker's collector may
 //! see (a peer's superstep once its marker is in, never twice), when a
-//! finished endpoint may stop holding the door (goodbye / linger), when a
-//! peer is lost for good, whom to ask for the address book and whom to tell
-//! of it. [`Fabric`] touches no socket, spawns nothing, shares no state with
-//! another thread and never looks at a clock: it is a step
-//! function in the shape of SNIPPETS.md's gossip-glomers `Node::step(input,
-//! output)` — `Fabric::step(now, Event, &mut Vec<Action>)` — driven by
+//! finished endpoint may stop holding the door (goodbye / linger), and when a
+//! peer is lost for good. [`Fabric`] touches no socket, spawns nothing,
+//! shares no state with another thread and never looks at a clock: it is a
+//! step function in the shape of SNIPPETS.md's gossip-glomers
+//! `Node::step(input, output)` — `Fabric::step(now, Event, &mut
+//! Vec<Action>)` — driven by
 //! [`crate::poll`]'s event loop (real sockets, real time) and by
 //! `tests/fabric_sim.rs` (a seeded virtual network and clock, thousands of
 //! fault schedules per `cargo test`). `now` is the time since the fabric was
@@ -20,23 +20,19 @@
 //! healing or a replacement process is taking over an id: it is *down* — at
 //! birth, with the establish timeout as its deadline — the higher id dials
 //! ([`Action::Dial`]) with seeded exponential backoff, at the address the
-//! [`AddressBook`] holds for the peer (no address yet, no dial), the lower id
-//! answers the hello ([`Action::Reply`]), and the vetted stream is adopted
-//! with replay and a repeated ack ([`Action::Adopt`], [`Action::Send`]).
+//! peer table gives the peer, the lower id answers the hello
+//! ([`Action::Reply`]), and the vetted stream is adopted with replay and a
+//! repeated ack ([`Action::Adopt`], [`Action::Send`]).
 //!
-//! The book is the fabric's own. A static peer table pre-fills it; given
-//! seeds instead (`docs/WIRE.md` §10) it starts with the own claim only, and
-//! for as long as it is establishing the fabric announces itself
-//! ([`Action::Announce`]) to the seeds and every address it learns — under
-//! the same establish deadline, beside the dials. Establishment is only this
-//! machine's first transition: [`Action::Established`] fires when every link
-//! has been up once and the book is complete. The state × event → action
-//! table is `docs/WIRE.md` §9.5.
+//! The peer table is the only address book: one address per server, fixed
+//! for the run, so a replacement process restarts at the address the table
+//! gives its id. Establishment is only this machine's first transition:
+//! [`Action::Established`] fires when every link has been up once. The
+//! state × event → action table is `docs/WIRE.md` §9.5.
 
 use crate::buffer::{BufferPool, PooledBuf};
 use crate::establish::Refusal;
 use crate::frame::{Frame, InboxEvent, PlaneError};
-use crate::membership::{AddressBook, MembershipKind, MembershipMsg, ReconnectBackoff};
 use crate::resume::{count_frames, ReplayLog, ResilienceConfig, ResumeHello, RESUME_HELLO_LEN};
 use graphh_graph::ids::ServerId;
 use graphh_obs::{global_counters, Counter};
@@ -52,7 +48,7 @@ pub type SharedBatch = Arc<PooledBuf>;
 pub type HelloBytes = [u8; RESUME_HELLO_LEN];
 
 /// First pause between redials of one link; attempt `k` waits a jittered
-/// `min(RETRY_BACKOFF · 2^k, RETRY_BACKOFF_CAP)` ([`ReconnectBackoff`]).
+/// `min(RETRY_BACKOFF · 2^k, RETRY_BACKOFF_CAP)`.
 pub const RETRY_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Ceiling of the redial backoff (itself clamped to the reconnect deadline).
@@ -92,14 +88,6 @@ pub enum Event<'a> {
     /// string says where it leads, for refusal messages: an address, or
     /// "server 0 at 127.0.0.1:4750".
     Hello(Conn, &'a str, HelloBytes),
-    /// An accepted connection produced a whole `GHHM` message instead.
-    Announce(Conn, &'a [u8]),
-    /// The source at this address answered [`Action::Announce`] with a whole
-    /// `GHHM` message (unvetted).
-    Snapshot(SocketAddr, &'a [u8]),
-    /// The announce to this source died unanswered: connect refused, early
-    /// close, handshake deadline.
-    AnnounceFailed(SocketAddr),
     /// The dial to this peer died before a reply hello — connect refused,
     /// early close, handshake deadline — for this (origin-prefixed) reason.
     DialFailed(ServerId, String),
@@ -124,12 +112,8 @@ pub enum Action {
     /// as [`Event::Hello`] on [`Conn::Dialed`] or the failure as
     /// [`Event::DialFailed`].
     Dial(ServerId, SocketAddr, HelloBytes),
-    /// Connect to this address, send these bytes (a `GHHM` announce), report
-    /// the reply as [`Event::Snapshot`] or the failure as
-    /// [`Event::AnnounceFailed`], close.
-    Announce(SocketAddr, Vec<u8>),
-    /// Write these bytes (a hello, a `GHHM` snapshot) to a pending connection.
-    Reply(Conn, Vec<u8>),
+    /// Write this hello to a pending connection.
+    Reply(Conn, HelloBytes),
     /// The connection finished its handshake: it is the peer's live stream
     /// from now on, superseding any older one. If it died since, say
     /// [`Event::StreamEnd`].
@@ -162,8 +146,8 @@ enum LinkState {
 }
 
 /// A link without a stream. Lower-id peers are redialed — never before
-/// `next_retry`, never twice at once, never without an address in the book —
-/// higher-id peers dial in. Past `deadline` the peer is given up.
+/// `next_retry`, never twice at once — higher-id peers dial in. Past
+/// `deadline` the peer is given up.
 #[derive(Debug)]
 struct Down {
     deadline: Duration,
@@ -183,8 +167,6 @@ struct Link {
     /// The last hello under this peer's id that was refused (by us or by it)
     /// since the link was last up: what a terminal loss is attributed to.
     refusal: Option<String>,
-    /// The book version last sent on this stream (none yet: 0).
-    gossiped: u64,
     /// The receive cursor this endpoint announced when it adopted the
     /// stream: messages and markers below it are replayed duplicates of
     /// supersteps already delivered.
@@ -205,22 +187,10 @@ impl Link {
             ever_up: false,
             done: false,
             refusal: None,
-            gossiped: 0,
             floor: 0,
             held: Vec::new(),
         }
     }
-}
-
-/// Somewhere an establishing endpoint announces itself: a seed, or an
-/// address the book has held. Asked again — answered or not — only after its
-/// own seeded backoff, never twice at once.
-#[derive(Debug)]
-struct Source {
-    addr: SocketAddr,
-    next_retry: Duration,
-    backoff: ReconnectBackoff,
-    asking: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,10 +207,8 @@ pub struct Fabric {
     id: ServerId,
     num_servers: u32,
     config: ResilienceConfig,
-    /// Where every server listens, as far as this one knows.
-    book: AddressBook,
-    /// Discovery's address list; empty without seeds.
-    sources: Vec<Source>,
+    /// The peer table: where every server listens, by id.
+    addrs: Vec<SocketAddr>,
     /// One per other server, by ascending id.
     links: Vec<Link>,
     phase: Phase,
@@ -256,31 +224,25 @@ pub struct Fabric {
     aborted: bool,
     /// The most recent failed handshake of any link, for the establish error.
     last_refusal: Option<String>,
-    /// For the few frames the fabric itself encodes (acks, gossip).
+    /// For the one frame the fabric itself encodes (the repeated ack).
     pool: BufferPool,
     peers_lost: Counter,
     reconnects: Counter,
     replayed_frames: Counter,
-    /// `membership.*`: announces served, deltas sent, the book's version
-    /// (a gauge), peers adopted at a new address.
-    announces: Counter,
-    gossip_deltas: Counter,
-    book_version: Counter,
-    adoptions: Counter,
 }
 
 impl Fabric {
-    /// The fabric of the server that owns `book` — complete
-    /// ([`AddressBook::complete`]) or, with `config.seeds`, to be discovered
-    /// ([`AddressBook::new`]) — created at time zero with every link down and
-    /// `establish_timeout` to bring each up once.
+    /// The fabric of server `id` of the cluster whose peer table is `addrs`
+    /// (one address per server, by id), created at time zero with every link
+    /// down and `establish_timeout` to bring each up once.
     pub fn new(
-        book: AddressBook,
+        id: ServerId,
+        addrs: Vec<SocketAddr>,
         config: ResilienceConfig,
         establish_timeout: Duration,
         pool: BufferPool,
     ) -> Self {
-        let (id, num_servers) = (book.own_id(), book.num_servers() as u32);
+        let num_servers = addrs.len() as u32;
         let peers = (0..num_servers).filter(|&peer| peer != id);
         let links = peers.map(|peer| {
             let down = down_until(&config, id, peer, Duration::ZERO, establish_timeout);
@@ -290,8 +252,7 @@ impl Fabric {
         Fabric {
             id,
             num_servers,
-            book,
-            sources: Vec::new(),
+            addrs,
             links: links.collect(),
             phase: Phase::Establishing,
             establish_deadline: establish_timeout,
@@ -306,16 +267,7 @@ impl Fabric {
             peers_lost: registry.counter("poll.peers_lost"),
             reconnects: registry.counter("fabric.reconnects"),
             replayed_frames: registry.counter("fabric.replayed_frames"),
-            announces: registry.counter("membership.announces"),
-            gossip_deltas: registry.counter("membership.gossip_deltas"),
-            book_version: registry.counter("membership.book_version"),
-            adoptions: registry.counter("membership.adoptions"),
         }
-    }
-
-    /// The address book as it stands.
-    pub fn book(&self) -> &AddressBook {
-        &self.book
     }
 
     /// The retention log (tests assert it drains).
@@ -326,20 +278,17 @@ impl Fabric {
     /// The earliest instant at which an [`Event::Tick`] would do something,
     /// if any. Ticking more often is harmless.
     pub fn next_timer(&self) -> Option<Duration> {
-        // (A link this endpoint dials, once the book says where.)
-        let dialed = |peer| peer < self.id && self.book.get(peer).is_some();
         let links = self.links.iter().filter_map(|link| match &link.state {
-            LinkState::Down(down) if !down.dialing && dialed(link.peer) => {
+            // (A link this endpoint dials.)
+            LinkState::Down(down) if !down.dialing && link.peer < self.id => {
                 Some(down.deadline.min(down.next_retry))
             }
             LinkState::Down(down) => Some(down.deadline),
             _ => None,
         });
         let establishing = self.phase == Phase::Establishing;
-        let resting = |s: &&Source| establishing && !s.asking;
-        let asks = self.sources.iter().filter(resting).map(|s| s.next_retry);
         let deadlines = establishing.then_some(self.establish_deadline);
-        let timers = links.chain(asks).chain(deadlines).chain(self.linger_until);
+        let timers = links.chain(deadlines).chain(self.linger_until);
         timers.min().filter(|_| self.phase != Phase::Exited)
     }
 
@@ -367,21 +316,6 @@ impl Fabric {
                     }
                 }
             },
-            Event::Announce(conn, bytes) => {
-                // Serve a discovering (or replacement) node's announce; what
-                // it changed in the book is gossiped by the next tick.
-                if self.merge(bytes, MembershipKind::Announce) {
-                    self.announces.incr();
-                    let snapshot = self.book.msg(MembershipKind::Snapshot);
-                    out.push(Action::Reply(conn, snapshot.encode()));
-                }
-                out.push(Action::Close(conn));
-            }
-            Event::Snapshot(source, bytes) => {
-                self.merge(bytes, MembershipKind::Snapshot);
-                self.asked(now, source);
-            }
-            Event::AnnounceFailed(source) => self.asked(now, source),
             Event::DialFailed(peer, why) => {
                 self.last_refusal = Some(why);
                 self.dial_over(now, peer);
@@ -394,9 +328,8 @@ impl Fabric {
             }
             Event::Tick => self.tick(now, out),
         }
-        // (A static table is a complete book from the start.)
         let all_up = || self.links.iter().all(|l| l.ever_up);
-        if self.phase == Phase::Establishing && all_up() && self.book.is_complete() {
+        if self.phase == Phase::Establishing && all_up() {
             self.phase = Phase::Running;
             out.push(Action::Established);
         }
@@ -490,7 +423,7 @@ impl Fabric {
                 sender: self.id,
                 resume_from: self.recv_cursor[peer as usize],
             };
-            out.push(Action::Reply(conn, reply.encode().to_vec()));
+            out.push(Action::Reply(conn, reply.encode()));
         }
         out.push(Action::Adopt(conn, peer));
         if self.links[idx].ever_up {
@@ -513,8 +446,6 @@ impl Fabric {
             Frame::Ack { sender, superstep }.encode(&mut buf);
             out.push(Action::Send(peer, Arc::new(buf)));
         }
-        // The peer may have been down when the book last changed.
-        self.gossip(idx, out);
     }
 
     /// A dial ended without a link: back off before the next.
@@ -527,11 +458,10 @@ impl Fabric {
     }
 
     /// Transport-level frames end here — acks trim the log, a goodbye marks
-    /// the peer done, gossip merges into the book. Messages and markers below
-    /// the stream's floor are replayed duplicates and end here too. Messages
-    /// are held until the peer's end-of-superstep marker, which raises the
-    /// receive cursor and releases them to the collector ahead of itself; an
-    /// abort goes at once. A frame claiming another sender poisons the
+    /// the peer done. Messages and markers below the stream's floor are
+    /// replayed duplicates and end here too. Messages are held until the
+    /// peer's end-of-superstep marker, which raises the receive cursor and
+    /// releases them to the collector ahead of itself; an abort goes at once. A frame claiming another sender poisons the
     /// stream.
     fn frame(&mut self, now: Duration, peer: ServerId, frame: Frame, out: &mut Vec<Action>) {
         let Some(idx) = self.index_of(peer) else {
@@ -548,10 +478,6 @@ impl Fabric {
         match frame {
             Frame::Ack { sender, superstep } => self.replay.ack(sender, superstep),
             Frame::Goodbye { .. } => link.done = true,
-            Frame::Membership { ref payload, .. } => {
-                // A malformed payload is dropped; anti-entropy re-converges.
-                self.merge(payload, MembershipKind::Delta);
-            }
             Frame::Message { superstep, .. } | Frame::EndOfSuperstep { superstep, .. }
                 if superstep < link.floor => {}
             Frame::Message { .. } => link.held.push(frame),
@@ -625,7 +551,6 @@ impl Fabric {
             return self.establish_timed_out(out);
         }
         for idx in 0..self.links.len() {
-            self.gossip(idx, out);
             let link = &mut self.links[idx];
             let LinkState::Down(down) = &mut link.state else {
                 continue;
@@ -636,96 +561,17 @@ impl Fabric {
                     None => PlaneError::Disconnected,
                 };
                 self.declare_gone(idx, error, out);
-            } else if !down.dialing && now >= down.next_retry {
+            } else if !down.dialing && now >= down.next_retry && link.peer < self.id {
                 let peer = link.peer;
-                let Some(at) = self.book.get(peer).filter(|_| peer < self.id) else {
-                    continue; // it dials in, or the book has no address yet
-                };
                 down.dialing = true;
                 let hello = ResumeHello {
                     cluster_size: self.num_servers,
                     sender: self.id,
                     resume_from: self.recv_cursor[peer as usize],
                 };
-                out.push(Action::Dial(peer, at.addr, hello.encode()));
+                let at = self.addrs[peer as usize];
+                out.push(Action::Dial(peer, at, hello.encode()));
             }
-        }
-        if self.phase == Phase::Establishing && !self.config.seeds.is_empty() {
-            self.announce(now, out);
-        }
-    }
-
-    /// Anti-entropy push: an up link that has not been sent this version of
-    /// the book is sent the book, as an unretained tag-6 frame. A merge that
-    /// changes nothing bumps no version, so the flood converges; without
-    /// seeds nothing of §10 is spoken, and a fault-free run never gets past
-    /// the compare.
-    fn gossip(&mut self, idx: usize, out: &mut Vec<Action>) {
-        let link = &mut self.links[idx];
-        let behind = matches!(link.state, LinkState::Up) && link.gossiped < self.book.version();
-        if self.config.seeds.is_empty() || !behind {
-            return;
-        }
-        link.gossiped = self.book.version();
-        self.gossip_deltas.incr();
-        let mut buf = self.pool.checkout();
-        let payload = self.book.msg(MembershipKind::Delta).encode().into();
-        let sender = self.id;
-        Frame::Membership { sender, payload }.encode(&mut buf);
-        out.push(Action::Send(link.peer, Arc::new(buf)));
-    }
-
-    /// Merge a `GHHM` message of the expected kind into the book. False —
-    /// nothing merged — when it is malformed, of another kind or for another
-    /// cluster size, and when this endpoint was given no seeds and so speaks
-    /// nothing of §10.
-    fn merge(&mut self, bytes: &[u8], kind: MembershipKind) -> bool {
-        let spoken = |m: &MembershipMsg| m.kind == kind && !self.config.seeds.is_empty();
-        let msg = MembershipMsg::decode(bytes).ok().filter(spoken);
-        let Some(Ok(adopted)) = msg.map(|m| self.book.merge_msg(&m)) else {
-            return false;
-        };
-        if adopted {
-            self.adoptions.incr();
-        }
-        self.book_version.record_max(self.book.version());
-        true
-    }
-
-    /// Discovery (`docs/WIRE.md` §10.3): announce the book to every known
-    /// source — the seeds and every address learnt so far, bar the own — that
-    /// is not being asked already and has rested since it last was. It goes
-    /// on for as long as this endpoint is establishing, not only while its
-    /// own book has gaps: a server whose book is complete may be the only
-    /// one that knows where a higher id, which must dial it, can be told.
-    fn announce(&mut self, now: Duration, out: &mut Vec<Action>) {
-        let learnt = self.book.wire_entries();
-        let known = (self.config.seeds.iter().copied()).chain(learnt.iter().map(|e| e.addr));
-        for addr in known.filter(|&addr| addr != self.book.own_addr()) {
-            if !self.sources.iter().any(|s| s.addr == addr) {
-                let nth = self.sources.len() as ServerId;
-                self.sources.push(Source {
-                    addr,
-                    next_retry: now,
-                    backoff: backoff(&self.config, self.id, nth),
-                    asking: false,
-                });
-            }
-        }
-        let rested = |s: &&mut Source| !s.asking && now >= s.next_retry;
-        for source in self.sources.iter_mut().filter(rested) {
-            source.asking = true;
-            let announce = self.book.msg(MembershipKind::Announce);
-            out.push(Action::Announce(source.addr, announce.encode()));
-        }
-    }
-
-    /// The announce to `source` is over, answered or not: the source rests
-    /// before it is asked again.
-    fn asked(&mut self, now: Duration, source: SocketAddr) {
-        if let Some(source) = self.sources.iter_mut().find(|s| s.addr == source) {
-            source.asking = false;
-            source.next_retry = now + source.backoff.next_delay();
         }
     }
 
@@ -739,17 +585,9 @@ impl Fabric {
             Some(refusal) => format!("; last refused handshake: {refusal}"),
             None => String::new(),
         };
-        let known: Vec<ServerId> = self.book.wire_entries().iter().map(|e| e.id).collect();
-        let learnt = match self.config.seeds.len() {
-            0 => String::new(),
-            seeds => format!(
-                "; seed discovery from {seeds} seeds learnt addresses for servers {known:?} of {}",
-                self.num_servers
-            ),
-        };
         let message = format!(
             "server {}: timed out dialing servers {dial:?}, waiting for servers {wait:?} \
-             to dial in{learnt}{why}",
+             to dial in{why}",
             self.id
         );
         self.phase = Phase::Exited;
@@ -774,12 +612,66 @@ fn down_until(
     })
 }
 
-/// Seeded exponential backoff, per link and per discovery source (its `nth`),
-/// so a cluster's redial storms do not synchronise and chaos schedules
-/// reproduce.
-fn backoff(config: &ResilienceConfig, own: ServerId, nth: ServerId) -> ReconnectBackoff {
+/// Seeded exponential backoff per link, so a cluster's redial storms do not
+/// synchronise and chaos schedules reproduce.
+fn backoff(config: &ResilienceConfig, own: ServerId, peer: ServerId) -> ReconnectBackoff {
     let cap = RETRY_BACKOFF_CAP.min(config.reconnect_deadline);
-    ReconnectBackoff::seeded_for(RETRY_BACKOFF, cap, own, nth)
+    ReconnectBackoff::seeded_for(RETRY_BACKOFF, cap, own, peer)
+}
+
+/// Exponential redial backoff with deterministic, seeded jitter.
+///
+/// Attempt `k` waits a uniform-ish draw from `[d/2, d]` where
+/// `d = min(base · 2^k, cap)` — exponential growth keeps a dead peer from
+/// being hammered, the jitter keeps a whole cluster's redial storms from
+/// synchronizing, and the deterministic (xorshift64, seeded from the two
+/// server ids) draw keeps chaos schedules reproducible. The overall redial
+/// window is still bounded by the caller's reconnect deadline.
+#[derive(Debug, Clone)]
+struct ReconnectBackoff {
+    base: Duration,
+    cap: Duration,
+    attempt: u32,
+    rng: u64,
+}
+
+impl ReconnectBackoff {
+    /// Exponent past which `base · 2^k` is always past any sane cap;
+    /// growth stops here to avoid overflow.
+    const MAX_SHIFT: u32 = 20;
+
+    /// The canonical schedule for the link `own → peer`, starting at `base`
+    /// and capped at `cap`: every link in the cluster jitters differently,
+    /// but the same link always jitters the same way.
+    fn seeded_for(base: Duration, cap: Duration, own: ServerId, peer: ServerId) -> Self {
+        let seed = 0x9e37_79b9_7f4a_7c15u64
+            ^ ((own as u64) << 32)
+            ^ (peer as u64).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        ReconnectBackoff {
+            base: base.max(Duration::from_millis(1)),
+            cap: cap.max(base).max(Duration::from_millis(1)),
+            attempt: 0,
+            rng: seed | 1, // xorshift64 must not start at 0
+        }
+    }
+
+    /// The delay before the next redial attempt (advances the schedule).
+    fn next_delay(&mut self) -> Duration {
+        let shift = self.attempt.min(Self::MAX_SHIFT);
+        let uncapped = self
+            .base
+            .checked_mul(1u32 << shift)
+            .unwrap_or(Duration::MAX);
+        let d = uncapped.min(self.cap);
+        self.attempt = self.attempt.saturating_add(1);
+        // xorshift64
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        let half = d / 2;
+        let jitter_nanos = (half.as_nanos() as u64).saturating_add(1);
+        half + Duration::from_nanos(self.rng % jitter_nanos)
+    }
 }
 
 #[cfg(test)]
@@ -801,9 +693,9 @@ mod tests {
             let addrs: Vec<SocketAddr> = (0..3)
                 .map(|id| SocketAddr::from(([127, 0, 0, 1], 4750 + id)))
                 .collect();
-            let book = AddressBook::complete(0, &addrs);
             let config = ResilienceConfig::default();
-            let fabric = Fabric::new(book, config, Duration::from_secs(10), BufferPool::new());
+            let timeout = Duration::from_secs(10);
+            let fabric = Fabric::new(0, addrs, config, timeout, BufferPool::new());
             let (inbox, collector) = (VecDeque::new(), SuperstepCollector::new());
             let mut endpoint = Endpoint {
                 fabric,
@@ -964,5 +856,31 @@ mod tests {
         e.eos(1, 1);
         let past = |m: &str| m.contains("past superstep 0 while collecting 1");
         assert!(matches!(e.collect(1), Err(PlaneError::Protocol(m)) if past(&m)));
+    }
+
+    #[test]
+    fn backoff_schedule_is_deterministic_and_bounded() {
+        let base = Duration::from_millis(50);
+        let cap = Duration::from_secs(2);
+        let mut a = ReconnectBackoff::seeded_for(base, cap, 0, 2);
+        let mut b = ReconnectBackoff::seeded_for(base, cap, 0, 2);
+        let mut c = ReconnectBackoff::seeded_for(base, cap, 1, 2);
+        let mut saw_different = false;
+        for k in 0..12 {
+            let da = a.next_delay();
+            let db = b.next_delay();
+            // Same link, same seed: identical schedule.
+            assert_eq!(da, db, "attempt {k} diverged on the same link");
+            // Jitter stays inside [d/2, d] for d = min(base·2^k, cap).
+            let d = base
+                .checked_mul(1u32 << k.min(20))
+                .unwrap_or(Duration::MAX)
+                .min(cap);
+            assert!(da >= d / 2, "attempt {k}: {da:?} below {:?}", d / 2);
+            assert!(da <= d, "attempt {k}: {da:?} above cap {d:?}");
+            saw_different |= c.next_delay() != da;
+        }
+        // Different links jitter differently (somewhere in 12 draws).
+        assert!(saw_different, "distinct links produced identical schedules");
     }
 }

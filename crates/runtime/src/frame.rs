@@ -25,7 +25,7 @@
 //!   tag 3 Abort          : (nothing)
 //!   tag 4 Ack            : u32 LE superstep   (resilient mode only)
 //!   tag 5 Goodbye        : (nothing)          (resilient mode only)
-//!   tag 6 Membership     : GHHM message bytes (resilient mode only)
+//!   tag 6                : reserved (decodes as an unknown tag)
 //! ```
 //!
 //! The length prefix covers the body only. Decoders reject unknown tags,
@@ -62,7 +62,6 @@ const TAG_END_OF_SUPERSTEP: u8 = 2;
 const TAG_ABORT: u8 = 3;
 const TAG_ACK: u8 = 4;
 const TAG_GOODBYE: u8 = 5;
-const TAG_MEMBERSHIP: u8 = 6;
 
 /// What travels between servers on the broadcast fabric.
 #[derive(Debug, Clone)]
@@ -108,16 +107,6 @@ pub enum Frame {
         /// Departing server.
         sender: ServerId,
     },
-    /// An address-book gossip delta (an encoded `GHHM` message, opaque at
-    /// this layer — [`crate::membership::MembershipMsg`] is the codec).
-    /// Only the resilient transports emit (and intercept) membership
-    /// frames; one must never reach a [`SuperstepCollector`].
-    Membership {
-        /// Gossiping server.
-        sender: ServerId,
-        /// The encoded membership message.
-        payload: WireMessage,
-    },
 }
 
 impl Frame {
@@ -128,8 +117,7 @@ impl Frame {
             | Frame::EndOfSuperstep { sender, .. }
             | Frame::Abort { sender }
             | Frame::Ack { sender, .. }
-            | Frame::Goodbye { sender }
-            | Frame::Membership { sender, .. } => sender,
+            | Frame::Goodbye { sender } => sender,
         }
     }
 
@@ -169,12 +157,6 @@ impl Frame {
             Frame::Goodbye { sender } => {
                 out.push(TAG_GOODBYE);
                 out.extend_from_slice(&sender.to_le_bytes());
-            }
-            Frame::Membership { sender, payload } => {
-                debug_assert!(payload.len() <= MAX_MESSAGE_PAYLOAD);
-                out.push(TAG_MEMBERSHIP);
-                out.extend_from_slice(&sender.to_le_bytes());
-                out.extend_from_slice(payload);
             }
         }
         let body_len = (out.len() - body_len_at - 4) as u32;
@@ -264,17 +246,6 @@ impl Frame {
                     )));
                 }
                 Ok(Frame::Goodbye { sender })
-            }
-            TAG_MEMBERSHIP => {
-                if rest.is_empty() {
-                    return Err(FrameError::Corrupt(
-                        "membership frame with an empty payload".into(),
-                    ));
-                }
-                Ok(Frame::Membership {
-                    sender,
-                    payload: rest.into(),
-                })
             }
             other => Err(FrameError::Corrupt(format!("unknown frame tag {other}"))),
         }
@@ -564,12 +535,10 @@ impl SuperstepCollector {
                     self.stash.push(frame);
                 }
                 Frame::Abort { sender } => return Err(PlaneError::Aborted(sender)),
-                Frame::Ack { sender, .. }
-                | Frame::Goodbye { sender }
-                | Frame::Membership { sender, .. } => {
+                Frame::Ack { sender, .. } | Frame::Goodbye { sender } => {
                     return Err(PlaneError::Protocol(format!(
                         "transport-level frame from server {sender} reached the collector \
-                         (acks, goodbyes and membership gossip must be intercepted)"
+                         (acks and goodbyes must be intercepted)"
                     )));
                 }
                 Frame::Message { superstep: s, .. }
@@ -643,27 +612,6 @@ mod tests {
             Frame::Abort { sender } => assert_eq!(sender, 9),
             other => panic!("wrong variant: {other:?}"),
         }
-    }
-
-    #[test]
-    fn membership_frame_roundtrips_and_rejects_an_empty_payload() {
-        let payload: Vec<u8> = b"GHHM-opaque-gossip-bytes".to_vec();
-        match roundtrip(&Frame::Membership {
-            sender: 6,
-            payload: payload.clone().into(),
-        }) {
-            Frame::Membership { sender, payload: p } => {
-                assert_eq!(sender, 6);
-                assert_eq!(&p[..], &payload[..]);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        // A membership frame with no payload bytes is corrupt.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&5u32.to_le_bytes());
-        bytes.push(TAG_MEMBERSHIP);
-        bytes.extend_from_slice(&6u32.to_le_bytes());
-        assert!(matches!(Frame::decode(&bytes), Err(FrameError::Corrupt(_))));
     }
 
     #[test]
@@ -805,12 +753,17 @@ mod tests {
 
     #[test]
     fn unknown_tag_and_wrong_body_sizes_are_corrupt() {
-        // Unknown tag.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&5u32.to_le_bytes());
-        bytes.push(99);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(Frame::decode(&bytes), Err(FrameError::Corrupt(_))));
+        // Unknown tags: 99, and the reserved tag 6, bare or with a payload.
+        for (tag, payload) in [(99u8, &[][..]), (6, &[]), (6, b"GHH?-bytes")] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&(5 + payload.len() as u32).to_le_bytes());
+            bytes.push(tag);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(payload);
+            let decoded = std::panic::catch_unwind(|| Frame::decode(&bytes));
+            let decoded = decoded.expect("an unknown tag must not panic");
+            assert!(matches!(decoded, Err(FrameError::Corrupt(_))), "tag {tag}");
+        }
         // Abort with trailing garbage.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&6u32.to_le_bytes());

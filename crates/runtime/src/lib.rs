@@ -32,10 +32,10 @@
 //!   every peer has ended `s`, so there is no separate barrier,
 //! * [`fabric`] — the TCP plane's link life-cycle as one I/O-free step
 //!   function (`Fabric::step(now, Event, &mut Vec<Action>)`): establishment,
-//!   redial and backoff, hello vetting, replay and ack repeat, goodbye and
-//!   linger, terminal loss, the address book (static, or discovered from
-//!   seeds and gossiped), and what reaches the collector (a peer's superstep
-//!   once its marker is in, replayed duplicates never). [`poll`] moves the
+//!   redial and backoff at the addresses of the static peer table, hello
+//!   vetting, replay and ack repeat, goodbye and linger, terminal loss, and
+//!   what reaches the collector (a peer's superstep once its marker is in,
+//!   replayed duplicates never). [`poll`] moves the
 //!   bytes, with one private poller (`poll(2)` on Linux, a spin elsewhere);
 //!   `tests/fabric_sim.rs` runs the same machine through thousands of seeded
 //!   fault schedules on a virtual network and clock,
@@ -71,7 +71,6 @@ pub mod checkpoint;
 pub mod establish;
 pub mod fabric;
 pub mod frame;
-pub mod membership;
 pub mod plane;
 pub mod poll;
 pub mod resume;
@@ -88,10 +87,6 @@ pub use frame::{
     SuperstepCollector, WireMessage,
 };
 pub use graphh_core::exec::WorkerOutput;
-pub use membership::{
-    AddressBook, BookEntry, MembershipKind, MembershipMsg, ReconnectBackoff, WireEntry,
-    MEMBERSHIP_MAGIC,
-};
 pub use plane::{BroadcastPlane, ChannelPlane};
 pub use poll::{BoundPollPlane, PollPlane};
 pub use resume::{ReplayError, ReplayLog, ResilienceConfig, ResumeHello};

@@ -35,10 +35,10 @@
 //!
 //! The worker thread never touches a socket. The event loop never waits on a
 //! read: every socket it owns — live stream, dial in flight, accepted
-//! connection still short of its hello, announce still short of its snapshot
-//! reply — is a non-blocking poller slot, and one that stays silent merely
-//! expires at its deadline ([`HANDSHAKE_DEADLINE`]). The one bounded wait
-//! left is the `connect` of a dial or an announce (`DIAL_CONNECT_CAP`).
+//! connection still short of its hello — is a non-blocking poller slot, and
+//! one that stays silent merely expires at its deadline
+//! ([`HANDSHAKE_DEADLINE`]). The one bounded wait left is the `connect` of a
+//! dial (`DIAL_CONNECT_CAP`).
 //! Commands travel over a *bounded* channel, so a worker that broadcasts
 //! faster than the network drains is throttled (backpressure) instead of
 //! buffering without limit; the loop additionally stops accepting commands
@@ -51,9 +51,9 @@
 //! [`crate::fabric::Fabric`]'s: this module turns what the OS reports into
 //! [`Event`]s and performs the [`Action`]s that come back, out of one reused
 //! buffer. Bringing a link up is the same path at start-up, after a cut and
-//! for a replacement process, and discovering the address book from seeds
-//! (`docs/WIRE.md` §10) is part of it, so `establish` only starts the loop
-//! with every link down and waits for `Established`. The loop is
+//! for a replacement process (restarted at the address the peer table gives
+//! its id), so `establish` only starts the loop with every link down and
+//! waits for `Established`. The loop is
 //! single-threaded, so none of this needs locks or generations: command
 //! intake, retention, stream replacement and recovery interleave at
 //! loop-iteration granularity, which makes replay gap-free by construction
@@ -94,9 +94,6 @@ use crate::chaos::SeverPeer;
 use crate::establish::{bind_listener, DEFAULT_ESTABLISH_TIMEOUT, HANDSHAKE_DEADLINE};
 use crate::fabric::{Action, Command, Conn, Event, Fabric, HelloBytes, SharedBatch};
 use crate::frame::{Frame, FrameDecoder, InboxEvent, PlaneError, SuperstepCollector, WireMessage};
-use crate::membership::{
-    AddressBook, MembershipMsg, MEMBERSHIP_ENTRY_LEN, MEMBERSHIP_HEADER_LEN, MEMBERSHIP_MAGIC,
-};
 use crate::plane::BroadcastPlane;
 use crate::resume::{ResilienceConfig, RESUME_HELLO_LEN};
 use graphh_graph::ids::ServerId;
@@ -115,8 +112,7 @@ use std::time::{Duration, Instant};
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Poller slots for accepted connections that have not finished their
-/// handshake, and for announces awaiting their reply. When all are taken the
-/// oldest gives way.
+/// handshake. When all are taken the oldest gives way.
 const PENDING_SLOTS: usize = 16;
 
 /// Longest one connect may take. The one wait left on the loop thread — and
@@ -408,18 +404,14 @@ impl BoundPollPlane {
     }
 
     /// [`Self::establish`] with an explicit timeout and recovery policy: the
-    /// reconnect deadline, the resume cursor of a restarted process, the
-    /// seeds to discover the address book from — given seeds, `peer_addrs` is
-    /// empty and `timeout` bounds discovery and establishment together.
+    /// reconnect deadline and the resume cursor of a restarted process.
     ///
-    /// A table or seed list no cluster can come up from is `InvalidInput`
-    /// before anything is dialed: a table must hold one dialable address per
-    /// server, no two the same, none but this server's own at this listener;
-    /// seeds come instead of a table, are dialable, and need a listener bound
-    /// to an address peers can dial. Establishment is the event loop's
-    /// first job, not a phase before it: the loop starts with every link down
-    /// and `timeout` to bring each up once (and, given seeds, to find out
-    /// where), and this call only waits for its verdict.
+    /// A table no cluster can come up from is `InvalidInput` before anything
+    /// is dialed: it must hold one dialable address per server, no two the
+    /// same, none but this server's own at this listener. Establishment is
+    /// the event loop's first job, not a phase before it: the loop starts
+    /// with every link down and `timeout` to bring each up once, and this
+    /// call only waits for its verdict.
     pub fn establish_resilient(
         self,
         peer_addrs: &[SocketAddr],
@@ -431,8 +423,7 @@ impl BoundPollPlane {
             num_servers,
             listener,
         } = self;
-        let own_addr = listener.local_addr()?;
-        let book = starting_book(id, num_servers, own_addr, peer_addrs, &config.seeds)?;
+        let addrs = peer_table(id, num_servers, listener.local_addr()?, peer_addrs)?;
         let (poller, waker) = Poller::new()?;
         let registry = global_counters();
         let peer_ids: Vec<ServerId> = (0..num_servers).filter(|&peer| peer != id).collect();
@@ -456,11 +447,11 @@ impl BoundPollPlane {
 
         let (command_tx, command_rx) = sync_channel::<Request>(COMMAND_BACKLOG);
         let (inbox_tx, inbox) = channel::<InboxEvent>();
-        let (verdict_tx, verdict) = channel::<std::io::Result<AddressBook>>();
+        let (verdict_tx, verdict) = channel::<std::io::Result<()>>();
         let pool = BufferPool::new();
         let event_loop = EventLoop {
             id,
-            fabric: Fabric::new(book, config, timeout, pool.clone()),
+            fabric: Fabric::new(id, addrs, config, timeout, pool.clone()),
             epoch: Instant::now(),
             actions: Vec::new(),
             peers,
@@ -485,18 +476,14 @@ impl BoundPollPlane {
         let verdict = verdict
             .recv()
             .unwrap_or_else(|_| Err(std::io::Error::other("event loop died while establishing")));
-        let book = match verdict {
-            Ok(book) => book,
-            Err(e) => {
-                let _ = event_loop.join();
-                return Err(e);
-            }
-        };
+        if let Err(e) = verdict {
+            let _ = event_loop.join();
+            return Err(e);
+        }
         let batch = pool.checkout();
         Ok(PollPlane {
             id,
             num_servers,
-            book,
             peer_ids,
             commands: command_tx,
             waker,
@@ -511,38 +498,16 @@ impl BoundPollPlane {
     }
 }
 
-/// The book server `id`'s fabric starts from, listening at `own` — or the
-/// `InvalidInput` [`BoundPollPlane::establish_resilient`] documents. The one
-/// check of a peer table and seed list (the id and cluster size were checked
-/// at bind); a seeded node announces `own`, so it must be dialable.
-fn starting_book(
+/// The peer table of server `id`, listening at `own` — or the `InvalidInput`
+/// [`BoundPollPlane::establish_resilient`] documents. The one check of a
+/// peer table (the id and cluster size were checked at bind).
+fn peer_table(
     id: ServerId,
     num_servers: u32,
     own: SocketAddr,
     peers: &[SocketAddr],
-    seeds: &[SocketAddr],
-) -> std::io::Result<AddressBook> {
+) -> std::io::Result<Vec<SocketAddr>> {
     let invalid = |m: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, m));
-    if !seeds.is_empty() {
-        if !peers.is_empty() {
-            return invalid(format!(
-                "a peer table ({} addresses) and seeds ({}) are alternative sources of \
-                 the address book: pass one",
-                peers.len(),
-                seeds.len()
-            ));
-        }
-        if own.ip().is_unspecified() {
-            return invalid(format!(
-                "cannot advertise wildcard listener address {own}: with seeds the \
-                 listener must be bound to an address peers can dial"
-            ));
-        }
-        if let Some(seed) = seeds.iter().find(|seed| seed.port() == 0) {
-            return invalid(format!("seed address {seed} has port 0 (not dialable)"));
-        }
-        return Ok(AddressBook::new(num_servers as usize, id, own));
-    }
     if peers.len() != num_servers as usize {
         return invalid(format!(
             "need one address per server: got {} for a {num_servers}-server cluster",
@@ -566,7 +531,7 @@ fn starting_book(
             ));
         }
     }
-    Ok(AddressBook::complete(id, peers))
+    Ok(peers.to_vec())
 }
 
 /// Event-driven TCP implementation of [`BroadcastPlane`]: one non-blocking
@@ -578,7 +543,6 @@ fn starting_book(
 pub struct PollPlane {
     id: ServerId,
     num_servers: u32,
-    book: AddressBook,
     /// Peer ids, sorted — the collector's completeness set.
     peer_ids: Vec<ServerId>,
     /// Bounded command channel into the event loop (the backpressure edge).
@@ -620,13 +584,6 @@ impl PollPlane {
             num_servers,
             listener,
         })
-    }
-
-    /// The address book as establishment left it: the static table, or what
-    /// was discovered from the seeds (the event loop's own copy goes on
-    /// converging by gossip).
-    pub fn book(&self) -> &AddressBook {
-        &self.book
     }
 
     /// Hand the accumulated batch to the event loop (blocking while the loop
@@ -791,63 +748,45 @@ enum Request {
 }
 
 /// A dialed or accepted stream that has not finished its handshake: it sits
-/// in a poller slot and accumulates bytes across readiness events — the 16
-/// hello bytes or, on a pending stream that opens with the `GHHM` magic, a
-/// whole announce or snapshot — until [`HANDSHAKE_DEADLINE`]. Nothing waits
-/// on it.
+/// in a poller slot and accumulates the 16 hello bytes across readiness
+/// events until [`HANDSHAKE_DEADLINE`]. Nothing waits on it.
 struct Handshake {
     stream: TcpStream,
     /// Where it leads, for refusal messages.
     origin: String,
-    /// The source this stream carried an announce to, if that is what it is.
-    asked: Option<SocketAddr>,
     expires: Instant,
-    /// Bytes so far; never read past the handshake (frames may follow it).
-    buf: Vec<u8>,
+    /// The hello so far: its first `filled` bytes.
+    hello: HelloBytes,
+    filled: usize,
 }
 
 impl Handshake {
-    fn new(stream: TcpStream, origin: String, asked: Option<SocketAddr>) -> std::io::Result<Self> {
+    fn new(stream: TcpStream, origin: String) -> std::io::Result<Self> {
         // Accepted sockets do not inherit the listener's O_NONBLOCK everywhere.
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         Ok(Handshake {
             stream,
             origin,
-            asked,
             expires: Instant::now() + HANDSHAKE_DEADLINE,
-            buf: Vec::with_capacity(RESUME_HELLO_LEN),
+            hello: [0; RESUME_HELLO_LEN],
+            filled: 0,
         })
     }
 
-    /// Read what has arrived, up to the end of the handshake and not a byte
-    /// further; `Ok(true)` once `buf` holds all of it — a hello's 16 bytes,
-    /// or a longer `GHHM` message where one may be served (`max_announce`
-    /// bounds it; an overlong one is cut there and fails to decode).
-    fn pump(&mut self, max_announce: Option<usize>) -> std::io::Result<bool> {
-        loop {
-            // No GHHM message is shorter than a hello, so reading a hello's
-            // worth before the magic shows overshoots nothing.
-            let announce = max_announce.filter(|_| self.buf.starts_with(&MEMBERSHIP_MAGIC));
-            let want = match (announce, self.buf.first_chunk()) {
-                (None, _) => RESUME_HELLO_LEN,
-                (Some(_), None) => MEMBERSHIP_HEADER_LEN,
-                (Some(max), Some(header)) => MembershipMsg::encoded_len(header).min(max + 1),
-            };
-            let filled = self.buf.len();
-            if filled == want {
-                return Ok(true);
-            }
-            self.buf.resize(want, 0);
-            let read = (&self.stream).read(&mut self.buf[filled..]);
-            self.buf.truncate(filled + *read.as_ref().unwrap_or(&0));
-            match read {
+    /// Read what has arrived of the hello and not a byte further (frames may
+    /// follow it); `Ok(true)` once all 16 bytes are in.
+    fn pump(&mut self) -> std::io::Result<bool> {
+        while self.filled < RESUME_HELLO_LEN {
+            match (&self.stream).read(&mut self.hello[self.filled..]) {
                 Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.filled += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() != std::io::ErrorKind::Interrupted => return Err(e),
-                _ => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
+        Ok(true)
     }
 }
 
@@ -936,8 +875,7 @@ struct EventLoop {
     actions: Vec<Action>,
     /// Poller slots `0..peers.len()`.
     peers: Vec<Peer>,
-    /// Accepted connections still handshaking and announces awaiting their
-    /// reply: the poller's last slots.
+    /// Accepted connections still handshaking: the poller's last slots.
     pending: Vec<Option<Handshake>>,
     /// The slot after the peers. Kept open for the whole run so cut peers —
     /// or a restarted process — can always dial back in.
@@ -945,7 +883,7 @@ struct EventLoop {
     commands: Receiver<Request>,
     inbox: Sender<InboxEvent>,
     /// Where `establish` waits; taken by the verdict.
-    verdict: Option<Sender<std::io::Result<AddressBook>>>,
+    verdict: Option<Sender<std::io::Result<()>>>,
     poller: Poller,
     counters: LoopCounters,
     /// Commands are still being taken (no shutdown seen yet).
@@ -996,7 +934,7 @@ impl EventLoop {
             }
 
             // 2. Time: handshakes past their deadline, then the fabric's own
-            // clocks (redial, terminal loss, linger, gossip).
+            // clocks (redial, terminal loss, linger).
             let handshake_due = self.expire_handshakes();
             self.dispatch(Event::Tick);
             if self.dead {
@@ -1097,7 +1035,7 @@ impl EventLoop {
     }
 
     /// Tell the waiting `establish` how establishment ended (once).
-    fn conclude(&mut self, verdict: std::io::Result<AddressBook>) {
+    fn conclude(&mut self, verdict: std::io::Result<()>) {
         if let Some(waiting) = self.verdict.take() {
             let _ = waiting.send(verdict);
         }
@@ -1144,12 +1082,11 @@ impl EventLoop {
                 self.peers[slot].close();
             }
             Action::Dial(peer, addr, hello) => return self.dial(peer, addr, hello),
-            Action::Announce(source, bytes) => return self.announce(source, &bytes),
-            Action::Reply(conn, bytes) => {
+            Action::Reply(conn, hello) => {
                 // A fresh socket takes these few bytes whole or is not worth
                 // keeping; an `Adopt` that follows then finds it gone.
                 let handshake = self.handshake(conn);
-                let sent = |h: &Handshake| (&h.stream).write_all(&bytes).is_ok();
+                let sent = |h: &Handshake| (&h.stream).write_all(&hello).is_ok();
                 if !handshake.as_ref().is_some_and(sent) {
                     *handshake = None;
                 }
@@ -1167,7 +1104,7 @@ impl EventLoop {
             Action::Close(conn) => *self.handshake(conn) = None,
             // (A dropped plane stops listening; its Shutdown is on the way.)
             Action::Deliver(event) => drop(self.inbox.send(event)),
-            Action::Established => self.conclude(Ok(self.fabric.book().clone())),
+            Action::Established => self.conclude(Ok(())),
             Action::EstablishFailed(timed_out, message) => {
                 let kind = match timed_out {
                     true => std::io::ErrorKind::TimedOut,
@@ -1194,7 +1131,7 @@ impl EventLoop {
         let origin = format!("server {peer} at {addr}");
         let dialed = TcpStream::connect_timeout(&addr, DIAL_CONNECT_CAP).and_then(|stream| {
             (&stream).write_all(&hello)?;
-            Handshake::new(stream, origin.clone(), None)
+            Handshake::new(stream, origin.clone())
         });
         match dialed {
             Ok(handshake) => self.peers[slot].dialing = Some(handshake),
@@ -1203,78 +1140,37 @@ impl EventLoop {
         None
     }
 
-    /// One bounded connect plus the announce; the snapshot reply is awaited
-    /// in a pending slot, like an accepted connection's hello. (An announce
-    /// displaces a stranger, never another announce: that one's failure
-    /// would have to be told to the fabric from inside `perform`.)
-    fn announce(&mut self, source: SocketAddr, announce: &[u8]) -> Option<Event<'static>> {
-        let connected = TcpStream::connect_timeout(&source, DIAL_CONNECT_CAP);
-        let sent = connected.and_then(|stream| (&stream).write_all(announce).map(|()| stream));
-        if let (Ok(stream), Some(slot)) = (sent, self.pending_slot(false)) {
-            self.park(slot, stream, source.to_string(), Some(source));
-            if self.pending[slot].is_some() {
-                return None;
-            }
-        }
-        Some(Event::AnnounceFailed(source))
-    }
-
-    /// The pending slot the next handshake takes: a free one, else the one
-    /// that has waited longest gives way — a real peer's hello arrives with
-    /// its connect, so a flood of silent strays cannot lock it out.
-    fn pending_slot(&self, may_displace_announces: bool) -> Option<usize> {
-        let handshake = |slot: &usize| self.pending[*slot].as_ref();
-        let usable = |slot: &usize| {
-            may_displace_announces || handshake(slot).is_none_or(|h| h.asked.is_none())
-        };
-        let slots = (0..PENDING_SLOTS).filter(usable);
-        slots.min_by_key(|slot| handshake(slot).map(|h| h.expires))
-    }
-
-    /// Put `stream` in pending slot `slot` (over whatever stranger held it)
-    /// until its handshake is whole.
-    fn park(&mut self, slot: usize, stream: TcpStream, origin: String, asked: Option<SocketAddr>) {
-        self.pending[slot] = Handshake::new(stream, origin, asked).ok();
-    }
-
-    /// Drain the listener's accept queue into pending slots.
+    /// Drain the listener's accept queue into pending slots: a free one, else
+    /// the one that has waited longest gives way — a real peer's hello
+    /// arrives with its connect, so a flood of silent strays cannot lock it
+    /// out.
     fn accept_connections(&mut self) -> bool {
         let mut progressed = false;
         // `Err` = WouldBlock or a transient accept error: done for this round.
         while let Ok((stream, from)) = self.listener.accept() {
             progressed = true;
-            let slot = self.pending_slot(true).expect("slots exist");
-            self.abandon(Conn::Accepted(slot), "gave way to a newer connection");
-            self.park(slot, stream, from.to_string(), None);
+            let waited = |slot: &usize| self.pending[*slot].as_ref().map(|h| h.expires);
+            let slot = (0..PENDING_SLOTS).min_by_key(waited).expect("slots exist");
+            self.pending[slot] = Handshake::new(stream, from.to_string()).ok();
             // The hello usually arrived with the connect: no need for a round.
             self.pump_handshake(Conn::Accepted(slot));
         }
         progressed
     }
 
-    /// Advance one handshake on readiness and hand whatever it completed to
-    /// the fabric, which answers every hello with `Adopt` or `Close`.
+    /// Advance one handshake on readiness and hand a whole hello to the
+    /// fabric, which answers it with `Adopt` or `Close`.
     fn pump_handshake(&mut self, conn: Conn) -> bool {
-        let pending = matches!(conn, Conn::Accepted(_));
-        let book_len = MEMBERSHIP_HEADER_LEN + (self.peers.len() + 1) * MEMBERSHIP_ENTRY_LEN;
         let Some(handshake) = self.handshake(conn) else {
             return false;
         };
-        let whole = handshake.pump(pending.then_some(book_len));
-        if let Ok(false) = whole {
-            return false;
-        }
-        let (origin, asked) = (handshake.origin.clone(), handshake.asked);
-        let bytes = std::mem::take(&mut handshake.buf);
-        match (whole, bytes[..].try_into(), asked) {
-            (Ok(_), Ok(hello), None) => self.dispatch(Event::Hello(conn, &origin, hello)),
-            (Ok(_), Err(_), None) => self.dispatch(Event::Announce(conn, &bytes)),
-            (Ok(_), Err(_), Some(source)) => {
-                *self.handshake(conn) = None;
-                self.dispatch(Event::Snapshot(source, &bytes));
+        match handshake.pump() {
+            Ok(false) => return false,
+            Ok(true) => {
+                let (origin, hello) = (handshake.origin.clone(), handshake.hello);
+                self.dispatch(Event::Hello(conn, &origin, hello));
             }
-            (Ok(_), Ok(_), Some(_)) => self.abandon(conn, "answered with something else"),
-            (Err(e), ..) => {
+            Err(e) => {
                 let why = "no reply hello (the peer refused ours, or is not up yet)";
                 self.abandon(conn, &format!("{why}: {e}"));
             }
@@ -1283,19 +1179,14 @@ impl EventLoop {
     }
 
     /// A handshake is over without having become anything — failed, expired,
-    /// displaced: drop it, and if the connection was one the fabric asked
-    /// for, say so.
+    /// displaced: drop it, and if it was a dial, say so.
     fn abandon(&mut self, conn: Conn, why: &str) {
         let Some(handshake) = self.handshake(conn).take() else {
             return;
         };
-        match (conn, handshake.asked) {
-            (Conn::Dialed(peer), _) => {
-                let why = format!("{}: {why}", handshake.origin);
-                self.dispatch(Event::DialFailed(peer, why));
-            }
-            (Conn::Accepted(_), Some(source)) => self.dispatch(Event::AnnounceFailed(source)),
-            (Conn::Accepted(_), None) => {}
+        if let Conn::Dialed(peer) = conn {
+            let why = format!("{}: {why}", handshake.origin);
+            self.dispatch(Event::DialFailed(peer, why));
         }
     }
 
@@ -1419,6 +1310,7 @@ fn pump_writes(peer: &mut Peer, counters: &LoopCounters) -> bool {
 mod tests {
     use super::*;
     use crate::chaos::{CutPlan, FaultPlane};
+    use crate::resume::ResumeHello;
     use std::thread;
 
     const TIMEOUT: Duration = Duration::from_secs(10);
@@ -1669,28 +1561,32 @@ mod tests {
         run_pair(&mut p0, &mut p1, 0..3);
     }
 
-    /// Connections that say nothing — or say `GHHM` and then nothing — must
-    /// not cost a running node anything: each is a pending slot of the single
-    /// event loop, accumulating bytes that never come until its deadline, and
-    /// nothing waits on it. (Blocking reads here once held the loop 250 ms
-    /// per silent connection and 2 s for the stalled announce.)
+    /// Connections that say nothing — or half a hello and then nothing —
+    /// must not cost a running node anything: each is a pending slot of the
+    /// single event loop, accumulating bytes that never come until its
+    /// deadline, and nothing waits on it. (Blocking reads here once held the
+    /// loop 250 ms per silent connection.)
     #[test]
     fn silent_connection_mid_run_does_not_stall_the_loop() {
         let (bound, addrs) = bind_cluster(2);
-        let seed = addrs[0];
-        let planes = establish_all_with(bound, |b| {
-            Ok(establish_seeded(b, seed, ResilienceConfig::default()))
-        });
-        let mut planes = planes.into_iter();
-        let (mut p0, mut p1) = (planes.next().unwrap(), planes.next().unwrap());
+        let (mut p0, mut p1) = {
+            let mut planes = establish_all(bound, &addrs, &ResilienceConfig::default());
+            let p1 = planes.pop().unwrap();
+            (planes.pop().unwrap(), p1)
+        };
         run_pair(&mut p0, &mut p1, 0..1);
+        let hello = ResumeHello {
+            cluster_size: 2,
+            sender: 1,
+            resume_from: 0,
+        };
         let mut silent = Vec::new();
         for addr in &addrs {
             for _ in 0..8 {
                 silent.push(TcpStream::connect(addr).unwrap());
             }
             let mut stalled = TcpStream::connect(addr).unwrap();
-            stalled.write_all(&MEMBERSHIP_MAGIC).unwrap();
+            stalled.write_all(&hello.encode()[..8]).unwrap();
             silent.push(stalled);
         }
         let start = Instant::now();
@@ -1767,109 +1663,25 @@ mod tests {
         }
     }
 
-    /// Establish from `seed` alone: no peer table, the book is discovered.
-    fn establish_seeded(
-        b: BoundPollPlane,
-        seed: SocketAddr,
-        config: ResilienceConfig,
-    ) -> PollPlane {
-        let seeds = vec![seed];
-        let config = ResilienceConfig { seeds, ..config };
-        b.establish_resilient(&[], TIMEOUT, config).unwrap()
-    }
-
-    /// A cluster started from one seed address (no static peer table)
-    /// converges its address books and reaches all-to-all parity.
+    /// Strangers that connect to an *establishing* node and say nothing cost
+    /// it nothing either: they sit in pending slots beside the real peer's
+    /// hello until they expire. (A blocking bootstrap that served its accept
+    /// queue one connection at a time under a 2 s read cap took six seconds
+    /// for three strangers.)
     #[test]
-    fn seed_discovered_cluster_reaches_parity() {
-        let (bound, addrs) = bind_cluster(3);
-        let seed = addrs[0];
-        let planes = establish_all_with(bound, |b| {
-            let plane = establish_seeded(b, seed, ResilienceConfig::default());
-            let book = plane.book();
-            assert_eq!(book.own_incarnation(), 0, "a fresh start never bumps");
-            for (id, &addr) in addrs.iter().enumerate() {
-                assert_eq!(book.get(id as ServerId).map(|e| e.addr), Some(addr));
-            }
-            Ok(plane)
-        });
-        let results: Vec<Vec<usize>> = thread::scope(|scope| {
-            let handles: Vec<_> = planes
-                .into_iter()
-                .map(|mut p| {
-                    scope.spawn(move || {
-                        let mut seen = Vec::new();
-                        for s in 0..4u32 {
-                            p.broadcast(s, &[p.server_id() as u8, s as u8]).unwrap();
-                            p.end_superstep(s).unwrap();
-                            let got = p.collect(s).unwrap();
-                            assert!(got.iter().all(|w| w.len() == 2 && w[1] == s as u8));
-                            p.acknowledge(s).unwrap();
-                            seen.push(got.len());
-                        }
-                        seen
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for seen in results {
-            assert_eq!(seen, vec![2, 2, 2, 2]);
-        }
-    }
-
-    /// Strangers that connect to a *discovering* node and say nothing cost
-    /// it nothing either: discovery shares the loop's pending slots, so they
-    /// sit beside its announces until they expire. (The blocking bootstrap
-    /// this replaces served its accept queue one connection at a time under a
-    /// 2 s read cap: three strangers, six seconds — for both nodes, since the
-    /// seed waits for the other's announce.)
-    #[test]
-    fn silent_strangers_do_not_delay_a_discovering_node() {
+    fn silent_strangers_do_not_delay_establishment() {
         let (bound, addrs) = bind_cluster(2);
         let strangers: Vec<TcpStream> = (0..3)
-            .map(|_| TcpStream::connect(addrs[1]).unwrap())
+            .map(|_| TcpStream::connect(addrs[0]).unwrap())
             .collect();
         let start = Instant::now();
-        let planes = establish_all_with(bound, |b| {
-            Ok(establish_seeded(b, addrs[0], ResilienceConfig::default()))
-        });
+        let planes = establish_all(bound, &addrs, &ResilienceConfig::default());
         assert!(
             start.elapsed() < HANDSHAKE_DEADLINE / 2,
             "establishment waited for strangers: {:?}",
             start.elapsed()
         );
         drop((planes, strangers));
-    }
-
-    /// A peer table and seeds are alternative sources of the book, a
-    /// discovering node must have an address to announce, and a seed must be
-    /// dialable.
-    #[test]
-    fn seeds_exclude_a_peer_table_and_a_wildcard_listener() {
-        let (mut bound, addrs) = bind_cluster(2);
-        let seeds = vec![addrs[0]];
-        let config = ResilienceConfig {
-            seeds,
-            ..ResilienceConfig::default()
-        };
-        let mixed = bound.pop().unwrap();
-        let err = mixed.establish_resilient(&addrs, TIMEOUT, config.clone());
-        assert_eq!(err.unwrap_err().kind(), std::io::ErrorKind::InvalidInput);
-        let wildcard = PollPlane::bind(1, 2, "0.0.0.0:0").unwrap();
-        let err = wildcard.establish_resilient(&[], TIMEOUT, config);
-        assert_eq!(err.unwrap_err().kind(), std::io::ErrorKind::InvalidInput);
-        let port_zero = ResilienceConfig {
-            seeds: vec!["127.0.0.1:0".parse().unwrap()],
-            ..ResilienceConfig::default()
-        };
-        let err = bound
-            .pop()
-            .unwrap()
-            .establish_resilient(&[], TIMEOUT, port_zero);
-        let err = err.unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains("port 0"), "{err}");
     }
 
     /// A static table no cluster can come up from is refused before anything
@@ -1908,69 +1720,72 @@ mod tests {
     }
 
     /// A peer is killed mid-run and a replacement with the same server id
-    /// rejoins **at a different address** via seed discovery. The survivor
-    /// learns the fresh address from the announce it serves on its listener,
-    /// the replacement dials in from there, and the run finishes
-    /// exactly-once.
+    /// rejoins **at the same address**, the one the peer table gives it:
+    /// whoever holds the lower id of the link waits for the redial, the other
+    /// redials the new process — both directions, one per victim — and the
+    /// run finishes exactly-once.
     #[test]
-    fn replacement_at_a_new_address_is_adopted_mid_run() {
-        let (bound, addrs) = bind_cluster(2);
-        let seed = addrs[0];
-        let survivor_config = ResilienceConfig {
-            reconnect_deadline: Duration::from_secs(10),
-            ..ResilienceConfig::default()
-        };
-        let victim_config = ResilienceConfig {
-            reconnect_deadline: Duration::from_millis(300),
-            ..survivor_config.clone()
-        };
-        let mut planes = establish_all_with(bound, |b| {
-            let config = if b.id == 0 {
-                &survivor_config
-            } else {
-                &victim_config
+    fn a_replacement_at_the_same_address_rejoins_mid_run() {
+        for victim in [0u32, 1] {
+            let (bound, addrs) = bind_cluster(2);
+            let survivor_config = ResilienceConfig {
+                reconnect_deadline: Duration::from_secs(10),
+                ..ResilienceConfig::default()
             };
-            Ok(establish_seeded(b, seed, config.clone()))
-        });
-        let mut p1 = planes.pop().unwrap();
-        let mut p0 = planes.pop().unwrap();
-
-        const TOTAL: u32 = 6;
-        const CRASH_AT: u32 = 3;
-        thread::scope(|scope| {
-            // The victim crashes only once the survivor has absorbed
-            // everything it broadcast pre-crash — the multiprocess driver
-            // guarantees the same by killing well after the victim's
-            // checkpoint lands. Crashing earlier can destroy queued frames
-            // the survivor still needs, which no replacement can replay (its
-            // log starts at the resume cursor): that is *correctly* terminal,
-            // but it is not this test's scenario.
-            let (absorbed_tx, absorbed_rx) = channel::<()>();
-            scope.spawn(move || {
-                run_supersteps(&mut p0, 0..CRASH_AT);
-                absorbed_tx.send(()).unwrap();
-                run_supersteps(&mut p0, CRASH_AT..TOTAL);
-            });
-            scope.spawn(move || {
-                run_supersteps(&mut p1, 0..CRASH_AT);
-                absorbed_rx.recv().unwrap();
-                // Die like a killed process: no goodbye, no linger, no
-                // self-recovery — the survivor must hold the door open.
-                p1.crash();
-                let rb = PollPlane::bind(1, 2, "127.0.0.1:0").unwrap();
-                assert_ne!(rb.local_addr().unwrap(), addrs[1]);
-                // The replacement runs to a clean goodbye, so it does not
-                // need the victim's short crash-linger deadline — and must
-                // not have it: if its dial and the survivor's book-guided
-                // redial cross, the duplicate-connection re-park plus
-                // backoff can outlast 300ms on a loaded machine.
-                let config = ResilienceConfig {
-                    resume_from: CRASH_AT,
-                    ..survivor_config.clone()
+            let victim_config = ResilienceConfig {
+                reconnect_deadline: Duration::from_millis(300),
+                ..survivor_config.clone()
+            };
+            let mut planes = establish_all_with(bound, |b| {
+                let config = if b.id == victim {
+                    &victim_config
+                } else {
+                    &survivor_config
                 };
-                let mut p1 = establish_seeded(rb, seed, config);
-                run_supersteps(&mut p1, CRASH_AT..TOTAL);
+                b.establish_resilient(&addrs, TIMEOUT, config.clone())
             });
-        });
+            let doomed = planes.remove(victim as usize);
+            let mut survivor = planes.pop().unwrap();
+
+            const TOTAL: u32 = 6;
+            const CRASH_AT: u32 = 3;
+            thread::scope(|scope| {
+                // The victim crashes only once the survivor has absorbed
+                // everything it broadcast pre-crash — the multiprocess driver
+                // guarantees the same by killing well after the victim's
+                // checkpoint lands. Crashing earlier can destroy queued frames
+                // the survivor still needs, which no replacement can replay
+                // (its log starts at the resume cursor): that is *correctly*
+                // terminal, but it is not this test's scenario.
+                let (absorbed_tx, absorbed_rx) = channel::<()>();
+                scope.spawn(move || {
+                    run_supersteps(&mut survivor, 0..CRASH_AT);
+                    absorbed_tx.send(()).unwrap();
+                    run_supersteps(&mut survivor, CRASH_AT..TOTAL);
+                });
+                let (addrs, survivor_config) = (&addrs, &survivor_config);
+                scope.spawn(move || {
+                    let mut doomed = doomed;
+                    run_supersteps(&mut doomed, 0..CRASH_AT);
+                    absorbed_rx.recv().unwrap();
+                    // Die like a killed process: no goodbye, no linger, no
+                    // self-recovery — the survivor must hold the door open.
+                    // The crash joins the loop thread, which drops the
+                    // listener, so its address is free again.
+                    doomed.crash();
+                    let at = addrs[victim as usize];
+                    let rebound = PollPlane::bind(victim, 2, at).unwrap();
+                    // The replacement runs to a clean goodbye, so it does not
+                    // need the victim's short crash-linger deadline.
+                    let config = ResilienceConfig {
+                        resume_from: CRASH_AT,
+                        ..survivor_config.clone()
+                    };
+                    let established = rebound.establish_resilient(addrs, TIMEOUT, config);
+                    let mut replacement = established.unwrap();
+                    run_supersteps(&mut replacement, CRASH_AT..TOTAL);
+                });
+            });
+        }
     }
 }

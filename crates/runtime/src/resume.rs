@@ -12,8 +12,8 @@
 //!   by superstep; on reconnect the log replays everything from the peer's
 //!   requested cursor, and incoming [`crate::frame::Frame::Ack`]s trim the
 //!   prefix every peer has durably applied.
-//! * [`ResilienceConfig`] — the three values of recovery policy a caller can
-//!   set: reconnect deadline, resume cursor, discovery seeds.
+//! * [`ResilienceConfig`] — the two values of recovery policy a caller can
+//!   set: reconnect deadline and resume cursor.
 //!
 //! The normative byte spec lives in `docs/WIRE.md` §9; this module is the
 //! reference implementation.
@@ -21,7 +21,6 @@
 use crate::buffer::PooledBuf;
 use graphh_graph::ids::ServerId;
 use std::collections::VecDeque;
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -323,14 +322,6 @@ pub struct ResilienceConfig {
     /// restarted server passes its checkpoint cursor). Sent in every
     /// [`ResumeHello`] and used to seed the per-peer receive cursors.
     pub resume_from: u32,
-    /// Addresses of cluster members to discover the address book from
-    /// (`docs/WIRE.md` §10), in place of a static peer table: the fabric
-    /// starts knowing only its own address, announces itself to the seeds
-    /// and to every address it learns, answers `GHHM` announces on its
-    /// listener and gossips book changes on its live links, so a replacement
-    /// peer is redialed at its new address. Empty = the static table the
-    /// caller hands to `establish`, nothing of §10 on the wire.
-    pub seeds: Vec<SocketAddr>,
 }
 
 impl Default for ResilienceConfig {
@@ -338,7 +329,6 @@ impl Default for ResilienceConfig {
         Self {
             reconnect_deadline: Duration::from_secs(30),
             resume_from: 0,
-            seeds: Vec::new(),
         }
     }
 }

@@ -29,9 +29,7 @@ use graphh_obs::{SpanRecorder, Tracer};
 use graphh_partition::{Spe, SpeConfig};
 use graphh_runtime::fabric::{Action, Conn, Event, Fabric};
 use graphh_runtime::frame::encode_message_into;
-use graphh_runtime::{
-    AddressBook, BufferPool, Frame, MembershipKind, ResilienceConfig, ResumeHello,
-};
+use graphh_runtime::{BufferPool, Frame, ResilienceConfig, ResumeHello};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::SocketAddr;
@@ -151,30 +149,24 @@ fn superstep(
     next_frontier.len()
 }
 
-/// A seed-discovered fabric as it stands in a fault-free run: server 0 of 4,
-/// started from a seed, every peer's announce served and its dial adopted —
-/// established, every link up and sent the whole book.
+/// A fabric as it stands in a fault-free run: server 0 of a static
+/// 4-address peer table, each higher id's dial adopted — established, every
+/// link up.
 fn established_fabric(pool: &BufferPool) -> Fabric {
-    let addr = |id: u32| SocketAddr::from(([127, 0, 0, 1], 4750 + id as u16));
-    let seeds = vec![addr(1)];
-    let config = ResilienceConfig {
-        seeds,
-        ..ResilienceConfig::default()
-    };
-    let book = AddressBook::new(4, 0, addr(0));
-    let mut fabric = Fabric::new(book, config, Duration::from_secs(10), pool.clone());
+    let addrs = (0..4)
+        .map(|id| SocketAddr::from(([127, 0, 0, 1], 4750 + id)))
+        .collect();
+    let config = ResilienceConfig::default();
+    let mut fabric = Fabric::new(0, addrs, config, Duration::from_secs(10), pool.clone());
     let mut actions = Vec::new();
     for peer in 1..4 {
-        let announce = AddressBook::new(4, peer, addr(peer)).msg(MembershipKind::Announce);
         let hello = ResumeHello {
             cluster_size: 4,
             sender: peer,
             resume_from: 0,
         };
-        let (asking, dialing) = (Conn::Accepted(0), Conn::Accepted(1));
         let events = [
-            Event::Announce(asking, &announce.encode()),
-            Event::Hello(dialing, "peer", hello.encode()),
+            Event::Hello(Conn::Accepted(0), "peer", hello.encode()),
             Event::Tick,
         ];
         for event in events {
@@ -182,7 +174,6 @@ fn established_fabric(pool: &BufferPool) -> Fabric {
         }
     }
     assert!(actions.iter().any(|a| matches!(a, Action::Established)));
-    assert!(fabric.book().is_complete());
     fabric
 }
 
@@ -231,12 +222,11 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
         Some(Codec::Zlib3),
         Some(Codec::VarintDelta),
     ];
-    // A real seed-discovered fabric with its live book: the tick the event
-    // loop runs every iteration — per link, has the book moved past what
-    // this link was sent? — rides the same hot loop and must stay
-    // allocation-free while the book is quiescent (the fault-free case).
-    // Built before any snapshot: counter registration, the book and the
-    // discovery that filled it allocate once, at set-up.
+    // A real established fabric: the tick the event loop runs every
+    // iteration — is a redial, a deadline or a linger due? — rides the same
+    // hot loop and must stay allocation-free while every link is up (the
+    // fault-free case). Built before any snapshot: counter registration and
+    // the links allocate once, at set-up.
     let pool = BufferPool::new();
     let mut fabric = established_fabric(&pool);
     let mut actions: Vec<Action> = Vec::new();
@@ -282,7 +272,7 @@ fn steady_state_codec_and_frame_path_allocates_nothing_for_every_codec() {
         let before = local_allocations();
         for s in 1..64u32 {
             // The event loop's tick, and the timer it asks for after it:
-            // nothing is due, nothing is gossiped, nothing may allocate.
+            // nothing is due, nothing may allocate.
             let now = Duration::from_millis(u64::from(s));
             fabric.step(now, Event::Tick, &mut actions);
             assert!(actions.is_empty(), "a quiescent fabric acts: {actions:?}");

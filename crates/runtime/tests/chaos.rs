@@ -188,63 +188,6 @@ fn poll_bfs_survives_a_cut_at_every_boundary() {
     sweep_every_boundary(&p, &bfs, 6, "poll bfs");
 }
 
-/// Seed discovery instead of a static peer table, then the same storm: every
-/// endpoint discovers its address book from one seed while its links come up
-/// (`GHHM` announces over the same listeners the run uses) — so every
-/// mid-storm redial goes to the address the discovered book holds — and the
-/// final replicas must still match the unfaulted sequential reference, bit
-/// for bit.
-#[test]
-fn seed_discovered_cluster_survives_the_storm_bit_identical() {
-    let partitioned = pagerank_workload();
-    let program = PageRank::new(PAGERANK_SUPERSTEPS);
-    let reference = sequential_reference(&partitioned, &program);
-    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS));
-    let plan = ExecutionPlan::prepare(&config, &partitioned, &program).expect("plan");
-    let plans: Vec<CutPlan> = (0..SERVERS)
-        .map(|sid| {
-            let peers: Vec<u32> = (0..SERVERS).filter(|&p| p != sid).collect();
-            CutPlan::seeded(0x5EED_6D65 + u64::from(sid), PAGERANK_SUPERSTEPS, &peers, 2)
-        })
-        .collect();
-    let bound: Vec<_> = (0..SERVERS)
-        .map(|sid| PollPlane::bind(sid, SERVERS, "127.0.0.1:0").expect("bind"))
-        .collect();
-    let seed = bound[0].local_addr().unwrap();
-    let mut outputs: Vec<(u32, Vec<f64>)> = thread::scope(|scope| {
-        let handles: Vec<_> = bound
-            .into_iter()
-            .zip(&plans)
-            .map(|(b, cuts)| {
-                let (plan, cuts) = (&plan, cuts.clone());
-                let (config, partitioned, program) = (&config, &partitioned, &program);
-                scope.spawn(move || {
-                    let resilience = ResilienceConfig {
-                        seeds: vec![seed],
-                        ..ResilienceConfig::default()
-                    };
-                    let endpoint = b
-                        .establish_resilient(&[], ESTABLISH_TIMEOUT, resilience)
-                        .expect("establish discovered");
-                    run_chaos_worker(endpoint, cuts, config, plan, partitioned, program)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    outputs.sort_by_key(|&(sid, _)| sid);
-    for (sid, values) in &outputs {
-        assert_eq!(values.len(), reference.len(), "seed: server {sid}");
-        for (v, (x, y)) in values.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "seed-discovered: server {sid} vertex {v} diverged ({x} vs {y})"
-            );
-        }
-    }
-}
-
 /// The reconnect storm: every server runs a seeded multi-cut schedule at
 /// once, so links drop and resume all over the cluster throughout the run —
 /// and the result must still be the unfaulted reference, bit for bit. A

@@ -4,15 +4,11 @@
 //! worker per endpoint run on a **virtual network and a virtual clock**: no
 //! socket, no thread, no sleep. A seed picks the cluster's schedule — how
 //! bytes interleave and how they are chunked, where connections break (at any
-//! byte offset: mid-hello, mid-frame), which strangers knock (silent, a bare
-//! `GHHM`, garbage, a hello against the fixed direction, a duplicate dial),
-//! which server crashes and whether, when and *where* it comes back (same
-//! address, or a new one the gossiped book must spread), who exits while a
-//! peer is still away — and every schedule is held to the invariants below.
-//! Every other schedule starts from **seeds** instead of a peer table: each
-//! fabric then discovers the address book itself, through announces this
-//! network carries like any other connection, and a restarted server is told
-//! of one live member only.
+//! byte offset: mid-hello, mid-frame), which strangers knock (silent, another
+//! protocol's magic, garbage, a hello against the fixed direction, a
+//! duplicate dial), which server crashes and whether and when it comes back
+//! (at the address the peer table gives it), who exits while a peer is still
+//! away — and every schedule is held to the invariants below.
 //! Thousands run per `cargo test`; a failure prints its seed and the
 //! `(event → actions)` trace of every fabric, and the same seed reproduces
 //! it byte for byte.
@@ -32,27 +28,24 @@
 //!   never earlier or later, and an establish failure at exactly the
 //!   establish timeout; a loss after a refused hello names the refusal;
 //! * **bounded linger** — an endpoint told to stop exits at once when it
-//!   owes nothing and within `reconnect_deadline` otherwise;
-//! * **converged books** — started from seeds, every endpoint that lived to
-//!   the end knows every other's final address, and none was established
-//!   before its own book was complete.
+//!   owes nothing and within `reconnect_deadline` otherwise.
 //!
 //! This file is compiled into two harnesses: `graphh-runtime`'s own tests
 //! and (by `#[path]`) the facade crate's tier-1 `cargo test`.
 
 use graphh_runtime::establish::HANDSHAKE_DEADLINE;
-use graphh_runtime::fabric::{Action, Command, Conn, Event, Fabric, RETRY_BACKOFF_CAP};
+use graphh_runtime::fabric::{Action, Command, Conn, Event, Fabric};
 use graphh_runtime::{
-    encode_message_into, AddressBook, BufferPool, Frame, FrameDecoder, InboxEvent, MembershipKind,
-    MembershipMsg, PlaneError, ResilienceConfig, ResumeHello, SuperstepCollector, MEMBERSHIP_MAGIC,
+    encode_message_into, BufferPool, Frame, FrameDecoder, InboxEvent, PlaneError, ResilienceConfig,
+    ResumeHello, SuperstepCollector,
 };
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Seeded schedules per cluster size (2, 3 and 5 endpoints); every other one
-/// starts from seeds. A constant, not a knob: tier-1 runs them all.
+/// Seeded schedules per cluster size (2, 3 and 5 endpoints). A constant, not
+/// a knob: tier-1 runs them all.
 const SCHEDULES: [(u32, u64); 3] = [(2, 900), (3, 800), (5, 400)];
 
 const RECONNECT_DEADLINE: Duration = Duration::from_secs(20);
@@ -110,12 +103,6 @@ enum EndState {
     /// Dialed, reply hello incomplete.
     Dialing {
         peer: u32,
-        buf: Vec<u8>,
-        expires: Duration,
-    },
-    /// Announced to `source`, snapshot reply incomplete.
-    Asking {
-        source: SocketAddr,
         buf: Vec<u8>,
         expires: Duration,
     },
@@ -183,8 +170,6 @@ struct Proc {
     worker: Worker,
     /// When `Action::Established` came.
     established: Option<Duration>,
-    /// Announces this process has sent.
-    announces: usize,
     /// When the worker said `Shutdown`, and whether a link was down then.
     stopped: Option<(Duration, bool)>,
     ended: Option<Ended>,
@@ -216,10 +201,7 @@ enum NodeState {
 struct Node {
     id: u32,
     generation: u32,
-    addr: SocketAddr,
     state: NodeState,
-    /// What the server is launched with in place of a peer table, if anything.
-    seeds: Vec<SocketAddr>,
     /// Per peer id: count of completed supersteps this server's fabrics saw
     /// from that peer (EOS + 1) — what its next hello would ask to resume at.
     eos_cursor: Vec<u32>,
@@ -234,7 +216,8 @@ struct Node {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum RogueKind {
     Silent,
-    GhhmOnly,
+    /// A magic that is not the hello's, then silence.
+    OtherMagic,
     Garbage,
     /// A valid hello from a *lower* id: against the fixed dial direction.
     WrongDirection,
@@ -251,27 +234,16 @@ enum Fault {
     Cut { a: u32, b: u32 },
     /// A stranger connects to `target`.
     Rogue { target: u32, kind: RogueKind },
-    /// `victim` is killed; it is bound again after `down_for` (at a new
-    /// address if it `moves`) and establishes after `bound_for` more.
+    /// `victim` is killed; it is bound again at its address after
+    /// `down_for` and establishes after `bound_for` more.
     CrashRestart {
         victim: u32,
         down_for: Duration,
         bound_for: Duration,
-        moves: Moves,
     },
     /// `victim` is killed for good; with `impostor`, a process believing in a
     /// larger cluster then dials the survivors under its id.
     GoneForever { victim: u32, impostor: bool },
-}
-
-/// Where a restarted server listens. Books break an incarnation tie in
-/// favour of the larger address, so only a move to a *lower* one makes the
-/// replacement claim its id twice.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Moves {
-    No,
-    Higher,
-    Lower,
 }
 
 struct Planned {
@@ -283,7 +255,6 @@ struct Planned {
 enum Timed {
     Bind {
         victim: u32,
-        moves: Moves,
     },
     Start {
         victim: u32,
@@ -298,10 +269,8 @@ struct World {
     nodes: Vec<Node>,
     conns: Vec<Connection>,
     supersteps: u32,
-    /// Servers are launched with seeds, not a peer table.
-    seeded: bool,
     /// Keep every endpoint up until all are done (then check every log is
-    /// empty and the books agree) instead of letting each exit on its own.
+    /// empty) instead of letting each exit on its own.
     hold_until_all_done: bool,
     planned: Vec<Planned>,
     timed: Vec<(Duration, Timed)>,
@@ -328,35 +297,14 @@ enum Choice {
 
 type Check = Result<(), String>;
 
+/// Where server `id` listens: its entry of the peer table, for good.
 fn static_addr(id: u32) -> SocketAddr {
     SocketAddr::from(([10, 0, 0, id as u8 + 1], 7000))
-}
-
-fn moved_addr(id: u32, generation: u32, moves: Moves) -> SocketAddr {
-    match moves {
-        Moves::No => static_addr(id),
-        Moves::Higher => SocketAddr::from(([10, 0, 1, id as u8 + 1], 7000 + generation as u16)),
-        Moves::Lower => SocketAddr::from(([10, 0, 0, id as u8 + 1], 6000 + generation as u16)),
-    }
 }
 
 /// How many messages `id` publishes in superstep `s`, each `[id, s, k]`.
 fn messages_of(id: u32, s: u32) -> u32 {
     1 + (id + s) % 2
-}
-
-/// How long the handshake in `buf` is, as far as its bytes tell: a hello's
-/// 16, or — where a `GHHM` message may come (an announce to serve, the reply
-/// to one) — its header and then the length that header declares.
-fn handshake_len(buf: &[u8], ghhm: bool) -> usize {
-    match (
-        ghhm && buf.starts_with(&MEMBERSHIP_MAGIC),
-        buf.first_chunk(),
-    ) {
-        (false, _) => 16,
-        (true, None) => 23,
-        (true, Some(header)) => MembershipMsg::encoded_len(header),
-    }
 }
 
 /// Encoded frames as a readable list, for traces.
@@ -373,7 +321,6 @@ fn describe(bytes: &[u8]) -> String {
             Frame::Abort { sender } => format!("ABORT{sender}"),
             Frame::Ack { sender, superstep } => format!("A{sender}.{superstep}"),
             Frame::Goodbye { sender } => format!("BYE{sender}"),
-            Frame::Membership { sender, .. } => format!("GOSSIP{sender}"),
         });
     }
     out.join(" ")
@@ -383,7 +330,6 @@ fn describe_action(action: &Action) -> String {
     match action {
         Action::Send(peer, batch) => format!("Send({peer}: {})", describe(batch)),
         Action::Reply(conn, bytes) => format!("Reply({conn:?}, {} bytes)", bytes.len()),
-        Action::Announce(source, bytes) => format!("Announce({source}, {} bytes)", bytes.len()),
         Action::Deliver(InboxEvent::Frame(frame)) => {
             let mut bytes = Vec::new();
             frame.encode(&mut bytes);
@@ -405,8 +351,6 @@ fn describe_event(event: &Event<'_>) -> String {
             frame.encode(&mut bytes);
             format!("Frame({peer}: {})", describe(&bytes))
         }
-        Event::Announce(conn, bytes) => format!("Announce({conn:?}, {} bytes)", bytes.len()),
-        Event::Snapshot(source, bytes) => format!("Snapshot({source}, {} bytes)", bytes.len()),
         other => format!("{other:?}"),
     }
 }
@@ -414,16 +358,14 @@ fn describe_event(event: &Event<'_>) -> String {
 impl World {
     // -- construction -------------------------------------------------------
 
-    fn new(seed: u64, servers: u32, seeded: bool, trace: bool) -> World {
+    fn new(seed: u64, servers: u32, trace: bool) -> World {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
         let supersteps = 3 + rng.below(3) as u32;
         let nodes = (0..servers)
             .map(|id| Node {
                 id,
                 generation: 0,
-                addr: static_addr(id),
                 state: NodeState::Dead,
-                seeds: Vec::new(),
                 eos_cursor: vec![0; servers as usize],
                 history: Vec::new(),
             })
@@ -433,7 +375,6 @@ impl World {
             nodes,
             conns: Vec::new(),
             supersteps,
-            seeded,
             hold_until_all_done: rng.chance(1, 2),
             planned: Vec::new(),
             timed: Vec::new(),
@@ -448,15 +389,6 @@ impl World {
         world.plan(servers);
         let faults: Vec<_> = world.planned.iter().map(|p| (&p.fault, p.when)).collect();
         world.plan_text = format!("{faults:?} doomed dials {:?}", world.doomed_dials);
-        if seeded {
-            // One command line for all: a seed list that names one member,
-            // now and then two.
-            let mut seeds = vec![static_addr(world.rng.below(servers as u64) as u32)];
-            if world.rng.chance(1, 3) {
-                seeds.push(static_addr(world.rng.below(servers as u64) as u32));
-            }
-            world.nodes.iter_mut().for_each(|n| n.seeds = seeds.clone());
-        }
         // Processes start at slightly different times, like real launches.
         for id in 0..servers {
             let at = world.rng.millis(30);
@@ -482,7 +414,7 @@ impl World {
                 1 => {
                     let kind = match self.rng.below(5) {
                         0 => RogueKind::Silent,
-                        1 => RogueKind::GhhmOnly,
+                        1 => RogueKind::OtherMagic,
                         2 => RogueKind::Garbage,
                         3 => RogueKind::WrongDirection,
                         _ => RogueKind::Duplicate,
@@ -509,11 +441,6 @@ impl World {
                 // Sometimes longer than the handshake deadline: dials then
                 // expire unanswered in the restarted server's backlog.
                 bound_for: self.rng.millis(4_000),
-                moves: match self.rng.below(4) {
-                    0 if self.seeded => Moves::Higher,
-                    1 if self.seeded => Moves::Lower,
-                    _ => Moves::No,
-                },
             },
             4 => Fault::GoneForever {
                 victim,
@@ -552,15 +479,7 @@ impl World {
 
     fn start(&mut self, id: usize) {
         let servers = self.nodes.len();
-        let statics: Vec<SocketAddr> = (0..servers as u32).map(static_addr).collect();
-        // Whoever restarts a server names one live member to it, no more:
-        // the rest of the book, and the rest of the cluster, is gossip's.
-        let live: Vec<usize> = (0..servers).filter(|&n| self.proc(n).is_some()).collect();
-        let restarted = !self.nodes[id].history.is_empty();
-        if self.seeded && restarted && !live.is_empty() {
-            let member = live[self.rng.below(live.len() as u64) as usize];
-            self.nodes[id].seeds = vec![self.nodes[member].addr];
-        }
+        let table: Vec<SocketAddr> = (0..servers as u32).map(static_addr).collect();
         let node = &mut self.nodes[id];
         if let NodeState::Running(old) = std::mem::replace(&mut node.state, NodeState::Dead) {
             node.history.push((old.worker, old.ended));
@@ -569,14 +488,9 @@ impl World {
         let config = ResilienceConfig {
             reconnect_deadline: RECONNECT_DEADLINE,
             resume_from: first_superstep,
-            seeds: node.seeds.clone(),
-        };
-        let book = match node.seeds.is_empty() {
-            true => AddressBook::complete(id as u32, &statics),
-            false => AddressBook::new(servers, id as u32, node.addr),
         };
         let pool = BufferPool::new();
-        let fabric = Fabric::new(book, config, ESTABLISH_TIMEOUT, pool.clone());
+        let fabric = Fabric::new(id as u32, table, config, ESTABLISH_TIMEOUT, pool.clone());
         node.state = NodeState::Running(Box::new(Proc {
             fabric,
             pool,
@@ -592,7 +506,6 @@ impl World {
                 None => Worker::Publish(0),
             },
             established: None,
-            announces: 0,
             stopped: None,
             ended: None,
             live: vec![None; servers],
@@ -694,7 +607,6 @@ impl World {
                 }
             }
             Action::Dial(peer, addr, hello) => return Ok(self.dial(id, peer, addr, &hello)),
-            Action::Announce(source, announce) => return Ok(self.ask(id, source, &announce)),
             Action::Reply(conn, bytes) => {
                 if let Some((conn, end)) = self.conn_of(id, conn) {
                     self.write(conn, end, &bytes);
@@ -740,13 +652,7 @@ impl World {
                 proc.inbox.push_back(event);
                 proc.inbox_grew = true;
             }
-            Action::Established => {
-                let proc = self.proc(id).expect("acting");
-                proc.established = Some(now);
-                if !proc.fabric.book().is_complete() {
-                    return Err(format!("n{id} is established on an incomplete book"));
-                }
-            }
+            Action::Established => self.proc(id).expect("acting").established = Some(now),
             Action::EstablishFailed(timed_out, message) => {
                 let proc = self.proc(id).expect("acting");
                 if timed_out && now != proc.epoch + ESTABLISH_TIMEOUT {
@@ -867,27 +773,13 @@ impl World {
         None
     }
 
-    fn ask(&mut self, id: usize, source: SocketAddr, announce: &[u8]) -> Option<Event<'static>> {
-        let asking = EndState::Asking {
-            source,
-            buf: Vec::new(),
-            expires: self.now + HANDSHAKE_DEADLINE,
-        };
-        let Some(conn) = self.connect(id, source, asking) else {
-            return Some(Event::AnnounceFailed(source));
-        };
-        self.proc(id).expect("acting").announces += 1;
-        self.write(conn, 0, announce);
-        None
-    }
-
     /// A connection from server `id` into the backlog of whoever listens at
     /// `target` — a bound server's process that has not exited — or `None`:
     /// connection refused.
     fn connect(&mut self, id: usize, target: SocketAddr, dialer: EndState) -> Option<usize> {
         let listener = self.nodes.iter().position(|n| match &n.state {
-            NodeState::Running(proc) => n.addr == target && proc.ended.is_none(),
-            NodeState::Bound => n.addr == target,
+            NodeState::Running(proc) => static_addr(n.id) == target && proc.ended.is_none(),
+            NodeState::Bound => static_addr(n.id) == target,
             NodeState::Dead => false,
         })?;
         let ordinal = self.dials;
@@ -992,7 +884,10 @@ impl World {
     /// victim's checkpoint lands. Crashing earlier can destroy frames a
     /// survivor still needs and no replacement can replay (its log starts at
     /// its resume cursor): that is *correctly* terminal, and not what these
-    /// schedules are about.
+    /// schedules are about. For the same reason a crash that is to be
+    /// restarted does not fire once another server has exited: whatever of
+    /// that server's last supersteps the victim had not read yet, nobody is
+    /// left to replay to its replacement, nor to bring its links up.
     fn fires(&mut self, planned: usize) -> bool {
         let (server, superstep) = self.planned[planned].when;
         let reached = |worker: Worker| match worker {
@@ -1011,6 +906,11 @@ impl World {
             }
             _ => return true,
         };
+        let exited = |n: &Node| matches!(&n.state, NodeState::Running(p) if p.ended.is_some());
+        let restarts = matches!(self.planned[planned].fault, Fault::CrashRestart { .. });
+        if restarts && self.nodes.iter().any(exited) {
+            return false;
+        }
         let resume = self.nodes[victim].eos_cursor[victim];
         (0..self.nodes.len()).all(|id| {
             id == victim || self.proc(id).is_none() || self.nodes[id].eos_cursor[victim] >= resume
@@ -1069,14 +969,12 @@ impl World {
     }
 
     /// Everyone is done and the network is silent: every log must be empty
-    /// (a lost ack was repeated on the healed link) and the books agree.
-    /// Then everyone may go.
+    /// (a lost ack was repeated on the healed link). Then everyone may go.
     fn release(&mut self) -> Check {
         self.hold_until_all_done = false;
         if self.fatal {
             return Ok(());
         }
-        let addrs: Vec<SocketAddr> = self.nodes.iter().map(|n| n.addr).collect();
         for id in 0..self.nodes.len() {
             let Some(proc) = self.proc(id) else {
                 continue;
@@ -1086,14 +984,6 @@ impl World {
                 return Err(format!(
                     "n{id} still retains {retained} bytes with everyone done"
                 ));
-            }
-            let book = proc.fabric.book();
-            for (peer, &addr) in addrs.iter().enumerate() {
-                if book.get(peer as u32).map(|e| e.addr) != Some(addr) {
-                    return Err(format!(
-                        "n{id}'s book has server {peer} elsewhere than {addr}"
-                    ));
-                }
             }
         }
         Ok(())
@@ -1112,11 +1002,7 @@ impl World {
             let alive = matches!(e.owner, Owner::Node { id, generation }
                 if self.nodes[id as usize].generation == generation);
             match e.state {
-                EndState::Pending { expires, .. }
-                | EndState::Dialing { expires, .. }
-                | EndState::Asking { expires, .. }
-                    if alive =>
-                {
+                EndState::Pending { expires, .. } | EndState::Dialing { expires, .. } if alive => {
                     Some(expires)
                 }
                 _ => None,
@@ -1134,7 +1020,7 @@ impl World {
         let now = self.now;
         while let Some(due) = self.timed.iter().position(|(at, _)| *at <= now) {
             match self.timed.swap_remove(due).1 {
-                Timed::Bind { victim, moves } => self.bind(victim as usize, moves),
+                Timed::Bind { victim } => self.bind(victim as usize),
                 Timed::Start { victim } => self.start(victim as usize),
                 Timed::Fire(fault) => self.fire(fault)?,
             }
@@ -1159,12 +1045,6 @@ impl World {
                         }
                         let why = format!("server {peer} at {target}: no reply hello in time");
                         self.feed(id as usize, Event::DialFailed(peer, why))?;
-                    }
-                    EndState::Asking {
-                        expires, source, ..
-                    } if now >= expires => {
-                        self.close_end(conn, end);
-                        self.feed(id as usize, Event::AnnounceFailed(source))?;
                     }
                     _ => {}
                 }
@@ -1204,14 +1084,11 @@ impl World {
             0 => 1 + self.rng.below(available as u64) as usize,
             _ => available,
         };
-        let state = &self.conns[conn].ends[end].state;
-        if let EndState::Pending { buf, .. }
-        | EndState::Dialing { buf, .. }
-        | EndState::Asking { buf, .. } = state
+        if let EndState::Pending { buf, .. } | EndState::Dialing { buf, .. } =
+            &self.conns[conn].ends[end].state
         {
-            // Never past the handshake: frames may follow it.
-            let ghhm = !matches!(state, EndState::Dialing { .. });
-            take = take.min(handshake_len(buf, ghhm) - buf.len());
+            // Never past the hello: frames may follow it.
+            take = take.min(16 - buf.len());
         }
         if let Some(budget) = self.conns[conn].ends[end].budget.as_mut() {
             take = take.min(*budget);
@@ -1231,13 +1108,7 @@ impl World {
             EndState::Pending { buf, slot, .. } => {
                 buf.extend_from_slice(&bytes);
                 let conn_id = Conn::Accepted(*slot);
-                let announce = buf.starts_with(&MEMBERSHIP_MAGIC);
-                let whole = buf.len() == handshake_len(buf, true);
-                if whole && announce {
-                    let bytes = std::mem::take(buf);
-                    let event = Event::Announce(conn_id, &bytes);
-                    self.feed_and_tick(id, event)?;
-                } else if whole {
+                if buf.len() == 16 {
                     let bytes = buf[..].try_into().expect("16 bytes");
                     let origin = format!("stranger to {target}");
                     let event = Event::Hello(conn_id, &origin, bytes);
@@ -1251,18 +1122,6 @@ impl World {
                     let (peer, bytes) = (*peer, buf[..].try_into().expect("16 bytes"));
                     let origin = format!("server {peer} at {target}");
                     let event = Event::Hello(Conn::Dialed(peer), &origin, bytes);
-                    self.feed_and_tick(id, event)?;
-                }
-            }
-            EndState::Asking { buf, source, .. } => {
-                buf.extend_from_slice(&bytes);
-                if buf.len() == handshake_len(buf, true) {
-                    let (source, reply) = (*source, std::mem::take(buf));
-                    self.close_end(conn, end);
-                    let event = match reply.starts_with(&MEMBERSHIP_MAGIC) {
-                        true => Event::Snapshot(source, &reply),
-                        false => Event::AnnounceFailed(source),
-                    };
                     self.feed_and_tick(id, event)?;
                 }
             }
@@ -1353,10 +1212,6 @@ impl World {
                 self.proc(id).expect("reading").dialing[peer as usize] = None;
                 let why = format!("server {peer} at {target}: closed before a reply hello");
                 self.feed_and_tick(id, Event::DialFailed(peer, why))
-            }
-            EndState::Asking { source, .. } => {
-                self.close_end(conn, end);
-                self.feed_and_tick(id, Event::AnnounceFailed(source))
             }
             _ => {
                 self.close_end(conn, end);
@@ -1488,11 +1343,10 @@ impl World {
                 victim,
                 down_for,
                 bound_for,
-                moves,
             } => {
                 self.kill(victim as usize);
                 let bound = self.now + down_for;
-                self.timed.push((bound, Timed::Bind { victim, moves }));
+                self.timed.push((bound, Timed::Bind { victim }));
                 self.timed
                     .push((bound + bound_for, Timed::Start { victim }));
             }
@@ -1529,11 +1383,9 @@ impl World {
         node.generation += 1;
     }
 
-    /// The killed server's listener is back, at a fresh address if it moves.
-    fn bind(&mut self, victim: usize, moves: Moves) {
-        let node = &mut self.nodes[victim];
-        node.addr = moved_addr(node.id, node.generation, moves);
-        node.state = NodeState::Bound;
+    /// The killed server's listener is back, at its address.
+    fn bind(&mut self, victim: usize) {
+        self.nodes[victim].state = NodeState::Bound;
     }
 
     /// A stranger connects to `target` and writes its script.
@@ -1549,7 +1401,7 @@ impl World {
         };
         let script = match kind {
             RogueKind::Silent => Vec::new(),
-            RogueKind::GhhmOnly => b"GHHM".to_vec(),
+            RogueKind::OtherMagic => b"GHHX".to_vec(),
             RogueKind::Garbage => b"NOPE, not a GraphH peer at all".to_vec(),
             RogueKind::WrongDirection if target == 0 => Vec::new(),
             RogueKind::WrongDirection => hello(servers, target - 1, 0),
@@ -1580,7 +1432,7 @@ impl World {
                 end(self.owner_of(target as usize), EndState::Backlog),
             ],
             cut: false,
-            target: self.nodes[target as usize].addr,
+            target: static_addr(target),
         });
         let conn = self.conns.len() - 1;
         self.write(conn, 0, &script);
@@ -1645,9 +1497,9 @@ fn run_world(what: &str, build: &dyn Fn(bool) -> World, check: &dyn Fn(&World) -
     );
 }
 
-fn run_seed(seed: u64, servers: u32, seeded: bool) {
-    let what = format!("seed {seed} ({servers} servers, seeded {seeded})");
-    let build = |trace| World::new(seed, servers, seeded, trace);
+fn run_seed(seed: u64, servers: u32) {
+    let what = format!("seed {seed} ({servers} servers)");
+    let build = |trace| World::new(seed, servers, trace);
     run_world(&what, &build, &|_| Ok(()));
 }
 
@@ -1656,7 +1508,7 @@ fn thousands_of_seeded_schedules_hold_every_invariant() {
     let mut total = 0;
     for (servers, schedules) in SCHEDULES {
         for seed in 0..schedules {
-            run_seed(seed, servers, seed % 2 == 1);
+            run_seed(seed, servers);
         }
         total += schedules;
     }
@@ -1667,7 +1519,7 @@ fn thousands_of_seeded_schedules_hold_every_invariant() {
 #[test]
 fn one_seed_one_trace() {
     let trace_of = |seed| {
-        let mut world = World::new(seed, 3, true, true);
+        let mut world = World::new(seed, 3, true);
         let outcome = world.run();
         (outcome, world.trace.expect("tracing"))
     };
@@ -1679,25 +1531,16 @@ fn one_seed_one_trace() {
 }
 
 // ---------------------------------------------------------------------------
-// Discovery, driven by the fabrics themselves: explicit seeded schedules
+// Explicit schedules
 // ---------------------------------------------------------------------------
 
-/// A world of seeded endpoints with no fault drawn, everyone started from
-/// `seeds` and kept up until all are done (so `release` holds every book to
-/// every final address) — for `arrange` to put its own schedule in.
-fn seeded_world(
-    seed: u64,
-    servers: u32,
-    seeds: &[u32],
-    trace: bool,
-    arrange: &dyn Fn(&mut World),
-) -> World {
-    let mut world = World::new(seed, servers, true, trace);
+/// A world with no fault drawn, kept up until all are done (so `release`
+/// holds every log to empty) — for `arrange` to put its own schedule in.
+fn explicit_world(seed: u64, servers: u32, trace: bool, arrange: &dyn Fn(&mut World)) -> World {
+    let mut world = World::new(seed, servers, trace);
     world.planned.clear();
     world.doomed_dials.clear();
     (world.fatal, world.hold_until_all_done) = (false, true);
-    let seeds: Vec<SocketAddr> = seeds.iter().map(|&s| static_addr(s)).collect();
-    world.nodes.iter_mut().for_each(|n| n.seeds = seeds.clone());
     arrange(&mut world);
     let (planned, timed) = (world.planned.len(), world.timed.len());
     world.plan_text = format!("explicit: {planned} planned, {timed} timed");
@@ -1712,160 +1555,41 @@ fn last_proc(world: &World, id: usize) -> Result<&Proc, String> {
     }
 }
 
-fn restart(victim: u32, moves: Moves, at_superstep: u32) -> Planned {
-    let fault = Fault::CrashRestart {
-        victim,
-        down_for: Duration::from_millis(500),
-        bound_for: Duration::from_millis(200),
-        moves,
-    };
-    Planned {
-        fault,
-        when: (victim, at_superstep),
-    }
-}
-
-/// A fresh start from a seed list that names one member only: everyone
-/// finishes, every book is every address (`release`), nobody bumped.
+/// A restarted server comes back at the address the peer table gives it,
+/// while the link between the other two is cut again and again: whichever
+/// side of each link dials, everyone finishes.
 #[test]
-fn one_seed_is_enough_and_nobody_bumps() {
-    for seed in 0..100 {
-        let check = |world: &World| {
-            for id in 0..3 {
-                let proc = last_proc(world, id)?;
-                let book = proc.fabric.book();
-                if book.own_incarnation() != 0 || !book.is_complete() {
-                    return Err(format!("n{id} ended with {book:?}"));
-                }
-            }
-            Ok(())
-        };
-        let build = |trace| seeded_world(seed, 3, &[(seed % 3) as u32], trace, &|_| {});
-        run_world(&format!("one seed, seed {seed}"), &build, &check);
-    }
-}
-
-/// The only seed is not bound yet when the others start: they ask it again
-/// (each on its backoff) until it is, and the cluster comes up then.
-#[test]
-fn the_only_seed_may_be_the_last_to_start() {
-    const LATE: Duration = Duration::from_secs(3);
-    for seed in 0..100 {
-        let late = (seed % 3) as usize;
-        let arrange = |world: &mut World| {
-            for (at, timed) in &mut world.timed {
-                if matches!(timed, Timed::Start { victim } if *victim as usize == late) {
-                    *at = LATE;
-                }
-            }
-        };
-        let check = |world: &World| {
-            for id in 0..3 {
-                let at = last_proc(world, id)?.established.ok_or("not established")?;
-                if at < LATE || at > LATE + 3 * RETRY_BACKOFF_CAP {
-                    return Err(format!("n{id} was established at {at:?}"));
-                }
-            }
-            Ok(())
-        };
-        let build = |trace| seeded_world(seed, 3, &[late as u32], trace, &arrange);
-        run_world(&format!("late seed, seed {seed}"), &build, &check);
-    }
-}
-
-/// A replacement at a moved address announces itself to the one live member
-/// it was told of, then to everyone in the book that member sends back, while
-/// the link between the survivors is cut again and again: every book ends at
-/// the new address, everyone finishes.
-#[test]
-fn a_moved_replacement_is_found_by_everyone() {
+fn a_restarted_server_is_redialed_at_its_address_through_a_cut_storm() {
     for seed in 0..300 {
+        let victim = (seed % 3) as u32;
+        let (a, b) = ((victim + 1) % 3, (victim + 2) % 3);
         let arrange = |world: &mut World| {
-            world.planned.push(restart(1, Moves::Higher, 1));
+            let fault = Fault::CrashRestart {
+                victim,
+                down_for: Duration::from_millis(500),
+                bound_for: Duration::from_millis(200),
+            };
+            world.planned.push(Planned {
+                fault,
+                when: (victim, 1),
+            });
             for k in 0..12 {
                 let at = Duration::from_millis(500 + 50 * k);
-                let cut = Fault::Cut { a: 0, b: 2 };
-                world.timed.push((at, Timed::Fire(cut)));
+                world.timed.push((at, Timed::Fire(Fault::Cut { a, b })));
             }
         };
-        let build = |trace| seeded_world(seed, 3, &[0], trace, &arrange);
-        run_world(&format!("moved, seed {seed}"), &build, &|_| Ok(()));
+        let build = |trace| explicit_world(seed, 3, trace, &arrange);
+        run_world(&format!("restart, seed {seed}"), &build, &|_| Ok(()));
     }
 }
 
-/// The gossip gap, closed. A book change used to be flooded once, to the
-/// links up at that tick; a peer down just then never heard of it from this
-/// endpoint. Now every link remembers the version it was last sent, and one
-/// that comes (back) up behind the book is sent it there and then.
+/// Strangers that connect to an establishing node and say nothing sit in
+/// pending slots beside the real peer's hello until they expire:
+/// establishment is over long before the first of them does, however many
+/// they are. (Served one after the other under a 2 s read cap, eight would
+/// have cost 16 s.)
 #[test]
-fn a_peer_that_was_down_when_the_book_changed_is_told_when_its_link_is_back() {
-    let config = ResilienceConfig {
-        reconnect_deadline: RECONNECT_DEADLINE,
-        resume_from: 0,
-        seeds: vec![static_addr(1)],
-    };
-    let book = AddressBook::new(3, 0, static_addr(0));
-    let mut fabric = Fabric::new(book, config, ESTABLISH_TIMEOUT, BufferPool::new());
-    let (now, mut out) = (Duration::ZERO, Vec::new());
-    let arrives = |fabric: &mut Fabric, id: u32, at: SocketAddr, out: &mut Vec<Action>| {
-        let announce = AddressBook::new(3, id, at).msg(MembershipKind::Announce);
-        let hello = ResumeHello {
-            cluster_size: 3,
-            sender: id,
-            resume_from: 0,
-        };
-        let (asking, dialing) = (Conn::Accepted(0), Conn::Accepted(1));
-        fabric.step(now, Event::Announce(asking, &announce.encode()), out);
-        fabric.step(now, Event::Hello(dialing, "test", hello.encode()), out);
-        fabric.step(now, Event::Tick, out);
-    };
-    // What `peer` has been sent of where server 1 listens, latest last.
-    let told = |out: &[Action], peer: u32| -> Vec<SocketAddr> {
-        let sent = out.iter().filter_map(|action| match action {
-            Action::Send(to, batch) if *to == peer => Some(batch),
-            _ => None,
-        });
-        let mut addrs = Vec::new();
-        for batch in sent {
-            let mut decoder = FrameDecoder::new();
-            decoder.push(batch);
-            while let Ok(Some(frame)) = decoder.next_frame() {
-                if let Frame::Membership { payload, .. } = frame {
-                    let msg = MembershipMsg::decode(&payload).expect("own gossip");
-                    addrs.extend(msg.entries.iter().filter(|e| e.id == 1).map(|e| e.addr));
-                }
-            }
-        }
-        addrs
-    };
-    arrives(&mut fabric, 1, static_addr(1), &mut out);
-    arrives(&mut fabric, 2, static_addr(2), &mut out);
-    assert!(out.iter().any(|a| matches!(a, Action::Established)));
-    // Both links break; server 1 comes back from elsewhere while 2 is away.
-    fabric.step(now, Event::StreamEnd(1), &mut out);
-    fabric.step(now, Event::StreamEnd(2), &mut out);
-    out.clear();
-    let moved = moved_addr(1, 1, Moves::Higher);
-    arrives(&mut fabric, 1, moved, &mut out);
-    assert_eq!(fabric.book().get(1).map(|e| e.addr), Some(moved));
-    assert_eq!(
-        told(&out, 2),
-        [],
-        "server 2 is down: nothing can be sent to it"
-    );
-    // Server 2's link is back: it is told now, once.
-    out.clear();
-    arrives(&mut fabric, 2, static_addr(2), &mut out);
-    fabric.step(now, Event::Tick, &mut out);
-    assert_eq!(told(&out, 2), [moved]);
-}
-
-/// Strangers that connect to a discovering node and say nothing sit in
-/// pending slots beside its announces until they expire: establishment is
-/// over long before the first of them does, however many they are. (Served
-/// one after the other under a 2 s read cap, eight would have cost 16 s.)
-#[test]
-fn silent_strangers_do_not_delay_a_discovering_node() {
+fn silent_strangers_do_not_delay_establishment() {
     for seed in 0..50 {
         let arrange = |world: &mut World| {
             world.timed.clear();
@@ -1873,10 +1597,14 @@ fn silent_strangers_do_not_delay_a_discovering_node() {
                 let at = Duration::from_millis(at);
                 world.timed.push((at, Timed::Start { victim }));
             }
-            for _ in 0..8 {
-                let (target, kind) = (1, RogueKind::Silent);
-                let knock = Timed::Fire(Fault::Rogue { target, kind });
-                world.timed.push((Duration::from_millis(1), knock));
+            for target in [0, 1] {
+                for _ in 0..8 {
+                    let knock = Timed::Fire(Fault::Rogue {
+                        target,
+                        kind: RogueKind::Silent,
+                    });
+                    world.timed.push((Duration::from_millis(10), knock));
+                }
             }
         };
         let check = |world: &World| {
@@ -1888,36 +1616,7 @@ fn silent_strangers_do_not_delay_a_discovering_node() {
             }
             Ok(())
         };
-        let build = |trace| seeded_world(seed, 2, &[0], trace, &arrange);
+        let build = |trace| explicit_world(seed, 2, trace, &arrange);
         run_world(&format!("strangers, seed {seed}"), &build, &check);
-    }
-}
-
-/// A replacement whose new address loses the tie against its predecessor's
-/// finds its own id bound elsewhere in the first snapshot it is sent, claims
-/// it again one incarnation up, and pushes that — by a second announce where
-/// nobody can dial it before (server 0), by gossip on the link it dials
-/// itself otherwise. The survivor's book ends at the new address either way.
-#[test]
-fn a_reply_that_outranks_the_claim_makes_the_node_claim_again() {
-    for seed in 0..100 {
-        let victim = (seed % 2) as usize;
-        let arrange =
-            |world: &mut World| world.planned.push(restart(victim as u32, Moves::Lower, 1));
-        let check = |world: &World| {
-            let (replacement, survivor) =
-                (last_proc(world, victim)?, last_proc(world, 1 - victim)?);
-            let moved = world.nodes[victim].addr;
-            let (own, seen) = (replacement.fabric.book(), survivor.fabric.book());
-            let adopted = seen.get(victim as u32).is_some_and(|e| e.addr == moved);
-            let twice = victim == 1 || replacement.announces >= 2;
-            if own.own_incarnation() != 1 || seen.own_incarnation() != 0 || !adopted || !twice {
-                let announces = replacement.announces;
-                return Err(format!("{announces} announces left {own:?} and {seen:?}"));
-            }
-            Ok(())
-        };
-        let build = |trace| seeded_world(seed, 2, &[0], trace, &arrange);
-        run_world(&format!("outranked, seed {seed}"), &build, &check);
     }
 }
