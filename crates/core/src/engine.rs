@@ -17,6 +17,7 @@ use graphh_cache::CacheMode;
 use graphh_cluster::{ClusterConfig, ClusterMetrics, CommunicationMode};
 use graphh_compress::Codec;
 use graphh_partition::PartitionedGraph;
+use graphh_storage::IoSnapshot;
 use std::sync::Arc;
 
 /// Configuration of a GraphH run.
@@ -130,6 +131,10 @@ pub struct RunResult {
     pub cache_codec: Codec,
     /// Accounted peak memory per server in bytes.
     pub per_server_peak_memory: Vec<u64>,
+    /// What each server's local disk moved during the run: the reads of its
+    /// cache misses, and the writes that staged its tiles — which only the
+    /// first run over a partitioned graph (or any clone of it) makes.
+    pub per_server_io: Vec<IoSnapshot>,
     /// Fraction of vertices updated in each superstep (Figure 8a).
     pub updated_ratio_per_superstep: Vec<f64>,
     /// Name of the executor that produced this result.

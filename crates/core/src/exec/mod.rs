@@ -6,11 +6,12 @@
 //! * [`ExecutionPlan`] — everything derived from the config + partitioned graph
 //!   before the first superstep (initial values and the validated initial
 //!   frontier, tile assignment, cost model),
-//! * [`ServerState`] — one server's long-lived state (tiles on "disk", vertex
-//!   replica, edge cache, per-tile source sets, memory accounting and, for
-//!   push-capable runs, a shared handle on each assigned tile's out-edge
-//!   transpose — [`PushIndex`], which the tile keeps once the first
-//!   push-capable run over the partitioned graph has built it),
+//! * [`ServerState`] — one server's long-lived state (a metered "disk" over
+//!   the partitioned graph's tile store, vertex replica, edge cache, memory
+//!   accounting, and shared handles on what the partitioned graph keeps for
+//!   every run once the first has built it: each assigned tile's staged
+//!   blob, its [`SourceSet`] and, for push-capable runs, its out-edge
+//!   transpose — [`PushIndex`]),
 //! * [`ServerState::run_tile_phase`] — the compute phase of one superstep on
 //!   one server: let the program [`GabProgram::prepare`] its per-vertex
 //!   array from the replica, skip the tiles no frontier vertex is a source
@@ -41,11 +42,9 @@
 
 mod reduce;
 pub mod sequential;
-mod source_set;
 mod step;
 
 pub use self::reduce::reduce;
-use self::source_set::SourceSet;
 pub use self::step::{WorkerOutput, WorkerStep};
 use crate::engine::{GraphHConfig, RunResult};
 use crate::gab::{
@@ -58,7 +57,7 @@ use graphh_cluster::{BroadcastMessage, CostModel, MemoryTracker, MessageCodec, S
 use graphh_compress::Codec;
 use graphh_graph::ids::{ServerId, TileId, VertexId};
 use graphh_obs::{global_counters, Tracer};
-use graphh_partition::{PartitionedGraph, PushIndex, Tile, TileAssignment};
+use graphh_partition::{PartitionedGraph, PushIndex, SourceSet, Tile, TileAssignment};
 use graphh_storage::{IoMeter, IoSnapshot, MemoryBackend, MeteredBackend, StorageBackend};
 use std::sync::Arc;
 
@@ -422,11 +421,12 @@ pub struct ServerState {
     pub id: ServerId,
     /// Tiles assigned to this server, in processing order.
     pub tiles: Vec<TileId>,
-    /// Serialized tiles as stored on the server's local disk — a real
-    /// [`StorageBackend`] behind an [`IoMeter`], so every byte the engine
-    /// actually moves (staging writes, one read per cache miss) is metered;
-    /// see [`ServerState::io_snapshot`].
-    disk: MeteredBackend<MemoryBackend>,
+    /// The server's local disk: the partitioned graph's tile store, behind
+    /// this server's own [`IoMeter`], so every byte the engine actually moves
+    /// is metered — one read per cache miss, and the writes that stage the
+    /// server's tiles, which only the first run over the partitioned graph
+    /// makes; see [`ServerState::io_snapshot`].
+    disk: MeteredBackend<Arc<MemoryBackend>>,
     /// Storage key of each assigned tile, parallel to `tiles`, precomputed so
     /// the cache-miss path does no string formatting.
     tile_keys: Vec<String>,
@@ -440,8 +440,9 @@ pub struct ServerState {
     prepared: Vec<f64>,
     /// Edge cache over idle memory.
     cache: EdgeCache,
-    /// Per-tile source sets, parallel to `tiles`: what the skip probes.
-    source_sets: Vec<SourceSet>,
+    /// Per-tile source sets, parallel to `tiles`: what the skip probes. The
+    /// partitioned graph's own, shared.
+    source_sets: Vec<Arc<SourceSet>>,
     /// Per-tile out-edge transposes for the push loop, parallel to `tiles`:
     /// the partitioned graph's own, shared. Empty unless the plan is
     /// push-capable.
@@ -478,11 +479,12 @@ struct TileOutcome {
 }
 
 impl ServerState {
-    /// Build server `sid`'s state: stage its tiles on its local disk, build
-    /// their source sets, size the edge cache from the idle memory, register the
-    /// permanent arrays with the memory tracker. A push-capable plan also
-    /// takes its tiles' transposes, building those the partitioned graph does
-    /// not hold yet (and keeping them there for the next run).
+    /// Build server `sid`'s state: open its local disk on the partitioned
+    /// graph's tile store and take its tiles' source sets — staging the tiles
+    /// and building the sets the graph does not hold yet, and keeping them
+    /// there for the next run — size the edge cache from the idle memory,
+    /// register the permanent arrays with the memory tracker. A push-capable
+    /// plan also takes its tiles' transposes, the same way.
     pub fn build(
         config: &GraphHConfig,
         plan: &ExecutionPlan,
@@ -492,19 +494,14 @@ impl ServerState {
         let num_vertices = plan.num_vertices;
         let machine = config.cluster.machine;
         let tiles = plan.assignment.tiles_of(sid);
-        let disk = MeteredBackend::new(MemoryBackend::new(), IoMeter::shared());
+        let disk = MeteredBackend::new(Arc::clone(partitioned.tile_store()), IoMeter::shared());
         let mut tile_keys = Vec::with_capacity(tiles.len());
         let mut source_sets = Vec::with_capacity(tiles.len());
         let mut total_tile_bytes = 0u64;
         for &tid in &tiles {
-            let tile = &partitioned.tiles[tid as usize];
-            total_tile_bytes += tile.serialized_size();
-            source_sets.push(SourceSet::build(tile.sources(), num_vertices));
-            tile_keys.push(
-                partitioned
-                    .persist_tile(&disk, tid)
-                    .expect("staging a tile on the in-memory local disk cannot fail"),
-            );
+            total_tile_bytes += partitioned.tiles[tid as usize].serialized_size();
+            source_sets.push(Arc::clone(partitioned.source_set(tid)));
+            tile_keys.push(partitioned.stage_tile(&disk, tid).to_owned());
         }
         // Idle memory = machine memory minus the permanent vertex arrays.
         let permanent = 8 * num_vertices * 2 + 4 * num_vertices * 2;
@@ -522,7 +519,7 @@ impl ServerState {
         memory.set_component("vertex-values", 8 * num_vertices);
         memory.set_component("message-buffer", 8 * num_vertices);
         memory.set_component("degree-arrays", 4 * num_vertices * 2);
-        let source_set_bytes: u64 = source_sets.iter().map(SourceSet::memory_bytes).sum();
+        let source_set_bytes: u64 = source_sets.iter().map(|set| set.memory_bytes()).sum();
         memory.set_component("source-sets", source_set_bytes);
         // Push-capable runs read a resident out-edge transpose per assigned
         // tile (the push loop never touches disk or cache). A tile keeps the
@@ -571,9 +568,12 @@ impl ServerState {
     /// Real bytes/ops moved through this server's local-disk backend so far.
     ///
     /// This is *actual-storage* accounting, kept apart from the simulated
-    /// [`ServerMetrics`] disk counters, and the two agree: a cache miss is
+    /// [`ServerMetrics`] disk counters, and the reads agree: a cache miss is
     /// exactly one metered `get` (admission works from the decoded tile), so
-    /// `read_ops` equals the cache's `misses`.
+    /// `read_ops` equals the cache's `misses`. The writes are the tiles this
+    /// server staged in [`ServerState::build`]: its whole share in the first
+    /// run over a partitioned graph, nothing in a run whose graph already
+    /// holds them.
     pub fn io_snapshot(&self) -> IoSnapshot {
         self.disk.meter().snapshot()
     }
@@ -1390,17 +1390,59 @@ mod tests {
         assert_eq!((empty.frontier_size, empty.frontier_out_edges), (0, 0));
     }
 
+    /// Each server stages exactly its own tiles, byte for byte under the
+    /// tiles' keys, in the partitioned graph's store and is charged for them
+    /// — once: a later build over the graph, or over a clone of it, writes
+    /// nothing and shares the same source sets.
     #[test]
     fn server_state_stages_assigned_tiles() {
         let g = RmatGenerator::new(7, 4).generate(3);
         let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 6)).unwrap();
         let cfg = GraphHConfig::paper_default(ClusterConfig::paper_testbed(3));
         let plan = ExecutionPlan::prepare(&cfg, &p, &PageRank::new(1)).unwrap();
-        let total_tiles: usize = (0..3)
-            .map(|sid| ServerState::build(&cfg, &plan, &p, sid).tiles.len())
-            .sum();
-        assert_eq!(total_tiles as u32, p.num_tiles());
-        let s0 = ServerState::build(&cfg, &plan, &p, 0);
+        let store = p.tile_store();
+        let mut staged_keys = Vec::new();
+        let mut servers = Vec::new();
+        for sid in 0..3 {
+            let server = ServerState::build(&cfg, &plan, &p, sid);
+            let own = server.tiles.iter().map(|&t| &p.tiles[t as usize]);
+            let io = server.io_snapshot();
+            assert_eq!(
+                (io.bytes_written, io.write_ops),
+                (
+                    own.map(Tile::serialized_size).sum(),
+                    server.tiles.len() as u64
+                ),
+                "server {sid} is charged for its own tiles"
+            );
+            assert_eq!((io.bytes_read, io.read_ops), (0, 0));
+            // The store now holds the tiles of servers 0..=sid, no other.
+            staged_keys.extend(server.tile_keys.iter().cloned());
+            staged_keys.sort();
+            assert_eq!(store.list(""), staged_keys, "after server {sid}");
+            servers.push(server);
+        }
+        assert_eq!(staged_keys.len() as u32, p.num_tiles());
+        for tile in &p.tiles {
+            let key = Tile::storage_key(&p.graph_name, tile.tile_id);
+            assert_eq!(
+                store.get(&key).unwrap(),
+                tile.to_bytes(),
+                "tile {}",
+                tile.tile_id
+            );
+        }
+        let clone = p.clone();
+        for graph in [&p, &clone] {
+            for (sid, first) in servers.iter().enumerate() {
+                let again = ServerState::build(&cfg, &plan, graph, sid as ServerId);
+                assert_eq!(again.io_snapshot(), IoSnapshot::default(), "server {sid}");
+                assert_eq!(again.tile_keys, first.tile_keys);
+                let shared = again.source_sets.iter().zip(&first.source_sets);
+                assert!(shared.into_iter().all(|(a, b)| Arc::ptr_eq(a, b)));
+            }
+        }
+        let s0 = &servers[0];
         assert_eq!(s0.values.len() as u64, plan.num_vertices);
         assert!(s0.peak_memory() > 0);
     }

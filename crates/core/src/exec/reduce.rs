@@ -37,6 +37,7 @@ pub fn reduce(
         metrics.push(plan.cost_model.finalize(report));
     }
     let per_server_peak_memory = outputs.iter().map(|o| o.peak_memory).collect();
+    let per_server_io = outputs.iter().map(|o| o.io).collect();
     let cache_codec = outputs
         .first()
         .map_or(graphh_compress::Codec::Raw, |o| o.cache_codec);
@@ -49,6 +50,7 @@ pub fn reduce(
         supersteps_run,
         cache_codec,
         per_server_peak_memory,
+        per_server_io,
         updated_ratio_per_superstep: updated_ratio,
         executor,
         wall_clock_seconds,
@@ -64,6 +66,7 @@ mod tests {
     use graphh_compress::Codec;
     use graphh_graph::generators::path_graph;
     use graphh_partition::{Spe, SpeConfig};
+    use graphh_storage::IoSnapshot;
 
     #[test]
     fn outputs_zip_into_per_superstep_reports_in_server_order() {
@@ -76,6 +79,10 @@ mod tests {
             values: vec![f64::from(server); 3],
             cache_codec: Codec::Raw,
             peak_memory: 7 + u64::from(server),
+            io: IoSnapshot {
+                read_ops: u64::from(server),
+                ..Default::default()
+            },
             supersteps_run: 2,
             metrics: edges
                 .map(|edges_processed| ServerMetrics {
@@ -98,6 +105,8 @@ mod tests {
         assert_eq!(result.updated_ratio_per_superstep, vec![0.1, 0.1]);
         assert_eq!(result.values, [0.0; 3], "server 0's replica");
         assert_eq!(result.per_server_peak_memory, [7, 8]);
+        let read_ops: Vec<u64> = result.per_server_io.iter().map(|io| io.read_ops).collect();
+        assert_eq!(read_ops, [0, 1]);
         assert_eq!((result.supersteps_run, result.executor), (2, "test"));
     }
 }

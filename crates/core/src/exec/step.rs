@@ -31,6 +31,7 @@ use graphh_compress::{Codec, CompressorScratch};
 use graphh_graph::ids::{ServerId, VertexId};
 use graphh_obs::{global_counters, Counter, Tracer};
 use graphh_partition::PartitionedGraph;
+use graphh_storage::IoSnapshot;
 use std::sync::{Mutex, PoisonError};
 
 /// One message's slot in the encode phase: its wire bytes and the
@@ -65,6 +66,9 @@ pub struct WorkerOutput {
     pub cache_codec: Codec,
     /// Peak accounted memory in bytes.
     pub peak_memory: u64,
+    /// What its local disk moved during the run
+    /// ([`ServerState::io_snapshot`]).
+    pub io: IoSnapshot,
     /// The superstep cursor at the end: every superstep below it has run.
     pub supersteps_run: u32,
     /// This server's metered work, one entry per superstep it executed (from
@@ -310,6 +314,7 @@ impl<'a> WorkerStep<'a> {
             server: self.server.id,
             cache_codec: self.server.cache_codec(),
             peak_memory: self.server.peak_memory(),
+            io: self.server.io_snapshot(),
             supersteps_run: self.cursor,
             metrics: self.history,
             values: self.server.values,

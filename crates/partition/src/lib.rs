@@ -9,6 +9,11 @@
 //! servers of the processing engine round-robin ([`assignment`]). A push
 //! superstep walks each tile's out-edge transpose ([`transpose::PushIndex`]),
 //! built from the tile the first time a run asks for it and kept with it.
+//! A pull superstep skips the tiles none of whose sources changed by probing
+//! their source sets ([`source_set::SourceSet`]); the partitioned graph
+//! builds each the first time a run asks for it and keeps it, beside the
+//! in-memory tile store its runs stage tiles to
+//! ([`PartitionedGraph::stage_tile`]).
 //!
 //! The pre-processing pipeline itself ([`spe::Spe`]) mirrors Algorithm 4:
 //!
@@ -23,12 +28,14 @@
 
 pub mod assignment;
 pub mod formats;
+pub mod source_set;
 pub mod spe;
 pub mod splitter;
 pub mod tile;
 pub mod transpose;
 
 pub use assignment::TileAssignment;
+pub use source_set::SourceSet;
 pub use spe::{PartitionedGraph, Spe, SpeConfig};
 pub use splitter::Splitter;
 pub use tile::Tile;

@@ -13,13 +13,18 @@
 //! consecutive vertices, `shift` the smallest that fits. That is a summary
 //! with false positives (a frontier vertex in the same block as a source) but,
 //! like the filter, never a false negative — so skipping stays safe.
+//!
+//! Like a tile's [`crate::PushIndex`], a source set is a pure function of its
+//! tile, so the partitioned graph keeps it: the first run that needs a tile's
+//! set builds it ([`crate::PartitionedGraph::source_set`]) and every later
+//! run, and every clone of the graph, reads the same one.
 
 use graphh_graph::ids::VertexId;
 
 /// Which vertices (at `shift == 0`) or blocks of `2^shift` vertices have an
 /// edge into one tile.
-#[derive(Debug, Clone)]
-pub(crate) struct SourceSet {
+#[derive(Debug)]
+pub struct SourceSet {
     bits: Vec<u64>,
     shift: u32,
 }
@@ -43,7 +48,7 @@ impl SourceSet {
 
     /// Whether any vertex of `frontier` is (at `shift == 0`) or may be a
     /// source of the tile. `false` is always exact.
-    pub(crate) fn intersects(&self, frontier: &[VertexId]) -> bool {
+    pub fn intersects(&self, frontier: &[VertexId]) -> bool {
         frontier.iter().any(|&v| {
             let block = v >> self.shift;
             self.bits[(block >> 6) as usize] & (1 << (block & 63)) != 0
@@ -51,7 +56,7 @@ impl SourceSet {
     }
 
     /// Memory used by the bitmap, in bytes.
-    pub(crate) fn memory_bytes(&self) -> u64 {
+    pub fn memory_bytes(&self) -> u64 {
         self.bits.len() as u64 * 8
     }
 }
@@ -68,8 +73,8 @@ fn bloom_filter_bits(edges: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Spe, SpeConfig};
     use graphh_graph::generators::{GraphGenerator, RmatGenerator};
-    use graphh_partition::{Spe, SpeConfig};
     use std::collections::BTreeSet;
 
     /// SplitMix64, for seeded frontiers.

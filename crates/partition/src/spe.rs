@@ -31,14 +31,22 @@
 //! process with a handle on the same store ([`PartitionedGraph::load`]), like
 //! the paper's pre-processing results. Where an object lives in the store and
 //! what is written there is decided in this crate only.
+//!
+//! A partitioned graph also keeps what runs over it derive from its tiles:
+//! an in-memory tile store, to which the server owning a tile stages it the
+//! first time a run needs it ([`PartitionedGraph::stage_tile`]), and each
+//! tile's [`SourceSet`] ([`PartitionedGraph::source_set`]). Both are built at
+//! most once per tile and shared by every later run and every clone.
 
+use crate::source_set::SourceSet;
 use crate::splitter::Splitter;
 use crate::tile::Tile;
 use crate::{PartitionError, Result};
 use graphh_graph::ids::{TileId, VertexId};
 use graphh_graph::{Graph, GraphStats};
 use graphh_pool::WorkerPool;
-use graphh_storage::StorageBackend;
+use graphh_storage::{MemoryBackend, MeteredBackend, StorageBackend};
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of the pre-processing engine.
 #[derive(Debug, Clone)]
@@ -68,6 +76,10 @@ impl SpeConfig {
 }
 
 /// The artifact the SPE produces: tiles, degree arrays and summary statistics.
+///
+/// The tiles are immutable once partitioned: the staged blobs and source sets
+/// the graph keeps for its runs are derived from them, and a clone shares
+/// those with the graph it was cloned from.
 #[derive(Debug, Clone)]
 pub struct PartitionedGraph {
     /// Logical graph name (the store key prefix).
@@ -82,6 +94,41 @@ pub struct PartitionedGraph {
     pub out_degrees: Vec<u32>,
     /// Statistics of the source graph.
     pub stats: GraphStats,
+    /// What runs derive from the tiles, shared with every clone.
+    derived: Arc<Derived>,
+}
+
+/// What runs over a partitioned graph derive from its tiles, at most once per
+/// tile, indexed by tile id.
+struct Derived {
+    /// The in-memory store servers stage their tiles to and read them from.
+    store: Arc<MemoryBackend>,
+    /// A tile's key in `store`, once it is staged there.
+    staged: Box<[OnceLock<String>]>,
+    /// A tile's source set, once built.
+    source_sets: Box<[OnceLock<Arc<SourceSet>>]>,
+}
+
+impl Derived {
+    fn new(num_tiles: usize) -> Arc<Self> {
+        Arc::new(Self {
+            store: Arc::new(MemoryBackend::new()),
+            staged: (0..num_tiles).map(|_| OnceLock::new()).collect(),
+            source_sets: (0..num_tiles).map(|_| OnceLock::new()).collect(),
+        })
+    }
+}
+
+impl std::fmt::Debug for Derived {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        fn built<T>(slots: &[OnceLock<T>]) -> usize {
+            slots.iter().filter(|slot| slot.get().is_some()).count()
+        }
+        f.debug_struct("Derived")
+            .field("staged_tiles", &built(&self.staged))
+            .field("source_sets", &built(&self.source_sets))
+            .finish()
+    }
 }
 
 /// The pre-processing engine.
@@ -259,6 +306,7 @@ impl Spe {
         Ok(PartitionedGraph {
             graph_name: config.graph_name.clone(),
             tiles: tiles.into_iter().collect::<Result<_>>()?,
+            derived: Derived::new(splitter.num_tiles() as usize),
             splitter,
             in_degrees,
             out_degrees,
@@ -308,6 +356,42 @@ impl PartitionedGraph {
         let key = Tile::storage_key(&self.graph_name, tile_id);
         store.put(&key, &self.tiles[tile_id as usize].to_bytes())?;
         Ok(key)
+    }
+
+    /// The in-memory tile store runs over this graph stage tiles to
+    /// ([`Self::stage_tile`]) and read them from; clones share it.
+    pub fn tile_store(&self) -> &Arc<MemoryBackend> {
+        &self.derived.store
+    }
+
+    /// Stage tile `tile_id` in [`Self::tile_store`] through `disk` — a
+    /// server's metered handle on that store — unless it is staged there
+    /// already, and return its key. The first call for a tile, from this
+    /// graph or any clone, writes it through [`Self::persist_tile`] and is
+    /// charged for it; a concurrent call waits for that write, and every
+    /// later one writes nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `disk` is not a handle on this graph's [`Self::tile_store`].
+    pub fn stage_tile(&self, disk: &MeteredBackend<Arc<MemoryBackend>>, tile_id: TileId) -> &str {
+        assert!(
+            Arc::ptr_eq(disk.inner(), &self.derived.store),
+            "tiles are staged to the partitioned graph's own tile store"
+        );
+        self.derived.staged[tile_id as usize].get_or_init(|| {
+            self.persist_tile(disk, tile_id)
+                .expect("a put to an in-memory store cannot fail")
+        })
+    }
+
+    /// The source set of tile `tile_id`: built the first time any run over
+    /// this graph, or a clone of it, asks, and kept.
+    pub fn source_set(&self, tile_id: TileId) -> &Arc<SourceSet> {
+        self.derived.source_sets[tile_id as usize].get_or_init(|| {
+            let tile = &self.tiles[tile_id as usize];
+            Arc::new(SourceSet::build(tile.sources(), self.num_vertices()))
+        })
     }
 
     /// Persist tiles and degree arrays to `store` under `graph_name/`: one
@@ -400,6 +484,7 @@ impl PartitionedGraph {
         };
         Ok(Self {
             graph_name: graph_name.to_string(),
+            derived: Derived::new(tiles.len()),
             tiles,
             splitter,
             in_degrees,
@@ -445,7 +530,7 @@ mod tests {
     use super::*;
     use graphh_graph::generators::{grid_graph, GraphGenerator, RmatGenerator};
     use graphh_graph::Edge;
-    use graphh_storage::MemoryBackend;
+    use graphh_storage::IoMeter;
 
     fn partitioned(avg_tile_size: u64) -> (Graph, PartitionedGraph) {
         let g = RmatGenerator::new(9, 8).generate(3);
@@ -514,6 +599,81 @@ mod tests {
         assert_eq!(loaded.out_degrees, p.out_degrees);
         assert_eq!(loaded.tiles, p.tiles);
         assert_eq!(loaded.splitter, p.splitter);
+    }
+
+    /// Four threads staging every tile of one graph at once, each from a
+    /// different tile on, write each tile exactly once between them: their
+    /// meters sum to the graph's tile bytes, and the store holds every tile's
+    /// bytes under its key.
+    #[test]
+    fn concurrent_staging_writes_each_tile_once() {
+        let (_, p) = partitioned(200);
+        let n = p.num_tiles();
+        let meters: Vec<Arc<IoMeter>> = std::thread::scope(|scope| {
+            let stagers: Vec<_> = (0..4)
+                .map(|i| {
+                    let p = &p;
+                    scope.spawn(move || {
+                        let disk =
+                            MeteredBackend::new(Arc::clone(p.tile_store()), IoMeter::shared());
+                        for t in 0..n {
+                            let tid = (t + i * n / 4) % n;
+                            assert_eq!(p.stage_tile(&disk, tid), Tile::storage_key("rmat9", tid));
+                        }
+                        Arc::clone(disk.meter())
+                    })
+                })
+                .collect();
+            stagers.into_iter().map(|s| s.join().unwrap()).collect()
+        });
+        let (bytes, ops) = meters
+            .iter()
+            .map(|m| m.snapshot())
+            .fold((0, 0), |(b, o), s| (b + s.bytes_written, o + s.write_ops));
+        assert_eq!((bytes, ops), (p.total_tile_bytes(), u64::from(n)));
+        let store = p.tile_store();
+        assert_eq!(store.list("").len(), n as usize);
+        for tile in &p.tiles {
+            let key = Tile::storage_key("rmat9", tile.tile_id);
+            assert_eq!(
+                store.get(&key).unwrap(),
+                tile.to_bytes(),
+                "tile {}",
+                tile.tile_id
+            );
+        }
+    }
+
+    /// A clone shares the store, what is staged in it and the source sets —
+    /// including those built after the clone was made — and a loaded graph
+    /// starts with none of them.
+    #[test]
+    fn clones_share_what_runs_derive_and_a_loaded_graph_starts_empty() {
+        let (_, p) = partitioned(200);
+        let clone = p.clone();
+        assert!(Arc::ptr_eq(p.tile_store(), clone.tile_store()));
+        let disk = MeteredBackend::new(Arc::clone(clone.tile_store()), IoMeter::shared());
+        clone.stage_tile(&disk, 3);
+        p.stage_tile(&disk, 3);
+        assert_eq!(disk.meter().snapshot().write_ops, 1);
+        assert!(Arc::ptr_eq(p.source_set(5), clone.source_set(5)));
+        let debug = format!("{p:?}");
+        assert!(debug.contains("staged_tiles: 1, source_sets: 1"), "{debug}");
+
+        let store = MemoryBackend::new();
+        p.persist(&store).unwrap();
+        let loaded = PartitionedGraph::load(&store, "rmat9").unwrap();
+        assert!(!Arc::ptr_eq(p.tile_store(), loaded.tile_store()));
+        assert!(loaded.tile_store().list("").is_empty());
+        assert!(!Arc::ptr_eq(p.source_set(5), loaded.source_set(5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "own tile store")]
+    fn staging_through_another_store_is_refused() {
+        let (_, p) = partitioned(200);
+        let elsewhere = MeteredBackend::new(Arc::new(MemoryBackend::new()), IoMeter::shared());
+        p.stage_tile(&elsewhere, 0);
     }
 
     /// Persist `p`, damage the store, and return the `Corrupt` message `load`

@@ -33,6 +33,26 @@ pub trait StorageBackend: Send + Sync {
     fn list(&self, prefix: &str) -> Vec<String>;
 }
 
+/// A shared store is the store: every handle on it reads and writes the same
+/// objects.
+impl<B: StorageBackend + ?Sized> StorageBackend for Arc<B> {
+    fn put(&self, key: &str, data: &[u8]) -> Result<()> {
+        (**self).put(key, data)
+    }
+
+    fn get(&self, key: &str) -> Result<Vec<u8>> {
+        (**self).get(key)
+    }
+
+    fn delete(&self, key: &str) -> Result<()> {
+        (**self).delete(key)
+    }
+
+    fn list(&self, prefix: &str) -> Vec<String> {
+        (**self).list(prefix)
+    }
+}
+
 /// In-memory object store.
 #[derive(Debug, Default)]
 pub struct MemoryBackend {

@@ -722,6 +722,103 @@ fn every_registry_program_is_bit_identical_across_executors() {
     }
 }
 
+/// A quarter of the fullest server's tile bytes, as the benchmark's
+/// out-of-core workload sizes its cache.
+fn quarter_cache(config: &GraphHConfig, part: &PartitionedGraph) -> u64 {
+    let servers = config.cluster.num_servers;
+    let assignment = graphh::partition::TileAssignment::round_robin(part.num_tiles(), servers);
+    let fullest = (0..servers).map(|sid| {
+        let tiles = assignment.tiles_of(sid);
+        let bytes = tiles
+            .iter()
+            .map(|&t| part.tiles[t as usize].serialized_size());
+        bytes.sum::<u64>()
+    });
+    fullest.max().unwrap().div_ceil(4)
+}
+
+/// Running again over one partitioned graph changes nothing a run reports,
+/// although only the first run stages the tiles and builds the source sets:
+/// every registry program × {engine's choice, every superstep pulled} ×
+/// {a cache that holds every tile, a quarter-sized one whose misses read the
+/// tiles the first run staged} × {sequential, threaded}, three runs over a
+/// fresh partition and a fourth over a clone of it. Values, superstep counts
+/// and every per-(superstep, server) integer counter are bit-identical; each
+/// run reads the same bytes from each server's storage in as many reads; only
+/// the first writes, and it writes every tile once.
+#[test]
+fn repeated_runs_over_one_partition_are_bit_identical() {
+    use graphh::core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
+
+    const OOC_SERVERS: u32 = 2;
+    let dir = RmatGenerator::new(11, 8).generate(SEEDS[2]);
+    let sym = symmetrised(&RmatGenerator::new(9, 6).simplified().generate(SEEDS[2]));
+    let reads = |run: &RunResult| -> Vec<(u64, u64)> {
+        let io = run.per_server_io.iter();
+        io.map(|io| (io.bytes_read, io.read_ops)).collect()
+    };
+    let writes = |run: &RunResult| -> (u64, u64) {
+        let io = run.per_server_io.iter();
+        io.fold((0, 0), |(b, o), io| {
+            (b + io.bytes_written, o + io.write_ops)
+        })
+    };
+    let mut reread = 0;
+    for spec in PROGRAMS {
+        let graph = if spec.symmetrize_input { &sym } else { &dir };
+        let mut opts = ProgramOptions::new();
+        if spec.accepts("supersteps") {
+            opts.set("supersteps", "6");
+        }
+        let program = spec
+            .build(&ProgramContext::new(graph.out_degrees()), &opts)
+            .unwrap();
+        for mode in [DirectionMode::Auto, DirectionMode::ForcePull] {
+            for out_of_core in [false, true] {
+                let executors: [Arc<dyn Executor>; 2] = [
+                    Arc::new(SequentialExecutor::new()),
+                    Arc::new(ThreadedExecutor::new()),
+                ];
+                for executor in executors {
+                    let what = format!(
+                        "{} {mode:?} out-of-core {out_of_core} {}",
+                        spec.name,
+                        executor.name()
+                    );
+                    let part = Spe::partition(graph, &SpeConfig::with_tile_count("det", graph, 32))
+                        .unwrap();
+                    let mut config =
+                        GraphHConfig::paper_default(ClusterConfig::paper_testbed(OOC_SERVERS))
+                            .with_direction_mode(mode);
+                    if out_of_core {
+                        config.cache_capacity = Some(quarter_cache(&config, &part));
+                    }
+                    let engine = GraphHEngine::with_executor(config, executor);
+                    let first = engine.run(&part, program.as_ref()).unwrap();
+                    assert_eq!(
+                        writes(&first),
+                        (part.total_tile_bytes(), u64::from(part.num_tiles())),
+                        "{what}: the first run stages every tile once"
+                    );
+                    let clone = part.clone();
+                    for (i, graph) in [&part, &part, &clone].into_iter().enumerate() {
+                        let again = engine.run(graph, program.as_ref()).unwrap();
+                        let what = format!("{what}, run {}", i + 2);
+                        assert_bit_identical(&first, &again, &what);
+                        assert_eq!(reads(&first), reads(&again), "{what}: storage reads");
+                        assert_eq!(writes(&again), (0, 0), "{what}: storage writes");
+                    }
+                    let read_ops: u64 = reads(&first).iter().map(|&(_, ops)| ops).sum();
+                    if out_of_core && read_ops > u64::from(part.num_tiles()) {
+                        reread += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(reread > 0, "no out-of-core run read a staged tile twice");
+}
+
 /// One run of 3 `WorkerStep`s on this thread. With `shuffle: None` every
 /// server receives its peers' wires in server-id order, as the sequential
 /// executor delivers them; with a seed, each server takes each superstep's
