@@ -406,6 +406,9 @@ fn run(args: Args) -> Result<(), String> {
         std::fs::write(path, metrics).map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("graphh-node {}: wrote metrics {path}", args.id);
     }
+    // Hold the links until every peer has finished too: one that lost a
+    // goodbye to a cut redials this process, which must still be there.
+    plane.finish();
     Ok(())
 }
 

@@ -168,6 +168,17 @@ impl<'a> WorkerStep<'a> {
         (self.cursor < self.plan.max_supersteps && !converged).then_some(self.cursor)
     }
 
+    /// The superstep the next [`Self::compute`] would run: every superstep
+    /// below it has been applied (or restored).
+    pub fn cursor(&self) -> u32 {
+        self.cursor
+    }
+
+    /// The server this step runs.
+    pub fn server(&self) -> ServerId {
+        self.server.id
+    }
+
     /// The replicated frontier: the vertices the last applied superstep
     /// updated, ascending.
     pub fn frontier(&self) -> &[VertexId] {

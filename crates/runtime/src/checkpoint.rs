@@ -144,8 +144,9 @@ impl Checkpoint {
 #[derive(Debug, Clone)]
 pub struct CheckpointSink {
     dir: PathBuf,
-    /// Write a checkpoint after every `every`-th applied superstep.
-    every: u32,
+    /// Write a checkpoint after every `every`-th applied superstep (see
+    /// [`crate::worker::acknowledge_durable`]).
+    pub(crate) every: u32,
 }
 
 impl CheckpointSink {
@@ -156,11 +157,6 @@ impl CheckpointSink {
             dir: dir.into(),
             every: every.max(1),
         }
-    }
-
-    /// Should a checkpoint be written after applying `superstep`?
-    pub fn due(&self, superstep: u32) -> bool {
-        (superstep + 1).is_multiple_of(self.every)
     }
 
     /// The checkpoint file of `server` under this sink's directory.
@@ -291,9 +287,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ghh-ckpt-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let sink = CheckpointSink::new(&dir, 2);
-        assert!(!sink.due(0));
-        assert!(sink.due(1));
-        assert!(sink.due(3));
 
         let ckpt = sample();
         assert_eq!(sink.load(ckpt.server).unwrap(), None, "no checkpoint yet");

@@ -5,16 +5,16 @@
 //! to back off, whether a hello is acceptable and what to answer, what to
 //! retain, replay, trim and re-acknowledge, what the worker's collector may
 //! see (a peer's superstep once its marker is in, never twice), when a
-//! finished endpoint may stop holding the door (goodbye / linger), and when a
-//! peer is lost for good. [`Fabric`] touches no socket, spawns nothing,
-//! shares no state with another thread and never looks at a clock: it is a
-//! step function in the shape of SNIPPETS.md's gossip-glomers
+//! finished endpoint may stop holding the door (ordered goodbyes, linger),
+//! and when a peer is lost for good. [`Fabric`] touches no socket, spawns
+//! nothing, shares no state with another thread and never looks at a clock:
+//! it is a step function in the shape of SNIPPETS.md's gossip-glomers
 //! `Node::step(input, output)` — `Fabric::step(now, Event, &mut
-//! Vec<Action>)` — driven by
-//! [`crate::poll`]'s event loop (real sockets, real time) and by
-//! `tests/fabric_sim.rs` (a seeded virtual network and clock, thousands of
-//! fault schedules per `cargo test`). `now` is the time since the fabric was
-//! created; every deadline is kept on that scale.
+//! Vec<Action>)` — driven by [`crate::poll`]'s event loop (real sockets, real
+//! time) and by `tests/fabric_sim.rs` (real workers on a seeded virtual
+//! network and clock, thousands of fault schedules per `cargo test`). `now`
+//! is the time since the fabric was created; every deadline is kept on that
+//! scale.
 //!
 //! A link has exactly one way up, whether the cluster is starting, a cut is
 //! healing or a replacement process is taking over an id: it is *down* — at
@@ -27,8 +27,10 @@
 //! The peer table is the only address book: one address per server, fixed
 //! for the run, so a replacement process restarts at the address the table
 //! gives its id. Establishment is only this machine's first transition:
-//! [`Action::Established`] fires when every link has been up once. The
-//! state × event → action table is `docs/WIRE.md` §9.5.
+//! [`Action::Established`] fires when every link has been up once; its last
+//! is [`Action::Exit`], once every peer has said goodbye or is gone
+//! (`docs/WIRE.md` §9.3). The state × event → action table is
+//! `docs/WIRE.md` §9.5.
 
 use crate::buffer::{BufferPool, PooledBuf};
 use crate::establish::Refusal;
@@ -74,9 +76,13 @@ pub enum Command {
     Ack(u32, SharedBatch),
     /// Send this (unretained) abort batch; an aborted run never lingers.
     Abort(SharedBatch),
-    /// The run is over: linger while a down peer is owed something, then
-    /// [`Action::Exit`].
+    /// The run is over: say goodbye, and [`Action::Exit`] once every peer
+    /// has said goodbye or is gone (`docs/WIRE.md` §9.3).
     Shutdown,
+    /// Leave now, before the run is over or without waiting for it to be:
+    /// say goodbye on every live stream and [`Action::Exit`], like an
+    /// aborted run.
+    Leave,
 }
 
 /// What happened, as far as the driver can tell without judging it.
@@ -88,9 +94,11 @@ pub enum Event<'a> {
     /// string says where it leads, for refusal messages: an address, or
     /// "server 0 at 127.0.0.1:4750".
     Hello(Conn, &'a str, HelloBytes),
-    /// The dial to this peer died before a reply hello — connect refused,
-    /// early close, handshake deadline — for this (origin-prefixed) reason.
+    /// The dial to this peer died before a reply hello — early close,
+    /// handshake deadline, unreachable — for this (origin-prefixed) reason.
     DialFailed(ServerId, String),
+    /// Nothing listens at the peer's address: the connect was refused.
+    DialRefused(ServerId, String),
     /// A peer's live stream decoded a frame.
     Frame(ServerId, Frame),
     /// A peer's live stream ended: EOF, torn frame, corrupt bytes, I/O error.
@@ -127,8 +135,9 @@ pub enum Action {
     /// Establishment is over and failed — by its deadline, or (`false`) on a
     /// protocol error; the message is for the operator. The fabric is dead.
     EstablishFailed(bool, String),
-    /// Nothing is owed any more: flush what is queued, say goodbye on every
-    /// live stream, close. The fabric ignores every later event.
+    /// Every peer has said goodbye or is gone (or the endpoint is leaving,
+    /// or the linger ran out): flush what is queued and close. The fabric
+    /// ignores every later event.
     Exit,
 }
 
@@ -138,7 +147,7 @@ enum LinkState {
     Down(Down),
     /// A vetted stream carries frames.
     Up,
-    /// The peer said goodbye and closed: nothing to recover, though a
+    /// The peer said goodbye and left: nothing to recover, though a
     /// restarted process may still dial back in.
     Closed,
     /// Terminally lost: never dialed, never accepted again.
@@ -162,7 +171,8 @@ struct Link {
     state: LinkState,
     /// Establishment waits for this on every link.
     ever_up: bool,
-    /// A goodbye arrived: the coming stream end is a clean exit.
+    /// The peer's goodbye arrived since the link was last adopted: it has
+    /// finished its run (see [`Fabric::settled`]).
     done: bool,
     /// The last hello under this peer's id that was refused (by us or by it)
     /// since the link was last up: what a terminal loss is attributed to.
@@ -213,7 +223,7 @@ pub struct Fabric {
     links: Vec<Link>,
     phase: Phase,
     establish_deadline: Duration,
-    /// Armed by the first `Stopping` tick that still owes a down peer.
+    /// Armed by the shutdown: the latest exit.
     linger_until: Option<Duration>,
     replay: ReplayLog,
     /// Per-server count of completed supersteps received (EOS superstep + 1):
@@ -221,7 +231,9 @@ pub struct Fabric {
     /// of every stream it adopts.
     recv_cursor: Vec<u32>,
     last_ack: Option<u32>,
-    aborted: bool,
+    /// The run aborted, or the endpoint leaves without finishing it: no
+    /// linger, goodbyes to everyone.
+    leaving: bool,
     /// The most recent failed handshake of any link, for the establish error.
     last_refusal: Option<String>,
     /// For the one frame the fabric itself encodes (the repeated ack).
@@ -260,7 +272,7 @@ impl Fabric {
             replay: ReplayLog::resuming_from(num_servers, id, config.resume_from),
             recv_cursor: vec![config.resume_from; num_servers as usize],
             last_ack: None,
-            aborted: false,
+            leaving: false,
             last_refusal: None,
             config,
             pool,
@@ -299,7 +311,7 @@ impl Fabric {
             return;
         }
         match event {
-            Event::Command(command) => self.command(command, out),
+            Event::Command(command) => self.command(now, command, out),
             Event::Hello(conn, origin, bytes) => match self.vet(conn, &bytes) {
                 Ok(hello) => self.link_up(conn, hello, out),
                 Err(refusal) => {
@@ -319,6 +331,18 @@ impl Fabric {
             Event::DialFailed(peer, why) => {
                 self.last_refusal = Some(why);
                 self.dial_over(now, peer);
+            }
+            Event::DialRefused(peer, why) => {
+                // Refused after its goodbye, a lower-id peer has left: it
+                // leaves only once our goodbye arrived (`docs/WIRE.md` §9.3).
+                let idx = self.index_of(peer);
+                match idx.filter(|&idx| self.links[idx].done) {
+                    Some(idx) => self.close(idx, out),
+                    None => {
+                        self.last_refusal = Some(why);
+                        self.dial_over(now, peer);
+                    }
+                }
             }
             Event::Frame(peer, frame) => self.frame(now, peer, frame, out),
             Event::StreamEnd(peer) => {
@@ -341,7 +365,7 @@ impl Fabric {
         known.then_some((peer - u32::from(peer > self.id)) as usize)
     }
 
-    fn command(&mut self, command: Command, out: &mut Vec<Action>) {
+    fn command(&mut self, now: Duration, command: Command, out: &mut Vec<Action>) {
         let batch = match command {
             Command::Broadcast(superstep, batch) => {
                 // Retain before sending: a frame is replayable the moment any
@@ -354,10 +378,25 @@ impl Fabric {
                 batch
             }
             Command::Abort(batch) => {
-                self.aborted = true;
+                self.leaving = true;
                 batch
             }
-            Command::Shutdown => return self.phase = Phase::Stopping,
+            Command::Leave => {
+                self.leaving = true;
+                self.command(now, Command::Shutdown, out);
+                return;
+            }
+            Command::Shutdown => {
+                self.phase = Phase::Stopping;
+                self.linger_until = Some(now + self.config.reconnect_deadline);
+                for idx in 0..self.links.len() {
+                    let link = &self.links[idx];
+                    if matches!(link.state, LinkState::Up) && self.says_goodbye_first(link) {
+                        out.push(Action::Send(link.peer, self.goodbye()));
+                    }
+                }
+                return;
+            }
         };
         self.send_to_all(&batch, out);
     }
@@ -440,11 +479,41 @@ impl Fabric {
         }
         if let Some(superstep) = self.last_ack {
             // The peer may have missed it while down, and needs the current
-            // floor to trim its own log and finish its own linger.
+            // floor to trim its own log.
             let mut buf = self.pool.checkout();
             let sender = self.id;
             Frame::Ack { sender, superstep }.encode(&mut buf);
             out.push(Action::Send(peer, Arc::new(buf)));
+        }
+        if self.phase == Phase::Stopping && self.says_goodbye_first(&self.links[idx]) {
+            // So may our goodbye; a lower-id peer repeats its own first.
+            out.push(Action::Send(peer, self.goodbye()));
+        }
+    }
+
+    /// Goodbyes go in a fixed order on each link (`docs/WIRE.md` §9.3): the
+    /// lower id says it at shutdown, the higher id answers once the lower
+    /// one's has arrived — so its goodbye proves the lower id has ours. An
+    /// endpoint that is leaving says goodbye to everyone at once.
+    fn says_goodbye_first(&self, link: &Link) -> bool {
+        link.peer > self.id || link.done || self.leaving
+    }
+
+    fn goodbye(&self) -> SharedBatch {
+        let mut buf = self.pool.checkout();
+        Frame::Goodbye { sender: self.id }.encode(&mut buf);
+        Arc::new(buf)
+    }
+
+    /// May a stopping endpoint leave this peer behind? A gone peer, yes; a
+    /// peer that left after saying goodbye, yes; a live one once its goodbye
+    /// is in — a higher id's proves it has ours, and a lower id's was
+    /// answered on this stream the moment it arrived.
+    fn settled(link: &Link) -> bool {
+        match link.state {
+            LinkState::Gone | LinkState::Closed => true,
+            LinkState::Up => link.done,
+            LinkState::Down(_) => false,
         }
     }
 
@@ -477,7 +546,12 @@ impl Fabric {
         let link = &mut self.links[idx];
         match frame {
             Frame::Ack { sender, superstep } => self.replay.ack(sender, superstep),
-            Frame::Goodbye { .. } => link.done = true,
+            Frame::Goodbye { .. } => {
+                link.done = true;
+                if self.phase == Phase::Stopping && peer < self.id && !self.leaving {
+                    out.push(Action::Send(peer, self.goodbye()));
+                }
+            }
             Frame::Message { superstep, .. } | Frame::EndOfSuperstep { superstep, .. }
                 if superstep < link.floor => {}
             Frame::Message { .. } => link.held.push(frame),
@@ -493,24 +567,32 @@ impl Fabric {
 
     /// A live stream ended, and with it the superstep it held: a link that is
     /// not up delivers nothing, and adopting the next stream discards it.
-    /// After a goodbye that is a clean exit — the collector learns the
-    /// (benign) end of stream, nothing is recovered. Otherwise it is a *cut*,
-    /// not a loss: the recovery clock starts, the peer re-sends the held
-    /// superstep whole on its next stream, and only the reconnect deadline
-    /// makes it terminal.
+    /// After a higher id's goodbye that is a clean exit — it had ours — and
+    /// [`Self::close`]s the link. Otherwise it is a *cut*, not a loss: the
+    /// recovery clock starts, the peer re-sends the held superstep whole on
+    /// its next stream, and only the reconnect deadline makes it terminal. A
+    /// lower id that said goodbye may be waiting for ours, lost in the cut,
+    /// or may have left with it: the redial tells, refused or answered.
     fn enter_down(&mut self, now: Duration, idx: usize, out: &mut Vec<Action>) {
         let link = &mut self.links[idx];
         if !matches!(link.state, LinkState::Up) {
             return;
         }
-        if link.done {
-            link.state = LinkState::Closed;
-            let lost = InboxEvent::PeerLost(link.peer, PlaneError::Disconnected);
-            out.push(Action::Deliver(lost));
+        if link.done && link.peer > self.id {
+            self.close(idx, out);
         } else {
             let patience = self.config.reconnect_deadline;
             link.state = down_until(&self.config, self.id, link.peer, now, patience);
         }
+    }
+
+    /// The peer left after its goodbye: the collector learns the (benign)
+    /// end of stream, nothing is recovered.
+    fn close(&mut self, idx: usize, out: &mut Vec<Action>) {
+        let link = &mut self.links[idx];
+        link.state = LinkState::Closed;
+        let lost = InboxEvent::PeerLost(link.peer, PlaneError::Disconnected);
+        out.push(Action::Deliver(lost));
     }
 
     /// Give up on a peer for good: it stops gating retention (its acks can
@@ -532,17 +614,14 @@ impl Fabric {
 
     fn tick(&mut self, now: Duration, out: &mut Vec<Action>) {
         if self.phase == Phase::Stopping {
-            // A finished endpoint keeps serving while a *down* peer might
-            // still need something only it can give: retained frames, or its
-            // latest ack (unretained, so one lost to a cut leaves the peer
-            // unable to trim its own log). Up links owe nothing — queued
-            // bytes reach the peer after close — gone peers cannot return,
-            // an aborted run never lingers, and the reconnect deadline
-            // bounds the wait.
-            let owes = (self.replay.retained_supersteps() > 0 || self.last_ack.is_some())
-                && (self.links.iter()).any(|l| matches!(l.state, LinkState::Down(_)));
-            let until = self.config.reconnect_deadline;
-            if self.aborted || !owes || now >= *self.linger_until.get_or_insert(now + until) {
+            // A finished endpoint keeps serving until every peer is done with
+            // it: a peer still running may need its replay, one restarting
+            // from a checkpoint its replay and its links, one that finished
+            // its goodbye. One that is leaving never lingers, and the
+            // reconnect deadline bounds the wait.
+            let all_settled = self.links.iter().all(Self::settled);
+            let late = self.linger_until.is_some_and(|until| now >= until);
+            if self.leaving || all_settled || late {
                 self.phase = Phase::Exited;
                 return out.push(Action::Exit);
             }
@@ -707,14 +786,19 @@ mod tests {
             endpoint
         }
 
-        fn step(&mut self, event: Event<'_>) {
+        /// Step the fabric; deliveries go to the inbox, the other actions
+        /// are returned.
+        fn step(&mut self, event: Event<'_>) -> Vec<Action> {
             let mut out = Vec::new();
             self.fabric.step(Duration::ZERO, event, &mut out);
-            for action in out {
+            let (delivered, others): (Vec<_>, Vec<_>) =
+                (out.into_iter()).partition(|action| matches!(action, Action::Deliver(_)));
+            for action in delivered {
                 if let Action::Deliver(event) = action {
                     self.inbox.push_back(event);
                 }
             }
+            others
         }
 
         /// `peer` dials in and its stream is adopted (this endpoint has
@@ -856,6 +940,36 @@ mod tests {
         e.eos(1, 1);
         let past = |m: &str| m.contains("past superstep 0 while collecting 1");
         assert!(matches!(e.collect(1), Err(PlaneError::Protocol(m)) if past(&m)));
+    }
+
+    /// Server 0 is the lower id of both its links: it says goodbye at
+    /// shutdown and exits only once both peers have answered, each goodbye
+    /// a `Send` like any frame.
+    #[test]
+    fn a_finished_endpoint_exits_once_every_peer_has_answered_its_goodbye() {
+        let mut e = Endpoint::new();
+        let goodbye_to = |actions: &[Action]| -> Vec<ServerId> {
+            let goodbye = |batch: &SharedBatch| {
+                let mut decoder = crate::frame::FrameDecoder::new();
+                decoder.push(batch);
+                matches!(decoder.next_frame(), Ok(Some(Frame::Goodbye { sender: 0 })))
+            };
+            let sends = actions.iter().filter_map(|action| match action {
+                Action::Send(peer, batch) if goodbye(batch) => Some(*peer),
+                _ => None,
+            });
+            sends.collect()
+        };
+        let exits = |actions: &[Action]| actions.iter().any(|a| matches!(a, Action::Exit));
+        assert_eq!(
+            goodbye_to(&e.step(Event::Command(Command::Shutdown))),
+            [1, 2]
+        );
+        assert!(!exits(&e.step(Event::Tick)));
+        e.step(Event::Frame(1, Frame::Goodbye { sender: 1 }));
+        assert!(!exits(&e.step(Event::Tick)), "server 2 has not answered");
+        e.step(Event::Frame(2, Frame::Goodbye { sender: 2 }));
+        assert!(exits(&e.step(Event::Tick)));
     }
 
     #[test]

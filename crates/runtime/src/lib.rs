@@ -33,16 +33,23 @@
 //! * [`fabric`] — the TCP plane's link life-cycle as one I/O-free step
 //!   function (`Fabric::step(now, Event, &mut Vec<Action>)`): establishment,
 //!   redial and backoff at the addresses of the static peer table, hello
-//!   vetting, replay and ack repeat, goodbye and linger, terminal loss, and
-//!   what reaches the collector (a peer's superstep once its marker is in,
-//!   replayed duplicates never). [`poll`] moves the
-//!   bytes, with one private poller (`poll(2)` on Linux, a spin elsewhere);
-//!   `tests/fabric_sim.rs` runs the same machine through thousands of seeded
-//!   fault schedules on a virtual network and clock,
+//!   vetting, replay and ack repeat, ordered goodbyes and linger, terminal
+//!   loss, and what reaches the collector (a peer's superstep once its marker
+//!   is in, replayed duplicates never). [`poll`] moves the bytes, with one
+//!   private poller (`poll(2)` on Linux, a spin elsewhere),
 //! * [`run_worker`] — one server's [`graphh_core::exec::WorkerStep`] (the
 //!   superstep body the sequential executor steps too) driven over a
-//!   [`BroadcastPlane`], with checkpoint resume and writing; the threaded
-//!   executor runs one per thread, `graphh-node` one per process.
+//!   [`BroadcastPlane`], with checkpoint resume and writing by
+//!   [`acknowledge_durable`]; the threaded executor runs one per thread,
+//!   `graphh-node` one per process.
+//!
+//! `tests/fabric_sim.rs` is the fault-tolerance check: real
+//! [`graphh_core::exec::WorkerStep`]s running registry programs through
+//! real fabrics, collectors and frame decoders on a virtual network and
+//! clock, thousands of seeded cut, crash and restart schedules, every
+//! finished replica bit-identical to the sequential executor's. Over real
+//! sockets, [`PollPlane::crash`] and `graphh-bench`'s multi-process `kill -9`
+//! gate check the same code.
 //!
 //! ## Determinism
 //!
@@ -66,7 +73,6 @@
 //! [`graphh_core::SequentialExecutor`].
 
 pub mod buffer;
-pub mod chaos;
 pub mod checkpoint;
 pub mod establish;
 pub mod fabric;
@@ -78,7 +84,6 @@ pub mod threaded;
 pub mod worker;
 
 pub use buffer::{BufferPool, PooledBuf};
-pub use chaos::{CutPlan, FaultPlane, SeverPeer};
 pub use checkpoint::{
     decode_values, encode_values, Checkpoint, CheckpointSink, CHECKPOINT_MAGIC, VALUES_MAGIC,
 };
@@ -91,4 +96,4 @@ pub use plane::{BroadcastPlane, ChannelPlane};
 pub use poll::{BoundPollPlane, PollPlane};
 pub use resume::{ReplayError, ReplayLog, ResilienceConfig, ResumeHello};
 pub use threaded::ThreadedExecutor;
-pub use worker::{run_worker, WorkerError, WorkerOptions};
+pub use worker::{acknowledge_durable, run_worker, WorkerError, WorkerOptions};

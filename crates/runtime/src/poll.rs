@@ -85,12 +85,17 @@
 //! finds out (`WouldBlock`), and a round that may wait naps at most 1 ms —
 //! which is also why it needs no waker.
 //!
-//! A dropped [`PollPlane`] flushes its queues, half-closes its streams and
-//! joins the loop thread — shutdown is asserted by the thread-count checks in
+//! [`PollPlane::finish`] ends a finished run: it says goodbye and holds the
+//! links until every peer has said goodbye too or is gone (`docs/WIRE.md`
+//! §9.3). A dropped [`PollPlane`] leaves at once instead. Either way the
+//! loop flushes its queues, half-closes its streams and is joined —
+//! shutdown is asserted by the thread-count checks in
 //! `tests/poll_threads.rs` and `examples/socket_cluster.rs`, not assumed.
+//! Cuts, crashes and restarts are checked in `tests/fabric_sim.rs` against
+//! the same [`Fabric`], and over real sockets by [`PollPlane::crash`] and
+//! `graphh-bench`'s multi-process `kill -9` gate.
 
 use crate::buffer::{BufferPool, PooledBuf};
-use crate::chaos::SeverPeer;
 use crate::establish::{bind_listener, DEFAULT_ESTABLISH_TIMEOUT, HANDSHAKE_DEADLINE};
 use crate::fabric::{Action, Command, Conn, Event, Fabric, HelloBytes, SharedBatch};
 use crate::frame::{Frame, FrameDecoder, InboxEvent, PlaneError, SuperstepCollector, WireMessage};
@@ -463,6 +468,7 @@ impl BoundPollPlane {
             poller,
             counters: LoopCounters::registered(),
             intake_open: true,
+            farewell: None,
             exiting: false,
             dead: false,
         };
@@ -607,18 +613,36 @@ impl PollPlane {
     }
 
     /// Tear this endpoint down as a *crash* — the in-process analog of
-    /// `kill -9` for chaos tests: the event loop closes every stream on the
-    /// spot (queued bytes included) and exits without sending a goodbye,
-    /// serving a linger, or attempting recovery. Without this, a crash
-    /// simulated as "sever, then drop" races the plane's own redial
-    /// machinery, which can resurrect the link in the gap and turn the drop
-    /// into a clean goodbye exit — peers would then stop holding the door
-    /// open for a replacement.
+    /// `kill -9` for tests: the event loop closes every stream on the spot
+    /// (queued bytes included) and exits without sending a goodbye, serving
+    /// a linger, or attempting recovery, so peers hold the door open for a
+    /// replacement.
     pub fn crash(self) {
         let _ = self.commands.send(Request::Crash);
         self.waker.wake();
-        // The normal drop runs next: its Shutdown command lands on a closed
-        // channel (ignored) and it joins the already-exiting event loop.
+        // The normal drop runs next: its `Leave` lands on a closed channel
+        // (ignored) and it joins the already-exiting event loop.
+    }
+
+    /// The run is over on this endpoint: say goodbye, and return once every
+    /// peer has said goodbye too or is gone — at most the reconnect deadline
+    /// — so no peer is left redialing an endpoint that has exited
+    /// (`docs/WIRE.md` §9.3). Dropping a plane instead leaves at once.
+    pub fn finish(mut self) {
+        self.close(Command::Shutdown);
+    }
+
+    /// Ship any still-batched frames (normally none: `end_superstep`
+    /// flushes); then `last` — everything is in the FIFO command channel, and
+    /// the loop flushes it all before half-closing — and join the loop.
+    fn close(&mut self, last: Command) {
+        let Some(handle) = self.event_loop.take() else {
+            return;
+        };
+        let _ = self.flush_batch();
+        let _ = self.commands.send(Request::Do(last));
+        self.waker.wake();
+        let _ = handle.join();
     }
 }
 
@@ -698,24 +722,11 @@ impl BroadcastPlane for PollPlane {
     }
 }
 
-impl SeverPeer for PollPlane {
-    fn sever_peer(&mut self, peer: ServerId) {
-        let _ = self.commands.send(Request::Sever(peer));
-        self.waker.wake();
-    }
-}
-
 impl Drop for PollPlane {
+    /// Leave without waiting for the peers, unless [`PollPlane::finish`]
+    /// already did.
     fn drop(&mut self) {
-        // Ship any still-batched frames (normally none: `end_superstep`
-        // flushes), then everything is in the FIFO command channel and the
-        // loop flushes it all before half-closing.
-        let _ = self.flush_batch();
-        let _ = self.commands.send(Request::Do(Command::Shutdown));
-        self.waker.wake();
-        if let Some(handle) = self.event_loop.take() {
-            let _ = handle.join();
-        }
+        self.close(Command::Leave);
     }
 }
 
@@ -732,15 +743,10 @@ impl std::fmt::Debug for PollPlane {
 // Event loop
 // ---------------------------------------------------------------------------
 
-/// What the plane sends its loop: work for the [`Fabric`], or chaos injection
-/// the loop performs on its sockets without the fabric's knowledge (which
-/// then sees exactly what a real failure would show it).
+/// What the plane sends its loop: work for the [`Fabric`], or a crash the
+/// loop performs on its sockets without the fabric's knowledge.
 enum Request {
     Do(Command),
-    /// Cut the live connection to this peer: flush its queue, then close our
-    /// write half — the peer sees a full stream then a FIN, exactly like a
-    /// real boundary failure.
-    Sever(ServerId),
     /// Die like a killed process — close every stream on the spot (queued
     /// bytes included), send no goodbye, serve no linger, attempt no
     /// recovery, and exit the loop immediately.
@@ -806,9 +812,8 @@ struct Peer {
     /// lets go.
     outbound: VecDeque<(SharedBatch, usize)>,
     queued_bytes: usize,
-    /// False once a write failed or the link was severed: nothing more is
-    /// queued, and when the queue has drained our write half closes (the
-    /// read path notices the cut and reports the stream's end).
+    /// False once a write failed: nothing more is queued (the read path
+    /// notices the cut and reports the stream's end).
     write_open: bool,
     /// Complete frames decoded off this peer's stream.
     frames_in: Counter,
@@ -842,24 +847,6 @@ impl Peer {
         self.outbound.clear();
         self.queued_bytes = 0;
     }
-
-    /// Chaos injection: everything queued still goes out (a sever is
-    /// deterministic, the peer must receive the full superstep), then only
-    /// our write half closes. The peer observes a complete stream followed
-    /// by a FIN — exactly a superstep-boundary failure; its recovery then
-    /// closes its socket, which our read path observes in turn.
-    fn sever(&mut self) {
-        self.write_open = false;
-        self.finish_flush();
-    }
-
-    fn finish_flush(&mut self) {
-        if let (false, true, Some(stream)) =
-            (self.write_open, self.outbound.is_empty(), &self.stream)
-        {
-            let _ = stream.shutdown(Shutdown::Write);
-        }
-    }
 }
 
 /// The I/O half of the plane: it moves bytes between sockets and the
@@ -886,9 +873,12 @@ struct EventLoop {
     verdict: Option<Sender<std::io::Result<()>>>,
     poller: Poller,
     counters: LoopCounters,
-    /// Commands are still being taken (no shutdown seen yet).
+    /// Commands are still being taken (no farewell seen yet).
     intake_open: bool,
-    /// The fabric said [`Action::Exit`]: flush, say goodbye, leave.
+    /// The plane's last command (`Shutdown` or `Leave`), until the fabric
+    /// hears of it one readiness round after it arrived.
+    farewell: Option<Command>,
+    /// The fabric said [`Action::Exit`]: flush, half-close, leave.
     exiting: bool,
     /// Establishment failed: leave at once.
     dead: bool,
@@ -899,7 +889,7 @@ impl EventLoop {
         let mut read_buf = vec![0u8; READ_CHUNK];
         let listener_slot = self.peers.len();
         let mut slots = Vec::with_capacity(listener_slot + 1 + PENDING_SLOTS);
-        let (mut progressed, mut stopping) = (true, false);
+        let mut progressed = true;
         loop {
             // 1. Commands — but only while below the high-water mark: a slow
             // peer's growing queue stops the intake, the bounded channel
@@ -911,17 +901,15 @@ impl EventLoop {
                     break;
                 }
                 match self.commands.try_recv() {
+                    Ok(Request::Do(farewell @ (Command::Shutdown | Command::Leave))) => {
+                        (self.intake_open, self.farewell) = (false, Some(farewell));
+                    }
                     // A disconnected sender means the plane was dropped; it
-                    // always sends Shutdown first, but be safe either way.
-                    Ok(Request::Do(Command::Shutdown)) | Err(TryRecvError::Disconnected) => {
-                        self.intake_open = false;
+                    // always says farewell first, but be safe either way.
+                    Err(TryRecvError::Disconnected) => {
+                        (self.intake_open, self.farewell) = (false, Some(Command::Leave));
                     }
                     Ok(Request::Do(command)) => self.dispatch(Event::Command(command)),
-                    Ok(Request::Sever(peer)) => {
-                        if let Some(peer) = self.peers.iter_mut().find(|p| p.id == peer) {
-                            peer.sever();
-                        }
-                    }
                     Ok(Request::Crash) => {
                         // kill -9: queued bytes die with the process.
                         // Returning drops the listener too.
@@ -941,21 +929,11 @@ impl EventLoop {
                 return;
             }
             if self.exiting && self.peers.iter().all(|p| p.outbound.is_empty()) {
-                // Nothing owed, every queue flushed (or its peer
-                // unreachable): announce the clean exit so peers treat the
-                // coming EOFs as a deliberate close, not a cut to recover
-                // from (best-effort: 9 bytes into a drained socket buffer),
-                // then half-close so they see a clean EOF after our final
-                // bytes.
-                let mut goodbye = Vec::new();
-                Frame::Goodbye { sender: self.id }.encode(&mut goodbye);
-                for peer in &self.peers {
-                    if let Some(mut stream) = peer.stream.as_ref() {
-                        if peer.write_open {
-                            let _ = stream.write_all(&goodbye);
-                        }
-                        let _ = stream.shutdown(Shutdown::Write);
-                    }
+                // Every peer is done with us and every queue flushed (or its
+                // peer unreachable) — our goodbyes went out with the rest:
+                // half-close so peers see a clean EOF after our final bytes.
+                for stream in self.peers.iter().filter_map(|peer| peer.stream.as_ref()) {
+                    let _ = stream.shutdown(Shutdown::Write);
                 }
                 return;
             }
@@ -1019,11 +997,11 @@ impl EventLoop {
 
             // 4. The worker is done. The fabric hears of it only now, after
             // a round that read whatever had already reached this process —
-            // a severed or killed peer's EOF, its redial in the backlog — so
-            // that "nothing is owed" is judged on what the OS knew, not on
-            // what the loop had got around to.
-            if !self.intake_open && !std::mem::replace(&mut stopping, true) {
-                self.dispatch(Event::Command(Command::Shutdown));
+            // a cut or killed peer's EOF, its redial in the backlog — so
+            // that the goodbyes go out on the links the OS knew to be up, not
+            // on those the loop had not yet found down.
+            if let Some(farewell) = self.farewell.take() {
+                self.dispatch(Event::Command(farewell));
                 progressed = true;
             }
         }
@@ -1135,6 +1113,9 @@ impl EventLoop {
         });
         match dialed {
             Ok(handshake) => self.peers[slot].dialing = Some(handshake),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
+                return Some(Event::DialRefused(peer, format!("{origin}: {e}")));
+            }
             Err(e) => return Some(Event::DialFailed(peer, format!("{origin}: {e}"))),
         }
         None
@@ -1268,7 +1249,6 @@ fn pump_writes(peer: &mut Peer, counters: &LoopCounters) -> bool {
             vectors += 1;
         }
         let Some(mut stream) = peer.stream.as_ref().filter(|_| vectors > 0) else {
-            peer.finish_flush();
             return progressed;
         };
         counters.write_vectored_calls.incr();
@@ -1309,7 +1289,6 @@ fn pump_writes(peer: &mut Peer, counters: &LoopCounters) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{CutPlan, FaultPlane};
     use crate::resume::ResumeHello;
     use std::thread;
 
@@ -1530,36 +1509,6 @@ mod tests {
     // assertions live in `tests/poll_threads.rs`: thread counts are
     // process-wide, so they need a test binary of their own rather than a
     // unit test racing the rest of this crate's parallel suite.
-
-    /// A connection cut at a superstep boundary recovers via redial + replay,
-    /// and every superstep still collects exactly once per peer per message.
-    #[test]
-    fn boundary_cut_recovers_with_exactly_once_delivery() {
-        let (p0, mut p1) = establish_pair(&ResilienceConfig::default());
-        // Server 0 severs its link to server 1 right after superstep 1 ends:
-        // server 1 sees a full superstep then a FIN, redials, and resumes.
-        let mut p0 = FaultPlane::new(p0, CutPlan::explicit(vec![(1, 1)]));
-        run_pair(&mut p0, &mut p1, 0..5);
-    }
-
-    /// Both directions cut at once (a reconnect storm, here at different
-    /// supersteps each) still converges to exactly-once delivery.
-    #[test]
-    fn mutual_cuts_still_converge() {
-        let (p0, p1) = establish_pair(&ResilienceConfig::default());
-        let mut p0 = FaultPlane::new(p0, CutPlan::explicit(vec![(1, 1), (2, 1)]));
-        let mut p1 = FaultPlane::new(p1, CutPlan::explicit(vec![(1, 0)]));
-        run_pair(&mut p0, &mut p1, 0..5);
-    }
-
-    /// Severing an already-severed (or recovering) link is a harmless no-op.
-    #[test]
-    fn double_sever_is_idempotent() {
-        let (mut p0, mut p1) = establish_pair(&ResilienceConfig::default());
-        p0.sever_peer(1);
-        p0.sever_peer(1);
-        run_pair(&mut p0, &mut p1, 0..3);
-    }
 
     /// Connections that say nothing — or half a hello and then nothing —
     /// must not cost a running node anything: each is a pending slot of the

@@ -296,19 +296,6 @@ impl ReplayLog {
     pub fn bytes_retained(&self) -> usize {
         self.bytes_retained
     }
-
-    /// Number of distinct supersteps with retained batches.
-    pub fn retained_supersteps(&self) -> usize {
-        let mut count = 0;
-        let mut last = None;
-        for entry in &self.entries {
-            if last != Some(entry.superstep) {
-                count += 1;
-                last = Some(entry.superstep);
-            }
-        }
-        count
-    }
 }
 
 /// The recovery policy of one TCP endpoint: what differs between callers.
@@ -363,6 +350,21 @@ pub(crate) fn count_frames(mut bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ReplayLog {
+        /// Number of distinct supersteps with retained batches.
+        fn retained_supersteps(&self) -> usize {
+            let mut count = 0;
+            let mut last = None;
+            for entry in &self.entries {
+                if last != Some(entry.superstep) {
+                    count += 1;
+                    last = Some(entry.superstep);
+                }
+            }
+            count
+        }
+    }
     use crate::buffer::BufferPool;
     use crate::frame::Frame;
 

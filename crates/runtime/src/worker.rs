@@ -5,8 +5,9 @@
 //! broadcasts the wires it encodes, ends the superstep on the plane, hands
 //! every wire the plane collects to the step, and has it apply the merged
 //! updates — the superstep body the sequential executor steps too, so the
-//! threaded executor and `graphh-node` stay bit-identical to it. Then it
-//! writes a checkpoint when one is due and acknowledges the superstep.
+//! threaded executor and `graphh-node` stay bit-identical to it. Then
+//! [`acknowledge_durable`] writes a checkpoint when one is due and
+//! acknowledges what is durable.
 //! Every replica applies the same merged update set, so every worker reaches
 //! the same continue/stop decision.
 //!
@@ -106,6 +107,59 @@ pub struct WorkerOptions {
     pub superstep_delay: Option<std::time::Duration>,
 }
 
+/// When a worker may acknowledge a superstep, for every driver of a
+/// [`WorkerStep`]: `run_worker`, and the fault simulation in
+/// `tests/fabric_sim.rs`, which checks this rule rather than a copy of it.
+///
+/// An ack of superstep `s` promises the peers that a restart will not need
+/// `s`'s frames replayed, so they trim them. Call this once with the
+/// checkpoint the worker resumes from (`None` on a fresh start), and again
+/// with `None` after every applied superstep:
+///
+/// * a resumed step is restored from the checkpoint, and the ack of
+///   `cursor - 1` it stands for is repeated: it may have died with the
+///   process that made it, and with no superstep left to run every peer
+///   would retain the final ones until it exits;
+/// * with checkpoints kept every `every` supersteps, a due checkpoint is
+///   written through `write` first and only then acknowledged, and a
+///   superstep that is not due is not acknowledged at all;
+/// * without checkpoints every superstep is acknowledged as it completes:
+///   in-memory state is durable enough for transient cuts.
+pub fn acknowledge_durable(
+    step: &mut WorkerStep<'_>,
+    resume: Option<Checkpoint>,
+    every: Option<u32>,
+    write: &mut dyn FnMut(&Checkpoint) -> Result<(), String>,
+    ack: &mut dyn FnMut(u32) -> Result<(), PlaneError>,
+) -> Result<(), WorkerError> {
+    let cursor = step.cursor();
+    let durable = match (resume, every) {
+        (Some(checkpoint), _) => {
+            let cursor = checkpoint.next_superstep;
+            step.restore(cursor, checkpoint.values, checkpoint.frontier);
+            cursor.checked_sub(1)
+        }
+        // A fresh start has nothing durable yet.
+        (None, _) if cursor == 0 => None,
+        (None, None) => Some(cursor - 1),
+        (None, Some(every)) if cursor.is_multiple_of(every) => {
+            write(&Checkpoint {
+                server: step.server(),
+                next_superstep: cursor,
+                frontier: step.frontier().to_vec(),
+                values: step.values().to_vec(),
+            })
+            .map_err(|e| EngineError::BadInput(format!("checkpoint write: {e}")))?;
+            Some(cursor - 1)
+        }
+        (None, Some(_)) => None,
+    };
+    match durable {
+        Some(superstep) => ack(superstep).map_err(plane_error),
+        None => Ok(()),
+    }
+}
+
 /// Run server `sid` to completion on the calling thread.
 ///
 /// Phase spans go to `tracer`: the worker records on lane `1 + sid`; its
@@ -141,20 +195,16 @@ pub fn run_worker(
     let load = rec.begin();
     let mut step = WorkerStep::new(config, plan, partitioned, program, sid, tracer);
     rec.end(load, "server-build", "load");
-    let start = resume.map_or(0, |c| {
-        step.restore(c.next_superstep, c.values, c.frontier);
-        c.next_superstep
-    });
 
     let rec = &mut rec;
     let body = std::panic::AssertUnwindSafe(|| -> Result<(), WorkerError> {
-        // A checkpoint at cursor `s` is the durability promise for `s - 1`,
-        // and the ack that said so may have died with the process that made
-        // it: repeat it, or — with no superstep left to run — every peer
-        // retains the final ones until it exits.
-        if let Some(durable) = start.checked_sub(1) {
-            plane.acknowledge(durable).map_err(plane_error)?;
-        }
+        let every = sink.as_ref().map(|sink| sink.every);
+        let mut write = |checkpoint: &Checkpoint| {
+            let sink = sink.as_ref().expect("written only with a sink");
+            sink.write(checkpoint).map(drop)
+        };
+        let mut ack = |superstep| plane.acknowledge(superstep);
+        acknowledge_durable(&mut step, resume, every, &mut write, &mut ack)?;
         while let Some(superstep) = step.next_superstep() {
             if let Some(delay) = superstep_delay {
                 std::thread::sleep(delay);
@@ -185,24 +235,8 @@ pub fn run_worker(
             step.apply()?;
             rec.end_superstep(apply, "apply", "superstep", superstep);
 
-            // An ack promises that a restart will not need this superstep's
-            // frames replayed: with a sink, only a written checkpoint makes
-            // that promise; without one, in-memory state is durable enough
-            // for transient cuts.
-            match &sink {
-                Some(sink) if sink.due(superstep) => {
-                    sink.write(&Checkpoint {
-                        server: sid,
-                        next_superstep: superstep + 1,
-                        frontier: step.frontier().to_vec(),
-                        values: step.values().to_vec(),
-                    })
-                    .map_err(|e| EngineError::BadInput(format!("checkpoint write: {e}")))?;
-                    plane.acknowledge(superstep).map_err(plane_error)?;
-                }
-                Some(_) => {}
-                None => plane.acknowledge(superstep).map_err(plane_error)?,
-            }
+            let mut ack = |superstep| plane.acknowledge(superstep);
+            acknowledge_durable(&mut step, None, every, &mut write, &mut ack)?;
         }
         Ok(())
     });
@@ -322,6 +356,49 @@ mod tests {
         // A fresh start has nothing to repeat.
         let fresh = calls_of(WorkerOptions::default());
         assert_eq!(fresh[..2], [("end", 0), ("ack", 0)]);
+    }
+
+    /// With checkpoints every 2 supersteps, a due checkpoint is written
+    /// before its superstep is acknowledged, a superstep that is not due is
+    /// not acknowledged, and a write that fails acknowledges nothing.
+    #[test]
+    fn a_due_checkpoint_is_written_before_its_ack() {
+        let g = path_graph(10);
+        let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 2)).unwrap();
+        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
+        let program = PageRank::new(3);
+        let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
+        let events = std::cell::RefCell::new(Vec::new());
+        let run = |fail: bool| {
+            let mut step = WorkerStep::new(&config, &plan, &p, &program, 0, &Tracer::off());
+            let mut write = |c: &Checkpoint| {
+                events.borrow_mut().push(("write", c.next_superstep));
+                if fail {
+                    return Err("disk full".to_string());
+                }
+                Ok(())
+            };
+            let mut ack = |superstep| {
+                events.borrow_mut().push(("ack", superstep));
+                Ok(())
+            };
+            acknowledge_durable(&mut step, None, Some(2), &mut write, &mut ack)?;
+            while step.next_superstep().is_some() {
+                step.compute()?;
+                step.encode().for_each(drop);
+                step.apply()?;
+                acknowledge_durable(&mut step, None, Some(2), &mut write, &mut ack)?;
+            }
+            Ok::<_, WorkerError>(())
+        };
+        run(false).unwrap();
+        assert_eq!(events.take(), [("write", 2), ("ack", 1)]);
+        let err = run(true).expect_err("the write failed");
+        assert!(err
+            .error
+            .to_string()
+            .contains("checkpoint write: disk full"));
+        assert_eq!(events.take(), [("write", 2)]);
     }
 
     /// Why a restore that does not fit the plan was refused — as the run's
