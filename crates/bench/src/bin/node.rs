@@ -69,6 +69,7 @@ use graphh_core::registry::PROGRAMS;
 use graphh_core::{DirectionMode, GraphHConfig};
 use graphh_obs::{chrome_trace_json, global_counters, Tracer};
 use graphh_pool::WorkerPool;
+use graphh_runtime::establish::DEFAULT_ESTABLISH_TIMEOUT;
 use graphh_runtime::{
     run_worker, BroadcastPlane, CheckpointSink, PollPlane, ResilienceConfig, WorkerOptions,
 };
@@ -154,7 +155,7 @@ fn parse_args() -> Result<Args, String> {
     let mut out = None;
     let mut trace_out = None;
     let mut metrics_out = None;
-    let mut establish_timeout = Duration::from_secs(10);
+    let mut establish_timeout = DEFAULT_ESTABLISH_TIMEOUT;
     let mut checkpoint_dir = None;
     let mut checkpoint_every = 1;
     let mut reconnect_deadline = ResilienceConfig::default().reconnect_deadline;

@@ -227,12 +227,7 @@ pub fn fig6b_memory_usage() -> String {
                 GraphHConfig::paper_default(ClusterConfig::paper_testbed(9)).without_cache(),
             );
             let result = engine.run(&p, program.as_ref()).expect("run");
-            let measured = result
-                .per_server_peak_memory
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(0);
+            let measured = result.metrics.peak_memory_bytes();
             let model = MemoryModel::new(&d.paper_stats(), sizes);
             let paper_scale = model.aa_vertex_bytes() + 25_000_000 * 4 * 12;
             writeln!(

@@ -15,17 +15,14 @@
 //!   per-superstep time under BSP (the slowest server bounds the superstep),
 //! * [`network`] — the broadcast message encodings GraphH uses (dense, sparse,
 //!   hybrid, optionally compressed) and the metered per-message wire codec
-//!   both executors broadcast through,
-//! * [`memory`] — a per-server memory budget/high-watermark tracker.
+//!   both executors broadcast through.
 
 pub mod config;
 pub mod cost;
-pub mod memory;
 pub mod metrics;
 pub mod network;
 
 pub use config::{ClusterConfig, MachineSpec};
 pub use cost::{CostBreakdown, CostModel};
-pub use memory::MemoryTracker;
 pub use metrics::{ClusterMetrics, ServerMetrics, SuperstepReport};
 pub use network::{BroadcastEncoding, BroadcastMessage, CommunicationMode, MessageCodec};

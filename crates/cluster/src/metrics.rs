@@ -3,7 +3,10 @@
 //! Engines record everything they do into a [`ServerMetrics`] per simulated server;
 //! at the end of a superstep the cost model turns the counters into time and the
 //! experiment harness records them for the figures (network traffic for Fig. 8,
-//! memory for Fig. 1a/6b, cache hit ratio for Fig. 7b, …).
+//! memory for Fig. 1a/6b, cache hit ratio for Fig. 7b, …). Memory is the one
+//! figure that is not a count of work: each superstep's entry is the most the
+//! server has held so far, and [`ClusterMetrics::peak_memory_bytes`] is a run's
+//! peak.
 
 /// Work done by one server during one superstep.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -41,7 +44,7 @@ pub struct ServerMetrics {
     pub tiles_skipped: u64,
     /// Tiles processed.
     pub tiles_processed: u64,
-    /// Peak memory in use on this server during the superstep, in bytes.
+    /// The most this server has held up to the end of this superstep, in bytes.
     pub peak_memory_bytes: u64,
 }
 

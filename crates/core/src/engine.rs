@@ -129,8 +129,6 @@ pub struct RunResult {
     pub supersteps_run: u32,
     /// The codec the edge cache selected.
     pub cache_codec: Codec,
-    /// Accounted peak memory per server in bytes.
-    pub per_server_peak_memory: Vec<u64>,
     /// What each server's local disk moved during the run: the reads of its
     /// cache misses, and the writes that staged its tiles — which only the
     /// first run over a partitioned graph (or any clone of it) makes.
@@ -322,7 +320,7 @@ mod tests {
         // With a 128 GB machine everything fits in cache after the first superstep.
         assert!(m.supersteps[2].cache_hit_ratio() > 0.99);
         assert!(m.total_disk_bytes() > 0);
-        assert!(result.per_server_peak_memory.iter().all(|&b| b > 0));
+        assert!(m.peak_memory_bytes() > 0);
         assert_eq!(result.updated_ratio_per_superstep.len(), 5);
         assert!(result.avg_superstep_seconds() > 0.0);
     }

@@ -7,8 +7,8 @@
 //!   before the first superstep (initial values and the validated initial
 //!   frontier, tile assignment, cost model),
 //! * [`ServerState`] — one server's long-lived state (a metered "disk" over
-//!   the partitioned graph's tile store, vertex replica, edge cache, memory
-//!   accounting, and shared handles on what the partitioned graph keeps for
+//!   the partitioned graph's tile store, vertex replica, edge cache, its
+//!   peak memory, and shared handles on what the partitioned graph keeps for
 //!   every run once the first has built it: each assigned tile's staged
 //!   blob, its [`SourceSet`] and, for push-capable runs, its out-edge
 //!   transpose — [`PushIndex`]),
@@ -53,7 +53,7 @@ use crate::gab::{
 };
 use crate::{EngineError, Result};
 use graphh_cache::{CacheStats, EdgeCache, EdgeCacheConfig};
-use graphh_cluster::{BroadcastMessage, CostModel, MemoryTracker, MessageCodec, ServerMetrics};
+use graphh_cluster::{BroadcastMessage, CostModel, MessageCodec, ServerMetrics};
 use graphh_compress::Codec;
 use graphh_graph::ids::{ServerId, TileId, VertexId};
 use graphh_obs::{global_counters, Tracer};
@@ -71,6 +71,13 @@ use std::sync::Arc;
 /// threshold (frontier algorithms like SSSP/BFS) probing pays for itself many
 /// times over and `tiles_skipped` semantics are unchanged.
 pub const BLOOM_DENSE_FRONTIER_FRACTION: f64 = 0.25;
+
+/// The §IV-A permanent arrays of a server under All-in-All, in bytes: the
+/// replica of every vertex value and the message array, 8 bytes a vertex
+/// each, and the out- and in-degree arrays, 4 bytes a vertex each.
+fn permanent_array_bytes(num_vertices: u64) -> u64 {
+    (8 + 8 + 4 + 4) * num_vertices
+}
 
 /// α of the Beamer direction heuristic: push only while the frontier's
 /// out-edges are under `1/α` of all edges (see [`FrontierStats::beamer`]; 14
@@ -447,8 +454,8 @@ pub struct ServerState {
     /// the partitioned graph's own, shared. Empty unless the plan is
     /// push-capable.
     push_indexes: Vec<Arc<PushIndex>>,
-    /// Memory accounting.
-    memory: MemoryTracker,
+    /// The most this server has held so far, in bytes.
+    peak_memory: u64,
     /// This server's persistent compute-thread pool (the paper's `T` worker
     /// threads): created once here, reused by every tile phase of every
     /// superstep — no thread is spawned inside the superstep loop.
@@ -457,7 +464,7 @@ pub struct ServerState {
 
 /// Output of one server's compute phase for one superstep.
 pub struct TilePhaseOutput {
-    /// Metered work, cache stats and peak memory folded in.
+    /// Metered work and cache stats.
     pub metrics: ServerMetrics,
     /// One message per processed tile that produced updates, in tile order.
     pub messages: Vec<BroadcastMessage>,
@@ -474,7 +481,8 @@ struct TileOutcome {
     /// The decoded tile, when it missed a cache that was still accepting
     /// tiles and should be offered to it by the post-join pass.
     admit: Option<Arc<Tile>>,
-    /// Decoded in-memory size, for transient-memory accounting (0 if skipped).
+    /// Decoded in-memory size, charged to the peak while the phase holds it
+    /// (0 if skipped).
     tile_memory_bytes: u64,
 }
 
@@ -482,9 +490,8 @@ impl ServerState {
     /// Build server `sid`'s state: open its local disk on the partitioned
     /// graph's tile store and take its tiles' source sets — staging the tiles
     /// and building the sets the graph does not hold yet, and keeping them
-    /// there for the next run — size the edge cache from the idle memory,
-    /// register the permanent arrays with the memory tracker. A push-capable
-    /// plan also takes its tiles' transposes, the same way.
+    /// there for the next run — and size the edge cache from the idle memory.
+    /// A push-capable plan also takes its tiles' transposes, the same way.
     pub fn build(
         config: &GraphHConfig,
         plan: &ExecutionPlan,
@@ -504,8 +511,9 @@ impl ServerState {
             tile_keys.push(partitioned.stage_tile(&disk, tid).to_owned());
         }
         // Idle memory = machine memory minus the permanent vertex arrays.
-        let permanent = 8 * num_vertices * 2 + 4 * num_vertices * 2;
-        let idle = machine.memory_bytes.saturating_sub(permanent);
+        let idle = machine
+            .memory_bytes
+            .saturating_sub(permanent_array_bytes(num_vertices));
         let capacity = config.cache_capacity.unwrap_or(idle);
         let cache = EdgeCache::new(
             EdgeCacheConfig {
@@ -514,13 +522,6 @@ impl ServerState {
             },
             total_tile_bytes,
         );
-        let mut memory = MemoryTracker::new(machine.memory_bytes);
-        // Vertex-state + message memory is permanent; register it once.
-        memory.set_component("vertex-values", 8 * num_vertices);
-        memory.set_component("message-buffer", 8 * num_vertices);
-        memory.set_component("degree-arrays", 4 * num_vertices * 2);
-        let source_set_bytes: u64 = source_sets.iter().map(|set| set.memory_bytes()).sum();
-        memory.set_component("source-sets", source_set_bytes);
         // Push-capable runs read a resident out-edge transpose per assigned
         // tile (the push loop never touches disk or cache). A tile keeps the
         // one the first such run over the partitioned graph built, so only
@@ -531,11 +532,7 @@ impl ServerState {
         } else {
             Vec::new()
         };
-        if !push_indexes.is_empty() {
-            let push_bytes: u64 = push_indexes.iter().map(|index| index.memory_bytes()).sum();
-            memory.set_component("push-index", push_bytes);
-        }
-        ServerState {
+        let mut server = ServerState {
             id: sid,
             tiles,
             disk,
@@ -545,9 +542,11 @@ impl ServerState {
             cache,
             source_sets,
             push_indexes,
-            memory,
+            peak_memory: 0,
             pool: graphh_pool::WorkerPool::new(plan.threads_per_server as usize),
-        }
+        };
+        server.peak_memory = server.held_bytes();
+        server
     }
 
     /// The codec the edge cache selected.
@@ -555,9 +554,24 @@ impl ServerState {
         self.cache.codec()
     }
 
-    /// Peak accounted memory so far.
+    /// The most this server has held so far, in bytes: everything it holds
+    /// at any point, plus, in a tile phase, the tiles that phase decodes,
+    /// on top of the cache as the phase found it.
     pub fn peak_memory(&self) -> u64 {
-        self.memory.peak()
+        self.peak_memory
+    }
+
+    /// What this server holds now, in bytes: the §IV-A permanent arrays, its
+    /// tiles' source sets and transposes, the prepared array and the edge
+    /// cache's contents.
+    fn held_bytes(&self) -> u64 {
+        let source_sets: u64 = self.source_sets.iter().map(|set| set.memory_bytes()).sum();
+        let push_indexes: u64 = self.push_indexes.iter().map(|i| i.memory_bytes()).sum();
+        permanent_array_bytes(self.values.len() as u64)
+            + source_sets
+            + push_indexes
+            + 8 * self.prepared.capacity() as u64
+            + self.cache.stats().used_bytes
     }
 
     /// Current edge-cache statistics.
@@ -676,11 +690,10 @@ impl ServerState {
             Direction::Push => self.push_outcomes(program, plan, superstep, frontier),
             Direction::Pull => {
                 program.prepare(&self.values, &plan.out_degrees, &mut self.prepared);
-                let prepared_bytes = 8 * self.prepared.capacity() as u64;
-                self.memory.set_component("prepared-values", prepared_bytes);
                 self.pull_outcomes(program, plan, superstep, frontier, use_bloom)
             }
         };
+        let held_before_admissions = self.held_bytes();
 
         // Deterministic reduction, in tile order: fold metrics (fixing the
         // floating-point summation order), collect messages, and offer the
@@ -703,14 +716,14 @@ impl ServerState {
 
         // Transient tile memory: up to `threads` tiles are decoded
         // concurrently, so charge the sum of the `threads` largest (with one
-        // thread this is exactly the sequential per-tile maximum).
+        // thread this is exactly the sequential per-tile maximum). The phase
+        // held them before it offered any to the cache.
         transient.sort_unstable_by(|a, b| b.cmp(a));
         let concurrent_tile_bytes: u64 = transient.iter().take(threads.max(1)).sum();
-        self.memory.with_transient(concurrent_tile_bytes, |_| ());
-
-        self.memory
-            .set_component("edge-cache", self.cache.stats().used_bytes);
-        metrics.peak_memory_bytes = self.memory.peak();
+        self.peak_memory = self
+            .peak_memory
+            .max(held_before_admissions + concurrent_tile_bytes)
+            .max(self.held_bytes());
 
         Ok(TilePhaseOutput { metrics, messages })
     }

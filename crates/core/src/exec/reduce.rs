@@ -36,7 +36,6 @@ pub fn reduce(
         updated_ratio.push(total_updates as f64 / plan.num_vertices as f64);
         metrics.push(plan.cost_model.finalize(report));
     }
-    let per_server_peak_memory = outputs.iter().map(|o| o.peak_memory).collect();
     let per_server_io = outputs.iter().map(|o| o.io).collect();
     let cache_codec = outputs
         .first()
@@ -49,7 +48,6 @@ pub fn reduce(
         metrics,
         supersteps_run,
         cache_codec,
-        per_server_peak_memory,
         per_server_io,
         updated_ratio_per_superstep: updated_ratio,
         executor,
@@ -78,7 +76,6 @@ mod tests {
             server,
             values: vec![f64::from(server); 3],
             cache_codec: Codec::Raw,
-            peak_memory: 7 + u64::from(server),
             io: IoSnapshot {
                 read_ops: u64::from(server),
                 ..Default::default()
@@ -104,7 +101,6 @@ mod tests {
         assert!(s0.simulated_seconds > 0.0);
         assert_eq!(result.updated_ratio_per_superstep, vec![0.1, 0.1]);
         assert_eq!(result.values, [0.0; 3], "server 0's replica");
-        assert_eq!(result.per_server_peak_memory, [7, 8]);
         let read_ops: Vec<u64> = result.per_server_io.iter().map(|io| io.read_ops).collect();
         assert_eq!(read_ops, [0, 1]);
         assert_eq!((result.supersteps_run, result.executor), (2, "test"));

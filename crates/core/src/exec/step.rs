@@ -64,8 +64,6 @@ pub struct WorkerOutput {
     pub values: Vec<f64>,
     /// Codec its edge cache selected.
     pub cache_codec: Codec,
-    /// Peak accounted memory in bytes.
-    pub peak_memory: u64,
     /// What its local disk moved during the run
     /// ([`ServerState::io_snapshot`]).
     pub io: IoSnapshot,
@@ -324,7 +322,6 @@ impl<'a> WorkerStep<'a> {
         WorkerOutput {
             server: self.server.id,
             cache_codec: self.server.cache_codec(),
-            peak_memory: self.server.peak_memory(),
             io: self.server.io_snapshot(),
             supersteps_run: self.cursor,
             metrics: self.history,

@@ -54,12 +54,12 @@ fn main() {
         (
             "GraphH",
             graphh.avg_superstep_seconds(),
-            *graphh.per_server_peak_memory.iter().max().unwrap(),
+            graphh.metrics.peak_memory_bytes(),
         ),
         (
             "GraphH (threads)",
             graphh_threaded.avg_superstep_seconds(),
-            *graphh_threaded.per_server_peak_memory.iter().max().unwrap(),
+            graphh_threaded.metrics.peak_memory_bytes(),
         ),
     ];
     for (system, run) in &runs {

@@ -26,12 +26,7 @@ fn main() {
             servers,
         )));
         let result = engine.run(&partitioned, &PageRank::new(10)).unwrap();
-        let peak = result
-            .per_server_peak_memory
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0);
+        let peak = result.metrics.peak_memory_bytes();
         let network = result.metrics.total_network_bytes() / result.supersteps_run.max(1) as u64;
         println!(
             "{servers}\t{:.4}\t{}\t{}",

@@ -1711,3 +1711,72 @@ fn corrupt_tile_blobs_error_but_never_panic() {
         }
     }
 }
+
+/// Every (superstep, server) peak-memory figure of a run on `SERVERS`
+/// servers, one row per superstep.
+fn peak_memory(run: &RunResult) -> Vec<[u64; SERVERS as usize]> {
+    let supersteps = run.metrics.supersteps.iter();
+    supersteps
+        .map(|s| std::array::from_fn(|server| s.servers[server].peak_memory_bytes))
+        .collect()
+}
+
+/// The peak memory each server reports is pinned, superstep by superstep:
+/// the permanent vertex arrays, the source sets and push transposes, the
+/// prepared array, the cache and the tile phase's concurrent tiles, on both
+/// executors with two compute threads per server. PageRank without a cache;
+/// PageRank with a quarter-sized cache, whose admissions land in the phase
+/// that also holds the decoded tiles; and BFS under the engine's direction
+/// choice, which pushes over transposes but prepares nothing.
+#[test]
+fn peak_memory_is_pinned() {
+    const NO_CACHE: [[u64; 4]; 3] = [[9528, 10088, 9412, 9856]; 3];
+    const QUARTER_CACHE: [[u64; 4]; 3] = [
+        [9528, 10088, 9412, 9856],
+        [10003, 10701, 9798, 10262],
+        [10003, 10701, 9798, 10262],
+    ];
+    const BFS_AUTO: [[u64; 4]; 6] = [
+        [9788, 10148, 8716, 9188],
+        [10094, 10886, 8860, 9296],
+        [11603, 12739, 10227, 10414],
+        [12843, 14539, 11375, 12014],
+        [12843, 14539, 11375, 12014],
+        [12843, 14539, 11375, 12014],
+    ];
+    let (dir, pdir, _, _) = workload_graphs(SEEDS[0]);
+    let base = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS))
+        .with_threads_per_server(2);
+    let mut quarter = base.clone();
+    quarter.cache_capacity = Some(quarter_cache(&base, &pdir));
+    let pagerank = PageRank::new(3);
+    let bfs = Bfs::new(quiet_source(&dir));
+    let no_cache = base.clone().without_cache();
+    for (what, config, program, pinned) in [
+        (
+            "pagerank, no cache",
+            &no_cache,
+            &pagerank as &dyn GabProgram,
+            &NO_CACHE[..],
+        ),
+        (
+            "pagerank, quarter cache",
+            &quarter,
+            &pagerank,
+            &QUARTER_CACHE[..],
+        ),
+        ("bfs, auto", &base, &bfs, &BFS_AUTO[..]),
+    ] {
+        let executors: [Arc<dyn graphh::core::Executor>; 2] = [
+            Arc::new(SequentialExecutor::new()),
+            Arc::new(ThreadedExecutor::new()),
+        ];
+        for executor in executors {
+            let name = executor.name();
+            let run = GraphHEngine::with_executor(config.clone(), executor)
+                .run(&pdir, program)
+                .unwrap();
+            assert_eq!(peak_memory(&run), pinned, "{what}, {name}");
+        }
+    }
+}
