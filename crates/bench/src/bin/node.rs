@@ -354,7 +354,7 @@ fn run(args: Args) -> Result<(), String> {
         &tracer,
         options,
     )
-    .map_err(|e| format!("worker failed: {}", e.error))?;
+    .map_err(|e| format!("worker failed: {e}"))?;
 
     let sent: u64 = output.metrics.iter().map(|m| m.network_sent_bytes).sum();
     let received: u64 = output

@@ -504,7 +504,7 @@ pub fn ablations() -> String {
         )
         .unwrap();
     }
-    // Executor ablation: sequential reference loop vs the threaded runtime on
+    // Executor ablation: sequential reference loop vs the threaded executor on
     // the same workload (results are bit-identical; only wall-clock differs).
     let g = experiment_graph(Dataset::Twitter2010);
     let p = partition_for_experiments(&g, "twitter-2010");
@@ -519,7 +519,7 @@ pub fn ablations() -> String {
             &p,
             &graphh_core::PageRank::new(5),
             servers,
-            std::sync::Arc::new(graphh_runtime::ThreadedExecutor::new()),
+            std::sync::Arc::new(graphh_core::ThreadedExecutor::new()),
         );
         writeln!(
             out,
@@ -536,7 +536,7 @@ pub fn ablations() -> String {
         &p,
         &graphh_core::PageRank::new(5),
         GraphHConfig::paper_default(ClusterConfig::paper_testbed(2)).with_threads_per_server(1),
-        std::sync::Arc::new(graphh_runtime::ThreadedExecutor::new()),
+        std::sync::Arc::new(graphh_core::ThreadedExecutor::new()),
     );
     for threads in [2u32, 4, 8] {
         let run = crate::run_graphh_config(
@@ -544,7 +544,7 @@ pub fn ablations() -> String {
             &graphh_core::PageRank::new(5),
             GraphHConfig::paper_default(ClusterConfig::paper_testbed(2))
                 .with_threads_per_server(threads),
-            std::sync::Arc::new(graphh_runtime::ThreadedExecutor::new()),
+            std::sync::Arc::new(graphh_core::ThreadedExecutor::new()),
         );
         let identical = base
             .values

@@ -6,8 +6,8 @@
 //! strategies lives in [`crate::exec`] — one server's superstep is one
 //! [`crate::exec::WorkerStep`]; the single-threaded reference strategy
 //! ([`crate::exec::sequential::SequentialExecutor`]) steps every server's on
-//! one thread, and `graphh-runtime` provides a threaded one stepping each
-//! simulated server on its own OS thread.
+//! one thread, and [`crate::exec::sequential::ThreadedExecutor`] runs the same
+//! loop over a pool sized to the host's CPUs.
 
 use crate::exec::sequential::SequentialExecutor;
 use crate::exec::Executor;
@@ -169,8 +169,8 @@ impl GraphHEngine {
         Self::with_executor(config, Arc::new(SequentialExecutor::new()))
     }
 
-    /// An engine with an explicit execution strategy (e.g. `graphh-runtime`'s
-    /// `ThreadedExecutor`).
+    /// An engine with an explicit execution strategy (e.g.
+    /// [`crate::ThreadedExecutor`]).
     pub fn with_executor(config: GraphHConfig, executor: Arc<dyn Executor>) -> Self {
         Self { config, executor }
     }

@@ -33,12 +33,14 @@
 //!   set and produces bit-identical replicas.
 //!
 //! [`WorkerStep`] strings these together into one server's superstep —
-//! compute, encode, receive, apply — with no transport inside, and every
-//! [`Executor`] is a driver of it: [`sequential::SequentialExecutor`] steps
-//! every server on one thread (the reference), `graphh-runtime`'s
-//! `ThreadedExecutor` one server per OS thread over a channel broadcast
-//! plane, and `graphh-node` one server per process over TCP. Each hands its
-//! servers' [`WorkerOutput`]s to [`reduce`], which makes the [`RunResult`].
+//! compute, encode, receive, apply — with no transport inside. Two drivers
+//! step it. The in-process loop ([`sequential`]) steps every server of a run
+//! in two pool phases a superstep: [`sequential::SequentialExecutor`] on the
+//! calling thread (the reference), [`sequential::ThreadedExecutor`] over a
+//! pool sized to the host's CPUs. `graphh-runtime`'s `run_worker` steps one
+//! server over a TCP broadcast plane, one per `graphh-node` process. Both
+//! hand their servers' [`WorkerOutput`]s to [`reduce`], which makes the
+//! [`RunResult`].
 
 mod reduce;
 pub mod sequential;
@@ -441,9 +443,7 @@ pub struct ServerState {
     pub values: Vec<f64>,
     /// What the program's [`GabProgram::prepare`] made of `values` for the
     /// current pull superstep: one slot per vertex, or nothing (and no
-    /// allocation) for a program that prepares nothing. The sequential
-    /// executor swaps one buffer through every server's tile phase
-    /// (`WorkerStep::swap_prepared`).
+    /// allocation) for a program that prepares nothing.
     prepared: Vec<f64>,
     /// Edge cache over idle memory.
     cache: EdgeCache,

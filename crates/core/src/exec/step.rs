@@ -13,11 +13,11 @@
 //! 4. [`WorkerStep::apply`] — merge, apply to the replica, record the
 //!    superstep's metrics.
 //!
-//! and stops when [`WorkerStep::next_superstep`] says the run is over. Three
-//! drivers share it: [`super::sequential::SequentialExecutor`] steps every
-//! server on the calling thread, and `graphh-runtime`'s `run_worker` steps
-//! one server over a broadcast plane — under the threaded executor and under
-//! `graphh-node`. The delivery order of peer wires cannot change a replica or
+//! and stops when [`WorkerStep::next_superstep`] says the run is over. Two
+//! drivers share it: the in-process loop of [`super::sequential`] steps every
+//! server of a run (both in-process executors), and `graphh-runtime`'s
+//! `run_worker` steps one server over a broadcast plane, under `graphh-node`.
+//! The delivery order of peer wires cannot change a replica or
 //! a frontier: every message is an ascending run over its own tile's range,
 //! so no vertex is named twice and the merged frontier is ascending whatever
 //! order the runs arrived in.
@@ -186,12 +186,6 @@ impl<'a> WorkerStep<'a> {
     /// This server's replica.
     pub fn values(&self) -> &[f64] {
         &self.server.values
-    }
-
-    /// Swap the tile phase's prepared-values array with `prepared`: a driver
-    /// that runs its servers one at a time lends one array to each in turn.
-    pub(crate) fn swap_prepared(&mut self, prepared: &mut Vec<f64>) {
-        std::mem::swap(&mut self.server.prepared, prepared);
     }
 
     /// Run the tile phase of the current superstep; returns the direction

@@ -180,8 +180,8 @@ impl std::str::FromStr for DirectionMode {
 /// Every executor computes this from the *same* merged update set (the
 /// frontier is replicated on every server, like the vertex values), so the
 /// stats — and every decision derived from them (the dense-frontier rule of
-/// tile skipping, direction choice) — are identical on the sequential executor, every threaded
-/// worker, and every `graphh-node` process at the same superstep.
+/// tile skipping, direction choice) — are identical on every server of an
+/// in-process run and in every `graphh-node` process at the same superstep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontierStats {
     /// Vertices updated in the previous superstep.

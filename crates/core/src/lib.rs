@@ -39,7 +39,7 @@ pub use algorithms::{
     Bfs, DegreeCentrality, DirectionOptimizingBfs, LabelPropagation, PageRank, Sssp, Wcc,
 };
 pub use engine::{GraphHConfig, GraphHEngine, RunResult};
-pub use exec::sequential::SequentialExecutor;
+pub use exec::sequential::{SequentialExecutor, ThreadedExecutor};
 pub use exec::{ExecutionPlan, Executor, FrontierView, ServerState};
 pub use gab::{
     Direction, DirectionMode, Edges, FrontierStats, GabProgram, InitContext, VertexContext,

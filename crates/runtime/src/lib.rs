@@ -1,35 +1,28 @@
 //! # graphh-runtime
 //!
-//! The real parallel worker runtime for the GraphH engine.
+//! What a process needs to be one GraphH server of a multi-process cluster.
+//! The simulated servers of an in-process run need none of it: they are
+//! stepped by `graphh-core`'s one superstep loop
+//! ([`graphh_core::SequentialExecutor`], [`graphh_core::ThreadedExecutor`]),
+//! which hands wires from server to server with no plane. This crate is the
+//! rest:
 //!
-//! The paper's MPE runs its supersteps on `p` servers concurrently; the
-//! sequential reference executor in `graphh-core` iterates the simulated
-//! servers on one thread, which keeps the *simulated* cost model honest but
-//! makes wall-clock numbers `p×` off. This crate supplies the missing
-//! execution substrate:
-//!
-//! * [`ThreadedExecutor`] — one OS thread per simulated server, each owning
-//!   its tile set, vertex-replica array and edge cache (implements
-//!   [`graphh_core::Executor`], so `GraphHEngine::with_executor` plugs it in);
-//!   inside each server the tile phase additionally fans out to
-//!   `threads_per_server` compute threads (the paper's `T`, via
-//!   `graphh-pool`'s persistent per-server `WorkerPool`), so the executor
-//!   runs `p × T` workers at peak,
 //! * [`frame`] — the transport-agnostic framing protocol: [`Frame`], its
 //!   length-prefixed wire codec, and the [`SuperstepCollector`] inbox
 //!   discipline (superstep ordering, stashing, abort semantics), unit-tested
 //!   without threads,
-//! * [`BroadcastPlane`] — the all-to-all message fabric the workers broadcast
+//! * [`BroadcastPlane`] — the all-to-all message fabric a worker broadcasts
 //!   wire-encoded updates over; every message really travels encoded
 //!   (+ compressed) through [`graphh_cluster::MessageCodec`], so Figure 8
-//!   traffic is metered per real message. Backends: [`ChannelPlane`]
-//!   (in-process mpsc) and [`PollPlane`] (TCP, **one event-loop thread**
-//!   multiplexing all peers over non-blocking sockets) — the TCP plane lets
-//!   each simulated server be its own OS **process**; the `graphh-node`
-//!   binary in `graphh-bench` does exactly that. The wire protocol it speaks
-//!   is specified normatively in `docs/WIRE.md`, and its end-of-superstep
-//!   markers are BSP's `wait_other_servers` — `collect(s)` returns only once
-//!   every peer has ended `s`, so there is no separate barrier,
+//!   traffic is metered per real message. [`PollPlane`] is the TCP backend:
+//!   **one event-loop thread** multiplexing all peers over non-blocking
+//!   sockets, so each simulated server can be its own OS **process** — the
+//!   `graphh-node` binary in `graphh-bench` does exactly that. The wire
+//!   protocol it speaks is specified normatively in `docs/WIRE.md`, and its
+//!   end-of-superstep markers are BSP's `wait_other_servers` — `collect(s)`
+//!   returns only once every peer has ended `s`, so there is no separate
+//!   barrier. ([`ChannelPlane`], an in-process backend over `mpsc`, has no
+//!   user but the benchmark's latency probe.)
 //! * [`fabric`] — the TCP plane's link life-cycle as one I/O-free step
 //!   function (`Fabric::step(now, Event, &mut Vec<Action>)`): establishment,
 //!   redial and backoff at the addresses of the static peer table, hello
@@ -38,10 +31,10 @@
 //!   is in, replayed duplicates never). [`poll`] moves the bytes, with one
 //!   private poller (`poll(2)` on Linux, a spin elsewhere),
 //! * [`run_worker`] — one server's [`graphh_core::exec::WorkerStep`] (the
-//!   superstep body the sequential executor steps too) driven over a
+//!   superstep body the in-process loop steps too) driven over a
 //!   [`BroadcastPlane`], with checkpoint resume and writing by
-//!   [`acknowledge_durable`]; the threaded executor runs one per thread,
-//!   `graphh-node` one per process.
+//!   [`acknowledge_durable`]; `graphh-node` runs one per process,
+//! * [`checkpoint`] — the checkpoint files a worker resumes from.
 //!
 //! `tests/fabric_sim.rs` is the fault-tolerance check: real
 //! [`graphh_core::exec::WorkerStep`]s running registry programs through
@@ -53,14 +46,15 @@
 //!
 //! ## Determinism
 //!
-//! Thread scheduling must never change results. Three properties guarantee it:
+//! Process scheduling must never change results. Three properties guarantee
+//! it:
 //!
 //! 1. each vertex is updated by exactly one tile, and each tile by exactly one
 //!    server, so the merged update set of a superstep is schedule-independent,
 //! 2. the merged update set names each vertex at most once, so the order a
 //!    worker applies it in cannot change the replica, and the next frontier —
 //!    the messages' ids, ordered by first id and concatenated — is ascending
-//!    however the messages arrived; every executor runs the same
+//!    however the messages arrived; every driver runs the same
 //!    [`graphh_core::exec::WorkerStep`], and two messages whose ids overlap
 //!    are a corrupt broadcast that aborts the run,
 //! 3. the plane's end-of-superstep markers keep replicas in lockstep — no
@@ -68,9 +62,9 @@
 //!    and a faster peer's `s + 1` frames are stashed, not applied — so every
 //!    gather reads the same replica state.
 //!
-//! The differential tests in this crate and `tests/determinism.rs` enforce
-//! bit-identical `values` between [`ThreadedExecutor`] and
-//! [`graphh_core::SequentialExecutor`].
+//! `tests/determinism.rs` at the repository root runs workers over loopback
+//! [`PollPlane`]s and holds their replicas to the sequential executor's, bit
+//! for bit.
 
 pub mod buffer;
 pub mod checkpoint;
@@ -80,7 +74,6 @@ pub mod frame;
 pub mod plane;
 pub mod poll;
 pub mod resume;
-pub mod threaded;
 pub mod worker;
 
 pub use buffer::{BufferPool, PooledBuf};
@@ -95,5 +88,4 @@ pub use graphh_core::exec::WorkerOutput;
 pub use plane::{BroadcastPlane, ChannelPlane};
 pub use poll::{BoundPollPlane, PollPlane};
 pub use resume::{ReplayError, ReplayLog, ResilienceConfig, ResumeHello};
-pub use threaded::ThreadedExecutor;
-pub use worker::{acknowledge_durable, run_worker, WorkerError, WorkerOptions};
+pub use worker::{acknowledge_durable, run_worker, WorkerOptions};

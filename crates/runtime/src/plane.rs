@@ -1,4 +1,5 @@
-//! The broadcast plane: how worker threads exchange encoded broadcast messages.
+//! The broadcast plane: how `graphh-node` processes exchange encoded
+//! broadcast messages.
 //!
 //! A [`BroadcastPlane`] is one server's endpoint on an all-to-all message
 //! fabric. The contract mirrors the paper's superstep broadcast (§IV-C): a
@@ -13,13 +14,15 @@
 //! lives in [`crate::frame`] (normative spec: `docs/WIRE.md`). Two backends
 //! implement the trait on top of it:
 //!
-//! * [`ChannelPlane`] — in-process, over `std::sync::mpsc` (one MPSC inbox per
-//!   server, a sender handle per peer); frames travel as values, no bytes are
-//!   copied,
 //! * [`crate::poll::PollPlane`] — multi-process, over TCP: frames travel
 //!   length-prefix-encoded and a single readiness-loop thread multiplexes all
 //!   peer sockets (non-blocking I/O, incremental decoding, backpressured
-//!   write queues) into the same inbox discipline.
+//!   write queues) into the same inbox discipline,
+//! * [`ChannelPlane`] — in-process, over `std::sync::mpsc`. No executor uses
+//!   it: in-process servers exchange wires with no plane at all
+//!   (`graphh_core::exec::sequential`). It stays only because the
+//!   benchmark's layer pass probes its superstep latency, and goes when that
+//!   probe does.
 
 pub use crate::frame::{Frame, PlaneError, WireMessage};
 use crate::frame::{InboxEvent, SuperstepCollector};
@@ -87,6 +90,10 @@ pub trait BroadcastPlane: Send {
 }
 
 /// In-process broadcast plane over `std::sync::mpsc` channels.
+///
+/// No executor uses it — in-process servers need no plane — and the
+/// benchmark's layer pass (`runtime.channel_superstep_us`) is its only
+/// caller; it is deleted together with that probe.
 pub struct ChannelPlane {
     id: ServerId,
     num_servers: u32,

@@ -12,11 +12,9 @@
 //! poller reports which sockets can make progress, and per-peer
 //! state carries partial frames ([`crate::frame::FrameDecoder`]), partial
 //! handshakes and backpressured write queues across loop iterations. It feeds
-//! the same [`SuperstepCollector`] inbox discipline the in-process
-//! [`crate::plane::ChannelPlane`] uses — so the executor-facing behaviour
-//! (superstep ordering, stashing, abort semantics) is identical and the
-//! determinism suites pin `PollPlane` runs bit-identical to the sequential
-//! reference (see `docs/WIRE.md` §5 for the conformance contract).
+//! the [`SuperstepCollector`] inbox discipline (superstep ordering,
+//! stashing, abort semantics) its worker reads, and the determinism suites
+//! pin `PollPlane` runs bit-identical to the sequential reference (see `docs/WIRE.md` §5 for the conformance contract).
 //!
 //! ## Threading model
 //!

@@ -4,8 +4,8 @@
 //! Each superstep, [`run_worker`] asks the step to compute its tiles,
 //! broadcasts the wires it encodes, ends the superstep on the plane, hands
 //! every wire the plane collects to the step, and has it apply the merged
-//! updates — the superstep body the sequential executor steps too, so the
-//! threaded executor and `graphh-node` stay bit-identical to it. Then
+//! updates — the superstep body the in-process executors step too, so
+//! `graphh-node` stays bit-identical to them. Then
 //! [`acknowledge_durable`] writes a checkpoint when one is due and
 //! acknowledges what is durable.
 //! Every replica applies the same merged update set, so every worker reaches
@@ -25,28 +25,6 @@ use graphh_graph::ids::ServerId;
 use graphh_obs::Tracer;
 use graphh_partition::PartitionedGraph;
 
-/// A worker failure, tagged with whether it is the *root cause* or a
-/// secondary effect of another worker's abort (peers observing the abort
-/// frame, or the aborted worker's endpoint already gone). The executor
-/// reports a root-cause error when one exists.
-#[derive(Debug)]
-pub struct WorkerError {
-    /// The underlying engine error.
-    pub error: EngineError,
-    /// True when this error only reports another worker's abort.
-    pub secondary: bool,
-}
-
-impl From<EngineError> for WorkerError {
-    /// An error this worker found itself: the root cause.
-    fn from(error: EngineError) -> Self {
-        Self {
-            error,
-            secondary: false,
-        }
-    }
-}
-
 /// Reject a checkpoint the plan cannot run on server `sid` — it is file
 /// bytes: another server's snapshot, a replica that is not one value per
 /// vertex, a frontier that is not strictly ascending inside the graph, a
@@ -55,7 +33,7 @@ fn check_restore(
     plan: &ExecutionPlan,
     sid: ServerId,
     resume: &Checkpoint,
-) -> Result<(), WorkerError> {
+) -> Result<(), EngineError> {
     let n = plan.num_vertices;
     let values = resume.values.len() as u64;
     let frontier = &resume.frontier;
@@ -74,17 +52,11 @@ fn check_restore(
     } else {
         return Ok(());
     };
-    Err(EngineError::BadInput(format!("checkpoint restore: {why}")).into())
+    Err(EngineError::BadInput(format!("checkpoint restore: {why}")))
 }
 
-fn plane_error(e: PlaneError) -> WorkerError {
-    WorkerError {
-        // A vanished peer is a symptom too: with no barrier to park at, a
-        // worker already publishing superstep `s + 1` can find a peer that
-        // failed in `s` gone before it reads that peer's abort frame.
-        secondary: matches!(e, PlaneError::Aborted(_) | PlaneError::Disconnected),
-        error: EngineError::BadInput(format!("broadcast plane failure: {e}")),
-    }
+fn plane_error(e: PlaneError) -> EngineError {
+    EngineError::BadInput(format!("broadcast plane failure: {e}"))
 }
 
 /// Optional behaviors of [`run_worker`] beyond the plain superstep loop.
@@ -131,7 +103,7 @@ pub fn acknowledge_durable(
     every: Option<u32>,
     write: &mut dyn FnMut(&Checkpoint) -> Result<(), String>,
     ack: &mut dyn FnMut(u32) -> Result<(), PlaneError>,
-) -> Result<(), WorkerError> {
+) -> Result<(), EngineError> {
     let cursor = step.cursor();
     let durable = match (resume, every) {
         (Some(checkpoint), _) => {
@@ -181,7 +153,7 @@ pub fn run_worker(
     plane: &mut dyn BroadcastPlane,
     tracer: &Tracer,
     options: WorkerOptions,
-) -> Result<WorkerOutput, WorkerError> {
+) -> Result<WorkerOutput, EngineError> {
     let WorkerOptions {
         resume,
         checkpoint: sink,
@@ -197,7 +169,7 @@ pub fn run_worker(
     rec.end(load, "server-build", "load");
 
     let rec = &mut rec;
-    let body = std::panic::AssertUnwindSafe(|| -> Result<(), WorkerError> {
+    let body = std::panic::AssertUnwindSafe(|| -> Result<(), EngineError> {
         let every = sink.as_ref().map(|sink| sink.every);
         let mut write = |checkpoint: &Checkpoint| {
             let sink = sink.as_ref().expect("written only with a sink");
@@ -242,7 +214,7 @@ pub fn run_worker(
     });
 
     // catch_unwind so a panicking worker (not just an erroring one) still
-    // releases its peers; the panic is re-raised by the executor after join.
+    // releases its peers before the panic is re-raised.
     // (AssertUnwindSafe implements FnOnce, so it is passed directly — wrapping
     // it in another closure would capture the inner closure field and lose
     // the unwind-safety assertion.)
@@ -305,7 +277,7 @@ mod tests {
     /// `options` on a [`TestPlane`]: the result and the plane's calls.
     fn run_path_graph(
         options: WorkerOptions,
-    ) -> (Result<WorkerOutput, WorkerError>, Vec<(&'static str, u32)>) {
+    ) -> (Result<WorkerOutput, EngineError>, Vec<(&'static str, u32)>) {
         let g = path_graph(10);
         let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 2)).unwrap();
         let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
@@ -389,26 +361,21 @@ mod tests {
                 step.apply()?;
                 acknowledge_durable(&mut step, None, Some(2), &mut write, &mut ack)?;
             }
-            Ok::<_, WorkerError>(())
+            Ok::<_, EngineError>(())
         };
         run(false).unwrap();
         assert_eq!(events.take(), [("write", 2), ("ack", 1)]);
         let err = run(true).expect_err("the write failed");
-        assert!(err
-            .error
-            .to_string()
-            .contains("checkpoint write: disk full"));
+        assert!(err.to_string().contains("checkpoint write: disk full"));
         assert_eq!(events.take(), [("write", 2)]);
     }
 
-    /// Why a restore that does not fit the plan was refused — as the run's
-    /// root cause, not as a symptom of another server's failure.
+    /// Why a restore that does not fit the plan was refused.
     fn refused_restore(options: WorkerOptions) -> String {
         let err = run_path_graph(options)
             .0
             .expect_err("the restore must be refused");
-        assert!(!err.secondary);
-        err.error.to_string()
+        err.to_string()
     }
 
     /// A replica of any other length is refused — even with a frontier that
@@ -496,9 +463,8 @@ mod tests {
                 WorkerOptions::default(),
             )
             .expect_err("oversized range must abort cleanly");
-            let rendered = err.error.to_string();
+            let rendered = err.to_string();
             assert!(rendered.contains("exceeds vertex count"), "{rendered}");
-            assert!(!err.secondary);
         }
     }
 
@@ -535,12 +501,11 @@ mod tests {
             WorkerOptions::default(),
         )
         .expect_err("an id two messages update must abort the run");
-        let rendered = err.error.to_string();
+        let rendered = err.to_string();
         assert!(
             rendered.contains("two messages overlap at vertex 0 in superstep 0"),
             "{rendered}"
         );
-        assert!(!err.secondary);
         assert!(
             !plane.calls.contains(&("ack", 0)),
             "the superstep must not be acknowledged: {:?}",

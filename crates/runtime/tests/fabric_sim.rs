@@ -1500,7 +1500,7 @@ impl World {
             self.log(|| format!("n{id} dies writing its checkpoint"));
             return self.fire(planned.fault);
         }
-        settled.map_err(|e| format!("n{id}: settling: {}", e.error))?;
+        settled.map_err(|e| format!("n{id}: settling: {e}"))?;
         let step = step.expect("a running step");
         let proc = self.proc(id).expect("working");
         if let Some(s) = step.next_superstep() {

@@ -1,14 +1,15 @@
 //! Observability must never feed back into computation: a traced run is
-//! bit-identical to an untraced one, on both executors — and the trace it
-//! leaves behind actually contains the superstep phase spans on the
-//! documented lanes (`docs/OBSERVABILITY.md`).
+//! bit-identical to an untraced one, on both in-process executors — and the
+//! trace it leaves behind contains the superstep phase spans on the lanes
+//! `docs/OBSERVABILITY.md` documents, the same lanes for both.
 
 use graphh_cluster::ClusterConfig;
-use graphh_core::{GraphHConfig, GraphHEngine, PageRank, SequentialExecutor, Sssp};
+use graphh_core::{
+    GraphHConfig, GraphHEngine, PageRank, SequentialExecutor, Sssp, ThreadedExecutor,
+};
 use graphh_graph::generators::{path_graph, GraphGenerator, RmatGenerator};
 use graphh_obs::{SpanEvent, TraceConfig, Tracer};
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
-use graphh_runtime::ThreadedExecutor;
 use std::sync::Arc;
 
 const SERVERS: u32 = 3;
@@ -38,6 +39,42 @@ fn superstep_phases(spans: &[SpanEvent]) -> Vec<&'static str> {
     names
 }
 
+/// The lane rule both in-process executors follow (`docs/OBSERVABILITY.md`
+/// §2): the driver's spans on lane 0 — `plan-prepare` and nothing of a
+/// superstep — and server `sid`'s `server-build` and four superstep phases on
+/// lane `1 + sid`, one of each phase per superstep; no `plane-flush`, as no
+/// plane runs in process.
+fn assert_in_process_lanes(spans: &[SpanEvent], supersteps_run: u32) {
+    assert_eq!(
+        superstep_phases(spans),
+        vec!["apply", "collect-decode", "encode-publish", "tile-compute"],
+        "every in-process phase, and no plane-flush"
+    );
+    let driver: Vec<_> = spans
+        .iter()
+        .filter(|s| s.tid == 0)
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(driver, ["plan-prepare"], "the driver's lane");
+    for sid in 0..SERVERS {
+        let lane = 1 + sid;
+        let on_lane = |name: &str| {
+            spans
+                .iter()
+                .filter(|s| s.tid == lane && s.name == name)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(on_lane("server-build").len(), 1, "lane {lane}");
+        for phase in ["tile-compute", "encode-publish", "collect-decode", "apply"] {
+            let spans = on_lane(phase);
+            assert_eq!(spans.len() as u32, supersteps_run, "lane {lane} {phase}");
+            let supersteps: Vec<_> = spans.iter().map(|s| s.superstep).collect();
+            let expected: Vec<_> = (0..supersteps_run).map(Some).collect();
+            assert_eq!(supersteps, expected, "lane {lane} {phase}");
+        }
+    }
+}
+
 #[test]
 fn traced_threaded_run_is_bit_identical_and_emits_phase_spans() {
     let p = partitioned();
@@ -64,31 +101,11 @@ fn traced_threaded_run_is_bit_identical_and_emits_phase_spans() {
     assert_eq!(plain.supersteps_run, traced.supersteps_run);
 
     let spans = tracer.drain();
-    assert_eq!(
-        superstep_phases(&spans),
-        vec![
-            "apply",
-            "collect-decode",
-            "encode-publish",
-            "plane-flush",
-            "tile-compute",
-        ],
-        "every worker phase must appear in the trace"
-    );
-    // Lane scheme: 0 = driver, 1 + sid = server workers; every server
-    // contributed spans, and each ran all the supersteps.
-    assert!(spans.iter().any(|s| s.tid == 0 && s.cat == "load"));
-    for sid in 0..SERVERS {
-        let lane = 1 + sid;
-        let computes: Vec<_> = spans
-            .iter()
-            .filter(|s| s.tid == lane && s.name == "tile-compute")
-            .collect();
-        assert_eq!(computes.len() as u32, traced.supersteps_run, "lane {lane}");
-        assert!(computes
-            .iter()
-            .all(|s| s.superstep.is_some() && s.dur_us < 60_000_000));
-    }
+    assert_in_process_lanes(&spans, traced.supersteps_run);
+    assert!(spans
+        .iter()
+        .filter(|s| s.name == "tile-compute")
+        .all(|s| s.dur_us < 60_000_000));
     // Pool-job spans from each server's compute pool land on that server's
     // pool lanes (100 * (1 + sid) + worker_index).
     assert!(
@@ -125,13 +142,5 @@ fn traced_sequential_run_is_bit_identical_and_emits_phase_spans() {
         traced.updated_ratio_per_superstep
     );
 
-    let spans = tracer.drain();
-    assert_eq!(
-        superstep_phases(&spans),
-        vec!["apply", "encode-publish", "tile-compute"],
-        "the sequential executor's phase set (no plane)"
-    );
-    // Everything the sequential driver records lands on lane 0.
-    assert!(spans.iter().filter(|s| s.cat != "pool").all(|s| s.tid == 0));
-    assert!(spans.iter().any(|s| s.name == "server-build"));
+    assert_in_process_lanes(&tracer.drain(), traced.supersteps_run);
 }

@@ -2,7 +2,10 @@
 //! and threaded executors) and all five baselines, verify they agree, and
 //! print the simulated performance and memory profile of each — a miniature
 //! version of the paper's Figure 1 and Figure 9 — plus the *wall-clock*
-//! sequential-vs-threaded comparison on an RMAT scale-10 workload.
+//! sequential-vs-threaded comparison on an RMAT scale-10 workload. Both
+//! executors run one superstep loop; the threaded one fans the servers out
+//! over a pool of `min(servers, CPUs)` threads, so on one CPU the two are the
+//! same run.
 //!
 //! Run with: `cargo run --release --example engine_shootout`
 
@@ -74,7 +77,8 @@ fn main() {
     }
 
     // Wall-clock executor comparison: RMAT scale-10 PageRank on 4 servers
-    // (needs >1 real core for the threaded executor to win).
+    // (the threaded executor's pool has one thread per CPU, up to 4; on one
+    // CPU it steps the servers inline, like the sequential executor).
     println!("\nwall-clock, RMAT scale-10 PageRank (4 servers, best of 3):");
     let rmat = RmatGenerator::new(10, 16).generate(2017);
     let p10 = Spe::partition(&rmat, &SpeConfig::with_tile_count("rmat-10", &rmat, 16)).unwrap();

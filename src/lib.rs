@@ -33,17 +33,20 @@
 //! * [`pool`] — the persistent fork-join worker pool behind intra-server tile
 //!   parallelism (the paper's `T` compute threads) and the SPE's parallel
 //!   passes,
-//! * [`core`] — the GAB model, the GraphH engine, executors and the algorithms,
-//! * [`runtime`] — the parallel worker runtime (one OS thread per server ×
-//!   `T` tile threads inside it; broadcast planes over in-process channels or
-//!   TCP sockets — the latter runs each server as its own process via the
-//!   `graphh-node` binary; the planes' end-of-superstep markers are the
-//!   superstep barrier),
+//! * [`core`] — the GAB model, the GraphH engine, the two in-process
+//!   executors (one superstep loop, sequential or over a thread pool) and the
+//!   algorithms,
+//! * [`runtime`] — what a process needs to be one server of a multi-process
+//!   cluster: frames, the TCP fabric and its `PollPlane` (each server its
+//!   own process via the `graphh-node` binary; the plane's end-of-superstep
+//!   markers are the superstep barrier), `run_worker` and checkpoints,
 //! * [`baselines`] — Pregel+, GraphD, PowerGraph, PowerLyra and Chaos: one
 //!   synchronous loop over the same [`GabProgram`](core::GabProgram)s, with a
 //!   traffic meter per system ([`baselines::run`]).
 //!
-//! To run the engine on real threads instead of the sequential reference loop:
+//! To fan the servers out over a pool of `min(servers, CPUs)` threads
+//! instead of stepping them on the calling thread (the same superstep loop,
+//! bit-identical results):
 //!
 //! ```
 //! use graphh::prelude::*;
@@ -75,6 +78,7 @@ pub mod prelude {
     pub use graphh_cache::{CacheMode, EdgeCache, EdgeCacheConfig};
     pub use graphh_cluster::{ClusterConfig, CommunicationMode, CostModel, MachineSpec};
     pub use graphh_compress::Codec;
+    pub use graphh_core::ThreadedExecutor;
     pub use graphh_core::{
         Bfs, DegreeCentrality, Direction, DirectionMode, DirectionOptimizingBfs, Executor,
         FrontierStats, GabProgram, GraphHConfig, GraphHEngine, LabelPropagation, PageRank,
@@ -84,6 +88,5 @@ pub mod prelude {
     pub use graphh_graph::generators::{ChungLuGenerator, GraphGenerator, RmatGenerator};
     pub use graphh_graph::{Edge, EdgeList, Graph, GraphBuilder};
     pub use graphh_partition::{PartitionedGraph, Spe, SpeConfig, Tile};
-    pub use graphh_runtime::ThreadedExecutor;
     pub use graphh_storage::{LocalDiskBackend, MemoryBackend, StorageBackend};
 }

@@ -1,14 +1,17 @@
-//! Differential determinism suite: the threaded runtime must be a drop-in
-//! replacement for the sequential reference executor.
+//! Differential determinism suite: the threaded executor (the sequential
+//! executor's loop over a pool of threads) and workers over real sockets must
+//! be drop-in replacements for the sequential reference executor.
 //!
 //! 3 seeds × {PageRank, SSSP, WCC} × {sequential, threaded} on a 4-server
-//! cluster: `result.values` must be **bit-identical** (not approximately
+//! cluster (and PageRank on 5, more servers than the pool has threads on a
+//! small host): `result.values` must be **bit-identical** (not approximately
 //! equal), the superstep counts must agree, and the scheduling-independent
 //! byte counters must match exactly. The direction axis rides the same
 //! harness: forced-push, forced-pull and engine-chosen runs of every
 //! push-capable registry program must also agree bit for bit, on both
 //! executors and over real sockets.
 
+use graphh::core::gab::{Edges, InitContext, VertexContext};
 use graphh::prelude::*;
 use std::sync::Arc;
 
@@ -16,7 +19,11 @@ const SEEDS: [u64; 3] = [2017, 42, 7];
 const SERVERS: u32 = 4;
 
 fn engine_pair() -> (GraphHEngine, GraphHEngine) {
-    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS));
+    engine_pair_on(SERVERS)
+}
+
+fn engine_pair_on(servers: u32) -> (GraphHEngine, GraphHEngine) {
+    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(servers));
     (
         GraphHEngine::with_executor(config.clone(), Arc::new(SequentialExecutor::new())),
         GraphHEngine::with_executor(config, Arc::new(ThreadedExecutor::new())),
@@ -85,15 +92,21 @@ fn integer_counters(run: &RunResult) -> Vec<[u64; 14]> {
         .collect()
 }
 
+/// On `SERVERS` servers and on 5 — more servers than the threaded
+/// executor's pool has threads on a host with fewer CPUs, so some pool
+/// threads step several servers a phase.
 #[test]
 fn threaded_matches_sequential_on_pagerank() {
-    let (seq, thr) = engine_pair();
-    for seed in SEEDS {
-        let g = RmatGenerator::new(8, 6).generate(seed);
-        let p = Spe::partition(&g, &SpeConfig::with_tile_count("det", &g, 11)).unwrap();
-        let a = seq.run(&p, &PageRank::new(10)).unwrap();
-        let b = thr.run(&p, &PageRank::new(10)).unwrap();
-        assert_bit_identical(&a, &b, &format!("pagerank seed {seed}"));
+    for servers in [SERVERS, 5] {
+        let (seq, thr) = engine_pair_on(servers);
+        for seed in SEEDS {
+            let g = RmatGenerator::new(8, 6).generate(seed);
+            let p = Spe::partition(&g, &SpeConfig::with_tile_count("det", &g, 11)).unwrap();
+            let a = seq.run(&p, &PageRank::new(10)).unwrap();
+            let b = thr.run(&p, &PageRank::new(10)).unwrap();
+            let what = format!("pagerank seed {seed}, {servers} servers");
+            assert_bit_identical(&a, &b, &what);
+        }
     }
 }
 
@@ -255,6 +268,67 @@ fn poll_plane_cluster_ships_the_same_bytes_in_every_direction_mode() {
             "{mode:?}"
         );
     }
+}
+
+/// PageRank, except that gathering one of the first few vertices stalls
+/// on odd supersteps — so the server owning that tile finishes those
+/// supersteps last, by a wide margin.
+struct Straggler(PageRank);
+
+impl GabProgram for Straggler {
+    fn name(&self) -> &'static str {
+        "straggler"
+    }
+    fn initial_value(&self, v: u32, ctx: &InitContext<'_>) -> f64 {
+        self.0.initial_value(v, ctx)
+    }
+    fn gather(&self, target: u32, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
+        if ctx.superstep % 2 == 1 && target < 4 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        self.0.gather(target, in_edges, ctx)
+    }
+    fn apply(&self, target: u32, accum: f64, current: f64, ctx: &VertexContext<'_>) -> f64 {
+        self.0.apply(target, accum, current, ctx)
+    }
+    fn is_update(&self, old: f64, new: f64) -> bool {
+        self.0.is_update(old, new)
+    }
+    fn max_supersteps(&self) -> u32 {
+        self.0.max_supersteps()
+    }
+    fn initial_frontier(&self, num_vertices: u64) -> Option<Vec<u32>> {
+        self.0.initial_frontier(num_vertices)
+    }
+    fn is_final(&self, value: f64) -> bool {
+        self.0.is_final(value)
+    }
+    fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
+        self.0.prepare(values, out_degrees, prepared)
+    }
+}
+
+/// Over real sockets nothing but the plane's end-of-superstep markers holds
+/// the servers in lockstep: while one server straggles through superstep
+/// `s`, the others cannot apply `s` (their `collect(s)` waits for its
+/// marker), and once it is through, whatever they publish for `s + 1` while
+/// it is still applying `s` waits in its collector's stash. Every replica
+/// stays bit-identical to the sequential run of plain PageRank, and the
+/// bytes on the wire are the same.
+#[test]
+fn a_straggling_server_needs_no_barrier_to_stay_bit_identical() {
+    let g = RmatGenerator::new(7, 5).generate(11);
+    let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 9)).unwrap();
+    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(3));
+    let reference = GraphHEngine::new(config.clone())
+        .run(&p, &PageRank::new(6))
+        .unwrap();
+    let (replicas, net_sent_bytes) = poll_plane_cluster(&config, &p, &Straggler(PageRank::new(6)));
+    let bits = |values: &[f64]| values.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (sid, values) in replicas.iter().enumerate() {
+        assert_eq!(bits(values), bits(&reference.values), "server {sid}");
+    }
+    assert_eq!(net_sent_bytes, reference.metrics.total_network_bytes());
 }
 
 /// The second parallelism axis: `threads_per_server` (the paper's T compute
