@@ -15,7 +15,12 @@
 //!
 //! Raw mode stores the *decoded* tile behind an `Arc`, so a hit is a refcount bump —
 //! no memcpy, no re-parse. The packed and LZ modes store a blob as an `Arc<[u8]>`
-//! and decode it outside the cache lock on each hit.
+//! and decode it outside the cache lock on each hit. A packed hit decodes a
+//! word at a time ([`Tile::from_packed`]): the stop bits of eight bytes index a
+//! table of the varints that end in them, so there is no branch per byte. A
+//! packed admission knows the blob's exact length before it packs
+//! ([`Tile::packed_size`]), so a tile that will not fit is refused unpacked,
+//! and one that fits is packed straight into the blob the cache keeps.
 //!
 //! ## Fill and hold
 //!
@@ -83,9 +88,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that did not.
     pub misses: u64,
-    /// Admissions that were prepared (packed or compressed, in those modes) and then
-    /// declined because the tile did not fit. Admissions declined up front
-    /// because the cache was already full are not counted: they cost nothing.
+    /// Admissions declined because the tile did not fit: in the LZ modes after
+    /// compressing it, in the packed mode from its packed length, before
+    /// packing. Admissions declined up front because the cache was already
+    /// full are not counted.
     pub refused: u64,
     /// Tiles currently resident.
     pub resident_tiles: u64,
@@ -273,36 +279,37 @@ impl EdgeCache {
         if self.is_full() {
             return 0.0;
         }
-        let (data, charged_bytes, compress_seconds) = match self.codec {
-            Codec::Raw => (Stored::Raw(Arc::clone(tile)), tile.serialized_size(), 0.0),
-            codec @ Codec::VarintDelta => {
-                let mut packed = Vec::new();
-                tile.to_packed(&mut packed);
-                let seconds = tile.serialized_size() as f64 / codec.compress_throughput();
-                let charged = packed.len() as u64;
-                (Stored::Packed(Arc::from(packed)), charged, seconds)
+        let compress_seconds = match self.codec {
+            Codec::Raw => 0.0,
+            codec => tile.serialized_size() as f64 / codec.compress_throughput(),
+        };
+        let (data, charged_bytes) = match self.codec {
+            Codec::Raw => (Stored::Raw(Arc::clone(tile)), tile.serialized_size()),
+            Codec::VarintDelta => {
+                // The packed length is known before packing: refuse a tile
+                // that will not fit without spending the work.
+                let charged = tile.packed_size();
+                if self.refuses(&mut self.lock(), tile_id, charged) {
+                    return compress_seconds;
+                }
+                let mut blob: Arc<[u8]> = std::iter::repeat_n(0, charged as usize).collect();
+                tile.pack_into(Arc::get_mut(&mut blob).expect("a fresh Arc is unique"));
+                (Stored::Packed(blob), charged)
             }
             codec => {
-                let serialized = tile.to_bytes();
-                let blob = codec.compress(&serialized);
-                let seconds = serialized.len() as f64 / codec.compress_throughput();
+                let blob = codec.compress(&tile.to_bytes());
                 let charged = blob.len() as u64;
                 (
                     Stored::Compressed(Arc::from(blob.into_boxed_slice())),
                     charged,
-                    seconds,
                 )
             }
         };
         let mut inner = self.lock();
-        let replaced = inner.entries.get(&tile_id).map_or(0, |e| e.charged_bytes);
-        if inner.used_bytes - replaced + charged_bytes > self.capacity {
-            inner.refused += 1;
-            // A tile bigger than the whole cache says nothing about how much
-            // room is left for the others.
-            inner.full |= charged_bytes <= self.capacity;
+        if self.refuses(&mut inner, tile_id, charged_bytes) {
             return compress_seconds;
         }
+        let replaced = inner.entries.get(&tile_id).map_or(0, |e| e.charged_bytes);
         inner.used_bytes = inner.used_bytes - replaced + charged_bytes;
         inner.entries.insert(
             tile_id,
@@ -312,6 +319,22 @@ impl EdgeCache {
             },
         );
         compress_seconds
+    }
+
+    /// Whether `charged_bytes` for `tile_id` does not fit beside the
+    /// residents (offering a resident id again replaces that entry); a
+    /// refusal is counted, and marks the cache full unless the tile alone
+    /// exceeds the capacity.
+    fn refuses(&self, inner: &mut Inner, tile_id: TileId, charged_bytes: u64) -> bool {
+        let replaced = inner.entries.get(&tile_id).map_or(0, |e| e.charged_bytes);
+        if inner.used_bytes - replaced + charged_bytes <= self.capacity {
+            return false;
+        }
+        inner.refused += 1;
+        // A tile bigger than the whole cache says nothing about how much
+        // room is left for the others.
+        inner.full |= charged_bytes <= self.capacity;
+        true
     }
 
     /// [`EdgeCache::offer`] under the signature `benchmark/` calls, kept only
@@ -459,6 +482,7 @@ mod tests {
         t.to_packed(&mut packed);
         let compress_seconds = cache.offer(2, &t);
         assert_eq!(cache.stats().used_bytes, packed.len() as u64);
+        assert_eq!(t.packed_size(), packed.len() as u64);
         let codec = Codec::VarintDelta;
         assert_eq!(
             compress_seconds,
@@ -493,8 +517,10 @@ mod tests {
             assert_eq!(stats.refused, 1);
             assert_eq!(stats.resident_tiles, 2);
             assert!(stats.used_bytes <= cache.capacity());
-            // The refused tile was still compressed (its size was not known
-            // before); nothing offered after it is.
+            // The refused tile is still billed its modelled compression:
+            // the LZ modes compress it to learn its size, the packed mode
+            // refuses it from `Tile::packed_size` without packing it.
+            // Nothing offered after it is billed.
             assert_eq!(refused_compress > 0.0, codec != Codec::Raw);
             assert_eq!(cache.offer(3, &tile(3, 1)), 0.0, "{codec:?}");
             assert_eq!(cache.admit(4, b"unused", &tile(4, 1), 9), 0.0);

@@ -1448,6 +1448,26 @@ fn rmat17_benchmark_graph_is_pinned() {
     }
 }
 
+/// Every tile of an RMAT(14, 16) partition asked for 64 tiles, for each seed,
+/// packs to exactly `Tile::packed_size` bytes and unpacks to an equal tile:
+/// the word-at-a-time codec over the shape the edge cache holds, at a scale
+/// that stays quick in a debug build.
+#[test]
+fn every_rmat_tile_roundtrips_through_the_packed_form() {
+    let mut blob = Vec::new();
+    for seed in SEEDS {
+        let g = RmatGenerator::new(14, 16).generate(seed);
+        let p = Spe::partition(&g, &SpeConfig::with_tile_count("packed", &g, 64)).unwrap();
+        for tile in &p.tiles {
+            tile.to_packed(&mut blob);
+            let what = format!("seed {seed}, tile {}", tile.tile_id);
+            assert_eq!(blob.len() as u64, tile.packed_size(), "{what}");
+            let back = Tile::from_packed(&blob).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(back, *tile, "{what}");
+        }
+    }
+}
+
 /// The edge cache's packed form on the benchmark's input: RMAT(17, 16), seed
 /// 2017, 64 tiles over 2 servers. Pins each server's total `Tile::to_packed`
 /// bytes, and what the `pr-outofcore` configuration — a quarter of the fuller
