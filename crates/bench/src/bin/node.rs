@@ -40,7 +40,8 @@
 //!
 //! Observability flags (see `docs/OBSERVABILITY.md`): `--trace-out FILE`
 //! enables phase tracing and writes a Chrome trace-event JSON file loadable
-//! in `chrome://tracing` / Perfetto; `--metrics-out FILE` writes this node's
+//! in `chrome://tracing` / Perfetto (the set-up's `generate` and `partition`
+//! on lane 0, then the worker's phases); `--metrics-out FILE` writes this node's
 //! run summary plus a snapshot of every process-wide counter as JSON. Neither
 //! flag changes results or wire bytes.
 //!
@@ -281,8 +282,16 @@ fn run(args: Args) -> Result<(), String> {
     }
     config.validate().map_err(|e| e.to_string())?;
 
+    // Tracing is opt-in: without --trace-out the disabled tracer adds zero
+    // allocations and zero clock reads to the set-up and the superstep loop.
+    // It starts before the workload is built, so the set-up is in the trace.
+    let tracer = if args.trace_out.is_some() {
+        Tracer::new()
+    } else {
+        Tracer::off()
+    };
     let pool = WorkerPool::with_host_parallelism();
-    let (partitioned, program) = args.workload.build(&pool)?;
+    let (partitioned, program) = args.workload.build(&pool, &tracer)?;
     let plan = ExecutionPlan::prepare(&config, &partitioned, program.as_ref())
         .map_err(|e| format!("prepare plan: {e}"))?;
     drop(pool); // the run uses the per-server pool inside `ServerState`
@@ -332,13 +341,6 @@ fn run(args: Args) -> Result<(), String> {
     // One worker per process: lockstep comes from the broadcast plane's
     // end-of-superstep framing.
     let sid = plane.server_id();
-    // Tracing is opt-in: without --trace-out the disabled tracer adds zero
-    // allocations and zero clock reads to the superstep loop.
-    let tracer = if args.trace_out.is_some() {
-        Tracer::new()
-    } else {
-        Tracer::off()
-    };
     let options = WorkerOptions {
         resume: resumed,
         checkpoint: checkpoint_sink,

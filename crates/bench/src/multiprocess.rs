@@ -13,6 +13,7 @@ use graphh_core::registry::{find_program, program_names, ProgramContext, Program
 use graphh_core::GabProgram;
 use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_graph::{Graph, GraphBuilder};
+use graphh_obs::Tracer;
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
 use graphh_pool::WorkerPool;
 
@@ -43,12 +44,15 @@ impl NodeWorkload {
     ///
     /// The program comes from the registry; the graph is a seeded RMAT,
     /// symmetrised first when the program's [`ProgramSpec::symmetrize_input`]
-    /// contract asks for it (WCC, label propagation).
+    /// contract asks for it (WCC, label propagation). The two stages are
+    /// `generate` and `partition` spans (category `load`) on `tracer`'s lane
+    /// 0; [`Tracer::off`] records nothing.
     ///
     /// [`ProgramSpec::symmetrize_input`]: graphh_core::registry::ProgramSpec::symmetrize_input
     pub fn build(
         &self,
         pool: &WorkerPool,
+        tracer: &Tracer,
     ) -> Result<(PartitionedGraph, Box<dyn GabProgram>), String> {
         let spec = find_program(&self.program).ok_or_else(|| {
             format!(
@@ -58,6 +62,8 @@ impl NodeWorkload {
             )
         })?;
         self.check_size()?;
+        let mut spans = tracer.thread(0);
+        let started = spans.begin();
         let graph: Graph = if spec.symmetrize_input {
             let base = RmatGenerator::new(self.scale, self.edge_factor)
                 .simplified()
@@ -72,6 +78,7 @@ impl NodeWorkload {
         } else {
             RmatGenerator::new(self.scale, self.edge_factor).generate(self.seed)
         };
+        spans.end(started, "generate", "load");
         let ctx = ProgramContext::new(graph.out_degrees());
         let mut opts = ProgramOptions::parse(&self.program_args)?;
         // The workload-level superstep cap feeds programs that take one
@@ -81,12 +88,14 @@ impl NodeWorkload {
             opts.set("supersteps", &self.supersteps.to_string());
         }
         let program = spec.build(&ctx, &opts)?;
+        let started = spans.begin();
         let partitioned = Spe::partition_with_pool(
             &graph,
             &SpeConfig::with_tile_count("node", &graph, self.tiles),
             pool,
         )
         .map_err(|e| format!("partition: {e}"))?;
+        spans.end(started, "partition", "load");
         Ok((partitioned, program))
     }
 
@@ -139,6 +148,27 @@ mod tests {
     }
 
     #[test]
+    fn the_set_up_is_two_spans_on_lane_0() {
+        let w = NodeWorkload {
+            program: "wcc".into(),
+            program_args: Vec::new(),
+            scale: 6,
+            edge_factor: 4,
+            seed: 11,
+            tiles: 4,
+            supersteps: 3,
+        };
+        let tracer = Tracer::new();
+        w.build(&WorkerPool::new(1), &tracer).unwrap();
+        let spans: Vec<_> = tracer
+            .drain()
+            .iter()
+            .map(|s| (s.name, s.cat, s.tid))
+            .collect();
+        assert_eq!(spans, [("generate", "load", 0), ("partition", "load", 0)]);
+    }
+
+    #[test]
     fn workload_build_is_deterministic_across_calls() {
         let w = NodeWorkload {
             program: "pagerank".into(),
@@ -150,8 +180,8 @@ mod tests {
             supersteps: 3,
         };
         let pool = WorkerPool::with_host_parallelism();
-        let (a, _) = w.build(&pool).unwrap();
-        let (b, _) = w.build(&pool).unwrap();
+        let (a, _) = w.build(&pool, &Tracer::off()).unwrap();
+        let (b, _) = w.build(&pool, &Tracer::off()).unwrap();
         assert_eq!(a.tiles, b.tiles);
         assert_eq!(a.in_degrees, b.in_degrees);
     }
@@ -171,7 +201,7 @@ mod tests {
         };
         let pool = WorkerPool::new(1);
         let refusal = |scale, edge_factor| {
-            let built = sized(scale, edge_factor).build(&pool);
+            let built = sized(scale, edge_factor).build(&pool, &Tracer::off());
             built.err().expect("a size the id types cannot hold")
         };
         for scale in [32, 40, 64, u32::MAX] {
@@ -182,7 +212,7 @@ mod tests {
             let err = refusal(scale, edge_factor);
             assert!(err.contains("--edge-factor"), "{err}");
         }
-        assert!(sized(4, 3).build(&pool).is_ok());
+        assert!(sized(4, 3).build(&pool, &Tracer::off()).is_ok());
     }
 
     #[test]
@@ -196,6 +226,6 @@ mod tests {
             tiles: 2,
             supersteps: 1,
         };
-        assert!(w.build(&WorkerPool::new(1)).is_err());
+        assert!(w.build(&WorkerPool::new(1), &Tracer::off()).is_err());
     }
 }

@@ -21,6 +21,7 @@
 use graphh_bench::multiprocess::{decode_values, NodeWorkload};
 use graphh_cluster::ClusterConfig;
 use graphh_core::{GraphHConfig, GraphHEngine, SequentialExecutor};
+use graphh_obs::Tracer;
 use graphh_pool::WorkerPool;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -183,7 +184,9 @@ fn try_chaos_run(victim: u32, attempt: u32) -> Result<Vec<Vec<u8>>, String> {
 #[test]
 fn kill9_mid_run_restart_at_the_same_port_matches_sequential_byte_for_byte() {
     let pool = WorkerPool::with_host_parallelism();
-    let (partitioned, program) = workload().build(&pool).expect("reference workload");
+    let (partitioned, program) = workload()
+        .build(&pool, &Tracer::off())
+        .expect("reference workload");
     let reference = GraphHEngine::with_executor(
         GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS)),
         Arc::new(SequentialExecutor::new()),

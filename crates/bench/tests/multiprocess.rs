@@ -13,6 +13,7 @@
 use graphh_bench::multiprocess::{decode_values, NodeWorkload};
 use graphh_cluster::ClusterConfig;
 use graphh_core::{GraphHConfig, GraphHEngine, SequentialExecutor};
+use graphh_obs::Tracer;
 use graphh_pool::WorkerPool;
 use std::net::TcpListener;
 use std::process::{Child, Command};
@@ -143,7 +144,9 @@ fn assert_cluster_matches_sequential_with_args(workload: NodeWorkload, extra_arg
     let replicas = replicas.unwrap();
 
     let pool = WorkerPool::with_host_parallelism();
-    let (partitioned, program) = workload.build(&pool).expect("reference workload");
+    let (partitioned, program) = workload
+        .build(&pool, &Tracer::off())
+        .expect("reference workload");
     let reference = GraphHEngine::with_executor(
         GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS)),
         Arc::new(SequentialExecutor::new()),
@@ -214,7 +217,9 @@ fn two_process_poll_dopt_bfs_switches_direction_and_matches_sequential() {
     // times and pushes the tail on this small graph, and every process must
     // switch at the same superstep to stay bit-identical to the sequential
     // reference.
-    let (partitioned, _) = w.build(&WorkerPool::new(1)).expect("workload");
+    let (partitioned, _) = w
+        .build(&WorkerPool::new(1), &Tracer::off())
+        .expect("workload");
     let source = partitioned.out_degrees.iter().position(|&d| d == 1);
     w.program_args = vec![format!("source={}", source.expect("a quiet vertex"))];
     assert_cluster_matches_sequential(w);

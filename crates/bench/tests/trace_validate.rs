@@ -134,7 +134,15 @@ fn traced_poll_cluster_emits_valid_trace_and_metrics_files() {
                 stats.names
             );
         }
-        assert!(stats.names.iter().any(|n| n == "server-build"));
+        // The set-up too: the node's generate and partition, then the
+        // server's build.
+        for setup in ["generate", "partition", "server-build"] {
+            assert!(
+                stats.names.iter().any(|n| n == setup),
+                "server {sid} trace is missing the {setup} span; has {:?}",
+                stats.names
+            );
+        }
         assert!(
             stats.superstep_spans >= 6,
             "server {sid}: expected at least one span per superstep"

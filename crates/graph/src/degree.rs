@@ -16,58 +16,20 @@ pub fn compute_degrees(
     num_vertices: VertexCount,
     edges: &EdgeList,
 ) -> Result<(Vec<u32>, Vec<u32>), GraphError> {
-    let mut degrees = DegreeCounter::new(num_vertices);
+    let n = num_vertices as usize;
+    let (mut in_deg, mut out_deg) = (vec![0; n], vec![0; n]);
     for (&src, &dst) in edges.sources().iter().zip(edges.targets()) {
-        degrees.count(src, dst)?;
-    }
-    Ok(degrees.into_arrays())
-}
-
-/// In- and out-degree arrays filled one edge at a time. An edge is counted
-/// only if both endpoints are vertices, so the arrays it hands over always
-/// describe a valid edge list.
-#[derive(Debug)]
-pub(crate) struct DegreeCounter {
-    num_vertices: VertexCount,
-    in_deg: Vec<u32>,
-    out_deg: Vec<u32>,
-}
-
-impl DegreeCounter {
-    /// Zero degrees for `num_vertices` vertices.
-    pub(crate) fn new(num_vertices: VertexCount) -> Self {
-        let n = num_vertices as usize;
-        Self {
-            num_vertices,
-            in_deg: vec![0; n],
-            out_deg: vec![0; n],
-        }
-    }
-
-    /// Count edge `src -> dst`, or refuse it if either end is not a vertex.
-    #[inline]
-    pub(crate) fn count(&mut self, src: VertexId, dst: VertexId) -> Result<(), GraphError> {
         let vertex = src.max(dst);
-        if u64::from(vertex) >= self.num_vertices {
+        if u64::from(vertex) >= num_vertices {
             return Err(GraphError::VertexOutOfRange {
                 vertex,
-                num_vertices: self.num_vertices,
+                num_vertices,
             });
         }
-        self.out_deg[src as usize] += 1;
-        self.in_deg[dst as usize] += 1;
-        Ok(())
+        out_deg[src as usize] += 1;
+        in_deg[dst as usize] += 1;
     }
-
-    /// The vertex count the arrays cover.
-    pub(crate) fn num_vertices(&self) -> VertexCount {
-        self.num_vertices
-    }
-
-    /// `(in_degree, out_degree)`.
-    pub(crate) fn into_arrays(self) -> (Vec<u32>, Vec<u32>) {
-        (self.in_deg, self.out_deg)
-    }
+    Ok((in_deg, out_deg))
 }
 
 /// Aggregate degree statistics, mirroring the columns of Table I.

@@ -65,24 +65,6 @@ impl Graph {
         })
     }
 
-    /// A graph whose degrees were counted while its edges were made: the
-    /// counter refused every out-of-range edge, so nothing is checked again.
-    pub(crate) fn from_counted(edges: EdgeList, degrees: degree::DegreeCounter) -> Self {
-        let num_vertices = degrees.num_vertices();
-        let (in_degree, out_degree) = degrees.into_arrays();
-        debug_assert_eq!(
-            out_degree.iter().map(|&d| d as usize).sum::<usize>(),
-            edges.len(),
-            "every edge counted once"
-        );
-        Self {
-            num_vertices,
-            edges,
-            out_degree,
-            in_degree,
-        }
-    }
-
     /// Number of vertices.
     pub fn num_vertices(&self) -> VertexCount {
         self.num_vertices
