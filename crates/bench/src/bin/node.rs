@@ -49,14 +49,11 @@
 //! failure parks the link, the survivor redials (or accepts a redial) with
 //! the `GHHR` resume handshake, and retained frames are replayed. Starting
 //! up is the same path — every link begins down and `--establish-timeout-secs`
-//! is how long each has to come up once — so this process binds its listener
+//! is how long they have to come up — so this process binds its listener
 //! first (peers' dials wait in its backlog while the workload builds) and
-//! prints `cluster established` when the plane's event loop says so.
-//! `--checkpoint-dir DIR` snapshots replica values + superstep cursor every
-//! `--checkpoint-every N` supersteps (GHHC files, atomic rename); on startup
-//! an existing checkpoint for this server id is loaded automatically and the
-//! run resumes at its cursor while peers replay the delta — so a node process
-//! can be killed and restarted mid-run without changing the final values.
+//! prints `cluster established` when the plane's event loop says so. A
+//! process killed mid-run is restarted with the same command line and
+//! resumes from its live peers' state (`docs/WIRE.md` §9.4).
 //! `--reconnect-deadline-secs N` (default 30) bounds how long a peer that
 //! vanished *without a goodbye* may stay away before the run fails; a clean
 //! exit is seen at once. `--superstep-delay-ms N` is a chaos-test aid that
@@ -71,9 +68,7 @@ use graphh_core::{DirectionMode, GraphHConfig};
 use graphh_obs::{chrome_trace_json, global_counters, Tracer};
 use graphh_pool::WorkerPool;
 use graphh_runtime::establish::DEFAULT_ESTABLISH_TIMEOUT;
-use graphh_runtime::{
-    run_worker, BroadcastPlane, CheckpointSink, PollPlane, ResilienceConfig, WorkerOptions,
-};
+use graphh_runtime::{run_worker, BroadcastPlane, PollPlane, ResilienceConfig};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -92,11 +87,6 @@ struct Args {
     trace_out: Option<String>,
     metrics_out: Option<String>,
     establish_timeout: Duration,
-    /// Directory for periodic GHHC checkpoints (implies auto-resume from an
-    /// existing checkpoint on startup).
-    checkpoint_dir: Option<String>,
-    /// Checkpoint cadence in supersteps.
-    checkpoint_every: u32,
     /// How long a lost peer may stay away before the run fails terminally.
     reconnect_deadline: Duration,
     /// Chaos-test aid: artificial pause at the top of each superstep.
@@ -118,7 +108,6 @@ fn usage(asked: bool) -> ! {
          [--compressor none|raw|snappy|zlib-1|zlib-3|varint-delta] \
          [--out FILE] [--trace-out FILE] \
          [--metrics-out FILE] [--establish-timeout-secs N] \
-         [--checkpoint-dir DIR] [--checkpoint-every N] \
          [--reconnect-deadline-secs N] [--superstep-delay-ms N] [--list-programs]\n\
          programs:\n",
     );
@@ -157,8 +146,6 @@ fn parse_args() -> Result<Args, String> {
     let mut trace_out = None;
     let mut metrics_out = None;
     let mut establish_timeout = DEFAULT_ESTABLISH_TIMEOUT;
-    let mut checkpoint_dir = None;
-    let mut checkpoint_every = 1;
     let mut reconnect_deadline = ResilienceConfig::default().reconnect_deadline;
     let mut superstep_delay = None;
 
@@ -202,8 +189,6 @@ fn parse_args() -> Result<Args, String> {
             "--establish-timeout-secs" => {
                 establish_timeout = Duration::from_secs(value()?.parse().map_err(|e| bad(&e))?)
             }
-            "--checkpoint-dir" => checkpoint_dir = Some(value()?),
-            "--checkpoint-every" => checkpoint_every = value()?.parse().map_err(|e| bad(&e))?,
             "--reconnect-deadline-secs" => {
                 reconnect_deadline = Duration::from_secs(value()?.parse().map_err(|e| bad(&e))?)
             }
@@ -234,8 +219,6 @@ fn parse_args() -> Result<Args, String> {
         trace_out,
         metrics_out,
         establish_timeout,
-        checkpoint_dir,
-        checkpoint_every,
         reconnect_deadline,
         superstep_delay,
     })
@@ -302,50 +285,23 @@ fn run(args: Args) -> Result<(), String> {
         args.peers.clone()
     };
 
-    // Checkpoint auto-resume: an existing GHHC snapshot for this server id
-    // means a previous incarnation of this process died mid-run — restart at
-    // its cursor and let peers replay the delta (hence `resuming_from`: our
-    // receive cursors open at the checkpointed superstep, and the resume
-    // handshake asks every peer for exactly the frames we lost).
-    let checkpoint_sink = args
-        .checkpoint_dir
-        .as_ref()
-        .map(|dir| CheckpointSink::new(dir, args.checkpoint_every));
-    let resumed = match &checkpoint_sink {
-        Some(sink) => sink
-            .load(args.id)
-            .map_err(|e| format!("load checkpoint: {e}"))?,
-        None => None,
-    };
-    let start_superstep = resumed.as_ref().map_or(0, |c| c.next_superstep);
-
     let resilience = ResilienceConfig {
         reconnect_deadline: args.reconnect_deadline,
-        resume_from: start_superstep,
     };
     let mut plane = bound
         .establish_resilient(&peer_addrs, args.establish_timeout, resilience)
         .map_err(|e| format!("establish cluster: {e}"))?;
     eprintln!(
-        "graphh-node {}/{}: cluster established ({} peers{})",
+        "graphh-node {}/{}: cluster established ({} peers)",
         args.id,
         args.servers,
         args.servers - 1,
-        if resumed.is_some() {
-            format!(", resumed at superstep {start_superstep}")
-        } else {
-            String::new()
-        },
     );
 
     // One worker per process: lockstep comes from the broadcast plane's
-    // end-of-superstep framing.
+    // end-of-superstep framing. It returns once every peer is done with
+    // this process, which may still be asked for its state meanwhile.
     let sid = plane.server_id();
-    let options = WorkerOptions {
-        resume: resumed,
-        checkpoint: checkpoint_sink,
-        superstep_delay: args.superstep_delay,
-    };
     let output = run_worker(
         &config,
         &plan,
@@ -354,7 +310,7 @@ fn run(args: Args) -> Result<(), String> {
         sid,
         &mut plane,
         &tracer,
-        options,
+        args.superstep_delay,
     )
     .map_err(|e| format!("worker failed: {e}"))?;
 
@@ -409,9 +365,6 @@ fn run(args: Args) -> Result<(), String> {
         std::fs::write(path, metrics).map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("graphh-node {}: wrote metrics {path}", args.id);
     }
-    // Hold the links until every peer has finished too: one that lost a
-    // goodbye to a cut redials this process, which must still be there.
-    plane.finish();
     Ok(())
 }
 
@@ -431,11 +384,7 @@ fn node_metrics_json(
     // otherwise omit the `fabric.*` family from the snapshot. Pre-register
     // it: a zero row in every run's JSON beats a key that appears only when
     // something went wrong.
-    for name in [
-        "fabric.reconnects",
-        "fabric.replayed_frames",
-        "fabric.checkpoint_bytes",
-    ] {
+    for name in ["fabric.reconnects", "fabric.replayed_frames"] {
         global_counters().counter(name);
     }
     format!(

@@ -1,17 +1,17 @@
 //! The multiprocess chaos driver: a real 3-process cluster must survive a
 //! `SIGKILL` mid-run.
 //!
-//! Three `graphh-node` OS processes run PageRank over loopback TCP with
-//! superstep-granular `GHHC` checkpoints. Once
-//! the victim node has written its first checkpoint (proof the run is past
-//! establishment and mid-superstep-loop), the driver `kill -9`s it — no
-//! goodbye, no flush, exactly what a crashed machine looks like to its peers
-//! — and then restarts the same command line, so the replacement listens at
-//! the port the peer table gives its id. The restarted process loads its
-//! checkpoint, the links come back up with the `GHHR` resume handshake, peers
-//! replay the frames it lost, and the cluster finishes the run. Victim 2
-//! (the highest id) redials both survivors itself; victim 1 redials server 0
-//! and is redialed by server 2, so both dial directions are exercised.
+//! Three `graphh-node` OS processes run PageRank over loopback TCP, with no
+//! fault-tolerance flag. A while after the victim node prints `cluster
+//! established` (so the superstep loop is live), the test `kill -9`s it —
+//! no goodbye, no flush, exactly what a crashed machine looks like to its
+//! peers — and then restarts the same command line, so the replacement
+//! listens at the port the peer table gives its id. The links come back up
+//! with the `GHHR` resume handshake, the survivors send the new process
+//! their state and replay the frames it lost, and the cluster finishes the
+//! run. Victim 2 (the highest id) redials both survivors itself; victim 1
+//! redials server 0 and is redialed by server 2, so both dial directions
+//! are exercised.
 //!
 //! The demanded outcome is the strongest one: the final `GHHV` value files
 //! of all three servers must be byte-identical to each other *and* to the
@@ -23,9 +23,11 @@ use graphh_cluster::ClusterConfig;
 use graphh_core::{GraphHConfig, GraphHEngine, SequentialExecutor};
 use graphh_obs::Tracer;
 use graphh_pool::WorkerPool;
+use std::io::BufRead;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,13 +57,7 @@ fn workload() -> NodeWorkload {
     }
 }
 
-fn spawn_node(
-    workload: &NodeWorkload,
-    id: u32,
-    ports: &[u16],
-    ckpt_dir: &Path,
-    out: &Path,
-) -> Child {
+fn spawn_node(workload: &NodeWorkload, id: u32, ports: &[u16], out: &Path) -> Child {
     let peers = ports
         .iter()
         .map(|p| format!("127.0.0.1:{p}"))
@@ -91,10 +87,6 @@ fn spawn_node(
             &workload.supersteps.to_string(),
             "--establish-timeout-secs",
             "60",
-            "--checkpoint-dir",
-            &ckpt_dir.display().to_string(),
-            "--checkpoint-every",
-            "1",
             "--reconnect-deadline-secs",
             "60",
             // Widen each superstep so the kill reliably lands mid-run.
@@ -103,8 +95,26 @@ fn spawn_node(
             "--out",
             &out.display().to_string(),
         ])
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn graphh-node")
+}
+
+/// Forward `child`'s stderr to ours, and say when it prints `cluster
+/// established`.
+fn established(child: &mut Child) -> Receiver<()> {
+    let (tx, rx) = channel();
+    let stderr = child.stderr.take().expect("piped stderr");
+    std::thread::spawn(move || {
+        for line in std::io::BufReader::new(stderr).lines() {
+            let Ok(line) = line else { break };
+            eprintln!("{line}");
+            if line.contains("cluster established") {
+                let _ = tx.send(());
+            }
+        }
+    });
+    rx
 }
 
 /// Run the cluster once with a mid-run `SIGKILL` + restart of `victim`;
@@ -114,28 +124,25 @@ fn try_chaos_run(victim: u32, attempt: u32) -> Result<Vec<Vec<u8>>, String> {
     let w = workload();
     let tag = format!("graphh-chaos-{}-v{victim}-a{attempt}", std::process::id());
     let dir = std::env::temp_dir();
-    let ckpt_dir = dir.join(format!("{tag}-ckpt"));
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    std::fs::create_dir_all(&ckpt_dir).map_err(|e| format!("create {ckpt_dir:?}: {e}"))?;
     let outs: Vec<PathBuf> = (0..SERVERS)
         .map(|id| dir.join(format!("{tag}-s{id}.bin")))
         .collect();
     let ports = free_loopback_ports(SERVERS as usize);
     let mut children: Vec<Child> = (0..SERVERS)
-        .map(|id| spawn_node(&w, id, &ports, &ckpt_dir, &outs[id as usize]))
+        .map(|id| spawn_node(&w, id, &ports, &outs[id as usize]))
         .collect();
+    let signals: Vec<Receiver<()>> = children.iter_mut().map(established).collect();
 
-    // The victim's first checkpoint is the signal that the cluster is
-    // established and the superstep loop is live — the window where a crash
-    // actually costs in-flight state.
-    let victim_ckpt = ckpt_dir.join(format!("ckpt-s{victim}.ghhc"));
+    // The victim's `cluster established` line is the signal that the
+    // superstep loop is about to run — the window where a crash actually
+    // costs in-flight state.
     let deadline = Instant::now() + Duration::from_secs(60);
-    while !victim_ckpt.exists() {
+    while signals[victim as usize].try_recv().is_err() {
         if Instant::now() >= deadline {
             for child in &mut children {
                 let _ = child.kill();
             }
-            return Err("victim never wrote its first checkpoint".into());
+            return Err("victim never established".into());
         }
         for child in &mut children {
             if let Ok(Some(status)) = child.try_wait() {
@@ -147,8 +154,8 @@ fn try_chaos_run(victim: u32, attempt: u32) -> Result<Vec<Vec<u8>>, String> {
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    // Land inside a superstep, not on the checkpoint boundary just crossed.
-    std::thread::sleep(Duration::from_millis(60));
+    // Land a few supersteps into the run (each is at least 120 ms long).
+    std::thread::sleep(Duration::from_millis(400));
 
     // kill -9: no goodbye, no flush — a crash, not an exit.
     let v = victim as usize;
@@ -157,15 +164,16 @@ fn try_chaos_run(victim: u32, attempt: u32) -> Result<Vec<Vec<u8>>, String> {
         .map_err(|e| format!("kill victim: {e}"))?;
     let _ = children[v].wait();
 
-    // Restart the identical command line: the node auto-loads its checkpoint
-    // and rejoins with the resume handshake while peers replay the delta.
-    children[v] = spawn_node(&w, victim, &ports, &ckpt_dir, &outs[v]);
+    // Restart the identical command line: the node rejoins with the resume
+    // handshake and resumes from its peers' state while they replay the
+    // delta.
+    children[v] = spawn_node(&w, victim, &ports, &outs[v]);
+    drop(established(&mut children[v]));
 
     let mut ok = true;
     for child in &mut children {
         ok &= child.wait().expect("wait for graphh-node").success();
     }
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
     if !ok {
         for path in &outs {
             let _ = std::fs::remove_file(path);

@@ -1,13 +1,15 @@
-//! Superstep-granular checkpoints: the `GHHC` snapshot file.
+//! A server's state at a superstep boundary: the `GHHC` encoding.
 //!
 //! A checkpoint is everything a worker needs to rejoin a run mid-flight:
 //! the superstep cursor (the next superstep to execute), the frontier that
 //! superstep starts from, and the full vertex-replica values — the values in
 //! the same `GHHV` section the `graphh-node --out` value files use, so a
 //! checkpoint's value payload is bit-compatible with the run's final output
-//! format. Supersteps are deterministic, so a restarted server that loads
-//! the checkpoint and has its peers replay the delta (see
-//! `crate::resume::ReplayLog`) recomputes byte-identical state.
+//! format. Under All-in-All replication every server holds the same three
+//! after each `apply`, so a restarted server takes them from a live peer:
+//! the peer's state frame (`docs/WIRE.md` §9.4) carries exactly this
+//! encoding, addressed to the receiver, and supersteps are deterministic, so
+//! the replacement recomputes byte-identical state from there.
 //!
 //! ```text
 //! b"GHHC" | u32 LE version=1 | u32 LE server id | u32 LE next superstep
@@ -15,15 +17,14 @@
 //!         | b"GHHV" | u64 LE value count | f64 bits LE ...
 //! ```
 //!
-//! Writes are atomic and durable (synced tmp file, rename, synced directory)
-//! and loads reject truncated or corrupt files, so a server killed *while*
-//! checkpointing leaves either the previous intact checkpoint or none — never
-//! a half-written one that would poison the restart.
+//! Decoding rejects truncated, corrupt or over-long bytes. [`CheckpointSink`]
+//! still writes the encoding to a file, atomically; only the benchmark's
+//! layer probe does.
 
 use graphh_graph::ids::{ServerId, VertexId};
 use graphh_obs::global_counters;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Magic header of a checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"GHHC";
@@ -33,6 +34,10 @@ pub const VALUES_MAGIC: [u8; 4] = *b"GHHV";
 
 /// Checkpoint format version this build writes and reads.
 const CHECKPOINT_VERSION: u32 = 1;
+
+/// Bytes of the `GHHC` header: magic, version, server, cursor, frontier
+/// count.
+pub const CHECKPOINT_HEADER: usize = 24;
 
 /// Serialize vertex values the way `graphh-node --out` writes them: magic,
 /// u64 LE count, then each value's f64 bits LE — lossless, so two files are
@@ -70,6 +75,35 @@ pub fn decode_values(bytes: &[u8]) -> Result<Vec<f64>, String> {
         .collect())
 }
 
+/// The `GHHC` bytes of [`Checkpoint`] `{ server, next_superstep, frontier,
+/// values }`, from borrowed parts: a survivor encodes its replica for a
+/// restarted peer without copying it first.
+pub fn encode_state(
+    server: ServerId,
+    next_superstep: u32,
+    frontier: &[VertexId],
+    values: &[f64],
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(36 + frontier.len() * 4 + values.len() * 8);
+    out.extend_from_slice(&CHECKPOINT_MAGIC);
+    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    out.extend_from_slice(&server.to_le_bytes());
+    out.extend_from_slice(&next_superstep.to_le_bytes());
+    out.extend_from_slice(&(frontier.len() as u64).to_le_bytes());
+    for v in frontier {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out.extend_from_slice(&encode_values(values));
+    out
+}
+
+/// The cursor of `GHHC` bytes, if they hold a header.
+pub fn encoded_cursor(bytes: &[u8]) -> Option<u32> {
+    let header = bytes.get(..CHECKPOINT_HEADER)?;
+    (header[..4] == CHECKPOINT_MAGIC)
+        .then(|| u32::from_le_bytes(header[12..16].try_into().unwrap()))
+}
+
 /// One server's resumable state at a superstep boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -87,23 +121,18 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Encode to the `GHHC` byte form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.frontier.len() * 4 + self.values.len() * 8);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.server.to_le_bytes());
-        out.extend_from_slice(&self.next_superstep.to_le_bytes());
-        out.extend_from_slice(&(self.frontier.len() as u64).to_le_bytes());
-        for v in &self.frontier {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&encode_values(&self.values));
-        out
+        encode_state(
+            self.server,
+            self.next_superstep,
+            &self.frontier,
+            &self.values,
+        )
     }
 
-    /// Decode a `GHHC` file. Any truncation, length mismatch, or bad magic is
-    /// an error — a half-written checkpoint must never load.
+    /// Decode `GHHC` bytes. Any truncation, length mismatch, trailing byte or
+    /// bad magic is an error: they are a peer's bytes.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
-        if bytes.len() < 24 || bytes[0..4] != CHECKPOINT_MAGIC {
+        if bytes.len() < CHECKPOINT_HEADER || bytes[0..4] != CHECKPOINT_MAGIC {
             return Err("not a GHHC checkpoint file".into());
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
@@ -140,23 +169,19 @@ impl Checkpoint {
     }
 }
 
-/// Where (and how often) a worker writes checkpoints.
+/// Writes checkpoints to files, atomically and durably. Only the
+/// benchmark's write probe uses it: recovery takes a live peer's state
+/// instead.
 #[derive(Debug, Clone)]
 pub struct CheckpointSink {
     dir: PathBuf,
-    /// Write a checkpoint after every `every`-th applied superstep (see
-    /// [`crate::worker::acknowledge_durable`]).
-    pub(crate) every: u32,
 }
 
 impl CheckpointSink {
-    /// A sink writing to `dir` every `every` supersteps (`every` is clamped
-    /// to at least 1).
-    pub fn new(dir: impl Into<PathBuf>, every: u32) -> Self {
-        Self {
-            dir: dir.into(),
-            every: every.max(1),
-        }
+    /// A sink writing to `dir`. `_every` is unused: the signature stays
+    /// for `benchmark/`'s write probe, which goes with this type.
+    pub fn new(dir: impl Into<PathBuf>, _every: u32) -> Self {
+        Self { dir: dir.into() }
     }
 
     /// The checkpoint file of `server` under this sink's directory.
@@ -166,9 +191,7 @@ impl CheckpointSink {
 
     /// Atomically and durably write `checkpoint` (tmp + fsync + rename +
     /// fsync of the directory), returning its size. A crash mid-write leaves
-    /// the previous checkpoint intact; once this returns, the new one
-    /// survives a power loss — the worker acknowledges the superstep next,
-    /// and peers trim the replay a restart from an older file would need.
+    /// the previous file intact.
     pub fn write(&self, checkpoint: &Checkpoint) -> Result<u64, String> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| format!("create checkpoint dir {}: {e}", self.dir.display()))?;
@@ -198,32 +221,6 @@ impl CheckpointSink {
             .counter("fabric.checkpoint_bytes")
             .add(bytes.len() as u64);
         Ok(bytes.len() as u64)
-    }
-
-    /// Load `server`'s checkpoint if one exists. A corrupt or truncated file
-    /// is an error (the operator should know), a missing one is `Ok(None)`
-    /// (fresh start).
-    pub fn load(&self, server: ServerId) -> Result<Option<Checkpoint>, String> {
-        Self::load_from(&self.path_for(server), server)
-    }
-
-    /// Load the checkpoint at `path`, checking it belongs to `server`.
-    pub fn load_from(path: &Path, server: ServerId) -> Result<Option<Checkpoint>, String> {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("read {}: {e}", path.display())),
-        };
-        let checkpoint = Checkpoint::decode(&bytes)
-            .map_err(|e| format!("corrupt checkpoint {}: {e}", path.display()))?;
-        if checkpoint.server != server {
-            return Err(format!(
-                "checkpoint {} belongs to server {}, not {server}",
-                path.display(),
-                checkpoint.server
-            ));
-        }
-        Ok(Some(checkpoint))
     }
 }
 
@@ -282,23 +279,64 @@ mod tests {
         assert!(decode_values(b"nope").is_err());
     }
 
+    /// Beside the truncations: every single-bit flip of an encoding decodes
+    /// to `Ok` or `Err`, never a panic, and a flip in the header or a length
+    /// field never decodes at all.
     #[test]
-    fn sink_writes_atomically_and_loads_back() {
+    fn every_bit_flip_is_an_error_or_a_checkpoint_never_a_panic() {
+        let bytes = sample().encode();
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let outcome = std::panic::catch_unwind(|| Checkpoint::decode(&flipped));
+            let decoded = outcome.unwrap_or_else(|_| panic!("decode panicked at bit {bit}"));
+            // Magic, version, the frontier count, the value magic and count.
+            let frontier_end = CHECKPOINT_HEADER + 4 * 4;
+            let framing = (0..8).chain(16..24).chain(frontier_end..frontier_end + 12);
+            if framing.clone().any(|byte| byte == bit / 8) {
+                assert!(decoded.is_err(), "a flip of framing bit {bit} decoded");
+            }
+        }
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert!(
+            Checkpoint::decode(&trailing).is_err(),
+            "a trailing byte decoded"
+        );
+    }
+
+    /// A peer's header can claim any counts: one past the bytes it came with
+    /// is refused before anything is allocated for it.
+    #[test]
+    fn hostile_counts_are_refused_before_allocation() {
+        let mut bytes = sample().encode();
+        bytes[16..24].copy_from_slice(&(u64::MAX / 4).to_le_bytes());
+        assert!(Checkpoint::decode(&bytes).is_err(), "frontier count");
+        let mut bytes = sample().encode();
+        let values_at = CHECKPOINT_HEADER + 4 * 4 + 4;
+        bytes[values_at..values_at + 8].copy_from_slice(&(u64::MAX / 8).to_le_bytes());
+        assert!(Checkpoint::decode(&bytes).is_err(), "value count");
+    }
+
+    #[test]
+    fn encoded_cursor_reads_the_header() {
+        let bytes = sample().encode();
+        assert_eq!(encoded_cursor(&bytes), Some(7));
+        assert_eq!(encoded_cursor(&bytes[..CHECKPOINT_HEADER - 1]), None);
+        assert_eq!(encoded_cursor(b"GHHX-not-a-checkpoint-header"), None);
+    }
+
+    #[test]
+    fn sink_writes_atomically() {
         let dir = std::env::temp_dir().join(format!("ghh-ckpt-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let sink = CheckpointSink::new(&dir, 2);
-
         let ckpt = sample();
-        assert_eq!(sink.load(ckpt.server).unwrap(), None, "no checkpoint yet");
         let bytes = sink.write(&ckpt).unwrap();
-        assert!(bytes > 0);
-        let loaded = sink.load(ckpt.server).unwrap().expect("written checkpoint");
-        assert_eq!(loaded.next_superstep, 7);
-        // No tmp file left behind, and a wrong-server load is an error.
+        let written = std::fs::read(sink.path_for(ckpt.server)).unwrap();
+        assert_eq!(written.len() as u64, bytes);
+        assert_eq!(written, ckpt.encode());
         assert!(!sink.dir.join("ckpt-s2.ghhc.tmp").exists());
-        assert!(sink.load(0).unwrap().is_none());
-        std::fs::write(sink.path_for(0), b"torn").unwrap();
-        assert!(sink.load(0).is_err(), "corrupt checkpoint must not load");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,19 +22,22 @@
 //! ([`Action::Dial`]) with seeded exponential backoff, at the address the
 //! peer table gives the peer, the lower id answers the hello
 //! ([`Action::Reply`]), and the vetted stream is adopted with replay and a
-//! repeated ack ([`Action::Adopt`], [`Action::Send`]).
+//! repeated ack ([`Action::Adopt`], [`Action::Send`]). A new process taking
+//! over from a dead one resumes from its peers' state ([`Action::Restore`],
+//! `docs/WIRE.md` §9.4).
 //!
 //! The peer table is the only address book: one address per server, fixed
 //! for the run, so a replacement process restarts at the address the table
 //! gives its id. Establishment is only this machine's first transition:
-//! [`Action::Established`] fires when every link has been up once; its last
-//! is [`Action::Exit`], once every peer has said goodbye or is gone
-//! (`docs/WIRE.md` §9.3). The state × event → action table is
-//! `docs/WIRE.md` §9.5.
+//! [`Action::Established`] fires when every link is up (and a new process
+//! has the state it resumes from); its last is [`Action::Exit`], once every
+//! peer has said goodbye or is gone (`docs/WIRE.md` §9.3). The state × event
+//! → action table is `docs/WIRE.md` §9.5.
 
 use crate::buffer::{BufferPool, PooledBuf};
+use crate::checkpoint::encoded_cursor;
 use crate::establish::Refusal;
-use crate::frame::{Frame, InboxEvent, PlaneError};
+use crate::frame::{Frame, InboxEvent, PlaneError, WireMessage};
 use crate::resume::{count_frames, ReplayLog, ResilienceConfig, ResumeHello, RESUME_HELLO_LEN};
 use graphh_graph::ids::ServerId;
 use graphh_obs::{global_counters, Counter};
@@ -76,6 +79,8 @@ pub enum Command {
     Ack(u32, SharedBatch),
     /// Send this (unretained) abort batch; an aborted run never lingers.
     Abort(SharedBatch),
+    /// The worker's answer to an [`InboxEvent::StateRequest`]: a state frame.
+    State(ServerId, SharedBatch),
     /// The run is over: say goodbye, and [`Action::Exit`] once every peer
     /// has said goodbye or is gone (`docs/WIRE.md` §9.3).
     Shutdown,
@@ -130,7 +135,11 @@ pub enum Action {
     Close(Conn),
     /// Hand this to the worker's [`crate::frame::SuperstepCollector`].
     Deliver(InboxEvent),
-    /// Every link has been up once: `establish` may return the plane.
+    /// The state this new process resumes from; right before
+    /// [`Action::Established`].
+    Restore(WireMessage),
+    /// Every link is up, and the state to resume from is in: `establish`
+    /// may return the plane.
     Established,
     /// Establishment is over and failed — by its deadline, or (`false`) on a
     /// protocol error; the message is for the operator. The fabric is dead.
@@ -169,7 +178,7 @@ struct Down {
 struct Link {
     peer: ServerId,
     state: LinkState,
-    /// Establishment waits for this on every link.
+    /// The link has been up: a later adoption is a reconnect.
     ever_up: bool,
     /// The peer's goodbye arrived since the link was last adopted: it has
     /// finished its run (see [`Fabric::settled`]).
@@ -184,8 +193,11 @@ struct Link {
     /// The stream's messages since its last end-of-superstep marker, held
     /// back until the marker arrives (or dropped with the stream, when the
     /// next one is adopted): a worker sees a peer's superstep whole or not
-    /// at all.
+    /// at all. While establishing, markers wait here too.
     held: Vec<Frame>,
+    /// While establishing, the peer's offer (`docs/WIRE.md` §9.4): the
+    /// cursor its hello announced, and the state it sent.
+    offer: (u32, Option<WireMessage>),
 }
 
 impl Link {
@@ -199,6 +211,7 @@ impl Link {
             refusal: None,
             floor: 0,
             held: Vec::new(),
+            offer: (0, None),
         }
     }
 }
@@ -269,8 +282,8 @@ impl Fabric {
             phase: Phase::Establishing,
             establish_deadline: establish_timeout,
             linger_until: None,
-            replay: ReplayLog::resuming_from(num_servers, id, config.resume_from),
-            recv_cursor: vec![config.resume_from; num_servers as usize],
+            replay: ReplayLog::new(num_servers, id),
+            recv_cursor: vec![0; num_servers as usize],
             last_ack: None,
             leaving: false,
             last_refusal: None,
@@ -352,11 +365,39 @@ impl Fabric {
             }
             Event::Tick => self.tick(now, out),
         }
-        let all_up = || self.links.iter().all(|l| l.ever_up);
-        if self.phase == Phase::Establishing && all_up() {
-            self.phase = Phase::Running;
-            out.push(Action::Established);
+        // All at once: each peer has sent what it retains before any can be
+        // acknowledged past where this endpoint resumes.
+        let all_up = self.links.iter().all(|l| matches!(l.state, LinkState::Up));
+        if self.phase == Phase::Establishing && all_up {
+            self.start(out);
         }
+    }
+
+    /// Establishment is over once a new process has a state to resume from,
+    /// at exactly the lowest cursor a peer offered (every server's state
+    /// there is the same), or the lowest is 0. Every receive cursor and link
+    /// floor starts at the restored cursor; what the links held is received.
+    fn start(&mut self, out: &mut Vec<Action>) {
+        let lowest = self.links.iter().map(|l| l.offer.0).min().unwrap_or(0);
+        let at = |state: &WireMessage| encoded_cursor(state) == Some(lowest);
+        let mut states = self.links.iter_mut().filter_map(|l| l.offer.1.take());
+        let restore = match states.find(at) {
+            None if lowest > 0 => return,
+            restore => restore,
+        };
+        self.phase = Phase::Running;
+        if let Some(state) = restore {
+            // (Both are still 0: the links held every marker.)
+            self.recv_cursor.fill(lowest);
+            self.links.iter_mut().for_each(|l| l.floor = lowest);
+            out.push(Action::Restore(state));
+        }
+        for idx in 0..self.links.len() {
+            for frame in std::mem::take(&mut self.links[idx].held) {
+                self.receive(idx, frame, out);
+            }
+        }
+        out.push(Action::Established);
     }
 
     /// Links are kept by ascending peer id with this endpoint's own left out.
@@ -381,6 +422,9 @@ impl Fabric {
                 self.leaving = true;
                 batch
             }
+            // (On a link that went down since the request, it is dropped
+            // with the stream: the next stream asks again.)
+            Command::State(peer, batch) => return out.push(Action::Send(peer, batch)),
             Command::Leave => {
                 self.leaving = true;
                 self.command(now, Command::Shutdown, out);
@@ -444,17 +488,30 @@ impl Fabric {
     /// it dialed in), replay what it still needs, repeat our latest ack. What
     /// an older stream still held is dropped with it, and the new one starts
     /// at the cursor our hello announced.
+    ///
+    /// A hello for superstep 0 from a peer whose supersteps we received is a
+    /// new process of that peer (or, rarely, a live one cut before our first
+    /// marker reached it): it gets everything retained, and the worker is
+    /// asked for our state (`docs/WIRE.md` §9.4). While establishing, the
+    /// cursor a hello announces is the peer's offer.
     fn link_up(&mut self, conn: Conn, hello: ResumeHello, out: &mut Vec<Action>) {
-        let peer = hello.sender;
+        let (peer, asked) = (hello.sender, hello.resume_from);
         let idx = self.index_of(peer).expect("vetted: a peer id");
-        let batches = match self.replay.replay_from(hello.resume_from) {
-            Ok(batches) => batches,
-            Err(e) => {
-                // The peer wants frames already trimmed below the replay
-                // floor: permanently unrecoverable, not a transient failure.
-                out.push(Action::Close(conn));
-                return self.declare_gone(idx, PlaneError::Protocol(e.to_string()), out);
-            }
+        let new_process = asked == 0 && self.recv_cursor[peer as usize] > 0;
+        let from = if new_process {
+            self.replay.floor()
+        } else {
+            asked
+        };
+        let Some(batches) = self.replay.replay_from(from) else {
+            // A live peer wants frames trimmed after its own ack: terminal.
+            let floor = self.replay.floor();
+            let why = format!(
+                "peer asked to resume from superstep {asked} but frames below {floor} \
+                 were trimmed after acknowledgement"
+            );
+            out.push(Action::Close(conn));
+            return self.declare_gone(idx, PlaneError::Protocol(why), out);
         };
         if let Conn::Accepted(_) = conn {
             let reply = ResumeHello {
@@ -471,8 +528,12 @@ impl Fabric {
         self.links[idx] = Link {
             ever_up: true,
             floor: self.recv_cursor[peer as usize],
+            offer: (asked, None),
             ..Link::new(peer, LinkState::Up)
         };
+        if new_process {
+            out.push(Action::Deliver(InboxEvent::StateRequest(peer)));
+        }
         for batch in batches {
             self.replayed_frames.add(count_frames(&batch));
             out.push(Action::Send(peer, batch));
@@ -527,11 +588,9 @@ impl Fabric {
     }
 
     /// Transport-level frames end here — acks trim the log, a goodbye marks
-    /// the peer done. Messages and markers below the stream's floor are
-    /// replayed duplicates and end here too. Messages are held until the
-    /// peer's end-of-superstep marker, which raises the receive cursor and
-    /// releases them to the collector ahead of itself; an abort goes at once. A frame claiming another sender poisons the
-    /// stream.
+    /// the peer done, a state is kept as an offer while establishing (and
+    /// dropped after). A frame claiming another sender poisons the stream.
+    /// Messages and markers wait while establishing; an abort goes at once.
     fn frame(&mut self, now: Duration, peer: ServerId, frame: Frame, out: &mut Vec<Action>) {
         let Some(idx) = self.index_of(peer) else {
             return;
@@ -552,16 +611,31 @@ impl Fabric {
                     out.push(Action::Send(peer, self.goodbye()));
                 }
             }
+            Frame::State { state, .. } => {
+                link.offer.1 = (self.phase == Phase::Establishing).then_some(state);
+            }
+            Frame::Abort { .. } => out.push(Action::Deliver(InboxEvent::Frame(frame))),
+            _ if self.phase == Phase::Establishing => link.held.push(frame),
+            _ => self.receive(idx, frame, out),
+        }
+    }
+
+    /// A message or marker of an up link. Below the stream's floor they are
+    /// replayed duplicates and end here. Messages are held until the peer's
+    /// end-of-superstep marker, which raises the receive cursor and releases
+    /// them to the collector ahead of itself.
+    fn receive(&mut self, idx: usize, frame: Frame, out: &mut Vec<Action>) {
+        let link = &mut self.links[idx];
+        match frame {
             Frame::Message { superstep, .. } | Frame::EndOfSuperstep { superstep, .. }
                 if superstep < link.floor => {}
-            Frame::Message { .. } => link.held.push(frame),
             Frame::EndOfSuperstep { superstep, .. } => {
-                let cursor = &mut self.recv_cursor[peer as usize];
+                let cursor = &mut self.recv_cursor[link.peer as usize];
                 *cursor = (*cursor).max(superstep.saturating_add(1));
                 let held = link.held.drain(..).chain([frame]);
                 out.extend(held.map(|frame| Action::Deliver(InboxEvent::Frame(frame))));
             }
-            Frame::Abort { .. } => out.push(Action::Deliver(InboxEvent::Frame(frame))),
+            _ => link.held.push(frame),
         }
     }
 
@@ -615,10 +689,9 @@ impl Fabric {
     fn tick(&mut self, now: Duration, out: &mut Vec<Action>) {
         if self.phase == Phase::Stopping {
             // A finished endpoint keeps serving until every peer is done with
-            // it: a peer still running may need its replay, one restarting
-            // from a checkpoint its replay and its links, one that finished
-            // its goodbye. One that is leaving never lingers, and the
-            // reconnect deadline bounds the wait.
+            // it: a peer still running may need its replay, a new process its
+            // state too, one that finished its goodbye. One that is leaving
+            // never lingers, and the reconnect deadline bounds the wait.
             let all_settled = self.links.iter().all(Self::settled);
             let late = self.linger_until.is_some_and(|until| now >= until);
             if self.leaving || all_settled || late {
@@ -630,6 +703,9 @@ impl Fabric {
             return self.establish_timed_out(out);
         }
         for idx in 0..self.links.len() {
+            if self.phase == Phase::Exited {
+                return; // a loss while establishing ends the fabric
+            }
             let link = &mut self.links[idx];
             let LinkState::Down(down) = &mut link.state else {
                 continue;
@@ -658,7 +734,8 @@ impl Fabric {
     /// the deadline expires (mismatched `--servers`, a slipped `--peers`
     /// order), so the error carries the last one.
     fn establish_timed_out(&mut self, out: &mut Vec<Action>) {
-        let missing = self.links.iter().filter(|l| !l.ever_up).map(|l| l.peer);
+        let down = |l: &&Link| !matches!(l.state, LinkState::Up);
+        let missing = self.links.iter().filter(down).map(|l| l.peer);
         let (dial, wait): (Vec<ServerId>, Vec<ServerId>) = missing.partition(|&p| p < self.id);
         let why = match &self.last_refusal {
             Some(refusal) => format!("; last refused handshake: {refusal}"),
@@ -781,8 +858,8 @@ mod tests {
                 inbox,
                 collector,
             };
-            endpoint.dials_in(1);
-            endpoint.dials_in(2);
+            endpoint.dials_in(1, 0);
+            endpoint.dials_in(2, 0);
             endpoint
         }
 
@@ -801,10 +878,12 @@ mod tests {
             others
         }
 
-        /// `peer` dials in and its stream is adopted (this endpoint has
-        /// broadcast nothing, so any cursor will do).
-        fn dials_in(&mut self, peer: ServerId) {
-            let (cluster_size, sender, resume_from) = (3, peer, 0);
+        /// `peer` dials in asking to resume from `resume_from` and its stream
+        /// is adopted (this endpoint has broadcast nothing, so any cursor
+        /// will do; a live peer that redials after this endpoint heard from
+        /// it asks for more than 0, or it would be taken for a new process).
+        fn dials_in(&mut self, peer: ServerId, resume_from: u32) {
+            let (cluster_size, sender) = (3, peer);
             let hello = ResumeHello {
                 cluster_size,
                 sender,
@@ -816,7 +895,7 @@ mod tests {
         /// The stream from `peer` is cut, and `peer` dials back in.
         fn cut(&mut self, peer: ServerId) {
             self.step(Event::StreamEnd(peer));
-            self.dials_in(peer);
+            self.dials_in(peer, 1);
         }
 
         fn msg(&mut self, sender: ServerId, superstep: u32, byte: u8) {
@@ -970,6 +1049,168 @@ mod tests {
         assert!(!exits(&e.step(Event::Tick)), "server 2 has not answered");
         e.step(Event::Frame(2, Frame::Goodbye { sender: 2 }));
         assert!(exits(&e.step(Event::Tick)));
+    }
+
+    fn state_frame(sender: ServerId, to: ServerId, cursor: u32) -> Frame {
+        let state = crate::checkpoint::encode_state(to, cursor, &[], &[]).into();
+        Frame::State { sender, state }
+    }
+
+    fn encoded(frame: &Frame) -> SharedBatch {
+        let mut buf = BufferPool::new().checkout();
+        frame.encode(&mut buf);
+        Arc::new(buf)
+    }
+
+    /// What the actions send to `peer`, as frames.
+    fn sent_to(actions: &[Action], peer: ServerId) -> Vec<Frame> {
+        let mut decoder = crate::frame::FrameDecoder::new();
+        for action in actions {
+            if let Action::Send(to, batch) = action {
+                if *to == peer {
+                    decoder.push(batch);
+                }
+            }
+        }
+        std::iter::from_fn(|| decoder.next_frame().unwrap()).collect()
+    }
+
+    /// A hello for 0 from a peer whose supersteps this endpoint has received
+    /// is a new process: it gets everything retained and our latest ack, and
+    /// the worker is asked for our state, which goes out when it answers.
+    #[test]
+    fn a_new_process_gets_the_replay_and_a_state_request() {
+        let mut e = Endpoint::new();
+        let batch = encoded(&Frame::EndOfSuperstep {
+            sender: 0,
+            superstep: 0,
+        });
+        e.step(Event::Command(Command::Broadcast(0, Arc::clone(&batch))));
+        e.eos(1, 0);
+        e.step(Event::StreamEnd(1));
+        let hello = ResumeHello {
+            cluster_size: 3,
+            sender: 1,
+            resume_from: 0,
+        };
+        let adopted = e.step(Event::Hello(Conn::Accepted(0), "test", hello.encode()));
+        let frames = sent_to(&adopted, 1);
+        assert!(matches!(
+            frames[..],
+            [Frame::EndOfSuperstep { superstep: 0, .. }]
+        ));
+        assert!(matches!(e.inbox.back(), Some(InboxEvent::StateRequest(1))));
+        let state = encoded(&state_frame(0, 1, 1));
+        let answer = e.step(Event::Command(Command::State(1, state)));
+        assert!(matches!(
+            sent_to(&answer, 1)[..],
+            [Frame::State { sender: 0, .. }]
+        ));
+    }
+
+    /// A state frame that reaches a running endpoint is dropped: it holds its
+    /// own state, and the worker never sees one.
+    #[test]
+    fn a_running_endpoint_drops_a_state_frame() {
+        let mut e = Endpoint::new();
+        e.step(Event::Frame(1, state_frame(1, 0, 2)));
+        assert!(e.inbox.is_empty());
+        e.eos(1, 0);
+        e.eos(2, 0);
+        assert_eq!(e.collect(0), Ok(vec![]));
+    }
+
+    /// A new process resumes at the lowest cursor its peers' hellos
+    /// announce, once a state at exactly that cursor has come — states at
+    /// others are no use — and what the peers sent meanwhile is received from
+    /// that cursor on.
+    #[test]
+    fn a_new_process_resumes_at_the_lowest_announced_cursor() {
+        let addrs: Vec<SocketAddr> = (0..3)
+            .map(|id| SocketAddr::from(([127, 0, 0, 1], 4750 + id)))
+            .collect();
+        let config = ResilienceConfig::default();
+        let timeout = Duration::from_secs(10);
+        let mut fabric = Fabric::new(0, addrs, config, timeout, BufferPool::new());
+        let mut out = Vec::new();
+        for (peer, resume_from) in [(1, 3), (2, 2)] {
+            let hello = ResumeHello {
+                cluster_size: 3,
+                sender: peer,
+                resume_from,
+            };
+            let hello = Event::Hello(Conn::Accepted(0), "t", hello.encode());
+            fabric.step(Duration::ZERO, hello, &mut out);
+        }
+        let established = |out: &[Action]| out.iter().any(|a| matches!(a, Action::Established));
+        let frames = [
+            Frame::EndOfSuperstep {
+                sender: 1,
+                superstep: 1,
+            },
+            Frame::EndOfSuperstep {
+                sender: 1,
+                superstep: 2,
+            },
+            state_frame(1, 0, 3),
+        ];
+        for frame in frames {
+            fabric.step(Duration::ZERO, Event::Frame(1, frame), &mut out);
+        }
+        assert!(!established(&out), "no state at cursor 2 yet");
+        fabric.step(
+            Duration::ZERO,
+            Event::Frame(2, state_frame(2, 0, 2)),
+            &mut out,
+        );
+        let restored = out.iter().find_map(|a| match a {
+            Action::Restore(state) => crate::checkpoint::encoded_cursor(state),
+            _ => None,
+        });
+        assert_eq!(restored, Some(2));
+        assert!(established(&out));
+        let delivered: Vec<u32> = (out.iter())
+            .filter_map(|a| match a {
+                Action::Deliver(InboxEvent::Frame(Frame::EndOfSuperstep { superstep, .. })) => {
+                    Some(*superstep)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, [2], "superstep 1 is below the restored cursor");
+    }
+
+    /// A peer whose hello asks for nothing of us has none of our
+    /// predecessor's supersteps: the new process starts from 0 whatever the
+    /// others offer.
+    #[test]
+    fn one_peer_without_an_offer_means_superstep_zero() {
+        let addrs: Vec<SocketAddr> = (0..3)
+            .map(|id| SocketAddr::from(([127, 0, 0, 1], 4750 + id)))
+            .collect();
+        let timeout = Duration::from_secs(10);
+        let config = ResilienceConfig::default();
+        let mut fabric = Fabric::new(0, addrs, config, timeout, BufferPool::new());
+        let mut out = Vec::new();
+        for (peer, resume_from) in [(1, 1), (2, 0)] {
+            let hello = ResumeHello {
+                cluster_size: 3,
+                sender: peer,
+                resume_from,
+            };
+            fabric.step(
+                Duration::ZERO,
+                Event::Hello(Conn::Accepted(0), "t", hello.encode()),
+                &mut out,
+            );
+        }
+        fabric.step(
+            Duration::ZERO,
+            Event::Frame(1, state_frame(1, 0, 1)),
+            &mut out,
+        );
+        assert!(out.iter().any(|a| matches!(a, Action::Established)));
+        assert!(!out.iter().any(|a| matches!(a, Action::Restore(_))));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! tied to a particular transport lives here, unit-testable without spawning a
 //! single thread:
 //!
-//! * [`Frame`] — what travels between servers (a wire-encoded broadcast
-//!   message, an end-of-superstep marker, or an abort),
+//! * [`Frame`] — what travels between servers: a wire-encoded broadcast
+//!   message, an end-of-superstep marker or an abort, which reach the worker,
+//!   and the fabric's own acks, goodbyes and state frames, which never do,
 //! * the **length-prefixed wire codec** ([`Frame::encode`] /
 //!   [`Frame::decode`], plus the incremental [`FrameDecoder`] for
 //!   non-blocking transports) used whenever frames cross a byte stream — the
@@ -23,9 +24,10 @@
 //!   tag 1 Message        : u32 LE superstep, payload bytes (rest of body)
 //!   tag 2 EndOfSuperstep : u32 LE superstep
 //!   tag 3 Abort          : (nothing)
-//!   tag 4 Ack            : u32 LE superstep   (resilient mode only)
-//!   tag 5 Goodbye        : (nothing)          (resilient mode only)
+//!   tag 4 Ack            : u32 LE superstep
+//!   tag 5 Goodbye        : (nothing)
 //!   tag 6                : reserved (decodes as an unknown tag)
+//!   tag 7 State          : a `GHHC` state addressed to the receiver (rest of body)
 //! ```
 //!
 //! The length prefix covers the body only. Decoders reject unknown tags,
@@ -37,6 +39,7 @@
 //! normatively in `docs/WIRE.md`; this module is the reference
 //! implementation.
 
+use crate::checkpoint::{CHECKPOINT_HEADER, CHECKPOINT_MAGIC};
 use graphh_graph::ids::ServerId;
 use std::sync::Arc;
 
@@ -57,11 +60,17 @@ pub const MAX_FRAME_BODY: usize = 256 * 1024 * 1024;
 /// desynchronize the peer's whole stream.
 pub const MAX_MESSAGE_PAYLOAD: usize = MAX_FRAME_BODY - 9;
 
+/// Largest state one frame can carry: the body cap minus the tag and sender.
+/// A `GHHC` state is 36 + 4·|frontier| + 8·|V| bytes, so with a full frontier
+/// this is about 22 M vertices; past it [`Frame::state`] refuses.
+pub const MAX_STATE_PAYLOAD: usize = MAX_FRAME_BODY - 5;
+
 const TAG_MESSAGE: u8 = 1;
 const TAG_END_OF_SUPERSTEP: u8 = 2;
 const TAG_ABORT: u8 = 3;
 const TAG_ACK: u8 = 4;
 const TAG_GOODBYE: u8 = 5;
+const TAG_STATE: u8 = 7;
 
 /// What travels between servers on the broadcast fabric.
 #[derive(Debug, Clone)]
@@ -87,29 +96,47 @@ pub enum Frame {
         /// Sending server.
         sender: ServerId,
     },
-    /// `sender` durably holds its state through `superstep` — peers may
-    /// discard retained frames up to and including it. Only the resilient
-    /// transports emit (and intercept) acks; an ack must never reach a
-    /// [`SuperstepCollector`].
+    /// `sender` has applied every superstep through `superstep` — peers may
+    /// discard retained frames up to and including it. The fabric emits and
+    /// intercepts acks; an ack must never reach a [`SuperstepCollector`].
     Ack {
         /// Acknowledging server.
         sender: ServerId,
-        /// Last superstep the sender durably applied.
+        /// Last superstep the sender applied.
         superstep: u32,
     },
     /// `sender` finished the run and is closing its connections *on
     /// purpose*: the EOF that follows is a clean exit, not a cut. Receivers
     /// must not arm recovery for (or linger on behalf of) a peer that said
-    /// goodbye — it needs nothing ever again. Only the resilient transports
-    /// emit (and intercept) goodbyes; one must never reach a
-    /// [`SuperstepCollector`].
+    /// goodbye — it needs nothing ever again. The fabric emits and
+    /// intercepts goodbyes; one must never reach a [`SuperstepCollector`].
     Goodbye {
         /// Departing server.
         sender: ServerId,
     },
+    /// `sender`'s cursor, frontier and replica as `GHHC` bytes addressed to
+    /// the receiver, a new process (`docs/WIRE.md` §9.4). The fabric
+    /// intercepts it; one must never reach a [`SuperstepCollector`].
+    State {
+        /// Sending server.
+        sender: ServerId,
+        /// The encoding (at least its header, checked on decode).
+        state: WireMessage,
+    },
 }
 
 impl Frame {
+    /// A `State` frame of `state` (`GHHC` bytes), or an error naming its
+    /// size past [`MAX_STATE_PAYLOAD`].
+    pub fn state(sender: ServerId, state: &[u8]) -> Result<Frame, FrameError> {
+        if state.len() > MAX_STATE_PAYLOAD {
+            let why = format!("a state of {} bytes exceeds the frame cap", state.len());
+            return Err(FrameError::Corrupt(why));
+        }
+        let state = state.into();
+        Ok(Frame::State { sender, state })
+    }
+
     /// The server that produced this frame.
     pub fn sender(&self) -> ServerId {
         match *self {
@@ -117,50 +144,37 @@ impl Frame {
             | Frame::EndOfSuperstep { sender, .. }
             | Frame::Abort { sender }
             | Frame::Ack { sender, .. }
-            | Frame::Goodbye { sender } => sender,
+            | Frame::Goodbye { sender }
+            | Frame::State { sender, .. } => sender,
         }
     }
 
     /// Append the length-prefixed encoding of this frame to `out`.
     ///
     /// Message payloads must fit [`MAX_MESSAGE_PAYLOAD`] (transports encoding
-    /// caller-supplied payloads use the checked [`encode_message_into`]).
+    /// caller-supplied payloads use the checked [`encode_message_into`]), and
+    /// states [`MAX_STATE_PAYLOAD`] ([`Frame::state`]).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let body_len_at = out.len();
-        out.extend_from_slice(&[0u8; 4]);
-        match self {
+        let (tag, superstep, payload): (u8, Option<u32>, &[u8]) = match self {
             Frame::Message {
-                sender,
-                superstep,
-                wire,
-            } => {
-                debug_assert!(wire.len() <= MAX_MESSAGE_PAYLOAD);
-                out.push(TAG_MESSAGE);
-                out.extend_from_slice(&sender.to_le_bytes());
-                out.extend_from_slice(&superstep.to_le_bytes());
-                out.extend_from_slice(wire);
+                superstep, wire, ..
+            } => (TAG_MESSAGE, Some(*superstep), wire),
+            Frame::EndOfSuperstep { superstep, .. } => {
+                (TAG_END_OF_SUPERSTEP, Some(*superstep), &[])
             }
-            Frame::EndOfSuperstep { sender, superstep } => {
-                out.push(TAG_END_OF_SUPERSTEP);
-                out.extend_from_slice(&sender.to_le_bytes());
-                out.extend_from_slice(&superstep.to_le_bytes());
-            }
-            Frame::Abort { sender } => {
-                out.push(TAG_ABORT);
-                out.extend_from_slice(&sender.to_le_bytes());
-            }
-            Frame::Ack { sender, superstep } => {
-                out.push(TAG_ACK);
-                out.extend_from_slice(&sender.to_le_bytes());
-                out.extend_from_slice(&superstep.to_le_bytes());
-            }
-            Frame::Goodbye { sender } => {
-                out.push(TAG_GOODBYE);
-                out.extend_from_slice(&sender.to_le_bytes());
-            }
-        }
-        let body_len = (out.len() - body_len_at - 4) as u32;
-        out[body_len_at..body_len_at + 4].copy_from_slice(&body_len.to_le_bytes());
+            Frame::Abort { .. } => (TAG_ABORT, None, &[]),
+            Frame::Ack { superstep, .. } => (TAG_ACK, Some(*superstep), &[]),
+            Frame::Goodbye { .. } => (TAG_GOODBYE, None, &[]),
+            Frame::State { state, .. } => (TAG_STATE, None, state),
+        };
+        let superstep = superstep.map(u32::to_le_bytes);
+        let body_len = 5 + superstep.map_or(0, |s| s.len()) + payload.len();
+        debug_assert!(body_len <= MAX_FRAME_BODY);
+        out.extend_from_slice(&(body_len as u32).to_le_bytes());
+        out.push(tag);
+        out.extend_from_slice(&self.sender().to_le_bytes());
+        out.extend_from_slice(superstep.as_ref().map_or(&[][..], |s| &s[..]));
+        out.extend_from_slice(payload);
     }
 
     /// Decode one frame from the front of `buf`.
@@ -192,63 +206,47 @@ impl Frame {
     }
 
     fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
-        let tag = body[0];
+        let (tag, rest) = (body[0], &body[5..]);
         let sender = ServerId::from_le_bytes([body[1], body[2], body[3], body[4]]);
-        let rest = &body[5..];
-        match tag {
-            TAG_MESSAGE => {
-                if rest.len() < 4 {
-                    return Err(FrameError::Corrupt(
-                        "message frame truncated before its superstep".into(),
-                    ));
-                }
-                let superstep = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-                Ok(Frame::Message {
-                    sender,
-                    superstep,
-                    wire: rest[4..].into(),
-                })
+        let (name, well_formed) = match tag {
+            TAG_MESSAGE => ("message", rest.len() >= 4),
+            TAG_END_OF_SUPERSTEP => ("end-of-superstep", rest.len() == 4),
+            TAG_ABORT => ("abort", rest.is_empty()),
+            TAG_ACK => ("ack", rest.len() == 4),
+            TAG_GOODBYE => ("goodbye", rest.is_empty()),
+            TAG_STATE => {
+                let header = rest.get(..CHECKPOINT_HEADER);
+                ("state", header.is_some_and(|h| h[..4] == CHECKPOINT_MAGIC))
             }
-            TAG_END_OF_SUPERSTEP => {
-                if rest.len() != 4 {
-                    return Err(FrameError::Corrupt(format!(
-                        "end-of-superstep frame must have a 9-byte body, got {}",
-                        body.len()
-                    )));
-                }
-                let superstep = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-                Ok(Frame::EndOfSuperstep { sender, superstep })
-            }
-            TAG_ABORT => {
-                if !rest.is_empty() {
-                    return Err(FrameError::Corrupt(format!(
-                        "abort frame must have a 5-byte body, got {}",
-                        body.len()
-                    )));
-                }
-                Ok(Frame::Abort { sender })
-            }
-            TAG_ACK => {
-                if rest.len() != 4 {
-                    return Err(FrameError::Corrupt(format!(
-                        "ack frame must have a 9-byte body, got {}",
-                        body.len()
-                    )));
-                }
-                let superstep = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-                Ok(Frame::Ack { sender, superstep })
-            }
-            TAG_GOODBYE => {
-                if !rest.is_empty() {
-                    return Err(FrameError::Corrupt(format!(
-                        "goodbye frame must have a 5-byte body, got {}",
-                        body.len()
-                    )));
-                }
-                Ok(Frame::Goodbye { sender })
-            }
-            other => Err(FrameError::Corrupt(format!("unknown frame tag {other}"))),
+            other => return Err(FrameError::Corrupt(format!("unknown frame tag {other}"))),
+        };
+        if !well_formed {
+            let size = body.len();
+            let why = format!("{name} frame with a malformed {size}-byte body");
+            return Err(FrameError::Corrupt(why));
         }
+        let superstep = || u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
+        Ok(match tag {
+            TAG_MESSAGE => Frame::Message {
+                sender,
+                superstep: superstep(),
+                wire: rest[4..].into(),
+            },
+            TAG_END_OF_SUPERSTEP => Frame::EndOfSuperstep {
+                sender,
+                superstep: superstep(),
+            },
+            TAG_ABORT => Frame::Abort { sender },
+            TAG_ACK => Frame::Ack {
+                sender,
+                superstep: superstep(),
+            },
+            TAG_GOODBYE => Frame::Goodbye { sender },
+            _ => Frame::State {
+                sender,
+                state: rest.into(),
+            },
+        })
     }
 }
 
@@ -390,6 +388,9 @@ pub enum PlaneError {
     Aborted(ServerId),
     /// Frames arrived out of superstep order, or the byte stream was corrupt.
     Protocol(String),
+    /// Not a failure: a new process asks for this server's state. Answer
+    /// with [`crate::plane::BroadcastPlane::send_state`] and call again.
+    StateRequested(ServerId),
 }
 
 impl std::fmt::Display for PlaneError {
@@ -398,28 +399,31 @@ impl std::fmt::Display for PlaneError {
             PlaneError::Disconnected => write!(f, "peer disconnected mid-superstep"),
             PlaneError::Aborted(s) => write!(f, "server {s} aborted the run"),
             PlaneError::Protocol(m) => write!(f, "broadcast protocol violation: {m}"),
+            PlaneError::StateRequested(s) => write!(f, "restarted server {s} asks for state"),
         }
     }
 }
 
 impl std::error::Error for PlaneError {}
 
-/// One delivery from a backend's inbox: a frame, or the news that one peer's
-/// stream ended (its transport will never produce another frame).
+/// One delivery from the fabric to the worker's inbox: a frame, the news that
+/// one peer's stream ended (its transport will never produce another frame),
+/// or a restarted peer's request for this server's state.
 ///
 /// Peer-attributed loss matters: a worker that finishes the run closes its
 /// connections while slower peers may still be mid-superstep. Its final
 /// frames are already in their inboxes (streams are FIFO), so losing the
 /// stream is only fatal to a collect that still *needs* that peer — the
-/// collector makes exactly that distinction. Backends without per-peer
-/// streams (the channel plane, where a dropped sender is silent and the
-/// inbox errors only when every sender is gone) never emit `PeerLost`.
+/// collector makes exactly that distinction.
 #[derive(Debug, Clone)]
 pub enum InboxEvent {
     /// A frame arrived.
     Frame(Frame),
     /// `ServerId`'s stream ended with this terminal error.
     PeerLost(ServerId, PlaneError),
+    /// A new process of `ServerId` asks for this server's state
+    /// (`docs/WIRE.md` §9.4), in order with the frames around it.
+    StateRequest(ServerId),
 }
 
 /// The BSP inbox discipline every broadcast-plane backend shares.
@@ -439,7 +443,12 @@ pub enum InboxEvent {
 /// * an abort frame fails the collect with [`PlaneError::Aborted`],
 /// * a [`InboxEvent::PeerLost`] fails the collect only if that peer has not
 ///   yet ended the superstep being collected (and poisons every later collect
-///   the peer's stashed frames cannot satisfy).
+///   the peer's stashed frames cannot satisfy),
+/// * a [`InboxEvent::StateRequest`] waits, in arrival order, for a collect
+///   that still needs the asking peer's marker — the superstep at which this
+///   server stops without it, the cursor its hello announced — and
+///   interrupts that one with [`PlaneError::StateRequested`]: the next
+///   collect of the same superstep continues with what it had gathered.
 ///
 /// ## Recovery is not the collector's
 ///
@@ -452,11 +461,14 @@ pub enum InboxEvent {
 /// in per-peer order, whichever plane it came through.
 #[derive(Debug, Default, Clone)]
 pub struct SuperstepCollector {
-    /// Frames for future supersteps that arrived while collecting an earlier
-    /// one.
-    stash: Vec<Frame>,
+    /// Frames for future supersteps, and state requests for a later collect,
+    /// that arrived while collecting an earlier one.
+    stash: Vec<InboxEvent>,
     /// Peers whose streams ended, with the terminal error each one reported.
     dead: Vec<(ServerId, PlaneError)>,
+    /// The superstep an interrupted collect was gathering, with its wires so
+    /// far and the peers that had not ended it.
+    interrupted: Option<(u32, Vec<WireMessage>, Vec<ServerId>)>,
 }
 
 impl SuperstepCollector {
@@ -475,41 +487,53 @@ impl SuperstepCollector {
         peers: &[ServerId],
         mut next: impl FnMut() -> Result<InboxEvent, PlaneError>,
     ) -> Result<Vec<WireMessage>, PlaneError> {
-        // A dead peer can only contribute what it already stashed: if its
-        // end-of-superstep marker for this superstep is not there, waiting
-        // would block forever — surface its terminal error instead.
-        for (peer, error) in &self.dead {
-            let satisfiable = !peers.contains(peer)
-                || self.stash.iter().any(|f| {
-                    matches!(f, Frame::EndOfSuperstep { sender, superstep: s }
-                             if sender == peer && *s == superstep)
-                });
-            if !satisfiable {
-                return Err(error.clone());
+        let (mut wires, mut pending) = match self.interrupted.take() {
+            Some((s, wires, pending)) if s == superstep => (wires, pending),
+            _ => {
+                // A dead peer can only contribute what it already stashed:
+                // if its marker for this superstep is not there, waiting
+                // would block forever — surface its terminal error instead.
+                for (peer, error) in &self.dead {
+                    let ended = |e: &InboxEvent| {
+                        matches!(e, InboxEvent::Frame(Frame::EndOfSuperstep { sender, superstep: s })
+                                 if sender == peer && *s == superstep)
+                    };
+                    if peers.contains(peer) && !self.stash.iter().any(ended) {
+                        return Err(error.clone());
+                    }
+                }
+                (Vec::new(), peers.to_vec())
             }
-        }
-
-        let mut wires = Vec::new();
-        let mut pending: Vec<ServerId> = peers.to_vec();
+        };
         // Frames stashed by an earlier collect come first.
         let stashed = std::mem::take(&mut self.stash);
         let mut queue = stashed.into_iter();
         while !pending.is_empty() {
-            let frame = match queue.next() {
-                Some(frame) => frame,
-                None => match next()? {
-                    InboxEvent::Frame(frame) => frame,
-                    InboxEvent::PeerLost(peer, error) => {
-                        self.dead.push((peer, error.clone()));
-                        if pending.contains(&peer) {
-                            // Streams are FIFO: everything this peer ever
-                            // sent was delivered before the loss event, so it
-                            // can never end this superstep.
-                            return Err(error);
-                        }
-                        continue;
+            let event = match queue.next() {
+                Some(event) => event,
+                None => next()?,
+            };
+            let frame = match event {
+                InboxEvent::Frame(frame) => frame,
+                InboxEvent::PeerLost(peer, error) => {
+                    self.dead.push((peer, error.clone()));
+                    if pending.contains(&peer) {
+                        // Streams are FIFO: everything this peer ever sent
+                        // was delivered before the loss event, so it can
+                        // never end this superstep.
+                        return Err(error);
                     }
-                },
+                    continue;
+                }
+                InboxEvent::StateRequest(peer) if pending.contains(&peer) => {
+                    self.stash.extend(queue);
+                    self.interrupted = Some((superstep, wires, pending));
+                    return Err(PlaneError::StateRequested(peer));
+                }
+                request @ InboxEvent::StateRequest(_) => {
+                    self.stash.push(request);
+                    continue;
+                }
             };
             match frame {
                 Frame::Message {
@@ -532,13 +556,15 @@ impl SuperstepCollector {
                 | Frame::EndOfSuperstep { superstep: s, .. }
                     if s > superstep =>
                 {
-                    self.stash.push(frame);
+                    self.stash.push(InboxEvent::Frame(frame));
                 }
                 Frame::Abort { sender } => return Err(PlaneError::Aborted(sender)),
-                Frame::Ack { sender, .. } | Frame::Goodbye { sender } => {
+                Frame::Ack { sender, .. }
+                | Frame::Goodbye { sender }
+                | Frame::State { sender, .. } => {
                     return Err(PlaneError::Protocol(format!(
                         "transport-level frame from server {sender} reached the collector \
-                         (acks and goodbyes must be intercepted)"
+                         (acks, goodbyes and states must be intercepted)"
                     )));
                 }
                 Frame::Message { superstep: s, .. }
@@ -1130,5 +1156,119 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, PlaneError::Protocol(_)), "{err:?}");
+    }
+
+    // -- state frames ---------------------------------------------------------
+
+    fn state_bytes() -> Vec<u8> {
+        crate::checkpoint::encode_state(1, 4, &[2, 3], &[0.5; 6])
+    }
+
+    #[test]
+    fn state_frame_roundtrips_and_needs_a_ghhc_header() {
+        let mut bytes = Vec::new();
+        Frame::state(2, &state_bytes()).unwrap().encode(&mut bytes);
+        match roundtrip(&Frame::State {
+            sender: 2,
+            state: state_bytes().into(),
+        }) {
+            Frame::State { sender, state } => {
+                assert_eq!((sender, &state[..]), (2, &state_bytes()[..]));
+            }
+            other => panic!("wrong variant: {other:?}"),
+        }
+        let mut via_frame = Vec::new();
+        let state = state_bytes().into();
+        Frame::State { sender: 2, state }.encode(&mut via_frame);
+        assert_eq!(bytes, via_frame, "the two encoders agree");
+        // Every body too short for the header, and another magic.
+        let full = state_bytes();
+        for cut in 0..crate::checkpoint::CHECKPOINT_HEADER {
+            let mut bytes = Vec::new();
+            Frame::state(2, &full[..cut]).unwrap().encode(&mut bytes);
+            let decoded = std::panic::catch_unwind(|| Frame::decode(&bytes)).expect("no panic");
+            assert!(matches!(decoded, Err(FrameError::Corrupt(_))), "cut {cut}");
+        }
+        let mut other = full.clone();
+        other[3] = b'X';
+        let mut bytes = Vec::new();
+        Frame::state(2, &other).unwrap().encode(&mut bytes);
+        assert!(matches!(Frame::decode(&bytes), Err(FrameError::Corrupt(_))));
+    }
+
+    /// Past the cap a state is refused, by size.
+    #[test]
+    fn an_oversized_state_is_refused_with_its_size() {
+        let oversized = vec![0u8; MAX_STATE_PAYLOAD + 1];
+        let err = Frame::state(0, &oversized).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("{} bytes", MAX_STATE_PAYLOAD + 1)),
+            "{err}"
+        );
+    }
+
+    /// Every single-bit flip of an encoded state frame decodes to `Ok` or
+    /// `Err`, never a panic.
+    #[test]
+    fn every_bit_flip_of_a_state_frame_is_an_error_or_a_frame() {
+        let mut bytes = Vec::new();
+        Frame::state(2, &state_bytes()).unwrap().encode(&mut bytes);
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let outcome = std::panic::catch_unwind(|| {
+                let mut decoder = FrameDecoder::new();
+                decoder.push(&flipped);
+                while let Ok(Some(_)) = decoder.next_frame() {}
+            });
+            assert!(outcome.is_ok(), "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn a_state_reaching_the_collector_is_a_protocol_error() {
+        let mut c = SuperstepCollector::new();
+        let state = state_bytes().into();
+        let events = vec![InboxEvent::Frame(Frame::State { sender: 1, state })];
+        let err = c.collect(0, &[1], feed(events)).unwrap_err();
+        assert!(matches!(err, PlaneError::Protocol(_)), "{err:?}");
+    }
+
+    /// A state request interrupts a collect that waits for the asker, which
+    /// then goes on with what it had gathered.
+    #[test]
+    fn a_state_request_interrupts_a_collect_that_then_resumes() {
+        let mut c = SuperstepCollector::new();
+        let first = vec![
+            msg(1, 0, 10),
+            eos(1, 0),
+            msg(2, 1, 21),
+            InboxEvent::StateRequest(2),
+        ];
+        assert_eq!(
+            c.collect(0, &[1, 2], feed(first)),
+            Err(PlaneError::StateRequested(2))
+        );
+        let wires = c.collect(0, &[1, 2], feed(vec![msg(2, 0, 20), eos(2, 0)]));
+        let bytes: Vec<u8> = wires.unwrap().iter().map(|w| w[0]).collect();
+        assert_eq!(bytes, [10, 20]);
+        let next = c
+            .collect(1, &[1, 2], feed(vec![eos(1, 1), eos(2, 1)]))
+            .unwrap();
+        assert_eq!(next.len(), 1, "the stash survived the interruption");
+    }
+
+    /// A request from a peer whose marker this collect already has waits
+    /// for the collect that still needs one: where the asker's predecessor
+    /// stopped.
+    #[test]
+    fn a_state_request_waits_for_a_collect_that_needs_the_asker() {
+        let mut c = SuperstepCollector::new();
+        let events = vec![eos(1, 0), InboxEvent::StateRequest(1), eos(2, 0)];
+        assert_eq!(c.collect(0, &[1, 2], feed(events)), Ok(vec![]));
+        let err = c.collect(1, &[1, 2], feed(vec![eos(2, 1)]));
+        assert_eq!(err, Err(PlaneError::StateRequested(1)));
+        let rest = vec![eos(2, 1), eos(1, 1)];
+        assert_eq!(c.collect(1, &[1, 2], feed(rest)), Ok(vec![]));
     }
 }

@@ -26,21 +26,26 @@
 //! * [`fabric`] — the TCP plane's link life-cycle as one I/O-free step
 //!   function (`Fabric::step(now, Event, &mut Vec<Action>)`): establishment,
 //!   redial and backoff at the addresses of the static peer table, hello
-//!   vetting, replay and ack repeat, ordered goodbyes and linger, terminal
-//!   loss, and what reaches the collector (a peer's superstep once its marker
-//!   is in, replayed duplicates never). [`poll`] moves the bytes, with one
-//!   private poller (`poll(2)` on Linux, a spin elsewhere),
+//!   vetting, replay and ack repeat, state transfer to a new process,
+//!   ordered goodbyes and linger, terminal loss, and what reaches the
+//!   collector (a peer's superstep once its marker is in, replayed
+//!   duplicates never). [`poll`] moves the bytes, with one private poller
+//!   (`poll(2)` on Linux, a spin elsewhere),
 //! * [`run_worker`] — one server's [`graphh_core::exec::WorkerStep`] (the
 //!   superstep body the in-process loop steps too) driven over a
-//!   [`BroadcastPlane`], with checkpoint resume and writing by
-//!   [`acknowledge_durable`]; `graphh-node` runs one per process,
-//! * [`checkpoint`] — the checkpoint files a worker resumes from.
+//!   [`BroadcastPlane`], acknowledging each superstep as applied, restoring
+//!   a new process from its peers' state ([`restore_state`]) and answering
+//!   their requests for its own ([`state_for`]); `graphh-node` runs one per
+//!   process,
+//! * [`checkpoint`] — the `GHHC` encoding of a server's state, which a state
+//!   frame carries.
 //!
 //! `tests/fabric_sim.rs` is the fault-tolerance check: real
 //! [`graphh_core::exec::WorkerStep`]s running registry programs through
 //! real fabrics, collectors and frame decoders on a virtual network and
 //! clock, thousands of seeded cut, crash and restart schedules, every
-//! finished replica bit-identical to the sequential executor's. Over real
+//! restart recovering from its peers and every finished replica
+//! bit-identical to the sequential executor's. Over real
 //! sockets, [`PollPlane::crash`] and `graphh-bench`'s multi-process `kill -9`
 //! gate check the same code.
 //!
@@ -87,5 +92,5 @@ pub use frame::{
 pub use graphh_core::exec::WorkerOutput;
 pub use plane::{BroadcastPlane, ChannelPlane};
 pub use poll::{BoundPollPlane, PollPlane};
-pub use resume::{ReplayError, ReplayLog, ResilienceConfig, ResumeHello};
-pub use worker::{acknowledge_durable, run_worker, WorkerOptions};
+pub use resume::{ReplayLog, ResilienceConfig, ResumeHello};
+pub use worker::{restore_state, run_worker, state_for};

@@ -71,17 +71,35 @@ pub trait BroadcastPlane: Send {
     /// Block until every peer has ended `superstep`; returns their wire
     /// messages in arrival order. (Arrival order is nondeterministic across
     /// peers — consumers must not depend on it; the engine sorts updates
-    /// before applying them.)
+    /// before applying them.) [`PlaneError::StateRequested`] interrupts it:
+    /// answer with [`Self::send_state`] and collect again.
     fn collect(&mut self, superstep: u32) -> Result<Vec<WireMessage>, PlaneError>;
 
-    /// Declare that this server durably holds all state through `superstep`
-    /// (applied in memory, or checkpointed when the worker persists state) —
-    /// so peers may discard their retained replay frames for it. Resilient
-    /// transports forward this as an `Ack` frame and trim their own replay
-    /// logs on the acks they receive; for everything else durability is moot
-    /// and the default is a no-op, keeping the fault-free wire byte stream
-    /// and allocation profile unchanged.
+    /// Declare that this server has applied every superstep through
+    /// `superstep`, so peers may discard their retained replay frames for it.
+    /// The TCP plane forwards this as an `Ack` frame and trims its own replay
+    /// log on the acks it receives; the default is a no-op.
     fn acknowledge(&mut self, _superstep: u32) -> Result<(), PlaneError> {
+        Ok(())
+    }
+
+    /// Answer `peer`'s [`PlaneError::StateRequested`] with `state`, this
+    /// server's `GHHC` bytes addressed to it (`docs/WIRE.md` §9.4).
+    fn send_state(&mut self, peer: ServerId, _state: &[u8]) -> Result<(), PlaneError> {
+        Err(PlaneError::Protocol(format!(
+            "server {peer} asked for state"
+        )))
+    }
+
+    /// Once, for a new process taking over from a dead one: the state its
+    /// peers sent it to resume from (`docs/WIRE.md` §9.4).
+    fn restore_state(&mut self) -> Option<WireMessage> {
+        None
+    }
+
+    /// The run is over here: return once the peers are done with this
+    /// server — interrupted, like [`Self::collect`], by state requests.
+    fn finish(&mut self) -> Result<(), PlaneError> {
         Ok(())
     }
 

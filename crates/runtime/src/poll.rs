@@ -24,7 +24,7 @@
 //!  broadcast() ─encode─▶ bounded   ┌──────────────────┐      ┌───────────┐
 //!  end_superstep()       command   │ commands, frames,│Event │  Fabric   │
 //!  acknowledge()         channel ─▶│ hellos, stream   │─────▶│ (fabric.rs│
-//!  abort()                + waker  │ ends, ticks      │      │  no I/O)  │
+//!  send_state(), abort()  + waker  │ ends, ticks      │      │  no I/O)  │
 //!       │                          │ poll(fds) · read │Action│           │
 //!       ▼                          │ write queues ·   │◀─────│ decides   │
 //!  collect() ◀─ inbox channel ◀────│ dial · accept    │      └───────────┘
@@ -83,9 +83,10 @@
 //! finds out (`WouldBlock`), and a round that may wait naps at most 1 ms —
 //! which is also why it needs no waker.
 //!
-//! [`PollPlane::finish`] ends a finished run: it says goodbye and holds the
-//! links until every peer has said goodbye too or is gone (`docs/WIRE.md`
-//! §9.3). A dropped [`PollPlane`] leaves at once instead. Either way the
+//! [`BroadcastPlane::finish`] ends a finished run: it says goodbye and holds
+//! the links until every peer has said goodbye too or is gone (`docs/WIRE.md`
+//! §9.3), handing the worker any state request that comes meanwhile. A
+//! dropped [`PollPlane`] leaves at once instead. Either way the
 //! loop flushes its queues, half-closes its streams and is joined —
 //! shutdown is asserted by the thread-count checks in
 //! `tests/poll_threads.rs` and `examples/socket_cluster.rs`, not assumed.
@@ -406,14 +407,14 @@ impl BoundPollPlane {
         self.establish_resilient(peer_addrs, timeout, ResilienceConfig::default())
     }
 
-    /// [`Self::establish`] with an explicit timeout and recovery policy: the
-    /// reconnect deadline and the resume cursor of a restarted process.
+    /// [`Self::establish`] with an explicit timeout and recovery policy (the
+    /// reconnect deadline).
     ///
     /// A table no cluster can come up from is `InvalidInput` before anything
     /// is dialed: it must hold one dialable address per server, no two the
     /// same, none but this server's own at this listener. Establishment is
     /// the event loop's first job, not a phase before it: the loop starts
-    /// with every link down and `timeout` to bring each up once, and this
+    /// with every link down and `timeout` to bring them all up, and this
     /// call only waits for its verdict.
     pub fn establish_resilient(
         self,
@@ -450,7 +451,7 @@ impl BoundPollPlane {
 
         let (command_tx, command_rx) = sync_channel::<Request>(COMMAND_BACKLOG);
         let (inbox_tx, inbox) = channel::<InboxEvent>();
-        let (verdict_tx, verdict) = channel::<std::io::Result<()>>();
+        let (verdict_tx, verdict) = channel::<std::io::Result<Option<WireMessage>>>();
         let pool = BufferPool::new();
         let event_loop = EventLoop {
             id,
@@ -467,6 +468,7 @@ impl BoundPollPlane {
             counters: LoopCounters::registered(),
             intake_open: true,
             farewell: None,
+            restored: None,
             exiting: false,
             dead: false,
         };
@@ -480,10 +482,13 @@ impl BoundPollPlane {
         let verdict = verdict
             .recv()
             .unwrap_or_else(|_| Err(std::io::Error::other("event loop died while establishing")));
-        if let Err(e) = verdict {
-            let _ = event_loop.join();
-            return Err(e);
-        }
+        let restored = match verdict {
+            Ok(restored) => restored,
+            Err(e) => {
+                let _ = event_loop.join();
+                return Err(e);
+            }
+        };
         let batch = pool.checkout();
         Ok(PollPlane {
             id,
@@ -498,6 +503,8 @@ impl BoundPollPlane {
             batch,
             batch_flushes: registry.counter("poll.batch_flushes"),
             batch_superstep: 0,
+            restored,
+            finishing: false,
         })
     }
 }
@@ -571,6 +578,10 @@ pub struct PollPlane {
     /// The superstep every frame in the current batch belongs to (batches
     /// never span supersteps — `end_superstep` flushes).
     batch_superstep: u32,
+    /// The state this endpoint establishes with, until the worker takes it.
+    restored: Option<WireMessage>,
+    /// [`BroadcastPlane::finish`] has said goodbye.
+    finishing: bool,
 }
 
 impl PollPlane {
@@ -599,15 +610,17 @@ impl PollPlane {
             return Ok(());
         }
         let full = std::mem::replace(&mut self.batch, self.pool.checkout());
-        self.commands
-            .send(Request::Do(Command::Broadcast(
-                self.batch_superstep,
-                Arc::new(full),
-            )))
-            .map_err(|_| PlaneError::Disconnected)?;
+        self.send(Command::Broadcast(self.batch_superstep, Arc::new(full)))?;
         self.batch_flushes.incr();
-        self.waker.wake();
         Ok(())
+    }
+
+    /// Hand the loop a command (blocking while it is `COMMAND_BACKLOG`
+    /// commands behind) and wake it.
+    fn send(&mut self, command: Command) -> Result<(), PlaneError> {
+        let sent = self.commands.send(Request::Do(command));
+        self.waker.wake();
+        sent.map_err(|_| PlaneError::Disconnected)
     }
 
     /// Tear this endpoint down as a *crash* — the in-process analog of
@@ -622,14 +635,6 @@ impl PollPlane {
         // (ignored) and it joins the already-exiting event loop.
     }
 
-    /// The run is over on this endpoint: say goodbye, and return once every
-    /// peer has said goodbye too or is gone — at most the reconnect deadline
-    /// — so no peer is left redialing an endpoint that has exited
-    /// (`docs/WIRE.md` §9.3). Dropping a plane instead leaves at once.
-    pub fn finish(mut self) {
-        self.close(Command::Shutdown);
-    }
-
     /// Ship any still-batched frames (normally none: `end_superstep`
     /// flushes); then `last` — everything is in the FIFO command channel, and
     /// the loop flushes it all before half-closing — and join the loop.
@@ -638,8 +643,7 @@ impl PollPlane {
             return;
         };
         let _ = self.flush_batch();
-        let _ = self.commands.send(Request::Do(last));
-        self.waker.wake();
+        let _ = self.send(last);
         let _ = handle.join();
     }
 }
@@ -687,20 +691,44 @@ impl BroadcastPlane for PollPlane {
         })
     }
 
+    fn send_state(&mut self, peer: ServerId, state: &[u8]) -> Result<(), PlaneError> {
+        let frame = Frame::state(self.id, state);
+        let mut buf = self.pool.checkout();
+        frame
+            .map_err(|e| PlaneError::Protocol(e.to_string()))?
+            .encode(&mut buf);
+        self.send(Command::State(peer, Arc::new(buf)))
+    }
+
+    fn restore_state(&mut self) -> Option<WireMessage> {
+        self.restored.take()
+    }
+
+    /// Say goodbye, then wait for every peer's goodbye or loss — at most the
+    /// reconnect deadline (`docs/WIRE.md` §9.3). Dropping leaves at once.
+    fn finish(&mut self) -> Result<(), PlaneError> {
+        if !std::mem::replace(&mut self.finishing, true) {
+            let _ = self.flush_batch();
+            let _ = self.send(Command::Shutdown);
+        }
+        // The inbox closes when the loop exits; until then only a new
+        // process's request for our state needs the worker.
+        while let Ok(event) = self.inbox.recv() {
+            if let InboxEvent::StateRequest(peer) = event {
+                return Err(PlaneError::StateRequested(peer));
+            }
+        }
+        let _ = self.event_loop.take().map(JoinHandle::join);
+        Ok(())
+    }
+
     fn acknowledge(&mut self, superstep: u32) -> Result<(), PlaneError> {
         // Acks travel unretained (losing one to a cut only delays replay-log
         // trimming) in their own batch, so they never mix into a retained one.
         let mut buf = self.pool.checkout();
-        Frame::Ack {
-            sender: self.id,
-            superstep,
-        }
-        .encode(&mut buf);
-        self.commands
-            .send(Request::Do(Command::Ack(superstep, Arc::new(buf))))
-            .map_err(|_| PlaneError::Disconnected)?;
-        self.waker.wake();
-        Ok(())
+        let sender = self.id;
+        Frame::Ack { sender, superstep }.encode(&mut buf);
+        self.send(Command::Ack(superstep, Arc::new(buf)))
     }
 
     fn abort(&mut self) {
@@ -721,7 +749,7 @@ impl BroadcastPlane for PollPlane {
 }
 
 impl Drop for PollPlane {
-    /// Leave without waiting for the peers, unless [`PollPlane::finish`]
+    /// Leave without waiting for the peers, unless [`BroadcastPlane::finish`]
     /// already did.
     fn drop(&mut self) {
         self.close(Command::Leave);
@@ -868,14 +896,17 @@ struct EventLoop {
     commands: Receiver<Request>,
     inbox: Sender<InboxEvent>,
     /// Where `establish` waits; taken by the verdict.
-    verdict: Option<Sender<std::io::Result<()>>>,
+    verdict: Option<Sender<std::io::Result<Option<WireMessage>>>>,
     poller: Poller,
     counters: LoopCounters,
-    /// Commands are still being taken (no farewell seen yet).
+    /// Commands are still being taken — after the farewell too, for state
+    /// answers — until the plane is gone.
     intake_open: bool,
     /// The plane's last command (`Shutdown` or `Leave`), until the fabric
     /// hears of it one readiness round after it arrived.
     farewell: Option<Command>,
+    /// Held from [`Action::Restore`] to [`Action::Established`].
+    restored: Option<WireMessage>,
     /// The fabric said [`Action::Exit`]: flush, half-close, leave.
     exiting: bool,
     /// Establishment failed: leave at once.
@@ -900,12 +931,13 @@ impl EventLoop {
                 }
                 match self.commands.try_recv() {
                     Ok(Request::Do(farewell @ (Command::Shutdown | Command::Leave))) => {
-                        (self.intake_open, self.farewell) = (false, Some(farewell));
+                        self.farewell = Some(farewell);
                     }
                     // A disconnected sender means the plane was dropped; it
                     // always says farewell first, but be safe either way.
                     Err(TryRecvError::Disconnected) => {
-                        (self.intake_open, self.farewell) = (false, Some(Command::Leave));
+                        self.intake_open = false;
+                        self.farewell.get_or_insert(Command::Leave);
                     }
                     Ok(Request::Do(command)) => self.dispatch(Event::Command(command)),
                     Ok(Request::Crash) => {
@@ -1010,8 +1042,9 @@ impl EventLoop {
         (if peer < self.id { peer } else { peer - 1 }) as usize
     }
 
-    /// Tell the waiting `establish` how establishment ended (once).
-    fn conclude(&mut self, verdict: std::io::Result<()>) {
+    /// Tell the waiting `establish` how establishment ended (once), with the
+    /// state it resumes from.
+    fn conclude(&mut self, verdict: std::io::Result<Option<WireMessage>>) {
         if let Some(waiting) = self.verdict.take() {
             let _ = waiting.send(verdict);
         }
@@ -1080,7 +1113,11 @@ impl EventLoop {
             Action::Close(conn) => *self.handshake(conn) = None,
             // (A dropped plane stops listening; its Shutdown is on the way.)
             Action::Deliver(event) => drop(self.inbox.send(event)),
-            Action::Established => self.conclude(Ok(())),
+            Action::Restore(state) => self.restored = Some(state),
+            Action::Established => {
+                let restored = self.restored.take();
+                self.conclude(Ok(restored));
+            }
             Action::EstablishFailed(timed_out, message) => {
                 let kind = match timed_out {
                     true => std::io::ErrorKind::TimedOut,
@@ -1352,14 +1389,23 @@ mod tests {
     }
 
     /// One endpoint of a 2-server cluster through `supersteps`: broadcast
-    /// `[id, s]`, and demand exactly the peer's `[peer, s]` back — once.
+    /// `[id, s]`, and demand exactly the peer's `[peer, s]` back — once. A
+    /// new process's request for state is answered with cursor `s`.
     fn run_supersteps(p: &mut dyn BroadcastPlane, supersteps: std::ops::Range<u32>) {
         let id = p.server_id();
         let peer = 1 - id;
         for s in supersteps {
             p.broadcast(s, &[id as u8, s as u8]).unwrap();
             p.end_superstep(s).unwrap();
-            let got = p.collect(s).unwrap();
+            let got = loop {
+                match p.collect(s) {
+                    Err(PlaneError::StateRequested(asker)) => {
+                        let state = crate::checkpoint::encode_state(asker, s, &[], &[]);
+                        p.send_state(asker, &state).unwrap();
+                    }
+                    got => break got.unwrap(),
+                }
+            };
             assert_eq!(got.len(), 1, "server {id} superstep {s}: exactly once");
             assert_eq!(&got[0][..], &[peer as u8, s as u8]);
             p.acknowledge(s).unwrap();
@@ -1586,7 +1632,6 @@ mod tests {
         let (bound, addrs) = bind_cluster(2);
         let config = ResilienceConfig {
             reconnect_deadline: Duration::from_millis(400),
-            ..ResilienceConfig::default()
         };
         let mut planes = establish_all(bound, &addrs, &config);
         let p1 = planes.pop().unwrap();
@@ -1667,21 +1712,20 @@ mod tests {
     }
 
     /// A peer is killed mid-run and a replacement with the same server id
-    /// rejoins **at the same address**, the one the peer table gives it:
-    /// whoever holds the lower id of the link waits for the redial, the other
-    /// redials the new process — both directions, one per victim — and the
-    /// run finishes exactly-once.
+    /// rejoins **at the same address**, the one the peer table gives it,
+    /// with no cursor of its own: the survivor's state tells it where to
+    /// start. Whoever holds the lower id of the link waits for the redial,
+    /// the other redials the new process — both directions, one per victim —
+    /// and the run finishes exactly-once.
     #[test]
     fn a_replacement_at_the_same_address_rejoins_mid_run() {
         for victim in [0u32, 1] {
             let (bound, addrs) = bind_cluster(2);
             let survivor_config = ResilienceConfig {
                 reconnect_deadline: Duration::from_secs(10),
-                ..ResilienceConfig::default()
             };
             let victim_config = ResilienceConfig {
                 reconnect_deadline: Duration::from_millis(300),
-                ..survivor_config.clone()
             };
             let mut planes = establish_all_with(bound, |b| {
                 let config = if b.id == victim {
@@ -1697,13 +1741,8 @@ mod tests {
             const TOTAL: u32 = 6;
             const CRASH_AT: u32 = 3;
             thread::scope(|scope| {
-                // The victim crashes only once the survivor has absorbed
-                // everything it broadcast pre-crash — the multiprocess driver
-                // guarantees the same by killing well after the victim's
-                // checkpoint lands. Crashing earlier can destroy queued frames
-                // the survivor still needs, which no replacement can replay
-                // (its log starts at the resume cursor): that is *correctly*
-                // terminal, but it is not this test's scenario.
+                // The victim crashes once the survivor has absorbed everything
+                // it broadcast before, so the survivor's state is at CRASH_AT.
                 let (absorbed_tx, absorbed_rx) = channel::<()>();
                 scope.spawn(move || {
                     run_supersteps(&mut survivor, 0..CRASH_AT);
@@ -1724,12 +1763,13 @@ mod tests {
                     let rebound = PollPlane::bind(victim, 2, at).unwrap();
                     // The replacement runs to a clean goodbye, so it does not
                     // need the victim's short crash-linger deadline.
-                    let config = ResilienceConfig {
-                        resume_from: CRASH_AT,
-                        ..survivor_config.clone()
-                    };
+                    let config = survivor_config.clone();
                     let established = rebound.establish_resilient(addrs, TIMEOUT, config);
                     let mut replacement = established.unwrap();
+                    let state = replacement.restore_state().expect("the survivor's state");
+                    let cursor = crate::checkpoint::encoded_cursor(&state);
+                    assert_eq!(cursor, Some(CRASH_AT));
+                    assert!(replacement.restore_state().is_none(), "taken once");
                     run_supersteps(&mut replacement, CRASH_AT..TOTAL);
                 });
             });

@@ -11,9 +11,9 @@
 //!   written to the fabric is also retained here (shared, not copied), keyed
 //!   by superstep; on reconnect the log replays everything from the peer's
 //!   requested cursor, and incoming [`crate::frame::Frame::Ack`]s trim the
-//!   prefix every peer has durably applied.
-//! * [`ResilienceConfig`] — the two values of recovery policy a caller can
-//!   set: reconnect deadline and resume cursor.
+//!   prefix every peer has applied.
+//! * [`ResilienceConfig`] — the one value of recovery policy a caller can
+//!   set: the reconnect deadline.
 //!
 //! The normative byte spec lives in `docs/WIRE.md` §9; this module is the
 //! reference implementation.
@@ -36,8 +36,9 @@ pub const RESUME_HELLO_LEN: usize = 16;
 /// `resume_from` is the first superstep the *sender of the hello* still
 /// needs: the receiving side must replay every retained frame with a
 /// superstep `>= resume_from` before sending anything new on the stream.
-/// On an initial connection it is 0 (nothing sent yet, nothing to replay);
-/// a restarted server sends its checkpoint cursor.
+/// A new process sends 0 — at start-up and as a replacement alike; a
+/// replacement whose peers are past that gets their state first
+/// (`docs/WIRE.md` §9.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeHello {
     /// Total servers in the cluster (must agree on both ends).
@@ -119,35 +120,6 @@ impl ResumeHello {
     }
 }
 
-/// Could a resume request be satisfied from the retained frames?
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayError {
-    /// The requested cursor was already trimmed away: the peer acknowledged
-    /// past it and later asked for it again (it lost durable state it had
-    /// claimed). Unrecoverable — the caller falls back to the terminal
-    /// peer-lost path.
-    BelowFloor {
-        /// The superstep the peer asked to resume from.
-        requested: u32,
-        /// The first superstep still retained.
-        floor: u32,
-    },
-}
-
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplayError::BelowFloor { requested, floor } => write!(
-                f,
-                "peer asked to resume from superstep {requested} but frames below {floor} \
-                 were trimmed after acknowledgement"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ReplayError {}
-
 /// One retained broadcast batch: the buffer the event loop already shares
 /// across its peers' write queues, held here too until every peer acks its
 /// superstep — retention costs a reference count, not a copy.
@@ -161,13 +133,12 @@ struct ReplayEntry {
 ///
 /// Every batch of frames an endpoint broadcasts (messages *and* end-of-
 /// superstep markers) is retained here in superstep order. Retention is
-/// bounded by acknowledgements: `Ack(s)` from a peer means that peer durably
-/// holds its state through superstep `s` (its process applied `s`, and — when
-/// checkpointing — wrote the checkpoint covering it), so once **every** peer
-/// has acknowledged `s`, frames `<= s` can never be requested again and are
-/// trimmed (their buffers return to the pool). A resume request below the
-/// trim floor is the peer violating its own acknowledgement and is rejected
-/// as unrecoverable.
+/// bounded by acknowledgements: `Ack(s)` from a peer means that peer has
+/// applied superstep `s`, so once **every** peer has acknowledged `s`, frames
+/// `<= s` can never be requested again by a live process and are trimmed
+/// (their buffers return to the pool). A new process of a peer resumes from
+/// a state at or above the floor. A live peer's resume request below the trim
+/// floor violates its own acknowledgement and is rejected as unrecoverable.
 #[derive(Debug)]
 pub struct ReplayLog {
     /// Retained batches in stream order; supersteps ascend (a superstep may
@@ -187,20 +158,9 @@ pub struct ReplayLog {
 impl ReplayLog {
     /// An empty log for a `num_servers`-cluster endpoint with id `own`.
     pub fn new(num_servers: u32, own: ServerId) -> Self {
-        Self::resuming_from(num_servers, own, 0)
-    }
-
-    /// An empty log for an endpoint resuming at superstep `resume_from`: the
-    /// floor starts there, because nothing below it can ever be replayed —
-    /// those frames belonged to the dead predecessor, and any of them still
-    /// unflushed when it was killed are gone for good. A peer whose hello
-    /// asks below this floor is therefore rejected as unrecoverable
-    /// ([`ReplayError::BelowFloor`]) instead of silently receiving an empty
-    /// replay and waiting forever for frames no one holds.
-    pub fn resuming_from(num_servers: u32, own: ServerId, resume_from: u32) -> Self {
         Self {
             entries: VecDeque::new(),
-            trimmed_until: resume_from,
+            trimmed_until: 0,
             acked: vec![None; num_servers as usize],
             own,
             bytes_retained: 0,
@@ -212,10 +172,7 @@ impl ReplayLog {
     /// path is serial per endpoint, so they do.
     ///
     /// A superstep below the floor is not retained, for nobody can ever ask
-    /// for it: a restarted server re-executing from its checkpoint
-    /// re-broadcasts supersteps every peer has long acknowledged (their
-    /// repeated acks raise the floor on reconnect), and once every peer is
-    /// forgotten the floor is past everything.
+    /// for it: once every peer is forgotten the floor is past everything.
     pub fn append(&mut self, superstep: u32, batch: Arc<PooledBuf>) {
         if superstep < self.trimmed_until {
             return;
@@ -270,21 +227,13 @@ impl ReplayLog {
     }
 
     /// Every batch retained from `resume_from` on, in stream order (shared,
-    /// not copied — the caller enqueues them as they are) — or
-    /// [`ReplayError::BelowFloor`] when the cursor was already trimmed.
-    pub fn replay_from(&self, resume_from: u32) -> Result<Vec<Arc<PooledBuf>>, ReplayError> {
-        if resume_from < self.trimmed_until {
-            return Err(ReplayError::BelowFloor {
-                requested: resume_from,
-                floor: self.trimmed_until,
-            });
-        }
-        Ok(self
-            .entries
-            .iter()
-            .filter(|e| e.superstep >= resume_from)
-            .map(|e| Arc::clone(&e.batch))
-            .collect())
+    /// not copied — the caller enqueues them as they are) — or `None` when
+    /// the cursor was already trimmed: a live peer that acknowledged past it
+    /// asked for it again, which is unrecoverable.
+    pub fn replay_from(&self, resume_from: u32) -> Option<Vec<Arc<PooledBuf>>> {
+        let retained = self.entries.iter().filter(|e| e.superstep >= resume_from);
+        let replay = retained.map(|e| Arc::clone(&e.batch)).collect();
+        (resume_from >= self.trimmed_until).then_some(replay)
     }
 
     /// First superstep a resume request may still ask for.
@@ -305,28 +254,12 @@ pub struct ResilienceConfig {
     /// How long a cut peer may stay down before the terminal
     /// [`crate::frame::InboxEvent::PeerLost`] fires.
     pub reconnect_deadline: Duration,
-    /// The superstep this endpoint resumes from (0 for a fresh start; a
-    /// restarted server passes its checkpoint cursor). Sent in every
-    /// [`ResumeHello`] and used to seed the per-peer receive cursors.
-    pub resume_from: u32,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
         Self {
             reconnect_deadline: Duration::from_secs(30),
-            resume_from: 0,
-        }
-    }
-}
-
-impl ResilienceConfig {
-    /// Default policy resuming from `superstep` (a restarted server's
-    /// checkpoint cursor).
-    pub fn resuming_from(superstep: u32) -> Self {
-        Self {
-            resume_from: superstep,
-            ..Self::default()
         }
     }
 }
@@ -457,9 +390,9 @@ mod tests {
     }
 
     /// The replay as the byte run the peer would receive.
-    fn replay_bytes(log: &ReplayLog, resume_from: u32) -> Result<Vec<u8>, ReplayError> {
+    fn replay_bytes(log: &ReplayLog, resume_from: u32) -> Option<Vec<u8>> {
         let batches = log.replay_from(resume_from)?;
-        Ok(batches.iter().flat_map(|b| b.iter().copied()).collect())
+        Some(batches.iter().flat_map(|b| b.iter().copied()).collect())
     }
 
     /// The exact retention/trim contract at superstep acks: nothing is
@@ -499,13 +432,7 @@ mod tests {
         let mut superstep_3 = vec![3u8; 10];
         superstep_3.extend_from_slice(&eos_bytes(0, 3));
         assert_eq!(replay_bytes(&log, 3).unwrap(), superstep_3);
-        assert!(matches!(
-            log.replay_from(2),
-            Err(ReplayError::BelowFloor {
-                requested: 2,
-                floor: 3
-            })
-        ));
+        assert!(log.replay_from(2).is_none());
     }
 
     #[test]
@@ -548,24 +475,6 @@ mod tests {
         append(&mut log, &BufferPool::new(), 0, &[9]);
         log.ack(777, 5); // out of range: ignored, nothing trimmed
         assert_eq!(log.retained_supersteps(), 1);
-    }
-
-    #[test]
-    fn restarted_log_rejects_cursors_below_its_resume_point() {
-        // A replacement resuming at superstep 3 can never replay anything
-        // below it — those frames died with its predecessor. A peer asking
-        // for them must get a terminal rejection, not a silent empty replay
-        // that leaves it waiting forever for frames no one holds.
-        let log = ReplayLog::resuming_from(2, 1, 3);
-        assert_eq!(log.floor(), 3);
-        assert!(matches!(
-            log.replay_from(2),
-            Err(ReplayError::BelowFloor {
-                requested: 2,
-                floor: 3
-            })
-        ));
-        assert!(log.replay_from(3).unwrap().is_empty());
     }
 
     #[test]

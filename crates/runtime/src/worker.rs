@@ -3,20 +3,24 @@
 //!
 //! Each superstep, [`run_worker`] asks the step to compute its tiles,
 //! broadcasts the wires it encodes, ends the superstep on the plane, hands
-//! every wire the plane collects to the step, and has it apply the merged
-//! updates — the superstep body the in-process executors step too, so
-//! `graphh-node` stays bit-identical to them. Then
-//! [`acknowledge_durable`] writes a checkpoint when one is due and
-//! acknowledges what is durable.
-//! Every replica applies the same merged update set, so every worker reaches
-//! the same continue/stop decision.
+//! every wire the plane collects to the step, has it apply the merged
+//! updates, and acknowledges the superstep as applied — the superstep body
+//! the in-process executors step too, so `graphh-node` stays bit-identical
+//! to them. Every replica applies the same merged update set, so every
+//! worker reaches the same continue/stop decision.
 //!
 //! There is no separate barrier: `collect(s)` returning *is* the barrier —
 //! every peer's end-of-superstep marker for `s` has arrived, and a faster
 //! peer's `s + 1` frames wait in the collector's stash until this worker
 //! gets there.
+//!
+//! Recovery needs no file (`docs/WIRE.md` §9.4). A new process taking over
+//! from a dead one starts from the state its live peers sent it
+//! ([`restore_state`]); a worker asked for its state while it collects or
+//! finishes answers with [`state_for`] — what it holds then, since nothing
+//! before `apply` touches the replica or the frontier.
 
-use crate::checkpoint::{Checkpoint, CheckpointSink};
+use crate::checkpoint::{encode_state, Checkpoint};
 use crate::plane::{BroadcastPlane, PlaneError};
 use graphh_core::exec::{ExecutionPlan, WorkerOutput, WorkerStep};
 use graphh_core::gab::GabProgram;
@@ -25,20 +29,26 @@ use graphh_graph::ids::ServerId;
 use graphh_obs::Tracer;
 use graphh_partition::PartitionedGraph;
 
-/// Reject a checkpoint the plan cannot run on server `sid` — it is file
-/// bytes: another server's snapshot, a replica that is not one value per
-/// vertex, a frontier that is not strictly ascending inside the graph, a
-/// cursor past the run's last superstep.
-fn check_restore(
+/// Resume `step` from `state`, the `GHHC` bytes a live peer sent this new
+/// process. They are a peer's bytes, so nothing is restored from bytes that
+/// do not decode, a state addressed to another server, a replica that is
+/// not one value per vertex, a frontier that is not strictly ascending
+/// inside the graph, or a cursor past the run's last superstep.
+pub fn restore_state(
+    step: &mut WorkerStep<'_>,
     plan: &ExecutionPlan,
-    sid: ServerId,
-    resume: &Checkpoint,
+    state: &[u8],
 ) -> Result<(), EngineError> {
-    let n = plan.num_vertices;
-    let values = resume.values.len() as u64;
-    let frontier = &resume.frontier;
-    let why = if resume.server != sid {
-        format!("server {}'s checkpoint on server {sid}", resume.server)
+    let refused = |why: String| EngineError::BadInput(format!("state restore: {why}"));
+    let state = Checkpoint::decode(state).map_err(refused)?;
+    let (n, sid) = (plan.num_vertices, step.server());
+    let values = state.values.len() as u64;
+    let frontier = &state.frontier;
+    let why = if state.server != sid {
+        format!(
+            "a state addressed to server {} on server {sid}",
+            state.server
+        )
     } else if values != n {
         format!("{values} replica values for a {n}-vertex graph")
     } else if let Some(pair) = frontier.windows(2).find(|pair| pair[0] >= pair[1]) {
@@ -46,93 +56,47 @@ fn check_restore(
         format!("frontier lists vertex {a} before vertex {b}; it must be strictly ascending")
     } else if let Some(v) = frontier.last().filter(|&&v| u64::from(v) >= n) {
         format!("frontier vertex {v} outside the {n}-vertex graph")
-    } else if resume.next_superstep > plan.max_supersteps {
-        let (s, max) = (resume.next_superstep, plan.max_supersteps);
+    } else if state.next_superstep > plan.max_supersteps {
+        let (s, max) = (state.next_superstep, plan.max_supersteps);
         format!("cursor at superstep {s}, past the run's {max} supersteps")
     } else {
+        step.restore(state.next_superstep, state.values, state.frontier);
         return Ok(());
     };
-    Err(EngineError::BadInput(format!("checkpoint restore: {why}")))
+    Err(refused(why))
+}
+
+/// `step`'s cursor, frontier and replica as `GHHC` bytes addressed to `peer`,
+/// a new process that asked for them. Encoded only when asked: a fault-free
+/// run never copies its replica.
+pub fn state_for(step: &WorkerStep<'_>, peer: ServerId) -> Vec<u8> {
+    encode_state(peer, step.cursor(), step.frontier(), step.values())
 }
 
 fn plane_error(e: PlaneError) -> EngineError {
     EngineError::BadInput(format!("broadcast plane failure: {e}"))
 }
 
-/// Optional behaviors of [`run_worker`] beyond the plain superstep loop.
-/// [`Default`] is a fresh start at superstep 0, no checkpoints, no delay.
-#[derive(Default)]
-pub struct WorkerOptions {
-    /// The checkpoint to resume from: the worker re-enters the run at its
-    /// cursor with its replica and frontier, and relies on peers replaying
-    /// the delta. It is file bytes, so it must fit the plan and this server.
-    pub resume: Option<Checkpoint>,
-    /// Periodic checkpoint writer. When set, the worker snapshots replica
-    /// values + superstep cursor after every due superstep and only
-    /// acknowledges durability ([`BroadcastPlane::acknowledge`]) for
-    /// checkpointed supersteps — so peers retain exactly the replay delta a
-    /// restart would need. When unset, every superstep is acknowledged as it
-    /// completes (in-memory state is durable enough for transient cuts).
-    pub checkpoint: Option<CheckpointSink>,
-    /// Artificial pause at the top of each superstep. A test aid that widens
-    /// the window for killing a process mid-run; it never changes values.
-    pub superstep_delay: Option<std::time::Duration>,
-}
-
-/// When a worker may acknowledge a superstep, for every driver of a
-/// [`WorkerStep`]: `run_worker`, and the fault simulation in
-/// `tests/fabric_sim.rs`, which checks this rule rather than a copy of it.
-///
-/// An ack of superstep `s` promises the peers that a restart will not need
-/// `s`'s frames replayed, so they trim them. Call this once with the
-/// checkpoint the worker resumes from (`None` on a fresh start), and again
-/// with `None` after every applied superstep:
-///
-/// * a resumed step is restored from the checkpoint, and the ack of
-///   `cursor - 1` it stands for is repeated: it may have died with the
-///   process that made it, and with no superstep left to run every peer
-///   would retain the final ones until it exits;
-/// * with checkpoints kept every `every` supersteps, a due checkpoint is
-///   written through `write` first and only then acknowledged, and a
-///   superstep that is not due is not acknowledged at all;
-/// * without checkpoints every superstep is acknowledged as it completes:
-///   in-memory state is durable enough for transient cuts.
-pub fn acknowledge_durable(
-    step: &mut WorkerStep<'_>,
-    resume: Option<Checkpoint>,
-    every: Option<u32>,
-    write: &mut dyn FnMut(&Checkpoint) -> Result<(), String>,
-    ack: &mut dyn FnMut(u32) -> Result<(), PlaneError>,
-) -> Result<(), EngineError> {
-    let cursor = step.cursor();
-    let durable = match (resume, every) {
-        (Some(checkpoint), _) => {
-            let cursor = checkpoint.next_superstep;
-            step.restore(cursor, checkpoint.values, checkpoint.frontier);
-            cursor.checked_sub(1)
+/// `call` on the plane until no state request interrupts it, each request
+/// answered with `step`'s state.
+fn serving<T>(
+    plane: &mut dyn BroadcastPlane,
+    step: &WorkerStep<'_>,
+    mut call: impl FnMut(&mut dyn BroadcastPlane) -> Result<T, PlaneError>,
+) -> Result<T, EngineError> {
+    loop {
+        match call(plane) {
+            Err(PlaneError::StateRequested(peer)) => plane
+                .send_state(peer, &state_for(step, peer))
+                .map_err(plane_error)?,
+            result => return result.map_err(plane_error),
         }
-        // A fresh start has nothing durable yet.
-        (None, _) if cursor == 0 => None,
-        (None, None) => Some(cursor - 1),
-        (None, Some(every)) if cursor.is_multiple_of(every) => {
-            write(&Checkpoint {
-                server: step.server(),
-                next_superstep: cursor,
-                frontier: step.frontier().to_vec(),
-                values: step.values().to_vec(),
-            })
-            .map_err(|e| EngineError::BadInput(format!("checkpoint write: {e}")))?;
-            Some(cursor - 1)
-        }
-        (None, Some(_)) => None,
-    };
-    match durable {
-        Some(superstep) => ack(superstep).map_err(plane_error),
-        None => Ok(()),
     }
 }
 
-/// Run server `sid` to completion on the calling thread.
+/// Run server `sid` to completion on the calling thread, starting from the
+/// state the plane was restored with, if any, and finishing the plane:
+/// [`BroadcastPlane::finish`] returns once the peers are done with it.
 ///
 /// Phase spans go to `tracer`: the worker records on lane `1 + sid`; its
 /// server's pool jobs land on lanes `100 * (1 + sid) + worker_index` (see
@@ -143,6 +107,9 @@ pub fn acknowledge_durable(
 /// (e.g. a user `GabProgram` indexing out of bounds) — the peers are
 /// unblocked by an abort frame on the plane: the only place a peer can be
 /// parked is `collect`, and an abort fails every collect.
+///
+/// `superstep_delay` pauses at the top of each superstep: a test aid that
+/// widens the window for killing a process mid-run; it never changes values.
 #[allow(clippy::too_many_arguments)]
 pub fn run_worker(
     config: &GraphHConfig,
@@ -152,17 +119,8 @@ pub fn run_worker(
     sid: ServerId,
     plane: &mut dyn BroadcastPlane,
     tracer: &Tracer,
-    options: WorkerOptions,
+    superstep_delay: Option<std::time::Duration>,
 ) -> Result<WorkerOutput, EngineError> {
-    let WorkerOptions {
-        resume,
-        checkpoint: sink,
-        superstep_delay,
-    } = options;
-    if let Some(Err(e)) = resume.as_ref().map(|c| check_restore(plan, sid, c)) {
-        plane.abort();
-        return Err(e);
-    }
     let mut rec = tracer.thread(1 + sid);
     let load = rec.begin();
     let mut step = WorkerStep::new(config, plan, partitioned, program, sid, tracer);
@@ -170,13 +128,14 @@ pub fn run_worker(
 
     let rec = &mut rec;
     let body = std::panic::AssertUnwindSafe(|| -> Result<(), EngineError> {
-        let every = sink.as_ref().map(|sink| sink.every);
-        let mut write = |checkpoint: &Checkpoint| {
-            let sink = sink.as_ref().expect("written only with a sink");
-            sink.write(checkpoint).map(drop)
-        };
-        let mut ack = |superstep| plane.acknowledge(superstep);
-        acknowledge_durable(&mut step, resume, every, &mut write, &mut ack)?;
+        if let Some(state) = plane.restore_state() {
+            restore_state(&mut step, plan, &state)?;
+            // Acks mean applied: the peers trim nothing more until this
+            // process has acknowledged what it holds.
+            if let Some(applied) = step.cursor().checked_sub(1) {
+                plane.acknowledge(applied).map_err(plane_error)?;
+            }
+        }
         while let Some(superstep) = step.next_superstep() {
             if let Some(delay) = superstep_delay {
                 std::thread::sleep(delay);
@@ -199,18 +158,16 @@ pub fn run_worker(
             plane.end_superstep(superstep).map_err(plane_error)?;
             rec.end_superstep(flush, "plane-flush", "superstep", superstep);
             let exchange = rec.begin();
-            for wire in plane.collect(superstep).map_err(plane_error)? {
+            for wire in serving(plane, &step, |plane| plane.collect(superstep))? {
                 step.receive(&wire)?;
             }
             rec.end_superstep(exchange, "collect-decode", "superstep", superstep);
             let apply = rec.begin();
             step.apply()?;
             rec.end_superstep(apply, "apply", "superstep", superstep);
-
-            let mut ack = |superstep| plane.acknowledge(superstep);
-            acknowledge_durable(&mut step, None, every, &mut write, &mut ack)?;
+            plane.acknowledge(superstep).map_err(plane_error)?;
         }
-        Ok(())
+        serving(plane, &step, |plane| plane.finish())
     });
 
     // catch_unwind so a panicking worker (not just an erroring one) still
@@ -242,10 +199,15 @@ mod tests {
     use graphh_partition::{Spe, SpeConfig};
 
     /// A plane that hands the worker one attacker-controlled wire message,
-    /// if given one, and records the markers and acks it is told, in order.
+    /// if given one, and a state to restore from, if given one; it asks for
+    /// this server's state once in the collect of `request`'s superstep, and
+    /// records the markers, acks and states it is told, in order.
     #[derive(Default)]
     struct TestPlane {
         payload: Option<WireMessage>,
+        state: Option<WireMessage>,
+        request: Option<(u32, ServerId)>,
+        sent: Vec<Checkpoint>,
         calls: Vec<(&'static str, u32)>,
     }
 
@@ -263,119 +225,138 @@ mod tests {
             self.calls.push(("end", superstep));
             Ok(())
         }
-        fn collect(&mut self, _superstep: u32) -> Result<Vec<WireMessage>, PlaneError> {
+        fn collect(&mut self, superstep: u32) -> Result<Vec<WireMessage>, PlaneError> {
+            if let Some((_, peer)) = self.request.filter(|&(s, _)| s == superstep) {
+                self.request = None;
+                return Err(PlaneError::StateRequested(peer));
+            }
             Ok(self.payload.take().into_iter().collect())
         }
         fn acknowledge(&mut self, superstep: u32) -> Result<(), PlaneError> {
             self.calls.push(("ack", superstep));
             Ok(())
         }
+        fn send_state(&mut self, peer: ServerId, state: &[u8]) -> Result<(), PlaneError> {
+            let state = Checkpoint::decode(state).expect("a GHHC state");
+            self.calls.push(("state", peer));
+            self.sent.push(state);
+            Ok(())
+        }
+        fn restore_state(&mut self) -> Option<WireMessage> {
+            self.state.take()
+        }
         fn abort(&mut self) {}
     }
 
-    /// `PageRank(3)` over `path_graph(10)` on one server, started with
-    /// `options` on a [`TestPlane`]: the result and the plane's calls.
-    fn run_path_graph(
-        options: WorkerOptions,
-    ) -> (Result<WorkerOutput, EngineError>, Vec<(&'static str, u32)>) {
+    /// `PageRank(3)` over `path_graph(10)` on one server, run on `plane`:
+    /// the result.
+    fn run_path_graph(plane: &mut TestPlane) -> Result<WorkerOutput, EngineError> {
         let g = path_graph(10);
         let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 2)).unwrap();
         let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
         let program = PageRank::new(3);
         let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
         assert_eq!(plan.max_supersteps, 3);
-        let mut plane = TestPlane::default();
         let tracer = Tracer::off();
-        let result = run_worker(
-            &config, &plan, &p, &program, 0, &mut plane, &tracer, options,
-        );
-        (result, plane.calls)
+        run_worker(&config, &plan, &p, &program, 0, plane, &tracer, None)
     }
 
-    /// A checkpoint of server 0 at `next_superstep`, holding `frontier` and
-    /// the 10-vertex graph's first-superstep replica.
-    fn checkpoint(next_superstep: u32, frontier: Vec<u32>) -> WorkerOptions {
-        WorkerOptions {
-            resume: Some(Checkpoint {
-                server: 0,
-                next_superstep,
-                frontier,
-                values: vec![0.1; 10],
-            }),
-            ..WorkerOptions::default()
+    /// A state addressed to server 0 at `next_superstep`, holding `frontier`
+    /// and a 10-vertex replica.
+    fn state(next_superstep: u32, frontier: Vec<u32>) -> Checkpoint {
+        Checkpoint {
+            server: 0,
+            next_superstep,
+            frontier,
+            values: vec![0.1; 10],
         }
     }
 
-    /// A checkpoint at cursor `s` promised `s - 1` durable, so a worker
-    /// resumed there says so before anything else — even when nothing is left
-    /// to run, which used to leave every peer retaining the final supersteps —
-    /// and a fresh start acknowledges nothing before it has ended superstep 0.
+    /// A plane that restores the worker from `state`.
+    fn restoring(state: &Checkpoint) -> TestPlane {
+        TestPlane {
+            state: Some(state.encode().into()),
+            ..TestPlane::default()
+        }
+    }
+
+    /// A worker restored at cursor `s` acknowledges `s - 1` before anything
+    /// else — even when nothing is left to run, or every peer would retain
+    /// the final supersteps — and a fresh start acknowledges nothing before
+    /// it has ended superstep 0.
     #[test]
-    fn a_resumed_worker_repeats_the_ack_its_checkpoint_stands_for() {
-        let calls_of = |options| {
-            let (result, calls) = run_path_graph(options);
-            result.unwrap();
-            calls
+    fn a_restored_worker_acknowledges_the_state_it_holds() {
+        let calls_of = |mut plane: TestPlane| {
+            run_path_graph(&mut plane).unwrap();
+            plane.calls
         };
         let everything: Vec<u32> = (0..10).collect();
         // The cursor is past the last superstep: zero iterations, one ack.
-        assert_eq!(calls_of(checkpoint(3, everything.clone())), [("ack", 2)]);
+        assert_eq!(
+            calls_of(restoring(&state(3, everything.clone()))),
+            [("ack", 2)]
+        );
         // The run had terminated (empty frontier) before the process died.
-        assert_eq!(calls_of(checkpoint(2, Vec::new())), [("ack", 1)]);
-        // Mid-run: the repeated ack comes first, then the loop's own.
-        let mid_run = calls_of(checkpoint(1, everything));
+        assert_eq!(calls_of(restoring(&state(2, Vec::new()))), [("ack", 1)]);
+        let mid_run = calls_of(restoring(&state(1, everything)));
         assert_eq!(mid_run[..3], [("ack", 0), ("end", 1), ("ack", 1)]);
-        // A fresh start has nothing to repeat.
-        let fresh = calls_of(WorkerOptions::default());
+        let fresh = calls_of(TestPlane::default());
         assert_eq!(fresh[..2], [("end", 0), ("ack", 0)]);
     }
 
-    /// With checkpoints every 2 supersteps, a due checkpoint is written
-    /// before its superstep is acknowledged, a superstep that is not due is
-    /// not acknowledged, and a write that fails acknowledges nothing.
+    /// A request in the middle of collecting superstep 1 is answered with the
+    /// state the worker holds then — cursor 1, superstep 0's replica —
+    /// addressed to the asker, and the collect goes on.
     #[test]
-    fn a_due_checkpoint_is_written_before_its_ack() {
-        let g = path_graph(10);
-        let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 2)).unwrap();
-        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
-        let program = PageRank::new(3);
-        let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
-        let events = std::cell::RefCell::new(Vec::new());
-        let run = |fail: bool| {
-            let mut step = WorkerStep::new(&config, &plan, &p, &program, 0, &Tracer::off());
-            let mut write = |c: &Checkpoint| {
-                events.borrow_mut().push(("write", c.next_superstep));
-                if fail {
-                    return Err("disk full".to_string());
-                }
-                Ok(())
-            };
-            let mut ack = |superstep| {
-                events.borrow_mut().push(("ack", superstep));
-                Ok(())
-            };
-            acknowledge_durable(&mut step, None, Some(2), &mut write, &mut ack)?;
-            while step.next_superstep().is_some() {
-                step.compute()?;
-                step.encode().for_each(drop);
-                step.apply()?;
-                acknowledge_durable(&mut step, None, Some(2), &mut write, &mut ack)?;
-            }
-            Ok::<_, EngineError>(())
+    fn a_state_request_is_answered_with_the_state_before_apply() {
+        let mut plane = TestPlane {
+            request: Some((1, 1)),
+            ..TestPlane::default()
         };
-        run(false).unwrap();
-        assert_eq!(events.take(), [("write", 2), ("ack", 1)]);
-        let err = run(true).expect_err("the write failed");
-        assert!(err.to_string().contains("checkpoint write: disk full"));
-        assert_eq!(events.take(), [("write", 2)]);
+        let output = run_path_graph(&mut plane).unwrap();
+        assert_eq!(output.supersteps_run, 3);
+        let calls = &plane.calls;
+        assert_eq!(
+            calls[..4],
+            [("end", 0), ("ack", 0), ("end", 1), ("state", 1)]
+        );
+        assert_eq!(calls[4], ("ack", 1));
+        let sent = &plane.sent[0];
+        assert_eq!((sent.server, sent.next_superstep), (1, 1));
+        // A run restored from it (readdressed to this server) ends where the
+        // uninterrupted one did.
+        let mut restored = restoring(&Checkpoint {
+            server: 0,
+            ..sent.clone()
+        });
+        let resumed = run_path_graph(&mut restored).unwrap();
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&resumed.values), bits(&output.values));
     }
 
     /// Why a restore that does not fit the plan was refused.
-    fn refused_restore(options: WorkerOptions) -> String {
-        let err = run_path_graph(options)
-            .0
-            .expect_err("the restore must be refused");
+    fn refused_restore(state: &Checkpoint) -> String {
+        let err = run_path_graph(&mut restoring(state)).expect_err("the restore must be refused");
         err.to_string()
+    }
+
+    /// Bytes that are no `GHHC` state are refused before anything runs.
+    #[test]
+    fn a_state_that_does_not_decode_is_refused() {
+        let mut bytes = state(1, Vec::new()).encode();
+        bytes.push(0);
+        let mut plane = TestPlane {
+            state: Some(bytes.into()),
+            ..TestPlane::default()
+        };
+        let why = run_path_graph(&mut plane)
+            .expect_err("trailing bytes")
+            .to_string();
+        assert!(
+            why.contains("state restore: checkpoint value section"),
+            "{why}"
+        );
+        assert!(plane.calls.is_empty(), "{:?}", plane.calls);
     }
 
     /// A replica of any other length is refused — even with a frontier that
@@ -384,9 +365,9 @@ mod tests {
     #[test]
     fn a_restored_replica_must_hold_one_value_per_vertex() {
         for len in [5, 11] {
-            let mut options = checkpoint(1, Vec::new());
-            options.resume.as_mut().unwrap().values = vec![0.0; len];
-            let why = refused_restore(options);
+            let mut state = state(1, Vec::new());
+            state.values = vec![0.0; len];
+            let why = refused_restore(&state);
             assert!(
                 why.contains(&format!("{len} replica values for a 10-vertex")),
                 "{why}"
@@ -402,7 +383,7 @@ mod tests {
             (vec![4, 1], "vertex 4 before vertex 1"),
             (vec![3, 3], "vertex 3 before vertex 3"),
         ] {
-            let why = refused_restore(checkpoint(1, frontier));
+            let why = refused_restore(&state(1, frontier));
             assert!(why.contains(named), "{why}");
         }
     }
@@ -410,18 +391,20 @@ mod tests {
     /// A cursor past the last superstep used to run nothing and return `Ok`.
     #[test]
     fn a_restored_cursor_may_not_pass_the_last_superstep() {
-        let why = refused_restore(checkpoint(4, Vec::new()));
+        let why = refused_restore(&state(4, Vec::new()));
         assert!(why.contains("superstep 4, past the run's 3"), "{why}");
     }
 
-    /// Another server's snapshot would hand this server a replica and a
-    /// cursor it never held.
+    /// A state addressed to another server was meant for another process.
     #[test]
-    fn a_restored_checkpoint_must_be_this_servers() {
-        let mut options = checkpoint(1, Vec::new());
-        options.resume.as_mut().unwrap().server = 1;
-        let why = refused_restore(options);
-        assert!(why.contains("server 1's checkpoint on server 0"), "{why}");
+    fn a_restored_state_must_be_addressed_to_this_server() {
+        let mut state = state(1, Vec::new());
+        state.server = 1;
+        let why = refused_restore(&state);
+        assert!(
+            why.contains("a state addressed to server 1 on server 0"),
+            "{why}"
+        );
     }
 
     /// A sparse message can be internally consistent (ids inside its own
@@ -460,7 +443,7 @@ mod tests {
                 0,
                 &mut plane,
                 &Tracer::off(),
-                WorkerOptions::default(),
+                None,
             )
             .expect_err("oversized range must abort cleanly");
             let rendered = err.to_string();
@@ -498,7 +481,7 @@ mod tests {
             0,
             &mut plane,
             &Tracer::off(),
-            WorkerOptions::default(),
+            None,
         )
         .expect_err("an id two messages update must abort the run");
         let rendered = err.to_string();

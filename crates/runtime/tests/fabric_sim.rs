@@ -4,18 +4,19 @@
 //! no thread, no sleep. Each is what a `graphh-node` process holds — a real
 //! [`Fabric`], [`SuperstepCollector`] and [`FrameDecoder`] per stream, and a
 //! real [`WorkerStep`] running a registry program on a small partitioned RMAT
-//! graph, whose durability rule is the production one
-//! ([`acknowledge_durable`]): checkpoints go through [`Checkpoint::encode`]
-//! and come back through [`Checkpoint::decode`] and [`WorkerStep::restore`]
-//! when a killed server restarts. A seed picks the program and direction
-//! mode, the checkpoint interval and the cluster's schedule — how bytes
+//! graph, which acknowledges every superstep it applies. A killed server's
+//! replacement is a new process: it recovers from its live peers, which
+//! answer its hello with their state ([`state_for`], through the fabric's
+//! state frames) and their replay, and it resumes from the lowest state
+//! ([`restore_state`]) — there is no checkpoint store. A seed picks the
+//! program and direction mode and the cluster's schedule — how bytes
 //! interleave and how they are chunked, where connections break (at any byte
 //! offset: mid-hello, mid-frame), which strangers knock (silent, another
 //! protocol's magic, garbage, a hello against the fixed direction, a
-//! duplicate dial), which server crashes (between supersteps, or in the
-//! middle of writing its checkpoint) and whether and when it comes back (at
-//! the address the peer table gives it) — and every schedule is held to the
-//! invariants below. Thousands run per `cargo test`; a failure prints its
+//! duplicate dial), which server crashes (at any worker step after
+//! establishment) and whether and when it comes back (at the address the
+//! peer table gives it) — and every schedule is held to the invariants
+//! below. Thousands run per `cargo test`; a failure prints its
 //! seed and the `(event → actions)` trace of every fabric, and the same seed
 //! reproduces it byte for byte.
 //!
@@ -31,8 +32,7 @@
 //!   restarting one, and a restarted one got its replay);
 //! * **the log drains** — once every peer's ack of the last superstep is in,
 //!   `ReplayLog::bytes_retained() == 0`; in a cluster kept up until everyone
-//!   is done, every log is empty at the end (a lost ack was repeated) unless
-//!   the last superstep was not due for a checkpoint, and so never acked;
+//!   is done, every log is empty at the end (a lost ack was repeated);
 //! * **terminal loss on the deadline** — a terminal `PeerLost` fires at
 //!   exactly `reconnect_deadline` of virtual time after the link went down,
 //!   never earlier or later, and an establish failure at exactly the
@@ -40,6 +40,11 @@
 //! * **no one left waiting** — an endpoint told to stop exits once every
 //!   peer has said goodbye or is gone, within `reconnect_deadline`, and
 //!   before it unless a server is gone for good.
+//!
+//! Beside them, every seeded and explicit schedule checks that each
+//! replacement resumed at the lowest count of its predecessor's supersteps
+//! a survivor held: from a state at that cursor, or from superstep 0 by
+//! plain replay.
 //!
 //! This file is compiled into two harnesses: `graphh-runtime`'s own tests
 //! and (by `#[path]`) the facade crate's tier-1 `cargo test`.
@@ -52,11 +57,12 @@ use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_graph::{Graph, GraphBuilder};
 use graphh_obs::Tracer;
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
+use graphh_runtime::checkpoint::encoded_cursor;
 use graphh_runtime::establish::HANDSHAKE_DEADLINE;
 use graphh_runtime::fabric::{Action, Command, Conn, Event, Fabric};
 use graphh_runtime::{
-    acknowledge_durable, encode_message_into, BufferPool, Checkpoint, Frame, FrameDecoder,
-    InboxEvent, PlaneError, ResilienceConfig, ResumeHello, SuperstepCollector, WireMessage,
+    encode_message_into, restore_state, state_for, BufferPool, Frame, FrameDecoder, InboxEvent,
+    PlaneError, ResilienceConfig, ResumeHello, SuperstepCollector, WireMessage,
 };
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -72,8 +78,6 @@ const ESTABLISH_TIMEOUT: Duration = Duration::from_secs(60);
 /// A schedule that has not ended by then is a livelock.
 const MAX_STEPS: usize = 200_000;
 const WOULD_BLOCK: &str = "sim: inbox empty";
-/// What the simulation's checkpoint store answers a write it kills.
-const KILLED_MID_WRITE: &str = "sim: killed while writing the checkpoint";
 
 // ---------------------------------------------------------------------------
 // Workloads
@@ -250,13 +254,12 @@ struct Connection {
 /// [`WorkerStep`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Worker {
-    /// Established: resume from the server's checkpoint, if it has one.
+    /// Established: restore from the state the peers sent, if they sent one.
     Start,
     /// Compute and encode the superstep, and broadcast it.
     Publish(u32),
     Collect(u32),
-    /// Apply the collected superstep, then write a checkpoint if one is due
-    /// and acknowledge what is durable.
+    /// Apply the collected superstep and acknowledge it.
     Apply(u32),
     /// Every superstep applied, the replica checked against the reference.
     Finished,
@@ -284,8 +287,12 @@ struct Proc {
     /// New inbox events since the last collect attempt that had to wait.
     inbox_grew: bool,
     worker: Worker,
-    /// The server's superstep body (`None` once finished or failed).
+    /// The server's superstep body (`None` once failed; a finished one still
+    /// answers requests for its state).
     step: Option<WorkerStep<'static>>,
+    /// The state the fabric restored this process from, until the worker
+    /// takes it.
+    restored: Option<WireMessage>,
     /// Message frames handed to the collector whose superstep it has not
     /// returned yet: `(sender, superstep, wire)`, in the order handed.
     handed: Vec<(u32, u32, WireMessage)>,
@@ -326,11 +333,6 @@ struct Node {
     /// Per peer id: count of completed supersteps this server's fabrics saw
     /// from that peer (EOS + 1) — what its next hello would ask to resume at.
     eos_cursor: Vec<u32>,
-    /// The durable checkpoint, as [`Checkpoint::encode`] wrote it: it
-    /// outlives every process of the server.
-    checkpoint: Option<Vec<u8>>,
-    /// The cursor of that checkpoint: where a restart resumes.
-    durable: u32,
     /// What became of earlier processes of this server.
     history: Vec<(Worker, Option<Ended>)>,
 }
@@ -364,15 +366,13 @@ enum Fault {
     Sever { a: u32, b: u32 },
     /// A stranger connects to `target`.
     Rogue { target: u32, kind: RogueKind },
-    /// `victim` is killed — with `mid_write`, while it writes its next
-    /// checkpoint — and is bound again at its address after `down_for` and
-    /// establishes after `bound_for` more, resuming from the last checkpoint
-    /// it wrote whole.
+    /// `victim` is killed and is bound again at its address after
+    /// `down_for` and establishes after `bound_for` more, a new process that
+    /// recovers from its peers.
     CrashRestart {
         victim: u32,
         down_for: Duration,
         bound_for: Duration,
-        mid_write: bool,
     },
     /// `victim` is killed for good; with `impostor`, a process believing in a
     /// larger cluster then dials the survivors under its id.
@@ -382,9 +382,14 @@ enum Fault {
 struct Planned {
     fault: Fault,
     /// Fires once server `when.0`'s worker has reached superstep `when.1`
-    /// (the run's superstep count: once it has finished).
+    /// (the run's superstep count: once it has finished)...
     when: (u32, u32),
+    /// ...while none of these servers has reached these supersteps.
+    before: Vec<(u32, u32)>,
 }
+
+/// A state a server sent: `(from, to, its cursor)`.
+type Offered = (u32, u32, u32);
 
 enum Timed {
     Bind {
@@ -404,9 +409,6 @@ struct World {
     conns: Vec<Connection>,
     workload: &'static Workload,
     supersteps: u32,
-    /// Checkpoint every so many supersteps (`None`: none, and every
-    /// superstep is acknowledged as it completes).
-    every: Option<u32>,
     /// Per server and superstep, the wires its step encoded the first time.
     wires: Vec<Vec<Option<Vec<Vec<u8>>>>>,
     /// Keep every endpoint up until all are done (then check every log is
@@ -420,6 +422,14 @@ struct World {
     dials: usize,
     /// A server is gone for good: survivors may fail instead of finishing.
     fatal: bool,
+    /// Every state a server sent, in order.
+    offered: Vec<Offered>,
+    /// Per restore: the server and the cursor it resumed from.
+    restores: Vec<(u32, u32)>,
+    /// Per replacement that established: its id, and the lowest count of
+    /// its predecessor's supersteps a survivor held — where it must resume
+    /// (at 0, without a restore).
+    lowest_held: Vec<(u32, u32)>,
     /// The drawn faults, for failure reports.
     plan_text: String,
     trace: Option<Vec<String>>,
@@ -456,6 +466,9 @@ fn describe(bytes: &[u8]) -> String {
             Frame::Abort { sender } => format!("ABORT{sender}"),
             Frame::Ack { sender, superstep } => format!("A{sender}.{superstep}"),
             Frame::Goodbye { sender } => format!("BYE{sender}"),
+            Frame::State { sender, state } => {
+                format!("STATE{sender}@{}", encoded_cursor(&state).unwrap_or(0))
+            }
         });
     }
     out.join(" ")
@@ -481,6 +494,9 @@ fn describe_event(event: &Event<'_>) -> String {
         }
         Event::Command(Command::Ack(superstep, _)) => format!("Ack({superstep})"),
         Event::Command(Command::Abort(_)) => "Abort".to_string(),
+        Event::Command(Command::State(peer, batch)) => {
+            format!("State({peer}: {})", describe(batch))
+        }
         Event::Frame(peer, frame) => {
             let mut bytes = Vec::new();
             frame.encode(&mut bytes);
@@ -505,8 +521,6 @@ impl World {
                 generation: 0,
                 state: NodeState::Dead,
                 eos_cursor: vec![0; servers as usize],
-                checkpoint: None,
-                durable: 0,
                 history: Vec::new(),
             })
             .collect();
@@ -516,7 +530,6 @@ impl World {
             conns: Vec::new(),
             workload,
             supersteps,
-            every: None,
             wires: vec![vec![None; supersteps as usize]; servers as usize],
             hold_until_all_done: rng.chance(1, 2),
             planned: Vec::new(),
@@ -524,22 +537,19 @@ impl World {
             doomed_dials: Vec::new(),
             dials: 0,
             fatal: false,
+            offered: Vec::new(),
+            restores: Vec::new(),
+            lowest_held: Vec::new(),
             plan_text: String::new(),
             trace: trace.then(Vec::new),
             steps: 0,
             rng,
         };
         world.plan(servers);
-        // A restart resumes from a checkpoint: a schedule with one keeps
-        // them, the others half the time.
-        let crash = (world.planned.iter()).any(|p| matches!(p.fault, Fault::CrashRestart { .. }));
-        if crash || world.rng.chance(1, 2) {
-            world.every = Some(1 + world.rng.below(3) as u32);
-        }
         let faults: Vec<_> = world.planned.iter().map(|p| (&p.fault, p.when)).collect();
         world.plan_text = format!(
-            "{}, checkpoint every {:?}, {faults:?} doomed dials {:?}",
-            workload.name, world.every, world.doomed_dials
+            "{}, {faults:?} doomed dials {:?}",
+            workload.name, world.doomed_dials
         );
         // Processes start at slightly different times, like real launches.
         for id in 0..servers {
@@ -583,7 +593,12 @@ impl World {
                 }
             };
             let when = when(&mut self.rng);
-            self.planned.push(Planned { fault, when });
+            let before = Vec::new();
+            self.planned.push(Planned {
+                fault,
+                when,
+                before,
+            });
         }
         let victim = self.rng.below(servers as u64) as u32;
         let fault = match self.rng.below(10) {
@@ -593,7 +608,6 @@ impl World {
                 // Sometimes longer than the handshake deadline: dials then
                 // expire unanswered in the restarted server's backlog.
                 bound_for: self.rng.millis(4_000),
-                mid_write: self.rng.chance(1, 2),
             },
             4 => Fault::GoneForever {
                 victim,
@@ -607,7 +621,12 @@ impl World {
             self.hold_until_all_done = false;
         }
         let when = (victim, self.rng.below(supersteps as u64) as u32);
-        self.planned.push(Planned { fault, when });
+        let before = Vec::new();
+        self.planned.push(Planned {
+            fault,
+            when,
+            before,
+        });
     }
 
     fn log(&mut self, line: impl FnOnce() -> String) {
@@ -637,10 +656,8 @@ impl World {
         if let NodeState::Running(old) = std::mem::replace(&mut node.state, NodeState::Dead) {
             node.history.push((old.worker, old.ended));
         }
-        let first_superstep = node.durable;
         let config = ResilienceConfig {
             reconnect_deadline: RECONNECT_DEADLINE,
-            resume_from: first_superstep,
         };
         let w = self.workload;
         let step = WorkerStep::new(
@@ -662,6 +679,7 @@ impl World {
             inbox_grew: false,
             worker: Worker::Start,
             step: Some(step),
+            restored: None,
             handed: Vec::new(),
             established: None,
             stopped: None,
@@ -675,7 +693,7 @@ impl World {
             next_slot: 0,
             actions: Vec::new(),
         }));
-        self.log(|| format!("n{id} starts at superstep {first_superstep}"));
+        self.log(|| format!("n{id} starts"));
     }
 
     // -- the driver: what poll.rs does with sockets, done with pipes --------
@@ -834,7 +852,19 @@ impl World {
                 proc.inbox.push_back(event);
                 proc.inbox_grew = true;
             }
-            Action::Established => self.proc(id).expect("acting").established = Some(now),
+            Action::Restore(state) => self.proc(id).expect("acting").restored = Some(state),
+            Action::Established => {
+                if self.nodes[id].generation > 0 {
+                    // Every link is up: what the survivors hold of the dead
+                    // process is settled until this one sends.
+                    let survivors = (0..self.nodes.len()).filter(|&s| s != id);
+                    let survivors: Vec<usize> =
+                        survivors.filter(|&s| self.proc(s).is_some()).collect();
+                    let held = survivors.iter().map(|&s| self.nodes[s].eos_cursor[id]);
+                    self.lowest_held.push((id as u32, held.min().unwrap_or(0)));
+                }
+                self.proc(id).expect("acting").established = Some(now);
+            }
             Action::EstablishFailed(timed_out, message) => {
                 let proc = self.proc(id).expect("acting");
                 if timed_out && now != proc.epoch + ESTABLISH_TIMEOUT {
@@ -1036,8 +1066,13 @@ impl World {
             let Some(proc) = self.proc(id) else {
                 continue;
             };
+            let asked = || (proc.inbox.iter()).any(|e| matches!(e, InboxEvent::StateRequest(_)));
             let ready = match proc.worker {
-                _ if proc.established.is_none() || proc.stopped.is_some() => false,
+                _ if proc.established.is_none() => false,
+                // A finished worker answers requests for its state until
+                // its plane is done, as `PollPlane::finish` lets it.
+                Worker::Finished if asked() => true,
+                _ if proc.stopped.is_some() => false,
                 Worker::Collect(_) => proc.inbox_grew,
                 // The one fairness assumption: a process reads what has
                 // already reached it — a cut or killed peer's EOF included —
@@ -1061,57 +1096,30 @@ impl World {
         }
     }
 
-    /// Has the planned fault's moment come? A crash additionally waits until
-    /// every survivor holds everything the victim sent below the cursor its
-    /// restart resumes at — the multi-process drivers guarantee the same by
-    /// killing well after the victim's checkpoint lands. Crashing earlier can
-    /// destroy frames a survivor still needs and no replacement can replay
-    /// (its log starts at its resume cursor): that is *correctly* terminal,
-    /// and not what these schedules are about. For the same reason a crash
-    /// that is to be restarted does not fire once the victim has said
-    /// goodbye: that lets every peer leave, and nobody would be left to
-    /// replay to its replacement. A crash in the middle of a checkpoint write
-    /// fires from the write (see [`World::settle`]), not from here.
+    /// Has the planned fault's moment come? A crash that is to be restarted
+    /// does not fire once the victim has said goodbye: that lets every peer
+    /// leave, and nobody would be left to send its replacement their state.
     fn fires(&mut self, planned: usize) -> bool {
-        let mid_write = matches!(
-            self.planned[planned].fault,
-            Fault::CrashRestart {
-                mid_write: true,
-                ..
-            }
-        );
-        !mid_write && self.due(planned)
-    }
-
-    /// The moment of [`World::fires`], whatever the fault is.
-    fn due(&mut self, planned: usize) -> bool {
-        let (server, superstep) = self.planned[planned].when;
-        let durable = self.nodes[server as usize].durable;
-        let reached = |worker: Worker| match worker {
-            Worker::Start => durable >= superstep,
-            Worker::Publish(s) | Worker::Collect(s) | Worker::Apply(s) => s >= superstep,
-            Worker::Finished | Worker::Failed => true,
+        let at = |world: &mut World, (server, superstep): (u32, u32)| {
+            let reached = |worker: Worker| match worker {
+                Worker::Start => superstep == 0,
+                Worker::Publish(s) | Worker::Collect(s) | Worker::Apply(s) => s >= superstep,
+                Worker::Finished | Worker::Failed => true,
+            };
+            (world.proc(server as usize))
+                .is_some_and(|p| p.established.is_some() && reached(p.worker))
         };
-        if !self
-            .proc(server as usize)
-            .is_some_and(|p| p.established.is_some() && reached(p.worker))
-        {
+        let Planned { when, before, .. } = &self.planned[planned];
+        let (when, before) = (*when, before.clone());
+        if !at(self, when) || before.into_iter().any(|b| at(self, b)) {
             return false;
         }
-        let victim = match self.planned[planned].fault {
-            Fault::CrashRestart { victim, .. } | Fault::GoneForever { victim, .. } => {
-                victim as usize
+        match self.planned[planned].fault {
+            Fault::CrashRestart { victim, .. } => {
+                (self.proc(victim as usize)).is_some_and(|p| p.stopped.is_none())
             }
-            _ => return true,
-        };
-        let restarts = matches!(self.planned[planned].fault, Fault::CrashRestart { .. });
-        if restarts && self.proc(victim).is_none_or(|p| p.stopped.is_some()) {
-            return false;
+            _ => true,
         }
-        let resume = self.nodes[victim].durable;
-        (0..self.nodes.len()).all(|id| {
-            id == victim || self.proc(id).is_none() || self.nodes[id].eos_cursor[victim] >= resume
-        })
     }
 
     fn run(&mut self) -> Check {
@@ -1166,14 +1174,10 @@ impl World {
     }
 
     /// Everyone is done and the network is silent: every log must be empty
-    /// (a lost ack was repeated on the healed link) if the last superstep
-    /// was acknowledged at all. Then everyone may go.
+    /// (a lost ack was repeated on the healed link). Then everyone may go.
     fn release(&mut self) -> Check {
         self.hold_until_all_done = false;
-        let last_acked = self
-            .every
-            .is_none_or(|every| self.supersteps.is_multiple_of(every));
-        if self.fatal || !last_acked {
+        if self.fatal {
             return Ok(());
         }
         for id in 0..self.nodes.len() {
@@ -1425,13 +1429,20 @@ impl World {
 
     fn work(&mut self, id: usize) -> Check {
         let now = self.now;
+        let w = self.workload;
         let proc = self.proc(id).expect("chosen because it works");
         match proc.worker {
             Worker::Start => {
-                let resume = self.nodes[id].checkpoint.as_deref().map(|bytes| {
-                    Checkpoint::decode(bytes).expect("the checkpoint it wrote decodes")
-                });
-                self.settle(id, resume)
+                let Some(state) = proc.restored.take() else {
+                    return self.settle(id, None);
+                };
+                let step = proc.step.as_mut().expect("a running step");
+                restore_state(step, &w.plan, &state)
+                    .map_err(|e| format!("n{id}: restoring: {e}"))?;
+                let cursor = step.cursor();
+                self.restores.push((id as u32, cursor));
+                self.log(|| format!("n{id} restores at superstep {cursor}"));
+                self.settle(id, cursor.checked_sub(1))
             }
             Worker::Publish(s) => self.publish(id, s),
             Worker::Collect(s) => self.collect(id, s),
@@ -1439,7 +1450,16 @@ impl World {
                 let step = proc.step.as_mut().expect("a running step");
                 step.apply()
                     .map_err(|e| format!("n{id}: apply({s}): {e}"))?;
-                self.settle(id, None)
+                self.settle(id, Some(s))
+            }
+            Worker::Finished if proc.stopped.is_some() || proc.inbox.iter().any(is_request) => {
+                // What `PollPlane::finish` hands the worker: requests only.
+                let at = proc.inbox.iter().position(is_request).expect("asked");
+                let Some(InboxEvent::StateRequest(peer)) = proc.inbox.drain(..=at).next_back()
+                else {
+                    unreachable!("a request");
+                };
+                self.answer(id, peer)
             }
             Worker::Finished | Worker::Failed => {
                 proc.stopped = Some(now);
@@ -1448,77 +1468,51 @@ impl World {
         }
     }
 
-    /// [`acknowledge_durable`] with the server's checkpoint store and its
-    /// fabric, then the next superstep — or the end of the run, where the
-    /// replica must be the sequential one. A crash planned for the middle of
-    /// a checkpoint write fires here, when a write is due: the store keeps
-    /// the previous checkpoint and the process dies on the spot.
-    fn settle(&mut self, id: usize, resume: Option<Checkpoint>) -> Check {
-        let mid_write = (0..self.planned.len()).find(|&p| {
-            let planned = &self.planned[p].fault;
-            let victim = matches!(planned, Fault::CrashRestart { victim, mid_write: true, .. }
-                if *victim as usize == id);
-            victim && self.due(p)
-        });
-        let every = self.every;
-        let mut step = self.proc(id).expect("working").step.take();
-        let mut store = self.nodes[id].checkpoint.take();
-        let mut durable = self.nodes[id].durable;
-        let mut killed = false;
-        let mut write = |checkpoint: &Checkpoint| {
-            if mid_write.is_some() {
-                killed = true;
-                return Err(KILLED_MID_WRITE.to_string());
-            }
-            store = Some(checkpoint.encode());
-            durable = checkpoint.next_superstep;
-            Ok(())
-        };
-        let mut failure = Ok(());
-        let mut ack = |superstep| {
+    /// Acknowledge the superstep the worker has applied through, if any —
+    /// acks mean applied — then go on to the next superstep, or end the run,
+    /// where the replica must be the sequential one.
+    fn settle(&mut self, id: usize, applied: Option<u32>) -> Check {
+        if let Some(superstep) = applied {
             let proc = self.proc(id).expect("acknowledging");
             let mut batch = proc.pool.checkout();
             let sender = id as u32;
             Frame::Ack { sender, superstep }.encode(&mut batch);
             let command = Command::Ack(superstep, Arc::new(batch));
-            if failure.is_ok() {
-                failure = self.feed_and_tick(id, Event::Command(command));
-            }
-            Ok(())
-        };
-        let settled = acknowledge_durable(
-            step.as_mut().expect("a running step"),
-            resume,
-            every,
-            &mut write,
-            &mut ack,
-        );
-        failure?;
-        (self.nodes[id].checkpoint, self.nodes[id].durable) = (store, durable);
-        if killed {
-            let planned = self.planned.remove(mid_write.expect("planned"));
-            self.log(|| format!("n{id} dies writing its checkpoint"));
-            return self.fire(planned.fault);
+            self.feed_and_tick(id, Event::Command(command))?;
         }
-        settled.map_err(|e| format!("n{id}: settling: {e}"))?;
-        let step = step.expect("a running step");
+        let w = self.workload;
         let proc = self.proc(id).expect("working");
+        let step = proc.step.as_ref().expect("a running step");
         if let Some(s) = step.next_superstep() {
-            proc.step = Some(step);
             proc.worker = Worker::Publish(s);
             return Ok(());
         }
         proc.worker = Worker::Finished;
-        let output = step.finish();
-        let w = self.workload;
-        let bits: Vec<u64> = output.values.iter().map(|v| v.to_bits()).collect();
-        if output.supersteps_run != w.supersteps || bits != w.reference {
+        let bits: Vec<u64> = step.values().iter().map(|v| v.to_bits()).collect();
+        if step.cursor() != w.supersteps || bits != w.reference {
             return Err(format!(
                 "n{id} finished {} after {} supersteps, not the sequential replica after {}",
-                w.name, output.supersteps_run, w.supersteps
+                w.name,
+                step.cursor(),
+                w.supersteps
             ));
         }
         Ok(())
+    }
+
+    /// Answer `peer`'s request with the state the worker holds now, as
+    /// `run_worker` does: [`state_for`], framed, to the fabric.
+    fn answer(&mut self, id: usize, peer: u32) -> Check {
+        let proc = self.proc(id).expect("answering");
+        let step = proc.step.as_ref().expect("a step to answer from");
+        let state = state_for(step, peer);
+        let cursor = step.cursor();
+        let mut batch = proc.pool.checkout();
+        let frame = Frame::state(id as u32, &state).expect("a small state");
+        frame.encode(&mut batch);
+        self.offered.push((id as u32, peer, cursor));
+        let command = Command::State(peer, Arc::new(batch));
+        self.feed_and_tick(id, Event::Command(command))
     }
 
     /// Compute and encode superstep `s` — byte for byte what an earlier
@@ -1576,6 +1570,22 @@ impl World {
             Err(PlaneError::Protocol(text)) if text == WOULD_BLOCK => {
                 proc.inbox_grew = false;
                 return Ok(());
+            }
+            Err(PlaneError::StateRequested(peer)) => {
+                // The collect keeps what it gathered; the request is answered
+                // with the state before `apply(s)`.
+                proc.collector = attempt;
+                for event in proc.inbox.drain(..taken) {
+                    if let InboxEvent::Frame(Frame::Message {
+                        sender,
+                        superstep,
+                        wire,
+                    }) = event
+                    {
+                        proc.handed.push((sender, superstep, wire));
+                    }
+                }
+                return self.answer(id, peer);
             }
             Ok(wires) => wires,
             Err(error) if fatal => {
@@ -1665,7 +1675,6 @@ impl World {
                 victim,
                 down_for,
                 bound_for,
-                ..
             } => {
                 self.kill(victim as usize);
                 let bound = self.now + down_for;
@@ -1810,12 +1819,16 @@ impl World {
     }
 }
 
-/// Run the world `build` makes and `check` what it left; on failure run it
-/// again with tracing and report both.
-fn run_world(what: &str, build: &dyn Fn(bool) -> World, check: &dyn Fn(&World) -> Check) {
+fn is_request(event: &InboxEvent) -> bool {
+    matches!(event, InboxEvent::StateRequest(_))
+}
+
+/// Run the world `build` makes and `check` what it left, and return it; on
+/// failure run it again with tracing and report both.
+fn run_world(what: &str, build: &dyn Fn(bool) -> World, check: &dyn Fn(&World) -> Check) -> World {
     let mut world = build(false);
     let Err(failure) = world.run().and_then(|()| check(&world)) else {
-        return;
+        return world;
     };
     let mut traced = build(true);
     let again = traced.run();
@@ -1834,7 +1847,7 @@ fn run_world(what: &str, build: &dyn Fn(bool) -> World, check: &dyn Fn(&World) -
 fn run_seed(seed: u64, servers: u32) {
     let what = format!("seed {seed} ({servers} servers)");
     let build = |trace| World::new(seed, servers, trace);
-    run_world(&what, &build, &|_| Ok(()));
+    run_world(&what, &build, &resumed_from_the_lowest);
 }
 
 #[test]
@@ -1870,7 +1883,7 @@ fn one_seed_one_trace() {
 
 /// A world with no fault drawn, kept up until all are done (so `release`
 /// holds every log to empty) unless `hold` is false — for `arrange` to put
-/// its own schedule in, checkpointing every superstep.
+/// its own schedule in.
 fn explicit_world(
     seed: u64,
     servers: u32,
@@ -1881,7 +1894,7 @@ fn explicit_world(
     let mut world = World::new(seed, servers, trace);
     world.planned.clear();
     world.doomed_dials.clear();
-    (world.fatal, world.hold_until_all_done, world.every) = (false, hold, Some(1));
+    (world.fatal, world.hold_until_all_done) = (false, hold);
     arrange(&mut world);
     let (planned, timed) = (world.planned.len(), world.timed.len());
     let name = &world.workload.name;
@@ -1910,11 +1923,11 @@ fn a_restarted_server_is_redialed_at_its_address_through_a_cut_storm() {
                 victim,
                 down_for: Duration::from_millis(500),
                 bound_for: Duration::from_millis(200),
-                mid_write: false,
             };
             world.planned.push(Planned {
                 fault,
                 when: (victim, 1),
+                before: Vec::new(),
             });
             for k in 0..12 {
                 let at = Duration::from_millis(500 + 50 * k);
@@ -1956,6 +1969,7 @@ fn a_cut_after_the_final_superstep_costs_no_deadline() {
             world.planned.push(Planned {
                 fault: fault.clone(),
                 when: (a, finished),
+                before: Vec::new(),
             });
         };
         let build = |trace| explicit_world(seed, servers, trace, false, &arrange);
@@ -2000,4 +2014,137 @@ fn silent_strangers_do_not_delay_establishment() {
         let build = |trace| explicit_world(seed, 2, trace, true, &arrange);
         run_world(&format!("strangers, seed {seed}"), &build, &check);
     }
+}
+
+/// Every restart resumed where the lowest-holding survivor needs it: from
+/// that survivor's count of the victim's supersteps, with a state at that
+/// cursor, or from superstep 0 with none.
+fn resumed_from_the_lowest(world: &World) -> Check {
+    for &(victim, lowest) in &world.lowest_held {
+        let restored: Vec<u32> = (world.restores.iter())
+            .filter(|&&(id, _)| id == victim)
+            .map(|&(_, cursor)| cursor)
+            .collect();
+        let expected: &[u32] = if lowest == 0 { &[] } else { &[lowest] };
+        if restored != expected {
+            return Err(format!(
+                "n{victim} restored at {restored:?}, the lowest survivor held {lowest}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A crash-restart of `victim` once `when`, while none of `before`.
+fn crash_when(victim: u32, when: (u32, u32), before: Vec<(u32, u32)>) -> Planned {
+    let fault = Fault::CrashRestart {
+        victim,
+        down_for: Duration::from_millis(300),
+        bound_for: Duration::from_millis(100),
+    };
+    Planned {
+        fault,
+        when,
+        before,
+    }
+}
+
+/// Three servers: the victim dies once one survivor has applied superstep
+/// `s` and the other has not. The survivors are a superstep apart, and the
+/// replacement resumes at the lower one's cursor — the one that still needs
+/// the victim's part of `s`. In some schedules the two offer different
+/// cursors; the restore is always at the lowest.
+#[test]
+fn a_restart_between_two_survivors_a_superstep_apart_resumes_at_the_lower() {
+    let (mut apart, mut fired) = (0, 0);
+    for seed in 0..240 {
+        let victim = (seed % 3) as u32;
+        let (ahead, behind) = ((victim + 1) % 3, (victim + 2) % 3);
+        let s = 1;
+        let arrange = |world: &mut World| {
+            let crash = crash_when(victim, (ahead, s + 1), vec![(behind, s + 1)]);
+            world.planned.push(crash);
+        };
+        let build = |trace| explicit_world(seed, 3, trace, seed % 2 == 0, &arrange);
+        let check = |world: &World| {
+            if world.supersteps <= s + 1 {
+                return Ok(()); // the run ends before the survivors can drift
+            }
+            resumed_from_the_lowest(world)
+        };
+        let world = run_world(&format!("survivors apart, seed {seed}"), &build, &check);
+        fired += world.lowest_held.len();
+        let cursors: Vec<u32> = (world.offered.iter())
+            .filter(|&&(_, to, _)| to == victim)
+            .map(|&(_, _, cursor)| cursor)
+            .collect();
+        if cursors.windows(2).any(|pair| pair[0] != pair[1]) {
+            apart += 1;
+        }
+    }
+    assert!(fired > 60, "the crash fired in only {fired} schedules");
+    assert!(
+        apart > 0,
+        "no schedule had the survivors offer different cursors"
+    );
+}
+
+/// Two servers: the victim dies in superstep 0, before either has applied
+/// (and so acknowledged) anything. The replacement replays from superstep
+/// 0, unless the survivor already held the victim's first superstep.
+#[test]
+fn a_restart_before_any_ack_replays_from_superstep_zero() {
+    let mut fired = 0;
+    for seed in 0..120 {
+        let (victim, other) = ((seed % 2) as u32, (1 - seed % 2) as u32);
+        let arrange = |world: &mut World| {
+            let crash = crash_when(victim, (victim, 0), vec![(victim, 1), (other, 1)]);
+            world.planned.push(crash);
+        };
+        let build = |trace| explicit_world(seed, 2, trace, seed % 3 == 0, &arrange);
+        let check = |world: &World| {
+            let held = world.lowest_held.iter().map(|&(_, held)| held);
+            if held.clone().any(|held| held > 1) {
+                return Err(format!(
+                    "a survivor held {held:?} supersteps before any ack",
+                    held = held.collect::<Vec<_>>()
+                ));
+            }
+            resumed_from_the_lowest(world)
+        };
+        let world = run_world(&format!("before any ack, seed {seed}"), &build, &check);
+        fired += world.lowest_held.len();
+    }
+    assert!(fired > 60, "the crash fired in only {fired} schedules");
+}
+
+/// Two servers: the victim dies at every superstep of the run in turn
+/// (while it is in it), and once it has finished without saying goodbye.
+/// Every replacement resumes from its peer and finishes.
+#[test]
+fn a_restart_at_every_superstep_recovers_from_the_peer() {
+    let mut fired = vec![0; 8];
+    for seed in 0..60 {
+        let victim = (seed % 2) as u32;
+        let supersteps = World::new(seed, 2, false).supersteps;
+        for k in 0..=supersteps {
+            let arrange = |world: &mut World| {
+                let before = if k < supersteps {
+                    vec![(victim, k + 1)]
+                } else {
+                    Vec::new()
+                };
+                world.planned.push(crash_when(victim, (victim, k), before));
+            };
+            let build = |trace| explicit_world(seed, 2, trace, seed % 2 == 0, &arrange);
+            let what = format!("restart at superstep {k}, seed {seed}");
+            let world = run_world(&what, &build, &resumed_from_the_lowest);
+            fired[k as usize] += world.lowest_held.len();
+        }
+    }
+    // Supersteps 0 to 3 exist in every workload.
+    assert!(
+        fired[..4].iter().all(|&n| n > 20),
+        "crashes fired per superstep: {fired:?}"
+    );
 }

@@ -19,7 +19,7 @@ use graphh_graph::generators::{GraphGenerator, RmatGenerator};
 use graphh_graph::GraphBuilder;
 use graphh_obs::Tracer;
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
-use graphh_runtime::{run_worker, BoundPollPlane, BroadcastPlane, PollPlane, WorkerOptions};
+use graphh_runtime::{run_worker, BoundPollPlane, BroadcastPlane, PollPlane};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread;
@@ -61,7 +61,7 @@ fn run_over_tcp(
                         sid,
                         &mut endpoint,
                         &Tracer::off(),
-                        WorkerOptions::default(),
+                        None,
                     )
                     .expect("worker");
                     (sid, output.values)

@@ -19,7 +19,7 @@ use graphh::core::exec::ExecutionPlan;
 use graphh::core::registry::{find_program, program_names, ProgramContext, ProgramOptions};
 use graphh::obs::Tracer;
 use graphh::prelude::*;
-use graphh::runtime::{run_worker, BoundPollPlane, BroadcastPlane, PollPlane, WorkerOptions};
+use graphh::runtime::{run_worker, BoundPollPlane, BroadcastPlane, PollPlane};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -59,7 +59,7 @@ fn run_cluster(
                         sid,
                         &mut endpoint,
                         &Tracer::off(),
-                        WorkerOptions::default(),
+                        None,
                     )
                     .expect("worker");
                     (sid, out.values)

@@ -39,7 +39,8 @@
 //! * [`runtime`] — what a process needs to be one server of a multi-process
 //!   cluster: frames, the TCP fabric and its `PollPlane` (each server its
 //!   own process via the `graphh-node` binary; the plane's end-of-superstep
-//!   markers are the superstep barrier), `run_worker` and checkpoints,
+//!   markers are the superstep barrier), `run_worker` and the state
+//!   transfer that restarts a killed server from a live peer,
 //! * [`baselines`] — Pregel+, GraphD, PowerGraph, PowerLyra and Chaos: one
 //!   synchronous loop over the same [`GabProgram`](core::GabProgram)s, with a
 //!   traffic meter per system ([`baselines::run`]).

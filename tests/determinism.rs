@@ -157,7 +157,7 @@ fn poll_plane_cluster(
 ) -> (Vec<Vec<f64>>, u64) {
     use graphh::core::exec::ExecutionPlan;
     use graphh::obs::Tracer;
-    use graphh::runtime::{run_worker, BroadcastPlane, PollPlane, WorkerOptions, WorkerOutput};
+    use graphh::runtime::{run_worker, BroadcastPlane, PollPlane, WorkerOutput};
 
     let servers = config.cluster.num_servers;
     let plan = ExecutionPlan::prepare(config, p, program).unwrap();
@@ -183,7 +183,7 @@ fn poll_plane_cluster(
                         sid,
                         &mut plane,
                         &Tracer::off(),
-                        WorkerOptions::default(),
+                        None,
                     )
                     .expect("worker")
                 })
@@ -1201,7 +1201,7 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
     use graphh::graph::ids::ServerId;
     use graphh::obs::Tracer;
     use graphh::runtime::plane::{PlaneError, WireMessage};
-    use graphh::runtime::{run_worker, BroadcastPlane, WorkerOptions};
+    use graphh::runtime::{run_worker, BroadcastPlane};
 
     /// Feeds the worker one attacker-controlled payload per superstep.
     struct InjectingPlane {
@@ -1264,7 +1264,7 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
                 0,
                 &mut plane,
                 &Tracer::off(),
-                WorkerOptions::default(),
+                None,
             )
             .map(|out| out.supersteps_run)
         }));
