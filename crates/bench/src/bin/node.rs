@@ -53,7 +53,10 @@
 //! first (peers' dials wait in its backlog while the workload builds) and
 //! prints `cluster established` when the plane's event loop says so. A
 //! process killed mid-run is restarted with the same command line and
-//! resumes from its live peers' state (`docs/WIRE.md` §9.4).
+//! resumes from its live peers' state (`docs/WIRE.md` §9.4); it then prints
+//! `resuming from a peer's state at superstep N`. A run that loses more than
+//! one process at once fails, unless the survivors still hold every frame
+//! since superstep 0.
 //! `--reconnect-deadline-secs N` (default 30) bounds how long a peer that
 //! vanished *without a goodbye* may stay away before the run fails; a clean
 //! exit is seen at once. `--superstep-delay-ms N` is a chaos-test aid that
@@ -297,6 +300,12 @@ fn run(args: Args) -> Result<(), String> {
         args.servers,
         args.servers - 1,
     );
+    if let Some(superstep) = plane.resumes_at() {
+        eprintln!(
+            "graphh-node {}/{}: resuming from a peer's state at superstep {superstep}",
+            args.id, args.servers,
+        );
+    }
 
     // One worker per process: lockstep comes from the broadcast plane's
     // end-of-superstep framing. It returns once every peer is done with

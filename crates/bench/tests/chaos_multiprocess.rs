@@ -9,7 +9,8 @@
 //! listens at the port the peer table gives its id. The links come back up
 //! with the `GHHR` resume handshake, the survivors send the new process
 //! their state and replay the frames it lost, and the cluster finishes the
-//! run. Victim 2 (the highest id) redials both survivors itself; victim 1
+//! run. The new process must say it resumed from a peer's state past
+//! superstep 0, so the restart cannot pass by plain replay. Victim 2 (the highest id) redials both survivors itself; victim 1
 //! redials server 0 and is redialed by server 2, so both dial directions
 //! are exercised.
 //!
@@ -100,27 +101,25 @@ fn spawn_node(workload: &NodeWorkload, id: u32, ports: &[u16], out: &Path) -> Ch
         .expect("spawn graphh-node")
 }
 
-/// Forward `child`'s stderr to ours, and say when it prints `cluster
-/// established`.
-fn established(child: &mut Child) -> Receiver<()> {
+/// Forward `child`'s stderr to ours, and pass its lines on.
+fn stderr_lines(child: &mut Child) -> Receiver<String> {
     let (tx, rx) = channel();
     let stderr = child.stderr.take().expect("piped stderr");
     std::thread::spawn(move || {
         for line in std::io::BufReader::new(stderr).lines() {
             let Ok(line) = line else { break };
             eprintln!("{line}");
-            if line.contains("cluster established") {
-                let _ = tx.send(());
-            }
+            let _ = tx.send(line);
         }
     });
     rx
 }
 
-/// Run the cluster once with a mid-run `SIGKILL` + restart of `victim`;
-/// `Err` when any node exits nonzero (e.g. it lost the port-reservation
-/// race) so the caller can retry with fresh ports.
-fn try_chaos_run(victim: u32, attempt: u32) -> Result<Vec<Vec<u8>>, String> {
+/// Run the cluster once with a mid-run `SIGKILL` + restart of `victim`,
+/// returning the replicas and the superstep the restart resumed at (`None`
+/// without a peer's state); `Err` when any node exits nonzero (e.g. it lost
+/// the port-reservation race) so the caller can retry with fresh ports.
+fn try_chaos_run(victim: u32, attempt: u32) -> Result<(Vec<Vec<u8>>, Option<u32>), String> {
     let w = workload();
     let tag = format!("graphh-chaos-{}-v{victim}-a{attempt}", std::process::id());
     let dir = std::env::temp_dir();
@@ -131,13 +130,14 @@ fn try_chaos_run(victim: u32, attempt: u32) -> Result<Vec<Vec<u8>>, String> {
     let mut children: Vec<Child> = (0..SERVERS)
         .map(|id| spawn_node(&w, id, &ports, &outs[id as usize]))
         .collect();
-    let signals: Vec<Receiver<()>> = children.iter_mut().map(established).collect();
+    let stderr: Vec<Receiver<String>> = children.iter_mut().map(stderr_lines).collect();
 
     // The victim's `cluster established` line is the signal that the
     // superstep loop is about to run — the window where a crash actually
     // costs in-flight state.
     let deadline = Instant::now() + Duration::from_secs(60);
-    while signals[victim as usize].try_recv().is_err() {
+    let established = |line: String| line.contains("cluster established");
+    while !stderr[victim as usize].try_iter().any(established) {
         if Instant::now() >= deadline {
             for child in &mut children {
                 let _ = child.kill();
@@ -168,7 +168,7 @@ fn try_chaos_run(victim: u32, attempt: u32) -> Result<Vec<Vec<u8>>, String> {
     // handshake and resumes from its peers' state while they replay the
     // delta.
     children[v] = spawn_node(&w, victim, &ports, &outs[v]);
-    drop(established(&mut children[v]));
+    let restarted = stderr_lines(&mut children[v]);
 
     let mut ok = true;
     for child in &mut children {
@@ -180,13 +180,19 @@ fn try_chaos_run(victim: u32, attempt: u32) -> Result<Vec<Vec<u8>>, String> {
         }
         return Err("a graphh-node process exited nonzero".into());
     }
-    outs.iter()
+    let resumed_at = restarted.iter().find_map(|line| {
+        let (_, at) = line.split_once("resuming from a peer's state at superstep ")?;
+        at.parse().ok()
+    });
+    let files = outs
+        .iter()
         .map(|path| {
             let bytes = std::fs::read(path).map_err(|e| format!("read {path:?}: {e}"))?;
             let _ = std::fs::remove_file(path);
             Ok(bytes)
         })
-        .collect()
+        .collect::<Result<_, String>>()?;
+    Ok((files, resumed_at))
 }
 
 #[test]
@@ -219,7 +225,13 @@ fn kill9_mid_run_restart_at_the_same_port_matches_sequential_byte_for_byte() {
                 Err(e) => panic!("victim {victim}: chaos cluster never completed: {e}"),
             }
         }
-        let raw = raw.unwrap();
+        let (raw, resumed_at) = raw.unwrap();
+        // The kill lands a few supersteps in: the restart went through a
+        // peer's state, not plain replay from superstep 0.
+        assert!(
+            resumed_at.is_some_and(|at| at > 0),
+            "victim {victim}: the restart resumed at {resumed_at:?}, not from a peer's state"
+        );
 
         // The GHHV files themselves must be byte-identical across all
         // replicas — the kill and replay must not perturb even the encoding.

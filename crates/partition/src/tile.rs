@@ -447,8 +447,8 @@ impl Tile {
     /// end in [`Tile::from_csr`]. The form is canonical: a blob that loads is
     /// exactly what `to_packed` writes for the tile it loads as.
     ///
-    /// The degrees are one run of varints ([`Varints::run`]) and the gaps
-    /// another ([`Varints::run_u32`]), each decoded a window of eight bytes
+    /// The degrees are one run of varints (`Varints::run`) and the gaps
+    /// another (`Varints::run_u32`), each decoded a window of eight bytes
     /// at a time; the gaps land in the sources array, and one pass over it
     /// target by target adds them up.
     pub fn from_packed(data: &[u8]) -> Result<Self> {

@@ -30,9 +30,10 @@
 //! for the run, so a replacement process restarts at the address the table
 //! gives its id. Establishment is only this machine's first transition:
 //! [`Action::Established`] fires when every link is up (and a new process
-//! has the state it resumes from); its last is [`Action::Exit`], once every
-//! peer has said goodbye or is gone (`docs/WIRE.md` §9.3). The state × event
-//! → action table is `docs/WIRE.md` §9.5.
+//! has heard from its survivors and holds the state it resumes from); its
+//! last is [`Action::Exit`], once every peer has said goodbye or is gone
+//! (`docs/WIRE.md` §9.3). The state × event → action table is
+//! `docs/WIRE.md` §9.5.
 
 use crate::buffer::{BufferPool, PooledBuf};
 use crate::checkpoint::encoded_cursor;
@@ -195,9 +196,16 @@ struct Link {
     /// next one is adopted): a worker sees a peer's superstep whole or not
     /// at all. While establishing, markers wait here too.
     held: Vec<Frame>,
+    /// For a new process: the superstep this endpoint's replay to it began
+    /// at. Our frames below it were trimmed, so it can never finish a
+    /// superstep below it.
+    served_from: u32,
     /// While establishing, the peer's offer (`docs/WIRE.md` §9.4): the
     /// cursor its hello announced, and the state it sent.
     offer: (u32, Option<WireMessage>),
+    /// A frame has come on the stream since it was adopted, so the peer has
+    /// adopted it too: where its replay to us begins is settled.
+    heard: bool,
 }
 
 impl Link {
@@ -211,7 +219,9 @@ impl Link {
             refusal: None,
             floor: 0,
             held: Vec::new(),
+            served_from: 0,
             offer: (0, None),
+            heard: false,
         }
     }
 }
@@ -375,9 +385,16 @@ impl Fabric {
 
     /// Establishment is over once a new process has a state to resume from,
     /// at exactly the lowest cursor a peer offered (every server's state
-    /// there is the same), or the lowest is 0. Every receive cursor and link
-    /// floor starts at the restored cursor; what the links held is received.
+    /// there is the same), or the lowest is 0, and every peer that offered a
+    /// cursor has been heard from. Every receive cursor and link floor
+    /// starts at the restored cursor; what the links held is received.
     fn start(&mut self, out: &mut Vec<Action>) {
+        // A peer that dialed us adopts the stream only when our reply
+        // arrives. Until then its replay to us has no start, and a superstep
+        // we ran could let the others acknowledge, and it trim, what we need.
+        if self.links.iter().any(|l| l.offer.0 > 0 && !l.heard) {
+            return;
+        }
         let lowest = self.links.iter().map(|l| l.offer.0).min().unwrap_or(0);
         let at = |state: &WireMessage| encoded_cursor(state) == Some(lowest);
         let mut states = self.links.iter_mut().filter_map(|l| l.offer.1.take());
@@ -503,6 +520,7 @@ impl Fabric {
         } else {
             asked
         };
+        let served_from = if new_process { from } else { 0 };
         let Some(batches) = self.replay.replay_from(from) else {
             // A live peer wants frames trimmed after its own ack: terminal.
             let floor = self.replay.floor();
@@ -528,6 +546,7 @@ impl Fabric {
         self.links[idx] = Link {
             ever_up: true,
             floor: self.recv_cursor[peer as usize],
+            served_from,
             offer: (asked, None),
             ..Link::new(peer, LinkState::Up)
         };
@@ -603,6 +622,7 @@ impl Fabric {
             return self.enter_down(now, idx, out);
         }
         let link = &mut self.links[idx];
+        link.heard = true;
         match frame {
             Frame::Ack { sender, superstep } => self.replay.ack(sender, superstep),
             Frame::Goodbye { .. } => {
@@ -624,9 +644,25 @@ impl Fabric {
     /// replayed duplicates and end here. Messages are held until the peer's
     /// end-of-superstep marker, which raises the receive cursor and releases
     /// them to the collector ahead of itself.
+    ///
+    /// A new process that runs a superstep below where our replay to it
+    /// began resumed below what any live peer holds — more than one server
+    /// died at once — and is declared gone (`docs/WIRE.md` §9.4).
     fn receive(&mut self, idx: usize, frame: Frame, out: &mut Vec<Action>) {
         let link = &mut self.links[idx];
         match frame {
+            Frame::Message { superstep, .. } | Frame::EndOfSuperstep { superstep, .. }
+                if superstep < link.served_from =>
+            {
+                let (peer, from) = (link.peer, link.served_from);
+                let why = format!(
+                    "new process of server {peer} runs superstep {superstep}, but this \
+                     server's frames below {from} were trimmed after acknowledgement: \
+                     no live peer holds what it resumed from (more than one server died \
+                     at once)"
+                );
+                self.declare_gone(idx, PlaneError::Protocol(why), out);
+            }
             Frame::Message { superstep, .. } | Frame::EndOfSuperstep { superstep, .. }
                 if superstep < link.floor => {}
             Frame::EndOfSuperstep { superstep, .. } => {
@@ -734,13 +770,24 @@ impl Fabric {
     /// the deadline expires (mismatched `--servers`, a slipped `--peers`
     /// order), so the error carries the last one.
     fn establish_timed_out(&mut self, out: &mut Vec<Action>) {
-        let down = |l: &&Link| !matches!(l.state, LinkState::Up);
-        let missing = self.links.iter().filter(down).map(|l| l.peer);
-        let (dial, wait): (Vec<ServerId>, Vec<ServerId>) = missing.partition(|&p| p < self.id);
-        let why = match &self.last_refusal {
-            Some(refusal) => format!("; last refused handshake: {refusal}"),
-            None => String::new(),
+        // Links never up are named apart from links that went down again
+        // (the peer's own establishment may have failed first).
+        let down = |ever_up| {
+            let down = move |l: &&Link| l.ever_up == ever_up && !matches!(l.state, LinkState::Up);
+            self.links.iter().filter(down).map(|l| l.peer)
         };
+        let (dial, wait): (Vec<ServerId>, Vec<ServerId>) = down(false).partition(|&p| p < self.id);
+        let again: Vec<ServerId> = down(true).collect();
+        let mut why = String::new();
+        if !again.is_empty() {
+            why += &format!("; links to servers {again:?} went down again");
+        } else if dial.is_empty() && wait.is_empty() {
+            why += "; every link up, still waiting for a peer's first frame or the state at \
+                    the lowest cursor announced";
+        }
+        if let Some(refusal) = &self.last_refusal {
+            why += &format!("; last refused handshake: {refusal}");
+        }
         let message = format!(
             "server {}: timed out dialing servers {dial:?}, waiting for servers {wait:?} \
              to dial in{why}",
@@ -1106,6 +1153,55 @@ mod tests {
             sent_to(&answer, 1)[..],
             [Frame::State { sender: 0, .. }]
         ));
+    }
+
+    /// A new process that runs a superstep below where our replay to it
+    /// began can never finish it — our frames for it were trimmed — and is
+    /// declared gone, naming why, instead of waiting for frames no one
+    /// holds. At the replay's start it is served.
+    #[test]
+    fn a_new_process_below_the_replay_floor_is_declared_gone() {
+        let mut e = Endpoint::new();
+        for superstep in 0..2 {
+            let batch = encoded(&Frame::EndOfSuperstep {
+                sender: 0,
+                superstep,
+            });
+            e.step(Event::Command(Command::Broadcast(superstep, batch)));
+        }
+        for peer in [1, 2] {
+            e.eos(peer, 0);
+            let ack = Frame::Ack {
+                sender: peer,
+                superstep: 0,
+            };
+            e.step(Event::Frame(peer, ack));
+        }
+        assert_eq!(e.fabric.replay().floor(), 1);
+        e.step(Event::StreamEnd(1));
+        e.dials_in(1, 0);
+        e.msg(1, 1, 5);
+        assert!(!e
+            .inbox
+            .iter()
+            .any(|ev| matches!(ev, InboxEvent::PeerLost(..))));
+        let gone = e.step(Event::Frame(
+            1,
+            Frame::EndOfSuperstep {
+                sender: 1,
+                superstep: 0,
+            },
+        ));
+        assert!(gone.iter().any(|a| matches!(a, Action::Reset(1))));
+        match e.inbox.back() {
+            Some(InboxEvent::PeerLost(1, PlaneError::Protocol(why))) => {
+                assert!(
+                    why.contains("runs superstep 0") && why.contains("below 1"),
+                    "{why}"
+                );
+            }
+            other => panic!("not declared gone: {other:?}"),
+        }
     }
 
     /// A state frame that reaches a running endpoint is dropped: it holds its

@@ -39,7 +39,7 @@
 //! normatively in `docs/WIRE.md`; this module is the reference
 //! implementation.
 
-use crate::checkpoint::{CHECKPOINT_HEADER, CHECKPOINT_MAGIC};
+use crate::checkpoint::encoded_cursor;
 use graphh_graph::ids::ServerId;
 use std::sync::Arc;
 
@@ -155,26 +155,47 @@ impl Frame {
     /// caller-supplied payloads use the checked [`encode_message_into`]), and
     /// states [`MAX_STATE_PAYLOAD`] ([`Frame::state`]).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let (tag, superstep, payload): (u8, Option<u32>, &[u8]) = match self {
+        let body_len_at = out.len();
+        out.extend_from_slice(&[0u8; 4]);
+        match self {
             Frame::Message {
-                superstep, wire, ..
-            } => (TAG_MESSAGE, Some(*superstep), wire),
-            Frame::EndOfSuperstep { superstep, .. } => {
-                (TAG_END_OF_SUPERSTEP, Some(*superstep), &[])
+                sender,
+                superstep,
+                wire,
+            } => {
+                debug_assert!(wire.len() <= MAX_MESSAGE_PAYLOAD);
+                out.push(TAG_MESSAGE);
+                out.extend_from_slice(&sender.to_le_bytes());
+                out.extend_from_slice(&superstep.to_le_bytes());
+                out.extend_from_slice(wire);
             }
-            Frame::Abort { .. } => (TAG_ABORT, None, &[]),
-            Frame::Ack { superstep, .. } => (TAG_ACK, Some(*superstep), &[]),
-            Frame::Goodbye { .. } => (TAG_GOODBYE, None, &[]),
-            Frame::State { state, .. } => (TAG_STATE, None, state),
-        };
-        let superstep = superstep.map(u32::to_le_bytes);
-        let body_len = 5 + superstep.map_or(0, |s| s.len()) + payload.len();
-        debug_assert!(body_len <= MAX_FRAME_BODY);
-        out.extend_from_slice(&(body_len as u32).to_le_bytes());
-        out.push(tag);
-        out.extend_from_slice(&self.sender().to_le_bytes());
-        out.extend_from_slice(superstep.as_ref().map_or(&[][..], |s| &s[..]));
-        out.extend_from_slice(payload);
+            Frame::EndOfSuperstep { sender, superstep } => {
+                out.push(TAG_END_OF_SUPERSTEP);
+                out.extend_from_slice(&sender.to_le_bytes());
+                out.extend_from_slice(&superstep.to_le_bytes());
+            }
+            Frame::Abort { sender } => {
+                out.push(TAG_ABORT);
+                out.extend_from_slice(&sender.to_le_bytes());
+            }
+            Frame::Ack { sender, superstep } => {
+                out.push(TAG_ACK);
+                out.extend_from_slice(&sender.to_le_bytes());
+                out.extend_from_slice(&superstep.to_le_bytes());
+            }
+            Frame::Goodbye { sender } => {
+                out.push(TAG_GOODBYE);
+                out.extend_from_slice(&sender.to_le_bytes());
+            }
+            Frame::State { sender, state } => {
+                debug_assert!(state.len() <= MAX_STATE_PAYLOAD);
+                out.push(TAG_STATE);
+                out.extend_from_slice(&sender.to_le_bytes());
+                out.extend_from_slice(state);
+            }
+        }
+        let body_len = (out.len() - body_len_at - 4) as u32;
+        out[body_len_at..body_len_at + 4].copy_from_slice(&body_len.to_le_bytes());
     }
 
     /// Decode one frame from the front of `buf`.
@@ -206,47 +227,75 @@ impl Frame {
     }
 
     fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
-        let (tag, rest) = (body[0], &body[5..]);
+        let tag = body[0];
         let sender = ServerId::from_le_bytes([body[1], body[2], body[3], body[4]]);
-        let (name, well_formed) = match tag {
-            TAG_MESSAGE => ("message", rest.len() >= 4),
-            TAG_END_OF_SUPERSTEP => ("end-of-superstep", rest.len() == 4),
-            TAG_ABORT => ("abort", rest.is_empty()),
-            TAG_ACK => ("ack", rest.len() == 4),
-            TAG_GOODBYE => ("goodbye", rest.is_empty()),
-            TAG_STATE => {
-                let header = rest.get(..CHECKPOINT_HEADER);
-                ("state", header.is_some_and(|h| h[..4] == CHECKPOINT_MAGIC))
+        let rest = &body[5..];
+        match tag {
+            TAG_MESSAGE => {
+                if rest.len() < 4 {
+                    return Err(FrameError::Corrupt(
+                        "message frame truncated before its superstep".into(),
+                    ));
+                }
+                let superstep = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
+                Ok(Frame::Message {
+                    sender,
+                    superstep,
+                    wire: rest[4..].into(),
+                })
             }
-            other => return Err(FrameError::Corrupt(format!("unknown frame tag {other}"))),
-        };
-        if !well_formed {
-            let size = body.len();
-            let why = format!("{name} frame with a malformed {size}-byte body");
-            return Err(FrameError::Corrupt(why));
+            TAG_END_OF_SUPERSTEP => {
+                if rest.len() != 4 {
+                    return Err(FrameError::Corrupt(format!(
+                        "end-of-superstep frame must have a 9-byte body, got {}",
+                        body.len()
+                    )));
+                }
+                let superstep = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
+                Ok(Frame::EndOfSuperstep { sender, superstep })
+            }
+            TAG_ABORT => {
+                if !rest.is_empty() {
+                    return Err(FrameError::Corrupt(format!(
+                        "abort frame must have a 5-byte body, got {}",
+                        body.len()
+                    )));
+                }
+                Ok(Frame::Abort { sender })
+            }
+            TAG_ACK => {
+                if rest.len() != 4 {
+                    return Err(FrameError::Corrupt(format!(
+                        "ack frame must have a 9-byte body, got {}",
+                        body.len()
+                    )));
+                }
+                let superstep = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
+                Ok(Frame::Ack { sender, superstep })
+            }
+            TAG_GOODBYE => {
+                if !rest.is_empty() {
+                    return Err(FrameError::Corrupt(format!(
+                        "goodbye frame must have a 5-byte body, got {}",
+                        body.len()
+                    )));
+                }
+                Ok(Frame::Goodbye { sender })
+            }
+            TAG_STATE => {
+                if encoded_cursor(rest).is_none() {
+                    return Err(FrameError::Corrupt(format!(
+                        "state frame must carry a GHHC state, got a {}-byte body",
+                        body.len()
+                    )));
+                }
+                Ok(Frame::State {
+                    sender,
+                    state: rest.into(),
+                })
+            }
+            other => Err(FrameError::Corrupt(format!("unknown frame tag {other}"))),
         }
-        let superstep = || u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        Ok(match tag {
-            TAG_MESSAGE => Frame::Message {
-                sender,
-                superstep: superstep(),
-                wire: rest[4..].into(),
-            },
-            TAG_END_OF_SUPERSTEP => Frame::EndOfSuperstep {
-                sender,
-                superstep: superstep(),
-            },
-            TAG_ABORT => Frame::Abort { sender },
-            TAG_ACK => Frame::Ack {
-                sender,
-                superstep: superstep(),
-            },
-            TAG_GOODBYE => Frame::Goodbye { sender },
-            _ => Frame::State {
-                sender,
-                state: rest.into(),
-            },
-        })
     }
 }
 
@@ -578,6 +627,29 @@ impl SuperstepCollector {
         // Anything left over in the drained stash belongs to a later superstep.
         self.stash.extend(queue);
         Ok(wires)
+    }
+
+    /// After the last collect, until `next` fails (the inbox closed): the
+    /// next state request as [`PlaneError::StateRequested`] — one an earlier
+    /// collect set aside first, since no later collect will take it — and
+    /// `Ok` once `next` fails. Nothing else matters any more.
+    pub fn finish(
+        &mut self,
+        mut next: impl FnMut() -> Result<InboxEvent, PlaneError>,
+    ) -> Result<(), PlaneError> {
+        let stashed = self
+            .stash
+            .iter()
+            .position(|e| matches!(e, InboxEvent::StateRequest(_)));
+        if let Some(InboxEvent::StateRequest(peer)) = stashed.map(|at| self.stash.remove(at)) {
+            return Err(PlaneError::StateRequested(peer));
+        }
+        while let Ok(event) = next() {
+            if let InboxEvent::StateRequest(peer) = event {
+                return Err(PlaneError::StateRequested(peer));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1270,5 +1342,19 @@ mod tests {
         assert_eq!(err, Err(PlaneError::StateRequested(1)));
         let rest = vec![eos(2, 1), eos(1, 1)];
         assert_eq!(c.collect(1, &[1, 2], feed(rest)), Ok(vec![]));
+    }
+
+    /// After the last collect no later one takes a request it set aside:
+    /// `finish` answers it first, then those in the inbox, and returns once
+    /// the inbox closes.
+    #[test]
+    fn finish_answers_a_request_the_last_collect_set_aside() {
+        let mut c = SuperstepCollector::new();
+        let events = vec![eos(1, 0), InboxEvent::StateRequest(1), eos(2, 0)];
+        assert_eq!(c.collect(0, &[1, 2], feed(events)), Ok(vec![]));
+        let mut inbox = feed(vec![eos(1, 1), InboxEvent::StateRequest(2)]);
+        assert_eq!(c.finish(&mut inbox), Err(PlaneError::StateRequested(1)));
+        assert_eq!(c.finish(&mut inbox), Err(PlaneError::StateRequested(2)));
+        assert_eq!(c.finish(&mut inbox), Ok(()));
     }
 }

@@ -95,6 +95,7 @@
 //! `graphh-bench`'s multi-process `kill -9` gate.
 
 use crate::buffer::{BufferPool, PooledBuf};
+use crate::checkpoint::encoded_cursor;
 use crate::establish::{bind_listener, DEFAULT_ESTABLISH_TIMEOUT, HANDSHAKE_DEADLINE};
 use crate::fabric::{Action, Command, Conn, Event, Fabric, HelloBytes, SharedBatch};
 use crate::frame::{Frame, FrameDecoder, InboxEvent, PlaneError, SuperstepCollector, WireMessage};
@@ -623,6 +624,12 @@ impl PollPlane {
         sent.map_err(|_| PlaneError::Disconnected)
     }
 
+    /// The superstep this new process resumes at, from the state its peers
+    /// sent while it established; `None` when it starts at superstep 0.
+    pub fn resumes_at(&self) -> Option<u32> {
+        self.restored.as_deref().and_then(encoded_cursor)
+    }
+
     /// Tear this endpoint down as a *crash* — the in-process analog of
     /// `kill -9` for tests: the event loop closes every stream on the spot
     /// (queued bytes included) and exits without sending a goodbye, serving
@@ -713,11 +720,9 @@ impl BroadcastPlane for PollPlane {
         }
         // The inbox closes when the loop exits; until then only a new
         // process's request for our state needs the worker.
-        while let Ok(event) = self.inbox.recv() {
-            if let InboxEvent::StateRequest(peer) = event {
-                return Err(PlaneError::StateRequested(peer));
-            }
-        }
+        let inbox = &self.inbox;
+        self.collector
+            .finish(|| inbox.recv().map_err(|_| PlaneError::Disconnected))?;
         let _ = self.event_loop.take().map(JoinHandle::join);
         Ok(())
     }

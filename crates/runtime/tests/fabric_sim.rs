@@ -377,6 +377,8 @@ enum Fault {
     /// `victim` is killed for good; with `impostor`, a process believing in a
     /// larger cluster then dials the survivors under its id.
     GoneForever { victim: u32, impostor: bool },
+    /// These faults, at one instant.
+    Together(Vec<Fault>),
 }
 
 struct Planned {
@@ -414,6 +416,9 @@ struct World {
     /// Keep every endpoint up until all are done (then check every log is
     /// empty) instead of letting each exit on its own.
     hold_until_all_done: bool,
+    /// This server reads the reply to a dial of its own only when nothing
+    /// else can happen.
+    slow_replies: Option<u32>,
     planned: Vec<Planned>,
     timed: Vec<(Duration, Timed)>,
     /// Connections still to be dialed that the network will break after so
@@ -424,6 +429,12 @@ struct World {
     fatal: bool,
     /// Every state a server sent, in order.
     offered: Vec<Offered>,
+    /// States a finished worker sent for a request its last collect had set
+    /// aside.
+    answered_after_the_last_collect: usize,
+    /// New processes a survivor declared gone because they resumed below
+    /// what it still held (more than one server died at once).
+    unrecoverable: usize,
     /// Per restore: the server and the cursor it resumed from.
     restores: Vec<(u32, u32)>,
     /// Per replacement that established: its id, and the lowest count of
@@ -532,12 +543,15 @@ impl World {
             supersteps,
             wires: vec![vec![None; supersteps as usize]; servers as usize],
             hold_until_all_done: rng.chance(1, 2),
+            slow_replies: None,
             planned: Vec::new(),
             timed: Vec::new(),
             doomed_dials: Vec::new(),
             dials: 0,
             fatal: false,
             offered: Vec::new(),
+            answered_after_the_last_collect: 0,
+            unrecoverable: 0,
             restores: Vec::new(),
             lowest_held: Vec::new(),
             plan_text: String::new(),
@@ -904,8 +918,18 @@ impl World {
 
     /// A `PeerLost` is on time — once the peer has left after its goodbye,
     /// at exactly the reconnect deadline otherwise — and says what it knows.
+    /// A new process that resumed below what this server still holds is lost
+    /// the moment it shows it.
     fn check_loss(&mut self, id: usize, peer: u32, error: &PlaneError) -> Check {
         let now = self.now;
+        let unrecoverable = format!("new process of server {peer} runs superstep");
+        if matches!(error, PlaneError::Protocol(text) if text.starts_with(&unrecoverable)) {
+            // On sight, not on a deadline; and only where more than one
+            // server may die at once.
+            self.unrecoverable += 1;
+            return (self.fatal.then_some(()))
+                .ok_or(format!("n{id} declared a new process gone: {error:?}"));
+        }
         let proc = self.proc(id).expect("acting");
         let (bye, refused) = (
             proc.said_goodbye[peer as usize],
@@ -1032,6 +1056,7 @@ impl World {
         // is vetted first — the retry supersedes the stale one, not the
         // other way round.
         let mut hello_waiting = vec![false; self.nodes.len()];
+        let mut slow = Vec::new();
         for (c, conn) in self.conns.iter().enumerate() {
             for e in 0..2 {
                 let end = &conn.ends[e];
@@ -1052,7 +1077,12 @@ impl World {
                         out.push(Choice::Deliver { conn: c, end: e });
                     }
                 } else if !end.inbound.is_empty() {
-                    out.push(Choice::Deliver { conn: c, end: e });
+                    let replying = matches!(end.state, EndState::Dialing { .. });
+                    match self.slow_replies {
+                        Some(slow_id) if slow_id == id && replying => &mut slow,
+                        _ => &mut *out,
+                    }
+                    .push(Choice::Deliver { conn: c, end: e });
                 } else if conn.cut || other_closed {
                     out.push(Choice::StreamEnd { conn: c, end: e });
                 } else {
@@ -1066,7 +1096,7 @@ impl World {
             let Some(proc) = self.proc(id) else {
                 continue;
             };
-            let asked = || (proc.inbox.iter()).any(|e| matches!(e, InboxEvent::StateRequest(_)));
+            let asked = || asked(&proc.collector, &proc.inbox).is_some();
             let ready = match proc.worker {
                 _ if proc.established.is_none() => false,
                 // A finished worker answers requests for its state until
@@ -1094,6 +1124,9 @@ impl World {
                 out.push(Choice::Fire { planned: p });
             }
         }
+        if out.is_empty() {
+            out.append(&mut slow);
+        }
     }
 
     /// Has the planned fault's moment come? A crash that is to be restarted
@@ -1114,10 +1147,17 @@ impl World {
         if !at(self, when) || before.into_iter().any(|b| at(self, b)) {
             return false;
         }
-        match self.planned[planned].fault {
+        let fault = self.planned[planned].fault.clone();
+        self.restartable(&fault)
+    }
+
+    /// Every victim the fault restarts is running and has not said goodbye.
+    fn restartable(&mut self, fault: &Fault) -> bool {
+        match fault {
             Fault::CrashRestart { victim, .. } => {
-                (self.proc(victim as usize)).is_some_and(|p| p.stopped.is_none())
+                (self.proc(*victim as usize)).is_some_and(|p| p.stopped.is_none())
             }
+            Fault::Together(faults) => faults.iter().all(|fault| self.restartable(fault)),
             _ => true,
         }
     }
@@ -1452,13 +1492,18 @@ impl World {
                     .map_err(|e| format!("n{id}: apply({s}): {e}"))?;
                 self.settle(id, Some(s))
             }
-            Worker::Finished if proc.stopped.is_some() || proc.inbox.iter().any(is_request) => {
-                // What `PollPlane::finish` hands the worker: requests only.
-                let at = proc.inbox.iter().position(is_request).expect("asked");
-                let Some(InboxEvent::StateRequest(peer)) = proc.inbox.drain(..=at).next_back()
-                else {
-                    unreachable!("a request");
+            Worker::Finished
+                if proc.stopped.is_some() || asked(&proc.collector, &proc.inbox).is_some() =>
+            {
+                // What `PollPlane::finish` hands the worker: requests only,
+                // first those its last collect set aside.
+                let from_inbox = proc.inbox.iter().any(is_request);
+                let inbox = &mut proc.inbox;
+                let next = || inbox.pop_front().ok_or(PlaneError::Disconnected);
+                let Err(PlaneError::StateRequested(peer)) = proc.collector.finish(next) else {
+                    unreachable!("asked");
                 };
+                self.answered_after_the_last_collect += usize::from(!from_inbox);
                 self.answer(id, peer)
             }
             Worker::Finished | Worker::Failed => {
@@ -1690,6 +1735,11 @@ impl World {
                     }
                 }
             }
+            Fault::Together(faults) => {
+                for fault in faults {
+                    self.fire(fault)?;
+                }
+            }
         }
         Ok(())
     }
@@ -1821,6 +1871,19 @@ impl World {
 
 fn is_request(event: &InboxEvent) -> bool {
     matches!(event, InboxEvent::StateRequest(_))
+}
+
+/// The request a finished worker would answer next, if any: what
+/// [`SuperstepCollector::finish`] finds in the stash or the inbox.
+fn asked(collector: &SuperstepCollector, inbox: &VecDeque<InboxEvent>) -> Option<u32> {
+    let mut inbox = inbox.iter().cloned();
+    match collector
+        .clone()
+        .finish(|| inbox.next().ok_or(PlaneError::Disconnected))
+    {
+        Err(PlaneError::StateRequested(peer)) => Some(peer),
+        _ => None,
+    }
 }
 
 /// Run the world `build` makes and `check` what it left, and return it; on
@@ -2115,7 +2178,7 @@ fn a_restart_before_any_ack_replays_from_superstep_zero() {
         let world = run_world(&format!("before any ack, seed {seed}"), &build, &check);
         fired += world.lowest_held.len();
     }
-    assert!(fired > 60, "the crash fired in only {fired} schedules");
+    assert!(fired > 100, "the crash fired in only {fired} schedules");
 }
 
 /// Two servers: the victim dies at every superstep of the run in turn
@@ -2147,4 +2210,122 @@ fn a_restart_at_every_superstep_recovers_from_the_peer() {
         fired[..4].iter().all(|&n| n > 20),
         "crashes fired per superstep: {fired:?}"
     );
+}
+
+/// Three servers: the victim dies once it has sent its last marker, and the
+/// link between the survivors is cut at that moment, so they are still
+/// collecting the last superstep from each other when the replacement's
+/// hellos arrive. A request from the victim, whose last marker a survivor
+/// already holds, is set aside for a later collect; there is none, so the
+/// finished worker answers it, with the state after the last superstep.
+#[test]
+fn a_request_set_aside_by_the_last_collect_is_answered_after_it() {
+    let mut answered = 0;
+    for seed in 0..240 {
+        let victim = (seed % 3) as u32;
+        let (a, b) = ((victim + 1) % 3, (victim + 2) % 3);
+        let arrange = |world: &mut World| {
+            let last = world.supersteps - 1;
+            let crash = Fault::CrashRestart {
+                victim,
+                down_for: Duration::ZERO,
+                bound_for: Duration::ZERO,
+            };
+            world.planned.push(Planned {
+                fault: Fault::Together(vec![crash, Fault::Cut { a, b }]),
+                when: (victim, last),
+                before: vec![(a, last + 1), (b, last + 1)],
+            });
+        };
+        let build = |trace| explicit_world(seed, 3, trace, seed % 2 == 0, &arrange);
+        let what = format!("restart after the last marker, seed {seed}");
+        let world = run_world(&what, &build, &resumed_from_the_lowest);
+        answered += world.answered_after_the_last_collect;
+    }
+    assert!(
+        answered > 10,
+        "only {answered} requests waited out the last collect"
+    );
+}
+
+/// Three servers: two die at once and both come back. Each replacement
+/// takes the other's hello (a new process's 0) for the lowest offer and
+/// starts at superstep 0. Where the survivor still retains its frames from
+/// superstep 0 on, plain replay recovers the run and every replica is the
+/// sequential one; where it has trimmed them, it declares the replacements
+/// gone, naming why, and every process ends by its deadlines instead of
+/// waiting for frames no one holds.
+#[test]
+fn two_of_three_restarting_at_once_recover_or_fail_on_time() {
+    let (mut recovered, mut refused) = (0, 0);
+    for seed in 0..120 {
+        let survivor = (seed % 3) as u32;
+        let victims = [(survivor + 1) % 3, (survivor + 2) % 3];
+        let superstep = 1 + (seed / 3 % 2) as u32;
+        let arrange = |world: &mut World| {
+            let crashes = victims.map(|victim| crash_when(victim, (0, 0), Vec::new()).fault);
+            world.planned.push(Planned {
+                fault: Fault::Together(crashes.to_vec()),
+                when: (survivor, superstep),
+                before: Vec::new(),
+            });
+            world.fatal = true;
+        };
+        let build = |trace| explicit_world(seed, 3, trace, false, &arrange);
+        let check = |world: &World| {
+            if world.now > ESTABLISH_TIMEOUT + RECONNECT_DEADLINE {
+                return Err(format!("the run ended only at {:?}", world.now));
+            }
+            if world.unrecoverable > 0 {
+                return Ok(());
+            }
+            for id in 0..3 {
+                let worker = last_proc(world, id)?.worker;
+                if worker != Worker::Finished {
+                    return Err(format!(
+                        "n{id} ended as {worker:?}, declared gone by no one"
+                    ));
+                }
+            }
+            Ok(())
+        };
+        let what = format!("two restarting at once, seed {seed}");
+        let world = run_world(&what, &build, &check);
+        match world.unrecoverable {
+            0 => recovered += 1,
+            _ => refused += 1,
+        }
+    }
+    assert!(
+        recovered > 0 && refused > 0,
+        "recovered {recovered}, refused {refused}"
+    );
+}
+
+/// Three servers: the victim, server 0, dies once it has applied a
+/// superstep `s` that one survivor has not, and both survivors dial its
+/// replacement. The other reads the replacement's reply hello only when
+/// nothing else can happen, so it adopts the link last. The replacement
+/// must not run a superstep before it has heard from that survivor: the
+/// survivor behind would apply `s` and acknowledge it, and the late one,
+/// holding the victim's ack of `s` too, would trim its part of `s` before
+/// its replay to the replacement began. (Without the wait, seeds 23, 241,
+/// 304 and 352 fail.)
+#[test]
+fn a_replacement_waits_for_a_survivor_that_has_not_adopted_its_link() {
+    let mut fired = 0;
+    for seed in 0..400 {
+        let (victim, late, behind) = (0, 1, 2);
+        let s = (seed % 3) as u32;
+        let arrange = |world: &mut World| {
+            let crash = crash_when(victim, (victim, s + 1), vec![(behind, s + 1)]);
+            world.planned.push(crash);
+            world.slow_replies = Some(late);
+        };
+        let build = |trace| explicit_world(seed, 3, trace, seed % 2 == 0, &arrange);
+        let what = format!("a late adopter, seed {seed}");
+        let world = run_world(&what, &build, &resumed_from_the_lowest);
+        fired += world.lowest_held.len();
+    }
+    assert!(fired > 100, "the crash fired in only {fired} schedules");
 }
