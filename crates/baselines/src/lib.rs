@@ -223,13 +223,34 @@ mod tests {
         assert_eq!(result.supersteps_run, 8);
     }
 
+    /// BFS runs under every metered system, on RMAT as well as the grid: the
+    /// baselines' loop gathers every vertex a changed vertex feeds, settled
+    /// or not, so BFS's first-parent gather answers settled vertices too, and
+    /// `apply`'s `min` must keep their levels.
     #[test]
     fn pregel_sssp_and_bfs_match_reference() {
         let g = grid_graph(5, 6);
         let sssp = on(SystemKind::PregelPlus, &g, &Sssp::new(0), 4);
         assert_eq!(reference::max_abs_diff(&sssp, &reference::sssp(&g, 0)), 0.0);
-        let bfs = on(SystemKind::PregelPlus, &g, &Bfs::new(0), 4);
-        assert_eq!(reference::max_abs_diff(&bfs, &reference::bfs(&g, 0)), 0.0);
+        let rmat = RmatGenerator::new(10, 8).generate(7);
+        let vertices = 0..rmat.num_vertices() as VertexId;
+        let hub = vertices
+            .clone()
+            .max_by_key(|&v| rmat.out_degree(v))
+            .unwrap();
+        let quiet = vertices.clone().find(|&v| rmat.out_degree(v) == 1).unwrap();
+        for system in SystemKind::BASELINES {
+            for (graph, source) in [(&g, 0), (&rmat, hub), (&rmat, quiet)] {
+                let bfs = on(system, graph, &Bfs::new(source), 4);
+                assert_eq!(
+                    reference::max_abs_diff(&bfs, &reference::bfs(graph, source)),
+                    0.0,
+                    "{} from {source} on {} vertices",
+                    system.name(),
+                    graph.num_vertices()
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 /// Work done by one server during one superstep.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServerMetrics {
-    /// Edges processed by gather/scatter loops.
+    /// Edges offered to gather/scatter loops: a pull counts the in-degree of
+    /// every target it ran, even where the gather stopped early.
     pub edges_processed: u64,
     /// Bytes read from the server's local disk.
     pub disk_read_bytes: u64,

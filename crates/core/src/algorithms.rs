@@ -233,8 +233,11 @@ impl GabProgram for Wcc {
 ///
 /// This is direction-optimizing BFS (Beamer et al., SC'12): the engine pushes
 /// from the source and through the sparse head and tail of the traversal, and
-/// pulls — skipping every vertex whose level [`GabProgram::is_final`] — through
-/// the dense middle. The levels are the same either way.
+/// pulls — skipping every vertex whose level [`GabProgram::is_final`], and
+/// stopping each other vertex's gather at its first visited in-neighbour —
+/// through the dense middle. The levels are the same either way. The engine's
+/// `edges_processed` counts the in-edges offered to a gather, not the ones it
+/// read before it stopped.
 #[derive(Debug, Clone)]
 pub struct Bfs {
     /// The source vertex.
@@ -261,12 +264,17 @@ impl GabProgram for Bfs {
         }
     }
 
+    /// The first visited in-neighbour's level plus one, `+∞` if there is
+    /// none: Beamer's bottom-up step, which stops at the first parent. In a
+    /// synchronous BFS every visited in-neighbour of an unsettled target is
+    /// at the previous level, so the first one is the `min` over all of
+    /// them; a settled target may see a larger answer, which `apply`'s `min`
+    /// with its level discards.
     fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
-        let mut best = f64::INFINITY;
-        for (src, _) in in_edges {
-            best = best.min(ctx.values[src as usize] + 1.0);
-        }
-        best
+        in_edges
+            .map(|(src, _)| ctx.values[src as usize])
+            .find(|level| level.is_finite())
+            .map_or(f64::INFINITY, |level| level + 1.0)
     }
 
     fn apply(&self, _target: VertexId, accum: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
@@ -542,6 +550,30 @@ mod tests {
         let c = ctx(&values, &out, &ind);
         let mut edges = Edges::new(&[0], Some(&[100.0]));
         assert_eq!(bfs.gather(1, &mut edges, &c), 1.0);
+    }
+
+    #[test]
+    fn bfs_gather_stops_at_the_first_visited_in_neighbour() {
+        let bfs = Bfs::new(0);
+        let inf = f64::INFINITY;
+        let values = vec![inf, 2.0, inf, 2.0, inf];
+        let out = vec![0; 5];
+        let ind = vec![0; 5];
+        let c = ctx(&values, &out, &ind);
+        // Two unvisited sources, then the first visited one: the last two
+        // in-edges are left unread.
+        let mut edges = Edges::new(&[0, 2, 1, 3, 4], None);
+        assert_eq!(bfs.gather(4, &mut edges, &c), 3.0);
+        assert_eq!(edges.len(), 2);
+        // No visited in-neighbour: every in-edge read, `+∞` returned.
+        let mut edges = Edges::new(&[0, 2, 4], None);
+        assert_eq!(bfs.gather(4, &mut edges, &c), inf);
+        assert_eq!(edges.len(), 0);
+        let mut edges = Edges::new(&[], None);
+        assert_eq!(bfs.gather(4, &mut edges, &c), inf);
+        // A settled target's larger answer loses to its own level.
+        let mut edges = Edges::new(&[1], None);
+        assert_eq!(bfs.apply(3, bfs.gather(3, &mut edges, &c), 2.0, &c), 2.0);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! gathers every target, so agreeing on the updates is the check that a
 //! program's claim is honest (a skipped target would not have moved) and the
 //! edge count is compared with the in-degrees of the targets left to run.
+//! BFS's gather, which stops at the first visited in-neighbour, is held to
+//! a full `min` fold over every in-edge of every target left to run.
 //! PageRank's gather — a sum of what its [`GabProgram::prepare`] divided once
 //! per vertex — is held to the division on every edge it replaced. (The
 //! transpose itself, `PushIndex`, is held to a stable sort of the tile's
@@ -282,6 +284,43 @@ fn pagerank_prepared_gather_is_the_per_edge_division_bit_for_bit() {
         }
     });
     assert!(compared > 50, "{compared} edges compared");
+}
+
+/// BFS's gather stops at the first visited in-neighbour; a full `min` fold
+/// over every in-edge is the answer it must still give, bit for bit, for
+/// every target the pull loop runs in every round — and some target must
+/// leave in-edges unread, or the early exit never fired.
+#[test]
+fn bfs_first_parent_gather_is_the_full_min_fold_bit_for_bit() {
+    let (mut compared, mut unread) = (0, 0);
+    for_every_program_and_round(|program, tile, _frontier, ctx| {
+        if program.name() != "bfs" {
+            return;
+        }
+        for target in tile.targets() {
+            if program.is_final(ctx.values[target as usize]) {
+                continue;
+            }
+            let (sources, weights): (Vec<VertexId>, Vec<f32>) = tile.in_edges(target).unzip();
+            let mut in_edges = Edges::new(&sources, Some(&weights));
+            let got = program.gather(target, &mut in_edges, ctx);
+            let want = sources
+                .iter()
+                .map(|&s| ctx.values[s as usize] + 1.0)
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "tile {} target {target} superstep {}",
+                tile.tile_id,
+                ctx.superstep
+            );
+            compared += 1;
+            unread += in_edges.len();
+        }
+    });
+    assert!(compared > 20, "{compared} targets compared");
+    assert!(unread > 0, "no gather stopped before its last in-edge");
 }
 
 /// No program but synchronous BFS may call a value final:

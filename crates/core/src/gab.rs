@@ -105,7 +105,8 @@ impl ExactSizeIterator for Edges<'_> {}
 pub struct TileUpdates {
     /// `(target, new value)` for every target whose value changed, ascending.
     pub updates: Vec<(VertexId, f64)>,
-    /// In-edges folded (the in-degrees of the targets that ran; a target
+    /// In-edges offered to [`GabProgram::gather`] (the in-degrees of the
+    /// targets that ran, whether or not the gather read them all; a target
     /// whose value [`GabProgram::is_final`] does not run).
     pub edges_processed: u64,
 }
@@ -255,6 +256,11 @@ pub trait GabProgram: Send + Sync {
     /// Fold the in-edges of `target` into an accumulator. `in_edges` yields
     /// `(source vertex, edge weight)` pairs; source values are read from
     /// `ctx.values`.
+    ///
+    /// A gather may return before it has read all its in-edges, once the
+    /// rest cannot change its answer (BFS stops at the first visited
+    /// in-neighbour). The engine counts every in-edge it offered in
+    /// `edges_processed`, read or not.
     fn gather(&self, target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64;
 
     /// Produce the new value of `target` from the accumulator and its current value.

@@ -1013,7 +1013,8 @@ fn quiet_source(graph: &Graph) -> u32 {
 /// trajectory and wire bytes — on both executors, on an RMAT graph (from its
 /// hub and from a quiet vertex, where the choice switches) and on a grid
 /// (where it never leaves push). Disk bytes are *not* compared across
-/// directions: a push superstep reads no tile.
+/// directions: a push superstep reads no tile. Forced-pull BFS is also held
+/// to `reference::bfs`.
 #[test]
 fn forced_push_matches_forced_pull_bit_for_bit() {
     use graphh::core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
@@ -1055,6 +1056,14 @@ fn forced_push_matches_forced_pull_bit_for_bit() {
             )
             .run(part, program.as_ref())
             .unwrap();
+            if spec.name == "bfs" {
+                // Forced pull gathers every unsettled vertex from superstep
+                // 0, the most use BFS's first-parent gather gets: its levels
+                // must be the plain traversal's.
+                let source = program.initial_frontier(graph.num_vertices()).unwrap()[0];
+                let want = graphh::core::reference::bfs(graph, source);
+                assert_eq!(reference.values, want, "forced-pull bfs from {source}");
+            }
             for mode in [
                 DirectionMode::ForcePull,
                 DirectionMode::ForcePush,
@@ -1748,6 +1757,77 @@ fn dopt_bfs_gathers_a_fraction_of_the_edges_it_used_to() {
     );
     assert!(hinted <= BEFORE, "gathered edges rose to {hinted}");
     assert_eq!(hinted, NOW);
+}
+
+/// The layering rule BFS's first-parent gather rests on, checked on the
+/// graph and sources of `dopt_bfs_gathers_a_fraction_of_the_edges_it_used_to`:
+/// at superstep `s` the replica holds every level up to `s`, and for each
+/// vertex whose level is above `s`, the first in-neighbour in tile order at a
+/// level of at most `s` is at level `s` exactly. So `Bfs::gather` over that
+/// replica — which stops there — gives the vertex's next level, `s + 1` or
+/// `+∞`; where it finds a parent, it reads under a quarter of the in-edges
+/// offered to it (a vertex not yet reached reads them all, as before).
+#[test]
+fn bfs_first_visited_in_neighbour_is_at_the_previous_level() {
+    use graphh::core::reference;
+
+    let rmat = RmatGenerator::new(13, 16).generate(SEEDS[0]);
+    let p = Spe::partition(&rmat, &SpeConfig::with_tile_count("rmat", &rmat, 64)).unwrap();
+    let (out_degrees, in_degrees) = (rmat.out_degrees(), rmat.in_degrees());
+    let (mut offered, mut read) = (0u64, 0u64);
+    for source in [4623, 784, 3596, 2860, 1144, 5187, 486, 1862] {
+        let levels = reference::bfs(&rmat, source);
+        let deepest = levels
+            .iter()
+            .copied()
+            .filter(|l| l.is_finite())
+            .fold(0.0, f64::max);
+        for superstep in 0..=deepest as u32 {
+            let s = f64::from(superstep);
+            let replica: Vec<f64> = levels
+                .iter()
+                .map(|&l| if l <= s { l } else { f64::INFINITY })
+                .collect();
+            let ctx = VertexContext {
+                values: &replica,
+                out_degrees,
+                in_degrees,
+                num_vertices: rmat.num_vertices(),
+                superstep,
+                prepared: &[],
+            };
+            for tile in &p.tiles {
+                for target in tile.targets().filter(|&t| levels[t as usize] > s) {
+                    let (sources, _): (Vec<u32>, Vec<f32>) = tile.in_edges(target).unzip();
+                    let first = sources
+                        .iter()
+                        .map(|&u| levels[u as usize])
+                        .find(|&l| l <= s);
+                    assert!(
+                        first.is_none_or(|l| l == s),
+                        "source {source} superstep {superstep}: {target}'s first \
+                         visited in-neighbour is at level {first:?}"
+                    );
+                    let mut in_edges = Edges::new(&sources, None);
+                    let gathered = Bfs::new(source).gather(target, &mut in_edges, &ctx);
+                    let next = if levels[target as usize] == s + 1.0 {
+                        s + 1.0
+                    } else {
+                        f64::INFINITY
+                    };
+                    assert_eq!(gathered.to_bits(), next.to_bits(), "{source}/{superstep}");
+                    if gathered.is_finite() {
+                        offered += sources.len() as u64;
+                        read += (sources.len() - in_edges.len()) as u64;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        read * 4 < offered,
+        "the gathers that found a parent read {read} of the {offered} in-edges offered"
+    );
 }
 
 /// A tile blob comes off a disk: whatever is wrong with it, loading it is an
