@@ -1,12 +1,16 @@
-//! Oracle for the two tile loops: [`GabProgram::gather_tile`] and
-//! `exec::scatter_tile` against the loops they replaced, bit for bit.
+//! Oracle for the two loops of a tile phase: [`GabProgram::gather_tile`] and
+//! a server's push pass (`exec::scatter_server`, through
+//! [`ServerState::run_tile_phase`]) against the loops they replaced, bit for
+//! bit.
 //!
 //! The references below are the old engine loops: per target (per edge, for
 //! push) through `&mut dyn Iterator` over [`Tile::in_edges`], with `apply` and
-//! `is_update` called through the `&dyn GabProgram`. They share nothing with
-//! the slice kernels — not `Tile::offsets`, not `PushIndex` — so agreeing on
-//! updates, their order and the edge count means the slicing is right, for
-//! every registry program, weighted or not, `run_everything` or not.
+//! `is_update` called through the `&dyn GabProgram`, one tile at a time. They
+//! share nothing with the kernels — not `Tile::offsets`, not the server's
+//! `PushTranspose` or its accumulator — so agreeing on updates, their order,
+//! the edge count and the tile counts means the slicing, the slot map and
+//! the cut into per-tile runs are right, for every registry program,
+//! weighted or not, `run_everything` or not.
 //!
 //! The reference pull loop also knows nothing of [`GabProgram::is_final`]: it
 //! gathers every target, so agreeing on the updates is the check that a
@@ -16,26 +20,32 @@
 //! a full `min` fold over every in-edge of every target left to run.
 //! PageRank's gather — a sum of what its [`GabProgram::prepare`] divided once
 //! per vertex — is held to the division on every edge it replaced. (The
-//! transpose itself, `PushIndex`, is held to a stable sort of the tile's
+//! transpose itself, `PushTranspose`, is held to a stable sort of the tiles'
 //! edges where it is built, in `graphh-partition`.)
 
-use super::scatter_tile;
-use crate::gab::{Edges, GabProgram, InitContext, TileUpdates, VertexContext};
+use super::{ExecutionPlan, ServerState};
+use crate::engine::GraphHConfig;
+use crate::gab::{
+    Direction, DirectionMode, Edges, GabProgram, InitContext, TileUpdates, VertexContext,
+};
 use crate::registry::{ProgramContext, ProgramOptions, PROGRAMS};
+use graphh_cluster::{ClusterConfig, ServerMetrics};
 use graphh_graph::ids::VertexId;
-use graphh_partition::{PushIndex, Tile};
+use graphh_graph::{EdgeList, Graph};
+use graphh_partition::{PartitionedGraph, Spe, SpeConfig, Tile};
+use graphh_storage::MemoryBackend;
 
-const NUM_VERTICES: usize = 10;
+const NUM_VERTICES: usize = 12;
 
-/// Four tiles over vertices `0..10`: one with zero-in-degree targets (0, 3),
-/// a hub (1, with a self-loop) and a target whose three in-edges are the same
-/// `(source, target)` pair under different weights (2); a single-vertex tile;
-/// one more with a gap and a target (7) whose weighted distance from the hub
-/// falls twice; and an empty tile past the end.
+/// Four tiles over vertices `0..12`: one with zero-in-degree targets (0, 3),
+/// a hub (1, with a self-loop, in-edges from all of `0..10`) and a target
+/// whose three in-edges are the same `(source, target)` pair under different
+/// weights (2); a single-vertex tile; one more with a gap and a target (7)
+/// whose weighted distance from the hub falls twice; and a tile of two
+/// targets and no edge. Vertex 1 has the most out-edges and feeds the first
+/// three tiles; vertices 10 and 11 feed none.
 fn tiles(weighted: bool) -> Vec<Tile> {
-    let hub = (0..NUM_VERTICES as u32)
-        .map(|s| (s, 0.25 + s as f32))
-        .collect();
+    let hub = (0..10).map(|s| (s, 0.25 + s as f32)).collect();
     let first = vec![
         vec![],
         hub,
@@ -56,8 +66,20 @@ fn tiles(weighted: bool) -> Vec<Tile> {
         Tile::from_adjacency(0, 0, &first, weighted),
         Tile::from_adjacency(1, 6, &single, weighted),
         Tile::from_adjacency(2, 7, &last, weighted),
-        Tile::from_adjacency(3, 10, &[], weighted),
+        Tile::from_adjacency(3, 10, &[vec![], vec![]], weighted),
     ]
+}
+
+/// The tiles as a partitioned graph — persisted with their degree arrays and
+/// loaded back — for [`ServerState`]s to run over.
+fn partitioned(weighted: bool) -> PartitionedGraph {
+    let empty = Graph::from_edges(NUM_VERTICES as u64, EdgeList::new_unweighted()).unwrap();
+    let mut graph = Spe::partition(&empty, &SpeConfig::new("oracle", 1)).unwrap();
+    graph.tiles = tiles(weighted);
+    (graph.out_degrees, graph.in_degrees) = degrees(&graph.tiles);
+    let store = MemoryBackend::new();
+    graph.persist(&store).unwrap();
+    PartitionedGraph::load(&store, "oracle").unwrap()
 }
 
 /// The pull loop before the slice kernels.
@@ -163,10 +185,10 @@ fn degrees(tiles: &[Tile]) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// Run every registry program for a few BSP rounds over the tiles, calling
-/// `check` on every tile of every round with the replica and the frontier
-/// that round starts from.
+/// `check` on every round with the tiles, the replica and the frontier that
+/// round starts from.
 fn for_every_program_and_round(
-    mut check: impl FnMut(&dyn GabProgram, &Tile, &[VertexId], &VertexContext<'_>),
+    mut check: impl FnMut(&dyn GabProgram, &[Tile], &[VertexId], &VertexContext<'_>),
 ) {
     for weighted in [false, true] {
         let tiles = tiles(weighted);
@@ -199,9 +221,9 @@ fn for_every_program_and_round(
                     prepared: &prepared,
                 };
                 let run_everything = superstep == 0 && starts_everywhere;
+                check(program, &tiles, &frontier, &ctx);
                 let mut updates = Vec::new();
                 for tile in &tiles {
-                    check(program, tile, &frontier, &ctx);
                     updates.extend(program.gather_tile(tile, run_everything, &ctx).updates);
                 }
                 frontier = updates.iter().map(|&(v, _)| v).collect();
@@ -216,8 +238,8 @@ fn for_every_program_and_round(
 #[test]
 fn gather_tile_is_the_old_per_target_loop_bit_for_bit() {
     let (mut compared, mut final_edges) = (0, 0);
-    for_every_program_and_round(|program, tile, _frontier, ctx| {
-        for run_everything in [false, true] {
+    for_every_program_and_round(|program, tiles, _frontier, ctx| {
+        for (tile, run_everything) in tiles.iter().flat_map(|t| [(t, false), (t, true)]) {
             let got = program.gather_tile(tile, run_everything, ctx);
             let want = reference_gather_tile(program, tile, run_everything, ctx);
             let context = format!(
@@ -265,11 +287,11 @@ fn reference_pagerank_gather(in_edges: &[VertexId], ctx: &VertexContext<'_>) -> 
 #[test]
 fn pagerank_prepared_gather_is_the_per_edge_division_bit_for_bit() {
     let mut compared = 0;
-    for_every_program_and_round(|program, tile, _frontier, ctx| {
+    for_every_program_and_round(|program, tiles, _frontier, ctx| {
         if program.name() != "pagerank" {
             return;
         }
-        for target in tile.targets() {
+        for (tile, target) in tiles.iter().flat_map(|t| t.targets().map(move |v| (t, v))) {
             let (sources, weights): (Vec<VertexId>, Vec<f32>) = tile.in_edges(target).unzip();
             let got = program.gather(target, &mut Edges::new(&sources, Some(&weights)), ctx);
             let want = reference_pagerank_gather(&sources, ctx);
@@ -293,11 +315,11 @@ fn pagerank_prepared_gather_is_the_per_edge_division_bit_for_bit() {
 #[test]
 fn bfs_first_parent_gather_is_the_full_min_fold_bit_for_bit() {
     let (mut compared, mut unread) = (0, 0);
-    for_every_program_and_round(|program, tile, _frontier, ctx| {
+    for_every_program_and_round(|program, tiles, _frontier, ctx| {
         if program.name() != "bfs" {
             return;
         }
-        for target in tile.targets() {
+        for (tile, target) in tiles.iter().flat_map(|t| t.targets().map(move |v| (t, v))) {
             if program.is_final(ctx.values[target as usize]) {
                 continue;
             }
@@ -337,38 +359,114 @@ fn only_the_bfs_kernels_claim_final_values() {
     }
 }
 
+/// What the reference loop makes of one server's tiles: the messages (tile
+/// range, update bits), in tile order, and the counters of the tile phase.
+fn reference_server_pass(
+    program: &dyn GabProgram,
+    tiles: &[&Tile],
+    active: &[VertexId],
+    ctx: &VertexContext<'_>,
+) -> (Messages, [u64; 4]) {
+    let mut messages = Vec::new();
+    let mut counters = [0u64; 4];
+    for tile in tiles {
+        let Some(result) = reference_scatter_tile(program, tile, active, ctx) else {
+            counters[1] += 1;
+            continue;
+        };
+        counters[0] += 1;
+        counters[2] += result.edges_processed;
+        counters[3] += result.updates.len() as u64;
+        if !result.updates.is_empty() {
+            messages.push(((tile.target_start, tile.target_end), bits(&result).0));
+        }
+    }
+    (messages, counters)
+}
+
+/// One server's messages: tile range and update bits, in message order.
+type Messages = Vec<((VertexId, VertexId), Vec<(VertexId, u64)>)>;
+
+/// `tiles_processed`, `tiles_skipped`, `edges_processed`,
+/// `messages_produced`.
+fn counters(metrics: &ServerMetrics) -> [u64; 4] {
+    [
+        metrics.tiles_processed,
+        metrics.tiles_skipped,
+        metrics.edges_processed,
+        metrics.messages_produced,
+    ]
+}
+
+/// Every server's push pass, on one server or two, with one compute thread
+/// or two, is the old per-edge loop run tile by tile over that server's
+/// tiles: the same messages, in the same order, with the same update bits,
+/// and the same tile and edge counters. The frontiers are every round's
+/// own, thinner ones that miss tiles, the hub alone (it feeds three tiles),
+/// a vertex that feeds only the first tile, one that feeds no tile, and
+/// nothing.
 #[test]
-fn scatter_tile_is_the_old_per_edge_loop_bit_for_bit() {
+fn the_server_push_pass_is_the_old_per_edge_loop_bit_for_bit() {
     let (mut compared, mut skipped) = (0, 0);
-    for_every_program_and_round(|program, tile, frontier, ctx| {
+    let graphs = [partitioned(false), partitioned(true)];
+    for_every_program_and_round(|program, tiles, frontier, ctx| {
         if !program.supports_push() {
             return;
         }
-        let index = &PushIndex::for_tiles([tile], NUM_VERTICES as u64)[0];
-        // The round's own frontier, and thinner ones that miss some tiles.
-        let halves = [
+        let weighted = tiles[0].is_weighted();
+        let graph = &graphs[usize::from(weighted)];
+        assert_eq!(graph.tiles, tiles);
+        let frontiers = [
             frontier.to_vec(),
             frontier.iter().copied().step_by(2).collect(),
             frontier.iter().copied().take(1).collect(),
+            vec![1],
+            vec![3],
+            vec![10],
+            vec![3, 10, 11],
             Vec::new(),
         ];
-        for active in &halves {
-            let got = scatter_tile(index, program, active, ctx);
-            let want = reference_scatter_tile(program, tile, active, ctx);
-            assert_eq!(
-                got.as_ref().map(bits),
-                want.as_ref().map(bits),
-                "{} tile {} superstep {} frontier {active:?}",
-                program.name(),
-                tile.tile_id,
-                ctx.superstep
-            );
-            compared += got.as_ref().map_or(0, |g| g.updates.len());
-            skipped += usize::from(got.is_none());
+        for (num_servers, threads) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+            let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(num_servers))
+                .with_threads_per_server(threads)
+                .with_direction_mode(DirectionMode::ForcePush);
+            let plan = ExecutionPlan::prepare(&config, graph, program).unwrap();
+            for sid in 0..num_servers {
+                let mut server = ServerState::build(&config, &plan, graph, sid);
+                server.values = ctx.values.to_vec();
+                let own: Vec<&Tile> = server.tiles.iter().map(|&t| &tiles[t as usize]).collect();
+                for active in &frontiers {
+                    let view = plan.frontier_view(program, active);
+                    assert_eq!(view.direction, Direction::Push);
+                    let phase = server
+                        .run_tile_phase(program, &plan, ctx.superstep, &view, true)
+                        .unwrap();
+                    let got: Messages = phase
+                        .messages
+                        .iter()
+                        .map(|m| {
+                            let updates = m.updates.iter().map(|&(v, x)| (v, x.to_bits()));
+                            ((m.range_start, m.range_end), updates.collect())
+                        })
+                        .collect();
+                    let (want, want_counters) = reference_server_pass(program, &own, active, ctx);
+                    let context = format!(
+                        "{} weighted {weighted} server {sid} of {num_servers}, T = {threads}, \
+                         superstep {} frontier {active:?}",
+                        program.name(),
+                        ctx.superstep
+                    );
+                    assert_eq!(got, want, "{context}");
+                    assert_eq!(counters(&phase.metrics), want_counters, "{context}");
+                    assert_eq!(server.values, ctx.values, "{context}");
+                    compared += want.iter().map(|(_, u)| u.len()).sum::<usize>();
+                    skipped += want_counters[1];
+                }
+            }
         }
     });
     assert!(
-        compared > 50 && skipped > 50,
+        compared > 500 && skipped > 500,
         "{compared} updates, {skipped} skips"
     );
 }

@@ -10,8 +10,9 @@
 //!   the partitioned graph's tile store, vertex replica, edge cache, its
 //!   peak memory, and shared handles on what the partitioned graph keeps for
 //!   every run once the first has built it: each assigned tile's staged
-//!   blob, its [`SourceSet`] and, for push-capable runs, its out-edge
-//!   transpose — [`PushIndex`]),
+//!   blob and its [`SourceSet`] and, for push-capable runs, the out-edge
+//!   transpose of all its tiles — [`PushTranspose`] — with the push
+//!   accumulator over its target slots),
 //! * [`ServerState::run_tile_phase`] — the compute phase of one superstep on
 //!   one server: let the program [`GabProgram::prepare`] its per-vertex
 //!   array from the replica, skip the tiles no frontier vertex is a source
@@ -20,7 +21,8 @@
 //!   engine's loop over the tile's CSR slices, compiled per program, which
 //!   passes over targets whose value the program calls final — producing
 //!   the tile-granular [`BroadcastMessage`]s to publish; or, in a push
-//!   superstep, walk only the frontier's out-edges in the transposes. Which
+//!   superstep, walk only the frontier's out-edges in the server's
+//!   transpose, in one pass on the server's thread. Which
 //!   of the two a superstep of a push-capable program runs is the engine's
 //!   choice ([`ExecutionPlan::frontier_view`]): Beamer's rule over the
 //!   replicated frontier, which no program and no option tunes,
@@ -59,7 +61,7 @@ use graphh_cluster::{BroadcastMessage, CostModel, MessageCodec, ServerMetrics};
 use graphh_compress::Codec;
 use graphh_graph::ids::{ServerId, TileId, VertexId};
 use graphh_obs::{global_counters, Tracer};
-use graphh_partition::{PartitionedGraph, PushIndex, SourceSet, Tile, TileAssignment};
+use graphh_partition::{PartitionedGraph, PushTranspose, SourceSet, Tile, TileAssignment};
 use graphh_storage::{IoMeter, IoSnapshot, MemoryBackend, MeteredBackend, StorageBackend};
 use std::sync::Arc;
 
@@ -348,33 +350,73 @@ fn gallop_to(sorted: &[VertexId], from: usize, v: VertexId) -> usize {
     lo + sorted[lo..hi].partition_point(|&s| s < v)
 }
 
-/// The push loop over one tile's transpose: every vertex of `active`
-/// (ascending) that is a source here scatters its out-edges, contributions
-/// fold per target with the program's `combine`, and touched targets are
-/// applied in ascending order — the order the pull loop walks them, so
-/// updates (and therefore wire bytes) line up. `None` when no active vertex
-/// is a source of the tile: the pull path's skip, read off the search itself.
-fn scatter_tile(
-    index: &PushIndex,
+/// What a push superstep folds contributions into: a sparse set over the
+/// server's target slots ([`PushTranspose::num_slots`]). `touched` holds
+/// every slot reached this superstep with its combined value, in the order
+/// first reached; `index[slot]` is where that slot's entry sits, valid only
+/// when the entry there names the slot back — so clearing `touched` resets
+/// the set, and a superstep costs what it touches, not the server's target
+/// count. Allocated with the server and kept across supersteps.
+#[derive(Debug)]
+struct PushAccumulator {
+    index: Vec<u32>,
+    touched: Vec<(u32, f64)>,
+}
+
+impl PushAccumulator {
+    fn new(num_slots: usize) -> Self {
+        Self {
+            index: vec![0; num_slots],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Fold `contribution` into `slot`.
+    #[inline]
+    fn add(&mut self, slot: u32, contribution: f64, program: &dyn GabProgram) {
+        let at = &mut self.index[slot as usize];
+        match self.touched.get_mut(*at as usize) {
+            Some((owner, value)) if *owner == slot => {
+                *value = program.combine(*value, contribution);
+            }
+            _ => {
+                *at = self.touched.len() as u32;
+                self.touched.push((slot, contribution));
+            }
+        }
+    }
+
+    /// Resident bytes, for memory accounting.
+    fn memory_bytes(&self) -> u64 {
+        4 * self.index.capacity() as u64 + 16 * self.touched.capacity() as u64
+    }
+}
+
+/// One push superstep over a server's transpose, the whole server in one
+/// pass:
+///
+/// 1. walk the frontier (ascending) once against the transpose's sources
+///    (ascending), galloping to each frontier vertex;
+/// 2. let every frontier vertex found there scatter its out-edges, folding
+///    contributions per target slot with the program's `combine`;
+/// 3. sort the touched slots — tile order, then target order — cut them
+///    into per-tile runs, apply each run's targets and emit one message per
+///    tile with updates, in tile order, as the pull loop does.
+///
+/// A tile no contribution reached is skipped; under the scatter contract
+/// (one emit per out-edge) those are the tiles no frontier vertex has an
+/// edge into. The cost is O(|F| log |S| + frontier out-edges + touched · log
+/// touched), nothing per tile but the cut. The accumulator is left empty.
+fn scatter_server(
+    transpose: &PushTranspose,
+    acc: &mut PushAccumulator,
     program: &dyn GabProgram,
     active: &[VertexId],
     ctx: &VertexContext<'_>,
-) -> Option<TileUpdates> {
-    let num_targets = index.num_targets();
-    let target_start = index.target_start;
-    let sources = index.sources();
-    // Per-tile accumulator slots, indexed by target offset, allocated at the
-    // first frontier vertex that is a source here — most tiles of a sparse
-    // push superstep have none. (The zero-allocation gate covers the
-    // broadcast codec path, not tile compute.)
-    let mut acc: Vec<f64> = Vec::new();
-    let mut touched: Vec<bool> = Vec::new();
-    let mut edges_processed = 0u64;
-
-    // Both the frontier (sorted by the barrier merge) and the index's sources
-    // are ascending: walk the frontier, galloping through the sources to each
-    // vertex — a push frontier is far shorter than a tile's source list.
-    let mut si = 0usize;
+) -> TilePhaseOutput {
+    let sources = transpose.sources();
+    let mut metrics = ServerMetrics::default();
+    let (mut si, mut tile) = (0usize, 0usize);
     for &source in active {
         si = gallop_to(sources, si, source);
         match sources.get(si) {
@@ -382,46 +424,56 @@ fn scatter_tile(
             Some(&found) if found != source => continue,
             Some(_) => {}
         }
-        if acc.is_empty() {
-            acc.resize(num_targets, 0.0);
-            touched.resize(num_targets, false);
-        }
-        edges_processed += index.out_degree(si);
+        let (targets, weights) = transpose.out_edges(si);
+        metrics.edges_processed += targets.len() as u64;
         let value = ctx.values[source as usize];
-        let (targets, weights) = index.out_edges(si);
-        let mut edges = Edges::new(targets, weights);
-        program.scatter(source, value, &mut edges, &mut |target, contribution| {
-            let slot = (target - target_start) as usize;
-            if touched[slot] {
-                acc[slot] = program.combine(acc[slot], contribution);
-            } else {
-                acc[slot] = contribution;
-                touched[slot] = true;
-            }
-        });
+        program.scatter(
+            source,
+            value,
+            &mut Edges::new(targets, weights),
+            &mut |target, contribution| {
+                let slot = transpose.slot_of(target, &mut tile).unwrap_or_else(|| {
+                    panic!(
+                        "program {:?} scattered from {source} to {target}, \
+                         which is not one of its out-edges",
+                        program.name()
+                    )
+                });
+                acc.add(slot, contribution, program);
+            },
+        );
         si += 1;
     }
-    // Every indexed source has an edge, so no edge means no source.
-    if edges_processed == 0 {
-        return None;
-    }
 
-    let mut updates: Vec<(VertexId, f64)> = Vec::new();
-    for slot in 0..num_targets {
-        if !touched[slot] {
+    acc.touched.sort_unstable_by_key(|&(slot, _)| slot);
+    let mut messages = Vec::new();
+    let mut rest = acc.touched.as_slice();
+    for k in 0..transpose.num_tiles() {
+        let tile_end = transpose.tile_slots(k).end;
+        let (run, tail) = rest.split_at(rest.partition_point(|&(slot, _)| slot < tile_end));
+        rest = tail;
+        if run.is_empty() {
+            metrics.tiles_skipped += 1;
             continue;
         }
-        let target = target_start + slot as VertexId;
-        let current = ctx.values[target as usize];
-        let new = program.apply(target, acc[slot], current, ctx);
-        if program.is_update(current, new) {
-            updates.push((target, new));
+        metrics.tiles_processed += 1;
+        let mut updates = Vec::new();
+        for &(slot, accum) in run {
+            let target = transpose.target_of(k, slot);
+            let current = ctx.values[target as usize];
+            let new = program.apply(target, accum, current, ctx);
+            if program.is_update(current, new) {
+                updates.push((target, new));
+            }
+        }
+        metrics.messages_produced += updates.len() as u64;
+        if !updates.is_empty() {
+            let (start, end) = transpose.tile_range(k);
+            messages.push(BroadcastMessage::new(start, end, updates));
         }
     }
-    Some(TileUpdates {
-        updates,
-        edges_processed,
-    })
+    acc.touched.clear();
+    TilePhaseOutput { metrics, messages }
 }
 
 /// One simulated server's long-lived state.
@@ -450,10 +502,10 @@ pub struct ServerState {
     /// Per-tile source sets, parallel to `tiles`: what the skip probes. The
     /// partitioned graph's own, shared.
     source_sets: Vec<Arc<SourceSet>>,
-    /// Per-tile out-edge transposes for the push loop, parallel to `tiles`:
-    /// the partitioned graph's own, shared. Empty unless the plan is
-    /// push-capable.
-    push_indexes: Vec<Arc<PushIndex>>,
+    /// The push side, `None` unless the plan is push-capable: the out-edge
+    /// transpose of all of `tiles` (the partitioned graph's own, shared) and
+    /// the accumulator push supersteps fold into.
+    push: Option<(Arc<PushTranspose>, PushAccumulator)>,
     /// The most this server has held so far, in bytes.
     peak_memory: u64,
     /// This server's persistent compute-thread pool (the paper's `T` worker
@@ -470,7 +522,7 @@ pub struct TilePhaseOutput {
     pub messages: Vec<BroadcastMessage>,
 }
 
-/// What one tile-phase worker produces for one tile. Outcomes are reduced in
+/// What one pull-phase worker produces for one tile. Outcomes are reduced in
 /// tile order, which is what keeps the parallel phase bit-identical to the
 /// sequential reference.
 struct TileOutcome {
@@ -491,7 +543,8 @@ impl ServerState {
     /// graph's tile store and take its tiles' source sets — staging the tiles
     /// and building the sets the graph does not hold yet, and keeping them
     /// there for the next run — and size the edge cache from the idle memory.
-    /// A push-capable plan also takes its tiles' transposes, the same way.
+    /// A push-capable plan also takes the transpose of its tile list, the
+    /// same way.
     pub fn build(
         config: &GraphHConfig,
         plan: &ExecutionPlan,
@@ -522,16 +575,15 @@ impl ServerState {
             },
             total_tile_bytes,
         );
-        // Push-capable runs read a resident out-edge transpose per assigned
-        // tile (the push loop never touches disk or cache). A tile keeps the
-        // one the first such run over the partitioned graph built, so only
-        // that run pays for it; pull-only runs never do.
-        let push_indexes = if plan.push_capable {
-            let assigned = tiles.iter().map(|&tid| &partitioned.tiles[tid as usize]);
-            PushIndex::for_tiles(assigned, num_vertices)
-        } else {
-            Vec::new()
-        };
+        // Push-capable runs read a resident out-edge transpose of the
+        // assigned tiles (the push loop never touches disk or cache). The
+        // partitioned graph keeps the one the first such run built for this
+        // tile list, so only that run pays for it; pull-only runs never do.
+        let push = plan.push_capable.then(|| {
+            let transpose = partitioned.push_transpose(&tiles);
+            let acc = PushAccumulator::new(transpose.num_slots());
+            (transpose, acc)
+        });
         let mut server = ServerState {
             id: sid,
             tiles,
@@ -541,7 +593,7 @@ impl ServerState {
             prepared: Vec::new(),
             cache,
             source_sets,
-            push_indexes,
+            push,
             peak_memory: 0,
             pool: graphh_pool::WorkerPool::new(plan.threads_per_server as usize),
         };
@@ -562,14 +614,16 @@ impl ServerState {
     }
 
     /// What this server holds now, in bytes: the §IV-A permanent arrays, its
-    /// tiles' source sets and transposes, the prepared array and the edge
-    /// cache's contents.
+    /// tiles' source sets, their push transpose and the push accumulator,
+    /// the prepared array and the edge cache's contents.
     fn held_bytes(&self) -> u64 {
         let source_sets: u64 = self.source_sets.iter().map(|set| set.memory_bytes()).sum();
-        let push_indexes: u64 = self.push_indexes.iter().map(|i| i.memory_bytes()).sum();
+        let push = self.push.as_ref().map_or(0, |(transpose, acc)| {
+            transpose.memory_bytes() + acc.memory_bytes()
+        });
         permanent_array_bytes(self.values.len() as u64)
             + source_sets
-            + push_indexes
+            + push
             + 8 * self.prepared.capacity() as u64
             + self.cache.stats().used_bytes
     }
@@ -651,9 +705,10 @@ impl ServerState {
     ///   array from the replica (once, before the fork), then walk the
     ///   assigned tiles (skipping those no frontier vertex is a source of),
     ///   gather/apply every target against the local replica,
-    /// * **push** — sweep the sorted frontier against each tile's resident
-    ///   out-edge transpose (`PushIndex`), scatter/combine/apply, touching
-    ///   neither the edge cache nor the local disk.
+    /// * **push** — sweep the sorted frontier once against the server's
+    ///   resident out-edge transpose ([`PushTranspose`]), scatter/combine
+    ///   into the server's accumulator, apply per tile, touching neither the
+    ///   edge cache nor the local disk.
     ///
     /// Both paths emit updates in ascending target order per tile and
     /// messages in tile order, so for programs honouring the combine-order
@@ -661,11 +716,13 @@ impl ServerState {
     /// (`docs/ALGORITHMS.md` has the proof sketch; the forced-push vs
     /// forced-pull suites in `tests/determinism.rs` pin it).
     ///
-    /// Tiles are processed by this server's **persistent**
-    /// [`graphh_pool::WorkerPool`] (the paper's `T` intra-server compute
-    /// threads), built once in [`ServerState::build`] and reused every
-    /// superstep — short supersteps pay a condvar wake, not a thread spawn.
-    /// Determinism for any thread count is by construction:
+    /// A pull superstep's tiles are processed by this server's
+    /// **persistent** [`graphh_pool::WorkerPool`] (the paper's `T`
+    /// intra-server compute threads), built once in [`ServerState::build`]
+    /// and reused every superstep — short supersteps pay a condvar wake, not
+    /// a thread spawn. A push superstep is one pass on the calling thread:
+    /// it reads only the frontier's out-edges. Determinism for any thread
+    /// count is by construction:
     ///
     /// * each tile reads the *previous* superstep's replica (never this
     ///   phase's output), so tiles are data-independent,
@@ -685,14 +742,14 @@ impl ServerState {
         frontier: &FrontierView<'_>,
         use_bloom: bool,
     ) -> Result<TilePhaseOutput> {
+        if frontier.direction == Direction::Push {
+            let phase = self.push_phase(program, plan, superstep, frontier);
+            self.peak_memory = self.peak_memory.max(self.held_bytes());
+            return Ok(phase);
+        }
         let threads = plan.threads_per_server as usize;
-        let outcomes: Vec<Result<TileOutcome>> = match frontier.direction {
-            Direction::Push => self.push_outcomes(program, plan, superstep, frontier),
-            Direction::Pull => {
-                program.prepare(&self.values, &plan.out_degrees, &mut self.prepared);
-                self.pull_outcomes(program, plan, superstep, frontier, use_bloom)
-            }
-        };
+        program.prepare(&self.values, &plan.out_degrees, &mut self.prepared);
+        let outcomes = self.pull_outcomes(program, plan, superstep, frontier, use_bloom);
         let held_before_admissions = self.held_bytes();
 
         // Deterministic reduction, in tile order: fold metrics (fixing the
@@ -824,32 +881,26 @@ impl ServerState {
         })
     }
 
-    /// The push path: sweep the sorted frontier against each tile's resident
-    /// [`PushIndex`], scatter each frontier source's out-edges, fold
-    /// contributions per target with the program's order-insensitive
-    /// `combine`, then apply in ascending target order.
+    /// The push path: [`scatter_server`] over the server's resident
+    /// [`PushTranspose`] into its accumulator, on the calling thread.
     ///
-    /// Determinism for any thread count mirrors the pull path: tiles are
-    /// data-independent (they read the *previous* superstep's replica), each
-    /// produces its own metrics/updates, and outcomes reduce in tile order.
-    /// Within a tile the accumulation order is fixed — frontier sources
-    /// ascending, each source's targets ascending — and `combine` must be
-    /// order-insensitive anyway, so the per-target accumulator is
-    /// schedule-independent too. The path touches neither the edge cache nor
-    /// the disk: the transpose is resident, so a push superstep moves zero
-    /// storage bytes and leaves the edge cache untouched.
-    fn push_outcomes(
-        &self,
+    /// The accumulation order is fixed — frontier sources ascending, each
+    /// source's targets ascending — and `combine` must be order-insensitive
+    /// anyway, so the result is the same for any thread count. The path
+    /// touches neither the edge cache nor the disk: the transpose is
+    /// resident, so a push superstep moves zero storage bytes and leaves the
+    /// edge cache untouched.
+    fn push_phase(
+        &mut self,
         program: &dyn GabProgram,
         plan: &ExecutionPlan,
         superstep: u32,
         frontier: &FrontierView<'_>,
-    ) -> Vec<Result<TileOutcome>> {
-        debug_assert_eq!(
-            self.push_indexes.len(),
-            self.tiles.len(),
-            "push direction resolved without push indexes (plan not push-capable?)"
-        );
+    ) -> TilePhaseOutput {
+        let (transpose, acc) = self
+            .push
+            .as_mut()
+            .expect("push direction resolved without a push transpose (plan not push-capable?)");
         let vertex_ctx = VertexContext {
             values: &self.values,
             out_degrees: &plan.out_degrees,
@@ -858,39 +909,7 @@ impl ServerState {
             superstep,
             prepared: &[],
         };
-        let indexes = &self.push_indexes;
-        let active = frontier.vertices;
-
-        self.pool.fork_join_ordered(indexes.len(), |i| {
-            let index = &indexes[i];
-            let mut metrics = ServerMetrics::default();
-            let Some(TileUpdates {
-                updates: tile_updates,
-                edges_processed,
-            }) = scatter_tile(index, program, active, &vertex_ctx)
-            else {
-                metrics.tiles_skipped += 1;
-                return Ok(TileOutcome {
-                    metrics,
-                    message: None,
-                    admit: None,
-                    tile_memory_bytes: 0,
-                });
-            };
-            metrics.edges_processed += edges_processed;
-            metrics.tiles_processed += 1;
-            metrics.messages_produced += tile_updates.len() as u64;
-
-            let message = (!tile_updates.is_empty())
-                .then(|| BroadcastMessage::new(index.target_start, index.target_end, tile_updates));
-            Ok(TileOutcome {
-                metrics,
-                message,
-                admit: None,
-                // Accumulator scratch: 8 bytes + 1 flag per target slot.
-                tile_memory_bytes: index.num_targets() as u64 * 9,
-            })
-        })
+        scatter_server(transpose, acc, program, frontier.vertices, &vertex_ctx)
     }
 
     /// The barrier's apply half: fold `updates` (each vertex at most once, so

@@ -8,7 +8,8 @@
 //! 1. [`WorkerStep::compute`] — the frontier view, then the tile phase;
 //! 2. [`WorkerStep::encode`] — encode + compress this server's messages over
 //!    its compute pool and charge the sends; its own updates join the merge
-//!    as they are, without a decode; the wires come back in message order;
+//!    as they are, without a decode; the wires come back in message order (a
+//!    server without peers encodes nothing and has no wires);
 //! 3. [`WorkerStep::receive`], once per peer wire, in any order;
 //! 4. [`WorkerStep::apply`] — merge, apply to the replica, record the
 //!    superstep's metrics.
@@ -216,9 +217,12 @@ impl<'a> WorkerStep<'a> {
     /// compute pool, one job per pool thread taking every `jobs`-th message;
     /// charge every send to the `num_servers - 1` peers; add the messages'
     /// own updates to the merge as they are (the wire format is lossless).
-    /// Returns the wire bytes, in message order.
+    /// Returns the wire bytes, in message order — none when the server has
+    /// no peer, which then encodes and charges nothing.
     pub fn encode(&mut self) -> impl Iterator<Item = &[u8]> {
-        let (messages, n) = (&self.messages, self.messages.len());
+        let fanout = u64::from(self.num_servers - 1);
+        let messages = &self.messages;
+        let n = if fanout == 0 { 0 } else { messages.len() };
         if self.lanes.len() < n {
             self.lanes.resize_with(n, Mutex::default);
         }
@@ -242,12 +246,13 @@ impl<'a> WorkerStep<'a> {
                     lane.compress_seconds = charged.compress_seconds;
                 }
             });
-        let fanout = u64::from(self.num_servers - 1);
-        for (message, lane) in self.messages.drain(..).zip(&mut self.lanes) {
+        for lane in &mut self.lanes[..n] {
             let lane = lane.get_mut().unwrap_or_else(PoisonError::into_inner);
             self.metrics.compress_seconds += lane.compress_seconds;
             self.metrics.network_sent_bytes += lane.wire.len() as u64 * fanout;
             self.metrics.network_messages += fanout;
+        }
+        for message in self.messages.drain(..) {
             self.updates.extend_run(&message.updates);
         }
         self.lanes[..n].iter_mut().map(|lane| {
@@ -336,12 +341,13 @@ mod tests {
     /// first superstep has grown them, the merge's update buffer, the
     /// frontier and every lane's wire keep their allocations superstep after
     /// superstep (the clear-and-reuse contract `tests/alloc_count.rs`
-    /// measures on the wire path).
+    /// measures on the wire path). Server 0 of two is stepped alone: it
+    /// encodes for a peer, and its own updates are all it merges.
     #[test]
     fn a_step_reuses_its_buffers_across_supersteps() {
         let g = path_graph(64);
         let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 4)).unwrap();
-        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
+        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(2));
         let program = PageRank::new(6);
         let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
         let mut step = WorkerStep::new(&config, &plan, &p, &program, 0, &Tracer::off());
@@ -364,5 +370,31 @@ mod tests {
         }
         let output = step.finish();
         assert_eq!((output.supersteps_run, output.metrics.len()), (6, 6));
+    }
+
+    /// A server without peers encodes nothing, charges no send and no
+    /// compression, and still merges and applies its own updates.
+    #[test]
+    fn a_lone_server_encodes_nothing() {
+        let g = path_graph(64);
+        let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 4)).unwrap();
+        let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
+        let program = PageRank::new(3);
+        let plan = ExecutionPlan::prepare(&config, &p, &program).unwrap();
+        let mut step = WorkerStep::new(&config, &plan, &p, &program, 0, &Tracer::off());
+        while step.next_superstep().is_some() {
+            step.compute().unwrap();
+            assert_eq!(step.encode().count(), 0);
+            assert!(step.lanes.is_empty());
+            step.apply().unwrap();
+        }
+        let output = step.finish();
+        assert_eq!(output.metrics.len(), 3);
+        assert!(output.metrics[0].vertices_updated > 0);
+        for metrics in &output.metrics {
+            assert_eq!(metrics.messages_produced, metrics.vertices_updated);
+            let sent = (metrics.network_sent_bytes, metrics.network_messages);
+            assert_eq!((sent, metrics.compress_seconds), ((0, 0), 0.0));
+        }
     }
 }

@@ -7,8 +7,10 @@
 //! *target* vertices whose in-edges together hold roughly `S = |E| / P` edges, stored
 //! in an enhanced CSR layout ([`tile::Tile`]). Stage two assigns tiles to the `N`
 //! servers of the processing engine round-robin ([`assignment`]). A push
-//! superstep walks each tile's out-edge transpose ([`transpose::PushIndex`]),
-//! built from the tile the first time a run asks for it and kept with it.
+//! superstep walks its server's out-edge transpose
+//! ([`transpose::PushTranspose`]): all the server's tiles' edges grouped by
+//! source, which the partitioned graph builds the first time a run asks for
+//! that server's tile list and keeps ([`PartitionedGraph::push_transpose`]).
 //! A pull superstep skips the tiles none of whose sources changed by probing
 //! their source sets ([`source_set::SourceSet`]); the partitioned graph
 //! builds each the first time a run asks for it and keeps it, beside the
@@ -39,7 +41,7 @@ pub use source_set::SourceSet;
 pub use spe::{PartitionedGraph, Spe, SpeConfig};
 pub use splitter::Splitter;
 pub use tile::Tile;
-pub use transpose::PushIndex;
+pub use transpose::PushTranspose;
 
 /// Errors produced by the partitioning layer.
 #[derive(Debug)]

@@ -14,8 +14,8 @@
 //! with false positives (a frontier vertex in the same block as a source) but,
 //! like the filter, never a false negative — so skipping stays safe.
 //!
-//! Like a tile's [`crate::PushIndex`], a source set is a pure function of its
-//! tile, so the partitioned graph keeps it: the first run that needs a tile's
+//! Like a server's [`crate::PushTranspose`], a source set is a pure function
+//! of what it is built from, so the partitioned graph keeps it: the first run that needs a tile's
 //! set builds it ([`crate::PartitionedGraph::source_set`]) and every later
 //! run, and every clone of the graph, reads the same one.
 

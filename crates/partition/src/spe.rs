@@ -34,19 +34,21 @@
 //!
 //! A partitioned graph also keeps what runs over it derive from its tiles:
 //! an in-memory tile store, to which the server owning a tile stages it the
-//! first time a run needs it ([`PartitionedGraph::stage_tile`]), and each
-//! tile's [`SourceSet`] ([`PartitionedGraph::source_set`]). Both are built at
-//! most once per tile and shared by every later run and every clone.
+//! first time a run needs it ([`PartitionedGraph::stage_tile`]), each tile's
+//! [`SourceSet`] ([`PartitionedGraph::source_set`]), and each server tile
+//! list's [`PushTranspose`] ([`PartitionedGraph::push_transpose`]). Each is
+//! built at most once and shared by every later run and every clone.
 
 use crate::source_set::SourceSet;
 use crate::splitter::Splitter;
 use crate::tile::Tile;
+use crate::transpose::PushTranspose;
 use crate::{PartitionError, Result};
 use graphh_graph::ids::{TileId, VertexId};
 use graphh_graph::{Graph, GraphStats};
 use graphh_pool::WorkerPool;
 use graphh_storage::{MemoryBackend, MeteredBackend, StorageBackend};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Configuration of the pre-processing engine.
 #[derive(Debug, Clone)]
@@ -98,8 +100,12 @@ pub struct PartitionedGraph {
     derived: Arc<Derived>,
 }
 
+/// A server tile list's transpose, once built: the slot its builder fills
+/// and concurrent askers wait on.
+type TransposeSlot = Arc<OnceLock<Arc<PushTranspose>>>;
+
 /// What runs over a partitioned graph derive from its tiles, at most once per
-/// tile, indexed by tile id.
+/// tile (indexed by tile id) or per server tile list.
 struct Derived {
     /// The in-memory store servers stage their tiles to and read them from.
     store: Arc<MemoryBackend>,
@@ -107,6 +113,9 @@ struct Derived {
     staged: Box<[OnceLock<String>]>,
     /// A tile's source set, once built.
     source_sets: Box<[OnceLock<Arc<SourceSet>>]>,
+    /// The push transpose of every tile list a server has asked for. The
+    /// lock is held only to find or add a list's slot, never for a build.
+    push_transposes: Mutex<Vec<(Box<[TileId]>, TransposeSlot)>>,
 }
 
 impl Derived {
@@ -115,7 +124,20 @@ impl Derived {
             store: Arc::new(MemoryBackend::new()),
             staged: (0..num_tiles).map(|_| OnceLock::new()).collect(),
             source_sets: (0..num_tiles).map(|_| OnceLock::new()).collect(),
+            push_transposes: Mutex::new(Vec::new()),
         })
+    }
+
+    /// The transpose slots built so far.
+    fn built_transposes(&self) -> usize {
+        let lists = self
+            .push_transposes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        lists
+            .iter()
+            .filter(|(_, slot)| slot.get().is_some())
+            .count()
     }
 }
 
@@ -127,6 +149,7 @@ impl std::fmt::Debug for Derived {
         f.debug_struct("Derived")
             .field("staged_tiles", &built(&self.staged))
             .field("source_sets", &built(&self.source_sets))
+            .field("push_transposes", &self.built_transposes())
             .finish()
     }
 }
@@ -394,6 +417,43 @@ impl PartitionedGraph {
         })
     }
 
+    /// The push transpose of the tiles `tile_ids` — a server's tile list,
+    /// ascending: built the first time any run over this graph, or a clone
+    /// of it, asks for that list, and kept. A concurrent ask for the same
+    /// list waits for that build; one for another list builds beside it.
+    pub fn push_transpose(&self, tile_ids: &[TileId]) -> Arc<PushTranspose> {
+        let slot = {
+            let mut lists = self
+                .derived
+                .push_transposes
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            match lists.iter().find(|(list, _)| **list == *tile_ids) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = TransposeSlot::default();
+                    lists.push((tile_ids.into(), Arc::clone(&slot)));
+                    slot
+                }
+            }
+        };
+        let transpose = slot.get_or_init(|| {
+            let tiles: Vec<&Tile> = tile_ids
+                .iter()
+                .map(|&tid| &self.tiles[tid as usize])
+                .collect();
+            Arc::new(PushTranspose::new(&tiles, self.num_vertices()))
+        });
+        Arc::clone(transpose)
+    }
+
+    /// How many push transposes ([`Self::push_transpose`]) this graph and
+    /// its clones have built: one per distinct server tile list a
+    /// push-capable run has asked for.
+    pub fn push_transposes_built(&self) -> usize {
+        self.derived.built_transposes()
+    }
+
     /// Persist tiles and degree arrays to `store` under `graph_name/`: one
     /// object per tile plus the two degree arrays.
     pub fn persist(&self, store: &impl StorageBackend) -> Result<()> {
@@ -644,9 +704,9 @@ mod tests {
         }
     }
 
-    /// A clone shares the store, what is staged in it and the source sets —
-    /// including those built after the clone was made — and a loaded graph
-    /// starts with none of them.
+    /// A clone shares the store, what is staged in it, the source sets and
+    /// the push transposes — including those built after the clone was made
+    /// — and a loaded graph starts with none of them.
     #[test]
     fn clones_share_what_runs_derive_and_a_loaded_graph_starts_empty() {
         let (_, p) = partitioned(200);
@@ -657,8 +717,16 @@ mod tests {
         p.stage_tile(&disk, 3);
         assert_eq!(disk.meter().snapshot().write_ops, 1);
         assert!(Arc::ptr_eq(p.source_set(5), clone.source_set(5)));
+        assert_eq!(p.push_transposes_built(), 0);
+        let transpose = clone.push_transpose(&[1, 3]);
+        assert!(Arc::ptr_eq(&transpose, &p.push_transpose(&[1, 3])));
+        assert!(!Arc::ptr_eq(&transpose, &p.push_transpose(&[1])));
+        assert_eq!((p.push_transposes_built(), transpose.num_tiles()), (2, 2));
         let debug = format!("{p:?}");
-        assert!(debug.contains("staged_tiles: 1, source_sets: 1"), "{debug}");
+        assert!(
+            debug.contains("staged_tiles: 1, source_sets: 1, push_transposes: 2"),
+            "{debug}"
+        );
 
         let store = MemoryBackend::new();
         p.persist(&store).unwrap();
@@ -666,6 +734,8 @@ mod tests {
         assert!(!Arc::ptr_eq(p.tile_store(), loaded.tile_store()));
         assert!(loaded.tile_store().list("").is_empty());
         assert!(!Arc::ptr_eq(p.source_set(5), loaded.source_set(5)));
+        assert_eq!(loaded.push_transposes_built(), 0);
+        assert!(!Arc::ptr_eq(&transpose, &loaded.push_transpose(&[1, 3])));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! Tiles are immutable once built, serialize to a compact binary blob for the
 //! tile store, and report the statistics the engine needs (edge count, memory
-//! size). A tile also keeps its out-edge transpose ([`PushIndex`]) once a
-//! push-capable run has built it; the blob does not carry it.
+//! size). A push superstep reads no tile: it reads the out-edge transpose
+//! of the server's tiles ([`crate::PushTranspose`]), which the partitioned
+//! graph keeps per server.
 //!
 //! The edge cache holds tiles in a second, *packed* form ([`Tile::to_packed`],
 //! `docs/WIRE.md` §12): per-target degrees as varints and each target's
@@ -36,10 +37,8 @@
 //! ([`Tile::packed_size`]) and writes each varint as one 8-byte store. The
 //! bytes are those of the per-byte codec the tests keep as their reference.
 
-use crate::transpose::PushIndex;
 use crate::{PartitionError, Result};
 use graphh_graph::ids::{TileId, VertexId};
-use std::sync::{Arc, OnceLock};
 
 /// Magic prefix of the tile binary format.
 const TILE_MAGIC: &[u8; 8] = b"GHTILE01";
@@ -56,13 +55,7 @@ const PACKED_MAGIC: &[u8; 8] = b"GHPACK01";
 const PACKED_HEADER_BYTES: usize = 8 + 4 + 4 + 4 + 1;
 
 /// A tile of in-edges in enhanced CSR form.
-///
-/// Equality, `Debug` and the bytes cover the edges only, not whether the
-/// transpose has been built; a clone shares the transpose built before it.
-/// `offsets` and `weights` are boxed slices (a tile never grows): that keeps
-/// the struct at the 88 bytes it had before it carried the transpose slot,
-/// so a loop that builds and drops partitions leaves the allocator as it did.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tile {
     /// Tile id.
     pub tile_id: TileId,
@@ -71,38 +64,11 @@ pub struct Tile {
     /// One past the last target vertex covered.
     pub target_end: VertexId,
     /// CSR offsets, length `target_end - target_start + 1`.
-    offsets: Box<[u64]>,
+    offsets: Vec<u64>,
     /// Source vertex ids grouped by target.
     sources: Vec<VertexId>,
     /// Edge weights; `None` for unweighted graphs.
-    weights: Option<Box<[f32]>>,
-    /// The out-edge transpose, once [`PushIndex::for_tiles`] has built it.
-    /// Empty costs no allocation, so decoding a tile allocates nothing for it.
-    pub(crate) push_index: OnceLock<Arc<PushIndex>>,
-}
-
-impl PartialEq for Tile {
-    fn eq(&self, other: &Self) -> bool {
-        self.tile_id == other.tile_id
-            && self.target_start == other.target_start
-            && self.target_end == other.target_end
-            && self.offsets == other.offsets
-            && self.sources == other.sources
-            && self.weights == other.weights
-    }
-}
-
-impl std::fmt::Debug for Tile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tile")
-            .field("tile_id", &self.tile_id)
-            .field("target_start", &self.target_start)
-            .field("target_end", &self.target_end)
-            .field("offsets", &self.offsets)
-            .field("sources", &self.sources)
-            .field("weights", &self.weights)
-            .finish()
-    }
+    weights: Option<Vec<f32>>,
 }
 
 impl Tile {
@@ -133,10 +99,9 @@ impl Tile {
             tile_id,
             target_start,
             target_end: target_start + in_edges.len() as VertexId,
-            offsets: offsets.into_boxed_slice(),
+            offsets,
             sources,
-            weights: weights.map(Vec::into_boxed_slice),
-            push_index: OnceLock::new(),
+            weights,
         }
     }
 
@@ -187,10 +152,9 @@ impl Tile {
             tile_id,
             target_start,
             target_end,
-            offsets: offsets.into_boxed_slice(),
+            offsets,
             sources,
-            weights: weights.map(Vec::into_boxed_slice),
-            push_index: OnceLock::new(),
+            weights,
         })
     }
 
@@ -258,15 +222,7 @@ impl Tile {
         self.weights.as_deref()
     }
 
-    /// The tile's out-edge transpose, if a push-capable run (or any caller of
-    /// [`PushIndex::for_tiles`]) has built it; a tile fresh from the SPE or
-    /// from [`Tile::from_bytes`] has none.
-    pub fn push_index(&self) -> Option<&Arc<PushIndex>> {
-        self.push_index.get()
-    }
-
-    /// In-memory footprint of the decoded tile in bytes (the edges; not the
-    /// transpose).
+    /// In-memory footprint of the decoded tile in bytes.
     pub fn memory_bytes(&self) -> u64 {
         self.offsets.len() as u64 * 8
             + self.sources.len() as u64 * 4
@@ -1639,9 +1595,12 @@ mod tests {
         }
     }
 
+    /// The struct keeps its 88 bytes: at 80 and at 104 a loop that builds
+    /// and drops partitions left the allocator in another state, which moved
+    /// the benchmark's set-up time.
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn the_transpose_slot_does_not_grow_the_tile() {
+    fn a_tile_keeps_its_88_bytes() {
         assert_eq!(std::mem::size_of::<Tile>(), 88);
     }
 

@@ -1911,12 +1911,12 @@ fn peak_memory_is_pinned() {
         [10003, 10701, 9798, 10262],
     ];
     const BFS_AUTO: [[u64; 4]; 6] = [
-        [9788, 10148, 8716, 9188],
-        [10094, 10886, 8860, 9296],
-        [11603, 12739, 10227, 10414],
-        [12843, 14539, 11375, 12014],
-        [12843, 14539, 11375, 12014],
-        [12843, 14539, 11375, 12014],
+        [8728, 9220, 8152, 8360],
+        [8856, 9284, 8216, 8360],
+        [10671, 11875, 9727, 10018],
+        [11911, 13675, 10875, 11618],
+        [11911, 13675, 10875, 11618],
+        [11911, 13675, 10875, 11618],
     ];
     let (dir, pdir, _, _) = workload_graphs(SEEDS[0]);
     let base = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS))

@@ -105,29 +105,32 @@ fn tiles_survive_a_real_disk_roundtrip() {
     assert_eq!(bits(&from_memory.values), bits(&from_disk.values));
 }
 
-/// A tile's push transpose is built by the first push-capable run over its
-/// partitioned graph and read by every later one. Pull-only runs build none;
-/// every later run of every program with a push side, on either executor,
-/// and every clone of the graph, shares the first run's; the tile's bytes do
-/// not carry it. Reuse changes nothing: the values, the superstep count and
-/// the wire bytes are those of a run over a freshly partitioned copy.
+/// A server's push transpose — the out-edges of all its tiles — is built by
+/// the first push-capable run over its partitioned graph and read by every
+/// later one. Pull-only runs build none; the first push-capable run builds
+/// one per server tile list; every later run of every program with a push
+/// side, on either executor, and every clone of the graph, shares it; a tile
+/// still round-trips through its bytes. Reuse changes nothing: the values,
+/// the superstep count and the wire bytes are those of a run over a freshly
+/// partitioned copy.
 #[test]
 fn push_transposes_are_built_once_per_partitioned_graph() {
     use graphh::core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
-    use graphh::partition::PushIndex;
+    use graphh::partition::{PushTranspose, TileAssignment};
     use std::sync::Arc;
 
+    const SERVERS: u32 = 3;
     let graph = pipeline_graph();
     let partition =
         || Spe::partition(&graph, &SpeConfig::with_tile_count("reuse", &graph, 12)).unwrap();
     let partitioned = partition();
-    let built = |tiles: &[Tile]| -> Vec<Option<Arc<PushIndex>>> {
-        tiles
-            .iter()
-            .map(|tile| tile.push_index().cloned())
-            .collect()
+    let assignment = TileAssignment::round_robin(partitioned.num_tiles(), SERVERS);
+    // Asks for what is built already; only ever called once all are.
+    let transposes = |graph: &PartitionedGraph| -> Vec<Arc<PushTranspose>> {
+        let lists = (0..SERVERS).map(|sid| assignment.tiles_of(sid));
+        lists.map(|tiles| graph.push_transpose(&tiles)).collect()
     };
-    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(3));
+    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS));
     let sequential =
         GraphHEngine::with_executor(config.clone(), Arc::new(SequentialExecutor::new()));
     let threaded = GraphHEngine::with_executor(config.clone(), Arc::new(ThreadedExecutor::new()));
@@ -135,7 +138,7 @@ fn push_transposes_are_built_once_per_partitioned_graph() {
 
     sequential.run(&partitioned, &PageRank::new(3)).unwrap();
     pulled.run(&partitioned, &Bfs::new(0)).unwrap();
-    assert!(built(&partitioned.tiles).iter().all(Option::is_none));
+    assert_eq!(partitioned.push_transposes_built(), 0);
 
     let mut first_built = None;
     let mut pushers = 0;
@@ -151,11 +154,15 @@ fn push_transposes_are_built_once_per_partitioned_graph() {
         }
         pushers += 1;
         let first = sequential.run(&partitioned, program.as_ref()).unwrap();
-        let after_first = built(&partitioned.tiles);
-        assert!(after_first.iter().all(Option::is_some), "{}", spec.name);
+        assert_eq!(
+            partitioned.push_transposes_built(),
+            SERVERS as usize,
+            "{}",
+            spec.name
+        );
         let second = threaded.run(&partitioned, program.as_ref()).unwrap();
         let fresh_graph = partition();
-        assert!(built(&fresh_graph.tiles).iter().all(Option::is_none));
+        assert_eq!(fresh_graph.push_transposes_built(), 0);
         let fresh = sequential.run(&fresh_graph, program.as_ref()).unwrap();
         for (what, run) in [("threaded rerun", &second), ("fresh partition", &fresh)] {
             let context = format!("{} {what}", spec.name);
@@ -170,17 +177,16 @@ fn push_transposes_are_built_once_per_partitioned_graph() {
 
         // Every run since the first push-capable one reads the same
         // transposes, and so does a clone of the graph.
-        let first_built = first_built.get_or_insert(after_first);
+        let first_built = first_built.get_or_insert_with(|| transposes(&partitioned));
         let clone = partitioned.clone();
-        for tiles in [&partitioned.tiles, &clone.tiles] {
-            for (now, then) in built(tiles).iter().zip(first_built.iter()) {
-                assert!(Arc::ptr_eq(now.as_ref().unwrap(), then.as_ref().unwrap()));
+        for graph in [&partitioned, &clone] {
+            for (now, then) in transposes(graph).iter().zip(first_built.iter()) {
+                assert!(Arc::ptr_eq(now, then), "{}", spec.name);
             }
         }
+        assert_eq!(clone.push_transposes_built(), SERVERS as usize);
         for tile in &partitioned.tiles {
-            let decoded = Tile::from_bytes(&tile.to_bytes()).unwrap();
-            assert!(decoded.push_index().is_none());
-            assert_eq!(&decoded, tile);
+            assert_eq!(&Tile::from_bytes(&tile.to_bytes()).unwrap(), tile);
         }
     }
     assert!(pushers >= 3, "{pushers} programs with a push side");
@@ -360,3 +366,89 @@ PowerGraph sssp 9: 4 [9445 0 0 0 0 48480 48480 576 3096 8080 0 0 0 0 1277928] 0x
 PowerLyra sssp 9: 4 [9445 0 0 0 0 35964 35964 576 3096 5994 0 0 0 0 1336932] 0x3f7a3bebfad189c3\n\
 GraphD sssp 9: 4 [5843 82792 36 36048 36 17064 17064 164 3096 3004 0 0 0 0 147456] 0x3fb1207137bc1754\n\
 Chaos sssp 9: 4 [20727 265239 432 134163 288 399420 399420 576 3096 8433 0 0 0 0 180216] 0x3fe4b1008bfb24f1\n";
+
+/// The integer counters of a run, summed over its supersteps (the peak is
+/// the most held): edges processed, disk read bytes and ops, disk write
+/// bytes and ops, network bytes sent and received, network messages,
+/// vertices updated, messages produced, cache hits and misses, tiles
+/// skipped and processed, peak memory.
+fn integer_counters(run: &RunResult) -> Vec<[u64; 15]> {
+    let servers = run.metrics.supersteps[0].servers.len();
+    (0..servers)
+        .map(|sid| {
+            let mut total = graphh::cluster::ServerMetrics::default();
+            for superstep in &run.metrics.supersteps {
+                total.merge(&superstep.servers[sid]);
+            }
+            [
+                total.edges_processed,
+                total.disk_read_bytes,
+                total.disk_read_ops,
+                total.disk_write_bytes,
+                total.disk_write_ops,
+                total.network_sent_bytes,
+                total.network_received_bytes,
+                total.network_messages,
+                total.vertices_updated,
+                total.messages_produced,
+                total.cache_hits,
+                total.cache_misses,
+                total.tiles_skipped,
+                total.tiles_processed,
+                total.peak_memory_bytes,
+            ]
+        })
+        .collect()
+}
+
+/// A one-server run has no peer to send to: it ships nothing and so encodes
+/// nothing. What it computes is pinned — every integer counter, summed over
+/// the run, and the values, which are the references' bit for bit — for
+/// PageRank and for a BFS that pushes and pulls, on both executors. The
+/// counters are those the engine gave while it still encoded every message,
+/// but for BFS's peak memory, which fell (75 252 → 63 996 bytes) when the
+/// per-tile push transposes became one per server.
+#[test]
+fn a_single_server_run_is_pinned() {
+    use std::sync::Arc;
+
+    let graph = pipeline_graph();
+    let partitioned =
+        Spe::partition(&graph, &SpeConfig::with_tile_count("alone", &graph, 12)).unwrap();
+    let source = (0..graph.num_vertices() as u32)
+        .find(|&v| graph.out_degree(v) == 1)
+        .unwrap();
+    let config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(1));
+    let pagerank = PageRank::new(8);
+    let bfs = Bfs::new(source);
+    let runs: [(&dyn GabProgram, Vec<f64>, [u64; 15]); 2] = [
+        (
+            &pagerank,
+            reference::pagerank(&graph, 8),
+            [
+                24576, 16828, 12, 0, 0, 0, 0, 0, 2927, 2927, 84, 12, 0, 96, 50428,
+            ],
+        ),
+        (
+            &bfs,
+            reference::bfs(&graph, source),
+            [
+                2578, 16828, 12, 0, 0, 0, 0, 0, 344, 344, 24, 12, 22, 50, 63996,
+            ],
+        ),
+    ];
+    for (program, expected, pinned) in &runs {
+        let executors: [Arc<dyn Executor>; 2] = [
+            Arc::new(SequentialExecutor::new()),
+            Arc::new(ThreadedExecutor::new()),
+        ];
+        for executor in executors {
+            let context = format!("{} {}", program.name(), executor.name());
+            let run = GraphHEngine::with_executor(config.clone(), executor)
+                .run(&partitioned, *program)
+                .unwrap();
+            assert_eq!(bits(&run.values), bits(expected), "{context}");
+            assert_eq!(integer_counters(&run), [*pinned], "{context}");
+        }
+    }
+}
