@@ -2,25 +2,28 @@
 //! standard analytics GraphH supports (WCC, BFS, degree centrality, label
 //! propagation), all expressed in the GAB model (Algorithms 6 and 7 of the paper).
 //!
-//! The monotone min-combine programs (SSSP, WCC, BFS) also implement the *push*
-//! side of the model ([`GabProgram::scatter`] / [`GabProgram::combine`]): their
-//! gather is a minimum over in-neighbour contributions, which is exact and
-//! order-insensitive in `f64`, so pull and push supersteps produce bit-identical
-//! values (see `docs/ALGORITHMS.md`) — and the engine picks the direction of
-//! every superstep of theirs from the replicated frontier. None of them says
-//! anything about direction beyond `supports_push`.
+//! Every program but label propagation declares its gather as a [`Fold`] and
+//! writes no edge loop: PageRank and degree centrality sum, in CSR order;
+//! SSSP, WCC and BFS take a minimum, which is exact and order-insensitive in
+//! `f64` — so the engine may also push them, and picks the direction of
+//! every superstep of theirs from the replicated frontier (see
+//! `docs/ALGORITHMS.md`). None of them says anything about direction: push
+//! is derived from the min.
 
-use crate::gab::{Edges, GabProgram, InitContext, VertexContext};
+use crate::gab::{
+    Contribution, Edges, Fold, GabProgram, InitContext, Operand, Reduce, VertexContext,
+};
 use graphh_graph::ids::VertexId;
 
 /// PageRank with damping factor 0.85 (Algorithm 6).
 ///
-/// `gather` sums `value(u) / out_degree(u)` over in-neighbours `u`; `apply` applies
-/// the damping. The quotients are divided once per vertex per superstep, in
-/// [`GabProgram::prepare`], not once per edge: the same division of the same
-/// operands, summed in the same order, so the same bits. The program runs for a
-/// fixed number of supersteps (the paper runs 21 and reports the mean of the last
-/// 20) or until no rank moves by more than the tolerance.
+/// The fold sums `value(u) / out_degree(u)` over in-neighbours `u`; `apply`
+/// applies the damping. The quotients are divided once per vertex per
+/// superstep, in [`GabProgram::prepare`], not once per edge: the same
+/// division of the same operands, summed in the same order, so the same bits.
+/// The program runs for a fixed number of supersteps (the paper runs 21 and
+/// reports the mean of the last 20) or until no rank moves by more than the
+/// tolerance.
 #[derive(Debug, Clone)]
 pub struct PageRank {
     /// Damping factor (0.85 in the paper).
@@ -74,17 +77,12 @@ impl GabProgram for PageRank {
         }));
     }
 
-    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
-        debug_assert_eq!(
-            ctx.prepared.len(),
-            ctx.values.len(),
-            "PageRank needs its prepare hook; forward GabProgram::prepare"
-        );
-        let mut accum = 0.0;
-        for (src, _w) in in_edges {
-            accum += ctx.prepared[src as usize];
-        }
-        accum
+    fn fold(&self) -> Option<Fold> {
+        Some(Fold {
+            from: Operand::Prepared,
+            edge: Contribution::Value,
+            reduce: Reduce::Sum,
+        })
     }
 
     fn apply(&self, _target: VertexId, accum: f64, _current: f64, ctx: &VertexContext<'_>) -> f64 {
@@ -128,15 +126,12 @@ impl GabProgram for Sssp {
         }
     }
 
-    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
-        let mut best = f64::INFINITY;
-        for (src, w) in in_edges {
-            let candidate = ctx.values[src as usize] + f64::from(w);
-            if candidate < best {
-                best = candidate;
-            }
-        }
-        best
+    fn fold(&self) -> Option<Fold> {
+        Some(Fold {
+            from: Operand::Values,
+            edge: Contribution::ValuePlusWeight,
+            reduce: Reduce::Min,
+        })
     }
 
     fn apply(&self, _target: VertexId, accum: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
@@ -151,22 +146,6 @@ impl GabProgram for Sssp {
         // Only the source moved at initialisation; everything else is reached through
         // the update propagation.
         Some(vec![self.source])
-    }
-
-    fn supports_push(&self) -> bool {
-        true
-    }
-
-    fn scatter(
-        &self,
-        _source: VertexId,
-        value: f64,
-        out_edges: &mut Edges<'_>,
-        emit: &mut dyn FnMut(VertexId, f64),
-    ) {
-        for (target, w) in out_edges {
-            emit(target, value + f64::from(w));
-        }
     }
 }
 
@@ -195,12 +174,12 @@ impl GabProgram for Wcc {
         f64::from(v)
     }
 
-    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
-        let mut best = f64::INFINITY;
-        for (src, _) in in_edges {
-            best = best.min(ctx.values[src as usize]);
-        }
-        best
+    fn fold(&self) -> Option<Fold> {
+        Some(Fold {
+            from: Operand::Values,
+            edge: Contribution::Value,
+            reduce: Reduce::Min,
+        })
     }
 
     fn apply(&self, _target: VertexId, accum: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
@@ -210,22 +189,6 @@ impl GabProgram for Wcc {
     fn is_update(&self, old: f64, new: f64) -> bool {
         new < old
     }
-
-    fn supports_push(&self) -> bool {
-        true
-    }
-
-    fn scatter(
-        &self,
-        _source: VertexId,
-        value: f64,
-        out_edges: &mut Edges<'_>,
-        emit: &mut dyn FnMut(VertexId, f64),
-    ) {
-        for (target, _w) in out_edges {
-            emit(target, value);
-        }
-    }
 }
 
 /// Breadth-first search levels from a source vertex; unreachable vertices stay at
@@ -234,9 +197,9 @@ impl GabProgram for Wcc {
 /// This is direction-optimizing BFS (Beamer et al., SC'12): the engine pushes
 /// from the source and through the sparse head and tail of the traversal, and
 /// pulls — skipping every vertex whose level [`GabProgram::is_final`], and
-/// stopping each other vertex's gather at its first visited in-neighbour —
+/// stopping each other vertex's fold at its first visited in-neighbour —
 /// through the dense middle. The levels are the same either way. The engine's
-/// `edges_processed` counts the in-edges offered to a gather, not the ones it
+/// `edges_processed` counts the in-edges offered to a fold, not the ones it
 /// read before it stopped.
 #[derive(Debug, Clone)]
 pub struct Bfs {
@@ -267,14 +230,15 @@ impl GabProgram for Bfs {
     /// The first visited in-neighbour's level plus one, `+∞` if there is
     /// none: Beamer's bottom-up step, which stops at the first parent. In a
     /// synchronous BFS every visited in-neighbour of an unsettled target is
-    /// at the previous level, so the first one is the `min` over all of
-    /// them; a settled target may see a larger answer, which `apply`'s `min`
-    /// with its level discards.
-    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
-        in_edges
-            .map(|(src, _)| ctx.values[src as usize])
-            .find(|level| level.is_finite())
-            .map_or(f64::INFINITY, |level| level + 1.0)
+    /// at the previous level, so the first one is the `min` over all of them;
+    /// a settled target may see a larger answer, which `apply`'s `min` with
+    /// its level discards.
+    fn fold(&self) -> Option<Fold> {
+        Some(Fold {
+            from: Operand::Values,
+            edge: Contribution::ValuePlusOne,
+            reduce: Reduce::FirstFinite,
+        })
     }
 
     fn apply(&self, _target: VertexId, accum: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
@@ -293,22 +257,6 @@ impl GabProgram for Bfs {
         // Synchronous BFS assigns the hop distance on first discovery.
         value.is_finite()
     }
-
-    fn supports_push(&self) -> bool {
-        true
-    }
-
-    fn scatter(
-        &self,
-        _source: VertexId,
-        value: f64,
-        out_edges: &mut Edges<'_>,
-        emit: &mut dyn FnMut(VertexId, f64),
-    ) {
-        for (target, _w) in out_edges {
-            emit(target, value + 1.0);
-        }
-    }
 }
 
 /// The name [`Bfs`] had while direction switching was a second program. Kept
@@ -320,9 +268,9 @@ pub type DirectionOptimizingBfs = Bfs;
 /// its in-neighbours, ties broken by the smallest label.
 ///
 /// The mode computation needs *all* of a vertex's in-neighbour labels at once
-/// (a histogram is not a binary combine), so the program is pull-only: it
-/// keeps the default [`GabProgram::supports_push`], and a force-push run is
-/// rejected at plan time. Synchronous LPA can oscillate on bipartite
+/// (a histogram is not a fold), so the program keeps a custom
+/// [`GabProgram::gather`] and declares no [`Fold`]: it is pull-only, and a
+/// force-push run is rejected at plan time. Synchronous LPA can oscillate on bipartite
 /// structures, so the round count is capped (default 20).
 #[derive(Debug, Clone)]
 pub struct LabelPropagation {
@@ -418,8 +366,12 @@ impl GabProgram for DegreeCentrality {
         0.0
     }
 
-    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, _ctx: &VertexContext<'_>) -> f64 {
-        in_edges.map(|(_, w)| f64::from(w)).sum()
+    fn fold(&self) -> Option<Fold> {
+        Some(Fold {
+            from: Operand::Values,
+            edge: Contribution::Weight,
+            reduce: Reduce::Sum,
+        })
     }
 
     fn apply(&self, _target: VertexId, accum: f64, _current: f64, _ctx: &VertexContext<'_>) -> f64 {
@@ -577,35 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn min_programs_scatter_what_gather_would_see() {
-        // For every min-combine kernel, scatter(source→target) must emit
-        // exactly the contribution gather(target) derives from that source —
-        // this is the per-edge identity the push/pull bit-equality rests on.
-        let values = vec![3.0, f64::INFINITY];
-        let out = vec![1, 0];
-        let ind = vec![0, 1];
-        let c = ctx(&values, &out, &ind);
-
-        let cases: Vec<(Box<dyn GabProgram>, f32)> = vec![
-            (Box::new(Sssp::new(0)), 2.5),
-            (Box::new(Wcc::new()), 1.0),
-            (Box::new(Bfs::new(0)), 7.0),
-        ];
-        for (program, weight) in cases {
-            assert!(program.supports_push(), "{}", program.name());
-            let mut pushed = Vec::new();
-            let weights = [weight];
-            let mut edges = Edges::new(&[1], Some(&weights));
-            program.scatter(0, values[0], &mut edges, &mut |t, contribution| {
-                pushed.push((t, contribution))
-            });
-            let mut in_edges = Edges::new(&[0], Some(&weights));
-            let gathered = program.gather(1, &mut in_edges, &c);
-            assert_eq!(pushed, vec![(1u32, gathered)], "{}", program.name());
-        }
-    }
-
-    #[test]
     fn label_propagation_takes_the_mode_with_min_tie_break() {
         let lp = LabelPropagation::new();
         assert_eq!(lp.max_supersteps(), 20);
@@ -623,7 +546,7 @@ mod tests {
         let mut edges = Edges::new(&[], None);
         let sentinel = lp.gather(4, &mut edges, &c);
         assert_eq!(lp.apply(4, sentinel, 9.0, &c), 9.0);
-        assert!(!lp.supports_push());
+        assert_eq!(lp.fold(), None);
     }
 
     #[test]

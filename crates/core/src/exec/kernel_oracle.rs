@@ -5,12 +5,15 @@
 //!
 //! The references below are the old engine loops: per target (per edge, for
 //! push) through `&mut dyn Iterator` over [`Tile::in_edges`], with `apply` and
-//! `is_update` called through the `&dyn GabProgram`, one tile at a time. They
-//! share nothing with the kernels — not `Tile::offsets`, not the server's
-//! `PushTranspose` or its accumulator — so agreeing on updates, their order,
-//! the edge count and the tile counts means the slicing, the slot map and
-//! the cut into per-tile runs are right, for every registry program,
-//! weighted or not, `run_everything` or not.
+//! `is_update` called through the `&dyn GabProgram`, one tile at a time,
+//! running the gathers and scatters the programs wrote by hand before they
+//! declared folds ([`old_gather`], [`old_scatter`]). They share nothing with
+//! the kernels — not `Tile::offsets`, not the declared
+//! [`Fold`](crate::gab::Fold), not the server's `PushTranspose` or its
+//! accumulator — so agreeing on updates, their order, the edge count and the
+//! tile counts means the folds, the slicing, the slot map and the cut into
+//! per-tile runs are right, for every registry program, weighted or not,
+//! `run_everything` or not.
 //!
 //! The reference pull loop also knows nothing of [`GabProgram::is_final`]: it
 //! gathers every target, so agreeing on the updates is the check that a
@@ -82,6 +85,85 @@ fn partitioned(weighted: bool) -> PartitionedGraph {
     PartitionedGraph::load(&store, "oracle").unwrap()
 }
 
+/// The gathers PageRank, SSSP, WCC, BFS and degree centrality wrote before
+/// they declared folds, by program name; `None` for a program that kept its
+/// own gather (label propagation).
+fn old_gather(program: &str, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> Option<f64> {
+    Some(match program {
+        "pagerank" => {
+            let mut accum = 0.0;
+            for (src, _w) in in_edges {
+                accum += ctx.prepared[src as usize];
+            }
+            accum
+        }
+        "sssp" => {
+            let mut best = f64::INFINITY;
+            for (src, w) in in_edges {
+                let candidate = ctx.values[src as usize] + f64::from(w);
+                if candidate < best {
+                    best = candidate;
+                }
+            }
+            best
+        }
+        "wcc" => {
+            let mut best = f64::INFINITY;
+            for (src, _) in in_edges {
+                best = best.min(ctx.values[src as usize]);
+            }
+            best
+        }
+        "bfs" => in_edges
+            .map(|(src, _)| ctx.values[src as usize])
+            .find(|level| level.is_finite())
+            .map_or(f64::INFINITY, |level| level + 1.0),
+        "degree-centrality" => in_edges.map(|(_, w)| f64::from(w)).sum(),
+        _ => return None,
+    })
+}
+
+/// The scatters SSSP, WCC and BFS wrote before push was derived from their
+/// min folds, by program name; `false`, emitting nothing, for a program that
+/// had none. What they emitted was folded with `f64::min`.
+fn old_scatter(
+    program: &str,
+    value: f64,
+    out_edges: &mut Edges<'_>,
+    emit: &mut dyn FnMut(VertexId, f64),
+) -> bool {
+    match program {
+        "sssp" => {
+            for (target, w) in out_edges {
+                emit(target, value + f64::from(w));
+            }
+        }
+        "wcc" => {
+            for (target, _w) in out_edges {
+                emit(target, value);
+            }
+        }
+        "bfs" => {
+            for (target, _w) in out_edges {
+                emit(target, value + 1.0);
+            }
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// A program's old gather, or its own for a program that kept one.
+fn reference_gather(
+    program: &dyn GabProgram,
+    target: VertexId,
+    in_edges: &mut Edges<'_>,
+    ctx: &VertexContext<'_>,
+) -> f64 {
+    old_gather(program.name(), in_edges, ctx)
+        .unwrap_or_else(|| program.gather(target, in_edges, ctx))
+}
+
 /// The pull loop before the slice kernels.
 fn reference_gather_tile(
     program: &dyn GabProgram,
@@ -101,7 +183,12 @@ fn reference_gather_tile(
         // An unweighted tile reports unit weights; spelling them out checks
         // that `Edges` without weights means the same.
         let (sources, weights): (Vec<VertexId>, Vec<f32>) = in_edges.unzip();
-        let accum = program.gather(target, &mut Edges::new(&sources, Some(&weights)), ctx);
+        let accum = reference_gather(
+            program,
+            target,
+            &mut Edges::new(&sources, Some(&weights)),
+            ctx,
+        );
         let current = ctx.values[target as usize];
         let new = program.apply(target, accum, current, ctx);
         edges_processed += u64::from(in_degree);
@@ -145,10 +232,16 @@ fn reference_scatter_tile(
             Some(std::slice::from_ref(&weight)),
         );
         let value = ctx.values[source as usize];
-        program.scatter(source, value, &mut out_edge, &mut |t, contribution| {
-            let slot = &mut acc[(t - tile.target_start) as usize];
-            *slot = Some(slot.map_or(contribution, |a| program.combine(a, contribution)));
-        });
+        let scattered = old_scatter(
+            program.name(),
+            value,
+            &mut out_edge,
+            &mut |t, contribution| {
+                let slot = &mut acc[(t - tile.target_start) as usize];
+                *slot = Some(slot.map_or(contribution, |a| a.min(contribution)));
+            },
+        );
+        assert!(scattered, "{} had no scatter", program.name());
     }
     let mut updates = Vec::new();
     for (target, accum) in tile.targets().zip(acc) {
@@ -265,6 +358,100 @@ fn gather_tile_is_the_old_per_target_loop_bit_for_bit() {
     assert!(
         final_edges > 50,
         "the BFS rounds must settle targets to skip"
+    );
+}
+
+/// Every registry program's declared fold is the gather and the scatter it
+/// replaced, bit for bit, on every target of every tile of every round,
+/// weighted and unweighted, through the tile's own slices:
+///
+/// * pull — the fold's accumulator is the old gather's, and so is the update
+///   `apply` and `is_update` make of it. The one difference is the sign of
+///   an empty sum: the fold's `Sum` starts at `+0.0`, PageRank's old loop
+///   did too, and degree centrality's `Iterator::sum` started at `-0.0`.
+///   Over no in-edge degree centrality now gathers `+0.0`, which `apply`
+///   keeps and `is_update` does not count against the initial `0.0` — the
+///   same update (none) and the same value;
+/// * push — for a min fold, every in-edge pushed alone contributes what the
+///   old scatter emitted for it, and the contributions folded in reverse
+///   are the pull fold's answer for every target the pull loop runs. A
+///   program with no min fold had no scatter, and one without a fold had a
+///   gather of its own.
+///
+/// The tiles hold zero-in-degree targets, the hub, single-edge targets and a
+/// duplicated weighted `(source, target)` pair; each must be compared.
+#[test]
+fn declared_folds_are_the_old_gathers_and_scatters_bit_for_bit() {
+    let (mut empty, mut single, mut hub, mut duplicate, mut pushed) = (0, 0, 0, 0, 0);
+    for_every_program_and_round(|program, tiles, _frontier, ctx| {
+        let name = program.name();
+        let Some(fold) = program.fold() else {
+            let mut nothing = Edges::new(&[], None);
+            assert_eq!(old_gather(name, &mut nothing, ctx), None, "{name}");
+            return;
+        };
+        let had_scatter = old_scatter(name, 0.0, &mut Edges::new(&[], None), &mut |_, _| {});
+        assert_eq!(had_scatter, fold.pushes(), "{name}");
+        for tile in tiles {
+            let spans = tile.offsets().windows(2);
+            for (target, span) in tile.targets().zip(spans) {
+                let (lo, hi) = (span[0] as usize, span[1] as usize);
+                let sources = &tile.sources()[lo..hi];
+                let weights = tile.weights().map(|w| &w[lo..hi]);
+                let edges = || Edges::new(sources, weights);
+                let got = fold.gather(&mut edges(), ctx);
+                let want = old_gather(name, &mut edges(), ctx).expect("a hand-written gather");
+                let context = format!(
+                    "{name} tile {} target {target} superstep {}",
+                    tile.tile_id, ctx.superstep
+                );
+                if sources.is_empty() && want == 0.0 {
+                    assert_eq!(got.to_bits(), 0.0f64.to_bits(), "{context}");
+                } else {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{context}");
+                }
+                let current = ctx.values[target as usize];
+                let update = |accum| {
+                    let new = program.apply(target, accum, current, ctx);
+                    program.is_update(current, new).then_some(new.to_bits())
+                };
+                assert_eq!(update(got), update(want), "{context}");
+
+                match sources.len() {
+                    0 => empty += 1,
+                    1 => single += 1,
+                    _ if target == 1 => hub += 1,
+                    _ => {}
+                }
+                duplicate += usize::from(target == 2 && tile.is_weighted());
+                if !fold.pushes() {
+                    continue;
+                }
+                let x = fold.operands(ctx);
+                let mut least = f64::INFINITY;
+                let in_edges: Vec<(VertexId, f32)> = edges().collect();
+                for &(source, w) in in_edges.iter().rev() {
+                    let mut emitted = Vec::new();
+                    let alone = std::slice::from_ref(&target);
+                    let mut alone = Edges::new(alone, Some(std::slice::from_ref(&w)));
+                    old_scatter(name, x[source as usize], &mut alone, &mut |t, c| {
+                        emitted.push((t, c.to_bits()))
+                    });
+                    let contribution = fold.edge.of(x[source as usize], w);
+                    assert_eq!(emitted, [(target, contribution.to_bits())], "{context}");
+                    least = least.min(contribution);
+                    pushed += 1;
+                }
+                if !program.is_final(current) {
+                    assert_eq!(least.to_bits(), got.to_bits(), "{context}");
+                }
+            }
+        }
+    });
+    assert!(
+        empty > 50 && single > 20 && hub > 20 && duplicate > 10 && pushed > 300,
+        "{empty} empty, {single} single-edge, {hub} hub and {duplicate} duplicate-pair \
+         targets, {pushed} edges pushed"
     );
 }
 

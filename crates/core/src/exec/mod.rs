@@ -139,9 +139,9 @@ pub struct ExecutionPlan {
     pub total_out_edges: u64,
     /// The run's direction override (from the config).
     pub direction_mode: DirectionMode,
-    /// Whether this run can ever take the push path: the program has a push
-    /// side *and* the override does not pin pull. Servers only build push
-    /// indexes when this is set.
+    /// Whether this run can ever take the push path: the program's gather
+    /// is a min fold *and* the override does not pin pull. Servers only
+    /// build push indexes when this is set.
     pub push_capable: bool,
     /// The program's validated [`GabProgram::initial_frontier`]: `None` when
     /// every vertex changed at initialisation (superstep 0 runs everything).
@@ -197,9 +197,12 @@ impl ExecutionPlan {
             }
         }
         if config.direction_mode == DirectionMode::ForcePush && !program.supports_push() {
+            let why = match program.fold() {
+                Some(_) => "its gather is an ordered sum, which a push would reorder",
+                None => "it has a custom gather, not a min fold",
+            };
             return Err(EngineError::BadInput(format!(
-                "direction: force-push requested but program {:?} is pull-only \
-                 (it implements no scatter/combine side)",
+                "direction: force-push requested but program {:?} is pull-only ({why})",
                 program.name()
             )));
         }
@@ -268,8 +271,8 @@ impl ExecutionPlan {
     }
 
     /// The direction the next superstep runs: the override if one is set
-    /// (`prepare` rejected force-push without a push side), else Beamer's
-    /// rule for a push-capable program and pull for every other.
+    /// (`prepare` rejected force-push on a program that cannot push), else
+    /// Beamer's rule for a push-capable program and pull for every other.
     ///
     /// Deterministic by construction: a pure function of the plan and the
     /// replicated stats, so sequential, threaded and multi-process runs pick
@@ -289,8 +292,8 @@ impl ExecutionPlan {
     /// direction — computed **once per superstep per executor** and handed
     /// to every server's [`ServerState::run_tile_phase`].
     ///
-    /// `_program` is unused — the plan already knows whether the program has
-    /// a push side; the parameter stays only because `benchmark/` passes it
+    /// `_program` is unused — the plan already knows whether the program can
+    /// push; the parameter stays only because `benchmark/` passes it
     /// and may not change.
     pub fn frontier_view<'a>(
         &self,
@@ -371,13 +374,13 @@ impl PushAccumulator {
         }
     }
 
-    /// Fold `contribution` into `slot`.
+    /// Fold `contribution` into `slot`'s minimum.
     #[inline]
-    fn add(&mut self, slot: u32, contribution: f64, program: &dyn GabProgram) {
+    fn add(&mut self, slot: u32, contribution: f64) {
         let at = &mut self.index[slot as usize];
         match self.touched.get_mut(*at as usize) {
             Some((owner, value)) if *owner == slot => {
-                *value = program.combine(*value, contribution);
+                *value = value.min(contribution);
             }
             _ => {
                 *at = self.touched.len() as u32;
@@ -397,15 +400,15 @@ impl PushAccumulator {
 ///
 /// 1. walk the frontier (ascending) once against the transpose's sources
 ///    (ascending), galloping to each frontier vertex;
-/// 2. let every frontier vertex found there scatter its out-edges, folding
-///    contributions per target slot with the program's `combine`;
+/// 2. fold the contribution of every out-edge of every frontier vertex
+///    found there into its target's slot — the program's declared
+///    [`Fold`](crate::gab::Fold), a min, so the order cannot change the bits;
 /// 3. sort the touched slots — tile order, then target order — cut them
 ///    into per-tile runs, apply each run's targets and emit one message per
 ///    tile with updates, in tile order, as the pull loop does.
 ///
-/// A tile no contribution reached is skipped; under the scatter contract
-/// (one emit per out-edge) those are the tiles no frontier vertex has an
-/// edge into. The cost is O(|F| log |S| + frontier out-edges + touched · log
+/// A tile no contribution reached is skipped: no frontier vertex has an
+/// edge into it. The cost is O(|F| log |S| + frontier out-edges + touched · log
 /// touched), nothing per tile but the cut. The accumulator is left empty.
 fn scatter_server(
     transpose: &PushTranspose,
@@ -414,6 +417,8 @@ fn scatter_server(
     active: &[VertexId],
     ctx: &VertexContext<'_>,
 ) -> TilePhaseOutput {
+    let fold = program.fold().expect("the plan pushes only a min fold");
+    let operands = fold.operands(ctx);
     let sources = transpose.sources();
     let mut metrics = ServerMetrics::default();
     let (mut si, mut tile) = (0usize, 0usize);
@@ -426,22 +431,12 @@ fn scatter_server(
         }
         let (targets, weights) = transpose.out_edges(si);
         metrics.edges_processed += targets.len() as u64;
-        let value = ctx.values[source as usize];
-        program.scatter(
-            source,
-            value,
-            &mut Edges::new(targets, weights),
-            &mut |target, contribution| {
-                let slot = transpose.slot_of(target, &mut tile).unwrap_or_else(|| {
-                    panic!(
-                        "program {:?} scattered from {source} to {target}, \
-                         which is not one of its out-edges",
-                        program.name()
-                    )
-                });
-                acc.add(slot, contribution, program);
-            },
-        );
+        let x = operands[source as usize];
+        for (target, w) in Edges::new(targets, weights) {
+            let slot = transpose.slot_of(target, &mut tile);
+            let slot = slot.expect("every target of a transpose has a slot");
+            acc.add(slot, fold.edge.of(x, w));
+        }
         si += 1;
     }
 
@@ -699,22 +694,23 @@ impl ServerState {
     }
 
     /// The compute phase of one superstep on this server, in the direction
-    /// the executor resolved for this superstep (`frontier.direction`):
+    /// the executor resolved for it (`frontier.direction`), after the
+    /// program [`GabProgram::prepare`]s its per-vertex array from the
+    /// replica:
     ///
-    /// * **pull** — let the program [`GabProgram::prepare`] its per-vertex
-    ///   array from the replica (once, before the fork), then walk the
-    ///   assigned tiles (skipping those no frontier vertex is a source of),
-    ///   gather/apply every target against the local replica,
+    /// * **pull** — walk the assigned tiles (skipping those no frontier
+    ///   vertex is a source of), gather/apply every target against the local
+    ///   replica,
     /// * **push** — sweep the sorted frontier once against the server's
-    ///   resident out-edge transpose ([`PushTranspose`]), scatter/combine
-    ///   into the server's accumulator, apply per tile, touching neither the
-    ///   edge cache nor the local disk.
+    ///   resident out-edge transpose ([`PushTranspose`]), fold every
+    ///   out-edge's contribution into the server's accumulator, apply per
+    ///   tile, touching neither the edge cache nor the local disk.
     ///
-    /// Both paths emit updates in ascending target order per tile and
-    /// messages in tile order, so for programs honouring the combine-order
-    /// contract the broadcast bytes are identical in either direction
-    /// (`docs/ALGORITHMS.md` has the proof sketch; the forced-push vs
-    /// forced-pull suites in `tests/determinism.rs` pin it).
+    /// Both run the program's one [`Fold`](crate::gab::Fold), only a min
+    /// pushes, and both emit updates in ascending target order per tile and
+    /// messages in tile order, so the broadcast bytes are identical in either
+    /// direction (`docs/ALGORITHMS.md`; the forced-push vs forced-pull suites
+    /// in `tests/determinism.rs` pin it).
     ///
     /// A pull superstep's tiles are processed by this server's
     /// **persistent** [`graphh_pool::WorkerPool`] (the paper's `T`
@@ -742,14 +738,24 @@ impl ServerState {
         frontier: &FrontierView<'_>,
         use_bloom: bool,
     ) -> Result<TilePhaseOutput> {
+        program.prepare(&self.values, &plan.out_degrees, &mut self.prepared);
+        let ctx = VertexContext {
+            values: &self.values,
+            out_degrees: &plan.out_degrees,
+            in_degrees: &plan.in_degrees,
+            num_vertices: plan.num_vertices,
+            superstep,
+            prepared: &self.prepared,
+        };
         if frontier.direction == Direction::Push {
-            let phase = self.push_phase(program, plan, superstep, frontier);
+            let (transpose, acc) = self.push.as_mut().expect("a push-capable plan");
+            let phase = scatter_server(transpose, acc, program, frontier.vertices, &ctx);
             self.peak_memory = self.peak_memory.max(self.held_bytes());
             return Ok(phase);
         }
         let threads = plan.threads_per_server as usize;
-        program.prepare(&self.values, &plan.out_degrees, &mut self.prepared);
-        let outcomes = self.pull_outcomes(program, plan, superstep, frontier, use_bloom);
+        let run_everything = plan.runs_everything(superstep);
+        let outcomes = self.pull_outcomes(program, run_everything, frontier, use_bloom, &ctx);
         let held_before_admissions = self.held_bytes();
 
         // Deterministic reduction, in tile order: fold metrics (fixing the
@@ -791,27 +797,17 @@ impl ServerState {
     fn pull_outcomes(
         &self,
         program: &dyn GabProgram,
-        plan: &ExecutionPlan,
-        superstep: u32,
+        run_everything: bool,
         frontier: &FrontierView<'_>,
         use_bloom: bool,
+        vertex_ctx: &VertexContext<'_>,
     ) -> Vec<Result<TileOutcome>> {
-        let run_everything = plan.runs_everything(superstep);
         // Skip the O(frontier)-per-tile probe outright when the frontier is
         // dense: nothing would be skipped, and the probe itself becomes the
         // hot loop. The rule reads the shared frontier stats, so it is
         // identical across executors and thread counts.
         let probe_sources = use_bloom && !run_everything && !frontier.is_dense();
         let previously_updated = frontier.vertices;
-
-        let vertex_ctx = VertexContext {
-            values: &self.values,
-            out_degrees: &plan.out_degrees,
-            in_degrees: &plan.in_degrees,
-            num_vertices: plan.num_vertices,
-            superstep,
-            prepared: &self.prepared,
-        };
         let tiles = &self.tiles;
         let cache = &self.cache;
         let disk = &self.disk;
@@ -865,7 +861,7 @@ impl ServerState {
             let TileUpdates {
                 updates: tile_updates,
                 edges_processed,
-            } = program.gather_tile(&tile, run_everything, &vertex_ctx);
+            } = program.gather_tile(&tile, run_everything, vertex_ctx);
             metrics.edges_processed += edges_processed;
             metrics.tiles_processed += 1;
             metrics.messages_produced += tile_updates.len() as u64;
@@ -879,37 +875,6 @@ impl ServerState {
                 tile_memory_bytes: tile.memory_bytes(),
             })
         })
-    }
-
-    /// The push path: [`scatter_server`] over the server's resident
-    /// [`PushTranspose`] into its accumulator, on the calling thread.
-    ///
-    /// The accumulation order is fixed — frontier sources ascending, each
-    /// source's targets ascending — and `combine` must be order-insensitive
-    /// anyway, so the result is the same for any thread count. The path
-    /// touches neither the edge cache nor the disk: the transpose is
-    /// resident, so a push superstep moves zero storage bytes and leaves the
-    /// edge cache untouched.
-    fn push_phase(
-        &mut self,
-        program: &dyn GabProgram,
-        plan: &ExecutionPlan,
-        superstep: u32,
-        frontier: &FrontierView<'_>,
-    ) -> TilePhaseOutput {
-        let (transpose, acc) = self
-            .push
-            .as_mut()
-            .expect("push direction resolved without a push transpose (plan not push-capable?)");
-        let vertex_ctx = VertexContext {
-            values: &self.values,
-            out_degrees: &plan.out_degrees,
-            in_degrees: &plan.in_degrees,
-            num_vertices: plan.num_vertices,
-            superstep,
-            prepared: &[],
-        };
-        scatter_server(transpose, acc, program, frontier.vertices, &vertex_ctx)
     }
 
     /// The barrier's apply half: fold `updates` (each vertex at most once, so
@@ -1379,8 +1344,8 @@ mod tests {
             Direction::Push
         );
 
-        // `supports_push` is all a program says: SSSP gets the same decisions
-        // as BFS, a pull-only program pulls whatever the frontier.
+        // A min fold is all a program says: SSSP gets the same decisions as
+        // BFS, a pull-only program pulls whatever the frontier.
         let sssp = Sssp::new(0);
         let plan_sssp = ExecutionPlan::prepare(&cfg, &p, &sssp).unwrap();
         assert_eq!(

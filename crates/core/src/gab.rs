@@ -2,8 +2,8 @@
 //!
 //! A GAB program updates a vertex with two user functions:
 //!
-//! * `gather` — walk the vertex's in-edges, reading the *source* vertices' current
-//!   values from the local replica array, and fold them into an accumulator,
+//! * `gather` — fold the vertex's in-edges, reading the *source* vertices'
+//!   current values from the local replica array, into an accumulator,
 //! * `apply` — combine the accumulator with the vertex's current value to produce the
 //!   new value.
 //!
@@ -12,45 +12,45 @@
 //! every algorithm in the paper (ranks, distances, component labels) and keeps the
 //! wire encoding uniform.
 //!
-//! Programs implement the per-vertex hooks; the tile loops are the engine's. A
-//! vertex's edges arrive as [`Edges`] — a slice of the tile's CSR, iterated with
-//! static dispatch — and the pull loop over a whole tile is the trait's one provided
-//! method, [`GabProgram::gather_tile`]: compiled once per program, so the hooks it
-//! calls inline, and reached through `&dyn GabProgram` once per tile.
+//! A program says *what* a vertex folds; the engine does the rest. Most
+//! programs declare their gather as a [`Fold`] ([`GabProgram::fold`]) and
+//! write no edge loop; a gather that is no fold (label propagation's mode)
+//! overrides [`GabProgram::gather`] instead. The tile loops are the engine's:
+//! a vertex's edges arrive as [`Edges`], a slice of the tile's CSR iterated
+//! with static dispatch, and the pull loop over a whole tile is the trait's
+//! one provided method, [`GabProgram::gather_tile`]: compiled once per
+//! program, so the fold and the hooks inline, and reached through
+//! `&dyn GabProgram` once per tile.
 //!
 //! Two optional hooks tell that loop what it may leave out, without changing
 //! a value: [`GabProgram::initial_frontier`] (a traversal starts from its
 //! source, not from every vertex) and [`GabProgram::is_final`] (a pull
 //! superstep skips targets whose value is settled — the bottom-up step of
-//! direction-optimizing BFS).
+//! direction-optimizing BFS). One more, [`GabProgram::prepare`], does
+//! per-vertex work once instead of once per edge: it fills a per-server
+//! buffer from the replica before each superstep, which a fold over
+//! [`Operand::Prepared`] reads (PageRank's quotients).
 //!
-//! One more lets a program do per-vertex work once instead of once per edge:
-//! [`GabProgram::prepare`] fills a per-server buffer from the replica before
-//! each pull superstep's tiles, and `gather` reads it as
-//! [`VertexContext::prepared`] (PageRank divides each rank by its out-degree
-//! there, and its gather only sums). It is a pure function of the replica, so
-//! it cannot change a value either.
+//! ## Direction
 //!
-//! ## Direction-aware programs
-//!
-//! Beyond the paper, a program may also provide a **push side**
-//! ([`GabProgram::scatter`] over out-edges with an order-insensitive
-//! [`GabProgram::combine`]). [`GabProgram::supports_push`] then means "either
-//! direction, the engine's call": every superstep the engine reads the
-//! globally-replicated [`FrontierStats`] and runs the pull (gather) or the
-//! push (scatter) tile loop ([`FrontierStats::beamer`]). Both loops produce
-//! bit-identical broadcasts for programs honouring the combine-order
-//! contract, so the choice can change no value; `docs/ALGORITHMS.md` spells
-//! out the exact rules.
+//! Beyond the paper, the engine may run a superstep as a **push**: every
+//! frontier vertex folds its out-edges' contributions into their targets.
+//! That gives the pull's bits exactly when the fold is a [`Reduce::Min`],
+//! which is exact and order-insensitive, so push is derived: a program can
+//! push exactly when its fold is a min (`<dyn GabProgram>::supports_push`),
+//! and both loops run the one fold. For such a program the engine picks the
+//! loop every superstep from the replicated [`FrontierStats`]
+//! ([`FrontierStats::beamer`]); the choice changes no value.
+//! `docs/ALGORITHMS.md` spells out the exact rules.
 
 use graphh_graph::ids::VertexId;
 use graphh_partition::Tile;
 
-/// One vertex's edges: the neighbour ids (in-edge sources for `gather`,
-/// out-edge targets for `scatter`) with their weights, as slices of the CSR
+/// One vertex's edges: the neighbour ids (in-edge sources for a gather,
+/// out-edge targets for a push) with their weights, as slices of the CSR
 /// they live in. Iterates as `(neighbour, weight)` in CSR order — every edge
-/// of an unweighted graph weighs 1 — so a hook's `for (src, w) in edges` is a
-/// loop over two slices, not a virtual call per edge.
+/// of an unweighted graph weighs 1 — so a fold's loop over them is a loop
+/// over two slices, not a virtual call per edge.
 #[derive(Debug, Clone)]
 pub struct Edges<'a> {
     neighbours: &'a [VertexId],
@@ -100,6 +100,104 @@ impl Iterator for Edges<'_> {
 
 impl ExactSizeIterator for Edges<'_> {}
 
+/// A gather declared as a fold: every in-edge contributes `edge.of(x, w)`,
+/// `x` its source's value in the `from` array and `w` its weight, and a
+/// target's contributions reduce by `reduce`. The engine runs it in both tile
+/// loops, and pushes exactly the folds that are a min ([`Fold::pushes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fold {
+    /// The array a source's value is read from.
+    pub from: Operand,
+    /// What one edge contributes.
+    pub edge: Contribution,
+    /// How a target's contributions reduce.
+    pub reduce: Reduce,
+}
+
+/// Where a [`Fold`] reads source values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
+    /// [`VertexContext::values`], the replica.
+    Values,
+    /// [`VertexContext::prepared`], what [`GabProgram::prepare`] made of it.
+    Prepared,
+}
+
+/// What an edge contributes from its source's value `x` and its weight `w`
+/// (1 on an unweighted graph).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Contribution {
+    /// `x`.
+    Value,
+    /// `x + w`.
+    ValuePlusWeight,
+    /// `x + 1`.
+    ValuePlusOne,
+    /// `w`.
+    Weight,
+}
+
+impl Contribution {
+    /// The contribution of an edge of weight `w` from a source holding `x`.
+    #[inline(always)]
+    pub fn of(self, x: f64, w: f32) -> f64 {
+        match self {
+            Contribution::Value => x,
+            Contribution::ValuePlusWeight => x + f64::from(w),
+            Contribution::ValuePlusOne => x + 1.0,
+            Contribution::Weight => f64::from(w),
+        }
+    }
+}
+
+/// How a [`Fold`] reduces a target's contributions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reduce {
+    /// `+0.0 + c₁ + c₂ + …` in CSR order, the float summation order: pull
+    /// only, since a push would add the terms in another order.
+    Sum,
+    /// `f64::min` from `+∞`: exact and order-insensitive, so a push that
+    /// folds each out-edge's contribution into its target gets the pull's
+    /// bits.
+    Min,
+    /// A min the pull loop cuts short: the first finite contribution, `+∞`
+    /// if none, the in-edges after it left unread. **Contract:** for every
+    /// target the pull loop runs (not [`GabProgram::is_final`]) it is the
+    /// least — BFS's bottom-up step, where every visited in-neighbour of an
+    /// unreached target is at the previous level. A push takes the min.
+    FirstFinite,
+}
+
+impl Fold {
+    /// Whether the engine may push this fold: exactly when it is a min.
+    pub fn pushes(self) -> bool {
+        matches!(self.reduce, Reduce::Min | Reduce::FirstFinite)
+    }
+
+    /// The array the fold reads source values from.
+    #[inline(always)]
+    pub fn operands<'a>(self, ctx: &VertexContext<'a>) -> &'a [f64] {
+        match self.from {
+            Operand::Values => ctx.values,
+            Operand::Prepared => ctx.prepared,
+        }
+    }
+
+    /// Fold one target's in-edges, as the pull loop does.
+    #[inline(always)]
+    pub fn gather(self, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
+        let operands = self.operands(ctx);
+        let mut contributions = in_edges.map(|(src, w)| self.edge.of(operands[src as usize], w));
+        match self.reduce {
+            Reduce::Sum => contributions.fold(0.0, |sum, c| sum + c),
+            Reduce::Min => contributions.fold(f64::INFINITY, f64::min),
+            Reduce::FirstFinite => contributions
+                .find(|c| c.is_finite())
+                .unwrap_or(f64::INFINITY),
+        }
+    }
+}
+
 /// What [`GabProgram::gather_tile`] produces for one tile.
 #[derive(Debug)]
 pub struct TileUpdates {
@@ -117,7 +215,8 @@ pub struct TileUpdates {
 pub enum Direction {
     /// Gather over in-edges: every active target folds its in-neighbours.
     Pull,
-    /// Scatter over out-edges: every frontier source emits contributions.
+    /// Fold over out-edges: every frontier source's contributions reach
+    /// their targets.
     Push,
 }
 
@@ -140,13 +239,13 @@ impl Direction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DirectionMode {
     /// The engine picks per superstep from the replicated frontier stats
-    /// (always pull for a program without a push side).
+    /// (always pull for a program whose gather is not a min fold).
     #[default]
     Auto,
     /// Run every superstep on the pull path; no transpose is built.
     ForcePull,
     /// Run every superstep on the push path (rejected at plan time for
-    /// programs without a push side).
+    /// programs whose gather is not a min fold).
     ForcePush,
 }
 
@@ -240,8 +339,7 @@ pub struct VertexContext<'a> {
     /// Current superstep (0-based).
     pub superstep: u32,
     /// What [`GabProgram::prepare`] filled from `values` for this superstep,
-    /// one slot per vertex. Empty for a program that prepares nothing, and in
-    /// a push superstep, which runs no gather.
+    /// one slot per vertex. Empty for a program that prepares nothing.
     pub prepared: &'a [f64],
 }
 
@@ -253,15 +351,25 @@ pub trait GabProgram: Send + Sync {
     /// Initial value of vertex `v`.
     fn initial_value(&self, v: VertexId, ctx: &InitContext<'_>) -> f64;
 
-    /// Fold the in-edges of `target` into an accumulator. `in_edges` yields
-    /// `(source vertex, edge weight)` pairs; source values are read from
-    /// `ctx.values`.
-    ///
-    /// A gather may return before it has read all its in-edges, once the
-    /// rest cannot change its answer (BFS stops at the first visited
-    /// in-neighbour). The engine counts every in-edge it offered in
-    /// `edges_processed`, read or not.
-    fn gather(&self, target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64;
+    /// The gather as a declared [`Fold`], which the engine runs in both tile
+    /// loops and which alone decides whether the program can push. `None`,
+    /// the default, means a custom [`Self::gather`], run only by the pull
+    /// loop. A wrapper that forwards its gather must forward this too.
+    fn fold(&self) -> Option<Fold> {
+        None
+    }
+
+    /// Fold the in-edges of `target`, `(source, weight)` pairs, into an
+    /// accumulator. The default runs [`Self::fold`] and panics without one;
+    /// only a gather that is no fold (label propagation's mode) overrides
+    /// it. The engine counts every in-edge it offered in `edges_processed`,
+    /// read or not.
+    fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
+        let fold = self
+            .fold()
+            .expect("a program that declares no fold implements gather");
+        fold.gather(in_edges, ctx)
+    }
 
     /// Produce the new value of `target` from the accumulator and its current value.
     fn apply(&self, target: VertexId, accum: f64, current: f64, ctx: &VertexContext<'_>) -> f64;
@@ -312,88 +420,43 @@ pub trait GabProgram: Send + Sync {
         false
     }
 
-    /// Refill `prepared` — handed to `gather` and `apply` as
-    /// [`VertexContext::prepared`] — from the replica `values`, one slot per
-    /// vertex. The engine calls it once per server before every pull
-    /// superstep's tiles, so work a gather would repeat on every out-edge of a
-    /// source is done once per vertex. `prepared` is the same buffer every
-    /// superstep: whatever the last call left in it, empty before the first.
+    /// Refill `prepared` — read by a fold over [`Operand::Prepared`], and
+    /// handed to `gather` and `apply` as [`VertexContext::prepared`] — from
+    /// the replica `values`, one slot per vertex. The engine calls it once
+    /// per server before every superstep's tiles, so work a gather would
+    /// repeat on every out-edge of a source is done once per vertex.
+    /// `prepared` is the same buffer every superstep: whatever the last call
+    /// left in it, empty before the first.
     ///
     /// **Contract:** `prepared` is a pure function of `values` and
     /// `out_degrees`; every server computes the same array from the same
     /// replica, so preparing cannot change a value. The default leaves the
-    /// buffer empty, so a program that keeps it allocates nothing.
-    ///
-    /// A program that wraps another and forwards its `gather` must forward
-    /// `prepare` too: the default compiles, but leaves the wrapped gather an
-    /// empty [`VertexContext::prepared`] to read.
+    /// buffer empty, so a program that keeps it allocates nothing. A wrapper
+    /// that forwards its fold must forward `prepare` too.
     fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
         let _ = (values, out_degrees, prepared);
-    }
-
-    /// Whether the program implements the push side ([`Self::scatter`] /
-    /// [`Self::combine`]) — the opt-in to "either direction, the engine's
-    /// call", whose price is the combine contract below. Defaults to
-    /// `false`: the engine never builds push indexes or runs the push loop
-    /// for a pull-only program.
-    fn supports_push(&self) -> bool {
-        false
-    }
-
-    /// Push-side emit: `source` (a frontier vertex whose value changed last
-    /// superstep) walks its out-edges and `emit(target, contribution)`s a
-    /// candidate accumulator value per out-neighbour. Contributions to the
-    /// same target are folded with [`Self::combine`], then handed to
-    /// [`Self::apply`] exactly like a gathered accumulator.
-    ///
-    /// **Contract:** for push/pull bit-identity, `scatter` must emit for
-    /// target `t` exactly what `gather(t, ..)` would compute from the edge
-    /// `source -> t` alone, and `combine` must be order-insensitive and
-    /// exact (e.g. `f64::min` — monotone min-style programs qualify, sums
-    /// generally do not). See `docs/ALGORITHMS.md`.
-    ///
-    /// The default panics: the engine only calls it when
-    /// [`Self::supports_push`] is `true` (force-push on a pull-only program
-    /// is rejected at plan time with a clear error instead).
-    fn scatter(
-        &self,
-        source: VertexId,
-        value: f64,
-        out_edges: &mut Edges<'_>,
-        emit: &mut dyn FnMut(VertexId, f64),
-    ) {
-        let _ = (value, out_edges, emit);
-        unreachable!(
-            "program {:?} advertises no push side (supports_push() is false) \
-             but scatter() was called for source {source}",
-            self.name()
-        );
-    }
-
-    /// Fold two emitted contributions for the same target. Must be
-    /// order-insensitive and exact; the default is `f64::min` (the right
-    /// fold for every monotone min-style program: BFS, SSSP, WCC).
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a.min(b)
     }
 
     /// The engine's pull loop over one tile — **not a hook; do not
     /// override.** For every target in ascending order: skip it if it has no
     /// in-edge in this tile (unless `run_everything`) or its value
-    /// [`Self::is_final`], [`Self::gather`] its slice of the tile's CSR,
-    /// [`Self::apply`], and keep the new value if [`Self::is_update`] says so.
+    /// [`Self::is_final`], fold its slice of the tile's CSR — the declared
+    /// [`Self::fold`], or the custom [`Self::gather`] of a program that
+    /// declares none — [`Self::apply`], and keep the new value if
+    /// [`Self::is_update`] says so.
     ///
     /// It lives on the trait because a provided method is compiled per
-    /// implementor: the three hooks are static calls here and inline into
-    /// the loop, and the engine pays one virtual call per tile instead of
-    /// three per target and one per edge — without a type parameter on
-    /// anything that holds a `&dyn GabProgram`.
+    /// implementor: the declaration is a constant here, the hooks are static
+    /// calls, and all of it inlines into the loop, so the engine pays one
+    /// virtual call per tile instead of three per target and one per edge —
+    /// without a type parameter on anything that holds a `&dyn GabProgram`.
     fn gather_tile(
         &self,
         tile: &Tile,
         run_everything: bool,
         ctx: &VertexContext<'_>,
     ) -> TileUpdates {
+        let fold = self.fold();
         let (sources, weights) = (tile.sources(), tile.weights());
         let mut updates = Vec::with_capacity(tile.num_targets() as usize);
         let mut edges_processed = 0u64;
@@ -407,7 +470,10 @@ pub trait GabProgram: Send + Sync {
                 continue;
             }
             let mut in_edges = Edges::new(&sources[lo..hi], weights.map(|w| &w[lo..hi]));
-            let accum = self.gather(target, &mut in_edges, ctx);
+            let accum = match fold {
+                Some(fold) => fold.gather(&mut in_edges, ctx),
+                None => self.gather(target, &mut in_edges, ctx),
+            };
             let new = self.apply(target, accum, current, ctx);
             edges_processed += (hi - lo) as u64;
             if self.is_update(current, new) {
@@ -421,6 +487,15 @@ pub trait GabProgram: Send + Sync {
             updates,
             edges_processed,
         }
+    }
+}
+
+impl dyn GabProgram + '_ {
+    /// Whether the engine may run a superstep of this program as a push:
+    /// exactly when its gather is a declared min fold ([`Fold::pushes`]).
+    /// Derived from [`GabProgram::fold`], so no program can claim it.
+    pub fn supports_push(&self) -> bool {
+        self.fold().is_some_and(Fold::pushes)
     }
 }
 
@@ -468,10 +543,95 @@ mod tests {
     }
 
     #[test]
-    fn default_push_hooks_keep_programs_pull_only() {
+    fn a_custom_gather_is_pull_only() {
         let p = CountInEdges;
-        assert!(!p.supports_push());
-        assert_eq!(p.combine(3.0, 2.0), 2.0);
+        assert_eq!(p.fold(), None);
+        assert!(!(&p as &dyn GabProgram).supports_push());
+    }
+
+    /// A program that declares only a fold: its gather and whether it can
+    /// push both come from the declaration.
+    struct Declared(Fold);
+
+    impl GabProgram for Declared {
+        fn name(&self) -> &'static str {
+            "declared"
+        }
+        fn initial_value(&self, _v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+            0.0
+        }
+        fn fold(&self) -> Option<Fold> {
+            Some(self.0)
+        }
+        fn apply(&self, _t: VertexId, accum: f64, _current: f64, _ctx: &VertexContext<'_>) -> f64 {
+            accum
+        }
+    }
+
+    #[test]
+    fn a_declared_fold_gathers_and_only_a_min_pushes() {
+        let inf = f64::INFINITY;
+        let values = [inf, 2.0, 5.0, inf];
+        let prepared = [0.5, 0.25, 4.0, 8.0];
+        let ctx = VertexContext {
+            values: &values,
+            out_degrees: &[1; 4],
+            in_degrees: &[1; 4],
+            num_vertices: 4,
+            superstep: 0,
+            prepared: &prepared,
+        };
+        let (sources, weights) = ([0, 2, 1, 3], [1.5, 0.25, 3.0, 2.0]);
+        let fold = |from, edge, reduce| Fold { from, edge, reduce };
+        let (min, first_finite) = (Reduce::Min, Reduce::FirstFinite);
+        use {Contribution::*, Operand::*};
+        for (declared, weighted, want, unread) in [
+            (fold(Prepared, Value, Reduce::Sum), true, 12.75, 0),
+            (fold(Values, Weight, Reduce::Sum), true, 6.75, 0),
+            (fold(Values, Weight, Reduce::Sum), false, 4.0, 0),
+            (fold(Values, ValuePlusWeight, min), true, 5.0, 0),
+            (fold(Values, ValuePlusWeight, min), false, 3.0, 0),
+            (fold(Values, Value, min), true, 2.0, 0),
+            (fold(Values, ValuePlusOne, first_finite), true, 6.0, 2),
+        ] {
+            let mut edges = Edges::new(&sources, weighted.then_some(&weights[..]));
+            let program = Declared(declared);
+            assert_eq!(program.gather(0, &mut edges, &ctx), want, "{declared:?}");
+            assert_eq!(edges.len(), unread, "{declared:?}");
+            let program: &dyn GabProgram = &program;
+            assert_eq!(program.supports_push(), declared.reduce != Reduce::Sum);
+        }
+        // No in-edges: the identities, +0.0 and +∞.
+        let sum = fold(Prepared, Value, Reduce::Sum).gather(&mut Edges::new(&[], None), &ctx);
+        assert_eq!(sum.to_bits(), 0.0f64.to_bits());
+        let least = fold(Values, Value, min).gather(&mut Edges::new(&[], None), &ctx);
+        assert_eq!(least, inf);
+    }
+
+    #[test]
+    #[should_panic(expected = "a program that declares no fold implements gather")]
+    fn a_program_without_a_fold_or_a_gather_cannot_gather() {
+        struct Nothing;
+        impl GabProgram for Nothing {
+            fn name(&self) -> &'static str {
+                "nothing"
+            }
+            fn initial_value(&self, _v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+                0.0
+            }
+            fn apply(&self, _t: VertexId, a: f64, _c: f64, _ctx: &VertexContext<'_>) -> f64 {
+                a
+            }
+        }
+        let ctx = VertexContext {
+            values: &[0.0],
+            out_degrees: &[0],
+            in_degrees: &[0],
+            num_vertices: 1,
+            superstep: 0,
+            prepared: &[],
+        };
+        Nothing.gather(0, &mut Edges::new(&[0], None), &ctx);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! **source** instead of target.
 //!
 //! Tiles store only in-edges (sources grouped by target), which is exactly
-//! what a pull superstep's `gather` wants and exactly what a push superstep's
-//! `scatter` cannot use. A [`PushTranspose`] is the same edges transposed,
+//! what a pull superstep's gather wants and exactly what a push superstep,
+//! which folds each frontier vertex's out-edges, cannot use. A [`PushTranspose`] is the same edges transposed,
 //! one per server: every edge of the server's tiles, grouped by source, each
 //! distinct source stored once. A push superstep then walks the sorted
 //! frontier against one sorted source list — a gallop per frontier vertex,

@@ -1130,6 +1130,19 @@ fn force_push_on_a_pull_only_program_is_a_plan_error() {
     let err = engine.run(&pdir, &PageRank::new(3)).unwrap_err();
     let rendered = err.to_string();
     assert!(rendered.contains("pull-only"), "{rendered}");
+
+    // Push is derived from the gather: exactly the min folds push.
+    use graphh::core::registry::{ProgramContext, ProgramOptions, PROGRAMS};
+    let pushers: Vec<&str> = PROGRAMS
+        .iter()
+        .filter(|spec| {
+            let context = ProgramContext::new(&pdir.out_degrees);
+            let program = spec.build(&context, &ProgramOptions::new()).unwrap();
+            program.supports_push()
+        })
+        .map(|spec| spec.name)
+        .collect();
+    assert_eq!(pushers, ["sssp", "wcc", "bfs"]);
 }
 
 /// Auto mode actually *switches*, for every traversal and under the engine's
@@ -1599,9 +1612,11 @@ fn the_source_set_skips_at_least_what_the_bloom_filter_did() {
     assert!(skipped >= 413, "BFS on RMAT skipped {skipped} tiles");
 }
 
-/// A program with its two traversal hints withheld: every hook forwards,
+/// A program with its two traversal hints withheld: every hook forwards —
+/// the fold declaration, and the gather for a program that keeps its own —
 /// except that no value is ever final and every vertex starts active — the
-/// engine before the hints existed.
+/// engine before the hints existed. Whether it can push follows from the
+/// forwarded fold.
 struct Unhinted<'a>(&'a dyn GabProgram);
 
 impl GabProgram for Unhinted<'_> {
@@ -1610,6 +1625,9 @@ impl GabProgram for Unhinted<'_> {
     }
     fn initial_value(&self, v: u32, ctx: &graphh::core::gab::InitContext<'_>) -> f64 {
         self.0.initial_value(v, ctx)
+    }
+    fn fold(&self) -> Option<graphh::core::gab::Fold> {
+        self.0.fold()
     }
     fn gather(
         &self,
@@ -1642,21 +1660,6 @@ impl GabProgram for Unhinted<'_> {
     }
     fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
         self.0.prepare(values, out_degrees, prepared)
-    }
-    fn supports_push(&self) -> bool {
-        self.0.supports_push()
-    }
-    fn scatter(
-        &self,
-        source: u32,
-        value: f64,
-        out_edges: &mut graphh::core::gab::Edges<'_>,
-        emit: &mut dyn FnMut(u32, f64),
-    ) {
-        self.0.scatter(source, value, out_edges, emit)
-    }
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        self.0.combine(a, b)
     }
 }
 
