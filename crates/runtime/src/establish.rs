@@ -129,7 +129,6 @@ mod tests {
         }
         for p in &mut planes {
             assert_eq!(p.collect(0).unwrap().len(), 1);
-            p.acknowledge(0).unwrap();
         }
     }
 

@@ -3,27 +3,29 @@
 //! Everything `docs/WIRE.md` §2 and §9 make an endpoint *decide* lives
 //! here and nowhere else: when a link is down, when to redial it and how long
 //! to back off, whether a hello is acceptable and what to answer, what to
-//! retain, replay, trim and re-acknowledge, what the worker's collector may
-//! see (a peer's superstep once its marker is in, never twice), when a
+//! retain, replay and trim, what the worker's collector may see, when a
 //! finished endpoint may stop holding the door (ordered goodbyes, linger),
-//! and when a peer is lost for good. [`Fabric`] touches no socket, spawns
-//! nothing, shares no state with another thread and never looks at a clock:
-//! it is a step function in the shape of SNIPPETS.md's gossip-glomers
-//! `Node::step(input, output)` — `Fabric::step(now, Event, &mut
-//! Vec<Action>)` — driven by [`crate::poll`]'s event loop (real sockets, real
-//! time) and by `tests/fabric_sim.rs` (real workers on a seeded virtual
-//! network and clock, thousands of fault schedules per `cargo test`). `now`
-//! is the time since the fabric was created; every deadline is kept on that
-//! scale.
+//! and when a peer is lost for good. It is the only reader of
+//! end-of-superstep markers: a peer's marker of `s` delivers that superstep
+//! whole, once ([`InboxEvent::Superstep`]), and acknowledges `s - 1`, which
+//! the peer applied before publishing `s`; its goodbye releases the rest.
+//! [`Fabric`] touches no socket, spawns nothing, shares no state with another
+//! thread and never looks at a clock: it is a step function in the shape of
+//! SNIPPETS.md's gossip-glomers `Node::step(input, output)` —
+//! `Fabric::step(now, Event, &mut Vec<Action>)` — driven by [`crate::poll`]'s
+//! event loop (real sockets, real time) and by `tests/fabric_sim.rs` (real
+//! workers on a seeded virtual network and clock, thousands of fault
+//! schedules per `cargo test`). `now` is the time since the fabric was
+//! created; every deadline is kept on that scale.
 //!
 //! A link has exactly one way up, whether the cluster is starting, a cut is
 //! healing or a replacement process is taking over an id: it is *down* — at
 //! birth, with the establish timeout as its deadline — the higher id dials
 //! ([`Action::Dial`]) with seeded exponential backoff, at the address the
 //! peer table gives the peer, the lower id answers the hello
-//! ([`Action::Reply`]), and the vetted stream is adopted with replay and a
-//! repeated ack ([`Action::Adopt`], [`Action::Send`]). A new process taking
-//! over from a dead one resumes from its peers' state ([`Action::Restore`],
+//! ([`Action::Reply`]), and the vetted stream is adopted with replay
+//! ([`Action::Adopt`], [`Action::Send`]). A new process taking over from a
+//! dead one resumes from its peers' state ([`Action::Restore`],
 //! `docs/WIRE.md` §9.4).
 //!
 //! The peer table is the only address book: one address per server, fixed
@@ -73,11 +75,8 @@ pub enum Conn {
 #[derive(Debug)]
 pub enum Command {
     /// Send this batch of whole frames to every peer and retain it under the
-    /// superstep until every peer acks it (batches never span supersteps).
+    /// superstep until every peer is past it (batches never span supersteps).
     Broadcast(u32, SharedBatch),
-    /// Send this (unretained) ack batch and remember the superstep: acks die
-    /// with a cut stream, so every re-established link repeats the latest.
-    Ack(u32, SharedBatch),
     /// Send this (unretained) abort batch; an aborted run never lingers.
     Abort(SharedBatch),
     /// The worker's answer to an [`InboxEvent::StateRequest`]: a state frame.
@@ -253,13 +252,12 @@ pub struct Fabric {
     /// the `resume_from` of every hello this endpoint sends, and the floor
     /// of every stream it adopts.
     recv_cursor: Vec<u32>,
-    last_ack: Option<u32>,
     /// The run aborted, or the endpoint leaves without finishing it: no
     /// linger, goodbyes to everyone.
     leaving: bool,
     /// The most recent failed handshake of any link, for the establish error.
     last_refusal: Option<String>,
-    /// For the one frame the fabric itself encodes (the repeated ack).
+    /// For the one frame the fabric itself encodes (the goodbye).
     pool: BufferPool,
     peers_lost: Counter,
     reconnects: Counter,
@@ -294,7 +292,6 @@ impl Fabric {
             linger_until: None,
             replay: ReplayLog::new(num_servers, id),
             recv_cursor: vec![0; num_servers as usize],
-            last_ack: None,
             leaving: false,
             last_refusal: None,
             config,
@@ -431,10 +428,6 @@ impl Fabric {
                 self.replay.append(superstep, Arc::clone(&batch));
                 batch
             }
-            Command::Ack(superstep, batch) => {
-                self.last_ack = Some(self.last_ack.map_or(superstep, |s| s.max(superstep)));
-                batch
-            }
             Command::Abort(batch) => {
                 self.leaving = true;
                 batch
@@ -502,9 +495,9 @@ impl Fabric {
     }
 
     /// Adopt a vetted connection as `hello.sender`'s live stream: answer (if
-    /// it dialed in), replay what it still needs, repeat our latest ack. What
-    /// an older stream still held is dropped with it, and the new one starts
-    /// at the cursor our hello announced.
+    /// it dialed in) and replay what it still needs, our markers among it.
+    /// What an older stream still held is dropped with it, and the new one
+    /// starts at the cursor our hello announced.
     ///
     /// A hello for superstep 0 from a peer whose supersteps we received is a
     /// new process of that peer (or, rarely, a live one cut before our first
@@ -521,7 +514,7 @@ impl Fabric {
             asked
         };
         let served_from = if new_process { from } else { 0 };
-        let Some(batches) = self.replay.replay_from(from) else {
+        let Some(batches) = self.replay.replay_from(peer, from) else {
             // A live peer wants frames trimmed after its own ack: terminal.
             let floor = self.replay.floor();
             let why = format!(
@@ -556,14 +549,6 @@ impl Fabric {
         for batch in batches {
             self.replayed_frames.add(count_frames(&batch));
             out.push(Action::Send(peer, batch));
-        }
-        if let Some(superstep) = self.last_ack {
-            // The peer may have missed it while down, and needs the current
-            // floor to trim its own log.
-            let mut buf = self.pool.checkout();
-            let sender = self.id;
-            Frame::Ack { sender, superstep }.encode(&mut buf);
-            out.push(Action::Send(peer, Arc::new(buf)));
         }
         if self.phase == Phase::Stopping && self.says_goodbye_first(&self.links[idx]) {
             // So may our goodbye; a lower-id peer repeats its own first.
@@ -606,10 +591,10 @@ impl Fabric {
         }
     }
 
-    /// Transport-level frames end here — acks trim the log, a goodbye marks
-    /// the peer done, a state is kept as an offer while establishing (and
-    /// dropped after). A frame claiming another sender poisons the stream.
-    /// Messages and markers wait while establishing; an abort goes at once.
+    /// A goodbye marks the peer done and releases what was retained for it,
+    /// a state is kept as an offer while establishing (and dropped after),
+    /// an abort goes to the worker at once. A frame claiming another sender
+    /// poisons the stream. Messages and markers wait while establishing.
     fn frame(&mut self, now: Duration, peer: ServerId, frame: Frame, out: &mut Vec<Action>) {
         let Some(idx) = self.index_of(peer) else {
             return;
@@ -624,9 +609,9 @@ impl Fabric {
         let link = &mut self.links[idx];
         link.heard = true;
         match frame {
-            Frame::Ack { sender, superstep } => self.replay.ack(sender, superstep),
             Frame::Goodbye { .. } => {
                 link.done = true;
+                self.replay.forget(peer);
                 if self.phase == Phase::Stopping && peer < self.id && !self.leaving {
                     out.push(Action::Send(peer, self.goodbye()));
                 }
@@ -634,7 +619,7 @@ impl Fabric {
             Frame::State { state, .. } => {
                 link.offer.1 = (self.phase == Phase::Establishing).then_some(state);
             }
-            Frame::Abort { .. } => out.push(Action::Deliver(InboxEvent::Frame(frame))),
+            Frame::Abort { .. } => out.push(Action::Deliver(InboxEvent::Aborted(peer))),
             _ if self.phase == Phase::Establishing => link.held.push(frame),
             _ => self.receive(idx, frame, out),
         }
@@ -642,8 +627,9 @@ impl Fabric {
 
     /// A message or marker of an up link. Below the stream's floor they are
     /// replayed duplicates and end here. Messages are held until the peer's
-    /// end-of-superstep marker, which raises the receive cursor and releases
-    /// them to the collector ahead of itself.
+    /// end-of-superstep marker, which acknowledges the superstep before it and
+    /// delivers them as one superstep — unless the stream ended it already or
+    /// they belong to another: the peer is lost for that.
     ///
     /// A new process that runs a superstep below where our replay to it
     /// began resumed below what any live peer holds — more than one server
@@ -666,10 +652,23 @@ impl Fabric {
             Frame::Message { superstep, .. } | Frame::EndOfSuperstep { superstep, .. }
                 if superstep < link.floor => {}
             Frame::EndOfSuperstep { superstep, .. } => {
-                let cursor = &mut self.recv_cursor[link.peer as usize];
-                *cursor = (*cursor).max(superstep.saturating_add(1));
-                let held = link.held.drain(..).chain([frame]);
-                out.extend(held.map(|frame| Action::Deliver(InboxEvent::Frame(frame))));
+                let peer = link.peer;
+                let ours = |f| matches!(f, &Frame::Message { superstep: s, .. } if s == superstep);
+                if superstep < self.recv_cursor[peer as usize] || !link.held.iter().all(ours) {
+                    let why = format!("server {peer} ended superstep {superstep} out of order");
+                    return self.declare_gone(idx, PlaneError::Protocol(why), out);
+                }
+                self.recv_cursor[peer as usize] = superstep.saturating_add(1);
+                if let Some(applied) = superstep.checked_sub(1) {
+                    self.replay.ack(peer, applied);
+                }
+                let wires = link.held.drain(..).filter_map(Frame::into_wire).collect();
+                let ended = InboxEvent::Superstep {
+                    sender: peer,
+                    superstep,
+                    wires,
+                };
+                out.push(Action::Deliver(ended));
             }
             _ => link.held.push(frame),
         }
@@ -705,7 +704,7 @@ impl Fabric {
         out.push(Action::Deliver(lost));
     }
 
-    /// Give up on a peer for good: it stops gating retention (its acks can
+    /// Give up on a peer for good: it stops gating retention (its markers can
     /// never arrive) and the collector learns the terminal `error`.
     fn declare_gone(&mut self, idx: usize, error: PlaneError, out: &mut Vec<Action>) {
         let (id, peer) = (self.id, self.links[idx].peer);
@@ -926,17 +925,17 @@ mod tests {
         }
 
         /// `peer` dials in asking to resume from `resume_from` and its stream
-        /// is adopted (this endpoint has broadcast nothing, so any cursor
-        /// will do; a live peer that redials after this endpoint heard from
-        /// it asks for more than 0, or it would be taken for a new process).
-        fn dials_in(&mut self, peer: ServerId, resume_from: u32) {
+        /// is adopted (a live peer that redials after this endpoint heard
+        /// from it asks for more than 0, or it would be taken for a new
+        /// process); the actions, as [`Self::step`] returns them.
+        fn dials_in(&mut self, peer: ServerId, resume_from: u32) -> Vec<Action> {
             let (cluster_size, sender) = (3, peer);
             let hello = ResumeHello {
                 cluster_size,
                 sender,
                 resume_from,
             };
-            self.step(Event::Hello(Conn::Accepted(0), "test", hello.encode()));
+            self.step(Event::Hello(Conn::Accepted(0), "test", hello.encode()))
         }
 
         /// The stream from `peer` is cut, and `peer` dials back in.
@@ -1054,7 +1053,8 @@ mod tests {
 
     /// The floor is the cursor announced at adoption, not the live one: on
     /// the stream a fresh start adopted, a frame of a superstep already
-    /// collected still reaches the collector, as the violation it is.
+    /// collected is still judged, as the violation it is — the peer is lost
+    /// for it, and the collect that needs it fails naming it.
     #[test]
     fn a_past_superstep_frame_on_a_fresh_stream_is_a_protocol_error() {
         let mut e = Endpoint::new();
@@ -1064,8 +1064,21 @@ mod tests {
         assert_eq!(e.collect(0), Ok(vec![1]));
         e.msg(1, 0, 1);
         e.eos(1, 1);
-        let past = |m: &str| m.contains("past superstep 0 while collecting 1");
+        let past = |m: &str| m.contains("server 1 ended superstep 1 out of order");
         assert!(matches!(e.collect(1), Err(PlaneError::Protocol(m)) if past(&m)));
+    }
+
+    /// A marker the stream has already passed is never a second delivery:
+    /// the peer is lost for it.
+    #[test]
+    fn a_repeated_marker_is_a_protocol_error() {
+        let mut e = Endpoint::new();
+        e.eos(1, 0);
+        e.eos(1, 0);
+        e.eos(2, 0);
+        let again = |m: &str| m.contains("server 1 ended superstep 0 out of order");
+        assert!(matches!(e.collect(0), Ok(ref w) if w.is_empty()));
+        assert!(matches!(e.collect(1), Err(PlaneError::Protocol(m)) if again(&m)));
     }
 
     /// Server 0 is the lower id of both its links: it says goodbye at
@@ -1098,6 +1111,73 @@ mod tests {
         assert!(exits(&e.step(Event::Tick)));
     }
 
+    /// The tags of the frames in a run of encoded frame bytes.
+    fn tags(mut bytes: &[u8]) -> Vec<u8> {
+        let mut tags = Vec::new();
+        while bytes.len() > 4 {
+            let body = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+            tags.push(bytes[4]);
+            bytes = &bytes[4 + body..];
+        }
+        tags
+    }
+
+    /// Every peer's marker of `s + 1` trims this endpoint's log through `s`
+    /// — one peer's alone trims nothing — and every peer's goodbye empties
+    /// it. Through broadcasts, a cut and its re-adoption, and the shutdown,
+    /// nothing the fabric sends is a tag-4 frame: there is no ack frame.
+    #[test]
+    fn a_marker_acknowledges_the_superstep_before_it_and_a_goodbye_releases_the_log() {
+        let mut e = Endpoint::new();
+        let mut sent = Vec::new();
+        for superstep in 0..3 {
+            let end = Frame::EndOfSuperstep {
+                sender: 0,
+                superstep,
+            };
+            sent.extend(e.step(Event::Command(Command::Broadcast(superstep, encoded(&end)))));
+        }
+        let floor = |e: &Endpoint| e.fabric.replay().floor();
+        for peer in [1, 2] {
+            e.eos(peer, 0);
+        }
+        assert_eq!(floor(&e), 0, "a marker of superstep 0 acknowledges nothing");
+        e.eos(1, 1);
+        assert_eq!(floor(&e), 0, "server 2 has not applied superstep 0 yet");
+        e.eos(2, 1);
+        assert_eq!(floor(&e), 1, "every peer applied superstep 0");
+        for (peer, resume_from) in [(1, 1), (2, 2)] {
+            sent.extend(e.step(Event::StreamEnd(peer)));
+            sent.extend(e.dials_in(peer, resume_from));
+        }
+        for peer in [1, 2] {
+            e.eos(peer, 2);
+        }
+        assert_eq!(floor(&e), 2);
+        assert!(
+            e.fabric.replay().bytes_retained() > 0,
+            "superstep 2 is retained"
+        );
+        sent.extend(e.step(Event::Command(Command::Shutdown)));
+        sent.extend(e.step(Event::Frame(1, Frame::Goodbye { sender: 1 })));
+        assert!(
+            e.fabric.replay().bytes_retained() > 0,
+            "server 2 may still need it"
+        );
+        sent.extend(e.step(Event::Frame(2, Frame::Goodbye { sender: 2 })));
+        assert_eq!(e.fabric.replay().bytes_retained(), 0);
+        let batches = sent.iter().filter_map(|action| match action {
+            Action::Send(_, batch) => Some(batch),
+            _ => None,
+        });
+        let tags: Vec<u8> = batches.flat_map(|batch| tags(batch)).collect();
+        assert!(
+            tags.contains(&2) && tags.contains(&5),
+            "markers and goodbyes: {tags:?}"
+        );
+        assert!(!tags.contains(&4), "a tag-4 frame was sent: {tags:?}");
+    }
+
     fn state_frame(sender: ServerId, to: ServerId, cursor: u32) -> Frame {
         let state = crate::checkpoint::encode_state(to, cursor, &[], &[]).into();
         Frame::State { sender, state }
@@ -1123,8 +1203,8 @@ mod tests {
     }
 
     /// A hello for 0 from a peer whose supersteps this endpoint has received
-    /// is a new process: it gets everything retained and our latest ack, and
-    /// the worker is asked for our state, which goes out when it answers.
+    /// is a new process: it gets everything retained, and the worker is
+    /// asked for our state, which goes out when it answers.
     #[test]
     fn a_new_process_gets_the_replay_and_a_state_request() {
         let mut e = Endpoint::new();
@@ -1171,11 +1251,7 @@ mod tests {
         }
         for peer in [1, 2] {
             e.eos(peer, 0);
-            let ack = Frame::Ack {
-                sender: peer,
-                superstep: 0,
-            };
-            e.step(Event::Frame(peer, ack));
+            e.eos(peer, 1);
         }
         assert_eq!(e.fabric.replay().floor(), 1);
         e.step(Event::StreamEnd(1));
@@ -1267,9 +1343,7 @@ mod tests {
         assert!(established(&out));
         let delivered: Vec<u32> = (out.iter())
             .filter_map(|a| match a {
-                Action::Deliver(InboxEvent::Frame(Frame::EndOfSuperstep { superstep, .. })) => {
-                    Some(*superstep)
-                }
+                Action::Deliver(InboxEvent::Superstep { superstep, .. }) => Some(*superstep),
                 _ => None,
             })
             .collect();

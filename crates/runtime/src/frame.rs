@@ -5,17 +5,21 @@
 //! single thread:
 //!
 //! * [`Frame`] — what travels between servers: a wire-encoded broadcast
-//!   message, an end-of-superstep marker or an abort, which reach the worker,
-//!   and the fabric's own acks, goodbyes and state frames, which never do,
+//!   message, an end-of-superstep marker (which also acknowledges the
+//!   superstep before it), an abort, and the fabric's own goodbyes and state
+//!   frames,
 //! * the **length-prefixed wire codec** ([`Frame::encode`] /
 //!   [`Frame::decode`], plus the incremental [`FrameDecoder`] for
 //!   non-blocking transports) used whenever frames cross a byte stream — the
-//!   TCP [`crate::poll::PollPlane`]; in-process backends ship the `Frame`
-//!   values directly,
+//!   TCP [`crate::poll::PollPlane`]; the in-process backend ships whole
+//!   supersteps as values,
+//! * [`InboxEvent`] — what a plane delivers to its worker: a peer's whole
+//!   superstep (its messages, once its marker is in), an abort, a loss or a
+//!   state request — never a frame,
 //! * [`SuperstepCollector`] — the BSP inbox discipline shared by every
-//!   backend: frames for a future superstep are stashed, frames from a past
-//!   superstep are protocol violations, aborts surface as errors, and a
-//!   superstep is complete once every peer's end-of-superstep marker arrived.
+//!   backend: it counts whole supersteps per peer, stashes a future one,
+//!   surfaces aborts as errors, and completes a superstep once every peer's
+//!   has arrived.
 //!
 //! ## Wire format
 //!
@@ -24,7 +28,7 @@
 //!   tag 1 Message        : u32 LE superstep, payload bytes (rest of body)
 //!   tag 2 EndOfSuperstep : u32 LE superstep
 //!   tag 3 Abort          : (nothing)
-//!   tag 4 Ack            : u32 LE superstep
+//!   tag 4                : reserved (decodes as an unknown tag)
 //!   tag 5 Goodbye        : (nothing)
 //!   tag 6                : reserved (decodes as an unknown tag)
 //!   tag 7 State          : a `GHHC` state addressed to the receiver (rest of body)
@@ -68,7 +72,6 @@ pub const MAX_STATE_PAYLOAD: usize = MAX_FRAME_BODY - 5;
 const TAG_MESSAGE: u8 = 1;
 const TAG_END_OF_SUPERSTEP: u8 = 2;
 const TAG_ABORT: u8 = 3;
-const TAG_ACK: u8 = 4;
 const TAG_GOODBYE: u8 = 5;
 const TAG_STATE: u8 = 7;
 
@@ -84,7 +87,9 @@ pub enum Frame {
         /// Encoded (and possibly compressed) payload.
         wire: WireMessage,
     },
-    /// `sender` has published everything for `superstep`.
+    /// `sender` has published everything for `superstep` — and so, since a
+    /// server publishes a superstep only after applying the one before, has
+    /// applied `superstep - 1`: the marker is also its acknowledgement.
     EndOfSuperstep {
         /// Sending server.
         sender: ServerId,
@@ -96,27 +101,16 @@ pub enum Frame {
         /// Sending server.
         sender: ServerId,
     },
-    /// `sender` has applied every superstep through `superstep` — peers may
-    /// discard retained frames up to and including it. The fabric emits and
-    /// intercepts acks; an ack must never reach a [`SuperstepCollector`].
-    Ack {
-        /// Acknowledging server.
-        sender: ServerId,
-        /// Last superstep the sender applied.
-        superstep: u32,
-    },
     /// `sender` finished the run and is closing its connections *on
     /// purpose*: the EOF that follows is a clean exit, not a cut. Receivers
     /// must not arm recovery for (or linger on behalf of) a peer that said
-    /// goodbye — it needs nothing ever again. The fabric emits and
-    /// intercepts goodbyes; one must never reach a [`SuperstepCollector`].
+    /// goodbye — it needs nothing ever again, so nothing is retained for it.
     Goodbye {
         /// Departing server.
         sender: ServerId,
     },
     /// `sender`'s cursor, frontier and replica as `GHHC` bytes addressed to
-    /// the receiver, a new process (`docs/WIRE.md` §9.4). The fabric
-    /// intercepts it; one must never reach a [`SuperstepCollector`].
+    /// the receiver, a new process (`docs/WIRE.md` §9.4).
     State {
         /// Sending server.
         sender: ServerId,
@@ -137,13 +131,20 @@ impl Frame {
         Ok(Frame::State { sender, state })
     }
 
+    /// A message's payload; `None` for every other frame.
+    pub(crate) fn into_wire(self) -> Option<WireMessage> {
+        match self {
+            Frame::Message { wire, .. } => Some(wire),
+            _ => None,
+        }
+    }
+
     /// The server that produced this frame.
     pub fn sender(&self) -> ServerId {
         match *self {
             Frame::Message { sender, .. }
             | Frame::EndOfSuperstep { sender, .. }
             | Frame::Abort { sender }
-            | Frame::Ack { sender, .. }
             | Frame::Goodbye { sender }
             | Frame::State { sender, .. } => sender,
         }
@@ -177,11 +178,6 @@ impl Frame {
             Frame::Abort { sender } => {
                 out.push(TAG_ABORT);
                 out.extend_from_slice(&sender.to_le_bytes());
-            }
-            Frame::Ack { sender, superstep } => {
-                out.push(TAG_ACK);
-                out.extend_from_slice(&sender.to_le_bytes());
-                out.extend_from_slice(&superstep.to_le_bytes());
             }
             Frame::Goodbye { sender } => {
                 out.push(TAG_GOODBYE);
@@ -262,16 +258,6 @@ impl Frame {
                     )));
                 }
                 Ok(Frame::Abort { sender })
-            }
-            TAG_ACK => {
-                if rest.len() != 4 {
-                    return Err(FrameError::Corrupt(format!(
-                        "ack frame must have a 9-byte body, got {}",
-                        body.len()
-                    )));
-                }
-                let superstep = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-                Ok(Frame::Ack { sender, superstep })
             }
             TAG_GOODBYE => {
                 if !rest.is_empty() {
@@ -455,23 +441,33 @@ impl std::fmt::Display for PlaneError {
 
 impl std::error::Error for PlaneError {}
 
-/// One delivery from the fabric to the worker's inbox: a frame, the news that
-/// one peer's stream ended (its transport will never produce another frame),
-/// or a restarted peer's request for this server's state.
+/// One delivery from a plane to the worker's inbox: one peer's whole
+/// superstep, its abort, the news that its stream ended (its transport will
+/// never deliver another superstep), or a restarted peer's request for this
+/// server's state.
 ///
 /// Peer-attributed loss matters: a worker that finishes the run closes its
 /// connections while slower peers may still be mid-superstep. Its final
-/// frames are already in their inboxes (streams are FIFO), so losing the
+/// superstep is already in their inboxes (streams are FIFO), so losing the
 /// stream is only fatal to a collect that still *needs* that peer — the
 /// collector makes exactly that distinction.
 #[derive(Debug, Clone)]
 pub enum InboxEvent {
-    /// A frame arrived.
-    Frame(Frame),
+    /// `sender` ended `superstep`, having published `wires` in it, in order.
+    Superstep {
+        /// The peer.
+        sender: ServerId,
+        /// The superstep it ended.
+        superstep: u32,
+        /// Its messages of that superstep, as sent.
+        wires: Vec<WireMessage>,
+    },
+    /// `ServerId` aborted the run.
+    Aborted(ServerId),
     /// `ServerId`'s stream ended with this terminal error.
     PeerLost(ServerId, PlaneError),
     /// A new process of `ServerId` asks for this server's state
-    /// (`docs/WIRE.md` §9.4), in order with the frames around it.
+    /// (`docs/WIRE.md` §9.4), in order with the supersteps around it.
     StateRequest(ServerId),
 }
 
@@ -482,17 +478,16 @@ pub enum InboxEvent {
 /// the requested superstep, enforcing the superstep ordering and abort
 /// semantics of the [`crate::plane::BroadcastPlane`] contract:
 ///
-/// * frames tagged with the collected superstep are returned (messages) or
-///   checked off (end-of-superstep markers),
-/// * frames from a **future** superstep are stashed for the next collect —
-///   peers' streams are FIFO individually but interleave in the shared inbox,
-///   so a client that pipelines supersteps without an external barrier can see
-///   a fast peer's `s + 1` frames before a slow peer's `s`,
-/// * frames from a **past** superstep are protocol violations,
-/// * an abort frame fails the collect with [`PlaneError::Aborted`],
+/// * each peer's [`InboxEvent::Superstep`] of the collected superstep checks
+///   that peer off and contributes its wires (a second one is a protocol
+///   violation),
+/// * a **future** superstep is stashed for the next collect — peers'
+///   streams are FIFO individually but interleave in the shared inbox, so a
+///   fast peer's `s + 1` can arrive before a slow peer's `s`,
+/// * an abort fails the collect with [`PlaneError::Aborted`],
 /// * a [`InboxEvent::PeerLost`] fails the collect only if that peer has not
 ///   yet ended the superstep being collected (and poisons every later collect
-///   the peer's stashed frames cannot satisfy),
+///   the peer's stashed supersteps cannot satisfy),
 /// * a [`InboxEvent::StateRequest`] waits, in arrival order, for a collect
 ///   that still needs the asking peer's marker — the superstep at which this
 ///   server stops without it, the cursor its hello announced — and
@@ -502,16 +497,17 @@ pub enum InboxEvent {
 /// ## Recovery is not the collector's
 ///
 /// A cut TCP stream is healed underneath the collector: the
-/// [`crate::fabric::Fabric`] withholds a peer's frames of a superstep until
-/// that peer's end-of-superstep marker arrives (discarding them if the stream
-/// is cut first — the peer re-sends the superstep in full), and drops the
-/// replayed duplicates below the cursor it announced when it adopted the new
-/// stream. So every frame that reaches a collector is delivered exactly once,
-/// in per-peer order, whichever plane it came through.
+/// [`crate::fabric::Fabric`] delivers a peer's superstep only once that
+/// peer's end-of-superstep marker arrives (discarding what a cut stream held
+/// of it — the peer re-sends the superstep in full), drops the replayed
+/// duplicates below the cursor it announced when it adopted the new stream,
+/// and takes a peer that re-sends a superstep it ended for a violation. So
+/// every superstep that reaches a collector is delivered exactly once, in
+/// per-peer order, whichever plane it came through — none is ever past.
 #[derive(Debug, Default, Clone)]
 pub struct SuperstepCollector {
-    /// Frames for future supersteps, and state requests for a later collect,
-    /// that arrived while collecting an earlier one.
+    /// Future supersteps, and state requests for a later collect, that
+    /// arrived while collecting an earlier one.
     stash: Vec<InboxEvent>,
     /// Peers whose streams ended, with the terminal error each one reported.
     dead: Vec<(ServerId, PlaneError)>,
@@ -526,10 +522,11 @@ impl SuperstepCollector {
         Self::default()
     }
 
-    /// Drain frames from the stash, then `next`, until every peer in `peers`
-    /// has ended `superstep`; returns the wire messages of that superstep in
-    /// arrival order. An `Err` from `next` is immediately fatal (backends use
-    /// it for inbox loss that cannot be attributed to one peer).
+    /// Drain events from the stash, then `next`, until every peer in `peers`
+    /// has ended `superstep`; returns the wire messages of that superstep,
+    /// peer by peer in arrival order. An `Err` from `next` is immediately
+    /// fatal (backends use it for inbox loss that cannot be attributed to one
+    /// peer).
     pub fn collect(
         &mut self,
         superstep: u32,
@@ -544,7 +541,7 @@ impl SuperstepCollector {
                 // would block forever — surface its terminal error instead.
                 for (peer, error) in &self.dead {
                     let ended = |e: &InboxEvent| {
-                        matches!(e, InboxEvent::Frame(Frame::EndOfSuperstep { sender, superstep: s })
+                        matches!(e, InboxEvent::Superstep { sender, superstep: s, .. }
                                  if sender == peer && *s == superstep)
                     };
                     if peers.contains(peer) && !self.stash.iter().any(ended) {
@@ -554,7 +551,7 @@ impl SuperstepCollector {
                 (Vec::new(), peers.to_vec())
             }
         };
-        // Frames stashed by an earlier collect come first.
+        // Events stashed by an earlier collect come first.
         let stashed = std::mem::take(&mut self.stash);
         let mut queue = stashed.into_iter();
         while !pending.is_empty() {
@@ -562,8 +559,23 @@ impl SuperstepCollector {
                 Some(event) => event,
                 None => next()?,
             };
-            let frame = match event {
-                InboxEvent::Frame(frame) => frame,
+            match event {
+                InboxEvent::Superstep {
+                    sender,
+                    superstep: s,
+                    wires: sent,
+                } if s == superstep => {
+                    let Some(slot) = pending.iter().position(|&p| p == sender) else {
+                        return Err(PlaneError::Protocol(format!(
+                            "server {sender} ended superstep {superstep} twice"
+                        )));
+                    };
+                    pending.swap_remove(slot);
+                    wires.extend(sent);
+                }
+                // A peer running ahead (none is ever behind: see the type's docs).
+                later @ InboxEvent::Superstep { .. } => self.stash.push(later),
+                InboxEvent::Aborted(sender) => return Err(PlaneError::Aborted(sender)),
                 InboxEvent::PeerLost(peer, error) => {
                     self.dead.push((peer, error.clone()));
                     if pending.contains(&peer) {
@@ -572,56 +584,13 @@ impl SuperstepCollector {
                         // never end this superstep.
                         return Err(error);
                     }
-                    continue;
                 }
                 InboxEvent::StateRequest(peer) if pending.contains(&peer) => {
                     self.stash.extend(queue);
                     self.interrupted = Some((superstep, wires, pending));
                     return Err(PlaneError::StateRequested(peer));
                 }
-                request @ InboxEvent::StateRequest(_) => {
-                    self.stash.push(request);
-                    continue;
-                }
-            };
-            match frame {
-                Frame::Message {
-                    superstep: s, wire, ..
-                } if s == superstep => wires.push(wire),
-                Frame::EndOfSuperstep {
-                    sender,
-                    superstep: s,
-                } if s == superstep => match pending.iter().position(|&p| p == sender) {
-                    Some(slot) => {
-                        pending.swap_remove(slot);
-                    }
-                    None => {
-                        return Err(PlaneError::Protocol(format!(
-                            "server {sender} ended superstep {superstep} twice"
-                        )));
-                    }
-                },
-                Frame::Message { superstep: s, .. }
-                | Frame::EndOfSuperstep { superstep: s, .. }
-                    if s > superstep =>
-                {
-                    self.stash.push(InboxEvent::Frame(frame));
-                }
-                Frame::Abort { sender } => return Err(PlaneError::Aborted(sender)),
-                Frame::Ack { sender, .. }
-                | Frame::Goodbye { sender }
-                | Frame::State { sender, .. } => {
-                    return Err(PlaneError::Protocol(format!(
-                        "transport-level frame from server {sender} reached the collector \
-                         (acks, goodbyes and states must be intercepted)"
-                    )));
-                }
-                Frame::Message { superstep: s, .. }
-                | Frame::EndOfSuperstep { superstep: s, .. } => {
-                    return Err(PlaneError::Protocol(format!(
-                        "frame from past superstep {s} while collecting {superstep}"
-                    )));
-                }
+                request @ InboxEvent::StateRequest(_) => self.stash.push(request),
             }
         }
         // Anything left over in the drained stash belongs to a later superstep.
@@ -851,8 +820,16 @@ mod tests {
 
     #[test]
     fn unknown_tag_and_wrong_body_sizes_are_corrupt() {
-        // Unknown tags: 99, and the reserved tag 6, bare or with a payload.
-        for (tag, payload) in [(99u8, &[][..]), (6, &[]), (6, b"GHH?-bytes")] {
+        // Unknown tags: 99, and the reserved tags 4 and 6, bare or with a
+        // payload (tag 4 with the superstep its retired frame carried).
+        let unknown = [
+            (99u8, &[][..]),
+            (4, &[]),
+            (4, &[0, 0, 0, 0]),
+            (6, &[]),
+            (6, b"GHH?-bytes"),
+        ];
+        for (tag, payload) in unknown {
             let mut bytes = Vec::new();
             bytes.extend_from_slice(&(5 + payload.len() as u32).to_le_bytes());
             bytes.push(tag);
@@ -1036,76 +1013,68 @@ mod tests {
         move || queue.next().ok_or(PlaneError::Disconnected)
     }
 
-    fn msg(sender: ServerId, superstep: u32, byte: u8) -> InboxEvent {
-        InboxEvent::Frame(Frame::Message {
+    /// `sender`'s whole `superstep`: one one-byte wire per byte.
+    fn ended(sender: ServerId, superstep: u32, bytes: &[u8]) -> InboxEvent {
+        let wires = bytes.iter().map(|&b| vec![b].into()).collect();
+        InboxEvent::Superstep {
             sender,
             superstep,
-            wire: vec![byte].into(),
-        })
-    }
-
-    fn eos(sender: ServerId, superstep: u32) -> InboxEvent {
-        InboxEvent::Frame(Frame::EndOfSuperstep { sender, superstep })
+            wires,
+        }
     }
 
     fn lost(sender: ServerId) -> InboxEvent {
         InboxEvent::PeerLost(sender, PlaneError::Disconnected)
     }
 
+    fn bytes(wires: &[WireMessage]) -> Vec<u8> {
+        wires.iter().map(|wire| wire[0]).collect()
+    }
+
     #[test]
     fn collector_returns_messages_until_all_peers_end() {
         let mut c = SuperstepCollector::new();
-        let wires = c
-            .collect(
-                0,
-                &[1, 2],
-                feed(vec![msg(1, 0, 10), eos(1, 0), msg(2, 0, 20), eos(2, 0)]),
-            )
-            .unwrap();
-        assert_eq!(wires.len(), 2);
-        assert_eq!(wires[0][0], 10);
-        assert_eq!(wires[1][0], 20);
+        let events = vec![ended(1, 0, &[10, 11]), ended(2, 0, &[20])];
+        let wires = c.collect(0, &[1, 2], feed(events)).unwrap();
+        assert_eq!(bytes(&wires), [10, 11, 20]);
+    }
+
+    /// One event per peer is a whole superstep: the collect asks for no
+    /// more once each peer's is in, and a peer's next superstep, arrived
+    /// among them, is the next collect's — whole, and first.
+    #[test]
+    fn one_superstep_event_per_peer_completes_a_collect_and_a_later_one_waits() {
+        let mut c = SuperstepCollector::new();
+        let mut inbox = vec![ended(1, 0, &[10]), ended(1, 1, &[11, 12]), ended(2, 0, &[])];
+        inbox.reverse();
+        let mut asked = 0;
+        let mut next = || {
+            asked += 1;
+            inbox.pop().ok_or(PlaneError::Disconnected)
+        };
+        assert_eq!(bytes(&c.collect(0, &[1, 2], &mut next).unwrap()), [10]);
+        assert_eq!(asked, 3, "one event per peer, and the stashed one");
+        let s1 = c.collect(1, &[1, 2], feed(vec![ended(2, 1, &[21])]));
+        assert_eq!(bytes(&s1.unwrap()), [11, 12, 21]);
     }
 
     #[test]
     fn collector_stashes_future_supersteps_for_the_next_collect() {
         let mut c = SuperstepCollector::new();
         // Peer 1 races ahead into superstep 1 before peer 2 finishes 0.
-        let events = vec![
-            msg(1, 0, 10),
-            eos(1, 0),
-            msg(1, 1, 11),
-            eos(1, 1),
-            msg(2, 0, 20),
-            eos(2, 0),
-        ];
+        let events = vec![ended(1, 0, &[10]), ended(1, 1, &[11]), ended(2, 0, &[20])];
         let s0 = c.collect(0, &[1, 2], feed(events)).unwrap();
         assert_eq!(s0.len(), 2);
-        // Superstep 1 completes from the stash plus peer 2's late frames.
-        let s1 = c
-            .collect(1, &[1, 2], feed(vec![msg(2, 1, 21), eos(2, 1)]))
-            .unwrap();
-        assert_eq!(s1.len(), 2);
-        assert_eq!(s1[0][0], 11, "stashed frame must come first");
+        // Superstep 1 completes from the stash plus peer 2's late one.
+        let s1 = c.collect(1, &[1, 2], feed(vec![ended(2, 1, &[21])]));
+        assert_eq!(bytes(&s1.unwrap()), [11, 21], "the stashed superstep first");
     }
 
     #[test]
-    fn collector_rejects_past_supersteps_and_surfaces_aborts() {
+    fn collector_surfaces_aborts() {
         let mut c = SuperstepCollector::new();
-        let err = c.collect(5, &[1], feed(vec![msg(1, 2, 0)])).unwrap_err();
-        assert!(matches!(err, PlaneError::Protocol(_)));
-
-        let mut c = SuperstepCollector::new();
-        let err = c
-            .collect(
-                0,
-                &[1, 2],
-                feed(vec![
-                    msg(1, 0, 1),
-                    InboxEvent::Frame(Frame::Abort { sender: 2 }),
-                ]),
-            )
-            .unwrap_err();
+        let events = vec![ended(1, 0, &[1]), InboxEvent::Aborted(2)];
+        let err = c.collect(0, &[1, 2], feed(events)).unwrap_err();
         assert_eq!(err, PlaneError::Aborted(2));
     }
 
@@ -1113,7 +1082,7 @@ mod tests {
     fn collector_rejects_double_end_of_superstep() {
         let mut c = SuperstepCollector::new();
         let err = c
-            .collect(0, &[1, 2], feed(vec![eos(1, 0), eos(1, 0)]))
+            .collect(0, &[1, 2], feed(vec![ended(1, 0, &[]), ended(1, 0, &[])]))
             .unwrap_err();
         assert!(matches!(err, PlaneError::Protocol(_)));
     }
@@ -1129,23 +1098,17 @@ mod tests {
 
     /// A peer that delivered everything for the collected superstep and then
     /// closed its stream (it finished the run first) must not fail the
-    /// collect: slower peers' frames are still owed, the dead peer's are not.
+    /// collect: slower peers' supersteps are still owed, the dead peer's are
+    /// not.
     #[test]
     fn peer_lost_after_ending_the_superstep_is_benign() {
         let mut c = SuperstepCollector::new();
-        let wires = c
-            .collect(
-                0,
-                &[1, 2],
-                feed(vec![
-                    msg(1, 0, 10),
-                    eos(1, 0),
-                    lost(1), // peer 1 finished the run and closed
-                    msg(2, 0, 20),
-                    eos(2, 0),
-                ]),
-            )
-            .unwrap();
+        let events = vec![
+            ended(1, 0, &[10]),
+            lost(1), // peer 1 finished the run and closed
+            ended(2, 0, &[20]),
+        ];
+        let wires = c.collect(0, &[1, 2], feed(events)).unwrap();
         assert_eq!(wires.len(), 2);
     }
 
@@ -1153,81 +1116,34 @@ mod tests {
     fn peer_lost_mid_superstep_fails_the_collect() {
         let mut c = SuperstepCollector::new();
         let err = c
-            .collect(0, &[1, 2], feed(vec![msg(1, 0, 10), lost(1)]))
+            .collect(0, &[1, 2], feed(vec![ended(2, 0, &[20]), lost(1)]))
             .unwrap_err();
         assert_eq!(err, PlaneError::Disconnected);
     }
 
     /// A dead peer poisons a later collect its stash cannot satisfy — the
     /// collector must error up front rather than block forever on a stream
-    /// that will never produce the missing end-of-superstep marker.
+    /// that will never end the superstep.
     #[test]
     fn dead_peer_poisons_unsatisfiable_later_collects() {
         let mut c = SuperstepCollector::new();
-        // Peer 1 ends superstep 0, stashes its superstep-1 traffic, then dies.
-        let s0 = c
-            .collect(
-                0,
-                &[1, 2],
-                feed(vec![
-                    eos(1, 0),
-                    msg(1, 1, 11),
-                    eos(1, 1),
-                    lost(1),
-                    eos(2, 0),
-                ]),
-            )
-            .unwrap();
+        // Peer 1 ends superstep 0, stashes its superstep 1, then dies.
+        let events = vec![
+            ended(1, 0, &[]),
+            ended(1, 1, &[11]),
+            lost(1),
+            ended(2, 0, &[]),
+        ];
+        let s0 = c.collect(0, &[1, 2], feed(events)).unwrap();
         assert!(s0.is_empty());
         // Superstep 1 is satisfiable from the stash.
-        let s1 = c.collect(1, &[1, 2], feed(vec![eos(2, 1)])).unwrap();
+        let s1 = c.collect(1, &[1, 2], feed(vec![ended(2, 1, &[])])).unwrap();
         assert_eq!(s1.len(), 1);
         // Superstep 2 is not: peer 1 can never end it.
-        let err = c.collect(2, &[1, 2], feed(vec![eos(2, 2)])).unwrap_err();
-        assert_eq!(err, PlaneError::Disconnected);
-    }
-
-    // -- resilient-mode frames -----------------------------------------------
-
-    #[test]
-    fn ack_frame_roundtrips_and_rejects_wrong_body_size() {
-        match roundtrip(&Frame::Ack {
-            sender: 6,
-            superstep: 31,
-        }) {
-            Frame::Ack { sender, superstep } => assert_eq!((sender, superstep), (6, 31)),
-            other => panic!("wrong variant: {other:?}"),
-        }
-        // Ack one byte short of its superstep.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&8u32.to_le_bytes());
-        bytes.push(TAG_ACK);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&[0, 0, 0]);
-        assert!(matches!(Frame::decode(&bytes), Err(FrameError::Corrupt(_))));
-        // Ack with trailing garbage.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&10u32.to_le_bytes());
-        bytes.push(TAG_ACK);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&[0, 0, 0, 0, 0xff]);
-        assert!(matches!(Frame::decode(&bytes), Err(FrameError::Corrupt(_))));
-    }
-
-    #[test]
-    fn ack_reaching_the_collector_is_a_protocol_error() {
-        let mut c = SuperstepCollector::new();
         let err = c
-            .collect(
-                0,
-                &[1],
-                feed(vec![InboxEvent::Frame(Frame::Ack {
-                    sender: 1,
-                    superstep: 0,
-                })]),
-            )
+            .collect(2, &[1, 2], feed(vec![ended(2, 2, &[])]))
             .unwrap_err();
-        assert!(matches!(err, PlaneError::Protocol(_)), "{err:?}");
+        assert_eq!(err, PlaneError::Disconnected);
     }
 
     // -- state frames ---------------------------------------------------------
@@ -1297,50 +1213,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_state_reaching_the_collector_is_a_protocol_error() {
-        let mut c = SuperstepCollector::new();
-        let state = state_bytes().into();
-        let events = vec![InboxEvent::Frame(Frame::State { sender: 1, state })];
-        let err = c.collect(0, &[1], feed(events)).unwrap_err();
-        assert!(matches!(err, PlaneError::Protocol(_)), "{err:?}");
-    }
-
     /// A state request interrupts a collect that waits for the asker, which
     /// then goes on with what it had gathered.
     #[test]
     fn a_state_request_interrupts_a_collect_that_then_resumes() {
         let mut c = SuperstepCollector::new();
         let first = vec![
-            msg(1, 0, 10),
-            eos(1, 0),
-            msg(2, 1, 21),
+            ended(1, 0, &[10]),
+            ended(2, 1, &[21]),
             InboxEvent::StateRequest(2),
         ];
         assert_eq!(
             c.collect(0, &[1, 2], feed(first)),
             Err(PlaneError::StateRequested(2))
         );
-        let wires = c.collect(0, &[1, 2], feed(vec![msg(2, 0, 20), eos(2, 0)]));
-        let bytes: Vec<u8> = wires.unwrap().iter().map(|w| w[0]).collect();
-        assert_eq!(bytes, [10, 20]);
-        let next = c
-            .collect(1, &[1, 2], feed(vec![eos(1, 1), eos(2, 1)]))
-            .unwrap();
-        assert_eq!(next.len(), 1, "the stash survived the interruption");
+        let wires = c.collect(0, &[1, 2], feed(vec![ended(2, 0, &[20])]));
+        assert_eq!(bytes(&wires.unwrap()), [10, 20]);
+        let next = c.collect(1, &[1, 2], feed(vec![ended(1, 1, &[])]));
+        assert_eq!(
+            next.unwrap().len(),
+            1,
+            "the stash survived the interruption"
+        );
     }
 
-    /// A request from a peer whose marker this collect already has waits
+    /// A request from a peer whose superstep this collect already has waits
     /// for the collect that still needs one: where the asker's predecessor
     /// stopped.
     #[test]
     fn a_state_request_waits_for_a_collect_that_needs_the_asker() {
         let mut c = SuperstepCollector::new();
-        let events = vec![eos(1, 0), InboxEvent::StateRequest(1), eos(2, 0)];
+        let events = vec![
+            ended(1, 0, &[]),
+            InboxEvent::StateRequest(1),
+            ended(2, 0, &[]),
+        ];
         assert_eq!(c.collect(0, &[1, 2], feed(events)), Ok(vec![]));
-        let err = c.collect(1, &[1, 2], feed(vec![eos(2, 1)]));
+        let err = c.collect(1, &[1, 2], feed(vec![ended(2, 1, &[])]));
         assert_eq!(err, Err(PlaneError::StateRequested(1)));
-        let rest = vec![eos(2, 1), eos(1, 1)];
+        let rest = vec![ended(2, 1, &[]), ended(1, 1, &[])];
         assert_eq!(c.collect(1, &[1, 2], feed(rest)), Ok(vec![]));
     }
 
@@ -1350,9 +1261,13 @@ mod tests {
     #[test]
     fn finish_answers_a_request_the_last_collect_set_aside() {
         let mut c = SuperstepCollector::new();
-        let events = vec![eos(1, 0), InboxEvent::StateRequest(1), eos(2, 0)];
+        let events = vec![
+            ended(1, 0, &[]),
+            InboxEvent::StateRequest(1),
+            ended(2, 0, &[]),
+        ];
         assert_eq!(c.collect(0, &[1, 2], feed(events)), Ok(vec![]));
-        let mut inbox = feed(vec![eos(1, 1), InboxEvent::StateRequest(2)]);
+        let mut inbox = feed(vec![ended(1, 1, &[]), InboxEvent::StateRequest(2)]);
         assert_eq!(c.finish(&mut inbox), Err(PlaneError::StateRequested(1)));
         assert_eq!(c.finish(&mut inbox), Err(PlaneError::StateRequested(2)));
         assert_eq!(c.finish(&mut inbox), Ok(()));

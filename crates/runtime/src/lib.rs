@@ -9,8 +9,8 @@
 //!
 //! * [`frame`] — the transport-agnostic framing protocol: [`Frame`], its
 //!   length-prefixed wire codec, and the [`SuperstepCollector`] inbox
-//!   discipline (superstep ordering, stashing, abort semantics), unit-tested
-//!   without threads,
+//!   discipline (whole supersteps per peer, stashing, abort semantics),
+//!   unit-tested without threads,
 //! * [`BroadcastPlane`] — the all-to-all message fabric a worker broadcasts
 //!   wire-encoded updates over; every message really travels encoded
 //!   (+ compressed) through [`graphh_cluster::MessageCodec`], so Figure 8
@@ -26,14 +26,15 @@
 //! * [`fabric`] — the TCP plane's link life-cycle as one I/O-free step
 //!   function (`Fabric::step(now, Event, &mut Vec<Action>)`): establishment,
 //!   redial and backoff at the addresses of the static peer table, hello
-//!   vetting, replay and ack repeat, state transfer to a new process,
-//!   ordered goodbyes and linger, terminal loss, and what reaches the
-//!   collector (a peer's superstep once its marker is in, replayed
-//!   duplicates never). [`poll`] moves the bytes, with one private poller
+//!   vetting, replay, trimming on the peers' markers (each acknowledges the
+//!   superstep before it), state transfer to a new process, ordered
+//!   goodbyes and linger, terminal loss, and what reaches the collector (a
+//!   peer's superstep, whole, once its marker is in, replayed duplicates
+//!   never). [`poll`] moves the bytes, with one private poller
 //!   (`poll(2)` on Linux, a spin elsewhere),
 //! * [`run_worker`] — one server's [`graphh_core::exec::WorkerStep`] (the
 //!   superstep body the in-process loop steps too) driven over a
-//!   [`BroadcastPlane`], acknowledging each superstep as applied, restoring
+//!   [`BroadcastPlane`], restoring
 //!   a new process from its peers' state ([`restore_state`]) and answering
 //!   their requests for its own ([`state_for`]); `graphh-node` runs one per
 //!   process,

@@ -6,8 +6,9 @@
 //! server publishes any number of wire-encoded messages during a superstep,
 //! marks the superstep finished, and [`BroadcastPlane::collect`] blocks until
 //! *every* peer has finished that superstep, returning everything they sent.
-//! The end-of-superstep markers are what make the plane BSP: no frame from
-//! superstep `s + 1` can be observed before every frame of `s`.
+//! The end-of-superstep markers are what make the plane BSP: a peer's
+//! superstep reaches the worker whole, once its marker is in, and no worker
+//! gets past `collect(s)` before every peer's `s` arrived.
 //!
 //! The framing protocol itself — [`Frame`], its length-prefixed wire codec and
 //! the [`SuperstepCollector`] inbox discipline — is transport-agnostic and
@@ -28,7 +29,6 @@ pub use crate::frame::{Frame, PlaneError, WireMessage};
 use crate::frame::{InboxEvent, SuperstepCollector};
 use graphh_graph::ids::ServerId;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 
 /// One server's endpoint on the all-to-all broadcast fabric.
 ///
@@ -75,10 +75,10 @@ pub trait BroadcastPlane: Send {
     /// answer with [`Self::send_state`] and collect again.
     fn collect(&mut self, superstep: u32) -> Result<Vec<WireMessage>, PlaneError>;
 
-    /// Declare that this server has applied every superstep through
-    /// `superstep`, so peers may discard their retained replay frames for it.
-    /// The TCP plane forwards this as an `Ack` frame and trims its own replay
-    /// log on the acks it receives; the default is a no-op.
+    /// A no-op, kept only because the benchmark's plane probe calls it, and
+    /// deleted with that call: no plane needs to be told what was applied,
+    /// for a peer's end-of-superstep marker of `s` acknowledges `s - 1`
+    /// (`docs/WIRE.md` §9.2).
     fn acknowledge(&mut self, _superstep: u32) -> Result<(), PlaneError> {
         Ok(())
     }
@@ -118,9 +118,12 @@ pub struct ChannelPlane {
     /// Peer ids, sorted — the collector's completeness set, computed once.
     peer_ids: Vec<ServerId>,
     /// Sender handle into every *other* server's inbox, ordered by server id.
-    peers: Vec<(ServerId, Sender<Frame>)>,
+    peers: Vec<Sender<InboxEvent>>,
     /// This server's inbox.
-    inbox: Receiver<Frame>,
+    inbox: Receiver<InboxEvent>,
+    /// The wires published since the last `end_superstep`, which sends them
+    /// to every peer as one superstep.
+    outbox: Vec<WireMessage>,
     /// The shared BSP inbox discipline (stash + superstep ordering).
     collector: SuperstepCollector,
 }
@@ -130,24 +133,24 @@ impl ChannelPlane {
     /// endpoint per server (ordered by server id).
     pub fn connect(num_servers: u32) -> Vec<ChannelPlane> {
         assert!(num_servers > 0);
-        let (senders, inboxes): (Vec<Sender<Frame>>, Vec<Receiver<Frame>>) =
+        let (senders, inboxes): (Vec<Sender<InboxEvent>>, Vec<_>) =
             (0..num_servers).map(|_| channel()).unzip();
         inboxes
             .into_iter()
             .enumerate()
             .map(|(sid, inbox)| {
-                let peers: Vec<(ServerId, Sender<Frame>)> = senders
-                    .iter()
-                    .enumerate()
-                    .filter(|&(peer, _)| peer != sid)
-                    .map(|(peer, tx)| (peer as ServerId, tx.clone()))
-                    .collect();
+                let sid = sid as ServerId;
+                let peer_ids: Vec<ServerId> = (0..num_servers).filter(|&p| p != sid).collect();
                 ChannelPlane {
-                    id: sid as ServerId,
+                    id: sid,
                     num_servers,
-                    peer_ids: peers.iter().map(|&(p, _)| p).collect(),
-                    peers,
+                    peers: peer_ids
+                        .iter()
+                        .map(|&p| senders[p as usize].clone())
+                        .collect(),
+                    peer_ids,
                     inbox,
+                    outbox: Vec::new(),
                     collector: SuperstepCollector::new(),
                 }
             })
@@ -164,27 +167,22 @@ impl BroadcastPlane for ChannelPlane {
         self.id
     }
 
-    fn broadcast(&mut self, superstep: u32, wire: &[u8]) -> Result<(), PlaneError> {
+    fn broadcast(&mut self, _superstep: u32, wire: &[u8]) -> Result<(), PlaneError> {
         // One shared allocation for all peers instead of a copy per peer.
-        let wire: WireMessage = wire.into();
-        for (_, tx) in &self.peers {
-            tx.send(Frame::Message {
-                sender: self.id,
-                superstep,
-                wire: Arc::clone(&wire),
-            })
-            .map_err(|_| PlaneError::Disconnected)?;
-        }
+        self.outbox.push(wire.into());
         Ok(())
     }
 
     fn end_superstep(&mut self, superstep: u32) -> Result<(), PlaneError> {
-        for (_, tx) in &self.peers {
-            tx.send(Frame::EndOfSuperstep {
-                sender: self.id,
+        let wires = std::mem::take(&mut self.outbox);
+        for tx in &self.peers {
+            let (sender, wires) = (self.id, wires.clone());
+            let ended = InboxEvent::Superstep {
+                sender,
                 superstep,
-            })
-            .map_err(|_| PlaneError::Disconnected)?;
+                wires,
+            };
+            tx.send(ended).map_err(|_| PlaneError::Disconnected)?;
         }
         Ok(())
     }
@@ -195,16 +193,13 @@ impl BroadcastPlane for ChannelPlane {
             // A recv failure means *every* sender is gone (a single dead peer
             // keeps the channel open through the other clones), so it is
             // fatal rather than peer-attributed.
-            inbox
-                .recv()
-                .map(InboxEvent::Frame)
-                .map_err(|_| PlaneError::Disconnected)
+            inbox.recv().map_err(|_| PlaneError::Disconnected)
         })
     }
 
     fn abort(&mut self) {
-        for (_, tx) in &self.peers {
-            let _ = tx.send(Frame::Abort { sender: self.id });
+        for tx in &self.peers {
+            let _ = tx.send(InboxEvent::Aborted(self.id));
         }
     }
 }

@@ -11,10 +11,10 @@
 //! **single event-loop thread** instead: every stream is `O_NONBLOCK`, one
 //! poller reports which sockets can make progress, and per-peer
 //! state carries partial frames ([`crate::frame::FrameDecoder`]), partial
-//! handshakes and backpressured write queues across loop iterations. It feeds
-//! the [`SuperstepCollector`] inbox discipline (superstep ordering,
-//! stashing, abort semantics) its worker reads, and the determinism suites
-//! pin `PollPlane` runs bit-identical to the sequential reference (see `docs/WIRE.md` §5 for the conformance contract).
+//! handshakes and backpressured write queues across loop iterations. The
+//! [`SuperstepCollector`] its worker reads (superstep ordering, stashing,
+//! abort semantics) gets one event per peer superstep, and the determinism
+//! suites pin `PollPlane` runs bit-identical to the sequential reference (see `docs/WIRE.md` §5 for the conformance contract).
 //!
 //! ## Threading model
 //!
@@ -23,8 +23,8 @@
 //!  ─────────────                   ───────────────────────────────────────
 //!  broadcast() ─encode─▶ bounded   ┌──────────────────┐      ┌───────────┐
 //!  end_superstep()       command   │ commands, frames,│Event │  Fabric   │
-//!  acknowledge()         channel ─▶│ hellos, stream   │─────▶│ (fabric.rs│
-//!  send_state(), abort()  + waker  │ ends, ticks      │      │  no I/O)  │
+//!  send_state()          channel ─▶│ hellos, stream   │─────▶│ (fabric.rs│
+//!  abort()                + waker  │ ends, ticks      │      │  no I/O)  │
 //!       │                          │ poll(fds) · read │Action│           │
 //!       ▼                          │ write queues ·   │◀─────│ decides   │
 //!  collect() ◀─ inbox channel ◀────│ dial · accept    │      └───────────┘
@@ -566,8 +566,8 @@ pub struct PollPlane {
     collector: SuperstepCollector,
     event_loop: Option<JoinHandle<()>>,
     /// Recycles batch buffers: the event loop drops a batch once every peer
-    /// has written *and acknowledged* it, which returns the allocation here
-    /// for the next one.
+    /// has written it and ended the superstep after it, which returns the
+    /// allocation here for the next one.
     pool: BufferPool,
     /// Frames encoded since the last flush, shipped to the event loop as one
     /// contiguous buffer (see [`BATCH_FLUSH`]) — the write-coalescing half of
@@ -605,7 +605,7 @@ impl PollPlane {
     /// Hand the accumulated batch to the event loop (blocking while the loop
     /// is `COMMAND_BACKLOG` commands behind) and wake it. The batch buffer
     /// cycles: a fresh one is checked out of the pool, and the shipped one
-    /// returns there once every peer has written and acknowledged it.
+    /// returns there once the replay log lets it go.
     fn flush_batch(&mut self) -> Result<(), PlaneError> {
         if self.batch.is_empty() {
             return Ok(());
@@ -725,15 +725,6 @@ impl BroadcastPlane for PollPlane {
             .finish(|| inbox.recv().map_err(|_| PlaneError::Disconnected))?;
         let _ = self.event_loop.take().map(JoinHandle::join);
         Ok(())
-    }
-
-    fn acknowledge(&mut self, superstep: u32) -> Result<(), PlaneError> {
-        // Acks travel unretained (losing one to a cut only delays replay-log
-        // trimming) in their own batch, so they never mix into a retained one.
-        let mut buf = self.pool.checkout();
-        let sender = self.id;
-        Frame::Ack { sender, superstep }.encode(&mut buf);
-        self.send(Command::Ack(superstep, Arc::new(buf)))
     }
 
     fn abort(&mut self) {
@@ -1413,7 +1404,6 @@ mod tests {
             };
             assert_eq!(got.len(), 1, "server {id} superstep {s}: exactly once");
             assert_eq!(&got[0][..], &[peer as u8, s as u8]);
-            p.acknowledge(s).unwrap();
         }
     }
 
@@ -1462,7 +1452,6 @@ mod tests {
                             p.end_superstep(s).unwrap();
                             let got = p.collect(s).unwrap();
                             assert!(got.iter().all(|w| w.len() == 2 && w[1] == s as u8));
-                            p.acknowledge(s).unwrap();
                             seen.push(got.len());
                         }
                         seen
@@ -1530,7 +1519,6 @@ mod tests {
                         let got = p.collect(s).unwrap();
                         assert_eq!(got.len(), 8);
                         assert!(got.iter().all(|w| w.len() == payload.len()));
-                        p.acknowledge(s).unwrap();
                     }
                 });
             }

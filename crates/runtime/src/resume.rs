@@ -10,8 +10,8 @@
 //! * [`ReplayLog`] — the sender-side retention buffer. Every broadcast batch
 //!   written to the fabric is also retained here (shared, not copied), keyed
 //!   by superstep; on reconnect the log replays everything from the peer's
-//!   requested cursor, and incoming [`crate::frame::Frame::Ack`]s trim the
-//!   prefix every peer has applied.
+//!   requested cursor, and the peers' end-of-superstep markers trim the
+//!   prefix every peer has applied (a marker of `s` acknowledges `s - 1`).
 //! * [`ResilienceConfig`] — the one value of recovery policy a caller can
 //!   set: the reconnect deadline.
 //!
@@ -121,8 +121,8 @@ impl ResumeHello {
 }
 
 /// One retained broadcast batch: the buffer the event loop already shares
-/// across its peers' write queues, held here too until every peer acks its
-/// superstep — retention costs a reference count, not a copy.
+/// across its peers' write queues, held here too until every peer is past
+/// its superstep — retention costs a reference count, not a copy.
 #[derive(Debug)]
 struct ReplayEntry {
     superstep: u32,
@@ -133,12 +133,12 @@ struct ReplayEntry {
 ///
 /// Every batch of frames an endpoint broadcasts (messages *and* end-of-
 /// superstep markers) is retained here in superstep order. Retention is
-/// bounded by acknowledgements: `Ack(s)` from a peer means that peer has
-/// applied superstep `s`, so once **every** peer has acknowledged `s`, frames
-/// `<= s` can never be requested again by a live process and are trimmed
-/// (their buffers return to the pool). A new process of a peer resumes from
-/// a state at or above the floor. A live peer's resume request below the trim
-/// floor violates its own acknowledgement and is rejected as unrecoverable.
+/// bounded by acknowledgements: a peer's marker of `s + 1` says it applied
+/// `s`, so once **every** peer has, frames `<= s` can never be requested
+/// again by a live process and are trimmed (their buffers return to the
+/// pool); a goodbye or a loss forgets the peer. A new process of a peer
+/// resumes from a state at or above the floor. A live peer's resume request
+/// below the floor violates its own acknowledgement and is unrecoverable.
 #[derive(Debug)]
 pub struct ReplayLog {
     /// Retained batches in stream order; supersteps ascend (a superstep may
@@ -185,8 +185,8 @@ impl ReplayLog {
         self.entries.push_back(ReplayEntry { superstep, batch });
     }
 
-    /// Record `Ack(superstep)` from `peer` and trim every superstep that all
-    /// peers have now acknowledged.
+    /// Record that `peer` has applied `superstep` and trim every superstep
+    /// that all peers have now acknowledged.
     pub fn ack(&mut self, peer: ServerId, superstep: u32) {
         let Some(slot) = self.acked.get_mut(peer as usize) else {
             return; // hostile sender id: ignore rather than panic
@@ -195,9 +195,9 @@ impl ReplayLog {
         self.trim();
     }
 
-    /// Stop counting `peer` toward the retention floor: the peer is
-    /// terminally lost, so its acks can never arrive and holding frames for
-    /// it would pin the log (and a lingering drop) forever.
+    /// Stop counting `peer` toward the retention floor: it said goodbye and
+    /// needs nothing again, or is lost and its markers can never arrive
+    /// (holding frames for it would pin the log, and a lingering drop).
     pub fn forget(&mut self, peer: ServerId) {
         let Some(slot) = self.acked.get_mut(peer as usize) else {
             return;
@@ -209,14 +209,9 @@ impl ReplayLog {
     /// Drop every retained superstep at or below the minimum acknowledgement
     /// across all peers other than ourselves.
     fn trim(&mut self) {
-        let floor = self
-            .acked
-            .iter()
-            .enumerate()
-            .filter(|&(id, _)| id as ServerId != self.own)
-            .map(|(_, a)| *a)
-            .min()
-            .flatten();
+        let others = self.acked.iter().enumerate();
+        let others = others.filter(|&(id, _)| id as ServerId != self.own);
+        let floor = others.map(|(_, acked)| *acked).min().flatten();
         if let Some(floor) = floor {
             while self.entries.front().is_some_and(|e| e.superstep <= floor) {
                 let gone = self.entries.pop_front().unwrap();
@@ -227,13 +222,14 @@ impl ReplayLog {
     }
 
     /// Every batch retained from `resume_from` on, in stream order (shared,
-    /// not copied — the caller enqueues them as they are) — or `None` when
+    /// not copied), for `peer` — none once it is forgotten — or `None` when
     /// the cursor was already trimmed: a live peer that acknowledged past it
     /// asked for it again, which is unrecoverable.
-    pub fn replay_from(&self, resume_from: u32) -> Option<Vec<Arc<PooledBuf>>> {
-        let retained = self.entries.iter().filter(|e| e.superstep >= resume_from);
+    pub fn replay_from(&self, peer: ServerId, resume_from: u32) -> Option<Vec<Arc<PooledBuf>>> {
+        let forgotten = self.acked.get(peer as usize) == Some(&Some(u32::MAX));
+        let retained = (self.entries.iter()).filter(|e| e.superstep >= resume_from && !forgotten);
         let replay = retained.map(|e| Arc::clone(&e.batch)).collect();
-        (resume_from >= self.trimmed_until).then_some(replay)
+        (forgotten || resume_from >= self.trimmed_until).then_some(replay)
     }
 
     /// First superstep a resume request may still ask for.
@@ -391,7 +387,7 @@ mod tests {
 
     /// The replay as the byte run the peer would receive.
     fn replay_bytes(log: &ReplayLog, resume_from: u32) -> Option<Vec<u8>> {
-        let batches = log.replay_from(resume_from)?;
+        let batches = log.replay_from(1, resume_from)?;
         Some(batches.iter().flat_map(|b| b.iter().copied()).collect())
     }
 
@@ -432,7 +428,11 @@ mod tests {
         let mut superstep_3 = vec![3u8; 10];
         superstep_3.extend_from_slice(&eos_bytes(0, 3));
         assert_eq!(replay_bytes(&log, 3).unwrap(), superstep_3);
-        assert!(log.replay_from(2).is_none());
+        assert!(log.replay_from(1, 2).is_none());
+
+        // A forgotten peer is owed nothing, wherever it asks from.
+        log.forget(2);
+        assert_eq!(log.replay_from(2, 0).map(|replay| replay.len()), Some(0));
     }
 
     #[test]
@@ -461,7 +461,7 @@ mod tests {
         batch.extend_from_slice(&eos_bytes(0, 0));
         let batch = Arc::new(batch);
         log.append(0, Arc::clone(&batch));
-        let replayed = log.replay_from(0).unwrap();
+        let replayed = log.replay_from(1, 0).unwrap();
         assert!(Arc::ptr_eq(&replayed[0], &batch), "no copy on replay");
         drop((replayed, batch));
         assert_eq!(pool.pooled(), 0, "the log still holds the buffer");

@@ -3,16 +3,18 @@
 //!
 //! Each superstep, [`run_worker`] asks the step to compute its tiles,
 //! broadcasts the wires it encodes, ends the superstep on the plane, hands
-//! every wire the plane collects to the step, has it apply the merged
-//! updates, and acknowledges the superstep as applied — the superstep body
-//! the in-process executors step too, so `graphh-node` stays bit-identical
-//! to them. Every replica applies the same merged update set, so every
-//! worker reaches the same continue/stop decision.
+//! every wire the plane collects to the step, and has it apply the merged
+//! updates — the superstep body the in-process executors step too, so
+//! `graphh-node` stays bit-identical to them. Every replica applies the same
+//! merged update set, so every worker reaches the same continue/stop
+//! decision.
 //!
 //! There is no separate barrier: `collect(s)` returning *is* the barrier —
 //! every peer's end-of-superstep marker for `s` has arrived, and a faster
-//! peer's `s + 1` frames wait in the collector's stash until this worker
-//! gets there.
+//! peer's `s + 1` waits in the collector's stash until this worker gets
+//! there. Nor is there an acknowledgement: the worker publishes `s + 1` only
+//! after applying `s`, so its marker of `s + 1` tells the peers' planes what
+//! they may stop retaining (`docs/WIRE.md` §9.2).
 //!
 //! Recovery needs no file (`docs/WIRE.md` §9.4). A new process taking over
 //! from a dead one starts from the state its live peers sent it
@@ -130,11 +132,6 @@ pub fn run_worker(
     let body = std::panic::AssertUnwindSafe(|| -> Result<(), EngineError> {
         if let Some(state) = plane.restore_state() {
             restore_state(&mut step, plan, &state)?;
-            // Acks mean applied: the peers trim nothing more until this
-            // process has acknowledged what it holds.
-            if let Some(applied) = step.cursor().checked_sub(1) {
-                plane.acknowledge(applied).map_err(plane_error)?;
-            }
         }
         while let Some(superstep) = step.next_superstep() {
             if let Some(delay) = superstep_delay {
@@ -165,7 +162,6 @@ pub fn run_worker(
             let apply = rec.begin();
             step.apply()?;
             rec.end_superstep(apply, "apply", "superstep", superstep);
-            plane.acknowledge(superstep).map_err(plane_error)?;
         }
         serving(plane, &step, |plane| plane.finish())
     });
@@ -201,7 +197,7 @@ mod tests {
     /// A plane that hands the worker one attacker-controlled wire message,
     /// if given one, and a state to restore from, if given one; it asks for
     /// this server's state once in the collect of `request`'s superstep, and
-    /// records the markers, acks and states it is told, in order.
+    /// records the markers and states it is told, in order.
     #[derive(Default)]
     struct TestPlane {
         payload: Option<WireMessage>,
@@ -231,10 +227,6 @@ mod tests {
                 return Err(PlaneError::StateRequested(peer));
             }
             Ok(self.payload.take().into_iter().collect())
-        }
-        fn acknowledge(&mut self, superstep: u32) -> Result<(), PlaneError> {
-            self.calls.push(("ack", superstep));
-            Ok(())
         }
         fn send_state(&mut self, peer: ServerId, state: &[u8]) -> Result<(), PlaneError> {
             let state = Checkpoint::decode(state).expect("a GHHC state");
@@ -280,30 +272,6 @@ mod tests {
         }
     }
 
-    /// A worker restored at cursor `s` acknowledges `s - 1` before anything
-    /// else — even when nothing is left to run, or every peer would retain
-    /// the final supersteps — and a fresh start acknowledges nothing before
-    /// it has ended superstep 0.
-    #[test]
-    fn a_restored_worker_acknowledges_the_state_it_holds() {
-        let calls_of = |mut plane: TestPlane| {
-            run_path_graph(&mut plane).unwrap();
-            plane.calls
-        };
-        let everything: Vec<u32> = (0..10).collect();
-        // The cursor is past the last superstep: zero iterations, one ack.
-        assert_eq!(
-            calls_of(restoring(&state(3, everything.clone()))),
-            [("ack", 2)]
-        );
-        // The run had terminated (empty frontier) before the process died.
-        assert_eq!(calls_of(restoring(&state(2, Vec::new()))), [("ack", 1)]);
-        let mid_run = calls_of(restoring(&state(1, everything)));
-        assert_eq!(mid_run[..3], [("ack", 0), ("end", 1), ("ack", 1)]);
-        let fresh = calls_of(TestPlane::default());
-        assert_eq!(fresh[..2], [("end", 0), ("ack", 0)]);
-    }
-
     /// A request in the middle of collecting superstep 1 is answered with the
     /// state the worker holds then — cursor 1, superstep 0's replica —
     /// addressed to the asker, and the collect goes on.
@@ -318,9 +286,8 @@ mod tests {
         let calls = &plane.calls;
         assert_eq!(
             calls[..4],
-            [("end", 0), ("ack", 0), ("end", 1), ("state", 1)]
+            [("end", 0), ("end", 1), ("state", 1), ("end", 2)]
         );
-        assert_eq!(calls[4], ("ack", 1));
         let sent = &plane.sent[0];
         assert_eq!((sent.server, sent.next_superstep), (1, 1));
         // A run restored from it (readdressed to this server) ends where the
@@ -489,10 +456,7 @@ mod tests {
             rendered.contains("two messages overlap at vertex 0 in superstep 0"),
             "{rendered}"
         );
-        assert!(
-            !plane.calls.contains(&("ack", 0)),
-            "the superstep must not be acknowledged: {:?}",
-            plane.calls
-        );
+        // No marker of superstep 1, which would acknowledge superstep 0.
+        assert_eq!(plane.calls, [("end", 0)]);
     }
 }

@@ -4,7 +4,7 @@
 //! no thread, no sleep. Each is what a `graphh-node` process holds — a real
 //! [`Fabric`], [`SuperstepCollector`] and [`FrameDecoder`] per stream, and a
 //! real [`WorkerStep`] running a registry program on a small partitioned RMAT
-//! graph, which acknowledges every superstep it applies. A killed server's
+//! graph (its marker of superstep `s` acknowledges `s - 1`). A killed server's
 //! replacement is a new process: it recovers from its live peers, which
 //! answer its hello with their state ([`state_for`], through the fabric's
 //! state frames) and their replay, and it resumes from the lowest state
@@ -30,9 +30,11 @@
 //! * **everyone finishes** — unless a server is gone for good, every worker
 //!   completes every superstep (so a finished endpoint held the door for a
 //!   restarting one, and a restarted one got its replay);
-//! * **the log drains** — once every peer's ack of the last superstep is in,
+//! * **the log drains** — once every peer's goodbye or loss is in,
 //!   `ReplayLog::bytes_retained() == 0`; in a cluster kept up until everyone
-//!   is done, every log is empty at the end (a lost ack was repeated);
+//!   is done, every log holds nothing below the last superstep (every peer's
+//!   last marker acknowledged the one before it, a marker lost to a cut was
+//!   replayed);
 //! * **terminal loss on the deadline** — a terminal `PeerLost` fires at
 //!   exactly `reconnect_deadline` of virtual time after the link went down,
 //!   never earlier or later, and an establish failure at exactly the
@@ -259,7 +261,7 @@ enum Worker {
     /// Compute and encode the superstep, and broadcast it.
     Publish(u32),
     Collect(u32),
-    /// Apply the collected superstep and acknowledge it.
+    /// Apply the collected superstep.
     Apply(u32),
     /// Every superstep applied, the replica checked against the reference.
     Finished,
@@ -293,8 +295,8 @@ struct Proc {
     /// The state the fabric restored this process from, until the worker
     /// takes it.
     restored: Option<WireMessage>,
-    /// Message frames handed to the collector whose superstep it has not
-    /// returned yet: `(sender, superstep, wire)`, in the order handed.
+    /// Wires handed to the collector whose superstep it has not returned
+    /// yet: `(sender, superstep, wire)`, in the order handed.
     handed: Vec<(u32, u32, WireMessage)>,
     /// When `Action::Established` came.
     established: Option<Duration>,
@@ -309,8 +311,9 @@ struct Proc {
     down_since: Vec<Option<Duration>>,
     /// Per peer id: the peer said goodbye on its live stream.
     said_goodbye: Vec<bool>,
-    /// Per peer id: acks of the final superstep seen.
-    final_acks: Vec<bool>,
+    /// Per peer id: its goodbye or loss is in, so the fabric keeps nothing
+    /// for it (for good: the fabric forgets the peer).
+    released: Vec<bool>,
     /// Per peer id: a hello claiming this peer was refused for its cluster
     /// size since the link last came up.
     refused_size: Vec<bool>,
@@ -475,7 +478,6 @@ fn describe(bytes: &[u8]) -> String {
             } => format!("M{sender}.{superstep}"),
             Frame::EndOfSuperstep { sender, superstep } => format!("E{sender}.{superstep}"),
             Frame::Abort { sender } => format!("ABORT{sender}"),
-            Frame::Ack { sender, superstep } => format!("A{sender}.{superstep}"),
             Frame::Goodbye { sender } => format!("BYE{sender}"),
             Frame::State { sender, state } => {
                 format!("STATE{sender}@{}", encoded_cursor(&state).unwrap_or(0))
@@ -489,11 +491,11 @@ fn describe_action(action: &Action) -> String {
     match action {
         Action::Send(peer, batch) => format!("Send({peer}: {})", describe(batch)),
         Action::Reply(conn, bytes) => format!("Reply({conn:?}, {} bytes)", bytes.len()),
-        Action::Deliver(InboxEvent::Frame(frame)) => {
-            let mut bytes = Vec::new();
-            frame.encode(&mut bytes);
-            format!("Deliver({})", describe(&bytes))
-        }
+        Action::Deliver(InboxEvent::Superstep {
+            sender,
+            superstep,
+            wires,
+        }) => format!("Deliver(S{sender}.{superstep}: {} wires)", wires.len()),
         other => format!("{other:?}"),
     }
 }
@@ -503,7 +505,6 @@ fn describe_event(event: &Event<'_>) -> String {
         Event::Command(Command::Broadcast(superstep, batch)) => {
             format!("Broadcast({superstep}: {})", describe(batch))
         }
-        Event::Command(Command::Ack(superstep, _)) => format!("Ack({superstep})"),
         Event::Command(Command::Abort(_)) => "Abort".to_string(),
         Event::Command(Command::State(peer, batch)) => {
             format!("State({peer}: {})", describe(batch))
@@ -702,7 +703,7 @@ impl World {
             dialing: vec![None; servers],
             down_since: vec![None; servers],
             said_goodbye: vec![false; servers],
-            final_acks: vec![false; servers],
+            released: vec![false; servers],
             refused_size: vec![false; servers],
             next_slot: 0,
             actions: Vec::new(),
@@ -741,7 +742,7 @@ impl World {
         for event in raised {
             self.feed(id, event)?;
         }
-        Ok(())
+        self.check_drained(id)
     }
 
     /// An event and then the tick the loop's next iteration would run.
@@ -855,11 +856,16 @@ impl World {
             }
             Action::Deliver(event) => {
                 match &event {
-                    InboxEvent::Frame(Frame::EndOfSuperstep { sender, superstep }) => {
+                    InboxEvent::Superstep {
+                        sender, superstep, ..
+                    } => {
                         let cursor = &mut self.nodes[id].eos_cursor[*sender as usize];
                         *cursor = (*cursor).max(superstep + 1);
                     }
-                    InboxEvent::PeerLost(peer, error) => self.check_loss(id, *peer, error)?,
+                    InboxEvent::PeerLost(peer, error) => {
+                        self.check_loss(id, *peer, error)?;
+                        self.proc(id).expect("acting").released[*peer as usize] = true;
+                    }
                     _ => {}
                 }
                 let proc = self.proc(id).expect("acting");
@@ -1213,21 +1219,31 @@ impl World {
         })
     }
 
-    /// Everyone is done and the network is silent: every log must be empty
-    /// (a lost ack was repeated on the healed link). Then everyone may go.
+    /// Everyone is done and the network is silent: every peer's marker of
+    /// the last superstep acknowledged the one before it (a marker lost to a
+    /// cut was replayed on the healed link), so no log holds anything below
+    /// the last superstep. Then everyone may go, and their goodbyes empty
+    /// the logs ([`Self::check_drained`]).
     fn release(&mut self) -> Check {
         self.hold_until_all_done = false;
         if self.fatal {
             return Ok(());
         }
-        for id in 0..self.nodes.len() {
+        let (last, servers) = (self.supersteps.saturating_sub(1), self.nodes.len());
+        for id in 0..servers {
             let Some(proc) = self.proc(id) else {
                 continue;
             };
-            let retained = proc.fabric.replay().bytes_retained();
-            if retained != 0 {
+            // All it may hold is what a replay from the last superstep sends
+            // (nobody said goodbye yet, so no peer is forgotten).
+            let log = proc.fabric.replay();
+            let peer = (id + 1) % servers;
+            let batches = log.replay_from(peer as u32, last).unwrap_or_default();
+            let from_last: usize = batches.iter().map(|batch| batch.len()).sum();
+            let below = log.bytes_retained() - from_last;
+            if below != 0 {
                 return Err(format!(
-                    "n{id} still retains {retained} bytes with everyone done"
+                    "n{id} still retains {below} bytes below superstep {last} with everyone done"
                 ));
             }
         }
@@ -1377,16 +1393,12 @@ impl World {
                     let peer = *peer;
                     match decoder.next_frame() {
                         Ok(Some(frame)) => {
-                            match frame {
-                                Frame::Ack { superstep, .. } => self.note_ack(id, peer, superstep),
-                                Frame::Goodbye { .. } => {
-                                    self.proc(id).expect("reading").said_goodbye[peer as usize] =
-                                        true
-                                }
-                                _ => {}
+                            if let Frame::Goodbye { .. } = frame {
+                                let proc = self.proc(id).expect("reading");
+                                proc.said_goodbye[peer as usize] = true;
+                                proc.released[peer as usize] = true;
                             }
                             self.feed(id, Event::Frame(peer, frame))?;
-                            self.check_drained(id)?;
                         }
                         Ok(None) => break,
                         Err(_) => return self.lose_stream(id, conn, end, peer),
@@ -1412,20 +1424,16 @@ impl World {
         }
     }
 
-    fn note_ack(&mut self, id: usize, peer: u32, superstep: u32) {
-        if superstep + 1 == self.supersteps {
-            self.proc(id).expect("reading").final_acks[peer as usize] = true;
-        }
-    }
-
-    /// After the last ack of the last superstep nothing may be retained.
+    /// Once every peer's goodbye or loss is in, nothing may be retained.
     fn check_drained(&mut self, id: usize) -> Check {
-        let proc = self.proc(id).expect("reading");
-        let acks = proc.final_acks.iter().filter(|&&acked| acked).count();
+        let Some(proc) = self.proc(id) else {
+            return Ok(());
+        };
+        let released = proc.released.iter().filter(|&&released| released).count();
         let retained = proc.fabric.replay().bytes_retained();
-        if acks + 1 == proc.final_acks.len() && retained != 0 {
+        if released + 1 == proc.released.len() && retained != 0 {
             return Err(format!(
-                "n{id} retains {retained} bytes after every peer's last ack"
+                "n{id} retains {retained} bytes after every peer's goodbye or loss"
             ));
         }
         Ok(())
@@ -1474,7 +1482,7 @@ impl World {
         match proc.worker {
             Worker::Start => {
                 let Some(state) = proc.restored.take() else {
-                    return self.settle(id, None);
+                    return self.settle(id);
                 };
                 let step = proc.step.as_mut().expect("a running step");
                 restore_state(step, &w.plan, &state)
@@ -1482,7 +1490,7 @@ impl World {
                 let cursor = step.cursor();
                 self.restores.push((id as u32, cursor));
                 self.log(|| format!("n{id} restores at superstep {cursor}"));
-                self.settle(id, cursor.checked_sub(1))
+                self.settle(id)
             }
             Worker::Publish(s) => self.publish(id, s),
             Worker::Collect(s) => self.collect(id, s),
@@ -1490,7 +1498,7 @@ impl World {
                 let step = proc.step.as_mut().expect("a running step");
                 step.apply()
                     .map_err(|e| format!("n{id}: apply({s}): {e}"))?;
-                self.settle(id, Some(s))
+                self.settle(id)
             }
             Worker::Finished
                 if proc.stopped.is_some() || asked(&proc.collector, &proc.inbox).is_some() =>
@@ -1513,18 +1521,10 @@ impl World {
         }
     }
 
-    /// Acknowledge the superstep the worker has applied through, if any —
-    /// acks mean applied — then go on to the next superstep, or end the run,
-    /// where the replica must be the sequential one.
-    fn settle(&mut self, id: usize, applied: Option<u32>) -> Check {
-        if let Some(superstep) = applied {
-            let proc = self.proc(id).expect("acknowledging");
-            let mut batch = proc.pool.checkout();
-            let sender = id as u32;
-            Frame::Ack { sender, superstep }.encode(&mut batch);
-            let command = Command::Ack(superstep, Arc::new(batch));
-            self.feed_and_tick(id, Event::Command(command))?;
-        }
+    /// Go on to the next superstep — whose marker will acknowledge the one
+    /// applied — or end the run, where the replica must be the sequential
+    /// one.
+    fn settle(&mut self, id: usize) -> Check {
         let w = self.workload;
         let proc = self.proc(id).expect("working");
         let step = proc.step.as_ref().expect("a running step");
@@ -1620,16 +1620,7 @@ impl World {
                 // The collect keeps what it gathered; the request is answered
                 // with the state before `apply(s)`.
                 proc.collector = attempt;
-                for event in proc.inbox.drain(..taken) {
-                    if let InboxEvent::Frame(Frame::Message {
-                        sender,
-                        superstep,
-                        wire,
-                    }) = event
-                    {
-                        proc.handed.push((sender, superstep, wire));
-                    }
-                }
+                hand(proc, taken);
                 return self.answer(id, peer);
             }
             Ok(wires) => wires,
@@ -1647,16 +1638,7 @@ impl World {
             Err(error) => return Err(format!("n{id}: collect({s}) failed: {error:?}")),
         };
         proc.collector = attempt;
-        for event in proc.inbox.drain(..taken) {
-            if let InboxEvent::Frame(Frame::Message {
-                sender,
-                superstep,
-                wire,
-            }) = event
-            {
-                proc.handed.push((sender, superstep, wire));
-            }
-        }
+        hand(proc, taken);
         let (this, later): (Vec<_>, Vec<_>) = proc
             .handed
             .drain(..)
@@ -1866,6 +1848,22 @@ impl World {
             }
         }
         Ok(())
+    }
+}
+
+/// The first `taken` inbox events went to the collector: remember the wires
+/// they handed it.
+fn hand(proc: &mut Proc, taken: usize) {
+    for event in proc.inbox.drain(..taken) {
+        if let InboxEvent::Superstep {
+            sender,
+            superstep,
+            wires,
+        } = event
+        {
+            let handed = wires.into_iter().map(|wire| (sender, superstep, wire));
+            proc.handed.extend(handed);
+        }
     }
 }
 
