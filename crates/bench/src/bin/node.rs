@@ -62,7 +62,7 @@
 //! exit is seen at once. `--superstep-delay-ms N` is a chaos-test aid that
 //! widens the window for killing a node mid-run (never changes values).
 
-use graphh_bench::multiprocess::{encode_values, NodeWorkload};
+use graphh_bench::multiprocess::NodeWorkload;
 use graphh_cluster::ClusterConfig;
 use graphh_compress::Codec;
 use graphh_core::exec::ExecutionPlan;
@@ -71,7 +71,7 @@ use graphh_core::{DirectionMode, GraphHConfig};
 use graphh_obs::{chrome_trace_json, global_counters, Tracer};
 use graphh_pool::WorkerPool;
 use graphh_runtime::establish::DEFAULT_ESTABLISH_TIMEOUT;
-use graphh_runtime::{run_worker, BroadcastPlane, PollPlane, ResilienceConfig};
+use graphh_runtime::{encode_values, run_worker, BroadcastPlane, PollPlane, ResilienceConfig};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 

@@ -121,14 +121,10 @@ impl NodeWorkload {
     }
 }
 
-// The GHHV value-file codec now lives in the runtime (it is also the value
-// section of GHHC checkpoint files — `graphh_runtime::checkpoint`); re-export
-// it under its historical home so launchers keep one import path.
-pub use graphh_runtime::{decode_values, encode_values, VALUES_MAGIC};
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphh_runtime::{decode_values, encode_values};
 
     #[test]
     fn values_roundtrip_losslessly() {

@@ -19,11 +19,12 @@
 //! in-process sequential reference executor — not "recovered", but exactly
 //! the bits an unfaulted run produces.
 
-use graphh_bench::multiprocess::{decode_values, NodeWorkload};
+use graphh_bench::multiprocess::NodeWorkload;
 use graphh_cluster::ClusterConfig;
 use graphh_core::{GraphHConfig, GraphHEngine, SequentialExecutor};
 use graphh_obs::Tracer;
 use graphh_pool::WorkerPool;
+use graphh_runtime::decode_values;
 use std::io::BufRead;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};

@@ -10,11 +10,12 @@
 //! its peer sockets — produces byte-for-byte the values of the
 //! single-threaded reference.
 
-use graphh_bench::multiprocess::{decode_values, NodeWorkload};
+use graphh_bench::multiprocess::NodeWorkload;
 use graphh_cluster::ClusterConfig;
 use graphh_core::{GraphHConfig, GraphHEngine, SequentialExecutor};
 use graphh_obs::Tracer;
 use graphh_pool::WorkerPool;
+use graphh_runtime::decode_values;
 use std::net::TcpListener;
 use std::process::{Child, Command};
 use std::sync::Arc;

@@ -30,7 +30,7 @@
 //! Figure 8's traffic series are measured, not estimated.
 
 use crate::metrics::ServerMetrics;
-use graphh_compress::varint::{read_varint, read_varint64, write_varint, write_varint64};
+use graphh_compress::varint::{varint_len, write_varint, Varints};
 use graphh_compress::{Codec, CompressorScratch};
 use graphh_graph::ids::VertexId;
 
@@ -110,11 +110,6 @@ fn int_code(bits: u64) -> Option<u64> {
     (f64::from(k).to_bits() == bits).then_some(u64::from(k) + 1)
 }
 
-/// Bytes of `value` as a LEB128 varint.
-fn varint_len(value: u64) -> u64 {
-    u64::from(64 - (value | 1).leading_zeros()).div_ceil(7)
-}
-
 /// How a message's values go on the wire, decided from the values alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ValueShape {
@@ -191,33 +186,6 @@ fn plane_order(head: u8) -> [usize; 8] {
     order
 }
 
-/// Length of the first `count` LEB128 varints of `data` (a varint ends at
-/// the first byte with a clear top bit), `None` if `data` holds fewer.
-fn varints_len(data: &[u8], count: usize) -> Option<usize> {
-    const TOPS: u64 = 0x8080_8080_8080_8080;
-    let mut missing = count;
-    let mut at = 0;
-    // Whole words while all of a word's varint ends are still wanted.
-    for word in data.chunks_exact(8) {
-        let ends = (!u64::from_le_bytes(word.try_into().unwrap()) & TOPS).count_ones() as usize;
-        if ends >= missing {
-            break;
-        }
-        missing -= ends;
-        at += 8;
-    }
-    if missing == 0 {
-        return Some(at);
-    }
-    for (i, &byte) in data[at..].iter().enumerate() {
-        missing -= usize::from(byte < 0x80);
-        if missing == 0 {
-            return Some(at + i + 1);
-        }
-    }
-    None
-}
-
 /// The update bitmap as `(first slot, 64 slots)` words, the padding bits past
 /// slot `n` cleared. `bitmap` holds `⌈n / 8⌉` bytes.
 fn bitmap_words(bitmap: &[u8], n: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
@@ -242,7 +210,7 @@ enum Index<'a> {
     /// One bit per vertex of the range; as many set (padding aside) as the
     /// header counts.
     Bitmap(&'a [u8]),
-    /// As many varint gaps as the header counts.
+    /// Exactly as many varint gaps as the header counts.
     Gaps(&'a [u8]),
 }
 
@@ -269,18 +237,20 @@ impl Index<'_> {
                 }
             }
             Index::Gaps(gaps) => {
-                let mut pos = 0;
-                let mut floor = u64::from(range_start);
-                for k in 0..count {
-                    let id = floor + u64::from(read_varint(gaps, &mut pos)?);
+                let (mut k, mut floor) = (0, u64::from(range_start));
+                Varints::new(gaps).run(count, |gap| {
+                    let gap = u32::try_from(gap)
+                        .map_err(|_| format!("sparse gap {gap} overflows u32"))?;
+                    let id = floor + u64::from(gap);
                     if id >= u64::from(range_end) {
                         return Err(format!(
                             "sparse vertex id {id} outside range [{range_start}, {range_end})"
                         ));
                     }
                     visit(id as u32, value(k)?);
-                    floor = id + 1;
-                }
+                    (k, floor) = (k + 1, id + 1);
+                    Ok(())
+                })?;
             }
         }
         Ok(())
@@ -427,7 +397,7 @@ impl BroadcastMessage {
                 // repeated or falling id has no encoding.
                 let mut floor = self.range_start;
                 for &(v, _) in &self.updates {
-                    write_varint(v - floor, out);
+                    write_varint(u64::from(v - floor), out);
                     floor = v + 1;
                 }
             }
@@ -436,7 +406,7 @@ impl BroadcastMessage {
             ValueShape::Ints => {
                 for &(_, value) in &self.updates {
                     let code = int_code(value.to_bits()).expect("classified as integers");
-                    write_varint64(code, out);
+                    write_varint(code, out);
                 }
                 out.len()
             }
@@ -540,8 +510,9 @@ impl BroadcastMessage {
         }
         let body = &head[HEADER_LEN..];
         let (index, values, encoding) = if tag & TAG_SPARSE != 0 {
-            let len = varints_len(body, count).ok_or("sparse index truncated")?;
-            let (gaps, values) = body.split_at(len);
+            let mut gaps = Varints::new(body);
+            gaps.skip(count).map_err(|e| format!("sparse index: {e}"))?;
+            let (gaps, values) = body.split_at(gaps.pos());
             (Index::Gaps(gaps), values, BroadcastEncoding::Sparse)
         } else {
             let Some((bitmap, values)) = body.split_at_checked(n.div_ceil(8)) else {
@@ -558,14 +529,18 @@ impl BroadcastMessage {
         let range = (range_start, range_end);
 
         if tag & TAG_INTS != 0 {
-            if varints_len(values, count) != Some(values.len()) {
+            let mut codes = Varints::new(values);
+            codes
+                .skip(count)
+                .map_err(|e| format!("integer codes length mismatch: {e}"))?;
+            if codes.pos() != values.len() {
                 return Err("integer codes length mismatch".into());
             }
             if tail.is_some_and(|tail| !tail.is_empty()) {
                 return Err("bytes after an integer message".into());
             }
-            let mut pos = 0;
-            let value = |_| match read_varint64(values, &mut pos)? {
+            let mut codes = Varints::new(values);
+            let value = |_| match codes.read()? {
                 0 => Ok(f64::INFINITY),
                 code @ 1..=MAX_INT_CODE => Ok((code - 1) as f64),
                 code => Err(format!("integer code {code} out of range")),
@@ -1034,6 +1009,40 @@ mod tests {
         // The smallest gap is a step of one: 7, 8.
         let adjacent = BroadcastMessage::decode(&raw_sparse((0, 100), 2, &[&[7], &[0]])).unwrap();
         assert_eq!(adjacent.updates, vec![(7, 1.0), (8, 1.0)]);
+    }
+
+    /// Every varint is read in its shortest form only: a gap of 0 written
+    /// as `80 00`, or the code of 0.0 as `81 00`, is rejected, not read as
+    /// the value it spells — in the plain layout and in a stored head.
+    #[test]
+    fn an_overlong_gap_or_integer_code_is_rejected() {
+        let raw = |gap: &[u8], code: &[u8]| {
+            let mut out = vec![TAG_SPARSE | TAG_INTS];
+            for field in [0u32, 8, 1] {
+                out.extend_from_slice(&field.to_le_bytes());
+            }
+            [&out[..], gap, code].concat()
+        };
+        let snappy = MessageCodec::new(CommunicationMode::Sparse, Some(Codec::Snappy));
+        let stored = |plain: &[u8]| {
+            let trailer = [&(plain.len() as u32).to_le_bytes()[..], &[HEAD_STORED]].concat();
+            [plain, &trailer].concat()
+        };
+        let decode = |plain: &[u8]| {
+            let direct = BroadcastMessage::decode(plain);
+            let in_head = snappy.decode(&stored(plain), &mut ServerMetrics::default());
+            assert_eq!(direct, in_head);
+            direct
+        };
+        let zero = BroadcastMessage::new(0, 8, vec![(0, 0.0)]);
+        assert_eq!(decode(&raw(&[0x00], &[0x01])), Ok(zero));
+        for (gap, code) in [(&[0x80, 0x00][..], &[0x01][..]), (&[0x00], &[0x81, 0x00])] {
+            let err = decode(&raw(gap, code)).unwrap_err();
+            assert!(
+                err.contains("shortest form"),
+                "{gap:02x?} {code:02x?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! * [`Codec`] — the codecs the paper evaluates (raw, snappy, zlib-1, zlib-3) plus a
 //!   graph-specific varint-delta codec, which the edge cache takes to mean its
 //!   packed tile form when the raw tiles do not fit (`graphh-cache`),
-//! * [`varint`] — LEB128 varint and delta encoding of id sequences,
+//! * [`varint`] — the workspace's one LEB128 varint and zig-zag codec (the
+//!   packed tile, the broadcast message's id gaps and integer codes, and the
+//!   varint-delta compressor all read and write through it; its reader is
+//!   word-at-a-time and takes only shortest forms),
 //! * [`stats`] — ratio / throughput measurement used to regenerate Table V.
 
 pub mod stats;

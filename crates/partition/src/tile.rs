@@ -20,24 +20,15 @@
 //! sources as zig-zag gaps, the byte-code layout of WebGraph and Ligra+ over
 //! the SPE's already-sorted runs.
 //!
-//! Both directions work a word at a time, in portable Rust. The decoder
-//! ([`Tile::from_packed`]) loads eight bytes, gathers their stop bits (high
-//! bit clear) into one byte with a multiply, and looks that byte up in a
-//! 256-entry table of the varints that end in the window: how many, where
-//! each ends, and the two shifts that cut it out. Three shift-and-mask steps
-//! pack the window's 7-bit groups side by side, and one mask finds a
-//! non-shortest varint anywhere in the bytes taken (a 0 after a continued
-//! byte). That is the scalar core of Plaisance, Kurz and Lemire's
-//! "Vectorized VByte Decoding" (2015). A varint that does not end inside a
-//! full window goes byte by byte. The degrees are decoded in one run; the
-//! gaps in another, as `u32`s straight into the sources array (eight slots a
-//! window, whatever the window holds), which a second pass turns from gaps
-//! into sources target by target. The writer ([`Tile::to_packed`]) sizes
-//! its buffer exactly from each value's `leading_zeros`
-//! ([`Tile::packed_size`]) and writes each varint as one 8-byte store. The
-//! bytes are those of the per-byte codec the tests keep as their reference.
+//! The varints are [`graphh_compress::varint`]'s, which works a word at a
+//! time. The decoder ([`Tile::from_packed`]) reads the degrees in one run;
+//! the gaps in another, as `u32`s straight into the sources array, which a
+//! second pass turns from gaps into sources target by target. The writer
+//! ([`Tile::to_packed`]) sizes its buffer exactly ([`Tile::packed_size`])
+//! and writes each varint as one 8-byte store.
 
 use crate::{PartitionError, Result};
+use graphh_compress::varint::{unzigzag, varint_len, zigzag, VarintWriter, Varints};
 use graphh_graph::ids::{TileId, VertexId};
 
 /// Magic prefix of the tile binary format.
@@ -342,7 +333,7 @@ impl Tile {
             for &source in &self.sources[w[0] as usize..w[1] as usize] {
                 let gap = i64::from(source) - prev;
                 prev = i64::from(source);
-                each(((gap << 1) ^ (gap >> 63)) as u64);
+                each(zigzag(gap));
             }
         }
     }
@@ -374,14 +365,14 @@ impl Tile {
         header[12..16].copy_from_slice(&self.target_start.to_le_bytes());
         header[16..20].copy_from_slice(&self.target_end.to_le_bytes());
         header[20] = u8::from(self.is_weighted());
-        let mut writer = VarintWriter { out: body, pos: 0 };
+        let mut writer = VarintWriter::new(body);
         writer.put(self.sources.len() as u64);
         for w in self.offsets.windows(2) {
             writer.put(w[1] - w[0]);
         }
         self.for_each_gap(|z| writer.put(z));
-        let VarintWriter { out: body, pos } = writer;
-        let weights = &mut body[pos..];
+        let written = writer.pos();
+        let weights = &mut body[written..];
         let weight_bytes = self.weights.as_ref().map_or(0, |w| 4 * w.len());
         assert_eq!(weights.len(), weight_bytes, "packed tile buffer size");
         if let Some(ws) = &self.weights {
@@ -429,9 +420,9 @@ impl Tile {
             1 => true,
             flag => return corrupt(format!("packed tile weighted flag is {flag}, not 0 or 1")),
         };
-        let mut varints = Varints { data: body, pos: 0 };
+        let mut varints = Varints::new(body);
         let bad = |what: &str| PartitionError::Corrupt(format!("packed tile {tile_id}: {what}"));
-        let num_edges = varints.next().map_err(bad)?;
+        let num_edges = varints.read().map_err(bad)?;
         // Each degree and each gap is at least one byte, each weight four.
         let num_targets = u64::from(target_end - target_start);
         let rest = varints.remaining() as u64;
@@ -467,7 +458,7 @@ impl Tile {
         // The gaps, zig-zagged, land in `sources` first and become sources
         // in a second pass; a gap too wide for that (only near the top of
         // the id space) sends the whole run through `Varints::run` instead.
-        let gaps_at = varints.pos;
+        let gaps_at = varints.clone();
         let mut sources = vec![0; num_edges + 7];
         if varints.run_u32(&mut sources).map_err(bad)? {
             sources.truncate(num_edges);
@@ -478,7 +469,7 @@ impl Tile {
                     let z = u64::from(*slot);
                     // Two's complement: the sum is in `0..=u32::MAX` exactly
                     // when the signed sum is.
-                    prev = prev.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
+                    prev = prev.wrapping_add(unzigzag(z) as u64);
                     high |= prev;
                     *slot = prev as VertexId;
                 }
@@ -487,7 +478,7 @@ impl Tile {
                 return Err(bad("a source gap leaves the u32 range"));
             }
         } else {
-            varints.pos = gaps_at;
+            varints = gaps_at;
             sources.clear();
             // `offsets[run]` is where the current target's sources end; the
             // degrees add up to `num_edges`, so one lies past every source.
@@ -498,7 +489,7 @@ impl Tile {
                         run += 1;
                         prev = 0;
                     }
-                    prev = prev.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
+                    prev = prev.wrapping_add(unzigzag(z) as u64);
                     let source = VertexId::try_from(prev)
                         .map_err(|_| "a source gap leaves the u32 range")?;
                     sources.push(source);
@@ -507,7 +498,7 @@ impl Tile {
                 .map_err(bad)?;
         }
 
-        let weights = &body[varints.pos..];
+        let weights = &body[varints.pos()..];
         let weight_bytes = if weighted { num_edges * 4 } else { 0 };
         if weights.len() != weight_bytes {
             return corrupt(format!(
@@ -534,304 +525,6 @@ impl Tile {
     }
 }
 
-/// Bytes an LEB128 varint takes, by its value's `leading_zeros`: one per
-/// seven significant bits, at least one.
-const VARINT_LEN: [u8; 65] = {
-    let mut table = [1; 65];
-    let mut zeros = 0;
-    while zeros < 64 {
-        table[zeros] = (64 - zeros as u8).div_ceil(7);
-        zeros += 1;
-    }
-    table
-};
-
-#[inline]
-fn varint_len(value: u64) -> u64 {
-    u64::from(VARINT_LEN[value.leading_zeros() as usize])
-}
-
-/// Append `value` as an LEB128 varint: seven bits a byte, low bits first,
-/// the high bit set on every byte but the last.
-#[cfg(test)]
-fn write_varint(mut value: u64, out: &mut Vec<u8>) {
-    while value >= 0x80 {
-        out.push(value as u8 | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
-}
-
-/// The high bit of every byte of a word: LEB128's continuation bits.
-const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
-/// The seven payload bits of every byte of a word.
-const LOW_BITS: u64 = 0x7F7F_7F7F_7F7F_7F7F;
-/// Gathers the high bits of a word's eight bytes, shifted down to bit 0 of
-/// each, into its top byte: byte `i`'s lands on bit `56 + i`.
-const BYTE_GATHER: u64 = 0x0102_0408_1020_4080;
-
-/// The LEB128 varints that end in an 8-byte window, indexed by the window's
-/// stop bits: bit `i` of the index is set when byte `i` has its high bit
-/// clear, so the `k`-th set bit ends the `k`-th varint and the next begins
-/// after it.
-#[derive(Clone, Copy)]
-struct Window {
-    /// Varints that end in the window.
-    count: u8,
-    /// How many varints, from the first, take four bytes or fewer, so hold
-    /// less than 2²⁸.
-    narrow: u8,
-    /// Per varint: one past its last byte.
-    end: [u8; 8],
-    /// Per varint: the shift left that [`Window::cut`] starts with,
-    /// `64 − 7·end`, which drops the groups after it.
-    left: [u8; 8],
-    /// Per varint: the shift right that follows, `64 − 7·width`, which drops
-    /// the groups before it. A slot past `count` shifts by 63, leaving 0.
-    right: [u8; 8],
-}
-
-impl Window {
-    /// The `k`-th varint of the window whose [`compact`]ed groups are
-    /// `groups`.
-    #[inline]
-    fn cut(&self, groups: u64, k: usize) -> u64 {
-        (groups << self.left[k]) >> self.right[k]
-    }
-}
-
-const WINDOWS: [Window; 256] = {
-    let mut table = [Window {
-        count: 0,
-        narrow: 0,
-        end: [0; 8],
-        left: [0; 8],
-        right: [63; 8],
-    }; 256];
-    let mut stops = 0;
-    while stops < 256 {
-        let window = &mut table[stops];
-        let mut start = 0;
-        let mut byte = 0;
-        while byte < 8 {
-            if stops >> byte & 1 == 1 {
-                let k = window.count as usize;
-                let (end, width) = (byte + 1, byte + 1 - start);
-                window.end[k] = end;
-                window.left[k] = 64 - 7 * end;
-                window.right[k] = 64 - 7 * width;
-                if window.narrow as usize == k && width <= 4 {
-                    window.narrow += 1;
-                }
-                window.count += 1;
-                start = end;
-            }
-            byte += 1;
-        }
-        stops += 1;
-    }
-    table
-};
-
-/// The window's eight 7-bit groups, high bits dropped, packed side by side
-/// into the low 56 bits: pairs, then quads, then all eight.
-#[inline]
-fn compact(word: u64) -> u64 {
-    let x = word & LOW_BITS;
-    let x = (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1);
-    let x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
-    (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4)
-}
-
-/// [`compact`] run backwards: a value below 2⁵⁶ spread over eight 7-bit
-/// groups, one a byte, high bits clear.
-#[inline]
-fn spread(value: u64) -> u64 {
-    let x = (value & 0x0000_0000_0FFF_FFFF) | ((value << 4) & 0x0FFF_FFFF_0000_0000);
-    let x = (x & 0x0000_3FFF_0000_3FFF) | ((x << 2) & 0x3FFF_0000_3FFF_0000);
-    (x & 0x007F_007F_007F_007F) | ((x << 1) & 0x7F00_7F00_7F00_7F00)
-}
-
-/// By a varint's width in bytes up to eight: the high bit of every byte but
-/// its last.
-const CONTINUED: [u64; 9] = {
-    let mut table = [0; 9];
-    let mut width = 2;
-    while width < 9 {
-        table[width] = HIGH_BITS >> (72 - 8 * width);
-        width += 1;
-    }
-    table
-};
-
-/// Writes varints into a buffer already sized for them.
-struct VarintWriter<'a> {
-    out: &'a mut [u8],
-    pos: usize,
-}
-
-impl VarintWriter<'_> {
-    /// Write `value` as an LEB128 varint: with eight bytes of room, one
-    /// 8-byte store whose bytes past the varint the next write overwrites.
-    #[inline]
-    fn put(&mut self, value: u64) {
-        let width = varint_len(value) as usize;
-        match self.out.get_mut(self.pos..self.pos + 8) {
-            Some(window) if width <= 8 => {
-                window.copy_from_slice(&(spread(value) | CONTINUED[width]).to_le_bytes());
-            }
-            _ => {
-                let mut value = value;
-                let (last, continued) = self.out[self.pos..self.pos + width]
-                    .split_last_mut()
-                    .expect("a varint takes a byte");
-                for byte in continued {
-                    *byte = value as u8 | 0x80;
-                    value >>= 7;
-                }
-                *last = value as u8;
-            }
-        }
-        self.pos += width;
-    }
-}
-
-/// A cursor over the packed form's varints.
-struct Varints<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl Varints<'_> {
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// The next varint. Only the shortest encoding of a value that fits 64
-    /// bits is accepted: no final byte of 0 after the first, and a tenth
-    /// byte may only be 1.
-    #[inline]
-    fn next(&mut self) -> std::result::Result<u64, &'static str> {
-        let mut value = 0u64;
-        let mut shift = 0;
-        loop {
-            let Some(&byte) = self.data.get(self.pos) else {
-                return Err("varint truncated");
-            };
-            self.pos += 1;
-            if shift == 63 && byte > 1 {
-                return Err("varint overflows 64 bits");
-            }
-            value |= u64::from(byte & 0x7F) << shift;
-            if byte < 0x80 {
-                if byte == 0 && shift > 0 {
-                    return Err("varint not in its shortest form");
-                }
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
-    /// The varints that end in the eight bytes at the cursor, at most
-    /// `left` of them, with the cursor moved past them: their 7-bit groups
-    /// side by side ([`compact`]), the window's shape ([`WINDOWS`], whose
-    /// [`Window::cut`] takes each out), and how many. `None`, the cursor
-    /// unmoved, when fewer than eight bytes remain or none of them ends a
-    /// varint.
-    ///
-    /// A varint that ends in the window has at most eight bytes, so it fits
-    /// 64 bits; it is in its shortest form unless its last byte is 0 after a
-    /// continued byte, which one mask checks for all of them.
-    #[inline]
-    fn window(
-        &mut self,
-        left: usize,
-    ) -> std::result::Result<Option<(u64, &'static Window, usize)>, &'static str> {
-        let Some(bytes) = self.data.get(self.pos..self.pos + 8) else {
-            return Ok(None);
-        };
-        let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-        let stops = !word & HIGH_BITS;
-        let shape = &WINDOWS[((stops >> 7).wrapping_mul(BYTE_GATHER) >> 56) as usize];
-        let count = usize::from(shape.count).min(left);
-        if count == 0 {
-            return Ok(None);
-        }
-        let end = shape.end[count - 1];
-        let taken = u64::MAX >> (64 - 8 * u32::from(end));
-        // High bit of byte `i` set when byte `i` is 0 (exact: no byte's sum
-        // carries into the next), and when byte `i - 1` continues.
-        let zero = !(((word & LOW_BITS) + LOW_BITS) | word) & HIGH_BITS;
-        if zero & (word & HIGH_BITS) << 8 & taken != 0 {
-            return Err("varint not in its shortest form");
-        }
-        self.pos += usize::from(end);
-        Ok(Some((compact(word), shape, count)))
-    }
-
-    /// The next `n` varints, handed to `each` in order, under the rules of
-    /// [`Varints::next`]: a window at a time ([`Varints::window`]), and a
-    /// varint that does not end in one (nine or ten bytes, or within eight
-    /// bytes of the end) through [`Varints::next`].
-    #[inline]
-    fn run(
-        &mut self,
-        n: usize,
-        mut each: impl FnMut(u64) -> std::result::Result<(), &'static str>,
-    ) -> std::result::Result<(), &'static str> {
-        let mut left = n;
-        while left > 0 {
-            let Some((groups, shape, count)) = self.window(left)? else {
-                each(self.next()?)?;
-                left -= 1;
-                continue;
-            };
-            for k in 0..count {
-                each(shape.cut(groups, k))?;
-            }
-            left -= count;
-        }
-        Ok(())
-    }
-
-    /// [`Varints::run`] into `out`, as `u32`s: the next `out.len() - 7`
-    /// varints, the seven slots past them scratch. A window whose varints
-    /// are all four bytes or narrower fills eight slots unconditionally and
-    /// keeps the first `count`. `Ok(false)`, the cursor somewhere in the
-    /// run, when a varint does not fit `u32`.
-    #[inline]
-    fn run_u32(&mut self, out: &mut [u32]) -> std::result::Result<bool, &'static str> {
-        let n = out.len() - 7;
-        let mut i = 0;
-        while i < n {
-            let Some((groups, shape, count)) = self.window(n - i)? else {
-                let Ok(value) = u32::try_from(self.next()?) else {
-                    return Ok(false);
-                };
-                out[i] = value;
-                i += 1;
-                continue;
-            };
-            let slots: &mut [u32; 8] = (&mut out[i..i + 8]).try_into().expect("8 slots");
-            if count <= usize::from(shape.narrow) {
-                for (k, slot) in slots.iter_mut().enumerate() {
-                    *slot = shape.cut(groups, k) as u32;
-                }
-            } else {
-                for (k, slot) in slots.iter_mut().enumerate().take(count) {
-                    let Ok(value) = u32::try_from(shape.cut(groups, k)) else {
-                        return Ok(false);
-                    };
-                    *slot = value;
-                }
-            }
-            i += count;
-        }
-        Ok(true)
-    }
-}
-
 /// Decode a packed array of `N`-byte little-endian values.
 fn decode_le<const N: usize, T>(bytes: &[u8], from_le: impl Fn([u8; N]) -> T) -> Vec<T> {
     bytes
@@ -843,6 +536,7 @@ fn decode_le<const N: usize, T>(bytes: &[u8], from_le: impl Fn([u8; N]) -> T) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphh_compress::varint::write_varint;
 
     fn sample_tile(weighted: bool) -> Tile {
         // Targets 10, 11, 12 with in-edges from various sources.
@@ -1234,7 +928,7 @@ mod tests {
     }
 
     /// The decoder `Tile::from_packed` replaced, one byte and one
-    /// `Varints::next` at a time, one call per target: the reference the
+    /// `Varints::read` at a time, one call per target: the reference the
     /// word-at-a-time decoder must agree with, verdict for verdict and tile
     /// for tile.
     fn from_packed_per_byte(data: &[u8]) -> Result<Tile> {
@@ -1259,9 +953,9 @@ mod tests {
             1 => true,
             flag => return corrupt(format!("packed tile weighted flag is {flag}, not 0 or 1")),
         };
-        let mut varints = Varints { data: body, pos: 0 };
+        let mut varints = Varints::new(body);
         let bad = |what: &str| PartitionError::Corrupt(format!("packed tile {tile_id}: {what}"));
-        let num_edges = varints.next().map_err(bad)?;
+        let num_edges = varints.read().map_err(bad)?;
         // Each degree and each gap is at least one byte, each weight four.
         let num_targets = u64::from(target_end - target_start);
         let rest = varints.remaining() as u64;
@@ -1281,7 +975,7 @@ mod tests {
         offsets.push(0u64);
         let mut total = 0u64;
         for _ in 0..num_targets {
-            let degree = varints.next().map_err(bad)?;
+            let degree = varints.read().map_err(bad)?;
             total = total
                 .checked_add(degree)
                 .filter(|&total| total <= num_edges as u64)
@@ -1296,7 +990,7 @@ mod tests {
         for w in offsets.windows(2) {
             let mut prev = 0i64;
             for _ in w[0]..w[1] {
-                let z = varints.next().map_err(bad)?;
+                let z = varints.read().map_err(bad)?;
                 let gap = (z >> 1) as i64 ^ -((z & 1) as i64);
                 prev = prev
                     .checked_add(gap)
@@ -1306,7 +1000,7 @@ mod tests {
             }
         }
 
-        let weights = &body[varints.pos..];
+        let weights = &body[varints.pos()..];
         let weight_bytes = if weighted { num_edges * 4 } else { 0 };
         if weights.len() != weight_bytes {
             return corrupt(format!(
@@ -1366,70 +1060,6 @@ mod tests {
         }
     }
 
-    /// `Varints::run` over `n` varints and `n` calls of `Varints::next` agree
-    /// on `bytes`: both fail, or both yield the same values and stop at the
-    /// same byte. `Varints::run_u32` agrees too where every value fits
-    /// `u32`, gives up (`Ok(false)`) where one does not, and never succeeds
-    /// where the reference fails.
-    fn assert_run_agrees(bytes: &[u8], n: usize, what: &str) {
-        let mut by_word = Varints {
-            data: bytes,
-            pos: 0,
-        };
-        let mut got = Vec::new();
-        let verdict = by_word.run(n, |v| {
-            got.push(v);
-            Ok(())
-        });
-        let mut by_u32 = Varints {
-            data: bytes,
-            pos: 0,
-        };
-        let mut slots = vec![0xDEAD_BEEF; n + 7];
-        let verdict_u32 = by_u32.run_u32(&mut slots);
-        let mut by_byte = Varints {
-            data: bytes,
-            pos: 0,
-        };
-        let want: std::result::Result<Vec<u64>, _> = (0..n).map(|_| by_byte.next()).collect();
-        match want {
-            Ok(want) => {
-                assert_eq!(verdict, Ok(()), "{what}");
-                assert_eq!(got, want, "{what}");
-                assert_eq!(by_word.pos, by_byte.pos, "{what}");
-                if want.iter().all(|&v| v <= u64::from(u32::MAX)) {
-                    assert_eq!(verdict_u32, Ok(true), "{what}: as u32");
-                    let slots: Vec<u64> = slots[..n].iter().map(|&v| v.into()).collect();
-                    assert_eq!(slots, want, "{what}: as u32");
-                    assert_eq!(by_u32.pos, by_byte.pos, "{what}: as u32");
-                } else {
-                    assert_eq!(verdict_u32, Ok(false), "{what}: as u32");
-                }
-            }
-            Err(_) => {
-                assert!(verdict.is_err(), "{what}: {got:?} from {bytes:02x?}");
-                assert_ne!(verdict_u32, Ok(true), "{what}: as u32");
-            }
-        }
-    }
-
-    /// The smallest and the largest value of each varint width.
-    fn widths() -> impl Iterator<Item = (usize, [u64; 2])> {
-        (1..=10usize).map(|width| {
-            let low = if width == 1 {
-                0
-            } else {
-                1u64 << (7 * (width - 1))
-            };
-            let high = if width == 10 {
-                u64::MAX
-            } else {
-                (1u64 << (7 * width)) - 1
-            };
-            (width, [low, high])
-        })
-    }
-
     /// The word-at-a-time decoder against the per-byte one on every case of
     /// the sweeps above — every truncation, every single-bit flip — and on
     /// tiles whose body is shorter than one window.
@@ -1458,83 +1088,23 @@ mod tests {
         }
     }
 
-    /// Every varint width, shortest and longest value, at every offset
-    /// modulo the window, followed by short varints or by the end of the
-    /// bytes; its non-shortest twin (a last byte of 0) and a tenth byte
-    /// past 64 bits in the same places.
+    /// Every varint width, shortest and longest value, as a tile's edge
+    /// count, its one target's degree and its first gap, followed by 0 to 7
+    /// bytes.
     #[test]
-    fn the_word_decoder_agrees_on_every_width_at_every_offset() {
-        for (width, values) in widths() {
-            for value in values {
-                let mut varint = Vec::new();
-                write_varint(value, &mut varint);
-                assert_eq!(varint.len(), width);
-                let mut long = varint.clone();
-                *long.last_mut().unwrap() |= 0x80;
-                long.push(0);
-                let mut over = vec![0xFF; 9];
-                over.push(2);
-                for offset in 0..8 {
-                    for tail in [0, 1, 3, 9] {
-                        for (kind, body) in [("varint", &varint), ("long", &long), ("over", &over)]
-                        {
-                            let mut bytes = vec![0x05; offset];
-                            bytes.extend_from_slice(body);
-                            bytes.extend(std::iter::repeat_n(0x7F, tail));
-                            let n = offset + 1 + tail;
-                            let what = format!("{kind} {value} at {offset}, {tail} after");
-                            assert_run_agrees(&bytes, n, &what);
-                            assert_run_agrees(&bytes, n + 1, &format!("{what}, one too many"));
-                        }
-                    }
-                }
-                // As a tile's edge count, its one target's degree and its
-                // first gap, a width at a time.
-                for at in 0..3 {
-                    let mut varints = vec![2, 2, 10, 0];
-                    varints[at] = value;
-                    for pad in 0..8 {
-                        let mut blob = packed_blob(1, &varints);
-                        blob.extend(std::iter::repeat_n(0, pad));
-                        assert_decoders_agree(
-                            &blob,
-                            &format!("{value} as varint {at}, {pad} after"),
-                        );
-                    }
+    fn the_word_decoder_agrees_on_every_width_as_every_field() {
+        let widths = (0..10).flat_map(|w| [1u64 << (7 * w), (1u64 << (7 * w)) - 1]);
+        for value in widths.chain([u64::MAX]) {
+            for at in 0..3 {
+                let mut varints = vec![2, 2, 10, 0];
+                varints[at] = value;
+                for pad in 0..8 {
+                    let mut blob = packed_blob(1, &varints);
+                    blob.extend(std::iter::repeat_n(0, pad));
+                    assert_decoders_agree(&blob, &format!("{value} as varint {at}, {pad} after"));
                 }
             }
         }
-    }
-
-    /// A window whose eight bytes all continue holds no varint end: the
-    /// varint goes through `Varints::next`, which finishes it at nine or ten
-    /// bytes, or finds it truncated or too wide.
-    #[test]
-    fn a_window_of_continued_bytes_falls_back_to_the_per_byte_decoder() {
-        for tail in [
-            &[][..],
-            &[0x01],
-            &[0x80],
-            &[0x80, 0x01],
-            &[0x80, 0x02],
-            &[0x00],
-            &[0x7F, 0x05],
-        ] {
-            let mut bytes = vec![0x80; 8];
-            bytes.extend_from_slice(tail);
-            for n in 1..=3 {
-                assert_run_agrees(
-                    &bytes,
-                    n,
-                    &format!("8 continued, then {tail:02x?}, {n} varints"),
-                );
-            }
-        }
-        let mut run_of_widest = Vec::new();
-        for _ in 0..5 {
-            write_varint(u64::MAX, &mut run_of_widest);
-        }
-        assert_run_agrees(&run_of_widest, 5, "five ten-byte varints");
     }
 
     /// Bytes drawn from the values that steer a varint decoder — 0, 1, a
@@ -1556,42 +1126,6 @@ mod tests {
             let len = (next() % 24) as usize;
             blob.extend((0..len).map(|_| alphabet[(next() % alphabet.len() as u64) as usize]));
             assert_decoders_agree(&blob, &format!("case {case}: {blob:02x?}"));
-            let n = (next() % 12) as usize;
-            assert_run_agrees(
-                &blob[PACKED_HEADER_BYTES..],
-                n,
-                &format!("case {case}, {n} varints"),
-            );
-        }
-    }
-
-    /// `VarintWriter` writes what `write_varint` appends, for every width at
-    /// every offset, whether or not eight bytes of room follow.
-    #[test]
-    fn the_word_writer_writes_the_per_byte_bytes() {
-        for (width, values) in widths() {
-            for value in values {
-                for offset in 0..8 {
-                    for room in [0, 1, 7, 8] {
-                        let mut want = vec![0x05; offset];
-                        write_varint(value, &mut want);
-                        want.extend(std::iter::repeat_n(0, room));
-                        let mut out = vec![0xEE; offset + width + room];
-                        out[..offset].fill(0x05);
-                        out[offset + width..].fill(0);
-                        let mut writer = VarintWriter {
-                            out: &mut out,
-                            pos: offset,
-                        };
-                        writer.put(value);
-                        assert_eq!(writer.pos, offset + width);
-                        let pos = writer.pos;
-                        writer.out[pos..].fill(0);
-                        assert_eq!(out, want, "{value} at {offset}, {room} bytes of room");
-                        assert_eq!(varint_len(value), width as u64);
-                    }
-                }
-            }
         }
     }
 
