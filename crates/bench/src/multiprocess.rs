@@ -124,24 +124,6 @@ impl NodeWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphh_runtime::{decode_values, encode_values};
-
-    #[test]
-    fn values_roundtrip_losslessly() {
-        let values = vec![
-            0.0,
-            -1.5,
-            f64::MAX,
-            1e-300,
-            f64::from_bits(0x7ff8_0000_0000_0001),
-        ];
-        let decoded = decode_values(&encode_values(&values)).unwrap();
-        assert_eq!(values.len(), decoded.len());
-        for (a, b) in values.iter().zip(&decoded) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(decode_values(b"nope").is_err());
-    }
 
     #[test]
     fn the_set_up_is_two_spans_on_lane_0() {

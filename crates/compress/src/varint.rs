@@ -32,6 +32,38 @@
 //! the window holds. The writer's bytes are [`write_varint`]'s, and the
 //! reader's verdicts and values those of [`Varints::read`] called once per
 //! varint: the tests keep both per-byte coders as the reference.
+//!
+//! ## 64-byte lanes
+//!
+//! On a CPU with AVX-512F, BW, VBMI and VBMI2, BMI2 and POPCNT
+//! ([`Lanes::avx512`], checked with `is_x86_feature_detected!`), the same
+//! codes go through 64-byte registers. [`Lanes::widest`] picks them, and
+//! [`Varints::new`] and every caller of the gap kernels below ask it. There
+//! is no setting: the portable code is the fallback and the reference
+//! ([`Lanes::WORD`]), every kernel gives the same bytes, values, cursor and
+//! verdicts in both, and the tests run both on a CPU that has the lanes.
+//!
+//! * The reader decodes the varints of one 64-byte load sixteen at a time,
+//!   up to four sixteens. The stop bits come out as a 64-bit mask, `pdep`
+//!   finds the last stop taken, a compress of an iota lists where each
+//!   varint begins, one byte permute per sixteen puts each varint in its own
+//!   `u32` lane, and two multiply-adds join its 7-bit groups. One mask finds
+//!   a varint wider than four bytes and one a varint not in its shortest
+//!   form; either, fewer than sixteen stops or fewer than 64 bytes left send
+//!   the cursor down the portable path, which issues any verdict, for the 64
+//!   bytes declined.
+//! * The edge cache's per-target runs ([`Lanes::zigzag_gaps_len`],
+//!   [`VarintWriter::put_zigzag_gaps`], [`Lanes::sum_zigzag_gaps`]) code each
+//!   value as its zig-zag gap from the value before it, from 0 where a run
+//!   begins ([`run_starts`]). The writer takes sixteen gaps in 32-bit lanes,
+//!   spreads each into 7-bit groups with one multishift, sets the
+//!   continuation bits below each varint's highest non-zero group, and
+//!   compresses the bytes the varints take into one store; sixteen values
+//!   whose gaps do not fit those lanes (a value at 2³¹ or above, or a gap of
+//!   five bytes), and the last few, go through the portable writer. The reader's
+//!   second pass is a segmented prefix sum in 64-bit lanes, restarted at
+//!   each run start, so the first sum that leaves `0..=u32::MAX` is found
+//!   exactly.
 
 /// Bytes an LEB128 varint takes, by its value's `leading_zeros`: one per
 /// seven significant bits, at least one.
@@ -176,6 +208,145 @@ const CONTINUED: [u64; 9] = {
     table
 };
 
+/// Which code the kernels run: the portable word-at-a-time code, or the
+/// 64-byte AVX-512 lanes (see the module docs). [`Lanes::widest`] is what
+/// every caller gets; the narrower kind exists so that the tests hold each
+/// to the same reference on one CPU.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Lanes(Kind);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Word,
+    /// Made only by [`Lanes::avx512`], after it found every feature the
+    /// kernels of [`avx512`] are compiled for.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Lanes {
+    /// The portable code: 8-byte windows, on any CPU.
+    pub const WORD: Self = Self(Kind::Word);
+
+    /// The 64-byte lanes, if this CPU runs them: AVX-512F, BW, VBMI and
+    /// VBMI2, BMI2 and POPCNT.
+    pub fn avx512() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vbmi")
+            && std::arch::is_x86_feature_detected!("avx512vbmi2")
+            && std::arch::is_x86_feature_detected!("bmi2")
+            && std::arch::is_x86_feature_detected!("popcnt")
+        {
+            return Some(Self(Kind::Avx512));
+        }
+        None
+    }
+
+    /// The widest lanes this CPU runs.
+    pub fn widest() -> Self {
+        Self::avx512().unwrap_or(Self::WORD)
+    }
+
+    /// Every kind this CPU runs, the portable one first.
+    pub fn all() -> impl Iterator<Item = Self> {
+        std::iter::once(Self::WORD).chain(Self::avx512())
+    }
+
+    /// A cursor at the start of `data` that decodes in these lanes.
+    pub fn varints(self, data: &[u8]) -> Varints<'_> {
+        Varints {
+            data,
+            pos: 0,
+            lanes: self,
+        }
+    }
+
+    /// Bytes [`VarintWriter::put_zigzag_gaps`] writes for `values` and
+    /// `starts`.
+    ///
+    /// # Panics
+    /// Panics if `starts` has fewer than one bit per value.
+    pub fn zigzag_gaps_len(self, values: &[u32], starts: &[u64]) -> u64 {
+        assert!(starts.len() * 64 >= values.len(), "one start bit a value");
+        match self.0 {
+            Kind::Word => (0..values.len())
+                .map(|k| varint_len(zigzag_gap(values, starts, k)))
+                .sum(),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kind::Avx512` is only made after the features the
+            // kernel is compiled for were found.
+            Kind::Avx512 => {
+                let mut counter = VarintWriter::new(&mut []);
+                unsafe { avx512::gaps::<false>(values, starts, &mut counter) };
+                counter.pos as u64
+            }
+        }
+    }
+
+    /// Undo [`VarintWriter::put_zigzag_gaps`] in place: each slot holds a
+    /// zig-zag gap, and becomes the sum of its run's gaps up to it, the run
+    /// restarting at 0 where `starts` has a bit. `false`, the slots garbage,
+    /// when one of those sums leaves `0..=u32::MAX` — exactly when adding
+    /// the gaps one at a time with checked arithmetic would fail.
+    ///
+    /// # Panics
+    /// Panics if `starts` has fewer than one bit per slot.
+    pub fn sum_zigzag_gaps(self, gaps: &mut [u32], starts: &[u64]) -> bool {
+        assert!(starts.len() * 64 >= gaps.len(), "one start bit a value");
+        match self.0 {
+            Kind::Word => {
+                let (mut sum, mut high) = (0u64, 0u64);
+                for (k, slot) in gaps.iter_mut().enumerate() {
+                    if starts_at(starts, k) {
+                        sum = 0;
+                    }
+                    // Two's complement: the sum is in `0..=u32::MAX` exactly
+                    // when the signed sum is, and a gap moves it by less
+                    // than 2³², so the first sum out of range is seen.
+                    sum = sum.wrapping_add(unzigzag(u64::from(*slot)) as u64);
+                    high |= sum;
+                    *slot = sum as u32;
+                }
+                high <= u64::from(u32::MAX)
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `zigzag_gaps_len`.
+            Kind::Avx512 => unsafe { avx512::sum_zigzag_gaps(gaps, starts) },
+        }
+    }
+}
+
+/// The run-start bitmap the gap kernels take: bit `k % 64` of word `k / 64`
+/// set for each `k` of `bounds` below `len` — for a CSR's offsets, the
+/// first value of every non-empty run.
+pub fn run_starts(bounds: &[u64], len: usize) -> Vec<u64> {
+    let mut starts = vec![0u64; len.div_ceil(64)];
+    for &k in bounds.iter().filter(|&&k| k < len as u64) {
+        starts[k as usize / 64] |= 1 << (k % 64);
+    }
+    starts
+}
+
+/// Whether value `k` begins a run.
+#[inline]
+fn starts_at(starts: &[u64], k: usize) -> bool {
+    starts[k / 64] >> (k % 64) & 1 == 1
+}
+
+/// The zig-zag gap of value `k`: from the value before it, from 0 where a
+/// run begins.
+#[inline]
+fn zigzag_gap(values: &[u32], starts: &[u64], k: usize) -> u64 {
+    let prev = match k {
+        0 => 0,
+        k if starts_at(starts, k) => 0,
+        k => values[k - 1],
+    };
+    zigzag(i64::from(values[k]) - i64::from(prev))
+}
+
 /// Writes varints into a buffer already sized for them (by
 /// [`varint_len`]), from its start.
 pub struct VarintWriter<'a> {
@@ -220,6 +391,30 @@ impl<'a> VarintWriter<'a> {
         }
         self.pos += width;
     }
+
+    /// Write each of `values` as the varint of its zig-zag gap from the
+    /// value before it, from 0 where a run begins (bit `k` of `starts`, as
+    /// [`run_starts`] lays it out), in `lanes`: the bytes of [`put`] called
+    /// once per gap, [`Lanes::zigzag_gaps_len`] of them.
+    ///
+    /// [`put`]: VarintWriter::put
+    ///
+    /// # Panics
+    /// Panics if the varints do not fit the bytes left, or `starts` has
+    /// fewer than one bit per value.
+    pub fn put_zigzag_gaps(&mut self, lanes: Lanes, values: &[u32], starts: &[u64]) {
+        assert!(starts.len() * 64 >= values.len(), "one start bit a value");
+        match lanes.0 {
+            Kind::Word => {
+                for k in 0..values.len() {
+                    self.put(zigzag_gap(values, starts, k));
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `Lanes::zigzag_gaps_len`.
+            Kind::Avx512 => unsafe { avx512::gaps::<true>(values, starts, self) },
+        }
+    }
 }
 
 /// A cursor over a run of LEB128 varints. Every read accepts only the
@@ -228,12 +423,13 @@ impl<'a> VarintWriter<'a> {
 pub struct Varints<'a> {
     data: &'a [u8],
     pos: usize,
+    lanes: Lanes,
 }
 
 impl<'a> Varints<'a> {
-    /// A cursor at the start of `data`.
+    /// A cursor at the start of `data`, in the widest lanes this CPU runs.
     pub fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
+        Lanes::widest().varints(data)
     }
 
     /// Bytes read so far.
@@ -309,29 +505,55 @@ impl<'a> Varints<'a> {
     }
 
     /// The next `n` varints, handed to `each` in order, under the rules of
-    /// [`Varints::read`]: a window at a time, and a varint that does not end
-    /// in one (nine or ten bytes, or within eight bytes of the end) through
-    /// [`Varints::read`]. The first error, the reader's or `each`'s, ends
-    /// the run.
+    /// [`Varints::read`]: sixteen at a time in 64-byte lanes where the
+    /// cursor's lanes have them, else a window at a time, and a varint that
+    /// does not end in one (nine or ten bytes, or within eight bytes of the
+    /// end) through [`Varints::read`]. The first error, the reader's or
+    /// `each`'s, ends the run.
     #[inline]
     pub fn run<E: From<&'static str>>(
         &mut self,
         n: usize,
         mut each: impl FnMut(u64) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut left = n;
+        match self.lanes.0 {
+            Kind::Word => self.run_words(n, &mut each),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `Lanes::zigzag_gaps_len`.
+            Kind::Avx512 => unsafe { avx512::run(self, n, &mut each) },
+        }
+    }
+
+    /// [`Varints::run`]'s portable loop.
+    #[inline(always)]
+    fn run_words<E: From<&'static str>>(
+        &mut self,
+        mut left: usize,
+        each: &mut impl FnMut(u64) -> Result<(), E>,
+    ) -> Result<(), E> {
         while left > 0 {
-            let Some((groups, shape, count)) = self.window(left)? else {
-                each(self.read()?)?;
-                left -= 1;
-                continue;
-            };
-            for k in 0..count {
-                each(shape.cut(groups, k))?;
-            }
-            left -= count;
+            left -= self.word_run(left, each)?;
         }
         Ok(())
+    }
+
+    /// One step of [`Varints::run`]'s portable loop: the varints that end in
+    /// the window at the cursor, at most `left` of them, or else one varint
+    /// byte by byte; how many went to `each`.
+    #[inline(always)]
+    fn word_run<E: From<&'static str>>(
+        &mut self,
+        left: usize,
+        each: &mut impl FnMut(u64) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let Some((groups, shape, count)) = self.window(left)? else {
+            each(self.read()?)?;
+            return Ok(1);
+        };
+        for k in 0..count {
+            each(shape.cut(groups, k))?;
+        }
+        Ok(count)
     }
 
     /// Move past the next `n` varints, each checked as [`Varints::run`]
@@ -342,42 +564,364 @@ impl<'a> Varints<'a> {
     }
 
     /// [`Varints::run`] into `out`, as `u32`s: the next `out.len() - 7`
-    /// varints, the seven slots past them scratch. A window whose varints
-    /// are all four bytes or narrower fills eight slots unconditionally and
-    /// keeps the first `count`. `Ok(false)`, the cursor somewhere in the
-    /// run, when a varint does not fit `u32`.
+    /// varints, the seven slots past them scratch. Sixteen slots at a time
+    /// in 64-byte lanes; else a window whose varints are all four bytes or
+    /// narrower fills eight slots unconditionally and keeps the first
+    /// `count`. `Ok(false)`, the cursor somewhere in the run, when a varint
+    /// does not fit `u32`.
     ///
     /// # Panics
     /// Panics if `out` is shorter than seven slots.
     #[inline]
     pub fn run_u32(&mut self, out: &mut [u32]) -> Result<bool, &'static str> {
-        let n = out.len() - 7;
-        let mut i = 0;
-        while i < n {
-            let Some((groups, shape, count)) = self.window(n - i)? else {
-                let Ok(value) = u32::try_from(self.read()?) else {
-                    return Ok(false);
-                };
-                out[i] = value;
-                i += 1;
-                continue;
+        match self.lanes.0 {
+            Kind::Word => self.run_u32_words(out, 0),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `Lanes::zigzag_gaps_len`.
+            Kind::Avx512 => unsafe { avx512::run_u32(self, out) },
+        }
+    }
+
+    /// [`Varints::run_u32`]'s portable loop, from slot `i` on.
+    #[inline(always)]
+    fn run_u32_words(&mut self, out: &mut [u32], mut i: usize) -> Result<bool, &'static str> {
+        while i < out.len() - 7 {
+            let Some(count) = self.word_u32(out, i)? else {
+                return Ok(false);
             };
-            let slots: &mut [u32; 8] = (&mut out[i..i + 8]).try_into().expect("8 slots");
-            if count <= usize::from(shape.narrow) {
-                for (k, slot) in slots.iter_mut().enumerate() {
-                    *slot = shape.cut(groups, k) as u32;
-                }
-            } else {
-                for (k, slot) in slots.iter_mut().enumerate().take(count) {
-                    let Ok(value) = u32::try_from(shape.cut(groups, k)) else {
-                        return Ok(false);
-                    };
-                    *slot = value;
-                }
-            }
             i += count;
         }
         Ok(true)
+    }
+
+    /// One step of [`Varints::run_u32`]'s portable loop: the varints that end
+    /// in the window at the cursor, or else one varint byte by byte, into
+    /// the slots from `i` on; how many. `None` when one does not fit `u32`.
+    #[inline(always)]
+    fn word_u32(&mut self, out: &mut [u32], i: usize) -> Result<Option<usize>, &'static str> {
+        let Some((groups, shape, count)) = self.window(out.len() - 7 - i)? else {
+            let Ok(value) = u32::try_from(self.read()?) else {
+                return Ok(None);
+            };
+            out[i] = value;
+            return Ok(Some(1));
+        };
+        let slots: &mut [u32; 8] = (&mut out[i..i + 8]).try_into().expect("8 slots");
+        if count <= usize::from(shape.narrow) {
+            for (k, slot) in slots.iter_mut().enumerate() {
+                *slot = shape.cut(groups, k) as u32;
+            }
+        } else {
+            for (k, slot) in slots.iter_mut().enumerate().take(count) {
+                let Ok(value) = u32::try_from(shape.cut(groups, k)) else {
+                    return Ok(None);
+                };
+                *slot = value;
+            }
+        }
+        Ok(Some(count))
+    }
+}
+
+/// The 64-byte kernels (see the module docs), compiled for AVX-512F, BW,
+/// VBMI and VBMI2, BMI2 and POPCNT, and called only through a [`Lanes`] of
+/// [`Kind::Avx512`].
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{varint_len, zigzag_gap, VarintWriter, Varints};
+    use std::arch::x86_64::*;
+
+    #[repr(align(64))]
+    struct Table([u8; 64]);
+
+    /// Byte `j` is `j / per`.
+    const fn ramp(per: u8) -> Table {
+        let mut bytes = [0; 64];
+        let mut j = 0;
+        while j < 64 {
+            bytes[j] = j as u8 / per;
+            j += 1;
+        }
+        Table(bytes)
+    }
+
+    /// Byte `j` is `j`.
+    static IOTA: Table = ramp(1);
+    /// Byte `j` is `j / 4`: the `u32` lane it belongs to.
+    static LANE_OF_BYTE: Table = ramp(4);
+
+    /// A table as a register.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(table: &'static Table) -> __m512i {
+        // SAFETY: a `Table` is 64 bytes, 64-aligned.
+        unsafe { _mm512_load_si512(table.0.as_ptr().cast()) }
+    }
+
+    /// The varints that end in the 64 bytes at the cursor, sixteen at a
+    /// time: up to `most` sixteens of them into `out`, each in its own `u32`
+    /// slot, the cursor moved past them; how many sixteens. 0, the cursor
+    /// unmoved, when fewer than 64 bytes remain, or they end fewer than
+    /// sixteen varints, or one of those taken is wider than four bytes or not
+    /// in its shortest form (a 0 after a continued byte): those the portable
+    /// path decodes or refuses.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    fn sixteens(varints: &mut Varints<'_>, most: usize, out: &mut [u32]) -> usize {
+        let Some(window) = varints.data.get(varints.pos..varints.pos + 64) else {
+            return 0;
+        };
+        // SAFETY: `window` is 64 bytes long.
+        let bytes = unsafe { _mm512_loadu_si512(window.as_ptr().cast()) };
+        let continued = _mm512_movepi8_mask(bytes);
+        let stops = !continued;
+        let sixteens = (stops.count_ones() as usize / 16).min(most);
+        if sixteens == 0 {
+            return 0;
+        }
+        // The bytes up to the last stop taken: the taken varints'.
+        let taken = (_pdep_u64(1 << (16 * sixteens - 1), stops) << 1).wrapping_sub(1);
+        let wide = continued & continued >> 1 & continued >> 2 & continued >> 3;
+        let overlong = _mm512_testn_epi8_mask(bytes, bytes) & continued << 1;
+        if (wide | overlong) & taken != 0 {
+            return 0;
+        }
+        // Byte `k`: where varint `k` begins.
+        let begins = _mm512_maskz_compress_epi8(stops << 1 | 1, load(&IOTA));
+        for (s, slots) in out.chunks_exact_mut(16).take(sixteens).enumerate() {
+            // Byte `4k + j`: where varint `16s + k` begins, plus `j`, so `u32`
+            // lane `k` gathers that varint and whatever follows it.
+            let lane = _mm512_add_epi8(load(&LANE_OF_BYTE), _mm512_set1_epi8(16 * s as i8));
+            let from = _mm512_add_epi8(
+                _mm512_permutexvar_epi8(lane, begins),
+                _mm512_set1_epi32(0x0302_0100),
+            );
+            let lanes = _mm512_permutexvar_epi8(from, bytes);
+            // A lane's first stop byte ends its varint: keep the groups up
+            // to it.
+            let stop = _mm512_andnot_si512(lanes, _mm512_set1_epi8(i8::MIN));
+            let first = _mm512_and_si512(stop, _mm512_sub_epi32(_mm512_setzero_si512(), stop));
+            let upto = _mm512_xor_si512(first, _mm512_sub_epi32(first, _mm512_set1_epi32(1)));
+            let groups = _mm512_and_si512(_mm512_and_si512(lanes, upto), _mm512_set1_epi8(0x7F));
+            // Pairs of groups by 1 and 2⁷ (the multipliers are the unsigned
+            // operand), then pairs of pairs by 1 and 2¹⁴.
+            let pairs = _mm512_maddubs_epi16(_mm512_set1_epi16(0x8001u16 as i16), groups);
+            let values = _mm512_madd_epi16(pairs, _mm512_set1_epi32(0x4000_0001));
+            // SAFETY: `slots` is 64 bytes long.
+            unsafe { _mm512_storeu_si512(slots.as_mut_ptr().cast(), values) };
+        }
+        varints.pos += taken.count_ones() as usize;
+        sixteens
+    }
+
+    /// [`Varints::run`] in 64-byte lanes: up to four sixteens of varints a
+    /// step while sixteen are left. Where [`sixteens`] declines, the portable
+    /// path takes the 64 bytes it declined before the lanes try again, so
+    /// that a run of wide varints costs one declined load per 64 bytes.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    pub(super) fn run<E: From<&'static str>>(
+        varints: &mut Varints<'_>,
+        mut left: usize,
+        each: &mut impl FnMut(u64) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut slots = [0u32; 64];
+        while left >= 16 {
+            let taken = 16 * sixteens(varints, left / 16, &mut slots);
+            if taken == 0 {
+                let declined = varints.pos + 64;
+                while left > 0 && varints.pos < declined {
+                    left -= varints.word_run(left, each)?;
+                }
+                continue;
+            }
+            for &value in &slots[..taken] {
+                each(value.into())?;
+            }
+            left -= taken;
+        }
+        varints.run_words(left, each)
+    }
+
+    /// [`Varints::run_u32`] in 64-byte lanes, as [`run`] steps.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    pub(super) fn run_u32(
+        varints: &mut Varints<'_>,
+        out: &mut [u32],
+    ) -> Result<bool, &'static str> {
+        let n = out.len() - 7;
+        let mut i = 0;
+        while n - i >= 16 {
+            let taken = 16 * sixteens(varints, (n - i) / 16, &mut out[i..]);
+            if taken == 0 {
+                let declined = varints.pos + 64;
+                while i < n && varints.pos < declined {
+                    let Some(count) = varints.word_u32(out, i)? else {
+                        return Ok(false);
+                    };
+                    i += count;
+                }
+                continue;
+            }
+            i += taken;
+        }
+        varints.run_u32_words(out, i)
+    }
+
+    /// The start bits of values `8c .. 8c + 8`.
+    #[inline]
+    fn begins(starts: &[u64], c: usize) -> u8 {
+        (starts[c / 8] >> (c % 8 * 8)) as u8
+    }
+
+    /// Per 4-bit group of a mask: the bits below the group's highest set
+    /// bit — for the bytes of sixteen varints' groups that are not zero, one
+    /// varint to four bytes, the bytes that continue.
+    #[inline]
+    fn below_highest(bits: u64) -> u64 {
+        let x = (bits >> 1) & 0x7777_7777_7777_7777;
+        let x = x | ((x >> 1) & 0x7777_7777_7777_7777);
+        x | ((x >> 2) & 0x3333_3333_3333_3333)
+    }
+
+    /// Sixteen values' zig-zag gaps as varints, one in each 32-bit lane: the
+    /// lanes' bytes and the mask of the bytes the varints take; `last` is
+    /// the value before them. `None` where that takes more than 32-bit
+    /// lanes: a value, or `last`, at 2³¹ or above (a gap may not fit
+    /// `i32`), or a gap of more than four bytes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    fn gap_varints(sixteen: &[u32; 16], begins: u16, last: u32) -> Option<(__m512i, u64)> {
+        // SAFETY: `sixteen` is 64 bytes long.
+        let values = unsafe { _mm512_loadu_si512(sixteen.as_ptr().cast()) };
+        // Lane `k`'s previous value is lane `k − 1`'s; 0 where a run begins.
+        let before = _mm512_alignr_epi32::<15>(values, _mm512_set1_epi32(last as i32));
+        let high = _mm512_or_si512(values, before);
+        if _mm512_test_epi32_mask(high, _mm512_set1_epi32(i32::MIN)) != 0 {
+            return None;
+        }
+        let gap = _mm512_sub_epi32(values, _mm512_maskz_mov_epi32(!begins, before));
+        let z = _mm512_xor_si512(_mm512_slli_epi32::<1>(gap), _mm512_srai_epi32::<31>(gap));
+        if _mm512_cmpge_epu32_mask(z, _mm512_set1_epi32(1 << 28)) != 0 {
+            return None;
+        }
+        // Byte `j` of a 32-bit lane takes the lane's bits from `7j` on.
+        let group_at = _mm512_set1_epi64(0x352E_2720_150E_0700);
+        let groups = _mm512_and_si512(
+            _mm512_multishift_epi64_epi8(group_at, z),
+            _mm512_set1_epi8(0x7F),
+        );
+        let continued = below_highest(_mm512_test_epi8_mask(groups, groups));
+        let bytes = _mm512_or_si512(
+            groups,
+            _mm512_maskz_mov_epi8(continued, _mm512_set1_epi8(i8::MIN)),
+        );
+        Some((bytes, (continued << 1) | (u64::MAX / 0xF)))
+    }
+
+    /// [`gap_varints`]' bytes packed together at the writer's cursor when
+    /// `WRITE`, and the cursor moved past them.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    fn emit<const WRITE: bool>(bytes: __m512i, taken: u64, writer: &mut VarintWriter<'_>) {
+        let len = taken.count_ones() as usize;
+        if WRITE {
+            let dst = &mut writer.out[writer.pos..writer.pos + len];
+            let packed = _mm512_maskz_compress_epi8(taken, bytes);
+            // SAFETY: the mask writes `len` bytes, `dst`'s length.
+            unsafe {
+                _mm512_mask_storeu_epi8(dst.as_mut_ptr().cast(), u64::MAX >> (64 - len), packed)
+            };
+        }
+        writer.pos += len;
+    }
+
+    /// [`VarintWriter::put_zigzag_gaps`] when `WRITE`, else only its cursor
+    /// moved ([`super::Lanes::zigzag_gaps_len`]): sixteen values a step in
+    /// 32-bit lanes, each gap's 7-bit groups spread over its lane's bytes,
+    /// the bytes the varints take compressed together into one store. A
+    /// step whose gaps do not fit those lanes, and the last values short of
+    /// sixteen, go through the portable writer.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    pub(super) fn gaps<const WRITE: bool>(
+        values: &[u32],
+        starts: &[u64],
+        writer: &mut VarintWriter<'_>,
+    ) {
+        let words = |range: std::ops::Range<usize>, writer: &mut VarintWriter<'_>| {
+            for k in range {
+                let z = zigzag_gap(values, starts, k);
+                match WRITE {
+                    true => writer.put(z),
+                    false => writer.pos += varint_len(z) as usize,
+                }
+            }
+        };
+        let sixteens = values.chunks_exact(16);
+        let done = values.len() - sixteens.remainder().len();
+        let mut last = 0;
+        for (c, sixteen) in sixteens.enumerate() {
+            let begins = (starts[c / 4] >> (c % 4 * 16)) as u16;
+            match gap_varints(sixteen.try_into().expect("16 values"), begins, last) {
+                Some((bytes, taken)) => emit::<WRITE>(bytes, taken, writer),
+                None => words(16 * c..16 * c + 16, writer),
+            }
+            last = sixteen[15];
+        }
+        words(done..values.len(), writer);
+    }
+
+    /// Eight gaps of [`sum_zigzag_gaps`] summed in place. `sum` holds, in
+    /// every lane, the running sum of the eight before, and becomes this
+    /// eight's; `high` gathers every sum's bits.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    fn sum_eight(eight: &mut [u32; 8], begins: u8, sum: &mut __m512i, high: &mut __m512i) {
+        let zero = _mm512_setzero_si512();
+        // SAFETY: `eight` is 32 bytes long.
+        let z = _mm512_cvtepu32_epi64(unsafe { _mm256_loadu_si256(eight.as_ptr().cast()) });
+        let mut x = _mm512_xor_si512(
+            _mm512_srli_epi64::<1>(z),
+            _mm512_sub_epi64(zero, _mm512_and_si512(z, _mm512_set1_epi64(1))),
+        );
+        // After the step of distance `d`, lane `k` holds the gaps of lanes
+        // `k − 2d + 1 ..= k` back to its run's start, and `begun` marks the
+        // lanes with a start in that reach.
+        let mut begun = begins;
+        x = _mm512_mask_add_epi64(x, !begun, x, _mm512_alignr_epi64::<7>(x, zero));
+        begun |= begun << 1;
+        x = _mm512_mask_add_epi64(x, !begun, x, _mm512_alignr_epi64::<6>(x, zero));
+        begun |= begun << 2;
+        x = _mm512_mask_add_epi64(x, !begun, x, _mm512_alignr_epi64::<4>(x, zero));
+        begun |= begun << 4;
+        x = _mm512_mask_add_epi64(x, !begun, x, *sum);
+        *high = _mm512_or_si512(*high, x);
+        *sum = _mm512_permutexvar_epi64(_mm512_set1_epi64(7), x);
+        // SAFETY: `eight` is 32 bytes long.
+        unsafe { _mm256_storeu_si256(eight.as_mut_ptr().cast(), _mm512_cvtepi64_epi32(x)) };
+    }
+
+    /// [`super::Lanes::sum_zigzag_gaps`], eight gaps a step in 64-bit lanes:
+    /// a segmented prefix sum (Hillis and Steele's, restarted at each run
+    /// start), then the last eight's running sum added to the lanes before
+    /// the first start. The sums wrap as the portable ones do, so the first
+    /// one out of range shows in the bits above 32 that `high` gathers.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    pub(super) fn sum_zigzag_gaps(gaps: &mut [u32], starts: &[u64]) -> bool {
+        let (mut sum, mut high) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+        let full = gaps.len() / 8;
+        let mut eights = gaps.chunks_exact_mut(8);
+        for (c, eight) in eights.by_ref().enumerate() {
+            let eight = eight.try_into().expect("8 gaps");
+            sum_eight(eight, begins(starts, c), &mut sum, &mut high);
+        }
+        let rest = eights.into_remainder();
+        if !rest.is_empty() {
+            let mut last = [0; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            sum_eight(&mut last, begins(starts, full), &mut sum, &mut high);
+            rest.copy_from_slice(&last[..rest.len()]);
+        }
+        _mm512_test_epi64_mask(high, _mm512_set1_epi64(!0xFFFF_FFFF)) == 0
     }
 }
 
@@ -404,7 +948,9 @@ pub fn encode_bytes_as_u32_delta_into(data: &[u8], out: &mut Vec<u8>) {
 
 /// Inverse of [`encode_bytes_as_u32_delta_into`], into a caller-owned buffer
 /// (`out` is cleared first), decoding words straight into the output bytes.
-/// On error `out` may hold a partial prefix; treat it as garbage.
+/// Bytes after the last word are corrupt, as they are in the packed tile and
+/// the broadcast message. On error `out` may hold a partial prefix; treat it
+/// as garbage.
 pub fn decode_u32_delta_to_bytes_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), String> {
     out.clear();
     let Some((&tail_len, rest)) = data.split_first() else {
@@ -426,6 +972,12 @@ pub fn decode_u32_delta_to_bytes_into(data: &[u8], out: &mut Vec<u8>) -> Result<
         out.extend_from_slice(&prev.to_le_bytes());
         Ok::<(), String>(())
     })?;
+    if varints.remaining() != 0 {
+        return Err(format!(
+            "{} bytes after the last varint-delta word",
+            varints.remaining()
+        ));
+    }
     out.extend_from_slice(tail);
     Ok(())
 }
@@ -546,6 +1098,24 @@ mod tests {
         assert!(decode(&past).is_err(), "one word short");
     }
 
+    /// Bytes past the last word are corrupt: a decoder that stops at the
+    /// word count would read `[0, 0, 5, 6, 7]` as the empty payload.
+    #[test]
+    fn the_varint_delta_decoder_rejects_bytes_after_the_last_word() {
+        let decode = |data: &[u8]| decode_u32_delta_to_bytes_into(data, &mut Vec::new());
+        assert_eq!(delta_roundtrip(&[]), Ok(Vec::new()));
+        assert!(
+            decode(&[0, 0, 5, 6, 7]).is_err(),
+            "three bytes after no words"
+        );
+        assert!(decode(&[0, 1, 2, 0]).is_err(), "a 0 after one word");
+        let mut coded = Vec::new();
+        encode_bytes_as_u32_delta_into(&[1, 2, 3, 4, 5, 6, 7, 8, 9], &mut coded);
+        assert!(decode(&coded).is_ok());
+        coded.push(0);
+        assert!(decode(&coded).is_err(), "a 0 after the words");
+    }
+
     /// The word count is a varint like any other: only its shortest form
     /// is read, so the overlong 0 (`80 00`) does not stand for no words.
     #[test]
@@ -560,40 +1130,43 @@ mod tests {
         );
     }
 
-    /// `Varints::run` over `n` varints and `n` calls of `Varints::read` agree
-    /// on `bytes`: both fail, or both yield the same values and stop at the
-    /// same byte. `Varints::run_u32` agrees too where every value fits
-    /// `u32`, gives up (`Ok(false)`) where one does not, and never succeeds
-    /// where the reference fails.
+    /// In every lane width this CPU runs, `Varints::run` over `n` varints
+    /// and `n` calls of `Varints::read` agree on `bytes`: both fail, or both
+    /// yield the same values and stop at the same byte. `Varints::run_u32`
+    /// agrees too where every value fits `u32`, gives up (`Ok(false)`) where
+    /// one does not, and never succeeds where the reference fails.
     fn assert_run_agrees(bytes: &[u8], n: usize, what: &str) {
-        let mut by_word = Varints::new(bytes);
-        let mut got = Vec::new();
-        let verdict = by_word.run(n, |v| {
-            got.push(v);
-            Ok::<(), &str>(())
-        });
-        let mut by_u32 = Varints::new(bytes);
-        let mut slots = vec![0xDEAD_BEEF; n + 7];
-        let verdict_u32 = by_u32.run_u32(&mut slots);
-        let mut by_byte = Varints::new(bytes);
+        let mut by_byte = Lanes::WORD.varints(bytes);
         let want: Result<Vec<u64>, _> = (0..n).map(|_| by_byte.read()).collect();
-        match want {
-            Ok(want) => {
-                assert_eq!(verdict, Ok(()), "{what}");
-                assert_eq!(got, want, "{what}");
-                assert_eq!(by_word.pos, by_byte.pos, "{what}");
-                if want.iter().all(|&v| v <= u64::from(u32::MAX)) {
-                    assert_eq!(verdict_u32, Ok(true), "{what}: as u32");
-                    let slots: Vec<u64> = slots[..n].iter().map(|&v| v.into()).collect();
-                    assert_eq!(slots, want, "{what}: as u32");
-                    assert_eq!(by_u32.pos, by_byte.pos, "{what}: as u32");
-                } else {
-                    assert_eq!(verdict_u32, Ok(false), "{what}: as u32");
+        for lanes in Lanes::all() {
+            let what = format!("{what} in {lanes:?}");
+            let mut by_run = lanes.varints(bytes);
+            let mut got = Vec::new();
+            let verdict = by_run.run(n, |v| {
+                got.push(v);
+                Ok::<(), &str>(())
+            });
+            let mut by_u32 = lanes.varints(bytes);
+            let mut slots = vec![0xDEAD_BEEF; n + 7];
+            let verdict_u32 = by_u32.run_u32(&mut slots);
+            match &want {
+                Ok(want) => {
+                    assert_eq!(verdict, Ok(()), "{what}");
+                    assert_eq!(&got, want, "{what}");
+                    assert_eq!(by_run.pos, by_byte.pos, "{what}");
+                    if want.iter().all(|&v| v <= u64::from(u32::MAX)) {
+                        assert_eq!(verdict_u32, Ok(true), "{what}: as u32");
+                        let slots: Vec<u64> = slots[..n].iter().map(|&v| v.into()).collect();
+                        assert_eq!(&slots, want, "{what}: as u32");
+                        assert_eq!(by_u32.pos, by_byte.pos, "{what}: as u32");
+                    } else {
+                        assert_eq!(verdict_u32, Ok(false), "{what}: as u32");
+                    }
                 }
-            }
-            Err(_) => {
-                assert!(verdict.is_err(), "{what}: {got:?} from {bytes:02x?}");
-                assert_ne!(verdict_u32, Ok(true), "{what}: as u32");
+                Err(_) => {
+                    assert!(verdict.is_err(), "{what}: {got:?} from {bytes:02x?}");
+                    assert_ne!(verdict_u32, Ok(true), "{what}: as u32");
+                }
             }
         }
     }
@@ -616,11 +1189,12 @@ mod tests {
     }
 
     /// Every varint width, shortest and longest value, at every offset
-    /// modulo the window, followed by short varints or by the end of the
+    /// modulo the 64-byte window (and so the 8-byte one), followed by short
+    /// varints — enough for a window of its own — or by the end of the
     /// bytes; its non-shortest twin (a last byte of 0) and a tenth byte
     /// past 64 bits in the same places.
     #[test]
-    fn the_word_decoder_agrees_on_every_width_at_every_offset() {
+    fn every_lane_width_agrees_on_every_width_at_every_offset() {
         for (width, values) in widths() {
             for value in values {
                 let mut varint = Vec::new();
@@ -631,8 +1205,8 @@ mod tests {
                 long.push(0);
                 let mut over = vec![0xFF; 9];
                 over.push(2);
-                for offset in 0..8 {
-                    for tail in [0, 1, 3, 9] {
+                for offset in 0..64 {
+                    for tail in [0, 1, 3, 9, 20, 64] {
                         for (kind, body) in [("varint", &varint), ("long", &long), ("over", &over)]
                         {
                             let mut bytes = vec![0x05; offset];
@@ -681,9 +1255,11 @@ mod tests {
     }
 
     /// Bytes drawn from the values that steer a varint decoder — 0, 1, a
-    /// continued 0, a continued 1, all ones.
+    /// continued 0, a continued 1, all ones — short and long enough for
+    /// several 64-byte windows, the long ones mostly stops so that sixteen
+    /// varints end in a window.
     #[test]
-    fn the_word_decoder_agrees_on_random_bodies() {
+    fn every_lane_width_agrees_on_random_bodies() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
             state ^= state << 13;
@@ -692,13 +1268,293 @@ mod tests {
             state
         };
         let alphabet = [0x00, 0x01, 0x02, 0x7F, 0x80, 0x81, 0xFF];
+        let stops = [0x01, 0x02, 0x7F, 0x01, 0x02, 0x7F, 0x80, 0x81, 0xFF, 0x00];
         for case in 0..20_000 {
-            let len = (next() % 24) as usize;
+            let (len, n, alphabet) = match case % 2 {
+                0 => (next() % 24, next() % 12, &alphabet[..]),
+                _ => (next() % 200, next() % 160, &stops[..]),
+            };
             let body: Vec<u8> = (0..len)
                 .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
                 .collect();
-            let n = (next() % 12) as usize;
+            let n = n as usize;
             assert_run_agrees(&body, n, &format!("case {case}, {n} varints: {body:02x?}"));
+        }
+    }
+
+    /// Sixteen varints of one to four bytes in a 64-byte window, one of them
+    /// replaced in each of the sixteen lanes by a varint the 64-byte step
+    /// must leave to the portable path: a non-shortest one (of each width),
+    /// a five-byte one that fits `u32`, one that does not, and one past 64
+    /// bits.
+    #[test]
+    fn a_bad_or_wide_varint_in_each_of_the_sixteen_lanes_gets_the_reference_verdict() {
+        let odd: [&[u8]; 7] = [
+            &[0x80, 0x00],
+            &[0xFF, 0x80, 0x00],
+            &[0x81, 0x80, 0x80, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x01],
+            &[0x80, 0x80, 0x80, 0x80, 0x7F],
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+        ];
+        for lane in 0..16 {
+            for (kind, varint) in odd.iter().enumerate() {
+                let mut bytes = Vec::new();
+                for k in 0..40u64 {
+                    if k == lane {
+                        bytes.extend_from_slice(varint);
+                    } else {
+                        write_varint(k << (7 * (k % 4)), &mut bytes);
+                    }
+                }
+                for n in [16, 17, 40] {
+                    let what = format!("odd varint {kind} in lane {lane}, {n} varints");
+                    assert_run_agrees(&bytes, n, &what);
+                }
+            }
+        }
+    }
+
+    /// Varints of one to four bytes cut at every byte of their first two
+    /// 64-byte windows, and read one varint past the cut as well.
+    #[test]
+    fn a_cut_at_every_byte_of_a_window_gets_the_reference_verdict() {
+        let mut bytes = Vec::new();
+        let mut count = 0;
+        while bytes.len() < 140 {
+            write_varint((count * 37) << (7 * (count % 4)), &mut bytes);
+            count += 1;
+        }
+        for cut in 0..=bytes.len() {
+            let varints = whole_varints(&bytes[..cut]);
+            for n in [varints, varints + 1, count as usize] {
+                assert_run_agrees(&bytes[..cut], n, &format!("cut at {cut}, {n} varints"));
+            }
+        }
+    }
+
+    /// How many whole varints `bytes` holds, by the per-byte reader.
+    fn whole_varints(bytes: &[u8]) -> usize {
+        let mut varints = Lanes::WORD.varints(bytes);
+        let mut n = 0;
+        while varints.read().is_ok() {
+            n += 1;
+        }
+        n
+    }
+
+    /// The per-byte reference of the gap kernels: each value's zig-zag gap
+    /// from the value before it, from 0 where a run begins, appended by
+    /// `write_varint`.
+    fn gaps_per_byte(values: &[u32], starts: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut prev = 0i64;
+        for (k, &value) in values.iter().enumerate() {
+            if starts[k / 64] >> (k % 64) & 1 == 1 {
+                prev = 0;
+            }
+            let gap = i64::from(value) - prev;
+            prev = i64::from(value);
+            write_varint(((gap << 1) ^ (gap >> 63)) as u64, &mut out);
+        }
+        out
+    }
+
+    /// The per-byte reference of `Lanes::sum_zigzag_gaps`: checked sums,
+    /// run by run; `None` at the first that leaves `u32`.
+    fn sums_per_value(gaps: &[u32], starts: &[u64]) -> Option<Vec<u32>> {
+        let mut sum = 0i64;
+        let mut out = Vec::new();
+        for (k, &z) in gaps.iter().enumerate() {
+            if starts[k / 64] >> (k % 64) & 1 == 1 {
+                sum = 0;
+            }
+            let gap = (z >> 1) as i64 ^ -((z & 1) as i64);
+            sum = sum
+                .checked_add(gap)
+                .filter(|sum| (0..=i64::from(u32::MAX)).contains(sum))?;
+            out.push(sum as u32);
+        }
+        Some(out)
+    }
+
+    /// In every lane width this CPU runs, the gap writer writes the per-byte
+    /// reference's bytes, with or without room after them, its size is their count,
+    /// and where every gap fits `u32` the gap summer turns them back into
+    /// `values`.
+    fn assert_gap_kernels_agree(values: &[u32], starts: &[u64], what: &str) {
+        let want = gaps_per_byte(values, starts);
+        let mut reader = Lanes::WORD.varints(&want);
+        let gaps: Option<Vec<u32>> = values
+            .iter()
+            .map(|_| u32::try_from(reader.read().unwrap()).ok())
+            .collect();
+        for lanes in Lanes::all() {
+            let what = format!("{what} in {lanes:?}");
+            assert_eq!(
+                lanes.zigzag_gaps_len(values, starts),
+                want.len() as u64,
+                "{what}"
+            );
+            for room in [0, 1, 63, 64] {
+                let mut out = vec![0xEE; want.len() + room];
+                let mut writer = VarintWriter::new(&mut out);
+                writer.put_zigzag_gaps(lanes, values, starts);
+                assert_eq!(writer.pos(), want.len(), "{what}, {room} bytes of room");
+                assert_eq!(&out[..want.len()], want, "{what}, {room} bytes of room");
+            }
+            if let Some(gaps) = &gaps {
+                let mut sums = gaps.clone();
+                assert!(lanes.sum_zigzag_gaps(&mut sums, starts), "{what}: sums");
+                assert_eq!(sums, values, "{what}: sums");
+            }
+        }
+    }
+
+    /// The gap kernels on every gap width, as a first value of a run and
+    /// from the value before, both signs, at every offset modulo 64 values,
+    /// runs starting everywhere, nowhere, and at random.
+    #[test]
+    fn the_gap_kernels_agree_with_the_per_byte_reference_at_every_offset() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let ends = [
+            0u32,
+            1,
+            63,
+            64,
+            127,
+            8191,
+            8192,
+            1 << 20,
+            1 << 27,
+            1 << 28,
+            1 << 31,
+            u32::MAX,
+        ];
+        for &end in &ends {
+            for offset in 0..64 {
+                for len in [offset + 1, offset + 2, offset + 9, 80, 130usize] {
+                    for layout in 0..4 {
+                        let values: Vec<u32> = (0..len)
+                            .map(|k| match k.cmp(&offset) {
+                                std::cmp::Ordering::Equal => end,
+                                std::cmp::Ordering::Greater if layout == 3 => u32::MAX - k as u32,
+                                _ => k as u32 * 3,
+                            })
+                            .collect();
+                        let mut starts = vec![0u64; len.div_ceil(64)];
+                        for k in 0..len {
+                            let start = match layout {
+                                0 => k == 0,
+                                1 => true,
+                                _ => next() % 3 == 0,
+                            };
+                            starts[k / 64] |= u64::from(start) << (k % 64);
+                        }
+                        let what = format!("{end} at {offset} of {len}, layout {layout}");
+                        assert_gap_kernels_agree(&values, &starts, &what);
+                    }
+                }
+            }
+        }
+        for case in 0..2_000 {
+            let len = (next() % 300) as usize;
+            let shift = next() % 33;
+            let values: Vec<u32> = (0..len).map(|_| (next() >> shift) as u32).collect();
+            let starts: Vec<u64> = (0..len.div_ceil(64)).map(|_| next() & next()).collect();
+            assert_gap_kernels_agree(&values, &starts, &format!("random case {case}"));
+        }
+        assert_eq!(run_starts(&[0, 0, 3, 3, 70, 71, 71], 71), [0b1001, 1 << 6]);
+    }
+
+    /// In every lane width this CPU runs, the gap summer gives the sums and
+    /// the verdict of `sums_per_value`.
+    fn assert_sums_agree(gaps: &[u32], starts: &[u64], what: &str) {
+        let want = sums_per_value(gaps, starts);
+        for lanes in Lanes::all() {
+            let mut sums = gaps.to_vec();
+            let verdict = lanes.sum_zigzag_gaps(&mut sums, starts);
+            assert_eq!(verdict, want.is_some(), "{what} in {lanes:?}");
+            if let Some(want) = &want {
+                assert_eq!(&sums, want, "{what} in {lanes:?}");
+            }
+        }
+    }
+
+    /// The gap summer's verdict is the checked per-value one: a run's sum
+    /// that dips below 0 or climbs past `u32::MAX` fails in every lane and
+    /// at every position, one that touches either end does not, and a run
+    /// start puts the sum back at 0.
+    #[test]
+    fn the_gap_summer_finds_the_first_sum_out_of_range_exactly() {
+        let z = |gap: i64| ((gap << 1) ^ (gap >> 63)) as u32;
+        let widest = i64::from(i32::MAX);
+        for len in [4usize, 8, 9, 16, 70] {
+            let one_run: Vec<u64> = (0..len.div_ceil(64)).map(|w| u64::from(w == 0)).collect();
+            for at in 3..len {
+                // Up from 1 to 0 or -1, and from 2^32 - 2 to the top or past.
+                for (first, second, step, ok) in [
+                    (1, 0, -1, true),
+                    (1, 0, -2, false),
+                    (widest, widest, 1, true),
+                    (widest, widest, 2, false),
+                ] {
+                    let mut gaps = vec![z(0); len];
+                    gaps[0] = z(first);
+                    gaps[1] = z(second);
+                    gaps[at] = z(step);
+                    let what = format!("{first}, {second} then {step} at {at} of {len}");
+                    assert_eq!(sums_per_value(&gaps, &one_run).is_some(), ok, "{what}");
+                    assert_sums_agree(&gaps, &one_run, &what);
+                    // A run that starts at `at` starts from 0.
+                    let mut restart = one_run.clone();
+                    restart[at / 64] |= 1 << (at % 64);
+                    assert_sums_agree(&gaps, &restart, &format!("{what}, restarted there"));
+                }
+            }
+        }
+        // Random gaps near the ends: every verdict and sum is the reference's.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..5_000 {
+            let len = (next() % 90) as usize;
+            let gaps: Vec<u32> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => next() as u32,
+                    1 => z((next() % 5) as i64 - 2),
+                    _ => z(i64::from(i32::MAX) - (next() % 3) as i64),
+                })
+                .collect();
+            let starts: Vec<u64> = (0..len.div_ceil(64))
+                .map(|_| next() & next() & next())
+                .collect();
+            assert_sums_agree(&gaps, &starts, &format!("case {case}"));
+        }
+    }
+
+    /// Say so when this CPU has no 64-byte lanes: the lane oracles above then
+    /// hold the portable path alone to the reference.
+    #[test]
+    fn the_lane_oracles_name_the_lanes_they_ran() {
+        let ran: Vec<Lanes> = Lanes::all().collect();
+        assert_eq!(ran[0], Lanes::WORD);
+        assert_eq!(Lanes::widest(), *ran.last().unwrap());
+        if Lanes::avx512().is_none() {
+            eprintln!(
+                "64-byte lanes skipped: this CPU lacks AVX-512F/BW/VBMI/VBMI2, BMI2 or POPCNT"
+            );
         }
     }
 

@@ -20,15 +20,17 @@
 //! sources as zig-zag gaps, the byte-code layout of WebGraph and Ligra+ over
 //! the SPE's already-sorted runs.
 //!
-//! The varints are [`graphh_compress::varint`]'s, which works a word at a
-//! time. The decoder ([`Tile::from_packed`]) reads the degrees in one run;
-//! the gaps in another, as `u32`s straight into the sources array, which a
-//! second pass turns from gaps into sources target by target. The writer
-//! ([`Tile::to_packed`]) sizes its buffer exactly ([`Tile::packed_size`])
-//! and writes each varint as one 8-byte store.
+//! The varints are [`graphh_compress::varint`]'s, which works in 64-byte
+//! AVX-512 lanes where the CPU has them and a word at a time elsewhere. The
+//! decoder ([`Tile::from_packed`]) reads the degrees in one run; the gaps in
+//! another, as `u32`s straight into the sources array, which a second pass,
+//! a prefix sum restarted at each target's first source, turns from gaps
+//! into sources. The writer ([`Tile::to_packed`]) sizes its buffer exactly
+//! ([`Tile::packed_size`]); both size and write the gaps in one pass over
+//! the sources, against the same bitmap of where each target's run begins.
 
 use crate::{PartitionError, Result};
-use graphh_compress::varint::{unzigzag, varint_len, zigzag, VarintWriter, Varints};
+use graphh_compress::varint::{run_starts, unzigzag, varint_len, Lanes, VarintWriter};
 use graphh_graph::ids::{TileId, VertexId};
 
 /// Magic prefix of the tile binary format.
@@ -308,13 +310,16 @@ impl Tile {
     /// Size of [`Tile::to_packed`]'s output without producing it: each
     /// varint's width follows from its value's `leading_zeros`.
     pub fn packed_size(&self) -> u64 {
+        self.packed_size_in(Lanes::widest())
+    }
+
+    fn packed_size_in(&self, lanes: Lanes) -> u64 {
         let degrees: u64 = self
             .offsets
             .windows(2)
             .map(|w| varint_len(w[1] - w[0]))
             .sum();
-        let mut gaps = 0;
-        self.for_each_gap(|z| gaps += varint_len(z));
+        let gaps = lanes.zigzag_gaps_len(&self.sources, &self.run_starts());
         let weights = self.weights.as_ref().map_or(0, |w| 4 * w.len() as u64);
         PACKED_HEADER_BYTES as u64
             + varint_len(self.sources.len() as u64)
@@ -323,19 +328,12 @@ impl Tile {
             + weights
     }
 
-    /// Every target's sources, target by target, as the zig-zag gaps of
-    /// `docs/WIRE.md` §12: each from the target's previous source, from 0
+    /// Where each target's sources begin, as the bitmap the gap kernels of
+    /// `graphh_compress::varint` take: the sources' zig-zag gaps of
+    /// `docs/WIRE.md` §12 are each from the target's previous source, from 0
     /// for its first.
-    #[inline]
-    fn for_each_gap(&self, mut each: impl FnMut(u64)) {
-        for w in self.offsets.windows(2) {
-            let mut prev = 0i64;
-            for &source in &self.sources[w[0] as usize..w[1] as usize] {
-                let gap = i64::from(source) - prev;
-                prev = i64::from(source);
-                each(zigzag(gap));
-            }
-        }
+    fn run_starts(&self) -> Vec<u64> {
+        run_starts(&self.offsets, self.sources.len())
     }
 
     /// Pack the tile into `out` (cleared first) in the edge cache's form,
@@ -353,12 +351,16 @@ impl Tile {
 
     /// [`Tile::to_packed`] into a buffer already [`Tile::packed_size`] bytes
     /// long — such as the edge cache's own blob, sized before it decides to
-    /// pack. Each varint with eight bytes of room after it is one 8-byte
-    /// store.
+    /// pack. The gaps are one pass over the sources
+    /// ([`VarintWriter::put_zigzag_gaps`]).
     ///
     /// # Panics
     /// Panics if `out` is not exactly [`Tile::packed_size`] bytes long.
     pub fn pack_into(&self, out: &mut [u8]) {
+        self.pack_into_in(out, Lanes::widest());
+    }
+
+    fn pack_into_in(&self, out: &mut [u8], lanes: Lanes) {
         let (header, body) = out.split_at_mut(PACKED_HEADER_BYTES);
         header[..8].copy_from_slice(PACKED_MAGIC);
         header[8..12].copy_from_slice(&self.tile_id.to_le_bytes());
@@ -370,7 +372,7 @@ impl Tile {
         for w in self.offsets.windows(2) {
             writer.put(w[1] - w[0]);
         }
-        self.for_each_gap(|z| writer.put(z));
+        writer.put_zigzag_gaps(lanes, &self.sources, &self.run_starts());
         let written = writer.pos();
         let weights = &mut body[written..];
         let weight_bytes = self.weights.as_ref().map_or(0, |w| 4 * w.len());
@@ -395,10 +397,15 @@ impl Tile {
     /// exactly what `to_packed` writes for the tile it loads as.
     ///
     /// The degrees are one run of varints (`Varints::run`) and the gaps
-    /// another (`Varints::run_u32`), each decoded a window of eight bytes
-    /// at a time; the gaps land in the sources array, and one pass over it
-    /// target by target adds them up.
+    /// another (`Varints::run_u32`), each decoded sixteen varints or a
+    /// window of eight bytes at a time; the gaps land in the sources array,
+    /// and one pass over it adds them up, restarting at each target's first
+    /// source (`Lanes::sum_zigzag_gaps`).
     pub fn from_packed(data: &[u8]) -> Result<Self> {
+        Self::from_packed_in(data, Lanes::widest())
+    }
+
+    fn from_packed_in(data: &[u8], lanes: Lanes) -> Result<Self> {
         let corrupt = |what: String| Err(PartitionError::Corrupt(what));
         let Some((header, body)) = data.split_at_checked(PACKED_HEADER_BYTES) else {
             return corrupt(format!(
@@ -420,7 +427,7 @@ impl Tile {
             1 => true,
             flag => return corrupt(format!("packed tile weighted flag is {flag}, not 0 or 1")),
         };
-        let mut varints = Varints::new(body);
+        let mut varints = lanes.varints(body);
         let bad = |what: &str| PartitionError::Corrupt(format!("packed tile {tile_id}: {what}"));
         let num_edges = varints.read().map_err(bad)?;
         // Each degree and each gap is at least one byte, each weight four.
@@ -462,19 +469,7 @@ impl Tile {
         let mut sources = vec![0; num_edges + 7];
         if varints.run_u32(&mut sources).map_err(bad)? {
             sources.truncate(num_edges);
-            let mut high = 0;
-            for w in offsets.windows(2) {
-                let mut prev = 0u64;
-                for slot in &mut sources[w[0] as usize..w[1] as usize] {
-                    let z = u64::from(*slot);
-                    // Two's complement: the sum is in `0..=u32::MAX` exactly
-                    // when the signed sum is.
-                    prev = prev.wrapping_add(unzigzag(z) as u64);
-                    high |= prev;
-                    *slot = prev as VertexId;
-                }
-            }
-            if high > u64::from(u32::MAX) {
+            if !lanes.sum_zigzag_gaps(&mut sources, &run_starts(&offsets, num_edges)) {
                 return Err(bad("a source gap leaves the u32 range"));
             }
         } else {
@@ -788,6 +783,19 @@ mod tests {
             vec![(u32::MAX - 1, 1.5f32), (0, 2.5), (u32::MAX - 1, 3.5)],
             vec![(u32::MAX - 1, f32::INFINITY)],
         ];
+        // Runs long enough for 64-byte lanes, every gap width among them:
+        // jumps between the ends of the id space, and steps of 2^(7k).
+        let wide: Vec<Vec<(u32, f32)>> = (0..3u32)
+            .map(|run| {
+                (0..40u32 + run * 13)
+                    .map(|i| match i % 5 {
+                        0 => (u32::MAX - i, 0.5),
+                        1 => (i, 1.5),
+                        k => (i << (7 * k), 2.5),
+                    })
+                    .collect()
+            })
+            .collect();
         for weighted in [false, true] {
             cases.push((
                 format!("unsorted, weighted {weighted}"),
@@ -796,6 +804,10 @@ mod tests {
             cases.push((
                 format!("top of the id space, weighted {weighted}"),
                 Tile::from_adjacency(u32::MAX, u32::MAX - 2, &top, weighted),
+            ));
+            cases.push((
+                format!("every gap width, weighted {weighted}"),
+                Tile::from_adjacency(8, 0, &wide, weighted),
             ));
         }
         cases.push(("empty".into(), Tile::from_adjacency(0, 5, &[], false)));
@@ -953,7 +965,7 @@ mod tests {
             1 => true,
             flag => return corrupt(format!("packed tile weighted flag is {flag}, not 0 or 1")),
         };
-        let mut varints = Varints::new(body);
+        let mut varints = Lanes::WORD.varints(body);
         let bad = |what: &str| PartitionError::Corrupt(format!("packed tile {tile_id}: {what}"));
         let num_edges = varints.read().map_err(bad)?;
         // Each degree and each gap is at least one byte, each weight four.
@@ -1047,24 +1059,31 @@ mod tests {
         out
     }
 
-    /// `Tile::from_packed` and the per-byte reference agree on `blob`: both
-    /// corrupt, or both the same tile, bit for bit (a flipped weight may be
-    /// a NaN, which `==` would not match).
+    /// `Tile::from_packed` in every lane width this CPU runs and the
+    /// per-byte reference agree on `blob`: all corrupt, or all the same
+    /// tile, bit for bit (a flipped weight may be a NaN, which `==` would
+    /// not match).
     fn assert_decoders_agree(blob: &[u8], what: &str) {
-        match (Tile::from_packed(blob), from_packed_per_byte(blob)) {
-            (Ok(tile), Ok(reference)) => {
-                assert_eq!(tile.to_bytes(), reference.to_bytes(), "{what}")
+        let reference = from_packed_per_byte(blob);
+        for lanes in Lanes::all() {
+            match (Tile::from_packed_in(blob, lanes), &reference) {
+                (Ok(tile), Ok(reference)) => {
+                    assert_eq!(tile.to_bytes(), reference.to_bytes(), "{what} in {lanes:?}")
+                }
+                (Err(PartitionError::Corrupt(_)), Err(PartitionError::Corrupt(_))) => {}
+                (got, want) => {
+                    panic!("{what} in {lanes:?}: decoded {got:?}, the reference {want:?}")
+                }
             }
-            (Err(PartitionError::Corrupt(_)), Err(PartitionError::Corrupt(_))) => {}
-            (got, want) => panic!("{what}: decoded {got:?}, the reference {want:?}"),
         }
     }
 
-    /// The word-at-a-time decoder against the per-byte one on every case of
-    /// the sweeps above — every truncation, every single-bit flip — and on
-    /// tiles whose body is shorter than one window.
+    /// The packed codec in every lane width this CPU runs against the
+    /// per-byte one on every case of the sweeps above — the writer's bytes
+    /// and size, and the decoder's verdict on every truncation and every
+    /// single-bit flip — and on tiles whose body is shorter than one window.
     #[test]
-    fn the_word_decoder_agrees_with_the_per_byte_reference_on_every_cut_and_flip() {
+    fn every_lane_width_agrees_with_the_per_byte_reference_on_every_cut_and_flip() {
         let mut cases = packed_cases();
         for edges in 0..4u32 {
             let list: Vec<_> = (0..edges).map(|s| (s * 70, 1.0)).collect();
@@ -1077,6 +1096,16 @@ mod tests {
             let blob = packed(&tile);
             assert_eq!(blob, to_packed_per_byte(&tile), "{what}: bytes");
             assert_eq!(blob.len() as u64, tile.packed_size(), "{what}: size");
+            for lanes in Lanes::all() {
+                assert_eq!(
+                    tile.packed_size_in(lanes),
+                    blob.len() as u64,
+                    "{what} in {lanes:?}"
+                );
+                let mut out = vec![0xAA; blob.len()];
+                tile.pack_into_in(&mut out, lanes);
+                assert_eq!(out, blob, "{what}: bytes in {lanes:?}");
+            }
             for len in 0..=blob.len() {
                 assert_decoders_agree(&blob[..len], &format!("{what}: cut to {len}"));
             }
@@ -1092,7 +1121,7 @@ mod tests {
     /// count, its one target's degree and its first gap, followed by 0 to 7
     /// bytes.
     #[test]
-    fn the_word_decoder_agrees_on_every_width_as_every_field() {
+    fn every_lane_width_agrees_on_every_width_as_every_field() {
         let widths = (0..10).flat_map(|w| [1u64 << (7 * w), (1u64 << (7 * w)) - 1]);
         for value in widths.chain([u64::MAX]) {
             for at in 0..3 {
@@ -1110,7 +1139,7 @@ mod tests {
     /// Bytes drawn from the values that steer a varint decoder — 0, 1, a
     /// continued 0, a continued 1, all ones — under a packed header.
     #[test]
-    fn the_word_decoder_agrees_on_random_bodies() {
+    fn every_lane_width_agrees_on_random_bodies() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
             state ^= state << 13;

@@ -273,6 +273,7 @@ mod tests {
     fn values_roundtrip_losslessly() {
         let values = sample().values;
         let decoded = decode_values(&encode_values(&values)).unwrap();
+        assert_eq!(values.len(), decoded.len());
         for (a, b) in values.iter().zip(&decoded) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
