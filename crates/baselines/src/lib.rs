@@ -4,8 +4,8 @@
 //! PowerGraph, PowerLyra and Chaos.
 //!
 //! All five compute the same synchronous values, so [`run`] runs one superstep
-//! loop over the engine's own [`GabProgram`] hooks (`initial_value`, `prepare`,
-//! `gather`, `apply`, `is_update`, `max_supersteps`) and hands every superstep to the
+//! loop over the engine's own [`GabProgram`]s (`initial_value`, the
+//! declaration, `gather` and `max_supersteps`) and hands every superstep to the
 //! system's **meter**, which fills [`graphh_cluster::ServerMetrics`] with the
 //! traffic that system's data layout implies:
 //!
@@ -112,12 +112,9 @@ pub fn run(
     let meter =
         Meter::new(system, graph, &csr, &csc, cluster.num_servers).ok_or(NoEngine(system))?;
     let n = graph.num_vertices();
-    let (out_degrees, in_degrees) = (graph.out_degrees(), graph.in_degrees());
-    let init = InitContext {
-        num_vertices: n,
-        out_degrees,
-        in_degrees,
-    };
+    let out_degrees = graph.out_degrees();
+    let init = InitContext { num_vertices: n };
+    let declared = program.declaration(n);
     let mut values: Vec<f64> = (0..n as VertexId)
         .map(|v| program.initial_value(v, &init))
         .collect();
@@ -137,12 +134,10 @@ pub fn run(
                 active[t as usize] = true;
             }
         }
-        program.prepare(&values, out_degrees, &mut prepared);
+        declared.fill_operand(&values, out_degrees, &mut prepared);
         let ctx = VertexContext {
             values: &values,
             out_degrees,
-            in_degrees,
-            num_vertices: n,
             superstep,
             prepared: &prepared,
         };
@@ -151,9 +146,9 @@ pub fn run(
             .filter_map(|v| {
                 let mut in_edges = Edges::new(csc.in_neighbors(v), csc.in_weights(v));
                 let accum = program.gather(v, &mut in_edges, &ctx);
-                let current = values[v as usize];
-                let new = program.apply(v, accum, current, &ctx);
-                program.is_update(current, new).then_some((v, new))
+                declared
+                    .updated(accum, values[v as usize])
+                    .map(|new| (v, new))
             })
             .collect();
 

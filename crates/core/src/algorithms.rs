@@ -2,25 +2,39 @@
 //! standard analytics GraphH supports (WCC, BFS, degree centrality, label
 //! propagation), all expressed in the GAB model (Algorithms 6 and 7 of the paper).
 //!
-//! Every program but label propagation declares its gather as a [`Fold`] and
-//! writes no edge loop: PageRank and degree centrality sum, in CSR order;
-//! SSSP, WCC and BFS take a minimum, which is exact and order-insensitive in
-//! `f64` — so the engine may also push them, and picks the direction of
-//! every superstep of theirs from the replicated frontier (see
-//! `docs/ALGORITHMS.md`). None of them says anything about direction: push
-//! is derived from the min.
+//! Every program is a [`Declaration`], and all but label propagation write no
+//! code: PageRank and degree centrality sum a [`Fold`], in CSR order; SSSP,
+//! WCC and BFS take a minimum, which is exact and order-insensitive in `f64`
+//! — so the engine may also push them, and picks the direction of every
+//! superstep of theirs from the replicated frontier (see
+//! `docs/ALGORITHMS.md`). Push is derived from the min.
 
 use crate::gab::{
-    Contribution, Edges, Fold, GabProgram, InitContext, Operand, Reduce, VertexContext,
+    Apply, Contribution, Declaration, Edges, Final, Fold, GabProgram, InitContext, Operand, Reduce,
+    Update, VertexContext,
 };
 use graphh_graph::ids::VertexId;
 
+/// A min program: its fold over the replica is kept where it is below the
+/// target's value, and only a decrease is an update.
+fn least(edge: Contribution, reduce: Reduce, finality: Final) -> Declaration {
+    Declaration {
+        fold: Some(Fold {
+            from: Operand::Values,
+            edge,
+            reduce,
+        }),
+        apply: Apply::MinWithCurrent,
+        update: Update::Decreased,
+        finality,
+    }
+}
+
 /// PageRank with damping factor 0.85 (Algorithm 6).
 ///
-/// The fold sums `value(u) / out_degree(u)` over in-neighbours `u`; `apply`
-/// applies the damping. The quotients are divided once per vertex per
-/// superstep, in [`GabProgram::prepare`], not once per edge: the same
-/// division of the same operands, summed in the same order, so the same bits.
+/// The fold sums `value(u) / out_degree(u)` over in-neighbours `u`, which the
+/// engine divides once per vertex per superstep, not once per edge: the same
+/// bits. `apply` is affine, `(1 − d)/|V| + d·acc`.
 /// The program runs for a fixed number of supersteps (the paper runs 21 and
 /// reports the mean of the last 20) or until no rank moves by more than the
 /// tolerance.
@@ -59,38 +73,27 @@ impl GabProgram for PageRank {
         "pagerank"
     }
 
-    fn initial_value(&self, _v: VertexId, ctx: &InitContext<'_>) -> f64 {
+    fn initial_value(&self, _v: VertexId, ctx: &InitContext) -> f64 {
         1.0 / ctx.num_vertices as f64
     }
 
     /// A vertex with no out-edge contributes nothing (no dangling-mass
     /// redistribution); it is no edge's source either, so its 0 is never
     /// summed on consistent input.
-    fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
-        prepared.clear();
-        prepared.extend(values.iter().zip(out_degrees).map(|(&value, &d)| {
-            if d > 0 {
-                value / f64::from(d)
-            } else {
-                0.0
-            }
-        }));
-    }
-
-    fn fold(&self) -> Option<Fold> {
-        Some(Fold {
-            from: Operand::Prepared,
-            edge: Contribution::Value,
-            reduce: Reduce::Sum,
-        })
-    }
-
-    fn apply(&self, _target: VertexId, accum: f64, _current: f64, ctx: &VertexContext<'_>) -> f64 {
-        (1.0 - self.damping) / ctx.num_vertices as f64 + self.damping * accum
-    }
-
-    fn is_update(&self, old: f64, new: f64) -> bool {
-        (new - old).abs() > self.tolerance
+    fn declaration(&self, num_vertices: u64) -> Declaration {
+        Declaration {
+            fold: Some(Fold {
+                from: Operand::ValuePerOutEdge,
+                edge: Contribution::Value,
+                reduce: Reduce::Sum,
+            }),
+            apply: Apply::Affine {
+                base: (1.0 - self.damping) / num_vertices as f64,
+                scale: self.damping,
+            },
+            update: Update::Moved(self.tolerance),
+            finality: Final::Never,
+        }
     }
 
     fn max_supersteps(&self) -> u32 {
@@ -118,7 +121,7 @@ impl GabProgram for Sssp {
         "sssp"
     }
 
-    fn initial_value(&self, v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+    fn initial_value(&self, v: VertexId, _ctx: &InitContext) -> f64 {
         if v == self.source {
             0.0
         } else {
@@ -126,20 +129,8 @@ impl GabProgram for Sssp {
         }
     }
 
-    fn fold(&self) -> Option<Fold> {
-        Some(Fold {
-            from: Operand::Values,
-            edge: Contribution::ValuePlusWeight,
-            reduce: Reduce::Min,
-        })
-    }
-
-    fn apply(&self, _target: VertexId, accum: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
-        accum.min(current)
-    }
-
-    fn is_update(&self, old: f64, new: f64) -> bool {
-        new < old
+    fn declaration(&self, _num_vertices: u64) -> Declaration {
+        least(Contribution::ValuePlusWeight, Reduce::Min, Final::Never)
     }
 
     fn initial_frontier(&self, _num_vertices: u64) -> Option<Vec<VertexId>> {
@@ -170,24 +161,12 @@ impl GabProgram for Wcc {
         "wcc"
     }
 
-    fn initial_value(&self, v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+    fn initial_value(&self, v: VertexId, _ctx: &InitContext) -> f64 {
         f64::from(v)
     }
 
-    fn fold(&self) -> Option<Fold> {
-        Some(Fold {
-            from: Operand::Values,
-            edge: Contribution::Value,
-            reduce: Reduce::Min,
-        })
-    }
-
-    fn apply(&self, _target: VertexId, accum: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
-        accum.min(current)
-    }
-
-    fn is_update(&self, old: f64, new: f64) -> bool {
-        new < old
+    fn declaration(&self, _num_vertices: u64) -> Declaration {
+        least(Contribution::Value, Reduce::Min, Final::Never)
     }
 }
 
@@ -196,7 +175,7 @@ impl GabProgram for Wcc {
 ///
 /// This is direction-optimizing BFS (Beamer et al., SC'12): the engine pushes
 /// from the source and through the sparse head and tail of the traversal, and
-/// pulls — skipping every vertex whose level [`GabProgram::is_final`], and
+/// pulls — skipping every vertex whose level is [`Final`], and
 /// stopping each other vertex's fold at its first visited in-neighbour —
 /// through the dense middle. The levels are the same either way. The engine's
 /// `edges_processed` counts the in-edges offered to a fold, not the ones it
@@ -219,7 +198,7 @@ impl GabProgram for Bfs {
         "bfs"
     }
 
-    fn initial_value(&self, v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+    fn initial_value(&self, v: VertexId, _ctx: &InitContext) -> f64 {
         if v == self.source {
             0.0
         } else {
@@ -227,35 +206,19 @@ impl GabProgram for Bfs {
         }
     }
 
-    /// The first visited in-neighbour's level plus one, `+∞` if there is
-    /// none: Beamer's bottom-up step, which stops at the first parent. In a
-    /// synchronous BFS every visited in-neighbour of an unsettled target is
-    /// at the previous level, so the first one is the `min` over all of them;
-    /// a settled target may see a larger answer, which `apply`'s `min` with
-    /// its level discards.
-    fn fold(&self) -> Option<Fold> {
-        Some(Fold {
-            from: Operand::Values,
-            edge: Contribution::ValuePlusOne,
-            reduce: Reduce::FirstFinite,
-        })
-    }
-
-    fn apply(&self, _target: VertexId, accum: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
-        accum.min(current)
-    }
-
-    fn is_update(&self, old: f64, new: f64) -> bool {
-        new < old
+    /// The fold is the first visited in-neighbour's level plus one, `+∞` if
+    /// there is none: Beamer's bottom-up step. In a synchronous BFS every
+    /// visited in-neighbour of an unsettled target is at the previous level,
+    /// so the first one is the `min` over all of them; a settled target may
+    /// see a larger answer, which `apply`'s `min` discards. A level is the
+    /// hop distance from its first discovery, so every finite level is final.
+    fn declaration(&self, _num_vertices: u64) -> Declaration {
+        let first_parent = Reduce::FirstFinite;
+        least(Contribution::ValuePlusOne, first_parent, Final::Finite)
     }
 
     fn initial_frontier(&self, _num_vertices: u64) -> Option<Vec<VertexId>> {
         Some(vec![self.source])
-    }
-
-    fn is_final(&self, value: f64) -> bool {
-        // Synchronous BFS assigns the hop distance on first discovery.
-        value.is_finite()
     }
 }
 
@@ -301,7 +264,7 @@ impl GabProgram for LabelPropagation {
         "labelprop"
     }
 
-    fn initial_value(&self, v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+    fn initial_value(&self, v: VertexId, _ctx: &InitContext) -> f64 {
         f64::from(v)
     }
 
@@ -332,11 +295,12 @@ impl GabProgram for LabelPropagation {
         best
     }
 
-    fn apply(&self, _target: VertexId, accum: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
-        if accum.is_infinite() {
-            current
-        } else {
-            accum
+    fn declaration(&self, _num_vertices: u64) -> Declaration {
+        Declaration {
+            fold: None,
+            apply: Apply::KeepUnlessInfinite,
+            update: Update::Moved(0.0),
+            finality: Final::Never,
         }
     }
 
@@ -362,20 +326,21 @@ impl GabProgram for DegreeCentrality {
         "degree-centrality"
     }
 
-    fn initial_value(&self, _v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+    fn initial_value(&self, _v: VertexId, _ctx: &InitContext) -> f64 {
         0.0
     }
 
-    fn fold(&self) -> Option<Fold> {
-        Some(Fold {
-            from: Operand::Values,
-            edge: Contribution::Weight,
-            reduce: Reduce::Sum,
-        })
-    }
-
-    fn apply(&self, _target: VertexId, accum: f64, _current: f64, _ctx: &VertexContext<'_>) -> f64 {
-        accum
+    fn declaration(&self, _num_vertices: u64) -> Declaration {
+        Declaration {
+            fold: Some(Fold {
+                from: Operand::Values,
+                edge: Contribution::Weight,
+                reduce: Reduce::Sum,
+            }),
+            apply: Apply::Replace,
+            update: Update::Moved(0.0),
+            finality: Final::Never,
+        }
     }
 
     fn max_supersteps(&self) -> u32 {
@@ -387,29 +352,27 @@ impl GabProgram for DegreeCentrality {
 mod tests {
     use super::*;
 
-    fn ctx<'a>(values: &'a [f64], out: &'a [u32], ind: &'a [u32]) -> VertexContext<'a> {
+    fn ctx<'a>(values: &'a [f64], out: &'a [u32]) -> VertexContext<'a> {
         VertexContext {
             values,
             out_degrees: out,
-            in_degrees: ind,
-            num_vertices: values.len() as u64,
             superstep: 0,
             prepared: &[],
         }
     }
 
-    /// PageRank's context: `ctx` plus what its `prepare` made of the values.
+    /// PageRank's context: `ctx` plus the operand array its fold reads.
     fn prepared_ctx<'a>(
         pr: &PageRank,
         values: &'a [f64],
         out: &'a [u32],
-        ind: &'a [u32],
         prepared: &'a mut Vec<f64>,
     ) -> VertexContext<'a> {
-        pr.prepare(values, out, prepared);
+        let declared = pr.declaration(values.len() as u64);
+        declared.fill_operand(values, out, prepared);
         VertexContext {
             prepared,
-            ..ctx(values, out, ind)
+            ..ctx(values, out)
         }
     }
 
@@ -418,18 +381,19 @@ mod tests {
         let pr = PageRank::new(10);
         let values = vec![0.25, 0.25, 0.25, 0.25];
         let out = vec![2, 1, 5, 0];
-        let ind = vec![0; 4];
         let mut prepared = Vec::new();
-        let c = prepared_ctx(&pr, &values, &out, &ind, &mut prepared);
+        let c = prepared_ctx(&pr, &values, &out, &mut prepared);
         let mut edges = Edges::new(&[0, 1], None);
         let accum = pr.gather(3, &mut edges, &c);
         assert!((accum - (0.25 / 2.0 + 0.25 / 1.0)).abs() < 1e-12);
-        let new = pr.apply(3, accum, 0.25, &c);
+        let declared = pr.declaration(4);
+        let new = declared.apply.of(accum, 0.25);
         assert!((new - (0.15 / 4.0 + 0.85 * accum)).abs() < 1e-12);
         // Any change is an update, unless a tolerance says how much it takes.
-        assert!(pr.is_update(0.25, 0.25 + 1e-15) && !pr.is_update(0.25, 0.25));
-        let tolerant = PageRank::with_tolerance(10, 1e-3);
-        assert!(tolerant.is_update(0.25, 0.252) && !tolerant.is_update(0.25, 0.2505));
+        let update = declared.update;
+        assert!(update.holds(0.25, 0.25 + 1e-15) && !update.holds(0.25, 0.25));
+        let tolerant = PageRank::with_tolerance(10, 1e-3).declaration(4).update;
+        assert!(tolerant.holds(0.25, 0.252) && !tolerant.holds(0.25, 0.2505));
     }
 
     #[test]
@@ -437,9 +401,8 @@ mod tests {
         let pr = PageRank::new(1);
         let values = vec![1.0, 1.0];
         let out = vec![0, 1];
-        let ind = vec![1, 0];
         let mut prepared = Vec::new();
-        let c = prepared_ctx(&pr, &values, &out, &ind, &mut prepared);
+        let c = prepared_ctx(&pr, &values, &out, &mut prepared);
         // Source 0 has out-degree 0 (inconsistent input, but must not divide by zero).
         let mut edges = Edges::new(&[0], None);
         assert_eq!(pr.gather(1, &mut edges, &c), 0.0);
@@ -450,35 +413,17 @@ mod tests {
         let sssp = Sssp::new(0);
         let values = vec![0.0, 5.0, f64::INFINITY];
         let out = vec![0; 3];
-        let ind = vec![0; 3];
-        let c = ctx(&values, &out, &ind);
+        let c = ctx(&values, &out);
         let mut edges = Edges::new(&[0, 1], Some(&[2.0, 1.0]));
         let accum = sssp.gather(2, &mut edges, &c);
         assert_eq!(accum, 2.0);
-        assert_eq!(sssp.apply(2, accum, f64::INFINITY, &c), 2.0);
-        assert!(sssp.is_update(f64::INFINITY, 2.0));
-        assert!(!sssp.is_update(2.0, 2.0));
-        assert_eq!(
-            sssp.initial_value(
-                0,
-                &InitContext {
-                    num_vertices: 3,
-                    out_degrees: &out,
-                    in_degrees: &ind
-                }
-            ),
-            0.0
-        );
-        assert!(sssp
-            .initial_value(
-                1,
-                &InitContext {
-                    num_vertices: 3,
-                    out_degrees: &out,
-                    in_degrees: &ind
-                }
-            )
-            .is_infinite());
+        let declared = sssp.declaration(3);
+        assert_eq!(declared.apply.of(accum, f64::INFINITY), 2.0);
+        assert!(declared.update.holds(f64::INFINITY, 2.0));
+        assert!(!declared.update.holds(2.0, 2.0));
+        let init = InitContext { num_vertices: 3 };
+        assert_eq!(sssp.initial_value(0, &init), 0.0);
+        assert!(sssp.initial_value(1, &init).is_infinite());
     }
 
     #[test]
@@ -486,11 +431,10 @@ mod tests {
         let wcc = Wcc::new();
         let values = vec![0.0, 1.0, 2.0];
         let out = vec![0; 3];
-        let ind = vec![0; 3];
-        let c = ctx(&values, &out, &ind);
+        let c = ctx(&values, &out);
         let mut edges = Edges::new(&[0, 1], None);
         assert_eq!(wcc.gather(2, &mut edges, &c), 0.0);
-        assert_eq!(wcc.apply(2, 0.0, 2.0, &c), 0.0);
+        assert_eq!(wcc.declaration(3).apply.of(0.0, 2.0), 0.0);
     }
 
     #[test]
@@ -498,8 +442,7 @@ mod tests {
         let bfs = Bfs::new(0);
         let values = vec![0.0, f64::INFINITY];
         let out = vec![0; 2];
-        let ind = vec![0; 2];
-        let c = ctx(&values, &out, &ind);
+        let c = ctx(&values, &out);
         let mut edges = Edges::new(&[0], Some(&[100.0]));
         assert_eq!(bfs.gather(1, &mut edges, &c), 1.0);
     }
@@ -510,8 +453,7 @@ mod tests {
         let inf = f64::INFINITY;
         let values = vec![inf, 2.0, inf, 2.0, inf];
         let out = vec![0; 5];
-        let ind = vec![0; 5];
-        let c = ctx(&values, &out, &ind);
+        let c = ctx(&values, &out);
         // Two unvisited sources, then the first visited one: the last two
         // in-edges are left unread.
         let mut edges = Edges::new(&[0, 2, 1, 3, 4], None);
@@ -525,7 +467,8 @@ mod tests {
         assert_eq!(bfs.gather(4, &mut edges, &c), inf);
         // A settled target's larger answer loses to its own level.
         let mut edges = Edges::new(&[1], None);
-        assert_eq!(bfs.apply(3, bfs.gather(3, &mut edges, &c), 2.0, &c), 2.0);
+        let apply = bfs.declaration(5).apply;
+        assert_eq!(apply.of(bfs.gather(3, &mut edges, &c), 2.0), 2.0);
     }
 
     #[test]
@@ -534,8 +477,7 @@ mod tests {
         assert_eq!(lp.max_supersteps(), 20);
         let values = vec![5.0, 2.0, 5.0, 2.0, 9.0];
         let out = vec![0; 5];
-        let ind = vec![0; 5];
-        let c = ctx(&values, &out, &ind);
+        let c = ctx(&values, &out);
         // Labels {5, 2, 5}: 5 wins on count.
         let mut edges = Edges::new(&[0, 1, 2], None);
         assert_eq!(lp.gather(4, &mut edges, &c), 5.0);
@@ -545,8 +487,9 @@ mod tests {
         // No in-neighbours: the sentinel keeps the current label.
         let mut edges = Edges::new(&[], None);
         let sentinel = lp.gather(4, &mut edges, &c);
-        assert_eq!(lp.apply(4, sentinel, 9.0, &c), 9.0);
-        assert_eq!(lp.fold(), None);
+        let declared = lp.declaration(5);
+        assert_eq!(declared.apply.of(sentinel, 9.0), 9.0);
+        assert_eq!(declared.fold, None);
     }
 
     #[test]
@@ -555,8 +498,7 @@ mod tests {
         assert_eq!(dc.max_supersteps(), 1);
         let values = vec![0.0; 3];
         let out = vec![0; 3];
-        let ind = vec![0; 3];
-        let c = ctx(&values, &out, &ind);
+        let c = ctx(&values, &out);
         let mut edges = Edges::new(&[0, 1], Some(&[1.5, 2.5]));
         assert_eq!(dc.gather(2, &mut edges, &c), 4.0);
     }

@@ -4,27 +4,30 @@
 //! bit.
 //!
 //! The references below are the old engine loops: per target (per edge, for
-//! push) through `&mut dyn Iterator` over [`Tile::in_edges`], with `apply` and
-//! `is_update` called through the `&dyn GabProgram`, one tile at a time,
-//! running the gathers and scatters the programs wrote by hand before they
-//! declared folds ([`old_gather`], [`old_scatter`]). They share nothing with
-//! the kernels — not `Tile::offsets`, not the declared
-//! [`Fold`](crate::gab::Fold), not the server's `PushTranspose` or its
-//! accumulator — so agreeing on updates, their order, the edge count and the
-//! tile counts means the folds, the slicing, the slot map and the cut into
-//! per-tile runs are right, for every registry program, weighted or not,
-//! `run_everything` or not.
+//! push) through `&mut dyn Iterator` over [`Tile::in_edges`], one tile at a
+//! time, running the gathers and scatters the programs wrote by hand before
+//! they declared folds ([`old_gather`], [`old_scatter`]) and the `apply`,
+//! `is_update`, `is_final` and `prepare` hooks they wrote before they
+//! declared those ([`old_apply`], [`old_is_update`], [`old_is_final`],
+//! [`old_prepare`]). They share nothing with the kernels — not
+//! `Tile::offsets`, not the program's
+//! [`Declaration`](crate::gab::Declaration), not the server's
+//! `PushTranspose` or its accumulator — so agreeing on updates, their order,
+//! the edge count and the tile counts means the declarations, the slicing,
+//! the slot map and the cut into per-tile runs are right, for every registry
+//! program, weighted or not, `run_everything` or not.
 //!
-//! The reference pull loop also knows nothing of [`GabProgram::is_final`]: it
-//! gathers every target, so agreeing on the updates is the check that a
-//! program's claim is honest (a skipped target would not have moved) and the
-//! edge count is compared with the in-degrees of the targets left to run.
-//! BFS's gather, which stops at the first visited in-neighbour, is held to
-//! a full `min` fold over every in-edge of every target left to run.
-//! PageRank's gather — a sum of what its [`GabProgram::prepare`] divided once
-//! per vertex — is held to the division on every edge it replaced. (The
-//! transpose itself, `PushTranspose`, is held to a stable sort of the tiles'
-//! edges where it is built, in `graphh-partition`.)
+//! The reference pull loop also knows nothing of finality: it gathers every
+//! target, so agreeing on the updates is the check that a program's claim is
+//! honest (a skipped target would not have moved) and the edge count is
+//! compared with the in-degrees of the targets left to run. BFS's gather,
+//! which stops at the first visited in-neighbour, is held to a full `min`
+//! fold over every in-edge of every target left to run. PageRank's gather —
+//! a sum of the quotients the engine divides once per vertex
+//! ([`Operand::ValuePerOutEdge`](crate::gab::Operand)) — is held to the
+//! division on every edge it replaced. (The transpose itself,
+//! `PushTranspose`, is held to a stable sort of the tiles' edges where it is
+//! built, in `graphh-partition`.)
 
 use super::{ExecutionPlan, ServerState};
 use crate::engine::GraphHConfig;
@@ -153,6 +156,55 @@ fn old_scatter(
     true
 }
 
+/// The `apply` hooks the registry programs wrote before they declared one,
+/// by program name, PageRank's at the registry's damping.
+fn old_apply(program: &str, accum: f64, current: f64, ctx: &VertexContext<'_>) -> f64 {
+    match program {
+        "pagerank" => (1.0 - 0.85) / ctx.values.len() as f64 + 0.85 * accum,
+        "sssp" | "wcc" | "bfs" => accum.min(current),
+        "labelprop" if accum.is_infinite() => current,
+        "labelprop" | "degree-centrality" => accum,
+        _ => unreachable!("{program} is not a registry program"),
+    }
+}
+
+/// The `is_update` hooks of the min programs; PageRank's at the registry's
+/// tolerance, 0, is the trait's default, which the rest kept.
+fn old_is_update(program: &str, old: f64, new: f64) -> bool {
+    match program {
+        "sssp" | "wcc" | "bfs" => new < old,
+        _ => (new - old).abs() > 0.0,
+    }
+}
+
+/// The `is_final` hooks: BFS's, and the trait's default for the rest.
+fn old_is_final(program: &str, value: f64) -> bool {
+    program == "bfs" && value.is_finite()
+}
+
+/// The `prepare` hooks: PageRank's, and the trait's default, which left the
+/// buffer alone, for the rest.
+fn old_prepare(program: &str, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
+    if program != "pagerank" {
+        return;
+    }
+    prepared.clear();
+    prepared.extend(values.iter().zip(out_degrees).map(|(&value, &d)| {
+        if d > 0 {
+            value / f64::from(d)
+        } else {
+            0.0
+        }
+    }));
+}
+
+/// What the old hooks made of a target's accumulator: its new value, if it
+/// was an update.
+fn old_update(program: &str, accum: f64, current: f64, ctx: &VertexContext<'_>) -> Option<f64> {
+    let new = old_apply(program, accum, current, ctx);
+    old_is_update(program, current, new).then_some(new)
+}
+
 /// A program's old gather, or its own for a program that kept one.
 fn reference_gather(
     program: &dyn GabProgram,
@@ -189,10 +241,8 @@ fn reference_gather_tile(
             &mut Edges::new(&sources, Some(&weights)),
             ctx,
         );
-        let current = ctx.values[target as usize];
-        let new = program.apply(target, accum, current, ctx);
         edges_processed += u64::from(in_degree);
-        if program.is_update(current, new) {
+        if let Some(new) = old_update(program.name(), accum, ctx.values[target as usize], ctx) {
             updates.push((target, new));
         }
     }
@@ -246,9 +296,7 @@ fn reference_scatter_tile(
     let mut updates = Vec::new();
     for (target, accum) in tile.targets().zip(acc) {
         let Some(accum) = accum else { continue };
-        let current = ctx.values[target as usize];
-        let new = program.apply(target, accum, current, ctx);
-        if program.is_update(current, new) {
+        if let Some(new) = old_update(program.name(), accum, ctx.values[target as usize], ctx) {
             updates.push((target, new));
         }
     }
@@ -279,13 +327,15 @@ fn degrees(tiles: &[Tile]) -> (Vec<u32>, Vec<u32>) {
 
 /// Run every registry program for a few BSP rounds over the tiles, calling
 /// `check` on every round with the tiles, the replica and the frontier that
-/// round starts from.
+/// round starts from. The context's operand array is what the engine fills
+/// from the declaration
+/// ([`Declaration::fill_operand`](crate::gab::Declaration::fill_operand)).
 fn for_every_program_and_round(
     mut check: impl FnMut(&dyn GabProgram, &[Tile], &[VertexId], &VertexContext<'_>),
 ) {
     for weighted in [false, true] {
         let tiles = tiles(weighted);
-        let (out_degrees, in_degrees) = degrees(&tiles);
+        let (out_degrees, _) = degrees(&tiles);
         for spec in PROGRAMS {
             let program = spec
                 .build(&ProgramContext::new(&out_degrees), &ProgramOptions::new())
@@ -293,9 +343,8 @@ fn for_every_program_and_round(
             let program = program.as_ref();
             let init = InitContext {
                 num_vertices: NUM_VERTICES as u64,
-                out_degrees: &out_degrees,
-                in_degrees: &in_degrees,
             };
+            let declared = program.declaration(NUM_VERTICES as u64);
             let mut values: Vec<f64> = (0..NUM_VERTICES as u32)
                 .map(|v| program.initial_value(v, &init))
                 .collect();
@@ -304,12 +353,10 @@ fn for_every_program_and_round(
             let mut frontier = initial.unwrap_or_else(|| (0..NUM_VERTICES as u32).collect());
             let mut prepared = Vec::new();
             for superstep in 0..4 {
-                program.prepare(&values, &out_degrees, &mut prepared);
+                declared.fill_operand(&values, &out_degrees, &mut prepared);
                 let ctx = VertexContext {
                     values: &values,
                     out_degrees: &out_degrees,
-                    in_degrees: &in_degrees,
-                    num_vertices: NUM_VERTICES as u64,
                     superstep,
                     prepared: &prepared,
                 };
@@ -345,7 +392,7 @@ fn gather_tile_is_the_old_per_target_loop_bit_for_bit() {
             // Every in-edge but those of the targets the program calls final.
             let settled: u64 = tile
                 .targets()
-                .filter(|&t| program.is_final(ctx.values[t as usize]))
+                .filter(|&t| old_is_final(program.name(), ctx.values[t as usize]))
                 .map(|t| u64::from(tile.in_degree(t)))
                 .sum();
             assert_eq!(got.edges_processed, tile.num_edges() - settled, "{context}");
@@ -366,12 +413,12 @@ fn gather_tile_is_the_old_per_target_loop_bit_for_bit() {
 /// weighted and unweighted, through the tile's own slices:
 ///
 /// * pull — the fold's accumulator is the old gather's, and so is the update
-///   `apply` and `is_update` make of it. The one difference is the sign of
-///   an empty sum: the fold's `Sum` starts at `+0.0`, PageRank's old loop
-///   did too, and degree centrality's `Iterator::sum` started at `-0.0`.
-///   Over no in-edge degree centrality now gathers `+0.0`, which `apply`
-///   keeps and `is_update` does not count against the initial `0.0` — the
-///   same update (none) and the same value;
+///   the declaration makes of it. The one difference is the sign of an
+///   empty sum: the fold's `Sum` starts at `+0.0`, PageRank's old loop did
+///   too, and degree centrality's `Iterator::sum` started at `-0.0`. Over no
+///   in-edge degree centrality now gathers `+0.0`, which `apply` keeps and
+///   the update test does not count against the initial `0.0` — the same
+///   update (none) and the same value;
 /// * push — for a min fold, every in-edge pushed alone contributes what the
 ///   old scatter emitted for it, and the contributions folded in reverse
 ///   are the pull fold's answer for every target the pull loop runs. A
@@ -385,7 +432,8 @@ fn declared_folds_are_the_old_gathers_and_scatters_bit_for_bit() {
     let (mut empty, mut single, mut hub, mut duplicate, mut pushed) = (0, 0, 0, 0, 0);
     for_every_program_and_round(|program, tiles, _frontier, ctx| {
         let name = program.name();
-        let Some(fold) = program.fold() else {
+        let declared = program.declaration(NUM_VERTICES as u64);
+        let Some(fold) = declared.fold else {
             let mut nothing = Edges::new(&[], None);
             assert_eq!(old_gather(name, &mut nothing, ctx), None, "{name}");
             return;
@@ -411,10 +459,7 @@ fn declared_folds_are_the_old_gathers_and_scatters_bit_for_bit() {
                     assert_eq!(got.to_bits(), want.to_bits(), "{context}");
                 }
                 let current = ctx.values[target as usize];
-                let update = |accum| {
-                    let new = program.apply(target, accum, current, ctx);
-                    program.is_update(current, new).then_some(new.to_bits())
-                };
+                let update = |accum| declared.updated(accum, current).map(f64::to_bits);
                 assert_eq!(update(got), update(want), "{context}");
 
                 match sources.len() {
@@ -442,7 +487,7 @@ fn declared_folds_are_the_old_gathers_and_scatters_bit_for_bit() {
                     least = least.min(contribution);
                     pushed += 1;
                 }
-                if !program.is_final(current) {
+                if !declared.finality.holds(current) {
                     assert_eq!(least.to_bits(), got.to_bits(), "{context}");
                 }
             }
@@ -455,8 +500,60 @@ fn declared_folds_are_the_old_gathers_and_scatters_bit_for_bit() {
     );
 }
 
-/// PageRank's gather before [`GabProgram::prepare`]: a division on every
-/// in-edge, skipping sources without out-edges.
+/// Every registry program's declared `apply`, update test and finality are
+/// the hooks they replaced, bit for bit, on every target of every tile of
+/// every round, weighted and unweighted: for the accumulator the program
+/// gathers there and for the values beside it where the shapes differ (the
+/// target's own value, ±0, +∞, one more). And the
+/// [`Operand::ValuePerOutEdge`](crate::gab::Operand) array the engine fills
+/// every round is what PageRank's `prepare` made, and nothing for the rest.
+#[test]
+fn declared_apply_update_and_finality_are_the_old_hooks_bit_for_bit() {
+    let (mut applied, mut updates, mut settled, mut quotients) = (0, 0, 0, 0);
+    let bits = |values: &[f64]| values.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for_every_program_and_round(|program, tiles, _frontier, ctx| {
+        let name = program.name();
+        let declared = program.declaration(NUM_VERTICES as u64);
+        let mut prepared = Vec::new();
+        old_prepare(name, ctx.values, ctx.out_degrees, &mut prepared);
+        let round = format!("{name} superstep {}", ctx.superstep);
+        assert_eq!(bits(ctx.prepared), bits(&prepared), "{round}");
+        quotients += prepared.len();
+        for tile in tiles {
+            let spans = tile.offsets().windows(2);
+            for (target, span) in tile.targets().zip(spans) {
+                let (lo, hi) = (span[0] as usize, span[1] as usize);
+                let weights = tile.weights().map(|w| &w[lo..hi]);
+                let mut in_edges = Edges::new(&tile.sources()[lo..hi], weights);
+                let gathered = program.gather(target, &mut in_edges, ctx);
+                let current = ctx.values[target as usize];
+                let context = format!("{round} tile {} target {target}", tile.tile_id);
+                let is_final = old_is_final(name, current);
+                assert_eq!(declared.finality.holds(current), is_final, "{context}");
+                settled += usize::from(is_final);
+                for accum in [gathered, current, 0.0, -0.0, f64::INFINITY, gathered + 1.0] {
+                    let new = declared.apply.of(accum, current);
+                    let old = old_apply(name, accum, current, ctx);
+                    assert_eq!(new.to_bits(), old.to_bits(), "{context} accum {accum}");
+                    let moved = old_is_update(name, current, old);
+                    assert_eq!(declared.update.holds(current, new), moved, "{context}");
+                    let got = declared.updated(accum, current).map(f64::to_bits);
+                    let want = old_update(name, accum, current, ctx).map(f64::to_bits);
+                    assert_eq!(got, want, "{context} accum {accum}");
+                    applied += 1;
+                    updates += usize::from(moved);
+                }
+            }
+        }
+    });
+    assert!(
+        applied > 3_000 && updates > 1_000 && settled > 30 && quotients > 50,
+        "{applied} applied, {updates} updates, {settled} final values, {quotients} quotients"
+    );
+}
+
+/// PageRank's gather before its quotients were divided once per vertex: a
+/// division on every in-edge, skipping sources without out-edges.
 fn reference_pagerank_gather(in_edges: &[VertexId], ctx: &VertexContext<'_>) -> f64 {
     let mut accum = 0.0;
     for &src in in_edges {
@@ -468,9 +565,9 @@ fn reference_pagerank_gather(in_edges: &[VertexId], ctx: &VertexContext<'_>) -> 
     accum
 }
 
-/// PageRank sums the quotients its `prepare` divided once per vertex; the
-/// loop it replaced divided on every edge. The same divisions, summed in the
-/// same order: the same bits, for every target of every round.
+/// PageRank sums the quotients the engine divided once per vertex; the loop
+/// it replaced divided on every edge. The same divisions, summed in the same
+/// order: the same bits, for every target of every round.
 #[test]
 fn pagerank_prepared_gather_is_the_per_edge_division_bit_for_bit() {
     let mut compared = 0;
@@ -506,8 +603,9 @@ fn bfs_first_parent_gather_is_the_full_min_fold_bit_for_bit() {
         if program.name() != "bfs" {
             return;
         }
+        let finality = program.declaration(NUM_VERTICES as u64).finality;
         for (tile, target) in tiles.iter().flat_map(|t| t.targets().map(move |v| (t, v))) {
-            if program.is_final(ctx.values[target as usize]) {
+            if finality.holds(ctx.values[target as usize]) {
                 continue;
             }
             let (sources, weights): (Vec<VertexId>, Vec<f32>) = tile.in_edges(target).unzip();
@@ -540,7 +638,8 @@ fn only_the_bfs_kernels_claim_final_values() {
         let program = spec
             .build(&ProgramContext::new(&[1, 1]), &ProgramOptions::new())
             .expect("default options");
-        let claims = [0.0, 1.0, 7.5, f64::INFINITY].map(|x| program.is_final(x));
+        let finality = program.declaration(2).finality;
+        let claims = [0.0, 1.0, 7.5, f64::INFINITY].map(|x| finality.holds(x));
         let is_bfs = spec.name == "bfs";
         assert_eq!(claims, [is_bfs, is_bfs, is_bfs, false], "{}", spec.name);
     }

@@ -14,9 +14,9 @@
 //!   transpose of all its tiles — [`PushTranspose`] — with the push
 //!   accumulator over its target slots),
 //! * [`ServerState::run_tile_phase`] — the compute phase of one superstep on
-//!   one server: let the program [`GabProgram::prepare`] its per-vertex
-//!   array from the replica, skip the tiles no frontier vertex is a source
-//!   of, fetch the rest, and hand each to the program's
+//!   one server: fill the quotients a fold over `ValuePerOutEdge` reads,
+//!   skip the tiles no frontier vertex is a source of, fetch the rest, and
+//!   hand each to the program's
 //!   [`GabProgram::gather_tile`] — the
 //!   engine's loop over the tile's CSR slices, compiled per program, which
 //!   passes over targets whose value the program calls final — producing
@@ -52,8 +52,8 @@ pub use self::reduce::reduce;
 pub use self::step::{WorkerOutput, WorkerStep};
 use crate::engine::{GraphHConfig, RunResult};
 use crate::gab::{
-    Direction, DirectionMode, Edges, FrontierStats, GabProgram, InitContext, TileUpdates,
-    VertexContext,
+    Declaration, Direction, DirectionMode, Edges, FrontierStats, GabProgram, InitContext,
+    TileUpdates, VertexContext,
 };
 use crate::{EngineError, Result};
 use graphh_cache::{CacheStats, EdgeCache, EdgeCacheConfig};
@@ -118,8 +118,6 @@ pub struct ExecutionPlan {
     pub num_vertices: u64,
     /// Out-degree of every vertex.
     pub out_degrees: Arc<Vec<u32>>,
-    /// In-degree of every vertex.
-    pub in_degrees: Arc<Vec<u32>>,
     /// Initial value of every vertex.
     pub initial_values: Arc<Vec<f64>>,
     /// Tile → server assignment.
@@ -166,12 +164,7 @@ impl ExecutionPlan {
             ));
         }
         let out_degrees: Arc<Vec<u32>> = Arc::new(partitioned.out_degrees.clone());
-        let in_degrees: Arc<Vec<u32>> = Arc::new(partitioned.in_degrees.clone());
-        let init_ctx = InitContext {
-            num_vertices,
-            out_degrees: &out_degrees,
-            in_degrees: &in_degrees,
-        };
+        let init_ctx = InitContext { num_vertices };
         let initial_values: Arc<Vec<f64>> = Arc::new(
             (0..num_vertices as u32)
                 .map(|v| program.initial_value(v, &init_ctx))
@@ -197,7 +190,7 @@ impl ExecutionPlan {
             }
         }
         if config.direction_mode == DirectionMode::ForcePush && !program.supports_push() {
-            let why = match program.fold() {
+            let why = match program.declaration(num_vertices).fold {
                 Some(_) => "its gather is an ordered sum, which a push would reorder",
                 None => "it has a custom gather, not a min fold",
             };
@@ -216,7 +209,6 @@ impl ExecutionPlan {
         Ok(Self {
             num_vertices,
             out_degrees,
-            in_degrees,
             initial_values,
             assignment,
             max_supersteps,
@@ -413,11 +405,11 @@ impl PushAccumulator {
 fn scatter_server(
     transpose: &PushTranspose,
     acc: &mut PushAccumulator,
-    program: &dyn GabProgram,
+    declared: Declaration,
     active: &[VertexId],
     ctx: &VertexContext<'_>,
 ) -> TilePhaseOutput {
-    let fold = program.fold().expect("the plan pushes only a min fold");
+    let fold = declared.fold.expect("the plan pushes only a min fold");
     let operands = fold.operands(ctx);
     let sources = transpose.sources();
     let mut metrics = ServerMetrics::default();
@@ -455,9 +447,7 @@ fn scatter_server(
         let mut updates = Vec::new();
         for &(slot, accum) in run {
             let target = transpose.target_of(k, slot);
-            let current = ctx.values[target as usize];
-            let new = program.apply(target, accum, current, ctx);
-            if program.is_update(current, new) {
+            if let Some(new) = declared.updated(accum, ctx.values[target as usize]) {
                 updates.push((target, new));
             }
         }
@@ -488,9 +478,9 @@ pub struct ServerState {
     tile_keys: Vec<String>,
     /// Local replica of every vertex value (All-in-All policy).
     pub values: Vec<f64>,
-    /// What the program's [`GabProgram::prepare`] made of `values` for the
-    /// current pull superstep: one slot per vertex, or nothing (and no
-    /// allocation) for a program that prepares nothing.
+    /// The [`Operand::ValuePerOutEdge`](crate::gab::Operand) array of
+    /// `values` for the current superstep: one slot per vertex, or nothing
+    /// (and no allocation) for a program whose fold does not read it.
     prepared: Vec<f64>,
     /// Edge cache over idle memory.
     cache: EdgeCache,
@@ -694,9 +684,9 @@ impl ServerState {
     }
 
     /// The compute phase of one superstep on this server, in the direction
-    /// the executor resolved for it (`frontier.direction`), after the
-    /// program [`GabProgram::prepare`]s its per-vertex array from the
-    /// replica:
+    /// the executor resolved for it (`frontier.direction`), after filling
+    /// the per-vertex array the declared fold reads
+    /// ([`Declaration::fill_operand`]):
     ///
     /// * **pull** — walk the assigned tiles (skipping those no frontier
     ///   vertex is a source of), gather/apply every target against the local
@@ -738,18 +728,17 @@ impl ServerState {
         frontier: &FrontierView<'_>,
         use_bloom: bool,
     ) -> Result<TilePhaseOutput> {
-        program.prepare(&self.values, &plan.out_degrees, &mut self.prepared);
+        let declared = program.declaration(plan.num_vertices);
+        declared.fill_operand(&self.values, &plan.out_degrees, &mut self.prepared);
         let ctx = VertexContext {
             values: &self.values,
             out_degrees: &plan.out_degrees,
-            in_degrees: &plan.in_degrees,
-            num_vertices: plan.num_vertices,
             superstep,
             prepared: &self.prepared,
         };
         if frontier.direction == Direction::Push {
             let (transpose, acc) = self.push.as_mut().expect("a push-capable plan");
-            let phase = scatter_server(transpose, acc, program, frontier.vertices, &ctx);
+            let phase = scatter_server(transpose, acc, declared, frontier.vertices, &ctx);
             self.peak_memory = self.peak_memory.max(self.held_bytes());
             return Ok(phase);
         }
@@ -1211,20 +1200,26 @@ mod tests {
     #[test]
     fn plan_rejects_an_initial_frontier_outside_the_graph_or_out_of_order() {
         use crate::algorithms::{Bfs, Sssp};
+        use crate::gab::{Apply, Final, Update};
 
         struct StartsFrom(Vec<VertexId>);
         impl GabProgram for StartsFrom {
             fn name(&self) -> &'static str {
                 "starts-from"
             }
-            fn initial_value(&self, _v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+            fn initial_value(&self, _v: VertexId, _ctx: &InitContext) -> f64 {
                 0.0
+            }
+            fn declaration(&self, _num_vertices: u64) -> Declaration {
+                Declaration {
+                    fold: None,
+                    apply: Apply::KeepUnlessInfinite,
+                    update: Update::Moved(0.0),
+                    finality: Final::Never,
+                }
             }
             fn gather(&self, _t: VertexId, _e: &mut Edges<'_>, _ctx: &VertexContext<'_>) -> f64 {
-                0.0
-            }
-            fn apply(&self, _t: VertexId, _a: f64, current: f64, _ctx: &VertexContext<'_>) -> f64 {
-                current
+                f64::INFINITY
             }
             fn initial_frontier(&self, _num_vertices: u64) -> Option<Vec<VertexId>> {
                 Some(self.0.clone())

@@ -200,7 +200,7 @@ fn run(
 mod tests {
     use super::*;
     use crate::algorithms::PageRank;
-    use crate::gab::{Edges, InitContext, VertexContext};
+    use crate::gab::{Apply, Declaration, Edges, Final, InitContext, Update, VertexContext};
     use crate::GraphHEngine;
     use graphh_cluster::ClusterConfig;
     use graphh_graph::generators::{GraphGenerator, RmatGenerator};
@@ -230,7 +230,7 @@ mod tests {
         assert_eq!(b.metrics.total_network_bytes(), 0);
     }
 
-    /// A program whose `apply` panics on one vertex in superstep 1 — stands in
+    /// A program whose gather panics on one vertex in superstep 1 — stands in
     /// for a buggy user program blowing up inside one server.
     struct PanicAt {
         vertex: u32,
@@ -240,17 +240,22 @@ mod tests {
         fn name(&self) -> &'static str {
             "panic-at"
         }
-        fn initial_value(&self, _v: u32, _ctx: &InitContext<'_>) -> f64 {
+        fn initial_value(&self, _v: u32, _ctx: &InitContext) -> f64 {
             0.0
         }
-        fn gather(&self, _target: u32, _in_edges: &mut Edges<'_>, _ctx: &VertexContext<'_>) -> f64 {
-            0.0
+        fn declaration(&self, _num_vertices: u64) -> Declaration {
+            Declaration {
+                fold: None,
+                apply: Apply::Replace,
+                update: Update::Moved(0.0),
+                finality: Final::Never,
+            }
         }
-        fn apply(&self, target: u32, _accum: f64, current: f64, ctx: &VertexContext<'_>) -> f64 {
+        fn gather(&self, target: u32, _in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
             if ctx.superstep == 1 && target == self.vertex {
                 panic!("boom: user program failed on vertex {target}");
             }
-            current + 1.0
+            ctx.values[target as usize] + 1.0
         }
         fn max_supersteps(&self) -> u32 {
             5

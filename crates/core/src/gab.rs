@@ -12,24 +12,21 @@
 //! every algorithm in the paper (ranks, distances, component labels) and keeps the
 //! wire encoding uniform.
 //!
-//! A program says *what* a vertex folds; the engine does the rest. Most
-//! programs declare their gather as a [`Fold`] ([`GabProgram::fold`]) and
-//! write no edge loop; a gather that is no fold (label propagation's mode)
-//! overrides [`GabProgram::gather`] instead. The tile loops are the engine's:
-//! a vertex's edges arrive as [`Edges`], a slice of the tile's CSR iterated
-//! with static dispatch, and the pull loop over a whole tile is the trait's
-//! one provided method, [`GabProgram::gather_tile`]: compiled once per
-//! program, so the fold and the hooks inline, and reached through
-//! `&dyn GabProgram` once per tile.
+//! A program says *what* a vertex folds and applies; the engine does the
+//! rest. A program is a [`Declaration`]: its gather as a [`Fold`], its
+//! `apply` as an [`Apply`], its update test as an [`Update`] and which values
+//! are settled as a [`Final`] — data, no closure. A gather that is no fold
+//! (label propagation's mode) overrides [`GabProgram::gather`] instead. The
+//! tile loops are the engine's: a vertex's edges arrive as [`Edges`], a slice
+//! of the tile's CSR, and the pull loop over a tile is the trait's one
+//! provided method, [`GabProgram::gather_tile`]: compiled once per program,
+//! so the declaration is a constant there, and reached through
+//! `&dyn GabProgram` once per tile. Every loop applies through
+//! [`Declaration::updated`].
 //!
-//! Two optional hooks tell that loop what it may leave out, without changing
-//! a value: [`GabProgram::initial_frontier`] (a traversal starts from its
-//! source, not from every vertex) and [`GabProgram::is_final`] (a pull
-//! superstep skips targets whose value is settled — the bottom-up step of
-//! direction-optimizing BFS). One more, [`GabProgram::prepare`], does
-//! per-vertex work once instead of once per edge: it fills a per-server
-//! buffer from the replica before each superstep, which a fold over
-//! [`Operand::Prepared`] reads (PageRank's quotients).
+//! [`GabProgram::initial_frontier`] (a traversal starts from its source) and
+//! [`Final::Finite`] (BFS's bottom-up step skips settled targets) tell the
+//! pull loop what it may leave out, without changing a value.
 //!
 //! ## Direction
 //!
@@ -119,8 +116,9 @@ pub struct Fold {
 pub enum Operand {
     /// [`VertexContext::values`], the replica.
     Values,
-    /// [`VertexContext::prepared`], what [`GabProgram::prepare`] made of it.
-    Prepared,
+    /// `value / out_degree`, or 0 for a vertex with no out-edge: what
+    /// [`Declaration::fill_operand`] makes of the replica every superstep.
+    ValuePerOutEdge,
 }
 
 /// What an edge contributes from its source's value `x` and its weight `w`
@@ -162,7 +160,7 @@ pub enum Reduce {
     Min,
     /// A min the pull loop cuts short: the first finite contribution, `+∞`
     /// if none, the in-edges after it left unread. **Contract:** for every
-    /// target the pull loop runs (not [`GabProgram::is_final`]) it is the
+    /// target the pull loop runs (not [`Final`]) it is the
     /// least — BFS's bottom-up step, where every visited in-neighbour of an
     /// unreached target is at the previous level. A push takes the min.
     FirstFinite,
@@ -179,7 +177,7 @@ impl Fold {
     pub fn operands<'a>(self, ctx: &VertexContext<'a>) -> &'a [f64] {
         match self.from {
             Operand::Values => ctx.values,
-            Operand::Prepared => ctx.prepared,
+            Operand::ValuePerOutEdge => ctx.prepared,
         }
     }
 
@@ -198,6 +196,109 @@ impl Fold {
     }
 }
 
+/// The paper's `apply`: a target's new value from its accumulator `a` and
+/// its current value `c`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Apply {
+    /// `base + scale·a` (PageRank: `(1 − d)/|V| + d·a`).
+    Affine { base: f64, scale: f64 },
+    /// `a.min(c)`.
+    MinWithCurrent,
+    /// `a`.
+    Replace,
+    /// `c` if `a` is infinite, else `a` (label propagation's "no label").
+    KeepUnlessInfinite,
+}
+
+impl Apply {
+    /// The new value from accumulator `a` and current value `c`.
+    #[inline(always)]
+    pub fn of(self, a: f64, c: f64) -> f64 {
+        match self {
+            Apply::Affine { base, scale } => base + scale * a,
+            Apply::MinWithCurrent => a.min(c),
+            Apply::Replace => a,
+            Apply::KeepUnlessInfinite if a.is_infinite() => c,
+            Apply::KeepUnlessInfinite => a,
+        }
+    }
+}
+
+/// When a new value is an update: broadcast, and keeping the program running.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Update {
+    /// `|new − old| > tolerance`; `Moved(0.0)` counts any change.
+    Moved(f64),
+    /// `new < old`.
+    Decreased,
+}
+
+impl Update {
+    /// Whether `new` is an update of `old`.
+    #[inline(always)]
+    pub fn holds(self, old: f64, new: f64) -> bool {
+        match self {
+            Update::Moved(tolerance) => (new - old).abs() > tolerance,
+            Update::Decreased => new < old,
+        }
+    }
+}
+
+/// Which values are settled: the pull loop skips such a target without
+/// touching its in-edges. **Contract:** no later superstep updates a final
+/// value. Synchronous BFS qualifies — the first finite level a vertex
+/// receives is its hop distance; SSSP distances and WCC labels keep falling
+/// and do **not**.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Final {
+    /// No value is.
+    Never,
+    /// Every finite value is.
+    Finite,
+}
+
+impl Final {
+    /// Whether a vertex holding `value` is settled.
+    #[inline(always)]
+    pub fn holds(self, value: f64) -> bool {
+        self == Final::Finite && value.is_finite()
+    }
+}
+
+/// A vertex program as data: everything the engine runs but a custom gather.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Declaration {
+    /// The gather, which alone decides whether the program can push; `None`
+    /// for a custom [`GabProgram::gather`], which only the pull loop runs.
+    pub fold: Option<Fold>,
+    /// What a target's accumulator and current value make.
+    pub apply: Apply,
+    /// When the new value is an update.
+    pub update: Update,
+    /// Which values the pull loop may skip.
+    pub finality: Final,
+}
+
+impl Declaration {
+    /// Apply, then test for an update: the target's new value if it is one.
+    /// Every loop that applies calls this.
+    #[inline(always)]
+    pub fn updated(self, accum: f64, current: f64) -> Option<f64> {
+        let new = self.apply.of(accum, current);
+        self.update.holds(current, new).then_some(new)
+    }
+
+    /// Refill `prepared` from the replica when the fold reads
+    /// [`Operand::ValuePerOutEdge`]; leave it untouched otherwise.
+    pub fn fill_operand(self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
+        if self.fold.map(|fold| fold.from) == Some(Operand::ValuePerOutEdge) {
+            let quotient = |(&x, &d): (&f64, &u32)| if d > 0 { x / f64::from(d) } else { 0.0 };
+            prepared.clear();
+            prepared.extend(values.iter().zip(out_degrees).map(quotient));
+        }
+    }
+}
+
 /// What [`GabProgram::gather_tile`] produces for one tile.
 #[derive(Debug)]
 pub struct TileUpdates {
@@ -205,7 +306,7 @@ pub struct TileUpdates {
     pub updates: Vec<(VertexId, f64)>,
     /// In-edges offered to [`GabProgram::gather`] (the in-degrees of the
     /// targets that ran, whether or not the gather read them all; a target
-    /// whose value [`GabProgram::is_final`] does not run).
+    /// whose value is [`Final`] does not run).
     pub edges_processed: u64,
 }
 
@@ -316,30 +417,21 @@ impl FrontierStats {
 
 /// Context available while computing initial values.
 #[derive(Debug, Clone, Copy)]
-pub struct InitContext<'a> {
+pub struct InitContext {
     /// Number of vertices in the graph.
     pub num_vertices: u64,
-    /// Out-degree of every vertex (the array PageRank asks the engine to load).
-    pub out_degrees: &'a [u32],
-    /// In-degree of every vertex.
-    pub in_degrees: &'a [u32],
 }
 
-/// Context available to `gather` and `apply`.
+/// Context available to `gather`.
 #[derive(Debug, Clone, Copy)]
 pub struct VertexContext<'a> {
     /// Current values of *all* vertices (the local replica array).
     pub values: &'a [f64],
     /// Out-degree of every vertex.
     pub out_degrees: &'a [u32],
-    /// In-degree of every vertex.
-    pub in_degrees: &'a [u32],
-    /// Number of vertices in the graph.
-    pub num_vertices: u64,
     /// Current superstep (0-based).
     pub superstep: u32,
-    /// What [`GabProgram::prepare`] filled from `values` for this superstep,
-    /// one slot per vertex. Empty for a program that prepares nothing.
+    /// The [`Operand::ValuePerOutEdge`] array, empty unless the fold reads it.
     pub prepared: &'a [f64],
 }
 
@@ -349,36 +441,22 @@ pub trait GabProgram: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Initial value of vertex `v`.
-    fn initial_value(&self, v: VertexId, ctx: &InitContext<'_>) -> f64;
+    fn initial_value(&self, v: VertexId, ctx: &InitContext) -> f64;
 
-    /// The gather as a declared [`Fold`], which the engine runs in both tile
-    /// loops and which alone decides whether the program can push. `None`,
-    /// the default, means a custom [`Self::gather`], run only by the pull
-    /// loop. A wrapper that forwards its gather must forward this too.
-    fn fold(&self) -> Option<Fold> {
-        None
-    }
+    /// The program as data on a graph of `num_vertices` vertices, which only
+    /// [`Apply::Affine`]'s constants may depend on. A wrapper that forwards
+    /// its gather must forward the fold.
+    fn declaration(&self, num_vertices: u64) -> Declaration;
 
     /// Fold the in-edges of `target`, `(source, weight)` pairs, into an
-    /// accumulator. The default runs [`Self::fold`] and panics without one;
-    /// only a gather that is no fold (label propagation's mode) overrides
-    /// it. The engine counts every in-edge it offered in `edges_processed`,
-    /// read or not.
+    /// accumulator. The default runs the declared [`Fold`] and panics without
+    /// one; only a gather that is no fold (label propagation's mode)
+    /// overrides it. The engine counts every in-edge it offered in
+    /// `edges_processed`, read or not.
     fn gather(&self, _target: VertexId, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
-        let fold = self
-            .fold()
-            .expect("a program that declares no fold implements gather");
+        let fold = self.declaration(ctx.values.len() as u64).fold;
+        let fold = fold.expect("a program that declares no fold implements gather");
         fold.gather(in_edges, ctx)
-    }
-
-    /// Produce the new value of `target` from the accumulator and its current value.
-    fn apply(&self, target: VertexId, accum: f64, current: f64, ctx: &VertexContext<'_>) -> f64;
-
-    /// Whether `new` counts as an update relative to `old` — only updates are
-    /// broadcast and keep the program running. The default treats any change
-    /// as one.
-    fn is_update(&self, old: f64, new: f64) -> bool {
-        (new - old).abs() > 0.0
     }
 
     /// Hard cap on supersteps (the program also stops as soon as no vertex updates).
@@ -406,57 +484,25 @@ pub trait GabProgram: Send + Sync {
         None
     }
 
-    /// Whether a vertex holding `value` is settled for the rest of the run.
-    ///
-    /// **Contract:** once true of a vertex's value, no later superstep
-    /// updates that vertex. The pull loop then skips the vertex without
-    /// touching its in-edges (the bottom-up step of direction-optimizing
-    /// BFS). Synchronous BFS qualifies — the first finite level a vertex
-    /// receives is its hop distance; SSSP distances and WCC labels keep
-    /// falling and do **not**. The default claims nothing, and for programs
-    /// that keep it the test compiles out of [`Self::gather_tile`].
-    fn is_final(&self, value: f64) -> bool {
-        let _ = value;
-        false
-    }
-
-    /// Refill `prepared` — read by a fold over [`Operand::Prepared`], and
-    /// handed to `gather` and `apply` as [`VertexContext::prepared`] — from
-    /// the replica `values`, one slot per vertex. The engine calls it once
-    /// per server before every superstep's tiles, so work a gather would
-    /// repeat on every out-edge of a source is done once per vertex.
-    /// `prepared` is the same buffer every superstep: whatever the last call
-    /// left in it, empty before the first.
-    ///
-    /// **Contract:** `prepared` is a pure function of `values` and
-    /// `out_degrees`; every server computes the same array from the same
-    /// replica, so preparing cannot change a value. The default leaves the
-    /// buffer empty, so a program that keeps it allocates nothing. A wrapper
-    /// that forwards its fold must forward `prepare` too.
-    fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
-        let _ = (values, out_degrees, prepared);
-    }
-
     /// The engine's pull loop over one tile — **not a hook; do not
     /// override.** For every target in ascending order: skip it if it has no
-    /// in-edge in this tile (unless `run_everything`) or its value
-    /// [`Self::is_final`], fold its slice of the tile's CSR — the declared
-    /// [`Self::fold`], or the custom [`Self::gather`] of a program that
-    /// declares none — [`Self::apply`], and keep the new value if
-    /// [`Self::is_update`] says so.
+    /// in-edge in this tile (unless `run_everything`) or its value is
+    /// [`Final`], fold its slice of the tile's CSR — the declared [`Fold`],
+    /// or the custom [`Self::gather`] — and keep what
+    /// [`Declaration::updated`] makes of the accumulator.
     ///
     /// It lives on the trait because a provided method is compiled per
-    /// implementor: the declaration is a constant here, the hooks are static
-    /// calls, and all of it inlines into the loop, so the engine pays one
-    /// virtual call per tile instead of three per target and one per edge —
-    /// without a type parameter on anything that holds a `&dyn GabProgram`.
+    /// implementor: the declaration, read once per tile, is a constant here
+    /// and inlines into the loop, so the engine pays one virtual call per
+    /// tile — without a type parameter on anything that holds a
+    /// `&dyn GabProgram`.
     fn gather_tile(
         &self,
         tile: &Tile,
         run_everything: bool,
         ctx: &VertexContext<'_>,
     ) -> TileUpdates {
-        let fold = self.fold();
+        let declared = self.declaration(ctx.values.len() as u64);
         let (sources, weights) = (tile.sources(), tile.weights());
         let mut updates = Vec::with_capacity(tile.num_targets() as usize);
         let mut edges_processed = 0u64;
@@ -466,17 +512,16 @@ pub trait GabProgram: Send + Sync {
                 continue;
             }
             let current = ctx.values[target as usize];
-            if self.is_final(current) {
+            if declared.finality.holds(current) {
                 continue;
             }
             let mut in_edges = Edges::new(&sources[lo..hi], weights.map(|w| &w[lo..hi]));
-            let accum = match fold {
+            let accum = match declared.fold {
                 Some(fold) => fold.gather(&mut in_edges, ctx),
                 None => self.gather(target, &mut in_edges, ctx),
             };
-            let new = self.apply(target, accum, current, ctx);
             edges_processed += (hi - lo) as u64;
-            if self.is_update(current, new) {
+            if let Some(new) = declared.updated(accum, current) {
                 updates.push((target, new));
             }
         }
@@ -493,15 +538,25 @@ pub trait GabProgram: Send + Sync {
 impl dyn GabProgram + '_ {
     /// Whether the engine may run a superstep of this program as a push:
     /// exactly when its gather is a declared min fold ([`Fold::pushes`]).
-    /// Derived from [`GabProgram::fold`], so no program can claim it.
+    /// Derived from the declaration (the same at any vertex count), so no
+    /// program can claim it.
     pub fn supports_push(&self) -> bool {
-        self.fold().is_some_and(Fold::pushes)
+        self.declaration(1).fold.is_some_and(Fold::pushes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A custom gather, its accumulator kept, any change an update, nothing
+    /// final.
+    const CUSTOM: Declaration = Declaration {
+        fold: None,
+        apply: Apply::Replace,
+        update: Update::Moved(0.0),
+        finality: Final::Never,
+    };
 
     /// A trivial program: every vertex becomes the count of its in-edges.
     struct CountInEdges;
@@ -510,8 +565,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "count-in-edges"
         }
-        fn initial_value(&self, _v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+        fn initial_value(&self, _v: VertexId, _ctx: &InitContext) -> f64 {
             0.0
+        }
+        fn declaration(&self, _num_vertices: u64) -> Declaration {
+            CUSTOM
         }
         fn gather(
             &self,
@@ -521,9 +579,6 @@ mod tests {
         ) -> f64 {
             in_edges.count() as f64
         }
-        fn apply(&self, _t: VertexId, accum: f64, _current: f64, _ctx: &VertexContext<'_>) -> f64 {
-            accum
-        }
         fn max_supersteps(&self) -> u32 {
             1
         }
@@ -532,20 +587,21 @@ mod tests {
     #[test]
     fn default_update_semantics() {
         let p = CountInEdges;
-        assert!(p.is_update(0.0, 1.0));
-        assert!(!p.is_update(1.0, 1.0));
+        let declared = p.declaration(4);
+        assert!(declared.update.holds(0.0, 1.0));
+        assert!(!declared.update.holds(1.0, 1.0));
         assert_eq!(p.initial_frontier(4), None);
-        assert!(!p.is_final(0.0) && !p.is_final(f64::INFINITY));
+        assert!(!declared.finality.holds(0.0) && !declared.finality.holds(f64::INFINITY));
         assert_eq!(p.max_supersteps(), 1);
         let mut prepared = Vec::new();
-        p.prepare(&[1.0, 2.0], &[1, 1], &mut prepared);
-        assert!(prepared.is_empty(), "the default prepares nothing");
+        declared.fill_operand(&[1.0, 2.0], &[1, 1], &mut prepared);
+        assert!(prepared.is_empty(), "a custom gather gets no operand array");
     }
 
     #[test]
     fn a_custom_gather_is_pull_only() {
         let p = CountInEdges;
-        assert_eq!(p.fold(), None);
+        assert_eq!(p.declaration(4).fold, None);
         assert!(!(&p as &dyn GabProgram).supports_push());
     }
 
@@ -557,14 +613,14 @@ mod tests {
         fn name(&self) -> &'static str {
             "declared"
         }
-        fn initial_value(&self, _v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+        fn initial_value(&self, _v: VertexId, _ctx: &InitContext) -> f64 {
             0.0
         }
-        fn fold(&self) -> Option<Fold> {
-            Some(self.0)
-        }
-        fn apply(&self, _t: VertexId, accum: f64, _current: f64, _ctx: &VertexContext<'_>) -> f64 {
-            accum
+        fn declaration(&self, _num_vertices: u64) -> Declaration {
+            Declaration {
+                fold: Some(self.0),
+                ..CUSTOM
+            }
         }
     }
 
@@ -576,8 +632,6 @@ mod tests {
         let ctx = VertexContext {
             values: &values,
             out_degrees: &[1; 4],
-            in_degrees: &[1; 4],
-            num_vertices: 4,
             superstep: 0,
             prepared: &prepared,
         };
@@ -586,7 +640,7 @@ mod tests {
         let (min, first_finite) = (Reduce::Min, Reduce::FirstFinite);
         use {Contribution::*, Operand::*};
         for (declared, weighted, want, unread) in [
-            (fold(Prepared, Value, Reduce::Sum), true, 12.75, 0),
+            (fold(ValuePerOutEdge, Value, Reduce::Sum), true, 12.75, 0),
             (fold(Values, Weight, Reduce::Sum), true, 6.75, 0),
             (fold(Values, Weight, Reduce::Sum), false, 4.0, 0),
             (fold(Values, ValuePlusWeight, min), true, 5.0, 0),
@@ -602,7 +656,8 @@ mod tests {
             assert_eq!(program.supports_push(), declared.reduce != Reduce::Sum);
         }
         // No in-edges: the identities, +0.0 and +∞.
-        let sum = fold(Prepared, Value, Reduce::Sum).gather(&mut Edges::new(&[], None), &ctx);
+        let sum =
+            fold(ValuePerOutEdge, Value, Reduce::Sum).gather(&mut Edges::new(&[], None), &ctx);
         assert_eq!(sum.to_bits(), 0.0f64.to_bits());
         let least = fold(Values, Value, min).gather(&mut Edges::new(&[], None), &ctx);
         assert_eq!(least, inf);
@@ -616,18 +671,16 @@ mod tests {
             fn name(&self) -> &'static str {
                 "nothing"
             }
-            fn initial_value(&self, _v: VertexId, _ctx: &InitContext<'_>) -> f64 {
+            fn initial_value(&self, _v: VertexId, _ctx: &InitContext) -> f64 {
                 0.0
             }
-            fn apply(&self, _t: VertexId, a: f64, _c: f64, _ctx: &VertexContext<'_>) -> f64 {
-                a
+            fn declaration(&self, _num_vertices: u64) -> Declaration {
+                CUSTOM
             }
         }
         let ctx = VertexContext {
             values: &[0.0],
             out_degrees: &[0],
-            in_degrees: &[0],
-            num_vertices: 1,
             superstep: 0,
             prepared: &[],
         };
@@ -681,12 +734,9 @@ mod tests {
         let p = CountInEdges;
         let values = vec![0.0; 4];
         let out_degrees = vec![0u32; 4];
-        let in_degrees = vec![0u32; 4];
         let ctx = VertexContext {
             values: &values,
             out_degrees: &out_degrees,
-            in_degrees: &in_degrees,
-            num_vertices: 4,
             superstep: 0,
             prepared: &[],
         };

@@ -11,7 +11,7 @@
 //! push-capable registry program must also agree bit for bit, on both
 //! executors and over real sockets.
 
-use graphh::core::gab::{Edges, InitContext, VertexContext};
+use graphh::core::gab::{Declaration, Edges, Final, InitContext, VertexContext};
 use graphh::prelude::*;
 use std::sync::Arc;
 
@@ -272,39 +272,42 @@ fn poll_plane_cluster_ships_the_same_bytes_in_every_direction_mode() {
 
 /// PageRank, except that gathering one of the first few vertices stalls
 /// on odd supersteps — so the server owning that tile finishes those
-/// supersteps last, by a wide margin.
+/// supersteps last, by a wide margin. Its gather is custom, so it divides on
+/// every edge, as PageRank's did before its quotients were divided once per
+/// vertex (the same bits); the rest is PageRank's declaration.
 struct Straggler(PageRank);
 
 impl GabProgram for Straggler {
     fn name(&self) -> &'static str {
         "straggler"
     }
-    fn initial_value(&self, v: u32, ctx: &InitContext<'_>) -> f64 {
+    fn initial_value(&self, v: u32, ctx: &InitContext) -> f64 {
         self.0.initial_value(v, ctx)
+    }
+    fn declaration(&self, num_vertices: u64) -> Declaration {
+        Declaration {
+            fold: None,
+            ..self.0.declaration(num_vertices)
+        }
     }
     fn gather(&self, target: u32, in_edges: &mut Edges<'_>, ctx: &VertexContext<'_>) -> f64 {
         if ctx.superstep % 2 == 1 && target < 4 {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        self.0.gather(target, in_edges, ctx)
-    }
-    fn apply(&self, target: u32, accum: f64, current: f64, ctx: &VertexContext<'_>) -> f64 {
-        self.0.apply(target, accum, current, ctx)
-    }
-    fn is_update(&self, old: f64, new: f64) -> bool {
-        self.0.is_update(old, new)
+        let mut accum = 0.0;
+        for (src, _) in in_edges {
+            let d = ctx.out_degrees[src as usize];
+            if d > 0 {
+                accum += ctx.values[src as usize] / f64::from(d);
+            }
+        }
+        accum
     }
     fn max_supersteps(&self) -> u32 {
         self.0.max_supersteps()
     }
     fn initial_frontier(&self, num_vertices: u64) -> Option<Vec<u32>> {
         self.0.initial_frontier(num_vertices)
-    }
-    fn is_final(&self, value: f64) -> bool {
-        self.0.is_final(value)
-    }
-    fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
-        self.0.prepare(values, out_degrees, prepared)
     }
 }
 
@@ -1613,7 +1616,7 @@ fn the_source_set_skips_at_least_what_the_bloom_filter_did() {
 }
 
 /// A program with its two traversal hints withheld: every hook forwards —
-/// the fold declaration, and the gather for a program that keeps its own —
+/// the declaration, and the gather for a program that keeps its own —
 /// except that no value is ever final and every vertex starts active — the
 /// engine before the hints existed. Whether it can push follows from the
 /// forwarded fold.
@@ -1623,11 +1626,14 @@ impl GabProgram for Unhinted<'_> {
     fn name(&self) -> &'static str {
         self.0.name()
     }
-    fn initial_value(&self, v: u32, ctx: &graphh::core::gab::InitContext<'_>) -> f64 {
+    fn initial_value(&self, v: u32, ctx: &InitContext) -> f64 {
         self.0.initial_value(v, ctx)
     }
-    fn fold(&self) -> Option<graphh::core::gab::Fold> {
-        self.0.fold()
+    fn declaration(&self, num_vertices: u64) -> Declaration {
+        Declaration {
+            finality: Final::Never,
+            ..self.0.declaration(num_vertices)
+        }
     }
     fn gather(
         &self,
@@ -1637,29 +1643,11 @@ impl GabProgram for Unhinted<'_> {
     ) -> f64 {
         self.0.gather(target, in_edges, ctx)
     }
-    fn apply(
-        &self,
-        target: u32,
-        accum: f64,
-        current: f64,
-        ctx: &graphh::core::gab::VertexContext<'_>,
-    ) -> f64 {
-        self.0.apply(target, accum, current, ctx)
-    }
-    fn is_update(&self, old: f64, new: f64) -> bool {
-        self.0.is_update(old, new)
-    }
     fn max_supersteps(&self) -> u32 {
         self.0.max_supersteps()
     }
     fn initial_frontier(&self, _num_vertices: u64) -> Option<Vec<u32>> {
         None
-    }
-    fn is_final(&self, _value: f64) -> bool {
-        false
-    }
-    fn prepare(&self, values: &[f64], out_degrees: &[u32], prepared: &mut Vec<f64>) {
-        self.0.prepare(values, out_degrees, prepared)
     }
 }
 
@@ -1776,7 +1764,7 @@ fn bfs_first_visited_in_neighbour_is_at_the_previous_level() {
 
     let rmat = RmatGenerator::new(13, 16).generate(SEEDS[0]);
     let p = Spe::partition(&rmat, &SpeConfig::with_tile_count("rmat", &rmat, 64)).unwrap();
-    let (out_degrees, in_degrees) = (rmat.out_degrees(), rmat.in_degrees());
+    let out_degrees = rmat.out_degrees();
     let (mut offered, mut read) = (0u64, 0u64);
     for source in [4623, 784, 3596, 2860, 1144, 5187, 486, 1862] {
         let levels = reference::bfs(&rmat, source);
@@ -1794,8 +1782,6 @@ fn bfs_first_visited_in_neighbour_is_at_the_previous_level() {
             let ctx = VertexContext {
                 values: &replica,
                 out_degrees,
-                in_degrees,
-                num_vertices: rmat.num_vertices(),
                 superstep,
                 prepared: &[],
             };
