@@ -13,9 +13,9 @@
 //! thread and never looks at a clock: it is a step function in the shape of
 //! SNIPPETS.md's gossip-glomers `Node::step(input, output)` —
 //! `Fabric::step(now, Event, &mut Vec<Action>)` — driven by [`crate::poll`]'s
-//! event loop (real sockets, real time) and by `tests/fabric_sim.rs` (real
-//! workers on a seeded virtual network and clock, thousands of fault
-//! schedules per `cargo test`). `now` is the time since the fabric was
+//! event loop — over real sockets and time, and in `tests/fabric_sim.rs`
+//! over a seeded virtual network and clock (real workers, thousands of
+//! fault schedules per `cargo test`). `now` is the time since the fabric was
 //! created; every deadline is kept on that scale.
 //!
 //! A link has exactly one way up, whether the cluster is starting, a cut is

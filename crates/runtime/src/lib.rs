@@ -43,8 +43,9 @@
 //!
 //! `tests/fabric_sim.rs` is the fault-tolerance check: real
 //! [`graphh_core::exec::WorkerStep`]s running registry programs through
-//! real fabrics, collectors and frame decoders on a virtual network and
-//! clock, thousands of seeded cut, crash and restart schedules, every
+//! real collectors and [`poll`]'s production event loop, turned over a
+//! virtual network and clock through the loop's [`poll::Net`] seam,
+//! thousands of seeded cut, crash and restart schedules, every
 //! restart recovering from its peers and every finished replica
 //! bit-identical to the sequential executor's. Over real
 //! sockets, [`PollPlane::crash`] and `graphh-bench`'s multi-process `kill -9`

@@ -75,13 +75,13 @@
 //!
 //! ## Readiness
 //!
-//! The loop owns one private poller. On Linux it is `poll(2)` over the raw
-//! descriptors each slot holds this round (−1 for an empty slot), plus the
-//! read end of a `UnixStream` pair the plane writes one byte to when it hands
-//! the loop something. Every other target keeps the portable spin: each
-//! interesting socket is reported ready, the non-blocking `read`/`write`
-//! finds out (`WouldBlock`), and a round that may wait naps at most 1 ms —
-//! which is also why it needs no waker.
+//! The loop's thread owns one private poller. On Linux it is `poll(2)` over
+//! the raw descriptors each slot holds this round (−1 for an empty slot),
+//! plus the read end of a `UnixStream` pair the plane writes one byte to
+//! when it hands the loop something. Every other target keeps the portable
+//! spin: each interesting socket is reported ready, the non-blocking
+//! `read`/`write` finds out (`WouldBlock`), and a round that may wait naps
+//! at most 1 ms — which is also why it needs no waker.
 //!
 //! [`BroadcastPlane::finish`] ends a finished run: it says goodbye and holds
 //! the links until every peer has said goodbye too or is gone (`docs/WIRE.md`
@@ -90,9 +90,17 @@
 //! loop flushes its queues, half-closes its streams and is joined —
 //! shutdown is asserted by the thread-count checks in
 //! `tests/poll_threads.rs` and `examples/socket_cluster.rs`, not assumed.
-//! Cuts, crashes and restarts are checked in `tests/fabric_sim.rs` against
-//! the same [`Fabric`], and over real sockets by [`PollPlane::crash`] and
-//! `graphh-bench`'s multi-process `kill -9` gate.
+//!
+//! ## One loop, two nets
+//!
+//! [`EventLoop`] reaches the OS only through the [`Net`] seam — accept,
+//! connect, read, write, shutdown and the clock — and is stepped one
+//! [`EventLoop::turn`] at a time by whoever polls. Its thread runs it over
+//! the OS's sockets; `tests/fabric_sim.rs` runs the very same loop, one per
+//! simulated process, over a `SimNet` of virtual pipes and a virtual clock,
+//! through thousands of seeded cuts, crashes and restarts. Over real
+//! sockets, [`PollPlane::crash`] and `graphh-bench`'s multi-process
+//! `kill -9` gate check what is left: the OS.
 
 use crate::buffer::{BufferPool, PooledBuf};
 use crate::checkpoint::encoded_cursor;
@@ -118,7 +126,7 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Poller slots for accepted connections that have not finished their
 /// handshake. When all are taken the oldest gives way.
-const PENDING_SLOTS: usize = 16;
+pub const PENDING_SLOTS: usize = 16;
 
 /// Longest one connect may take. The one wait left on the loop thread — and
 /// not a read: a live listener answers a SYN at once, a dead host is retried
@@ -129,7 +137,7 @@ const DIAL_CONNECT_CAP: Duration = Duration::from_millis(100);
 /// many bytes queued, the loop stops draining commands, the bounded command
 /// channel fills, and the broadcasting worker blocks — backpressure reaches
 /// the producer instead of growing an unbounded buffer.
-const WRITE_HIGH_WATER: usize = 8 * 1024 * 1024;
+pub const WRITE_HIGH_WATER: usize = 8 * 1024 * 1024;
 
 /// Commands the loop will buffer before `broadcast` blocks.
 const COMMAND_BACKLOG: usize = 64;
@@ -176,6 +184,98 @@ impl LoopCounters {
 }
 
 // ---------------------------------------------------------------------------
+// The network seam
+// ---------------------------------------------------------------------------
+
+/// Every call the event loop makes to the operating system: its sockets and
+/// its clock. [`PollPlane`] runs the loop over the OS's own; the fault
+/// simulation (`tests/fabric_sim.rs`) runs the same loop over virtual pipes
+/// and a virtual clock. Calls are non-blocking — `WouldBlock` means "not
+/// now" — and readiness is not the net's business: whoever calls
+/// [`EventLoop::turn`] says what is ready.
+pub trait Net {
+    /// A listening socket.
+    type Listener;
+    /// A connected, non-blocking stream.
+    type Stream;
+
+    /// The oldest connection in the listener's backlog, non-blocking, and
+    /// where it comes from.
+    fn accept(&self, listener: &Self::Listener) -> std::io::Result<(Self::Stream, SocketAddr)>;
+    /// Connect to `addr` — the one call that may wait, and only briefly —
+    /// and make the stream non-blocking.
+    fn connect(&self, addr: SocketAddr) -> std::io::Result<Self::Stream>;
+    /// `read(2)`.
+    fn read(&self, stream: &Self::Stream, buf: &mut [u8]) -> std::io::Result<usize>;
+    /// A hello, whole: a fresh socket takes those few bytes at once, so
+    /// `WouldBlock` fails it like any other error.
+    fn write_all(&self, stream: &Self::Stream, buf: &[u8]) -> std::io::Result<()>;
+    /// `writev(2)`, of queued frames.
+    fn write_vectored(&self, stream: &Self::Stream, bufs: &[IoSlice<'_>])
+        -> std::io::Result<usize>;
+    /// `shutdown(2)`; a failure changes nothing for a stream being closed.
+    fn shutdown(&self, stream: &Self::Stream, how: Shutdown);
+    /// Time since the loop was created: the fabric's clock.
+    fn now(&self) -> Duration;
+    /// Sees each event the loop hands the fabric, before the fabric does.
+    fn stepping(&mut self, _event: &Event<'_>) {}
+    /// Sees the fabric's answer to that event, before the loop performs it.
+    fn stepped(&mut self, _actions: &[Action]) {}
+}
+
+/// The operating system's sockets and monotonic clock.
+struct OsNet {
+    /// When the loop was created.
+    origin: Instant,
+}
+
+/// A socket the way the loop uses it: non-blocking, without Nagle's delay.
+fn nonblocking(stream: TcpStream) -> std::io::Result<TcpStream> {
+    // Accepted sockets do not inherit the listener's O_NONBLOCK everywhere.
+    stream.set_nonblocking(true)?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
+impl Net for OsNet {
+    type Listener = TcpListener;
+    type Stream = TcpStream;
+
+    fn accept(&self, listener: &TcpListener) -> std::io::Result<(TcpStream, SocketAddr)> {
+        let (stream, from) = listener.accept()?;
+        Ok((nonblocking(stream)?, from))
+    }
+
+    fn connect(&self, addr: SocketAddr) -> std::io::Result<TcpStream> {
+        nonblocking(TcpStream::connect_timeout(&addr, DIAL_CONNECT_CAP)?)
+    }
+
+    fn read(&self, mut stream: &TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
+        stream.read(buf)
+    }
+
+    fn write_all(&self, mut stream: &TcpStream, buf: &[u8]) -> std::io::Result<()> {
+        stream.write_all(buf)
+    }
+
+    fn write_vectored(
+        &self,
+        mut stream: &TcpStream,
+        bufs: &[IoSlice<'_>],
+    ) -> std::io::Result<usize> {
+        stream.write_vectored(bufs)
+    }
+
+    fn shutdown(&self, stream: &TcpStream, how: Shutdown) {
+        let _ = stream.shutdown(how);
+    }
+
+    fn now(&self) -> Duration {
+        self.origin.elapsed()
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Readiness
 // ---------------------------------------------------------------------------
 
@@ -184,41 +284,21 @@ impl LoopCounters {
 #[cfg(not(target_os = "linux"))]
 const SPIN_NAP: Duration = Duration::from_millis(1);
 
-/// One socket slot of one readiness round: what the loop wants of the socket
-/// the slot holds, overwritten by [`Poller::poll`] with what is ready.
-#[derive(Clone, Copy)]
-struct Slot {
-    /// The socket's descriptor; −1 for an empty slot, which `poll(2)`
-    /// ignores.
-    #[cfg(target_os = "linux")]
-    fd: std::os::unix::io::RawFd,
+/// What one poller slot is ready for, as [`EventLoop::turn`] reads it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Ready {
     /// Reading would make progress (data, EOF, or a pending error).
-    readable: bool,
+    pub readable: bool,
     /// Writing would make progress.
-    writable: bool,
+    pub writable: bool,
 }
 
-impl Slot {
-    /// A slot holding `socket`, if any — read whenever there is one,
-    /// written when `writable`.
-    #[cfg(target_os = "linux")]
-    fn of<S: std::os::unix::io::AsRawFd>(socket: Option<&S>, writable: bool) -> Slot {
-        Slot {
-            fd: socket.map_or(-1, S::as_raw_fd),
-            readable: socket.is_some(),
-            writable,
-        }
-    }
-
-    /// A slot holding `socket`, if any — read whenever there is one,
-    /// written when `writable`.
-    #[cfg(not(target_os = "linux"))]
-    fn of<S>(socket: Option<&S>, writable: bool) -> Slot {
-        Slot {
-            readable: socket.is_some(),
-            writable,
-        }
-    }
+/// The socket one poller slot holds (see [`EventLoop::slots`]).
+pub enum Socket<'a, N: Net> {
+    /// The listener.
+    Listener(&'a N::Listener),
+    /// A live stream, a dial in flight or an accepted connection.
+    Stream(&'a N::Stream),
 }
 
 /// The event loop's one poller (see the [module docs](self#readiness)). It
@@ -274,6 +354,10 @@ mod sys {
     }
 }
 
+/// One slot of a readiness round: the socket it holds, if any — read
+/// whenever there is one — and whether the loop would write to it.
+type SlotInterest<'a> = (Option<Socket<'a, OsNet>>, bool);
+
 impl Poller {
     /// A poller and the waker that interrupts it.
     fn new() -> std::io::Result<(Poller, Waker)> {
@@ -289,11 +373,16 @@ impl Poller {
         Ok((Poller {}, Waker {}))
     }
 
-    /// Overwrite every slot's interest with its readiness, waiting up to
-    /// `timeout` while nothing is ready; `Ok(true)` when the plane woke the
+    /// Find out what each of `slots` is ready for, into `ready`, waiting up
+    /// to `timeout` while nothing is; `Ok(true)` when the plane woke the
     /// loop.
     #[cfg(target_os = "linux")]
-    fn poll(&mut self, slots: &mut [Slot], timeout: Duration) -> std::io::Result<bool> {
+    fn poll<'a>(
+        &mut self,
+        slots: impl Iterator<Item = SlotInterest<'a>>,
+        ready: &mut Vec<Ready>,
+        timeout: Duration,
+    ) -> std::io::Result<bool> {
         use std::os::unix::io::AsRawFd;
         let pollfd = |fd, readable: bool, writable: bool| {
             let mut events = 0i16;
@@ -312,7 +401,12 @@ impl Poller {
         self.pollfds.clear();
         self.pollfds
             .push(pollfd(self.waker.as_raw_fd(), true, false));
-        let slot_fds = slots.iter().map(|s| pollfd(s.fd, s.readable, s.writable));
+        let slot_fds = slots.map(|(socket, writable)| match socket {
+            Some(Socket::Listener(listener)) => pollfd(listener.as_raw_fd(), true, writable),
+            Some(Socket::Stream(stream)) => pollfd(stream.as_raw_fd(), true, writable),
+            // An empty slot: `poll(2)` ignores a negative descriptor.
+            None => pollfd(-1, false, writable),
+        });
         self.pollfds.extend(slot_fds);
         // Zero stays zero (the event loop's "burst in progress, don't sleep"
         // round); anything else is at least 1 ms so a sub-millisecond value
@@ -345,13 +439,16 @@ impl Poller {
                 return Err(err);
             }
         }
-        for (slot, pollfd) in slots.iter_mut().zip(&self.pollfds[1..]) {
+        ready.clear();
+        ready.extend(self.pollfds[1..].iter().map(|pollfd| {
             let r = pollfd.revents;
             // Errors and hangups surface through the read path (a read
             // returns the error or EOF), so they count as readable.
-            slot.readable = r & (sys::POLLIN | sys::POLLHUP | sys::POLLERR | sys::POLLNVAL) != 0;
-            slot.writable = r & (sys::POLLOUT | sys::POLLERR) != 0;
-        }
+            Ready {
+                readable: r & (sys::POLLIN | sys::POLLHUP | sys::POLLERR | sys::POLLNVAL) != 0,
+                writable: r & (sys::POLLOUT | sys::POLLERR) != 0,
+            }
+        }));
         // Drain the wakeups (their only payload is "wake up"): a read error,
         // `WouldBlock` or EOF all mean there is nothing more to take.
         let (mut woken, mut drain) = (false, [0u8; 64]);
@@ -361,11 +458,21 @@ impl Poller {
         Ok(woken)
     }
 
-    /// Overwrite every slot's interest with its readiness — the spin reports
-    /// every interesting socket ready — napping at most [`SPIN_NAP`] when
-    /// the loop may wait; nothing wakes it sooner.
+    /// Report every interesting socket of `slots` ready, into `ready`,
+    /// napping at most [`SPIN_NAP`] when the loop may wait; nothing wakes
+    /// it sooner.
     #[cfg(not(target_os = "linux"))]
-    fn poll(&mut self, _slots: &mut [Slot], timeout: Duration) -> std::io::Result<bool> {
+    fn poll<'a>(
+        &mut self,
+        slots: impl Iterator<Item = SlotInterest<'a>>,
+        ready: &mut Vec<Ready>,
+        timeout: Duration,
+    ) -> std::io::Result<bool> {
+        ready.clear();
+        ready.extend(slots.map(|(socket, writable)| Ready {
+            readable: socket.is_some(),
+            writable,
+        }));
         if !timeout.is_zero() {
             std::thread::sleep(timeout.min(SPIN_NAP));
         }
@@ -432,55 +539,22 @@ impl BoundPollPlane {
         let (poller, waker) = Poller::new()?;
         let registry = global_counters();
         let peer_ids: Vec<ServerId> = (0..num_servers).filter(|&peer| peer != id).collect();
-        let peers = peer_ids
-            .iter()
-            .map(|&peer| Peer {
-                id: peer,
-                stream: None,
-                dialing: None,
-                decoder: FrameDecoder::new(),
-                outbound: VecDeque::new(),
-                queued_bytes: 0,
-                write_open: false,
-                // Per-peer traffic counters, named here (the only place the
-                // name formatting — an allocation — happens).
-                frames_in: registry.counter(&format!("poll.s{id}.from{peer}.frames_in")),
-                bytes_in: registry.counter(&format!("poll.s{id}.from{peer}.bytes_in")),
-            })
-            .collect();
         listener.set_nonblocking(true)?;
-
-        let (command_tx, command_rx) = sync_channel::<Request>(COMMAND_BACKLOG);
-        let (inbox_tx, inbox) = channel::<InboxEvent>();
-        let (verdict_tx, verdict) = channel::<std::io::Result<Option<WireMessage>>>();
         let pool = BufferPool::new();
-        let event_loop = EventLoop {
-            id,
-            fabric: Fabric::new(id, addrs, config, timeout, pool.clone()),
-            epoch: Instant::now(),
-            actions: Vec::new(),
-            peers,
-            pending: (0..PENDING_SLOTS).map(|_| None).collect(),
-            listener,
-            commands: command_rx,
-            inbox: inbox_tx,
-            verdict: Some(verdict_tx),
-            poller,
-            counters: LoopCounters::registered(),
-            intake_open: true,
-            farewell: None,
-            restored: None,
-            exiting: false,
-            dead: false,
+        let net = OsNet {
+            origin: Instant::now(),
         };
+        let (event_loop, ends) =
+            EventLoop::new(net, listener, id, addrs, config, timeout, pool.clone());
         let event_loop = std::thread::Builder::new()
             .name(format!("graphh-poll-loop-{id}"))
-            .spawn(move || event_loop.run())
+            .spawn(move || event_loop.run(poller))
             .map_err(|e| std::io::Error::other(format!("spawn event-loop thread: {e}")))?;
 
         // A loop that fails establishment has exited; a loop that died
         // without a verdict dropped its sender.
-        let verdict = verdict
+        let verdict = ends
+            .verdict
             .recv()
             .unwrap_or_else(|_| Err(std::io::Error::other("event loop died while establishing")));
         let restored = match verdict {
@@ -495,9 +569,9 @@ impl BoundPollPlane {
             id,
             num_servers,
             peer_ids,
-            commands: command_tx,
+            commands: ends.commands,
             waker,
-            inbox,
+            inbox: ends.inbox,
             collector: SuperstepCollector::new(),
             event_loop: Some(event_loop),
             pool,
@@ -765,9 +839,10 @@ impl std::fmt::Debug for PollPlane {
 // Event loop
 // ---------------------------------------------------------------------------
 
-/// What the plane sends its loop: work for the [`Fabric`], or a crash the
-/// loop performs on its sockets without the fabric's knowledge.
-enum Request {
+/// What the worker side sends its loop: work for the [`Fabric`], or a crash
+/// the loop performs on its sockets without the fabric's knowledge.
+pub enum Request {
+    /// Hand this to the fabric.
     Do(Command),
     /// Die like a killed process — close every stream on the spot (queued
     /// bytes included), send no goodbye, serve no linger, attempt no
@@ -775,38 +850,47 @@ enum Request {
     Crash,
 }
 
+/// The worker's ends of an [`EventLoop`]'s channels.
+pub struct LoopEnds {
+    /// Requests for the loop, `COMMAND_BACKLOG` deep: the backpressure edge.
+    pub commands: SyncSender<Request>,
+    /// What the fabric hands the worker's collector.
+    pub inbox: Receiver<InboxEvent>,
+    /// How establishment ended, once: the state this process resumes from,
+    /// or why there is none.
+    pub verdict: Receiver<std::io::Result<Option<WireMessage>>>,
+}
+
 /// A dialed or accepted stream that has not finished its handshake: it sits
 /// in a poller slot and accumulates the 16 hello bytes across readiness
 /// events until [`HANDSHAKE_DEADLINE`]. Nothing waits on it.
-struct Handshake {
-    stream: TcpStream,
+struct Handshake<S> {
+    stream: S,
     /// Where it leads, for refusal messages.
     origin: String,
-    expires: Instant,
+    /// When it expires, on the net's clock.
+    expires: Duration,
     /// The hello so far: its first `filled` bytes.
     hello: HelloBytes,
     filled: usize,
 }
 
-impl Handshake {
-    fn new(stream: TcpStream, origin: String) -> std::io::Result<Self> {
-        // Accepted sockets do not inherit the listener's O_NONBLOCK everywhere.
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        Ok(Handshake {
+impl<S> Handshake<S> {
+    fn new(stream: S, origin: String, now: Duration) -> Self {
+        Handshake {
             stream,
             origin,
-            expires: Instant::now() + HANDSHAKE_DEADLINE,
+            expires: now + HANDSHAKE_DEADLINE,
             hello: [0; RESUME_HELLO_LEN],
             filled: 0,
-        })
+        }
     }
 
     /// Read what has arrived of the hello and not a byte further (frames may
     /// follow it); `Ok(true)` once all 16 bytes are in.
-    fn pump(&mut self) -> std::io::Result<bool> {
+    fn pump<N: Net<Stream = S>>(&mut self, net: &N) -> std::io::Result<bool> {
         while self.filled < RESUME_HELLO_LEN {
-            match (&self.stream).read(&mut self.hello[self.filled..]) {
+            match net.read(&self.stream, &mut self.hello[self.filled..]) {
                 Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
                 Ok(n) => self.filled += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
@@ -820,12 +904,12 @@ impl Handshake {
 
 /// One peer's poller slot: the live stream with its partial frames and
 /// backpressured write queue, or the dial in flight, or nothing.
-struct Peer {
+struct Peer<S> {
     id: ServerId,
     /// The live link (`None` while the fabric has it down).
-    stream: Option<TcpStream>,
+    stream: Option<S>,
     /// The stream we dialed, until its reply hello arrives.
-    dialing: Option<Handshake>,
+    dialing: Option<Handshake<S>>,
     /// Carries partial frames across loop iterations.
     decoder: FrameDecoder,
     /// Pending outbound (batch, offset-already-written). The batch `Arc` is
@@ -843,7 +927,7 @@ struct Peer {
     bytes_in: Counter,
 }
 
-impl Peer {
+impl<S> Peer<S> {
     fn enqueue(&mut self, bytes: SharedBatch, queued_peak: &Counter) {
         if self.write_open {
             self.queued_bytes += bytes.len();
@@ -855,9 +939,9 @@ impl Peer {
     /// Close whatever the slot holds on the spot and forget everything
     /// queued or half-decoded (a torn frame tail is re-delivered by replay,
     /// not resumed mid-frame).
-    fn close(&mut self) {
+    fn close<N: Net<Stream = S>>(&mut self, net: &N) {
         if let Some(stream) = self.stream.take() {
-            let _ = stream.shutdown(Shutdown::Both);
+            net.shutdown(&stream, Shutdown::Both);
         }
         self.dialing = None;
         self.decoder = FrameDecoder::new();
@@ -871,29 +955,44 @@ impl Peer {
     }
 }
 
-/// The I/O half of the plane: it moves bytes between sockets and the
-/// [`Fabric`] and performs what the fabric decides. No protocol judgement
-/// lives here.
-struct EventLoop {
+/// What the loop needs after a [`EventLoop::turn`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Turn {
+    /// It made progress: turn again at once, whatever is ready.
+    Again,
+    /// Turn again once a slot is ready, or by this instant of [`Net::now`]
+    /// if it names one.
+    Wait(Option<Duration>),
+    /// The loop is over: the worker side has been told how, and every
+    /// stream is closed or half-closed.
+    Done,
+}
+
+/// The I/O half of the plane: it moves bytes between the net's sockets and
+/// the [`Fabric`] and performs what the fabric decides. No protocol judgement
+/// lives here. [`PollPlane`] turns one on its own thread over the OS's
+/// sockets; the fault simulation turns one per simulated process over its
+/// virtual network.
+pub struct EventLoop<N: Net> {
     id: ServerId,
+    net: N,
     fabric: Fabric,
-    /// Time zero of the fabric's clock.
-    epoch: Instant,
     /// The one buffer every `step` appends to and `dispatch` drains: a
     /// fault-free superstep allocates nothing here.
     actions: Vec<Action>,
+    /// Read scratch, `READ_CHUNK` bytes.
+    read_buf: Vec<u8>,
     /// Poller slots `0..peers.len()`.
-    peers: Vec<Peer>,
+    peers: Vec<Peer<N::Stream>>,
     /// Accepted connections still handshaking: the poller's last slots.
-    pending: Vec<Option<Handshake>>,
+    pending: Vec<Option<Handshake<N::Stream>>>,
     /// The slot after the peers. Kept open for the whole run so cut peers —
     /// or a restarted process — can always dial back in.
-    listener: TcpListener,
+    listener: N::Listener,
     commands: Receiver<Request>,
     inbox: Sender<InboxEvent>,
     /// Where `establish` waits; taken by the verdict.
     verdict: Option<Sender<std::io::Result<Option<WireMessage>>>>,
-    poller: Poller,
     counters: LoopCounters,
     /// Commands are still being taken — after the farewell too, for state
     /// answers — until the plane is gone.
@@ -909,128 +1008,207 @@ struct EventLoop {
     dead: bool,
 }
 
-impl EventLoop {
-    fn run(mut self) {
-        let mut read_buf = vec![0u8; READ_CHUNK];
-        let listener_slot = self.peers.len();
-        let mut slots = Vec::with_capacity(listener_slot + 1 + PENDING_SLOTS);
-        let mut progressed = true;
-        loop {
-            // 1. Commands — but only while below the high-water mark: a slow
-            // peer's growing queue stops the intake, the bounded channel
-            // fills, and the producer blocks in `broadcast`.
-            while self.intake_open {
-                if !self.peers.iter().all(|p| p.queued_bytes < WRITE_HIGH_WATER) {
-                    // Intake gated: backpressure is reaching the producer.
-                    self.counters.high_water_stalls.incr();
-                    break;
-                }
-                match self.commands.try_recv() {
-                    Ok(Request::Do(farewell @ (Command::Shutdown | Command::Leave))) => {
-                        self.farewell = Some(farewell);
-                    }
-                    // A disconnected sender means the plane was dropped; it
-                    // always says farewell first, but be safe either way.
-                    Err(TryRecvError::Disconnected) => {
-                        self.intake_open = false;
-                        self.farewell.get_or_insert(Command::Leave);
-                    }
-                    Ok(Request::Do(command)) => self.dispatch(Event::Command(command)),
-                    Ok(Request::Crash) => {
-                        // kill -9: queued bytes die with the process.
-                        // Returning drops the listener too.
-                        self.peers.iter_mut().for_each(Peer::close);
-                        return;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                }
-                progressed = true;
-            }
+impl<N: Net> EventLoop<N> {
+    /// The loop of server `id` over `net`, listening on `listener`, whose
+    /// fabric holds the peer table `addrs` with every link down and
+    /// `timeout` to bring them all up; and the worker's ends of its
+    /// channels.
+    pub fn new(
+        net: N,
+        listener: N::Listener,
+        id: ServerId,
+        addrs: Vec<SocketAddr>,
+        config: ResilienceConfig,
+        timeout: Duration,
+        pool: BufferPool,
+    ) -> (Self, LoopEnds) {
+        let registry = global_counters();
+        let peers = (0..addrs.len() as ServerId).filter(|&peer| peer != id);
+        let peers = peers
+            .map(|peer| Peer {
+                id: peer,
+                stream: None,
+                dialing: None,
+                decoder: FrameDecoder::new(),
+                outbound: VecDeque::new(),
+                queued_bytes: 0,
+                write_open: false,
+                // Per-peer traffic counters, named here (the only place the
+                // name formatting — an allocation — happens).
+                frames_in: registry.counter(&format!("poll.s{id}.from{peer}.frames_in")),
+                bytes_in: registry.counter(&format!("poll.s{id}.from{peer}.bytes_in")),
+            })
+            .collect();
+        let (command_tx, commands) = sync_channel::<Request>(COMMAND_BACKLOG);
+        let (inbox, inbox_rx) = channel::<InboxEvent>();
+        let (verdict, verdict_rx) = channel::<std::io::Result<Option<WireMessage>>>();
+        let event_loop = EventLoop {
+            id,
+            net,
+            fabric: Fabric::new(id, addrs, config, timeout, pool),
+            actions: Vec::new(),
+            read_buf: vec![0u8; READ_CHUNK],
+            peers,
+            pending: (0..PENDING_SLOTS).map(|_| None).collect(),
+            listener,
+            commands,
+            inbox,
+            verdict: Some(verdict),
+            counters: LoopCounters::registered(),
+            intake_open: true,
+            farewell: None,
+            restored: None,
+            exiting: false,
+            dead: false,
+        };
+        let ends = LoopEnds {
+            commands: command_tx,
+            inbox: inbox_rx,
+            verdict: verdict_rx,
+        };
+        (event_loop, ends)
+    }
 
-            // 2. Time: handshakes past their deadline, then the fabric's own
-            // clocks (redial, terminal loss, linger).
-            let handshake_due = self.expire_handshakes();
-            self.dispatch(Event::Tick);
-            if self.dead {
-                return;
-            }
-            if self.exiting && self.peers.iter().all(|p| p.outbound.is_empty()) {
-                // Every peer is done with us and every queue flushed (or its
-                // peer unreachable) — our goodbyes went out with the rest:
-                // half-close so peers see a clean EOF after our final bytes.
-                for stream in self.peers.iter().filter_map(|peer| peer.stream.as_ref()) {
-                    let _ = stream.shutdown(Shutdown::Write);
-                }
-                return;
-            }
+    /// The fabric it performs.
+    pub fn fabric(&self) -> &Fabric {
+        &self.fabric
+    }
 
-            // 3. Readiness round. Zero timeout while work remains from the
-            // previous round, so a burst is serviced without sleeping;
-            // otherwise sleep until a socket or the next clock needs us. Slot
-            // layout: the peers (a dial in flight is read before a live
-            // stream), the listener (not while exiting), the pending slots.
-            slots.clear();
-            slots.extend(self.peers.iter().map(|peer| {
-                let dialing = peer.dialing.as_ref().map(|h| &h.stream);
-                let writable = peer.stream.is_some() && !peer.outbound.is_empty();
-                Slot::of(dialing.or(peer.stream.as_ref()), writable)
-            }));
-            slots.push(Slot::of((!self.exiting).then_some(&self.listener), false));
-            let pending = self.pending.iter().map(|h| h.as_ref().map(|h| &h.stream));
-            slots.extend(pending.map(|stream| Slot::of(stream, false)));
-            let fabric_due = self.fabric.next_timer().map(|t| self.epoch + t);
-            let timeout = match handshake_due.into_iter().chain(fabric_due).min() {
-                _ if progressed => Duration::ZERO,
-                Some(due) => due
-                    .saturating_duration_since(Instant::now())
-                    .min(POLL_TIMEOUT),
-                None => POLL_TIMEOUT,
-            };
-            progressed = match self.poller.poll(&mut slots, timeout) {
-                Ok(woken) => woken,
-                Err(e) => {
-                    // A broken poller cannot drive any stream: fail
-                    // establishment or report every peer lost, and leave —
-                    // the plane finds the command channel closed.
-                    self.conclude(Err(e));
+    /// The net it runs over.
+    pub fn net(&self) -> &N {
+        &self.net
+    }
+
+    /// The net it runs over, to take what its hooks saw.
+    pub fn net_mut(&mut self) -> &mut N {
+        &mut self.net
+    }
+
+    /// The poller slots of the next turn, in the order it reads their
+    /// readiness: the peers (a dial in flight is read before a live stream),
+    /// the listener (none while exiting), the pending handshakes. Each comes
+    /// with the socket it holds, if any — to be read whenever there is one —
+    /// and whether the loop would write to it.
+    pub fn slots(&self) -> impl Iterator<Item = (Option<Socket<'_, N>>, bool)> + '_ {
+        let peers = self.peers.iter().map(|peer| {
+            let dialing = peer.dialing.as_ref().map(|h| &h.stream);
+            let writable = peer.stream.is_some() && !peer.outbound.is_empty();
+            (
+                dialing.or(peer.stream.as_ref()).map(Socket::Stream),
+                writable,
+            )
+        });
+        let listener = (!self.exiting).then_some(Socket::Listener(&self.listener));
+        let pending = self.pending.iter().map(|h| h.as_ref().map(|h| &h.stream));
+        let pending = pending.map(|stream| (stream.map(Socket::Stream), false));
+        peers
+            .chain(std::iter::once((listener, false)))
+            .chain(pending)
+    }
+
+    /// One iteration of the loop, given what each of [`Self::slots`] is
+    /// ready for (all `false` before the first readiness round): the
+    /// readiness, then the worker's farewell, its commands and the clocks.
+    pub fn turn(&mut self, ready: &[Ready]) -> Turn {
+        let mut read_buf = std::mem::take(&mut self.read_buf);
+        let mut progressed = self.pump_ready(ready, &mut read_buf);
+        self.read_buf = read_buf;
+
+        // The worker is done. The fabric hears of it only now, after a round
+        // that read whatever had already reached this process — a cut or
+        // killed peer's EOF, its redial in the backlog — so that the goodbyes
+        // go out on the links the OS knew to be up, not on those the loop had
+        // not yet found down.
+        if let Some(farewell) = self.farewell.take() {
+            self.dispatch(Event::Command(farewell));
+            progressed = true;
+        }
+
+        // Commands — but only while below the high-water mark: a slow peer's
+        // growing queue stops the intake, the bounded channel fills, and the
+        // producer blocks in `broadcast`.
+        while self.intake_open {
+            if !self.peers.iter().all(|p| p.queued_bytes < WRITE_HIGH_WATER) {
+                // Intake gated: backpressure is reaching the producer.
+                self.counters.high_water_stalls.incr();
+                break;
+            }
+            match self.commands.try_recv() {
+                Ok(Request::Do(farewell @ (Command::Shutdown | Command::Leave))) => {
+                    self.farewell = Some(farewell);
+                }
+                // A disconnected sender means the plane was dropped; it
+                // always says farewell first, but be safe either way.
+                Err(TryRecvError::Disconnected) => {
+                    self.intake_open = false;
+                    self.farewell.get_or_insert(Command::Leave);
+                }
+                Ok(Request::Do(command)) => self.dispatch(Event::Command(command)),
+                Ok(Request::Crash) => {
+                    // kill -9: queued bytes die with the process. Dropping
+                    // the loop drops the listener too.
                     for peer in &mut self.peers {
-                        peer.close();
-                        let lost = InboxEvent::PeerLost(peer.id, PlaneError::Disconnected);
-                        let _ = self.inbox.send(lost);
+                        peer.close(&self.net);
                     }
-                    return;
+                    return Turn::Done;
                 }
-            };
-            for (idx, state) in slots[..listener_slot].iter().enumerate() {
-                if state.readable && self.peers[idx].dialing.is_some() {
-                    progressed |= self.pump_handshake(Conn::Dialed(self.peers[idx].id));
-                } else if state.readable {
-                    progressed |= self.pump_reads(idx, &mut read_buf);
-                }
-                let peer = &mut self.peers[idx];
-                if state.writable && !peer.outbound.is_empty() {
-                    progressed |= pump_writes(peer, &self.counters);
-                }
+                Err(TryRecvError::Empty) => break,
             }
-            if slots[listener_slot].readable {
-                progressed |= self.accept_connections();
-            }
-            for slot in 0..PENDING_SLOTS {
-                if slots[listener_slot + 1 + slot].readable && self.pending[slot].is_some() {
-                    progressed |= self.pump_handshake(Conn::Accepted(slot));
-                }
-            }
+            progressed = true;
+        }
 
-            // 4. The worker is done. The fabric hears of it only now, after
-            // a round that read whatever had already reached this process —
-            // a cut or killed peer's EOF, its redial in the backlog — so
-            // that the goodbyes go out on the links the OS knew to be up, not
-            // on those the loop had not yet found down.
-            if let Some(farewell) = self.farewell.take() {
-                self.dispatch(Event::Command(farewell));
-                progressed = true;
+        // Time: handshakes past their deadline, then the fabric's own clocks
+        // (redial, terminal loss, linger).
+        let handshake_due = self.expire_handshakes();
+        self.dispatch(Event::Tick);
+        if self.dead {
+            return Turn::Done;
+        }
+        if self.exiting && self.peers.iter().all(|p| p.outbound.is_empty()) {
+            // Every peer is done with us and every queue flushed (or its peer
+            // unreachable) — our goodbyes went out with the rest: half-close
+            // so peers see a clean EOF after our final bytes.
+            for stream in self.peers.iter().filter_map(|peer| peer.stream.as_ref()) {
+                self.net.shutdown(stream, Shutdown::Write);
+            }
+            return Turn::Done;
+        }
+        match progressed {
+            true => Turn::Again,
+            false => Turn::Wait(
+                handshake_due
+                    .into_iter()
+                    .chain(self.fabric.next_timer())
+                    .min(),
+            ),
+        }
+    }
+
+    /// Perform one round's readiness: read, write, accept. Returns whether
+    /// anything happened.
+    fn pump_ready(&mut self, ready: &[Ready], read_buf: &mut [u8]) -> bool {
+        let listener_slot = self.peers.len();
+        let mut progressed = false;
+        for (idx, state) in ready[..listener_slot].iter().enumerate() {
+            if state.readable && self.peers[idx].dialing.is_some() {
+                progressed |= self.pump_handshake(Conn::Dialed(self.peers[idx].id));
+            } else if state.readable {
+                progressed |= self.pump_reads(idx, read_buf);
+            }
+            let peer = &mut self.peers[idx];
+            if state.writable && !peer.outbound.is_empty() {
+                progressed |= pump_writes(&self.net, peer, &self.counters);
             }
         }
+        if ready[listener_slot].readable {
+            progressed |= self.accept_connections();
+        }
+        for slot in 0..PENDING_SLOTS {
+            if ready[listener_slot + 1 + slot].readable && self.pending[slot].is_some() {
+                progressed |= self.pump_handshake(Conn::Accepted(slot));
+            }
+        }
+        progressed
     }
 
     /// Peers are kept by ascending id with this endpoint's own id left out.
@@ -1046,34 +1224,47 @@ impl EventLoop {
         }
     }
 
-    fn handshake(&mut self, conn: Conn) -> &mut Option<Handshake> {
+    /// The net, and the handshake slot `conn` names.
+    fn net_and_handshake(&mut self, conn: Conn) -> (&N, &mut Option<Handshake<N::Stream>>) {
         match conn {
             Conn::Dialed(peer) => {
                 let slot = self.slot_of(peer);
-                &mut self.peers[slot].dialing
+                (&self.net, &mut self.peers[slot].dialing)
             }
-            Conn::Accepted(slot) => &mut self.pending[slot],
+            Conn::Accepted(slot) => (&self.net, &mut self.pending[slot]),
         }
+    }
+
+    fn handshake(&mut self, conn: Conn) -> &mut Option<Handshake<N::Stream>> {
+        self.net_and_handshake(conn).1
     }
 
     /// One step of the fabric, performed: the only way the loop changes
     /// protocol state.
     fn dispatch(&mut self, event: Event<'_>) {
-        let now = self.epoch.elapsed();
-        self.fabric.step(now, event, &mut self.actions);
+        let now = self.net.now();
+        self.step_fabric(now, event);
         while !self.actions.is_empty() {
             let mut actions = std::mem::take(&mut self.actions);
             for action in actions.drain(..) {
                 // Performing can raise an event of its own (a dial refused
                 // on the spot); what the fabric makes of it runs next round.
                 if let Some(event) = self.perform(action) {
-                    self.fabric.step(now, event, &mut self.actions);
+                    self.step_fabric(now, event);
                 }
             }
             if self.actions.is_empty() {
                 self.actions = actions; // keep the warmed buffer
             }
         }
+    }
+
+    /// Hand the fabric one event, in the net's sight.
+    fn step_fabric(&mut self, now: Duration, event: Event<'_>) {
+        self.net.stepping(&event);
+        let before = self.actions.len();
+        self.fabric.step(now, event, &mut self.actions);
+        self.net.stepped(&self.actions[before..]);
     }
 
     fn perform(&mut self, action: Action) -> Option<Event<'static>> {
@@ -1084,14 +1275,14 @@ impl EventLoop {
             }
             Action::Reset(peer) => {
                 let slot = self.slot_of(peer);
-                self.peers[slot].close();
+                self.peers[slot].close(&self.net);
             }
             Action::Dial(peer, addr, hello) => return self.dial(peer, addr, hello),
             Action::Reply(conn, hello) => {
                 // A fresh socket takes these few bytes whole or is not worth
                 // keeping; an `Adopt` that follows then finds it gone.
-                let handshake = self.handshake(conn);
-                let sent = |h: &Handshake| (&h.stream).write_all(&hello).is_ok();
+                let (net, handshake) = self.net_and_handshake(conn);
+                let sent = |h: &Handshake<N::Stream>| net.write_all(&h.stream, &hello).is_ok();
                 if !handshake.as_ref().is_some_and(sent) {
                     *handshake = None;
                 }
@@ -1099,7 +1290,7 @@ impl EventLoop {
             Action::Adopt(conn, peer) => {
                 let slot = self.slot_of(peer);
                 let adopted = self.handshake(conn).take();
-                self.peers[slot].close();
+                self.peers[slot].close(&self.net);
                 let Some(adopted) = adopted else {
                     return Some(Event::StreamEnd(peer));
                 };
@@ -1138,12 +1329,16 @@ impl EventLoop {
     ) -> Option<Event<'static>> {
         let slot = self.slot_of(peer);
         let origin = format!("server {peer} at {addr}");
-        let dialed = TcpStream::connect_timeout(&addr, DIAL_CONNECT_CAP).and_then(|stream| {
-            (&stream).write_all(&hello)?;
-            Handshake::new(stream, origin.clone())
+        let net = &self.net;
+        let dialed = net.connect(addr).and_then(|stream| {
+            net.write_all(&stream, &hello)?;
+            Ok(stream)
         });
         match dialed {
-            Ok(handshake) => self.peers[slot].dialing = Some(handshake),
+            Ok(stream) => {
+                let handshake = Handshake::new(stream, origin, self.net.now());
+                self.peers[slot].dialing = Some(handshake);
+            }
             Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
                 return Some(Event::DialRefused(peer, format!("{origin}: {e}")));
             }
@@ -1159,11 +1354,12 @@ impl EventLoop {
     fn accept_connections(&mut self) -> bool {
         let mut progressed = false;
         // `Err` = WouldBlock or a transient accept error: done for this round.
-        while let Ok((stream, from)) = self.listener.accept() {
+        while let Ok((stream, from)) = self.net.accept(&self.listener) {
             progressed = true;
             let waited = |slot: &usize| self.pending[*slot].as_ref().map(|h| h.expires);
             let slot = (0..PENDING_SLOTS).min_by_key(waited).expect("slots exist");
-            self.pending[slot] = Handshake::new(stream, from.to_string()).ok();
+            let handshake = Handshake::new(stream, from.to_string(), self.net.now());
+            self.pending[slot] = Some(handshake);
             // The hello usually arrived with the connect: no need for a round.
             self.pump_handshake(Conn::Accepted(slot));
         }
@@ -1173,10 +1369,11 @@ impl EventLoop {
     /// Advance one handshake on readiness and hand a whole hello to the
     /// fabric, which answers it with `Adopt` or `Close`.
     fn pump_handshake(&mut self, conn: Conn) -> bool {
-        let Some(handshake) = self.handshake(conn) else {
+        let (net, handshake) = self.net_and_handshake(conn);
+        let Some(handshake) = handshake else {
             return false;
         };
-        match handshake.pump() {
+        match handshake.pump(net) {
             Ok(false) => return false,
             Ok(true) => {
                 let (origin, hello) = (handshake.origin.clone(), handshake.hello);
@@ -1204,9 +1401,9 @@ impl EventLoop {
 
     /// Abandon every handshake past [`HANDSHAKE_DEADLINE`] and say when the
     /// next one is due.
-    fn expire_handshakes(&mut self) -> Option<Instant> {
-        let now = Instant::now();
-        let mut next: Option<Instant> = None;
+    fn expire_handshakes(&mut self) -> Option<Duration> {
+        let now = self.net.now();
+        let mut next: Option<Duration> = None;
         for slot in 0..PENDING_SLOTS + self.peers.len() {
             let conn = match slot.checked_sub(PENDING_SLOTS) {
                 None => Conn::Accepted(slot),
@@ -1233,10 +1430,10 @@ impl EventLoop {
         let ended = 'stream: loop {
             let peer = &mut self.peers[idx];
             // The fabric may reset the stream over a frame it just saw.
-            let Some(mut stream) = peer.stream.as_ref() else {
+            let Some(stream) = peer.stream.as_ref() else {
                 break false;
             };
-            let n = match stream.read(buf) {
+            let n = match self.net.read(stream, buf) {
                 Ok(0) => break true,
                 Ok(n) => n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
@@ -1257,10 +1454,48 @@ impl EventLoop {
             }
         };
         if ended {
-            self.peers[idx].close();
+            // A peer that closed only its write half still reads: what is
+            // queued for it — a goodbye answered on the way out — goes first.
+            pump_writes(&self.net, &mut self.peers[idx], &self.counters);
+            self.peers[idx].close(&self.net);
             self.dispatch(Event::StreamEnd(id));
         }
         progressed || ended
+    }
+}
+
+impl EventLoop<OsNet> {
+    /// The loop thread: turn, `poll(2)` the slots until something is ready
+    /// or due, turn again — until the loop is done.
+    fn run(mut self, mut poller: Poller) {
+        let mut ready = vec![Ready::default(); self.slots().count()];
+        // Whether the last round made progress: then the next does not wait,
+        // so a burst is serviced without sleeping (the first one neither).
+        let mut progressed = true;
+        loop {
+            let timeout = match self.turn(&ready) {
+                Turn::Done => return,
+                Turn::Again => Duration::ZERO,
+                _ if progressed => Duration::ZERO,
+                Turn::Wait(Some(due)) => due.saturating_sub(self.net.now()).min(POLL_TIMEOUT),
+                Turn::Wait(None) => POLL_TIMEOUT,
+            };
+            progressed = match poller.poll(self.slots(), &mut ready, timeout) {
+                Ok(woken) => woken,
+                Err(e) => {
+                    // A broken poller cannot drive any stream: fail
+                    // establishment or report every peer lost, and leave —
+                    // the plane finds the command channel closed.
+                    self.conclude(Err(e));
+                    for peer in &mut self.peers {
+                        peer.close(&self.net);
+                        let lost = InboxEvent::PeerLost(peer.id, PlaneError::Disconnected);
+                        let _ = self.inbox.send(lost);
+                    }
+                    return;
+                }
+            };
+        }
     }
 }
 
@@ -1270,7 +1505,7 @@ impl EventLoop {
 /// however the batches were produced. A write failure discards the queue and
 /// stops queueing — the read path is what reports the stream's end. Returns
 /// whether any bytes moved.
-fn pump_writes(peer: &mut Peer, counters: &LoopCounters) -> bool {
+fn pump_writes<N: Net>(net: &N, peer: &mut Peer<N::Stream>, counters: &LoopCounters) -> bool {
     let mut progressed = false;
     loop {
         let mut iov = [IoSlice::new(&[]); MAX_WRITE_VECTORS];
@@ -1279,11 +1514,11 @@ fn pump_writes(peer: &mut Peer, counters: &LoopCounters) -> bool {
             iov[vectors] = IoSlice::new(&bytes[*offset..]);
             vectors += 1;
         }
-        let Some(mut stream) = peer.stream.as_ref().filter(|_| vectors > 0) else {
+        let Some(stream) = peer.stream.as_ref().filter(|_| vectors > 0) else {
             return progressed;
         };
         counters.write_vectored_calls.incr();
-        let wrote = match stream.write_vectored(&iov[..vectors]) {
+        let wrote = match net.write_vectored(stream, &iov[..vectors]) {
             Ok(n) if n > 0 => n,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return progressed,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1320,7 +1555,6 @@ fn pump_writes(peer: &mut Peer, counters: &LoopCounters) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resume::ResumeHello;
     use std::thread;
 
     const TIMEOUT: Duration = Duration::from_secs(10);
@@ -1367,23 +1601,6 @@ mod tests {
         (planes.pop().unwrap(), p1)
     }
 
-    /// Establish every endpoint concurrently and return the errors of a
-    /// cluster that must not come up.
-    fn establish_errors(
-        bound: Vec<BoundPollPlane>,
-        addrs: &[SocketAddr],
-        timeout: Duration,
-    ) -> Vec<std::io::Error> {
-        thread::scope(|scope| {
-            let handles: Vec<_> = bound
-                .into_iter()
-                .map(|b| scope.spawn(move || b.establish_with_timeout(addrs, timeout)))
-                .collect();
-            let results = handles.into_iter().map(|h| h.join().unwrap());
-            results.map(|r| r.unwrap_err()).collect()
-        })
-    }
-
     /// One endpoint of a 2-server cluster through `supersteps`: broadcast
     /// `[id, s]`, and demand exactly the peer's `[peer, s]` back — once. A
     /// new process's request for state is answered with cursor `s`.
@@ -1405,19 +1622,6 @@ mod tests {
             assert_eq!(got.len(), 1, "server {id} superstep {s}: exactly once");
             assert_eq!(&got[0][..], &[peer as u8, s as u8]);
         }
-    }
-
-    /// Run both endpoints of a pair through `supersteps` concurrently.
-    fn run_pair(
-        p0: &mut dyn BroadcastPlane,
-        p1: &mut dyn BroadcastPlane,
-        supersteps: std::ops::Range<u32>,
-    ) {
-        thread::scope(|scope| {
-            let steps = supersteps.clone();
-            scope.spawn(move || run_supersteps(p0, steps));
-            scope.spawn(move || run_supersteps(p1, supersteps));
-        });
     }
 
     #[test]
@@ -1547,76 +1751,6 @@ mod tests {
     // process-wide, so they need a test binary of their own rather than a
     // unit test racing the rest of this crate's parallel suite.
 
-    /// Connections that say nothing — or half a hello and then nothing —
-    /// must not cost a running node anything: each is a pending slot of the
-    /// single event loop, accumulating bytes that never come until its
-    /// deadline, and nothing waits on it. (Blocking reads here once held the
-    /// loop 250 ms per silent connection.)
-    #[test]
-    fn silent_connection_mid_run_does_not_stall_the_loop() {
-        let (bound, addrs) = bind_cluster(2);
-        let (mut p0, mut p1) = {
-            let mut planes = establish_all(bound, &addrs, &ResilienceConfig::default());
-            let p1 = planes.pop().unwrap();
-            (planes.pop().unwrap(), p1)
-        };
-        run_pair(&mut p0, &mut p1, 0..1);
-        let hello = ResumeHello {
-            cluster_size: 2,
-            sender: 1,
-            resume_from: 0,
-        };
-        let mut silent = Vec::new();
-        for addr in &addrs {
-            for _ in 0..8 {
-                silent.push(TcpStream::connect(addr).unwrap());
-            }
-            let mut stalled = TcpStream::connect(addr).unwrap();
-            stalled.write_all(&hello.encode()[..8]).unwrap();
-            silent.push(stalled);
-        }
-        let start = Instant::now();
-        run_pair(&mut p0, &mut p1, 1..4);
-        assert!(
-            start.elapsed() < Duration::from_millis(100),
-            "silent probers held the event loop for {:?}",
-            start.elapsed()
-        );
-        drop(silent);
-    }
-
-    /// The dial-side twin: a lower-id peer whose listener takes connections
-    /// into its backlog but never answers (bound, not yet establishing —
-    /// exactly a restarted `graphh-node` during its workload build) must not
-    /// delay traffic on the survivor's other links. A bare `TcpListener`
-    /// stands in for the restarted server 0.
-    #[test]
-    fn unanswered_dial_does_not_delay_other_links() {
-        let backlog_only = TcpListener::bind("127.0.0.1:0").unwrap();
-        let b1 = PollPlane::bind(1, 3, "127.0.0.1:0").unwrap();
-        let b2 = PollPlane::bind(2, 3, "127.0.0.1:0").unwrap();
-        let addrs = vec![
-            backlog_only.local_addr().unwrap(),
-            b1.local_addr().unwrap(),
-            b2.local_addr().unwrap(),
-        ];
-        // Server 0 never establishes, so neither does the cluster; what the
-        // survivors' loops do meanwhile is the point. Their link to each
-        // other comes up at once and stays responsive while both dials to
-        // server 0 sit unanswered: the establish deadline, not a blocked
-        // loop, is what ends the wait.
-        let timeout = Duration::from_millis(600);
-        let start = Instant::now();
-        let errors = establish_errors(vec![b1, b2], &addrs, timeout);
-        assert!(start.elapsed() < timeout + Duration::from_millis(400));
-        for error in errors {
-            assert_eq!(error.kind(), std::io::ErrorKind::TimedOut);
-            let text = error.to_string();
-            let missing = "dialing servers [0], waiting for servers [] to dial in";
-            assert!(text.contains(missing), "only the 1–2 link came up: {text}");
-        }
-    }
-
     /// A replacement launched with the wrong `--servers` is refused on every
     /// redial; when the survivor finally gives the peer up, the terminal
     /// error says why instead of a bare disconnect.
@@ -1646,27 +1780,6 @@ mod tests {
             }
             other => panic!("expected an attributed protocol error, got {other:?}"),
         }
-    }
-
-    /// Strangers that connect to an *establishing* node and say nothing cost
-    /// it nothing either: they sit in pending slots beside the real peer's
-    /// hello until they expire. (A blocking bootstrap that served its accept
-    /// queue one connection at a time under a 2 s read cap took six seconds
-    /// for three strangers.)
-    #[test]
-    fn silent_strangers_do_not_delay_establishment() {
-        let (bound, addrs) = bind_cluster(2);
-        let strangers: Vec<TcpStream> = (0..3)
-            .map(|_| TcpStream::connect(addrs[0]).unwrap())
-            .collect();
-        let start = Instant::now();
-        let planes = establish_all(bound, &addrs, &ResilienceConfig::default());
-        assert!(
-            start.elapsed() < HANDSHAKE_DEADLINE / 2,
-            "establishment waited for strangers: {:?}",
-            start.elapsed()
-        );
-        drop((planes, strangers));
     }
 
     /// A static table no cluster can come up from is refused before anything

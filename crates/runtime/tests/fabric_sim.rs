@@ -1,18 +1,23 @@
-//! Deterministic simulation of the GHHR recovery core, with real workers.
+//! Deterministic simulation of the GHHR recovery core, with real workers
+//! and the production event loop.
 //!
 //! `N` endpoints run on a **virtual network and a virtual clock**: no socket,
-//! no thread, no sleep. Each is what a `graphh-node` process holds — a real
-//! [`Fabric`], [`SuperstepCollector`] and [`FrameDecoder`] per stream, and a
-//! real [`WorkerStep`] running a registry program on a small partitioned RMAT
+//! no thread, no sleep. Each is what a `graphh-node` process holds — the
+//! production [`EventLoop`] of `poll.rs` (its [`Fabric`], frame decoders,
+//! handshake slots and write queues), turned over [`SimNet`], this file's
+//! implementation of the loop's [`Net`] seam, with the worker side on the
+//! loop's own channels: a real [`SuperstepCollector`] and a real
+//! [`WorkerStep`] running a registry program on a small partitioned RMAT
 //! graph (its marker of superstep `s` acknowledges `s - 1`). A killed server's
 //! replacement is a new process: it recovers from its live peers, which
 //! answer its hello with their state ([`state_for`], through the fabric's
 //! state frames) and their replay, and it resumes from the lowest state
 //! ([`restore_state`]) — there is no checkpoint store. A seed picks the
 //! program and direction mode and the cluster's schedule — how bytes
-//! interleave and how they are chunked, where connections break (at any byte
-//! offset: mid-hello, mid-frame), which strangers knock (silent, another
-//! protocol's magic, garbage, a hello against the fixed direction, a
+//! interleave and how they are chunked, how much a connection holds in
+//! flight (so writes are partial and resume), where connections break (at
+//! any byte offset: mid-hello, mid-frame), which strangers knock (silent,
+//! another protocol's magic, garbage, a hello against the fixed direction, a
 //! duplicate dial), which server crashes (at any worker step after
 //! establishment) and whether and when it comes back (at the address the
 //! peer table gives it) — and every schedule is held to the invariants
@@ -43,6 +48,19 @@
 //!   peer has said goodbye or is gone, within `reconnect_deadline`, and
 //!   before it unless a server is gone for good.
 //!
+//! And at the seam, per stream and handshake:
+//!
+//! * **exact bytes** — what the loop writes to a stream is exactly the
+//!   batches it queued on it, in order: a resumed write starts at the byte
+//!   the last one stopped at;
+//! * **bounded queues** — no peer's queued bytes exceed `WRITE_HIGH_WATER`
+//!   plus one batch;
+//! * **handshakes end** — every dialed or accepted connection is adopted or
+//!   dropped within `HANDSHAKE_DEADLINE`, and one displaced for a newcomer
+//!   is the oldest of `PENDING_SLOTS`;
+//! * **a failed reply drops the handshake** — its adoption reports the
+//!   stream's end at once.
+//!
 //! Beside them, every seeded and explicit schedule checks that each
 //! replacement resumed at the lowest count of its predecessor's supersteps
 //! a survivor held: from a state at that cursor, or from superstep 0 by
@@ -61,13 +79,20 @@ use graphh_obs::Tracer;
 use graphh_partition::{PartitionedGraph, Spe, SpeConfig};
 use graphh_runtime::checkpoint::encoded_cursor;
 use graphh_runtime::establish::HANDSHAKE_DEADLINE;
-use graphh_runtime::fabric::{Action, Command, Conn, Event, Fabric};
+use graphh_runtime::fabric::{Action, Command, Conn, Event};
+use graphh_runtime::poll::{
+    EventLoop, LoopEnds, Net, Ready, Request, Socket, Turn, PENDING_SLOTS, WRITE_HIGH_WATER,
+};
 use graphh_runtime::{
     encode_message_into, restore_state, state_for, BufferPool, Frame, FrameDecoder, InboxEvent,
     PlaneError, ResilienceConfig, ResumeHello, SuperstepCollector, WireMessage,
 };
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::net::SocketAddr;
+use std::io::{ErrorKind, IoSlice};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr};
+use std::rc::Rc;
+use std::sync::mpsc::TrySendError;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -197,57 +222,491 @@ impl Rng {
 /// Who holds one end of a connection.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Owner {
-    /// Process `generation` of server `id`.
-    Node { id: u32, generation: u32 },
+    /// A process of server `id`.
+    Node(u32),
     /// A stranger: writes its script, never reads.
     Rogue,
 }
 
-enum EndState {
-    /// In the listener's backlog: connected, not yet accepted.
-    Backlog,
-    /// Accepted, handshake incomplete (the driver's pending slot).
-    Pending {
-        slot: usize,
-        buf: Vec<u8>,
-        expires: Duration,
-    },
-    /// Dialed, reply hello incomplete.
-    Dialing {
-        peer: u32,
-        buf: Vec<u8>,
-        expires: Duration,
-    },
-    /// Adopted: `peer`'s live stream.
-    Live {
-        peer: u32,
-        decoder: FrameDecoder,
-    },
-    Closed,
-}
-
 struct End {
     owner: Owner,
-    state: EndState,
     /// Bytes on their way *to* this end.
-    inbound: VecDeque<u8>,
+    inflight: Vec<u8>,
+    /// Bytes that reached this end, for its reads.
+    arrived: Vec<u8>,
     /// Bytes this end may still receive before the connection breaks.
     budget: Option<usize>,
+    /// Its owner dropped it, or its listener went before accepting it.
+    closed: bool,
+    /// Its owner closed its write half: what it wrote before arrives, then
+    /// the other end sees the stream end; nothing written after arrives.
+    shut: bool,
+    /// Dialed or accepted at this instant, and not yet adopted or dropped.
+    handshaking: Option<Duration>,
+    /// What the loop queued on it as a peer's live stream and has not
+    /// written yet — nothing more once a write to it failed.
+    queued: Vec<u8>,
+    write_failed: bool,
 }
 
 struct Connection {
     /// `[dialer, acceptor]`.
     ends: [End; 2],
+    /// In the listener's backlog: connected, not accepted yet.
+    backlog: bool,
     /// Broken by the network: both ends see the stream end once they have
-    /// drained what still arrived.
+    /// read what still arrived.
     cut: bool,
-    /// Per end: it closed its write half — what it wrote before arrives, then
-    /// the other end sees the stream end; nothing written after arrives.
-    shut: [bool; 2],
-    /// Where the dialer connected to (for traces and refusal origins).
+    /// Bytes that may be in flight to one end before writes to it block.
+    room: usize,
+    /// Where the dialer connected to.
     target: SocketAddr,
 }
 
+/// The network every process's [`SimNet`] shares: pipes, listeners, clock.
+struct Network {
+    now: Duration,
+    conns: Vec<Connection>,
+    /// Per server: its listener is bound, and how many connections wait in
+    /// its backlog.
+    listening: Vec<bool>,
+    backlog: Vec<usize>,
+    rng: Rng,
+    /// Connections still to be dialed that the network will break after so
+    /// many bytes: `(dial ordinal, end, bytes)`.
+    doomed_dials: Vec<(usize, usize, usize)>,
+    dials: usize,
+    /// Hellos written to accepted connections that failed, and handshakes
+    /// dropped at their deadline.
+    failed_replies: usize,
+    expired: usize,
+    /// Per server: a reply just failed, so its fabric's next event must be
+    /// the `StreamEnd` of the adoption that found the handshake gone.
+    reply_failed: Vec<bool>,
+    /// Per server and peer: the count of completed supersteps its fabrics
+    /// saw from that peer (EOS + 1) — what its next hello would ask to
+    /// resume at.
+    eos_cursor: Vec<Vec<u32>>,
+    /// Invariants broken at the seam.
+    broken: Vec<String>,
+}
+
+type Shared = Rc<RefCell<Network>>;
+
+/// An accepted connection's origin, which names it.
+fn origin_of(conn: usize) -> SocketAddr {
+    SocketAddr::from((Ipv4Addr::from(0x7f00_0000 | conn as u32), 1))
+}
+
+impl Network {
+    fn end(&mut self, (conn, end): (usize, usize)) -> &mut End {
+        &mut self.conns[conn].ends[end]
+    }
+
+    /// A connection into `target`'s backlog.
+    fn open(&mut self, owners: [Owner; 2], target: u32, room: usize, budgets: [Option<usize>; 2]) {
+        let end = |e: usize| End {
+            owner: owners[e],
+            inflight: Vec::new(),
+            arrived: Vec::new(),
+            budget: budgets[e],
+            closed: false,
+            shut: false,
+            handshaking: None,
+            queued: Vec::new(),
+            write_failed: false,
+        };
+        self.conns.push(Connection {
+            ends: [end(0), end(1)],
+            backlog: true,
+            cut: false,
+            room,
+            target: static_addr(target),
+        });
+        self.backlog[target as usize] += 1;
+    }
+
+    /// Whether a read of the end would make progress, and a write to it.
+    fn ready(&self, (conn, end): (usize, usize)) -> Ready {
+        let c = &self.conns[conn];
+        let (this, other) = (&c.ends[end], &c.ends[1 - end]);
+        let ended = c.cut || other.closed || other.shut;
+        Ready {
+            readable: !this.arrived.is_empty() || (this.inflight.is_empty() && ended),
+            writable: c.cut || other.closed || this.shut || other.inflight.len() < c.room,
+        }
+    }
+
+    fn read(&mut self, (conn, end): (usize, usize), buf: &mut [u8]) -> std::io::Result<usize> {
+        let (ready, cut) = (self.ready((conn, end)), self.conns[conn].cut);
+        let arrived = &mut self.conns[conn].ends[end].arrived;
+        let n = arrived.len().min(buf.len());
+        buf[..n].copy_from_slice(&arrived[..n]);
+        arrived.drain(..n);
+        match n {
+            0 if !ready.readable => Err(ErrorKind::WouldBlock.into()),
+            0 if cut => Err(ErrorKind::ConnectionReset.into()),
+            n => Ok(n),
+        }
+    }
+
+    /// What a write from the end moves into flight to the other one.
+    fn write(&mut self, (conn, end): (usize, usize), bytes: &[u8]) -> std::io::Result<usize> {
+        let c = &mut self.conns[conn];
+        let (cut, room) = (c.cut, c.room);
+        let [a, b] = &mut c.ends;
+        let (this, other) = if end == 0 { (a, b) } else { (b, a) };
+        if cut {
+            return Err(ErrorKind::ConnectionReset.into());
+        }
+        if other.closed {
+            return Err(ErrorKind::BrokenPipe.into());
+        }
+        if this.shut {
+            return Ok(bytes.len());
+        }
+        let n = bytes.len().min(room.saturating_sub(other.inflight.len()));
+        other.inflight.extend_from_slice(&bytes[..n]);
+        match n {
+            0 => Err(ErrorKind::WouldBlock.into()),
+            n => Ok(n),
+        }
+    }
+
+    /// The end's owner drops it. An accepted connection dropped mid-handshake
+    /// — its peer still there, its deadline not reached, its hello not
+    /// answered — was displaced by a newcomer: the oldest of a full set.
+    fn close(&mut self, (conn, end): (usize, usize)) {
+        let (now, c) = (self.now, &self.conns[conn]);
+        let (this, other) = (&c.ends[end], &c.ends[1 - end]);
+        if let (1, Some(since), Owner::Node(id)) = (end, this.handshaking, this.owner) {
+            let live = !(c.cut || other.closed || other.shut);
+            if live && now < since + HANDSHAKE_DEADLINE {
+                let held = self.conns.iter().map(|c| &c.ends[1]);
+                let held = held.filter(|e| e.owner == this.owner && !e.closed);
+                let waiting: Vec<_> = held.filter_map(|e| e.handshaking).collect();
+                if waiting.len() != PENDING_SLOTS + 1 || waiting.iter().any(|&t| t < since) {
+                    let why = format!("n{id} displaced a handshake that was not the oldest");
+                    self.broken.push(why);
+                }
+            }
+        }
+        let expired = (this.handshaking).is_some_and(|since| now >= since + HANDSHAKE_DEADLINE);
+        self.expired += usize::from(expired);
+        let this = self.end((conn, end));
+        (this.closed, this.handshaking) = (true, None);
+        this.inflight.clear();
+        this.arrived.clear();
+    }
+
+    /// The first `keep` bytes in flight to the end reach it at once; the
+    /// rest is lost.
+    fn arrive(&mut self, at: (usize, usize), keep: usize) {
+        let End {
+            inflight, arrived, ..
+        } = self.end(at);
+        inflight.truncate(keep);
+        arrived.append(inflight);
+    }
+}
+
+/// One end of a connection, as a process's loop holds it.
+struct SimStream {
+    net: Shared,
+    at: (usize, usize),
+}
+
+impl Drop for SimStream {
+    fn drop(&mut self) {
+        self.net.borrow_mut().close(self.at);
+    }
+}
+
+/// A bound listener: connections to its address wait in its backlog until
+/// accepted, and are refused once it is gone.
+struct SimListener {
+    net: Shared,
+    id: u32,
+}
+
+impl SimListener {
+    fn bind(net: &Shared, id: u32) -> SimListener {
+        net.borrow_mut().listening[id as usize] = true;
+        SimListener {
+            net: net.clone(),
+            id,
+        }
+    }
+}
+
+impl Drop for SimListener {
+    fn drop(&mut self) {
+        let mut net = self.net.borrow_mut();
+        net.listening[self.id as usize] = false;
+        net.backlog[self.id as usize] = 0;
+        let owner = Owner::Node(self.id);
+        for conn in 0..net.conns.len() {
+            if net.conns[conn].backlog && net.conns[conn].ends[1].owner == owner {
+                net.conns[conn].backlog = false;
+                net.close((conn, 1));
+            }
+        }
+    }
+}
+
+/// What a process's fabric decided that the world checks, in order.
+enum Noted {
+    Lost(u32, PlaneError),
+    Established,
+    EstablishFailed(bool, String),
+    Exit,
+}
+
+/// What one process's fabric has shown of one peer.
+#[derive(Clone, Default)]
+struct Seen {
+    /// The live stream, as `(connection, end)`.
+    live: Option<(usize, usize)>,
+    /// When the live link was last lost.
+    down_since: Option<Duration>,
+    /// The peer said goodbye on its live stream.
+    said_goodbye: bool,
+    /// Its goodbye or loss is in, so the fabric keeps nothing for it (for
+    /// good: the fabric forgets the peer).
+    released: bool,
+    /// A hello claiming the peer was refused for its cluster size since the
+    /// link last came up.
+    refused_size: bool,
+}
+
+/// One process's view of the [`Network`]: the production loop's [`Net`].
+struct SimNet {
+    net: Shared,
+    id: u32,
+    /// Virtual time at which the loop was created.
+    epoch: Duration,
+    /// Per peer id.
+    peers: Vec<Seen>,
+    /// Per pending slot: the connection whose hello it handed the fabric.
+    accepted: [usize; PENDING_SLOTS],
+    noted: Vec<Noted>,
+    /// `(event → actions)` lines, when tracing; the first is being built.
+    trace: Option<Vec<String>>,
+}
+
+impl SimNet {
+    /// The connection and end a handshake slot holds.
+    fn held(&self, net: &Network, conn: Conn) -> (usize, usize) {
+        match conn {
+            Conn::Accepted(slot) => (self.accepted[slot], 1),
+            Conn::Dialed(peer) => {
+                let dialed = |c: &Connection| {
+                    c.ends[0].owner == Owner::Node(self.id) && c.target == static_addr(peer)
+                };
+                let conn = net.conns.iter().rposition(dialed).expect("a dial");
+                (conn, 0)
+            }
+        }
+    }
+}
+
+impl Net for SimNet {
+    type Listener = SimListener;
+    type Stream = SimStream;
+
+    fn accept(&self, listener: &SimListener) -> std::io::Result<(SimStream, SocketAddr)> {
+        let mut net = self.net.borrow_mut();
+        let owner = Owner::Node(listener.id);
+        let waiting = |c: &Connection| c.backlog && c.ends[1].owner == owner;
+        let conn = net.conns.iter().position(waiting);
+        let conn = conn.ok_or(std::io::Error::from(ErrorKind::WouldBlock))?;
+        net.backlog[listener.id as usize] -= 1;
+        net.conns[conn].backlog = false;
+        net.conns[conn].ends[1].handshaking = Some(net.now);
+        let stream = SimStream {
+            net: self.net.clone(),
+            at: (conn, 1),
+        };
+        Ok((stream, origin_of(conn)))
+    }
+
+    fn connect(&self, addr: SocketAddr) -> std::io::Result<SimStream> {
+        let mut net = self.net.borrow_mut();
+        let servers = net.listening.len() as u32;
+        let target = (0..servers).find(|&t| static_addr(t) == addr && net.listening[t as usize]);
+        let target = target.ok_or(std::io::Error::from(ErrorKind::ConnectionRefused))?;
+        let ordinal = net.dials;
+        net.dials += 1;
+        let budget = |end: usize| {
+            let doomed = net.doomed_dials.iter();
+            let doomed = doomed.filter(|&&(nth, e, _)| nth == ordinal && e == end);
+            doomed.map(|&(_, _, bytes)| bytes).min()
+        };
+        let budgets = [budget(0), budget(1)];
+        let room = 16 << net.rng.below(12);
+        net.open(
+            [Owner::Node(self.id), Owner::Node(target)],
+            target,
+            room,
+            budgets,
+        );
+        let conn = net.conns.len() - 1;
+        net.conns[conn].ends[0].handshaking = Some(net.now);
+        Ok(SimStream {
+            net: self.net.clone(),
+            at: (conn, 0),
+        })
+    }
+
+    fn read(&self, stream: &SimStream, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.net.borrow_mut().read(stream.at, buf)
+    }
+
+    fn write_all(&self, stream: &SimStream, buf: &[u8]) -> std::io::Result<()> {
+        let mut net = self.net.borrow_mut();
+        let wrote = net
+            .write(stream.at, buf)
+            .and_then(|n| match n == buf.len() {
+                true => Ok(()),
+                false => Err(ErrorKind::WouldBlock.into()),
+            });
+        if wrote.is_err() && stream.at.1 == 1 {
+            net.failed_replies += 1;
+            net.reply_failed[self.id as usize] = true;
+        }
+        wrote
+    }
+
+    fn write_vectored(&self, stream: &SimStream, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        let bytes = bufs.iter().fold(Vec::new(), |mut all, buf| {
+            all.extend_from_slice(buf);
+            all
+        });
+        let mut net = self.net.borrow_mut();
+        let wrote = net.write(stream.at, &bytes);
+        let end = net.end(stream.at);
+        let n = match wrote {
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Err(e),
+            Err(e) => {
+                end.write_failed = true;
+                end.queued.clear();
+                return Err(e);
+            }
+        };
+        let next = end.queued.get(..n) == Some(&bytes[..n]);
+        end.queued.drain(..n.min(end.queued.len()));
+        if !next {
+            let why = format!("n{} wrote {n} bytes it had not queued next", self.id);
+            net.broken.push(why);
+        }
+        Ok(n)
+    }
+
+    fn shutdown(&self, stream: &SimStream, _how: Shutdown) {
+        self.net.borrow_mut().end(stream.at).shut = true;
+    }
+
+    fn now(&self) -> Duration {
+        self.net.borrow().now - self.epoch
+    }
+
+    fn stepping(&mut self, event: &Event<'_>) {
+        let mut net = self.net.borrow_mut();
+        let failed = std::mem::take(&mut net.reply_failed[self.id as usize]);
+        if failed && !matches!(event, Event::StreamEnd(_)) {
+            let why = format!("n{} adopted a stream its reply failed on", self.id);
+            net.broken.push(why);
+        }
+        match event {
+            Event::Frame(peer, Frame::Goodbye { .. }) => {
+                let seen = &mut self.peers[*peer as usize];
+                (seen.said_goodbye, seen.released) = (true, true);
+            }
+            Event::StreamEnd(peer) => {
+                let seen = &mut self.peers[*peer as usize];
+                (seen.live, seen.down_since) = (None, Some(net.now));
+            }
+            Event::Hello(Conn::Accepted(slot), origin, hello) => {
+                let origin: SocketAddr = origin.parse().expect("an origin this net named");
+                let SocketAddr::V4(origin) = origin else {
+                    unreachable!("named in IPv4")
+                };
+                self.accepted[*slot] = (u32::from(*origin.ip()) & 0xff_ffff) as usize;
+                // A hello refused for its cluster size: the terminal loss
+                // that may follow must name it.
+                let servers = self.peers.len() as u32;
+                if let Ok(hello) = ResumeHello::decode(hello) {
+                    let claimed = hello.sender < servers && hello.sender != self.id;
+                    if hello.cluster_size != servers && claimed {
+                        self.peers[hello.sender as usize].refused_size = true;
+                    }
+                }
+            }
+            _ => {}
+        }
+        if let Some(trace) = self.trace.as_mut() {
+            trace.push(format!("n{} {}", self.id, describe_event(event)));
+        }
+    }
+
+    fn stepped(&mut self, actions: &[Action]) {
+        let mut net = self.net.borrow_mut();
+        for action in actions {
+            match action {
+                Action::Send(peer, batch) => {
+                    let Some(live) = self.peers[*peer as usize].live else {
+                        continue;
+                    };
+                    let end = net.end(live);
+                    if !end.write_failed {
+                        end.queued.extend_from_slice(batch);
+                    }
+                    if end.queued.len() > WRITE_HIGH_WATER + batch.len() {
+                        let why = format!("n{} queued more than the high-water mark", self.id);
+                        net.broken.push(why);
+                    }
+                }
+                Action::Reset(peer) => self.peers[*peer as usize].live = None,
+                Action::Adopt(conn, peer) => {
+                    let held = self.held(&net, *conn);
+                    net.end(held).handshaking = None;
+                    let seen = &mut self.peers[*peer as usize];
+                    seen.live = Some(held);
+                    (seen.down_since, seen.said_goodbye, seen.refused_size) = (None, false, false);
+                }
+                Action::Close(conn) => {
+                    let held = self.held(&net, *conn);
+                    net.end(held).handshaking = None;
+                }
+                Action::Deliver(InboxEvent::Superstep {
+                    sender, superstep, ..
+                }) => {
+                    let cursor = &mut net.eos_cursor[self.id as usize][*sender as usize];
+                    *cursor = (*cursor).max(superstep + 1);
+                }
+                Action::Deliver(InboxEvent::PeerLost(peer, error)) => {
+                    self.peers[*peer as usize].released = true;
+                    self.noted.push(Noted::Lost(*peer, error.clone()));
+                }
+                Action::Established => self.noted.push(Noted::Established),
+                Action::EstablishFailed(timed_out, message) => {
+                    let failed = Noted::EstablishFailed(*timed_out, message.clone());
+                    self.noted.push(failed);
+                }
+                Action::Exit => self.noted.push(Noted::Exit),
+                _ => {}
+            }
+        }
+        if let Some(line) = self.trace.as_mut().and_then(|trace| trace.last_mut()) {
+            let acts: Vec<String> = actions.iter().map(describe_action).collect();
+            line.push_str(&format!(" -> [{}]", acts.join(", ")));
+            if line.ends_with(" Tick -> []") {
+                self.trace.as_mut().map(Vec::pop);
+            }
+        }
+    }
+}
 // ---------------------------------------------------------------------------
 // Endpoints
 // ---------------------------------------------------------------------------
@@ -277,10 +736,15 @@ enum Ended {
     NeverEstablished(String),
 }
 
-/// One running `graphh-node`: fabric, collector, worker step and the
-/// driver state `poll.rs` keeps per process.
+/// One running `graphh-node`: the production event loop over its share of
+/// the network, the worker side of its channels, and the worker step.
 struct Proc {
-    fabric: Fabric,
+    /// The loop, until it is done.
+    event_loop: Option<EventLoop<SimNet>>,
+    ends: LoopEnds,
+    /// The loop asked to turn again at once, or at this virtual time.
+    again: bool,
+    due: Option<Duration>,
     pool: BufferPool,
     /// Virtual time at which the fabric's clock read zero.
     epoch: Duration,
@@ -300,42 +764,29 @@ struct Proc {
     handed: Vec<(u32, u32, WireMessage)>,
     /// When `Action::Established` came.
     established: Option<Duration>,
-    /// When the worker said `Shutdown`.
+    /// When the worker said `Shutdown`, and when the fabric said `Exit`.
     stopped: Option<Duration>,
+    exited: Option<Duration>,
     ended: Option<Ended>,
-    /// Per peer id: index of the connection that is its live stream.
-    live: Vec<Option<usize>>,
-    /// Per peer id: index of the connection being dialed.
-    dialing: Vec<Option<usize>>,
-    /// Per peer id: when the live link was last lost.
-    down_since: Vec<Option<Duration>>,
-    /// Per peer id: the peer said goodbye on its live stream.
-    said_goodbye: Vec<bool>,
-    /// Per peer id: its goodbye or loss is in, so the fabric keeps nothing
-    /// for it (for good: the fabric forgets the peer).
-    released: Vec<bool>,
-    /// Per peer id: a hello claiming this peer was refused for its cluster
-    /// size since the link last came up.
-    refused_size: Vec<bool>,
-    next_slot: usize,
-    actions: Vec<Action>,
+}
+
+impl Proc {
+    fn event_loop(&self) -> &EventLoop<SimNet> {
+        self.event_loop.as_ref().expect("a running loop")
+    }
 }
 
 enum NodeState {
     Running(Box<Proc>),
     /// Listener bound, process not establishing yet (building its workload):
     /// connections pile up in the backlog unanswered.
-    Bound,
+    Bound(SimListener),
     Dead,
 }
-
 struct Node {
     id: u32,
     generation: u32,
     state: NodeState,
-    /// Per peer id: count of completed supersteps this server's fabrics saw
-    /// from that peer (EOS + 1) — what its next hello would ask to resume at.
-    eos_cursor: Vec<u32>,
     /// What became of earlier processes of this server.
     history: Vec<(Worker, Option<Ended>)>,
 }
@@ -410,8 +861,8 @@ enum Timed {
 struct World {
     rng: Rng,
     now: Duration,
+    net: Shared,
     nodes: Vec<Node>,
-    conns: Vec<Connection>,
     workload: &'static Workload,
     supersteps: u32,
     /// Per server and superstep, the wires its step encoded the first time.
@@ -424,10 +875,6 @@ struct World {
     slow_replies: Option<u32>,
     planned: Vec<Planned>,
     timed: Vec<(Duration, Timed)>,
-    /// Connections still to be dialed that the network will break after so
-    /// many bytes: `(dial ordinal, end, bytes)`.
-    doomed_dials: Vec<(usize, usize, usize)>,
-    dials: usize,
     /// A server is gone for good: survivors may fail instead of finishing.
     fatal: bool,
     /// Every state a server sent, in order.
@@ -453,7 +900,7 @@ struct World {
 #[derive(Clone, Copy, Debug)]
 enum Choice {
     Deliver { conn: usize, end: usize },
-    StreamEnd { conn: usize, end: usize },
+    Turn { node: usize },
     Work { node: usize },
     Fire { planned: usize },
     Wait,
@@ -518,6 +965,25 @@ fn describe_event(event: &Event<'_>) -> String {
     }
 }
 
+/// What each of a loop's slots is ready for, as `poll(2)` would report it;
+/// whether any is.
+fn readiness(net: &Network, event_loop: &EventLoop<SimNet>, out: &mut Vec<Ready>) -> bool {
+    out.clear();
+    out.extend(event_loop.slots().map(|(socket, writable)| match socket {
+        None => Ready::default(),
+        Some(Socket::Listener(listener)) => Ready {
+            readable: net.backlog[listener.id as usize] > 0,
+            writable: false,
+        },
+        Some(Socket::Stream(stream)) => {
+            let ready = net.ready(stream.at);
+            let writable = writable && ready.writable;
+            Ready { writable, ..ready }
+        }
+    }));
+    out.iter().any(|ready| ready.readable || ready.writable)
+}
+
 impl World {
     // -- construction -------------------------------------------------------
 
@@ -532,14 +998,27 @@ impl World {
                 id,
                 generation: 0,
                 state: NodeState::Dead,
-                eos_cursor: vec![0; servers as usize],
                 history: Vec::new(),
             })
             .collect();
+        let net = Network {
+            now: Duration::ZERO,
+            conns: Vec::new(),
+            listening: vec![false; servers as usize],
+            backlog: vec![0; servers as usize],
+            rng: Rng(rng.next() | 1),
+            doomed_dials: Vec::new(),
+            dials: 0,
+            failed_replies: 0,
+            expired: 0,
+            reply_failed: vec![false; servers as usize],
+            eos_cursor: vec![vec![0; servers as usize]; servers as usize],
+            broken: Vec::new(),
+        };
         let mut world = World {
             now: Duration::ZERO,
+            net: Rc::new(RefCell::new(net)),
             nodes,
-            conns: Vec::new(),
             workload,
             supersteps,
             wires: vec![vec![None; supersteps as usize]; servers as usize],
@@ -547,8 +1026,6 @@ impl World {
             slow_replies: None,
             planned: Vec::new(),
             timed: Vec::new(),
-            doomed_dials: Vec::new(),
-            dials: 0,
             fatal: false,
             offered: Vec::new(),
             answered_after_the_last_collect: 0,
@@ -564,7 +1041,8 @@ impl World {
         let faults: Vec<_> = world.planned.iter().map(|p| (&p.fault, p.when)).collect();
         world.plan_text = format!(
             "{}, {faults:?} doomed dials {:?}",
-            workload.name, world.doomed_dials
+            workload.name,
+            world.net.borrow().doomed_dials
         );
         // Processes start at slightly different times, like real launches.
         for id in 0..servers {
@@ -603,7 +1081,8 @@ impl World {
                     // inside a hello (16 bytes) or the first frames after it.
                     let (nth, end) = (self.rng.below(3 * servers as u64), self.rng.below(2));
                     let bytes = self.rng.below(60) as usize;
-                    self.doomed_dials.push((nth as usize, end as usize, bytes));
+                    let doomed = (nth as usize, end as usize, bytes);
+                    self.net.borrow_mut().doomed_dials.push(doomed);
                     continue;
                 }
             };
@@ -650,17 +1129,20 @@ impl World {
         }
     }
 
+    /// Server `id`'s process, unless it has left: its fabric has said `Exit`
+    /// (its loop may still be flushing) or given up establishing.
     fn proc(&mut self, id: usize) -> Option<&mut Proc> {
         match &mut self.nodes[id].state {
-            NodeState::Running(proc) if proc.ended.is_none() => Some(proc),
+            NodeState::Running(proc) if proc.ended.is_none() && proc.exited.is_none() => Some(proc),
             _ => None,
         }
     }
 
-    fn owner_of(&self, id: usize) -> Owner {
-        Owner::Node {
-            id: id as u32,
-            generation: self.nodes[id].generation,
+    /// Server `id`'s process, ended or not.
+    fn running(&mut self, id: usize) -> &mut Proc {
+        match &mut self.nodes[id].state {
+            NodeState::Running(proc) => proc,
+            _ => unreachable!("n{id} runs"),
         }
     }
 
@@ -668,9 +1150,10 @@ impl World {
         let servers = self.nodes.len();
         let table: Vec<SocketAddr> = (0..servers as u32).map(static_addr).collect();
         let node = &mut self.nodes[id];
-        if let NodeState::Running(old) = std::mem::replace(&mut node.state, NodeState::Dead) {
-            node.history.push((old.worker, old.ended));
-        }
+        let listener = match std::mem::replace(&mut node.state, NodeState::Dead) {
+            NodeState::Bound(listener) => listener,
+            _ => SimListener::bind(&self.net, id as u32),
+        };
         let config = ResilienceConfig {
             reconnect_deadline: RECONNECT_DEADLINE,
         };
@@ -684,9 +1167,24 @@ impl World {
             &Tracer::off(),
         );
         let pool = BufferPool::new();
-        let fabric = Fabric::new(id as u32, table, config, ESTABLISH_TIMEOUT, pool.clone());
+        let net = SimNet {
+            net: self.net.clone(),
+            id: id as u32,
+            epoch: self.now,
+            peers: vec![Seen::default(); servers],
+            accepted: [0; PENDING_SLOTS],
+            noted: Vec::new(),
+            trace: self.trace.as_ref().map(|_| Vec::new()),
+        };
+        let (id32, timeout) = (id as u32, ESTABLISH_TIMEOUT);
+        let (event_loop, ends) =
+            EventLoop::new(net, listener, id32, table, config, timeout, pool.clone());
         node.state = NodeState::Running(Box::new(Proc {
-            fabric,
+            event_loop: Some(event_loop),
+            ends,
+            // Its thread turns a new loop at once.
+            again: true,
+            due: None,
             pool,
             epoch: self.now,
             collector: SuperstepCollector::new(),
@@ -698,206 +1196,90 @@ impl World {
             handed: Vec::new(),
             established: None,
             stopped: None,
+            exited: None,
             ended: None,
-            live: vec![None; servers],
-            dialing: vec![None; servers],
-            down_since: vec![None; servers],
-            said_goodbye: vec![false; servers],
-            released: vec![false; servers],
-            refused_size: vec![false; servers],
-            next_slot: 0,
-            actions: Vec::new(),
         }));
         self.log(|| format!("n{id} starts"));
     }
 
-    // -- the driver: what poll.rs does with sockets, done with pipes --------
+    // -- the production loop, turned ----------------------------------------
 
-    /// One fabric step of server `id`, performed; then whatever the
-    /// performing raised.
-    fn feed(&mut self, id: usize, event: Event<'_>) -> Check {
-        let now = self.now;
-        let tracing = self.trace.is_some();
-        let Some(proc) = self.proc(id) else {
+    /// Turn server `id`'s loop over what is ready, as its thread would after
+    /// a `poll(2)`, then take in what its hooks saw and its inbox got.
+    fn turn(&mut self, id: usize) -> Check {
+        let NodeState::Running(proc) = &mut self.nodes[id].state else {
             return Ok(());
         };
-        let described = tracing.then(|| describe_event(&event));
-        let mut actions = std::mem::take(&mut proc.actions);
-        proc.fabric.step(now - proc.epoch, event, &mut actions);
-        if let Some(described) = described {
-            let acts: Vec<String> = actions.iter().map(describe_action).collect();
-            if described != "Tick" || !acts.is_empty() {
-                self.log(|| format!("n{id} {described} -> [{}]", acts.join(", ")));
-            }
+        let Some(event_loop) = proc.event_loop.as_mut().filter(|_| proc.ended.is_none()) else {
+            return Ok(());
+        };
+        let mut ready = Vec::new();
+        readiness(&self.net.borrow(), event_loop, &mut ready);
+        let turn = event_loop.turn(&ready);
+        (proc.again, proc.due) = match turn {
+            Turn::Again => (true, None),
+            Turn::Wait(due) => (false, due.map(|due| proc.epoch + due)),
+            Turn::Done => (false, None),
+        };
+        self.absorb(id)?;
+        if turn == Turn::Done {
+            self.end(id);
         }
-        let mut raised = Vec::new();
-        for action in actions.drain(..) {
-            if let Some(event) = self.perform(id, action)? {
-                raised.push(event);
-            }
+        let broken = std::mem::take(&mut self.net.borrow_mut().broken);
+        broken.into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Take in what the loop's hooks saw (in order) and what it delivered.
+    fn absorb(&mut self, id: usize) -> Check {
+        let now = self.now;
+        let proc = self.running(id);
+        let net = proc.event_loop.as_mut().expect("a loop").net_mut();
+        let noted = std::mem::take(&mut net.noted);
+        let lines = net.trace.as_mut().map(std::mem::take).unwrap_or_default();
+        if let Some(trace) = self.trace.as_mut() {
+            trace.extend(lines.into_iter().map(|line| format!("[{now:>12?}] {line}")));
         }
-        if let Some(proc) = self.proc(id) {
-            proc.actions = actions;
+        for noted in noted {
+            self.note(id, noted)?;
         }
-        for event in raised {
-            self.feed(id, event)?;
+        let proc = self.running(id);
+        while let Ok(event) = proc.ends.inbox.try_recv() {
+            proc.inbox.push_back(event);
+            proc.inbox_grew = true;
         }
         self.check_drained(id)
     }
 
-    /// An event and then the tick the loop's next iteration would run.
-    fn feed_and_tick(&mut self, id: usize, event: Event<'_>) -> Check {
-        self.feed(id, event)?;
-        self.tick(id)
-    }
-
-    /// The loop's next tick. Its readiness round has read every stream that
-    /// broke to its end first: what a broken stream still held, then the end
-    /// itself. (The other fairness assumption, beside the one in `choices`:
-    /// a failure that has reached a process is not taken for a live link.)
-    fn tick(&mut self, id: usize) -> Check {
-        let Some(proc) = self.proc(id) else {
-            return Ok(());
-        };
-        let live = proc.live.clone().into_iter().flatten();
-        let conns = &self.conns;
-        let broken = live.map(|c| (c, self.end_of(c, id))).find(|&(c, e)| {
-            let other_closed = matches!(conns[c].ends[1 - e].state, EndState::Closed);
-            conns[c].cut || other_closed || conns[c].shut[1 - e]
-        });
-        match broken {
-            Some((conn, end)) if self.conns[conn].ends[end].inbound.is_empty() => {
-                self.stream_end(conn, end)
-            }
-            Some((conn, end)) => self.deliver(conn, end),
-            None => self.feed(id, Event::Tick),
-        }
-    }
-
-    fn conn_of(&mut self, id: usize, conn: Conn) -> Option<(usize, usize)> {
-        let owner = self.owner_of(id);
-        match conn {
-            Conn::Dialed(peer) => self.proc(id)?.dialing[peer as usize].map(|c| (c, 0)),
-            Conn::Accepted(wanted) => self.conns.iter().enumerate().find_map(|(c, conn)| {
-                let end = &conn.ends[1];
-                let held = matches!(end.state, EndState::Pending { slot, .. } if slot == wanted);
-                (end.owner == owner && held).then_some((c, 1))
-            }),
-        }
-    }
-
-    fn write(&mut self, conn: usize, from_end: usize, bytes: &[u8]) {
-        let conn = &mut self.conns[conn];
-        let open = !conn.cut && !conn.shut[from_end];
-        if open && !matches!(conn.ends[1 - from_end].state, EndState::Closed) {
-            conn.ends[1 - from_end].inbound.extend(bytes);
-        }
-    }
-
-    fn close_end(&mut self, conn: usize, end: usize) {
-        let end = &mut self.conns[conn].ends[end];
-        end.state = EndState::Closed;
-        end.inbound.clear();
-    }
-
-    fn perform(&mut self, id: usize, action: Action) -> Result<Option<Event<'static>>, String> {
-        let now = self.now;
-        match action {
-            Action::Send(peer, batch) => {
-                let live = self.proc(id).and_then(|p| p.live[peer as usize]);
-                if let Some(conn) = live {
-                    let end = self.end_of(conn, id);
-                    self.write(conn, end, &batch);
-                }
-            }
-            Action::Reset(peer) => {
-                let proc = self.proc(id).expect("acting");
-                let held = [
-                    proc.live[peer as usize].take(),
-                    proc.dialing[peer as usize].take(),
-                ];
-                for conn in held.into_iter().flatten() {
-                    let end = self.end_of(conn, id);
-                    self.close_end(conn, end);
-                }
-            }
-            Action::Dial(peer, addr, hello) => return Ok(self.dial(id, peer, addr, &hello)),
-            Action::Reply(conn, bytes) => {
-                if let Some((conn, end)) = self.conn_of(id, conn) {
-                    self.write(conn, end, &bytes);
-                }
-            }
-            Action::Adopt(conn, peer) => {
-                let Some((conn, end)) = self.conn_of(id, conn) else {
-                    return Ok(Some(Event::StreamEnd(peer)));
-                };
-                let proc = self.proc(id).expect("acting");
-                proc.dialing[peer as usize] = None;
-                proc.down_since[peer as usize] = None;
-                proc.said_goodbye[peer as usize] = false;
-                proc.refused_size[peer as usize] = false;
-                let superseded = proc.live[peer as usize].replace(conn);
-                if let Some(old) = superseded.filter(|&old| old != conn) {
-                    let old_end = self.end_of(old, id);
-                    self.close_end(old, old_end);
-                }
-                self.conns[conn].ends[end].state = EndState::Live {
-                    peer,
-                    decoder: FrameDecoder::new(),
-                };
-            }
-            Action::Close(conn) => {
-                if let Conn::Dialed(peer) = conn {
-                    self.proc(id).expect("acting").dialing[peer as usize] = None;
-                }
-                if let Some((conn, end)) = self.conn_of(id, conn) {
-                    self.close_end(conn, end);
-                }
-            }
-            Action::Deliver(event) => {
-                match &event {
-                    InboxEvent::Superstep {
-                        sender, superstep, ..
-                    } => {
-                        let cursor = &mut self.nodes[id].eos_cursor[*sender as usize];
-                        *cursor = (*cursor).max(superstep + 1);
-                    }
-                    InboxEvent::PeerLost(peer, error) => {
-                        self.check_loss(id, *peer, error)?;
-                        self.proc(id).expect("acting").released[*peer as usize] = true;
-                    }
-                    _ => {}
-                }
-                let proc = self.proc(id).expect("acting");
-                proc.inbox.push_back(event);
-                proc.inbox_grew = true;
-            }
-            Action::Restore(state) => self.proc(id).expect("acting").restored = Some(state),
-            Action::Established => {
+    fn note(&mut self, id: usize, noted: Noted) -> Check {
+        let (now, fatal) = (self.now, self.fatal);
+        let proc = self.running(id);
+        match noted {
+            Noted::Lost(peer, error) => self.check_loss(id, peer, &error)?,
+            Noted::Established => {
+                let verdict = proc.ends.verdict.try_recv();
+                proc.restored = verdict.expect("a verdict").expect("established");
+                proc.established = Some(now);
                 if self.nodes[id].generation > 0 {
                     // Every link is up: what the survivors hold of the dead
                     // process is settled until this one sends.
                     let survivors = (0..self.nodes.len()).filter(|&s| s != id);
                     let survivors: Vec<usize> =
                         survivors.filter(|&s| self.proc(s).is_some()).collect();
-                    let held = survivors.iter().map(|&s| self.nodes[s].eos_cursor[id]);
+                    let net = self.net.borrow();
+                    let held = survivors.iter().map(|&s| net.eos_cursor[s][id]);
                     self.lowest_held.push((id as u32, held.min().unwrap_or(0)));
                 }
-                self.proc(id).expect("acting").established = Some(now);
             }
-            Action::EstablishFailed(timed_out, message) => {
-                let proc = self.proc(id).expect("acting");
+            Noted::EstablishFailed(timed_out, message) => {
                 if timed_out && now != proc.epoch + ESTABLISH_TIMEOUT {
                     return Err(format!(
                         "n{id} gave up establishing at {now:?}, not at its timeout: {message}"
                     ));
                 }
                 proc.ended = Some(Ended::NeverEstablished(message));
-                self.close_all(id);
+                self.leave(id);
             }
-            Action::Exit => {
-                let fatal = self.fatal;
-                let proc = self.proc(id).expect("acting");
+            Noted::Exit => {
                 let stopped = proc.stopped.expect("exit follows a shutdown");
                 // Only a peer gone for good may keep an endpoint waiting out
                 // the deadline: everyone else says goodbye before it.
@@ -908,18 +1290,41 @@ impl World {
                          waiting out the reconnect deadline"
                     ));
                 }
-                proc.ended = Some(Ended::Exited(now));
-                self.close_all(id);
+                proc.exited = Some(now);
+                self.leave(id);
             }
         }
-        Ok(None)
+        Ok(())
     }
 
-    fn end_of(&self, conn: usize, id: usize) -> usize {
-        let owner = self.owner_of(id);
-        (0..2)
-            .find(|&e| self.conns[conn].ends[e].owner == owner)
-            .expect("a connection of this process")
+    /// The process leaves: what it wrote before arrives — the last goodbye
+    /// rests on the kernel delivering queued bytes after close, and a
+    /// network that fails *then* is beyond any protocol run by the one who
+    /// left.
+    fn leave(&mut self, id: usize) {
+        for conn in &mut self.net.borrow_mut().conns {
+            for end in 0..2 {
+                if conn.ends[end].owner == Owner::Node(id as u32) && !conn.ends[end].closed {
+                    conn.ends[1 - end].budget = None;
+                }
+            }
+        }
+    }
+
+    /// The loop is done: every stream it held closes, and its listener goes.
+    fn end(&mut self, id: usize) {
+        let proc = self.running(id);
+        let exited = proc.exited.map(Ended::Exited);
+        proc.ended = proc.ended.take().or(exited);
+        let event_loop = proc.event_loop.take();
+        for conn in &mut self.net.borrow_mut().conns {
+            for end in &mut conn.ends {
+                if end.owner == Owner::Node(id as u32) {
+                    end.handshaking = None;
+                }
+            }
+        }
+        drop(event_loop);
     }
 
     /// A `PeerLost` is on time — once the peer has left after its goodbye,
@@ -936,12 +1341,9 @@ impl World {
             return (self.fatal.then_some(()))
                 .ok_or(format!("n{id} declared a new process gone: {error:?}"));
         }
-        let proc = self.proc(id).expect("acting");
-        let (bye, refused) = (
-            proc.said_goodbye[peer as usize],
-            proc.refused_size[peer as usize],
-        );
-        let Some(since) = proc.down_since[peer as usize] else {
+        let seen = &self.running(id).event_loop().net().peers[peer as usize];
+        let (bye, refused) = (seen.said_goodbye, seen.refused_size);
+        let Some(since) = seen.down_since else {
             return Err(format!(
                 "n{id} lost server {peer}, whose stream never ended"
             ));
@@ -974,134 +1376,60 @@ impl World {
         }
     }
 
-    /// The process is over (an exit or a failed establishment): every
-    /// stream closes, its goodbyes already written.
-    fn close_all(&mut self, id: usize) {
-        let owner = self.owner_of(id);
-        for conn in 0..self.conns.len() {
-            for end in 0..2 {
-                if self.conns[conn].ends[end].owner == owner {
-                    self.close_end(conn, end);
-                    // What a process wrote before it left arrives: the last
-                    // goodbye rests on the kernel delivering queued bytes
-                    // after close, and a network that fails *then* is beyond
-                    // any protocol run by the one who left.
-                    self.conns[conn].ends[1 - end].budget = None;
-                }
-            }
-        }
-    }
-
-    fn dial(
-        &mut self,
-        id: usize,
-        peer: u32,
-        target: SocketAddr,
-        hello: &[u8],
-    ) -> Option<Event<'static>> {
-        let dialing = EndState::Dialing {
-            peer,
-            buf: Vec::new(),
-            expires: self.now + HANDSHAKE_DEADLINE,
-        };
-        let Some(conn) = self.connect(id, target, dialing) else {
-            let why = format!("server {peer} at {target}: connection refused");
-            return Some(Event::DialRefused(peer, why));
-        };
-        self.proc(id).expect("acting").dialing[peer as usize] = Some(conn);
-        self.write(conn, 0, hello);
-        None
-    }
-
-    /// A connection from server `id` into the backlog of whoever listens at
-    /// `target` — a bound server's process that has not exited — or `None`:
-    /// connection refused.
-    fn connect(&mut self, id: usize, target: SocketAddr, dialer: EndState) -> Option<usize> {
-        let listener = self.nodes.iter().position(|n| match &n.state {
-            NodeState::Running(proc) => static_addr(n.id) == target && proc.ended.is_none(),
-            NodeState::Bound => static_addr(n.id) == target,
-            NodeState::Dead => false,
-        })?;
-        let ordinal = self.dials;
-        self.dials += 1;
-        let budget = |end: usize| {
-            let doomed = self.doomed_dials.iter();
-            doomed
-                .filter(|&&(nth, e, _)| nth == ordinal && e == end)
-                .map(|&(_, _, bytes)| bytes)
-                .min()
-        };
-        let end = |owner, state, budget| End {
-            owner,
-            state,
-            inbound: VecDeque::new(),
-            budget,
-        };
-        self.conns.push(Connection {
-            ends: [
-                end(self.owner_of(id), dialer, budget(0)),
-                end(self.owner_of(listener), EndState::Backlog, budget(1)),
-            ],
-            cut: false,
-            shut: [false; 2],
-            target,
-        });
-        Some(self.conns.len() - 1)
-    }
-
     // -- the scheduler ------------------------------------------------------
 
     fn choices(&mut self, out: &mut Vec<Choice>) {
         out.clear();
-        // Servers with something still to read.
-        let mut unread = vec![false; self.nodes.len()];
-        // Servers with a hello waiting in an older accepted connection: a
-        // listener's backlog is first in, first out, and the loop pumps its
-        // pending slots in order, so of two hellos that both already sit
-        // there (a dial abandoned at its deadline, then its retry) the older
-        // is vetted first — the retry supersedes the stale one, not the
-        // other way round.
-        let mut hello_waiting = vec![false; self.nodes.len()];
         let mut slow = Vec::new();
-        for (c, conn) in self.conns.iter().enumerate() {
-            for e in 0..2 {
-                let end = &conn.ends[e];
-                let Owner::Node { id, generation } = end.owner else {
+        let net = self.net.borrow();
+        let reading = |id: u32| -> Option<&Proc> {
+            match &self.nodes[id as usize].state {
+                NodeState::Running(proc) if proc.ended.is_none() => Some(proc),
+                _ => None,
+            }
+        };
+        // Per server: a stream its loop holds (not one waiting in a backlog)
+        // is ready, as `poll(2)` would say, to read or to take what the loop
+        // queued on it.
+        let mut ready = vec![false; self.nodes.len()];
+        for (c, conn) in net.conns.iter().enumerate() {
+            for (e, end) in conn.ends.iter().enumerate() {
+                let Owner::Node(id) = end.owner else {
                     continue; // strangers never read
                 };
-                let node = &self.nodes[id as usize];
-                let reading = node.generation == generation
-                    && matches!(&node.state, NodeState::Running(p) if p.ended.is_none());
-                if !reading || matches!(end.state, EndState::Closed) {
+                if end.closed {
                     continue;
                 }
-                let other_closed =
-                    matches!(conn.ends[1 - e].state, EndState::Closed) || conn.shut[1 - e];
-                let handshaking = matches!(end.state, EndState::Backlog | EndState::Pending { .. });
-                if !end.inbound.is_empty() && handshaking {
-                    if !std::mem::replace(&mut hello_waiting[id as usize], true) {
-                        out.push(Choice::Deliver { conn: c, end: e });
-                    }
-                } else if !end.inbound.is_empty() {
-                    let replying = matches!(end.state, EndState::Dialing { .. });
-                    match self.slow_replies {
-                        Some(slow_id) if slow_id == id && replying => &mut slow,
-                        _ => &mut *out,
-                    }
-                    .push(Choice::Deliver { conn: c, end: e });
-                } else if conn.cut || other_closed {
-                    out.push(Choice::StreamEnd { conn: c, end: e });
-                } else {
+                let poll = net.ready((c, e));
+                let polled = poll.readable || (poll.writable && !end.queued.is_empty());
+                ready[id as usize] |= !conn.backlog && polled;
+                let Some(proc) = reading(id).filter(|_| !end.inflight.is_empty()) else {
                     continue;
+                };
+                let slow_reply = self.slow_replies == Some(id) && e == 0 && {
+                    // (The reply to a dial: on a stream not yet live.)
+                    let peers = &proc.event_loop().net().peers;
+                    !peers.iter().any(|seen| seen.live == Some((c, 0)))
+                };
+                match slow_reply {
+                    true => &mut slow,
+                    false => &mut *out,
                 }
-                unread[id as usize] = true;
+                .push(Choice::Deliver { conn: c, end: e });
             }
         }
-        for (id, unread) in unread.into_iter().enumerate() {
-            let hold = self.hold_until_all_done;
-            let Some(proc) = self.proc(id) else {
+        for id in 0..self.nodes.len() {
+            let Some(proc) = reading(id as u32) else {
                 continue;
             };
+            // (An exiting loop no longer polls its listener.)
+            let accepting = net.backlog[id] > 0 && proc.exited.is_none();
+            if proc.again || accepting || ready[id] {
+                out.push(Choice::Turn { node: id });
+            }
+            if proc.exited.is_some() {
+                continue;
+            }
             let asked = || asked(&proc.collector, &proc.inbox).is_some();
             let ready = match proc.worker {
                 _ if proc.established.is_none() => false,
@@ -1110,21 +1438,14 @@ impl World {
                 Worker::Finished if asked() => true,
                 _ if proc.stopped.is_some() => false,
                 Worker::Collect(_) => proc.inbox_grew,
-                // The one fairness assumption: a process reads what has
-                // already reached it — a cut or killed peer's EOF included —
-                // before it shuts down; `poll.rs` runs one readiness round
-                // between the worker's shutdown and telling the fabric for
-                // exactly this, and reads a stream to its end before its
-                // next tick (see `deliver`). (One that did not could answer
-                // a goodbye into a dead link and leave, believing it heard:
-                // a race no protocol on one side can close.)
-                Worker::Finished | Worker::Failed => !hold && !unread,
+                Worker::Finished | Worker::Failed => !self.hold_until_all_done,
                 _ => true,
             };
             if ready {
                 out.push(Choice::Work { node: id });
             }
         }
+        drop(net);
         for p in 0..self.planned.len() {
             if self.fires(p) {
                 out.push(Choice::Fire { planned: p });
@@ -1177,8 +1498,15 @@ impl World {
             }
             self.choices(&mut choices);
             let next_timer = self.next_timer();
-            // Mostly work; now and then let time pass instead (a delay).
-            let wait = choices.is_empty() || (next_timer.is_some() && self.rng.chance(1, 16));
+            // A loop that made progress turns again before time passes, as
+            // its `poll` would not wait. Otherwise mostly work; now and then
+            // let time pass instead (a delay).
+            let turning = self.nodes.iter().any(|node| match &node.state {
+                NodeState::Running(proc) => proc.ended.is_none() && proc.again,
+                _ => false,
+            });
+            let wait = !turning
+                && (choices.is_empty() || (next_timer.is_some() && self.rng.chance(1, 16)));
             let choice = match (wait, next_timer) {
                 (true, Some(_)) => Choice::Wait,
                 (true, None) if self.all_over() => return self.verdict(),
@@ -1191,7 +1519,7 @@ impl World {
             };
             match choice {
                 Choice::Deliver { conn, end } => self.deliver(conn, end)?,
-                Choice::StreamEnd { conn, end } => self.stream_end(conn, end)?,
+                Choice::Turn { node } => self.turn(node)?,
                 Choice::Work { node } => self.work(node)?,
                 Choice::Fire { planned } => {
                     let planned = self.planned.swap_remove(planned);
@@ -1206,15 +1534,15 @@ impl World {
         self.timed.is_empty()
             && self.nodes.iter().all(|n| match &n.state {
                 NodeState::Running(proc) => proc.ended.is_some(),
-                NodeState::Bound => false,
-                NodeState::Dead => true,
+                // (Nothing is timed: it will never start.)
+                NodeState::Bound(_) | NodeState::Dead => true,
             })
     }
 
     fn all_finished(&self) -> bool {
         self.nodes.iter().all(|n| match &n.state {
             NodeState::Running(p) => p.ended.is_some() || p.worker == Worker::Finished,
-            NodeState::Bound => false,
+            NodeState::Bound(_) => false,
             NodeState::Dead => true,
         })
     }
@@ -1236,7 +1564,7 @@ impl World {
             };
             // All it may hold is what a replay from the last superstep sends
             // (nobody said goodbye yet, so no peer is forgotten).
-            let log = proc.fabric.replay();
+            let log = proc.event_loop().fabric().replay();
             let peer = (id + 1) % servers;
             let batches = log.replay_from(peer as u32, last).unwrap_or_default();
             let from_last: usize = batches.iter().map(|batch| batch.len()).sum();
@@ -1250,27 +1578,15 @@ impl World {
         Ok(())
     }
 
-    /// The earliest instant anything is due: a fabric clock, a handshake
-    /// deadline, a planned bind or start.
+    /// The earliest instant anything is due: a loop's clock (its fabric's
+    /// or a handshake deadline), a planned bind or start.
     fn next_timer(&self) -> Option<Duration> {
-        let fabrics = self.nodes.iter().filter_map(|n| match &n.state {
-            NodeState::Running(p) if p.ended.is_none() => {
-                p.fabric.next_timer().map(|t| p.epoch + t)
-            }
+        let loops = self.nodes.iter().filter_map(|n| match &n.state {
+            NodeState::Running(p) if p.ended.is_none() => p.due,
             _ => None,
         });
-        let handshakes = self.conns.iter().flat_map(|c| &c.ends).filter_map(|e| {
-            let alive = matches!(e.owner, Owner::Node { id, generation }
-                if self.nodes[id as usize].generation == generation);
-            match e.state {
-                EndState::Pending { expires, .. } | EndState::Dialing { expires, .. } if alive => {
-                    Some(expires)
-                }
-                _ => None,
-            }
-        });
         let timed = self.timed.iter().map(|(at, _)| *at);
-        fabrics.chain(handshakes).chain(timed).min()
+        loops.chain(timed).min()
     }
 
     /// Let time pass: up to the next timer, never beyond it, so everything
@@ -1279,6 +1595,7 @@ impl World {
         let step = self.rng.millis(300);
         self.now = next_timer.min(self.now + step).max(self.now);
         let now = self.now;
+        self.net.borrow_mut().now = now;
         while let Some(due) = self.timed.iter().position(|(at, _)| *at <= now) {
             match self.timed.swap_remove(due).1 {
                 Timed::Bind { victim } => self.bind(victim as usize),
@@ -1286,142 +1603,55 @@ impl World {
                 Timed::Fire(fault) => self.fire(fault)?,
             }
         }
-        for conn in 0..self.conns.len() {
-            for end in 0..2 {
-                let Owner::Node { id, .. } = self.conns[conn].ends[end].owner else {
-                    continue;
-                };
-                if self.owner_of(id as usize) != self.conns[conn].ends[end].owner {
-                    continue;
-                }
-                match self.conns[conn].ends[end].state {
-                    EndState::Pending { expires, .. } if now >= expires => {
-                        self.close_end(conn, end);
-                    }
-                    EndState::Dialing { expires, peer, .. } if now >= expires => {
-                        self.close_end(conn, end);
-                        let target = self.conns[conn].target;
-                        if let Some(proc) = self.proc(id as usize) {
-                            proc.dialing[peer as usize] = None;
-                        }
-                        let why = format!("server {peer} at {target}: no reply hello in time");
-                        self.feed(id as usize, Event::DialFailed(peer, why))?;
-                    }
-                    _ => {}
-                }
-            }
-        }
+        // (Each wait turns every loop: a loop's `poll` timeout never lets it
+        // sleep long, and a fabric may have something to do before its
+        // next timer says so.)
         for id in 0..self.nodes.len() {
-            self.tick(id)?;
+            self.turn(id)?;
         }
-        Ok(())
+        // Every handshake is adopted or dropped by its deadline.
+        let net = self.net.borrow();
+        let ends = net.conns.iter().flat_map(|c| &c.ends);
+        let mut open = ends.filter_map(|end| end.handshaking);
+        let late = open.find(|&since| since + HANDSHAKE_DEADLINE <= now);
+        late.map_or(Ok(()), |t| {
+            Err(format!("a handshake opened at {t:?} is open at {now:?}"))
+        })
     }
 
-    /// Server `id`'s listener accepts `conn` into a pending slot.
-    fn accept(&mut self, id: usize, conn: usize) {
-        let now = self.now;
-        let proc = self.proc(id).expect("a running process accepts");
-        let slot = proc.next_slot;
-        proc.next_slot += 1;
-        self.conns[conn].ends[1].state = EndState::Pending {
-            slot,
-            buf: Vec::new(),
-            expires: now + HANDSHAKE_DEADLINE,
-        };
-    }
-
-    /// Move some of what is in flight to an end and let its owner read it —
-    /// often all of it, often a fragment ending anywhere.
+    /// Move some of what is in flight to an end — often all of it, often a
+    /// fragment ending anywhere — and let its owner's loop turn.
     fn deliver(&mut self, conn: usize, end: usize) -> Check {
-        let Owner::Node { id, .. } = self.conns[conn].ends[end].owner else {
+        let mut net = self.net.borrow_mut();
+        let Owner::Node(id) = net.conns[conn].ends[end].owner else {
             unreachable!("strangers never read");
         };
-        let id = id as usize;
-        if matches!(self.conns[conn].ends[end].state, EndState::Backlog) {
-            self.accept(id, conn);
-        }
-        let available = self.conns[conn].ends[end].inbound.len();
+        let available = net.conns[conn].ends[end].inflight.len();
         let mut take = match self.rng.below(3) {
             0 => 1 + self.rng.below(available as u64) as usize,
             _ => available,
         };
-        if let EndState::Pending { buf, .. } | EndState::Dialing { buf, .. } =
-            &self.conns[conn].ends[end].state
-        {
-            // Never past the hello: frames may follow it.
-            take = take.min(16 - buf.len());
-        }
-        if let Some(budget) = self.conns[conn].ends[end].budget.as_mut() {
+        let mut breaks = false;
+        if let Some(budget) = net.conns[conn].ends[end].budget.as_mut() {
             take = take.min(*budget);
             *budget -= take;
-            if *budget == 0 {
-                // The network breaks here, mid-whatever this was.
-                let broken = &mut self.conns[conn];
-                broken.cut = true;
-                broken.ends[1 - end].inbound.clear();
-                broken.ends[end].inbound.truncate(take);
-                self.log(|| format!("network breaks connection {conn}"));
-            }
+            breaks = *budget == 0;
         }
-        let bytes: Vec<u8> = self.conns[conn].ends[end].inbound.drain(..take).collect();
-        let target = self.conns[conn].target;
-        match &mut self.conns[conn].ends[end].state {
-            EndState::Pending { buf, slot, .. } => {
-                buf.extend_from_slice(&bytes);
-                let conn_id = Conn::Accepted(*slot);
-                if buf.len() == 16 {
-                    let bytes = buf[..].try_into().expect("16 bytes");
-                    let origin = format!("stranger to {target}");
-                    let event = Event::Hello(conn_id, &origin, bytes);
-                    self.note_refusals(id, &bytes);
-                    self.feed_and_tick(id, event)?;
-                }
-            }
-            EndState::Dialing { buf, peer, .. } => {
-                buf.extend_from_slice(&bytes);
-                if buf.len() == 16 {
-                    let (peer, bytes) = (*peer, buf[..].try_into().expect("16 bytes"));
-                    let origin = format!("server {peer} at {target}");
-                    let event = Event::Hello(Conn::Dialed(peer), &origin, bytes);
-                    self.feed_and_tick(id, event)?;
-                }
-            }
-            EndState::Live { decoder, .. } => {
-                decoder.push(&bytes);
-                // (The fabric may reset the stream over a frame it saw.)
-                while let EndState::Live { decoder, peer } = &mut self.conns[conn].ends[end].state {
-                    let peer = *peer;
-                    match decoder.next_frame() {
-                        Ok(Some(frame)) => {
-                            if let Frame::Goodbye { .. } = frame {
-                                let proc = self.proc(id).expect("reading");
-                                proc.said_goodbye[peer as usize] = true;
-                                proc.released[peer as usize] = true;
-                            }
-                            self.feed(id, Event::Frame(peer, frame))?;
-                        }
-                        Ok(None) => break,
-                        Err(_) => return self.lose_stream(id, conn, end, peer),
-                    }
-                }
-                self.tick(id)?;
-            }
-            EndState::Backlog | EndState::Closed => unreachable!("not readable"),
+        let to = net.end((conn, end));
+        to.arrived.extend_from_slice(&to.inflight[..take]);
+        to.inflight.drain(..take);
+        if breaks {
+            // The network breaks here, mid-whatever this was: what is still
+            // on its way, either way, is lost.
+            to.inflight.clear();
+            net.conns[conn].cut = true;
+            net.conns[conn].ends[1 - end].inflight.clear();
         }
-        Ok(())
-    }
-
-    /// Remember a hello that will be refused for its cluster size, so the
-    /// terminal loss that may follow can be held to naming it.
-    fn note_refusals(&mut self, id: usize, hello: &[u8; 16]) {
-        let servers = self.nodes.len() as u32;
-        let Ok(hello) = ResumeHello::decode(hello) else {
-            return;
-        };
-        let claimed = hello.sender < servers && hello.sender as usize != id;
-        if hello.cluster_size != servers && claimed {
-            self.proc(id).expect("reading").refused_size[hello.sender as usize] = true;
+        drop(net);
+        if breaks {
+            self.log(|| format!("network breaks connection {conn}"));
         }
+        self.turn(id as usize)
     }
 
     /// Once every peer's goodbye or loss is in, nothing may be retained.
@@ -1429,48 +1659,15 @@ impl World {
         let Some(proc) = self.proc(id) else {
             return Ok(());
         };
-        let released = proc.released.iter().filter(|&&released| released).count();
-        let retained = proc.fabric.replay().bytes_retained();
-        if released + 1 == proc.released.len() && retained != 0 {
+        let peers = &proc.event_loop().net().peers;
+        let released = peers.iter().filter(|seen| seen.released).count();
+        let retained = proc.event_loop().fabric().replay().bytes_retained();
+        if released + 1 == peers.len() && retained != 0 {
             return Err(format!(
                 "n{id} retains {retained} bytes after every peer's goodbye or loss"
             ));
         }
         Ok(())
-    }
-
-    fn lose_stream(&mut self, id: usize, conn: usize, end: usize, peer: u32) -> Check {
-        self.log(|| format!("n{id}'s stream on connection {conn} ends"));
-        self.close_end(conn, end);
-        let now = self.now;
-        let proc = self.proc(id).expect("reading");
-        if proc.live[peer as usize] == Some(conn) {
-            proc.live[peer as usize] = None;
-            proc.down_since[peer as usize] = Some(now);
-        }
-        self.feed_and_tick(id, Event::StreamEnd(peer))
-    }
-
-    /// An end has drained everything that will ever reach it.
-    fn stream_end(&mut self, conn: usize, end: usize) -> Check {
-        let Owner::Node { id, .. } = self.conns[conn].ends[end].owner else {
-            unreachable!("strangers never read");
-        };
-        let id = id as usize;
-        let target = self.conns[conn].target;
-        match self.conns[conn].ends[end].state {
-            EndState::Live { peer, .. } => self.lose_stream(id, conn, end, peer),
-            EndState::Dialing { peer, .. } => {
-                self.close_end(conn, end);
-                self.proc(id).expect("reading").dialing[peer as usize] = None;
-                let why = format!("server {peer} at {target}: closed before a reply hello");
-                self.feed_and_tick(id, Event::DialFailed(peer, why))
-            }
-            _ => {
-                self.close_end(conn, end);
-                Ok(())
-            }
-        }
     }
 
     // -- the worker: what `run_worker` does, one call at a time -------------
@@ -1516,7 +1713,7 @@ impl World {
             }
             Worker::Finished | Worker::Failed => {
                 proc.stopped = Some(now);
-                self.feed_and_tick(id, Event::Command(Command::Shutdown))
+                self.command(id, Command::Shutdown)
             }
         }
     }
@@ -1556,8 +1753,7 @@ impl World {
         let frame = Frame::state(id as u32, &state).expect("a small state");
         frame.encode(&mut batch);
         self.offered.push((id as u32, peer, cursor));
-        let command = Command::State(peer, Arc::new(batch));
-        self.feed_and_tick(id, Event::Command(command))
+        self.command(id, Command::State(peer, Arc::new(batch)))
     }
 
     /// Compute and encode superstep `s` — byte for byte what an earlier
@@ -1589,8 +1785,7 @@ impl World {
             Some(_) => {}
             None => self.wires[id][s as usize] = Some(wires),
         }
-        let command = Command::Broadcast(s, Arc::new(batch));
-        self.feed_and_tick(id, Event::Command(command))
+        self.command(id, Command::Broadcast(s, Arc::new(batch)))
     }
 
     /// `collect(s)` as the plane runs it, except that an empty inbox means
@@ -1633,7 +1828,7 @@ impl World {
                 let mut batch = proc.pool.checkout();
                 Frame::Abort { sender: id as u32 }.encode(&mut batch);
                 self.log(|| format!("n{id} aborts: collect({s}) = {error:?}"));
-                return self.feed_and_tick(id, Event::Command(Command::Abort(Arc::new(batch))));
+                return self.command(id, Command::Abort(Arc::new(batch)));
             }
             Err(error) => return Err(format!("n{id}: collect({s}) failed: {error:?}")),
         };
@@ -1673,28 +1868,38 @@ impl World {
         Ok(())
     }
 
+    /// Hand the loop a command as the plane does, and wake it.
+    fn command(&mut self, id: usize, command: Command) -> Check {
+        let proc = self.proc(id).expect("a running worker");
+        let sent = proc.ends.commands.try_send(Request::Do(command));
+        if let Err(TrySendError::Full(_)) = sent {
+            return Err(format!("n{id}'s loop is not taking commands"));
+        }
+        self.turn(id)
+    }
+
     // -- faults -------------------------------------------------------------
 
     fn fire(&mut self, fault: Fault) -> Check {
         self.log(|| format!("fault: {fault:?}"));
         match fault {
             Fault::Cut { a, b } => {
-                let live = self.proc(a as usize).and_then(|p| p.live[b as usize]);
-                // (Not once `b` has left: see `close_all`.)
-                if let Some(conn) = live.filter(|_| self.proc(b as usize).is_some()) {
-                    let broken = &mut self.conns[conn];
-                    broken.cut = true;
-                    for end in &mut broken.ends {
-                        let keep = self.rng.below(end.inbound.len() as u64 + 1) as usize;
-                        end.inbound.truncate(keep);
+                // (Not once `b` has left: see `leave`.) What is still in
+                // flight either way arrives or is lost at once.
+                let live = self.live(a, b).filter(|_| self.proc(b as usize).is_some());
+                if let Some((conn, _)) = live {
+                    let mut net = self.net.borrow_mut();
+                    net.conns[conn].cut = true;
+                    for end in 0..2 {
+                        let inflight = net.conns[conn].ends[end].inflight.len();
+                        let keep = self.rng.below(inflight as u64 + 1) as usize;
+                        net.arrive((conn, end), keep);
                     }
                 }
             }
             Fault::Sever { a, b } => {
-                let live = self.proc(a as usize).and_then(|p| p.live[b as usize]);
-                if let Some(conn) = live {
-                    let end = self.end_of(conn, a as usize);
-                    self.conns[conn].shut[end] = true;
+                if let Some((conn, end)) = self.live(a, b) {
+                    self.net.borrow_mut().end((conn, end)).shut = true;
                 }
             }
             Fault::Rogue { target, kind } => self.knock(target, kind, target)?,
@@ -1726,20 +1931,28 @@ impl World {
         Ok(())
     }
 
-    /// `kill -9`: every stream closes on the spot, a random part of what
-    /// was in flight is lost, the listener is gone.
+    /// Server `a`'s live stream to `b`, if it is running and has one.
+    fn live(&mut self, a: u32, b: u32) -> Option<(usize, usize)> {
+        self.proc(a as usize)?.event_loop().net().peers[b as usize].live
+    }
+
+    /// `kill -9`: the loop is dropped, so every stream closes on the spot;
+    /// a random part of what it had sent is lost, the rest arrives at once;
+    /// the listener is gone.
     fn kill(&mut self, victim: usize) {
-        let owner = self.owner_of(victim);
-        for conn in 0..self.conns.len() {
+        let mut net = self.net.borrow_mut();
+        for conn in 0..net.conns.len() {
             for end in 0..2 {
-                if self.conns[conn].ends[end].owner == owner {
-                    self.close_end(conn, end);
-                    let sent = &mut self.conns[conn].ends[1 - end].inbound;
-                    let keep = self.rng.below(sent.len() as u64 + 1) as usize;
-                    sent.truncate(keep);
+                let held = &mut net.conns[conn].ends[end];
+                if held.owner == Owner::Node(victim as u32) && !held.closed {
+                    held.handshaking = None;
+                    let sent = net.conns[conn].ends[1 - end].inflight.len();
+                    let keep = self.rng.below(sent as u64 + 1) as usize;
+                    net.arrive((conn, 1 - end), keep);
                 }
             }
         }
+        drop(net);
         let node = &mut self.nodes[victim];
         if let NodeState::Running(old) = std::mem::replace(&mut node.state, NodeState::Dead) {
             node.history.push((old.worker, old.ended));
@@ -1749,7 +1962,8 @@ impl World {
 
     /// The killed server's listener is back, at its address.
     fn bind(&mut self, victim: usize) {
-        self.nodes[victim].state = NodeState::Bound;
+        let listener = SimListener::bind(&self.net, victim as u32);
+        self.nodes[victim].state = NodeState::Bound(listener);
     }
 
     /// A stranger connects to `target` and writes its script.
@@ -1786,7 +2000,7 @@ impl World {
                 hello(
                     servers,
                     twin,
-                    self.nodes[twin as usize].eos_cursor[target as usize],
+                    self.net.borrow().eos_cursor[twin as usize][target as usize],
                 )
             }
             RogueKind::WrongSize => hello(servers + 1, claims, 0),
@@ -1794,33 +2008,18 @@ impl World {
         if self.proc(target as usize).is_none() {
             return Ok(());
         }
-        let end = |owner, state| End {
-            owner,
-            state,
-            inbound: VecDeque::new(),
-            budget: None,
-        };
-        self.conns.push(Connection {
-            ends: [
-                end(Owner::Rogue, EndState::Backlog),
-                end(self.owner_of(target as usize), EndState::Backlog),
-            ],
-            cut: false,
-            shut: [false; 2],
-            target: static_addr(target),
-        });
-        let conn = self.conns.len() - 1;
-        self.write(conn, 0, &script);
-        if kind == RogueKind::Silent {
-            // Nothing will ever make it readable: the listener's readiness
-            // is what gets it accepted, to sit in a slot until it expires.
-            self.accept(target as usize, conn);
-        }
-        // A twin's hello is read at once: its cursor is the real peer's of
-        // this instant, and a *stale* cursor below the replay floor is
-        // (correctly, WIRE.md §9.2) the end of that peer.
-        while kind == RogueKind::Duplicate && !self.conns[conn].ends[1].inbound.is_empty() {
-            self.deliver(conn, 1)?;
+        let mut net = self.net.borrow_mut();
+        let owners = [Owner::Rogue, Owner::Node(target)];
+        net.open(owners, target, usize::MAX, [None, None]);
+        let conn = net.conns.len() - 1;
+        net.conns[conn].ends[1].inflight = script;
+        if kind == RogueKind::Duplicate {
+            // A twin's hello is read at once: its cursor is the real peer's
+            // of this instant, and a *stale* cursor below the replay floor
+            // is (correctly, WIRE.md §9.2) the end of that peer.
+            net.arrive((conn, 1), usize::MAX);
+            drop(net);
+            return self.turn(target as usize);
         }
         Ok(())
     }
@@ -1850,7 +2049,6 @@ impl World {
         Ok(())
     }
 }
-
 /// The first `taken` inbox events went to the collector: remember the wires
 /// they handed it.
 fn hand(proc: &mut Proc, taken: usize) {
@@ -1923,7 +2121,9 @@ fn thousands_of_seeded_schedules_hold_every_invariant() {
     assert!(total >= 2000);
 }
 
-/// The simulation is a function of its seed: two runs, one trace.
+/// The simulation is a function of its seed: two runs, one trace — every
+/// `(event → actions)` step the production loops hand their fabrics, as the
+/// `Net` hooks see it, between the world's own lines.
 #[test]
 fn one_seed_one_trace() {
     let trace_of = |seed| {
@@ -1954,7 +2154,7 @@ fn explicit_world(
 ) -> World {
     let mut world = World::new(seed, servers, trace);
     world.planned.clear();
-    world.doomed_dials.clear();
+    world.net.borrow_mut().doomed_dials.clear();
     (world.fatal, world.hold_until_all_done) = (false, hold);
     arrange(&mut world);
     let (planned, timed) = (world.planned.len(), world.timed.len());
@@ -2006,11 +2206,13 @@ fn a_restarted_server_is_redialed_at_its_address_through_a_cut_storm() {
 /// goodbyes, the last acks and the last superstep may be in flight and
 /// nobody is held back from leaving. Nobody exits before every peer has said
 /// goodbye, so the side that redials finds the other still there, and no one
-/// waits out the reconnect deadline (which `perform` refuses for a schedule
-/// without a permanent loss). Server 0 severing is the shape of the race
-/// that cost real-socket runs 30 s; a higher id severing is not checked: its
-/// answer to the lower id's goodbye can vanish into the half it closed while
-/// its reads still work, and no protocol that adds no bytes can tell.
+/// waits out the reconnect deadline (which `note` refuses for a schedule
+/// without a permanent loss). A peer's loop that reads the severed stream's
+/// end first writes what it still has queued — its answer to that goodbye.
+/// Server 0 severing is the shape of the race that cost real-socket runs
+/// 30 s; a higher id severing is not checked: its answer to the lower id's
+/// goodbye can vanish into the half it closed while its reads still work,
+/// and no protocol that adds no bytes can tell.
 #[test]
 fn a_cut_after_the_final_superstep_costs_no_deadline() {
     for seed in 0..300 {
@@ -2039,14 +2241,19 @@ fn a_cut_after_the_final_superstep_costs_no_deadline() {
     }
 }
 
-/// Strangers that connect to an establishing node and say nothing sit in
-/// pending slots beside the real peer's hello until they expire:
-/// establishment is over long before the first of them does, however many
-/// they are. (Served one after the other under a 2 s read cap, eight would
-/// have cost 16 s.)
+/// Strangers that connect and say nothing — or half a hello and then
+/// nothing — sit in pending slots until they expire, and nothing waits on
+/// them: an establishing node (twenty of them, one a millisecond, so the
+/// oldest keep giving way to newcomers, which the seam checks) is
+/// established long before the first expires; a running one (eight silent
+/// and one half hello at each node, mid-run) finishes its run. Kept up
+/// until all are done, each node drops every stranger it still holds at
+/// its deadline.
 #[test]
 fn silent_strangers_do_not_delay_establishment() {
+    let knock = |target, kind| Fault::Rogue { target, kind };
     for seed in 0..50 {
+        let establishing = seed % 2 == 0;
         let arrange = |world: &mut World| {
             world.timed.clear();
             for (at, victim) in [(0, 1), (5, 0)] {
@@ -2054,26 +2261,85 @@ fn silent_strangers_do_not_delay_establishment() {
                 world.timed.push((at, Timed::Start { victim }));
             }
             for target in [0, 1] {
-                for _ in 0..8 {
-                    let knock = Timed::Fire(Fault::Rogue {
-                        target,
-                        kind: RogueKind::Silent,
-                    });
-                    world.timed.push((Duration::from_millis(10), knock));
+                if establishing {
+                    for k in 0..20 {
+                        let at = Duration::from_millis(10 + k);
+                        let silent = Timed::Fire(knock(target, RogueKind::Silent));
+                        world.timed.push((at, silent));
+                    }
+                    continue;
                 }
+                let mut strangers = vec![knock(target, RogueKind::Silent); 8];
+                strangers.push(knock(target, RogueKind::OtherMagic));
+                let (fault, when) = (Fault::Together(strangers), (0, 1));
+                let before = Vec::new();
+                world.planned.push(Planned {
+                    fault,
+                    when,
+                    before,
+                });
             }
         };
         let check = |world: &World| {
             for id in 0..2 {
                 let at = last_proc(world, id)?.established.ok_or("not established")?;
-                if at >= HANDSHAKE_DEADLINE {
+                if establishing && at >= HANDSHAKE_DEADLINE {
                     return Err(format!("n{id} was established only at {at:?}"));
+                }
+            }
+            // (Nine per node at least; of twenty, the ones not displaced.)
+            let expired = world.net.borrow().expired;
+            (expired >= 18)
+                .then_some(())
+                .ok_or(format!("only {expired} strangers expired"))
+        };
+        let build = |trace| explicit_world(seed, 2, trace, true, &arrange);
+        run_world(&format!("strangers, seed {seed}"), &build, &check);
+    }
+}
+
+/// The network breaks a dial right after its hello reached the listener:
+/// the reply fails, the handshake is dropped and its adoption reports the
+/// stream's end at once (the seam checks that), and the dialer redials.
+#[test]
+fn a_reply_that_fails_drops_its_handshake() {
+    let mut failed = 0;
+    for seed in 0..50 {
+        let arrange = |world: &mut World| world.net.borrow_mut().doomed_dials.push((0, 1, 16));
+        let build = |trace| explicit_world(seed, 2, trace, seed % 2 == 0, &arrange);
+        let world = run_world(&format!("a failed reply, seed {seed}"), &build, &|_| Ok(()));
+        failed += world.net.borrow().failed_replies;
+    }
+    assert!(failed >= 50, "only {failed} replies failed");
+}
+
+/// Server 0's listener is bound but it never establishes (a restarted
+/// `graphh-node` still building its workload), so every dial to it sits
+/// unanswered until its handshake deadline. The other two bring their own
+/// link up at once and give up at their establish timeout, naming only
+/// server 0.
+#[test]
+fn an_unanswered_dial_does_not_hold_up_the_other_links() {
+    for seed in 0..10 {
+        let arrange = |world: &mut World| {
+            let at = Duration::from_millis(5);
+            world.timed = vec![(at, Timed::Bind { victim: 0 })];
+            world.timed.push((at, Timed::Start { victim: 1 }));
+            world.timed.push((at * 2, Timed::Start { victim: 2 }));
+            world.fatal = true;
+        };
+        let check = |world: &World| {
+            for id in 1..3 {
+                match &last_proc(world, id)?.ended {
+                    Some(Ended::NeverEstablished(why))
+                        if why.contains("dialing servers [0], waiting for servers [] to") => {}
+                    other => return Err(format!("n{id} ended as {other:?}")),
                 }
             }
             Ok(())
         };
-        let build = |trace| explicit_world(seed, 2, trace, true, &arrange);
-        run_world(&format!("strangers, seed {seed}"), &build, &check);
+        let build = |trace| explicit_world(seed, 3, trace, false, &arrange);
+        run_world(&format!("an unanswered dial, seed {seed}"), &build, &check);
     }
 }
 
