@@ -308,7 +308,9 @@ impl Fabric {
     }
 
     /// The earliest instant at which an [`Event::Tick`] would do something,
-    /// if any. Ticking more often is harmless.
+    /// if any. Ticking more often is harmless. An exit made due since the
+    /// last tick — by a goodbye, or by a dial refused inside that very tick —
+    /// is due now: `Some(Duration::ZERO)`.
     pub fn next_timer(&self) -> Option<Duration> {
         let links = self.links.iter().filter_map(|link| match &link.state {
             // (A link this endpoint dials.)
@@ -320,7 +322,8 @@ impl Fabric {
         });
         let establishing = self.phase == Phase::Establishing;
         let deadlines = establishing.then_some(self.establish_deadline);
-        let timers = links.chain(deadlines).chain(self.linger_until);
+        let exit = self.may_exit().then_some(Duration::ZERO);
+        let timers = links.chain(deadlines).chain(self.linger_until).chain(exit);
         timers.min().filter(|_| self.phase != Phase::Exited)
     }
 
@@ -721,18 +724,21 @@ impl Fabric {
         }
     }
 
+    /// A stopping endpoint is free to go: it is leaving, or it has served
+    /// every peer until that peer was done with it ([`Self::settled`]).
+    fn may_exit(&self) -> bool {
+        self.phase == Phase::Stopping && (self.leaving || self.links.iter().all(Self::settled))
+    }
+
     fn tick(&mut self, now: Duration, out: &mut Vec<Action>) {
-        if self.phase == Phase::Stopping {
-            // A finished endpoint keeps serving until every peer is done with
-            // it: a peer still running may need its replay, a new process its
-            // state too, one that finished its goodbye. One that is leaving
-            // never lingers, and the reconnect deadline bounds the wait.
-            let all_settled = self.links.iter().all(Self::settled);
-            let late = self.linger_until.is_some_and(|until| now >= until);
-            if self.leaving || all_settled || late {
-                self.phase = Phase::Exited;
-                return out.push(Action::Exit);
-            }
+        // The exit is decided here, not at the goodbye that makes it due: the
+        // loop steps all one read returned, a goodbye and the stream end
+        // behind it, before its next tick (`docs/WIRE.md` §9.3). The linger
+        // (armed by `Shutdown` only) is bounded by the reconnect deadline.
+        let late = self.linger_until.is_some_and(|until| now >= until);
+        if self.may_exit() || late {
+            self.phase = Phase::Exited;
+            return out.push(Action::Exit);
         }
         if self.phase == Phase::Establishing && now >= self.establish_deadline {
             return self.establish_timed_out(out);
@@ -1109,6 +1115,47 @@ mod tests {
         assert!(!exits(&e.step(Event::Tick)), "server 2 has not answered");
         e.step(Event::Frame(2, Frame::Goodbye { sender: 2 }));
         assert!(exits(&e.step(Event::Tick)));
+    }
+
+    /// Server 1 of 2 whose lower peer said goodbye and then its stream
+    /// ended: the link is down and done. After its own shutdown, the tick's
+    /// redial is refused — the peer has left — which settles the link inside
+    /// that tick. The exit that makes due is announced as due now, not at
+    /// the linger deadline.
+    #[test]
+    fn an_exit_made_due_inside_a_tick_is_due_now() {
+        let addrs: Vec<SocketAddr> = (0..2)
+            .map(|id| SocketAddr::from(([127, 0, 0, 1], 4760 + id)))
+            .collect();
+        let (config, timeout) = (ResilienceConfig::default(), Duration::from_secs(10));
+        let mut fabric = Fabric::new(1, addrs, config, timeout, BufferPool::new());
+        let now = Duration::from_secs(1);
+        let mut step = |event: Event<'_>| {
+            let mut out = Vec::new();
+            fabric.step(now, event, &mut out);
+            (out, fabric.next_timer())
+        };
+        let dials = |out: &[Action]| out.iter().any(|a| matches!(a, Action::Dial(0, ..)));
+        assert!(dials(&step(Event::Tick).0));
+        let hello = ResumeHello {
+            cluster_size: 2,
+            sender: 0,
+            resume_from: 0,
+        };
+        let (out, _) = step(Event::Hello(Conn::Dialed(0), "test", hello.encode()));
+        assert!(out.iter().any(|a| matches!(a, Action::Established)));
+        step(Event::Frame(0, Frame::Goodbye { sender: 0 }));
+        step(Event::StreamEnd(0));
+        step(Event::Command(Command::Shutdown));
+        let (out, _) = step(Event::Tick);
+        assert!(dials(&out), "the down link is redialed");
+        let (_, next) = step(Event::DialRefused(0, "refused".into()));
+        assert!(
+            next.is_some_and(|at| at <= now),
+            "exit due at {next:?}, not now"
+        );
+        let (out, _) = step(Event::Tick);
+        assert!(out.iter().any(|a| matches!(a, Action::Exit)));
     }
 
     /// The tags of the frames in a run of encoded frame bytes.

@@ -78,7 +78,11 @@
 //! The loop's thread owns one private poller. On Linux it is `poll(2)` over
 //! the raw descriptors each slot holds this round (−1 for an empty slot),
 //! plus the read end of a `UnixStream` pair the plane writes one byte to
-//! when it hands the loop something. Every other target keeps the portable
+//! when it hands the loop something. It has no timeout of its own: the loop
+//! sleeps until a slot is ready, the waker fires or the deadline its last
+//! [`EventLoop::turn`] returned has come — never longer, and with no limit
+//! when the turn named none — so every timer the loop and its fabric keep
+//! must be in that deadline. Every other target keeps the portable
 //! spin: each interesting socket is reported ready, the non-blocking
 //! `read`/`write` finds out (`WouldBlock`), and a round that may wait naps
 //! at most 1 ms — which is also why it needs no waker.
@@ -118,11 +122,6 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRe
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long one `poll` round may sleep when nothing is ready and no clock is
-/// due sooner. Bounds the latency of anything neither a socket, the waker
-/// nor a timer announces.
-const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Poller slots for accepted connections that have not finished their
 /// handshake. When all are taken the oldest gives way.
@@ -373,16 +372,16 @@ impl Poller {
         Ok((Poller {}, Waker {}))
     }
 
-    /// Find out what each of `slots` is ready for, into `ready`, waiting up
-    /// to `timeout` while nothing is; `Ok(true)` when the plane woke the
-    /// loop.
+    /// Find out what each of `slots` is ready for, into `ready`, waiting
+    /// while nothing is and the plane does not wake the loop — up to
+    /// `timeout`, or for as long as that takes when it is `None`.
     #[cfg(target_os = "linux")]
     fn poll<'a>(
         &mut self,
         slots: impl Iterator<Item = SlotInterest<'a>>,
         ready: &mut Vec<Ready>,
-        timeout: Duration,
-    ) -> std::io::Result<bool> {
+        timeout: Option<Duration>,
+    ) -> std::io::Result<()> {
         use std::os::unix::io::AsRawFd;
         let pollfd = |fd, readable: bool, writable: bool| {
             let mut events = 0i16;
@@ -408,15 +407,13 @@ impl Poller {
             None => pollfd(-1, false, writable),
         });
         self.pollfds.extend(slot_fds);
-        // Zero stays zero (the event loop's "burst in progress, don't sleep"
-        // round); anything else is at least 1 ms so a sub-millisecond value
+        // No timeout is −1, no limit; zero stays zero (a deadline already
+        // due); anything else is at least 1 ms so a sub-millisecond value
         // does not truncate into a busy loop.
-        let timeout_ms = if timeout.is_zero() {
-            0
-        } else {
-            i32::try_from(timeout.as_millis())
-                .unwrap_or(i32::MAX)
-                .max(1)
+        let timeout_ms = match timeout {
+            None => -1,
+            Some(t) if t.is_zero() => 0,
+            Some(t) => i32::try_from(t.as_millis()).map_or(i32::MAX, |ms| ms.max(1)),
         };
         loop {
             // SAFETY: `pollfds` is a live, initialised array of
@@ -451,11 +448,9 @@ impl Poller {
         }));
         // Drain the wakeups (their only payload is "wake up"): a read error,
         // `WouldBlock` or EOF all mean there is nothing more to take.
-        let (mut woken, mut drain) = (false, [0u8; 64]);
-        while self.pollfds[0].revents != 0 && matches!((&self.waker).read(&mut drain), Ok(1..)) {
-            woken = true;
-        }
-        Ok(woken)
+        let mut drain = [0u8; 64];
+        while self.pollfds[0].revents != 0 && matches!((&self.waker).read(&mut drain), Ok(1..)) {}
+        Ok(())
     }
 
     /// Report every interesting socket of `slots` ready, into `ready`,
@@ -466,17 +461,17 @@ impl Poller {
         &mut self,
         slots: impl Iterator<Item = SlotInterest<'a>>,
         ready: &mut Vec<Ready>,
-        timeout: Duration,
-    ) -> std::io::Result<bool> {
+        timeout: Option<Duration>,
+    ) -> std::io::Result<()> {
         ready.clear();
         ready.extend(slots.map(|(socket, writable)| Ready {
             readable: socket.is_some(),
             writable,
         }));
-        if !timeout.is_zero() {
-            std::thread::sleep(timeout.min(SPIN_NAP));
+        if timeout != Some(Duration::ZERO) {
+            std::thread::sleep(timeout.map_or(SPIN_NAP, |t| t.min(SPIN_NAP)));
         }
-        Ok(false)
+        Ok(())
     }
 }
 
@@ -960,8 +955,9 @@ impl<S> Peer<S> {
 pub enum Turn {
     /// It made progress: turn again at once, whatever is ready.
     Again,
-    /// Turn again once a slot is ready, or by this instant of [`Net::now`]
-    /// if it names one.
+    /// Turn again once a slot is ready or the plane wakes the loop, or at
+    /// this instant of [`Net::now`] if it names one — and never later: every
+    /// timer the loop and its fabric keep is in it.
     Wait(Option<Duration>),
     /// The loop is over: the worker side has been told how, and every
     /// stream is closed or half-closed.
@@ -1158,8 +1154,8 @@ impl<N: Net> EventLoop<N> {
         }
 
         // Time: handshakes past their deadline, then the fabric's own clocks
-        // (redial, terminal loss, linger).
-        let handshake_due = self.expire_handshakes();
+        // (redial, terminal loss, linger, exit).
+        self.expire_handshakes();
         self.dispatch(Event::Tick);
         if self.dead {
             return Turn::Done;
@@ -1173,14 +1169,13 @@ impl<N: Net> EventLoop<N> {
             }
             return Turn::Done;
         }
+        // (Read after the tick: a dial it made has a deadline too.)
+        let dials = self.peers.iter().filter_map(|p| p.dialing.as_ref());
+        let open = dials.chain(self.pending.iter().flatten());
+        let expiries = open.map(|h| h.expires);
         match progressed {
             true => Turn::Again,
-            false => Turn::Wait(
-                handshake_due
-                    .into_iter()
-                    .chain(self.fabric.next_timer())
-                    .min(),
-            ),
+            false => Turn::Wait(expiries.chain(self.fabric.next_timer()).min()),
         }
     }
 
@@ -1399,24 +1394,19 @@ impl<N: Net> EventLoop<N> {
         }
     }
 
-    /// Abandon every handshake past [`HANDSHAKE_DEADLINE`] and say when the
-    /// next one is due.
-    fn expire_handshakes(&mut self) -> Option<Duration> {
+    /// Abandon every handshake past [`HANDSHAKE_DEADLINE`].
+    fn expire_handshakes(&mut self) {
         let now = self.net.now();
-        let mut next: Option<Duration> = None;
         for slot in 0..PENDING_SLOTS + self.peers.len() {
             let conn = match slot.checked_sub(PENDING_SLOTS) {
                 None => Conn::Accepted(slot),
                 Some(peer) => Conn::Dialed(self.peers[peer].id),
             };
-            let due = self.handshake(conn).as_ref().map(|h| h.expires);
-            if due.is_some_and(|due| now < due) {
-                next = next.min(due).or(due);
-            } else if due.is_some() {
+            let expires = self.handshake(conn).as_ref().map(|h| h.expires);
+            if expires.is_some_and(|at| at <= now) {
                 self.abandon(conn, &format!("no reply within {HANDSHAKE_DEADLINE:?}"));
             }
         }
-        next
     }
 
     /// Read peer `idx`'s socket until it would block, handing every decoded
@@ -1465,36 +1455,30 @@ impl<N: Net> EventLoop<N> {
 }
 
 impl EventLoop<OsNet> {
-    /// The loop thread: turn, `poll(2)` the slots until something is ready
-    /// or due, turn again — until the loop is done.
+    /// The loop thread: turn, `poll(2)` the slots until something is ready,
+    /// the plane wakes it or the deadline the turn named has come — never
+    /// longer, and with no limit when it named none — turn again, until the
+    /// loop is done.
     fn run(mut self, mut poller: Poller) {
         let mut ready = vec![Ready::default(); self.slots().count()];
-        // Whether the last round made progress: then the next does not wait,
-        // so a burst is serviced without sleeping (the first one neither).
-        let mut progressed = true;
         loop {
             let timeout = match self.turn(&ready) {
                 Turn::Done => return,
-                Turn::Again => Duration::ZERO,
-                _ if progressed => Duration::ZERO,
-                Turn::Wait(Some(due)) => due.saturating_sub(self.net.now()).min(POLL_TIMEOUT),
-                Turn::Wait(None) => POLL_TIMEOUT,
+                Turn::Again => Some(Duration::ZERO),
+                Turn::Wait(due) => due.map(|due| due.saturating_sub(self.net.now())),
             };
-            progressed = match poller.poll(self.slots(), &mut ready, timeout) {
-                Ok(woken) => woken,
-                Err(e) => {
-                    // A broken poller cannot drive any stream: fail
-                    // establishment or report every peer lost, and leave —
-                    // the plane finds the command channel closed.
-                    self.conclude(Err(e));
-                    for peer in &mut self.peers {
-                        peer.close(&self.net);
-                        let lost = InboxEvent::PeerLost(peer.id, PlaneError::Disconnected);
-                        let _ = self.inbox.send(lost);
-                    }
-                    return;
+            if let Err(e) = poller.poll(self.slots(), &mut ready, timeout) {
+                // A broken poller cannot drive any stream: fail establishment
+                // or report every peer lost, and leave — the plane finds the
+                // command channel closed.
+                self.conclude(Err(e));
+                for peer in &mut self.peers {
+                    peer.close(&self.net);
+                    let lost = InboxEvent::PeerLost(peer.id, PlaneError::Disconnected);
+                    let _ = self.inbox.send(lost);
                 }
-            };
+                return;
+            }
         }
     }
 }

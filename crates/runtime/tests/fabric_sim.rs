@@ -46,7 +46,12 @@
 //!   establish timeout; a loss after a refused hello names the refusal;
 //! * **no one left waiting** — an endpoint told to stop exits once every
 //!   peer has said goodbye or is gone, within `reconnect_deadline`, and
-//!   before it unless a server is gone for good.
+//!   before it unless a server is gone for good;
+//! * **announced time** — a loop turns only when one of its slots is ready,
+//!   its worker hands it a command (the waker), its last turn asked to turn
+//!   again, or at the deadline that turn announced, as its thread's `poll`
+//!   would wake it: a loop that needed a turn it never announced breaks one
+//!   of the invariants above.
 //!
 //! And at the seam, per stream and handshake:
 //!
@@ -1603,11 +1608,16 @@ impl World {
                 Timed::Fire(fault) => self.fire(fault)?,
             }
         }
-        // (Each wait turns every loop: a loop's `poll` timeout never lets it
-        // sleep long, and a fabric may have something to do before its
-        // next timer says so.)
+        // Only the loops whose deadline has come: a loop's `poll` sleeps
+        // until the deadline its last turn announced, and not past it.
         for id in 0..self.nodes.len() {
-            self.turn(id)?;
+            let due = match &self.nodes[id].state {
+                NodeState::Running(proc) => proc.due.is_some_and(|due| due <= now),
+                _ => false,
+            };
+            if due {
+                self.turn(id)?;
+            }
         }
         // Every handshake is adopted or dropped by its deadline.
         let net = self.net.borrow();
@@ -2485,7 +2495,7 @@ fn a_restart_at_every_superstep_recovers_from_the_peer() {
 #[test]
 fn a_request_set_aside_by_the_last_collect_is_answered_after_it() {
     let mut answered = 0;
-    for seed in 0..240 {
+    for seed in 0..360 {
         let victim = (seed % 3) as u32;
         let (a, b) = ((victim + 1) % 3, (victim + 2) % 3);
         let arrange = |world: &mut World| {
